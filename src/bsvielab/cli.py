@@ -33,11 +33,11 @@ from .girsanov import DegenerateWeights, drift, expect_q, girsanov_report, \
 from .kernels import ToleranceUnreachable, build_phi, example33_reference, \
     resolvent
 from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, SingularStep, residual_delayed, \
-    residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
-    solve_delayed_picard, solve_reduced_collocation
+    RegressionIllConditioned, SingularStep, build_delayed_operator, \
+    residual_delayed, residual_reduced, residual_reduced_pathwise, \
+    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import norms, smoothness_diagnostics, solve_Y, solve_Z
-from .terminal import QuadratureError, conditional_F
+from .terminal import QuadratureError, conditional_F, f0_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,7 +89,8 @@ def _triangle_rows(grid, *surfaces):
 
 
 def _prepare(cfg: ExperimentConfig):
-    """Grid, kernel table, resolvent and drift shared by most commands."""
+    """Grid, kernel table, resolvent and drift shared by most commands; the
+    delayed operator is built once by the two commands that use it."""
     grid = cfg.grid()
     phi = build_phi(cfg.measure, cfg.kernel, grid)
     psi = resolvent(phi, cfg.resolvent_tol)
@@ -158,15 +159,14 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
               _triangle_rows(grid, fld.z))
 
     if cfg.stochastic:
-        r = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid,
-                                      ens, drift_fn)
+        r = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid, ens)
         rr = r.mean(axis=0)
         rr_se = r.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)
         rd = np.full_like(rr, np.nan)
     else:
-        rd, _ = residual_delayed(fld.y, cfg.family, cfg.kernel, cfg.measure,
-                                 grid)
-        f0_prof = np.asarray([float(cfg.family.f0(t)) for t in nodes])
+        f0_prof = f0_profile(cfg.family, grid)
+        op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
+        rd, _ = residual_delayed(fld.y, f0_prof, op)
         rr, _ = residual_reduced(fld.y, f0_prof, phi, grid)
         rr_se = np.zeros_like(rr)
     write_csv(os.path.join(cfg.out_dir, "residuals.csv"),
@@ -203,6 +203,7 @@ def _write_picard_trace(cfg: ExperimentConfig, sup_diffs) -> None:
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
+    op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
     nodes = grid.nodes
     dt = grid.dt
     tol_quad = cfg.quad_slack * dt * dt
@@ -213,11 +214,10 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
     if not cfg.stochastic:
         fld, _ = _solve_field(cfg, grid, phi, psi, drift_fn)
-        f0_prof = np.asarray([float(cfg.family.f0(t)) for t in nodes])
+        f0_prof = f0_profile(cfg.family, grid)
         y_col = solve_reduced_collocation(f0_prof, phi, grid)
         try:
-            pic = solve_delayed_picard(cfg.family, cfg.kernel, cfg.measure,
-                                       grid, pic_cfg)
+            pic = solve_delayed_picard(f0_prof, op, pic_cfg)
         except (PicardDiverged, PicardStalled) as exc:
             _write_picard_trace(cfg, exc.sup_diffs)
             write_meta(cfg, "compare", {
@@ -230,11 +230,9 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
             raise
         _write_picard_trace(cfg, pic.sup_diffs)
 
-        rd_exp, rd_exp_sup = residual_delayed(fld.y, cfg.family, cfg.kernel,
-                                              cfg.measure, grid)
+        rd_exp, rd_exp_sup = residual_delayed(fld.y, f0_prof, op)
         rr_exp, rr_exp_sup = residual_reduced(fld.y, f0_prof, phi, grid)
-        rd_pic, rd_pic_sup = residual_delayed(pic.y, cfg.family, cfg.kernel,
-                                              cfg.measure, grid)
+        rd_pic, rd_pic_sup = residual_delayed(pic.y, f0_prof, op)
         rr_pic, rr_pic_sup = residual_reduced(pic.y, f0_prof, phi, grid)
         rr_col_sup = residual_reduced(y_col, f0_prof, phi, grid)[1]
         gap = float(np.abs(fld.y - pic.y).max())
@@ -267,8 +265,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         return
 
     fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
-    lsmc = solve_delayed_lsmc(cfg.family, cfg.kernel, cfg.measure, drift_fn,
-                              grid, ens, pic_cfg)
+    lsmc = solve_delayed_lsmc(cfg.family, cfg.kernel, cfg.measure, op, grid,
+                              ens, pic_cfg)
     _write_picard_trace(cfg, lsmc.sup_diffs)
     # Reduced-equation oracle: conditioning the equation on the trivial
     # time-0 sigma-field turns it into a scalar Volterra equation for the
@@ -279,10 +277,9 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
     y_exp, se_exp = _q_mean_columns(fld.y, ens)
     y_lsmc, se_lsmc = _q_mean_columns(lsmc.y, ens)
-    r_exp = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid,
-                                      ens, drift_fn)
+    r_exp = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid, ens)
     r_lsmc = residual_reduced_pathwise(lsmc.y, lsmc.z, cfg.family, phi, grid,
-                                       ens, drift_fn)
+                                       ens)
     rr_exp = r_exp.mean(axis=0)
     rr_lsmc = r_lsmc.mean(axis=0)
     se_r_exp = float((r_exp.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)).max())

@@ -25,6 +25,7 @@ experiment.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .kernels import KernelSpec, TriangularGrid, constant_kernel, \
@@ -93,9 +94,12 @@ def _take(kv: dict, key: str, default=None, required=False) -> str | None:
 
 def _as_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: not a finite number: {value!r}")
+    return x
 
 
 def _as_int(key: str, value: str) -> int:
@@ -118,11 +122,12 @@ def _build_measure(kv: dict, horizon: float) -> DelayMeasure:
         for chunk in raw.split(","):
             try:
                 u, w = chunk.split(":")
-                pairs.append((float(u), float(w)))
             except ValueError:
                 raise ConfigError(
                     f"measure.atoms: expected u:w pairs, got {chunk!r}"
                 ) from None
+            pairs.append((_as_float("measure.atoms", u),
+                          _as_float("measure.atoms", w)))
         m = Atoms(horizon, tuple(pairs))
     else:
         raise ConfigError(f"measure.kind: unknown kind {kind!r}")
@@ -212,7 +217,7 @@ def load_config(text: str, seed_override: int | None = None,
 
     if kv:
         raise ConfigError(f"unknown keys: {', '.join(sorted(kv))}")
-    if resolvent_tol <= 0.0 or picard_tol <= 0.0:
+    if resolvent_tol <= 0.0 or picard_tol <= 0.0 or quad_slack <= 0.0:
         raise ConfigError("tolerances must be positive")
 
     if seed_override is not None:

@@ -47,6 +47,11 @@ class DriftFunction:
         incr = self.values[:-1] * self.grid.dt
         return np.concatenate([[0.0], np.cumsum(incr)])
 
+    def remaining(self) -> np.ndarray:
+        """Left-point accumulation int_{t_i}^T b ds, summed backward."""
+        incr = self.values[:-1] * self.grid.dt
+        return np.concatenate([np.cumsum(incr[::-1])[::-1], [0.0]])
+
 
 def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction:
     """Tabulate the Girsanov drift on the grid.
@@ -112,9 +117,10 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
     dt = grid.dt
     rng = np.random.Generator(np.random.Philox(key=seed))
     xi = rng.standard_normal((n_paths, n)) * math.sqrt(dt)
-    b = np.zeros(n + 1) if drift_fn is None else drift_fn.values
-    b_left = b[:n]
-    drift_cum = np.concatenate([[0.0], np.cumsum(b_left * dt)])
+    if drift_fn is None:
+        drift_fn = DriftFunction(grid, np.zeros(n + 1), 0.0)
+    b_left = drift_fn.values[:n]
+    drift_cum = drift_fn.cumulative()
 
     zeros_col = np.zeros((n_paths, 1))
     if mode == "P":

@@ -129,11 +129,6 @@ class KernelTable:
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
-    # alias used where the table plays the role of a declared bound
-    @property
-    def bound(self) -> float:
-        return self.sup_norm
-
 
 @dataclass
 class ResolventTable:
@@ -153,6 +148,25 @@ class ResolventTable:
 def triangle_mask(n: int) -> np.ndarray:
     i = np.arange(n + 1)
     return i[:, None] <= i[None, :]
+
+
+def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
+    """W[i, j] such that sum_j W[i, j] f(t_j) is the composite trapezoid
+    value of int_{t_i}^T f; row N is identically zero.  The transpose
+    holds the weights in r of int_{t_s}^T, one column per s."""
+    n, dt = grid.n, grid.dt
+    w = np.where(triangle_mask(n), dt, 0.0)
+    w[np.diag_indices(n + 1)] = 0.5 * dt
+    w[:, n] = 0.5 * dt
+    w[n] = 0.0
+    return w
+
+
+def trapezoid_weights(grid: TriangularGrid) -> np.ndarray:
+    """Composite trapezoid weights of int_0^T over the grid nodes."""
+    w = np.full(grid.n + 1, grid.dt)
+    w[0] = w[-1] = 0.5 * grid.dt
+    return w
 
 
 def build_phi(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> KernelTable:
@@ -235,7 +249,7 @@ def series_tail(c: float, horizon: float, n: int) -> float:
 def resolvent(phi: KernelTable, tol: float, order_cap: int = SERIES_ORDER_CAP) -> ResolventTable:
     """Sum the iterated kernels of phi until the analytic factorial tail
     drops below tol; records per-order sup norms and the certified tail."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     c_phi = phi.sup_norm
     horizon = phi.grid.horizon

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MASS_TOL = 1e-12
+LAG_DECIMALS = 12
+UNIFORM_QUADRATURE_NODES = 65
 
 
-def snap_lag(a: float, decimals: int = 12) -> float:
-    """Round a lag coordinate to `decimals` places before a mass query.
+def snap_lag(a: float) -> float:
+    """Round a lag coordinate to LAG_DECIMALS places before a mass query.
 
     Grid arithmetic produces values like -0.29999999999999993 where an atom
     sits at exactly -0.3; snapping makes the query land on the atom
@@ -28,7 +30,7 @@ def snap_lag(a: float, decimals: int = 12) -> float:
     measures themselves stay exact -- callers that derive lags from grid
     nodes opt in.
     """
-    return float(np.round(a, decimals))
+    return float(np.round(a, LAG_DECIMALS))
 
 
 class DomainError(ValueError):
@@ -70,10 +72,10 @@ class DelayMeasure:
         """Check total mass and support; raise on the first violation."""
         raise NotImplementedError
 
-    def quadrature(self, uniform_nodes: int = 65) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Discrete representation (points u_i, weights w_i) for integrating
         bounded functions against the measure.  Exact for atoms; uniform parts
-        use composite-trapezoid nodes on [-T, 0]."""
+        use UNIFORM_QUADRATURE_NODES composite-trapezoid nodes on [-T, 0]."""
         raise NotImplementedError
 
 
@@ -99,7 +101,7 @@ class DiracAt(DelayMeasure):
             raise SupportError(f"atom at {self.u0} outside [-{self.horizon}, 0]")
         return self
 
-    def quadrature(self, uniform_nodes: int = 65) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.u0]), np.array([1.0])
 
 
@@ -122,9 +124,10 @@ class Uniform(DelayMeasure):
             raise SupportError("horizon must be positive")
         return self
 
-    def quadrature(self, uniform_nodes: int = 65) -> tuple[np.ndarray, np.ndarray]:
-        u = np.linspace(-self.horizon, 0.0, uniform_nodes)
-        w = np.full(uniform_nodes, 1.0 / (uniform_nodes - 1))
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        nodes = UNIFORM_QUADRATURE_NODES
+        u = np.linspace(-self.horizon, 0.0, nodes)
+        w = np.full(nodes, 1.0 / (nodes - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
         return u, w
@@ -163,7 +166,7 @@ class Atoms(DelayMeasure):
             raise MassError("cannot normalize non-positive total weight")
         return Atoms(self.horizon, tuple((u, w / total) for u, w in self.atoms))
 
-    def quadrature(self, uniform_nodes: int = 65) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         u = np.array([a for a, _ in self.atoms])
         w = np.array([b for _, b in self.atoms])
         return u, w
@@ -198,10 +201,10 @@ class Mixture(DelayMeasure):
             m.validate()
         return self
 
-    def quadrature(self, uniform_nodes: int = 65) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         us, ws = [], []
         for m, w in self.components:
-            u, q = m.quadrature(uniform_nodes)
+            u, q = m.quadrature()
             us.append(u)
             ws.append(w * q)
         return np.concatenate(us), np.concatenate(ws)

@@ -23,15 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .girsanov import DriftFunction, PathEnsemble
-from .kernels import KernelSpec, KernelTable, TriangularGrid, zero_extend_kernel
+from .girsanov import PathEnsemble
+from .kernels import KernelSpec, KernelTable, TriangularGrid, \
+    tail_weight_matrix, zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
-from .solver import tail_weight_matrix
 from .terminal import TerminalFamily, evaluate_F
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
 COND_LIMIT = 1e10
+DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
 
 
 class SingularStep(RuntimeError):
@@ -39,7 +40,7 @@ class SingularStep(RuntimeError):
 
 
 class PicardDiverged(RuntimeError):
-    """Iteration exceeded the divergence guard.
+    """Iteration exceeded DIVERGENCE_GUARD.
 
     Carries the per-iteration sup-difference trace in ``sup_diffs`` so
     callers can still emit diagnostics for the failed run.
@@ -66,10 +67,9 @@ class RegressionIllConditioned(RuntimeError):
 class PicardConfig:
     max_iterations: int = 200
     tolerance: float = 1e-10
-    divergence_guard: float = 1e12
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
@@ -158,26 +158,23 @@ def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
     return op
 
 
-def solve_delayed_picard(fam, k: KernelSpec, m: DelayMeasure,
-                         grid: TriangularGrid,
+def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
                          cfg: PicardConfig = PicardConfig()) -> PicardResult:
     """Fixed-point iteration of the deterministic delayed equation.
 
     Deterministic free terms force Z to vanish, so the equation reduces to
-    y = f0 + L y with the delay operator L; the iteration mirrors the
-    existence argument and diverges detectably outside the small-bound
-    regime.
+    y = f0 + L y with the f0 profile on the grid and the delay operator L
+    of build_delayed_operator; the iteration mirrors the existence
+    argument and diverges detectably outside the small-bound regime.
     """
-    f0_prof = np.asarray([float(fam.f0(t)) for t in grid.nodes])
-    op = build_delayed_operator(k, m, grid)
-    y = f0_prof.copy()
+    y = f0.copy()
     sup_diffs = []
     for it in range(1, cfg.max_iterations + 1):
-        y_next = f0_prof + op @ y
+        y_next = f0 + op @ y
         diff = float(np.abs(y_next - y).max())
         sup_diffs.append(diff)
         y = y_next
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > cfg.divergence_guard:
+        if not np.all(np.isfinite(y)) or np.abs(y).max() > DIVERGENCE_GUARD:
             raise PicardDiverged(
                 f"sup |Y| beyond guard after {it} iterations", sup_diffs)
         if diff < cfg.tolerance:
@@ -187,12 +184,10 @@ def solve_delayed_picard(fam, k: KernelSpec, m: DelayMeasure,
         sup_diffs)
 
 
-def residual_delayed(y: np.ndarray, fam, k: KernelSpec, m: DelayMeasure,
-                     grid: TriangularGrid) -> tuple[np.ndarray, float]:
+def residual_delayed(y: np.ndarray, f0: np.ndarray,
+                     op: np.ndarray) -> tuple[np.ndarray, float]:
     """R(t) = Y(t) - f0(t) - (delay operator applied to Y), deterministic."""
-    f0_prof = np.asarray([float(fam.f0(t)) for t in grid.nodes])
-    op = build_delayed_operator(k, m, grid)
-    r = y - f0_prof - op @ y
+    r = y - f0 - op @ y
     return r, float(np.abs(r).max())
 
 
@@ -208,9 +203,7 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable,
 def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
                               fam: TerminalFamily, phi: KernelTable,
                               grid: TriangularGrid,
-                              ensemble: PathEnsemble,
-                              drift_fn: DriftFunction | None = None
-                              ) -> np.ndarray:
+                              ensemble: PathEnsemble) -> np.ndarray:
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     the stochastic integral taken as a left-point sum.  Returns (M, N+1)."""
@@ -246,14 +239,14 @@ class LsmcResult:
     iterations: int = 0
 
 
-def _design_matrix(w_col: np.ndarray, degree: int) -> np.ndarray:
+def _design_matrix(w_col: np.ndarray) -> np.ndarray:
     """Standardized monomial basis in W(t_i): intercept plus centred,
     unit-variance powers; collapses to the intercept when W(t_i) is
     degenerate (t_i = 0)."""
     m = len(w_col)
     cols = [np.ones(m)]
     if w_col.std() > 1e-12:
-        for p in range(1, degree + 1):
+        for p in range(1, REGRESSION_DEGREE + 1):
             c = w_col**p
             c = (c - c.mean())
             sd = c.std()
@@ -265,8 +258,8 @@ def _design_matrix(w_col: np.ndarray, degree: int) -> np.ndarray:
 class _NodeRegressor:
     """Ridge projector onto the per-node polynomial basis, factored once."""
 
-    def __init__(self, w_col: np.ndarray, degree: int = REGRESSION_DEGREE):
-        b = _design_matrix(w_col, degree)
+    def __init__(self, w_col: np.ndarray):
+        b = _design_matrix(w_col)
         gram = b.T @ b + RIDGE * np.eye(b.shape[1])
         cond = float(np.linalg.cond(gram))
         if cond > COND_LIMIT:
@@ -281,10 +274,11 @@ class _NodeRegressor:
 
 
 def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
-                     z_surface: np.ndarray) -> np.ndarray:
+                     z_surface: np.ndarray, trap: np.ndarray) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
     built from a mean Z surface, extended by zero off the positive
-    triangle.  Exact (zero) whenever g vanishes."""
+    triangle, with the grid's tail trapezoid weights trap.  Exact (zero)
+    whenever g vanishes."""
     if k.g_bound == 0.0:
         return np.zeros(grid.n + 1)
     n, dt = grid.n, grid.dt
@@ -292,7 +286,6 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
     u_pts, u_wts = m.quadrature()
     g_ext = zero_extend_kernel(lambda a, b: np.asarray(k.g(b), dtype=float)
                                + 0.0 * a)
-    trap = tail_weight_matrix(grid)
     out = np.zeros(n + 1)
 
     def z_at(tq, sq):
@@ -319,23 +312,22 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
 
 
 def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
-                       drift_fn: DriftFunction | None, grid: TriangularGrid,
+                       op: np.ndarray, grid: TriangularGrid,
                        ensemble: PathEnsemble,
                        cfg: PicardConfig = PicardConfig()) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F.
 
     Outer Picard loop on the per-path Y matrix; each sweep regresses the
-    right-hand side F(t_i) + (delay integral of Y) + (g-weighted Z term)
-    on a degree-4 polynomial basis in W(t_i).  The ensemble stays fixed,
-    so the loop is a deterministic linear iteration and converges to a
-    machine-precision fixed point in the contractive regime.  Z(t_i, s_j)
-    is the least-squares slope of the martingale increment on dW_j.
+    right-hand side F(t_i) + (delay integral of Y, through the operator op
+    of build_delayed_operator) + (g-weighted Z term) on a degree-4
+    polynomial basis in W(t_i).  The ensemble stays fixed, so the loop is
+    a deterministic linear iteration and converges to a machine-precision
+    fixed point in the contractive regime.  Z(t_i, s_j) is the
+    least-squares slope of the martingale increment on dW_j.
     """
     n = grid.n
-    dt = grid.dt
-    m_paths = ensemble.n_paths
-    op = build_delayed_operator(k, m, grid)
     nodes = grid.nodes
+    trap = tail_weight_matrix(grid)
     f_vals = np.stack([evaluate_F(fam, t, ensemble) for t in nodes], axis=1)
     regs = [_NodeRegressor(ensemble.w[:, i]) for i in range(n + 1)]
 
@@ -343,7 +335,7 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
     z_mean = np.zeros((n + 1, n + 1))
     sup_diffs = []
     for it in range(1, cfg.max_iterations + 1):
-        gz = _g_weighted_term(k, m, grid, z_mean)
+        gz = _g_weighted_term(k, m, grid, z_mean, trap)
         target = f_vals + y @ op.T + gz[None, :]
         y_next = np.empty_like(y)
         for i in range(n + 1):
@@ -351,13 +343,13 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
         diff = float(np.abs(y_next - y).max())
         sup_diffs.append(diff)
         y = y_next
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > cfg.divergence_guard:
+        if not np.all(np.isfinite(y)) or np.abs(y).max() > DIVERGENCE_GUARD:
             raise PicardDiverged(
                 f"sup |Y| beyond guard after {it} iterations", sup_diffs)
         if k.g_bound != 0.0:
-            z_mean = _slope_z(target - y, ensemble, grid, op)[0]
+            z_mean = _slope_z(target - y, ensemble, grid, op, trap)[0]
         if diff < cfg.tolerance:
-            z, z_se = _slope_z(target - y, ensemble, grid, op)
+            z, z_se = _slope_z(target - y, ensemble, grid, op, trap)
             return LsmcResult(y, z, z_se, target, sup_diffs, it)
     raise PicardStalled(
         f"no convergence to {cfg.tolerance} in {cfg.max_iterations} iterations",
@@ -365,7 +357,7 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
 
 
 def _slope_z(theta: np.ndarray, ensemble: PathEnsemble,
-             grid: TriangularGrid, op: np.ndarray
+             grid: TriangularGrid, op: np.ndarray, trap: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Z(t_i, s_j) as the OLS slope of theta_i on the increment dW_j,
     j < N; the final column, which has no increment of its own, is
@@ -398,7 +390,6 @@ def _slope_z(theta: np.ndarray, ensemble: PathEnsemble,
             var = float(resid @ resid) / max(m_paths - 2, 1) / ss
             z[i, j] = slope
             se[i, j] = math.sqrt(var)
-    trap = tail_weight_matrix(grid)
     kk = np.divide(op, trap, out=np.zeros_like(op), where=trap > 0.0)
     for j in range(n):
         scale = 1.0 - op[j, j]

@@ -10,18 +10,22 @@ formulas live in oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .girsanov import DriftFunction, PathEnsemble
 from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
-    ResolventTable, TriangularGrid
+    ResolventTable, TriangularGrid, build_phi, tail_weight_matrix, \
+    trapezoid_weights
 from .measures import DelayMeasure
 from .terminal import Deterministic, GaussianLinear, TerminalFamily, \
     TerminalFunction, _GH_SHIFT, _GH_W_NORM, conditional_sweep, evaluate_F, \
-    is_stochastic
+    f0_profile, is_stochastic
+
+# W(s) at which the F_s-conditional of the Z formula is anchored
+Z_REF_STATE = 0.0
 
 
 class UnsupportedFamily(ValueError):
@@ -45,7 +49,6 @@ class SolutionField:
     y_se: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
     ensemble: Optional[PathEnsemble] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def stochastic(self) -> bool:
@@ -61,22 +64,6 @@ class NormReport:
     h1: float
     h2: float
     s2: float
-
-
-def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
-    """W[i, j] such that sum_j W[i, j] f(t_j) is the composite trapezoid
-    value of int_{t_i}^T f; row N is identically zero."""
-    n, dt = grid.n, grid.dt
-    w = np.zeros((n + 1, n + 1))
-    for i in range(n):
-        w[i, i] = w[i, n] = 0.5 * dt
-        w[i, i + 1:n] = dt
-    return w
-
-
-def _column_tail_weights(grid: TriangularGrid) -> np.ndarray:
-    """M[r, s]: trapezoid weights in r for int_{t_s}^T, one column per s."""
-    return tail_weight_matrix(grid).T
 
 
 def solve_Y(fam: TerminalFamily, psi: ResolventTable,
@@ -112,8 +99,12 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     return SolutionField(grid, fam, y, y_se=se, ensemble=ensemble)
 
 
-def _u_kernel(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> np.ndarray:
-    """Kernel of the U integral.
+def compute_U(fam: TerminalFamily, fld: SolutionField, m: DelayMeasure,
+              k: KernelSpec, grid: TriangularGrid) -> np.ndarray:
+    """U(t) = F(t) + int_t^T alpha((r-T,0]) G(t,r) Y(r) dr - Y(t).
+
+    For stochastic families F(t) is the raw (generally non-adapted) value
+    on each path, so U collects exactly the martingale part int Z dW^Q.
 
     The defining formula weights G with the half-open mass alpha((r-T, 0]),
     which differs from the closed mass alpha([r-T, 0]) only at the finitely
@@ -123,29 +114,15 @@ def _u_kernel(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> np.ndarra
     node that hits an atom would inject an O(dt) endpoint error into an
     integral the conventions cannot actually distinguish.
     """
-    from .kernels import build_phi
-
-    return build_phi(m, k, grid).values
-
-
-def compute_U(fam: TerminalFamily, fld: SolutionField, m: DelayMeasure,
-              k: KernelSpec, grid: TriangularGrid) -> np.ndarray:
-    """U(t) = F(t) + int_t^T alpha((r-T,0]) G(t,r) Y(r) dr - Y(t).
-
-    For stochastic families F(t) is the raw (generally non-adapted) value
-    on each path, so U collects exactly the martingale part int Z dW^Q.
-    """
     if not fld.grid.same_as(grid):
         raise GridMismatch("solution field on a different grid")
     if m.horizon != grid.horizon:
         raise HorizonMismatch("measure horizon differs from grid")
-    kern = _u_kernel(m, k, grid) * tail_weight_matrix(grid)
-    nodes = grid.nodes
+    kern = build_phi(m, k, grid).values * tail_weight_matrix(grid)
     if not fld.stochastic:
-        f_prof = np.asarray([float(fam.f0(t)) for t in nodes])
-        return f_prof + kern @ fld.y - fld.y
+        return f0_profile(fam, grid) + kern @ fld.y - fld.y
     ens = fld.ensemble
-    f_vals = np.stack([evaluate_F(fam, t, ens) for t in nodes], axis=1)
+    f_vals = np.stack([evaluate_F(fam, t, ens) for t in grid.nodes], axis=1)
     return f_vals + fld.y @ kern.T - fld.y
 
 
@@ -160,87 +137,77 @@ def _state_derivative(fam: TerminalFunction, t, x: np.ndarray) -> np.ndarray:
             - np.asarray(fam.h(t, x - step), dtype=float)) / (2.0 * step)
 
 
-def stochastic_g_correction(grid: TriangularGrid) -> np.ndarray:
-    """Second Malliavin term of the Z formula, -U(t) int D_s g dW^Q.
-
-    The standing assumptions make g deterministic, so D_s g vanishes and
-    the term is literally zero; the function exists so a stochastic-g
-    extension has one obvious seam to fill in.
-    """
-    return np.zeros((grid.n + 1, grid.n + 1))
-
-
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
-            drift_fn: Optional[DriftFunction], grid: TriangularGrid,
-            ref_state: float = 0.0) -> np.ndarray:
+            drift_fn: Optional[DriftFunction], grid: TriangularGrid
+            ) -> np.ndarray:
     """Z(t,s) = E^Q[D_s F(t) + int_s^T Phi(t,r) D_s Y(r) dr | F_s].
 
     GaussianLinear: everything is deterministic; D_s Y(r) = phi(r,s) +
     int_r^T Psi(r,v) phi(v,s) dv and the conditional is the identity.
     TerminalFunction: D_s Y(r) is the state derivative of x -> Y(r) given
     W(r) = x, and the F_s-conditional is evaluated by nested Gauss-Hermite
-    layers anchored at W(s) = ref_state.
+    layers anchored at W(s) = Z_REF_STATE.
     Deterministic families carry no martingale part: the zero surface is
-    returned without computation.
+    returned without computation.  The second Malliavin term,
+    -U(t) int D_s g dW^Q, vanishes because g is deterministic.
     """
     if not (phi.grid.same_as(grid) and psi.grid.same_as(grid)):
         raise GridMismatch("kernel tables on a different grid")
-    n, dt = grid.n, grid.dt
+    n = grid.n
     nodes = grid.nodes
     tri = np.triu(np.ones((n + 1, n + 1), dtype=bool))
 
     if isinstance(fam, Deterministic):
         return np.zeros((n + 1, n + 1))
 
-    col_w = _column_tail_weights(grid)  # weights in r for int_{t_s}^T
+    trap = tail_weight_matrix(grid)
+    col_w = trap.T  # weights in r for int_{t_s}^T
 
     if isinstance(fam, GaussianLinear):
         tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
         phimat = np.asarray(fam.phi(tt, ss), dtype=float)
-        d = phimat + (psi.values * tail_weight_matrix(grid)) @ phimat
-        z = phimat + phi.values @ (col_w * d) + stochastic_g_correction(grid)
+        d = phimat + (psi.values * trap) @ phimat
+        z = phimat + phi.values @ (col_w * d)
         return np.where(tri, z, 0.0)
 
     if not isinstance(fam, TerminalFunction):
         raise UnsupportedFamily(f"unknown family {type(fam).__name__}")
 
-    b = np.zeros(n + 1) if drift_fn is None else drift_fn.values
-    remaining = np.concatenate([np.cumsum((b[:-1] * dt)[::-1])[::-1], [0.0]])
-    psi_row_int = (tail_weight_matrix(grid) * psi.values).sum(axis=1)
+    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
+    psi_row_int = (trap * psi.values).sum(axis=1)
 
     def dh_mean(t, mean, sd):
         pts = np.asarray(mean, dtype=float)[..., None] + sd * _GH_SHIFT
         return _state_derivative(fam, t, pts) @ _GH_W_NORM
 
-    # ed[r, j] = E^Q[D_s Y(t_r) | F_{t_j}, W(t_j) = ref_state]
+    # ed[r, j] = E^Q[D_s Y(t_r) | F_{t_j}, W(t_j) = Z_REF_STATE]
     ed = np.zeros((n + 1, n + 1))
     term1 = np.zeros((n + 1, n + 1))
     for j in range(n + 1):
         sd_j = math.sqrt(max(grid.horizon - nodes[j], 0.0))
         if fam.t_dependent:
-            term1[:, j] = [dh_mean(t, ref_state + remaining[j], sd_j)
+            term1[:, j] = [dh_mean(t, Z_REF_STATE + remaining[j], sd_j)
                            for t in nodes]
         else:
-            term1[:, j] = dh_mean(nodes[0], ref_state + remaining[j], sd_j)
+            term1[:, j] = dh_mean(nodes[0], Z_REF_STATE + remaining[j], sd_j)
         for r in range(j, n + 1):
             # W(t_r) | F_{t_j} under Q
-            mean_r = ref_state + remaining[j] - remaining[r]
+            mean_r = Z_REF_STATE + remaining[j] - remaining[r]
             sd_r = math.sqrt(max(nodes[r] - nodes[j], 0.0))
             states = mean_r + sd_r * _GH_SHIFT
             sd_cond = math.sqrt(max(grid.horizon - nodes[r], 0.0))
             if fam.t_dependent:
                 dsy = dh_mean(nodes[r], states + remaining[r], sd_cond)
                 tail = np.zeros(len(states))
-                w_row = tail_weight_matrix(grid)[r]
                 for v in range(r, n + 1):
-                    tail += w_row[v] * psi.values[r, v] * dh_mean(
+                    tail += trap[r, v] * psi.values[r, v] * dh_mean(
                         nodes[v], states + remaining[r], sd_cond)
                 dsy = dsy + tail
             else:
                 gd = dh_mean(nodes[0], states + remaining[r], sd_cond)
                 dsy = gd * (1.0 + psi_row_int[r])
             ed[r, j] = float(dsy @ _GH_W_NORM)
-    z = term1 + phi.values @ (col_w * ed) + stochastic_g_correction(grid)
+    z = term1 + phi.values @ (col_w * ed)
     return np.where(tri, z, 0.0)
 
 
@@ -269,9 +236,7 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
             elif i == j and i >= 1:
                 d[i, j] = (z[i, j] - z[i - 1, j]) / dt
     inner = (tail_weight_matrix(grid) * d**2).sum(axis=1)
-    outer_w = np.full(n + 1, dt)
-    outer_w[0] = outer_w[-1] = 0.5 * dt
-    integral = float(outer_w @ inner)
+    integral = float(trapezoid_weights(grid) @ inner)
     return SmoothnessReport(d, integral, bool(np.all(np.isfinite(d))))
 
 
@@ -298,7 +263,5 @@ def norms(fld: SolutionField, beta: float = 0.0) -> NormReport:
         h2 = 0.0
     else:
         inner = (tail_weight_matrix(grid) * (weight[None, :] * fld.z**2)).sum(axis=1)
-        outer_w = np.full(grid.n + 1, grid.dt)
-        outer_w[0] = outer_w[-1] = 0.5 * grid.dt
-        h2 = math.sqrt(float(outer_w @ inner))
+        h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
     return NormReport(beta, h1, h2, s2)

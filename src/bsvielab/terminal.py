@@ -122,6 +122,13 @@ def known_increment_count(grid: TriangularGrid, r: float) -> int:
     return int(np.searchsorted(grid.nodes[:-1], r - 1e-12, side="left"))
 
 
+def f0_profile(fam: Deterministic | GaussianLinear,
+               grid: TriangularGrid) -> np.ndarray:
+    """The deterministic part f0 at every grid node, one scalar call per
+    node."""
+    return np.asarray([float(fam.f0(t)) for t in grid.nodes])
+
+
 def _drift_values(grid: TriangularGrid, drift_fn: DriftFunction | None) -> np.ndarray:
     if drift_fn is None:
         return np.zeros(grid.n + 1)
@@ -170,10 +177,9 @@ def conditional_sweep(fam: TerminalFamily, grid: TriangularGrid,
     nodes = grid.nodes
     n = grid.n
     dt = grid.dt
-    b = _drift_values(grid, drift_fn)
 
     if isinstance(fam, Deterministic):
-        profile = np.asarray([float(fam.f0(t)) for t in nodes])[:, None]
+        profile = f0_profile(fam, grid)[:, None]
         for i in range(n + 1):
             yield i, profile
         return
@@ -183,10 +189,10 @@ def conditional_sweep(fam: TerminalFamily, grid: TriangularGrid,
     m_paths = ensemble.n_paths
 
     if isinstance(fam, GaussianLinear):
-        f0_vec = np.asarray([float(fam.f0(t)) for t in nodes])
+        f0_vec = f0_profile(fam, grid)
         tt, kk = np.meshgrid(nodes, nodes[:-1], indexing="ij")
         phimat = np.asarray(fam.phi(tt, kk), dtype=float)  # (N+1, N)
-        bdt = b[:-1] * dt
+        bdt = _drift_values(grid, drift_fn)[:-1] * dt
         # compensator[a, i] = sum_{k >= i} phi(t_a, t_k) b_k dt
         comp = np.concatenate(
             [np.cumsum((phimat * bdt[None, :])[:, ::-1], axis=1)[:, ::-1],
@@ -198,7 +204,7 @@ def conditional_sweep(fam: TerminalFamily, grid: TriangularGrid,
                 known += phimat[:, i][:, None] * ensemble.dw[:, i][None, :]
         return
 
-    remaining = np.concatenate([np.cumsum((b[:-1] * dt)[::-1])[::-1], [0.0]])
+    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
     for i in range(n + 1):
         mean = ensemble.w[:, i] + remaining[i]
         sd = math.sqrt(max(grid.horizon - nodes[i], 0.0))

@@ -21,11 +21,11 @@ from bsvielab.cli import main as cli_main
 from bsvielab.girsanov import drift, girsanov_report, sample_paths
 from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
     example33_kernel, example33_reference, iterated_sup_bound, resolvent, \
-    volterra_compose, zero_kernel
+    tail_weight_matrix, volterra_compose, zero_kernel
 from bsvielab.measures import DiracAt, Uniform
-from bsvielab.oracles import solve_delayed_lsmc, solve_delayed_picard, \
-    solve_reduced_collocation
-from bsvielab.solver import compute_U, solve_Y, solve_Z, tail_weight_matrix
+from bsvielab.oracles import build_delayed_operator, solve_delayed_lsmc, \
+    solve_delayed_picard, solve_reduced_collocation
+from bsvielab.solver import compute_U, solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, make_f0, make_phi
 
 CONFIGS = resources.files("bsvielab") / "configs"
@@ -141,7 +141,8 @@ def test_criterion_04_deterministic_cross_oracle():
         y_exp = solve_Y(fam, psi, None, grid).y
         f0_prof = np.ones(n + 1)
         y_col = solve_reduced_collocation(f0_prof, phi, grid)
-        y_pic = solve_delayed_picard(fam, k, m, grid).y
+        y_pic = solve_delayed_picard(f0_prof,
+                                     build_delayed_operator(k, m, grid)).y
         tol = 10.0 * grid.dt**2
         worst = max(float(np.abs(a - b).max())
                     for a, b in ((y_exp, y_col), (y_exp, y_pic),
@@ -197,7 +198,8 @@ def test_criterion_06_z_validation():
     b = drift(m, k, grid)
     ens = sample_paths(grid, 50000, 12345, "P", b)
     z_exp = solve_Z(fam, phi, psi, b, grid)
-    lsmc = solve_delayed_lsmc(fam, k, m, b, grid, ens)
+    lsmc = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, grid),
+                              grid, ens)
     compared = violations = 0
     worst_ratio = 0.0
     for i in range(grid.n + 1):

@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from bsvielab import cli, oracles
 from bsvielab.cli import main
 
 CONFIGS = resources.files("bsvielab") / "configs"
@@ -152,6 +153,27 @@ def test_compare_reports_four_residual_profiles(tmp_path):
     assert (out / "picard.csv").exists()
 
 
+def test_delayed_operator_built_once_per_command(tmp_path, monkeypatch):
+    calls = []
+    build = oracles.build_delayed_operator
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_delayed_operator", counted)
+    monkeypatch.setattr(oracles, "build_delayed_operator", counted)
+    det = CONFIGS / "constant-kernel.cfg"
+    mc = write_cfg(tmp_path, MINI_STOCHASTIC)
+    want = [("solve", det, 1), ("compare", det, 1), ("resolvent", det, 0),
+            ("z-surface", det, 0), ("norms", det, 0), ("solve", mc, 0)]
+    for i, (command, cfg, count) in enumerate(want):
+        calls.clear()
+        assert run_cli(command, "--config", cfg,
+                       "--out", tmp_path / str(i)) == 0
+        assert len(calls) == count, (command, cfg)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -163,7 +185,9 @@ def test_exit_2_on_unknown_key(tmp_path):
 
 def test_exit_2_on_bad_values(tmp_path):
     for spoiled in ("horizon = -1.0", "grid.n = 1", "mc.mode = R",
-                    "measure.kind = hexagonal", "kernel.name = unknown"):
+                    "measure.kind = hexagonal", "kernel.name = unknown",
+                    "horizon = inf", "tolerances.resolvent = nan",
+                    "tolerances.quad_slack = 0"):
         key = spoiled.split("=")[0].strip()
         lines = MINI_STOCHASTIC.splitlines()
         if any(line.split("=")[0].strip() == key for line in lines):

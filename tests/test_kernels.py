@@ -198,6 +198,9 @@ def test_resolvent_order_cap():
     phi = table_from(lambda t, s: np.full_like(t, 30.0), g)
     with pytest.raises(ToleranceUnreachable):
         resolvent(phi, tol=1e-12, order_cap=10)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            resolvent(phi, tol=bad)
 
 
 def test_declared_bound_enforced():

@@ -15,7 +15,8 @@ from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
-from bsvielab.terminal import Deterministic, GaussianLinear, make_f0, make_phi
+from bsvielab.terminal import Deterministic, GaussianLinear, f0_profile, \
+    make_f0, make_phi
 
 T = 1.0
 
@@ -71,10 +72,20 @@ def test_collocation_singular_step():
         solve_reduced_collocation(np.ones(n + 1), phi, g)
 
 
+def picard(fam, k, m, g, cfg=PicardConfig()):
+    return solve_delayed_picard(f0_profile(fam, g),
+                                build_delayed_operator(k, m, g), cfg)
+
+
+def delayed_residual(y, fam, k, m, g):
+    return residual_delayed(y, f0_profile(fam, g),
+                            build_delayed_operator(k, m, g))
+
+
 def test_picard_matches_collocation_for_dirac_at_zero():
     g, m, k, phi = make_phi_table(0.5, 100)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    res = solve_delayed_picard(fam, k, m, g)
+    res = picard(fam, k, m, g)
     y_colloc = solve_reduced_collocation(np.ones(101), phi, g)
     assert np.abs(res.y - y_colloc).max() < 10 * g.dt**2
 
@@ -82,7 +93,7 @@ def test_picard_matches_collocation_for_dirac_at_zero():
 def test_picard_zero_kernel_single_sweep():
     g = TriangularGrid(T, 30)
     fam = Deterministic(f0=make_f0("exp_decay", rate=1.0))
-    res = solve_delayed_picard(fam, zero_kernel(), DiracAt(T, 0.0), g)
+    res = picard(fam, zero_kernel(), DiracAt(T, 0.0), g)
     assert res.iterations == 1
     assert np.allclose(res.y, np.exp(-g.nodes))
 
@@ -92,8 +103,8 @@ def test_picard_retarded_dirac_fixed_point_certificate():
     m = DiracAt(T, -0.3)
     k = constant_kernel(0.5)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    res = solve_delayed_picard(fam, k, m, g)
-    r, sup = residual_delayed(res.y, fam, k, m, g)
+    res = picard(fam, k, m, g)
+    r, sup = delayed_residual(res.y, fam, k, m, g)
     assert sup <= 1e-10 + 1e-12
     # the same Y pushed through the reduced equation: a measured, nonzero gap
     phi = build_phi(m, k, g)
@@ -104,7 +115,7 @@ def test_picard_retarded_dirac_fixed_point_certificate():
 def test_picard_geometric_contraction():
     g = TriangularGrid(T, 60)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    res = solve_delayed_picard(fam, constant_kernel(0.6), DiracAt(T, 0.0), g)
+    res = picard(fam, constant_kernel(0.6), DiracAt(T, 0.0), g)
     d = res.sup_diffs
     for a, b in zip(d[3:-1], d[4:]):
         assert b < a
@@ -117,20 +128,22 @@ def test_picard_divergence_guard():
     g = TriangularGrid(T, 40)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     with pytest.raises(PicardDiverged):
-        solve_delayed_picard(fam, constant_kernel(8.0), DiracAt(T, -0.4), g)
+        picard(fam, constant_kernel(8.0), DiracAt(T, -0.4), g)
 
 
 def test_picard_stalls_on_tiny_budget():
     g = TriangularGrid(T, 40)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     with pytest.raises(PicardStalled):
-        solve_delayed_picard(fam, constant_kernel(0.6), DiracAt(T, 0.0), g,
-                             PicardConfig(max_iterations=2))
+        picard(fam, constant_kernel(0.6), DiracAt(T, 0.0), g,
+               PicardConfig(max_iterations=2))
 
 
 def test_picard_config_validation():
     with pytest.raises(ValueError):
         PicardConfig(tolerance=0.0)
+    with pytest.raises(ValueError):
+        PicardConfig(tolerance=float("nan"))
     with pytest.raises(ValueError):
         PicardConfig(max_iterations=0)
 
@@ -138,7 +151,7 @@ def test_picard_config_validation():
 def test_residual_trivial_cases():
     g, m, k, phi = make_phi_table(0.5, 40)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    r, sup = residual_delayed(np.zeros(41), fam, k, m, g)
+    r, sup = delayed_residual(np.zeros(41), fam, k, m, g)
     assert np.allclose(r, -1.0)
     r2, sup2 = residual_reduced(np.ones(41), np.ones(41),
                                 build_phi(m, zero_kernel(), g), g)
@@ -150,7 +163,7 @@ def test_explicit_Y_satisfies_both_equations_for_dirac():
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     psi = resolvent(phi, tol=1e-12)
     y = solve_Y(fam, psi, None, g).y
-    _, sup_del = residual_delayed(y, fam, k, m, g)
+    _, sup_del = delayed_residual(y, fam, k, m, g)
     _, sup_red = residual_reduced(y, np.ones(151), phi, g)
     assert sup_red < 10 * g.dt**2
     assert sup_del < 10 * g.dt**2
@@ -163,8 +176,8 @@ def test_uniform_measure_delayed_vs_reduced_gap_is_real():
     m = Uniform(T)
     k = constant_kernel(0.8)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    res = solve_delayed_picard(fam, k, m, g)
-    _, sup_self = residual_delayed(res.y, fam, k, m, g)
+    res = picard(fam, k, m, g)
+    _, sup_self = delayed_residual(res.y, fam, k, m, g)
     assert sup_self <= 1e-10 + 1e-12
     phi = build_phi(m, k, g)
     y_red = solve_reduced_collocation(np.ones(101), phi, g)
@@ -184,7 +197,8 @@ def test_lsmc_martingale_representation():
     k = zero_kernel()
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 31, "P")
-    res = solve_delayed_lsmc(fam, k, m, None, g, ens)
+    res = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, g), g,
+                             ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -206,7 +220,8 @@ def test_lsmc_cross_oracle_against_explicit():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 37, "P")
     fld = solve_Y(fam, psi, None, g, ens)
-    res = solve_delayed_lsmc(fam, k, m, None, g, ens)
+    res = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, g), g,
+                             ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
@@ -224,7 +239,8 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
     k = constant_kernel(0.4)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     ens = sample_paths(g, 5_000, 41, "P")
-    res = solve_delayed_lsmc(fam, k, m, None, g, ens)
+    res = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, g), g,
+                             ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -262,8 +278,8 @@ def test_delayed_operator_accepts_product_form_kernels():
     assert np.all(np.isfinite(op))
     assert np.abs(op).max() > 0.0
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    y = solve_delayed_picard(fam, k, m, grid).y
-    _, sup = residual_delayed(y, fam, k, m, grid)
+    y = solve_delayed_picard(f0_profile(fam, grid), op).y
+    _, sup = residual_delayed(y, f0_profile(fam, grid), op)
     assert sup < 1e-9
 
 

@@ -7,6 +7,7 @@ Closed forms used as oracles:
   * Z(t,s) = t s:  double integral of (dZ/dt)^2 over the triangle = T^4/4.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 
 from bsvielab.girsanov import drift, sample_paths
 from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
-    constant_kernel, resolvent, zero_kernel
+    constant_kernel, resolvent, tail_weight_matrix, trapezoid_weights, \
+    zero_kernel
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.solver import NormReport, SolutionField, compute_U, norms, \
-    smoothness_diagnostics, solve_Y, solve_Z, tail_weight_matrix
+    smoothness_diagnostics, solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, make_f0, \
     make_h, make_phi
 
@@ -41,6 +43,16 @@ def test_tail_weight_matrix_integrates():
     want = (1.0 - g.nodes**3) / 3.0
     assert np.abs(w @ f - want).max() < 1e-4
     assert np.all(w[-1] == 0.0)
+    # same values as the row-by-row construction
+    ref = np.zeros_like(w)
+    for i in range(g.n):
+        ref[i, i] = ref[i, g.n] = 0.5 * g.dt
+        ref[i, i + 1:g.n] = g.dt
+    assert np.array_equal(w, ref)
+    # the outer weights are row 0 of the tail weights: int_0^1 s^2 ds
+    outer = trapezoid_weights(g)
+    assert np.array_equal(outer, w[0])
+    assert outer @ f == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
 def test_solve_Y_deterministic_ode_oracle():
@@ -157,6 +169,22 @@ def test_solve_Z_terminal_function_matches_gaussian_linear():
     z_tf = solve_Z(make_h("affine", intercept=0.0, slope=1.0),
                    phi, psi, None, g)
     assert np.abs(z_gl - z_tf).max() < 1e-10
+
+
+def test_t_dependent_branches_match_shared_quadrature():
+    # h(t, x) = x^2 ignores t, so the per-t quadratures of the
+    # t_dependent branches must reproduce the shared ones
+    g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
+    b = drift(m, spec, g)
+    ens = sample_paths(g, 200, 5, "Q", b)
+    shared = make_h("square")
+    per_t = dataclasses.replace(shared, t_dependent=True)
+    y_gap = np.abs(solve_Y(per_t, psi, b, g, ens).y
+                   - solve_Y(shared, psi, b, g, ens).y).max()
+    z_gap = np.abs(solve_Z(per_t, phi, psi, b, g)
+                   - solve_Z(shared, phi, psi, b, g)).max()
+    assert y_gap < 1e-12
+    assert z_gap < 1e-12
 
 
 def test_ito_isometry():
