@@ -201,6 +201,25 @@ def _write_picard_trace(cfg: ExperimentConfig, sup_diffs) -> None:
               ((i + 1, d) for i, d in enumerate(sup_diffs)))
 
 
+def _run_oracle(cfg: ExperimentConfig, name: str, solve):
+    """Run compare's delayed oracle and write its sweep trace; a diverged
+    or stalled run also writes a failure sidecar, then re-raises."""
+    try:
+        res = solve()
+    except (PicardDiverged, PicardStalled) as exc:
+        _write_picard_trace(cfg, exc.sup_diffs)
+        write_meta(cfg, "compare", {
+            f"{name}_iterations": len(exc.sup_diffs),
+            f"{name}_converged": False,
+            "failure": str(exc),
+        })
+        print(f"verdict: {name} oracle failed ({exc}); "
+              "trace written to picard.csv")
+        raise
+    _write_picard_trace(cfg, res.sup_diffs)
+    return res
+
+
 def cmd_compare(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
     op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
@@ -216,19 +235,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         fld, _ = _solve_field(cfg, grid, phi, psi, drift_fn)
         f0_prof = f0_profile(cfg.family, grid)
         y_col = solve_reduced_collocation(f0_prof, phi, grid)
-        try:
-            pic = solve_delayed_picard(f0_prof, op, pic_cfg)
-        except (PicardDiverged, PicardStalled) as exc:
-            _write_picard_trace(cfg, exc.sup_diffs)
-            write_meta(cfg, "compare", {
-                "picard_iterations": len(exc.sup_diffs),
-                "picard_converged": False,
-                "failure": str(exc),
-            })
-            print(f"verdict: picard oracle failed ({exc}); "
-                  "trace written to picard.csv")
-            raise
-        _write_picard_trace(cfg, pic.sup_diffs)
+        pic = _run_oracle(cfg, "picard",
+                          lambda: solve_delayed_picard(f0_prof, op, pic_cfg))
 
         rd_exp, rd_exp_sup = residual_delayed(fld.y, f0_prof, op)
         rr_exp, rr_exp_sup = residual_reduced(fld.y, f0_prof, phi, grid)
@@ -265,9 +273,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         return
 
     fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
-    lsmc = solve_delayed_lsmc(cfg.family, cfg.kernel, cfg.measure, op, grid,
-                              ens, pic_cfg)
-    _write_picard_trace(cfg, lsmc.sup_diffs)
+    lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
+        cfg.family, cfg.kernel, cfg.measure, op, grid, ens, pic_cfg))
     # Reduced-equation oracle: conditioning the equation on the trivial
     # time-0 sigma-field turns it into a scalar Volterra equation for the
     # expected profile, solved by collocation without Monte Carlo noise.

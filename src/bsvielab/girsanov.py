@@ -31,7 +31,7 @@ ESS_FLOOR = 10.0
 
 
 class DegenerateWeights(RuntimeError):
-    """Effective sample size (sum of weights over max weight) below 10."""
+    """Effective sample size below 10, or weights that underflow to 0."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,8 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
     """Generate an ensemble of M Brownian paths on the grid.
 
     mode "P": raw draws are increments of W; the weight column carries
-      M(T) = exp(sum_k b_k dW_k - 0.5 sum_k b_k^2 dt) with left-point b.
+      M(T) = exp(sum_k b_k dW_k - 0.5 sum_k b_k^2 dt) with left-point b,
+      and DegenerateWeights is raised if any of them underflows to 0.
     mode "Q": raw draws are increments of W^Q; W adds the accumulated
       drift and all weights are one.
     """
@@ -129,6 +130,10 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
         wq = w - drift_cum[None, :]
         exponent = xi @ b_left - 0.5 * dt * float(b_left @ b_left)
         weights = np.exp(exponent)
+        if not np.all(weights > 0.0):
+            raise DegenerateWeights(
+                f"{int(np.sum(weights == 0.0))} of {n_paths} importance "
+                "weights underflow to 0")
     else:
         wq = np.hstack([zeros_col, np.cumsum(xi, axis=1)])
         w = wq + drift_cum[None, :]

@@ -56,6 +56,24 @@ class TriangularGrid:
     def same_as(self, other: "TriangularGrid") -> bool:
         return self.horizon == other.horizon and self.n == other.n
 
+    def locate(self, x):
+        """Cell (idx, frac) of times x: x is clipped into [0, T], then
+        idx = min(floor(x/dt), N-1) and frac = x/dt - idx, so x = T reads
+        as the right end (frac = 1) of the last cell."""
+        pos = np.clip(x, 0.0, self.horizon) / self.dt
+        idx = np.minimum(np.asarray(pos).astype(int), self.n - 1)
+        return idx, pos - idx
+
+    def interpolate(self, table: np.ndarray, t, s):
+        """Bilinear value of an (N+1, N+1) node table at (t, s), both
+        located by locate; t and s broadcast against each other."""
+        i, fi = self.locate(t)
+        j, fj = self.locate(s)
+        return ((1 - fi) * (1 - fj) * table[i, j]
+                + fi * (1 - fj) * table[i + 1, j]
+                + (1 - fi) * fj * table[i, j + 1]
+                + fi * fj * table[i + 1, j + 1])
+
 
 def zero_extend_kernel(f: Callable) -> Callable:
     """Wrap a two-argument kernel so any negative argument evaluates to 0."""
@@ -353,24 +371,8 @@ def tabulated_kernel(grid: TriangularGrid, values: np.ndarray,
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n + 1, grid.n + 1):
         raise ValueError("table shape does not match grid")
-
-    def G(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        x = np.clip(t / grid.dt, 0.0, grid.n - 1e-12)
-        y = np.clip(s / grid.dt, 0.0, grid.n - 1e-12)
-        i0 = np.floor(x).astype(int)
-        j0 = np.floor(y).astype(int)
-        fx = x - i0
-        fy = y - j0
-        v = (vals[i0, j0] * (1 - fx) * (1 - fy)
-             + vals[i0 + 1, j0] * fx * (1 - fy)
-             + vals[i0, j0 + 1] * (1 - fx) * fy
-             + vals[i0 + 1, j0 + 1] * fx * fy)
-        return v
-
     return KernelSpec(
-        G=G,
+        G=lambda t, s: grid.interpolate(vals, t, s),
         g=lambda s: np.full_like(np.asarray(s, dtype=float), g_value),
         G_bound=float(np.abs(vals).max()),
         g_bound=abs(g_value),

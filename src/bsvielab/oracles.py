@@ -25,7 +25,7 @@ import numpy as np
 
 from .girsanov import PathEnsemble
 from .kernels import KernelSpec, KernelTable, TriangularGrid, \
-    tail_weight_matrix, zero_extend_kernel
+    tail_weight_matrix, zero_extend_g, zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
 from .terminal import TerminalFamily, evaluate_F
 
@@ -111,19 +111,16 @@ def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
     alpha(du) ds on the grid.
 
     The u-integral uses the measure's quadrature (exact for atoms); the
-    time argument s+u lands between nodes and is resolved by linear
-    interpolation, with y frozen at y(0) for negative times -- a value the
-    zero-extended G annihilates anyway.  Kernels supplied directly as the
-    reduced product recover G = Phi / alpha-mass; grid cells where that
-    mass vanishes are dropped, truncating an integrable endpoint
-    singularity by one cell.
+    time argument s+u lands between nodes, and grid.locate splits its
+    weight linearly between the two ends of its cell, with y frozen at
+    y(0) for negative times -- a value the zero-extended G annihilates
+    anyway.  Kernels supplied directly as the reduced product recover
+    G = Phi / alpha-mass; grid cells where that mass vanishes are dropped,
+    truncating an integrable endpoint singularity by one cell.
     """
-    n, dt = grid.n, grid.dt
-    nodes = grid.nodes
     u_pts, u_wts = m.quadrature()
     trap = tail_weight_matrix(grid)
-    use_direct = k.phi_direct is None
-    if use_direct:
+    if k.phi_direct is None:
         gfun = zero_extend_kernel(k.G)
     else:
         phi_fun = zero_extend_kernel(k.phi_direct)
@@ -138,24 +135,25 @@ def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
             return np.divide(vals, mass, out=np.zeros_like(vals),
                              where=mass > 1e-12)
 
-    op = np.zeros((n + 1, n + 1))
-    tt = nodes[:, None]
+    op_t = np.zeros_like(trap)  # transposed, so the scatter moves whole rows
     for u, wu in zip(u_pts, u_wts):
         if wu == 0.0:
             continue
-        shifted = nodes + u
-        gq = np.asarray(gfun(tt + u, shifted[None, :]), dtype=float)
-        coeff = trap * gq * wu
-        pos = np.clip(shifted, 0.0, grid.horizon)
-        idx = np.minimum((pos / dt).astype(int), n - 1)
-        frac = pos / dt - idx
-        for j in range(n + 1):
-            col = coeff[:, j]
-            if not np.any(col):
-                continue
-            op[:, idx[j]] += col * (1.0 - frac[j])
-            op[:, idx[j] + 1] += col * frac[j]
-    return op
+        shifted = grid.nodes + u
+        gq = np.asarray(gfun(shifted[None, :], shifted[:, None]), dtype=float)
+        coeff = trap.T * gq * wu
+        live = np.flatnonzero(np.any(coeff, axis=1))
+        idx, frac = grid.locate(shifted[live])
+        # s_j + u gives frac_j of its weight to node idx_j + 1, the rest to
+        # idx_j.  idx is nondecreasing, so taking right shares before left
+        # ones, and shares that meet at a node in rounds by rank, adds each
+        # entry's terms in order of j, as a loop over j would.
+        rank = np.arange(live.size) - np.searchsorted(idx, idx)
+        for cells, share in ((idx + 1, frac), (idx, 1.0 - frac)):
+            for r in range(rank.max(initial=-1) + 1):
+                on = rank == r
+                op_t[cells[on]] += coeff[live[on]] * share[on, None]
+    return np.ascontiguousarray(op_t.T)  # op @ y's bits depend on layout
 
 
 def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
@@ -276,38 +274,23 @@ class _NodeRegressor:
 def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
                      z_surface: np.ndarray, trap: np.ndarray) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
-    built from a mean Z surface, extended by zero off the positive
-    triangle, with the grid's tail trapezoid weights trap.  Exact (zero)
-    whenever g vanishes."""
+    built from a mean Z surface, with the grid's tail trapezoid weights
+    trap.  For each quadrature node u, g is zero-extended and Z is read at
+    (t_i+u, s_j+u) by grid.interpolate, extended by zero off the positive
+    triangle.  Rows are summed left to right by cumsum, as a sequential
+    loop would; np.sum adds pairwise and would change the last bits.
+    Exact (zero) whenever g vanishes."""
     if k.g_bound == 0.0:
         return np.zeros(grid.n + 1)
-    n, dt = grid.n, grid.dt
-    nodes = grid.nodes
     u_pts, u_wts = m.quadrature()
-    g_ext = zero_extend_kernel(lambda a, b: np.asarray(k.g(b), dtype=float)
-                               + 0.0 * a)
-    out = np.zeros(n + 1)
-
-    def z_at(tq, sq):
-        if tq < 0.0 or sq < 0.0 or tq > sq:
-            return 0.0
-        i = min(int(tq / dt), n - 1)
-        j = min(int(sq / dt), n - 1)
-        fi, fj = tq / dt - i, sq / dt - j
-        return ((1 - fi) * (1 - fj) * z_surface[i, j]
-                + fi * (1 - fj) * z_surface[i + 1, j]
-                + (1 - fi) * fj * z_surface[i, j + 1]
-                + fi * fj * z_surface[i + 1, j + 1])
-
+    out = np.zeros(grid.n + 1)
     for u, wu in zip(u_pts, u_wts):
-        for i in range(n + 1):
-            acc = 0.0
-            for j in range(i, n + 1):
-                gv = float(g_ext(nodes[j] + u, nodes[j] + u)) \
-                    if nodes[j] + u >= 0.0 else 0.0
-                if gv != 0.0:
-                    acc += trap[i, j] * gv * z_at(nodes[i] + u, nodes[j] + u)
-            out[i] += wu * acc
+        shifted = grid.nodes + u
+        gv = zero_extend_g(k.g)(shifted)
+        t, s = shifted[:, None], shifted[None, :]
+        z = np.where((t >= 0.0) & (s >= 0.0),
+                     grid.interpolate(z_surface, t, s), 0.0)
+        out += wu * np.cumsum(trap * gv[None, :] * z, axis=1)[:, -1]
     return out
 
 

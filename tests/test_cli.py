@@ -211,39 +211,69 @@ def test_exit_2_on_bad_workers(tmp_path):
                    "--workers", 0) == 2
 
 
-def test_exit_3_on_picard_divergence_with_trace(tmp_path):
-    cfg = write_cfg(tmp_path, """\
+DIVERGING = """\
 horizon = 1.0
-grid.n = 40
+grid.n = {n}
 measure.kind = dirac
 measure.u0 = -0.4
 kernel.name = constant
 kernel.c = 8.0
-terminal.kind = deterministic
 terminal.f0 = constant
 terminal.f0.value = 1.0
-""")
-    out = tmp_path / "out"
-    assert run_cli("compare", "--config", cfg, "--out", out) == 3
-    header, rows = read_csv(out / "picard.csv")
-    assert header == ["iteration", "sup_diff"]
-    assert len(rows) > 5
-    assert float(rows[-1][1]) > float(rows[0][1])  # visibly diverging
+"""
 
 
-def test_exit_4_on_degenerate_weights(tmp_path):
-    cfg = write_cfg(tmp_path, """\
+def test_exit_3_on_picard_divergence_with_trace(tmp_path):
+    # the deterministic Picard oracle and, with a stochastic free term,
+    # the LSMC oracle both leave their trace and a failure sidecar behind
+    deterministic = DIVERGING.format(n=40) + "terminal.kind = deterministic\n"
+    monte_carlo = DIVERGING.format(n=20) + """\
+terminal.kind = gaussian_linear
+terminal.phi = constant
+terminal.phi.value = 1.0
+mc.paths = 500
+"""
+    for name, text, oracle in (("det", deterministic, "picard"),
+                               ("mc", monte_carlo, "lsmc")):
+        cfg = write_cfg(tmp_path, text, name=name + ".cfg")
+        out = tmp_path / name
+        assert run_cli("compare", "--config", cfg, "--out", out) == 3, name
+        header, rows = read_csv(out / "picard.csv")
+        assert header == ["iteration", "sup_diff"]
+        assert len(rows) > 5
+        assert float(rows[-1][1]) > float(rows[0][1])  # visibly diverging
+        meta = json.loads((out / "compare.meta.json").read_text())
+        assert meta[oracle + "_converged"] is False
+        assert meta[oracle + "_iterations"] == len(rows)
+
+
+DEGENERATE = """\
 horizon = 1.0
 grid.n = 8
 measure.kind = uniform
 kernel.name = constant
 kernel.c = 0.1
-kernel.g = 40.0
 mc.paths = 200
 mc.seed = 3
-""")
+"""
+
+
+def test_exit_4_on_degenerate_weights(tmp_path):
+    # g = 40: the ESS guard of the Q-expectations trips
+    cfg = write_cfg(tmp_path, DEGENERATE + "kernel.g = 40.0\n")
     assert run_cli("girsanov-check", "--config", cfg,
                    "--out", tmp_path / "o") == 4
+    # g = 400: every mode-P weight underflows to 0 while the paths are drawn
+    cfg = write_cfg(tmp_path, DEGENERATE + """\
+kernel.g = 400.0
+terminal.kind = gaussian_linear
+terminal.f0 = zero
+terminal.phi = constant
+terminal.phi.value = 1.0
+""", name="underflow.cfg")
+    for command in ("solve", "norms", "compare", "girsanov-check"):
+        assert run_cli(command, "--config", cfg,
+                       "--out", tmp_path / command) == 4, command
 
 
 def test_missing_subcommand_is_a_usage_error():

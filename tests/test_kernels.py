@@ -238,4 +238,4 @@ def test_tabulated_kernel_roundtrip():
     base = build_phi(DiracAt(1.0, 0.0), poly_exp_kernel(k=1, lam=0.5), g)
     spec = tabulated_kernel(g, base.values)
     rebuilt = build_phi(DiracAt(1.0, 0.0), spec, g)
-    assert np.abs(rebuilt.values - base.values).max() < 1e-10
+    assert np.abs(rebuilt.values - base.values).max() < 1e-15

@@ -7,13 +7,14 @@ import pytest
 
 from bsvielab.girsanov import sample_paths
 from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
-    example33_kernel, poly_exp_kernel, resolvent, zero_kernel
-from bsvielab.measures import DiracAt, Uniform
+    example33_kernel, poly_exp_kernel, resolvent, tail_weight_matrix, \
+    zero_extend_kernel, zero_kernel
+from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
     PicardStalled, RegressionIllConditioned, SingularStep, _NodeRegressor, \
-    build_delayed_operator, lipschitz_constant, residual_delayed, \
-    residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
-    solve_delayed_picard, solve_reduced_collocation
+    _g_weighted_term, build_delayed_operator, lipschitz_constant, \
+    residual_delayed, residual_reduced, residual_reduced_pathwise, \
+    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, f0_profile, \
     make_f0, make_phi
@@ -291,3 +292,110 @@ def test_delayed_operator_annihilates_negative_times():
     # for t_i < 0.5 the first kernel argument t_i - 0.5 is negative at the
     # only atom, so those rows integrate G = 0 over part of the range only
     assert op[0, :].sum() == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# both delay integrals against their original per-column loop versions
+
+
+def reference_delayed_operator(k, m, grid):
+    """The operator assembled column by column, one scalar cell lookup per
+    (u, s_j)."""
+    n, dt = grid.n, grid.dt
+    nodes = grid.nodes
+    u_pts, u_wts = m.quadrature()
+    trap = tail_weight_matrix(grid)
+    if k.phi_direct is None:
+        gfun = zero_extend_kernel(k.G)
+    else:
+        phi_fun = zero_extend_kernel(k.phi_direct)
+
+        def gfun(a, b):
+            lag = np.clip(np.atleast_1d(b) - grid.horizon, -grid.horizon, 0.0)
+            mass = np.array([m.mass_closed(snap_lag(float(v)))
+                             for v in np.ravel(lag)]).reshape(np.shape(lag))
+            vals = phi_fun(a, b)
+            return np.divide(vals, mass, out=np.zeros_like(vals),
+                             where=mass > 1e-12)
+
+    op = np.zeros((n + 1, n + 1))
+    tt = nodes[:, None]
+    for u, wu in zip(u_pts, u_wts):
+        if wu == 0.0:
+            continue
+        shifted = nodes + u
+        gq = np.asarray(gfun(tt + u, shifted[None, :]), dtype=float)
+        coeff = trap * gq * wu
+        pos = np.clip(shifted, 0.0, grid.horizon)
+        idx = np.minimum((pos / dt).astype(int), n - 1)
+        frac = pos / dt - idx
+        for j in range(n + 1):
+            col = coeff[:, j]
+            if not np.any(col):
+                continue
+            op[:, idx[j]] += col * (1.0 - frac[j])
+            op[:, idx[j] + 1] += col * frac[j]
+    return op
+
+
+def reference_g_weighted_term(k, m, grid, z_surface, trap):
+    """The g-weighted Z term as a scalar triple loop over (u, t_i, s_j)."""
+    if k.g_bound == 0.0:
+        return np.zeros(grid.n + 1)
+    n, dt = grid.n, grid.dt
+    nodes = grid.nodes
+    u_pts, u_wts = m.quadrature()
+    g_ext = zero_extend_kernel(lambda a, b: np.asarray(k.g(b), dtype=float)
+                               + 0.0 * a)
+    out = np.zeros(n + 1)
+
+    def z_at(tq, sq):
+        if tq < 0.0 or sq < 0.0 or tq > sq:
+            return 0.0
+        i = min(int(tq / dt), n - 1)
+        j = min(int(sq / dt), n - 1)
+        fi, fj = tq / dt - i, sq / dt - j
+        return ((1 - fi) * (1 - fj) * z_surface[i, j]
+                + fi * (1 - fj) * z_surface[i + 1, j]
+                + (1 - fi) * fj * z_surface[i, j + 1]
+                + fi * fj * z_surface[i + 1, j + 1])
+
+    for u, wu in zip(u_pts, u_wts):
+        for i in range(n + 1):
+            acc = 0.0
+            for j in range(i, n + 1):
+                gv = float(g_ext(nodes[j] + u, nodes[j] + u)) \
+                    if nodes[j] + u >= 0.0 else 0.0
+                if gv != 0.0:
+                    acc += trap[i, j] * gv * z_at(nodes[i] + u, nodes[j] + u)
+            out[i] += wu * acc
+    return out
+
+
+DELAY_CASES = {
+    "uniform-example33": (Uniform(T), example33_kernel(g_value=0.7)),
+    "uniform-constant": (Uniform(T), constant_kernel(0.6, g_value=-1.3)),
+    "dirac-0": (DiracAt(T, 0.0), constant_kernel(0.5, g_value=0.9)),
+    "dirac-0.3": (DiracAt(T, -0.3), constant_kernel(0.5, g_value=0.9)),
+    "dirac-0.5": (DiracAt(T, -0.5), constant_kernel(0.5, g_value=0.9)),
+    "off-grid-atoms": (Atoms(T, ((-0.013, 0.25), (-0.3717, 0.5),
+                                 (-0.9001, 0.25))),
+                       poly_exp_kernel(k=1, lam=0.5, g_value=1.1)),
+    "uniform+dirac": (Mixture(T, ((Uniform(T), 0.6),
+                                  (DiracAt(T, -0.25), 0.4))),
+                      constant_kernel(0.4, g_value=0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DELAY_CASES))
+def test_delay_integrals_match_loop_references_bitwise(case):
+    m, k = DELAY_CASES[case]
+    g = TriangularGrid(T, 20)
+    op = build_delayed_operator(k, m, g)
+    assert np.array_equal(op, reference_delayed_operator(k, m, g))
+    rng = np.random.default_rng(11)
+    z = np.triu(rng.standard_normal((21, 21)))
+    trap = tail_weight_matrix(g)
+    gz = _g_weighted_term(k, m, g, z, trap)
+    assert np.abs(gz).max() > 0.0
+    assert np.array_equal(gz, reference_g_weighted_term(k, m, g, z, trap))
