@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -49,12 +50,7 @@ _CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardDiverged, PicardStalled,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    v = float(x)
-    if np.isnan(v):
-        return "nan"
-    return format(v, ".12g")
+    return x if isinstance(x, str) else format(x, ".12g")
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -82,10 +78,13 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
 
 
 def _triangle_rows(grid, *surfaces):
+    """Rows (t_i, s_j, surface values...) over i <= j, row-major, each
+    made a list of floats as it is read, so no table of float objects
+    is held."""
+    i, j = np.triu_indices(grid.n + 1)
     nodes = grid.nodes
-    for i in range(grid.n + 1):
-        for j in range(i, grid.n + 1):
-            yield (nodes[i], nodes[j]) + tuple(s[i, j] for s in surfaces)
+    cols = [nodes[i], nodes[j]] + [s[i, j] for s in surfaces]
+    return map(np.ndarray.tolist, np.column_stack(cols))
 
 
 def _prepare(cfg: ExperimentConfig):
@@ -337,10 +336,10 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
     write_csv(os.path.join(cfg.out_dir, "z_surface.csv"), ["t", "s", "Z"],
               _triangle_rows(grid, z))
     rep = smoothness_diagnostics(z, grid)
-    rows = list(_triangle_rows(grid, rep.dzdt))
-    rows.append(("integral", "", rep.integral))
     write_csv(os.path.join(cfg.out_dir, "smoothness.csv"),
-              ["t", "s", "dZdt"], rows)
+              ["t", "s", "dZdt"],
+              chain(_triangle_rows(grid, rep.dzdt),
+                    [("integral", "", rep.integral)]))
     sup_d = float(np.abs(rep.dzdt).max())
     print(f"z-surface: sup|Z|={np.abs(z).max():.12g} sup|dZ/dt|={sup_d:.12g} "
           f"smoothness integral={rep.integral:.12g} finite={rep.finite}")

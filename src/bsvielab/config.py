@@ -146,6 +146,8 @@ def _build_kernel(kv: dict, horizon: float) -> KernelSpec:
         return constant_kernel(c, g_value)
     if name == "poly_exp":
         k = _as_int("kernel.k", _take(kv, "kernel.k", "1"))
+        if k < 0:
+            raise ConfigError("kernel.k must be non-negative")
         lam = _as_float("kernel.lam", _take(kv, "kernel.lam", "1.0"))
         scale = _as_float("kernel.scale", _take(kv, "kernel.scale", "1.0"))
         return poly_exp_kernel(k, lam, scale, horizon, g_value)
@@ -222,6 +224,8 @@ def load_config(text: str, seed_override: int | None = None,
 
     if seed_override is not None:
         seed = seed_override
+    if not 0 <= seed < 2**128:  # the 128-bit key of the Philox stream
+        raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
     if out_override is not None:
         out_dir = out_override
     return ExperimentConfig(horizon, n, measure, kernel, family, n_paths,

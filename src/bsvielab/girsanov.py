@@ -65,9 +65,7 @@ def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction
         )
     m.validate()
     gvals = k.g_values(grid)
-    mass = np.array(
-        [m.mass_left_open(snap_lag(s - grid.horizon)) for s in grid.nodes]
-    )
+    mass = m.mass_left_open(snap_lag(grid.nodes - grid.horizon))
     vals = mass * gvals
     return DriftFunction(grid, vals, k.g_bound)
 
@@ -103,7 +101,8 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
 
     mode "P": raw draws are increments of W; the weight column carries
       M(T) = exp(sum_k b_k dW_k - 0.5 sum_k b_k^2 dt) with left-point b,
-      and DegenerateWeights is raised if any of them underflows to 0.
+      and DegenerateWeights is raised if any of them underflows to 0 or
+      their effective sample size sum(w) / max(w) is below ESS_FLOOR.
     mode "Q": raw draws are increments of W^Q; W adds the accumulated
       drift and all weights are one.
     """
@@ -134,12 +133,22 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
             raise DegenerateWeights(
                 f"{int(np.sum(weights == 0.0))} of {n_paths} importance "
                 "weights underflow to 0")
+        _check_ess(weights)
     else:
         wq = np.hstack([zeros_col, np.cumsum(xi, axis=1)])
         w = wq + drift_cum[None, :]
         dw = xi + b_left[None, :] * dt
         weights = np.ones(n_paths)
     return PathEnsemble(grid, n_paths, seed, mode, dw, w, wq, weights)
+
+
+def _check_ess(weights: np.ndarray) -> None:
+    """Raise DegenerateWeights when sum(w) / max(w) is below ESS_FLOOR."""
+    ess = float(weights.sum() / weights.max())
+    if ess < ESS_FLOOR:
+        raise DegenerateWeights(
+            f"effective sample size {ess:.2f} below {ESS_FLOOR}"
+        )
 
 
 def expect_q(ensemble: PathEnsemble, functional) -> tuple[float, float]:
@@ -155,11 +164,7 @@ def expect_q(ensemble: PathEnsemble, functional) -> tuple[float, float]:
     if not np.all(np.isfinite(x)):
         raise ValueError("functional not finite on all paths")
     w = ensemble.weights
-    ess = float(w.sum() / w.max())
-    if ess < ESS_FLOOR:
-        raise DegenerateWeights(
-            f"effective sample size {ess:.2f} below {ESS_FLOOR}"
-        )
+    _check_ess(w)
     if ensemble.tag == "Q":
         est = float(x.mean())
         se = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0

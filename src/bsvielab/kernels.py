@@ -203,7 +203,7 @@ def build_phi(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> KernelTab
         tt, ss = np.meshgrid(t, t, indexing="ij")
         vals = np.asarray(zero_extend_kernel(k.phi_direct)(tt, ss), dtype=float)
     else:
-        mass = np.array([m.mass_closed(snap_lag(s - grid.horizon)) for s in t])
+        mass = m.mass_closed(snap_lag(t - grid.horizon))
         tt, ss = np.meshgrid(t, t, indexing="ij")
         gvals = np.asarray(zero_extend_kernel(k.G)(tt, ss), dtype=float)
         if np.abs(gvals[triangle_mask(grid.n)]).max() > k.G_bound + 1e-12:

@@ -21,8 +21,9 @@ LAG_DECIMALS = 12
 UNIFORM_QUADRATURE_NODES = 65
 
 
-def snap_lag(a: float) -> float:
-    """Round a lag coordinate to LAG_DECIMALS places before a mass query.
+def snap_lag(a):
+    """Round lag coordinates (a scalar or an array) to LAG_DECIMALS places
+    before a mass query.
 
     Grid arithmetic produces values like -0.29999999999999993 where an atom
     sits at exactly -0.3; snapping makes the query land on the atom
@@ -30,7 +31,7 @@ def snap_lag(a: float) -> float:
     measures themselves stay exact -- callers that derive lags from grid
     nodes opt in.
     """
-    return float(np.round(a, LAG_DECIMALS))
+    return np.round(a, LAG_DECIMALS)
 
 
 class DomainError(ValueError):
@@ -47,22 +48,20 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class DelayMeasure:
-    """Base class; concrete measures implement the two mass queries."""
+    """Base class; concrete measures implement the two mass queries,
+    mass_closed(a) = alpha([a, 0]) and mass_left_open(a) = alpha((a, 0]),
+    for a scalar or an array of lags a, returning masses of a's shape."""
 
     horizon: float
 
-    def _check_query(self, a: float) -> None:
-        if not (-self.horizon <= a <= 0.0):
-            raise DomainError(f"query point {a} outside [-{self.horizon}, 0]")
-
-    def mass_closed(self, a: float) -> float:
-        """alpha([a, 0])."""
-        raise NotImplementedError
-
-    def mass_left_open(self, a: float) -> float:
-        """alpha((a, 0])."""
-        self._check_query(a)
-        return self.mass_closed(a) - self.atom_at(a)
+    def _check_query(self, a) -> np.ndarray:
+        """The lags as an array; DomainError on NaN or outside [-T, 0]."""
+        a = np.asarray(a, dtype=float)
+        inside = (-self.horizon <= a) & (a <= 0.0)
+        if not inside.all():
+            raise DomainError(f"query point {a[~inside].flat[0]} outside "
+                              f"[-{self.horizon}, 0]")
+        return a
 
     def atom_at(self, u: float) -> float:
         """Weight of the atom located exactly at u (0 for diffuse parts)."""
@@ -85,13 +84,11 @@ class DiracAt(DelayMeasure):
 
     u0: float = 0.0
 
-    def mass_closed(self, a: float) -> float:
-        self._check_query(a)
-        return 1.0 if self.u0 >= a else 0.0
+    def mass_closed(self, a):
+        return np.where(self.u0 >= self._check_query(a), 1.0, 0.0)
 
-    def mass_left_open(self, a: float) -> float:
-        self._check_query(a)
-        return 1.0 if self.u0 > a else 0.0
+    def mass_left_open(self, a):
+        return np.where(self.u0 > self._check_query(a), 1.0, 0.0)
 
     def atom_at(self, u: float) -> float:
         return 1.0 if u == self.u0 else 0.0
@@ -109,12 +106,10 @@ class DiracAt(DelayMeasure):
 class Uniform(DelayMeasure):
     """Uniform probability measure on [-T, 0]."""
 
-    def mass_closed(self, a: float) -> float:
-        self._check_query(a)
-        return -a / self.horizon
+    def mass_closed(self, a):
+        return -self._check_query(a) / self.horizon
 
-    def mass_left_open(self, a: float) -> float:
-        return self.mass_closed(a)
+    mass_left_open = mass_closed  # no atoms
 
     def atom_at(self, u: float) -> float:
         return 0.0
@@ -139,13 +134,15 @@ class Atoms(DelayMeasure):
 
     atoms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
-    def mass_closed(self, a: float) -> float:
-        self._check_query(a)
-        return sum(w for u, w in self.atoms if u >= a)
+    # Masses add the atoms left to right, a skipped atom adding 0.0, so
+    # each entry is bit-equal to the sum over the atoms it counts.
+    def mass_closed(self, a):
+        a = self._check_query(a)
+        return sum(np.where(u >= a, w, 0.0) for u, w in self.atoms)
 
-    def mass_left_open(self, a: float) -> float:
-        self._check_query(a)
-        return sum(w for u, w in self.atoms if u > a)
+    def mass_left_open(self, a):
+        a = self._check_query(a)
+        return sum(np.where(u > a, w, 0.0) for u, w in self.atoms)
 
     def atom_at(self, u: float) -> float:
         return sum(w for v, w in self.atoms if v == u)
@@ -178,11 +175,11 @@ class Mixture(DelayMeasure):
 
     components: tuple[tuple[DelayMeasure, float], ...] = field(default_factory=tuple)
 
-    def mass_closed(self, a: float) -> float:
+    def mass_closed(self, a):
         self._check_query(a)
         return sum(w * m.mass_closed(a) for m, w in self.components)
 
-    def mass_left_open(self, a: float) -> float:
+    def mass_left_open(self, a):
         self._check_query(a)
         return sum(w * m.mass_left_open(a) for m, w in self.components)
 

@@ -120,27 +120,21 @@ def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
     """
     u_pts, u_wts = m.quadrature()
     trap = tail_weight_matrix(grid)
-    if k.phi_direct is None:
-        gfun = zero_extend_kernel(k.G)
-    else:
-        phi_fun = zero_extend_kernel(k.phi_direct)
-
-        def gfun(a, b):
-            # clamp the lag into the measure's domain; out-of-range b give
-            # phi = 0 by zero-extension, so the placeholder mass is inert
-            lag = np.clip(np.atleast_1d(b) - grid.horizon, -grid.horizon, 0.0)
-            mass = np.array([m.mass_closed(snap_lag(float(v)))
-                             for v in np.ravel(lag)]).reshape(np.shape(lag))
-            vals = phi_fun(a, b)
-            return np.divide(vals, mass, out=np.zeros_like(vals),
-                             where=mass > 1e-12)
-
+    kernel = zero_extend_kernel(k.G if k.phi_direct is None else k.phi_direct)
     op_t = np.zeros_like(trap)  # transposed, so the scatter moves whole rows
     for u, wu in zip(u_pts, u_wts):
         if wu == 0.0:
             continue
         shifted = grid.nodes + u
-        gq = np.asarray(gfun(shifted[None, :], shifted[:, None]), dtype=float)
+        # row j holds the kernel at (t_i + u, s_j + u) over i
+        gq = np.asarray(kernel(shifted[None, :], shifted[:, None]), dtype=float)
+        if k.phi_direct is not None:
+            # the mass depends on s_j + u alone; clamping the lag into the
+            # measure's domain is harmless, since out-of-range s_j + u give
+            # phi = 0 by zero-extension
+            lag = np.clip(shifted - grid.horizon, -grid.horizon, 0.0)
+            mass = m.mass_closed(snap_lag(lag))[:, None]
+            gq = np.divide(gq, mass, out=np.zeros_like(gq), where=mass > 1e-12)
         coeff = trap.T * gq * wu
         live = np.flatnonzero(np.any(coeff, axis=1))
         idx, frac = grid.locate(shifted[live])

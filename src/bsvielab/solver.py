@@ -227,14 +227,12 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
     """
     n, dt = grid.n, grid.dt
     d = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        for i in range(j + 1):
-            if 0 < i and i + 1 <= j:
-                d[i, j] = (z[i + 1, j] - z[i - 1, j]) / (2.0 * dt)
-            elif i == 0 and j >= 1:
-                d[i, j] = (z[1, j] - z[0, j]) / dt
-            elif i == j and i >= 1:
-                d[i, j] = (z[i, j] - z[i - 1, j]) / dt
+    d[1:n] = (z[2:] - z[:-2]) / (2.0 * dt)
+    d[0] = (z[1] - z[0]) / dt
+    diag = np.arange(1, n + 1)
+    d[diag, diag] = (z[diag, diag] - z[diag - 1, diag]) / dt
+    d = np.triu(d)
+    d[0, 0] = 0.0
     inner = (tail_weight_matrix(grid) * d**2).sum(axis=1)
     integral = float(trapezoid_weights(grid) @ inner)
     return SmoothnessReport(d, integral, bool(np.all(np.isfinite(d))))

@@ -10,6 +10,7 @@ import pytest
 
 from bsvielab import cli, oracles
 from bsvielab.cli import main
+from bsvielab.kernels import TriangularGrid
 
 CONFIGS = resources.files("bsvielab") / "configs"
 
@@ -174,6 +175,34 @@ def test_delayed_operator_built_once_per_command(tmp_path, monkeypatch):
         assert len(calls) == count, (command, cfg)
 
 
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    cli.write_csv(str(path), ["a", "b"],
+                  [[np.nan, -0.0, np.inf, 3, 1e-05, "integral", ""],
+                   (np.float64(-np.nan), np.float64(-0.0), -np.inf,
+                    np.int64(3), np.float64(1e-05), 0.1 + 0.2, 1e308 * 10)])
+    assert path.read_text() == ("a,b\n"
+                                "nan,-0,inf,3,1e-05,integral,\n"
+                                "nan,-0,-inf,3,1e-05,0.3,inf\n")
+
+
+def reference_triangle_rows(grid, *surfaces):
+    nodes = grid.nodes
+    for i in range(grid.n + 1):
+        for j in range(i, grid.n + 1):
+            yield (nodes[i], nodes[j]) + tuple(s[i, j] for s in surfaces)
+
+
+def test_triangle_rows_match_double_loop():
+    grid = TriangularGrid(1.0, 7)
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 8, 8))
+    rows = list(cli._triangle_rows(grid, a, b))
+    want = list(reference_triangle_rows(grid, a, b))
+    assert len(rows) == len(want) == 8 * 9 // 2
+    assert np.array_equal(np.array(rows), np.array(want))
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -187,7 +216,7 @@ def test_exit_2_on_bad_values(tmp_path):
     for spoiled in ("horizon = -1.0", "grid.n = 1", "mc.mode = R",
                     "measure.kind = hexagonal", "kernel.name = unknown",
                     "horizon = inf", "tolerances.resolvent = nan",
-                    "tolerances.quad_slack = 0"):
+                    "tolerances.quad_slack = 0", "mc.seed = -1"):
         key = spoiled.split("=")[0].strip()
         lines = MINI_STOCHASTIC.splitlines()
         if any(line.split("=")[0].strip() == key for line in lines):
@@ -198,6 +227,18 @@ def test_exit_2_on_bad_values(tmp_path):
         cfg = write_cfg(tmp_path, text, name="spoiled.cfg")
         assert run_cli("solve", "--config", cfg,
                        "--out", tmp_path / "o") == 2, spoiled
+    # a negative power would make the poly_exp kernel table non-finite
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
+        "kernel.name = constant", "kernel.name = poly_exp\nkernel.k = -1"),
+        name="poly.cfg")
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "o") == 2
+    # the seed is checked after --seed replaces mc.seed
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC)
+    for seed in (-1, 2**128):
+        assert run_cli("solve", "--config", cfg, "--out", tmp_path / "o",
+                       "--seed", seed) == 2, seed
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "o",
+                   "--seed", 2**128 - 1) == 0
 
 
 def test_exit_2_on_missing_file(tmp_path):
@@ -258,22 +299,23 @@ mc.seed = 3
 """
 
 
-def test_exit_4_on_degenerate_weights(tmp_path):
-    # g = 40: the ESS guard of the Q-expectations trips
-    cfg = write_cfg(tmp_path, DEGENERATE + "kernel.g = 40.0\n")
-    assert run_cli("girsanov-check", "--config", cfg,
-                   "--out", tmp_path / "o") == 4
-    # g = 400: every mode-P weight underflows to 0 while the paths are drawn
-    cfg = write_cfg(tmp_path, DEGENERATE + """\
-kernel.g = 400.0
+GAUSSIAN_LINEAR = """\
 terminal.kind = gaussian_linear
 terminal.f0 = zero
 terminal.phi = constant
 terminal.phi.value = 1.0
-""", name="underflow.cfg")
-    for command in ("solve", "norms", "compare", "girsanov-check"):
-        assert run_cli(command, "--config", cfg,
-                       "--out", tmp_path / command) == 4, command
+"""
+
+
+def test_exit_4_on_degenerate_weights(tmp_path):
+    # g = 40: the ESS of the mode-P weights is about 1 when the paths are
+    # drawn; g = 400: every mode-P weight underflows to 0
+    for g in ("40.0", "400.0"):
+        cfg = write_cfg(tmp_path, DEGENERATE + f"kernel.g = {g}\n"
+                        + GAUSSIAN_LINEAR, name=f"g{g}.cfg")
+        for command in ("solve", "norms", "compare", "girsanov-check"):
+            assert run_cli(command, "--config", cfg,
+                           "--out", tmp_path / command) == 4, (g, command)
 
 
 def test_missing_subcommand_is_a_usage_error():

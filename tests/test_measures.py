@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsvielab.kernels import TriangularGrid
 from bsvielab.measures import (
     Atoms,
     DiracAt,
@@ -13,6 +14,7 @@ from bsvielab.measures import (
     Mixture,
     SupportError,
     Uniform,
+    snap_lag,
 )
 
 T = 1.0
@@ -80,6 +82,74 @@ def test_domain_checking():
         m.mass_closed(0.5)
     with pytest.raises(DomainError):
         m.mass_closed(-1.5)
+
+
+# -- array queries ----------------------------------------------------------
+
+# weights whose sum depends on the order of the additions
+OFF_GRID_ATOMS = ((-0.013, 0.1), (-0.3717, 0.2), (-0.9001, 0.7))
+ARRAY_CASES = {
+    "dirac-0.3": DiracAt(T, -0.3),
+    "dirac-0": DiracAt(T, 0.0),
+    "uniform": Uniform(T),
+    "off-grid-atoms": Atoms(T, OFF_GRID_ATOMS),
+    "mixture": Mixture(T, ((Uniform(T), 0.6), (DiracAt(T, -0.25), 0.4))),
+    "mixture-with-atoms": Mixture(T, ((Atoms(T, OFF_GRID_ATOMS), 0.3),
+                                      (DiracAt(T, -0.3), 0.7))),
+}
+
+
+def reference_mass(m, a, closed):
+    """Scalar mass by Python comparisons and left-to-right sums."""
+    if isinstance(m, DiracAt):
+        return 1.0 if (m.u0 >= a if closed else m.u0 > a) else 0.0
+    if isinstance(m, Uniform):
+        return -a / m.horizon
+    if isinstance(m, Atoms):
+        return sum(w for u, w in m.atoms if (u >= a if closed else u > a))
+    return sum(w * reference_mass(c, a, closed) for c, w in m.components)
+
+
+def grid_lags():
+    """Lags s - T and s + u - T (clipped) over the nodes of an N = 20 grid,
+    snapped, plus the off-grid atom positions themselves."""
+    nodes = TriangularGrid(T, 20).nodes
+    shifted = np.clip(nodes - 0.3717 - T, -T, 0.0)
+    lags = snap_lag(np.concatenate([nodes - T, shifted]))
+    return np.concatenate([lags, [u for u, _ in OFF_GRID_ATOMS]])
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_array_query_equals_scalar_queries(case):
+    m = ARRAY_CASES[case].validate()
+    lags = grid_lags()
+    assert -0.3 in lags  # grid arithmetic gives -0.30000000000000004
+    for closed, query in ((True, m.mass_closed), (False, m.mass_left_open)):
+        got = query(lags)
+        assert got.shape == lags.shape
+        assert np.array_equal(got, [query(float(a)) for a in lags])
+        assert np.array_equal(got, [reference_mass(m, float(a), closed)
+                                    for a in lags])
+        table = lags.reshape(3, -1)
+        assert np.array_equal(query(table), got.reshape(3, -1))
+
+
+def test_snap_lag_arrays_match_scalars():
+    lags = TriangularGrid(T, 20).nodes - T
+    assert np.array_equal(snap_lag(lags), [snap_lag(float(a)) for a in lags])
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+@pytest.mark.parametrize("bad", [0.5, -1.5, np.nan])
+def test_array_query_domain_checked(case, bad):
+    m = ARRAY_CASES[case]
+    lags = np.linspace(-T, 0.0, 7)
+    lags[3] = bad
+    for query in (m.mass_closed, m.mass_left_open):
+        with pytest.raises(DomainError):
+            query(lags)
+        with pytest.raises(DomainError):
+            query(bad)
 
 
 def test_dirac_outside_support():

@@ -229,6 +229,29 @@ def test_smoothness_bilinear_oracle():
     assert rep.integral == pytest.approx(T**4 / 4.0, rel=1e-3)
 
 
+def reference_dzdt(z, grid):
+    """dZ/dt cell by cell: central inside, forward at t = 0, backward at
+    t = s, zero at (0, 0) and below the diagonal."""
+    n, dt = grid.n, grid.dt
+    d = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        for i in range(j + 1):
+            if 0 < i and i + 1 <= j:
+                d[i, j] = (z[i + 1, j] - z[i - 1, j]) / (2.0 * dt)
+            elif i == 0 and j >= 1:
+                d[i, j] = (z[1, j] - z[0, j]) / dt
+            elif i == j and i >= 1:
+                d[i, j] = (z[i, j] - z[i - 1, j]) / dt
+    return d
+
+
+def test_smoothness_matches_loop_reference_bitwise():
+    g = TriangularGrid(T, 12)
+    z = np.triu(np.random.default_rng(5).standard_normal((13, 13)))
+    d = smoothness_diagnostics(z, g).dzdt
+    assert np.array_equal(d, reference_dzdt(z, g))
+
+
 def test_smoothness_grid_stability():
     c = 0.3
     flat, vals = [], []
