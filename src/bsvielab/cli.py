@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -277,7 +278,11 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     # Reduced-equation oracle: conditioning the equation on the trivial
     # time-0 sigma-field turns it into a scalar Volterra equation for the
     # expected profile, solved by collocation without Monte Carlo noise.
-    fbar0 = np.asarray([float(conditional_F(cfg.family, t, 0.0, ens,
+    # W(0) = 0 on every path, so E[F(t) | F_0] is one value, taken
+    # from the first path alone.
+    first = replace(ens, n_paths=1, dw=ens.dw[:1], w=ens.w[:1],
+                    wq=ens.wq[:1], weights=ens.weights[:1])
+    fbar0 = np.asarray([float(conditional_F(cfg.family, t, 0.0, first,
                                             drift_fn)[0]) for t in nodes])
     y_col = solve_reduced_collocation(fbar0, phi, grid)
 
@@ -307,6 +312,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
           f"sup|E[Y_explicit]-collocation|={gap_col:.3e}")
     write_meta(cfg, "compare", {
         "lsmc_iterations": lsmc.iterations,
+        "lsmc_max_gram_cond": lsmc.max_gram_cond,
         "res_reduced_explicit_sup": rr_exp_sup,
         "res_reduced_explicit_se_max": se_r_exp,
         "res_reduced_lsmc_sup": rr_lsmc_sup,

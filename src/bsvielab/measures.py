@@ -63,8 +63,9 @@ class DelayMeasure:
                               f"[-{self.horizon}, 0]")
         return a
 
-    def atom_at(self, u: float) -> float:
-        """Weight of the atom located exactly at u (0 for diffuse parts)."""
+    def atom_at(self, u):
+        """Weight of the atom located exactly at u (0 for diffuse parts),
+        for a scalar or an array of points u, in u's shape."""
         raise NotImplementedError
 
     def validate(self) -> "DelayMeasure":
@@ -90,8 +91,8 @@ class DiracAt(DelayMeasure):
     def mass_left_open(self, a):
         return np.where(self.u0 > self._check_query(a), 1.0, 0.0)
 
-    def atom_at(self, u: float) -> float:
-        return 1.0 if u == self.u0 else 0.0
+    def atom_at(self, u):
+        return np.where(np.asarray(u) == self.u0, 1.0, 0.0)
 
     def validate(self) -> "DiracAt":
         if not (-self.horizon <= self.u0 <= 0.0):
@@ -111,8 +112,8 @@ class Uniform(DelayMeasure):
 
     mass_left_open = mass_closed  # no atoms
 
-    def atom_at(self, u: float) -> float:
-        return 0.0
+    def atom_at(self, u):
+        return np.zeros(np.shape(u))
 
     def validate(self) -> "Uniform":
         if self.horizon <= 0.0:
@@ -134,8 +135,9 @@ class Atoms(DelayMeasure):
 
     atoms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
-    # Masses add the atoms left to right, a skipped atom adding 0.0, so
-    # each entry is bit-equal to the sum over the atoms it counts.
+    # Masses and atom weights add the atoms left to right, a skipped atom
+    # adding 0.0, so each entry is bit-equal to the sum over the atoms it
+    # counts.
     def mass_closed(self, a):
         a = self._check_query(a)
         return sum(np.where(u >= a, w, 0.0) for u, w in self.atoms)
@@ -144,8 +146,9 @@ class Atoms(DelayMeasure):
         a = self._check_query(a)
         return sum(np.where(u > a, w, 0.0) for u, w in self.atoms)
 
-    def atom_at(self, u: float) -> float:
-        return sum(w for v, w in self.atoms if v == u)
+    def atom_at(self, u):
+        u = np.asarray(u)
+        return sum(np.where(v == u, w, 0.0) for v, w in self.atoms)
 
     def validate(self) -> "Atoms":
         total = sum(w for _, w in self.atoms)
@@ -183,7 +186,7 @@ class Mixture(DelayMeasure):
         self._check_query(a)
         return sum(w * m.mass_left_open(a) for m, w in self.components)
 
-    def atom_at(self, u: float) -> float:
+    def atom_at(self, u):
         return sum(w * m.atom_at(u) for m, w in self.components)
 
     def validate(self) -> "Mixture":

@@ -18,7 +18,6 @@ than asserted to vanish.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,6 +228,7 @@ class LsmcResult:
     # per-path spread is the honest noise scale of the fitted means
     sup_diffs: list[float] = field(default_factory=list)
     iterations: int = 0
+    max_gram_cond: float = 0.0  # largest condition number of the node Grams
 
 
 def _design_matrix(w_col: np.ndarray) -> np.ndarray:
@@ -256,6 +256,7 @@ class _NodeRegressor:
         cond = float(np.linalg.cond(gram))
         if cond > COND_LIMIT:
             raise RegressionIllConditioned(f"condition number {cond:.2e}")
+        self.cond = cond
         self.basis = b
         self.chol = np.linalg.cholesky(gram)
 
@@ -300,13 +301,18 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
     polynomial basis in W(t_i).  The ensemble stays fixed, so the loop is
     a deterministic linear iteration and converges to a machine-precision
     fixed point in the contractive regime.  Z(t_i, s_j) is the
-    least-squares slope of the martingale increment on dW_j.
+    least-squares slope of the martingale increment on dW_j: refitted
+    every sweep when g != 0, since the g-term reads it, and otherwise
+    only on the converged sweep, which alone also takes the slope SEs.
+    RegressionIllConditioned if a node's Gram matrix is ill-conditioned
+    or an increment dW_j has no sample variance (a single path).
     """
     n = grid.n
     nodes = grid.nodes
     trap = tail_weight_matrix(grid)
     f_vals = np.stack([evaluate_F(fam, t, ensemble) for t in nodes], axis=1)
     regs = [_NodeRegressor(ensemble.w[:, i]) for i in range(n + 1)]
+    basis = _IncrementBasis(ensemble.dw, op, trap, grid.dt)
 
     y = f_vals.copy()
     z_mean = np.zeros((n + 1, n + 1))
@@ -323,23 +329,62 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
         if not np.all(np.isfinite(y)) or np.abs(y).max() > DIVERGENCE_GUARD:
             raise PicardDiverged(
                 f"sup |Y| beyond guard after {it} iterations", sup_diffs)
-        if k.g_bound != 0.0:
-            z_mean = _slope_z(target - y, ensemble, grid, op, trap)[0]
         if diff < cfg.tolerance:
-            z, z_se = _slope_z(target - y, ensemble, grid, op, trap)
-            return LsmcResult(y, z, z_se, target, sup_diffs, it)
+            z, z_se = _slope_z(target - y, basis, with_se=True)
+            return LsmcResult(y, z, z_se, target, sup_diffs, it,
+                              max(r.cond for r in regs))
+        if k.g_bound != 0.0:
+            z_mean = _slope_z(target - y, basis)[0]
     raise PicardStalled(
         f"no convergence to {cfg.tolerance} in {cfg.max_iterations} iterations",
         sup_diffs)
 
 
-def _slope_z(theta: np.ndarray, ensemble: PathEnsemble,
-             grid: TriangularGrid, op: np.ndarray, trap: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
+class _IncrementBasis:
+    """What the Z slopes need of the increments and the operator, made
+    once per LSMC run: the increments dW (M, N), the sums of squares
+    ss_j of the centred increments x = dW - mean(dW), and the half-cell
+    weights 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal scales
+    1 - op[j, j], where K = op / trap is the operator's kernel.
+    RegressionIllConditioned if some ss_j is 0, as it is for a single
+    path."""
+
+    def __init__(self, dw: np.ndarray, op: np.ndarray, trap: np.ndarray,
+                 dt: float):
+        n = dw.shape[1]
+        x = dw - dw.mean(axis=0)
+        ss = np.einsum("mj,mj->j", x, x)
+        if not np.all(ss > 0.0):
+            j = int(np.flatnonzero(~(ss > 0.0))[0])
+            raise RegressionIllConditioned(
+                f"increment dW_{j} has no sample variance over {len(dw)} "
+                "paths; Z slopes undefined")
+        kk = np.divide(op, trap, out=np.zeros_like(op), where=trap > 0.0)
+        self.dw = dw
+        self.ss = ss
+        self.upper = np.triu(np.ones((n, n), dtype=bool))
+        self.half = np.where(self.upper, 0.5 * dt * kk[:n, :n], 0.0)
+        self.scale = 1.0 - np.diag(op)[:n]
+
+
+def _slope_z(theta: np.ndarray, basis: _IncrementBasis, with_se: bool = False
+             ) -> tuple[np.ndarray, np.ndarray | None]:
     """Z(t_i, s_j) as the OLS slope of theta_i on the increment dW_j,
     j < N; the final column, which has no increment of its own, is
     extended by linear extrapolation in s (nearest-row values where a
-    row is too short to extrapolate).  Returns (slopes, slope SEs).
+    row is too short to extrapolate).  Returns (slopes, slope SEs), the
+    SEs None unless with_se.
+
+    All slopes come from one product of the centred targets with the
+    increments: z[i, j] = (x^T theta_c)[j, i] / ss_j on i <= j, where
+    x^T theta_c = dW^T theta_c because theta_c has zero column means,
+    so the centred increments are never held.
+
+    The SEs take the residual sum of squares from the Gram identity
+    rss = |theta_c_i|^2 - z[i, j] (x_j . theta_c_i), clipped at 0,
+    instead of forming residual vectors; the subtraction cancels, so
+    its relative accuracy degrades like eps / (1 - R^2) with R^2 the
+    regression's coefficient of determination.
 
     The raw slope collects the innovations of F and of the strictly
     later quadrature nodes, but never the half cell at r = s_j itself:
@@ -351,37 +396,34 @@ def _slope_z(theta: np.ndarray, ensemble: PathEnsemble,
     the estimator carries an O(dt) bias that dwarfs the slope SE at the
     final interior row, where the regression is nearly noiseless.
     """
-    n = grid.n
-    dt = grid.dt
-    m_paths = ensemble.n_paths
-    dw = ensemble.dw
+    ss, upper = basis.ss, basis.upper
+    m_paths, n = basis.dw.shape
+    theta_c = theta[:, :n] - theta[:, :n].mean(axis=0)
+    cross = theta_c.T @ basis.dw  # cross[i, j] = x_j . theta_c_i
+    raw = np.where(upper, cross / ss, 0.0)
     z = np.zeros((n + 1, n + 1))
+    z[:n, :n] = raw + basis.half * (np.diag(raw) / basis.scale)
+    _extrapolate_last_column(z, lambda a, b: 2.0 * a - b)
+    if not with_se:
+        return z, None
+    sq = np.einsum("mi,mi->i", theta_c, theta_c)
+    rss = np.where(upper, np.maximum(sq[:, None] - raw * cross, 0.0), 0.0)
+    raw_se = np.sqrt(rss / max(m_paths - 2, 1) / ss)
     se = np.zeros((n + 1, n + 1))
-    for j in range(n):
-        x = dw[:, j] - dw[:, j].mean()
-        ss = float(x @ x)
-        for i in range(j + 1):
-            t_col = theta[:, i]
-            slope = float(x @ t_col) / ss
-            resid = t_col - t_col.mean() - slope * x
-            var = float(resid @ resid) / max(m_paths - 2, 1) / ss
-            z[i, j] = slope
-            se[i, j] = math.sqrt(var)
-    kk = np.divide(op, trap, out=np.zeros_like(op), where=trap > 0.0)
-    for j in range(n):
-        scale = 1.0 - op[j, j]
-        z_diag = z[j, j] / scale
-        se_diag = se[j, j] / abs(scale)
-        half = 0.5 * dt * kk[: j + 1, j]
-        z[: j + 1, j] += half * z_diag
-        se[: j + 1, j] = np.hypot(se[: j + 1, j], np.abs(half) * se_diag)
+    se[:n, :n] = np.hypot(raw_se, np.abs(basis.half)
+                          * (np.diag(raw_se) / np.abs(basis.scale)))
+    _extrapolate_last_column(se, lambda a, b: np.hypot(2.0 * a, b))
+    return z, se
+
+
+def _extrapolate_last_column(a: np.ndarray, rule) -> None:
+    """Fill column N, which has no increment of its own, from the two
+    columns before it by rule(a[:, N-1], a[:, N-2]); the two rows too
+    short for that copy row N-2's value (with N = 1, column 0 is copied)."""
+    n = a.shape[0] - 1
     if n >= 2:
         rows = slice(0, n - 1)
-        z[rows, n] = 2.0 * z[rows, n - 1] - z[rows, n - 2]
-        se[rows, n] = np.hypot(2.0 * se[rows, n - 1], se[rows, n - 2])
-        z[n - 1, n] = z[n, n] = z[n - 2, n]
-        se[n - 1, n] = se[n, n] = se[n - 2, n]
+        a[rows, n] = rule(a[rows, n - 1], a[rows, n - 2])
+        a[n - 1, n] = a[n, n] = a[n - 2, n]
     else:
-        z[:, n] = z[:, n - 1]
-        se[:, n] = se[:, n - 1]
-    return np.where(np.triu(np.ones_like(z, dtype=bool)), z, 0.0), se
+        a[:, n] = a[:, n - 1]

@@ -288,6 +288,38 @@ mc.paths = 500
         assert meta[oracle + "_iterations"] == len(rows)
 
 
+SINGLE_PATH = """\
+horizon = 1.0
+grid.n = 8
+mc.paths = 1
+mc.seed = 1
+mc.mode = Q
+measure.kind = uniform
+kernel.name = constant
+kernel.c = 0.3
+kernel.g = 0.2
+terminal.kind = terminal_function
+terminal.h = square
+"""
+
+
+def test_exit_3_on_single_path_compare(tmp_path, capsys):
+    # one path gives every increment dW_j zero sample variance, so the
+    # LSMC oracle has no Z slope to fit
+    cfg = write_cfg(tmp_path, SINGLE_PATH)
+    assert run_cli("compare", "--config", cfg, "--out", tmp_path / "o") == 3
+    assert "no sample variance" in capsys.readouterr().err
+
+
+def test_compare_meta_reports_lsmc_gram_condition(tmp_path):
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg, "--out", out) == 0
+    cond = json.loads((out / "compare.meta.json").read_text())[
+        "lsmc_max_gram_cond"]
+    assert 1.0 <= cond <= oracles.COND_LIMIT
+
+
 DEGENERATE = """\
 horizon = 1.0
 grid.n = 8

@@ -134,6 +134,32 @@ def test_array_query_equals_scalar_queries(case):
         assert np.array_equal(query(table), got.reshape(3, -1))
 
 
+def reference_atom(m, u):
+    """Scalar atom weight by Python comparisons and left-to-right sums."""
+    if isinstance(m, DiracAt):
+        return 1.0 if u == m.u0 else 0.0
+    if isinstance(m, Uniform):
+        return 0.0
+    if isinstance(m, Atoms):
+        return sum(w for v, w in m.atoms if v == u)
+    return sum(w * reference_atom(c, u) for c, w in m.components)
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES) + ["stacked-atoms"])
+def test_atom_at_arrays_equal_scalar_queries(case):
+    # three atoms at one point: their weight depends on the add order
+    m = ARRAY_CASES.get(case) or Atoms(T, ((-0.3, 0.1), (-0.013, 0.2),
+                                           (-0.3, 0.2), (-0.3, 0.5)))
+    lags = np.concatenate([grid_lags(), [-0.3, -0.25, 0.0]])
+    got = m.validate().atom_at(lags)
+    assert got.shape == lags.shape
+    assert np.array_equal(got, [m.atom_at(float(a)) for a in lags])
+    assert np.array_equal(got, [reference_atom(m, float(a)) for a in lags])
+    assert np.any(got > 0.0) or isinstance(m, Uniform)
+    table = lags.reshape(2, -1)
+    assert np.array_equal(m.atom_at(table), got.reshape(2, -1))
+
+
 def test_snap_lag_arrays_match_scalars():
     lags = TriangularGrid(T, 20).nodes - T
     assert np.array_equal(snap_lag(lags), [snap_lag(float(a)) for a in lags])

@@ -10,9 +10,11 @@ from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
     example33_kernel, poly_exp_kernel, resolvent, tail_weight_matrix, \
     zero_extend_kernel, zero_kernel
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
+from bsvielab import oracles
 from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
-    PicardStalled, RegressionIllConditioned, SingularStep, _NodeRegressor, \
-    _g_weighted_term, build_delayed_operator, lipschitz_constant, \
+    PicardStalled, RegressionIllConditioned, SingularStep, _IncrementBasis, \
+    _NodeRegressor, _g_weighted_term, _slope_z, build_delayed_operator, \
+    lipschitz_constant, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
@@ -399,3 +401,103 @@ def test_delay_integrals_match_loop_references_bitwise(case):
     gz = _g_weighted_term(k, m, g, z, trap)
     assert np.abs(gz).max() > 0.0
     assert np.array_equal(gz, reference_g_weighted_term(k, m, g, z, trap))
+
+
+# ---------------------------------------------------------------------------
+# the LSMC Z slopes against their original per-(i, j) loop
+
+
+def reference_slope_z(theta, ensemble, grid, op, trap):
+    """Z slopes and SEs as the original double loop of M-length dot
+    products, with residual vectors for the SEs."""
+    n = grid.n
+    dt = grid.dt
+    m_paths = ensemble.n_paths
+    dw = ensemble.dw
+    z = np.zeros((n + 1, n + 1))
+    se = np.zeros((n + 1, n + 1))
+    for j in range(n):
+        x = dw[:, j] - dw[:, j].mean()
+        ss = float(x @ x)
+        for i in range(j + 1):
+            t_col = theta[:, i]
+            slope = float(x @ t_col) / ss
+            resid = t_col - t_col.mean() - slope * x
+            var = float(resid @ resid) / max(m_paths - 2, 1) / ss
+            z[i, j] = slope
+            se[i, j] = math.sqrt(var)
+    kk = np.divide(op, trap, out=np.zeros_like(op), where=trap > 0.0)
+    for j in range(n):
+        scale = 1.0 - op[j, j]
+        z_diag = z[j, j] / scale
+        se_diag = se[j, j] / abs(scale)
+        half = 0.5 * dt * kk[: j + 1, j]
+        z[: j + 1, j] += half * z_diag
+        se[: j + 1, j] = np.hypot(se[: j + 1, j], np.abs(half) * se_diag)
+    if n >= 2:
+        rows = slice(0, n - 1)
+        z[rows, n] = 2.0 * z[rows, n - 1] - z[rows, n - 2]
+        se[rows, n] = np.hypot(2.0 * se[rows, n - 1], se[rows, n - 2])
+        z[n - 1, n] = z[n, n] = z[n - 2, n]
+        se[n - 1, n] = se[n, n] = se[n - 2, n]
+    else:
+        z[:, n] = z[:, n - 1]
+        se[:, n] = se[:, n - 1]
+    return np.where(np.triu(np.ones_like(z, dtype=bool)), z, 0.0), se
+
+
+def small_lsmc(g_value, n=12, paths=2000):
+    g = TriangularGrid(T, n)
+    m = DiracAt(T, 0.0)
+    k = constant_kernel(0.3, g_value=g_value)
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
+    ens = sample_paths(g, paths, 53, "P")
+    op = build_delayed_operator(k, m, g)
+    return g, op, ens, solve_delayed_lsmc(fam, k, m, op, g, ens)
+
+
+@pytest.mark.parametrize("g_value", [0.2, 0.0])
+def test_slope_z_matches_loop_reference(g_value):
+    g, op, ens, res = small_lsmc(g_value)
+    z_ref, se_ref = reference_slope_z(res.y_targets - res.y, ens, g, op,
+                                      tail_weight_matrix(g))
+    assert np.abs(res.z - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
+    tri = np.triu_indices(g.n + 1)
+    assert np.all(se_ref[tri] > 0.0)
+    assert np.all(np.abs(res.z_se - se_ref) <= 1e-9 * se_ref)
+    assert np.array_equal(res.z_se == 0.0, se_ref == 0.0)
+
+
+def test_slope_se_of_a_noiseless_regression_is_finite():
+    # theta_i an exact multiple of dW_i: the rss of the diagonal fits is 0
+    # up to rounding, which the Gram identity may take below 0
+    g = TriangularGrid(T, 12)
+    ens = sample_paths(g, 2000, 59, "Q")
+    op = build_delayed_operator(constant_kernel(0.3), DiracAt(T, 0.0), g)
+    basis = _IncrementBasis(ens.dw, op, tail_weight_matrix(g), g.dt)
+    theta = np.zeros((2000, 13))
+    theta[:, :12] = ens.dw * np.linspace(0.5, 3.0, 12)
+    z, se = _slope_z(theta, basis, with_se=True)
+    assert np.all(np.isfinite(se)) and np.all(se >= 0.0)
+    assert np.all(np.isfinite(z))
+    assert np.allclose(np.diag(z)[:12] * (1.0 - np.diag(op)[:12]),
+                       np.linspace(0.5, 3.0, 12), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("g_value", [0.2, 0.0])
+def test_slopes_fitted_once_per_sweep(monkeypatch, g_value):
+    # g != 0: the g-term reads the slopes, so every sweep fits them once;
+    # g = 0: only the converged sweep does.  Only that fit takes the SEs.
+    calls = []
+    fit = oracles._slope_z
+
+    def counted(theta, basis, with_se=False):
+        calls.append(with_se)
+        return fit(theta, basis, with_se)
+
+    monkeypatch.setattr(oracles, "_slope_z", counted)
+    res = small_lsmc(g_value)[3]
+    assert res.iterations > 2
+    sweeps = res.iterations if g_value != 0.0 else 1
+    assert calls == [False] * (sweeps - 1) + [True]
+
