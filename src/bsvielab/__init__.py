@@ -41,8 +41,9 @@ from .solver import NormReport, SmoothnessReport, SolutionField, \
     UnsupportedFamily, compute_U, norms, smoothness_diagnostics, solve_Y, \
     solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \
-    TerminalFunction, conditional_F, evaluate_F, gauss_hermite_mean, \
-    make_f0, make_h, make_phi, malliavin_F
+    TerminalFunction, conditional_F, evaluate_F, evaluate_F_table, \
+    gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_F, \
+    malliavin_table
 
 __all__ = [
     "Atoms",
@@ -87,6 +88,7 @@ __all__ = [
     "constant_kernel",
     "drift",
     "evaluate_F",
+    "evaluate_F_table",
     "example33_kernel",
     "example33_reference",
     "expect_q",
@@ -100,6 +102,7 @@ __all__ = [
     "make_h",
     "make_phi",
     "malliavin_F",
+    "malliavin_table",
     "norms",
     "poly_exp_kernel",
     "residual_delayed",

@@ -161,7 +161,8 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     if cfg.stochastic:
         r = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid, ens)
         rr = r.mean(axis=0)
-        rr_se = r.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)
+        rr_se = r.std(axis=0, ddof=1) / np.sqrt(ens.n_paths) \
+            if ens.n_paths > 1 else np.zeros_like(rr)
         rd = np.full_like(rr, np.nan)
     else:
         f0_prof = f0_profile(cfg.family, grid)

@@ -215,6 +215,11 @@ def load_config(text: str, seed_override: int | None = None,
     quad_slack = _as_float("tolerances.quad_slack",
                            _take(kv, "tolerances.quad_slack", "10.0"))
     beta = _as_float("beta", _take(kv, "beta", "0.0"))
+    try:  # the norm weights reach exp(|beta| T)
+        math.exp(abs(beta) * horizon)
+    except OverflowError:
+        raise ConfigError(f"beta: exp(|beta| * horizon) overflows "
+                          f"(beta={beta}, horizon={horizon})") from None
     out_dir = _take(kv, "output", "out")
 
     if kv:

@@ -26,7 +26,7 @@ from .girsanov import PathEnsemble
 from .kernels import KernelSpec, KernelTable, TriangularGrid, \
     tail_weight_matrix, zero_extend_g, zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
-from .terminal import TerminalFamily, evaluate_F
+from .terminal import TerminalFamily, evaluate_F_table
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -199,9 +199,8 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     the stochastic integral taken as a left-point sum.  Returns (M, N+1)."""
     n = grid.n
-    nodes = grid.nodes
     a = phi.values * tail_weight_matrix(grid)
-    f_vals = np.stack([evaluate_F(fam, t, ensemble) for t in nodes], axis=1)
+    f_vals = evaluate_F_table(fam, ensemble)
     dwq = np.diff(ensemble.wq, axis=1)  # (M, N)
     r = y - f_vals - y @ a.T
     for i in range(n + 1):
@@ -308,9 +307,8 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
     or an increment dW_j has no sample variance (a single path).
     """
     n = grid.n
-    nodes = grid.nodes
     trap = tail_weight_matrix(grid)
-    f_vals = np.stack([evaluate_F(fam, t, ensemble) for t in nodes], axis=1)
+    f_vals = evaluate_F_table(fam, ensemble)
     regs = [_NodeRegressor(ensemble.w[:, i]) for i in range(n + 1)]
     basis = _IncrementBasis(ensemble.dw, op, trap, grid.dt)
 

@@ -21,11 +21,8 @@ from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
     trapezoid_weights
 from .measures import DelayMeasure
 from .terminal import Deterministic, GaussianLinear, TerminalFamily, \
-    TerminalFunction, _GH_SHIFT, _GH_W_NORM, conditional_sweep, evaluate_F, \
-    f0_profile, is_stochastic
-
-# W(s) at which the F_s-conditional of the Z formula is anchored
-Z_REF_STATE = 0.0
+    TerminalFunction, conditional_sweep, evaluate_F_table, f0_profile, \
+    is_stochastic, malliavin_table
 
 
 class UnsupportedFamily(ValueError):
@@ -121,20 +118,7 @@ def compute_U(fam: TerminalFamily, fld: SolutionField, m: DelayMeasure,
     kern = build_phi(m, k, grid).values * tail_weight_matrix(grid)
     if not fld.stochastic:
         return f0_profile(fam, grid) + kern @ fld.y - fld.y
-    ens = fld.ensemble
-    f_vals = np.stack([evaluate_F(fam, t, ens) for t in grid.nodes], axis=1)
-    return f_vals + fld.y @ kern.T - fld.y
-
-
-def _state_derivative(fam: TerminalFunction, t, x: np.ndarray) -> np.ndarray:
-    """dh/dx, analytic when the registry provides it, else a central
-    difference with step 1e-4 * (1 + |x|)."""
-    x = np.asarray(x, dtype=float)
-    if fam.dh is not None:
-        return np.asarray(fam.dh(t, x), dtype=float)
-    step = 1e-4 * (1.0 + np.abs(x))
-    return (np.asarray(fam.h(t, x + step), dtype=float)
-            - np.asarray(fam.h(t, x - step), dtype=float)) / (2.0 * step)
+    return evaluate_F_table(fam, fld.ensemble) + fld.y @ kern.T - fld.y
 
 
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
@@ -142,73 +126,29 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
             ) -> np.ndarray:
     """Z(t,s) = E^Q[D_s F(t) + int_s^T Phi(t,r) D_s Y(r) dr | F_s].
 
-    GaussianLinear: everything is deterministic; D_s Y(r) = phi(r,s) +
-    int_r^T Psi(r,v) phi(v,s) dv and the conditional is the identity.
-    TerminalFunction: D_s Y(r) is the state derivative of x -> Y(r) given
-    W(r) = x, and the F_s-conditional is evaluated by nested Gauss-Hermite
-    layers anchored at W(s) = Z_REF_STATE.
-    Deterministic families carry no martingale part: the zero surface is
-    returned without computation.  The second Malliavin term,
-    -U(t) int D_s g dW^Q, vanishes because g is deterministic.
+    One formula for both stochastic families.  D_s commutes with the
+    conditionals of Y for s <= r, so by the tower property
+    E^Q[D_s Y(r) | F_s] = d(r,s) + int_r^T Psi(r,v) d(v,s) dv with
+    d(v,s) = E^Q[D_s F(v) | F_s], the family's malliavin_table anchored
+    at W(s) = terminal.Z_REF_STATE.  Deterministic families carry no
+    martingale part: the zero surface is returned without computation.
+    The second Malliavin term, -U(t) int D_s g dW^Q, vanishes because g
+    is deterministic.
     """
     if not (phi.grid.same_as(grid) and psi.grid.same_as(grid)):
         raise GridMismatch("kernel tables on a different grid")
     n = grid.n
-    nodes = grid.nodes
-    tri = np.triu(np.ones((n + 1, n + 1), dtype=bool))
-
     if isinstance(fam, Deterministic):
         return np.zeros((n + 1, n + 1))
-
-    trap = tail_weight_matrix(grid)
-    col_w = trap.T  # weights in r for int_{t_s}^T
-
-    if isinstance(fam, GaussianLinear):
-        tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
-        phimat = np.asarray(fam.phi(tt, ss), dtype=float)
-        d = phimat + (psi.values * trap) @ phimat
-        z = phimat + phi.values @ (col_w * d)
-        return np.where(tri, z, 0.0)
-
-    if not isinstance(fam, TerminalFunction):
+    if not isinstance(fam, (GaussianLinear, TerminalFunction)):
         raise UnsupportedFamily(f"unknown family {type(fam).__name__}")
 
-    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
-    psi_row_int = (trap * psi.values).sum(axis=1)
-
-    def dh_mean(t, mean, sd):
-        pts = np.asarray(mean, dtype=float)[..., None] + sd * _GH_SHIFT
-        return _state_derivative(fam, t, pts) @ _GH_W_NORM
-
-    # ed[r, j] = E^Q[D_s Y(t_r) | F_{t_j}, W(t_j) = Z_REF_STATE]
-    ed = np.zeros((n + 1, n + 1))
-    term1 = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        sd_j = math.sqrt(max(grid.horizon - nodes[j], 0.0))
-        if fam.t_dependent:
-            term1[:, j] = [dh_mean(t, Z_REF_STATE + remaining[j], sd_j)
-                           for t in nodes]
-        else:
-            term1[:, j] = dh_mean(nodes[0], Z_REF_STATE + remaining[j], sd_j)
-        for r in range(j, n + 1):
-            # W(t_r) | F_{t_j} under Q
-            mean_r = Z_REF_STATE + remaining[j] - remaining[r]
-            sd_r = math.sqrt(max(nodes[r] - nodes[j], 0.0))
-            states = mean_r + sd_r * _GH_SHIFT
-            sd_cond = math.sqrt(max(grid.horizon - nodes[r], 0.0))
-            if fam.t_dependent:
-                dsy = dh_mean(nodes[r], states + remaining[r], sd_cond)
-                tail = np.zeros(len(states))
-                for v in range(r, n + 1):
-                    tail += trap[r, v] * psi.values[r, v] * dh_mean(
-                        nodes[v], states + remaining[r], sd_cond)
-                dsy = dsy + tail
-            else:
-                gd = dh_mean(nodes[0], states + remaining[r], sd_cond)
-                dsy = gd * (1.0 + psi_row_int[r])
-            ed[r, j] = float(dsy @ _GH_W_NORM)
-    z = term1 + phi.values @ (col_w * ed)
-    return np.where(tri, z, 0.0)
+    trap = tail_weight_matrix(grid)
+    d = malliavin_table(fam, grid, drift_fn)
+    dy = d + (psi.values * trap) @ d
+    # trap.T weighs r in int_{s_j}^T and is zero for r < s_j
+    z = d + phi.values @ (trap.T * dy)
+    return np.where(np.triu(np.ones((n + 1, n + 1), dtype=bool)), z, 0.0)
 
 
 @dataclass

@@ -31,6 +31,9 @@ _GH_X, _GH_W = np.polynomial.hermite.hermgauss(GH_NODES)
 _GH_W_NORM = _GH_W / math.sqrt(math.pi)
 _GH_SHIFT = math.sqrt(2.0) * _GH_X
 
+# W(s) at which the F_s-conditionals of the Z formula are anchored
+Z_REF_STATE = 0.0
+
 
 class QuadratureError(RuntimeError):
     """h exceeded its declared growth envelope on the quadrature points."""
@@ -101,6 +104,17 @@ def evaluate_F(fam: TerminalFamily, t: float, ensemble: PathEnsemble) -> np.ndar
         left = ensemble.grid.nodes[:-1]
         return float(fam.f0(t)) + ensemble.dw @ np.asarray(fam.phi(t, left), dtype=float)
     return _growth_checked(fam, t, ensemble.w[:, -1])
+
+
+def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
+    """F(t_a) on every path and node, (M, N+1).  A t-independent terminal
+    function is evaluated, and growth-checked, once and broadcast to
+    every node."""
+    nodes = ensemble.grid.nodes
+    if isinstance(fam, TerminalFunction) and not fam.t_dependent:
+        col = evaluate_F(fam, nodes[0], ensemble)
+        return np.broadcast_to(col[:, None], (ensemble.n_paths, len(nodes)))
+    return np.stack([evaluate_F(fam, t, ensemble) for t in nodes], axis=1)
 
 
 def malliavin_F(fam: TerminalFamily, t: float, s: float,
@@ -214,6 +228,35 @@ def conditional_sweep(fam: TerminalFamily, grid: TriangularGrid,
         else:
             row = gauss_hermite_mean(fam, nodes[0], mean, sd)
             yield i, np.broadcast_to(row, (n + 1, m_paths))
+
+
+def malliavin_table(fam: GaussianLinear | TerminalFunction,
+                    grid: TriangularGrid,
+                    drift_fn: DriftFunction | None = None) -> np.ndarray:
+    """d[v, j] = E^Q[D_{s_j} F(t_v) | F_{s_j}] at W(s_j) = Z_REF_STATE,
+    an (N+1) x (N+1) table over every v and j.
+
+    GaussianLinear: D_s F(t) = phi(t, s) is deterministic.
+    TerminalFunction: D_s F(t) = dh(t, W(T)), and W(T) | F_{s_j} is
+    N(Z_REF_STATE + remaining drift, T - s_j) under Q, integrated by one
+    Gauss-Hermite layer: one dh call on the (N+1) x 64 points when h
+    ignores t (the row is shared by every v), one call per node t_v
+    otherwise.
+    """
+    n, nodes = grid.n, grid.nodes
+    if isinstance(fam, GaussianLinear):
+        tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
+        return np.asarray(fam.phi(tt, ss), dtype=float)
+    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
+    sd = np.sqrt(np.maximum(grid.horizon - nodes, 0.0))
+    pts = (Z_REF_STATE + remaining)[:, None] + sd[:, None] * _GH_SHIFT
+
+    def layer(t):
+        return np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
+
+    if fam.t_dependent:
+        return np.stack([layer(t) for t in nodes])
+    return np.broadcast_to(layer(nodes[0]), (n + 1, n + 1))
 
 
 # ---------------------------------------------------------------------------

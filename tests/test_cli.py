@@ -216,7 +216,8 @@ def test_exit_2_on_bad_values(tmp_path):
     for spoiled in ("horizon = -1.0", "grid.n = 1", "mc.mode = R",
                     "measure.kind = hexagonal", "kernel.name = unknown",
                     "horizon = inf", "tolerances.resolvent = nan",
-                    "tolerances.quad_slack = 0", "mc.seed = -1"):
+                    "tolerances.quad_slack = 0", "mc.seed = -1",
+                    "beta = -800", "beta = 800"):
         key = spoiled.split("=")[0].strip()
         lines = MINI_STOCHASTIC.splitlines()
         if any(line.split("=")[0].strip() == key for line in lines):
@@ -239,6 +240,24 @@ def test_exit_2_on_bad_values(tmp_path):
                        "--seed", seed) == 2, seed
     assert run_cli("solve", "--config", cfg, "--out", tmp_path / "o",
                    "--seed", 2**128 - 1) == 0
+
+
+def test_single_path_solve_writes_valid_sidecar(tmp_path):
+    # one path has no sample spread: the residual SE is 0, as for Y, and
+    # the sidecar stays valid JSON
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
+        "mc.paths = 2000", "mc.paths = 1\nmc.mode = Q"))
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", cfg, "--out", out) == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON value {token}")
+
+    meta = json.loads((out / "solve.meta.json").read_text(),
+                      parse_constant=reject)
+    assert meta["paths"] == 1
+    assert meta["residual_reduced_se_max"] == 0.0
+    assert meta["y0_se"] == 0.0
 
 
 def test_exit_2_on_missing_file(tmp_path):

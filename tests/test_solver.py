@@ -20,8 +20,8 @@ from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.solver import NormReport, SolutionField, compute_U, norms, \
     smoothness_diagnostics, solve_Y, solve_Z
-from bsvielab.terminal import Deterministic, GaussianLinear, make_f0, \
-    make_h, make_phi
+from bsvielab.terminal import Z_REF_STATE, Deterministic, GaussianLinear, \
+    TerminalFunction, _GH_SHIFT, _GH_W_NORM, make_f0, make_h, make_phi
 
 T = 1.0
 
@@ -185,6 +185,126 @@ def test_t_dependent_branches_match_shared_quadrature():
                    - solve_Z(shared, phi, psi, b, g)).max()
     assert y_gap < 1e-12
     assert z_gap < 1e-12
+
+
+def reference_solve_Z_terminal(fam, phi, psi, drift_fn, grid):
+    """The nested Gauss-Hermite (j, r[, v]) loops that computed Z for a
+    TerminalFunction before the tower-property formula."""
+    n = grid.n
+    nodes = grid.nodes
+    tri = np.triu(np.ones((n + 1, n + 1), dtype=bool))
+    trap = tail_weight_matrix(grid)
+    col_w = trap.T  # weights in r for int_{t_s}^T
+    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
+    psi_row_int = (trap * psi.values).sum(axis=1)
+
+    def dh_mean(t, mean, sd):
+        pts = np.asarray(mean, dtype=float)[..., None] + sd * _GH_SHIFT
+        return np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
+
+    # ed[r, j] = E^Q[D_s Y(t_r) | F_{t_j}, W(t_j) = Z_REF_STATE]
+    ed = np.zeros((n + 1, n + 1))
+    term1 = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        sd_j = math.sqrt(max(grid.horizon - nodes[j], 0.0))
+        if fam.t_dependent:
+            term1[:, j] = [dh_mean(t, Z_REF_STATE + remaining[j], sd_j)
+                           for t in nodes]
+        else:
+            term1[:, j] = dh_mean(nodes[0], Z_REF_STATE + remaining[j], sd_j)
+        for r in range(j, n + 1):
+            # W(t_r) | F_{t_j} under Q
+            mean_r = Z_REF_STATE + remaining[j] - remaining[r]
+            sd_r = math.sqrt(max(nodes[r] - nodes[j], 0.0))
+            states = mean_r + sd_r * _GH_SHIFT
+            sd_cond = math.sqrt(max(grid.horizon - nodes[r], 0.0))
+            if fam.t_dependent:
+                dsy = dh_mean(nodes[r], states + remaining[r], sd_cond)
+                tail = np.zeros(len(states))
+                for v in range(r, n + 1):
+                    tail += trap[r, v] * psi.values[r, v] * dh_mean(
+                        nodes[v], states + remaining[r], sd_cond)
+                dsy = dsy + tail
+            else:
+                gd = dh_mean(nodes[0], states + remaining[r], sd_cond)
+                dsy = gd * (1.0 + psi_row_int[r])
+            ed[r, j] = float(dsy @ _GH_W_NORM)
+    z = term1 + phi.values @ (col_w * ed)
+    return np.where(tri, z, 0.0)
+
+
+def reference_solve_Z_gaussian(fam, phi, psi, grid):
+    """The GaussianLinear branch as it was written before the shared
+    formula."""
+    n = grid.n
+    nodes = grid.nodes
+    tri = np.triu(np.ones((n + 1, n + 1), dtype=bool))
+    trap = tail_weight_matrix(grid)
+    col_w = trap.T
+    tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
+    phimat = np.asarray(fam.phi(tt, ss), dtype=float)
+    d = phimat + (psi.values * trap) @ phimat
+    z = phimat + phi.values @ (col_w * d)
+    return np.where(tri, z, 0.0)
+
+
+def t_varying_h(name):
+    """A registry h made to depend on t, so that the per-node tables of
+    the t_dependent path differ from node to node."""
+    base = make_h(name)
+    return TerminalFunction(
+        h=lambda t, x: (1.0 + 0.5 * np.asarray(t)) * base.h(t, x),
+        dh=lambda t, x: (1.0 + 0.5 * np.asarray(t)) * base.dh(t, x),
+        growth_a=1.5 * base.growth_a, growth_b=base.growth_b,
+        t_dependent=True)
+
+
+TOWER_SETUPS = {
+    # (delay measure, n, drift strength g)
+    "uniform-drift": (Uniform(T), 40, 0.2),
+    "dirac-0.3": (DiracAt(T, -0.3), 30, 0.0),
+    "dirac0-drift": (DiracAt(T, 0.0), 60, 0.2),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(TOWER_SETUPS))
+@pytest.mark.parametrize("h_name", ["square", "exp", "affine"])
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
+                                                        t_dependent):
+    measure, n, g_value = TOWER_SETUPS[setup]
+    g, m, spec, phi, psi = setup_reduced(0.3, n, measure, g_value=g_value)
+    b = drift(m, spec, g) if g_value else None
+    fam = t_varying_h(h_name) if t_dependent else make_h(h_name)
+    z = solve_Z(fam, phi, psi, b, g)
+    ref = reference_solve_Z_terminal(fam, phi, psi, b, g)
+    scale = max(1.0, float(np.abs(ref).max()))
+    assert np.abs(z - ref).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("phi_name", ["constant", "exp_u", "bilinear"])
+def test_solve_Z_gaussian_linear_bitwise_unchanged(phi_name):
+    g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi(phi_name))
+    z = solve_Z(fam, phi, psi, drift(m, spec, g), g)
+    assert np.array_equal(z, reference_solve_Z_gaussian(fam, phi, psi, g))
+
+
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_solve_Z_one_dh_call_per_distinct_t(t_dependent):
+    n = 20
+    g, m, spec, phi, psi = setup_reduced(0.3, n, Uniform(T), g_value=0.2)
+    base = make_h("exp")
+    calls = []
+
+    def counting_dh(t, x):
+        calls.append(np.shape(x))
+        return base.dh(t, x)
+
+    fam = dataclasses.replace(base, dh=counting_dh, t_dependent=t_dependent)
+    solve_Z(fam, phi, psi, drift(m, spec, g), g)
+    assert len(calls) == (n + 1 if t_dependent else 1)
+    assert all(shape == (n + 1, 64) for shape in calls)
 
 
 def test_ito_isometry():

@@ -13,14 +13,17 @@ from bsvielab.terminal import (
     GaussianLinear,
     QuadratureError,
     TerminalFunction,
+    Z_REF_STATE,
     conditional_F,
     conditional_sweep,
     evaluate_F,
+    evaluate_F_table,
     is_stochastic,
     make_f0,
     make_h,
     make_phi,
     malliavin_F,
+    malliavin_table,
 )
 
 T = 1.0
@@ -170,3 +173,45 @@ def test_affine_h_registry():
     e = ens(n=10, m=7)
     assert np.allclose(evaluate_F(fam, 0.0, e), 0.5 + 2.0 * e.w[:, -1])
     assert np.allclose(malliavin_F(fam, 0.0, 0.5, e), 2.0)
+
+
+@pytest.mark.parametrize("fam", [
+    make_h("square"),
+    TerminalFunction(h=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float),
+                     dh=lambda t, x: (1.0 + t) + 0.0 * np.asarray(x),
+                     growth_a=3.0, growth_b=1.0, t_dependent=True),
+    GaussianLinear(f0=make_f0("exp_decay"), phi=make_phi("bilinear")),
+    Deterministic(f0=make_f0("constant", value=2.0)),
+], ids=["t-independent", "t-dependent", "gaussian", "deterministic"])
+def test_evaluate_F_table_matches_per_node_stack(fam, monkeypatch):
+    import bsvielab.terminal as terminal_mod
+
+    e = ens(n=12, m=300)
+    want = np.stack([evaluate_F(fam, t, e) for t in e.grid.nodes], axis=1)
+    calls = []
+    monkeypatch.setattr(terminal_mod, "evaluate_F",
+                        lambda *a: calls.append(a[1]) or evaluate_F(*a))
+    got = evaluate_F_table(fam, e)
+    assert np.array_equal(got, want)
+    # a t-independent h is evaluated and growth-checked once
+    shared = isinstance(fam, TerminalFunction) and not fam.t_dependent
+    assert len(calls) == (1 if shared else 13)
+
+
+def test_malliavin_table_closed_forms():
+    g = grid(20)
+    spec = constant_kernel(0.0, g_value=0.3)
+    b = drift(Uniform(T), spec, g)
+    remaining = b.remaining()
+    # h = x^2: E[2 W(T) | W(s_j) = ref] = 2 (ref + remaining drift)
+    d = malliavin_table(make_h("square"), g, b)
+    want = 2.0 * (Z_REF_STATE + remaining)
+    assert d.shape == (21, 21)
+    assert np.abs(d - want[None, :]).max() < 1e-12
+    # affine h: the slope everywhere, drift or not
+    d = malliavin_table(make_h("affine", intercept=1.0, slope=0.7), g, b)
+    assert np.abs(d - 0.7).max() < 1e-14
+    # GaussianLinear: phi(t_v, s_j) itself
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("bilinear"))
+    tt, ss = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    assert np.array_equal(malliavin_table(fam, g, b), tt * ss)
