@@ -18,9 +18,9 @@ from .config import ConfigError, ExperimentConfig, load_config, \
 from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
     drift, expect_q, girsanov_report, sample_paths
 from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
-    ResolventTable, ToleranceUnreachable, TriangularGrid, build_phi, \
-    constant_kernel, example33_kernel, example33_reference, \
-    iterated_sup_bound, poly_exp_kernel, resolvent, series_tail, tail_bound, \
+    ResolventTable, SingularStep, ToleranceUnreachable, TriangularGrid, \
+    build_phi, constant_kernel, example33_kernel, example33_reference, \
+    iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, tail_bound, \
     tabulated_kernel, volterra_compose, zero_kernel
 from .measures import (
     Atoms,
@@ -33,10 +33,10 @@ from .measures import (
     Uniform,
 )
 from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardResult, \
-    PicardStalled, RegressionIllConditioned, SingularStep, \
-    build_delayed_operator, lipschitz_constant, residual_delayed, \
-    residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
-    solve_delayed_picard, solve_reduced_collocation
+    PicardStalled, RegressionIllConditioned, build_delayed_operator, \
+    lipschitz_constant, residual_delayed, residual_reduced, \
+    residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
+    solve_reduced_collocation
 from .solver import NormReport, SmoothnessReport, SolutionField, \
     UnsupportedFamily, compute_U, norms, smoothness_diagnostics, solve_Y, \
     solve_Z
@@ -110,7 +110,7 @@ __all__ = [
     "residual_reduced_pathwise",
     "resolvent",
     "sample_paths",
-    "series_tail",
+    "sharp_tail",
     "smoothness_diagnostics",
     "solve_Y",
     "solve_Z",

@@ -1,7 +1,7 @@
 """Command-line harness around the solvers.
 
 Subcommands
-    resolvent       kernel + resolvent tables, truncation diagnostics
+    resolvent       kernel + resolvent tables, identity residual, sharp tail
     solve           explicit (Y, Z), residuals, norms
     compare         explicit vs independent oracles, verdict line
     girsanov-check  measure-change cross-checks
@@ -15,7 +15,7 @@ depends on ``--workers``, so identical configs produce byte-identical
 files across runs and worker counts.
 
 Exit codes: 0 success, 2 configuration or validation failure,
-3 convergence or truncation failure, 4 degenerate importance weights.
+3 convergence failure or resolvent overflow, 4 degenerate importance weights.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config_file
 from .girsanov import DegenerateWeights, drift, expect_q, girsanov_report, \
     sample_paths
-from .kernels import ToleranceUnreachable, build_phi, example33_reference, \
-    resolvent
+from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
+    example33_reference, resolvent
 from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, SingularStep, build_delayed_operator, \
+    RegressionIllConditioned, build_delayed_operator, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import norms, smoothness_diagnostics, solve_Y, solve_Z
@@ -113,12 +113,13 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
     write_csv(os.path.join(cfg.out_dir, "resolvent.csv"),
               ["t", "s", "phi", "psi"],
               _triangle_rows(grid, phi.values, psi.values))
-    print(f"resolvent: n_star={psi.n_star} tail_bound={psi.tail_bound:.6e} "
+    print(f"resolvent: residual={psi.residual:.6e} n_star={psi.n_star} "
+          f"tail_bound={psi.tail_bound:.6e} "
           f"sup|Phi|={phi.sup_norm:.12g} sup|Psi|={psi.sup_norm:.12g}")
     extra = {
+        "identity_residual": psi.residual,
         "n_star": psi.n_star,
         "tail_bound": psi.tail_bound,
-        "series_orders": len(psi.series_terms),
         "sup_psi": psi.sup_norm,
     }
     if cfg.kernel.name == "example33":
@@ -146,9 +147,20 @@ def _solve_field(cfg: ExperimentConfig, grid, phi, psi, drift_fn):
     return fld, ens
 
 
+def _finite_norms(fld, beta: float):
+    """norms(fld, beta); ConfigError when exp(beta t) makes one overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = norms(fld, beta)
+    if not np.isfinite([rep.h1, rep.h2, rep.s2]).all():
+        raise ConfigError(f"beta: the weighted norms overflow (beta={beta}, "
+                          f"H1={rep.h1}, H2={rep.h2}, S2={rep.s2})")
+    return rep
+
+
 def cmd_solve(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
     fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    rep = _finite_norms(fld, cfg.beta)
     nodes = grid.nodes
 
     y_mean = fld.y_mean()
@@ -174,7 +186,6 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
               ["t", "residual_delayed", "residual_reduced"],
               zip(nodes, rd, rr))
 
-    rep = norms(fld, cfg.beta)
     write_csv(os.path.join(cfg.out_dir, "norms.csv"),
               ["beta", "H1", "H2", "S2"],
               [(rep.beta, rep.h1, rep.h2, rep.s2)])
@@ -361,7 +372,7 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 def cmd_norms(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
     fld, _ = _solve_field(cfg, grid, phi, psi, drift_fn)
-    rep = norms(fld, cfg.beta)
+    rep = _finite_norms(fld, cfg.beta)
     write_csv(os.path.join(cfg.out_dir, "norms.csv"),
               ["beta", "H1", "H2", "S2"],
               [(rep.beta, rep.h1, rep.h2, rep.s2)])
@@ -413,7 +424,7 @@ def main(argv=None) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         COMMANDS[args.command](cfg)
-    except QuadratureError as exc:
+    except (ConfigError, QuadratureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _CONVERGENCE_ERRORS as exc:

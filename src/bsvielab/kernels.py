@@ -1,10 +1,10 @@
-"""Reduced kernel, iterated kernels and the Neumann-series resolvent.
+"""Reduced kernel, iterated kernels and the resolvent.
 
 Tables live on a uniform triangular grid over {0 <= t <= s <= T} and are
 stored as full (N+1, N+1) arrays with the strict lower triangle at zero,
 so plain matrix products already restrict composition sums to t <= u <= s.
 Compositions use the composite trapezoid rule, which is exact for constant
-kernels and second-order otherwise.
+kernels and second-order otherwise; the resolvent is their series' limit.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 
 from .measures import DelayMeasure, snap_lag
 
-SERIES_ORDER_CAP = 60
-
 
 class HorizonMismatch(ValueError):
     """Grid and measure horizons differ."""
@@ -29,7 +27,11 @@ class GridMismatch(ValueError):
 
 
 class ToleranceUnreachable(RuntimeError):
-    """Requested truncation tolerance needs more than the order cap."""
+    """Psi overflows, or C*T is too large for its sharp tail to be summed."""
+
+
+class SingularStep(RuntimeError):
+    """Implicit-trapezoid diagonal factor nearly zero; refine the grid."""
 
 
 @dataclass(frozen=True)
@@ -149,23 +151,12 @@ class KernelTable:
 
 
 @dataclass
-class ResolventTable:
-    """Truncated Neumann-series resolvent with truncation metadata."""
+class ResolventTable(KernelTable):
+    """Psi = sum_n Phi^(n), sup|Psi - Phi - Psi o Phi| and sharp_tail's report."""
 
-    grid: TriangularGrid
-    values: np.ndarray
+    residual: float
     n_star: int
     tail_bound: float
-    series_terms: list[float]  # per-order sup norms, orders 1..n_star
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
-
-def triangle_mask(n: int) -> np.ndarray:
-    i = np.arange(n + 1)
-    return i[:, None] <= i[None, :]
 
 
 def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
@@ -173,8 +164,8 @@ def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
     value of int_{t_i}^T f; row N is identically zero.  The transpose
     holds the weights in r of int_{t_s}^T, one column per s."""
     n, dt = grid.n, grid.dt
-    w = np.where(triangle_mask(n), dt, 0.0)
-    w[np.diag_indices(n + 1)] = 0.5 * dt
+    w = np.triu(np.full((n + 1, n + 1), dt))
+    np.fill_diagonal(w, 0.5 * dt)
     w[:, n] = 0.5 * dt
     w[n] = 0.0
     return w
@@ -199,18 +190,16 @@ def build_phi(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> KernelTab
         )
     m.validate()
     t = grid.nodes
+    tt, ss = np.meshgrid(t, t, indexing="ij")
     if k.phi_direct is not None:
-        tt, ss = np.meshgrid(t, t, indexing="ij")
         vals = np.asarray(zero_extend_kernel(k.phi_direct)(tt, ss), dtype=float)
     else:
         mass = m.mass_closed(snap_lag(t - grid.horizon))
-        tt, ss = np.meshgrid(t, t, indexing="ij")
         gvals = np.asarray(zero_extend_kernel(k.G)(tt, ss), dtype=float)
-        if np.abs(gvals[triangle_mask(grid.n)]).max() > k.G_bound + 1e-12:
+        if np.abs(np.triu(gvals)).max() > k.G_bound + 1e-12:
             raise ValueError(f"|G| exceeds declared bound {k.G_bound} on the grid")
         vals = mass[None, :] * gvals
-    vals = np.where(triangle_mask(grid.n), vals, 0.0)
-    return KernelTable(grid, vals)
+    return KernelTable(grid, np.triu(vals))
 
 
 def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:
@@ -224,19 +213,13 @@ def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:
     A, B = a.values, b.values
     da, db = np.diag(A), np.diag(B)
     c = dt * (A @ B - 0.5 * da[:, None] * B - 0.5 * A * db[None, :])
-    c = np.where(triangle_mask(a.grid.n), c, 0.0)
-    np.fill_diagonal(c, 0.0)
-    return KernelTable(a.grid, c)
+    return KernelTable(a.grid, np.triu(c, 1))
 
 
 def tail_bound(c: float, horizon: float, n: int) -> float:
-    """(C*T)^n / n!, the factorial truncation bound for order n.
-
-    The measured sup of an n-th iterated kernel can exceed this value: the
-    sharp elementary bound is C^n T^(n-1) / (n-1)!, one factorial index
-    lower.  Both are exposed; truncation control uses the series tail of
-    this one, which still dominates convergence behaviour.
-    """
+    """(C*T)^n / n!, the published per-order bound.  It is not one: the n-th
+    iterate of a constant kernel reaches iterated_sup_bound, n times more.
+    Nothing relies on it; sharp_tail sums the sharp bounds instead."""
     if c < 0 or horizon <= 0 or n < 1:
         raise ValueError("need c >= 0, horizon > 0, n >= 1")
     return (c * horizon) ** n / math.factorial(n)
@@ -249,45 +232,62 @@ def iterated_sup_bound(c: float, horizon: float, n: int) -> float:
     return c**n * horizon ** (n - 1) / math.factorial(n - 1)
 
 
-def series_tail(c: float, horizon: float, n: int) -> float:
-    """Sum over m > n of (C*T)^m / m!, summed forward until negligible."""
+def sharp_tail(c: float, horizon: float, tol: float) -> tuple[int, float]:
+    """First order n whose sharp tail C sum_{m>n} (CT)^(m-1)/(m-1)!, the sum
+    of iterated_sup_bound past n, is below tol, and that tail.  The terms
+    C x^k/k! (x = CT) are summed in logs, so nothing overflows, up to the
+    first K >= e^2 x with C e^-K < e^-40 tol (x^k/k! <= e^-k from e^2 x on);
+    a K beyond 2^20 raises ToleranceUnreachable."""
+    if c < 0 or horizon <= 0 or not tol > 0:
+        raise ValueError("need c >= 0, horizon > 0, tol > 0")
     x = c * horizon
     if x == 0.0:
-        return 0.0
-    total = 0.0
-    term = x**n / math.factorial(n)
-    for m in range(n + 1, n + 400):
-        term *= x / m
-        total += term
-        if term < total * 1e-17 + 1e-300:
-            break
-    return total
+        return 1, 0.0
+    top = max(math.e**2 * x, math.log(c) - math.log(tol) + 40.0, 1.0)
+    if not top <= 2**20:
+        raise ToleranceUnreachable(f"sharp tail of C*T = {x:.3g} needs over 2^20 terms")
+    k = np.arange(math.ceil(top) + 1)
+    log_terms = math.log(c) + k * math.log(x) - np.array(
+        [math.lgamma(j + 1.0) for j in range(k.size)])
+    tails = np.logaddexp.accumulate(log_terms[::-1])[::-1]
+    n = max(1, int(np.argmax(tails < math.log(tol))))
+    return n, math.exp(tails[n])
 
 
-def resolvent(phi: KernelTable, tol: float, order_cap: int = SERIES_ORDER_CAP) -> ResolventTable:
-    """Sum the iterated kernels of phi until the analytic factorial tail
-    drops below tol; records per-order sup norms and the certified tail."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    c_phi = phi.sup_norm
-    horizon = phi.grid.horizon
-    if not math.isfinite(c_phi * horizon):
-        raise ValueError("kernel bound times horizon must be finite")
+def implicit_factors(phi: KernelTable) -> np.ndarray:
+    """1 - (dt/2) Phi(t_i, t_i), the diagonal of each implicit-trapezoid
+    step; SingularStep where one is nearly zero."""
+    denom = 1.0 - 0.5 * phi.grid.dt * np.diag(phi.values)
+    bad = np.flatnonzero(np.abs(denom) < 1e-8)
+    if bad.size:
+        raise SingularStep(f"diagonal factor {denom[bad[-1]]:.2e} at node {bad[-1]}")
+    return denom
 
-    psi = phi.values.copy()
-    term = phi
-    sups = [phi.sup_norm]
-    n = 1
-    while series_tail(c_phi, horizon, n) >= tol:
-        n += 1
-        if n > order_cap:
+
+def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
+    """The limit of the series Phi + Phi o Phi + ..., solved for directly.
+
+    volterra_compose is linear in its first argument, so the limit solves
+    Psi = Phi + Psi o Phi, the triangular system
+    Psi (I - dt Phi + dt/2 D) = Phi - dt/2 D Phi with D = diag Phi.
+    Pivoting noise below the diagonal is cut, and the diagonal is Phi's,
+    as in the series.  tol only sets the reported order n_star.
+    """
+    p = phi.values
+    denom = implicit_factors(phi)
+    system = -phi.grid.dt * p
+    np.fill_diagonal(system, denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # overflow: a singular LinAlgError or a non-finite KernelTable
+            psi = np.triu(np.linalg.solve(system.T, (denom[:, None] * p).T).T)
+            np.fill_diagonal(psi, np.diag(p))
+            defect = psi - p - volterra_compose(KernelTable(phi.grid, psi), phi).values
+            residual = KernelTable(phi.grid, defect).sup_norm
+        except ValueError:
             raise ToleranceUnreachable(
-                f"tail below {tol} needs more than {order_cap} orders"
-            )
-        term = volterra_compose(term, phi)
-        sups.append(term.sup_norm)
-        psi = psi + term.values
-    return ResolventTable(phi.grid, psi, n, series_tail(c_phi, horizon, n), sups)
+                f"resolvent overflows for C = {phi.sup_norm:.3g}") from None
+    return ResolventTable(phi.grid, psi, residual,
+                          *sharp_tail(phi.sup_norm, phi.grid.horizon, tol))
 
 
 def example33_reference(horizon: float, variant: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -331,6 +331,8 @@ def poly_exp_kernel(k: int, lam: float, scale: float = 1.0,
         return scale * u**k * np.exp(-lam * u)
 
     u = np.linspace(0.0, horizon, 4097)
+    if lam > 0:  # the maximiser of u^k e^{-lam u}, which samples can miss
+        u = np.append(u, min(k / lam, horizon))
     bound = float(np.abs(scale * u**k * np.exp(-lam * u)).max())
     return KernelSpec(
         G=G,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .girsanov import PathEnsemble
 from .kernels import KernelSpec, KernelTable, TriangularGrid, \
-    tail_weight_matrix, zero_extend_g, zero_extend_kernel
+    implicit_factors, tail_weight_matrix, zero_extend_g, zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
 from .terminal import TerminalFamily, evaluate_F_table
 
@@ -32,10 +32,6 @@ REGRESSION_DEGREE = 4
 RIDGE = 1e-8
 COND_LIMIT = 1e10
 DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
-
-
-class SingularStep(RuntimeError):
-    """Implicit-trapezoid diagonal factor nearly zero; refine the grid."""
 
 
 class PicardDiverged(RuntimeError):
@@ -90,17 +86,15 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable,
     """
     n, dt = grid.n, grid.dt
     p = phi.values
+    denom = implicit_factors(phi)
     fbar = np.asarray(fbar, dtype=float)
     y = np.zeros_like(fbar)
     y[..., n] = fbar[..., n]
     for i in range(n - 1, -1, -1):
-        denom = 1.0 - 0.5 * dt * p[i, i]
-        if abs(denom) < 1e-8:
-            raise SingularStep(f"diagonal factor {denom:.2e} at node {i}")
         tail = 0.5 * dt * p[i, n] * y[..., n]
         if i + 1 < n:
             tail = tail + dt * (y[..., i + 1:n] @ p[i, i + 1:n])
-        y[..., i] = (fbar[..., i] + tail) / denom
+        y[..., i] = (fbar[..., i] + tail) / denom[i]
     return y
 
 

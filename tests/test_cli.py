@@ -260,6 +260,50 @@ def test_single_path_solve_writes_valid_sidecar(tmp_path):
     assert meta["y0_se"] == 0.0
 
 
+DETERMINISTIC = """\
+horizon = 1.0
+grid.n = {n}
+measure.kind = dirac
+measure.u0 = 0.0
+kernel.name = constant
+kernel.c = {c}
+terminal.kind = deterministic
+terminal.f0 = constant
+terminal.f0.value = 2.0
+"""
+
+
+def test_exit_2_on_overflowing_norms(tmp_path, capsys):
+    # exp(709 T) is finite, but weighted by Y^2 ~ 4 e^0.6 it is not: the
+    # norms overflow, and neither command writes an output or sidecar
+    cfg = write_cfg(tmp_path, DETERMINISTIC.format(n=20, c=0.3)
+                    + "beta = 709\n")
+    for command in ("norms", "solve"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", cfg, "--out", out) == 2, command
+        assert "beta" in capsys.readouterr().err
+        assert list(out.iterdir()) == [], command
+
+
+def test_resolvent_exit_codes_at_large_kernel_bounds(tmp_path, capsys):
+    def resolvent_exit(n, c):
+        cfg = write_cfg(tmp_path, DETERMINISTIC.format(n=n, c=c))
+        return run_cli("resolvent", "--config", cfg, "--out", tmp_path / "o")
+
+    # dt/2 * phi = 1: the implicit trapezoid step is singular
+    assert resolvent_exit(40, 80) == 3
+    assert "diagonal factor" in capsys.readouterr().err
+    # c = 40 on 40 steps: Psi ~ 5e20 is large but finite
+    assert resolvent_exit(40, 40) == 0
+    meta = json.loads((tmp_path / "o" / "resolvent.meta.json").read_text(),
+                      parse_constant=lambda token: pytest.fail(token))
+    assert meta["sup_psi"] > 1e20
+    assert meta["identity_residual"] <= 1e-14 * meta["sup_psi"]
+    # c = 1000 on 400 steps: Psi overflows
+    assert resolvent_exit(400, 1000) == 3
+    assert "resolvent overflows" in capsys.readouterr().err
+
+
 def test_exit_2_on_missing_file(tmp_path):
     assert run_cli("solve", "--config", tmp_path / "absent.cfg",
                    "--out", tmp_path / "o") == 2

@@ -1,4 +1,4 @@
-"""Kernel tables, trapezoid composition, Neumann resolvent.
+"""Kernel tables, trapezoid composition, the resolvent and its tail.
 
 Closed-form oracles used below (all for the triangle 0 <= t <= s <= T):
   * constant kernel c: n-th iterate c^n (s-t)^(n-1)/(n-1)!, resolvent
@@ -18,6 +18,7 @@ from bsvielab.kernels import (
     HorizonMismatch,
     KernelSpec,
     KernelTable,
+    SingularStep,
     ToleranceUnreachable,
     TriangularGrid,
     build_phi,
@@ -27,7 +28,7 @@ from bsvielab.kernels import (
     iterated_sup_bound,
     poly_exp_kernel,
     resolvent,
-    series_tail,
+    sharp_tail,
     tabulated_kernel,
     tail_bound,
     volterra_compose,
@@ -81,7 +82,7 @@ def test_constant_kernel_resolvent_closed_form():
     want = np.where(tt <= ss, c * np.exp(c * (ss - tt)), 0.0)
     assert np.abs(psi.values - want).max() < 1e-4
     assert psi.tail_bound < 1e-10
-    assert len(psi.series_terms) == psi.n_star
+    assert psi.residual < 1e-13
 
 
 def test_resolvent_grid_convergence_second_order():
@@ -105,11 +106,33 @@ def test_tail_bound_frozen_values():
         tail_bound(-1.0, 1.0, 1)
 
 
-def test_series_tail_matches_exponential_remainder():
-    # sum_{m>n} x^m/m! = e^x - sum_{m<=n} x^m/m!
-    x, n = 0.9, 4
-    direct = math.exp(x) - sum(x**m / math.factorial(m) for m in range(n + 1))
-    assert series_tail(0.9, 1.0, n) == pytest.approx(direct, rel=1e-12)
+def test_sharp_tail_matches_exponential_remainder():
+    # C sum_{m>n} x^(m-1)/(m-1)! = C (e^x - sum_{k<n} x^k/k!), x = C T
+    for c, horizon, tol in ((0.9, 1.0, 1e-3), (0.5, 2.0, 1e-10),
+                            (3.0, 1.0, 1e-10), (2.0, 5.0, 1e-6)):
+        x = c * horizon
+        tail = lambda n: c * (math.exp(x) - sum(x**k / math.factorial(k)
+                                                for k in range(n)))
+        n, bound = sharp_tail(c, horizon, tol)
+        # cancellation in the direct remainder costs e^x * eps absolute
+        assert bound == pytest.approx(tail(n), rel=1e-9,
+                                      abs=c * math.exp(x) * 1e-15)
+        assert bound < tol <= tail(n - 1)
+        # the tail is the sum of the sharp per-order bounds after n
+        assert bound == pytest.approx(sum(
+            iterated_sup_bound(c, horizon, m) for m in range(n + 1, n + 60)),
+            rel=1e-12)
+    assert sharp_tail(0.0, 1.0, 1e-10) == (1, 0.0)
+
+
+def test_sharp_tail_finite_at_large_ct():
+    # the terms peak near e^1000: summed as logarithms, nothing overflows
+    n, bound = sharp_tail(1000.0, 1.0, 1e-10)
+    assert math.isfinite(bound) and 0.0 < bound < 1e-10
+    assert 2000 < n < 3000
+    assert sharp_tail(1000.0, 1.0, 1e-10) == (n, bound)
+    with pytest.raises(ToleranceUnreachable):
+        sharp_tail(1e17, 1.0, 1e-10)
 
 
 def test_iterated_sup_bound_is_sound_and_factorial_bound_is_not():
@@ -193,14 +216,30 @@ def test_compose_grid_mismatch():
         volterra_compose(a, b)
 
 
-def test_resolvent_order_cap():
-    g = grid(50)
-    phi = table_from(lambda t, s: np.full_like(t, 30.0), g)
-    with pytest.raises(ToleranceUnreachable):
-        resolvent(phi, tol=1e-12, order_cap=10)
+def test_resolvent_singular_step():
+    # dt/2 * phi = 1 on the diagonal: the implicit trapezoid cannot step
+    g = grid(40)
+    phi = table_from(lambda t, s: np.full_like(t, 80.0), g)
+    with pytest.raises(SingularStep):
+        resolvent(phi, tol=1e-10)
     for bad in (0.0, float("nan")):
         with pytest.raises(ValueError):
-            resolvent(phi, tol=bad)
+            resolvent(table_from(lambda t, s: np.ones_like(t), g), tol=bad)
+
+
+def test_resolvent_large_ct_finite_then_overflow():
+    # C T = 40 on 40 steps: Psi reaches ~5e20 but is finite, and the
+    # pivoting noise below the diagonal is cut
+    phi = table_from(lambda t, s: np.full_like(t, 40.0), grid(40))
+    psi = resolvent(phi, tol=1e-10)
+    assert np.isfinite(psi.values).all() and psi.sup_norm > 1e20
+    assert np.all(np.tril(psi.values, -1) == 0.0)
+    assert psi.residual <= 1e-14 * psi.sup_norm
+    assert math.isfinite(psi.tail_bound) and psi.tail_bound < 1e-10
+    # C T = 1000 on 400 steps: Psi grows ~9x per step and overflows
+    phi = table_from(lambda t, s: np.full_like(t, 1000.0), grid(400))
+    with pytest.raises(ToleranceUnreachable, match="overflows"):
+        resolvent(phi, tol=1e-10)
 
 
 def test_declared_bound_enforced():
@@ -231,6 +270,11 @@ def test_poly_exp_bound_and_values():
     g = grid(10)
     tab = build_phi(DiracAt(1.0, 0.0), spec, g)
     assert tab.values[0, 5] == pytest.approx(0.5 * math.exp(-0.5))
+    # an interior peak at u = k/lam = 1/3 lies between the 4097 bound
+    # samples but on the node of a 3-step grid
+    spec = poly_exp_kernel(k=1, lam=3.0, horizon=1.0)
+    assert spec.G_bound == pytest.approx(math.exp(-1.0) / 3.0, rel=1e-15)
+    build_phi(DiracAt(1.0, 0.0), spec, TriangularGrid(1.0, 3))
 
 
 def test_tabulated_kernel_roundtrip():

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from bsvielab.girsanov import sample_paths
-from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
-    example33_kernel, poly_exp_kernel, resolvent, tail_weight_matrix, \
-    zero_extend_kernel, zero_kernel
+from bsvielab.kernels import SingularStep, TriangularGrid, build_phi, \
+    constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
+    tail_weight_matrix, zero_extend_kernel, zero_kernel
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
-    PicardStalled, RegressionIllConditioned, SingularStep, _IncrementBasis, \
+    PicardStalled, RegressionIllConditioned, _IncrementBasis, \
     _NodeRegressor, _g_weighted_term, _slope_z, build_delayed_operator, \
     lipschitz_constant, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \

@@ -1,0 +1,100 @@
+"""Print the order-of-accuracy ladder of the explicit and collocation routes.
+
+Usage: python tools/order_ladder.py [ROOT]
+
+Imports bsvielab from ROOT/src (default: the checkout this file is in) and
+measures, for N = 25, 50, ..., 1600 on [0, 1], the error of four
+quantities against their closed forms:
+
+    psi_constant   Psi of the constant kernel c = 0.5, against c e^{c(s-t)};
+    psi_example33  Psi of example33 (uniform delay), against (1 - e^{-2u})/2;
+    y0_explicit    Y(0) of the resolvent formula for f0 = 1, c = 0.5,
+                   against e^{cT};
+    y0_collocation Y(0) of reduced collocation for the same data.
+
+Errors are sup norms over the triangle for Psi.  It prints the error
+ladder, the ratio per doubling of N and the least-squares order fitted
+over all of N.  The trapezoid rule behind every route is second order, so
+each order should read 2.00.  The tier-1 gate in tests/test_resolvent.py
+calls ``ladder`` and ``fitted_order`` over N = 25..200; this script runs
+the same code further out.  It is a tool, not a test: pytest does not
+collect it.  N = 1600 takes a few seconds and about 150 MB.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import sys
+
+import numpy as np
+
+C = 0.5
+LADDER = (25, 50, 100, 200, 400, 800, 1600)
+QUANTITIES = ("psi_constant", "psi_example33", "y0_explicit",
+              "y0_collocation")
+
+
+def errors(n: int) -> dict[str, float]:
+    """Error of each quantity on the grid with n steps over [0, 1]."""
+    from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
+        example33_kernel, example33_reference, resolvent
+    from bsvielab.measures import DiracAt, Uniform
+    from bsvielab.oracles import solve_reduced_collocation
+    from bsvielab.solver import solve_Y
+    from bsvielab.terminal import Deterministic, make_f0
+
+    grid = TriangularGrid(1.0, n)
+    lag = grid.nodes[None, :] - grid.nodes[:, None]
+    upper = lag >= 0.0
+    u = np.clip(lag, 0.0, None)
+
+    phi = build_phi(DiracAt(1.0, 0.0), constant_kernel(C), grid)
+    psi = resolvent(phi, 1e-10)
+    exact = np.where(upper, C * np.exp(C * u), 0.0)
+    phi33 = build_phi(Uniform(1.0), example33_kernel(), grid)
+    psi33 = resolvent(phi33, 1e-10)
+    exact33 = np.where(upper, example33_reference(1.0, "derived")(u), 0.0)
+
+    fam = Deterministic(f0=make_f0("constant", value=1.0))
+    y_exp = solve_Y(fam, psi, None, grid).y[0]
+    y_col = solve_reduced_collocation(np.ones(n + 1), phi, grid)[0]
+    y_true = math.exp(C)
+    return {
+        "psi_constant": float(np.abs(psi.values - exact).max()),
+        "psi_example33": float(np.abs(psi33.values - exact33).max()),
+        "y0_explicit": abs(float(y_exp) - y_true),
+        "y0_collocation": abs(float(y_col) - y_true),
+    }
+
+
+def ladder(ns) -> dict[str, list[float]]:
+    """Errors of every quantity at each N of ns."""
+    rows = [errors(n) for n in ns]
+    return {q: [row[q] for row in rows] for q in QUANTITIES}
+
+
+def fitted_order(ns, errs) -> float:
+    """Least-squares slope p of log err = const - p log N."""
+    return -float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+
+
+def main(ns=LADDER) -> None:
+    table = ladder(ns)
+    print("N".rjust(6) + "".join(q.rjust(16) for q in QUANTITIES))
+    for i, n in enumerate(ns):
+        print(f"{n:6d}" + "".join(f"{table[q][i]:16.4e}" for q in QUANTITIES))
+    for i in range(1, len(ns)):
+        print(f"{ns[i - 1]:>4}->{ns[i]:<4}" + "".join(
+            f"{table[q][i - 1] / table[q][i]:16.3f}" for q in QUANTITIES))
+    print("order".rjust(6) + "".join(
+        f"{fitted_order(ns, table[q]):16.3f}" for q in QUANTITIES))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit(__doc__)
+    root = os.path.abspath(sys.argv[1]) if len(sys.argv) == 2 else \
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "src"))
+    main()
