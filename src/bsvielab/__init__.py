@@ -16,7 +16,7 @@ The command-line harness (:mod:`bsvielab.cli`) wires configs from
 from .config import ConfigError, ExperimentConfig, load_config, \
     load_config_file
 from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
-    drift, expect_q, girsanov_report, sample_paths
+    drift, expect_q, expect_q_columns, girsanov_report, sample_paths
 from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
     ResolventTable, SingularStep, ToleranceUnreachable, TriangularGrid, \
     build_phi, constant_kernel, example33_kernel, example33_reference, \
@@ -92,6 +92,7 @@ __all__ = [
     "example33_kernel",
     "example33_reference",
     "expect_q",
+    "expect_q_columns",
     "gauss_hermite_mean",
     "girsanov_report",
     "iterated_sup_bound",

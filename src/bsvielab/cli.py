@@ -25,13 +25,12 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config_file
-from .girsanov import DegenerateWeights, drift, expect_q, girsanov_report, \
-    sample_paths
+from .girsanov import DegenerateWeights, drift, expect_q_columns, \
+    girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
     example33_reference, resolvent
 from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
@@ -50,15 +49,26 @@ _CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardDiverged, PicardStalled,
                        SingularStep, RegressionIllConditioned)
 
 
-def _fmt(x) -> str:
-    return x if isinstance(x, str) else format(x, ".12g")
+CSV_BLOCK_ROWS = 4096
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
+    """Write ``header``, the rows of the float ``table`` (a 2-D array, or
+    an iterable of equal-length rows), then one line per ``(label,
+    values)`` of ``labelled``: the label's cells as given, then the values.
+    Every float is written as ``%.12g``, the table in blocks of
+    CSV_BLOCK_ROWS rows with one format call each."""
+    if not isinstance(table, np.ndarray):
+        table = np.array(list(table), dtype=float)
+    fmt = ",".join(["%.12g"] * table.shape[-1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        for label, values in labelled:
+            cells = ",".join(["%.12g"] * len(values)) % tuple(values)
+            fh.write(",".join([*label, cells]) + "\n")
 
 
 def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
@@ -78,14 +88,11 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
         fh.write("\n")
 
 
-def _triangle_rows(grid, *surfaces):
-    """Rows (t_i, s_j, surface values...) over i <= j, row-major, each
-    made a list of floats as it is read, so no table of float objects
-    is held."""
+def _triangle_rows(grid, *surfaces) -> np.ndarray:
+    """Rows (t_i, s_j, surface values...) over i <= j, row-major."""
     i, j = np.triu_indices(grid.n + 1)
     nodes = grid.nodes
-    cols = [nodes[i], nodes[j]] + [s[i, j] for s in surfaces]
-    return map(np.ndarray.tolist, np.column_stack(cols))
+    return np.column_stack([nodes[i], nodes[j]] + [s[i, j] for s in surfaces])
 
 
 def _prepare(cfg: ExperimentConfig):
@@ -96,16 +103,6 @@ def _prepare(cfg: ExperimentConfig):
     psi = resolvent(phi, cfg.resolvent_tol)
     drift_fn = drift(cfg.measure, cfg.kernel, grid)
     return grid, phi, psi, drift_fn
-
-
-def _q_mean_columns(values: np.ndarray, ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise expectation of an (M, N+1) matrix under the changed
-    measure, importance-weighted for mode-P ensembles."""
-    est = np.empty(values.shape[1])
-    se = np.empty(values.shape[1])
-    for i in range(values.shape[1]):
-        est[i], se[i] = expect_q(ensemble, lambda e, c=values[:, i]: c)
-    return est, se
 
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
@@ -163,32 +160,26 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     rep = _finite_norms(fld, cfg.beta)
     nodes = grid.nodes
 
-    y_mean = fld.y_mean()
-    y_se = fld.y_se if fld.y_se is not None else np.zeros_like(y_mean)
-    write_csv(os.path.join(cfg.out_dir, "solution.csv"),
-              ["t", "Y_mean", "Y_se"], zip(nodes, y_mean, y_se))
-    write_csv(os.path.join(cfg.out_dir, "z_surface.csv"), ["t", "s", "Z"],
-              _triangle_rows(grid, fld.z))
-
     if cfg.stochastic:
+        y_mean, y_se = expect_q_columns(ens, fld.y)
         r = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid, ens)
-        rr = r.mean(axis=0)
-        rr_se = r.std(axis=0, ddof=1) / np.sqrt(ens.n_paths) \
-            if ens.n_paths > 1 else np.zeros_like(rr)
+        rr, rr_se = expect_q_columns(ens, r)
         rd = np.full_like(rr, np.nan)
     else:
+        y_mean, y_se = fld.y, np.zeros_like(fld.y)
         f0_prof = f0_profile(cfg.family, grid)
         op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
         rd, _ = residual_delayed(fld.y, f0_prof, op)
         rr, _ = residual_reduced(fld.y, f0_prof, phi, grid)
         rr_se = np.zeros_like(rr)
+    write_csv(os.path.join(cfg.out_dir, "solution.csv"),
+              ["t", "Y_mean", "Y_se"], np.column_stack([nodes, y_mean, y_se]))
+    write_csv(os.path.join(cfg.out_dir, "z_surface.csv"), ["t", "s", "Z"],
+              _triangle_rows(grid, fld.z))
     write_csv(os.path.join(cfg.out_dir, "residuals.csv"),
               ["t", "residual_delayed", "residual_reduced"],
-              zip(nodes, rd, rr))
-
-    write_csv(os.path.join(cfg.out_dir, "norms.csv"),
-              ["beta", "H1", "H2", "S2"],
-              [(rep.beta, rep.h1, rep.h2, rep.s2)])
+              np.column_stack([nodes, rd, rr]))
+    _write_norms(cfg, rep)
 
     rr_sup = float(np.abs(rr).max())
     rr_se_max = float(rr_se.max())
@@ -207,10 +198,16 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     })
 
 
+def _write_norms(cfg: ExperimentConfig, rep) -> None:
+    write_csv(os.path.join(cfg.out_dir, "norms.csv"),
+              ["beta", "H1", "H2", "S2"],
+              np.array([[rep.beta, rep.h1, rep.h2, rep.s2]]))
+
+
 def _write_picard_trace(cfg: ExperimentConfig, sup_diffs) -> None:
     write_csv(os.path.join(cfg.out_dir, "picard.csv"),
               ["iteration", "sup_diff"],
-              ((i + 1, d) for i, d in enumerate(sup_diffs)))
+              np.column_stack([np.arange(1, len(sup_diffs) + 1), sup_diffs]))
 
 
 def _run_oracle(cfg: ExperimentConfig, name: str, solve):
@@ -259,8 +256,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         gap_col = float(np.abs(fld.y - y_col).max())
 
         write_csv(os.path.join(cfg.out_dir, "compare.csv"), header,
-                  zip(nodes, fld.y, y_col, pic.y, rd_exp, rr_exp, rd_pic,
-                      rr_pic))
+                  np.column_stack([nodes, fld.y, y_col, pic.y, rd_exp, rr_exp,
+                                   rd_pic, rr_pic]))
         tol_fp = max(100.0 * cfg.picard_tol, 1e-12)
         ok = lambda sup, tol: "ok" if sup <= tol else "EXCEEDS"
         print(f"verdict: explicit reduced sup={rr_exp_sup:.3e} "
@@ -298,19 +295,19 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
                                             drift_fn)[0]) for t in nodes])
     y_col = solve_reduced_collocation(fbar0, phi, grid)
 
-    y_exp, se_exp = _q_mean_columns(fld.y, ens)
-    y_lsmc, se_lsmc = _q_mean_columns(lsmc.y, ens)
+    y_exp, se_exp = expect_q_columns(ens, fld.y)
+    y_lsmc, se_lsmc = expect_q_columns(ens, lsmc.y)
     r_exp = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid, ens)
     r_lsmc = residual_reduced_pathwise(lsmc.y, lsmc.z, cfg.family, phi, grid,
                                        ens)
-    rr_exp = r_exp.mean(axis=0)
-    rr_lsmc = r_lsmc.mean(axis=0)
-    se_r_exp = float((r_exp.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)).max())
+    rr_exp, se_rr_exp = expect_q_columns(ens, r_exp)
+    rr_lsmc = expect_q_columns(ens, r_lsmc)[0]
+    se_r_exp = float(se_rr_exp.max())
     nan_col = np.full_like(rr_exp, np.nan)
 
     write_csv(os.path.join(cfg.out_dir, "compare.csv"), header,
-              zip(nodes, y_exp, y_col, y_lsmc, nan_col, rr_exp, nan_col,
-                  rr_lsmc))
+              np.column_stack([nodes, y_exp, y_col, y_lsmc, nan_col, rr_exp,
+                               nan_col, rr_lsmc]))
     rr_exp_sup = float(np.abs(rr_exp).max())
     rr_lsmc_sup = float(np.abs(rr_lsmc).max())
     gap = float(np.abs(y_exp - y_lsmc).max())
@@ -339,7 +336,9 @@ def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
     stats = girsanov_report(cfg.measure, cfg.kernel, grid, cfg.n_paths,
                             cfg.seed)
     write_csv(os.path.join(cfg.out_dir, "girsanov.csv"),
-              ["statistic", "value", "stderr"], stats)
+              ["statistic", "value", "stderr"], np.empty((0, 3)),
+              labelled=[((name,), (value, stderr))
+                        for name, value, stderr in stats])
     for name, value, stderr in stats:
         print(f"girsanov: {name}={value:.12g} +/- {stderr:.3g}")
     write_meta(cfg, "girsanov-check", {
@@ -356,8 +355,8 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
     rep = smoothness_diagnostics(z, grid)
     write_csv(os.path.join(cfg.out_dir, "smoothness.csv"),
               ["t", "s", "dZdt"],
-              chain(_triangle_rows(grid, rep.dzdt),
-                    [("integral", "", rep.integral)]))
+              _triangle_rows(grid, rep.dzdt),
+              labelled=[(("integral", ""), (rep.integral,))])
     sup_d = float(np.abs(rep.dzdt).max())
     print(f"z-surface: sup|Z|={np.abs(z).max():.12g} sup|dZ/dt|={sup_d:.12g} "
           f"smoothness integral={rep.integral:.12g} finite={rep.finite}")
@@ -373,9 +372,7 @@ def cmd_norms(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
     fld, _ = _solve_field(cfg, grid, phi, psi, drift_fn)
     rep = _finite_norms(fld, cfg.beta)
-    write_csv(os.path.join(cfg.out_dir, "norms.csv"),
-              ["beta", "H1", "H2", "S2"],
-              [(rep.beta, rep.h1, rep.h2, rep.s2)])
+    _write_norms(cfg, rep)
     print(f"norms: beta={rep.beta:g} H1={rep.h1:.12g} H2={rep.h2:.12g} "
           f"S2={rep.s2:.12g}")
     write_meta(cfg, "norms", {"beta": rep.beta, "H1": rep.h1, "H2": rep.h2,

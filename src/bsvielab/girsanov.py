@@ -155,23 +155,37 @@ def expect_q(ensemble: PathEnsemble, functional) -> tuple[float, float]:
     """Q-expectation of a per-path functional with a standard error.
 
     The functional receives the ensemble and must return one value per
-    path.  Tag "Q" is a plain sample mean; tag "P" a self-normalized
-    importance-sampling mean with the delta-method standard error.
+    path; the estimate is expect_q_columns' for that one column.
     """
     x = np.asarray(functional(ensemble), dtype=float)
     if x.shape != (ensemble.n_paths,):
         raise ValueError("functional must return one value per path")
     if not np.all(np.isfinite(x)):
         raise ValueError("functional not finite on all paths")
-    w = ensemble.weights
-    _check_ess(w)
+    _check_ess(ensemble.weights)
+    est, se = expect_q_columns(ensemble, x[:, None])
+    return float(est[0]), float(se[0])
+
+
+def expect_q_columns(ensemble: PathEnsemble,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise Q-expectations of an (M, K) per-path matrix and their
+    standard errors.
+
+    Tag "Q" is a plain sample mean (SE 0 for a single path); tag "P" a
+    self-normalized importance-sampling mean with the delta-method
+    standard error.  Each column is reduced as one contiguous row.
+    """
+    x = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    m_paths = x.shape[1]
     if ensemble.tag == "Q":
-        est = float(x.mean())
-        se = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-        return est, se
+        se = x.std(axis=1, ddof=1) / math.sqrt(m_paths) if m_paths > 1 \
+            else np.zeros(len(x))
+        return x.mean(axis=1), se
+    w = ensemble.weights
     wsum = float(w.sum())
-    est = float((w @ x) / wsum)
-    se = float(np.sqrt(np.sum((w * (x - est)) ** 2)) / wsum)
+    est = (x @ w) / wsum
+    se = np.sqrt(np.sum((w * (x - est[:, None])) ** 2, axis=1)) / wsum
     return est, se
 
 

@@ -34,8 +34,8 @@ class SolutionField:
     """Solution data on the grid.
 
     y is a single profile (N+1,) for deterministic families and an
-    M x (N+1) per-path matrix otherwise; y_se holds the Monte Carlo
-    standard error of the node means where applicable.  z is the
+    M x (N+1) per-path matrix otherwise; girsanov.expect_q_columns takes
+    its node means under Q with their standard errors.  z is the
     deterministic Z(t_i, s_j) surface on the triangle i <= j (zeros for
     deterministic families, None until solve_Z runs).
     """
@@ -43,16 +43,12 @@ class SolutionField:
     grid: TriangularGrid
     family: TerminalFamily
     y: np.ndarray
-    y_se: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
     ensemble: Optional[PathEnsemble] = None
 
     @property
     def stochastic(self) -> bool:
         return self.y.ndim == 2
-
-    def y_mean(self) -> np.ndarray:
-        return self.y.mean(axis=0) if self.stochastic else self.y
 
 
 @dataclass(frozen=True)
@@ -87,13 +83,10 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
         y = rows + a @ rows
         return SolutionField(grid, fam, y)
 
-    m_paths = ensemble.n_paths
-    y = np.empty((m_paths, n + 1))
+    y = np.empty((ensemble.n_paths, n + 1))
     for i, c in conditional_sweep(fam, grid, ensemble, drift_fn):
         y[:, i] = c[i] + a[i] @ c
-    se = y.std(axis=0, ddof=1) / math.sqrt(m_paths) if m_paths > 1 \
-        else np.zeros(n + 1)
-    return SolutionField(grid, fam, y, y_se=se, ensemble=ensemble)
+    return SolutionField(grid, fam, y, ensemble=ensemble)
 
 
 def compute_U(fam: TerminalFamily, fld: SolutionField, m: DelayMeasure,

@@ -70,6 +70,24 @@ def test_solve_writes_expected_files(tmp_path):
     assert len(rows) == 17 * 18 // 2
 
 
+def test_solution_means_agree_across_modes(tmp_path):
+    # solution.csv holds E^Q averages: importance-weighted P paths and
+    # plain Q paths estimate the same Y_mean (g = 0.2 shifts E^Q[W(1)])
+    means = []
+    for mode in ("P", "Q"):
+        cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
+            "grid.n = 16", "grid.n = 20").replace(
+            "mc.paths = 2000", f"mc.paths = 4000\nmc.mode = {mode}"),
+            name=f"{mode}.cfg")
+        assert run_cli("solve", "--config", cfg, "--out", tmp_path / mode) == 0
+        _, rows = read_csv(tmp_path / mode / "solution.csv")
+        means.append(np.array(rows, dtype=float))
+    (t, y_p, se_p), (_, y_q, se_q) = (m.T for m in means)
+    assert len(t) == 21
+    assert np.all(np.abs(y_p - y_q) <= 4.0 * np.hypot(se_p, se_q) + 1e-12)
+    assert y_q[-1] > 5.0 * se_q[-1]
+
+
 def test_solve_deterministic_residual_columns(tmp_path):
     out = tmp_path / "out"
     assert run_cli("solve", "--config", CONFIGS / "constant-kernel.cfg",
@@ -178,12 +196,32 @@ def test_delayed_operator_built_once_per_command(tmp_path, monkeypatch):
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
     cli.write_csv(str(path), ["a", "b"],
-                  [[np.nan, -0.0, np.inf, 3, 1e-05, "integral", ""],
-                   (np.float64(-np.nan), np.float64(-0.0), -np.inf,
-                    np.int64(3), np.float64(1e-05), 0.1 + 0.2, 1e308 * 10)])
+                  np.array([(np.float64(-np.nan), np.float64(-0.0), -np.inf,
+                             np.int64(3), np.float64(1e-05), 0.1 + 0.2,
+                             1e308 * 10)]),
+                  labelled=[(("integral", ""),
+                             (np.nan, -0.0, np.inf, 3, 1e-05))])
     assert path.read_text() == ("a,b\n"
-                                "nan,-0,inf,3,1e-05,integral,\n"
-                                "nan,-0,-inf,3,1e-05,0.3,inf\n")
+                                "nan,-0,-inf,3,1e-05,0.3,inf\n"
+                                "integral,,nan,-0,inf,3,1e-05\n")
+
+    # tables ending just before, on and just after a block boundary, with
+    # the special cells on the rows either side of it
+    rng = np.random.default_rng(5)
+    special = [np.nan, -0.0, np.inf, -np.inf, 3.0, -7.0, 1e13, 1e-13,
+               -1e13, 0.1 + 0.2, 5e-324, 2.2250738585072014e-308]
+    block = cli.CSV_BLOCK_ROWS
+    for n_rows in (block - 1, block, block + 1):
+        table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(
+            -15, 15, (n_rows, 3))
+        for k, x in enumerate(special):
+            table[(block - 2 + k // 3) % n_rows, k % 3] = x
+            table[k % n_rows, k % 3] = x
+        cli.write_csv(str(path), ["x", "y", "z"], table)
+        want = "x,y,z\n" + "".join(
+            ",".join(format(x, ".12g") for x in row) + "\n"
+            for row in table.tolist())
+        assert path.read_text() == want, n_rows
 
 
 def reference_triangle_rows(grid, *surfaces):

@@ -10,6 +10,7 @@ from bsvielab.girsanov import (
     PathEnsemble,
     drift,
     expect_q,
+    expect_q_columns,
     girsanov_report,
     sample_paths,
 )
@@ -131,6 +132,24 @@ def test_weighted_standard_error_formula():
     want_se = np.sqrt(((w * (x - want_est)) ** 2).sum()) / w.sum()
     assert est == pytest.approx(want_est)
     assert se == pytest.approx(want_se)
+
+
+def test_expect_q_columns_match_expect_q():
+    # one column at a time: the per-column estimator is the reference
+    g = grid(20)
+    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
+    for mode in ("P", "Q"):
+        ens = sample_paths(g, 3000, seed=6, mode=mode, drift_fn=b)
+        values = np.exp(ens.w)
+        est, se = expect_q_columns(ens, values)
+        want = np.array([expect_q(ens, lambda e, c=values[:, i]: c)
+                         for i in range(g.n + 1)])
+        if mode == "Q":
+            assert np.array_equal(est, want[:, 0])
+            assert np.array_equal(se, want[:, 1])
+        else:
+            assert np.allclose(est, want[:, 0], rtol=1e-13, atol=0.0)
+            assert np.allclose(se, want[:, 1], rtol=1e-11, atol=1e-15)
 
 
 def test_degenerate_weights_raises():

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import drift, sample_paths
+from bsvielab.girsanov import drift, expect_q_columns, sample_paths
 from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
     constant_kernel, resolvent, tail_weight_matrix, trapezoid_weights, \
     zero_kernel
@@ -74,7 +74,9 @@ def test_solve_Y_zero_kernel_is_conditional_F():
     fld = solve_Y(fam, psi, None, g, ens)
     # E[W(T) | F_t] = W(t) path by path
     assert np.abs(fld.y - ens.w).max() < 1e-12
-    assert fld.y_se is not None
+    mean, se = expect_q_columns(ens, fld.y)
+    assert mean.shape == se.shape == (g.n + 1,)
+    assert se[0] == 0.0 and np.all(se[1:] > 0.0)
 
 
 def test_solve_Y_with_drift_shifts_conditional():
