@@ -13,6 +13,8 @@ The command-line harness (:mod:`bsvielab.cli`) wires configs from
 :mod:`bsvielab.config` through all of it into CSV reports.
 """
 
+import types
+
 from .config import ConfigError, ExperimentConfig, load_config, \
     load_config_file
 from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
@@ -45,81 +47,7 @@ from .terminal import Deterministic, GaussianLinear, QuadratureError, \
     gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_F, \
     malliavin_table
 
-__all__ = [
-    "Atoms",
-    "ConfigError",
-    "DegenerateWeights",
-    "DelayMeasure",
-    "Deterministic",
-    "DiracAt",
-    "DomainError",
-    "DriftFunction",
-    "ExperimentConfig",
-    "GaussianLinear",
-    "GridMismatch",
-    "HorizonMismatch",
-    "KernelSpec",
-    "KernelTable",
-    "LsmcResult",
-    "MassError",
-    "Mixture",
-    "NormReport",
-    "PathEnsemble",
-    "PicardConfig",
-    "PicardDiverged",
-    "PicardResult",
-    "PicardStalled",
-    "QuadratureError",
-    "RegressionIllConditioned",
-    "ResolventTable",
-    "SingularStep",
-    "SmoothnessReport",
-    "SolutionField",
-    "SupportError",
-    "TerminalFunction",
-    "ToleranceUnreachable",
-    "TriangularGrid",
-    "Uniform",
-    "UnsupportedFamily",
-    "build_delayed_operator",
-    "build_phi",
-    "compute_U",
-    "conditional_F",
-    "constant_kernel",
-    "drift",
-    "evaluate_F",
-    "evaluate_F_table",
-    "example33_kernel",
-    "example33_reference",
-    "expect_q",
-    "expect_q_columns",
-    "gauss_hermite_mean",
-    "girsanov_report",
-    "iterated_sup_bound",
-    "lipschitz_constant",
-    "load_config",
-    "load_config_file",
-    "make_f0",
-    "make_h",
-    "make_phi",
-    "malliavin_F",
-    "malliavin_table",
-    "norms",
-    "poly_exp_kernel",
-    "residual_delayed",
-    "residual_reduced",
-    "residual_reduced_pathwise",
-    "resolvent",
-    "sample_paths",
-    "sharp_tail",
-    "smoothness_diagnostics",
-    "solve_Y",
-    "solve_Z",
-    "solve_delayed_lsmc",
-    "solve_delayed_picard",
-    "solve_reduced_collocation",
-    "tabulated_kernel",
-    "tail_bound",
-    "volterra_compose",
-    "zero_kernel",
-]
+# every name imported above, once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

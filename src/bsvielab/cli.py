@@ -29,8 +29,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config_file
-from .girsanov import DegenerateWeights, drift, expect_q_columns, \
-    girsanov_report, sample_paths
+from .girsanov import DegenerateWeights, drift, effective_sample_size, \
+    expect_q_columns, girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
     example33_reference, resolvent
 from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
@@ -144,6 +144,13 @@ def _solve_field(cfg: ExperimentConfig, grid, phi, psi, drift_fn):
     return fld, ens
 
 
+def _weight_meta(ens) -> dict:
+    """ESS and smallest weight of a mode-P ensemble; no keys otherwise."""
+    w = ens.weights if ens is not None and ens.tag == "P" else None
+    return {} if w is None else {"ess": effective_sample_size(w),
+                                 "min_weight": float(w.min())}
+
+
 def _finite_norms(fld, beta: float):
     """norms(fld, beta); ConfigError when exp(beta t) makes one overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,6 +202,7 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         "residual_reduced_se_max": rr_se_max,
         "y0_mean": float(y_mean[0]),
         "y0_se": float(y_se[0]),
+        **_weight_meta(ens),
     })
 
 
@@ -328,6 +336,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         "gap_explicit_lsmc": gap,
         "gap_explicit_collocation": gap_col,
         "se_max": se_max,
+        **_weight_meta(ens),
     })
 
 
@@ -370,13 +379,13 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 
 def cmd_norms(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    fld, _ = _solve_field(cfg, grid, phi, psi, drift_fn)
+    fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
     rep = _finite_norms(fld, cfg.beta)
     _write_norms(cfg, rep)
     print(f"norms: beta={rep.beta:g} H1={rep.h1:.12g} H2={rep.h2:.12g} "
           f"S2={rep.s2:.12g}")
     write_meta(cfg, "norms", {"beta": rep.beta, "H1": rep.h1, "H2": rep.h2,
-                              "S2": rep.s2})
+                              "S2": rep.s2, **_weight_meta(ens)})
 
 
 COMMANDS = {

@@ -142,9 +142,14 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
     return PathEnsemble(grid, n_paths, seed, mode, dw, w, wq, weights)
 
 
+def effective_sample_size(weights: np.ndarray) -> float:
+    """sum(w) / max(w): M for unit weights, 1 when one weight dominates."""
+    return float(weights.sum() / weights.max())
+
+
 def _check_ess(weights: np.ndarray) -> None:
-    """Raise DegenerateWeights when sum(w) / max(w) is below ESS_FLOOR."""
-    ess = float(weights.sum() / weights.max())
+    """Raise DegenerateWeights when the ESS is below ESS_FLOOR."""
+    ess = effective_sample_size(weights)
     if ess < ESS_FLOOR:
         raise DegenerateWeights(
             f"effective sample size {ess:.2f} below {ESS_FLOOR}"

@@ -171,6 +171,27 @@ def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
     return w
 
 
+def lag_weights(m: DelayMeasure, grid: TriangularGrid
+                ) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The delay integral of row t_i on the grid lags u = -t_k: weights
+    w[i, k], and the atoms (u, weight) that fall between lags.
+
+    The uniform part is a trapezoid over [-t_i, 0], the only lags where a
+    zero-extended kernel at t_i + u can be nonzero, so u = -t_i is an end
+    node with half weight and row 0 is empty.  An atom that lands on a lag
+    after snap_lag adds its weight to that lag's column in every row."""
+    nodes = grid.nodes
+    w = (m.diffuse_mass / m.horizon) * tail_weight_matrix(grid)[::-1, ::-1]
+    between = []
+    for u, wu in zip(*m.quadrature()):
+        k = round(-u / grid.dt)
+        if snap_lag(u) == snap_lag(-nodes[k]):
+            w[:, k] += wu
+        else:
+            between.append((float(u), float(wu)))
+    return w, between
+
+
 def trapezoid_weights(grid: TriangularGrid) -> np.ndarray:
     """Composite trapezoid weights of int_0^T over the grid nodes."""
     w = np.full(grid.n + 1, grid.dt)

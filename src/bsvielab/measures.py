@@ -7,7 +7,9 @@ alpha((a, 0]), so the supported measure classes (point mass, uniform,
 finite atom lists, convex mixtures) all answer those two queries exactly.
 The two endpoint conventions differ only by the atom weight sitting at
 exactly a, and both appear downstream: the reduced kernel uses the closed
-interval, the Girsanov drift the half-open one.
+interval, the Girsanov drift the half-open one.  The delay integrals of
+the oracles need the split into atoms (quadrature) and the uniform rest
+(diffuse_mass).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 MASS_TOL = 1e-12
 LAG_DECIMALS = 12
-UNIFORM_QUADRATURE_NODES = 65
 
 
 def snap_lag(a):
@@ -53,6 +54,7 @@ class DelayMeasure:
     for a scalar or an array of lags a, returning masses of a's shape."""
 
     horizon: float
+    diffuse_mass = 0.0  # the uniform part's share of the total mass
 
     def _check_query(self, a) -> np.ndarray:
         """The lags as an array; DomainError on NaN or outside [-T, 0]."""
@@ -73,10 +75,10 @@ class DelayMeasure:
         raise NotImplementedError
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Discrete representation (points u_i, weights w_i) for integrating
-        bounded functions against the measure.  Exact for atoms; uniform parts
-        use UNIFORM_QUADRATURE_NODES composite-trapezoid nodes on [-T, 0]."""
-        raise NotImplementedError
+        """The atoms (points u_i, weights w_i), exact.  The rest of the
+        mass, diffuse_mass, is uniform on [-T, 0]; integrals against it
+        are taken on the grid lags (kernels.lag_weights)."""
+        return np.empty(0), np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,8 @@ class DiracAt(DelayMeasure):
 class Uniform(DelayMeasure):
     """Uniform probability measure on [-T, 0]."""
 
+    diffuse_mass = 1.0
+
     def mass_closed(self, a):
         return -self._check_query(a) / self.horizon
 
@@ -119,14 +123,6 @@ class Uniform(DelayMeasure):
         if self.horizon <= 0.0:
             raise SupportError("horizon must be positive")
         return self
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        nodes = UNIFORM_QUADRATURE_NODES
-        u = np.linspace(-self.horizon, 0.0, nodes)
-        w = np.full(nodes, 1.0 / (nodes - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return u, w
 
 
 @dataclass(frozen=True)
@@ -188,6 +184,10 @@ class Mixture(DelayMeasure):
 
     def atom_at(self, u):
         return sum(w * m.atom_at(u) for m, w in self.components)
+
+    @property
+    def diffuse_mass(self) -> float:
+        return sum(w * m.diffuse_mass for m, w in self.components)
 
     def validate(self) -> "Mixture":
         total = sum(w for _, w in self.components)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .girsanov import PathEnsemble
 from .kernels import KernelSpec, KernelTable, TriangularGrid, \
-    implicit_factors, tail_weight_matrix, zero_extend_g, zero_extend_kernel
+    implicit_factors, lag_weights, tail_weight_matrix, zero_extend_g, \
+    zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
 from .terminal import TerminalFamily, evaluate_F_table
 
@@ -98,49 +99,47 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable,
     return y
 
 
+def _kernel_on_shifted_grid(k: KernelSpec, m: DelayMeasure,
+                            grid: TriangularGrid, u: float) -> np.ndarray:
+    """G(t_i + u, s_j + u) over the grid, zero-extended.  A kernel given as
+    the reduced product recovers G = Phi / alpha([s_j + u - T, 0]) (the lag
+    clamped into [-T, 0], where Phi = 0 anyway), dropping the cells where
+    that mass vanishes: an integrable endpoint singularity loses one cell."""
+    x = grid.nodes + u
+    if k.phi_direct is None:
+        return zero_extend_kernel(k.G)(x[:, None], x[None, :])
+    vals = zero_extend_kernel(k.phi_direct)(x[:, None], x[None, :])
+    mass = m.mass_closed(snap_lag(np.clip(x - grid.horizon, -grid.horizon, 0.0)))
+    return np.divide(vals, mass, out=np.zeros_like(vals), where=mass > 1e-12)
+
+
 def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
                            grid: TriangularGrid) -> np.ndarray:
     """Matrix L with (L y)(t_i) = int_{t_i}^T int G(t_i+u, s+u) y(s+u)
     alpha(du) ds on the grid.
 
-    The u-integral uses the measure's quadrature (exact for atoms); the
-    time argument s+u lands between nodes, and grid.locate splits its
-    weight linearly between the two ends of its cell, with y frozen at
-    y(0) for negative times -- a value the zero-extended G annihilates
-    anyway.  Kernels supplied directly as the reduced product recover
-    G = Phi / alpha-mass; grid cells where that mass vanishes are dropped,
-    truncating an integrable endpoint singularity by one cell.
+    The u-integral runs over lag_weights' grid lags u = -t_k, where
+    (t_i+u, s_j+u) = (t_{i-k}, s_{j-k}): G is tabulated once on the grid
+    and each lag adds one shifted block.  An atom between lags keeps its
+    exact node: G is evaluated at (t_i+u, s_j+u), and y(s_j+u), which
+    has the same cell fraction theta for every j, is split linearly
+    between its two nodes, one shifted column block each.
     """
-    u_pts, u_wts = m.quadrature()
+    n = grid.n
     trap = tail_weight_matrix(grid)
-    kernel = zero_extend_kernel(k.G if k.phi_direct is None else k.phi_direct)
-    op_t = np.zeros_like(trap)  # transposed, so the scatter moves whole rows
-    for u, wu in zip(u_pts, u_wts):
-        if wu == 0.0:
-            continue
-        shifted = grid.nodes + u
-        # row j holds the kernel at (t_i + u, s_j + u) over i
-        gq = np.asarray(kernel(shifted[None, :], shifted[:, None]), dtype=float)
-        if k.phi_direct is not None:
-            # the mass depends on s_j + u alone; clamping the lag into the
-            # measure's domain is harmless, since out-of-range s_j + u give
-            # phi = 0 by zero-extension
-            lag = np.clip(shifted - grid.horizon, -grid.horizon, 0.0)
-            mass = m.mass_closed(snap_lag(lag))[:, None]
-            gq = np.divide(gq, mass, out=np.zeros_like(gq), where=mass > 1e-12)
-        coeff = trap.T * gq * wu
-        live = np.flatnonzero(np.any(coeff, axis=1))
-        idx, frac = grid.locate(shifted[live])
-        # s_j + u gives frac_j of its weight to node idx_j + 1, the rest to
-        # idx_j.  idx is nondecreasing, so taking right shares before left
-        # ones, and shares that meet at a node in rounds by rank, adds each
-        # entry's terms in order of j, as a loop over j would.
-        rank = np.arange(live.size) - np.searchsorted(idx, idx)
-        for cells, share in ((idx + 1, frac), (idx, 1.0 - frac)):
-            for r in range(rank.max(initial=-1) + 1):
-                on = rank == r
-                op_t[cells[on]] += coeff[live[on]] * share[on, None]
-    return np.ascontiguousarray(op_t.T)  # op @ y's bits depend on layout
+    w, between = lag_weights(m, grid)
+    g = _kernel_on_shifted_grid(k, m, grid, 0.0)
+    op = np.zeros_like(trap)
+    for lag in np.flatnonzero(w.any(axis=0)):
+        live = n + 1 - lag
+        op[lag:, :live] += w[lag:, lag, None] * trap[lag:, lag:] * g[:live, :live]
+    for u, wu in between:
+        coeff = wu * trap * _kernel_on_shifted_grid(k, m, grid, u)
+        # s_j + u = s_{j-lag-1} + (1 - theta) dt; coeff is 0 for j <= lag
+        lag, theta = grid.locate(-u)
+        op[:, :n - lag] += theta * coeff[:, lag + 1:]
+        op[:, 1:n + 1 - lag] += (1.0 - theta) * coeff[:, lag + 1:]
+    return op
 
 
 def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
@@ -197,9 +196,7 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
     f_vals = evaluate_F_table(fam, ensemble)
     dwq = np.diff(ensemble.wq, axis=1)  # (M, N)
     r = y - f_vals - y @ a.T
-    for i in range(n + 1):
-        if i < n:
-            r[:, i] += dwq[:, i:] @ z[i, i:n]
+    r[:, :n] += dwq @ np.triu(z[:n, :n]).T
     return r
 
 
@@ -263,22 +260,29 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
                      z_surface: np.ndarray, trap: np.ndarray) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
     built from a mean Z surface, with the grid's tail trapezoid weights
-    trap.  For each quadrature node u, g is zero-extended and Z is read at
-    (t_i+u, s_j+u) by grid.interpolate, extended by zero off the positive
-    triangle.  Rows are summed left to right by cumsum, as a sequential
-    loop would; np.sum adds pairwise and would change the last bits.
-    Exact (zero) whenever g vanishes."""
+    trap, on the nodes of build_delayed_operator: each grid lag reads
+    Z[i-k, j-k] and g(s_{j-k}); an atom between lags reads g zero-extended
+    and Z by grid.interpolate, extended by zero off the positive triangle.
+    Rows are summed left to right by cumsum, as a sequential loop would;
+    np.sum adds pairwise and would change the last bits.  Exact (zero)
+    whenever g vanishes."""
     if k.g_bound == 0.0:
         return np.zeros(grid.n + 1)
-    u_pts, u_wts = m.quadrature()
-    out = np.zeros(grid.n + 1)
-    for u, wu in zip(u_pts, u_wts):
+    n = grid.n
+    w, between = lag_weights(m, grid)
+    g_ext = zero_extend_g(k.g)
+    gv = g_ext(grid.nodes)
+    out = np.zeros(n + 1)
+    for lag in np.flatnonzero(w.any(axis=0)):
+        live = n + 1 - lag
+        gz = trap[lag:, lag:] * gv[:live] * z_surface[:live, :live]
+        out[lag:] += w[lag:, lag] * np.cumsum(gz, axis=1)[:, -1]
+    for u, wu in between:
         shifted = grid.nodes + u
-        gv = zero_extend_g(k.g)(shifted)
         t, s = shifted[:, None], shifted[None, :]
         z = np.where((t >= 0.0) & (s >= 0.0),
                      grid.interpolate(z_surface, t, s), 0.0)
-        out += wu * np.cumsum(trap * gv[None, :] * z, axis=1)[:, -1]
+        out += wu * np.cumsum(trap * g_ext(shifted) * z, axis=1)[:, -1]
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .girsanov import DriftFunction, PathEnsemble
+from .girsanov import DriftFunction, PathEnsemble, expect_q_columns
 from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
     ResolventTable, TriangularGrid, build_phi, tail_weight_matrix, \
     trapezoid_weights
@@ -177,6 +177,8 @@ def norms(fld: SolutionField, beta: float = 0.0) -> NormReport:
     H1 extends Y to [-T, 0) by its time-0 value, H2 extends Z by zero off
     the positive triangle, and the S2 report follows the convention of
     carrying no square root (it is the expected weighted squared sup).
+    The path expectations of H1 and S2 are taken under Q, by
+    expect_q_columns.
     """
     grid = fld.grid
     nodes = grid.nodes
@@ -187,9 +189,12 @@ def norms(fld: SolutionField, beta: float = 0.0) -> NormReport:
         neg_mass = horizon
     else:
         neg_mass = (1.0 - math.exp(-beta * horizon)) / beta
-    h1_sq = neg_mass * y[:, 0] ** 2 + np.trapezoid(weight * y**2, nodes, axis=1)
-    h1 = math.sqrt(float(h1_sq.mean()))
-    s2 = float((weight * y**2).max(axis=1).mean())
+    per_path = np.column_stack([
+        neg_mass * y[:, 0] ** 2 + np.trapezoid(weight * y**2, nodes, axis=1),
+        (weight * y**2).max(axis=1)])
+    h1_sq, s2 = (per_path[0] if fld.ensemble is None
+                 else expect_q_columns(fld.ensemble, per_path)[0])
+    h1, s2 = math.sqrt(float(h1_sq)), float(s2)
     if fld.z is None:
         h2 = 0.0
     else:

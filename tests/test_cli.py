@@ -10,6 +10,8 @@ import pytest
 
 from bsvielab import cli, oracles
 from bsvielab.cli import main
+from bsvielab.config import load_config
+from bsvielab.girsanov import expect_q_columns
 from bsvielab.kernels import TriangularGrid
 
 CONFIGS = resources.files("bsvielab") / "configs"
@@ -86,6 +88,47 @@ def test_solution_means_agree_across_modes(tmp_path):
     assert len(t) == 21
     assert np.all(np.abs(y_p - y_q) <= 4.0 * np.hypot(se_p, se_q) + 1e-12)
     assert y_q[-1] > 5.0 * se_q[-1]
+
+
+def test_norms_agree_across_modes(tmp_path):
+    # H1 and S2 are E^Q path means too: at g = 0.6 the unweighted P mean
+    # of the per-path H1^2 sits ~7 standard errors from the Q mean
+    h1_sq, se = [], []
+    for mode in ("P", "Q"):
+        text = MINI_STOCHASTIC.replace("grid.n = 16", "grid.n = 20").replace(
+            "kernel.g = 0.2", "kernel.g = 0.6").replace(
+            "mc.paths = 2000", f"mc.paths = 4000\nmc.mode = {mode}")
+        cfg = write_cfg(tmp_path, text, name=f"{mode}.cfg")
+        assert run_cli("norms", "--config", cfg, "--out", tmp_path / mode) == 0
+        _, rows = read_csv(tmp_path / mode / "norms.csv")
+        h1_sq.append(float(rows[0][1]) ** 2)
+        # the standard error of that mean, from the same paths
+        run = load_config(text)
+        fld, ens = cli._solve_field(run, *cli._prepare(run))
+        per_path = fld.grid.horizon * fld.y[:, 0] ** 2 + np.trapezoid(
+            fld.y**2, fld.grid.nodes, axis=1)
+        est, est_se = expect_q_columns(ens, per_path[:, None])
+        assert est[0] == pytest.approx(h1_sq[-1], rel=1e-10)
+        se.append(float(est_se[0]))
+    assert abs(h1_sq[0] - h1_sq[1]) <= 4.0 * np.hypot(*se)
+
+
+def test_mode_p_sidecars_report_weights(tmp_path):
+    for mode in ("P", "Q"):
+        cfg = write_cfg(tmp_path, MINI_STOCHASTIC + f"mc.mode = {mode}\n",
+                        name=f"{mode}.cfg")
+        run = load_config(cfg.read_text())
+        weights = cli._solve_field(run, *cli._prepare(run))[1].weights
+        for command in ("solve", "compare", "norms"):
+            out = tmp_path / mode / command
+            assert run_cli(command, "--config", cfg, "--out", out) == 0
+            meta = json.loads((out / f"{command}.meta.json").read_text())
+            if mode == "Q":
+                assert "ess" not in meta and "min_weight" not in meta
+                continue
+            assert meta["ess"] == weights.sum() / weights.max()
+            assert 10.0 < meta["ess"] < 2000
+            assert meta["min_weight"] == weights.min() > 0.0
 
 
 def test_solve_deterministic_residual_columns(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsvielab.kernels import TriangularGrid
+from bsvielab.kernels import TriangularGrid, lag_weights
 from bsvielab.measures import (
     Atoms,
     DiracAt,
@@ -203,19 +203,40 @@ def test_quadrature_atoms_exact():
 
 
 def test_quadrature_uniform_moments():
+    # the uniform part has no nodes of its own: it sits on the grid lags
+    # u = -t_k, a trapezoid over [-t_i, 0] in row i
     m = Uniform(horizon=T)
     u, w = m.quadrature()
-    assert w.sum() == pytest.approx(1.0)
-    assert float(u @ w) == pytest.approx(-0.5, abs=1e-10)
-    # trapezoid is exact to O(h^2) on u^2: 65 nodes is plenty for 1e-4
-    assert float((u**2) @ w) == pytest.approx(1.0 / 3.0, abs=1e-3)
+    assert u.size == w.size == 0 and m.diffuse_mass == 1.0
+    grid = TriangularGrid(T, 64)
+    lw, between = lag_weights(m, grid)
+    t, lags = grid.nodes, -grid.nodes
+    assert between == []
+    assert np.all(np.triu(lw, 1) == 0.0) and np.all(lw[0] == 0.0)
+    # row i holds alpha([-t_i, 0]) and its first moment exactly; the
+    # trapezoid's error on u^2 is exactly t_i dt^2 / 6
+    assert np.abs(lw.sum(axis=1) - t / T).max() < 1e-15
+    assert np.abs(lw @ lags + t**2 / (2 * T)).max() < 1e-15
+    want = (t**3 / 3 + t * grid.dt**2 / 6) / T
+    assert np.abs(lw @ lags**2 - want).max() < 1e-15
 
 
 def test_quadrature_mixture_concatenates():
     mix = Mixture(horizon=T, components=((DiracAt(T, -0.3), 0.5), (Uniform(T), 0.5)))
     u, w = mix.quadrature()
-    assert w.sum() == pytest.approx(1.0)
-    assert float(u @ w) == pytest.approx(0.5 * (-0.3) + 0.5 * (-0.5))
+    assert u.tolist() == [-0.3] and w.tolist() == [0.5]
+    assert mix.diffuse_mass == 0.5
+    # an atom on a grid lag joins that lag's column in every row ...
+    lw, between = lag_weights(mix, TriangularGrid(T, 20))
+    assert between == []
+    assert lw[-1].sum() == pytest.approx(1.0, abs=1e-15)
+    assert lw[-1] @ -TriangularGrid(T, 20).nodes == pytest.approx(
+        0.5 * (-0.3) + 0.5 * (-0.5), abs=1e-15)
+    assert np.all(lw[:, 6] >= 0.5)
+    # ... and one between lags is handed back with its exact node
+    lw, between = lag_weights(mix, TriangularGrid(T, 7))
+    assert between == [(-0.3, 0.5)]
+    assert lw[-1].sum() == pytest.approx(0.5, abs=1e-15)
 
 
 # -- property tests ---------------------------------------------------------

@@ -188,6 +188,19 @@ def test_uniform_measure_delayed_vs_reduced_gap_is_real():
     assert gap > 1e-3  # measured discrepancy, not a defect
 
 
+@pytest.mark.parametrize("spec", [constant_kernel(0.5), example33_kernel()],
+                         ids=["constant", "example33"])
+def test_uniform_delay_leaves_y0_at_f0(spec):
+    # at t = 0 every u < 0 puts t + u below 0, where G is zero-extended,
+    # and a uniform delay has no atom at u = 0: (L y)(0) = 0, so Picard's
+    # Y(0) is f0(0) exactly
+    g = TriangularGrid(T, 60)
+    fam = Deterministic(f0=make_f0("constant", value=1.0))
+    op = build_delayed_operator(spec, Uniform(T), g)
+    assert np.all(op[0] == 0.0)
+    assert picard(fam, spec, Uniform(T), g).y[0] == 1.0
+
+
 def test_lipschitz_constant_values():
     assert lipschitz_constant(constant_kernel(1.0, 0.0)) == 2.0
     assert lipschitz_constant(constant_kernel(0.0, 0.0)) == 0.0
@@ -297,46 +310,74 @@ def test_delayed_operator_annihilates_negative_times():
 
 
 # ---------------------------------------------------------------------------
-# both delay integrals against their original per-column loop versions
+# both delay integrals against per-column loop versions
+
+
+def reference_lag_weights(m, grid):
+    """Row weights w[i][k] of the grid lags u = -t_k, one scalar at a time:
+    the uniform part as a trapezoid over [-t_i, 0], then each atom that
+    sits on a lag; the atoms between lags are returned apart."""
+    n, dt = grid.n, grid.dt
+    dens = m.diffuse_mass / m.horizon
+    w = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for k in range(i + 1):
+            w[i][k] = dens * (0.5 * dt if k in (0, i) else dt)
+    between = []
+    for u, wu in zip(*m.quadrature()):
+        k = round(-u / dt)
+        if abs(-u / dt - k) < 1e-9:
+            for i in range(n + 1):
+                w[i][k] += wu
+        else:
+            between.append((u, wu))
+    return w, between
+
+
+def reference_kernel(k, m, grid):
+    """G at (t, s) arrays, zero-extended; a product-form kernel divided by
+    one scalar closed-mass query per column."""
+    if k.phi_direct is None:
+        return zero_extend_kernel(k.G)
+    phi_fun = zero_extend_kernel(k.phi_direct)
+
+    def gfun(a, b):
+        lag = np.clip(np.atleast_1d(b) - grid.horizon, -grid.horizon, 0.0)
+        mass = np.array([m.mass_closed(snap_lag(float(v)))
+                         for v in np.ravel(lag)]).reshape(np.shape(lag))
+        vals = phi_fun(a, b)
+        return np.divide(vals, mass, out=np.zeros_like(vals),
+                         where=mass > 1e-12)
+    return gfun
 
 
 def reference_delayed_operator(k, m, grid):
-    """The operator assembled column by column, one scalar cell lookup per
-    (u, s_j)."""
+    """The operator assembled column by column: for every grid lag k each
+    column s_j reads G(t_{i-k}, s_{j-k}); then, for every atom between
+    lags, each column s_j gives theta of its weight to the node below
+    s_j + u (all columns first), then 1 - theta to the node above."""
     n, dt = grid.n, grid.dt
     nodes = grid.nodes
-    u_pts, u_wts = m.quadrature()
     trap = tail_weight_matrix(grid)
-    if k.phi_direct is None:
-        gfun = zero_extend_kernel(k.G)
-    else:
-        phi_fun = zero_extend_kernel(k.phi_direct)
-
-        def gfun(a, b):
-            lag = np.clip(np.atleast_1d(b) - grid.horizon, -grid.horizon, 0.0)
-            mass = np.array([m.mass_closed(snap_lag(float(v)))
-                             for v in np.ravel(lag)]).reshape(np.shape(lag))
-            vals = phi_fun(a, b)
-            return np.divide(vals, mass, out=np.zeros_like(vals),
-                             where=mass > 1e-12)
-
-    op = np.zeros((n + 1, n + 1))
+    gfun = reference_kernel(k, m, grid)
+    w, between = reference_lag_weights(m, grid)
     tt = nodes[:, None]
-    for u, wu in zip(u_pts, u_wts):
-        if wu == 0.0:
-            continue
-        shifted = nodes + u
-        gq = np.asarray(gfun(tt + u, shifted[None, :]), dtype=float)
-        coeff = trap * gq * wu
-        pos = np.clip(shifted, 0.0, grid.horizon)
-        idx = np.minimum((pos / dt).astype(int), n - 1)
-        frac = pos / dt - idx
-        for j in range(n + 1):
-            col = coeff[:, j]
-            if not np.any(col):
-                continue
-            op[:, idx[j]] += col * (1.0 - frac[j])
-            op[:, idx[j] + 1] += col * frac[j]
+    table = np.asarray(gfun(tt, nodes[None, :]), dtype=float)
+    op = np.zeros((n + 1, n + 1))
+    for lag in range(n + 1):
+        wcol = np.array([w[i][lag] for i in range(lag, n + 1)])
+        for j in range(lag, n + 1):
+            op[lag:, j - lag] += wcol * trap[lag:, j] \
+                * table[:n + 1 - lag, j - lag]
+    for u, wu in between:
+        gq = np.asarray(gfun(tt + u, nodes[None, :] + u), dtype=float)
+        pos = -u / dt
+        lag = int(pos)
+        theta = pos - lag
+        for j in range(lag + 1, n + 1):
+            op[:, j - lag - 1] += theta * (wu * trap[:, j] * gq[:, j])
+        for j in range(lag + 1, n + 1):
+            op[:, j - lag] += (1.0 - theta) * (wu * trap[:, j] * gq[:, j])
     return op
 
 
@@ -346,7 +387,7 @@ def reference_g_weighted_term(k, m, grid, z_surface, trap):
         return np.zeros(grid.n + 1)
     n, dt = grid.n, grid.dt
     nodes = grid.nodes
-    u_pts, u_wts = m.quadrature()
+    w, between = reference_lag_weights(m, grid)
     g_ext = zero_extend_kernel(lambda a, b: np.asarray(k.g(b), dtype=float)
                                + 0.0 * a)
     out = np.zeros(n + 1)
@@ -362,7 +403,14 @@ def reference_g_weighted_term(k, m, grid, z_surface, trap):
                 + (1 - fi) * fj * z_surface[i, j + 1]
                 + fi * fj * z_surface[i + 1, j + 1])
 
-    for u, wu in zip(u_pts, u_wts):
+    for lag in range(n + 1):
+        for i in range(lag, n + 1):
+            acc = 0.0
+            for j in range(i, n + 1):
+                gv = float(g_ext(nodes[j - lag], nodes[j - lag]))
+                acc += trap[i, j] * gv * z_surface[i - lag, j - lag]
+            out[i] += w[i][lag] * acc
+    for u, wu in between:
         for i in range(n + 1):
             acc = 0.0
             for j in range(i, n + 1):
