@@ -22,7 +22,7 @@ from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
 from .measures import DelayMeasure
 from .terminal import Deterministic, GaussianLinear, TerminalFamily, \
     TerminalFunction, conditional_sweep, evaluate_F_table, f0_profile, \
-    is_stochastic, malliavin_table
+    gaussian_linear_conditionals, is_stochastic, malliavin_table
 
 
 class UnsupportedFamily(ValueError):
@@ -66,7 +66,10 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
 
     Deterministic families need no ensemble and produce a single profile;
     stochastic families evaluate the formula path by path, the prefix up
-    to t supplying the conditioning information.
+    to t supplying the conditioning information.  GaussianLinear Y is
+    affine in dW: with A = Psi * trap and (c, phi) from
+    gaussian_linear_conditionals, Y = diag((I + A) c) + dW B^T for
+    B = tril((I + A) phi, -1), one (M x N) . (N x (N+1)) product.
     """
     if not psi.grid.same_as(grid):
         raise GridMismatch("resolvent built on a different grid")
@@ -79,9 +82,17 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     a = psi.values * tail_weight_matrix(grid)
 
     if not is_stochastic(fam):
-        rows = next(iter(conditional_sweep(fam, grid, None)))[1][:, 0]
+        rows = f0_profile(fam, grid)
         y = rows + a @ rows
         return SolutionField(grid, fam, y)
+
+    if isinstance(fam, GaussianLinear):
+        c, phimat = gaussian_linear_conditionals(fam, grid, drift_fn)
+        det = np.diagonal(c + a @ c)
+        b = np.tril(phimat + a @ phimat, -1)
+        y = ensemble.dw @ b.T
+        y += det
+        return SolutionField(grid, fam, y, ensemble=ensemble)
 
     y = np.empty((ensemble.n_paths, n + 1))
     for i, c in conditional_sweep(fam, grid, ensemble, drift_fn):

@@ -30,6 +30,9 @@ GH_NODES = 64
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(GH_NODES)
 _GH_W_NORM = _GH_W / math.sqrt(math.pi)
 _GH_SHIFT = math.sqrt(2.0) * _GH_X
+# Means per block of the Gauss-Hermite layer: a block's 256 x 64 points,
+# envelope and h values (128 KiB each) stay in L2.
+GH_BLOCK = 256
 
 # W(s) at which the F_s-conditionals of the Z formula are anchored
 Z_REF_STATE = 0.0
@@ -76,10 +79,16 @@ def is_stochastic(fam: TerminalFamily) -> bool:
     return not isinstance(fam, Deterministic)
 
 
-def _growth_checked(fam: TerminalFunction, t, pts: np.ndarray) -> np.ndarray:
+def _growth_bound(fam: TerminalFunction, pts: np.ndarray) -> np.ndarray:
+    """The envelope a*exp(b|x|) on pts, widened by the guard's slack."""
+    return fam.growth_a * np.exp(fam.growth_b * np.abs(pts)) * (1.0 + 1e-9) + 1e-290
+
+
+def _growth_checked(fam: TerminalFunction, t, pts: np.ndarray,
+                    bound: np.ndarray) -> np.ndarray:
     vals = np.asarray(fam.h(t, pts), dtype=float)
-    envelope = fam.growth_a * np.exp(fam.growth_b * np.abs(pts))
-    if np.any(np.abs(vals) > envelope * (1.0 + 1e-9) + 1e-290):
+    # written so that a NaN value fails the test
+    if not np.all(np.abs(vals) <= bound):
         raise QuadratureError(
             "h exceeds its declared growth envelope a*exp(b|x|) "
             f"(a={fam.growth_a}, b={fam.growth_b})"
@@ -88,11 +97,27 @@ def _growth_checked(fam: TerminalFunction, t, pts: np.ndarray) -> np.ndarray:
 
 
 def gauss_hermite_mean(fam: TerminalFunction, t, mean, sd) -> np.ndarray:
-    """E[h(t, X)] for X ~ N(mean, sd^2), vectorized over an array of means."""
+    """E[h(t, X)] for X ~ N(mean, sd^2), vectorized over an array of means;
+    a 1-D array of times t adds a leading axis, one row per time.
+
+    The means go GH_BLOCK at a time, each block's points and envelope built
+    once for every t.  The last block takes the remainder (GH_BLOCK to
+    2*GH_BLOCK - 1 means), so each block sums its rows with the BLAS
+    kernels that one call over all the means would use.
+    """
     mean = np.asarray(mean, dtype=float)
-    pts = mean[..., None] + sd * _GH_SHIFT
-    vals = _growth_checked(fam, t, pts)
-    return vals @ _GH_W_NORM
+    flat = mean.reshape(-1)
+    times = [t] if np.ndim(t) == 0 else t
+    out = np.empty((len(times), len(flat)))
+    shift = sd * _GH_SHIFT
+    lo = 0
+    for hi in [*range(GH_BLOCK, len(flat) - GH_BLOCK + 1, GH_BLOCK), len(flat)]:
+        pts = flat[lo:hi, None] + shift
+        bound = _growth_bound(fam, pts)
+        for row, ta in zip(out, times):
+            row[lo:hi] = _growth_checked(fam, ta, pts, bound) @ _GH_W_NORM
+        lo = hi
+    return out.reshape(np.shape(t) + mean.shape)
 
 
 def evaluate_F(fam: TerminalFamily, t: float, ensemble: PathEnsemble) -> np.ndarray:
@@ -103,7 +128,8 @@ def evaluate_F(fam: TerminalFamily, t: float, ensemble: PathEnsemble) -> np.ndar
     if isinstance(fam, GaussianLinear):
         left = ensemble.grid.nodes[:-1]
         return float(fam.f0(t)) + ensemble.dw @ np.asarray(fam.phi(t, left), dtype=float)
-    return _growth_checked(fam, t, ensemble.w[:, -1])
+    w_end = ensemble.w[:, -1]
+    return _growth_checked(fam, t, w_end, _growth_bound(fam, w_end))
 
 
 def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
@@ -177,57 +203,39 @@ def conditional_F(fam: TerminalFamily, t: float, r: float,
     return gauss_hermite_mean(fam, t, state + remaining, sd)
 
 
-def conditional_sweep(fam: TerminalFamily, grid: TriangularGrid,
-                      ensemble: PathEnsemble | None,
+def gaussian_linear_conditionals(fam: GaussianLinear, grid: TriangularGrid,
+                                 drift_fn: DriftFunction | None = None):
+    """(c, phimat) with E^Q[F(t_a) | F_{t_i}] = c[a, i] + sum_{k<i}
+    phimat[a, k] dW_k on every path: phimat[a, k] = phi(t_a, t_k), and
+    c[a, i] = f0(t_a) + sum_{k>=i} phi(t_a, t_k) b_k dt adds the Q-mean of
+    the increments still unknown at t_i."""
+    nodes = grid.nodes
+    tt, kk = np.meshgrid(nodes, nodes[:-1], indexing="ij")
+    phimat = np.asarray(fam.phi(tt, kk), dtype=float)
+    bdt = _drift_values(grid, drift_fn)[:-1] * grid.dt
+    comp = np.cumsum((phimat * bdt[None, :])[:, ::-1], axis=1)[:, ::-1]
+    c = f0_profile(fam, grid)[:, None] + np.concatenate(
+        [comp, np.zeros((grid.n + 1, 1))], axis=1)
+    return c, phimat
+
+
+def conditional_sweep(fam: TerminalFunction, grid: TriangularGrid,
+                      ensemble: PathEnsemble,
                       drift_fn: DriftFunction | None = None):
     """Yield (i, C_i) for i = 0..N where C_i[a, m] = E^Q[F(t_a) | F_{t_i}]
-    on path m.
-
-    The sweep maintains the partial Ito sums incrementally, so the whole
-    pass over conditioning nodes costs one rank-1 update per step instead
-    of a fresh O(N * M) contraction.  Deterministic families need no
-    ensemble and yield a single shared column.
-    """
+    on path m: one gauss_hermite_mean call per node, for every t_a at once
+    when h depends on t."""
     nodes = grid.nodes
     n = grid.n
-    dt = grid.dt
-
-    if isinstance(fam, Deterministic):
-        profile = f0_profile(fam, grid)[:, None]
-        for i in range(n + 1):
-            yield i, profile
-        return
-
-    if ensemble is None:
-        raise ValueError("stochastic family needs an ensemble")
-    m_paths = ensemble.n_paths
-
-    if isinstance(fam, GaussianLinear):
-        f0_vec = f0_profile(fam, grid)
-        tt, kk = np.meshgrid(nodes, nodes[:-1], indexing="ij")
-        phimat = np.asarray(fam.phi(tt, kk), dtype=float)  # (N+1, N)
-        bdt = _drift_values(grid, drift_fn)[:-1] * dt
-        # compensator[a, i] = sum_{k >= i} phi(t_a, t_k) b_k dt
-        comp = np.concatenate(
-            [np.cumsum((phimat * bdt[None, :])[:, ::-1], axis=1)[:, ::-1],
-             np.zeros((n + 1, 1))], axis=1)
-        known = np.zeros((n + 1, m_paths))
-        for i in range(n + 1):
-            yield i, f0_vec[:, None] + known + comp[:, i][:, None]
-            if i < n:
-                known += phimat[:, i][:, None] * ensemble.dw[:, i][None, :]
-        return
-
     remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
     for i in range(n + 1):
         mean = ensemble.w[:, i] + remaining[i]
         sd = math.sqrt(max(grid.horizon - nodes[i], 0.0))
         if fam.t_dependent:
-            rows = [gauss_hermite_mean(fam, t, mean, sd) for t in nodes]
-            yield i, np.asarray(rows)
+            yield i, gauss_hermite_mean(fam, nodes, mean, sd)
         else:
             row = gauss_hermite_mean(fam, nodes[0], mean, sd)
-            yield i, np.broadcast_to(row, (n + 1, m_paths))
+            yield i, np.broadcast_to(row, (n + 1, ensemble.n_paths))
 
 
 def malliavin_table(fam: GaussianLinear | TerminalFunction,

@@ -20,8 +20,9 @@ from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.solver import NormReport, SolutionField, compute_U, norms, \
     smoothness_diagnostics, solve_Y, solve_Z
-from bsvielab.terminal import Z_REF_STATE, Deterministic, GaussianLinear, \
-    TerminalFunction, _GH_SHIFT, _GH_W_NORM, make_f0, make_h, make_phi
+from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
+    GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
+    f0_profile, gauss_hermite_mean, make_f0, make_h, make_phi
 
 T = 1.0
 
@@ -88,6 +89,95 @@ def test_solve_Y_with_drift_shifts_conditional():
     fld = solve_Y(fam, psi, b, g, ens)
     want = ens.w + gamma * (T - g.nodes)[None, :]
     assert np.abs(fld.y - want).max() < 1e-12
+
+
+def reference_solve_Y_gaussian(fam, psi, drift_fn, grid, ens):
+    """The per-node sweep that computed GaussianLinear Y before the single
+    product: the (N+1) x M conditionals of node i, kept by rank-1 updates
+    of the known Ito sums, then Y[:, i] = C_i[i] + A[i] C_i."""
+    n, dt, nodes = grid.n, grid.dt, grid.nodes
+    a = psi.values * tail_weight_matrix(grid)
+    f0_vec = f0_profile(fam, grid)
+    tt, kk = np.meshgrid(nodes, nodes[:-1], indexing="ij")
+    phimat = np.asarray(fam.phi(tt, kk), dtype=float)
+    b = np.zeros(n + 1) if drift_fn is None else drift_fn.values
+    bdt = b[:-1] * dt
+    comp = np.concatenate(
+        [np.cumsum((phimat * bdt[None, :])[:, ::-1], axis=1)[:, ::-1],
+         np.zeros((n + 1, 1))], axis=1)
+    known = np.zeros((n + 1, ens.n_paths))
+    y = np.empty((ens.n_paths, n + 1))
+    for i in range(n + 1):
+        c = f0_vec[:, None] + known + comp[:, i][:, None]
+        y[:, i] = c[i] + a[i] @ c
+        if i < n:
+            known += phimat[:, i][:, None] * ens.dw[:, i][None, :]
+    return y
+
+
+@pytest.mark.parametrize("mode", ["Q", "P"])
+@pytest.mark.parametrize("phi_name", ["constant", "exp_u", "bilinear"])
+def test_solve_Y_gaussian_linear_matches_node_loop(mode, phi_name):
+    g, m, spec, phi, psi = setup_reduced(0.4, 30, Uniform(T), g_value=0.3)
+    b = drift(m, spec, g)
+    ens = sample_paths(g, 500, 11, mode, b)
+    fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
+                         phi=make_phi(phi_name))
+    y = solve_Y(fam, psi, b, g, ens).y
+    ref = reference_solve_Y_gaussian(fam, psi, b, g, ens)
+    assert y.shape == ref.shape
+    assert np.abs(y - ref).max() <= 1e-13 * max(1.0, float(np.abs(ref).max()))
+
+
+def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
+    """Terminal-function Y with each node's Gauss-Hermite layer taken over
+    all M paths in one piece, as before the blocked layer."""
+    n, nodes = grid.n, grid.nodes
+    a = psi.values * tail_weight_matrix(grid)
+    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
+    y = np.empty((ens.n_paths, n + 1))
+    for i in range(n + 1):
+        sd = math.sqrt(max(grid.horizon - nodes[i], 0.0))
+        pts = (ens.w[:, i] + remaining[i])[:, None] + sd * _GH_SHIFT
+        if fam.t_dependent:
+            c = np.stack([np.asarray(fam.h(t, pts), dtype=float) @ _GH_W_NORM
+                          for t in nodes])
+        else:
+            row = np.asarray(fam.h(nodes[0], pts), dtype=float) @ _GH_W_NORM
+            c = np.broadcast_to(row, (n + 1, ens.n_paths))
+        y[:, i] = c[i] + a[i] @ c
+    return y
+
+
+@pytest.mark.parametrize("m_paths", [100, GH_BLOCK, 2 * GH_BLOCK + 44],
+                         ids=["below", "equal", "not-multiple"])
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
+    g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
+    b = drift(m, spec, g)
+    ens = sample_paths(g, m_paths, 4, "Q", b)
+    fam = t_varying_h("square") if t_dependent else make_h("square")
+    y = solve_Y(fam, psi, b, g, ens).y
+    assert np.array_equal(y, reference_solve_Y_terminal(fam, psi, b, g, ens))
+
+
+def test_solve_Y_growth_breach_on_last_path_raises():
+    # h breaks its envelope only beyond x = 25, which the Gauss-Hermite
+    # points reach only from the last path, moved to W = 40 at one node
+    g, m, spec, phi, psi = setup_reduced(0.3, 10)
+    ens = sample_paths(g, 2 * GH_BLOCK + 1, 6, "Q")
+    ens.w[-1, 4] = 40.0
+
+    def h(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 25.0, 10.0 * np.exp(np.abs(x)), x**2)
+
+    fam = TerminalFunction(h=h, dh=lambda t, x: 2.0 * np.asarray(x),
+                           growth_a=3.0, growth_b=1.0)
+    sd = math.sqrt(T - g.nodes[4])
+    gauss_hermite_mean(fam, 0.0, ens.w[:-1, 4], sd)  # the others pass
+    with pytest.raises(QuadratureError):
+        solve_Y(fam, psi, None, g, ens)
 
 
 def test_solve_Y_grid_mismatch():

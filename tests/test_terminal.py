@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bsvielab.girsanov import drift, sample_paths
-from bsvielab.kernels import TriangularGrid, constant_kernel
+from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
+    resolvent, tail_weight_matrix
 from bsvielab.measures import DiracAt, Uniform
+from bsvielab.solver import solve_Y
 from bsvielab.terminal import (
     Deterministic,
     GaussianLinear,
@@ -18,6 +20,7 @@ from bsvielab.terminal import (
     conditional_sweep,
     evaluate_F,
     evaluate_F_table,
+    gauss_hermite_mean,
     is_stochastic,
     make_f0,
     make_h,
@@ -140,23 +143,47 @@ def test_growth_envelope_enforced():
         conditional_F(bad, 0.0, 0.0, e)
 
 
+def test_growth_guard_rejects_nan():
+    # sqrt is NaN on the negative points; NaN is no value within the envelope
+    fam = TerminalFunction(h=lambda t, x: np.sqrt(np.asarray(x, dtype=float)),
+                           dh=lambda t, x: 0.5 / np.sqrt(np.asarray(x)),
+                           growth_a=1.0, growth_b=1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
+        gauss_hermite_mean(fam, 0.0, np.array([0.0, 1.0]), 1.0)
+
+
 def test_sweep_matches_pointwise_conditionals():
     g = grid(15)
     b = drift(Uniform(T), constant_kernel(0.0, g_value=0.7), g)
     e = sample_paths(g, 12, 8, "Q", b)
+    psi = resolvent(build_phi(Uniform(T), constant_kernel(0.4), g), tol=1e-12)
+    a_mat = psi.values * tail_weight_matrix(g)
     fams = [
         Deterministic(f0=make_f0("exp_decay", rate=0.5)),
         GaussianLinear(f0=make_f0("constant", value=0.2),
                        phi=make_phi("exp_u", rate=2.0)),
         make_h("square"),
+        TerminalFunction(h=lambda t, x: np.exp(-t) * np.asarray(x) ** 2,
+                         dh=lambda t, x: 2.0 * np.exp(-t) * np.asarray(x),
+                         growth_a=3.0, growth_b=1.0, t_dependent=True),
     ]
     for fam in fams:
+        # Y[:, i] = C_i[i] + sum_a A[i, a] C_i[a] with each C_i[a] from
+        # conditional_F; only terminal functions go through the sweep
+        y = solve_Y(fam, psi, b, g, e).y
+        for i in (0, 7, 15):
+            cond = np.stack([conditional_F(fam, t, g.nodes[i], e, b)
+                             for t in g.nodes])
+            want = cond[i] + a_mat[i] @ cond
+            got = y[:, i] if y.ndim == 2 else np.full(12, y[i])
+            assert np.allclose(got, want), (fam, i)
+        if not isinstance(fam, TerminalFunction):
+            continue
         for i, c in conditional_sweep(fam, g, e, b):
             if i in (0, 7, 15):
                 for a in (i, min(i + 3, 15)):
                     want = conditional_F(fam, g.nodes[a], g.nodes[i], e, b)
-                    got = c[a] if c.shape[1] > 1 else np.full(12, c[a, 0])
-                    assert np.allclose(got, want), (fam, i, a)
+                    assert np.allclose(c[a], want), (fam, i, a)
 
 
 def test_registries_reject_unknown_names():
