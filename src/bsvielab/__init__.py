@@ -43,7 +43,7 @@ from .solver import NormReport, SmoothnessReport, SolutionField, \
     UnsupportedFamily, compute_U, norms, smoothness_diagnostics, solve_Y, \
     solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \
-    TerminalFunction, conditional_F, evaluate_F, evaluate_F_table, \
+    TerminalFunction, evaluate_F, evaluate_F_table, \
     gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_F, \
     malliavin_table
 

@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +37,8 @@ from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import norms, smoothness_diagnostics, solve_Y, solve_Z
-from .terminal import QuadratureError, conditional_F, f0_profile
+from .terminal import GaussianLinear, QuadratureError, f0_profile, \
+    gauss_hermite_mean, gaussian_linear_conditionals
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -292,15 +292,15 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
     lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
         cfg.family, cfg.kernel, cfg.measure, op, grid, ens, pic_cfg))
-    # Reduced-equation oracle: conditioning the equation on the trivial
-    # time-0 sigma-field turns it into a scalar Volterra equation for the
-    # expected profile, solved by collocation without Monte Carlo noise.
-    # W(0) = 0 on every path, so E[F(t) | F_0] is one value, taken
-    # from the first path alone.
-    first = replace(ens, n_paths=1, dw=ens.dw[:1], w=ens.w[:1],
-                    wq=ens.wq[:1], weights=ens.weights[:1])
-    fbar0 = np.asarray([float(conditional_F(cfg.family, t, 0.0, first,
-                                            drift_fn)[0]) for t in nodes])
+    # Reduced-equation oracle: conditioned on the trivial F_0 the equation
+    # is a scalar Volterra equation for the expected profile, solved by
+    # collocation without Monte Carlo noise.  E^Q[F(t) | F_0] is column 0
+    # of the Gaussian-linear conditionals, or one Gauss-Hermite layer.
+    if isinstance(cfg.family, GaussianLinear):
+        fbar0 = gaussian_linear_conditionals(cfg.family, grid, drift_fn)[0][:, 0]
+    else:
+        fbar0 = gauss_hermite_mean(cfg.family, nodes, drift_fn.remaining()[0],
+                                   grid.horizon ** 0.5)
     y_col = solve_reduced_collocation(fbar0, phi, grid)
 
     y_exp, se_exp = expect_q_columns(ens, fld.y)

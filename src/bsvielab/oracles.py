@@ -221,39 +221,51 @@ class LsmcResult:
     max_gram_cond: float = 0.0  # largest condition number of the node Grams
 
 
-def _design_matrix(w_col: np.ndarray) -> np.ndarray:
-    """Standardized monomial basis in W(t_i): intercept plus centred,
-    unit-variance powers; collapses to the intercept when W(t_i) is
-    degenerate (t_i = 0)."""
-    m = len(w_col)
-    cols = [np.ones(m)]
-    if w_col.std() > 1e-12:
-        for p in range(1, REGRESSION_DEGREE + 1):
-            c = w_col**p
-            c = (c - c.mean())
-            sd = c.std()
-            if sd > 1e-12:
-                cols.append(c / sd)
-    return np.stack(cols, axis=1)
+class _StackedBasis:
+    """Every node's regression basis, built once per LSMC run: rows[i, p]
+    (N+1, D, M), D = REGRESSION_DEGREE + 1, is basis function p of node i
+    on every path: the intercept, then the centred, unit-variance powers
+    W(t_i)^p, a zero row where W(t_i) is degenerate (t_i = 0) or the power
+    has spread <= 1e-12.  flat = B^T (P, M), P = (N+1) D; gram = B^T B;
+    ones the node blocks of B^T 1; ginv[i] inverts node i's ridged Gram
+    block on its live rows.  RegressionIllConditioned if a block's
+    condition number, the largest of which is cond, exceeds COND_LIMIT."""
 
+    def __init__(self, w: np.ndarray):
+        m_paths, n1 = w.shape
+        d = REGRESSION_DEGREE + 1
+        self.rows = np.empty((n1, d, m_paths))
+        self.rows[:, 0] = 1.0
+        self.rows[:, 1] = w.T
+        for p in range(2, d):  # W^p = W^(p-1) W: pow takes 20x longer
+            np.multiply(self.rows[:, p - 1], self.rows[:, 1],
+                        out=self.rows[:, p])
+        live = np.ones((n1, d), dtype=bool)
+        for p in range(1, d):
+            row = self.rows[:, p]
+            row -= row.mean(axis=1, keepdims=True)
+            sd = np.sqrt(np.einsum("im,im->i", row, row) / m_paths)
+            live[:, p] = (sd > 1e-12) & live[:, 1]  # p = 1: W(t_i) itself
+            row /= np.where(live[:, p], sd, 1.0)[:, None]
+            row[~live[:, p]] = 0.0
+        self.flat = self.rows.reshape(n1 * d, m_paths)
+        self.gram = self.flat @ self.flat.T
+        self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
+        self.ginv = np.zeros((n1, d, d))
+        self.cond = 0.0
+        at = np.arange(n1)
+        for i, block in enumerate(self.gram.reshape(n1, d, n1, d)[at, :, at]):
+            keep = np.ix_(live[i], live[i])
+            gram = block[keep] + RIDGE * np.eye(int(live[i].sum()))
+            cond = float(np.linalg.cond(gram))
+            if cond > COND_LIMIT:
+                raise RegressionIllConditioned(f"condition number {cond:.2e}")
+            self.cond = max(self.cond, cond)
+            self.ginv[i][keep] = np.linalg.inv(gram)
 
-class _NodeRegressor:
-    """Ridge projector onto the per-node polynomial basis, factored once."""
-
-    def __init__(self, w_col: np.ndarray):
-        b = _design_matrix(w_col)
-        gram = b.T @ b + RIDGE * np.eye(b.shape[1])
-        cond = float(np.linalg.cond(gram))
-        if cond > COND_LIMIT:
-            raise RegressionIllConditioned(f"condition number {cond:.2e}")
-        self.cond = cond
-        self.basis = b
-        self.chol = np.linalg.cholesky(gram)
-
-    def fit(self, targets: np.ndarray) -> np.ndarray:
-        rhs = self.basis.T @ targets
-        coef = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
-        return self.basis @ coef
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """B_i c_i on every path, (N+1, M): one pass over the basis."""
+        return np.matmul(c[:, None, :], self.rows)[:, 0]
 
 
 def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
@@ -292,45 +304,68 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
                        cfg: PicardConfig = PicardConfig()) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F.
 
-    Outer Picard loop on the per-path Y matrix; each sweep regresses the
-    right-hand side F(t_i) + (delay integral of Y, through the operator op
-    of build_delayed_operator) + (g-weighted Z term) on a degree-4
-    polynomial basis in W(t_i).  The ensemble stays fixed, so the loop is
-    a deterministic linear iteration and converges to a machine-precision
-    fixed point in the contractive regime.  Z(t_i, s_j) is the
-    least-squares slope of the martingale increment on dW_j: refitted
-    every sweep when g != 0, since the g-term reads it, and otherwise
-    only on the converged sweep, which alone also takes the slope SEs.
-    RegressionIllConditioned if a node's Gram matrix is ill-conditioned
-    or an increment dW_j has no sample variance (a single path).
+    Picard sweeps regress the target F(t_i) + (delay integral of Y, by op)
+    + (g-weighted Z term) on the polynomial basis B_i in W(t_i) of
+    _StackedBasis.  The bases stay fixed, so the sweeps run on the stacked
+    coefficients c, Y(t_i) = B_i c_i:
+    c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks of B^T F,
+    K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks; the
+    first sweep reads y = F, outside the span, through B^T F in full.  The
+    sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes.
+    Z(t_i, s_j) is the least-squares slope of theta = target - Y on dW_j:
+    refitted every sweep from dW^T F and dW^T B c when g != 0, since the
+    g-term reads it; the converged sweep forms theta path by path and
+    also takes the slope SEs.  RegressionIllConditioned if a Gram block
+    is ill-conditioned or an increment dW_j has no sample variance.
     """
     n = grid.n
     trap = tail_weight_matrix(grid)
     f_vals = evaluate_F_table(fam, ensemble)
-    regs = [_NodeRegressor(ensemble.w[:, i]) for i in range(n + 1)]
-    basis = _IncrementBasis(ensemble.dw, op, trap, grid.dt)
+    f_full = np.ascontiguousarray(f_vals)  # a broadcast table, for BLAS
+    incr = _IncrementBasis(ensemble.dw, op, trap, grid.dt)
+    basis = _StackedBasis(ensemble.w)
+    n1, d = basis.ones.shape
+    bt_f, at = basis.flat @ f_full, np.arange(n1)
+    # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
+    b_f, b_y = (x.reshape(n1, d, n1)[at, :, at] for x in (bt_f, bt_f @ op.T))
+    coupling = (basis.gram.reshape(n1, d, n1, d)
+                * op[:, None, :, None]).reshape(n1 * d, n1 * d)
+    if k.g_bound != 0.0:  # x_j . v = dW_j . v - mean(dW_j) sum(v)
+        dw = ensemble.dw
+        x_f = dw.T @ f_full - np.outer(dw.mean(axis=0), f_full.sum(axis=0))
+        x_b = (dw.T @ basis.flat.T - np.outer(dw.mean(axis=0), basis.ones)
+               ).reshape(n, n1, d)
+    del f_full
 
-    y = f_vals.copy()
+    c, sup_diffs = None, []
     z_mean = np.zeros((n + 1, n + 1))
-    sup_diffs = []
     for it in range(1, cfg.max_iterations + 1):
         gz = _g_weighted_term(k, m, grid, z_mean, trap)
-        target = f_vals + y @ op.T + gz[None, :]
-        y_next = np.empty_like(y)
-        for i in range(n + 1):
-            y_next[:, i] = regs[i].fit(target[:, i])
-        diff = float(np.abs(y_next - y).max())
+        rhs = b_f + b_y + gz[:, None] * basis.ones
+        c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
+        dy = basis.values(c_next if c is None else c_next - c)
+        if c is None:  # the first sweep starts from y = F
+            y, dy = dy, dy - f_vals.T
+        else:
+            y += dy
+        diff = float(np.abs(dy, out=dy).max())
+        del dy
         sup_diffs.append(diff)
-        y = y_next
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > DIVERGENCE_GUARD:
+        c, c_prev = c_next, c
+        if not max(y.max(), -y.min()) <= DIVERGENCE_GUARD:  # NaN fails too
             raise PicardDiverged(
                 f"sup |Y| beyond guard after {it} iterations", sup_diffs)
         if diff < cfg.tolerance:
-            z, z_se = _slope_z(target - y, basis, with_se=True)
-            return LsmcResult(y, z, z_se, target, sup_diffs, it,
-                              max(r.cond for r in regs))
-        if k.g_bound != 0.0:
-            z_mean = _slope_z(target - y, basis)[0]
+            target = op @ (f_vals.T if c_prev is None else basis.values(
+                c_prev)) + f_vals.T + gz[:, None]
+            z, z_se = _slope_z((target - y).T, incr, with_se=True)
+            return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
+                              basis.cond)
+        b_y = (coupling @ c.ravel()).reshape(n1, d)
+        if k.g_bound != 0.0:  # x^T theta from x^T F and x^T B c
+            x_y = x_f if c_prev is None else np.einsum("jkq,kq->jk", x_b, c_prev)
+            cross = x_f + x_y @ op.T - np.einsum("jkq,kq->jk", x_b, c)
+            z_mean = _slope_fit(cross[:, :n].T, incr)[0]
     raise PicardStalled(
         f"no convergence to {cfg.tolerance} in {cfg.max_iterations} iterations",
         sup_diffs)
@@ -365,22 +400,24 @@ class _IncrementBasis:
 
 def _slope_z(theta: np.ndarray, basis: _IncrementBasis, with_se: bool = False
              ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Z(t_i, s_j) as the OLS slope of theta_i on the increment dW_j,
-    j < N; the final column, which has no increment of its own, is
-    extended by linear extrapolation in s (nearest-row values where a
-    row is too short to extrapolate).  Returns (slopes, slope SEs), the
-    SEs None unless with_se.
+    """_slope_fit of the targets theta (M, N+1), SEs only if with_se; the
+    centred targets theta_c give x^T theta_c = dW^T theta_c."""
+    n = basis.dw.shape[1]
+    theta_c = theta[:, :n] - theta[:, :n].mean(axis=0)
+    sq = np.einsum("mi,mi->i", theta_c, theta_c) if with_se else None
+    return _slope_fit(theta_c.T @ basis.dw, basis, sq)
 
-    All slopes come from one product of the centred targets with the
-    increments: z[i, j] = (x^T theta_c)[j, i] / ss_j on i <= j, where
-    x^T theta_c = dW^T theta_c because theta_c has zero column means,
-    so the centred increments are never held.
 
-    The SEs take the residual sum of squares from the Gram identity
-    rss = |theta_c_i|^2 - z[i, j] (x_j . theta_c_i), clipped at 0,
-    instead of forming residual vectors; the subtraction cancels, so
-    its relative accuracy degrades like eps / (1 - R^2) with R^2 the
-    regression's coefficient of determination.
+def _slope_fit(cross: np.ndarray, basis: _IncrementBasis,
+               sq: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Z(t_i, s_j) = cross[i, j] / ss_j on i <= j < N, the OLS slope of
+    theta_i on dW_j from cross[i, j] = x_j . theta_i (x the centred
+    increments); column N is extrapolated linearly in s (nearest-row values
+    where a row is too short).  Returns (slopes, SEs), the SEs None unless
+    sq_i = |theta_c_i|^2 is given: they take rss = sq_i - z cross (clipped
+    at 0) from the Gram identity, whose relative accuracy degrades like
+    eps / (1 - R^2), R^2 the coefficient of determination.
 
     The raw slope collects the innovations of F and of the strictly
     later quadrature nodes, but never the half cell at r = s_j itself:
@@ -394,15 +431,12 @@ def _slope_z(theta: np.ndarray, basis: _IncrementBasis, with_se: bool = False
     """
     ss, upper = basis.ss, basis.upper
     m_paths, n = basis.dw.shape
-    theta_c = theta[:, :n] - theta[:, :n].mean(axis=0)
-    cross = theta_c.T @ basis.dw  # cross[i, j] = x_j . theta_c_i
     raw = np.where(upper, cross / ss, 0.0)
     z = np.zeros((n + 1, n + 1))
     z[:n, :n] = raw + basis.half * (np.diag(raw) / basis.scale)
     _extrapolate_last_column(z, lambda a, b: 2.0 * a - b)
-    if not with_se:
+    if sq is None:
         return z, None
-    sq = np.einsum("mi,mi->i", theta_c, theta_c)
     rss = np.where(upper, np.maximum(sq[:, None] - raw * cross, 0.0), 0.0)
     raw_se = np.sqrt(rss / max(m_paths - 2, 1) / ss)
     se = np.zeros((n + 1, n + 1))

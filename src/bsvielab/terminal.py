@@ -133,14 +133,18 @@ def evaluate_F(fam: TerminalFamily, t: float, ensemble: PathEnsemble) -> np.ndar
 
 
 def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
-    """F(t_a) on every path and node, (M, N+1).  A t-independent terminal
-    function is evaluated, and growth-checked, once and broadcast to
-    every node."""
-    nodes = ensemble.grid.nodes
+    """F(t_a) on every path and node, (M, N+1): one GEMM with the phi table
+    of gaussian_linear_conditionals for GaussianLinear; a t-independent
+    terminal function is evaluated, and growth-checked, once and broadcast."""
+    grid = ensemble.grid
+    if isinstance(fam, GaussianLinear):
+        out = ensemble.dw @ _phi_table(fam, grid).T
+        out += f0_profile(fam, grid)
+        return out
     if isinstance(fam, TerminalFunction) and not fam.t_dependent:
-        col = evaluate_F(fam, nodes[0], ensemble)
-        return np.broadcast_to(col[:, None], (ensemble.n_paths, len(nodes)))
-    return np.stack([evaluate_F(fam, t, ensemble) for t in nodes], axis=1)
+        col = evaluate_F(fam, grid.nodes[0], ensemble)
+        return np.broadcast_to(col[:, None], (ensemble.n_paths, grid.n + 1))
+    return np.stack([evaluate_F(fam, t, ensemble) for t in grid.nodes], axis=1)
 
 
 def malliavin_F(fam: TerminalFamily, t: float, s: float,
@@ -154,14 +158,6 @@ def malliavin_F(fam: TerminalFamily, t: float, s: float,
     return np.asarray(fam.dh(t, ensemble.w[:, -1]), dtype=float)
 
 
-def known_increment_count(grid: TriangularGrid, r: float) -> int:
-    """Number of increments treated as F_r-measurable: those with left
-    endpoint t_k < r (up to grid-noise tolerance)."""
-    if r < -1e-12 or r > grid.horizon + 1e-12:
-        raise ValueError("conditioning time outside [0, T]")
-    return int(np.searchsorted(grid.nodes[:-1], r - 1e-12, side="left"))
-
-
 def f0_profile(fam: Deterministic | GaussianLinear,
                grid: TriangularGrid) -> np.ndarray:
     """The deterministic part f0 at every grid node, one scalar call per
@@ -169,38 +165,10 @@ def f0_profile(fam: Deterministic | GaussianLinear,
     return np.asarray([float(fam.f0(t)) for t in grid.nodes])
 
 
-def _drift_values(grid: TriangularGrid, drift_fn: DriftFunction | None) -> np.ndarray:
-    if drift_fn is None:
-        return np.zeros(grid.n + 1)
-    return drift_fn.values
-
-
-def conditional_F(fam: TerminalFamily, t: float, r: float,
-                  ensemble: PathEnsemble,
-                  drift_fn: DriftFunction | None = None) -> np.ndarray:
-    """E^Q[F(t) | F_r] on every path, using the path prefix up to r.
-
-    GaussianLinear is exact Gaussian conditioning: known increments keep
-    their sampled values, future ones contribute their Q-mean b(t_k) dt.
-    TerminalFunction integrates the N(state + remaining drift, T - r)
-    transition of W(T) by Gauss-Hermite.
-    """
-    grid = ensemble.grid
-    b = _drift_values(grid, drift_fn)
-    j = known_increment_count(grid, r)
-    dt = grid.dt
-    if isinstance(fam, Deterministic):
-        return np.full(ensemble.n_paths, float(fam.f0(t)))
-    if isinstance(fam, GaussianLinear):
-        left = grid.nodes[:-1]
-        phi_row = np.asarray(fam.phi(t, left), dtype=float)
-        known = ensemble.dw[:, :j] @ phi_row[:j]
-        compensator = float(phi_row[j:] @ (b[j:-1] * dt))
-        return float(fam.f0(t)) + known + compensator
-    state = ensemble.w[:, j]
-    remaining = float(b[j:-1].sum() * dt)
-    sd = math.sqrt(max(grid.horizon - r, 0.0))
-    return gauss_hermite_mean(fam, t, state + remaining, sd)
+def _phi_table(fam: GaussianLinear, grid: TriangularGrid) -> np.ndarray:
+    """phi(t_a, t_k) over the nodes t_a and left endpoints t_k, (N+1, N)."""
+    tt, kk = np.meshgrid(grid.nodes, grid.nodes[:-1], indexing="ij")
+    return np.asarray(fam.phi(tt, kk), dtype=float)
 
 
 def gaussian_linear_conditionals(fam: GaussianLinear, grid: TriangularGrid,
@@ -209,10 +177,8 @@ def gaussian_linear_conditionals(fam: GaussianLinear, grid: TriangularGrid,
     phimat[a, k] dW_k on every path: phimat[a, k] = phi(t_a, t_k), and
     c[a, i] = f0(t_a) + sum_{k>=i} phi(t_a, t_k) b_k dt adds the Q-mean of
     the increments still unknown at t_i."""
-    nodes = grid.nodes
-    tt, kk = np.meshgrid(nodes, nodes[:-1], indexing="ij")
-    phimat = np.asarray(fam.phi(tt, kk), dtype=float)
-    bdt = _drift_values(grid, drift_fn)[:-1] * grid.dt
+    phimat = _phi_table(fam, grid)
+    bdt = (np.zeros(grid.n) if drift_fn is None else drift_fn.values[:-1]) * grid.dt
     comp = np.cumsum((phimat * bdt[None, :])[:, ::-1], axis=1)[:, ::-1]
     c = f0_profile(fam, grid)[:, None] + np.concatenate(
         [comp, np.zeros((grid.n + 1, 1))], axis=1)

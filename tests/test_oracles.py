@@ -1,11 +1,12 @@
 """Cross-oracle solvers: collocation, delayed Picard, regression Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import sample_paths
+from bsvielab.girsanov import drift, sample_paths
 from bsvielab.kernels import SingularStep, TriangularGrid, build_phi, \
     constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
     tail_weight_matrix, zero_extend_kernel, zero_kernel
@@ -13,13 +14,13 @@ from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
     PicardStalled, RegressionIllConditioned, _IncrementBasis, \
-    _NodeRegressor, _g_weighted_term, _slope_z, build_delayed_operator, \
+    _StackedBasis, _g_weighted_term, _slope_z, build_delayed_operator, \
     lipschitz_constant, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
-from bsvielab.terminal import Deterministic, GaussianLinear, f0_profile, \
-    make_f0, make_phi
+from bsvielab.terminal import Deterministic, GaussianLinear, evaluate_F, \
+    f0_profile, make_f0, make_h, make_phi
 
 T = 1.0
 
@@ -279,8 +280,8 @@ def test_pathwise_reduced_residual_exact_for_martingale():
 def test_regression_guard_trips_on_collinear_basis():
     w_col = np.full(500, 2.0)
     w_col[0] += 1e-9
-    with pytest.raises(RegressionIllConditioned):
-        _NodeRegressor(w_col)
+    with pytest.raises(RegressionIllConditioned, match="condition number"):
+        _StackedBasis(w_col[:, None])
 
 
 def test_delayed_operator_accepts_product_form_kernels():
@@ -537,15 +538,186 @@ def test_slopes_fitted_once_per_sweep(monkeypatch, g_value):
     # g != 0: the g-term reads the slopes, so every sweep fits them once;
     # g = 0: only the converged sweep does.  Only that fit takes the SEs.
     calls = []
-    fit = oracles._slope_z
+    fit = oracles._slope_fit
 
-    def counted(theta, basis, with_se=False):
-        calls.append(with_se)
-        return fit(theta, basis, with_se)
+    def counted(cross, basis, sq=None):
+        calls.append(sq is not None)
+        return fit(cross, basis, sq)
 
-    monkeypatch.setattr(oracles, "_slope_z", counted)
+    monkeypatch.setattr(oracles, "_slope_fit", counted)
     res = small_lsmc(g_value)[3]
     assert res.iterations > 2
     sweeps = res.iterations if g_value != 0.0 else 1
     assert calls == [False] * (sweeps - 1) + [True]
 
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-space LSMC against the per-node loop it replaced
+
+
+def reference_design_matrix(w_col):
+    """One node's regression basis: the intercept plus the centred,
+    unit-variance powers of W(t_i); the intercept alone when W(t_i) is
+    degenerate, and a power with spread <= 1e-12 dropped."""
+    cols = [np.ones(len(w_col))]
+    if w_col.std() > 1e-12:
+        for p in range(1, oracles.REGRESSION_DEGREE + 1):
+            c = w_col**p
+            c = c - c.mean()
+            if c.std() > 1e-12:
+                cols.append(c / c.std())
+    return np.stack(cols, axis=1)
+
+
+def reference_lsmc(fam, k, m, op, g, ens, cfg=PicardConfig()):
+    """The per-node LSMC loop: every sweep forms the M x (N+1) targets and
+    refits each node's column through the Cholesky factor of its ridged
+    Gram matrix; the slopes come from the (i, j) loop reference_slope_z.
+    Returns (y, z, z_se, sup_diffs, targets, max Gram condition)."""
+    n = g.n
+    trap = tail_weight_matrix(g)
+    f_vals = np.stack([evaluate_F(fam, t, ens) for t in g.nodes], axis=1)
+    nodes = []
+    for i in range(n + 1):
+        b = reference_design_matrix(ens.w[:, i])
+        gram = b.T @ b + oracles.RIDGE * np.eye(b.shape[1])
+        nodes.append((b, np.linalg.cholesky(gram), np.linalg.cond(gram)))
+
+    def fit(i, target):
+        b, chol, _ = nodes[i]
+        coef = np.linalg.solve(chol.T, np.linalg.solve(chol, b.T @ target))
+        return b @ coef
+
+    y = f_vals.copy()
+    z_mean = np.zeros((n + 1, n + 1))
+    sup_diffs = []
+    for _ in range(cfg.max_iterations):
+        gz = _g_weighted_term(k, m, g, z_mean, trap)
+        target = f_vals + y @ op.T + gz[None, :]
+        y_next = np.stack([fit(i, target[:, i]) for i in range(n + 1)],
+                          axis=1)
+        sup_diffs.append(float(np.abs(y_next - y).max()))
+        y = y_next
+        if sup_diffs[-1] < cfg.tolerance:
+            z, se = reference_slope_z(target - y, ens, g, op, trap)
+            return y, z, se, sup_diffs, target, max(c for *_, c in nodes)
+        if k.g_bound != 0.0:
+            z_mean = reference_slope_z(target - y, ens, g, op, trap)[0]
+    raise AssertionError("the reference loop did not converge")
+
+
+def stop_rule_bounds(sup_diffs, tol, op, k, g, ens, targets, cond):
+    """How far apart two LSMC runs that stop at the same sweep may put
+    (y, z, z_se).
+
+    y: both runs iterate one affine sweep map from y = F and stop at the
+    first sweep whose sup-difference is below tol.  The differences shrink
+    geometrically, by at most q per sweep (q the largest ratio of
+    successive sup-differences over the last three sweeps), so each
+    stopped iterate is within tol q / (1 - q) of the common fixed point.
+    Rounding adds, per sweep, at most the forward error of a ridge solve,
+    cond(Gram) sqrt(M) u max|target| (u the unit roundoff, sqrt(M) the
+    usual growth of rounding in an M-term sum); the K sweeps are counted
+    without any damping.
+
+    z: a slope is x_j . theta_i / ss_j with theta = target - y, so by
+    Cauchy-Schwarz |dz| <= sqrt(M / ss_j) |d theta|_inf; the half-cell
+    correction adds the factor 1 + max|half| / min|scale| and the
+    extrapolated column N a factor 3 (|2a - b|).  theta moves with y and
+    with the operator applied to the previous y (max row sum of |op|);
+    the g-term adds T sup|g| |dz| of the previous sweep's slopes, taken as
+    c_z times that g-free theta error: one step of the chain, since the
+    sweeps contract and earlier steps shrink.
+
+    z_se: the residual norm behind an SE is a projection of theta, so it
+    moves by at most sqrt(M) |d theta|_inf; the Gram identity rounds
+    rss = |theta_c|^2 - z cross by at most 2 M u |theta_c|^2, which moves
+    its square root by at most that quantity's square root."""
+    m_paths, n = ens.dw.shape
+    u = np.finfo(float).eps / 2
+    q = max(b / a for a, b in zip(sup_diffs[-4:-1], sup_diffs[-3:]))
+    assert q < 1.0
+    scale = float(np.abs(targets).max())
+    e_y = 2.0 * tol * q / (1.0 - q) \
+        + len(sup_diffs) * cond * math.sqrt(m_paths) * u * scale
+    x = ens.dw - ens.dw.mean(axis=0)
+    ss = np.einsum("mj,mj->j", x, x)
+    kk = np.divide(op, tail_weight_matrix(g), out=np.zeros_like(op),
+                   where=tail_weight_matrix(g) > 0.0)
+    half = float(np.abs(0.5 * g.dt * np.triu(kk[:n, :n])).max())
+    corr = 3.0 * (1.0 + half / float(np.abs(1.0 - np.diag(op)[:n]).min()))
+    c_z = corr * math.sqrt(m_paths / ss.min())
+    e_theta = (1.0 + float(np.abs(op).sum(axis=1).max())) * e_y
+    e_theta *= 1.0 + g.horizon * k.g_bound * c_z
+    theta_c = targets[:, :n] - targets[:, :n].mean(axis=0)
+    sq = float(np.einsum("mi,mi->i", theta_c, theta_c).max())
+    e_se = corr * (math.sqrt(m_paths) * e_theta
+                   + math.sqrt(2.0 * m_paths * u * sq)) \
+        / math.sqrt((m_paths - 2) * ss.min())
+    return e_y, c_z * e_theta, e_se
+
+
+LSMC_FAMILIES = {
+    "gaussian": GaussianLinear(f0=make_f0("constant", value=0.5),
+                               phi=make_phi("exp_u", rate=1.0)),
+    "terminal": make_h("square"),
+}
+
+
+@pytest.mark.parametrize("g_value", [0.0, 0.2])
+@pytest.mark.parametrize("delay", ["dirac", "uniform"])
+@pytest.mark.parametrize("family", sorted(LSMC_FAMILIES))
+def test_lsmc_matches_per_node_loop(family, delay, g_value):
+    g = TriangularGrid(T, 12)
+    m = DiracAt(T, 0.0) if delay == "dirac" else Uniform(T)
+    k = constant_kernel(0.3, g_value=g_value)
+    fam = LSMC_FAMILIES[family]
+    mode = "P" if family == "gaussian" else "Q"
+    ens = sample_paths(g, 2000, 61, mode, drift(m, k, g))
+    op = build_delayed_operator(k, m, g)
+    cfg = PicardConfig()
+    y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
+                                                        ens, cfg)
+    res = solve_delayed_lsmc(fam, k, m, op, g, ens, cfg)
+    assert res.iterations == len(sup_diffs) > 3
+    assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
+    e_y, e_z, e_se = stop_rule_bounds(sup_diffs, cfg.tolerance, op, k, g,
+                                      ens, targets, cond)
+    assert np.abs(res.y - y).max() <= e_y
+    # every sweep moves Y alike, so the traces agree sweep by sweep
+    assert np.abs(np.subtract(res.sup_diffs, sup_diffs)).max() <= 2 * e_y
+    assert np.abs(res.y_targets - targets).max() <= e_y * (
+        1.0 + float(np.abs(op).sum(axis=1).max()))
+    assert np.abs(res.z - z).max() <= e_z
+    assert np.abs(res.z_se - se).max() <= e_se
+    # the bounds stay far below the statistical error they guard
+    assert e_z < 1e-3 * se[np.triu_indices(g.n)].min()
+
+
+def test_lsmc_traced_peak_within_basis_and_five_tables():
+    # The loop must hold the stacked basis B and, at its peak (the
+    # converged sweep), five (M, N+1) float tables: F, Y, the targets,
+    # theta = targets - Y and the centred theta_c.  The (P, P) Gram and
+    # coupling matrices, with the product that forms the coupling, add
+    # 3 P^2 floats.  The rest is O(N^2): the operator's kernel, the slope
+    # weights, the g-term's lag blocks and the N x P products of the
+    # increments with B, which alone are 5 (N+1)^2; 64 (N+1)^2 floats
+    # cover them.
+    g = TriangularGrid(T, 20)
+    m = DiracAt(T, 0.0)
+    k = constant_kernel(0.3, g_value=0.2)
+    fam = LSMC_FAMILIES["gaussian"]
+    ens = sample_paths(g, 4000, 67, "P", drift(m, k, g))
+    op = build_delayed_operator(k, m, g)
+    basis_bytes = _StackedBasis(ens.w).rows.nbytes
+    p = basis_bytes // (8 * ens.n_paths)
+    table = ens.n_paths * (g.n + 1) * 8
+    tracemalloc.start()
+    try:
+        solve_delayed_lsmc(fam, k, m, op, g, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    small = 3 * p * p * 8 + 64 * (g.n + 1) ** 2 * 8
+    assert peak <= basis_bytes + 5 * table + small

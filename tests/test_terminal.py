@@ -16,7 +16,6 @@ from bsvielab.terminal import (
     QuadratureError,
     TerminalFunction,
     Z_REF_STATE,
-    conditional_F,
     conditional_sweep,
     evaluate_F,
     evaluate_F_table,
@@ -30,6 +29,31 @@ from bsvielab.terminal import (
 )
 
 T = 1.0
+
+
+def conditional_F(fam, t, r, ensemble, drift_fn=None):
+    """E^Q[F(t) | F_r] on every path from the path prefix up to r, one
+    (t, r) at a time: the reference for the package's table forms.
+
+    The increments with left endpoint t_k < r are known.  GaussianLinear
+    keeps their sampled values and adds the Q-mean b(t_k) dt of the others;
+    TerminalFunction integrates the N(state + remaining drift, T - r)
+    transition of W(T) by Gauss-Hermite."""
+    g = ensemble.grid
+    b = np.zeros(g.n + 1) if drift_fn is None else drift_fn.values
+    if r < -1e-12 or r > g.horizon + 1e-12:
+        raise ValueError("conditioning time outside [0, T]")
+    j = int(np.searchsorted(g.nodes[:-1], r - 1e-12, side="left"))
+    if isinstance(fam, Deterministic):
+        return np.full(ensemble.n_paths, float(fam.f0(t)))
+    if isinstance(fam, GaussianLinear):
+        phi_row = np.asarray(fam.phi(t, g.nodes[:-1]), dtype=float)
+        known = ensemble.dw[:, :j] @ phi_row[:j]
+        compensator = float(phi_row[j:] @ (b[j:-1] * g.dt))
+        return float(fam.f0(t)) + known + compensator
+    remaining = float(b[j:-1].sum() * g.dt)
+    sd = math.sqrt(max(g.horizon - r, 0.0))
+    return gauss_hermite_mean(fam, t, ensemble.w[:, j] + remaining, sd)
 
 
 def grid(n=50):
@@ -219,6 +243,17 @@ def test_evaluate_F_table_matches_per_node_stack(fam, monkeypatch):
     monkeypatch.setattr(terminal_mod, "evaluate_F",
                         lambda *a: calls.append(a[1]) or evaluate_F(*a))
     got = evaluate_F_table(fam, e)
+    if isinstance(fam, GaussianLinear):
+        # one GEMM instead of a product per node: both sum the same N
+        # terms phi(t_a, t_k) dW_k, each within gamma_N = N u / (1 - N u)
+        # of |dW| . |phi| (u the unit roundoff), then add f0
+        tt, kk = np.meshgrid(e.grid.nodes, e.grid.nodes[:-1], indexing="ij")
+        scale = np.abs(e.dw) @ np.abs(fam.phi(tt, kk)).T
+        u = np.finfo(float).eps / 2
+        gamma = 12 * u / (1 - 12 * u)
+        assert np.all(np.abs(got - want) <= 2 * gamma * scale + 2 * u * np.abs(want))
+        assert calls == []
+        return
     assert np.array_equal(got, want)
     # a t-independent h is evaluated and growth-checked once
     shared = isinstance(fam, TerminalFunction) and not fam.t_dependent
