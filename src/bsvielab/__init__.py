@@ -22,7 +22,7 @@ from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
 from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
     ResolventTable, SingularStep, ToleranceUnreachable, TriangularGrid, \
     build_phi, constant_kernel, example33_kernel, example33_reference, \
-    iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, tail_bound, \
+    iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, \
     tabulated_kernel, volterra_compose, zero_kernel
 from .measures import (
     Atoms,
@@ -43,9 +43,8 @@ from .solver import NormReport, SmoothnessReport, SolutionField, \
     UnsupportedFamily, compute_U, norms, smoothness_diagnostics, solve_Y, \
     solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \
-    TerminalFunction, evaluate_F, evaluate_F_table, \
-    gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_F, \
-    malliavin_table
+    TerminalFunction, evaluate_F, evaluate_F_table, gauss_hermite_mean, \
+    make_f0, make_h, make_phi, malliavin_table
 
 # every name imported above, once
 __all__ = sorted(name for name, value in globals().items()

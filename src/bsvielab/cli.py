@@ -37,8 +37,8 @@ from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import norms, smoothness_diagnostics, solve_Y, solve_Z
-from .terminal import GaussianLinear, QuadratureError, f0_profile, \
-    gauss_hermite_mean, gaussian_linear_conditionals
+from .terminal import GaussianLinear, QuadratureError, evaluate_F_table, \
+    f0_profile, gauss_hermite_mean, gaussian_linear_conditionals
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,7 +169,8 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
 
     if cfg.stochastic:
         y_mean, y_se = expect_q_columns(ens, fld.y)
-        r = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid, ens)
+        f_vals = evaluate_F_table(cfg.family, ens)
+        r = residual_reduced_pathwise(fld.y, fld.z, f_vals, phi, grid, ens)
         rr, rr_se = expect_q_columns(ens, r)
         rd = np.full_like(rr, np.nan)
     else:
@@ -290,8 +291,9 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         return
 
     fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    f_vals = evaluate_F_table(cfg.family, ens)
     lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-        cfg.family, cfg.kernel, cfg.measure, op, grid, ens, pic_cfg))
+        f_vals, cfg.kernel, cfg.measure, op, grid, ens, pic_cfg))
     # Reduced-equation oracle: conditioned on the trivial F_0 the equation
     # is a scalar Volterra equation for the expected profile, solved by
     # collocation without Monte Carlo noise.  E^Q[F(t) | F_0] is column 0
@@ -305,9 +307,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
     y_exp, se_exp = expect_q_columns(ens, fld.y)
     y_lsmc, se_lsmc = expect_q_columns(ens, lsmc.y)
-    r_exp = residual_reduced_pathwise(fld.y, fld.z, cfg.family, phi, grid, ens)
-    r_lsmc = residual_reduced_pathwise(lsmc.y, lsmc.z, cfg.family, phi, grid,
-                                       ens)
+    r_exp = residual_reduced_pathwise(fld.y, fld.z, f_vals, phi, grid, ens)
+    r_lsmc = residual_reduced_pathwise(lsmc.y, lsmc.z, f_vals, phi, grid, ens)
     rr_exp, se_rr_exp = expect_q_columns(ens, r_exp)
     rr_lsmc = expect_q_columns(ens, r_lsmc)[0]
     se_r_exp = float(se_rr_exp.max())

@@ -112,10 +112,10 @@ def _as_int(key: str, value: str) -> int:
 def _build_measure(kv: dict, horizon: float) -> DelayMeasure:
     kind = _take(kv, "measure.kind", required=True)
     if kind == "dirac":
-        u0 = _as_float("measure.u0", _take(kv, "measure.u0", "0.0"))
-        m = DiracAt(horizon, u0)
+        make, args = DiracAt, (
+            _as_float("measure.u0", _take(kv, "measure.u0", "0.0")),)
     elif kind == "uniform":
-        m = Uniform(horizon)
+        make, args = Uniform, ()
     elif kind == "atoms":
         raw = _take(kv, "measure.atoms", required=True)
         pairs = []
@@ -128,14 +128,13 @@ def _build_measure(kv: dict, horizon: float) -> DelayMeasure:
                 ) from None
             pairs.append((_as_float("measure.atoms", u),
                           _as_float("measure.atoms", w)))
-        m = Atoms(horizon, tuple(pairs))
+        make, args = Atoms, (tuple(pairs),)
     else:
         raise ConfigError(f"measure.kind: unknown kind {kind!r}")
     try:
-        m.validate()
+        return make(horizon, *args)
     except ValueError as exc:
         raise ConfigError(f"measure: {exc}") from exc
-    return m
 
 
 def _build_kernel(kv: dict, horizon: float) -> KernelSpec:

@@ -63,7 +63,6 @@ def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction
         raise HorizonMismatch(
             f"measure horizon {m.horizon} != grid horizon {grid.horizon}"
         )
-    m.validate()
     gvals = k.g_values(grid)
     mass = m.mass_left_open(snap_lag(grid.nodes - grid.horizon))
     vals = mass * gvals
@@ -190,8 +189,10 @@ def expect_q_columns(ensemble: PathEnsemble,
     w = ensemble.weights
     wsum = float(w.sum())
     est = (x @ w) / wsum
-    se = np.sqrt(np.sum((w * (x - est[:, None])) ** 2, axis=1)) / wsum
-    return est, se
+    d = x - est[:, None]  # weighted and squared in place
+    d *= w
+    np.square(d, out=d)
+    return est, np.sqrt(d.sum(axis=1)) / wsum
 
 
 def girsanov_report(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid,

@@ -209,7 +209,6 @@ def build_phi(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> KernelTab
         raise HorizonMismatch(
             f"measure horizon {m.horizon} != grid horizon {grid.horizon}"
         )
-    m.validate()
     t = grid.nodes
     tt, ss = np.meshgrid(t, t, indexing="ij")
     if k.phi_direct is not None:
@@ -235,15 +234,6 @@ def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:
     da, db = np.diag(A), np.diag(B)
     c = dt * (A @ B - 0.5 * da[:, None] * B - 0.5 * A * db[None, :])
     return KernelTable(a.grid, np.triu(c, 1))
-
-
-def tail_bound(c: float, horizon: float, n: int) -> float:
-    """(C*T)^n / n!, the published per-order bound.  It is not one: the n-th
-    iterate of a constant kernel reaches iterated_sup_bound, n times more.
-    Nothing relies on it; sharp_tail sums the sharp bounds instead."""
-    if c < 0 or horizon <= 0 or n < 1:
-        raise ValueError("need c >= 0, horizon > 0, n >= 1")
-    return (c * horizon) ** n / math.factorial(n)
 
 
 def iterated_sup_bound(c: float, horizon: float, n: int) -> float:

@@ -1,20 +1,21 @@
 """Delay measures: probability measures on [-T, 0] with exact interval-mass queries.
 
 The generator of a delayed Volterra equation weights the past of the
-solution with a probability measure alpha on [-T, 0].  Everything the
-solver needs from alpha reduces to interval masses alpha([a, 0]) and
-alpha((a, 0]), so the supported measure classes (point mass, uniform,
-finite atom lists, convex mixtures) all answer those two queries exactly.
-The two endpoint conventions differ only by the atom weight sitting at
-exactly a, and both appear downstream: the reduced kernel uses the closed
-interval, the Girsanov drift the half-open one.  The delay integrals of
-the oracles need the split into atoms (quadrature) and the uniform rest
-(diffuse_mass).
+solution with a probability measure alpha on [-T, 0].  Every supported
+alpha (point mass, uniform, finite atom list, convex mixture) is one
+value: finitely many atoms plus a uniform part of mass diffuse_mass.
+Everything the solver needs from alpha reduces to interval masses
+alpha([a, 0]) and alpha((a, 0]), which differ only by the atom weight
+sitting at exactly a; both appear downstream: the reduced kernel uses the
+closed interval, the Girsanov drift the half-open one.  The delay
+integrals of the oracles need the split into atoms (quadrature) and the
+uniform rest (diffuse_mass).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,164 +48,92 @@ class SupportError(ValueError):
     """Support point outside [-T, 0]."""
 
 
+def _check_weights(weights, what: str) -> None:
+    """MassError unless the weights are non-negative and sum to 1 within
+    MASS_TOL; written so that a NaN fails."""
+    total = sum(weights)
+    if not (all(w >= 0.0 for w in weights) and abs(total - 1.0) <= MASS_TOL):
+        raise MassError(f"{what} weights sum to {total}, expected 1")
+
+
 @dataclass(frozen=True)
 class DelayMeasure:
-    """Base class; concrete measures implement the two mass queries,
-    mass_closed(a) = alpha([a, 0]) and mass_left_open(a) = alpha((a, 0]),
-    for a scalar or an array of lags a, returning masses of a's shape."""
+    """The atoms (u_i, w_i) plus diffuse_mass spread uniformly on [-T, 0],
+    checked on construction: a positive horizon, atoms inside [-T, 0], and
+    non-negative weights with a total mass of 1."""
 
     horizon: float
-    diffuse_mass = 0.0  # the uniform part's share of the total mass
+    atoms: tuple[tuple[float, float], ...] = ()
+    diffuse_mass: float = 0.0
 
-    def _check_query(self, a) -> np.ndarray:
-        """The lags as an array; DomainError on NaN or outside [-T, 0]."""
+    def __post_init__(self):
+        if not self.horizon > 0.0:
+            raise SupportError("horizon must be positive")
+        _check_weights([self.diffuse_mass] + [w for _, w in self.atoms], "atom")
+        for u, _ in self.atoms:
+            if not -self.horizon <= u <= 0.0:
+                raise SupportError(f"atom at {u} outside [-{self.horizon}, 0]")
+
+    def mass_closed(self, a):
+        """alpha([a, 0]) for a scalar or an array of lags a, in a's shape."""
+        return self._mass(a, operator.ge)
+
+    def mass_left_open(self, a):
+        """alpha((a, 0]) for a scalar or an array of lags a, in a's shape."""
+        return self._mass(a, operator.gt)
+
+    def _mass(self, a, counts):
+        """The uniform part's mass of [a, 0], then the atoms at u with
+        counts(u, a), added left to right (a skipped atom adds 0.0): a
+        uniform measure gives -a/T exactly (-0.0 at a = 0), and an atom
+        list the plain left-to-right sum of its counted weights.
+        DomainError on a NaN lag or one outside [-T, 0]."""
         a = np.asarray(a, dtype=float)
         inside = (-self.horizon <= a) & (a <= 0.0)
         if not inside.all():
             raise DomainError(f"query point {a[~inside].flat[0]} outside "
                               f"[-{self.horizon}, 0]")
-        return a
-
-    def atom_at(self, u):
-        """Weight of the atom located exactly at u (0 for diffuse parts),
-        for a scalar or an array of points u, in u's shape."""
-        raise NotImplementedError
-
-    def validate(self) -> "DelayMeasure":
-        """Check total mass and support; raise on the first violation."""
-        raise NotImplementedError
+        mass = self.diffuse_mass * (-a / self.horizon)
+        for u, w in self.atoms:
+            mass = mass + np.where(counts(u, a), w, 0.0)
+        return mass
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """The atoms (points u_i, weights w_i), exact.  The rest of the
         mass, diffuse_mass, is uniform on [-T, 0]; integrals against it
         are taken on the grid lags (kernels.lag_weights)."""
-        return np.empty(0), np.empty(0)
+        return (np.array([u for u, _ in self.atoms], dtype=float),
+                np.array([w for _, w in self.atoms], dtype=float))
 
 
-@dataclass(frozen=True)
-class DiracAt(DelayMeasure):
+def DiracAt(horizon: float, u0: float = 0.0) -> DelayMeasure:
     """Point mass at u0 in [-T, 0]."""
-
-    u0: float = 0.0
-
-    def mass_closed(self, a):
-        return np.where(self.u0 >= self._check_query(a), 1.0, 0.0)
-
-    def mass_left_open(self, a):
-        return np.where(self.u0 > self._check_query(a), 1.0, 0.0)
-
-    def atom_at(self, u):
-        return np.where(np.asarray(u) == self.u0, 1.0, 0.0)
-
-    def validate(self) -> "DiracAt":
-        if not (-self.horizon <= self.u0 <= 0.0):
-            raise SupportError(f"atom at {self.u0} outside [-{self.horizon}, 0]")
-        return self
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([self.u0]), np.array([1.0])
+    return DelayMeasure(horizon, ((u0, 1.0),))
 
 
-@dataclass(frozen=True)
-class Uniform(DelayMeasure):
+def Uniform(horizon: float) -> DelayMeasure:
     """Uniform probability measure on [-T, 0]."""
-
-    diffuse_mass = 1.0
-
-    def mass_closed(self, a):
-        return -self._check_query(a) / self.horizon
-
-    mass_left_open = mass_closed  # no atoms
-
-    def atom_at(self, u):
-        return np.zeros(np.shape(u))
-
-    def validate(self) -> "Uniform":
-        if self.horizon <= 0.0:
-            raise SupportError("horizon must be positive")
-        return self
+    return DelayMeasure(horizon, diffuse_mass=1.0)
 
 
-@dataclass(frozen=True)
-class Atoms(DelayMeasure):
+def Atoms(horizon: float, atoms: tuple[tuple[float, float], ...] = ()
+          ) -> DelayMeasure:
     """Finite list of atoms (u_i, w_i) with weights summing to 1."""
-
-    atoms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-
-    # Masses and atom weights add the atoms left to right, a skipped atom
-    # adding 0.0, so each entry is bit-equal to the sum over the atoms it
-    # counts.
-    def mass_closed(self, a):
-        a = self._check_query(a)
-        return sum(np.where(u >= a, w, 0.0) for u, w in self.atoms)
-
-    def mass_left_open(self, a):
-        a = self._check_query(a)
-        return sum(np.where(u > a, w, 0.0) for u, w in self.atoms)
-
-    def atom_at(self, u):
-        u = np.asarray(u)
-        return sum(np.where(v == u, w, 0.0) for v, w in self.atoms)
-
-    def validate(self) -> "Atoms":
-        total = sum(w for _, w in self.atoms)
-        if any(w < 0 for _, w in self.atoms) or abs(total - 1.0) > MASS_TOL:
-            raise MassError(f"atom weights sum to {total}, expected 1")
-        for u, _ in self.atoms:
-            if not (-self.horizon <= u <= 0.0):
-                raise SupportError(f"atom at {u} outside [-{self.horizon}, 0]")
-        return self
-
-    def normalized(self) -> "Atoms":
-        """Rescale weights to sum exactly to 1 (explicit request only)."""
-        total = sum(w for _, w in self.atoms)
-        if total <= 0:
-            raise MassError("cannot normalize non-positive total weight")
-        return Atoms(self.horizon, tuple((u, w / total) for u, w in self.atoms))
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        u = np.array([a for a, _ in self.atoms])
-        w = np.array([b for _, b in self.atoms])
-        return u, w
+    return DelayMeasure(horizon, atoms)
 
 
-@dataclass(frozen=True)
-class Mixture(DelayMeasure):
-    """Convex mixture of component measures on the same horizon."""
-
-    components: tuple[tuple[DelayMeasure, float], ...] = field(default_factory=tuple)
-
-    def mass_closed(self, a):
-        self._check_query(a)
-        return sum(w * m.mass_closed(a) for m, w in self.components)
-
-    def mass_left_open(self, a):
-        self._check_query(a)
-        return sum(w * m.mass_left_open(a) for m, w in self.components)
-
-    def atom_at(self, u):
-        return sum(w * m.atom_at(u) for m, w in self.components)
-
-    @property
-    def diffuse_mass(self) -> float:
-        return sum(w * m.diffuse_mass for m, w in self.components)
-
-    def validate(self) -> "Mixture":
-        total = sum(w for _, w in self.components)
-        if any(w < 0 for _, w in self.components) or abs(total - 1.0) > MASS_TOL:
-            raise MassError(f"mixture weights sum to {total}, expected 1")
-        for m, _ in self.components:
-            if m.horizon != self.horizon:
-                raise SupportError(
-                    f"component horizon {m.horizon} != mixture horizon {self.horizon}"
-                )
-            m.validate()
-        return self
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        us, ws = [], []
-        for m, w in self.components:
-            u, q = m.quadrature()
-            us.append(u)
-            ws.append(w * q)
-        return np.concatenate(us), np.concatenate(ws)
+def Mixture(horizon: float,
+            components: tuple[tuple[DelayMeasure, float], ...] = ()
+            ) -> DelayMeasure:
+    """Convex mixture of measures on the same horizon: each component's
+    atoms with weights c * w_i, in component order, and c * diffuse_mass
+    summed over the components."""
+    _check_weights([c for _, c in components], "mixture")
+    for m, _ in components:
+        if m.horizon != horizon:
+            raise SupportError(
+                f"component horizon {m.horizon} != mixture horizon {horizon}")
+    return DelayMeasure(
+        horizon,
+        tuple((u, c * w) for m, c in components for u, w in m.atoms),
+        sum(c * m.diffuse_mass for m, c in components))

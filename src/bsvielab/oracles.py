@@ -27,7 +27,6 @@ from .kernels import KernelSpec, KernelTable, TriangularGrid, \
     implicit_factors, lag_weights, tail_weight_matrix, zero_extend_g, \
     zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
-from .terminal import TerminalFamily, evaluate_F_table
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -185,15 +184,15 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable,
 
 
 def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
-                              fam: TerminalFamily, phi: KernelTable,
+                              f_vals: np.ndarray, phi: KernelTable,
                               grid: TriangularGrid,
                               ensemble: PathEnsemble) -> np.ndarray:
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
-    the stochastic integral taken as a left-point sum.  Returns (M, N+1)."""
+    the stochastic integral taken as a left-point sum, F the (M, N+1)
+    table of terminal.evaluate_F_table.  Returns (M, N+1)."""
     n = grid.n
     a = phi.values * tail_weight_matrix(grid)
-    f_vals = evaluate_F_table(fam, ensemble)
     dwq = np.diff(ensemble.wq, axis=1)  # (M, N)
     r = y - f_vals - y @ a.T
     r[:, :n] += dwq @ np.triu(z[:n, :n]).T
@@ -298,11 +297,12 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
     return out
 
 
-def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
+def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
                        op: np.ndarray, grid: TriangularGrid,
                        ensemble: PathEnsemble,
                        cfg: PicardConfig = PicardConfig()) -> LsmcResult:
-    """Regression Monte Carlo for the delayed equation with stochastic F.
+    """Regression Monte Carlo for the delayed equation with stochastic F,
+    given as its (M, N+1) table of terminal.evaluate_F_table.
 
     Picard sweeps regress the target F(t_i) + (delay integral of Y, by op)
     + (g-weighted Z term) on the polynomial basis B_i in W(t_i) of
@@ -320,7 +320,6 @@ def solve_delayed_lsmc(fam: TerminalFamily, k: KernelSpec, m: DelayMeasure,
     """
     n = grid.n
     trap = tail_weight_matrix(grid)
-    f_vals = evaluate_F_table(fam, ensemble)
     f_full = np.ascontiguousarray(f_vals)  # a broadcast table, for BLAS
     incr = _IncrementBasis(ensemble.dw, op, trap, grid.dt)
     basis = _StackedBasis(ensemble.w)

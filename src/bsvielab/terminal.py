@@ -147,17 +147,6 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
     return np.stack([evaluate_F(fam, t, ensemble) for t in grid.nodes], axis=1)
 
 
-def malliavin_F(fam: TerminalFamily, t: float, s: float,
-                ensemble: PathEnsemble) -> np.ndarray:
-    """Hida-Malliavin derivative D_s F(t) on every path."""
-    n_paths = ensemble.n_paths
-    if isinstance(fam, Deterministic):
-        return np.zeros(n_paths)
-    if isinstance(fam, GaussianLinear):
-        return np.full(n_paths, float(fam.phi(t, s)))
-    return np.asarray(fam.dh(t, ensemble.w[:, -1]), dtype=float)
-
-
 def f0_profile(fam: Deterministic | GaussianLinear,
                grid: TriangularGrid) -> np.ndarray:
     """The deterministic part f0 at every grid node, one scalar call per

@@ -26,7 +26,8 @@ from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import build_delayed_operator, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import compute_U, solve_Y, solve_Z
-from bsvielab.terminal import Deterministic, GaussianLinear, make_f0, make_phi
+from bsvielab.terminal import Deterministic, GaussianLinear, \
+    evaluate_F_table, make_f0, make_phi
 
 CONFIGS = resources.files("bsvielab") / "configs"
 BUNDLED = ["constant-kernel.cfg", "delay-discrepancy.cfg",
@@ -198,8 +199,8 @@ def test_criterion_06_z_validation():
     b = drift(m, k, grid)
     ens = sample_paths(grid, 50000, 12345, "P", b)
     z_exp = solve_Z(fam, phi, psi, b, grid)
-    lsmc = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, grid),
-                              grid, ens)
+    lsmc = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
+                              build_delayed_operator(k, m, grid), grid, ens)
     compared = violations = 0
     worst_ratio = 0.0
     for i in range(grid.n + 1):

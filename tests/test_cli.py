@@ -295,7 +295,8 @@ def test_exit_2_on_unknown_key(tmp_path):
 
 def test_exit_2_on_bad_values(tmp_path):
     for spoiled in ("horizon = -1.0", "grid.n = 1", "mc.mode = R",
-                    "measure.kind = hexagonal", "kernel.name = unknown",
+                    "measure.kind = hexagonal", "measure.u0 = -2.0",
+                    "kernel.name = unknown",
                     "horizon = inf", "tolerances.resolvent = nan",
                     "tolerances.quad_slack = 0", "mc.seed = -1",
                     "beta = -800", "beta = 800"):

@@ -30,7 +30,6 @@ from bsvielab.kernels import (
     resolvent,
     sharp_tail,
     tabulated_kernel,
-    tail_bound,
     volterra_compose,
     zero_extend_kernel,
     zero_kernel,
@@ -98,12 +97,10 @@ def test_resolvent_grid_convergence_second_order():
     assert errs[0] / errs[1] > 3.5  # ~4 for a second-order rule
 
 
-def test_tail_bound_frozen_values():
-    assert tail_bound(1.0, 1.0, 3) == pytest.approx(1.0 / 6.0)
-    assert tail_bound(2.0, 0.5, 4) == pytest.approx(1.0 / 24.0)
+def test_iterated_sup_bound_frozen_values():
     assert iterated_sup_bound(1.0, 1.0, 3) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        tail_bound(-1.0, 1.0, 1)
+        iterated_sup_bound(-1.0, 1.0, 1)
 
 
 def test_sharp_tail_matches_exponential_remainder():
@@ -146,7 +143,7 @@ def test_iterated_sup_bound_is_sound_and_factorial_bound_is_not():
         term = volterra_compose(term, phi)
         sup = float(np.abs(term.values).max())
         assert sup <= iterated_sup_bound(1.0, 1.0, n) * (1 + 1e-4)
-        assert sup > tail_bound(1.0, 1.0, n) * (n - 0.1)
+        assert sup > (1.0 * 1.0) ** n / math.factorial(n) * (n - 0.1)
 
 
 def renewal_resolvent_row(phi_fun, g):

@@ -1,4 +1,4 @@
-"""Delay-measure queries: interval masses, atoms, validation, quadrature."""
+"""Delay measures: interval masses, validation on construction, quadrature."""
 
 import numpy as np
 import pytest
@@ -27,8 +27,7 @@ def test_dirac_masses():
     assert m.mass_closed(-1.0) == 1.0
     assert m.mass_left_open(-0.3) == 0.0
     assert m.mass_left_open(-0.4) == 1.0
-    assert m.atom_at(-0.3) == 1.0
-    assert m.atom_at(-0.2999999) == 0.0
+    assert m.atoms == ((-0.3, 1.0),) and m.diffuse_mass == 0.0
 
 
 def test_dirac_at_origin():
@@ -45,35 +44,52 @@ def test_uniform_masses():
     assert m.mass_closed(-0.25) == pytest.approx(0.25)
     # no atoms: open and closed agree
     assert m.mass_left_open(-0.25) == pytest.approx(0.25)
-    assert m.atom_at(-0.5) == 0.0
+    assert m.atoms == () and m.diffuse_mass == 1.0
 
 
 def test_atoms_masses_and_validation():
     m = Atoms(horizon=T, atoms=((-0.5, 0.25), (-0.1, 0.75)))
-    m.validate()
     assert m.mass_closed(-0.5) == pytest.approx(1.0)
     assert m.mass_closed(-0.3) == pytest.approx(0.75)
     assert m.mass_left_open(-0.1) == 0.0
     assert m.mass_left_open(-0.5) == pytest.approx(0.75)
     assert m.mass_left_open(-0.6) == pytest.approx(1.0)
-    assert m.atom_at(-0.1) == 0.75
 
-    bad = Atoms(horizon=T, atoms=((-0.5, 0.6), (-0.1, 0.6)))
     with pytest.raises(MassError):
-        bad.validate()
-    fixed = bad.normalized()
-    fixed.validate()
-    assert fixed.mass_closed(-1.0) == pytest.approx(1.0)
-
-    outside = Atoms(horizon=T, atoms=((-1.5, 1.0),))
+        Atoms(horizon=T, atoms=((-0.5, 0.6), (-0.1, 0.6)))
     with pytest.raises(SupportError):
-        outside.validate()
+        Atoms(horizon=T, atoms=((-1.5, 1.0),))
 
 
 def test_negative_weight_rejected():
-    m = Atoms(horizon=T, atoms=((-0.5, 1.5), (-0.1, -0.5)))
     with pytest.raises(MassError):
-        m.validate()
+        Atoms(horizon=T, atoms=((-0.5, 1.5), (-0.1, -0.5)))
+
+
+# every other way to build an invalid measure (the atom tests above cover
+# an atom outside [-T, 0], a negative weight and a total of 1.2)
+NAN = float("nan")
+INVALID = {
+    "horizon-zero": (SupportError, lambda: Uniform(0.0)),
+    "horizon-nan": (SupportError, lambda: Uniform(NAN)),
+    "atom-nan-location": (SupportError, lambda: Atoms(T, ((NAN, 1.0),))),
+    "atom-nan-weight": (MassError, lambda: Atoms(T, ((-0.3, NAN),))),
+    "mixture-horizon": (SupportError,
+                        lambda: Mixture(T, ((Uniform(2.0), 1.0),))),
+    "mixture-negative-weight": (MassError, lambda: Mixture(
+        T, ((Uniform(T), 1.5), (DiracAt(T, -0.3), -0.5)))),
+    "mixture-total": (MassError, lambda: Mixture(
+        T, ((Uniform(T), 0.6), (DiracAt(T, -0.3), 0.6)))),
+    "mixture-nan-weight": (MassError,
+                           lambda: Mixture(T, ((Uniform(T), NAN),))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_invalid_measure_raises_on_construction(case):
+    error, build = INVALID[case]
+    with pytest.raises(error):
+        build()
 
 
 def test_domain_checking():
@@ -100,14 +116,26 @@ ARRAY_CASES = {
 
 
 def reference_mass(m, a, closed):
-    """Scalar mass by Python comparisons and left-to-right sums."""
-    if isinstance(m, DiracAt):
-        return 1.0 if (m.u0 >= a if closed else m.u0 > a) else 0.0
-    if isinstance(m, Uniform):
-        return -a / m.horizon
-    if isinstance(m, Atoms):
-        return sum(w for u, w in m.atoms if (u >= a if closed else u > a))
-    return sum(w * reference_mass(c, a, closed) for c, w in m.components)
+    """Scalar mass by Python arithmetic: the uniform part, then the atoms
+    left to right, a skipped atom adding 0.0."""
+    mass = m.diffuse_mass * (-a / m.horizon)
+    for u, w in m.atoms:
+        mass += w if (u >= a if closed else u > a) else 0.0
+    return mass
+
+
+# The masses of the measure classes the value replaced, in their closed
+# forms: one comparison giving 1.0 or 0.0, -a/T, and the atoms counted at
+# a summed left to right.
+OLD_CLOSED_FORMS = {
+    "dirac-0.3": lambda a, closed: 1.0 if (-0.3 >= a if closed
+                                           else -0.3 > a) else 0.0,
+    "dirac-0": lambda a, closed: 1.0 if (0.0 >= a if closed
+                                         else 0.0 > a) else 0.0,
+    "uniform": lambda a, closed: -a / T,
+    "off-grid-atoms": lambda a, closed: sum(
+        w for u, w in OFF_GRID_ATOMS if (u >= a if closed else u > a)),
+}
 
 
 def grid_lags():
@@ -121,7 +149,7 @@ def grid_lags():
 
 @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
 def test_array_query_equals_scalar_queries(case):
-    m = ARRAY_CASES[case].validate()
+    m = ARRAY_CASES[case]
     lags = grid_lags()
     assert -0.3 in lags  # grid arithmetic gives -0.30000000000000004
     for closed, query in ((True, m.mass_closed), (False, m.mass_left_open)):
@@ -132,32 +160,10 @@ def test_array_query_equals_scalar_queries(case):
                                     for a in lags])
         table = lags.reshape(3, -1)
         assert np.array_equal(query(table), got.reshape(3, -1))
-
-
-def reference_atom(m, u):
-    """Scalar atom weight by Python comparisons and left-to-right sums."""
-    if isinstance(m, DiracAt):
-        return 1.0 if u == m.u0 else 0.0
-    if isinstance(m, Uniform):
-        return 0.0
-    if isinstance(m, Atoms):
-        return sum(w for v, w in m.atoms if v == u)
-    return sum(w * reference_atom(c, u) for c, w in m.components)
-
-
-@pytest.mark.parametrize("case", sorted(ARRAY_CASES) + ["stacked-atoms"])
-def test_atom_at_arrays_equal_scalar_queries(case):
-    # three atoms at one point: their weight depends on the add order
-    m = ARRAY_CASES.get(case) or Atoms(T, ((-0.3, 0.1), (-0.013, 0.2),
-                                           (-0.3, 0.2), (-0.3, 0.5)))
-    lags = np.concatenate([grid_lags(), [-0.3, -0.25, 0.0]])
-    got = m.validate().atom_at(lags)
-    assert got.shape == lags.shape
-    assert np.array_equal(got, [m.atom_at(float(a)) for a in lags])
-    assert np.array_equal(got, [reference_atom(m, float(a)) for a in lags])
-    assert np.any(got > 0.0) or isinstance(m, Uniform)
-    table = lags.reshape(2, -1)
-    assert np.array_equal(m.atom_at(table), got.reshape(2, -1))
+        if case in OLD_CLOSED_FORMS:
+            old = [OLD_CLOSED_FORMS[case](float(a), closed) for a in lags]
+            assert np.array_equal(got, old)
+            assert np.array_equal(np.signbit(got), np.signbit(old))
 
 
 def test_snap_lag_arrays_match_scalars():
@@ -180,16 +186,16 @@ def test_array_query_domain_checked(case, bad):
 
 def test_dirac_outside_support():
     with pytest.raises(SupportError):
-        DiracAt(horizon=T, u0=-2.0).validate()
+        DiracAt(horizon=T, u0=-2.0)
 
 
 def test_mixture_linearity():
     mix = Mixture(horizon=T, components=((DiracAt(T, 0.0), 0.4), (Uniform(T), 0.6)))
-    mix.validate()
+    assert mix.atoms == ((0.0, 0.4),) and mix.diffuse_mass == 0.6
     a = -0.25
     want = 0.4 * DiracAt(T, 0.0).mass_closed(a) + 0.6 * Uniform(T).mass_closed(a)
     assert mix.mass_closed(a) == pytest.approx(want)
-    assert mix.atom_at(0.0) == pytest.approx(0.4)
+    assert mix.mass_closed(0.0) - mix.mass_left_open(0.0) == pytest.approx(0.4)
     assert mix.mass_left_open(0.0) == 0.0
 
 
@@ -269,7 +275,8 @@ def test_open_never_exceeds_closed(a):
         closed = m.mass_closed(a)
         opened = m.mass_left_open(a)
         assert opened <= closed + 1e-15
-        assert closed - opened == pytest.approx(m.atom_at(a), abs=1e-12)
+        at_a = sum(w for u, w in m.atoms if u == a)
+        assert closed - opened == pytest.approx(at_a, abs=1e-12)
 
 
 @given(a=coords, lam=st.floats(min_value=0.0, max_value=1.0))

@@ -20,7 +20,7 @@ from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, evaluate_F, \
-    f0_profile, make_f0, make_h, make_phi
+    evaluate_F_table, f0_profile, make_f0, make_h, make_phi
 
 T = 1.0
 
@@ -214,8 +214,8 @@ def test_lsmc_martingale_representation():
     k = zero_kernel()
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 31, "P")
-    res = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, g), g,
-                             ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
+                             build_delayed_operator(k, m, g), g, ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -237,8 +237,8 @@ def test_lsmc_cross_oracle_against_explicit():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 37, "P")
     fld = solve_Y(fam, psi, None, g, ens)
-    res = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, g), g,
-                             ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
+                             build_delayed_operator(k, m, g), g, ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
@@ -256,8 +256,8 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
     k = constant_kernel(0.4)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     ens = sample_paths(g, 5_000, 41, "P")
-    res = solve_delayed_lsmc(fam, k, m, build_delayed_operator(k, m, g), g,
-                             ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
+                             build_delayed_operator(k, m, g), g, ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -273,7 +273,8 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     ens = sample_paths(g, 300, 43, "P")
     fld = solve_Y(fam, psi, None, g, ens)
     z = solve_Z(fam, phi, psi, None, g)
-    r = residual_reduced_pathwise(fld.y, z, fam, phi, g, ens)
+    r = residual_reduced_pathwise(fld.y, z, evaluate_F_table(fam, ens), phi,
+                                  g, ens)
     assert np.abs(r).max() < 1e-12
 
 
@@ -502,7 +503,8 @@ def small_lsmc(g_value, n=12, paths=2000):
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, paths, 53, "P")
     op = build_delayed_operator(k, m, g)
-    return g, op, ens, solve_delayed_lsmc(fam, k, m, op, g, ens)
+    return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
+                                          op, g, ens)
 
 
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
@@ -679,7 +681,7 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     cfg = PicardConfig()
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
                                                         ens, cfg)
-    res = solve_delayed_lsmc(fam, k, m, op, g, ens, cfg)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, g, ens, cfg)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, cfg.tolerance, op, k, g,
@@ -715,7 +717,7 @@ def test_lsmc_traced_peak_within_basis_and_five_tables():
     table = ens.n_paths * (g.n + 1) * 8
     tracemalloc.start()
     try:
-        solve_delayed_lsmc(fam, k, m, op, g, ens)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, g, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,7 +24,6 @@ from bsvielab.terminal import (
     make_f0,
     make_h,
     make_phi,
-    malliavin_F,
     malliavin_table,
 )
 
@@ -69,7 +68,6 @@ def test_deterministic_everywhere():
     e = ens(m=17)
     assert np.all(evaluate_F(fam, 0.3, e) == 1.0)
     assert np.all(conditional_F(fam, 0.3, 0.7, e) == 1.0)
-    assert np.all(malliavin_F(fam, 0.3, 0.5, e) == 0.0)
     assert not is_stochastic(fam)
 
 
@@ -85,8 +83,6 @@ def test_terminal_function_pointwise():
     e = ens(m=8)
     vals = evaluate_F(fam, 0.0, e)
     assert np.allclose(vals, e.w[:, -1] ** 2)
-    dvals = malliavin_F(fam, 0.0, 0.4, e)
-    assert np.allclose(dvals, 2.0 * e.w[:, -1])
 
 
 def test_conditional_gaussian_linear_martingale():
@@ -152,9 +148,11 @@ def test_malliavin_bump_consistency():
     e.dw[:, k] -= eps
     want = eps * math.exp(-e.grid.nodes[k])
     assert np.allclose(bumped - base, want)
-    # and malliavin_F reads the same kernel value
-    assert np.allclose(malliavin_F(fam, t, e.grid.nodes[k], e),
-                       math.exp(-e.grid.nodes[k]))
+    # and malliavin_table reads the same kernel value at (t, s_k)
+    v = 6
+    assert e.grid.nodes[v] == pytest.approx(t)
+    assert malliavin_table(fam, e.grid)[v, k] == pytest.approx(
+        math.exp(-e.grid.nodes[k]))
 
 
 def test_growth_envelope_enforced():
@@ -223,7 +221,7 @@ def test_affine_h_registry():
     fam = make_h("affine", intercept=0.5, slope=2.0)
     e = ens(n=10, m=7)
     assert np.allclose(evaluate_F(fam, 0.0, e), 0.5 + 2.0 * e.w[:, -1])
-    assert np.allclose(malliavin_F(fam, 0.0, 0.5, e), 2.0)
+    assert np.allclose(malliavin_table(fam, e.grid), 2.0)
 
 
 @pytest.mark.parametrize("fam", [
