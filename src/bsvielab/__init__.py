@@ -24,16 +24,8 @@ from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
     build_phi, constant_kernel, example33_kernel, example33_reference, \
     iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, \
     tabulated_kernel, volterra_compose, zero_kernel
-from .measures import (
-    Atoms,
-    DelayMeasure,
-    DiracAt,
-    DomainError,
-    MassError,
-    Mixture,
-    SupportError,
-    Uniform,
-)
+from .measures import Atoms, DelayMeasure, DiracAt, DomainError, MassError, \
+    Mixture, SupportError, Uniform
 from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardResult, \
     PicardStalled, RegressionIllConditioned, build_delayed_operator, \
     lipschitz_constant, residual_delayed, residual_reduced, \

@@ -92,13 +92,8 @@ def zero_extend_kernel(f: Callable) -> Callable:
 
 def zero_extend_g(g: Callable) -> Callable:
     """Wrap a one-argument function so negative arguments evaluate to 0."""
-
-    def wrapped(s):
-        s = np.asarray(s, dtype=float)
-        out = np.where(s >= 0.0, g(np.where(s >= 0.0, s, 0.0)), 0.0)
-        return out if out.ndim else float(out)
-
-    return wrapped
+    ext = zero_extend_kernel(lambda t, s: g(s))
+    return lambda s: ext(s, s)
 
 
 @dataclass(frozen=True)
@@ -172,24 +167,18 @@ def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
 
 
 def lag_weights(m: DelayMeasure, grid: TriangularGrid
-                ) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """The delay integral of row t_i on the grid lags u = -t_k: weights
-    w[i, k], and the atoms (u, weight) that fall between lags.
-
-    The uniform part is a trapezoid over [-t_i, 0], the only lags where a
-    zero-extended kernel at t_i + u can be nonzero, so u = -t_i is an end
-    node with half weight and row 0 is empty.  An atom that lands on a lag
-    after snap_lag adds its weight to that lag's column in every row."""
-    nodes = grid.nodes
-    w = (m.diffuse_mass / m.horizon) * tail_weight_matrix(grid)[::-1, ::-1]
-    between = []
+                ) -> tuple[list[tuple[int, float]], list[tuple[float, float]]]:
+    """The atoms of m on the grid lags u = -t_k after snap_lag as (k, weight),
+    increasing in k, one lag's weights summed in atom order, and the atoms
+    (u, weight) between lags; the uniform part has no nodes of its own."""
+    on_lag, between = {}, []
     for u, wu in zip(*m.quadrature()):
         k = round(-u / grid.dt)
-        if snap_lag(u) == snap_lag(-nodes[k]):
-            w[:, k] += wu
+        if snap_lag(u) == snap_lag(-grid.nodes[k]):
+            on_lag[k] = on_lag.get(k, 0.0) + wu
         else:
             between.append((float(u), float(wu)))
-    return w, between
+    return sorted((k, w) for k, w in on_lag.items() if w), between
 
 
 def trapezoid_weights(grid: TriangularGrid) -> np.ndarray:
@@ -308,7 +297,7 @@ def example33_reference(horizon: float, variant: str) -> Callable[[np.ndarray], 
     variant "derived": u -> (1 - exp(-2u))/2, the Laplace-algebra result
       (geometric series of 1/(x+1)^2 sums to 1/(x(x+2))).
     variant "quoted":  u -> (1 - exp(-u))/2, an often-quoted closed form
-      kept for comparison; the numeric Neumann series does not match it.
+      kept for comparison; the numeric resolvent does not match it.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

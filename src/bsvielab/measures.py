@@ -100,8 +100,7 @@ class DelayMeasure:
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """The atoms (points u_i, weights w_i), exact.  The rest of the
-        mass, diffuse_mass, is uniform on [-T, 0]; integrals against it
-        are taken on the grid lags (kernels.lag_weights)."""
+        mass, diffuse_mass, is uniform on [-T, 0]."""
         return (np.array([u for u, _ in self.atoms], dtype=float),
                 np.array([w for _, w in self.atoms], dtype=float))
 

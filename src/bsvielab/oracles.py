@@ -112,26 +112,51 @@ def _kernel_on_shifted_grid(k: KernelSpec, m: DelayMeasure,
     return np.divide(vals, mass, out=np.zeros_like(vals), where=mass > 1e-12)
 
 
+def _diffuse_operator(gt: np.ndarray, m: DelayMeasure,
+                      grid: TriangularGrid) -> np.ndarray:
+    """The uniform part of alpha, density rho, on the G table gt.  With
+    q = r - lag, lo = max(0, c+r-N) and hi = min(r, c),
+        op[r, c] = rho dt^2 sum_{q=lo}^{hi} a_q b_q G[q, c],
+    a_q = 1/2 at q in {0, r} (the trapezoid over the lags [-t_r, 0]), b_q =
+    1/2 at q in {c, c+r-N} (the one over [t_r, T]), else 1.  The halves sit
+    on lo or hi, so over the prefix P[k] = G[0] + ... + G[k-1] + G[k]/2 the
+    sum is P[hi] - P[lo], less G/4 where two halves meet (hi = r = c,
+    lo = 0 = c+r-N); columns 0 and N hold one term of weight 1/4."""
+    n, dt = grid.n, grid.dt
+    if not m.diffuse_mass:
+        return np.zeros((n + 1, n + 1))
+    p = np.cumsum(gt, axis=0)
+    p -= 0.5 * gt
+    r, c = np.ogrid[:n + 1, :n + 1]
+    op = p[np.minimum(r, c), c]
+    op -= p[np.maximum(c + r - n, 0), c]
+    inner = np.arange(1, n)
+    op[inner, inner] -= 0.25 * gt[inner, inner]
+    op[inner, n - inner] -= 0.25 * gt[0, n - inner]
+    op[:, 0], op[:, n] = 0.25 * gt[0, 0], 0.25 * gt[:, n]
+    op[[0, n]] = 0.0  # a zero lag range and a zero range in s
+    op *= m.diffuse_mass / m.horizon * dt * dt
+    return op
+
+
 def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
                            grid: TriangularGrid) -> np.ndarray:
     """Matrix L with (L y)(t_i) = int_{t_i}^T int G(t_i+u, s+u) y(s+u)
-    alpha(du) ds on the grid.
-
-    The u-integral runs over lag_weights' grid lags u = -t_k, where
-    (t_i+u, s_j+u) = (t_{i-k}, s_{j-k}): G is tabulated once on the grid
-    and each lag adds one shifted block.  An atom between lags keeps its
-    exact node: G is evaluated at (t_i+u, s_j+u), and y(s_j+u), which
-    has the same cell fraction theta for every j, is split linearly
-    between its two nodes, one shifted column block each.
-    """
+    alpha(du) ds on the grid.  The u-integral runs over the grid lags
+    u = -t_k, where (t_i+u, s_j+u) = (t_{i-k}, s_{j-k}): G is tabulated
+    once, the uniform part is _diffuse_operator's O(N^2) window sum, and
+    each atom of lag_weights on a lag adds one shifted block.  An atom
+    between lags keeps its exact node: G is evaluated at (t_i+u, s_j+u),
+    and y(s_j+u), with the same cell fraction theta for every j, is split
+    linearly between its two nodes, one shifted column block each."""
     n = grid.n
-    trap = tail_weight_matrix(grid)
-    w, between = lag_weights(m, grid)
+    on_lag, between = lag_weights(m, grid)
     g = _kernel_on_shifted_grid(k, m, grid, 0.0)
-    op = np.zeros_like(trap)
-    for lag in np.flatnonzero(w.any(axis=0)):
+    op = _diffuse_operator(g, m, grid)
+    trap = tail_weight_matrix(grid)
+    for lag, wl in on_lag:
         live = n + 1 - lag
-        op[lag:, :live] += w[lag:, lag, None] * trap[lag:, lag:] * g[:live, :live]
+        op[lag:, :live] += wl * trap[lag:, lag:] * g[:live, :live]
     for u, wu in between:
         coeff = wu * trap * _kernel_on_shifted_grid(k, m, grid, u)
         # s_j + u = s_{j-lag-1} + (1 - theta) dt; coeff is 0 for j <= lag
@@ -270,24 +295,24 @@ class _StackedBasis:
 def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
                      z_surface: np.ndarray, trap: np.ndarray) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
-    built from a mean Z surface, with the grid's tail trapezoid weights
-    trap, on the nodes of build_delayed_operator: each grid lag reads
-    Z[i-k, j-k] and g(s_{j-k}); an atom between lags reads g zero-extended
-    and Z by grid.interpolate, extended by zero off the positive triangle.
-    Rows are summed left to right by cumsum, as a sequential loop would;
-    np.sum adds pairwise and would change the last bits.  Exact (zero)
-    whenever g vanishes."""
+    from a mean Z surface and the tail trapezoid weights trap, on the lags
+    of build_delayed_operator: the uniform part is the row sums of
+    _diffuse_operator on g(s_c) Z[q, c]; an atom between lags reads g
+    zero-extended and Z by grid.interpolate, zero off the positive
+    triangle.  An atom's rows are summed left to right by cumsum, as a
+    sequential loop would (np.sum adds pairwise and would change the last
+    bits).  Exact (zero) whenever g vanishes."""
     if k.g_bound == 0.0:
         return np.zeros(grid.n + 1)
     n = grid.n
-    w, between = lag_weights(m, grid)
+    on_lag, between = lag_weights(m, grid)
     g_ext = zero_extend_g(k.g)
     gv = g_ext(grid.nodes)
-    out = np.zeros(n + 1)
-    for lag in np.flatnonzero(w.any(axis=0)):
+    out = _diffuse_operator(gv * z_surface, m, grid).sum(axis=1)
+    for lag, wl in on_lag:
         live = n + 1 - lag
         gz = trap[lag:, lag:] * gv[:live] * z_surface[:live, :live]
-        out[lag:] += w[lag:, lag] * np.cumsum(gz, axis=1)[:, -1]
+        out[lag:] += wl * np.cumsum(gz, axis=1)[:, -1]
     for u, wu in between:
         shifted = grid.nodes + u
         t, s = shifted[:, None], shifted[None, :]
@@ -446,13 +471,8 @@ def _slope_fit(cross: np.ndarray, basis: _IncrementBasis,
 
 
 def _extrapolate_last_column(a: np.ndarray, rule) -> None:
-    """Fill column N, which has no increment of its own, from the two
-    columns before it by rule(a[:, N-1], a[:, N-2]); the two rows too
-    short for that copy row N-2's value (with N = 1, column 0 is copied)."""
+    """Fill column N, which has no increment of its own, by rule(a[:, N-1],
+    a[:, N-2]); the two rows too short for that copy row N-2's value."""
     n = a.shape[0] - 1
-    if n >= 2:
-        rows = slice(0, n - 1)
-        a[rows, n] = rule(a[rows, n - 1], a[rows, n - 2])
-        a[n - 1, n] = a[n, n] = a[n - 2, n]
-    else:
-        a[:, n] = a[:, n - 1]
+    a[:n - 1, n] = rule(a[:n - 1, n - 1], a[:n - 1, n - 2])
+    a[n - 1, n] = a[n, n] = a[n - 2, n]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsvielab.kernels import TriangularGrid, lag_weights
+from bsvielab.kernels import KernelSpec, TriangularGrid, lag_weights
 from bsvielab.measures import (
     Atoms,
     DiracAt,
@@ -16,6 +16,7 @@ from bsvielab.measures import (
     Uniform,
     snap_lag,
 )
+from bsvielab.oracles import build_delayed_operator
 
 T = 1.0
 
@@ -208,23 +209,36 @@ def test_quadrature_atoms_exact():
     assert float(u @ w) == pytest.approx(-0.5 * 0.25 - 0.1 * 0.75)
 
 
+def row_moments(m, grid):
+    """Row sums of the delayed operator for G = 1, G = t and G = t^2, each
+    divided by the trapezoid's exact int_{t_r}^T ds = T - t_r (rows
+    t_r < T): the lag weights of row r against 1, t_r - t_k and
+    (t_r - t_k)^2, that is alpha([-t_r, 0]), t_r alpha - (first moment)
+    and the second moment about -t_r."""
+    t = grid.nodes
+    sums = [build_delayed_operator(
+        KernelSpec(G=lambda a, b, p=p: a**p + 0.0 * b), m, grid).sum(axis=1)
+        for p in (0, 1, 2)]
+    return [s[:-1] / (T - t[:-1]) for s in sums]
+
+
 def test_quadrature_uniform_moments():
-    # the uniform part has no nodes of its own: it sits on the grid lags
-    # u = -t_k, a trapezoid over [-t_i, 0] in row i
+    # the uniform part has no nodes of its own: the operator sums it over
+    # the grid lags u = -t_k, a trapezoid over [-t_r, 0] in row r
     m = Uniform(horizon=T)
     u, w = m.quadrature()
     assert u.size == w.size == 0 and m.diffuse_mass == 1.0
     grid = TriangularGrid(T, 64)
-    lw, between = lag_weights(m, grid)
-    t, lags = grid.nodes, -grid.nodes
-    assert between == []
-    assert np.all(np.triu(lw, 1) == 0.0) and np.all(lw[0] == 0.0)
-    # row i holds alpha([-t_i, 0]) and its first moment exactly; the
-    # trapezoid's error on u^2 is exactly t_i dt^2 / 6
-    assert np.abs(lw.sum(axis=1) - t / T).max() < 1e-15
-    assert np.abs(lw @ lags + t**2 / (2 * T)).max() < 1e-15
+    assert lag_weights(m, grid) == ([], [])
+    t = grid.nodes[:-1]
+    mass, first, second = row_moments(m, grid)
+    assert mass[0] == first[0] == second[0] == 0.0
+    # row r holds alpha([-t_r, 0]) and its first moment exactly; the
+    # trapezoid's error on u^2 is exactly t_r dt^2 / 6
+    assert np.abs(mass - t / T).max() < 1e-15
+    assert np.abs(first - t**2 / (2 * T)).max() < 1e-15
     want = (t**3 / 3 + t * grid.dt**2 / 6) / T
-    assert np.abs(lw @ lags**2 - want).max() < 1e-15
+    assert np.abs(second - want).max() < 1e-15
 
 
 def test_quadrature_mixture_concatenates():
@@ -232,17 +246,22 @@ def test_quadrature_mixture_concatenates():
     u, w = mix.quadrature()
     assert u.tolist() == [-0.3] and w.tolist() == [0.5]
     assert mix.diffuse_mass == 0.5
-    # an atom on a grid lag joins that lag's column in every row ...
-    lw, between = lag_weights(mix, TriangularGrid(T, 20))
-    assert between == []
-    assert lw[-1].sum() == pytest.approx(1.0, abs=1e-15)
-    assert lw[-1] @ -TriangularGrid(T, 20).nodes == pytest.approx(
-        0.5 * (-0.3) + 0.5 * (-0.5), abs=1e-15)
-    assert np.all(lw[:, 6] >= 0.5)
-    # ... and one between lags is handed back with its exact node
-    lw, between = lag_weights(mix, TriangularGrid(T, 7))
-    assert between == [(-0.3, 0.5)]
-    assert lw[-1].sum() == pytest.approx(0.5, abs=1e-15)
+    for n in (20, 7):
+        grid = TriangularGrid(T, n)
+        t = grid.nodes[:-1]
+        atom = np.where(t >= 0.3 - 1e-12, 0.5, 0.0)
+        mass, first, _ = row_moments(mix, grid)
+        # every row t_r >= 0.3 reaches the atom: it adds 0.5 to the mass
+        # and 0.5 (t_r - 0.3) to t_r alpha - (first moment); the atom's
+        # block and the window sum round apart, so a row of N + 1 cells
+        # is exact to some (N + 2) eps
+        assert np.abs(mass - (0.5 * t / T + atom)).max() < 1e-14
+        assert np.abs(first - (0.5 * t**2 / (2 * T)
+                               + atom * (t - 0.3))).max() < 1e-14
+    # an atom on a grid lag is handed out as that lag ...
+    assert lag_weights(mix, TriangularGrid(T, 20)) == ([(6, 0.5)], [])
+    # ... and one between lags with its exact node
+    assert lag_weights(mix, TriangularGrid(T, 7)) == ([], [(-0.3, 0.5)])
 
 
 # -- property tests ---------------------------------------------------------

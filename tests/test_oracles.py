@@ -436,21 +436,108 @@ DELAY_CASES = {
     "uniform+dirac": (Mixture(T, ((Uniform(T), 0.6),
                                   (DiracAt(T, -0.25), 0.4))),
                       constant_kernel(0.4, g_value=0.5)),
+    # on an N = 20 grid -0.25 is a lag and -0.3717 lies between two
+    "uniform+on-lag+between": (Mixture(T, ((Uniform(T), 0.5),
+                                           (DiracAt(T, -0.25), 0.3),
+                                           (DiracAt(T, -0.3717), 0.2))),
+                               poly_exp_kernel(k=1, lam=0.5, g_value=1.1)),
+    # product form: G = Phi / alpha([s-T, 0]) drops the cells of zero
+    # mass, s > T/2 under the Dirac and s = T under the mixture
+    "example33-dirac-0.5": (DiracAt(T, -0.5), example33_kernel(g_value=0.7)),
+    "example33-mixture": (Mixture(T, ((Uniform(T), 0.5),
+                                      (DiracAt(T, -0.25), 0.3),
+                                      (DiracAt(T, -0.3717), 0.2))),
+                          example33_kernel(g_value=0.7)),
 }
+
+EPS = np.finfo(float).eps
+
+
+def delay_error_bounds(k, m, grid, z):
+    """Bounds on |window sum - loop reference| for both delay integrals of
+    a measure with a uniform part, z the g-term's Z surface.
+
+    To first order in u = eps/2, with S_c = sum_q |G[q, c]|, one operator
+    cell (0 < r, c < N) of the window sum carries (hi + lo + 8) u rho dt^2
+    S_c: the prefix P[k] (k + 1) u S_c, their difference one more u, the
+    two quarter corrections 2 u, the scale fl(fl(rho dt) dt) and its
+    product 3 u; hi + lo <= 2N - 3.  The loop adds at most N terms of
+    three roundings each, (N + 3) u.  Together (3N + 8) u <= 2 (N + 2) eps.
+    The g-term is the row sums of that window sum on x[q, c] = g(s_c)
+    Z[q, c], S = sum |x|: (2N + 5) u S from the cells, at most N u S more
+    from adding them and u S from forming x, against (2N + 5) u S for the
+    triple loop: (5N + 11) u <= 3 (N + 2) eps.  The atoms go through the
+    same products as in the loop; only their sums are reordered, so each
+    adds its weight times dt max|G| to the operator's sums of absolute
+    values, and its weight times T g_bound max|Z| to the g-term's."""
+    n, dt = grid.n, grid.dt
+    nodes = grid.nodes
+    gfun = reference_kernel(k, m, grid)
+    table = np.abs(gfun(nodes[:, None], nodes[None, :]))
+    gmax = table.max()
+    for u, _ in m.atoms:
+        gmax = max(gmax, np.abs(gfun(nodes[:, None] + u,
+                                     nodes[None, :] + u)).max())
+    atoms = sum(w for _, w in m.atoms)
+    rho = m.diffuse_mass / m.horizon
+    x = k.g(nodes) * z
+    op_bound = 2 * (n + 2) * EPS * (rho * dt**2 * table.sum(axis=0)
+                                    + atoms * dt * gmax)
+    gz_bound = 3 * (n + 2) * EPS * (rho * dt**2 * np.abs(x).sum()
+                                    + atoms * T * k.g_bound * np.abs(z).max())
+    return op_bound, gz_bound
+
+
+def check_delay_integrals(case, n):
+    """Both delay integrals against their loop references: bit for bit for
+    a pure-atom measure, whose code is the loop's, and within
+    delay_error_bounds when a uniform part takes the window sum."""
+    m, k = DELAY_CASES[case]
+    g = TriangularGrid(T, n)
+    op = build_delayed_operator(k, m, g)
+    op_ref = reference_delayed_operator(k, m, g)
+    rng = np.random.default_rng(11)
+    z = np.triu(rng.standard_normal((n + 1, n + 1)))
+    trap = tail_weight_matrix(g)
+    gz = _g_weighted_term(k, m, g, z, trap)
+    gz_ref = reference_g_weighted_term(k, m, g, z, trap)
+    assert np.abs(gz).max() > 0.0
+    if m.diffuse_mass == 0.0:
+        assert np.array_equal(op, op_ref)
+        assert np.array_equal(gz, gz_ref)
+        return
+    op_bound, gz_bound = delay_error_bounds(k, m, g, z)
+    assert np.all(np.abs(op - op_ref) <= op_bound)
+    assert np.all(np.abs(gz - gz_ref) <= gz_bound)
+    # rows 0 and N stay exactly zero
+    assert not op[[0, n]].any() and not gz[[0, n]].any()
 
 
 @pytest.mark.parametrize("case", sorted(DELAY_CASES))
 def test_delay_integrals_match_loop_references_bitwise(case):
-    m, k = DELAY_CASES[case]
-    g = TriangularGrid(T, 20)
-    op = build_delayed_operator(k, m, g)
-    assert np.array_equal(op, reference_delayed_operator(k, m, g))
-    rng = np.random.default_rng(11)
-    z = np.triu(rng.standard_normal((21, 21)))
-    trap = tail_weight_matrix(g)
-    gz = _g_weighted_term(k, m, g, z, trap)
-    assert np.abs(gz).max() > 0.0
-    assert np.array_equal(gz, reference_g_weighted_term(k, m, g, z, trap))
+    check_delay_integrals(case, 20)
+
+
+@pytest.mark.parametrize("case", sorted(DELAY_CASES))
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_delay_integrals_match_loop_references_small_grids(case, n):
+    # N = 1 has no grid: TriangularGrid needs at least 2 steps
+    check_delay_integrals(case, n)
+
+
+def test_delayed_operator_peak_memory():
+    # a uniform build keeps five (N+1)^2 tables live at most: G, its column
+    # prefix M, the operator, and one index table with the M values it
+    # gathers (M[hi] or M[lo]); numpy's ufunc buffers come on top
+    grid = TriangularGrid(T, 400)
+    table = (grid.n + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        build_delayed_operator(constant_kernel(0.3), Uniform(T), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * table + 2 * 8 * np.getbufsize()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ over all of N.  The trapezoid rule behind every route is second order, so
 each order should read 2.00.  The tier-1 gate in tests/test_resolvent.py
 calls ``ladder`` and ``fitted_order`` over N = 25..200; this script runs
 the same code further out.  It is a tool, not a test: pytest does not
-collect it.  The full ladder takes about 15 s and 280 MB on a 2-vCPU host.
+collect it.  The full ladder takes about 3 s and 280 MB on a 2-vCPU host.
 """
 
 from __future__ import annotations
