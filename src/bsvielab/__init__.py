@@ -23,14 +23,13 @@ from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
     ResolventTable, SingularStep, ToleranceUnreachable, TriangularGrid, \
     build_phi, constant_kernel, example33_kernel, example33_reference, \
     iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, \
-    tabulated_kernel, volterra_compose, zero_kernel
+    volterra_compose, zero_kernel
 from .measures import Atoms, DelayMeasure, DiracAt, DomainError, MassError, \
     Mixture, SupportError, Uniform
 from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardResult, \
     PicardStalled, RegressionIllConditioned, build_delayed_operator, \
-    lipschitz_constant, residual_delayed, residual_reduced, \
-    residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
-    solve_reduced_collocation
+    residual_delayed, residual_reduced, residual_reduced_pathwise, \
+    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import NormReport, SmoothnessReport, SolutionField, \
     UnsupportedFamily, compute_U, norms, smoothness_diagnostics, solve_Y, \
     solve_Z

@@ -50,25 +50,68 @@ _CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardDiverged, PicardStalled,
 
 
 CSV_BLOCK_ROWS = 4096
+CELL = "%.12g"  # the format of every float cell of every CSV written
+
+
+def _cells(n: int) -> str:
+    return ",".join([CELL] * n)
+
+
+def _write_labelled(fh, labelled) -> None:
+    for label, values in labelled:
+        fh.write(",".join([*label, _cells(len(values)) % tuple(values)]) + "\n")
 
 
 def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
     """Write ``header``, the rows of the float ``table`` (a 2-D array, or
     an iterable of equal-length rows), then one line per ``(label,
     values)`` of ``labelled``: the label's cells as given, then the values.
-    Every float is written as ``%.12g``, the table in blocks of
-    CSV_BLOCK_ROWS rows with one format call each."""
+    Every float is written as CELL (``%.12g``), the table in blocks of
+    CSV_BLOCK_ROWS rows with one format call each.  The triangle tables
+    t <= s go through write_triangle."""
     if not isinstance(table, np.ndarray):
         table = np.array(list(table), dtype=float)
-    fmt = ",".join(["%.12g"] * table.shape[-1]) + "\n"
+    fmt = _cells(table.shape[-1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
             fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
-        for label, values in labelled:
-            cells = ",".join(["%.12g"] * len(values)) % tuple(values)
-            fh.write(",".join([*label, cells]) + "\n")
+        _write_labelled(fh, labelled)
+
+
+def _all_plus_zero(values: np.ndarray) -> bool:
+    """True when every value is +0.0 (-0.0 and nan are not)."""
+    return not values.any() and not np.signbit(values).any()
+
+
+def write_triangle(path: str, header: list[str], grid, *surfaces,
+                   labelled=()) -> None:
+    """Write ``header``, one row (t_i, s_j, each surface at [i, j]) per
+    grid pair i <= j in row-major order, then the ``labelled`` rows as
+    write_csv does; the bytes are those of write_csv on the stacked rows.
+    The N+1 node cells are formatted once, a surface set that is all +0.0
+    is one constant cell string, and rows go out CSV_BLOCK_ROWS at a time,
+    so no more than one block of the file is held."""
+    i, j = np.triu_indices(grid.n + 1)
+    nodes = np.array([CELL % x for x in grid.nodes.tolist()], dtype=object)
+    if all(_all_plus_zero(s[i, j]) for s in surfaces):
+        cols, cells = (), ",".join(["0"] * len(surfaces))
+    else:
+        cols, cells = surfaces, _cells(len(surfaces))
+    fmt = "%s,%s," + cells + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(i), CSV_BLOCK_ROWS):
+            bi = i[start:start + CSV_BLOCK_ROWS]
+            bj = j[start:start + CSV_BLOCK_ROWS]
+            block = np.empty((len(bi), 2 + len(cols)), dtype=object)
+            block[:, 0] = nodes[bi]
+            block[:, 1] = nodes[bj]
+            for c, s in enumerate(cols):
+                block[:, 2 + c] = s[bi, bj]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        _write_labelled(fh, labelled)
 
 
 def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
@@ -88,13 +131,6 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
         fh.write("\n")
 
 
-def _triangle_rows(grid, *surfaces) -> np.ndarray:
-    """Rows (t_i, s_j, surface values...) over i <= j, row-major."""
-    i, j = np.triu_indices(grid.n + 1)
-    nodes = grid.nodes
-    return np.column_stack([nodes[i], nodes[j]] + [s[i, j] for s in surfaces])
-
-
 def _prepare(cfg: ExperimentConfig):
     """Grid, kernel table, resolvent and drift shared by most commands; the
     delayed operator is built once by the two commands that use it."""
@@ -107,9 +143,8 @@ def _prepare(cfg: ExperimentConfig):
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
     grid, phi, psi, _ = _prepare(cfg)
-    write_csv(os.path.join(cfg.out_dir, "resolvent.csv"),
-              ["t", "s", "phi", "psi"],
-              _triangle_rows(grid, phi.values, psi.values))
+    write_triangle(os.path.join(cfg.out_dir, "resolvent.csv"),
+                   ["t", "s", "phi", "psi"], grid, phi.values, psi.values)
     print(f"resolvent: residual={psi.residual:.6e} n_star={psi.n_star} "
           f"tail_bound={psi.tail_bound:.6e} "
           f"sup|Phi|={phi.sup_norm:.12g} sup|Psi|={psi.sup_norm:.12g}")
@@ -182,8 +217,8 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         rr_se = np.zeros_like(rr)
     write_csv(os.path.join(cfg.out_dir, "solution.csv"),
               ["t", "Y_mean", "Y_se"], np.column_stack([nodes, y_mean, y_se]))
-    write_csv(os.path.join(cfg.out_dir, "z_surface.csv"), ["t", "s", "Z"],
-              _triangle_rows(grid, fld.z))
+    write_triangle(os.path.join(cfg.out_dir, "z_surface.csv"),
+                   ["t", "s", "Z"], grid, fld.z)
     write_csv(os.path.join(cfg.out_dir, "residuals.csv"),
               ["t", "residual_delayed", "residual_reduced"],
               np.column_stack([nodes, rd, rr]))
@@ -360,13 +395,12 @@ def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
 def cmd_z_surface(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
     z = solve_Z(cfg.family, phi, psi, drift_fn, grid)
-    write_csv(os.path.join(cfg.out_dir, "z_surface.csv"), ["t", "s", "Z"],
-              _triangle_rows(grid, z))
+    write_triangle(os.path.join(cfg.out_dir, "z_surface.csv"),
+                   ["t", "s", "Z"], grid, z)
     rep = smoothness_diagnostics(z, grid)
-    write_csv(os.path.join(cfg.out_dir, "smoothness.csv"),
-              ["t", "s", "dZdt"],
-              _triangle_rows(grid, rep.dzdt),
-              labelled=[(("integral", ""), (rep.integral,))])
+    write_triangle(os.path.join(cfg.out_dir, "smoothness.csv"),
+                   ["t", "s", "dZdt"], grid, rep.dzdt,
+                   labelled=[(("integral", ""), (rep.integral,))])
     sup_d = float(np.abs(rep.dzdt).max())
     print(f"z-surface: sup|Z|={np.abs(z).max():.12g} sup|dZ/dt|={sup_d:.12g} "
           f"smoothness integral={rep.integral:.12g} finite={rep.finite}")

@@ -365,18 +365,3 @@ def example33_kernel(g_value: float = 0.0) -> KernelSpec:
 
 def zero_kernel() -> KernelSpec:
     return constant_kernel(0.0, 0.0)
-
-
-def tabulated_kernel(grid: TriangularGrid, values: np.ndarray,
-                     g_value: float = 0.0) -> KernelSpec:
-    """G given by bilinear interpolation of a (N+1, N+1) table on the grid."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (grid.n + 1, grid.n + 1):
-        raise ValueError("table shape does not match grid")
-    return KernelSpec(
-        G=lambda t, s: grid.interpolate(vals, t, s),
-        g=lambda s: np.full_like(np.asarray(s, dtype=float), g_value),
-        G_bound=float(np.abs(vals).max()),
-        g_bound=abs(g_value),
-        name="tabulated",
-    )

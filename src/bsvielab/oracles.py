@@ -224,11 +224,6 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
     return r
 
 
-def lipschitz_constant(k: KernelSpec) -> float:
-    """K = 2 max(C_G^2, C_g^2), read off the contraction estimate."""
-    return 2.0 * max(k.G_bound**2, k.g_bound**2)
-
-
 # ---------------------------------------------------------------------------
 # least-squares Monte Carlo for stochastic free terms
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ codes, determinism, and the printed reports."""
 
 import hashlib
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -274,14 +275,74 @@ def reference_triangle_rows(grid, *surfaces):
             yield (nodes[i], nodes[j]) + tuple(s[i, j] for s in surfaces)
 
 
-def test_triangle_rows_match_double_loop():
-    grid = TriangularGrid(1.0, 7)
-    rng = np.random.default_rng(3)
-    a, b = rng.standard_normal((2, 8, 8))
-    rows = list(cli._triangle_rows(grid, a, b))
-    want = list(reference_triangle_rows(grid, a, b))
-    assert len(rows) == len(want) == 8 * 9 // 2
-    assert np.array_equal(np.array(rows), np.array(want))
+def reference_triangle_text(header, grid, surfaces, labelled=()):
+    """The file write_triangle must write, one cell at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(format(x, ".12g") for x in row)
+              for row in reference_triangle_rows(grid, *surfaces)]
+    lines += [",".join([*label, *(format(x, ".12g") for x in values)])
+              for label, values in labelled]
+    return "\n".join(lines) + "\n"
+
+
+def test_triangle_rows_match_double_loop(tmp_path):
+    # N = 89 and 90 write 4095 and 4186 rows, either side of one block
+    block = cli.CSV_BLOCK_ROWS
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e13, 1e-13, -1e13,
+               0.1 + 0.2]
+    rng = np.random.default_rng(11)
+    path = tmp_path / "tri.csv"
+    for n, n_rows in ((89, block - 1), (90, 4186)):
+        grid = TriangularGrid(0.7, n)
+        i, j = np.triu_indices(n + 1)
+        assert len(i) == n_rows
+        # the special cells sit on the ten rows around the block boundary,
+        # or on the last ten rows of a table that ends before it
+        rows = np.arange(block - 5, block + 5)
+        if n_rows < block:
+            rows -= rows[-1] + 1 - n_rows
+        a, b = rng.standard_normal((2, n + 1, n + 1)) * 10.0 ** \
+            rng.integers(-15, 15, (2, n + 1, n + 1))
+        for k, x in enumerate(special):
+            a[i[rows[k]], j[rows[k]]] = x
+            b[i[rows[-1 - k]], j[rows[-1 - k]]] = x
+        zero = np.zeros((n + 1, n + 1))
+        minus_zero = zero.copy()
+        minus_zero[i[rows[5]], j[rows[5]]] = -0.0
+        cases = [
+            ((a,), ()),
+            ((a, b), [(("integral", ""), (0.1 + 0.2,))]),
+            ((zero,), [(("integral", ""), (-0.0,))]),
+            ((zero, zero), ()),
+            ((zero, a), ()),
+            ((minus_zero,), ()),
+            ((minus_zero, zero), ()),
+            ((np.full((n + 1, n + 1), np.nan),), ()),
+        ]
+        for surfaces, labelled in cases:
+            header = ["t", "s"] + [f"v{c}" for c in range(len(surfaces))]
+            cli.write_triangle(str(path), header, grid, *surfaces,
+                               labelled=labelled)
+            text = path.read_text()
+            assert text == reference_triangle_text(header, grid, surfaces,
+                                                   labelled), (n, header)
+            if surfaces[0] is minus_zero:
+                assert text.count(",-0") == 1
+
+
+def test_write_triangle_streams(tmp_path):
+    # a writer that held the whole file, or every row at once, would
+    # allocate more than the file's size
+    grid = TriangularGrid(1.0, 600)
+    a, b = np.random.default_rng(2).standard_normal((2, 601, 601))
+    path = tmp_path / "tri.csv"
+    tracemalloc.start()
+    try:
+        cli.write_triangle(str(path), ["t", "s", "a", "b"], grid, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 # ---------------------------------------------------------------------------

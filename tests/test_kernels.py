@@ -29,7 +29,6 @@ from bsvielab.kernels import (
     poly_exp_kernel,
     resolvent,
     sharp_tail,
-    tabulated_kernel,
     volterra_compose,
     zero_extend_kernel,
     zero_kernel,
@@ -272,11 +271,3 @@ def test_poly_exp_bound_and_values():
     spec = poly_exp_kernel(k=1, lam=3.0, horizon=1.0)
     assert spec.G_bound == pytest.approx(math.exp(-1.0) / 3.0, rel=1e-15)
     build_phi(DiracAt(1.0, 0.0), spec, TriangularGrid(1.0, 3))
-
-
-def test_tabulated_kernel_roundtrip():
-    g = grid(40)
-    base = build_phi(DiracAt(1.0, 0.0), poly_exp_kernel(k=1, lam=0.5), g)
-    spec = tabulated_kernel(g, base.values)
-    rebuilt = build_phi(DiracAt(1.0, 0.0), spec, g)
-    assert np.abs(rebuilt.values - base.values).max() < 1e-15

@@ -15,7 +15,6 @@ from bsvielab import oracles
 from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
     PicardStalled, RegressionIllConditioned, _IncrementBasis, \
     _StackedBasis, _g_weighted_term, _slope_z, build_delayed_operator, \
-    lipschitz_constant, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
@@ -200,12 +199,6 @@ def test_uniform_delay_leaves_y0_at_f0(spec):
     op = build_delayed_operator(spec, Uniform(T), g)
     assert np.all(op[0] == 0.0)
     assert picard(fam, spec, Uniform(T), g).y[0] == 1.0
-
-
-def test_lipschitz_constant_values():
-    assert lipschitz_constant(constant_kernel(1.0, 0.0)) == 2.0
-    assert lipschitz_constant(constant_kernel(0.0, 0.0)) == 0.0
-    assert lipschitz_constant(constant_kernel(2.0, 3.0)) == 18.0
 
 
 def test_lsmc_martingale_representation():
