@@ -31,11 +31,11 @@ from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardResult, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import NormReport, SmoothnessReport, SolutionField, \
-    UnsupportedFamily, compute_U, norms, smoothness_diagnostics, solve_Y, \
-    solve_Z
+    UnsupportedFamily, norms, smoothness_diagnostics, solve_Y, solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \
-    TerminalFunction, evaluate_F, evaluate_F_table, gauss_hermite_mean, \
-    make_f0, make_h, make_phi, malliavin_table
+    TerminalFunction, UnknownParameter, evaluate_F_table, \
+    gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_table, \
+    mean_profile
 
 # every name imported above, once
 __all__ = sorted(name for name, value in globals().items()

@@ -37,8 +37,8 @@ from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import norms, smoothness_diagnostics, solve_Y, solve_Z
-from .terminal import GaussianLinear, QuadratureError, evaluate_F_table, \
-    f0_profile, gauss_hermite_mean, gaussian_linear_conditionals
+from .terminal import QuadratureError, evaluate_F_table, is_stochastic, \
+    mean_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -170,10 +170,8 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
 
 def _solve_field(cfg: ExperimentConfig, grid, phi, psi, drift_fn):
     """Explicit (Y, Z) plus the ensemble (None for deterministic runs)."""
-    if cfg.stochastic:
-        ens = sample_paths(grid, cfg.n_paths, cfg.seed, cfg.mode, drift_fn)
-    else:
-        ens = None
+    ens = sample_paths(grid, cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
+        if is_stochastic(cfg.family) else None
     fld = solve_Y(cfg.family, psi, drift_fn, grid, ens)
     fld.z = solve_Z(cfg.family, phi, psi, drift_fn, grid)
     return fld, ens
@@ -202,7 +200,7 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     rep = _finite_norms(fld, cfg.beta)
     nodes = grid.nodes
 
-    if cfg.stochastic:
+    if ens is not None:
         y_mean, y_se = expect_q_columns(ens, fld.y)
         f_vals = evaluate_F_table(cfg.family, ens)
         r = residual_reduced_pathwise(fld.y, fld.z, f_vals, phi, grid, ens)
@@ -210,10 +208,10 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         rd = np.full_like(rr, np.nan)
     else:
         y_mean, y_se = fld.y, np.zeros_like(fld.y)
-        f0_prof = f0_profile(cfg.family, grid)
+        fbar0 = mean_profile(cfg.family, grid, drift_fn)
         op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
-        rd, _ = residual_delayed(fld.y, f0_prof, op)
-        rr, _ = residual_reduced(fld.y, f0_prof, phi, grid)
+        rd, _ = residual_delayed(fld.y, fbar0, op)
+        rr, _ = residual_reduced(fld.y, fbar0, phi, grid)
         rr_se = np.zeros_like(rr)
     write_csv(os.path.join(cfg.out_dir, "solution.csv"),
               ["t", "Y_mean", "Y_se"], np.column_stack([nodes, y_mean, y_se]))
@@ -284,18 +282,21 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
               "res_delayed_explicit", "res_reduced_explicit",
               "res_delayed_oracle", "res_reduced_oracle"]
 
-    if not cfg.stochastic:
-        fld, _ = _solve_field(cfg, grid, phi, psi, drift_fn)
-        f0_prof = f0_profile(cfg.family, grid)
-        y_col = solve_reduced_collocation(f0_prof, phi, grid)
-        pic = _run_oracle(cfg, "picard",
-                          lambda: solve_delayed_picard(f0_prof, op, pic_cfg))
+    fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    # Reduced-equation oracle: conditioned on the trivial F_0 the equation
+    # is a scalar Volterra equation for the expected profile, solved by
+    # collocation without Monte Carlo noise.
+    fbar0 = mean_profile(cfg.family, grid, drift_fn)
+    y_col = solve_reduced_collocation(fbar0, phi, grid)
 
-        rd_exp, rd_exp_sup = residual_delayed(fld.y, f0_prof, op)
-        rr_exp, rr_exp_sup = residual_reduced(fld.y, f0_prof, phi, grid)
-        rd_pic, rd_pic_sup = residual_delayed(pic.y, f0_prof, op)
-        rr_pic, rr_pic_sup = residual_reduced(pic.y, f0_prof, phi, grid)
-        rr_col_sup = residual_reduced(y_col, f0_prof, phi, grid)[1]
+    if ens is None:
+        pic = _run_oracle(cfg, "picard",
+                          lambda: solve_delayed_picard(fbar0, op, pic_cfg))
+        rd_exp, rd_exp_sup = residual_delayed(fld.y, fbar0, op)
+        rr_exp, rr_exp_sup = residual_reduced(fld.y, fbar0, phi, grid)
+        rd_pic, rd_pic_sup = residual_delayed(pic.y, fbar0, op)
+        rr_pic, rr_pic_sup = residual_reduced(pic.y, fbar0, phi, grid)
+        rr_col_sup = residual_reduced(y_col, fbar0, phi, grid)[1]
         gap = float(np.abs(fld.y - pic.y).max())
         gap_col = float(np.abs(fld.y - y_col).max())
 
@@ -325,20 +326,9 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         })
         return
 
-    fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
     f_vals = evaluate_F_table(cfg.family, ens)
     lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
         f_vals, cfg.kernel, cfg.measure, op, grid, ens, pic_cfg))
-    # Reduced-equation oracle: conditioned on the trivial F_0 the equation
-    # is a scalar Volterra equation for the expected profile, solved by
-    # collocation without Monte Carlo noise.  E^Q[F(t) | F_0] is column 0
-    # of the Gaussian-linear conditionals, or one Gauss-Hermite layer.
-    if isinstance(cfg.family, GaussianLinear):
-        fbar0 = gaussian_linear_conditionals(cfg.family, grid, drift_fn)[0][:, 0]
-    else:
-        fbar0 = gauss_hermite_mean(cfg.family, nodes, drift_fn.remaining()[0],
-                                   grid.horizon ** 0.5)
-    y_col = solve_reduced_collocation(fbar0, phi, grid)
 
     y_exp, se_exp = expect_q_columns(ens, fld.y)
     y_lsmc, se_lsmc = expect_q_columns(ens, lsmc.y)

@@ -32,7 +32,7 @@ from .kernels import KernelSpec, TriangularGrid, constant_kernel, \
     example33_kernel, poly_exp_kernel, zero_kernel
 from .measures import Atoms, DelayMeasure, DiracAt, Uniform
 from .terminal import Deterministic, GaussianLinear, TerminalFamily, \
-    make_f0, make_h, make_phi
+    UnknownParameter, make_f0, make_h, make_phi
 
 
 class ConfigError(ValueError):
@@ -58,10 +58,6 @@ class ExperimentConfig:
 
     def grid(self) -> TriangularGrid:
         return TriangularGrid(self.horizon, self.n)
-
-    @property
-    def stochastic(self) -> bool:
-        return not isinstance(self.family, Deterministic)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -149,7 +145,10 @@ def _build_kernel(kv: dict, horizon: float) -> KernelSpec:
             raise ConfigError("kernel.k must be non-negative")
         lam = _as_float("kernel.lam", _take(kv, "kernel.lam", "1.0"))
         scale = _as_float("kernel.scale", _take(kv, "kernel.scale", "1.0"))
-        return poly_exp_kernel(k, lam, scale, horizon, g_value)
+        try:
+            return poly_exp_kernel(k, lam, scale, horizon, g_value)
+        except ValueError as exc:
+            raise ConfigError(f"kernel: {exc}") from exc
     if name == "example33":
         return example33_kernel(g_value)
     if name == "zero":
@@ -157,30 +156,32 @@ def _build_kernel(kv: dict, horizon: float) -> KernelSpec:
     raise ConfigError(f"kernel.name: unknown kernel {name!r}")
 
 
-def _collect_params(kv: dict, prefix: str) -> dict:
-    params = {}
-    for key in [k for k in kv if k.startswith(prefix + ".")]:
-        params[key[len(prefix) + 1:]] = _as_float(key, kv.pop(key))
-    return params
+def _registry_entry(kv: dict, prefix: str, make, default=None):
+    """make(name, **params) for the name under prefix and the parameters
+    under prefix + '.'; a parameter the entry does not take is an error."""
+    name = _take(kv, prefix, default, required=default is None)
+    params = {key[len(prefix) + 1:]: _as_float(key, kv.pop(key))
+              for key in [k for k in kv if k.startswith(prefix + ".")]}
+    try:
+        return make(name, **params)
+    except KeyError as exc:
+        raise ConfigError(f"terminal: unknown registry name {exc}") from exc
+    except UnknownParameter as exc:
+        raise ConfigError(f"{prefix}.{exc}: {prefix} = {name} takes no "
+                          f"parameter {exc}") from exc
 
 
 def _build_family(kv: dict) -> TerminalFamily:
     kind = _take(kv, "terminal.kind", "deterministic")
-    try:
-        if kind == "deterministic":
-            name = _take(kv, "terminal.f0", "constant")
-            return Deterministic(f0=make_f0(name, **_collect_params(kv, "terminal.f0")))
-        if kind == "gaussian_linear":
-            f0_name = _take(kv, "terminal.f0", "zero")
-            phi_name = _take(kv, "terminal.phi", "constant")
-            return GaussianLinear(
-                f0=make_f0(f0_name, **_collect_params(kv, "terminal.f0")),
-                phi=make_phi(phi_name, **_collect_params(kv, "terminal.phi")))
-        if kind == "terminal_function":
-            h_name = _take(kv, "terminal.h", required=True)
-            return make_h(h_name, **_collect_params(kv, "terminal.h"))
-    except KeyError as exc:
-        raise ConfigError(f"terminal: unknown registry name {exc}") from exc
+    if kind == "deterministic":
+        return Deterministic(f0=_registry_entry(kv, "terminal.f0", make_f0,
+                                                "constant"))
+    if kind == "gaussian_linear":
+        return GaussianLinear(
+            f0=_registry_entry(kv, "terminal.f0", make_f0, "zero"),
+            phi=_registry_entry(kv, "terminal.phi", make_phi, "constant"))
+    if kind == "terminal_function":
+        return _registry_entry(kv, "terminal.h", make_h)
     raise ConfigError(f"terminal.kind: unknown kind {kind!r}")
 
 

@@ -40,7 +40,6 @@ class DriftFunction:
 
     grid: TriangularGrid
     values: np.ndarray
-    bound: float
 
     def cumulative(self) -> np.ndarray:
         """Left-point accumulation int_0^{t_i} b ds, matching the Ito sums."""
@@ -66,7 +65,7 @@ def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction
     gvals = k.g_values(grid)
     mass = m.mass_left_open(snap_lag(grid.nodes - grid.horizon))
     vals = mass * gvals
-    return DriftFunction(grid, vals, k.g_bound)
+    return DriftFunction(grid, vals)
 
 
 @dataclass
@@ -117,7 +116,7 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
     rng = np.random.Generator(np.random.Philox(key=seed))
     xi = rng.standard_normal((n_paths, n)) * math.sqrt(dt)
     if drift_fn is None:
-        drift_fn = DriftFunction(grid, np.zeros(n + 1), 0.0)
+        drift_fn = DriftFunction(grid, np.zeros(n + 1))
     b_left = drift_fn.values[:n]
     drift_cum = drift_fn.cumulative()
 

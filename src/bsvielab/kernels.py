@@ -333,7 +333,11 @@ def poly_exp_kernel(k: int, lam: float, scale: float = 1.0,
     u = np.linspace(0.0, horizon, 4097)
     if lam > 0:  # the maximiser of u^k e^{-lam u}, which samples can miss
         u = np.append(u, min(k / lam, horizon))
-    bound = float(np.abs(scale * u**k * np.exp(-lam * u)).max())
+    with np.errstate(all="ignore"):
+        bound = float(np.abs(scale * u**k * np.exp(-lam * u)).max())
+    if not math.isfinite(bound):  # the kernel table would not be finite
+        raise ValueError(f"poly_exp(k={k},lam={lam},scale={scale}) has no "
+                         f"finite bound on [0, {horizon}] (got {bound})")
     return KernelSpec(
         G=G,
         g=lambda s: np.full_like(np.asarray(s, dtype=float), g_value),

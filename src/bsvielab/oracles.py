@@ -214,13 +214,12 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
                               ensemble: PathEnsemble) -> np.ndarray:
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
-    the stochastic integral taken as a left-point sum, F the (M, N+1)
-    table of terminal.evaluate_F_table.  Returns (M, N+1)."""
+    the stochastic integral taken as a left-point sum on top of
+    residual_reduced, F the (M, N+1) table of terminal.evaluate_F_table.
+    Returns (M, N+1)."""
     n = grid.n
-    a = phi.values * tail_weight_matrix(grid)
-    dwq = np.diff(ensemble.wq, axis=1)  # (M, N)
-    r = y - f_vals - y @ a.T
-    r[:, :n] += dwq @ np.triu(z[:n, :n]).T
+    r = residual_reduced(y, f_vals, phi, grid)[0]
+    r[:, :n] += np.diff(ensemble.wq, axis=1) @ np.triu(z[:n, :n]).T
     return r
 
 

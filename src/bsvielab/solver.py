@@ -1,4 +1,4 @@
-"""Explicit solution formulas: Y from the resolvent, U, the Z surface,
+"""Explicit solution formulas: Y from the resolvent, the Z surface,
 smoothness and norm diagnostics.
 
 Everything here evaluates closed-form conditional expectations and
@@ -16,13 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .girsanov import DriftFunction, PathEnsemble, expect_q_columns
-from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
-    ResolventTable, TriangularGrid, build_phi, tail_weight_matrix, \
-    trapezoid_weights
-from .measures import DelayMeasure
-from .terminal import Deterministic, GaussianLinear, TerminalFamily, \
-    TerminalFunction, conditional_sweep, evaluate_F_table, f0_profile, \
-    gaussian_linear_conditionals, is_stochastic, malliavin_table
+from .kernels import GridMismatch, KernelTable, ResolventTable, \
+    TriangularGrid, tail_weight_matrix, trapezoid_weights
+from .terminal import GaussianLinear, TerminalFamily, TerminalFunction, \
+    conditional_sweep, f0_profile, gaussian_linear_conditionals, \
+    is_stochastic, malliavin_table
 
 
 class UnsupportedFamily(ValueError):
@@ -45,10 +43,6 @@ class SolutionField:
     y: np.ndarray
     z: Optional[np.ndarray] = None
     ensemble: Optional[PathEnsemble] = None
-
-    @property
-    def stochastic(self) -> bool:
-        return self.y.ndim == 2
 
 
 @dataclass(frozen=True)
@@ -100,31 +94,6 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     return SolutionField(grid, fam, y, ensemble=ensemble)
 
 
-def compute_U(fam: TerminalFamily, fld: SolutionField, m: DelayMeasure,
-              k: KernelSpec, grid: TriangularGrid) -> np.ndarray:
-    """U(t) = F(t) + int_t^T alpha((r-T,0]) G(t,r) Y(r) dr - Y(t).
-
-    For stochastic families F(t) is the raw (generally non-adapted) value
-    on each path, so U collects exactly the martingale part int Z dW^Q.
-
-    The defining formula weights G with the half-open mass alpha((r-T, 0]),
-    which differs from the closed mass alpha([r-T, 0]) only at the finitely
-    many r where an atom sits exactly at r - T -- a null set of the
-    r-integral.  The quadrature therefore uses the closed-mass kernel, the
-    same table that defined Y; evaluating the half-open version at a grid
-    node that hits an atom would inject an O(dt) endpoint error into an
-    integral the conventions cannot actually distinguish.
-    """
-    if not fld.grid.same_as(grid):
-        raise GridMismatch("solution field on a different grid")
-    if m.horizon != grid.horizon:
-        raise HorizonMismatch("measure horizon differs from grid")
-    kern = build_phi(m, k, grid).values * tail_weight_matrix(grid)
-    if not fld.stochastic:
-        return f0_profile(fam, grid) + kern @ fld.y - fld.y
-    return evaluate_F_table(fam, fld.ensemble) + fld.y @ kern.T - fld.y
-
-
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
             drift_fn: Optional[DriftFunction], grid: TriangularGrid
             ) -> np.ndarray:
@@ -142,7 +111,7 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     if not (phi.grid.same_as(grid) and psi.grid.same_as(grid)):
         raise GridMismatch("kernel tables on a different grid")
     n = grid.n
-    if isinstance(fam, Deterministic):
+    if not is_stochastic(fam):
         return np.zeros((n + 1, n + 1))
     if not isinstance(fam, (GaussianLinear, TerminalFunction)):
         raise UnsupportedFamily(f"unknown family {type(fam).__name__}")

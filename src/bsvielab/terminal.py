@@ -120,31 +120,27 @@ def gauss_hermite_mean(fam: TerminalFunction, t, mean, sd) -> np.ndarray:
     return out.reshape(np.shape(t) + mean.shape)
 
 
-def evaluate_F(fam: TerminalFamily, t: float, ensemble: PathEnsemble) -> np.ndarray:
-    """Pointwise F(t) on every path of the ensemble."""
-    n_paths = ensemble.n_paths
-    if isinstance(fam, Deterministic):
-        return np.full(n_paths, float(fam.f0(t)))
-    if isinstance(fam, GaussianLinear):
-        left = ensemble.grid.nodes[:-1]
-        return float(fam.f0(t)) + ensemble.dw @ np.asarray(fam.phi(t, left), dtype=float)
-    w_end = ensemble.w[:, -1]
-    return _growth_checked(fam, t, w_end, _growth_bound(fam, w_end))
-
-
 def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
-    """F(t_a) on every path and node, (M, N+1): one GEMM with the phi table
-    of gaussian_linear_conditionals for GaussianLinear; a t-independent
-    terminal function is evaluated, and growth-checked, once and broadcast."""
+    """F(t_a) on every path and node, (M, N+1): f0_profile broadcast for a
+    deterministic family; one GEMM with the phi table of
+    gaussian_linear_conditionals for GaussianLinear; a terminal function
+    is growth-checked at W(T), once and broadcast when h ignores t, once
+    per node otherwise."""
     grid = ensemble.grid
+    shape = (ensemble.n_paths, grid.n + 1)
+    if not is_stochastic(fam):
+        return np.broadcast_to(f0_profile(fam, grid), shape)
     if isinstance(fam, GaussianLinear):
         out = ensemble.dw @ _phi_table(fam, grid).T
         out += f0_profile(fam, grid)
         return out
-    if isinstance(fam, TerminalFunction) and not fam.t_dependent:
-        col = evaluate_F(fam, grid.nodes[0], ensemble)
-        return np.broadcast_to(col[:, None], (ensemble.n_paths, grid.n + 1))
-    return np.stack([evaluate_F(fam, t, ensemble) for t in grid.nodes], axis=1)
+    w_end = ensemble.w[:, -1]
+    bound = _growth_bound(fam, w_end)
+    if not fam.t_dependent:
+        col = _growth_checked(fam, grid.nodes[0], w_end, bound)
+        return np.broadcast_to(col[:, None], shape)
+    return np.stack([_growth_checked(fam, t, w_end, bound)
+                     for t in grid.nodes], axis=1)
 
 
 def f0_profile(fam: Deterministic | GaussianLinear,
@@ -174,6 +170,26 @@ def gaussian_linear_conditionals(fam: GaussianLinear, grid: TriangularGrid,
     return c, phimat
 
 
+def _q_transition(grid: TriangularGrid, drift_fn: DriftFunction | None):
+    """(shift, sd) with W(T) | F_{t_i} ~ N(W(t_i) + shift[i], sd[i]^2)
+    under Q: shift the left-point int_{t_i}^T b, sd = sqrt(T - t_i)."""
+    shift = np.zeros(grid.n + 1) if drift_fn is None else drift_fn.remaining()
+    return shift, np.sqrt(np.maximum(grid.horizon - grid.nodes, 0.0))
+
+
+def mean_profile(fam: TerminalFamily, grid: TriangularGrid,
+                 drift_fn: DriftFunction | None = None) -> np.ndarray:
+    """E^Q[F(t_a) | F_0] at every node: f0 for a deterministic family,
+    column 0 of gaussian_linear_conditionals for GaussianLinear, one
+    Gauss-Hermite layer at W(0) = 0 for a terminal function."""
+    if not is_stochastic(fam):
+        return f0_profile(fam, grid)
+    if isinstance(fam, GaussianLinear):
+        return gaussian_linear_conditionals(fam, grid, drift_fn)[0][:, 0]
+    shift, sd = _q_transition(grid, drift_fn)
+    return gauss_hermite_mean(fam, grid.nodes, shift[0], sd[0])
+
+
 def conditional_sweep(fam: TerminalFunction, grid: TriangularGrid,
                       ensemble: PathEnsemble,
                       drift_fn: DriftFunction | None = None):
@@ -181,16 +197,14 @@ def conditional_sweep(fam: TerminalFunction, grid: TriangularGrid,
     on path m: one gauss_hermite_mean call per node, for every t_a at once
     when h depends on t."""
     nodes = grid.nodes
-    n = grid.n
-    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
-    for i in range(n + 1):
-        mean = ensemble.w[:, i] + remaining[i]
-        sd = math.sqrt(max(grid.horizon - nodes[i], 0.0))
+    shift, sd = _q_transition(grid, drift_fn)
+    for i in range(grid.n + 1):
+        mean = ensemble.w[:, i] + shift[i]
         if fam.t_dependent:
-            yield i, gauss_hermite_mean(fam, nodes, mean, sd)
+            yield i, gauss_hermite_mean(fam, nodes, mean, sd[i])
         else:
-            row = gauss_hermite_mean(fam, nodes[0], mean, sd)
-            yield i, np.broadcast_to(row, (n + 1, ensemble.n_paths))
+            row = gauss_hermite_mean(fam, nodes[0], mean, sd[i])
+            yield i, np.broadcast_to(row, (grid.n + 1, ensemble.n_paths))
 
 
 def malliavin_table(fam: GaussianLinear | TerminalFunction,
@@ -210,9 +224,8 @@ def malliavin_table(fam: GaussianLinear | TerminalFunction,
     if isinstance(fam, GaussianLinear):
         tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
         return np.asarray(fam.phi(tt, ss), dtype=float)
-    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
-    sd = np.sqrt(np.maximum(grid.horizon - nodes, 0.0))
-    pts = (Z_REF_STATE + remaining)[:, None] + sd[:, None] * _GH_SHIFT
+    shift, sd = _q_transition(grid, drift_fn)
+    pts = (Z_REF_STATE + shift)[:, None] + sd[:, None] * _GH_SHIFT
 
     def layer(t):
         return np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
@@ -226,50 +239,66 @@ def malliavin_table(fam: GaussianLinear | TerminalFunction,
 # registries wired to the config front end
 # ---------------------------------------------------------------------------
 
+class UnknownParameter(ValueError):
+    """A registry entry was given a parameter (args[0]) it does not take."""
+
+
+def _params(params: dict, **defaults) -> list[float]:
+    """The values of params in the order of defaults, each default where
+    params has none; UnknownParameter for a key defaults does not name."""
+    for key in params:
+        if key not in defaults:
+            raise UnknownParameter(key)
+    return [float(params.get(key, value)) for key, value in defaults.items()]
+
+
 def _const_fn(value):
     return lambda t: value + 0.0 * np.asarray(t, dtype=float)
 
 
 def make_f0(name: str, **params) -> Callable:
     if name == "constant":
-        return _const_fn(float(params.get("value", 1.0)))
+        value, = _params(params, value=1.0)
+        return _const_fn(value)
     if name == "zero":
+        _params(params)
         return _const_fn(0.0)
     if name == "exp_decay":
-        rate = float(params.get("rate", 1.0))
+        rate, = _params(params, rate=1.0)
         return lambda t: np.exp(-rate * np.asarray(t, dtype=float))
     raise KeyError(f"unknown f0 registry name {name!r}")
 
 
 def make_phi(name: str, **params) -> Callable:
     if name == "constant":
-        value = float(params.get("value", 1.0))
+        value, = _params(params, value=1.0)
         return lambda t, u: value + 0.0 * (np.asarray(t, dtype=float)
                                            + np.asarray(u, dtype=float))
     if name == "exp_u":
-        rate = float(params.get("rate", 1.0))
+        rate, = _params(params, rate=1.0)
         return lambda t, u: np.exp(-rate * np.asarray(u, dtype=float)) \
             + 0.0 * np.asarray(t, dtype=float)
     if name == "bilinear":
-        scale = float(params.get("scale", 1.0))
+        scale, = _params(params, scale=1.0)
         return lambda t, u: scale * np.asarray(t, dtype=float) * np.asarray(u, dtype=float)
     raise KeyError(f"unknown phi registry name {name!r}")
 
 
 def make_h(name: str, **params) -> TerminalFunction:
     if name == "square":
+        _params(params)
         return TerminalFunction(
             h=lambda t, x: np.asarray(x, dtype=float) ** 2,
             dh=lambda t, x: 2.0 * np.asarray(x, dtype=float),
             growth_a=3.0, growth_b=1.0)
     if name == "exp":
+        _params(params)
         return TerminalFunction(
             h=lambda t, x: np.exp(np.asarray(x, dtype=float)),
             dh=lambda t, x: np.exp(np.asarray(x, dtype=float)),
             growth_a=1.0, growth_b=1.0)
     if name == "affine":
-        a0 = float(params.get("intercept", 0.0))
-        a1 = float(params.get("slope", 1.0))
+        a0, a1 = _params(params, intercept=0.0, slope=1.0)
         return TerminalFunction(
             h=lambda t, x: a0 + a1 * np.asarray(x, dtype=float),
             dh=lambda t, x: a1 + 0.0 * np.asarray(x, dtype=float),

@@ -23,9 +23,9 @@ from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
     example33_kernel, example33_reference, iterated_sup_bound, resolvent, \
     tail_weight_matrix, volterra_compose, zero_kernel
 from bsvielab.measures import DiracAt, Uniform
-from bsvielab.oracles import build_delayed_operator, solve_delayed_lsmc, \
-    solve_delayed_picard, solve_reduced_collocation
-from bsvielab.solver import compute_U, solve_Y, solve_Z
+from bsvielab.oracles import build_delayed_operator, residual_reduced, \
+    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
+from bsvielab.solver import solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, \
     evaluate_F_table, make_f0, make_phi
 
@@ -199,7 +199,8 @@ def test_criterion_06_z_validation():
     b = drift(m, k, grid)
     ens = sample_paths(grid, 50000, 12345, "P", b)
     z_exp = solve_Z(fam, phi, psi, b, grid)
-    lsmc = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
+    f_vals = evaluate_F_table(fam, ens)
+    lsmc = solve_delayed_lsmc(f_vals, k, m,
                               build_delayed_operator(k, m, grid), grid, ens)
     compared = violations = 0
     worst_ratio = 0.0
@@ -212,10 +213,10 @@ def test_criterion_06_z_validation():
                 worst_ratio = max(worst_ratio, ratio)
                 violations += ratio > 3.0
 
-    # (c) Ito isometry between U and the Z surface at four probe times
-    fld = solve_Y(fam, psi, b, grid, ens)
-    fld.z = z_exp
-    u = compute_U(fam, fld, m, k, grid)
+    # (c) Ito isometry between U = F + int Phi Y - Y, the reduced residual
+    # with its sign flipped, and the Z surface at four probe times
+    y = solve_Y(fam, psi, b, grid, ens).y
+    u = -residual_reduced(y, f_vals, phi, grid)[0]
     tw = tail_weight_matrix(grid)
     iso_worst = 0.0
     for i in (0, 10, 20, 30):

@@ -385,6 +385,48 @@ def test_exit_2_on_bad_values(tmp_path):
                    "--seed", 2**128 - 1) == 0
 
 
+def test_exit_2_on_registry_parameter_it_does_not_take(tmp_path, capsys):
+    # a typo, and a key of another entry: both would otherwise run with
+    # the defaults
+    det = "horizon = 1.0\ngrid.n = 8\nmeasure.kind = dirac\n" \
+          "kernel.name = constant\nterminal.f0 = constant\n"
+    for text, key in [
+            (det + "terminal.f0.valeu = 2.0\n", "terminal.f0.valeu"),
+            (MINI_STOCHASTIC.replace("terminal.phi.value", "terminal.phi.rate"),
+             "terminal.phi.rate"),
+            (MINI_STOCHASTIC.replace("terminal.kind = gaussian_linear\n"
+                                     "terminal.f0 = zero\n"
+                                     "terminal.phi = constant\n"
+                                     "terminal.phi.value = 1.0\n",
+                                     "terminal.kind = terminal_function\n"
+                                     "terminal.h = square\n"
+                                     "terminal.h.slope = 2.0\n"),
+             "terminal.h.slope")]:
+        cfg = write_cfg(tmp_path, text, name="typo.cfg")
+        out = tmp_path / "o"
+        assert run_cli("solve", "--config", cfg, "--out", out) == 2, key
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+    # the spelled-out parameter is read
+    cfg = write_cfg(tmp_path, det + "terminal.f0.value = 2.0\n")
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "ok") == 0
+    header, rows = read_csv(tmp_path / "ok" / "solution.csv")
+    assert float(rows[-1][1]) == 2.0
+
+
+def test_exit_2_on_overflowing_poly_exp_kernel(tmp_path, capsys):
+    for horizon, lam in [("1.0", "-2000"), ("1000", "-1")]:
+        text = MINI_STOCHASTIC.replace("horizon = 1.0", f"horizon = {horizon}")
+        text = text.replace("kernel.name = constant\nkernel.c = 0.3",
+                            f"kernel.name = poly_exp\nkernel.lam = {lam}")
+        cfg = write_cfg(tmp_path, text, name="poly.cfg")
+        for command in ("resolvent", "solve"):
+            assert run_cli(command, "--config", cfg,
+                           "--out", tmp_path / "o") == 2, (horizon, command)
+            err = capsys.readouterr().err
+            assert "kernel: poly_exp" in err and "Traceback" not in err
+
+
 def test_single_path_solve_writes_valid_sidecar(tmp_path):
     # one path has no sample spread: the residual SE is 0, as for Y, and
     # the sidecar stays valid JSON

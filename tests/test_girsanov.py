@@ -39,9 +39,10 @@ def test_drift_uniform_linear():
 
 def test_drift_zero_g():
     g = grid(10)
-    b = drift(Uniform(1.0), constant_kernel(1.0, g_value=0.0), g)
+    spec = constant_kernel(1.0, g_value=0.0)
+    b = drift(Uniform(1.0), spec, g)
     assert np.all(b.values == 0.0)
-    assert np.abs(b.values).max() <= b.bound
+    assert np.abs(b.values).max() <= spec.g_bound
 
 
 def test_drift_horizon_mismatch():

@@ -271,3 +271,12 @@ def test_poly_exp_bound_and_values():
     spec = poly_exp_kernel(k=1, lam=3.0, horizon=1.0)
     assert spec.G_bound == pytest.approx(math.exp(-1.0) / 3.0, rel=1e-15)
     build_phi(DiracAt(1.0, 0.0), spec, TriangularGrid(1.0, 3))
+
+
+def test_poly_exp_rejects_an_overflowing_bound():
+    # e^{2000 u} overflows on [0, 1], e^u on [0, 1000]: the table could not
+    # be finite, so the spec is refused before any table is built
+    for lam, horizon in [(-2000.0, 1.0), (-1.0, 1000.0)]:
+        with pytest.raises(ValueError, match="no finite bound"):
+            poly_exp_kernel(k=1, lam=lam, horizon=horizon)
+    assert math.isfinite(poly_exp_kernel(k=1, lam=-700.0).G_bound)

@@ -18,7 +18,7 @@ from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
-from bsvielab.terminal import Deterministic, GaussianLinear, evaluate_F, \
+from bsvielab.terminal import Deterministic, GaussianLinear, \
     evaluate_F_table, f0_profile, make_f0, make_h, make_phi
 
 T = 1.0
@@ -659,7 +659,7 @@ def reference_lsmc(fam, k, m, op, g, ens, cfg=PicardConfig()):
     Returns (y, z, z_se, sup_diffs, targets, max Gram condition)."""
     n = g.n
     trap = tail_weight_matrix(g)
-    f_vals = np.stack([evaluate_F(fam, t, ens) for t in g.nodes], axis=1)
+    f_vals = evaluate_F_table(fam, ens)
     nodes = []
     for i in range(n + 1):
         b = reference_design_matrix(ens.w[:, i])

@@ -1,5 +1,8 @@
 """Explicit formulas for Y, U, Z plus norm and smoothness diagnostics.
 
+U(t) = F(t) + int_t^T Phi(t,r) Y(r) dr - Y(t), the martingale part of the
+reduced equation, is the reduced residual with its sign flipped.
+
 Closed forms used as oracles:
   * f0 == 1, Phi == 0.5 constant, T=1:  Y(t) = exp(0.5 (1-t));
   * phi == 1 (so F = W(T)), Phi == c:   Z(t,s) = exp(c (T-s)),
@@ -18,11 +21,13 @@ from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
     constant_kernel, resolvent, tail_weight_matrix, trapezoid_weights, \
     zero_kernel
 from bsvielab.measures import DiracAt, Uniform
-from bsvielab.solver import NormReport, SolutionField, compute_U, norms, \
+from bsvielab.oracles import residual_reduced
+from bsvielab.solver import NormReport, SolutionField, norms, \
     smoothness_diagnostics, solve_Y, solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
     GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
-    f0_profile, gauss_hermite_mean, make_f0, make_h, make_phi
+    evaluate_F_table, f0_profile, gauss_hermite_mean, make_f0, make_h, \
+    make_phi
 
 T = 1.0
 
@@ -63,7 +68,7 @@ def test_solve_Y_deterministic_ode_oracle():
     want = np.exp(0.5 * (1.0 - g.nodes))
     assert np.abs(fld.y - want).max() < 5e-5
     assert fld.y[0] == pytest.approx(math.exp(0.5), abs=1e-4)
-    assert not fld.stochastic
+    assert fld.y.shape == (g.n + 1,) and fld.ensemble is None
 
 
 def test_solve_Y_zero_kernel_is_conditional_F():
@@ -198,7 +203,7 @@ def test_compute_U_deterministic_residual_small():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     fld = solve_Y(fam, psi, None, g)
-    u = compute_U(fam, fld, m, spec, g)
+    u = -residual_reduced(fld.y, f0_profile(fam, g), phi, g)[0]
     assert np.abs(u).max() < 1e-4  # c * dt^2 scale
 
 
@@ -212,7 +217,7 @@ def test_compute_U_martingale_increment():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 64, 9, "P")
     fld = solve_Y(fam, psi, None, g, ens)
-    u = compute_U(fam, fld, m, spec, g)
+    u = -residual_reduced(fld.y, evaluate_F_table(fam, ens), phi, g)[0]
     want = ens.w[:, -1][:, None] - ens.w
     assert np.abs(u - want).max() < 1e-12
 
@@ -222,7 +227,8 @@ def test_zero_family_zero_everything():
     fam = Deterministic(f0=make_f0("zero"))
     fld = solve_Y(fam, psi, None, g)
     assert np.all(fld.y == 0.0)
-    assert np.all(compute_U(fam, fld, m, spec, g) == 0.0)
+    assert np.all(-residual_reduced(fld.y, f0_profile(fam, g), phi, g)[0]
+                  == 0.0)
 
 
 def test_solve_Z_martingale_representation_of_WT():
@@ -405,7 +411,7 @@ def test_ito_isometry():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 17, "Q")
     fld = solve_Y(fam, psi, None, g, ens)
-    u = compute_U(fam, fld, m, spec, g)
+    u = -residual_reduced(fld.y, evaluate_F_table(fam, ens), phi, g)[0]
     for i in (0, 12, 25, 37):
         t = g.nodes[i]
         want = (math.exp(2 * c * (T - t)) - 1.0) / (2 * c)

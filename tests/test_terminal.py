@@ -1,5 +1,6 @@
 """Free-term families: evaluation, exact conditionals, Malliavin readouts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +16,9 @@ from bsvielab.terminal import (
     GaussianLinear,
     QuadratureError,
     TerminalFunction,
+    UnknownParameter,
     Z_REF_STATE,
     conditional_sweep,
-    evaluate_F,
     evaluate_F_table,
     gauss_hermite_mean,
     is_stochastic,
@@ -25,6 +26,7 @@ from bsvielab.terminal import (
     make_h,
     make_phi,
     malliavin_table,
+    mean_profile,
 )
 
 T = 1.0
@@ -55,6 +57,25 @@ def conditional_F(fam, t, r, ensemble, drift_fn=None):
     return gauss_hermite_mean(fam, t, ensemble.w[:, j] + remaining, sd)
 
 
+def F_at(fam, t, ensemble):
+    """F(t) on every path: the column of evaluate_F_table at the grid node
+    t."""
+    (j,) = np.flatnonzero(np.isclose(ensemble.grid.nodes, t))
+    return evaluate_F_table(fam, ensemble)[:, j]
+
+
+def reference_F(fam, t, ensemble):
+    """F(t) on every path, one node at a time: the reference for
+    evaluate_F_table's table forms."""
+    if isinstance(fam, Deterministic):
+        return np.full(ensemble.n_paths, float(fam.f0(t)))
+    if isinstance(fam, GaussianLinear):
+        left = ensemble.grid.nodes[:-1]
+        return float(fam.f0(t)) + ensemble.dw @ np.asarray(fam.phi(t, left),
+                                                           dtype=float)
+    return np.asarray(fam.h(t, ensemble.w[:, -1]), dtype=float)
+
+
 def grid(n=50):
     return TriangularGrid(horizon=T, n=n)
 
@@ -66,7 +87,7 @@ def ens(n=50, m=2000, seed=3, mode="Q", drift_fn=None):
 def test_deterministic_everywhere():
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     e = ens(m=17)
-    assert np.all(evaluate_F(fam, 0.3, e) == 1.0)
+    assert np.all(F_at(fam, 0.3, e) == 1.0)
     assert np.all(conditional_F(fam, 0.3, 0.7, e) == 1.0)
     assert not is_stochastic(fam)
 
@@ -74,14 +95,14 @@ def test_deterministic_everywhere():
 def test_gaussian_linear_telescopes_to_WT():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant", value=1.0))
     e = ens(m=64)
-    vals = evaluate_F(fam, 0.2, e)
+    vals = F_at(fam, 0.2, e)
     assert np.allclose(vals, e.w[:, -1])
 
 
 def test_terminal_function_pointwise():
     fam = make_h("square")
     e = ens(m=8)
-    vals = evaluate_F(fam, 0.0, e)
+    vals = F_at(fam, 0.0, e)
     assert np.allclose(vals, e.w[:, -1] ** 2)
 
 
@@ -119,10 +140,10 @@ def test_tower_property_at_T():
     fam_gl = GaussianLinear(f0=make_f0("constant", value=0.5),
                             phi=make_phi("exp_u", rate=1.0))
     assert np.allclose(conditional_F(fam_gl, 0.4, T, e),
-                       evaluate_F(fam_gl, 0.4, e))
+                       F_at(fam_gl, 0.4, e))
     fam_tf = make_h("exp")
     got = conditional_F(fam_tf, 0.0, T - 1e-12, e)
-    want = evaluate_F(fam_tf, 0.0, e)
+    want = F_at(fam_tf, 0.0, e)
     assert np.abs(got - want).max() < 1e-5
 
 
@@ -131,7 +152,7 @@ def test_unconditional_matches_monte_carlo():
     e = ens(n=50, m=100_000, seed=11)
     cond0 = conditional_F(fam, 0.0, 0.0, e)
     assert np.allclose(cond0, cond0[0])  # no path dependence at r=0
-    samples = evaluate_F(fam, 0.0, e)
+    samples = F_at(fam, 0.0, e)
     se = samples.std(ddof=1) / math.sqrt(len(samples))
     assert abs(samples.mean() - cond0[0]) < 3 * se
     # and the quadrature value is the exact lognormal mean e^{T/2}
@@ -142,9 +163,9 @@ def test_malliavin_bump_consistency():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("exp_u", rate=1.0))
     e = ens(n=20, m=6)
     k, eps, t = 9, 1e-3, 0.3
-    base = evaluate_F(fam, t, e)
+    base = F_at(fam, t, e)
     e.dw[:, k] += eps
-    bumped = evaluate_F(fam, t, e)
+    bumped = F_at(fam, t, e)
     e.dw[:, k] -= eps
     want = eps * math.exp(-e.grid.nodes[k])
     assert np.allclose(bumped - base, want)
@@ -217,10 +238,22 @@ def test_registries_reject_unknown_names():
         make_h("nope")
 
 
+def test_registries_reject_unknown_parameters():
+    for make, name, key in [(make_f0, "constant", "valeu"),
+                            (make_f0, "zero", "value"),
+                            (make_phi, "exp_u", "scale"),
+                            (make_h, "square", "slope")]:
+        with pytest.raises(UnknownParameter) as info:
+            make(name, **{key: 2.0})
+        assert info.value.args == (key,)
+    assert make_f0("constant", value=2.0)(0.5) == 2.0
+    assert make_h("affine", slope=2.0).dh(0.0, 1.0) == 2.0
+
+
 def test_affine_h_registry():
     fam = make_h("affine", intercept=0.5, slope=2.0)
     e = ens(n=10, m=7)
-    assert np.allclose(evaluate_F(fam, 0.0, e), 0.5 + 2.0 * e.w[:, -1])
+    assert np.allclose(F_at(fam, 0.0, e), 0.5 + 2.0 * e.w[:, -1])
     assert np.allclose(malliavin_table(fam, e.grid), 2.0)
 
 
@@ -232,15 +265,19 @@ def test_affine_h_registry():
     GaussianLinear(f0=make_f0("exp_decay"), phi=make_phi("bilinear")),
     Deterministic(f0=make_f0("constant", value=2.0)),
 ], ids=["t-independent", "t-dependent", "gaussian", "deterministic"])
-def test_evaluate_F_table_matches_per_node_stack(fam, monkeypatch):
-    import bsvielab.terminal as terminal_mod
-
-    e = ens(n=12, m=300)
-    want = np.stack([evaluate_F(fam, t, e) for t in e.grid.nodes], axis=1)
+def test_evaluate_F_table_matches_per_node_stack(fam):
+    # count the calls of h (of phi for a Gaussian-linear family, of f0 for
+    # a deterministic one)
     calls = []
-    monkeypatch.setattr(terminal_mod, "evaluate_F",
-                        lambda *a: calls.append(a[1]) or evaluate_F(*a))
+    field = {Deterministic: "f0", GaussianLinear: "phi"}.get(type(fam), "h")
+    inner = getattr(fam, field)
+    fam = dataclasses.replace(
+        fam, **{field: lambda *a: calls.append(a[0]) or inner(*a)})
+    e = ens(n=12, m=300)
+    want = np.stack([reference_F(fam, t, e) for t in e.grid.nodes], axis=1)
+    calls.clear()
     got = evaluate_F_table(fam, e)
+    n_calls = len(calls)
     if isinstance(fam, GaussianLinear):
         # one GEMM instead of a product per node: both sum the same N
         # terms phi(t_a, t_k) dW_k, each within gamma_N = N u / (1 - N u)
@@ -250,12 +287,54 @@ def test_evaluate_F_table_matches_per_node_stack(fam, monkeypatch):
         u = np.finfo(float).eps / 2
         gamma = 12 * u / (1 - 12 * u)
         assert np.all(np.abs(got - want) <= 2 * gamma * scale + 2 * u * np.abs(want))
-        assert calls == []
+        assert n_calls == 1  # the phi table
         return
     assert np.array_equal(got, want)
     # a t-independent h is evaluated and growth-checked once
     shared = isinstance(fam, TerminalFunction) and not fam.t_dependent
-    assert len(calls) == (1 if shared else 13)
+    assert n_calls == (1 if shared else 13)
+
+
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_evaluate_F_table_growth_checked(t_dependent):
+    # h breaks its envelope only beyond x = 25, which W(T) reaches on the
+    # last path alone
+    e = ens(n=10, m=50)
+    e.w[-1, -1] = 30.0
+    fam = TerminalFunction(
+        h=lambda t, x: np.where(np.asarray(x) > 25.0,
+                                10.0 * np.exp(np.abs(x)), np.asarray(x) ** 2),
+        dh=lambda t, x: 2.0 * np.asarray(x), growth_a=3.0, growth_b=1.0,
+        t_dependent=t_dependent)
+    with pytest.raises(QuadratureError):
+        evaluate_F_table(fam, e)
+    e.w[-1, -1] = 20.0
+    assert np.array_equal(evaluate_F_table(fam, e)[:, -1], e.w[:, -1] ** 2)
+
+
+@pytest.mark.parametrize("fam", [
+    Deterministic(f0=make_f0("exp_decay", rate=0.5)),
+    GaussianLinear(f0=make_f0("constant", value=0.2),
+                   phi=make_phi("exp_u", rate=2.0)),
+    make_h("square"),
+    TerminalFunction(h=lambda t, x: np.exp(-t) * np.asarray(x) ** 2,
+                     dh=lambda t, x: 2.0 * np.exp(-t) * np.asarray(x),
+                     growth_a=3.0, growth_b=1.0, t_dependent=True),
+], ids=["deterministic", "gaussian", "t-independent", "t-dependent"])
+def test_mean_profile_is_conditional_at_zero(fam):
+    g = grid(20)
+    b = drift(Uniform(T), constant_kernel(0.0, g_value=0.7), g)
+    e = sample_paths(g, 3, 4, "Q", b)
+    got = mean_profile(fam, g, b)
+    want = np.stack([conditional_F(fam, t, 0.0, e, b) for t in g.nodes])
+    assert got.shape == (g.n + 1,)
+    assert np.abs(want - got[:, None]).max() < 1e-12
+    if isinstance(fam, TerminalFunction):
+        # E[(mu + sqrt(T) X)^2] = mu^2 + T, exact for the 64-node rule,
+        # with mu the left-point int_0^T b
+        mu = b.values[:-1].sum() * g.dt
+        scale = np.exp(-g.nodes) if fam.t_dependent else 1.0
+        assert np.abs(got - scale * (mu**2 + T)).max() < 1e-12
 
 
 def test_malliavin_table_closed_forms():
