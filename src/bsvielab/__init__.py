@@ -22,8 +22,8 @@ from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
 from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
     ResolventTable, SingularStep, ToleranceUnreachable, TriangularGrid, \
     build_phi, constant_kernel, example33_kernel, example33_reference, \
-    iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, \
-    volterra_compose, zero_kernel
+    identity_residual, iterated_sup_bound, poly_exp_kernel, resolvent, \
+    sharp_tail, volterra_compose, zero_kernel
 from .measures import Atoms, DelayMeasure, DiracAt, DomainError, MassError, \
     Mixture, SupportError, Uniform
 from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardResult, \

@@ -31,7 +31,7 @@ from .config import ConfigError, ExperimentConfig, load_config_file
 from .girsanov import DegenerateWeights, drift, effective_sample_size, \
     expect_q_columns, girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
-    example33_reference, resolvent
+    example33_reference, identity_residual, resolvent
 from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
     RegressionIllConditioned, build_delayed_operator, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
@@ -143,13 +143,14 @@ def _prepare(cfg: ExperimentConfig):
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
     grid, phi, psi, _ = _prepare(cfg)
+    residual = identity_residual(phi, psi)
     write_triangle(os.path.join(cfg.out_dir, "resolvent.csv"),
                    ["t", "s", "phi", "psi"], grid, phi.values, psi.values)
-    print(f"resolvent: residual={psi.residual:.6e} n_star={psi.n_star} "
+    print(f"resolvent: residual={residual:.6e} n_star={psi.n_star} "
           f"tail_bound={psi.tail_bound:.6e} "
           f"sup|Phi|={phi.sup_norm:.12g} sup|Psi|={psi.sup_norm:.12g}")
     extra = {
-        "identity_residual": psi.residual,
+        "identity_residual": residual,
         "n_star": psi.n_star,
         "tail_bound": psi.tail_bound,
         "sup_psi": psi.sup_norm,
@@ -326,17 +327,24 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         })
         return
 
+    # Each (M, N+1) table goes once its column means are taken: the
+    # explicit Y and residual before the oracle runs, the LSMC targets
+    # before its residual.
     f_vals = evaluate_F_table(cfg.family, ens)
+    y_exp, se_exp = expect_q_columns(ens, fld.y)
+    rr_exp, se_rr_exp = expect_q_columns(ens, residual_reduced_pathwise(
+        fld.y, fld.z, f_vals, phi, grid, ens))
+    se_r_exp = float(se_rr_exp.max())
+    del fld
     lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
         f_vals, cfg.kernel, cfg.measure, op, grid, ens, pic_cfg))
-
-    y_exp, se_exp = expect_q_columns(ens, fld.y)
-    y_lsmc, se_lsmc = expect_q_columns(ens, lsmc.y)
-    r_exp = residual_reduced_pathwise(fld.y, fld.z, f_vals, phi, grid, ens)
-    r_lsmc = residual_reduced_pathwise(lsmc.y, lsmc.z, f_vals, phi, grid, ens)
-    rr_exp, se_rr_exp = expect_q_columns(ens, r_exp)
-    rr_lsmc = expect_q_columns(ens, r_lsmc)[0]
-    se_r_exp = float(se_rr_exp.max())
+    y_paths, z_lsmc = lsmc.y, lsmc.z
+    lsmc_meta = {"lsmc_iterations": lsmc.iterations,
+                 "lsmc_max_gram_cond": lsmc.max_gram_cond}
+    del lsmc
+    y_lsmc, se_lsmc = expect_q_columns(ens, y_paths)
+    rr_lsmc = expect_q_columns(ens, residual_reduced_pathwise(
+        y_paths, z_lsmc, f_vals, phi, grid, ens))[0]
     nan_col = np.full_like(rr_exp, np.nan)
 
     write_csv(os.path.join(cfg.out_dir, "compare.csv"), header,
@@ -354,8 +362,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
           f"sup|E[Y_explicit]-E[Y_lsmc]|={gap:.3e} [{ok} vs {tol:.3e}]; "
           f"sup|E[Y_explicit]-collocation|={gap_col:.3e}")
     write_meta(cfg, "compare", {
-        "lsmc_iterations": lsmc.iterations,
-        "lsmc_max_gram_cond": lsmc.max_gram_cond,
+        **lsmc_meta,
         "res_reduced_explicit_sup": rr_exp_sup,
         "res_reduced_explicit_se_max": se_r_exp,
         "res_reduced_lsmc_sup": rr_lsmc_sup,

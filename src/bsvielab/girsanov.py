@@ -72,37 +72,82 @@ def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction
 class PathEnsemble:
     """Simulated Brownian ensemble with its measure tag.
 
-    dw holds increments of W itself; w and wq the cumulative paths of W and
-    W^Q (these coincide when the drift vanishes).  weights is the per-path
-    Radon-Nikodym density M(T) for tag "P" and exactly 1 for tag "Q".
+    draws (M, N) is the one path table held: the scaled normal draws,
+    increments of W for tag "P" and of W^Q for tag "Q".  dw (the
+    increments of W), w and wq (the cumulative paths of W and W^Q, which
+    coincide when the drift vanishes) are derived from it and the drift,
+    as sample_paths describes: each access builds a new read-only table
+    (w and wq cost a cumsum), so a caller reads each one once.  weights
+    is the per-path Radon-Nikodym density M(T) for tag "P" and exactly 1
+    for tag "Q".
     """
 
     grid: TriangularGrid
     n_paths: int
     seed: int
     tag: str
-    dw: np.ndarray
-    w: np.ndarray
-    wq: np.ndarray
+    draws: np.ndarray
+    drift_fn: DriftFunction
     weights: np.ndarray
 
     def __post_init__(self):
         if self.tag not in ("P", "Q"):
             raise ValueError(f"unknown measure tag {self.tag!r}")
+        if self.draws.shape != (self.n_paths, self.grid.n):
+            raise ValueError(f"draws of shape {self.draws.shape}, expected "
+                             f"{(self.n_paths, self.grid.n)}")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be strictly positive")
+
+    @property
+    def dw(self) -> np.ndarray:
+        """Increments of W, (M, N): the draws under tag "P", the draws
+        plus the left-point drift b_k dt under tag "Q"."""
+        if self.tag == "P":
+            out = self.draws.view()
+        else:
+            b_left = self.drift_fn.values[:-1]
+            out = self.draws + b_left[None, :] * self.grid.dt
+        out.flags.writeable = False
+        return out
+
+    @property
+    def w(self) -> np.ndarray:
+        """W on every path and node, (M, N+1)."""
+        out = self._cumulative_draws()
+        if self.tag == "Q":
+            out += self.drift_fn.cumulative()[None, :]
+        out.flags.writeable = False
+        return out
+
+    @property
+    def wq(self) -> np.ndarray:
+        """W^Q = W - int b on every path and node, (M, N+1)."""
+        out = self._cumulative_draws()
+        if self.tag == "P":
+            out -= self.drift_fn.cumulative()[None, :]
+        out.flags.writeable = False
+        return out
+
+    def _cumulative_draws(self) -> np.ndarray:
+        """0 then the running sums of the draws along each path."""
+        out = np.empty((self.n_paths, self.grid.n + 1))
+        out[:, 0] = 0.0
+        np.cumsum(self.draws, axis=1, out=out[:, 1:])
+        return out
 
 
 def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
                  drift_fn: DriftFunction | None = None) -> PathEnsemble:
     """Generate an ensemble of M Brownian paths on the grid.
 
-    mode "P": raw draws are increments of W; the weight column carries
-      M(T) = exp(sum_k b_k dW_k - 0.5 sum_k b_k^2 dt) with left-point b,
-      and DegenerateWeights is raised if any of them underflows to 0 or
-      their effective sample size sum(w) / max(w) is below ESS_FLOOR.
+    mode "P": raw draws are increments of W, and W^Q = W - int b; the
+      weight column carries M(T) = exp(sum_k b_k dW_k - 0.5 sum_k b_k^2 dt)
+      with left-point b, and DegenerateWeights is raised if any of them
+      underflows to 0 or their effective sample size sum(w) / max(w) is
+      below ESS_FLOOR.
     mode "Q": raw draws are increments of W^Q; W adds the accumulated
-      drift and all weights are one.
+      drift, dW the drift b_k dt, and all weights are one.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -114,17 +159,13 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
     n = grid.n
     dt = grid.dt
     rng = np.random.Generator(np.random.Philox(key=seed))
-    xi = rng.standard_normal((n_paths, n)) * math.sqrt(dt)
+    xi = rng.standard_normal((n_paths, n))
+    xi *= math.sqrt(dt)
     if drift_fn is None:
         drift_fn = DriftFunction(grid, np.zeros(n + 1))
-    b_left = drift_fn.values[:n]
-    drift_cum = drift_fn.cumulative()
 
-    zeros_col = np.zeros((n_paths, 1))
     if mode == "P":
-        dw = xi
-        w = np.hstack([zeros_col, np.cumsum(xi, axis=1)])
-        wq = w - drift_cum[None, :]
+        b_left = drift_fn.values[:n]
         exponent = xi @ b_left - 0.5 * dt * float(b_left @ b_left)
         weights = np.exp(exponent)
         if not np.all(weights > 0.0):
@@ -133,11 +174,8 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
                 "weights underflow to 0")
         _check_ess(weights)
     else:
-        wq = np.hstack([zeros_col, np.cumsum(xi, axis=1)])
-        w = wq + drift_cum[None, :]
-        dw = xi + b_left[None, :] * dt
         weights = np.ones(n_paths)
-    return PathEnsemble(grid, n_paths, seed, mode, dw, w, wq, weights)
+    return PathEnsemble(grid, n_paths, seed, mode, xi, drift_fn, weights)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -175,23 +213,29 @@ def expect_q_columns(ensemble: PathEnsemble,
     """Column-wise Q-expectations of an (M, K) per-path matrix and their
     standard errors.
 
-    Tag "Q" is a plain sample mean (SE 0 for a single path); tag "P" a
-    self-normalized importance-sampling mean with the delta-method
-    standard error.  Each column is reduced as one contiguous row.
+    Tag "Q" is a plain sample mean with the ddof-1 standard error (SE 0
+    for a single path); tag "P" a self-normalized importance-sampling mean
+    with the delta-method standard error.  Each column is reduced as one
+    contiguous row of a single private copy, in which the deviations are
+    formed, weighted and squared; values itself is never written.
     """
-    x = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    x = np.array(np.asarray(values, dtype=float).T, order="C")
     m_paths = x.shape[1]
     if ensemble.tag == "Q":
-        se = x.std(axis=1, ddof=1) / math.sqrt(m_paths) if m_paths > 1 \
-            else np.zeros(len(x))
-        return x.mean(axis=1), se
+        # np.mean and np.std(ddof=1), step by step, in place
+        est = x.sum(axis=1) / m_paths
+        if m_paths == 1:
+            return est, np.zeros(len(x))
+        x -= est[:, None]
+        np.square(x, out=x)
+        return est, np.sqrt(x.sum(axis=1) / (m_paths - 1)) / math.sqrt(m_paths)
     w = ensemble.weights
     wsum = float(w.sum())
     est = (x @ w) / wsum
-    d = x - est[:, None]  # weighted and squared in place
-    d *= w
-    np.square(d, out=d)
-    return est, np.sqrt(d.sum(axis=1)) / wsum
+    x -= est[:, None]
+    x *= w
+    np.square(x, out=x)
+    return est, np.sqrt(x.sum(axis=1)) / wsum
 
 
 def girsanov_report(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid,

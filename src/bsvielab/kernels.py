@@ -147,9 +147,9 @@ class KernelTable:
 
 @dataclass
 class ResolventTable(KernelTable):
-    """Psi = sum_n Phi^(n), sup|Psi - Phi - Psi o Phi| and sharp_tail's report."""
+    """Psi = sum_n Phi^(n) and sharp_tail's report; identity_residual
+    measures it."""
 
-    residual: float
     n_star: int
     tail_bound: float
 
@@ -272,6 +272,7 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
     Psi (I - dt Phi + dt/2 D) = Phi - dt/2 D Phi with D = diag Phi.
     Pivoting noise below the diagonal is cut, and the diagonal is Phi's,
     as in the series.  tol only sets the reported order n_star.
+    ToleranceUnreachable when Psi overflows.
     """
     p = phi.values
     denom = implicit_factors(phi)
@@ -281,13 +282,27 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
         try:  # overflow: a singular LinAlgError or a non-finite KernelTable
             psi = np.triu(np.linalg.solve(system.T, (denom[:, None] * p).T).T)
             np.fill_diagonal(psi, np.diag(p))
-            defect = psi - p - volterra_compose(KernelTable(phi.grid, psi), phi).values
-            residual = KernelTable(phi.grid, defect).sup_norm
+            KernelTable(phi.grid, psi)  # raises on a non-finite Psi
         except ValueError:
             raise ToleranceUnreachable(
                 f"resolvent overflows for C = {phi.sup_norm:.3g}") from None
-    return ResolventTable(phi.grid, psi, residual,
+    return ResolventTable(phi.grid, psi,
                           *sharp_tail(phi.sup_norm, phi.grid.horizon, tol))
+
+
+def identity_residual(phi: KernelTable, psi: ResolventTable) -> float:
+    """sup|Psi - Phi - Psi o Phi|, the a-posteriori residual of the
+    identity resolvent solves: one (N+1)^3 volterra_compose, so only the
+    command that reports it pays for it.  ToleranceUnreachable if the
+    composition overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            composed = volterra_compose(psi, phi).values
+            return KernelTable(phi.grid, psi.values - phi.values
+                               - composed).sup_norm
+        except ValueError:
+            raise ToleranceUnreachable(
+                f"resolvent overflows for C = {phi.sup_norm:.3g}") from None
 
 
 def example33_reference(horizon: float, variant: str) -> Callable[[np.ndarray], np.ndarray]:

@@ -32,6 +32,7 @@ REGRESSION_DEGREE = 4
 RIDGE = 1e-8
 COND_LIMIT = 1e10
 DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
+LSMC_CHUNK = 2048  # paths per block of the LSMC basis: P x 2048 floats
 
 
 class PicardDiverged(RuntimeError):
@@ -204,7 +205,8 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable,
     """R(t) = Y(t) - Fbar(t) - int_t^T Phi(t,s) Y(s) ds (profiles or
     per-path matrices, vectorized over leading axes)."""
     a = phi.values * tail_weight_matrix(grid)
-    r = y - fbar - y @ a.T
+    r = y - fbar
+    r -= y @ a.T
     return r, float(np.abs(r).max())
 
 
@@ -239,51 +241,113 @@ class LsmcResult:
     max_gram_cond: float = 0.0  # largest condition number of the node Grams
 
 
-class _StackedBasis:
-    """Every node's regression basis, built once per LSMC run: rows[i, p]
-    (N+1, D, M), D = REGRESSION_DEGREE + 1, is basis function p of node i
-    on every path: the intercept, then the centred, unit-variance powers
-    W(t_i)^p, a zero row where W(t_i) is degenerate (t_i = 0) or the power
-    has spread <= 1e-12.  flat = B^T (P, M), P = (N+1) D; gram = B^T B;
-    ones the node blocks of B^T 1; ginv[i] inverts node i's ridged Gram
-    block on its live rows.  RegressionIllConditioned if a block's
-    condition number, the largest of which is cond, exceeds COND_LIMIT."""
+def _raw_powers(wt: np.ndarray) -> np.ndarray:
+    """Rows (K, D, m) of the intercept and the raw powers W^p, p = 1..D-1
+    (D = REGRESSION_DEGREE + 1), of node-major states wt (K, m)."""
+    rows = np.empty((len(wt), REGRESSION_DEGREE + 1, wt.shape[1]))
+    rows[:, 0] = 1.0
+    rows[:, 1] = wt
+    for p in range(2, rows.shape[1]):  # W^p = W^(p-1) W: pow takes 20x longer
+        np.multiply(rows[:, p - 1], rows[:, 1], out=rows[:, p])
+    return rows
 
-    def __init__(self, w: np.ndarray):
+
+def _power_stats(wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and root-mean-square spread over the paths of each raw power
+    row of _raw_powers(wt), the spread taken after centring; (K, D) each,
+    zero in the intercept column."""
+    rows = _raw_powers(wt)
+    mean, sd = np.zeros(rows.shape[:2]), np.zeros(rows.shape[:2])
+    for p in range(1, rows.shape[1]):
+        row = rows[:, p]
+        mean[:, p] = row.mean(axis=1)
+        row -= mean[:, p, None]
+        sd[:, p] = np.sqrt(np.einsum("im,im->i", row, row) / wt.shape[1])
+    return mean, sd
+
+
+class _StackedBasis:
+    """Every node's regression basis on the paths W (M, N+1): B_i holds
+    the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
+    row where W(t_i) is degenerate (t_i = 0) or the power has spread
+    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.  The node
+    means and scales sd (1 on a dead row) come first, from blocks of the
+    raw powers of at least two nodes (a block of rows reduces as the whole
+    (N+1) x M table does); then B^T is formed LSMC_CHUNK paths at a time
+    to accumulate gram = B^T B, bt_f = B^T F and, given dW, dwt_f = dW^T F
+    and dwt_b = dW^T B.  ones is the node blocks of B^T 1; ginv[i] inverts
+    node i's ridged Gram block on its live rows.
+    RegressionIllConditioned if a block's condition number, the largest
+    of which is cond, exceeds COND_LIMIT."""
+
+    def __init__(self, w: np.ndarray, f: np.ndarray,
+                 dw: np.ndarray | None = None):
         m_paths, n1 = w.shape
         d = REGRESSION_DEGREE + 1
-        self.rows = np.empty((n1, d, m_paths))
-        self.rows[:, 0] = 1.0
-        self.rows[:, 1] = w.T
-        for p in range(2, d):  # W^p = W^(p-1) W: pow takes 20x longer
-            np.multiply(self.rows[:, p - 1], self.rows[:, 1],
-                        out=self.rows[:, p])
-        live = np.ones((n1, d), dtype=bool)
-        for p in range(1, d):
-            row = self.rows[:, p]
-            row -= row.mean(axis=1, keepdims=True)
-            sd = np.sqrt(np.einsum("im,im->i", row, row) / m_paths)
-            live[:, p] = (sd > 1e-12) & live[:, 1]  # p = 1: W(t_i) itself
-            row /= np.where(live[:, p], sd, 1.0)[:, None]
-            row[~live[:, p]] = 0.0
-        self.flat = self.rows.reshape(n1 * d, m_paths)
-        self.gram = self.flat @ self.flat.T
+        self.mean = np.zeros((n1, d))
+        sd = np.zeros((n1, d))
+        # the last block takes the remainder, up to 2 step - 1 nodes
+        step = max(2, LSMC_CHUNK * n1 // (2 * m_paths))
+        lo = 0
+        for hi in [*range(step, n1 - step + 1, step), n1]:
+            self.mean[lo:hi], sd[lo:hi] = _power_stats(w[:, lo:hi].T)
+            lo = hi
+        self.live = sd > 1e-12
+        self.live[:, 1:] &= self.live[:, 1:2]  # p = 1 is W(t_i) itself
+        self.sd = np.where(self.live, sd, 1.0)  # 1 for the intercept too
+        self.live[:, 0] = True
+
+        p_rows = n1 * d
+        self.gram = np.zeros((p_rows, p_rows))
+        self.bt_f = np.zeros((p_rows, n1))
+        self.dwt_f = self.dwt_b = None
+        if dw is not None:
+            self.dwt_f = np.zeros((dw.shape[1], n1))
+            self.dwt_b = np.zeros((dw.shape[1], p_rows))
+        for lo in range(0, m_paths, LSMC_CHUNK):
+            part = slice(lo, lo + LSMC_CHUNK)
+            bt = self._chunk(w[part])
+            fc = np.ascontiguousarray(f[part])  # a broadcast F, for BLAS
+            self.gram += bt @ bt.T
+            self.bt_f += bt @ fc
+            if dw is not None:
+                self.dwt_f += dw[part].T @ fc
+                self.dwt_b += dw[part].T @ bt.T
+            del bt  # before the next block is formed
         self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
         self.ginv = np.zeros((n1, d, d))
         self.cond = 0.0
         at = np.arange(n1)
         for i, block in enumerate(self.gram.reshape(n1, d, n1, d)[at, :, at]):
-            keep = np.ix_(live[i], live[i])
-            gram = block[keep] + RIDGE * np.eye(int(live[i].sum()))
+            keep = np.ix_(self.live[i], self.live[i])
+            gram = block[keep] + RIDGE * np.eye(int(self.live[i].sum()))
             cond = float(np.linalg.cond(gram))
             if cond > COND_LIMIT:
                 raise RegressionIllConditioned(f"condition number {cond:.2e}")
             self.cond = max(self.cond, cond)
             self.ginv[i][keep] = np.linalg.inv(gram)
 
-    def values(self, c: np.ndarray) -> np.ndarray:
-        """B_i c_i on every path, (N+1, M): one pass over the basis."""
-        return np.matmul(c[:, None, :], self.rows)[:, 0]
+    def _chunk(self, w: np.ndarray) -> np.ndarray:
+        """B^T on the paths of w (m, N+1): (P, m)."""
+        rows = _raw_powers(w.T)
+        rows[:, 1:] -= self.mean[:, 1:, None]
+        rows[:, 1:] /= self.sd[:, 1:, None]
+        rows[~self.live] = 0.0
+        return rows.reshape(-1, len(w))
+
+    def values(self, c: np.ndarray, wt: np.ndarray) -> np.ndarray:
+        """B_i c_i on every path, (N+1, M), from the node-major W^T (N+1,
+        M) by Horner in W(t_i), node i's centring and scale folded into
+        its coefficients."""
+        a = np.where(self.live, c / self.sd, 0.0)
+        a[:, 0] = c[:, 0] - np.einsum("ip,ip->i", a[:, 1:], self.mean[:, 1:])
+        a = a[:, :, None]
+        y = wt * a[:, -1]
+        for p in range(a.shape[1] - 2, 0, -1):
+            y += a[:, p]
+            y *= wt
+        y += a[:, 0]
+        return y
 
 
 def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
@@ -331,6 +395,10 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
     K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks; the
     first sweep reads y = F, outside the span, through B^T F in full.  The
     sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes.
+    Y itself is formed once, at the converged sweep: the divergence guard
+    reads the running bound sup|Y_1| + (later sup-differences) and forms
+    Y = B c only on a sweep where that bound is not below
+    DIVERGENCE_GUARD (a NaN is not), then restarts the bound from it.
     Z(t_i, s_j) is the least-squares slope of theta = target - Y on dW_j:
     refitted every sweep from dW^T F and dW^T B c when g != 0, since the
     g-term reads it; the converged sweep forms theta path by path and
@@ -339,44 +407,59 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
     """
     n = grid.n
     trap = tail_weight_matrix(grid)
-    f_full = np.ascontiguousarray(f_vals)  # a broadcast table, for BLAS
-    incr = _IncrementBasis(ensemble.dw, op, trap, grid.dt)
-    basis = _StackedBasis(ensemble.w)
+    dw = ensemble.dw
+    incr = _IncrementBasis(dw, op, trap, grid.dt)
+    w = ensemble.w
+    basis = _StackedBasis(w, f_vals, dw if k.g_bound != 0.0 else None)
+    wt = np.ascontiguousarray(w.T)  # node-major, for the sweeps
+    del w
     n1, d = basis.ones.shape
-    bt_f, at = basis.flat @ f_full, np.arange(n1)
+    at = np.arange(n1)
     # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
-    b_f, b_y = (x.reshape(n1, d, n1)[at, :, at] for x in (bt_f, bt_f @ op.T))
+    b_f, b_y = (x.reshape(n1, d, n1)[at, :, at]
+                for x in (basis.bt_f, basis.bt_f @ op.T))
     coupling = (basis.gram.reshape(n1, d, n1, d)
                 * op[:, None, :, None]).reshape(n1 * d, n1 * d)
     if k.g_bound != 0.0:  # x_j . v = dW_j . v - mean(dW_j) sum(v)
-        dw = ensemble.dw
-        x_f = dw.T @ f_full - np.outer(dw.mean(axis=0), f_full.sum(axis=0))
-        x_b = (dw.T @ basis.flat.T - np.outer(dw.mean(axis=0), basis.ones)
-               ).reshape(n, n1, d)
-    del f_full
+        dw_mean = dw.mean(axis=0)
+        x_f = basis.dwt_f - np.outer(dw_mean, f_vals.sum(axis=0))
+        x_b = (basis.dwt_b - np.outer(dw_mean, basis.ones)).reshape(n, n1, d)
 
-    c, sup_diffs = None, []
+    c, sup_diffs, bound = None, [], 0.0
     z_mean = np.zeros((n + 1, n + 1))
     for it in range(1, cfg.max_iterations + 1):
         gz = _g_weighted_term(k, m, grid, z_mean, trap)
         rhs = b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
-        dy = basis.values(c_next if c is None else c_next - c)
         if c is None:  # the first sweep starts from y = F
-            y, dy = dy, dy - f_vals.T
+            dy = basis.values(c_next, wt)
+            bound = max(dy.max(), -dy.min())
+            dy -= f_vals.T
         else:
-            y += dy
+            dy = basis.values(c_next - c, wt)
         diff = float(np.abs(dy, out=dy).max())
         del dy
         sup_diffs.append(diff)
+        if c is not None:
+            bound += diff
         c, c_prev = c_next, c
-        if not max(y.max(), -y.min()) <= DIVERGENCE_GUARD:  # NaN fails too
-            raise PicardDiverged(
-                f"sup |Y| beyond guard after {it} iterations", sup_diffs)
+        if not bound <= DIVERGENCE_GUARD:  # NaN fails too
+            y = basis.values(c, wt)
+            bound = max(y.max(), -y.min())
+            del y
+            if not bound <= DIVERGENCE_GUARD:
+                raise PicardDiverged(
+                    f"sup |Y| beyond guard after {it} iterations", sup_diffs)
         if diff < cfg.tolerance:
-            target = op @ (f_vals.T if c_prev is None else basis.values(
-                c_prev)) + f_vals.T + gz[:, None]
-            z, z_se = _slope_z((target - y).T, incr, with_se=True)
+            y_prev = f_vals.T if c_prev is None else basis.values(c_prev, wt)
+            target = op @ y_prev
+            del y_prev
+            target += f_vals.T
+            target += gz[:, None]
+            y = basis.values(c, wt)
+            del wt
+            theta = target - y
+            z, z_se = _slope_z(theta.T, incr, with_se=True)
             return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
                               basis.cond)
         b_y = (coupling @ c.ravel()).reshape(n1, d)
@@ -419,9 +502,11 @@ class _IncrementBasis:
 def _slope_z(theta: np.ndarray, basis: _IncrementBasis, with_se: bool = False
              ) -> tuple[np.ndarray, np.ndarray | None]:
     """_slope_fit of the targets theta (M, N+1), SEs only if with_se; the
-    centred targets theta_c give x^T theta_c = dW^T theta_c."""
+    centred targets theta_c give x^T theta_c = dW^T theta_c.  theta's
+    first N columns are centred in place."""
     n = basis.dw.shape[1]
-    theta_c = theta[:, :n] - theta[:, :n].mean(axis=0)
+    theta_c = theta[:, :n]
+    theta_c -= theta_c.mean(axis=0)
     sq = np.einsum("mi,mi->i", theta_c, theta_c) if with_se else None
     return _slope_fit(theta_c.T @ basis.dw, basis, sq)
 

@@ -63,7 +63,9 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     to t supplying the conditioning information.  GaussianLinear Y is
     affine in dW: with A = Psi * trap and (c, phi) from
     gaussian_linear_conditionals, Y = diag((I + A) c) + dW B^T for
-    B = tril((I + A) phi, -1), one (M x N) . (N x (N+1)) product.
+    B = tril((I + A) phi, -1), one (M x N) . (N x (N+1)) product.  When
+    a terminal function ignores t, every conditional row of node i is the
+    same C_i, and Y(t_i) = C_i + (sum_a A[i, a]) C_i.
     """
     if not psi.grid.same_as(grid):
         raise GridMismatch("resolvent built on a different grid")
@@ -89,8 +91,12 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
         return SolutionField(grid, fam, y, ensemble=ensemble)
 
     y = np.empty((ensemble.n_paths, n + 1))
+    a_sum = a.sum(axis=1)
     for i, c in conditional_sweep(fam, grid, ensemble, drift_fn):
-        y[:, i] = c[i] + a[i] @ c
+        if fam.t_dependent:
+            y[:, i] = c[i] + a[i] @ c
+        else:  # every row of c is C_i: A[i] c = (sum_a A[i, a]) C_i
+            y[:, i] = c[i] + a_sum[i] * c[i]
     return SolutionField(grid, fam, y, ensemble=ensemble)
 
 

@@ -198,8 +198,9 @@ def conditional_sweep(fam: TerminalFunction, grid: TriangularGrid,
     when h depends on t."""
     nodes = grid.nodes
     shift, sd = _q_transition(grid, drift_fn)
+    w = ensemble.w
     for i in range(grid.n + 1):
-        mean = ensemble.w[:, i] + shift[i]
+        mean = w[:, i] + shift[i]
         if fam.t_dependent:
             yield i, gauss_hermite_mean(fam, nodes, mean, sd[i])
         else:

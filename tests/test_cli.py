@@ -345,6 +345,29 @@ def test_write_triangle_streams(tmp_path):
     assert peak < path.stat().st_size
 
 
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
+    # compare holds the ensemble's draws and F throughout; then, one phase
+    # at a time, the explicit Y and its pathwise residual with two
+    # temporaries (y A^T, or the W^Q increments and their Ito product), the
+    # LSMC oracle's W and two of its Y_prev, targets, Y and theta, and the
+    # LSMC Y with its residual: six (M, N+1) tables at most.  One more
+    # covers the basis block, the O(N^2) tables and the Python objects.
+    # A stacked basis alone would be 5 tables here.
+    m_paths, n = 20_000, 20
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
+        "grid.n = 16", f"grid.n = {n}").replace(
+        "mc.paths = 2000", f"mc.paths = {m_paths}\nmc.mode = {mode}"))
+    tracemalloc.start()
+    try:
+        code = run_cli("compare", "--config", cfg, "--out", tmp_path / "o")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 7 * m_paths * (n + 1) * 8
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -486,6 +509,16 @@ def test_resolvent_exit_codes_at_large_kernel_bounds(tmp_path, capsys):
     assert meta["identity_residual"] <= 1e-14 * meta["sup_psi"]
     # c = 1000 on 400 steps: Psi overflows
     assert resolvent_exit(400, 1000) == 3
+    assert "resolvent overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "z-surface", "norms"])
+def test_every_command_exits_3_on_an_overflowing_resolvent(tmp_path, capsys,
+                                                            command):
+    # the identity residual is computed by the resolvent command alone; the
+    # others must still refuse a non-finite Psi
+    cfg = write_cfg(tmp_path, DETERMINISTIC.format(n=400, c=1000))
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 3
     assert "resolvent overflows" in capsys.readouterr().err
 
 

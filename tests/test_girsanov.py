@@ -153,6 +153,30 @@ def test_expect_q_columns_match_expect_q():
             assert np.allclose(se, want[:, 1], rtol=1e-11, atol=1e-15)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_expect_q_columns_match_numpy_reductions(mode, order):
+    # the estimates are numpy's reductions of the rows of values^T, bit
+    # for bit, and values is not written even when values^T is contiguous
+    g = grid(20)
+    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
+    ens = sample_paths(g, 3001, seed=6, mode=mode, drift_fn=b)
+    values = np.array(np.exp(ens.w), order=order)
+    before = values.copy()
+    est, se = expect_q_columns(ens, values)
+    assert np.array_equal(values, before)
+    x = np.ascontiguousarray(values.T)
+    if mode == "Q":
+        want = x.mean(axis=1), x.std(axis=1, ddof=1) / math.sqrt(3001)
+    else:
+        w = ens.weights
+        mean = (x @ w) / w.sum()
+        want = mean, np.sqrt((((x - mean[:, None]) * w) ** 2).sum(axis=1)) \
+            / w.sum()
+    assert est.tobytes() == want[0].tobytes()
+    assert se.tobytes() == want[1].tobytes()
+
+
 def test_degenerate_weights_raises():
     ens = sample_paths(grid(20), 50, seed=4, mode="P")
     # fake a spike so one path dominates the whole ensemble
@@ -179,3 +203,46 @@ def test_report_statistics():
     assert abs(v) < 3 * s
     v, s = stats["crosscheck_gap"]
     assert v < 3 * s
+
+
+def reference_paths(grid, n_paths, seed, mode, drift_fn=None):
+    """(dw, w, wq, weights) as sample_paths built and held all four when
+    the ensemble kept three path tables."""
+    n, dt = grid.n, grid.dt
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xi = rng.standard_normal((n_paths, n)) * math.sqrt(dt)
+    b = np.zeros(n + 1) if drift_fn is None else drift_fn.values
+    b_left = b[:n]
+    drift_cum = np.concatenate([[0.0], np.cumsum(b[:-1] * dt)])
+    zeros_col = np.zeros((n_paths, 1))
+    if mode == "P":
+        dw = xi
+        w = np.hstack([zeros_col, np.cumsum(xi, axis=1)])
+        wq = w - drift_cum[None, :]
+        weights = np.exp(xi @ b_left - 0.5 * dt * float(b_left @ b_left))
+    else:
+        wq = np.hstack([zeros_col, np.cumsum(xi, axis=1)])
+        w = wq + drift_cum[None, :]
+        dw = xi + b_left[None, :] * dt
+        weights = np.ones(n_paths)
+    return dw, w, wq, weights
+
+
+@pytest.mark.parametrize("g_value", [None, 0.0, 0.6])
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_derived_paths_match_three_table_ensemble_bitwise(mode, g_value):
+    # without a drift function, with a zero drift and with a drift
+    g = grid(37)
+    drift_fn = None if g_value is None else drift(
+        Uniform(1.0), constant_kernel(0.0, g_value=g_value), g)
+    ens = sample_paths(g, 501, 13, mode, drift_fn)
+    want = reference_paths(g, 501, 13, mode, drift_fn)
+    got = (ens.dw, ens.w, ens.wq, ens.weights)
+    for name, a, ref in zip(("dw", "w", "wq", "weights"), got, want):
+        assert a.shape == ref.shape, name
+        assert a.tobytes() == ref.tobytes(), name
+    # one table is held, and the derived ones cannot be written into
+    assert ens.draws.shape == (501, 37)
+    for a in got[:3]:
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0

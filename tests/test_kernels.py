@@ -25,6 +25,7 @@ from bsvielab.kernels import (
     constant_kernel,
     example33_kernel,
     example33_reference,
+    identity_residual,
     iterated_sup_bound,
     poly_exp_kernel,
     resolvent,
@@ -80,7 +81,7 @@ def test_constant_kernel_resolvent_closed_form():
     want = np.where(tt <= ss, c * np.exp(c * (ss - tt)), 0.0)
     assert np.abs(psi.values - want).max() < 1e-4
     assert psi.tail_bound < 1e-10
-    assert psi.residual < 1e-13
+    assert identity_residual(phi, psi) < 1e-13
 
 
 def test_resolvent_grid_convergence_second_order():
@@ -230,10 +231,14 @@ def test_resolvent_large_ct_finite_then_overflow():
     psi = resolvent(phi, tol=1e-10)
     assert np.isfinite(psi.values).all() and psi.sup_norm > 1e20
     assert np.all(np.tril(psi.values, -1) == 0.0)
-    assert psi.residual <= 1e-14 * psi.sup_norm
+    assert identity_residual(phi, psi) <= 1e-14 * psi.sup_norm
     assert math.isfinite(psi.tail_bound) and psi.tail_bound < 1e-10
     # C T = 1000 on 400 steps: Psi grows ~9x per step and overflows
     phi = table_from(lambda t, s: np.full_like(t, 1000.0), grid(400))
+    with pytest.raises(ToleranceUnreachable, match="overflows"):
+        resolvent(phi, tol=1e-10)
+    # C = 1e300: the solve meets no singular pivot, but Psi is not finite
+    phi = table_from(lambda t, s: np.full_like(t, 1e300), grid(10))
     with pytest.raises(ToleranceUnreachable, match="overflows"):
         resolvent(phi, tol=1e-10)
 

@@ -271,11 +271,46 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     assert np.abs(r).max() < 1e-12
 
 
+def reference_stacked_rows(w):
+    """B^T (P, M) in full, as the LSMC once built and held it: every
+    node's intercept and centred, unit-variance powers of W(t_i), a row
+    zeroed where W(t_i) is degenerate or the power has no spread."""
+    m_paths, n1 = w.shape
+    d = oracles.REGRESSION_DEGREE + 1
+    rows = np.empty((n1, d, m_paths))
+    rows[:, 0] = 1.0
+    rows[:, 1] = w.T
+    for p in range(2, d):
+        np.multiply(rows[:, p - 1], rows[:, 1], out=rows[:, p])
+    live = np.ones((n1, d), dtype=bool)
+    for p in range(1, d):
+        row = rows[:, p]
+        row -= row.mean(axis=1, keepdims=True)
+        sd = np.sqrt(np.einsum("im,im->i", row, row) / m_paths)
+        live[:, p] = (sd > 1e-12) & live[:, 1]
+        row /= np.where(live[:, p], sd, 1.0)[:, None]
+        row[~live[:, p]] = 0.0
+    return rows.reshape(n1 * d, m_paths)
+
+
+@pytest.mark.parametrize("m_paths, n", [(20_000, 20), (4_001, 12), (700, 3)])
+def test_basis_blocks_match_the_stacked_basis_bitwise(m_paths, n):
+    # each node's centring and scale are those of the full-table pass, and
+    # the blocks of paths are its columns, bit for bit
+    ens = sample_paths(TriangularGrid(T, n), m_paths, 71, "Q")
+    w = ens.w
+    basis = _StackedBasis(w, np.zeros((m_paths, n + 1)))
+    blocks = [basis._chunk(w[lo:lo + oracles.LSMC_CHUNK])
+              for lo in range(0, m_paths, oracles.LSMC_CHUNK)]
+    assert np.concatenate(blocks, axis=1).tobytes() \
+        == reference_stacked_rows(w).tobytes()
+
+
 def test_regression_guard_trips_on_collinear_basis():
     w_col = np.full(500, 2.0)
     w_col[0] += 1e-9
     with pytest.raises(RegressionIllConditioned, match="condition number"):
-        _StackedBasis(w_col[:, None])
+        _StackedBasis(w_col[:, None], np.zeros((500, 1)))
 
 
 def test_delayed_operator_accepts_product_form_kernels():
@@ -587,6 +622,50 @@ def small_lsmc(g_value, n=12, paths=2000):
                                           op, g, ens)
 
 
+def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
+    # the running bound sup|Y_1| + (later sup-differences) only decides
+    # when Y is formed, and the guard trips on that Y
+    g = TriangularGrid(T, 12)
+    m, k = DiracAt(T, 0.0), constant_kernel(0.3)
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
+    ens = sample_paths(g, 2000, 53, "P")
+    op = build_delayed_operator(k, m, g)
+    f_vals = evaluate_F_table(fam, ens)
+    res = solve_delayed_lsmc(f_vals, k, m, op, g, ens)
+    # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
+    # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
+    diffs = res.sup_diffs
+    assert all(b < a for a, b in zip(diffs, diffs[1:]))
+    sups = [float(np.abs(solve_delayed_lsmc(
+        f_vals, k, m, op, g, ens, PicardConfig(tolerance=d)).y).max())
+        for d in [np.inf, *diffs[:-1]]]
+    bound = sups[0] + sum(diffs[1:])
+    assert max(sups) < bound
+    # a guard the bound crosses but no Y does: Y is formed and checked,
+    # and the run goes on to the same result
+    monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
+    again = solve_delayed_lsmc(f_vals, k, m, op, g, ens)
+    assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
+    # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
+    monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
+    with pytest.raises(PicardDiverged) as low:
+        solve_delayed_lsmc(f_vals, k, m, op, g, ens)
+    assert len(low.value.sup_diffs) == 1
+    monkeypatch.undo()
+    f_nan = f_vals.copy()
+    f_nan[7, 3] = np.nan
+    with pytest.raises(PicardDiverged) as nan:
+        solve_delayed_lsmc(f_nan, k, m, op, g, ens)
+    assert len(nan.value.sup_diffs) == 1
+    # a retarded atom with a large bound diverges: the bound grows with
+    # the sup-differences and the guard trips long before the budget ends
+    k, m = constant_kernel(8.0), DiracAt(T, -0.4)
+    with pytest.raises(PicardDiverged) as grown:
+        solve_delayed_lsmc(f_vals, k, m, build_delayed_operator(k, m, g), g,
+                           ens)
+    assert len(grown.value.sup_diffs) < PicardConfig().max_iterations
+
+
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
 def test_slope_z_matches_loop_reference(g_value):
     g, op, ens, res = small_lsmc(g_value)
@@ -777,29 +856,34 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     assert e_z < 1e-3 * se[np.triu_indices(g.n)].min()
 
 
-def test_lsmc_traced_peak_within_basis_and_five_tables():
-    # The loop must hold the stacked basis B and, at its peak (the
-    # converged sweep), five (M, N+1) float tables: F, Y, the targets,
-    # theta = targets - Y and the centred theta_c.  The (P, P) Gram and
-    # coupling matrices, with the product that forms the coupling, add
-    # 3 P^2 floats.  The rest is O(N^2): the operator's kernel, the slope
-    # weights, the g-term's lag blocks and the N x P products of the
-    # increments with B, which alone are 5 (N+1)^2; 64 (N+1)^2 floats
-    # cover them.
+def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
+    # The loop holds no basis stack.  Its (M, N+1) float tables at the
+    # peak, the converged sweep, are four: F, W, and two of Y_prev = B
+    # c_prev, the targets, Y and theta = targets - Y (Y_prev goes before Y
+    # is formed, W before theta, and theta is centred in place); mode P's
+    # dW is the ensemble's own draws table, allocated before the trace.
+    # The basis is formed one block of LSMC_CHUNK paths at a time, P x
+    # LSMC_CHUNK floats.  The (P, P) Gram and coupling matrices, with the
+    # product that forms either, add 3 P^2 floats.  The rest is O(N^2):
+    # the operator's kernel, the slope weights, the g-term's lag blocks
+    # and the N x P products of the increments with B, which alone are
+    # 5 (N+1)^2; 64 (N+1)^2 floats cover them.  numpy's ufunc buffers come
+    # on top.
     g = TriangularGrid(T, 20)
     m = DiracAt(T, 0.0)
     k = constant_kernel(0.3, g_value=0.2)
     fam = LSMC_FAMILIES["gaussian"]
     ens = sample_paths(g, 4000, 67, "P", drift(m, k, g))
     op = build_delayed_operator(k, m, g)
-    basis_bytes = _StackedBasis(ens.w).rows.nbytes
-    p = basis_bytes // (8 * ens.n_paths)
+    p = (g.n + 1) * (oracles.REGRESSION_DEGREE + 1)
     table = ens.n_paths * (g.n + 1) * 8
+    chunk = p * oracles.LSMC_CHUNK * 8
+    assert ens.n_paths > oracles.LSMC_CHUNK  # more than one block
     tracemalloc.start()
     try:
         solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, g, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    small = 3 * p * p * 8 + 64 * (g.n + 1) ** 2 * 8
-    assert peak <= basis_bytes + 5 * table + small
+    small = 3 * p * p * 8 + 64 * (g.n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
+    assert peak <= 4 * table + chunk + small

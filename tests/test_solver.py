@@ -26,8 +26,8 @@ from bsvielab.solver import NormReport, SolutionField, norms, \
     smoothness_diagnostics, solve_Y, solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
     GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
-    evaluate_F_table, f0_profile, gauss_hermite_mean, make_f0, make_h, \
-    make_phi
+    conditional_sweep, evaluate_F_table, f0_profile, gauss_hermite_mean, \
+    make_f0, make_h, make_phi
 
 T = 1.0
 
@@ -136,7 +136,8 @@ def test_solve_Y_gaussian_linear_matches_node_loop(mode, phi_name):
 
 def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
     """Terminal-function Y with each node's Gauss-Hermite layer taken over
-    all M paths in one piece, as before the blocked layer."""
+    all M paths in one piece, as before the blocked layer; a t-independent
+    row C_i enters as C_i + (sum_a A[i, a]) C_i, as in solve_Y."""
     n, nodes = grid.n, grid.nodes
     a = psi.values * tail_weight_matrix(grid)
     remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
@@ -150,8 +151,25 @@ def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
         else:
             row = np.asarray(fam.h(nodes[0], pts), dtype=float) @ _GH_W_NORM
             c = np.broadcast_to(row, (n + 1, ens.n_paths))
-        y[:, i] = c[i] + a[i] @ c
+        y[:, i] = c[i] + a[i] @ c if fam.t_dependent \
+            else c[i] + a[i].sum() * c[i]
     return y
+
+
+def test_solve_Y_t_independent_row_sum_matches_matvec():
+    # C_i + (sum_a A[i, a]) C_i against the matvec A[i] . C on the
+    # broadcast rows that it replaced: the same value up to rounding
+    g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
+    b = drift(m, spec, g)
+    ens = sample_paths(g, 300, 4, "Q", b)
+    fam = make_h("square")
+    a = psi.values * tail_weight_matrix(g)
+    matvec = np.empty((ens.n_paths, g.n + 1))
+    for i, c in conditional_sweep(fam, g, ens, b):
+        matvec[:, i] = c[i] + a[i] @ c
+    y = solve_Y(fam, psi, b, g, ens).y
+    eps = np.finfo(float).eps
+    assert np.abs(y - matvec).max() <= 4 * eps * np.abs(matvec).max()
 
 
 @pytest.mark.parametrize("m_paths", [100, GH_BLOCK, 2 * GH_BLOCK + 44],
@@ -171,7 +189,12 @@ def test_solve_Y_growth_breach_on_last_path_raises():
     # points reach only from the last path, moved to W = 40 at one node
     g, m, spec, phi, psi = setup_reduced(0.3, 10)
     ens = sample_paths(g, 2 * GH_BLOCK + 1, 6, "Q")
-    ens.w[-1, 4] = 40.0
+    draws = ens.draws.copy()  # the draws before and after t_4 absorb it
+    shift = 40.0 - ens.w[-1, 4]
+    draws[-1, 3] += shift
+    draws[-1, 4] -= shift
+    ens = dataclasses.replace(ens, draws=draws)
+    assert ens.w[-1, 4] == pytest.approx(40.0)
 
     def h(t, x):
         x = np.asarray(x, dtype=float)

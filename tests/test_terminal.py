@@ -164,9 +164,9 @@ def test_malliavin_bump_consistency():
     e = ens(n=20, m=6)
     k, eps, t = 9, 1e-3, 0.3
     base = F_at(fam, t, e)
-    e.dw[:, k] += eps
-    bumped = F_at(fam, t, e)
-    e.dw[:, k] -= eps
+    draws = e.draws.copy()  # mode Q without drift: dW is the draws
+    draws[:, k] += eps
+    bumped = F_at(fam, t, dataclasses.replace(e, draws=draws))
     want = eps * math.exp(-e.grid.nodes[k])
     assert np.allclose(bumped - base, want)
     # and malliavin_table reads the same kernel value at (t, s_k)
@@ -300,16 +300,23 @@ def test_evaluate_F_table_growth_checked(t_dependent):
     # h breaks its envelope only beyond x = 25, which W(T) reaches on the
     # last path alone
     e = ens(n=10, m=50)
-    e.w[-1, -1] = 30.0
     fam = TerminalFunction(
         h=lambda t, x: np.where(np.asarray(x) > 25.0,
                                 10.0 * np.exp(np.abs(x)), np.asarray(x) ** 2),
         dh=lambda t, x: 2.0 * np.asarray(x), growth_a=3.0, growth_b=1.0,
         t_dependent=t_dependent)
     with pytest.raises(QuadratureError):
-        evaluate_F_table(fam, e)
-    e.w[-1, -1] = 20.0
+        evaluate_F_table(fam, last_path_ends_at(e, 30.0))
+    e = last_path_ends_at(e, 20.0)
     assert np.array_equal(evaluate_F_table(fam, e)[:, -1], e.w[:, -1] ** 2)
+
+
+def last_path_ends_at(e, value):
+    """e with W(T) on its last path moved to value (up to rounding) by
+    shifting that path's last draw; every other path is unchanged."""
+    draws = e.draws.copy()
+    draws[-1, -1] += value - e.w[-1, -1]
+    return dataclasses.replace(e, draws=draws)
 
 
 @pytest.mark.parametrize("fam", [

@@ -1,11 +1,15 @@
-"""Print a digest manifest of every CLI output, to check byte identity.
+"""Check CLI outputs for byte identity, and measure how far they moved.
 
-Usage: python tools/output_manifest.py ROOT
+Usage:
+    python tools/output_manifest.py ROOT        digest manifest of one tree
+    python tools/output_manifest.py OLD NEW     delta between two trees
 
 Imports bsvielab from ROOT/src and the benchmark workloads from
 ROOT/perfbench, then runs each of the six commands through
 ``bsvielab.cli.main`` on the five bundled configs and on every workload's
-``config_text(1)``.  For each run it prints the exit code and the sha256 of
+``config_text(1)``.
+
+With one tree it prints, for each run, the exit code and the sha256 of
 the captured stdout, then the sha256 of every file the run wrote.  Two
 checkouts produce the same bytes exactly when their manifests are equal:
 
@@ -13,21 +17,34 @@ checkouts produce the same bytes exactly when their manifests are equal:
     python tools/output_manifest.py NEW > new.txt
     diff old.txt new.txt
 
-The full sweep takes about a minute on a 2-vCPU host.  It is a tool, not
-a test: pytest does not collect it.
+With two trees it runs each tree in its own subprocess, writing every
+output to a scratch directory, then compares them run by run.  For each
+CSV or ``*.meta.json`` sidecar that differs it prints the largest |delta|
+per column or key; a differing exit code, stdout (the numbers in it are
+compared in order), file set or row count is reported as such.  It ends
+with the count of identical and differing files.
+
+One sweep takes about a minute on a 2-vCPU host.  It is a tool, not a
+test: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import os
+import re
+import subprocess
 import sys
 import tempfile
 
 COMMANDS = ("resolvent", "solve", "compare", "girsanov-check", "z-surface",
             "norms")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
 def sha256(data: bytes) -> str:
@@ -49,31 +66,167 @@ def configs(root: str) -> list[tuple[str, str]]:
     return out
 
 
-def manifest(root: str) -> list[str]:
+def run_all(root: str, dest: str):
+    """Run every command on every config of ROOT, its outputs written to
+    dest/label/command; yield (label, command, exit code, stdout, out)."""
     cases = configs(root)
     from bsvielab.cli import main
 
+    for label, text in cases:
+        cfg = os.path.join(dest, label + ".cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in COMMANDS:
+            out = os.path.join(dest, label, command)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main([command, "--config", cfg, "--out", out])
+            os.makedirs(out, exist_ok=True)
+            yield label, command, code, buf.getvalue(), out
+
+
+def manifest(root: str) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, text in cases:
-            cfg = os.path.join(tmp, label + ".cfg")
-            with open(cfg, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            for command in COMMANDS:
-                out = os.path.join(tmp, label, command)
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    code = main([command, "--config", cfg, "--out", out])
-                lines.append(f"{label} {command} exit={code} "
-                             f"stdout={sha256(buf.getvalue().encode())}")
-                for name in sorted(os.listdir(out)):
-                    with open(os.path.join(out, name), "rb") as fh:
-                        lines.append(f"{label} {command} {name} "
-                                     f"{sha256(fh.read())}")
+        for label, command, code, stdout, out in run_all(root, tmp):
+            lines.append(f"{label} {command} exit={code} "
+                         f"stdout={sha256(stdout.encode())}")
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    lines.append(f"{label} {command} {name} "
+                                 f"{sha256(fh.read())}")
     return lines
 
 
+def write_tree(root: str, dest: str) -> None:
+    """run_all into dest, with each run's exit code and stdout in
+    dest/label/command.run.json."""
+    for label, command, code, stdout, out in run_all(root, dest):
+        with open(out + ".run.json", "w", encoding="utf-8") as fh:
+            json.dump({"exit": code, "stdout": stdout}, fh)
+
+
+def _gap(a, b) -> float:
+    """|a - b| for two numbers, 0 when both are the same nan or inf."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) if math.isfinite(a - b) else math.inf
+
+
+def _as_float(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_delta(old: str, new: str) -> list[str]:
+    """Largest |delta| per column of two CSVs of the same shape."""
+    with open(old, newline="", encoding="utf-8") as fa, \
+            open(new, newline="", encoding="utf-8") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if a[:1] != b[:1] or len(a) != len(b):
+        return [f"header or row count differs ({len(a)} vs {len(b)} rows)"]
+    worst = {}
+    for ra, rb in zip(a[1:], b[1:]):
+        if len(ra) != len(rb):
+            return [f"row lengths differ ({len(ra)} vs {len(rb)} cells)"]
+        for col, ca, cb in zip(a[0], ra, rb):
+            if ca == cb:
+                continue
+            fa_, fb_ = _as_float(ca), _as_float(cb)
+            gap = math.inf if fa_ is None or fb_ is None else _gap(fa_, fb_)
+            worst[col] = max(worst.get(col, 0.0), gap)
+    return [f"{col}: max|delta|={gap:.3g}" for col, gap in worst.items()]
+
+
+def _flatten(value, prefix=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _flatten(item, f"{prefix}{key}.")
+    else:
+        yield prefix[:-1], value
+
+
+def json_delta(old: str, new: str) -> list[str]:
+    """|delta| per key of two sidecars; a changed non-number is named."""
+    with open(old, encoding="utf-8") as fa, open(new, encoding="utf-8") as fb:
+        a, b = dict(_flatten(json.load(fa))), dict(_flatten(json.load(fb)))
+    lines = []
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key), b.get(key)
+        if va == vb:
+            continue
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (va, vb)):
+            lines.append(f"{key}: {va!r} -> {vb!r} |delta|={_gap(va, vb):.3g}")
+        else:
+            lines.append(f"{key}: {va!r} -> {vb!r}")
+    return lines
+
+
+def stdout_delta(old: str, new: str) -> list[str]:
+    """Largest |delta| of the numbers of two stdouts, taken in order."""
+    na, nb = NUMBER.findall(old), NUMBER.findall(new)
+    if len(na) != len(nb) or NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return ["text differs"]
+    gap = max(_gap(float(x), float(y)) for x, y in zip(na, nb))
+    return [f"numbers: max|delta|={gap:.3g}"]
+
+
+def delta(old_root: str, new_root: str) -> tuple[list[str], int, int]:
+    """(report lines, identical files, differing files) of two trees."""
+    lines, same, moved = [], 0, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        dests = [os.path.join(tmp, "old"), os.path.join(tmp, "new")]
+        for root, dest in zip((old_root, new_root), dests):
+            os.makedirs(dest)
+            subprocess.run([sys.executable, os.path.abspath(__file__),
+                            "--write", root, dest], check=True,
+                           stdout=subprocess.DEVNULL)
+        old, new = dests
+        for label in sorted(os.listdir(old)):
+            if not os.path.isdir(os.path.join(old, label)):
+                continue
+            for command in COMMANDS:
+                run = []
+                for dest in dests:
+                    with open(os.path.join(dest, label, command + ".run.json"),
+                              encoding="utf-8") as fh:
+                        run.append(json.load(fh))
+                where = f"{label} {command}"
+                if run[0]["exit"] != run[1]["exit"]:
+                    lines.append(f"{where}: exit {run[0]['exit']} -> "
+                                 f"{run[1]['exit']}")
+                if run[0]["stdout"] != run[1]["stdout"]:
+                    lines += [f"{where} stdout {x}" for x in
+                              stdout_delta(run[0]["stdout"], run[1]["stdout"])]
+                outs = [os.path.join(d, label, command) for d in dests]
+                names = [sorted(os.listdir(o)) for o in outs]
+                if names[0] != names[1]:
+                    lines.append(f"{where}: files {names[0]} -> {names[1]}")
+                for name in sorted(set(names[0]) & set(names[1])):
+                    fa, fb = (os.path.join(o, name) for o in outs)
+                    with open(fa, "rb") as ha, open(fb, "rb") as hb:
+                        if ha.read() == hb.read():
+                            same += 1
+                            continue
+                    moved += 1
+                    diff = json_delta(fa, fb) if name.endswith(".json") \
+                        else csv_delta(fa, fb)
+                    lines += [f"{where} {name} {x}" for x in diff or
+                              ["bytes differ, values equal"]]
+    return lines, same, moved
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--write":
+        write_tree(os.path.abspath(sys.argv[2]), sys.argv[3])
+    elif len(sys.argv) == 3:
+        report, same, moved = delta(*map(os.path.abspath, sys.argv[1:]))
+        print("\n".join(report + [f"identical files: {same}, "
+                                  f"differing files: {moved}"]))
+    elif len(sys.argv) == 2:
+        print("\n".join(manifest(os.path.abspath(sys.argv[1]))))
+    else:
         sys.exit(__doc__)
-    print("\n".join(manifest(os.path.abspath(sys.argv[1]))))
