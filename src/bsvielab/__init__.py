@@ -30,8 +30,8 @@ from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardResult, \
     PicardStalled, RegressionIllConditioned, build_delayed_operator, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
-from .solver import NormReport, SmoothnessReport, SolutionField, \
-    UnsupportedFamily, norms, smoothness_diagnostics, solve_Y, solve_Z
+from .solver import NormReport, SmoothnessReport, UnsupportedFamily, \
+    norms, smoothness_diagnostics, solve_Y, solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \
     TerminalFunction, UnknownParameter, evaluate_F_table, \
     gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_table, \

@@ -14,8 +14,9 @@ short report.  Outputs contain no timestamps and the computation never
 depends on ``--workers``, so identical configs produce byte-identical
 files across runs and worker counts.
 
-Exit codes: 0 success, 2 configuration or validation failure,
-3 convergence failure or resolvent overflow, 4 degenerate importance weights.
+Exit codes: 0 success, 2 configuration or validation failure or an
+output that cannot be written, 3 convergence failure or resolvent
+overflow, 4 degenerate importance weights.
 """
 
 from __future__ import annotations
@@ -173,9 +174,8 @@ def _solve_field(cfg: ExperimentConfig, grid, phi, psi, drift_fn):
     """Explicit (Y, Z) plus the ensemble (None for deterministic runs)."""
     ens = sample_paths(grid, cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
         if is_stochastic(cfg.family) else None
-    fld = solve_Y(cfg.family, psi, drift_fn, grid, ens)
-    fld.z = solve_Z(cfg.family, phi, psi, drift_fn, grid)
-    return fld, ens
+    y = solve_Y(cfg.family, psi, ens)
+    return y, solve_Z(cfg.family, phi, psi, drift_fn), ens
 
 
 def _weight_meta(ens) -> dict:
@@ -185,10 +185,11 @@ def _weight_meta(ens) -> dict:
                                  "min_weight": float(w.min())}
 
 
-def _finite_norms(fld, beta: float):
-    """norms(fld, beta); ConfigError when exp(beta t) makes one overflow."""
+def _finite_norms(y, z, grid, ens, beta: float):
+    """norms(y, z, grid, ens, beta); ConfigError when exp(beta t) makes one
+    overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = norms(fld, beta)
+        rep = norms(y, z, grid, ens, beta)
     if not np.isfinite([rep.h1, rep.h2, rep.s2]).all():
         raise ConfigError(f"beta: the weighted norms overflow (beta={beta}, "
                           f"H1={rep.h1}, H2={rep.h2}, S2={rep.s2})")
@@ -197,27 +198,27 @@ def _finite_norms(fld, beta: float):
 
 def cmd_solve(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
-    rep = _finite_norms(fld, cfg.beta)
+    y, z, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    rep = _finite_norms(y, z, grid, ens, cfg.beta)
     nodes = grid.nodes
 
     if ens is not None:
-        y_mean, y_se = expect_q_columns(ens, fld.y)
+        y_mean, y_se = expect_q_columns(ens, y)
         f_vals = evaluate_F_table(cfg.family, ens)
-        r = residual_reduced_pathwise(fld.y, fld.z, f_vals, phi, grid, ens)
+        r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
         rr, rr_se = expect_q_columns(ens, r)
         rd = np.full_like(rr, np.nan)
     else:
-        y_mean, y_se = fld.y, np.zeros_like(fld.y)
+        y_mean, y_se = y, np.zeros_like(y)
         fbar0 = mean_profile(cfg.family, grid, drift_fn)
         op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
-        rd, _ = residual_delayed(fld.y, fbar0, op)
-        rr, _ = residual_reduced(fld.y, fbar0, phi, grid)
+        rd, _ = residual_delayed(y, fbar0, op)
+        rr, _ = residual_reduced(y, fbar0, phi)
         rr_se = np.zeros_like(rr)
     write_csv(os.path.join(cfg.out_dir, "solution.csv"),
               ["t", "Y_mean", "Y_se"], np.column_stack([nodes, y_mean, y_se]))
     write_triangle(os.path.join(cfg.out_dir, "z_surface.csv"),
-                   ["t", "s", "Z"], grid, fld.z)
+                   ["t", "s", "Z"], grid, z)
     write_csv(os.path.join(cfg.out_dir, "residuals.csv"),
               ["t", "residual_delayed", "residual_reduced"],
               np.column_stack([nodes, rd, rr]))
@@ -283,26 +284,26 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
               "res_delayed_explicit", "res_reduced_explicit",
               "res_delayed_oracle", "res_reduced_oracle"]
 
-    fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    y, z, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
     # Reduced-equation oracle: conditioned on the trivial F_0 the equation
     # is a scalar Volterra equation for the expected profile, solved by
     # collocation without Monte Carlo noise.
     fbar0 = mean_profile(cfg.family, grid, drift_fn)
-    y_col = solve_reduced_collocation(fbar0, phi, grid)
+    y_col = solve_reduced_collocation(fbar0, phi)
 
     if ens is None:
         pic = _run_oracle(cfg, "picard",
                           lambda: solve_delayed_picard(fbar0, op, pic_cfg))
-        rd_exp, rd_exp_sup = residual_delayed(fld.y, fbar0, op)
-        rr_exp, rr_exp_sup = residual_reduced(fld.y, fbar0, phi, grid)
+        rd_exp, rd_exp_sup = residual_delayed(y, fbar0, op)
+        rr_exp, rr_exp_sup = residual_reduced(y, fbar0, phi)
         rd_pic, rd_pic_sup = residual_delayed(pic.y, fbar0, op)
-        rr_pic, rr_pic_sup = residual_reduced(pic.y, fbar0, phi, grid)
-        rr_col_sup = residual_reduced(y_col, fbar0, phi, grid)[1]
-        gap = float(np.abs(fld.y - pic.y).max())
-        gap_col = float(np.abs(fld.y - y_col).max())
+        rr_pic, rr_pic_sup = residual_reduced(pic.y, fbar0, phi)
+        rr_col_sup = residual_reduced(y_col, fbar0, phi)[1]
+        gap = float(np.abs(y - pic.y).max())
+        gap_col = float(np.abs(y - y_col).max())
 
         write_csv(os.path.join(cfg.out_dir, "compare.csv"), header,
-                  np.column_stack([nodes, fld.y, y_col, pic.y, rd_exp, rr_exp,
+                  np.column_stack([nodes, y, y_col, pic.y, rd_exp, rr_exp,
                                    rd_pic, rr_pic]))
         tol_fp = max(100.0 * cfg.picard_tol, 1e-12)
         ok = lambda sup, tol: "ok" if sup <= tol else "EXCEEDS"
@@ -331,20 +332,20 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     # explicit Y and residual before the oracle runs, the LSMC targets
     # before its residual.
     f_vals = evaluate_F_table(cfg.family, ens)
-    y_exp, se_exp = expect_q_columns(ens, fld.y)
+    y_exp, se_exp = expect_q_columns(ens, y)
     rr_exp, se_rr_exp = expect_q_columns(ens, residual_reduced_pathwise(
-        fld.y, fld.z, f_vals, phi, grid, ens))
+        y, z, f_vals, phi, ens))
     se_r_exp = float(se_rr_exp.max())
-    del fld
+    del y
     lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-        f_vals, cfg.kernel, cfg.measure, op, grid, ens, pic_cfg))
+        f_vals, cfg.kernel, cfg.measure, op, ens, pic_cfg))
     y_paths, z_lsmc = lsmc.y, lsmc.z
     lsmc_meta = {"lsmc_iterations": lsmc.iterations,
                  "lsmc_max_gram_cond": lsmc.max_gram_cond}
     del lsmc
     y_lsmc, se_lsmc = expect_q_columns(ens, y_paths)
     rr_lsmc = expect_q_columns(ens, residual_reduced_pathwise(
-        y_paths, z_lsmc, f_vals, phi, grid, ens))[0]
+        y_paths, z_lsmc, f_vals, phi, ens))[0]
     nan_col = np.full_like(rr_exp, np.nan)
 
     write_csv(os.path.join(cfg.out_dir, "compare.csv"), header,
@@ -391,7 +392,7 @@ def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
 
 def cmd_z_surface(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    z = solve_Z(cfg.family, phi, psi, drift_fn, grid)
+    z = solve_Z(cfg.family, phi, psi, drift_fn)
     write_triangle(os.path.join(cfg.out_dir, "z_surface.csv"),
                    ["t", "s", "Z"], grid, z)
     rep = smoothness_diagnostics(z, grid)
@@ -411,8 +412,8 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 
 def cmd_norms(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    fld, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
-    rep = _finite_norms(fld, cfg.beta)
+    y, z, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    rep = _finite_norms(y, z, grid, ens, cfg.beta)
     _write_norms(cfg, rep)
     print(f"norms: beta={rep.beta:g} H1={rep.h1:.12g} H2={rep.h2:.12g} "
           f"S2={rep.s2:.12g}")
@@ -459,9 +460,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(cfg.out_dir, exist_ok=True)
     try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
         COMMANDS[args.command](cfg)
+    except OSError as exc:  # the commands read nothing: an output failed
+        path = cfg.out_dir if exc.filename is None else exc.filename
+        print(f"config error: cannot write output {path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, QuadratureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -79,12 +79,10 @@ class PathEnsemble:
     as sample_paths describes: each access builds a new read-only table
     (w and wq cost a cumsum), so a caller reads each one once.  weights
     is the per-path Radon-Nikodym density M(T) for tag "P" and exactly 1
-    for tag "Q".
+    for tag "Q".  The path count M is the number of rows of draws.
     """
 
     grid: TriangularGrid
-    n_paths: int
-    seed: int
     tag: str
     draws: np.ndarray
     drift_fn: DriftFunction
@@ -93,11 +91,15 @@ class PathEnsemble:
     def __post_init__(self):
         if self.tag not in ("P", "Q"):
             raise ValueError(f"unknown measure tag {self.tag!r}")
-        if self.draws.shape != (self.n_paths, self.grid.n):
+        if self.draws.shape[1:] != (self.grid.n,):
             raise ValueError(f"draws of shape {self.draws.shape}, expected "
-                             f"{(self.n_paths, self.grid.n)}")
+                             f"(M, {self.grid.n})")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be strictly positive")
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.draws)
 
     @property
     def dw(self) -> np.ndarray:
@@ -153,7 +155,7 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
         raise ValueError("need at least one path")
     if mode not in ("P", "Q"):
         raise ValueError(f"unknown mode {mode!r}")
-    if drift_fn is not None and not drift_fn.grid.same_as(grid):
+    if drift_fn is not None and drift_fn.grid != grid:
         raise HorizonMismatch("drift tabulated on a different grid")
 
     n = grid.n
@@ -175,7 +177,7 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
         _check_ess(weights)
     else:
         weights = np.ones(n_paths)
-    return PathEnsemble(grid, n_paths, seed, mode, xi, drift_fn, weights)
+    return PathEnsemble(grid, mode, xi, drift_fn, weights)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

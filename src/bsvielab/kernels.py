@@ -55,9 +55,6 @@ class TriangularGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n + 1)
 
-    def same_as(self, other: "TriangularGrid") -> bool:
-        return self.horizon == other.horizon and self.n == other.n
-
     def locate(self, x):
         """Cell (idx, frac) of times x: x is clipped into [0, T], then
         idx = min(floor(x/dt), N-1) and frac = x/dt - idx, so x = T reads
@@ -216,7 +213,7 @@ def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:
 
     Diagonal entries are exactly zero (empty integration range).
     """
-    if not a.grid.same_as(b.grid):
+    if a.grid != b.grid:
         raise GridMismatch("kernel tables on different grids")
     dt = a.grid.dt
     A, B = a.values, b.values

@@ -78,14 +78,14 @@ class PicardResult:
     iterations: int
 
 
-def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable,
-                              grid: TriangularGrid) -> np.ndarray:
+def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
+                              ) -> np.ndarray:
     """Backward march for Y(t) = Fbar(t) + int_t^T Phi(t,s) Y(s) ds.
 
     fbar may be a single profile (N+1,) or a per-path matrix (M, N+1);
     the march is vectorized over leading axes.
     """
-    n, dt = grid.n, grid.dt
+    n, dt = phi.grid.n, phi.grid.dt
     p = phi.values
     denom = implicit_factors(phi)
     fbar = np.asarray(fbar, dtype=float)
@@ -200,11 +200,11 @@ def residual_delayed(y: np.ndarray, f0: np.ndarray,
     return r, float(np.abs(r).max())
 
 
-def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable,
-                     grid: TriangularGrid) -> tuple[np.ndarray, float]:
+def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable
+                     ) -> tuple[np.ndarray, float]:
     """R(t) = Y(t) - Fbar(t) - int_t^T Phi(t,s) Y(s) ds (profiles or
     per-path matrices, vectorized over leading axes)."""
-    a = phi.values * tail_weight_matrix(grid)
+    a = phi.values * tail_weight_matrix(phi.grid)
     r = y - fbar
     r -= y @ a.T
     return r, float(np.abs(r).max())
@@ -212,15 +212,14 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable,
 
 def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
                               f_vals: np.ndarray, phi: KernelTable,
-                              grid: TriangularGrid,
                               ensemble: PathEnsemble) -> np.ndarray:
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     the stochastic integral taken as a left-point sum on top of
     residual_reduced, F the (M, N+1) table of terminal.evaluate_F_table.
     Returns (M, N+1)."""
-    n = grid.n
-    r = residual_reduced(y, f_vals, phi, grid)[0]
+    n = phi.grid.n
+    r = residual_reduced(y, f_vals, phi)[0]
     r[:, :n] += np.diff(ensemble.wq, axis=1) @ np.triu(z[:n, :n]).T
     return r
 
@@ -381,8 +380,7 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
 
 
 def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
-                       op: np.ndarray, grid: TriangularGrid,
-                       ensemble: PathEnsemble,
+                       op: np.ndarray, ensemble: PathEnsemble,
                        cfg: PicardConfig = PicardConfig()) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F,
     given as its (M, N+1) table of terminal.evaluate_F_table.
@@ -405,6 +403,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
     also takes the slope SEs.  RegressionIllConditioned if a Gram block
     is ill-conditioned or an increment dW_j has no sample variance.
     """
+    grid = ensemble.grid
     n = grid.n
     trap = tail_weight_matrix(grid)
     dw = ensemble.dw
@@ -459,7 +458,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
             y = basis.values(c, wt)
             del wt
             theta = target - y
-            z, z_se = _slope_z(theta.T, incr, with_se=True)
+            z, z_se = _slope_z(theta.T, incr)
             return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
                               basis.cond)
         b_y = (coupling @ c.ravel()).reshape(n1, d)
@@ -499,15 +498,15 @@ class _IncrementBasis:
         self.scale = 1.0 - np.diag(op)[:n]
 
 
-def _slope_z(theta: np.ndarray, basis: _IncrementBasis, with_se: bool = False
-             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """_slope_fit of the targets theta (M, N+1), SEs only if with_se; the
+def _slope_z(theta: np.ndarray, basis: _IncrementBasis
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """_slope_fit of the targets theta (M, N+1), with the SEs; the
     centred targets theta_c give x^T theta_c = dW^T theta_c.  theta's
     first N columns are centred in place."""
     n = basis.dw.shape[1]
     theta_c = theta[:, :n]
     theta_c -= theta_c.mean(axis=0)
-    sq = np.einsum("mi,mi->i", theta_c, theta_c) if with_se else None
+    sq = np.einsum("mi,mi->i", theta_c, theta_c)
     return _slope_fit(theta_c.T @ basis.dw, basis, sq)
 
 

@@ -27,24 +27,6 @@ class UnsupportedFamily(ValueError):
     """Family object not one of the three supported variants."""
 
 
-@dataclass
-class SolutionField:
-    """Solution data on the grid.
-
-    y is a single profile (N+1,) for deterministic families and an
-    M x (N+1) per-path matrix otherwise; girsanov.expect_q_columns takes
-    its node means under Q with their standard errors.  z is the
-    deterministic Z(t_i, s_j) surface on the triangle i <= j (zeros for
-    deterministic families, None until solve_Z runs).
-    """
-
-    grid: TriangularGrid
-    family: TerminalFamily
-    y: np.ndarray
-    z: Optional[np.ndarray] = None
-    ensemble: Optional[PathEnsemble] = None
-
-
 @dataclass(frozen=True)
 class NormReport:
     beta: float
@@ -54,55 +36,52 @@ class NormReport:
 
 
 def solve_Y(fam: TerminalFamily, psi: ResolventTable,
-            drift_fn: Optional[DriftFunction], grid: TriangularGrid,
-            ensemble: Optional[PathEnsemble] = None) -> SolutionField:
+            ensemble: Optional[PathEnsemble] = None) -> np.ndarray:
     """Y(t) = E^Q[F(t) | F_t] + int_t^T Psi(t,r) E^Q[F(r) | F_t] dr.
 
-    Deterministic families need no ensemble and produce a single profile;
-    stochastic families evaluate the formula path by path, the prefix up
-    to t supplying the conditioning information.  GaussianLinear Y is
+    Deterministic families need no ensemble and produce a single profile
+    (N+1,); stochastic families evaluate the formula path by path, the
+    prefix up to t supplying the conditioning information, on the grid
+    and under the drift of the ensemble: an (M, N+1) table, whose node
+    means under Q girsanov.expect_q_columns takes.  GaussianLinear Y is
     affine in dW: with A = Psi * trap and (c, phi) from
     gaussian_linear_conditionals, Y = diag((I + A) c) + dW B^T for
     B = tril((I + A) phi, -1), one (M x N) . (N x (N+1)) product.  When
     a terminal function ignores t, every conditional row of node i is the
     same C_i, and Y(t_i) = C_i + (sum_a A[i, a]) C_i.
     """
-    if not psi.grid.same_as(grid):
-        raise GridMismatch("resolvent built on a different grid")
+    grid = psi.grid
     if is_stochastic(fam):
         if ensemble is None:
             raise ValueError("stochastic family needs an ensemble")
-        if not ensemble.grid.same_as(grid):
+        if ensemble.grid != grid:
             raise GridMismatch("ensemble on a different grid")
-    n = grid.n
     a = psi.values * tail_weight_matrix(grid)
 
     if not is_stochastic(fam):
         rows = f0_profile(fam, grid)
-        y = rows + a @ rows
-        return SolutionField(grid, fam, y)
+        return rows + a @ rows
 
     if isinstance(fam, GaussianLinear):
-        c, phimat = gaussian_linear_conditionals(fam, grid, drift_fn)
+        c, phimat = gaussian_linear_conditionals(fam, grid, ensemble.drift_fn)
         det = np.diagonal(c + a @ c)
         b = np.tril(phimat + a @ phimat, -1)
         y = ensemble.dw @ b.T
         y += det
-        return SolutionField(grid, fam, y, ensemble=ensemble)
+        return y
 
-    y = np.empty((ensemble.n_paths, n + 1))
+    y = np.empty((ensemble.n_paths, grid.n + 1))
     a_sum = a.sum(axis=1)
-    for i, c in conditional_sweep(fam, grid, ensemble, drift_fn):
+    for i, c in conditional_sweep(fam, ensemble):
         if fam.t_dependent:
             y[:, i] = c[i] + a[i] @ c
         else:  # every row of c is C_i: A[i] c = (sum_a A[i, a]) C_i
             y[:, i] = c[i] + a_sum[i] * c[i]
-    return SolutionField(grid, fam, y, ensemble=ensemble)
+    return y
 
 
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
-            drift_fn: Optional[DriftFunction], grid: TriangularGrid
-            ) -> np.ndarray:
+            drift_fn: Optional[DriftFunction]) -> np.ndarray:
     """Z(t,s) = E^Q[D_s F(t) + int_s^T Phi(t,r) D_s Y(r) dr | F_s].
 
     One formula for both stochastic families.  D_s commutes with the
@@ -114,8 +93,9 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     The second Malliavin term, -U(t) int D_s g dW^Q, vanishes because g
     is deterministic.
     """
-    if not (phi.grid.same_as(grid) and psi.grid.same_as(grid)):
-        raise GridMismatch("kernel tables on a different grid")
+    if phi.grid != psi.grid:
+        raise GridMismatch("kernel tables on different grids")
+    grid = psi.grid
     n = grid.n
     if not is_stochastic(fam):
         return np.zeros((n + 1, n + 1))
@@ -157,8 +137,11 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
     return SmoothnessReport(d, integral, bool(np.all(np.isfinite(d))))
 
 
-def norms(fld: SolutionField, beta: float = 0.0) -> NormReport:
-    """Weighted solution-space norms.
+def norms(y: np.ndarray, z: np.ndarray, grid: TriangularGrid,
+          ensemble: Optional[PathEnsemble] = None,
+          beta: float = 0.0) -> NormReport:
+    """Weighted solution-space norms of Y (a profile, or an (M, N+1) table
+    drawn on the ensemble) and the Z surface.
 
     H1 extends Y to [-T, 0) by its time-0 value, H2 extends Z by zero off
     the positive triangle, and the S2 report follows the convention of
@@ -166,10 +149,9 @@ def norms(fld: SolutionField, beta: float = 0.0) -> NormReport:
     The path expectations of H1 and S2 are taken under Q, by
     expect_q_columns.
     """
-    grid = fld.grid
     nodes = grid.nodes
     horizon = grid.horizon
-    y = np.atleast_2d(fld.y)
+    y = np.atleast_2d(y)
     weight = np.exp(beta * nodes)
     if beta == 0.0:
         neg_mass = horizon
@@ -178,12 +160,9 @@ def norms(fld: SolutionField, beta: float = 0.0) -> NormReport:
     per_path = np.column_stack([
         neg_mass * y[:, 0] ** 2 + np.trapezoid(weight * y**2, nodes, axis=1),
         (weight * y**2).max(axis=1)])
-    h1_sq, s2 = (per_path[0] if fld.ensemble is None
-                 else expect_q_columns(fld.ensemble, per_path)[0])
+    h1_sq, s2 = (per_path[0] if ensemble is None
+                 else expect_q_columns(ensemble, per_path)[0])
     h1, s2 = math.sqrt(float(h1_sq)), float(s2)
-    if fld.z is None:
-        h2 = 0.0
-    else:
-        inner = (tail_weight_matrix(grid) * (weight[None, :] * fld.z**2)).sum(axis=1)
-        h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
+    inner = (tail_weight_matrix(grid) * (weight[None, :] * z**2)).sum(axis=1)
+    h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
     return NormReport(beta, h1, h2, s2)

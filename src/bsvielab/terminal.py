@@ -120,12 +120,18 @@ def gauss_hermite_mean(fam: TerminalFunction, t, mean, sd) -> np.ndarray:
     return out.reshape(np.shape(t) + mean.shape)
 
 
+def _times(fam: TerminalFunction, grid: TriangularGrid) -> np.ndarray:
+    """The times at which h is evaluated: every node, or only t_0 when h
+    ignores t, its one row then standing for every node."""
+    return grid.nodes if fam.t_dependent else grid.nodes[:1]
+
+
 def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
     """F(t_a) on every path and node, (M, N+1): f0_profile broadcast for a
     deterministic family; one GEMM with the phi table of
     gaussian_linear_conditionals for GaussianLinear; a terminal function
-    is growth-checked at W(T), once and broadcast when h ignores t, once
-    per node otherwise."""
+    is growth-checked at W(T) at each of its _times, broadcast to every
+    node."""
     grid = ensemble.grid
     shape = (ensemble.n_paths, grid.n + 1)
     if not is_stochastic(fam):
@@ -136,11 +142,9 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
         return out
     w_end = ensemble.w[:, -1]
     bound = _growth_bound(fam, w_end)
-    if not fam.t_dependent:
-        col = _growth_checked(fam, grid.nodes[0], w_end, bound)
-        return np.broadcast_to(col[:, None], shape)
-    return np.stack([_growth_checked(fam, t, w_end, bound)
-                     for t in grid.nodes], axis=1)
+    return np.broadcast_to(np.stack([_growth_checked(fam, t, w_end, bound)
+                                     for t in _times(fam, grid)], axis=1),
+                           shape)
 
 
 def f0_profile(fam: Deterministic | GaussianLinear,
@@ -190,22 +194,17 @@ def mean_profile(fam: TerminalFamily, grid: TriangularGrid,
     return gauss_hermite_mean(fam, grid.nodes, shift[0], sd[0])
 
 
-def conditional_sweep(fam: TerminalFunction, grid: TriangularGrid,
-                      ensemble: PathEnsemble,
-                      drift_fn: DriftFunction | None = None):
+def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     """Yield (i, C_i) for i = 0..N where C_i[a, m] = E^Q[F(t_a) | F_{t_i}]
-    on path m: one gauss_hermite_mean call per node, for every t_a at once
-    when h depends on t."""
-    nodes = grid.nodes
-    shift, sd = _q_transition(grid, drift_fn)
+    on path m, under the ensemble's drift: one gauss_hermite_mean call
+    per node, for all of _times at once."""
+    grid = ensemble.grid
+    times = _times(fam, grid)
+    shift, sd = _q_transition(grid, ensemble.drift_fn)
     w = ensemble.w
     for i in range(grid.n + 1):
-        mean = w[:, i] + shift[i]
-        if fam.t_dependent:
-            yield i, gauss_hermite_mean(fam, nodes, mean, sd[i])
-        else:
-            row = gauss_hermite_mean(fam, nodes[0], mean, sd[i])
-            yield i, np.broadcast_to(row, (grid.n + 1, ensemble.n_paths))
+        c = gauss_hermite_mean(fam, times, w[:, i] + shift[i], sd[i])
+        yield i, np.broadcast_to(c, (grid.n + 1, ensemble.n_paths))
 
 
 def malliavin_table(fam: GaussianLinear | TerminalFunction,
@@ -217,9 +216,8 @@ def malliavin_table(fam: GaussianLinear | TerminalFunction,
     GaussianLinear: D_s F(t) = phi(t, s) is deterministic.
     TerminalFunction: D_s F(t) = dh(t, W(T)), and W(T) | F_{s_j} is
     N(Z_REF_STATE + remaining drift, T - s_j) under Q, integrated by one
-    Gauss-Hermite layer: one dh call on the (N+1) x 64 points when h
-    ignores t (the row is shared by every v), one call per node t_v
-    otherwise.
+    Gauss-Hermite layer: one dh call on the (N+1) x 64 points per time of
+    _times, broadcast to every v.
     """
     n, nodes = grid.n, grid.nodes
     if isinstance(fam, GaussianLinear):
@@ -227,13 +225,9 @@ def malliavin_table(fam: GaussianLinear | TerminalFunction,
         return np.asarray(fam.phi(tt, ss), dtype=float)
     shift, sd = _q_transition(grid, drift_fn)
     pts = (Z_REF_STATE + shift)[:, None] + sd[:, None] * _GH_SHIFT
-
-    def layer(t):
-        return np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
-
-    if fam.t_dependent:
-        return np.stack([layer(t) for t in nodes])
-    return np.broadcast_to(layer(nodes[0]), (n + 1, n + 1))
+    return np.broadcast_to(
+        np.stack([np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
+                  for t in _times(fam, grid)]), (n + 1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,9 @@ def test_criterion_04_deterministic_cross_oracle():
         grid = TriangularGrid(1.0, n)
         phi = build_phi(m, k, grid)
         psi = resolvent(phi, 1e-10)
-        y_exp = solve_Y(fam, psi, None, grid).y
+        y_exp = solve_Y(fam, psi)
         f0_prof = np.ones(n + 1)
-        y_col = solve_reduced_collocation(f0_prof, phi, grid)
+        y_col = solve_reduced_collocation(f0_prof, phi)
         y_pic = solve_delayed_picard(f0_prof,
                                      build_delayed_operator(k, m, grid)).y
         tol = 10.0 * grid.dt**2
@@ -188,7 +188,7 @@ def test_criterion_06_z_validation():
     k0 = zero_kernel()
     phi0 = build_phi(m, k0, grid)
     psi0 = resolvent(phi0, 1e-10)
-    z0 = solve_Z(fam, phi0, psi0, drift(m, k0, grid), grid)
+    z0 = solve_Z(fam, phi0, psi0, drift(m, k0, grid))
     triu = np.triu(np.ones_like(z0, dtype=bool))
     flat_err = float(np.abs(z0[triu] - 1.0).max())
 
@@ -198,10 +198,10 @@ def test_criterion_06_z_validation():
     psi = resolvent(phi, 1e-10)
     b = drift(m, k, grid)
     ens = sample_paths(grid, 50000, 12345, "P", b)
-    z_exp = solve_Z(fam, phi, psi, b, grid)
+    z_exp = solve_Z(fam, phi, psi, b)
     f_vals = evaluate_F_table(fam, ens)
     lsmc = solve_delayed_lsmc(f_vals, k, m,
-                              build_delayed_operator(k, m, grid), grid, ens)
+                              build_delayed_operator(k, m, grid), ens)
     compared = violations = 0
     worst_ratio = 0.0
     for i in range(grid.n + 1):
@@ -215,8 +215,8 @@ def test_criterion_06_z_validation():
 
     # (c) Ito isometry between U = F + int Phi Y - Y, the reduced residual
     # with its sign flipped, and the Z surface at four probe times
-    y = solve_Y(fam, psi, b, grid, ens).y
-    u = -residual_reduced(y, f_vals, phi, grid)[0]
+    y = solve_Y(fam, psi, ens)
+    u = -residual_reduced(y, f_vals, phi)[0]
     tw = tail_weight_matrix(grid)
     iso_worst = 0.0
     for i in (0, 10, 20, 30):

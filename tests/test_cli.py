@@ -105,9 +105,10 @@ def test_norms_agree_across_modes(tmp_path):
         h1_sq.append(float(rows[0][1]) ** 2)
         # the standard error of that mean, from the same paths
         run = load_config(text)
-        fld, ens = cli._solve_field(run, *cli._prepare(run))
-        per_path = fld.grid.horizon * fld.y[:, 0] ** 2 + np.trapezoid(
-            fld.y**2, fld.grid.nodes, axis=1)
+        grid = run.grid()
+        y, _, ens = cli._solve_field(run, *cli._prepare(run))
+        per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
+            y**2, grid.nodes, axis=1)
         est, est_se = expect_q_columns(ens, per_path[:, None])
         assert est[0] == pytest.approx(h1_sq[-1], rel=1e-10)
         se.append(float(est_se[0]))
@@ -119,7 +120,7 @@ def test_mode_p_sidecars_report_weights(tmp_path):
         cfg = write_cfg(tmp_path, MINI_STOCHASTIC + f"mc.mode = {mode}\n",
                         name=f"{mode}.cfg")
         run = load_config(cfg.read_text())
-        weights = cli._solve_field(run, *cli._prepare(run))[1].weights
+        weights = cli._solve_field(run, *cli._prepare(run))[2].weights
         for command in ("solve", "compare", "norms"):
             out = tmp_path / mode / command
             assert run_cli(command, "--config", cfg, "--out", out) == 0
@@ -491,6 +492,26 @@ def test_exit_2_on_overflowing_norms(tmp_path, capsys):
         assert run_cli(command, "--config", cfg, "--out", out) == 2, command
         assert "beta" in capsys.readouterr().err
         assert list(out.iterdir()) == [], command
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-through-a-file",
+                                  "directory-in-place-of-output"])
+def test_exit_2_on_unwritable_output(tmp_path, capsys, case):
+    cfg = write_cfg(tmp_path, DETERMINISTIC.format(n=8, c=0.3))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if case == "out-is-a-file":
+        out = bad = blocker
+    elif case == "out-through-a-file":
+        out = bad = blocker / "sub"
+    else:
+        out = tmp_path / "out"
+        bad = out / "solution.csv"
+        bad.mkdir(parents=True)
+    assert run_cli("solve", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {bad}")
+    assert "Traceback" not in err
 
 
 def test_resolvent_exit_codes_at_large_kernel_bounds(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Drift tabulation, two-mode path simulation, importance-sampling means."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,15 @@ def test_mode_p_without_drift_unit_weights():
     assert np.allclose(ens.w, ens.wq)
     # increments have the right variance scale
     assert ens.dw.std() == pytest.approx(math.sqrt(ens.grid.dt), rel=0.1)
+
+
+def test_ensemble_path_count_is_the_rows_of_its_draws():
+    ens = sample_paths(grid(20), 30, seed=5, mode="P")
+    assert ens.n_paths == 30
+    assert dataclasses.replace(ens, draws=ens.draws[:7]).n_paths == 7
+    for draws in (ens.draws[:, :-1], ens.draws[0]):  # width N only
+        with pytest.raises(ValueError):
+            dataclasses.replace(ens, draws=draws)
 
 
 def test_reproducibility_bit_identical():

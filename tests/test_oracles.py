@@ -34,13 +34,13 @@ def make_phi_table(c, n, measure=None, spec=None):
 def test_collocation_zero_kernel_identity():
     g, m, k, phi = make_phi_table(0.0, 50)
     fbar = np.sin(3 * g.nodes)
-    y = solve_reduced_collocation(fbar, phi, g)
+    y = solve_reduced_collocation(fbar, phi)
     assert np.array_equal(y, fbar)
 
 
 def test_collocation_ode_oracle():
     g, m, k, phi = make_phi_table(0.5, 200)
-    y = solve_reduced_collocation(np.ones(201), phi, g)
+    y = solve_reduced_collocation(np.ones(201), phi)
     want = np.exp(0.5 * (1.0 - g.nodes))
     assert np.abs(y - want).max() < 10 * g.dt**2
     assert y[0] == pytest.approx(math.exp(0.5), abs=1e-4)
@@ -52,8 +52,8 @@ def test_collocation_matches_neumann_series():
     g, m, k, phi = make_phi_table(0.0, 200, spec=spec)
     fam = Deterministic(f0=make_f0("exp_decay", rate=1.0))
     psi = resolvent(phi, tol=1e-12)
-    y_neumann = solve_Y(fam, psi, None, g).y
-    y_colloc = solve_reduced_collocation(np.exp(-g.nodes), phi, g)
+    y_neumann = solve_Y(fam, psi)
+    y_colloc = solve_reduced_collocation(np.exp(-g.nodes), phi)
     assert np.abs(y_neumann - y_colloc).max() < 10 * g.dt**2
 
 
@@ -61,9 +61,9 @@ def test_collocation_vectorized_over_paths():
     g, m, k, phi = make_phi_table(0.5, 60)
     f1 = np.ones(61)
     f2 = np.exp(-g.nodes)
-    stacked = solve_reduced_collocation(np.stack([f1, f2]), phi, g)
-    assert np.allclose(stacked[0], solve_reduced_collocation(f1, phi, g))
-    assert np.allclose(stacked[1], solve_reduced_collocation(f2, phi, g))
+    stacked = solve_reduced_collocation(np.stack([f1, f2]), phi)
+    assert np.allclose(stacked[0], solve_reduced_collocation(f1, phi))
+    assert np.allclose(stacked[1], solve_reduced_collocation(f2, phi))
 
 
 def test_collocation_singular_step():
@@ -72,7 +72,7 @@ def test_collocation_singular_step():
     c = 2.0 / g.dt  # makes 1 - (dt/2) Phi_ii vanish
     phi = build_phi(DiracAt(T, 0.0), constant_kernel(c), g)
     with pytest.raises(SingularStep):
-        solve_reduced_collocation(np.ones(n + 1), phi, g)
+        solve_reduced_collocation(np.ones(n + 1), phi)
 
 
 def picard(fam, k, m, g, cfg=PicardConfig()):
@@ -89,7 +89,7 @@ def test_picard_matches_collocation_for_dirac_at_zero():
     g, m, k, phi = make_phi_table(0.5, 100)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     res = picard(fam, k, m, g)
-    y_colloc = solve_reduced_collocation(np.ones(101), phi, g)
+    y_colloc = solve_reduced_collocation(np.ones(101), phi)
     assert np.abs(res.y - y_colloc).max() < 10 * g.dt**2
 
 
@@ -111,7 +111,7 @@ def test_picard_retarded_dirac_fixed_point_certificate():
     assert sup <= 1e-10 + 1e-12
     # the same Y pushed through the reduced equation: a measured, nonzero gap
     phi = build_phi(m, k, g)
-    _, sup_red = residual_reduced(res.y, np.ones(81), phi, g)
+    _, sup_red = residual_reduced(res.y, np.ones(81), phi)
     assert sup_red > 1e-3
 
 
@@ -157,7 +157,7 @@ def test_residual_trivial_cases():
     r, sup = delayed_residual(np.zeros(41), fam, k, m, g)
     assert np.allclose(r, -1.0)
     r2, sup2 = residual_reduced(np.ones(41), np.ones(41),
-                                build_phi(m, zero_kernel(), g), g)
+                                build_phi(m, zero_kernel(), g))
     assert sup2 == 0.0
 
 
@@ -165,9 +165,9 @@ def test_explicit_Y_satisfies_both_equations_for_dirac():
     g, m, k, phi = make_phi_table(0.5, 150)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     psi = resolvent(phi, tol=1e-12)
-    y = solve_Y(fam, psi, None, g).y
+    y = solve_Y(fam, psi)
     _, sup_del = delayed_residual(y, fam, k, m, g)
-    _, sup_red = residual_reduced(y, np.ones(151), phi, g)
+    _, sup_red = residual_reduced(y, np.ones(151), phi)
     assert sup_red < 10 * g.dt**2
     assert sup_del < 10 * g.dt**2
 
@@ -183,7 +183,7 @@ def test_uniform_measure_delayed_vs_reduced_gap_is_real():
     _, sup_self = delayed_residual(res.y, fam, k, m, g)
     assert sup_self <= 1e-10 + 1e-12
     phi = build_phi(m, k, g)
-    y_red = solve_reduced_collocation(np.ones(101), phi, g)
+    y_red = solve_reduced_collocation(np.ones(101), phi)
     gap = np.abs(res.y - y_red).max()
     assert gap > 1e-3  # measured discrepancy, not a defect
 
@@ -208,7 +208,7 @@ def test_lsmc_martingale_representation():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 31, "P")
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                             build_delayed_operator(k, m, g), g, ens)
+                             build_delayed_operator(k, m, g), ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -229,16 +229,16 @@ def test_lsmc_cross_oracle_against_explicit():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 37, "P")
-    fld = solve_Y(fam, psi, None, g, ens)
+    y = solve_Y(fam, psi, ens)
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                             build_delayed_operator(k, m, g), g, ens)
+                             build_delayed_operator(k, m, g), ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
-        d = res.y_targets[:, i] - fld.y[:, i]
+        d = res.y_targets[:, i] - y[:, i]
         se = d.std(ddof=1) / math.sqrt(len(d))
         assert abs(d.mean()) <= 3 * se + 1e-3, i
-    z_closed = solve_Z(fam, phi, psi, None, g)
+    z_closed = solve_Z(fam, phi, psi, None)
     for i, j in ((0, 5), (0, 19), (5, 10), (10, 19)):
         assert abs(res.z[i, j] - z_closed[i, j]) <= 3 * res.z_se[i, j], (i, j)
 
@@ -250,7 +250,7 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     ens = sample_paths(g, 5_000, 41, "P")
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                             build_delayed_operator(k, m, g), g, ens)
+                             build_delayed_operator(k, m, g), ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -264,10 +264,10 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 300, 43, "P")
-    fld = solve_Y(fam, psi, None, g, ens)
-    z = solve_Z(fam, phi, psi, None, g)
-    r = residual_reduced_pathwise(fld.y, z, evaluate_F_table(fam, ens), phi,
-                                  g, ens)
+    y = solve_Y(fam, psi, ens)
+    z = solve_Z(fam, phi, psi, None)
+    r = residual_reduced_pathwise(y, z, evaluate_F_table(fam, ens), phi,
+                                  ens)
     assert np.abs(r).max() < 1e-12
 
 
@@ -619,7 +619,7 @@ def small_lsmc(g_value, n=12, paths=2000):
     ens = sample_paths(g, paths, 53, "P")
     op = build_delayed_operator(k, m, g)
     return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                                          op, g, ens)
+                                          op, ens)
 
 
 def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
@@ -631,38 +631,37 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     ens = sample_paths(g, 2000, 53, "P")
     op = build_delayed_operator(k, m, g)
     f_vals = evaluate_F_table(fam, ens)
-    res = solve_delayed_lsmc(f_vals, k, m, op, g, ens)
+    res = solve_delayed_lsmc(f_vals, k, m, op, ens)
     # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
     # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     sups = [float(np.abs(solve_delayed_lsmc(
-        f_vals, k, m, op, g, ens, PicardConfig(tolerance=d)).y).max())
+        f_vals, k, m, op, ens, PicardConfig(tolerance=d)).y).max())
         for d in [np.inf, *diffs[:-1]]]
     bound = sups[0] + sum(diffs[1:])
     assert max(sups) < bound
     # a guard the bound crosses but no Y does: Y is formed and checked,
     # and the run goes on to the same result
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
-    again = solve_delayed_lsmc(f_vals, k, m, op, g, ens)
+    again = solve_delayed_lsmc(f_vals, k, m, op, ens)
     assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
     # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
     with pytest.raises(PicardDiverged) as low:
-        solve_delayed_lsmc(f_vals, k, m, op, g, ens)
+        solve_delayed_lsmc(f_vals, k, m, op, ens)
     assert len(low.value.sup_diffs) == 1
     monkeypatch.undo()
     f_nan = f_vals.copy()
     f_nan[7, 3] = np.nan
     with pytest.raises(PicardDiverged) as nan:
-        solve_delayed_lsmc(f_nan, k, m, op, g, ens)
+        solve_delayed_lsmc(f_nan, k, m, op, ens)
     assert len(nan.value.sup_diffs) == 1
     # a retarded atom with a large bound diverges: the bound grows with
     # the sup-differences and the guard trips long before the budget ends
     k, m = constant_kernel(8.0), DiracAt(T, -0.4)
     with pytest.raises(PicardDiverged) as grown:
-        solve_delayed_lsmc(f_vals, k, m, build_delayed_operator(k, m, g), g,
-                           ens)
+        solve_delayed_lsmc(f_vals, k, m, build_delayed_operator(k, m, g), ens)
     assert len(grown.value.sup_diffs) < PicardConfig().max_iterations
 
 
@@ -687,7 +686,7 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
     basis = _IncrementBasis(ens.dw, op, tail_weight_matrix(g), g.dt)
     theta = np.zeros((2000, 13))
     theta[:, :12] = ens.dw * np.linspace(0.5, 3.0, 12)
-    z, se = _slope_z(theta, basis, with_se=True)
+    z, se = _slope_z(theta, basis)
     assert np.all(np.isfinite(se)) and np.all(se >= 0.0)
     assert np.all(np.isfinite(z))
     assert np.allclose(np.diag(z)[:12] * (1.0 - np.diag(op)[:12]),
@@ -840,7 +839,7 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     cfg = PicardConfig()
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
                                                         ens, cfg)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, g, ens, cfg)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, ens, cfg)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, cfg.tolerance, op, k, g,
@@ -881,7 +880,7 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     assert ens.n_paths > oracles.LSMC_CHUNK  # more than one block
     tracemalloc.start()
     try:
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, g, ens)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,8 +22,8 @@ from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
     zero_kernel
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import residual_reduced
-from bsvielab.solver import NormReport, SolutionField, norms, \
-    smoothness_diagnostics, solve_Y, solve_Z
+from bsvielab.solver import NormReport, norms, smoothness_diagnostics, \
+    solve_Y, solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
     GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
     conditional_sweep, evaluate_F_table, f0_profile, gauss_hermite_mean, \
@@ -64,11 +64,11 @@ def test_tail_weight_matrix_integrates():
 def test_solve_Y_deterministic_ode_oracle():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    fld = solve_Y(fam, psi, None, g)
+    y = solve_Y(fam, psi)
     want = np.exp(0.5 * (1.0 - g.nodes))
-    assert np.abs(fld.y - want).max() < 5e-5
-    assert fld.y[0] == pytest.approx(math.exp(0.5), abs=1e-4)
-    assert fld.y.shape == (g.n + 1,) and fld.ensemble is None
+    assert np.abs(y - want).max() < 5e-5
+    assert y[0] == pytest.approx(math.exp(0.5), abs=1e-4)
+    assert y.shape == (g.n + 1,)
 
 
 def test_solve_Y_zero_kernel_is_conditional_F():
@@ -77,10 +77,10 @@ def test_solve_Y_zero_kernel_is_conditional_F():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 200, 7, "Q")
-    fld = solve_Y(fam, psi, None, g, ens)
+    y = solve_Y(fam, psi, ens)
     # E[W(T) | F_t] = W(t) path by path
-    assert np.abs(fld.y - ens.w).max() < 1e-12
-    mean, se = expect_q_columns(ens, fld.y)
+    assert np.abs(y - ens.w).max() < 1e-12
+    mean, se = expect_q_columns(ens, y)
     assert mean.shape == se.shape == (g.n + 1,)
     assert se[0] == 0.0 and np.all(se[1:] > 0.0)
 
@@ -91,9 +91,9 @@ def test_solve_Y_with_drift_shifts_conditional():
     b = drift(m, spec, g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 100, 3, "Q", b)
-    fld = solve_Y(fam, psi, b, g, ens)
+    y = solve_Y(fam, psi, ens)
     want = ens.w + gamma * (T - g.nodes)[None, :]
-    assert np.abs(fld.y - want).max() < 1e-12
+    assert np.abs(y - want).max() < 1e-12
 
 
 def reference_solve_Y_gaussian(fam, psi, drift_fn, grid, ens):
@@ -128,7 +128,7 @@ def test_solve_Y_gaussian_linear_matches_node_loop(mode, phi_name):
     ens = sample_paths(g, 500, 11, mode, b)
     fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
                          phi=make_phi(phi_name))
-    y = solve_Y(fam, psi, b, g, ens).y
+    y = solve_Y(fam, psi, ens)
     ref = reference_solve_Y_gaussian(fam, psi, b, g, ens)
     assert y.shape == ref.shape
     assert np.abs(y - ref).max() <= 1e-13 * max(1.0, float(np.abs(ref).max()))
@@ -165,9 +165,9 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
     fam = make_h("square")
     a = psi.values * tail_weight_matrix(g)
     matvec = np.empty((ens.n_paths, g.n + 1))
-    for i, c in conditional_sweep(fam, g, ens, b):
+    for i, c in conditional_sweep(fam, ens):
         matvec[:, i] = c[i] + a[i] @ c
-    y = solve_Y(fam, psi, b, g, ens).y
+    y = solve_Y(fam, psi, ens)
     eps = np.finfo(float).eps
     assert np.abs(y - matvec).max() <= 4 * eps * np.abs(matvec).max()
 
@@ -180,7 +180,7 @@ def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
     b = drift(m, spec, g)
     ens = sample_paths(g, m_paths, 4, "Q", b)
     fam = t_varying_h("square") if t_dependent else make_h("square")
-    y = solve_Y(fam, psi, b, g, ens).y
+    y = solve_Y(fam, psi, ens)
     assert np.array_equal(y, reference_solve_Y_terminal(fam, psi, b, g, ens))
 
 
@@ -205,28 +205,42 @@ def test_solve_Y_growth_breach_on_last_path_raises():
     sd = math.sqrt(T - g.nodes[4])
     gauss_hermite_mean(fam, 0.0, ens.w[:-1, 4], sd)  # the others pass
     with pytest.raises(QuadratureError):
-        solve_Y(fam, psi, None, g, ens)
+        solve_Y(fam, psi, ens)
 
 
 def test_solve_Y_grid_mismatch():
+    # Y reads the grid from psi; an ensemble drawn on another grid is
+    # refused, whichever of N and T differs
     g, m, spec, phi, psi = setup_reduced(0.5, 50)
-    fam = Deterministic(f0=make_f0("constant"))
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
+    for other in (TriangularGrid(T, 60), TriangularGrid(2.0 * T, 50)):
+        with pytest.raises(GridMismatch):
+            solve_Y(fam, psi, sample_paths(other, 20, 1, "Q"))
+    assert solve_Y(fam, psi, sample_paths(g, 20, 1, "Q")).shape == (20, 51)
+
+
+def test_solve_Z_grid_mismatch():
+    # Phi and psi built on different grids are refused
+    g, m, spec, phi, psi = setup_reduced(0.5, 50)
+    phi_60 = setup_reduced(0.5, 60)[3]
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     with pytest.raises(GridMismatch):
-        solve_Y(fam, psi, None, TriangularGrid(T, 60))
+        solve_Z(fam, phi_60, psi, None)
+    assert solve_Z(fam, phi, psi, None).shape == (51, 51)
 
 
 def test_solve_Y_stochastic_needs_ensemble():
     g, m, spec, phi, psi = setup_reduced(0.5, 20)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     with pytest.raises(ValueError):
-        solve_Y(fam, psi, None, g)
+        solve_Y(fam, psi)
 
 
 def test_compute_U_deterministic_residual_small():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    fld = solve_Y(fam, psi, None, g)
-    u = -residual_reduced(fld.y, f0_profile(fam, g), phi, g)[0]
+    y = solve_Y(fam, psi)
+    u = -residual_reduced(y, f0_profile(fam, g), phi)[0]
     assert np.abs(u).max() < 1e-4  # c * dt^2 scale
 
 
@@ -239,8 +253,8 @@ def test_compute_U_martingale_increment():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 64, 9, "P")
-    fld = solve_Y(fam, psi, None, g, ens)
-    u = -residual_reduced(fld.y, evaluate_F_table(fam, ens), phi, g)[0]
+    y = solve_Y(fam, psi, ens)
+    u = -residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
     want = ens.w[:, -1][:, None] - ens.w
     assert np.abs(u - want).max() < 1e-12
 
@@ -248,9 +262,9 @@ def test_compute_U_martingale_increment():
 def test_zero_family_zero_everything():
     g, m, spec, phi, psi = setup_reduced(0.7, 50)
     fam = Deterministic(f0=make_f0("zero"))
-    fld = solve_Y(fam, psi, None, g)
-    assert np.all(fld.y == 0.0)
-    assert np.all(-residual_reduced(fld.y, f0_profile(fam, g), phi, g)[0]
+    y = solve_Y(fam, psi)
+    assert np.all(y == 0.0)
+    assert np.all(-residual_reduced(y, f0_profile(fam, g), phi)[0]
                   == 0.0)
 
 
@@ -259,7 +273,7 @@ def test_solve_Z_martingale_representation_of_WT():
     phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    z = solve_Z(fam, phi, psi, None, g)
+    z = solve_Z(fam, phi, psi, None)
     tri = np.triu(np.ones_like(z, dtype=bool))
     assert np.abs(z[tri] - 1.0).max() < 1e-12
     assert np.all(z[~tri] == 0.0)
@@ -267,7 +281,7 @@ def test_solve_Z_martingale_representation_of_WT():
 
 def test_solve_Z_deterministic_zero_surface():
     g, m, spec, phi, psi = setup_reduced(0.5, 20)
-    z = solve_Z(Deterministic(f0=make_f0("constant")), phi, psi, None, g)
+    z = solve_Z(Deterministic(f0=make_f0("constant")), phi, psi, None)
     assert np.all(z == 0.0)
 
 
@@ -275,7 +289,7 @@ def test_solve_Z_constant_kernel_closed_form():
     c = 0.3
     g, m, spec, phi, psi = setup_reduced(c, 200)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    z = solve_Z(fam, phi, psi, None, g)
+    z = solve_Z(fam, phi, psi, None)
     tt, ss = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     want = np.where(tt <= ss, np.exp(c * (T - ss)), 0.0)
     assert np.abs(z - want).max() < 1e-4
@@ -286,9 +300,9 @@ def test_solve_Z_terminal_function_matches_gaussian_linear():
     c = 0.3
     g, m, spec, phi, psi = setup_reduced(c, 40)
     z_gl = solve_Z(GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant")),
-                   phi, psi, None, g)
+                   phi, psi, None)
     z_tf = solve_Z(make_h("affine", intercept=0.0, slope=1.0),
-                   phi, psi, None, g)
+                   phi, psi, None)
     assert np.abs(z_gl - z_tf).max() < 1e-10
 
 
@@ -300,10 +314,10 @@ def test_t_dependent_branches_match_shared_quadrature():
     ens = sample_paths(g, 200, 5, "Q", b)
     shared = make_h("square")
     per_t = dataclasses.replace(shared, t_dependent=True)
-    y_gap = np.abs(solve_Y(per_t, psi, b, g, ens).y
-                   - solve_Y(shared, psi, b, g, ens).y).max()
-    z_gap = np.abs(solve_Z(per_t, phi, psi, b, g)
-                   - solve_Z(shared, phi, psi, b, g)).max()
+    y_gap = np.abs(solve_Y(per_t, psi, ens)
+                   - solve_Y(shared, psi, ens)).max()
+    z_gap = np.abs(solve_Z(per_t, phi, psi, b)
+                   - solve_Z(shared, phi, psi, b)).max()
     assert y_gap < 1e-12
     assert z_gap < 1e-12
 
@@ -397,7 +411,7 @@ def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
     g, m, spec, phi, psi = setup_reduced(0.3, n, measure, g_value=g_value)
     b = drift(m, spec, g) if g_value else None
     fam = t_varying_h(h_name) if t_dependent else make_h(h_name)
-    z = solve_Z(fam, phi, psi, b, g)
+    z = solve_Z(fam, phi, psi, b)
     ref = reference_solve_Z_terminal(fam, phi, psi, b, g)
     scale = max(1.0, float(np.abs(ref).max()))
     assert np.abs(z - ref).max() <= 1e-14 * scale
@@ -407,7 +421,7 @@ def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
 def test_solve_Z_gaussian_linear_bitwise_unchanged(phi_name):
     g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi(phi_name))
-    z = solve_Z(fam, phi, psi, drift(m, spec, g), g)
+    z = solve_Z(fam, phi, psi, drift(m, spec, g))
     assert np.array_equal(z, reference_solve_Z_gaussian(fam, phi, psi, g))
 
 
@@ -423,7 +437,7 @@ def test_solve_Z_one_dh_call_per_distinct_t(t_dependent):
         return base.dh(t, x)
 
     fam = dataclasses.replace(base, dh=counting_dh, t_dependent=t_dependent)
-    solve_Z(fam, phi, psi, drift(m, spec, g), g)
+    solve_Z(fam, phi, psi, drift(m, spec, g))
     assert len(calls) == (n + 1 if t_dependent else 1)
     assert all(shape == (n + 1, 64) for shape in calls)
 
@@ -433,8 +447,8 @@ def test_ito_isometry():
     g, m, spec, phi, psi = setup_reduced(c, 50)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 20_000, 17, "Q")
-    fld = solve_Y(fam, psi, None, g, ens)
-    u = -residual_reduced(fld.y, evaluate_F_table(fam, ens), phi, g)[0]
+    y = solve_Y(fam, psi, ens)
+    u = -residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
     for i in (0, 12, 25, 37):
         t = g.nodes[i]
         want = (math.exp(2 * c * (T - t)) - 1.0) / (2 * c)
@@ -449,9 +463,9 @@ def test_solve_Y_product_closed_form():
     g, m, spec, phi, psi = setup_reduced(c, 100)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(g, 100, 21, "P")
-    fld = solve_Y(fam, psi, None, g, ens)
+    y = solve_Y(fam, psi, ens)
     want = ens.w * np.exp(c * (T - g.nodes))[None, :]
-    assert np.abs(fld.y - want).max() < 1e-3
+    assert np.abs(y - want).max() < 1e-3
 
 
 def test_smoothness_constant_surface():
@@ -499,10 +513,10 @@ def test_smoothness_grid_stability():
     for n in (100, 200):
         g, m, spec, phi, psi = setup_reduced(c, n)
         z1 = solve_Z(GaussianLinear(f0=make_f0("zero"),
-                                    phi=make_phi("constant")), phi, psi, None, g)
+                                    phi=make_phi("constant")), phi, psi, None)
         flat.append(smoothness_diagnostics(z1, g).integral)
         z2 = solve_Z(GaussianLinear(f0=make_f0("zero"),
-                                    phi=make_phi("bilinear")), phi, psi, None, g)
+                                    phi=make_phi("bilinear")), phi, psi, None)
         vals.append(smoothness_diagnostics(z2, g).integral)
     # phi == 1 gives a t-independent surface: the integral is exactly 0
     assert flat == [0.0, 0.0]
@@ -513,9 +527,7 @@ def test_smoothness_grid_stability():
 
 def test_norms_constant_profile():
     g = TriangularGrid(T, 100)
-    fld = SolutionField(g, Deterministic(f0=make_f0("constant")),
-                        np.ones(101))
-    rep = norms(fld, beta=0.0)
+    rep = norms(np.ones(101), np.zeros((101, 101)), g, beta=0.0)
     assert rep.h1 == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert rep.s2 == pytest.approx(1.0)
     assert rep.h2 == 0.0
@@ -524,17 +536,15 @@ def test_norms_constant_profile():
 def test_norms_exponential_profile_sup():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    fld = solve_Y(fam, psi, None, g)
-    rep = norms(fld, beta=0.0)
+    y = solve_Y(fam, psi)
+    rep = norms(y, solve_Z(fam, phi, psi, None), g, beta=0.0)
     assert rep.s2 == pytest.approx(math.e, abs=1e-3)
 
 
 def test_norms_with_positive_beta():
     g = TriangularGrid(T, 200)
-    fld = SolutionField(g, Deterministic(f0=make_f0("constant")),
-                        np.ones(201))
     beta = 1.3
-    rep = norms(fld, beta=beta)
+    rep = norms(np.ones(201), np.zeros((201, 201)), g, beta=beta)
     # int_{-T}^0 e^{bs} ds + int_0^T e^{bs} ds = (e^{bT} - e^{-bT})/b
     want = (math.exp(beta * T) - math.exp(-beta * T)) / beta
     assert rep.h1**2 == pytest.approx(want, rel=1e-4)
@@ -547,8 +557,7 @@ def test_norms_of_z_surface():
     ens = sample_paths(g, 50, 2, "P")
     phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
     psi = resolvent(phi, tol=1e-12)
-    fld = solve_Y(fam, psi, None, g, ens)
-    fld.z = solve_Z(fam, phi, psi, None, g)
-    rep = norms(fld, beta=0.0)
+    y = solve_Y(fam, psi, ens)
+    rep = norms(y, solve_Z(fam, phi, psi, None), g, ens, beta=0.0)
     # Z == 1 on the triangle: integral = T^2/2
     assert rep.h2 == pytest.approx(math.sqrt(0.5), rel=1e-6)

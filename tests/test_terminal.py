@@ -213,7 +213,7 @@ def test_sweep_matches_pointwise_conditionals():
     for fam in fams:
         # Y[:, i] = C_i[i] + sum_a A[i, a] C_i[a] with each C_i[a] from
         # conditional_F; only terminal functions go through the sweep
-        y = solve_Y(fam, psi, b, g, e).y
+        y = solve_Y(fam, psi, e)
         for i in (0, 7, 15):
             cond = np.stack([conditional_F(fam, t, g.nodes[i], e, b)
                              for t in g.nodes])
@@ -222,7 +222,7 @@ def test_sweep_matches_pointwise_conditionals():
             assert np.allclose(got, want), (fam, i)
         if not isinstance(fam, TerminalFunction):
             continue
-        for i, c in conditional_sweep(fam, g, e, b):
+        for i, c in conditional_sweep(fam, e):
             if i in (0, 7, 15):
                 for a in (i, min(i + 3, 15)):
                     want = conditional_F(fam, g.nodes[a], g.nodes[i], e, b)

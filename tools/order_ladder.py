@@ -75,8 +75,8 @@ def errors(n: int) -> dict[str, float]:
     exact33 = np.where(upper, example33_reference(1.0, "derived")(u), 0.0)
 
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    y_exp = solve_Y(fam, psi, None, grid).y[0]
-    y_col = solve_reduced_collocation(np.ones(n + 1), phi, grid)[0]
+    y_exp = solve_Y(fam, psi)[0]
+    y_col = solve_reduced_collocation(np.ones(n + 1), phi)[0]
     y_true = math.exp(C)
     y_del = math.nan if 2 * n > LADDER[-1] else float(
         np.abs(delayed_profile(n) - delayed_profile(2 * n)[::2]).max())
