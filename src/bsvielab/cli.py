@@ -170,9 +170,9 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
     write_meta(cfg, "resolvent", extra)
 
 
-def _solve_field(cfg: ExperimentConfig, grid, phi, psi, drift_fn):
+def _solve_field(cfg: ExperimentConfig, phi, psi, drift_fn):
     """Explicit (Y, Z) plus the ensemble (None for deterministic runs)."""
-    ens = sample_paths(grid, cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
+    ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
         if is_stochastic(cfg.family) else None
     y = solve_Y(cfg.family, psi, ens)
     return y, solve_Z(cfg.family, phi, psi, drift_fn), ens
@@ -198,7 +198,7 @@ def _finite_norms(y, z, grid, ens, beta: float):
 
 def cmd_solve(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    y, z, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     nodes = grid.nodes
 
@@ -210,7 +210,7 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         rd = np.full_like(rr, np.nan)
     else:
         y_mean, y_se = y, np.zeros_like(y)
-        fbar0 = mean_profile(cfg.family, grid, drift_fn)
+        fbar0 = mean_profile(cfg.family, drift_fn)
         op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
         rd, _ = residual_delayed(y, fbar0, op)
         rr, _ = residual_reduced(y, fbar0, phi)
@@ -275,7 +275,6 @@ def _run_oracle(cfg: ExperimentConfig, name: str, solve):
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
     nodes = grid.nodes
     dt = grid.dt
     tol_quad = cfg.quad_slack * dt * dt
@@ -284,14 +283,15 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
               "res_delayed_explicit", "res_reduced_explicit",
               "res_delayed_oracle", "res_reduced_oracle"]
 
-    y, z, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
     # Reduced-equation oracle: conditioned on the trivial F_0 the equation
     # is a scalar Volterra equation for the expected profile, solved by
     # collocation without Monte Carlo noise.
-    fbar0 = mean_profile(cfg.family, grid, drift_fn)
+    fbar0 = mean_profile(cfg.family, drift_fn)
     y_col = solve_reduced_collocation(fbar0, phi)
 
     if ens is None:
+        op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
         pic = _run_oracle(cfg, "picard",
                           lambda: solve_delayed_picard(fbar0, op, pic_cfg))
         rd_exp, rd_exp_sup = residual_delayed(y, fbar0, op)
@@ -338,7 +338,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     se_r_exp = float(se_rr_exp.max())
     del y
     lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-        f_vals, cfg.kernel, cfg.measure, op, ens, pic_cfg))
+        f_vals, cfg.kernel, cfg.measure, ens, pic_cfg))
     y_paths, z_lsmc = lsmc.y, lsmc.z
     lsmc_meta = {"lsmc_iterations": lsmc.iterations,
                  "lsmc_max_gram_cond": lsmc.max_gram_cond}
@@ -375,9 +375,14 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
 
 def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
-    grid = cfg.grid()
-    stats = girsanov_report(cfg.measure, cfg.kernel, grid, cfg.n_paths,
-                            cfg.seed)
+    b = drift(cfg.measure, cfg.kernel, cfg.grid())
+    # exp(W(T)) overflows on a path once T is long, and expect_q refuses it
+    with np.errstate(over="ignore"):
+        try:
+            stats = girsanov_report(b, cfg.n_paths, cfg.seed)
+        except ValueError as exc:
+            raise ConfigError(f"horizon: exp(W(T)) is not finite on every "
+                              f"path (horizon={cfg.horizon}): {exc}") from None
     write_csv(os.path.join(cfg.out_dir, "girsanov.csv"),
               ["statistic", "value", "stderr"], np.empty((0, 3)),
               labelled=[((name,), (value, stderr))
@@ -412,7 +417,7 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 
 def cmd_norms(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    y, z, ens = _solve_field(cfg, grid, phi, psi, drift_fn)
+    y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     _write_norms(cfg, rep)
     print(f"norms: beta={rep.beta:g} H1={rep.h1:.12g} H2={rep.h2:.12g} "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import HorizonMismatch, KernelSpec, TriangularGrid
+from .kernels import KernelSpec, TriangularGrid
 from .measures import DelayMeasure, snap_lag
 
 ESS_FLOOR = 10.0
@@ -41,15 +41,17 @@ class DriftFunction:
     grid: TriangularGrid
     values: np.ndarray
 
+    def increments(self) -> np.ndarray:
+        """b(t_k) dt for k < N: the left-point rule of the Ito sums."""
+        return self.values[:-1] * self.grid.dt
+
     def cumulative(self) -> np.ndarray:
-        """Left-point accumulation int_0^{t_i} b ds, matching the Ito sums."""
-        incr = self.values[:-1] * self.grid.dt
-        return np.concatenate([[0.0], np.cumsum(incr)])
+        """Left-point accumulation int_0^{t_i} b ds."""
+        return np.concatenate([[0.0], np.cumsum(self.increments())])
 
     def remaining(self) -> np.ndarray:
         """Left-point accumulation int_{t_i}^T b ds, summed backward."""
-        incr = self.values[:-1] * self.grid.dt
-        return np.concatenate([np.cumsum(incr[::-1])[::-1], [0.0]])
+        return np.concatenate([np.cumsum(self.increments()[::-1])[::-1], [0.0]])
 
 
 def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction:
@@ -58,10 +60,7 @@ def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction
     Uses the half-open mass alpha((s-T, 0]), so a point mass at lag 0
     contributes nothing at s = T.
     """
-    if m.horizon != grid.horizon:
-        raise HorizonMismatch(
-            f"measure horizon {m.horizon} != grid horizon {grid.horizon}"
-        )
+    grid.check_horizon(m)
     gvals = k.g_values(grid)
     mass = m.mass_left_open(snap_lag(grid.nodes - grid.horizon))
     vals = mass * gvals
@@ -70,7 +69,7 @@ def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction
 
 @dataclass
 class PathEnsemble:
-    """Simulated Brownian ensemble with its measure tag.
+    """Simulated Brownian ensemble on the grid of its drift, with its tag.
 
     draws (M, N) is the one path table held: the scaled normal draws,
     increments of W for tag "P" and of W^Q for tag "Q".  dw (the
@@ -82,7 +81,6 @@ class PathEnsemble:
     for tag "Q".  The path count M is the number of rows of draws.
     """
 
-    grid: TriangularGrid
     tag: str
     draws: np.ndarray
     drift_fn: DriftFunction
@@ -98,6 +96,10 @@ class PathEnsemble:
             raise ValueError("weights must be strictly positive")
 
     @property
+    def grid(self) -> TriangularGrid:
+        return self.drift_fn.grid
+
+    @property
     def n_paths(self) -> int:
         return len(self.draws)
 
@@ -108,8 +110,7 @@ class PathEnsemble:
         if self.tag == "P":
             out = self.draws.view()
         else:
-            b_left = self.drift_fn.values[:-1]
-            out = self.draws + b_left[None, :] * self.grid.dt
+            out = self.draws + self.drift_fn.increments()[None, :]
         out.flags.writeable = False
         return out
 
@@ -139,9 +140,9 @@ class PathEnsemble:
         return out
 
 
-def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
-                 drift_fn: DriftFunction | None = None) -> PathEnsemble:
-    """Generate an ensemble of M Brownian paths on the grid.
+def sample_paths(n_paths: int, seed: int, mode: str,
+                 drift_fn: DriftFunction) -> PathEnsemble:
+    """Generate an ensemble of M Brownian paths on the grid of the drift.
 
     mode "P": raw draws are increments of W, and W^Q = W - int b; the
       weight column carries M(T) = exp(sum_k b_k dW_k - 0.5 sum_k b_k^2 dt)
@@ -155,16 +156,12 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
         raise ValueError("need at least one path")
     if mode not in ("P", "Q"):
         raise ValueError(f"unknown mode {mode!r}")
-    if drift_fn is not None and drift_fn.grid != grid:
-        raise HorizonMismatch("drift tabulated on a different grid")
 
-    n = grid.n
-    dt = grid.dt
+    n = drift_fn.grid.n
+    dt = drift_fn.grid.dt
     rng = np.random.Generator(np.random.Philox(key=seed))
     xi = rng.standard_normal((n_paths, n))
     xi *= math.sqrt(dt)
-    if drift_fn is None:
-        drift_fn = DriftFunction(grid, np.zeros(n + 1))
 
     if mode == "P":
         b_left = drift_fn.values[:n]
@@ -177,7 +174,7 @@ def sample_paths(grid: TriangularGrid, n_paths: int, seed: int, mode: str,
         _check_ess(weights)
     else:
         weights = np.ones(n_paths)
-    return PathEnsemble(grid, mode, xi, drift_fn, weights)
+    return PathEnsemble(mode, xi, drift_fn, weights)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -240,9 +237,9 @@ def expect_q_columns(ensemble: PathEnsemble,
     return est, np.sqrt(x.sum(axis=1)) / wsum
 
 
-def girsanov_report(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid,
-                    n_paths: int, seed: int) -> list[tuple[str, float, float]]:
-    """The three cross-check statistics written to girsanov.csv.
+def girsanov_report(b: DriftFunction, n_paths: int,
+                    seed: int) -> list[tuple[str, float, float]]:
+    """The three cross-check statistics of girsanov.csv, on b's grid.
 
     mean_weight: E_P[M(T)], martingale property, should sit near 1.
     mean_WQ_T:   E^Q[W^Q(T)] from the mode-Q leg, should sit near 0.
@@ -250,9 +247,8 @@ def girsanov_report(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid,
       with the combined standard error.  Both legs reuse the same draws
     (common random numbers), which makes the combined SE conservative.
     """
-    b = drift(m, k, grid)
-    ens_p = sample_paths(grid, n_paths, seed, "P", b)
-    ens_q = sample_paths(grid, n_paths, seed, "Q", b)
+    ens_p = sample_paths(n_paths, seed, "P", b)
+    ens_q = sample_paths(n_paths, seed, "Q", b)
 
     wts = ens_p.weights
     mean_w = (float(wts.mean()),

@@ -10,7 +10,7 @@ kernels and second-order otherwise; the resolvent is their series' limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,6 +54,12 @@ class TriangularGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n + 1)
+
+    def check_horizon(self, m: DelayMeasure) -> None:
+        """HorizonMismatch unless the measure m has this grid's horizon."""
+        if m.horizon != self.horizon:
+            raise HorizonMismatch(
+                f"measure horizon {m.horizon} != grid horizon {self.horizon}")
 
     def locate(self, x):
         """Cell (idx, frac) of times x: x is clipped into [0, T], then
@@ -191,10 +197,7 @@ def build_phi(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> KernelTab
     When the spec supplies the reduced kernel directly, its grid values are
     tabulated as-is.
     """
-    if m.horizon != grid.horizon:
-        raise HorizonMismatch(
-            f"measure horizon {m.horizon} != grid horizon {grid.horizon}"
-        )
+    grid.check_horizon(m)
     t = grid.nodes
     tt, ss = np.meshgrid(t, t, indexing="ij")
     if k.phi_direct is not None:

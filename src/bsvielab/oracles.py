@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .girsanov import PathEnsemble
-from .kernels import KernelSpec, KernelTable, TriangularGrid, \
+from .kernels import GridMismatch, KernelSpec, KernelTable, TriangularGrid, \
     implicit_factors, lag_weights, tail_weight_matrix, zero_extend_g, \
     zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
@@ -150,6 +150,7 @@ def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
     between lags keeps its exact node: G is evaluated at (t_i+u, s_j+u),
     and y(s_j+u), with the same cell fraction theta for every j, is split
     linearly between its two nodes, one shifted column block each."""
+    grid.check_horizon(m)
     n = grid.n
     on_lag, between = lag_weights(m, grid)
     g = _kernel_on_shifted_grid(k, m, grid, 0.0)
@@ -217,7 +218,9 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     the stochastic integral taken as a left-point sum on top of
     residual_reduced, F the (M, N+1) table of terminal.evaluate_F_table.
-    Returns (M, N+1)."""
+    Returns (M, N+1); GridMismatch unless Phi is on the ensemble's grid."""
+    if phi.grid != ensemble.grid:
+        raise GridMismatch("kernel table and ensemble on different grids")
     n = phi.grid.n
     r = residual_reduced(y, f_vals, phi)[0]
     r[:, :n] += np.diff(ensemble.wq, axis=1) @ np.triu(z[:n, :n]).T
@@ -380,15 +383,15 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
 
 
 def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
-                       op: np.ndarray, ensemble: PathEnsemble,
+                       ensemble: PathEnsemble,
                        cfg: PicardConfig = PicardConfig()) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F,
     given as its (M, N+1) table of terminal.evaluate_F_table.
 
-    Picard sweeps regress the target F(t_i) + (delay integral of Y, by op)
-    + (g-weighted Z term) on the polynomial basis B_i in W(t_i) of
-    _StackedBasis.  The bases stay fixed, so the sweeps run on the stacked
-    coefficients c, Y(t_i) = B_i c_i:
+    Picard sweeps regress the target F(t_i) + (delay integral of Y, by op
+    = build_delayed_operator on the ensemble's grid) + (g-weighted Z term)
+    on the polynomial basis B_i in W(t_i) of _StackedBasis.  The bases stay
+    fixed, so the sweeps run on the stacked coefficients c, Y(t_i) = B_i c_i:
     c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks of B^T F,
     K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks; the
     first sweep reads y = F, outside the span, through B^T F in full.  The
@@ -405,6 +408,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
     """
     grid = ensemble.grid
     n = grid.n
+    op = build_delayed_operator(k, m, grid)
     trap = tail_weight_matrix(grid)
     dw = ensemble.dw
     incr = _IncrementBasis(dw, op, trap, grid.dt)

@@ -63,7 +63,7 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
         return rows + a @ rows
 
     if isinstance(fam, GaussianLinear):
-        c, phimat = gaussian_linear_conditionals(fam, grid, ensemble.drift_fn)
+        c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
         det = np.diagonal(c + a @ c)
         b = np.tril(phimat + a @ phimat, -1)
         y = ensemble.dw @ b.T
@@ -81,7 +81,7 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
 
 
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
-            drift_fn: Optional[DriftFunction]) -> np.ndarray:
+            drift_fn: DriftFunction) -> np.ndarray:
     """Z(t,s) = E^Q[D_s F(t) + int_s^T Phi(t,r) D_s Y(r) dr | F_s].
 
     One formula for both stochastic families.  D_s commutes with the
@@ -91,10 +91,11 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     at W(s) = terminal.Z_REF_STATE.  Deterministic families carry no
     martingale part: the zero surface is returned without computation.
     The second Malliavin term, -U(t) int D_s g dW^Q, vanishes because g
-    is deterministic.
+    is deterministic.  Phi, Psi and the drift are built apart, so
+    GridMismatch unless all three share one grid.
     """
-    if phi.grid != psi.grid:
-        raise GridMismatch("kernel tables on different grids")
+    if not phi.grid == psi.grid == drift_fn.grid:
+        raise GridMismatch("kernel tables and drift on different grids")
     grid = psi.grid
     n = grid.n
     if not is_stochastic(fam):
@@ -103,7 +104,7 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
         raise UnsupportedFamily(f"unknown family {type(fam).__name__}")
 
     trap = tail_weight_matrix(grid)
-    d = malliavin_table(fam, grid, drift_fn)
+    d = malliavin_table(fam, drift_fn)
     dy = d + (psi.values * trap) @ d
     # trap.T weighs r in int_{s_j}^T and is zero for r < s_j
     z = d + phi.values @ (trap.T * dy)

@@ -160,38 +160,36 @@ def _phi_table(fam: GaussianLinear, grid: TriangularGrid) -> np.ndarray:
     return np.asarray(fam.phi(tt, kk), dtype=float)
 
 
-def gaussian_linear_conditionals(fam: GaussianLinear, grid: TriangularGrid,
-                                 drift_fn: DriftFunction | None = None):
+def gaussian_linear_conditionals(fam: GaussianLinear, drift_fn: DriftFunction):
     """(c, phimat) with E^Q[F(t_a) | F_{t_i}] = c[a, i] + sum_{k<i}
-    phimat[a, k] dW_k on every path: phimat[a, k] = phi(t_a, t_k), and
-    c[a, i] = f0(t_a) + sum_{k>=i} phi(t_a, t_k) b_k dt adds the Q-mean of
-    the increments still unknown at t_i."""
+    phimat[a, k] dW_k on every path of the drift's grid: phimat[a, k] =
+    phi(t_a, t_k), and c[a, i] = f0(t_a) + sum_{k>=i} phi(t_a, t_k) b_k dt
+    adds the Q-mean of the increments still unknown at t_i."""
+    grid = drift_fn.grid
     phimat = _phi_table(fam, grid)
-    bdt = (np.zeros(grid.n) if drift_fn is None else drift_fn.values[:-1]) * grid.dt
-    comp = np.cumsum((phimat * bdt[None, :])[:, ::-1], axis=1)[:, ::-1]
+    comp = np.cumsum((phimat * drift_fn.increments())[:, ::-1], axis=1)[:, ::-1]
     c = f0_profile(fam, grid)[:, None] + np.concatenate(
         [comp, np.zeros((grid.n + 1, 1))], axis=1)
     return c, phimat
 
 
-def _q_transition(grid: TriangularGrid, drift_fn: DriftFunction | None):
+def _q_transition(drift_fn: DriftFunction):
     """(shift, sd) with W(T) | F_{t_i} ~ N(W(t_i) + shift[i], sd[i]^2)
     under Q: shift the left-point int_{t_i}^T b, sd = sqrt(T - t_i)."""
-    shift = np.zeros(grid.n + 1) if drift_fn is None else drift_fn.remaining()
-    return shift, np.sqrt(np.maximum(grid.horizon - grid.nodes, 0.0))
+    grid = drift_fn.grid
+    return drift_fn.remaining(), np.sqrt(np.maximum(grid.horizon - grid.nodes, 0.0))
 
 
-def mean_profile(fam: TerminalFamily, grid: TriangularGrid,
-                 drift_fn: DriftFunction | None = None) -> np.ndarray:
-    """E^Q[F(t_a) | F_0] at every node: f0 for a deterministic family,
-    column 0 of gaussian_linear_conditionals for GaussianLinear, one
-    Gauss-Hermite layer at W(0) = 0 for a terminal function."""
+def mean_profile(fam: TerminalFamily, drift_fn: DriftFunction) -> np.ndarray:
+    """E^Q[F(t_a) | F_0] on the drift's grid: f0 for a deterministic
+    family, column 0 of gaussian_linear_conditionals for GaussianLinear,
+    one Gauss-Hermite layer at W(0) = 0 for a terminal function."""
     if not is_stochastic(fam):
-        return f0_profile(fam, grid)
+        return f0_profile(fam, drift_fn.grid)
     if isinstance(fam, GaussianLinear):
-        return gaussian_linear_conditionals(fam, grid, drift_fn)[0][:, 0]
-    shift, sd = _q_transition(grid, drift_fn)
-    return gauss_hermite_mean(fam, grid.nodes, shift[0], sd[0])
+        return gaussian_linear_conditionals(fam, drift_fn)[0][:, 0]
+    shift, sd = _q_transition(drift_fn)
+    return gauss_hermite_mean(fam, drift_fn.grid.nodes, shift[0], sd[0])
 
 
 def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
@@ -200,7 +198,7 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     per node, for all of _times at once."""
     grid = ensemble.grid
     times = _times(fam, grid)
-    shift, sd = _q_transition(grid, ensemble.drift_fn)
+    shift, sd = _q_transition(ensemble.drift_fn)
     w = ensemble.w
     for i in range(grid.n + 1):
         c = gauss_hermite_mean(fam, times, w[:, i] + shift[i], sd[i])
@@ -208,10 +206,9 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
 
 
 def malliavin_table(fam: GaussianLinear | TerminalFunction,
-                    grid: TriangularGrid,
-                    drift_fn: DriftFunction | None = None) -> np.ndarray:
+                    drift_fn: DriftFunction) -> np.ndarray:
     """d[v, j] = E^Q[D_{s_j} F(t_v) | F_{s_j}] at W(s_j) = Z_REF_STATE,
-    an (N+1) x (N+1) table over every v and j.
+    an (N+1) x (N+1) table over every v and j of the drift's grid.
 
     GaussianLinear: D_s F(t) = phi(t, s) is deterministic.
     TerminalFunction: D_s F(t) = dh(t, W(T)), and W(T) | F_{s_j} is
@@ -219,15 +216,15 @@ def malliavin_table(fam: GaussianLinear | TerminalFunction,
     Gauss-Hermite layer: one dh call on the (N+1) x 64 points per time of
     _times, broadcast to every v.
     """
-    n, nodes = grid.n, grid.nodes
+    n, nodes = drift_fn.grid.n, drift_fn.grid.nodes
     if isinstance(fam, GaussianLinear):
         tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
         return np.asarray(fam.phi(tt, ss), dtype=float)
-    shift, sd = _q_transition(grid, drift_fn)
+    shift, sd = _q_transition(drift_fn)
     pts = (Z_REF_STATE + shift)[:, None] + sd[:, None] * _GH_SHIFT
     return np.broadcast_to(
         np.stack([np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
-                  for t in _times(fam, grid)]), (n + 1, n + 1))
+                  for t in _times(fam, drift_fn.grid)]), (n + 1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,8 @@ def test_criterion_04_deterministic_cross_oracle():
 def test_criterion_05_girsanov_suite():
     start = time.perf_counter()
     grid = TriangularGrid(1.0, 100)
-    stats = girsanov_report(Uniform(1.0), constant_kernel(0.0, 1.0), grid,
-                            100000, 12345)
+    b = drift(Uniform(1.0), constant_kernel(0.0, 1.0), grid)
+    stats = girsanov_report(b, 100000, 12345)
     by_name = {name: (value, se) for name, value, se in stats}
     mw, mw_se = by_name["mean_weight"]
     gap, gap_se = by_name["crosscheck_gap"]
@@ -197,11 +197,10 @@ def test_criterion_06_z_validation():
     phi = build_phi(m, k, grid)
     psi = resolvent(phi, 1e-10)
     b = drift(m, k, grid)
-    ens = sample_paths(grid, 50000, 12345, "P", b)
+    ens = sample_paths(50000, 12345, "P", b)
     z_exp = solve_Z(fam, phi, psi, b)
     f_vals = evaluate_F_table(fam, ens)
-    lsmc = solve_delayed_lsmc(f_vals, k, m,
-                              build_delayed_operator(k, m, grid), ens)
+    lsmc = solve_delayed_lsmc(f_vals, k, m, ens)
     compared = violations = 0
     worst_ratio = 0.0
     for i in range(grid.n + 1):

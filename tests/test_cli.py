@@ -106,7 +106,7 @@ def test_norms_agree_across_modes(tmp_path):
         # the standard error of that mean, from the same paths
         run = load_config(text)
         grid = run.grid()
-        y, _, ens = cli._solve_field(run, *cli._prepare(run))
+        y, _, ens = cli._solve_field(run, *cli._prepare(run)[1:])
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
         est, est_se = expect_q_columns(ens, per_path[:, None])
@@ -120,7 +120,7 @@ def test_mode_p_sidecars_report_weights(tmp_path):
         cfg = write_cfg(tmp_path, MINI_STOCHASTIC + f"mc.mode = {mode}\n",
                         name=f"{mode}.cfg")
         run = load_config(cfg.read_text())
-        weights = cli._solve_field(run, *cli._prepare(run))[2].weights
+        weights = cli._solve_field(run, *cli._prepare(run)[1:])[2].weights
         for command in ("solve", "compare", "norms"):
             out = tmp_path / mode / command
             assert run_cli(command, "--config", cfg, "--out", out) == 0
@@ -230,7 +230,8 @@ def test_delayed_operator_built_once_per_command(tmp_path, monkeypatch):
     det = CONFIGS / "constant-kernel.cfg"
     mc = write_cfg(tmp_path, MINI_STOCHASTIC)
     want = [("solve", det, 1), ("compare", det, 1), ("resolvent", det, 0),
-            ("z-surface", det, 0), ("norms", det, 0), ("solve", mc, 0)]
+            ("z-surface", det, 0), ("norms", det, 0), ("solve", mc, 0),
+            ("compare", mc, 1)]
     for i, (command, cfg, count) in enumerate(want):
         calls.clear()
         assert run_cli(command, "--config", cfg,
@@ -492,6 +493,28 @@ def test_exit_2_on_overflowing_norms(tmp_path, capsys):
         assert run_cli(command, "--config", cfg, "--out", out) == 2, command
         assert "beta" in capsys.readouterr().err
         assert list(out.iterdir()) == [], command
+
+
+def test_exit_2_on_girsanov_check_overflow_at_long_horizon(tmp_path, capsys):
+    # W(T) has variance T = 1e6: exp(W(T)) overflows on some path, and the
+    # command names the horizon instead of ending in a traceback
+    cfg = write_cfg(tmp_path, """\
+horizon = 1e6
+grid.n = 10
+measure.kind = uniform
+kernel.name = constant
+kernel.c = 0.0
+kernel.g = 0.0
+terminal.kind = deterministic
+terminal.f0 = constant
+mc.paths = 100
+""")
+    out = tmp_path / "out"
+    assert run_cli("girsanov-check", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: horizon:") and "1000000" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-through-a-file",

@@ -8,7 +8,7 @@ import pytest
 
 from bsvielab.girsanov import (
     DegenerateWeights,
-    PathEnsemble,
+    DriftFunction,
     drift,
     expect_q,
     expect_q_columns,
@@ -21,6 +21,10 @@ from bsvielab.measures import DiracAt, Uniform
 
 def grid(n=100, horizon=1.0):
     return TriangularGrid(horizon=horizon, n=n)
+
+
+def zero_drift(g):
+    return DriftFunction(g, np.zeros(g.n + 1))
 
 
 def test_drift_dirac_at_zero():
@@ -52,7 +56,7 @@ def test_drift_horizon_mismatch():
 
 
 def test_mode_p_without_drift_unit_weights():
-    ens = sample_paths(grid(50), 200, seed=7, mode="P")
+    ens = sample_paths(200, seed=7, mode="P", drift_fn=zero_drift(grid(50)))
     assert np.all(ens.weights == 1.0)
     assert np.allclose(ens.w, ens.wq)
     # increments have the right variance scale
@@ -60,7 +64,7 @@ def test_mode_p_without_drift_unit_weights():
 
 
 def test_ensemble_path_count_is_the_rows_of_its_draws():
-    ens = sample_paths(grid(20), 30, seed=5, mode="P")
+    ens = sample_paths(30, seed=5, mode="P", drift_fn=zero_drift(grid(20)))
     assert ens.n_paths == 30
     assert dataclasses.replace(ens, draws=ens.draws[:7]).n_paths == 7
     for draws in (ens.draws[:, :-1], ens.draws[0]):  # width N only
@@ -69,17 +73,18 @@ def test_ensemble_path_count_is_the_rows_of_its_draws():
 
 
 def test_reproducibility_bit_identical():
-    a = sample_paths(grid(50), 100, seed=11, mode="P")
-    b = sample_paths(grid(50), 100, seed=11, mode="P")
+    b0 = zero_drift(grid(50))
+    a = sample_paths(100, seed=11, mode="P", drift_fn=b0)
+    b = sample_paths(100, seed=11, mode="P", drift_fn=b0)
     assert np.array_equal(a.dw, b.dw)
-    c = sample_paths(grid(50), 100, seed=12, mode="P")
+    c = sample_paths(100, seed=12, mode="P", drift_fn=b0)
     assert not np.array_equal(a.dw, c.dw)
 
 
 def test_mean_weight_is_one():
     g = grid(100)
     b = drift(Uniform(1.0), constant_kernel(0.0, g_value=1.0), g)
-    ens = sample_paths(g, 100_000, seed=3, mode="P", drift_fn=b)
+    ens = sample_paths(100_000, seed=3, mode="P", drift_fn=b)
     m = ens.weights.mean()
     se = ens.weights.std(ddof=1) / math.sqrt(ens.n_paths)
     assert abs(m - 1.0) < 3 * se
@@ -91,7 +96,7 @@ def test_mode_q_shifts_mean():
     g = grid(100)
     gamma = 0.8
     b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=gamma), g)
-    ens = sample_paths(g, 100_000, seed=5, mode="Q", drift_fn=b)
+    ens = sample_paths(100_000, seed=5, mode="Q", drift_fn=b)
     est, se = expect_q(ens, lambda e: e.w[:, -1])
     # b(T) = 0 under the half-open mass but the left-point sum never reads
     # it, so the accumulated drift is exactly gamma * T
@@ -104,7 +109,7 @@ def test_mode_p_reweighted_mean_matches_shift():
     g = grid(100)
     gamma = 0.6
     b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=gamma), g)
-    ens = sample_paths(g, 100_000, seed=9, mode="P", drift_fn=b)
+    ens = sample_paths(100_000, seed=9, mode="P", drift_fn=b)
     est, se = expect_q(ens, lambda e: e.w[:, -1])
     assert abs(est - gamma) < 3 * se
 
@@ -117,8 +122,8 @@ def test_cross_mode_agreement():
         "expWT": lambda e: np.exp(e.w[:, -1]),
         "maxW": lambda e: e.w.max(axis=1),
     }
-    ens_p = sample_paths(g, 100_000, seed=21, mode="P", drift_fn=b)
-    ens_q = sample_paths(g, 100_000, seed=22, mode="Q", drift_fn=b)
+    ens_p = sample_paths(100_000, seed=21, mode="P", drift_fn=b)
+    ens_q = sample_paths(100_000, seed=22, mode="Q", drift_fn=b)
     for name, fn in fns.items():
         ep, sp = expect_q(ens_p, fn)
         eq, sq = expect_q(ens_q, fn)
@@ -126,7 +131,7 @@ def test_cross_mode_agreement():
 
 
 def test_expect_q_constant_functional():
-    ens = sample_paths(grid(20), 50, seed=1, mode="Q")
+    ens = sample_paths(50, seed=1, mode="Q", drift_fn=zero_drift(grid(20)))
     est, se = expect_q(ens, lambda e: np.ones(e.n_paths))
     assert est == 1.0
     assert se == 0.0
@@ -135,7 +140,7 @@ def test_expect_q_constant_functional():
 def test_weighted_standard_error_formula():
     g = grid(20)
     b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
-    ens = sample_paths(g, 5000, seed=2, mode="P", drift_fn=b)
+    ens = sample_paths(5000, seed=2, mode="P", drift_fn=b)
     x = ens.w[:, -1]
     est, se = expect_q(ens, lambda e: e.w[:, -1])
     w = ens.weights
@@ -150,7 +155,7 @@ def test_expect_q_columns_match_expect_q():
     g = grid(20)
     b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
     for mode in ("P", "Q"):
-        ens = sample_paths(g, 3000, seed=6, mode=mode, drift_fn=b)
+        ens = sample_paths(3000, seed=6, mode=mode, drift_fn=b)
         values = np.exp(ens.w)
         est, se = expect_q_columns(ens, values)
         want = np.array([expect_q(ens, lambda e, c=values[:, i]: c)
@@ -170,7 +175,7 @@ def test_expect_q_columns_match_numpy_reductions(mode, order):
     # for bit, and values is not written even when values^T is contiguous
     g = grid(20)
     b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
-    ens = sample_paths(g, 3001, seed=6, mode=mode, drift_fn=b)
+    ens = sample_paths(3001, seed=6, mode=mode, drift_fn=b)
     values = np.array(np.exp(ens.w), order=order)
     before = values.copy()
     est, se = expect_q_columns(ens, values)
@@ -188,7 +193,7 @@ def test_expect_q_columns_match_numpy_reductions(mode, order):
 
 
 def test_degenerate_weights_raises():
-    ens = sample_paths(grid(20), 50, seed=4, mode="P")
+    ens = sample_paths(50, seed=4, mode="P", drift_fn=zero_drift(grid(20)))
     # fake a spike so one path dominates the whole ensemble
     ens.weights[:] = 1e-12
     ens.weights[0] = 1.0
@@ -197,14 +202,14 @@ def test_degenerate_weights_raises():
 
 
 def test_functional_shape_checked():
-    ens = sample_paths(grid(20), 50, seed=4, mode="Q")
+    ens = sample_paths(50, seed=4, mode="Q", drift_fn=zero_drift(grid(20)))
     with pytest.raises(ValueError):
         expect_q(ens, lambda e: 1.0)
 
 
 def test_report_statistics():
-    rows = girsanov_report(Uniform(1.0), constant_kernel(0.0, g_value=1.0),
-                           grid(100), 20_000, seed=14)
+    b = drift(Uniform(1.0), constant_kernel(0.0, g_value=1.0), grid(100))
+    rows = girsanov_report(b, 20_000, seed=14)
     stats = {name: (v, s) for name, v, s in rows}
     assert set(stats) == {"mean_weight", "mean_WQ_T", "crosscheck_gap"}
     v, s = stats["mean_weight"]
@@ -215,13 +220,13 @@ def test_report_statistics():
     assert v < 3 * s
 
 
-def reference_paths(grid, n_paths, seed, mode, drift_fn=None):
+def reference_paths(grid, n_paths, seed, mode, drift_fn):
     """(dw, w, wq, weights) as sample_paths built and held all four when
     the ensemble kept three path tables."""
     n, dt = grid.n, grid.dt
     rng = np.random.Generator(np.random.Philox(key=seed))
     xi = rng.standard_normal((n_paths, n)) * math.sqrt(dt)
-    b = np.zeros(n + 1) if drift_fn is None else drift_fn.values
+    b = drift_fn.values
     b_left = b[:n]
     drift_cum = np.concatenate([[0.0], np.cumsum(b[:-1] * dt)])
     zeros_col = np.zeros((n_paths, 1))
@@ -238,14 +243,13 @@ def reference_paths(grid, n_paths, seed, mode, drift_fn=None):
     return dw, w, wq, weights
 
 
-@pytest.mark.parametrize("g_value", [None, 0.0, 0.6])
+@pytest.mark.parametrize("g_value", [0.0, 0.6])
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_derived_paths_match_three_table_ensemble_bitwise(mode, g_value):
-    # without a drift function, with a zero drift and with a drift
+    # with a zero drift and with a drift
     g = grid(37)
-    drift_fn = None if g_value is None else drift(
-        Uniform(1.0), constant_kernel(0.0, g_value=g_value), g)
-    ens = sample_paths(g, 501, 13, mode, drift_fn)
+    drift_fn = drift(Uniform(1.0), constant_kernel(0.0, g_value=g_value), g)
+    ens = sample_paths(501, 13, mode, drift_fn)
     want = reference_paths(g, 501, 13, mode, drift_fn)
     got = (ens.dw, ens.w, ens.wq, ens.weights)
     for name, a, ref in zip(("dw", "w", "wq", "weights"), got, want):

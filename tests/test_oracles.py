@@ -6,22 +6,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import drift, sample_paths
-from bsvielab.kernels import SingularStep, TriangularGrid, build_phi, \
-    constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
-    tail_weight_matrix, zero_extend_kernel, zero_kernel
+from bsvielab.girsanov import DriftFunction, drift, sample_paths
+from bsvielab.kernels import GridMismatch, HorizonMismatch, SingularStep, \
+    TriangularGrid, build_phi, constant_kernel, example33_kernel, \
+    poly_exp_kernel, resolvent, tail_weight_matrix, zero_extend_kernel, \
+    zero_kernel
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
-from bsvielab.oracles import PicardConfig, PicardDiverged, PicardResult, \
-    PicardStalled, RegressionIllConditioned, _IncrementBasis, \
-    _StackedBasis, _g_weighted_term, _slope_z, build_delayed_operator, \
-    residual_delayed, residual_reduced, residual_reduced_pathwise, \
-    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
+from bsvielab.oracles import PicardConfig, PicardDiverged, PicardStalled, \
+    RegressionIllConditioned, _IncrementBasis, _StackedBasis, \
+    _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
+    residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
+    solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, \
     evaluate_F_table, f0_profile, make_f0, make_h, make_phi
 
 T = 1.0
+
+
+def zero_drift(g):
+    return DriftFunction(g, np.zeros(g.n + 1))
 
 
 def make_phi_table(c, n, measure=None, spec=None):
@@ -206,9 +211,8 @@ def test_lsmc_martingale_representation():
     m = DiracAt(T, 0.0)
     k = zero_kernel()
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 20_000, 31, "P")
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                             build_delayed_operator(k, m, g), ens)
+    ens = sample_paths(20_000, 31, "P", zero_drift(g))
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -228,17 +232,16 @@ def test_lsmc_cross_oracle_against_explicit():
     phi = build_phi(m, k, g)
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 20_000, 37, "P")
+    ens = sample_paths(20_000, 37, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                             build_delayed_operator(k, m, g), ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
         d = res.y_targets[:, i] - y[:, i]
         se = d.std(ddof=1) / math.sqrt(len(d))
         assert abs(d.mean()) <= 3 * se + 1e-3, i
-    z_closed = solve_Z(fam, phi, psi, None)
+    z_closed = solve_Z(fam, phi, psi, zero_drift(g))
     for i, j in ((0, 5), (0, 19), (5, 10), (10, 19)):
         assert abs(res.z[i, j] - z_closed[i, j]) <= 3 * res.z_se[i, j], (i, j)
 
@@ -248,9 +251,8 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
     m = DiracAt(T, 0.0)
     k = constant_kernel(0.4)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    ens = sample_paths(g, 5_000, 41, "P")
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                             build_delayed_operator(k, m, g), ens)
+    ens = sample_paths(5_000, 41, "P", zero_drift(g))
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -263,12 +265,31 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     phi = build_phi(m, k, g)
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 300, 43, "P")
+    ens = sample_paths(300, 43, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
-    z = solve_Z(fam, phi, psi, None)
-    r = residual_reduced_pathwise(y, z, evaluate_F_table(fam, ens), phi,
-                                  ens)
+    z = solve_Z(fam, phi, psi, zero_drift(g))
+    f_vals = evaluate_F_table(fam, ens)
+    r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
     assert np.abs(r).max() < 1e-12
+    # Phi is built apart from the paths: one on T = 2 is refused
+    phi_t2 = build_phi(DiracAt(2.0, 0.0), k, TriangularGrid(2.0, 25))
+    with pytest.raises(GridMismatch):
+        residual_reduced_pathwise(y, z, f_vals, phi_t2, ens)
+
+
+def test_delayed_operator_horizon_mismatch():
+    # a measure on [-1, 0] on a T = 2 grid is refused, by the operator and
+    # by the LSMC, which builds its operator on the ensemble's grid
+    g = TriangularGrid(2.0, 20)
+    k = constant_kernel(0.3)
+    with pytest.raises(HorizonMismatch):
+        build_delayed_operator(k, DiracAt(1.0, 0.0), g)
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
+    ens = sample_paths(500, 3, "P", zero_drift(g))
+    with pytest.raises(HorizonMismatch):
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, DiracAt(1.0, 0.0),
+                           ens)
+    assert build_delayed_operator(k, DiracAt(2.0, 0.0), g).shape == (21, 21)
 
 
 def reference_stacked_rows(w):
@@ -297,7 +318,7 @@ def reference_stacked_rows(w):
 def test_basis_blocks_match_the_stacked_basis_bitwise(m_paths, n):
     # each node's centring and scale are those of the full-table pass, and
     # the blocks of paths are its columns, bit for bit
-    ens = sample_paths(TriangularGrid(T, n), m_paths, 71, "Q")
+    ens = sample_paths(m_paths, 71, "Q", zero_drift(TriangularGrid(T, n)))
     w = ens.w
     basis = _StackedBasis(w, np.zeros((m_paths, n + 1)))
     blocks = [basis._chunk(w[lo:lo + oracles.LSMC_CHUNK])
@@ -616,10 +637,10 @@ def small_lsmc(g_value, n=12, paths=2000):
     m = DiracAt(T, 0.0)
     k = constant_kernel(0.3, g_value=g_value)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, paths, 53, "P")
+    ens = sample_paths(paths, 53, "P", zero_drift(g))
     op = build_delayed_operator(k, m, g)
     return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
-                                          op, ens)
+                                          ens)
 
 
 def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
@@ -628,40 +649,39 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     g = TriangularGrid(T, 12)
     m, k = DiracAt(T, 0.0), constant_kernel(0.3)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 2000, 53, "P")
-    op = build_delayed_operator(k, m, g)
+    ens = sample_paths(2000, 53, "P", zero_drift(g))
     f_vals = evaluate_F_table(fam, ens)
-    res = solve_delayed_lsmc(f_vals, k, m, op, ens)
+    res = solve_delayed_lsmc(f_vals, k, m, ens)
     # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
     # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     sups = [float(np.abs(solve_delayed_lsmc(
-        f_vals, k, m, op, ens, PicardConfig(tolerance=d)).y).max())
+        f_vals, k, m, ens, PicardConfig(tolerance=d)).y).max())
         for d in [np.inf, *diffs[:-1]]]
     bound = sups[0] + sum(diffs[1:])
     assert max(sups) < bound
     # a guard the bound crosses but no Y does: Y is formed and checked,
     # and the run goes on to the same result
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
-    again = solve_delayed_lsmc(f_vals, k, m, op, ens)
+    again = solve_delayed_lsmc(f_vals, k, m, ens)
     assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
     # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
     with pytest.raises(PicardDiverged) as low:
-        solve_delayed_lsmc(f_vals, k, m, op, ens)
+        solve_delayed_lsmc(f_vals, k, m, ens)
     assert len(low.value.sup_diffs) == 1
     monkeypatch.undo()
     f_nan = f_vals.copy()
     f_nan[7, 3] = np.nan
     with pytest.raises(PicardDiverged) as nan:
-        solve_delayed_lsmc(f_nan, k, m, op, ens)
+        solve_delayed_lsmc(f_nan, k, m, ens)
     assert len(nan.value.sup_diffs) == 1
     # a retarded atom with a large bound diverges: the bound grows with
     # the sup-differences and the guard trips long before the budget ends
     k, m = constant_kernel(8.0), DiracAt(T, -0.4)
     with pytest.raises(PicardDiverged) as grown:
-        solve_delayed_lsmc(f_vals, k, m, build_delayed_operator(k, m, g), ens)
+        solve_delayed_lsmc(f_vals, k, m, ens)
     assert len(grown.value.sup_diffs) < PicardConfig().max_iterations
 
 
@@ -681,7 +701,7 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
     # theta_i an exact multiple of dW_i: the rss of the diagonal fits is 0
     # up to rounding, which the Gram identity may take below 0
     g = TriangularGrid(T, 12)
-    ens = sample_paths(g, 2000, 59, "Q")
+    ens = sample_paths(2000, 59, "Q", zero_drift(g))
     op = build_delayed_operator(constant_kernel(0.3), DiracAt(T, 0.0), g)
     basis = _IncrementBasis(ens.dw, op, tail_weight_matrix(g), g.dt)
     theta = np.zeros((2000, 13))
@@ -834,12 +854,12 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     k = constant_kernel(0.3, g_value=g_value)
     fam = LSMC_FAMILIES[family]
     mode = "P" if family == "gaussian" else "Q"
-    ens = sample_paths(g, 2000, 61, mode, drift(m, k, g))
+    ens = sample_paths(2000, 61, mode, drift(m, k, g))
     op = build_delayed_operator(k, m, g)
     cfg = PicardConfig()
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
                                                         ens, cfg)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, ens, cfg)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens, cfg)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, cfg.tolerance, op, k, g,
@@ -872,15 +892,14 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     m = DiracAt(T, 0.0)
     k = constant_kernel(0.3, g_value=0.2)
     fam = LSMC_FAMILIES["gaussian"]
-    ens = sample_paths(g, 4000, 67, "P", drift(m, k, g))
-    op = build_delayed_operator(k, m, g)
+    ens = sample_paths(4000, 67, "P", drift(m, k, g))
     p = (g.n + 1) * (oracles.REGRESSION_DEGREE + 1)
     table = ens.n_paths * (g.n + 1) * 8
     chunk = p * oracles.LSMC_CHUNK * 8
     assert ens.n_paths > oracles.LSMC_CHUNK  # more than one block
     tracemalloc.start()
     try:
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, op, ens)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,14 +16,14 @@ import math
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import drift, expect_q_columns, sample_paths
+from bsvielab.girsanov import DriftFunction, drift, expect_q_columns, \
+    sample_paths
 from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
     constant_kernel, resolvent, tail_weight_matrix, trapezoid_weights, \
     zero_kernel
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import residual_reduced
-from bsvielab.solver import NormReport, norms, smoothness_diagnostics, \
-    solve_Y, solve_Z
+from bsvielab.solver import norms, smoothness_diagnostics, solve_Y, solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
     GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
     conditional_sweep, evaluate_F_table, f0_profile, gauss_hermite_mean, \
@@ -39,6 +39,10 @@ def setup_reduced(c, n, measure=None, g_value=0.0):
     phi = build_phi(m, spec, g)
     psi = resolvent(phi, tol=1e-12)
     return g, m, spec, phi, psi
+
+
+def zero_drift(g):
+    return DriftFunction(g, np.zeros(g.n + 1))
 
 
 def test_tail_weight_matrix_integrates():
@@ -76,7 +80,7 @@ def test_solve_Y_zero_kernel_is_conditional_F():
     phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 200, 7, "Q")
+    ens = sample_paths(200, 7, "Q", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     # E[W(T) | F_t] = W(t) path by path
     assert np.abs(y - ens.w).max() < 1e-12
@@ -90,7 +94,7 @@ def test_solve_Y_with_drift_shifts_conditional():
     g, m, spec, phi, psi = setup_reduced(0.0, 50, g_value=gamma)
     b = drift(m, spec, g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 100, 3, "Q", b)
+    ens = sample_paths(100, 3, "Q", b)
     y = solve_Y(fam, psi, ens)
     want = ens.w + gamma * (T - g.nodes)[None, :]
     assert np.abs(y - want).max() < 1e-12
@@ -105,8 +109,7 @@ def reference_solve_Y_gaussian(fam, psi, drift_fn, grid, ens):
     f0_vec = f0_profile(fam, grid)
     tt, kk = np.meshgrid(nodes, nodes[:-1], indexing="ij")
     phimat = np.asarray(fam.phi(tt, kk), dtype=float)
-    b = np.zeros(n + 1) if drift_fn is None else drift_fn.values
-    bdt = b[:-1] * dt
+    bdt = drift_fn.values[:-1] * dt
     comp = np.concatenate(
         [np.cumsum((phimat * bdt[None, :])[:, ::-1], axis=1)[:, ::-1],
          np.zeros((n + 1, 1))], axis=1)
@@ -125,7 +128,7 @@ def reference_solve_Y_gaussian(fam, psi, drift_fn, grid, ens):
 def test_solve_Y_gaussian_linear_matches_node_loop(mode, phi_name):
     g, m, spec, phi, psi = setup_reduced(0.4, 30, Uniform(T), g_value=0.3)
     b = drift(m, spec, g)
-    ens = sample_paths(g, 500, 11, mode, b)
+    ens = sample_paths(500, 11, mode, b)
     fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
                          phi=make_phi(phi_name))
     y = solve_Y(fam, psi, ens)
@@ -140,7 +143,7 @@ def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
     row C_i enters as C_i + (sum_a A[i, a]) C_i, as in solve_Y."""
     n, nodes = grid.n, grid.nodes
     a = psi.values * tail_weight_matrix(grid)
-    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
+    remaining = drift_fn.remaining()
     y = np.empty((ens.n_paths, n + 1))
     for i in range(n + 1):
         sd = math.sqrt(max(grid.horizon - nodes[i], 0.0))
@@ -161,7 +164,7 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
     # broadcast rows that it replaced: the same value up to rounding
     g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
     b = drift(m, spec, g)
-    ens = sample_paths(g, 300, 4, "Q", b)
+    ens = sample_paths(300, 4, "Q", b)
     fam = make_h("square")
     a = psi.values * tail_weight_matrix(g)
     matvec = np.empty((ens.n_paths, g.n + 1))
@@ -178,7 +181,7 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
 def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
     g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
     b = drift(m, spec, g)
-    ens = sample_paths(g, m_paths, 4, "Q", b)
+    ens = sample_paths(m_paths, 4, "Q", b)
     fam = t_varying_h("square") if t_dependent else make_h("square")
     y = solve_Y(fam, psi, ens)
     assert np.array_equal(y, reference_solve_Y_terminal(fam, psi, b, g, ens))
@@ -188,7 +191,7 @@ def test_solve_Y_growth_breach_on_last_path_raises():
     # h breaks its envelope only beyond x = 25, which the Gauss-Hermite
     # points reach only from the last path, moved to W = 40 at one node
     g, m, spec, phi, psi = setup_reduced(0.3, 10)
-    ens = sample_paths(g, 2 * GH_BLOCK + 1, 6, "Q")
+    ens = sample_paths(2 * GH_BLOCK + 1, 6, "Q", zero_drift(g))
     draws = ens.draws.copy()  # the draws before and after t_4 absorb it
     shift = 40.0 - ens.w[-1, 4]
     draws[-1, 3] += shift
@@ -215,18 +218,23 @@ def test_solve_Y_grid_mismatch():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     for other in (TriangularGrid(T, 60), TriangularGrid(2.0 * T, 50)):
         with pytest.raises(GridMismatch):
-            solve_Y(fam, psi, sample_paths(other, 20, 1, "Q"))
-    assert solve_Y(fam, psi, sample_paths(g, 20, 1, "Q")).shape == (20, 51)
+            solve_Y(fam, psi, sample_paths(20, 1, "Q", zero_drift(other)))
+    assert solve_Y(fam, psi, sample_paths(20, 1, "Q", zero_drift(g))).shape \
+        == (20, 51)
 
 
 def test_solve_Z_grid_mismatch():
-    # Phi and psi built on different grids are refused
+    # Phi, psi and the drift are built apart: one of them on another grid,
+    # whichever of N and T differs, is refused
     g, m, spec, phi, psi = setup_reduced(0.5, 50)
     phi_60 = setup_reduced(0.5, 60)[3]
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     with pytest.raises(GridMismatch):
-        solve_Z(fam, phi_60, psi, None)
-    assert solve_Z(fam, phi, psi, None).shape == (51, 51)
+        solve_Z(fam, phi_60, psi, zero_drift(g))
+    for other in (TriangularGrid(T, 60), TriangularGrid(2.0 * T, 50)):
+        with pytest.raises(GridMismatch):
+            solve_Z(fam, phi, psi, zero_drift(other))
+    assert solve_Z(fam, phi, psi, zero_drift(g)).shape == (51, 51)
 
 
 def test_solve_Y_stochastic_needs_ensemble():
@@ -252,7 +260,7 @@ def test_compute_U_martingale_increment():
     phi = build_phi(m, spec, g)
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 64, 9, "P")
+    ens = sample_paths(64, 9, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     u = -residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
     want = ens.w[:, -1][:, None] - ens.w
@@ -273,7 +281,7 @@ def test_solve_Z_martingale_representation_of_WT():
     phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    z = solve_Z(fam, phi, psi, None)
+    z = solve_Z(fam, phi, psi, zero_drift(g))
     tri = np.triu(np.ones_like(z, dtype=bool))
     assert np.abs(z[tri] - 1.0).max() < 1e-12
     assert np.all(z[~tri] == 0.0)
@@ -281,7 +289,7 @@ def test_solve_Z_martingale_representation_of_WT():
 
 def test_solve_Z_deterministic_zero_surface():
     g, m, spec, phi, psi = setup_reduced(0.5, 20)
-    z = solve_Z(Deterministic(f0=make_f0("constant")), phi, psi, None)
+    z = solve_Z(Deterministic(f0=make_f0("constant")), phi, psi, zero_drift(g))
     assert np.all(z == 0.0)
 
 
@@ -289,7 +297,7 @@ def test_solve_Z_constant_kernel_closed_form():
     c = 0.3
     g, m, spec, phi, psi = setup_reduced(c, 200)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    z = solve_Z(fam, phi, psi, None)
+    z = solve_Z(fam, phi, psi, zero_drift(g))
     tt, ss = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     want = np.where(tt <= ss, np.exp(c * (T - ss)), 0.0)
     assert np.abs(z - want).max() < 1e-4
@@ -300,9 +308,9 @@ def test_solve_Z_terminal_function_matches_gaussian_linear():
     c = 0.3
     g, m, spec, phi, psi = setup_reduced(c, 40)
     z_gl = solve_Z(GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant")),
-                   phi, psi, None)
+                   phi, psi, zero_drift(g))
     z_tf = solve_Z(make_h("affine", intercept=0.0, slope=1.0),
-                   phi, psi, None)
+                   phi, psi, zero_drift(g))
     assert np.abs(z_gl - z_tf).max() < 1e-10
 
 
@@ -311,7 +319,7 @@ def test_t_dependent_branches_match_shared_quadrature():
     # t_dependent branches must reproduce the shared ones
     g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
     b = drift(m, spec, g)
-    ens = sample_paths(g, 200, 5, "Q", b)
+    ens = sample_paths(200, 5, "Q", b)
     shared = make_h("square")
     per_t = dataclasses.replace(shared, t_dependent=True)
     y_gap = np.abs(solve_Y(per_t, psi, ens)
@@ -330,7 +338,7 @@ def reference_solve_Z_terminal(fam, phi, psi, drift_fn, grid):
     tri = np.triu(np.ones((n + 1, n + 1), dtype=bool))
     trap = tail_weight_matrix(grid)
     col_w = trap.T  # weights in r for int_{t_s}^T
-    remaining = np.zeros(n + 1) if drift_fn is None else drift_fn.remaining()
+    remaining = drift_fn.remaining()
     psi_row_int = (trap * psi.values).sum(axis=1)
 
     def dh_mean(t, mean, sd):
@@ -409,7 +417,7 @@ def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
                                                         t_dependent):
     measure, n, g_value = TOWER_SETUPS[setup]
     g, m, spec, phi, psi = setup_reduced(0.3, n, measure, g_value=g_value)
-    b = drift(m, spec, g) if g_value else None
+    b = drift(m, spec, g)
     fam = t_varying_h(h_name) if t_dependent else make_h(h_name)
     z = solve_Z(fam, phi, psi, b)
     ref = reference_solve_Z_terminal(fam, phi, psi, b, g)
@@ -446,7 +454,7 @@ def test_ito_isometry():
     c = 0.3
     g, m, spec, phi, psi = setup_reduced(c, 50)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 20_000, 17, "Q")
+    ens = sample_paths(20_000, 17, "Q", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     u = -residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
     for i in (0, 12, 25, 37):
@@ -462,7 +470,7 @@ def test_solve_Y_product_closed_form():
     c = 0.4
     g, m, spec, phi, psi = setup_reduced(c, 100)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 100, 21, "P")
+    ens = sample_paths(100, 21, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     want = ens.w * np.exp(c * (T - g.nodes))[None, :]
     assert np.abs(y - want).max() < 1e-3
@@ -513,10 +521,10 @@ def test_smoothness_grid_stability():
     for n in (100, 200):
         g, m, spec, phi, psi = setup_reduced(c, n)
         z1 = solve_Z(GaussianLinear(f0=make_f0("zero"),
-                                    phi=make_phi("constant")), phi, psi, None)
+                                    phi=make_phi("constant")), phi, psi, zero_drift(g))
         flat.append(smoothness_diagnostics(z1, g).integral)
         z2 = solve_Z(GaussianLinear(f0=make_f0("zero"),
-                                    phi=make_phi("bilinear")), phi, psi, None)
+                                    phi=make_phi("bilinear")), phi, psi, zero_drift(g))
         vals.append(smoothness_diagnostics(z2, g).integral)
     # phi == 1 gives a t-independent surface: the integral is exactly 0
     assert flat == [0.0, 0.0]
@@ -537,7 +545,7 @@ def test_norms_exponential_profile_sup():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     y = solve_Y(fam, psi)
-    rep = norms(y, solve_Z(fam, phi, psi, None), g, beta=0.0)
+    rep = norms(y, solve_Z(fam, phi, psi, zero_drift(g)), g, beta=0.0)
     assert rep.s2 == pytest.approx(math.e, abs=1e-3)
 
 
@@ -554,10 +562,10 @@ def test_norms_with_positive_beta():
 def test_norms_of_z_surface():
     g = TriangularGrid(T, 100)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(g, 50, 2, "P")
+    ens = sample_paths(50, 2, "P", zero_drift(g))
     phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
     psi = resolvent(phi, tol=1e-12)
     y = solve_Y(fam, psi, ens)
-    rep = norms(y, solve_Z(fam, phi, psi, None), g, ens, beta=0.0)
+    rep = norms(y, solve_Z(fam, phi, psi, zero_drift(g)), g, ens, beta=0.0)
     # Z == 1 on the triangle: integral = T^2/2
     assert rep.h2 == pytest.approx(math.sqrt(0.5), rel=1e-6)

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import drift, sample_paths
+from bsvielab.girsanov import DriftFunction, drift, sample_paths
 from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
     resolvent, tail_weight_matrix
-from bsvielab.measures import DiracAt, Uniform
+from bsvielab.measures import Uniform
 from bsvielab.solver import solve_Y
 from bsvielab.terminal import (
     Deterministic,
@@ -32,16 +32,17 @@ from bsvielab.terminal import (
 T = 1.0
 
 
-def conditional_F(fam, t, r, ensemble, drift_fn=None):
-    """E^Q[F(t) | F_r] on every path from the path prefix up to r, one
-    (t, r) at a time: the reference for the package's table forms.
+def conditional_F(fam, t, r, ensemble):
+    """E^Q[F(t) | F_r] on every path from the path prefix up to r, under
+    the ensemble's drift, one (t, r) at a time: the reference for the
+    package's table forms.
 
     The increments with left endpoint t_k < r are known.  GaussianLinear
     keeps their sampled values and adds the Q-mean b(t_k) dt of the others;
     TerminalFunction integrates the N(state + remaining drift, T - r)
     transition of W(T) by Gauss-Hermite."""
     g = ensemble.grid
-    b = np.zeros(g.n + 1) if drift_fn is None else drift_fn.values
+    b = ensemble.drift_fn.values
     if r < -1e-12 or r > g.horizon + 1e-12:
         raise ValueError("conditioning time outside [0, T]")
     j = int(np.searchsorted(g.nodes[:-1], r - 1e-12, side="left"))
@@ -80,8 +81,9 @@ def grid(n=50):
     return TriangularGrid(horizon=T, n=n)
 
 
-def ens(n=50, m=2000, seed=3, mode="Q", drift_fn=None):
-    return sample_paths(grid(n), m, seed, mode, drift_fn)
+def ens(n=50, m=2000, seed=3, mode="Q"):
+    """Paths without drift: W and W^Q coincide."""
+    return sample_paths(m, seed, mode, DriftFunction(grid(n), np.zeros(n + 1)))
 
 
 def test_deterministic_everywhere():
@@ -127,10 +129,10 @@ def test_conditional_with_drift_compensator():
     # of b over the unknown increments
     g = grid(20)
     b = drift(Uniform(T), constant_kernel(0.0, g_value=1.0), g)
-    e = sample_paths(g, 16, 5, "Q", b)
+    e = sample_paths(16, 5, "Q", b)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     j = 7
-    vals = conditional_F(fam, 0.5, g.nodes[j], e, b)
+    vals = conditional_F(fam, 0.5, g.nodes[j], e)
     want = e.w[:, j] + (b.values[j:-1] * g.dt).sum()
     assert np.allclose(vals, want)
 
@@ -172,7 +174,7 @@ def test_malliavin_bump_consistency():
     # and malliavin_table reads the same kernel value at (t, s_k)
     v = 6
     assert e.grid.nodes[v] == pytest.approx(t)
-    assert malliavin_table(fam, e.grid)[v, k] == pytest.approx(
+    assert malliavin_table(fam, e.drift_fn)[v, k] == pytest.approx(
         math.exp(-e.grid.nodes[k]))
 
 
@@ -198,7 +200,7 @@ def test_growth_guard_rejects_nan():
 def test_sweep_matches_pointwise_conditionals():
     g = grid(15)
     b = drift(Uniform(T), constant_kernel(0.0, g_value=0.7), g)
-    e = sample_paths(g, 12, 8, "Q", b)
+    e = sample_paths(12, 8, "Q", b)
     psi = resolvent(build_phi(Uniform(T), constant_kernel(0.4), g), tol=1e-12)
     a_mat = psi.values * tail_weight_matrix(g)
     fams = [
@@ -215,7 +217,7 @@ def test_sweep_matches_pointwise_conditionals():
         # conditional_F; only terminal functions go through the sweep
         y = solve_Y(fam, psi, e)
         for i in (0, 7, 15):
-            cond = np.stack([conditional_F(fam, t, g.nodes[i], e, b)
+            cond = np.stack([conditional_F(fam, t, g.nodes[i], e)
                              for t in g.nodes])
             want = cond[i] + a_mat[i] @ cond
             got = y[:, i] if y.ndim == 2 else np.full(12, y[i])
@@ -225,7 +227,7 @@ def test_sweep_matches_pointwise_conditionals():
         for i, c in conditional_sweep(fam, e):
             if i in (0, 7, 15):
                 for a in (i, min(i + 3, 15)):
-                    want = conditional_F(fam, g.nodes[a], g.nodes[i], e, b)
+                    want = conditional_F(fam, g.nodes[a], g.nodes[i], e)
                     assert np.allclose(c[a], want), (fam, i, a)
 
 
@@ -254,7 +256,7 @@ def test_affine_h_registry():
     fam = make_h("affine", intercept=0.5, slope=2.0)
     e = ens(n=10, m=7)
     assert np.allclose(F_at(fam, 0.0, e), 0.5 + 2.0 * e.w[:, -1])
-    assert np.allclose(malliavin_table(fam, e.grid), 2.0)
+    assert np.allclose(malliavin_table(fam, e.drift_fn), 2.0)
 
 
 @pytest.mark.parametrize("fam", [
@@ -331,9 +333,9 @@ def last_path_ends_at(e, value):
 def test_mean_profile_is_conditional_at_zero(fam):
     g = grid(20)
     b = drift(Uniform(T), constant_kernel(0.0, g_value=0.7), g)
-    e = sample_paths(g, 3, 4, "Q", b)
-    got = mean_profile(fam, g, b)
-    want = np.stack([conditional_F(fam, t, 0.0, e, b) for t in g.nodes])
+    e = sample_paths(3, 4, "Q", b)
+    got = mean_profile(fam, b)
+    want = np.stack([conditional_F(fam, t, 0.0, e) for t in g.nodes])
     assert got.shape == (g.n + 1,)
     assert np.abs(want - got[:, None]).max() < 1e-12
     if isinstance(fam, TerminalFunction):
@@ -350,14 +352,14 @@ def test_malliavin_table_closed_forms():
     b = drift(Uniform(T), spec, g)
     remaining = b.remaining()
     # h = x^2: E[2 W(T) | W(s_j) = ref] = 2 (ref + remaining drift)
-    d = malliavin_table(make_h("square"), g, b)
+    d = malliavin_table(make_h("square"), b)
     want = 2.0 * (Z_REF_STATE + remaining)
     assert d.shape == (21, 21)
     assert np.abs(d - want[None, :]).max() < 1e-12
     # affine h: the slope everywhere, drift or not
-    d = malliavin_table(make_h("affine", intercept=1.0, slope=0.7), g, b)
+    d = malliavin_table(make_h("affine", intercept=1.0, slope=0.7), b)
     assert np.abs(d - 0.7).max() < 1e-14
     # GaussianLinear: phi(t_v, s_j) itself
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("bilinear"))
     tt, ss = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    assert np.array_equal(malliavin_table(fam, g, b), tt * ss)
+    assert np.array_equal(malliavin_table(fam, b), tt * ss)
