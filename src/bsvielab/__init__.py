@@ -19,17 +19,19 @@ from .config import ConfigError, ExperimentConfig, load_config, \
     load_config_file
 from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
     drift, expect_q, expect_q_columns, girsanov_report, sample_paths
-from .kernels import GridMismatch, HorizonMismatch, KernelSpec, KernelTable, \
-    ResolventTable, SingularStep, ToleranceUnreachable, TriangularGrid, \
-    build_phi, constant_kernel, example33_kernel, example33_reference, \
-    identity_residual, iterated_sup_bound, poly_exp_kernel, resolvent, \
-    sharp_tail, volterra_compose, zero_kernel
+from .kernels import DelayedGenerator, GridMismatch, HorizonMismatch, \
+    KernelSpec, KernelTable, ResolventTable, SingularStep, \
+    ToleranceUnreachable, TriangularGrid, build_phi, constant_kernel, \
+    example33_kernel, example33_reference, identity_residual, \
+    iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, \
+    volterra_compose
 from .measures import Atoms, DelayMeasure, DiracAt, DomainError, MassError, \
     Mixture, SupportError, Uniform
-from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardResult, \
-    PicardStalled, RegressionIllConditioned, build_delayed_operator, \
-    residual_delayed, residual_reduced, residual_reduced_pathwise, \
-    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
+from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardFailed, \
+    PicardResult, PicardStalled, RegressionIllConditioned, \
+    build_delayed_operator, residual_delayed, residual_reduced, \
+    residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
+    solve_reduced_collocation
 from .solver import NormReport, SmoothnessReport, UnsupportedFamily, \
     norms, smoothness_diagnostics, solve_Y, solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \

@@ -33,10 +33,10 @@ from .girsanov import DegenerateWeights, drift, effective_sample_size, \
     expect_q_columns, girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
     example33_reference, identity_residual, resolvent
-from .oracles import PicardConfig, PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, build_delayed_operator, \
-    residual_delayed, residual_reduced, residual_reduced_pathwise, \
-    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
+from .oracles import PicardConfig, PicardFailed, RegressionIllConditioned, \
+    build_delayed_operator, residual_delayed, residual_reduced, \
+    residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
+    solve_reduced_collocation
 from .solver import norms, smoothness_diagnostics, solve_Y, solve_Z
 from .terminal import QuadratureError, evaluate_F_table, is_stochastic, \
     mean_profile
@@ -46,8 +46,8 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_DEGENERATE = 4
 
-_CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardDiverged, PicardStalled,
-                       SingularStep, RegressionIllConditioned)
+_CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardFailed, SingularStep,
+                       RegressionIllConditioned)
 
 
 CSV_BLOCK_ROWS = 4096
@@ -119,8 +119,8 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
     payload = {
         "command": command,
         "config_sha256": cfg.sha256,
-        "horizon": cfg.horizon,
-        "grid_n": cfg.n,
+        "horizon": cfg.generator.grid.horizon,
+        "grid_n": cfg.generator.grid.n,
         "paths": cfg.n_paths,
         "seed": cfg.seed,
         "mode": cfg.mode,
@@ -135,11 +135,9 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
 def _prepare(cfg: ExperimentConfig):
     """Grid, kernel table, resolvent and drift shared by most commands; the
     delayed operator is built once by the two commands that use it."""
-    grid = cfg.grid()
-    phi = build_phi(cfg.measure, cfg.kernel, grid)
+    phi = build_phi(cfg.generator)
     psi = resolvent(phi, cfg.resolvent_tol)
-    drift_fn = drift(cfg.measure, cfg.kernel, grid)
-    return grid, phi, psi, drift_fn
+    return cfg.generator.grid, phi, psi, drift(cfg.generator)
 
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
@@ -156,11 +154,12 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
         "tail_bound": psi.tail_bound,
         "sup_psi": psi.sup_norm,
     }
-    if cfg.kernel.name == "example33":
+    if cfg.generator.kernel.name == "example33":
+        t = grid.horizon
         num = float(psi.values[0, -1])
-        derived = float(example33_reference(cfg.horizon, "derived")(cfg.horizon))
-        quoted = float(example33_reference(cfg.horizon, "quoted")(cfg.horizon))
-        print(f"example33 resolvent at (t,s)=(0,{cfg.horizon:g}): "
+        derived = float(example33_reference(t, "derived")(t))
+        quoted = float(example33_reference(t, "quoted")(t))
+        print(f"example33 resolvent at (t,s)=(0,{t:g}): "
               f"numeric={num:.12g} derived-closed-form={derived:.12g} "
               f"quoted-closed-form={quoted:.12g}")
         print(f"example33 gaps: |numeric-derived|={abs(num - derived):.6e} "
@@ -211,7 +210,7 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     else:
         y_mean, y_se = y, np.zeros_like(y)
         fbar0 = mean_profile(cfg.family, drift_fn)
-        op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
+        op = build_delayed_operator(cfg.generator)
         rd, _ = residual_delayed(y, fbar0, op)
         rr, _ = residual_reduced(y, fbar0, phi)
         rr_se = np.zeros_like(rr)
@@ -259,7 +258,7 @@ def _run_oracle(cfg: ExperimentConfig, name: str, solve):
     or stalled run also writes a failure sidecar, then re-raises."""
     try:
         res = solve()
-    except (PicardDiverged, PicardStalled) as exc:
+    except PicardFailed as exc:
         _write_picard_trace(cfg, exc.sup_diffs)
         write_meta(cfg, "compare", {
             f"{name}_iterations": len(exc.sup_diffs),
@@ -291,7 +290,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     y_col = solve_reduced_collocation(fbar0, phi)
 
     if ens is None:
-        op = build_delayed_operator(cfg.kernel, cfg.measure, grid)
+        op = build_delayed_operator(cfg.generator)
         pic = _run_oracle(cfg, "picard",
                           lambda: solve_delayed_picard(fbar0, op, pic_cfg))
         rd_exp, rd_exp_sup = residual_delayed(y, fbar0, op)
@@ -338,7 +337,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     se_r_exp = float(se_rr_exp.max())
     del y
     lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-        f_vals, cfg.kernel, cfg.measure, ens, pic_cfg))
+        f_vals, cfg.generator, ens, pic_cfg))
     y_paths, z_lsmc = lsmc.y, lsmc.z
     lsmc_meta = {"lsmc_iterations": lsmc.iterations,
                  "lsmc_max_gram_cond": lsmc.max_gram_cond}
@@ -375,14 +374,14 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
 
 def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
-    b = drift(cfg.measure, cfg.kernel, cfg.grid())
+    b = drift(cfg.generator)
     # exp(W(T)) overflows on a path once T is long, and expect_q refuses it
     with np.errstate(over="ignore"):
         try:
             stats = girsanov_report(b, cfg.n_paths, cfg.seed)
         except ValueError as exc:
             raise ConfigError(f"horizon: exp(W(T)) is not finite on every "
-                              f"path (horizon={cfg.horizon}): {exc}") from None
+                              f"path (horizon={b.grid.horizon}): {exc}") from None
     write_csv(os.path.join(cfg.out_dir, "girsanov.csv"),
               ["statistic", "value", "stderr"], np.empty((0, 3)),
               labelled=[((name,), (value, stderr))

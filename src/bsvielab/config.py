@@ -28,8 +28,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .kernels import KernelSpec, TriangularGrid, constant_kernel, \
-    example33_kernel, poly_exp_kernel, zero_kernel
+from .kernels import DelayedGenerator, KernelSpec, TriangularGrid, \
+    constant_kernel, example33_kernel, poly_exp_kernel
 from .measures import Atoms, DelayMeasure, DiracAt, Uniform
 from .terminal import Deterministic, GaussianLinear, TerminalFamily, \
     UnknownParameter, make_f0, make_h, make_phi
@@ -41,10 +41,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    horizon: float
-    n: int
-    measure: DelayMeasure
-    kernel: KernelSpec
+    generator: DelayedGenerator
     family: TerminalFamily
     n_paths: int
     seed: int
@@ -55,9 +52,6 @@ class ExperimentConfig:
     beta: float
     out_dir: str
     sha256: str
-
-    def grid(self) -> TriangularGrid:
-        return TriangularGrid(self.horizon, self.n)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -152,7 +146,7 @@ def _build_kernel(kv: dict, horizon: float) -> KernelSpec:
     if name == "example33":
         return example33_kernel(g_value)
     if name == "zero":
-        return zero_kernel()
+        return constant_kernel(0.0, g_value)
     raise ConfigError(f"kernel.name: unknown kernel {name!r}")
 
 
@@ -196,8 +190,9 @@ def load_config(text: str, seed_override: int | None = None,
     if n < 2:
         raise ConfigError("grid.n must be at least 2")
 
-    measure = _build_measure(kv, horizon)
-    kernel = _build_kernel(kv, horizon)
+    generator = DelayedGenerator(_build_measure(kv, horizon),
+                                 _build_kernel(kv, horizon),
+                                 TriangularGrid(horizon, n))
     family = _build_family(kv)
 
     n_paths = _as_int("mc.paths", _take(kv, "mc.paths", "10000"))
@@ -233,9 +228,9 @@ def load_config(text: str, seed_override: int | None = None,
         raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
     if out_override is not None:
         out_dir = out_override
-    return ExperimentConfig(horizon, n, measure, kernel, family, n_paths,
-                            seed, mode, resolvent_tol, picard_tol, quad_slack,
-                            beta, out_dir, sha)
+    return ExperimentConfig(generator, family, n_paths, seed, mode,
+                            resolvent_tol, picard_tol, quad_slack, beta,
+                            out_dir, sha)
 
 
 def load_config_file(path: str, seed_override: int | None = None,

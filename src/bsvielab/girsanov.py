@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, TriangularGrid
-from .measures import DelayMeasure, snap_lag
+from .kernels import DelayedGenerator, TriangularGrid
+from .measures import snap_lag
 
 ESS_FLOOR = 10.0
 
@@ -54,17 +54,15 @@ class DriftFunction:
         return np.concatenate([np.cumsum(self.increments()[::-1])[::-1], [0.0]])
 
 
-def drift(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> DriftFunction:
-    """Tabulate the Girsanov drift on the grid.
+def drift(gen: DelayedGenerator) -> DriftFunction:
+    """Tabulate the Girsanov drift on the generator's grid.
 
     Uses the half-open mass alpha((s-T, 0]), so a point mass at lag 0
     contributes nothing at s = T.
     """
-    grid.check_horizon(m)
-    gvals = k.g_values(grid)
-    mass = m.mass_left_open(snap_lag(grid.nodes - grid.horizon))
-    vals = mass * gvals
-    return DriftFunction(grid, vals)
+    grid = gen.grid
+    mass = gen.measure.mass_left_open(snap_lag(grid.nodes - grid.horizon))
+    return DriftFunction(grid, mass * gen.kernel.g_values(grid))
 
 
 @dataclass

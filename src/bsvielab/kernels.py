@@ -55,12 +55,6 @@ class TriangularGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n + 1)
 
-    def check_horizon(self, m: DelayMeasure) -> None:
-        """HorizonMismatch unless the measure m has this grid's horizon."""
-        if m.horizon != self.horizon:
-            raise HorizonMismatch(
-                f"measure horizon {m.horizon} != grid horizon {self.horizon}")
-
     def locate(self, x):
         """Cell (idx, frac) of times x: x is clipped into [0, T], then
         idx = min(floor(x/dt), N-1) and frac = x/dt - idx, so x = T reads
@@ -132,6 +126,21 @@ class KernelSpec:
         return vals
 
 
+@dataclass(frozen=True)
+class DelayedGenerator:
+    """The delay measure alpha and the coefficients (G, g) of the generator
+    on one grid; HorizonMismatch unless alpha has the grid's horizon."""
+
+    measure: DelayMeasure
+    kernel: KernelSpec
+    grid: TriangularGrid
+
+    def __post_init__(self):
+        if self.measure.horizon != self.grid.horizon:
+            raise HorizonMismatch(f"measure horizon {self.measure.horizon} "
+                                  f"!= grid horizon {self.grid.horizon}")
+
+
 @dataclass
 class KernelTable:
     """Kernel values K(t_i, t_j) on the triangle i <= j."""
@@ -191,19 +200,19 @@ def trapezoid_weights(grid: TriangularGrid) -> np.ndarray:
     return w
 
 
-def build_phi(m: DelayMeasure, k: KernelSpec, grid: TriangularGrid) -> KernelTable:
+def build_phi(gen: DelayedGenerator) -> KernelTable:
     """Reduced kernel: alpha-mass of [s-T, 0] times G(t, s) on the triangle.
 
     When the spec supplies the reduced kernel directly, its grid values are
     tabulated as-is.
     """
-    grid.check_horizon(m)
+    k, grid = gen.kernel, gen.grid
     t = grid.nodes
     tt, ss = np.meshgrid(t, t, indexing="ij")
     if k.phi_direct is not None:
         vals = np.asarray(zero_extend_kernel(k.phi_direct)(tt, ss), dtype=float)
     else:
-        mass = m.mass_closed(snap_lag(t - grid.horizon))
+        mass = gen.measure.mass_closed(snap_lag(t - grid.horizon))
         gvals = np.asarray(zero_extend_kernel(k.G)(tt, ss), dtype=float)
         if np.abs(np.triu(gvals)).max() > k.G_bound + 1e-12:
             raise ValueError(f"|G| exceeds declared bound {k.G_bound} on the grid")
@@ -380,7 +389,3 @@ def example33_kernel(g_value: float = 0.0) -> KernelSpec:
         phi_direct=phi,
         name="example33",
     )
-
-
-def zero_kernel() -> KernelSpec:
-    return constant_kernel(0.0, 0.0)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .girsanov import PathEnsemble
-from .kernels import GridMismatch, KernelSpec, KernelTable, TriangularGrid, \
-    implicit_factors, lag_weights, tail_weight_matrix, zero_extend_g, \
-    zero_extend_kernel
+from .kernels import DelayedGenerator, GridMismatch, KernelTable, \
+    TriangularGrid, implicit_factors, lag_weights, tail_weight_matrix, \
+    zero_extend_g, zero_extend_kernel
 from .measures import DelayMeasure, snap_lag
 
 REGRESSION_DEGREE = 4
@@ -35,24 +35,21 @@ DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
 LSMC_CHUNK = 2048  # paths per block of the LSMC basis: P x 2048 floats
 
 
-class PicardDiverged(RuntimeError):
-    """Iteration exceeded DIVERGENCE_GUARD.
-
-    Carries the per-iteration sup-difference trace in ``sup_diffs`` so
-    callers can still emit diagnostics for the failed run.
-    """
+class PicardFailed(RuntimeError):
+    """A Picard or LSMC iteration that did not converge; ``sup_diffs``
+    keeps its per-iteration trace for the failed run's diagnostics."""
 
     def __init__(self, message: str, sup_diffs: list[float] | None = None):
         super().__init__(message)
         self.sup_diffs = list(sup_diffs or [])
 
 
-class PicardStalled(RuntimeError):
+class PicardDiverged(PicardFailed):
+    """Iteration exceeded DIVERGENCE_GUARD."""
+
+
+class PicardStalled(PicardFailed):
     """Iteration budget exhausted before the stop tolerance."""
-
-    def __init__(self, message: str, sup_diffs: list[float] | None = None):
-        super().__init__(message)
-        self.sup_diffs = list(sup_diffs or [])
 
 
 class RegressionIllConditioned(RuntimeError):
@@ -99,12 +96,12 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
     return y
 
 
-def _kernel_on_shifted_grid(k: KernelSpec, m: DelayMeasure,
-                            grid: TriangularGrid, u: float) -> np.ndarray:
+def _kernel_on_shifted_grid(gen: DelayedGenerator, u: float) -> np.ndarray:
     """G(t_i + u, s_j + u) over the grid, zero-extended.  A kernel given as
     the reduced product recovers G = Phi / alpha([s_j + u - T, 0]) (the lag
     clamped into [-T, 0], where Phi = 0 anyway), dropping the cells where
     that mass vanishes: an integrable endpoint singularity loses one cell."""
+    k, m, grid = gen.kernel, gen.measure, gen.grid
     x = grid.nodes + u
     if k.phi_direct is None:
         return zero_extend_kernel(k.G)(x[:, None], x[None, :])
@@ -140,8 +137,7 @@ def _diffuse_operator(gt: np.ndarray, m: DelayMeasure,
     return op
 
 
-def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
-                           grid: TriangularGrid) -> np.ndarray:
+def build_delayed_operator(gen: DelayedGenerator) -> np.ndarray:
     """Matrix L with (L y)(t_i) = int_{t_i}^T int G(t_i+u, s+u) y(s+u)
     alpha(du) ds on the grid.  The u-integral runs over the grid lags
     u = -t_k, where (t_i+u, s_j+u) = (t_{i-k}, s_{j-k}): G is tabulated
@@ -150,17 +146,17 @@ def build_delayed_operator(k: KernelSpec, m: DelayMeasure,
     between lags keeps its exact node: G is evaluated at (t_i+u, s_j+u),
     and y(s_j+u), with the same cell fraction theta for every j, is split
     linearly between its two nodes, one shifted column block each."""
-    grid.check_horizon(m)
+    m, grid = gen.measure, gen.grid
     n = grid.n
     on_lag, between = lag_weights(m, grid)
-    g = _kernel_on_shifted_grid(k, m, grid, 0.0)
+    g = _kernel_on_shifted_grid(gen, 0.0)
     op = _diffuse_operator(g, m, grid)
     trap = tail_weight_matrix(grid)
     for lag, wl in on_lag:
         live = n + 1 - lag
         op[lag:, :live] += wl * trap[lag:, lag:] * g[:live, :live]
     for u, wu in between:
-        coeff = wu * trap * _kernel_on_shifted_grid(k, m, grid, u)
+        coeff = wu * trap * _kernel_on_shifted_grid(gen, u)
         # s_j + u = s_{j-lag-1} + (1 - theta) dt; coeff is 0 for j <= lag
         lag, theta = grid.locate(-u)
         op[:, :n - lag] += theta * coeff[:, lag + 1:]
@@ -352,8 +348,8 @@ class _StackedBasis:
         return y
 
 
-def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
-                     z_surface: np.ndarray, trap: np.ndarray) -> np.ndarray:
+def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray,
+                     trap: np.ndarray) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
     from a mean Z surface and the tail trapezoid weights trap, on the lags
     of build_delayed_operator: the uniform part is the row sums of
@@ -362,12 +358,12 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
     triangle.  An atom's rows are summed left to right by cumsum, as a
     sequential loop would (np.sum adds pairwise and would change the last
     bits).  Exact (zero) whenever g vanishes."""
+    m, k, grid = gen.measure, gen.kernel, gen.grid
     if k.g_bound == 0.0:
         return np.zeros(grid.n + 1)
     n = grid.n
     on_lag, between = lag_weights(m, grid)
-    g_ext = zero_extend_g(k.g)
-    gv = g_ext(grid.nodes)
+    gv = k.g_values(grid)
     out = _diffuse_operator(gv * z_surface, m, grid).sum(axis=1)
     for lag, wl in on_lag:
         live = n + 1 - lag
@@ -378,18 +374,19 @@ def _g_weighted_term(k: KernelSpec, m: DelayMeasure, grid: TriangularGrid,
         t, s = shifted[:, None], shifted[None, :]
         z = np.where((t >= 0.0) & (s >= 0.0),
                      grid.interpolate(z_surface, t, s), 0.0)
-        out += wu * np.cumsum(trap * g_ext(shifted) * z, axis=1)[:, -1]
+        out += wu * np.cumsum(trap * zero_extend_g(k.g)(shifted) * z,
+                              axis=1)[:, -1]
     return out
 
 
-def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
+def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
                        ensemble: PathEnsemble,
                        cfg: PicardConfig = PicardConfig()) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F,
     given as its (M, N+1) table of terminal.evaluate_F_table.
 
     Picard sweeps regress the target F(t_i) + (delay integral of Y, by op
-    = build_delayed_operator on the ensemble's grid) + (g-weighted Z term)
+    = build_delayed_operator(gen)) + (g-weighted Z term)
     on the polynomial basis B_i in W(t_i) of _StackedBasis.  The bases stay
     fixed, so the sweeps run on the stacked coefficients c, Y(t_i) = B_i c_i:
     c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks of B^T F,
@@ -404,16 +401,19 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
     refitted every sweep from dW^T F and dW^T B c when g != 0, since the
     g-term reads it; the converged sweep forms theta path by path and
     also takes the slope SEs.  RegressionIllConditioned if a Gram block
-    is ill-conditioned or an increment dW_j has no sample variance.
+    is ill-conditioned or an increment dW_j has no sample variance;
+    GridMismatch unless the ensemble is on the generator's grid.
     """
-    grid = ensemble.grid
-    n = grid.n
-    op = build_delayed_operator(k, m, grid)
+    grid = gen.grid
+    if ensemble.grid != grid:
+        raise GridMismatch("generator and ensemble on different grids")
+    n, tilted = grid.n, gen.kernel.g_bound != 0.0
+    op = build_delayed_operator(gen)
     trap = tail_weight_matrix(grid)
     dw = ensemble.dw
     incr = _IncrementBasis(dw, op, trap, grid.dt)
     w = ensemble.w
-    basis = _StackedBasis(w, f_vals, dw if k.g_bound != 0.0 else None)
+    basis = _StackedBasis(w, f_vals, dw if tilted else None)
     wt = np.ascontiguousarray(w.T)  # node-major, for the sweeps
     del w
     n1, d = basis.ones.shape
@@ -423,7 +423,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
                 for x in (basis.bt_f, basis.bt_f @ op.T))
     coupling = (basis.gram.reshape(n1, d, n1, d)
                 * op[:, None, :, None]).reshape(n1 * d, n1 * d)
-    if k.g_bound != 0.0:  # x_j . v = dW_j . v - mean(dW_j) sum(v)
+    if tilted:  # x_j . v = dW_j . v - mean(dW_j) sum(v)
         dw_mean = dw.mean(axis=0)
         x_f = basis.dwt_f - np.outer(dw_mean, f_vals.sum(axis=0))
         x_b = (basis.dwt_b - np.outer(dw_mean, basis.ones)).reshape(n, n1, d)
@@ -431,7 +431,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
     c, sup_diffs, bound = None, [], 0.0
     z_mean = np.zeros((n + 1, n + 1))
     for it in range(1, cfg.max_iterations + 1):
-        gz = _g_weighted_term(k, m, grid, z_mean, trap)
+        gz = _g_weighted_term(gen, z_mean, trap)
         rhs = b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
         if c is None:  # the first sweep starts from y = F
@@ -466,7 +466,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, k: KernelSpec, m: DelayMeasure,
             return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
                               basis.cond)
         b_y = (coupling @ c.ravel()).reshape(n1, d)
-        if k.g_bound != 0.0:  # x^T theta from x^T F and x^T B c
+        if tilted:  # x^T theta from x^T F and x^T B c
             x_y = x_f if c_prev is None else np.einsum("jkq,kq->jk", x_b, c_prev)
             cross = x_f + x_y @ op.T - np.einsum("jkq,kq->jk", x_b, c)
             z_mean = _slope_fit(cross[:, :n].T, incr)[0]

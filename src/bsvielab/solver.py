@@ -126,9 +126,7 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
     trapezoid value of int_0^T int_t^T (dZ/dt)^2 ds dt.
     """
     n, dt = grid.n, grid.dt
-    d = np.zeros((n + 1, n + 1))
-    d[1:n] = (z[2:] - z[:-2]) / (2.0 * dt)
-    d[0] = (z[1] - z[0]) / dt
+    d = np.gradient(z, dt, axis=0)
     diag = np.arange(1, n + 1)
     d[diag, diag] = (z[diag, diag] - z[diag - 1, diag]) / dt
     d = np.triu(d)

@@ -19,9 +19,9 @@ import pytest
 
 from bsvielab.cli import main as cli_main
 from bsvielab.girsanov import drift, girsanov_report, sample_paths
-from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
-    example33_kernel, example33_reference, iterated_sup_bound, resolvent, \
-    tail_weight_matrix, volterra_compose, zero_kernel
+from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
+    constant_kernel, example33_kernel, example33_reference, \
+    iterated_sup_bound, resolvent, tail_weight_matrix, volterra_compose
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import build_delayed_operator, residual_reduced, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
@@ -54,8 +54,8 @@ def test_criterion_01_resolvent_closed_forms():
         errs = {}
         for n in (200, 400):
             grid = TriangularGrid(1.0, n)
-            psi = resolvent(build_phi(DiracAt(1.0, 0.0),
-                                      constant_kernel(c), grid), 1e-10)
+            gen = DelayedGenerator(DiracAt(1.0, 0.0), constant_kernel(c), grid)
+            psi = resolvent(build_phi(gen), 1e-10)
             exact = lag_surface(lambda u, c=c: c * np.exp(c * u), grid)
             errs[n] = float(np.abs(psi.values - exact).max())
         ratio = errs[200] / errs[400]
@@ -71,7 +71,8 @@ def test_criterion_01_resolvent_closed_forms():
 def test_criterion_02_example33_resolvent_variants():
     start = time.perf_counter()
     grid = TriangularGrid(1.0, 400)
-    psi = resolvent(build_phi(Uniform(1.0), example33_kernel(), grid), 1e-10)
+    gen = DelayedGenerator(Uniform(1.0), example33_kernel(), grid)
+    psi = resolvent(build_phi(gen), 1e-10)
     derived = lag_surface(example33_reference(1.0, "derived"), grid)
     err = float(np.abs(psi.values - derived).max())
     d1 = float(example33_reference(1.0, "derived")(1.0))
@@ -94,7 +95,8 @@ def test_criterion_03_factorial_tail_bound_as_stated():
     start = time.perf_counter()
     grid = TriangularGrid(1.0, 200)
     slack = 10.0 * grid.dt**2
-    phi = build_phi(DiracAt(1.0, 0.0), constant_kernel(1.0), grid)
+    phi = build_phi(DelayedGenerator(DiracAt(1.0, 0.0), constant_kernel(1.0),
+                                     grid))
     worst = []
     table = phi
     for order in range(1, 11):
@@ -116,7 +118,8 @@ def test_criterion_03_factorial_tail_bound_as_stated():
 def test_criterion_03_companion_corrected_bound_holds():
     grid = TriangularGrid(1.0, 200)
     slack = 10.0 * grid.dt**2
-    phi = build_phi(DiracAt(1.0, 0.0), constant_kernel(1.0), grid)
+    phi = build_phi(DelayedGenerator(DiracAt(1.0, 0.0), constant_kernel(1.0),
+                                     grid))
     table = phi
     for order in range(1, 11):
         if order > 1:
@@ -137,13 +140,13 @@ def test_criterion_04_deterministic_cross_oracle():
     y0_200 = None
     for n in (100, 200):
         grid = TriangularGrid(1.0, n)
-        phi = build_phi(m, k, grid)
+        gen = DelayedGenerator(m, k, grid)
+        phi = build_phi(gen)
         psi = resolvent(phi, 1e-10)
         y_exp = solve_Y(fam, psi)
         f0_prof = np.ones(n + 1)
         y_col = solve_reduced_collocation(f0_prof, phi)
-        y_pic = solve_delayed_picard(f0_prof,
-                                     build_delayed_operator(k, m, grid)).y
+        y_pic = solve_delayed_picard(f0_prof, build_delayed_operator(gen)).y
         tol = 10.0 * grid.dt**2
         worst = max(float(np.abs(a - b).max())
                     for a, b in ((y_exp, y_col), (y_exp, y_pic),
@@ -163,7 +166,7 @@ def test_criterion_04_deterministic_cross_oracle():
 def test_criterion_05_girsanov_suite():
     start = time.perf_counter()
     grid = TriangularGrid(1.0, 100)
-    b = drift(Uniform(1.0), constant_kernel(0.0, 1.0), grid)
+    b = drift(DelayedGenerator(Uniform(1.0), constant_kernel(0.0, 1.0), grid))
     stats = girsanov_report(b, 100000, 12345)
     by_name = {name: (value, se) for name, value, se in stats}
     mw, mw_se = by_name["mean_weight"]
@@ -185,22 +188,22 @@ def test_criterion_06_z_validation():
     m = DiracAt(1.0, 0.0)
     fam = GaussianLinear(f0=make_f0("zero"),
                          phi=make_phi("constant", value=1.0))
-    k0 = zero_kernel()
-    phi0 = build_phi(m, k0, grid)
+    gen0 = DelayedGenerator(m, constant_kernel(0.0), grid)
+    phi0 = build_phi(gen0)
     psi0 = resolvent(phi0, 1e-10)
-    z0 = solve_Z(fam, phi0, psi0, drift(m, k0, grid))
+    z0 = solve_Z(fam, phi0, psi0, drift(gen0))
     triu = np.triu(np.ones_like(z0, dtype=bool))
     flat_err = float(np.abs(z0[triu] - 1.0).max())
 
     # (b) regression oracle against the analytic surface, every node
-    k = constant_kernel(0.3)
-    phi = build_phi(m, k, grid)
+    gen = DelayedGenerator(m, constant_kernel(0.3), grid)
+    phi = build_phi(gen)
     psi = resolvent(phi, 1e-10)
-    b = drift(m, k, grid)
+    b = drift(gen)
     ens = sample_paths(50000, 12345, "P", b)
     z_exp = solve_Z(fam, phi, psi, b)
     f_vals = evaluate_F_table(fam, ens)
-    lsmc = solve_delayed_lsmc(f_vals, k, m, ens)
+    lsmc = solve_delayed_lsmc(f_vals, gen, ens)
     compared = violations = 0
     worst_ratio = 0.0
     for i in range(grid.n + 1):

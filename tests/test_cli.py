@@ -105,7 +105,7 @@ def test_norms_agree_across_modes(tmp_path):
         h1_sq.append(float(rows[0][1]) ** 2)
         # the standard error of that mean, from the same paths
         run = load_config(text)
-        grid = run.grid()
+        grid = run.generator.grid
         y, _, ens = cli._solve_field(run, *cli._prepare(run)[1:])
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
@@ -131,6 +131,25 @@ def test_mode_p_sidecars_report_weights(tmp_path):
             assert meta["ess"] == weights.sum() / weights.max()
             assert 10.0 < meta["ess"] < 2000
             assert meta["min_weight"] == weights.min() > 0.0
+
+
+def test_zero_kernel_keeps_its_g(tmp_path):
+    # kernel.name = zero is G = 0 with the configured g: at g = 0.6 the
+    # paths are tilted, the ESS falls well below M, and every CSV is that
+    # of kernel.name = constant with c = 0
+    text = MINI_STOCHASTIC.replace("kernel.g = 0.2", "kernel.g = 0.6")
+    text = text.replace("mc.seed = 77", "mc.seed = 7")
+    texts = {"zero": text.replace("kernel.name = constant\nkernel.c = 0.3",
+                                  "kernel.name = zero"),
+             "constant": text.replace("kernel.c = 0.3", "kernel.c = 0.0")}
+    for name, text in texts.items():
+        cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
+        assert run_cli("solve", "--config", cfg, "--out", tmp_path / name) == 0
+    for csv in ("solution.csv", "z_surface.csv", "residuals.csv", "norms.csv"):
+        assert (tmp_path / "zero" / csv).read_bytes() == \
+            (tmp_path / "constant" / csv).read_bytes(), csv
+    meta = json.loads((tmp_path / "zero" / "solve.meta.json").read_text())
+    assert meta["ess"] < 1000.0
 
 
 def test_solve_deterministic_residual_columns(tmp_path):

@@ -15,12 +15,18 @@ from bsvielab.girsanov import (
     girsanov_report,
     sample_paths,
 )
-from bsvielab.kernels import HorizonMismatch, TriangularGrid, constant_kernel
+from bsvielab.kernels import DelayedGenerator, TriangularGrid, \
+    constant_kernel
 from bsvielab.measures import DiracAt, Uniform
 
 
 def grid(n=100, horizon=1.0):
     return TriangularGrid(horizon=horizon, n=n)
+
+
+def tilt(m, g_value, g):
+    """The drift of the measure m, G = 0 and g = g_value on the grid g."""
+    return drift(DelayedGenerator(m, constant_kernel(0.0, g_value=g_value), g))
 
 
 def zero_drift(g):
@@ -30,14 +36,14 @@ def zero_drift(g):
 def test_drift_dirac_at_zero():
     # point mass at lag 0: b(s) = g for s < T, but 0 at s = T (half-open mass)
     g = grid(10)
-    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.7), g)
+    b = tilt(DiracAt(1.0, 0.0), 0.7, g)
     assert np.allclose(b.values[:-1], 0.7)
     assert b.values[-1] == 0.0
 
 
 def test_drift_uniform_linear():
     g = grid(10)
-    b = drift(Uniform(1.0), constant_kernel(0.0, g_value=2.0), g)
+    b = tilt(Uniform(1.0), 2.0, g)
     want = 2.0 * (1.0 - g.nodes)
     assert np.allclose(b.values, want)
 
@@ -45,14 +51,9 @@ def test_drift_uniform_linear():
 def test_drift_zero_g():
     g = grid(10)
     spec = constant_kernel(1.0, g_value=0.0)
-    b = drift(Uniform(1.0), spec, g)
+    b = drift(DelayedGenerator(Uniform(1.0), spec, g))
     assert np.all(b.values == 0.0)
     assert np.abs(b.values).max() <= spec.g_bound
-
-
-def test_drift_horizon_mismatch():
-    with pytest.raises(HorizonMismatch):
-        drift(Uniform(2.0), constant_kernel(0.0, 1.0), grid(10))
 
 
 def test_mode_p_without_drift_unit_weights():
@@ -83,7 +84,7 @@ def test_reproducibility_bit_identical():
 
 def test_mean_weight_is_one():
     g = grid(100)
-    b = drift(Uniform(1.0), constant_kernel(0.0, g_value=1.0), g)
+    b = tilt(Uniform(1.0), 1.0, g)
     ens = sample_paths(100_000, seed=3, mode="P", drift_fn=b)
     m = ens.weights.mean()
     se = ens.weights.std(ddof=1) / math.sqrt(ens.n_paths)
@@ -95,7 +96,7 @@ def test_mode_q_shifts_mean():
     # for a constant integrand)
     g = grid(100)
     gamma = 0.8
-    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=gamma), g)
+    b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=5, mode="Q", drift_fn=b)
     est, se = expect_q(ens, lambda e: e.w[:, -1])
     # b(T) = 0 under the half-open mass but the left-point sum never reads
@@ -108,7 +109,7 @@ def test_mode_q_shifts_mean():
 def test_mode_p_reweighted_mean_matches_shift():
     g = grid(100)
     gamma = 0.6
-    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=gamma), g)
+    b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=9, mode="P", drift_fn=b)
     est, se = expect_q(ens, lambda e: e.w[:, -1])
     assert abs(est - gamma) < 3 * se
@@ -116,7 +117,7 @@ def test_mode_p_reweighted_mean_matches_shift():
 
 def test_cross_mode_agreement():
     g = grid(100)
-    b = drift(Uniform(1.0), constant_kernel(0.0, g_value=1.0), g)
+    b = tilt(Uniform(1.0), 1.0, g)
     fns = {
         "WT": lambda e: e.w[:, -1],
         "expWT": lambda e: np.exp(e.w[:, -1]),
@@ -139,7 +140,7 @@ def test_expect_q_constant_functional():
 
 def test_weighted_standard_error_formula():
     g = grid(20)
-    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
+    b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     ens = sample_paths(5000, seed=2, mode="P", drift_fn=b)
     x = ens.w[:, -1]
     est, se = expect_q(ens, lambda e: e.w[:, -1])
@@ -153,7 +154,7 @@ def test_weighted_standard_error_formula():
 def test_expect_q_columns_match_expect_q():
     # one column at a time: the per-column estimator is the reference
     g = grid(20)
-    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
+    b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     for mode in ("P", "Q"):
         ens = sample_paths(3000, seed=6, mode=mode, drift_fn=b)
         values = np.exp(ens.w)
@@ -174,7 +175,7 @@ def test_expect_q_columns_match_numpy_reductions(mode, order):
     # the estimates are numpy's reductions of the rows of values^T, bit
     # for bit, and values is not written even when values^T is contiguous
     g = grid(20)
-    b = drift(DiracAt(1.0, 0.0), constant_kernel(0.0, g_value=0.5), g)
+    b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     ens = sample_paths(3001, seed=6, mode=mode, drift_fn=b)
     values = np.array(np.exp(ens.w), order=order)
     before = values.copy()
@@ -208,7 +209,7 @@ def test_functional_shape_checked():
 
 
 def test_report_statistics():
-    b = drift(Uniform(1.0), constant_kernel(0.0, g_value=1.0), grid(100))
+    b = tilt(Uniform(1.0), 1.0, grid(100))
     rows = girsanov_report(b, 20_000, seed=14)
     stats = {name: (v, s) for name, v, s in rows}
     assert set(stats) == {"mean_weight", "mean_WQ_T", "crosscheck_gap"}
@@ -248,7 +249,7 @@ def reference_paths(grid, n_paths, seed, mode, drift_fn):
 def test_derived_paths_match_three_table_ensemble_bitwise(mode, g_value):
     # with a zero drift and with a drift
     g = grid(37)
-    drift_fn = drift(Uniform(1.0), constant_kernel(0.0, g_value=g_value), g)
+    drift_fn = tilt(Uniform(1.0), g_value, g)
     ens = sample_paths(501, 13, mode, drift_fn)
     want = reference_paths(g, 501, 13, mode, drift_fn)
     got = (ens.dw, ens.w, ens.wq, ens.weights)

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from bsvielab.girsanov import drift
 from bsvielab.kernels import (
+    DelayedGenerator,
     GridMismatch,
     HorizonMismatch,
     KernelSpec,
@@ -32,9 +34,9 @@ from bsvielab.kernels import (
     sharp_tail,
     volterra_compose,
     zero_extend_kernel,
-    zero_kernel,
 )
 from bsvielab.measures import DiracAt, Uniform
+from bsvielab.oracles import build_delayed_operator
 
 
 def grid(n=200, horizon=1.0):
@@ -166,7 +168,7 @@ def test_damped_lag_resolvent_against_renewal_oracle():
     ref = example33_reference(1.0, "derived")(g.nodes)
     assert np.abs(oracle - ref).max() < 1e-5
 
-    phi = build_phi(Uniform(1.0), example33_kernel(), g)
+    phi = build_phi(DelayedGenerator(Uniform(1.0), example33_kernel(), g))
     psi = resolvent(phi, tol=1e-10)
     assert np.abs(psi.values[0, :] - oracle).max() < 1e-5
     # the often-quoted alternative closed form does not match
@@ -187,23 +189,34 @@ def test_build_phi_measure_weighting():
     g = grid(10)
     spec = constant_kernel(2.0)
     # point mass at lag 0 keeps G unchanged
-    t_dirac = build_phi(DiracAt(1.0, 0.0), spec, g)
+    t_dirac = build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec, g))
     assert t_dirac.values[0, -1] == pytest.approx(2.0)
     # uniform lag: mass of [s-T, 0] is (T-s)/T
-    t_unif = build_phi(Uniform(1.0), spec, g)
+    t_unif = build_phi(DelayedGenerator(Uniform(1.0), spec, g))
     i, j = 2, 7
     want = (1.0 - g.nodes[j]) * 2.0
     assert t_unif.values[i, j] == pytest.approx(want)
     assert t_unif.values[0, -1] == pytest.approx(0.0)
     # retarded point mass switches G off beyond s = T - d
-    t_lag = build_phi(DiracAt(1.0, -0.3), spec, g)
+    t_lag = build_phi(DelayedGenerator(DiracAt(1.0, -0.3), spec, g))
     assert t_lag.values[0, 7] == pytest.approx(2.0)  # s=0.7 = T-d still on
     assert t_lag.values[0, 8] == 0.0
 
 
-def test_build_phi_horizon_mismatch():
-    with pytest.raises(HorizonMismatch):
-        build_phi(Uniform(2.0), constant_kernel(1.0), grid(10, horizon=1.0))
+def test_generator_horizon_mismatch():
+    # the one horizon check of build_phi, drift and the delayed operator:
+    # a measure on [-2, 0] on a T = 1 grid, or on [-1, 0] on a T = 2 grid
+    spec = constant_kernel(0.3, 1.0)
+    with pytest.raises(HorizonMismatch,
+                       match=r"^measure horizon 2\.0 != grid horizon 1\.0$"):
+        DelayedGenerator(Uniform(2.0), spec, grid(10, horizon=1.0))
+    with pytest.raises(HorizonMismatch,
+                       match=r"^measure horizon 1\.0 != grid horizon 2\.0$"):
+        DelayedGenerator(DiracAt(1.0, 0.0), spec, grid(20, horizon=2.0))
+    gen = DelayedGenerator(DiracAt(2.0, 0.0), spec, grid(20, horizon=2.0))
+    assert build_phi(gen).grid == gen.grid
+    assert drift(gen).grid == gen.grid
+    assert build_delayed_operator(gen).shape == (21, 21)
 
 
 def test_compose_grid_mismatch():
@@ -247,7 +260,7 @@ def test_declared_bound_enforced():
     g = grid(10)
     spec = KernelSpec(G=lambda t, s: np.full_like(t, 2.0), G_bound=1.0)
     with pytest.raises(ValueError):
-        build_phi(DiracAt(1.0, 0.0), spec, g)
+        build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec, g))
     gspec = constant_kernel(1.0, g_value=0.5)
     object.__setattr__(gspec, "g_bound", 0.1)
     with pytest.raises(ValueError):
@@ -259,9 +272,10 @@ def test_zero_extension():
     assert f(-0.1, 0.5) == 0.0
     assert f(0.1, -0.5) == 0.0
     assert f(0.1, 0.5) == 1.0
-    spec = zero_kernel()
+    spec = constant_kernel(0.0)
     g = grid(10)
-    assert build_phi(DiracAt(1.0, 0.0), spec, g).sup_norm == 0.0
+    gen = DelayedGenerator(DiracAt(1.0, 0.0), spec, g)
+    assert build_phi(gen).sup_norm == 0.0
 
 
 def test_poly_exp_bound_and_values():
@@ -269,13 +283,14 @@ def test_poly_exp_bound_and_values():
     # sup of u e^{-u} on [0,1] is at u=1 (max of the hump is at u=1)
     assert spec.G_bound == pytest.approx(math.exp(-1.0), abs=1e-6)
     g = grid(10)
-    tab = build_phi(DiracAt(1.0, 0.0), spec, g)
+    tab = build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec, g))
     assert tab.values[0, 5] == pytest.approx(0.5 * math.exp(-0.5))
     # an interior peak at u = k/lam = 1/3 lies between the 4097 bound
     # samples but on the node of a 3-step grid
     spec = poly_exp_kernel(k=1, lam=3.0, horizon=1.0)
     assert spec.G_bound == pytest.approx(math.exp(-1.0) / 3.0, rel=1e-15)
-    build_phi(DiracAt(1.0, 0.0), spec, TriangularGrid(1.0, 3))
+    build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec,
+                               TriangularGrid(1.0, 3)))
 
 
 def test_poly_exp_rejects_an_overflowing_bound():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsvielab.kernels import KernelSpec, TriangularGrid, lag_weights
+from bsvielab.kernels import DelayedGenerator, KernelSpec, TriangularGrid, \
+    lag_weights
 from bsvielab.measures import (
     Atoms,
     DiracAt,
@@ -216,8 +217,8 @@ def row_moments(m, grid):
     (t_r - t_k)^2, that is alpha([-t_r, 0]), t_r alpha - (first moment)
     and the second moment about -t_r."""
     t = grid.nodes
-    sums = [build_delayed_operator(
-        KernelSpec(G=lambda a, b, p=p: a**p + 0.0 * b), m, grid).sum(axis=1)
+    sums = [build_delayed_operator(DelayedGenerator(
+        m, KernelSpec(G=lambda a, b, p=p: a**p + 0.0 * b), grid)).sum(axis=1)
         for p in (0, 1, 2)]
     return [s[:-1] / (T - t[:-1]) for s in sums]
 

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from bsvielab.girsanov import DriftFunction, drift, sample_paths
-from bsvielab.kernels import GridMismatch, HorizonMismatch, SingularStep, \
+from bsvielab.kernels import DelayedGenerator, GridMismatch, SingularStep, \
     TriangularGrid, build_phi, constant_kernel, example33_kernel, \
-    poly_exp_kernel, resolvent, tail_weight_matrix, zero_extend_kernel, \
-    zero_kernel
+    poly_exp_kernel, resolvent, tail_weight_matrix, zero_extend_kernel
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardConfig, PicardDiverged, PicardStalled, \
@@ -33,7 +32,7 @@ def make_phi_table(c, n, measure=None, spec=None):
     g = TriangularGrid(T, n)
     m = measure if measure is not None else DiracAt(T, 0.0)
     k = spec if spec is not None else constant_kernel(c)
-    return g, m, k, build_phi(m, k, g)
+    return g, m, k, build_phi(DelayedGenerator(m, k, g))
 
 
 def test_collocation_zero_kernel_identity():
@@ -75,19 +74,19 @@ def test_collocation_singular_step():
     n = 10
     g = TriangularGrid(T, n)
     c = 2.0 / g.dt  # makes 1 - (dt/2) Phi_ii vanish
-    phi = build_phi(DiracAt(T, 0.0), constant_kernel(c), g)
+    phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), constant_kernel(c), g))
     with pytest.raises(SingularStep):
         solve_reduced_collocation(np.ones(n + 1), phi)
 
 
 def picard(fam, k, m, g, cfg=PicardConfig()):
-    return solve_delayed_picard(f0_profile(fam, g),
-                                build_delayed_operator(k, m, g), cfg)
+    op = build_delayed_operator(DelayedGenerator(m, k, g))
+    return solve_delayed_picard(f0_profile(fam, g), op, cfg)
 
 
 def delayed_residual(y, fam, k, m, g):
-    return residual_delayed(y, f0_profile(fam, g),
-                            build_delayed_operator(k, m, g))
+    op = build_delayed_operator(DelayedGenerator(m, k, g))
+    return residual_delayed(y, f0_profile(fam, g), op)
 
 
 def test_picard_matches_collocation_for_dirac_at_zero():
@@ -101,7 +100,7 @@ def test_picard_matches_collocation_for_dirac_at_zero():
 def test_picard_zero_kernel_single_sweep():
     g = TriangularGrid(T, 30)
     fam = Deterministic(f0=make_f0("exp_decay", rate=1.0))
-    res = picard(fam, zero_kernel(), DiracAt(T, 0.0), g)
+    res = picard(fam, constant_kernel(0.0), DiracAt(T, 0.0), g)
     assert res.iterations == 1
     assert np.allclose(res.y, np.exp(-g.nodes))
 
@@ -115,7 +114,7 @@ def test_picard_retarded_dirac_fixed_point_certificate():
     r, sup = delayed_residual(res.y, fam, k, m, g)
     assert sup <= 1e-10 + 1e-12
     # the same Y pushed through the reduced equation: a measured, nonzero gap
-    phi = build_phi(m, k, g)
+    phi = build_phi(DelayedGenerator(m, k, g))
     _, sup_red = residual_reduced(res.y, np.ones(81), phi)
     assert sup_red > 1e-3
 
@@ -161,8 +160,8 @@ def test_residual_trivial_cases():
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     r, sup = delayed_residual(np.zeros(41), fam, k, m, g)
     assert np.allclose(r, -1.0)
-    r2, sup2 = residual_reduced(np.ones(41), np.ones(41),
-                                build_phi(m, zero_kernel(), g))
+    phi0 = build_phi(DelayedGenerator(m, constant_kernel(0.0), g))
+    r2, sup2 = residual_reduced(np.ones(41), np.ones(41), phi0)
     assert sup2 == 0.0
 
 
@@ -187,7 +186,7 @@ def test_uniform_measure_delayed_vs_reduced_gap_is_real():
     res = picard(fam, k, m, g)
     _, sup_self = delayed_residual(res.y, fam, k, m, g)
     assert sup_self <= 1e-10 + 1e-12
-    phi = build_phi(m, k, g)
+    phi = build_phi(DelayedGenerator(m, k, g))
     y_red = solve_reduced_collocation(np.ones(101), phi)
     gap = np.abs(res.y - y_red).max()
     assert gap > 1e-3  # measured discrepancy, not a defect
@@ -201,18 +200,17 @@ def test_uniform_delay_leaves_y0_at_f0(spec):
     # Y(0) is f0(0) exactly
     g = TriangularGrid(T, 60)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    op = build_delayed_operator(spec, Uniform(T), g)
+    op = build_delayed_operator(DelayedGenerator(Uniform(T), spec, g))
     assert np.all(op[0] == 0.0)
     assert picard(fam, spec, Uniform(T), g).y[0] == 1.0
 
 
 def test_lsmc_martingale_representation():
     g = TriangularGrid(T, 20)
-    m = DiracAt(T, 0.0)
-    k = zero_kernel()
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 31, "P", zero_drift(g))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -227,14 +225,13 @@ def test_lsmc_martingale_representation():
 def test_lsmc_cross_oracle_against_explicit():
     c = 0.3
     g = TriangularGrid(T, 20)
-    m = DiracAt(T, 0.0)
-    k = constant_kernel(c)
-    phi = build_phi(m, k, g)
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(c), g)
+    phi = build_phi(gen)
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 37, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
@@ -248,11 +245,10 @@ def test_lsmc_cross_oracle_against_explicit():
 
 def test_lsmc_deterministic_F_has_no_martingale_part():
     g = TriangularGrid(T, 15)
-    m = DiracAt(T, 0.0)
-    k = constant_kernel(0.4)
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.4), g)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     ens = sample_paths(5_000, 41, "P", zero_drift(g))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -260,9 +256,8 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
 
 def test_pathwise_reduced_residual_exact_for_martingale():
     g = TriangularGrid(T, 25)
-    m = DiracAt(T, 0.0)
-    k = zero_kernel()
-    phi = build_phi(m, k, g)
+    k = constant_kernel(0.0)
+    phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), k, g))
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(300, 43, "P", zero_drift(g))
@@ -272,24 +267,24 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
     assert np.abs(r).max() < 1e-12
     # Phi is built apart from the paths: one on T = 2 is refused
-    phi_t2 = build_phi(DiracAt(2.0, 0.0), k, TriangularGrid(2.0, 25))
+    phi_t2 = build_phi(DelayedGenerator(DiracAt(2.0, 0.0), k,
+                                        TriangularGrid(2.0, 25)))
     with pytest.raises(GridMismatch):
         residual_reduced_pathwise(y, z, f_vals, phi_t2, ens)
 
 
-def test_delayed_operator_horizon_mismatch():
-    # a measure on [-1, 0] on a T = 2 grid is refused, by the operator and
-    # by the LSMC, which builds its operator on the ensemble's grid
-    g = TriangularGrid(2.0, 20)
-    k = constant_kernel(0.3)
-    with pytest.raises(HorizonMismatch):
-        build_delayed_operator(k, DiracAt(1.0, 0.0), g)
+def test_lsmc_grid_mismatch():
+    # the generator and the paths are built apart: paths on the same
+    # horizon but another N are refused, paths on its grid are not
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3),
+                           TriangularGrid(T, 20))
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    ens = sample_paths(500, 3, "P", zero_drift(g))
-    with pytest.raises(HorizonMismatch):
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, DiracAt(1.0, 0.0),
-                           ens)
-    assert build_delayed_operator(k, DiracAt(2.0, 0.0), g).shape == (21, 21)
+    ens = sample_paths(500, 3, "P", zero_drift(TriangularGrid(T, 25)))
+    with pytest.raises(GridMismatch, match="generator and ensemble"):
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+    ens = sample_paths(500, 3, "P", zero_drift(gen.grid))
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+    assert res.y.shape == (500, 21)
 
 
 def reference_stacked_rows(w):
@@ -340,7 +335,7 @@ def test_delayed_operator_accepts_product_form_kernels():
     grid = TriangularGrid(1.0, 24)
     m = Uniform(1.0)
     k = example33_kernel()
-    op = build_delayed_operator(k, m, grid)
+    op = build_delayed_operator(DelayedGenerator(m, k, grid))
     assert op.shape == (25, 25)
     assert np.all(np.isfinite(op))
     assert np.abs(op).max() > 0.0
@@ -354,7 +349,7 @@ def test_delayed_operator_annihilates_negative_times():
     # retarded point mass: rows with t_i + u < 0 must receive no mass
     g = TriangularGrid(T, 20)
     m = DiracAt(T, -0.5)
-    op = build_delayed_operator(constant_kernel(1.0), m, g)
+    op = build_delayed_operator(DelayedGenerator(m, constant_kernel(1.0), g))
     # for t_i < 0.5 the first kernel argument t_i - 0.5 is negative at the
     # only atom, so those rows integrate G = 0 over part of the range only
     assert op[0, :].sum() == pytest.approx(0.0, abs=1e-12)
@@ -543,12 +538,12 @@ def check_delay_integrals(case, n):
     delay_error_bounds when a uniform part takes the window sum."""
     m, k = DELAY_CASES[case]
     g = TriangularGrid(T, n)
-    op = build_delayed_operator(k, m, g)
+    op = build_delayed_operator(DelayedGenerator(m, k, g))
     op_ref = reference_delayed_operator(k, m, g)
     rng = np.random.default_rng(11)
     z = np.triu(rng.standard_normal((n + 1, n + 1)))
     trap = tail_weight_matrix(g)
-    gz = _g_weighted_term(k, m, g, z, trap)
+    gz = _g_weighted_term(DelayedGenerator(m, k, g), z, trap)
     gz_ref = reference_g_weighted_term(k, m, g, z, trap)
     assert np.abs(gz).max() > 0.0
     if m.diffuse_mass == 0.0:
@@ -580,9 +575,10 @@ def test_delayed_operator_peak_memory():
     # gathers (M[hi] or M[lo]); numpy's ufunc buffers come on top
     grid = TriangularGrid(T, 400)
     table = (grid.n + 1) ** 2 * 8
+    gen = DelayedGenerator(Uniform(T), constant_kernel(0.3), grid)
     tracemalloc.start()
     try:
-        build_delayed_operator(constant_kernel(0.3), Uniform(T), grid)
+        build_delayed_operator(gen)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,12 +630,12 @@ def reference_slope_z(theta, ensemble, grid, op, trap):
 
 def small_lsmc(g_value, n=12, paths=2000):
     g = TriangularGrid(T, n)
-    m = DiracAt(T, 0.0)
-    k = constant_kernel(0.3, g_value=g_value)
+    gen = DelayedGenerator(DiracAt(T, 0.0),
+                           constant_kernel(0.3, g_value=g_value), g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(paths, 53, "P", zero_drift(g))
-    op = build_delayed_operator(k, m, g)
-    return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m,
+    op = build_delayed_operator(gen)
+    return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), gen,
                                           ens)
 
 
@@ -647,41 +643,41 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     # the running bound sup|Y_1| + (later sup-differences) only decides
     # when Y is formed, and the guard trips on that Y
     g = TriangularGrid(T, 12)
-    m, k = DiracAt(T, 0.0), constant_kernel(0.3)
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3), g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(2000, 53, "P", zero_drift(g))
     f_vals = evaluate_F_table(fam, ens)
-    res = solve_delayed_lsmc(f_vals, k, m, ens)
+    res = solve_delayed_lsmc(f_vals, gen, ens)
     # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
     # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     sups = [float(np.abs(solve_delayed_lsmc(
-        f_vals, k, m, ens, PicardConfig(tolerance=d)).y).max())
+        f_vals, gen, ens, PicardConfig(tolerance=d)).y).max())
         for d in [np.inf, *diffs[:-1]]]
     bound = sups[0] + sum(diffs[1:])
     assert max(sups) < bound
     # a guard the bound crosses but no Y does: Y is formed and checked,
     # and the run goes on to the same result
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
-    again = solve_delayed_lsmc(f_vals, k, m, ens)
+    again = solve_delayed_lsmc(f_vals, gen, ens)
     assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
     # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
     with pytest.raises(PicardDiverged) as low:
-        solve_delayed_lsmc(f_vals, k, m, ens)
+        solve_delayed_lsmc(f_vals, gen, ens)
     assert len(low.value.sup_diffs) == 1
     monkeypatch.undo()
     f_nan = f_vals.copy()
     f_nan[7, 3] = np.nan
     with pytest.raises(PicardDiverged) as nan:
-        solve_delayed_lsmc(f_nan, k, m, ens)
+        solve_delayed_lsmc(f_nan, gen, ens)
     assert len(nan.value.sup_diffs) == 1
     # a retarded atom with a large bound diverges: the bound grows with
     # the sup-differences and the guard trips long before the budget ends
-    k, m = constant_kernel(8.0), DiracAt(T, -0.4)
+    gen = DelayedGenerator(DiracAt(T, -0.4), constant_kernel(8.0), g)
     with pytest.raises(PicardDiverged) as grown:
-        solve_delayed_lsmc(f_vals, k, m, ens)
+        solve_delayed_lsmc(f_vals, gen, ens)
     assert len(grown.value.sup_diffs) < PicardConfig().max_iterations
 
 
@@ -702,7 +698,8 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
     # up to rounding, which the Gram identity may take below 0
     g = TriangularGrid(T, 12)
     ens = sample_paths(2000, 59, "Q", zero_drift(g))
-    op = build_delayed_operator(constant_kernel(0.3), DiracAt(T, 0.0), g)
+    op = build_delayed_operator(DelayedGenerator(DiracAt(T, 0.0),
+                                                 constant_kernel(0.3), g))
     basis = _IncrementBasis(ens.dw, op, tail_weight_matrix(g), g.dt)
     theta = np.zeros((2000, 13))
     theta[:, :12] = ens.dw * np.linspace(0.5, 3.0, 12)
@@ -773,7 +770,7 @@ def reference_lsmc(fam, k, m, op, g, ens, cfg=PicardConfig()):
     z_mean = np.zeros((n + 1, n + 1))
     sup_diffs = []
     for _ in range(cfg.max_iterations):
-        gz = _g_weighted_term(k, m, g, z_mean, trap)
+        gz = _g_weighted_term(DelayedGenerator(m, k, g), z_mean, trap)
         target = f_vals + y @ op.T + gz[None, :]
         y_next = np.stack([fit(i, target[:, i]) for i in range(n + 1)],
                           axis=1)
@@ -854,12 +851,13 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     k = constant_kernel(0.3, g_value=g_value)
     fam = LSMC_FAMILIES[family]
     mode = "P" if family == "gaussian" else "Q"
-    ens = sample_paths(2000, 61, mode, drift(m, k, g))
-    op = build_delayed_operator(k, m, g)
+    gen = DelayedGenerator(m, k, g)
+    ens = sample_paths(2000, 61, mode, drift(gen))
+    op = build_delayed_operator(gen)
     cfg = PicardConfig()
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
                                                         ens, cfg)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens, cfg)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens, cfg)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, cfg.tolerance, op, k, g,
@@ -888,18 +886,18 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     # and the N x P products of the increments with B, which alone are
     # 5 (N+1)^2; 64 (N+1)^2 floats cover them.  numpy's ufunc buffers come
     # on top.
-    g = TriangularGrid(T, 20)
-    m = DiracAt(T, 0.0)
-    k = constant_kernel(0.3, g_value=0.2)
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3, g_value=0.2),
+                           TriangularGrid(T, 20))
+    g = gen.grid
     fam = LSMC_FAMILIES["gaussian"]
-    ens = sample_paths(4000, 67, "P", drift(m, k, g))
+    ens = sample_paths(4000, 67, "P", drift(gen))
     p = (g.n + 1) * (oracles.REGRESSION_DEGREE + 1)
     table = ens.n_paths * (g.n + 1) * 8
     chunk = p * oracles.LSMC_CHUNK * 8
     assert ens.n_paths > oracles.LSMC_CHUNK  # more than one block
     tracemalloc.start()
     try:
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), k, m, ens)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsvielab.kernels import KernelTable, TriangularGrid, build_phi, \
-    constant_kernel, example33_kernel, identity_residual, poly_exp_kernel, \
-    resolvent, volterra_compose
+from bsvielab.kernels import DelayedGenerator, KernelTable, TriangularGrid, \
+    build_phi, constant_kernel, example33_kernel, identity_residual, \
+    poly_exp_kernel, resolvent, volterra_compose
 from bsvielab.measures import Atoms, DiracAt, Uniform
 
 _LADDER_PATH = pathlib.Path(__file__).parents[1] / "tools" / "order_ladder.py"
@@ -65,7 +65,8 @@ def kernel_problems(draw):
         lags = draw(st.lists(st.floats(0.0, horizon), min_size=1, max_size=4))
         w = 1.0 / len(lags)
         measure = Atoms(horizon, tuple((-u, w) for u in lags))
-    return build_phi(measure, spec, TriangularGrid(horizon, n))
+    return build_phi(DelayedGenerator(measure, spec,
+                                      TriangularGrid(horizon, n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +93,8 @@ def test_resolvent_properties(phi):
     ("example33-uniform", Uniform(1.0), example33_kernel(), 1.0),
 ])
 def test_resolvent_matches_long_series(name, measure, spec, horizon):
-    phi = build_phi(measure, spec, TriangularGrid(horizon, 150))
+    phi = build_phi(DelayedGenerator(measure, spec,
+                                     TriangularGrid(horizon, 150)))
     psi = resolvent(phi, 1e-10)
     assert relative_gap(psi.values, neumann_series(phi)) <= 1e-12, name
 

@@ -18,9 +18,9 @@ import pytest
 
 from bsvielab.girsanov import DriftFunction, drift, expect_q_columns, \
     sample_paths
-from bsvielab.kernels import GridMismatch, TriangularGrid, build_phi, \
-    constant_kernel, resolvent, tail_weight_matrix, trapezoid_weights, \
-    zero_kernel
+from bsvielab.kernels import DelayedGenerator, GridMismatch, TriangularGrid, \
+    build_phi, constant_kernel, resolvent, tail_weight_matrix, \
+    trapezoid_weights
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import residual_reduced
 from bsvielab.solver import norms, smoothness_diagnostics, solve_Y, solve_Z
@@ -36,7 +36,7 @@ def setup_reduced(c, n, measure=None, g_value=0.0):
     g = TriangularGrid(T, n)
     m = measure if measure is not None else DiracAt(T, 0.0)
     spec = constant_kernel(c, g_value=g_value)
-    phi = build_phi(m, spec, g)
+    phi = build_phi(DelayedGenerator(m, spec, g))
     psi = resolvent(phi, tol=1e-12)
     return g, m, spec, phi, psi
 
@@ -77,7 +77,7 @@ def test_solve_Y_deterministic_ode_oracle():
 
 def test_solve_Y_zero_kernel_is_conditional_F():
     g = TriangularGrid(T, 50)
-    phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
+    phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g))
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(200, 7, "Q", zero_drift(g))
@@ -92,7 +92,7 @@ def test_solve_Y_zero_kernel_is_conditional_F():
 def test_solve_Y_with_drift_shifts_conditional():
     gamma = 0.4
     g, m, spec, phi, psi = setup_reduced(0.0, 50, g_value=gamma)
-    b = drift(m, spec, g)
+    b = drift(DelayedGenerator(m, spec, g))
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(100, 3, "Q", b)
     y = solve_Y(fam, psi, ens)
@@ -127,7 +127,7 @@ def reference_solve_Y_gaussian(fam, psi, drift_fn, grid, ens):
 @pytest.mark.parametrize("phi_name", ["constant", "exp_u", "bilinear"])
 def test_solve_Y_gaussian_linear_matches_node_loop(mode, phi_name):
     g, m, spec, phi, psi = setup_reduced(0.4, 30, Uniform(T), g_value=0.3)
-    b = drift(m, spec, g)
+    b = drift(DelayedGenerator(m, spec, g))
     ens = sample_paths(500, 11, mode, b)
     fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
                          phi=make_phi(phi_name))
@@ -163,7 +163,7 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
     # C_i + (sum_a A[i, a]) C_i against the matvec A[i] . C on the
     # broadcast rows that it replaced: the same value up to rounding
     g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
-    b = drift(m, spec, g)
+    b = drift(DelayedGenerator(m, spec, g))
     ens = sample_paths(300, 4, "Q", b)
     fam = make_h("square")
     a = psi.values * tail_weight_matrix(g)
@@ -180,7 +180,7 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
 @pytest.mark.parametrize("t_dependent", [False, True])
 def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
     g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
-    b = drift(m, spec, g)
+    b = drift(DelayedGenerator(m, spec, g))
     ens = sample_paths(m_paths, 4, "Q", b)
     fam = t_varying_h("square") if t_dependent else make_h("square")
     y = solve_Y(fam, psi, ens)
@@ -256,8 +256,8 @@ def test_compute_U_martingale_increment():
     # G == 0, F = W(T), b == 0: U(t) = W(T) - W(t) exactly
     g = TriangularGrid(T, 40)
     m = DiracAt(T, 0.0)
-    spec = zero_kernel()
-    phi = build_phi(m, spec, g)
+    spec = constant_kernel(0.0)
+    phi = build_phi(DelayedGenerator(m, spec, g))
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(64, 9, "P", zero_drift(g))
@@ -278,7 +278,7 @@ def test_zero_family_zero_everything():
 
 def test_solve_Z_martingale_representation_of_WT():
     g = TriangularGrid(T, 30)
-    phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
+    phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g))
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     z = solve_Z(fam, phi, psi, zero_drift(g))
@@ -318,7 +318,7 @@ def test_t_dependent_branches_match_shared_quadrature():
     # h(t, x) = x^2 ignores t, so the per-t quadratures of the
     # t_dependent branches must reproduce the shared ones
     g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
-    b = drift(m, spec, g)
+    b = drift(DelayedGenerator(m, spec, g))
     ens = sample_paths(200, 5, "Q", b)
     shared = make_h("square")
     per_t = dataclasses.replace(shared, t_dependent=True)
@@ -417,7 +417,7 @@ def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
                                                         t_dependent):
     measure, n, g_value = TOWER_SETUPS[setup]
     g, m, spec, phi, psi = setup_reduced(0.3, n, measure, g_value=g_value)
-    b = drift(m, spec, g)
+    b = drift(DelayedGenerator(m, spec, g))
     fam = t_varying_h(h_name) if t_dependent else make_h(h_name)
     z = solve_Z(fam, phi, psi, b)
     ref = reference_solve_Z_terminal(fam, phi, psi, b, g)
@@ -429,7 +429,7 @@ def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
 def test_solve_Z_gaussian_linear_bitwise_unchanged(phi_name):
     g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi(phi_name))
-    z = solve_Z(fam, phi, psi, drift(m, spec, g))
+    z = solve_Z(fam, phi, psi, drift(DelayedGenerator(m, spec, g)))
     assert np.array_equal(z, reference_solve_Z_gaussian(fam, phi, psi, g))
 
 
@@ -445,7 +445,7 @@ def test_solve_Z_one_dh_call_per_distinct_t(t_dependent):
         return base.dh(t, x)
 
     fam = dataclasses.replace(base, dh=counting_dh, t_dependent=t_dependent)
-    solve_Z(fam, phi, psi, drift(m, spec, g))
+    solve_Z(fam, phi, psi, drift(DelayedGenerator(m, spec, g)))
     assert len(calls) == (n + 1 if t_dependent else 1)
     assert all(shape == (n + 1, 64) for shape in calls)
 
@@ -563,7 +563,7 @@ def test_norms_of_z_surface():
     g = TriangularGrid(T, 100)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(50, 2, "P", zero_drift(g))
-    phi = build_phi(DiracAt(T, 0.0), zero_kernel(), g)
+    phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g))
     psi = resolvent(phi, tol=1e-12)
     y = solve_Y(fam, psi, ens)
     rep = norms(y, solve_Z(fam, phi, psi, zero_drift(g)), g, ens, beta=0.0)

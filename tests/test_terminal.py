@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bsvielab.girsanov import DriftFunction, drift, sample_paths
-from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
-    resolvent, tail_weight_matrix
+from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
+    constant_kernel, resolvent, tail_weight_matrix
 from bsvielab.measures import Uniform
 from bsvielab.solver import solve_Y
 from bsvielab.terminal import (
@@ -128,7 +128,8 @@ def test_conditional_with_drift_compensator():
     # phi == 1, uniform-measure drift: compensator is the left-point sum
     # of b over the unknown increments
     g = grid(20)
-    b = drift(Uniform(T), constant_kernel(0.0, g_value=1.0), g)
+    b = drift(DelayedGenerator(Uniform(T), constant_kernel(0.0, g_value=1.0),
+                               g))
     e = sample_paths(16, 5, "Q", b)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     j = 7
@@ -199,9 +200,11 @@ def test_growth_guard_rejects_nan():
 
 def test_sweep_matches_pointwise_conditionals():
     g = grid(15)
-    b = drift(Uniform(T), constant_kernel(0.0, g_value=0.7), g)
+    b = drift(DelayedGenerator(Uniform(T), constant_kernel(0.0, g_value=0.7),
+                               g))
     e = sample_paths(12, 8, "Q", b)
-    psi = resolvent(build_phi(Uniform(T), constant_kernel(0.4), g), tol=1e-12)
+    gen = DelayedGenerator(Uniform(T), constant_kernel(0.4), g)
+    psi = resolvent(build_phi(gen), tol=1e-12)
     a_mat = psi.values * tail_weight_matrix(g)
     fams = [
         Deterministic(f0=make_f0("exp_decay", rate=0.5)),
@@ -332,7 +335,8 @@ def last_path_ends_at(e, value):
 ], ids=["deterministic", "gaussian", "t-independent", "t-dependent"])
 def test_mean_profile_is_conditional_at_zero(fam):
     g = grid(20)
-    b = drift(Uniform(T), constant_kernel(0.0, g_value=0.7), g)
+    b = drift(DelayedGenerator(Uniform(T), constant_kernel(0.0, g_value=0.7),
+                               g))
     e = sample_paths(3, 4, "Q", b)
     got = mean_profile(fam, b)
     want = np.stack([conditional_F(fam, t, 0.0, e) for t in g.nodes])
@@ -349,7 +353,7 @@ def test_mean_profile_is_conditional_at_zero(fam):
 def test_malliavin_table_closed_forms():
     g = grid(20)
     spec = constant_kernel(0.0, g_value=0.3)
-    b = drift(Uniform(T), spec, g)
+    b = drift(DelayedGenerator(Uniform(T), spec, g))
     remaining = b.remaining()
     # h = x^2: E[2 W(T) | W(s_j) = ref] = 2 (ref + remaining drift)
     d = malliavin_table(make_h("square"), b)

@@ -44,19 +44,21 @@ QUANTITIES = ("psi_constant", "psi_example33", "y0_explicit",
 @functools.lru_cache(maxsize=2)
 def delayed_profile(n: int) -> np.ndarray:
     """Picard's Y on the grid with n steps, f0 = 1, G = c, uniform delay."""
-    from bsvielab.kernels import TriangularGrid, constant_kernel
+    from bsvielab.kernels import DelayedGenerator, TriangularGrid, \
+        constant_kernel
     from bsvielab.measures import Uniform
     from bsvielab.oracles import build_delayed_operator, solve_delayed_picard
 
-    grid = TriangularGrid(1.0, n)
-    op = build_delayed_operator(constant_kernel(C), Uniform(1.0), grid)
+    op = build_delayed_operator(DelayedGenerator(
+        Uniform(1.0), constant_kernel(C), TriangularGrid(1.0, n)))
     return solve_delayed_picard(np.ones(n + 1), op).y
 
 
 def errors(n: int) -> dict[str, float]:
     """Error of each quantity on the grid with n steps over [0, 1]."""
-    from bsvielab.kernels import TriangularGrid, build_phi, constant_kernel, \
-        example33_kernel, example33_reference, resolvent
+    from bsvielab.kernels import DelayedGenerator, TriangularGrid, \
+        build_phi, constant_kernel, example33_kernel, example33_reference, \
+        resolvent
     from bsvielab.measures import DiracAt, Uniform
     from bsvielab.oracles import solve_reduced_collocation
     from bsvielab.solver import solve_Y
@@ -67,10 +69,11 @@ def errors(n: int) -> dict[str, float]:
     upper = lag >= 0.0
     u = np.clip(lag, 0.0, None)
 
-    phi = build_phi(DiracAt(1.0, 0.0), constant_kernel(C), grid)
+    phi = build_phi(DelayedGenerator(DiracAt(1.0, 0.0), constant_kernel(C),
+                                     grid))
     psi = resolvent(phi, 1e-10)
     exact = np.where(upper, C * np.exp(C * u), 0.0)
-    phi33 = build_phi(Uniform(1.0), example33_kernel(), grid)
+    phi33 = build_phi(DelayedGenerator(Uniform(1.0), example33_kernel(), grid))
     psi33 = resolvent(phi33, 1e-10)
     exact33 = np.where(upper, example33_reference(1.0, "derived")(u), 0.0)
 
