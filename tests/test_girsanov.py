@@ -15,8 +15,8 @@ from bsvielab.girsanov import (
     girsanov_report,
     sample_paths,
 )
-from bsvielab.kernels import DelayedGenerator, TriangularGrid, \
-    constant_kernel
+from bsvielab.kernels import DelayedGenerator, HorizonMismatch, \
+    TriangularGrid, constant_kernel
 from bsvielab.measures import DiracAt, Uniform
 
 
@@ -54,6 +54,17 @@ def test_drift_zero_g():
     b = drift(DelayedGenerator(Uniform(1.0), spec, g))
     assert np.all(b.values == 0.0)
     assert np.abs(b.values).max() <= spec.g_bound
+
+
+def test_drift_horizon_mismatch():
+    # a measure on [-2, 0] on a T = 1 grid is refused by the generator the
+    # drift reads; one with the grid's horizon gives a drift on its grid
+    spec = constant_kernel(0.0, 1.0)
+    with pytest.raises(HorizonMismatch,
+                       match=r"^measure horizon 2\.0 != grid horizon 1\.0$"):
+        drift(DelayedGenerator(Uniform(2.0), spec, grid(10)))
+    gen = DelayedGenerator(Uniform(2.0), spec, grid(10, horizon=2.0))
+    assert drift(gen).grid == gen.grid
 
 
 def test_mode_p_without_drift_unit_weights():

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import drift
 from bsvielab.kernels import (
     DelayedGenerator,
     GridMismatch,
@@ -36,7 +35,6 @@ from bsvielab.kernels import (
     zero_extend_kernel,
 )
 from bsvielab.measures import DiracAt, Uniform
-from bsvielab.oracles import build_delayed_operator
 
 
 def grid(n=200, horizon=1.0):
@@ -203,20 +201,15 @@ def test_build_phi_measure_weighting():
     assert t_lag.values[0, 8] == 0.0
 
 
-def test_generator_horizon_mismatch():
-    # the one horizon check of build_phi, drift and the delayed operator:
-    # a measure on [-2, 0] on a T = 1 grid, or on [-1, 0] on a T = 2 grid
-    spec = constant_kernel(0.3, 1.0)
+def test_build_phi_horizon_mismatch():
+    # a measure on [-2, 0] on a T = 1 grid is refused by the generator
+    # build_phi reads; one with the grid's horizon is built
+    spec = constant_kernel(1.0)
     with pytest.raises(HorizonMismatch,
                        match=r"^measure horizon 2\.0 != grid horizon 1\.0$"):
-        DelayedGenerator(Uniform(2.0), spec, grid(10, horizon=1.0))
-    with pytest.raises(HorizonMismatch,
-                       match=r"^measure horizon 1\.0 != grid horizon 2\.0$"):
-        DelayedGenerator(DiracAt(1.0, 0.0), spec, grid(20, horizon=2.0))
-    gen = DelayedGenerator(DiracAt(2.0, 0.0), spec, grid(20, horizon=2.0))
+        build_phi(DelayedGenerator(Uniform(2.0), spec, grid(10, horizon=1.0)))
+    gen = DelayedGenerator(Uniform(2.0), spec, grid(20, horizon=2.0))
     assert build_phi(gen).grid == gen.grid
-    assert drift(gen).grid == gen.grid
-    assert build_delayed_operator(gen).shape == (21, 21)
 
 
 def test_compose_grid_mismatch():

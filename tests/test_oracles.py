@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from bsvielab.girsanov import DriftFunction, drift, sample_paths
-from bsvielab.kernels import DelayedGenerator, GridMismatch, SingularStep, \
-    TriangularGrid, build_phi, constant_kernel, example33_kernel, \
-    poly_exp_kernel, resolvent, tail_weight_matrix, zero_extend_kernel
+from bsvielab.kernels import DelayedGenerator, GridMismatch, \
+    HorizonMismatch, SingularStep, TriangularGrid, build_phi, \
+    constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
+    tail_weight_matrix, zero_extend_kernel
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardConfig, PicardDiverged, PicardStalled, \
@@ -271,6 +272,18 @@ def test_pathwise_reduced_residual_exact_for_martingale():
                                         TriangularGrid(2.0, 25)))
     with pytest.raises(GridMismatch):
         residual_reduced_pathwise(y, z, f_vals, phi_t2, ens)
+
+
+def test_delayed_operator_horizon_mismatch():
+    # a measure on [-1, 0] on a T = 2 grid is refused by the generator the
+    # operator and the LSMC read; one on [-2, 0] gives the (N+1)^2 operator
+    g = TriangularGrid(2.0, 20)
+    k = constant_kernel(0.3)
+    with pytest.raises(HorizonMismatch,
+                       match=r"^measure horizon 1\.0 != grid horizon 2\.0$"):
+        build_delayed_operator(DelayedGenerator(DiracAt(1.0, 0.0), k, g))
+    gen = DelayedGenerator(DiracAt(2.0, 0.0), k, g)
+    assert build_delayed_operator(gen).shape == (21, 21)
 
 
 def test_lsmc_grid_mismatch():
