@@ -157,8 +157,8 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
     if cfg.generator.kernel.name == "example33":
         t = grid.horizon
         num = float(psi.values[0, -1])
-        derived = float(example33_reference(t, "derived")(t))
-        quoted = float(example33_reference(t, "quoted")(t))
+        derived = float(example33_reference("derived")(t))
+        quoted = float(example33_reference("quoted")(t))
         print(f"example33 resolvent at (t,s)=(0,{t:g}): "
               f"numeric={num:.12g} derived-closed-form={derived:.12g} "
               f"quoted-closed-form={quoted:.12g}")

@@ -184,7 +184,7 @@ def lag_weights(m: DelayMeasure, grid: TriangularGrid
     increasing in k, one lag's weights summed in atom order, and the atoms
     (u, weight) between lags; the uniform part has no nodes of its own."""
     on_lag, between = {}, []
-    for u, wu in zip(*m.quadrature()):
+    for u, wu in m.atoms:
         k = round(-u / grid.dt)
         if snap_lag(u) == snap_lag(-grid.nodes[k]):
             on_lag[k] = on_lag.get(k, 0.0) + wu
@@ -314,7 +314,7 @@ def identity_residual(phi: KernelTable, psi: ResolventTable) -> float:
                 f"resolvent overflows for C = {phi.sup_norm:.3g}") from None
 
 
-def example33_reference(horizon: float, variant: str) -> Callable[[np.ndarray], np.ndarray]:
+def example33_reference(variant: str) -> Callable[[np.ndarray], np.ndarray]:
     """Closed-form resolvents for the built-in damped-lag kernel
     phi(t, s) = (s - t) exp(-(s - t)), as functions of u = s - t.
 
@@ -323,8 +323,6 @@ def example33_reference(horizon: float, variant: str) -> Callable[[np.ndarray], 
     variant "quoted":  u -> (1 - exp(-u))/2, an often-quoted closed form
       kept for comparison; the numeric resolvent does not match it.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if variant == "derived":
         return lambda u: 0.5 * (1.0 - np.exp(-2.0 * np.asarray(u, dtype=float)))
     if variant == "quoted":

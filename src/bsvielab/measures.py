@@ -8,8 +8,8 @@ Everything the solver needs from alpha reduces to interval masses
 alpha([a, 0]) and alpha((a, 0]), which differ only by the atom weight
 sitting at exactly a; both appear downstream: the reduced kernel uses the
 closed interval, the Girsanov drift the half-open one.  The delay
-integrals of the oracles need the split into atoms (quadrature) and the
-uniform rest (diffuse_mass).
+integrals of the oracles need the split into atoms and the uniform rest
+(diffuse_mass).
 """
 
 from __future__ import annotations
@@ -97,12 +97,6 @@ class DelayMeasure:
         for u, w in self.atoms:
             mass = mass + np.where(counts(u, a), w, 0.0)
         return mass
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms (points u_i, weights w_i), exact.  The rest of the
-        mass, diffuse_mass, is uniform on [-T, 0]."""
-        return (np.array([u for u, _ in self.atoms], dtype=float),
-                np.array([w for _, w in self.atoms], dtype=float))
 
 
 def DiracAt(horizon: float, u0: float = 0.0) -> DelayMeasure:

@@ -18,7 +18,7 @@ than asserted to vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,19 +80,18 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
     """Backward march for Y(t) = Fbar(t) + int_t^T Phi(t,s) Y(s) ds.
 
     fbar may be a single profile (N+1,) or a per-path matrix (M, N+1);
-    the march is vectorized over leading axes.
+    the march is vectorized over leading axes.  The integral reads the
+    tail trapezoid weights of residual_reduced, with the diagonal half
+    cell moved to the left-hand side by implicit_factors.
     """
-    n, dt = phi.grid.n, phi.grid.dt
-    p = phi.values
+    n = phi.grid.n
+    a = phi.values * tail_weight_matrix(phi.grid)
     denom = implicit_factors(phi)
     fbar = np.asarray(fbar, dtype=float)
     y = np.zeros_like(fbar)
     y[..., n] = fbar[..., n]
     for i in range(n - 1, -1, -1):
-        tail = 0.5 * dt * p[i, n] * y[..., n]
-        if i + 1 < n:
-            tail = tail + dt * (y[..., i + 1:n] @ p[i, i + 1:n])
-        y[..., i] = (fbar[..., i] + tail) / denom[i]
+        y[..., i] = (fbar[..., i] + y[..., i + 1:] @ a[i, i + 1:]) / denom[i]
     return y
 
 
@@ -213,13 +212,18 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     the stochastic integral taken as a left-point sum on top of
-    residual_reduced, F the (M, N+1) table of terminal.evaluate_F_table.
+    residual_reduced, dW^Q = dW - b dt with b dt from
+    DriftFunction.increments, F the (M, N+1) table of
+    terminal.evaluate_F_table.
     Returns (M, N+1); GridMismatch unless Phi is on the ensemble's grid."""
     if phi.grid != ensemble.grid:
         raise GridMismatch("kernel table and ensemble on different grids")
     n = phi.grid.n
     r = residual_reduced(y, f_vals, phi)[0]
-    r[:, :n] += np.diff(ensemble.wq, axis=1) @ np.triu(z[:n, :n]).T
+    zt = np.triu(z[:n, :n]).T
+    ito = ensemble.dw @ zt
+    ito -= ensemble.drift_fn.increments() @ zt
+    r[:, :n] += ito
     return r
 
 
@@ -232,11 +236,11 @@ class LsmcResult:
     y: np.ndarray          # (M, N+1) per-path conditional-expectation fits
     z: np.ndarray          # (N+1, N+1) regression Z surface on the triangle
     z_se: np.ndarray       # matching standard errors of the slopes
-    y_targets: np.ndarray = None  # (M, N+1) final regression targets; their
+    y_targets: np.ndarray  # (M, N+1) final regression targets; their
     # per-path spread is the honest noise scale of the fitted means
-    sup_diffs: list[float] = field(default_factory=list)
-    iterations: int = 0
-    max_gram_cond: float = 0.0  # largest condition number of the node Grams
+    sup_diffs: list[float]
+    iterations: int
+    max_gram_cond: float  # largest condition number of the node Grams
 
 
 def _raw_powers(wt: np.ndarray) -> np.ndarray:

@@ -108,7 +108,7 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     dy = d + (psi.values * trap) @ d
     # trap.T weighs r in int_{s_j}^T and is zero for r < s_j
     z = d + phi.values @ (trap.T * dy)
-    return np.where(np.triu(np.ones((n + 1, n + 1), dtype=bool)), z, 0.0)
+    return np.triu(z)
 
 
 @dataclass
@@ -148,16 +148,15 @@ def norms(y: np.ndarray, z: np.ndarray, grid: TriangularGrid,
     The path expectations of H1 and S2 are taken under Q, by
     expect_q_columns.
     """
-    nodes = grid.nodes
     horizon = grid.horizon
     y = np.atleast_2d(y)
-    weight = np.exp(beta * nodes)
+    weight = np.exp(beta * grid.nodes)
     if beta == 0.0:
         neg_mass = horizon
     else:
         neg_mass = (1.0 - math.exp(-beta * horizon)) / beta
     per_path = np.column_stack([
-        neg_mass * y[:, 0] ** 2 + np.trapezoid(weight * y**2, nodes, axis=1),
+        neg_mass * y[:, 0] ** 2 + (weight * y**2) @ trapezoid_weights(grid),
         (weight * y**2).max(axis=1)])
     h1_sq, s2 = (per_path[0] if ensemble is None
                  else expect_q_columns(ensemble, per_path)[0])

@@ -73,10 +73,10 @@ def test_criterion_02_example33_resolvent_variants():
     grid = TriangularGrid(1.0, 400)
     gen = DelayedGenerator(Uniform(1.0), example33_kernel(), grid)
     psi = resolvent(build_phi(gen), 1e-10)
-    derived = lag_surface(example33_reference(1.0, "derived"), grid)
+    derived = lag_surface(example33_reference("derived"), grid)
     err = float(np.abs(psi.values - derived).max())
-    d1 = float(example33_reference(1.0, "derived")(1.0))
-    p1 = float(example33_reference(1.0, "quoted")(1.0))
+    d1 = float(example33_reference("derived")(1.0))
+    p1 = float(example33_reference("quoted")(1.0))
     gap = abs(d1 - p1)
     elapsed = time.perf_counter() - start
     ok = err < 1e-3 and gap > 0.1 and elapsed < 5.0

@@ -163,24 +163,24 @@ def test_damped_lag_resolvent_against_renewal_oracle():
     g = grid(200)
     phi_fun = lambda t, s: (s - t) * np.exp(-(s - t))
     oracle = renewal_resolvent_row(phi_fun, g)
-    ref = example33_reference(1.0, "derived")(g.nodes)
+    ref = example33_reference("derived")(g.nodes)
     assert np.abs(oracle - ref).max() < 1e-5
 
     phi = build_phi(DelayedGenerator(Uniform(1.0), example33_kernel(), g))
     psi = resolvent(phi, tol=1e-10)
     assert np.abs(psi.values[0, :] - oracle).max() < 1e-5
     # the often-quoted alternative closed form does not match
-    alt = example33_reference(1.0, "quoted")(g.nodes)
+    alt = example33_reference("quoted")(g.nodes)
     assert np.abs(psi.values[0, -1] - alt[-1]) > 0.1
 
 
 def test_example33_reference_frozen_values():
-    derived = example33_reference(1.0, "derived")
-    quoted = example33_reference(1.0, "quoted")
+    derived = example33_reference("derived")
+    quoted = example33_reference("quoted")
     assert float(derived(1.0)) == pytest.approx(0.43233235838169365, abs=1e-12)
     assert float(quoted(1.0)) == pytest.approx(0.31606027941427883, abs=1e-12)
     with pytest.raises(ValueError):
-        example33_reference(1.0, "bogus")
+        example33_reference("bogus")
 
 
 def test_build_phi_measure_weighting():

@@ -203,10 +203,10 @@ def test_mixture_linearity():
 
 def test_quadrature_atoms_exact():
     m = Atoms(horizon=T, atoms=((-0.5, 0.25), (-0.1, 0.75)))
-    u, w = m.quadrature()
+    u, w = np.array(m.atoms).T
     assert np.allclose(sorted(u), [-0.5, -0.1])
     assert w.sum() == pytest.approx(1.0)
-    # quadrature reproduces the first moment exactly for purely atomic laws
+    # the atoms reproduce the first moment exactly for purely atomic laws
     assert float(u @ w) == pytest.approx(-0.5 * 0.25 - 0.1 * 0.75)
 
 
@@ -227,8 +227,7 @@ def test_quadrature_uniform_moments():
     # the uniform part has no nodes of its own: the operator sums it over
     # the grid lags u = -t_k, a trapezoid over [-t_r, 0] in row r
     m = Uniform(horizon=T)
-    u, w = m.quadrature()
-    assert u.size == w.size == 0 and m.diffuse_mass == 1.0
+    assert m.atoms == () and m.diffuse_mass == 1.0
     grid = TriangularGrid(T, 64)
     assert lag_weights(m, grid) == ([], [])
     t = grid.nodes[:-1]
@@ -244,8 +243,7 @@ def test_quadrature_uniform_moments():
 
 def test_quadrature_mixture_concatenates():
     mix = Mixture(horizon=T, components=((DiracAt(T, -0.3), 0.5), (Uniform(T), 0.5)))
-    u, w = mix.quadrature()
-    assert u.tolist() == [-0.3] and w.tolist() == [0.5]
+    assert mix.atoms == ((-0.3, 0.5),)
     assert mix.diffuse_mass == 0.5
     for n in (20, 7):
         grid = TriangularGrid(T, n)

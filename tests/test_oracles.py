@@ -274,6 +274,50 @@ def test_pathwise_reduced_residual_exact_for_martingale():
         residual_reduced_pathwise(y, z, f_vals, phi_t2, ens)
 
 
+def pathwise_inputs(mode, n, m_paths, seed):
+    """Y, Z, F and Phi of a Gaussian-linear family on a tilted ensemble."""
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3, g_value=0.2),
+                           TriangularGrid(T, n))
+    phi = build_phi(gen)
+    psi = resolvent(phi, tol=1e-12)
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
+    b = drift(gen)
+    ens = sample_paths(m_paths, seed, mode, b)
+    return (solve_Y(fam, psi, ens), solve_Z(fam, phi, psi, b),
+            evaluate_F_table(fam, ens), phi, ens)
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_pathwise_ito_sum_on_w_q_increments(mode):
+    # the left-point sum against dW - b dt is the one against the
+    # increments of the W^Q paths, up to rounding
+    y, z, f_vals, phi, ens = pathwise_inputs(mode, 20, 500, 71)
+    n = phi.grid.n
+    want = residual_reduced(y, f_vals, phi)[0]
+    want[:, :n] += np.diff(ens.wq, axis=1) @ np.triu(z[:n, :n]).T
+    r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
+    assert np.abs(r - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_pathwise_residual_traced_peak_within_two_tables():
+    # mode P's dW is a view of the ensemble's draws, allocated before the
+    # trace.  The residual's (M, N+1) float tables are then two: R and
+    # one temporary, first y A^T and then the Ito sum (M, N).  The rest is
+    # O(N^2): the tail weights, A, and the triangle of Z and its
+    # transpose, which 4 (N+1)^2 floats cover; numpy's ufunc buffers come
+    # on top.
+    y, z, f_vals, phi, ens = pathwise_inputs("P", 60, 20_000, 73)
+    n = phi.grid.n
+    table = ens.n_paths * (n + 1) * 8
+    tracemalloc.start()
+    try:
+        residual_reduced_pathwise(y, z, f_vals, phi, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table + 4 * (n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
+
+
 def test_delayed_operator_horizon_mismatch():
     # a measure on [-1, 0] on a T = 2 grid is refused by the generator the
     # operator and the LSMC read; one on [-2, 0] gives the (N+1)^2 operator
@@ -383,7 +427,7 @@ def reference_lag_weights(m, grid):
         for k in range(i + 1):
             w[i][k] = dens * (0.5 * dt if k in (0, i) else dt)
     between = []
-    for u, wu in zip(*m.quadrature()):
+    for u, wu in m.atoms:
         k = round(-u / dt)
         if abs(-u / dt - k) < 1e-9:
             for i in range(n + 1):

@@ -75,7 +75,7 @@ def errors(n: int) -> dict[str, float]:
     exact = np.where(upper, C * np.exp(C * u), 0.0)
     phi33 = build_phi(DelayedGenerator(Uniform(1.0), example33_kernel(), grid))
     psi33 = resolvent(phi33, 1e-10)
-    exact33 = np.where(upper, example33_reference(1.0, "derived")(u), 0.0)
+    exact33 = np.where(upper, example33_reference("derived")(u), 0.0)
 
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     y_exp = solve_Y(fam, psi)[0]
