@@ -69,7 +69,8 @@ def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
     values)`` of ``labelled``: the label's cells as given, then the values.
     Every float is written as CELL (``%.12g``), the table in blocks of
     CSV_BLOCK_ROWS rows with one format call each.  The triangle tables
-    t <= s go through write_triangle."""
+    t <= s go through write_triangle.  The package passes arrays; a traced
+    benchmark run counts the rows through a generator (perfbench/tracer.py)."""
     if not isinstance(table, np.ndarray):
         table = np.array(list(table), dtype=float)
     fmt = _cells(table.shape[-1]) + "\n"

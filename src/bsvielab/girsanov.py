@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DelayedGenerator, TriangularGrid
-from .measures import snap_lag
 
 ESS_FLOOR = 10.0
 
@@ -60,9 +59,9 @@ def drift(gen: DelayedGenerator) -> DriftFunction:
     Uses the half-open mass alpha((s-T, 0]), so a point mass at lag 0
     contributes nothing at s = T.
     """
-    grid = gen.grid
-    mass = gen.measure.mass_left_open(snap_lag(grid.nodes - grid.horizon))
-    return DriftFunction(grid, mass * gen.kernel.g_values(grid))
+    t = gen.grid.nodes
+    mass = gen.measure.mass_left_open(gen.lag(t))
+    return DriftFunction(gen.grid, mass * gen.g_at(t))
 
 
 @dataclass
@@ -119,6 +118,14 @@ class PathEnsemble:
         if self.tag == "Q":
             out += self.drift_fn.cumulative()[None, :]
         out.flags.writeable = False
+        return out
+
+    def ito_q(self, a: np.ndarray) -> np.ndarray:
+        """Left-point Ito sums sum_k dW^Q_k a[k] per path from the draws, the
+        W^Q increments under tag "Q"; tag "P" takes off the drift's b_k dt."""
+        out = self.draws @ a
+        if self.tag == "P":
+            out -= self.drift_fn.increments() @ a
         return out
 
     @property

@@ -87,12 +87,6 @@ def zero_extend_kernel(f: Callable) -> Callable:
     return wrapped
 
 
-def zero_extend_g(g: Callable) -> Callable:
-    """Wrap a one-argument function so negative arguments evaluate to 0."""
-    ext = zero_extend_kernel(lambda t, s: g(s))
-    return lambda s: ext(s, s)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Coefficient functions of the linear generator.
@@ -100,8 +94,9 @@ class KernelSpec:
     G(t, s) weights past values of Y, g(s) past values of Z; both are
     extended by zero for negative arguments.  A spec may instead carry the
     reduced kernel directly (phi_direct) when G alone is unbounded but the
-    measure-weighted product is not.  Declared bounds are checked against
-    grid evaluations at build time.
+    measure-weighted product is not.  build_phi checks G_bound on the grid;
+    DelayedGenerator.g_at checks g_bound wherever g is read, on the grid
+    and at the shifted times of the atoms between lags.
     """
 
     G: Optional[Callable] = None
@@ -117,14 +112,6 @@ class KernelSpec:
         if self.g is None:
             object.__setattr__(self, "g", lambda s: np.zeros_like(np.asarray(s, dtype=float)))
 
-    def g_values(self, grid: TriangularGrid) -> np.ndarray:
-        vals = np.asarray(zero_extend_g(self.g)(grid.nodes), dtype=float)
-        if np.abs(vals).max(initial=0.0) > self.g_bound + 1e-12:
-            raise ValueError(
-                f"|g| exceeds declared bound {self.g_bound} on the grid"
-            )
-        return vals
-
 
 @dataclass(frozen=True)
 class DelayedGenerator:
@@ -139,6 +126,32 @@ class DelayedGenerator:
         if self.measure.horizon != self.grid.horizon:
             raise HorizonMismatch(f"measure horizon {self.measure.horizon} "
                                   f"!= grid horizon {self.grid.horizon}")
+
+    def lag(self, x: np.ndarray) -> np.ndarray:
+        """The lags x - T of the times x, clipped into [-T, 0] and snapped
+        by snap_lag: the points at which the alpha-masses are queried."""
+        horizon = self.grid.horizon
+        return snap_lag(np.clip(x - horizon, -horizon, 0.0))
+
+    def G_at(self, x: np.ndarray) -> np.ndarray:
+        """G(x_i, x_j) over the times x, zero-extended.  A product-form spec
+        gives G = Phi / alpha([x_j - T, 0]), 0 where that mass is <= 1e-12:
+        an integrable endpoint singularity loses one cell."""
+        k = self.kernel
+        if k.phi_direct is None:
+            return zero_extend_kernel(k.G)(x[:, None], x[None, :])
+        vals = zero_extend_kernel(k.phi_direct)(x[:, None], x[None, :])
+        mass = self.measure.mass_closed(self.lag(x))
+        return np.divide(vals, mass, out=np.zeros_like(vals), where=mass > 1e-12)
+
+    def g_at(self, x: np.ndarray) -> np.ndarray:
+        """g at the times x, zero-extended; ValueError where |g| exceeds
+        the declared g_bound."""
+        k = self.kernel
+        vals = zero_extend_kernel(lambda t, s: k.g(s))(x, x)
+        if np.abs(vals).max(initial=0.0) > k.g_bound + 1e-12:
+            raise ValueError(f"|g| exceeds declared bound {k.g_bound}")
+        return vals
 
 
 @dataclass
@@ -206,18 +219,15 @@ def build_phi(gen: DelayedGenerator) -> KernelTable:
     When the spec supplies the reduced kernel directly, its grid values are
     tabulated as-is.
     """
-    k, grid = gen.kernel, gen.grid
-    t = grid.nodes
-    tt, ss = np.meshgrid(t, t, indexing="ij")
+    k, t = gen.kernel, gen.grid.nodes
     if k.phi_direct is not None:
-        vals = np.asarray(zero_extend_kernel(k.phi_direct)(tt, ss), dtype=float)
+        vals = zero_extend_kernel(k.phi_direct)(t[:, None], t[None, :])
     else:
-        mass = gen.measure.mass_closed(snap_lag(t - grid.horizon))
-        gvals = np.asarray(zero_extend_kernel(k.G)(tt, ss), dtype=float)
+        gvals = gen.G_at(t)
         if np.abs(np.triu(gvals)).max() > k.G_bound + 1e-12:
             raise ValueError(f"|G| exceeds declared bound {k.G_bound} on the grid")
-        vals = mass[None, :] * gvals
-    return KernelTable(grid, np.triu(vals))
+        vals = gen.measure.mass_closed(gen.lag(t))[None, :] * gvals
+    return KernelTable(gen.grid, np.triu(vals))
 
 
 def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:

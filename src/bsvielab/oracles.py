@@ -24,9 +24,7 @@ import numpy as np
 
 from .girsanov import PathEnsemble
 from .kernels import DelayedGenerator, GridMismatch, KernelTable, \
-    TriangularGrid, implicit_factors, lag_weights, tail_weight_matrix, \
-    zero_extend_g, zero_extend_kernel
-from .measures import DelayMeasure, snap_lag
+    implicit_factors, lag_weights, tail_weight_matrix
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -95,23 +93,8 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
     return y
 
 
-def _kernel_on_shifted_grid(gen: DelayedGenerator, u: float) -> np.ndarray:
-    """G(t_i + u, s_j + u) over the grid, zero-extended.  A kernel given as
-    the reduced product recovers G = Phi / alpha([s_j + u - T, 0]) (the lag
-    clamped into [-T, 0], where Phi = 0 anyway), dropping the cells where
-    that mass vanishes: an integrable endpoint singularity loses one cell."""
-    k, m, grid = gen.kernel, gen.measure, gen.grid
-    x = grid.nodes + u
-    if k.phi_direct is None:
-        return zero_extend_kernel(k.G)(x[:, None], x[None, :])
-    vals = zero_extend_kernel(k.phi_direct)(x[:, None], x[None, :])
-    mass = m.mass_closed(snap_lag(np.clip(x - grid.horizon, -grid.horizon, 0.0)))
-    return np.divide(vals, mass, out=np.zeros_like(vals), where=mass > 1e-12)
-
-
-def _diffuse_operator(gt: np.ndarray, m: DelayMeasure,
-                      grid: TriangularGrid) -> np.ndarray:
-    """The uniform part of alpha, density rho, on the G table gt.  With
+def _diffuse_operator(gt: np.ndarray, gen: DelayedGenerator) -> np.ndarray:
+    """The uniform part of gen's alpha, density rho, on the G table gt.  With
     q = r - lag, lo = max(0, c+r-N) and hi = min(r, c),
         op[r, c] = rho dt^2 sum_{q=lo}^{hi} a_q b_q G[q, c],
     a_q = 1/2 at q in {0, r} (the trapezoid over the lags [-t_r, 0]), b_q =
@@ -119,7 +102,7 @@ def _diffuse_operator(gt: np.ndarray, m: DelayMeasure,
     on lo or hi, so over the prefix P[k] = G[0] + ... + G[k-1] + G[k]/2 the
     sum is P[hi] - P[lo], less G/4 where two halves meet (hi = r = c,
     lo = 0 = c+r-N); columns 0 and N hold one term of weight 1/4."""
-    n, dt = grid.n, grid.dt
+    m, n, dt = gen.measure, gen.grid.n, gen.grid.dt
     if not m.diffuse_mass:
         return np.zeros((n + 1, n + 1))
     p = np.cumsum(gt, axis=0)
@@ -139,23 +122,23 @@ def _diffuse_operator(gt: np.ndarray, m: DelayMeasure,
 def build_delayed_operator(gen: DelayedGenerator) -> np.ndarray:
     """Matrix L with (L y)(t_i) = int_{t_i}^T int G(t_i+u, s+u) y(s+u)
     alpha(du) ds on the grid.  The u-integral runs over the grid lags
-    u = -t_k, where (t_i+u, s_j+u) = (t_{i-k}, s_{j-k}): G is tabulated
+    u = -t_k, where (t_i+u, s_j+u) = (t_{i-k}, s_{j-k}): G_at tabulates G
     once, the uniform part is _diffuse_operator's O(N^2) window sum, and
     each atom of lag_weights on a lag adds one shifted block.  An atom
-    between lags keeps its exact node: G is evaluated at (t_i+u, s_j+u),
+    between lags keeps its exact node: G_at evaluates G at (t_i+u, s_j+u),
     and y(s_j+u), with the same cell fraction theta for every j, is split
     linearly between its two nodes, one shifted column block each."""
-    m, grid = gen.measure, gen.grid
+    grid = gen.grid
     n = grid.n
-    on_lag, between = lag_weights(m, grid)
-    g = _kernel_on_shifted_grid(gen, 0.0)
-    op = _diffuse_operator(g, m, grid)
+    on_lag, between = lag_weights(gen.measure, grid)
+    g = gen.G_at(grid.nodes)
+    op = _diffuse_operator(g, gen)
     trap = tail_weight_matrix(grid)
     for lag, wl in on_lag:
         live = n + 1 - lag
         op[lag:, :live] += wl * trap[lag:, lag:] * g[:live, :live]
     for u, wu in between:
-        coeff = wu * trap * _kernel_on_shifted_grid(gen, u)
+        coeff = wu * trap * gen.G_at(grid.nodes + u)
         # s_j + u = s_{j-lag-1} + (1 - theta) dt; coeff is 0 for j <= lag
         lag, theta = grid.locate(-u)
         op[:, :n - lag] += theta * coeff[:, lag + 1:]
@@ -211,19 +194,15 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
                               ensemble: PathEnsemble) -> np.ndarray:
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
-    the stochastic integral taken as a left-point sum on top of
-    residual_reduced, dW^Q = dW - b dt with b dt from
-    DriftFunction.increments, F the (M, N+1) table of
+    the stochastic integral taken as the left-point sum
+    PathEnsemble.ito_q on top of residual_reduced, F the (M, N+1) table of
     terminal.evaluate_F_table.
     Returns (M, N+1); GridMismatch unless Phi is on the ensemble's grid."""
     if phi.grid != ensemble.grid:
         raise GridMismatch("kernel table and ensemble on different grids")
     n = phi.grid.n
     r = residual_reduced(y, f_vals, phi)[0]
-    zt = np.triu(z[:n, :n]).T
-    ito = ensemble.dw @ zt
-    ito -= ensemble.drift_fn.increments() @ zt
-    r[:, :n] += ito
+    r[:, :n] += ensemble.ito_q(np.triu(z[:n, :n]).T)
     return r
 
 
@@ -357,18 +336,18 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray,
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
     from a mean Z surface and the tail trapezoid weights trap, on the lags
     of build_delayed_operator: the uniform part is the row sums of
-    _diffuse_operator on g(s_c) Z[q, c]; an atom between lags reads g
-    zero-extended and Z by grid.interpolate, zero off the positive
-    triangle.  An atom's rows are summed left to right by cumsum, as a
-    sequential loop would (np.sum adds pairwise and would change the last
-    bits).  Exact (zero) whenever g vanishes."""
-    m, k, grid = gen.measure, gen.kernel, gen.grid
-    if k.g_bound == 0.0:
+    _diffuse_operator on g(s_c) Z[q, c]; an atom between lags reads g by
+    g_at and Z by grid.interpolate, zero off the positive triangle.  An
+    atom's rows are summed left to right by cumsum, as a sequential loop
+    would (np.sum adds pairwise and would change the last bits).  Exact
+    (zero) whenever g vanishes."""
+    grid = gen.grid
+    if gen.kernel.g_bound == 0.0:
         return np.zeros(grid.n + 1)
     n = grid.n
-    on_lag, between = lag_weights(m, grid)
-    gv = k.g_values(grid)
-    out = _diffuse_operator(gv * z_surface, m, grid).sum(axis=1)
+    on_lag, between = lag_weights(gen.measure, grid)
+    gv = gen.g_at(grid.nodes)
+    out = _diffuse_operator(gv * z_surface, gen).sum(axis=1)
     for lag, wl in on_lag:
         live = n + 1 - lag
         gz = trap[lag:, lag:] * gv[:live] * z_surface[:live, :live]
@@ -378,8 +357,7 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray,
         t, s = shifted[:, None], shifted[None, :]
         z = np.where((t >= 0.0) & (s >= 0.0),
                      grid.interpolate(z_surface, t, s), 0.0)
-        out += wu * np.cumsum(trap * zero_extend_g(k.g)(shifted) * z,
-                              axis=1)[:, -1]
+        out += wu * np.cumsum(trap * gen.g_at(shifted) * z, axis=1)[:, -1]
     return out
 
 

@@ -155,9 +155,11 @@ def norms(y: np.ndarray, z: np.ndarray, grid: TriangularGrid,
         neg_mass = horizon
     else:
         neg_mass = (1.0 - math.exp(-beta * horizon)) / beta
+    wy2 = np.square(y)  # one (M, N+1) table, read by H1 and S2
+    wy2 *= weight
     per_path = np.column_stack([
-        neg_mass * y[:, 0] ** 2 + (weight * y**2) @ trapezoid_weights(grid),
-        (weight * y**2).max(axis=1)])
+        neg_mass * y[:, 0] ** 2 + wy2 @ trapezoid_weights(grid),
+        wy2.max(axis=1)])
     h1_sq, s2 = (per_path[0] if ensemble is None
                  else expect_q_columns(ensemble, per_path)[0])
     h1, s2 = math.sqrt(float(h1_sq)), float(s2)

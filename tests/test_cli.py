@@ -369,8 +369,8 @@ def test_write_triangle_streams(tmp_path):
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
     # compare holds the ensemble's draws and F throughout; then, one phase
-    # at a time, the explicit Y and its pathwise residual with two
-    # temporaries (y A^T, or mode Q's dW table and its Ito product), the
+    # at a time, the explicit Y and its pathwise residual with one
+    # temporary (y A^T, then the Ito product on the draws), the
     # LSMC oracle's W and two of its Y_prev, targets, Y and theta, and the
     # LSMC Y with its residual: six (M, N+1) tables at most.  One more
     # covers the basis block, the O(N^2) tables and the Python objects.

@@ -257,7 +257,7 @@ def test_declared_bound_enforced():
     gspec = constant_kernel(1.0, g_value=0.5)
     object.__setattr__(gspec, "g_bound", 0.1)
     with pytest.raises(ValueError):
-        gspec.g_values(g)
+        DelayedGenerator(DiracAt(1.0, 0.0), gspec, g).g_at(g.nodes)
 
 
 def test_zero_extension():

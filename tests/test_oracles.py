@@ -299,14 +299,15 @@ def test_pathwise_ito_sum_on_w_q_increments(mode):
     assert np.abs(r - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
-def test_pathwise_residual_traced_peak_within_two_tables():
-    # mode P's dW is a view of the ensemble's draws, allocated before the
-    # trace.  The residual's (M, N+1) float tables are then two: R and
-    # one temporary, first y A^T and then the Ito sum (M, N).  The rest is
-    # O(N^2): the tail weights, A, and the triangle of Z and its
-    # transpose, which 4 (N+1)^2 floats cover; numpy's ufunc buffers come
-    # on top.
-    y, z, f_vals, phi, ens = pathwise_inputs("P", 60, 20_000, 73)
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_pathwise_residual_traced_peak_within_two_tables(mode):
+    # the Ito sum reads the ensemble's draws, allocated before the trace,
+    # in both modes: no dW or dW^Q table is formed.  The residual's
+    # (M, N+1) float tables are then two: R and one temporary, first
+    # y A^T and then the Ito sum (M, N).  The rest is O(N^2): the tail
+    # weights, A, and the triangle of Z and its transpose, which
+    # 4 (N+1)^2 floats cover; numpy's ufunc buffers come on top.
+    y, z, f_vals, phi, ens = pathwise_inputs(mode, 60, 20_000, 73)
     n = phi.grid.n
     table = ens.n_paths * (n + 1) * 8
     tracemalloc.start()

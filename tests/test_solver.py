@@ -12,6 +12,7 @@ Closed forms used as oracles:
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,3 +570,26 @@ def test_norms_of_z_surface():
     rep = norms(y, solve_Z(fam, phi, psi, zero_drift(g)), g, ens, beta=0.0)
     # Z == 1 on the triangle: integral = T^2/2
     assert rep.h2 == pytest.approx(math.sqrt(0.5), rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_norms_traced_peak_within_one_table(mode):
+    # H1 and S2 read one weighted square of Y, the one (M, N+1) table
+    # norms allocates.  Besides it: four (M,) columns at most (the two
+    # per-path sums and their column stack, later that stack and its copy
+    # in expect_q_columns) and the O(N^2) tables of H2, which 4 (N+1)^2
+    # floats cover; numpy's ufunc buffers come on top.
+    m_paths, n = 20_000, 60
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 5, mode, DriftFunction(g, np.full(n + 1, 0.2)))
+    y = np.random.default_rng(6).standard_normal((m_paths, n + 1))
+    z = np.triu(np.ones((n + 1, n + 1)))
+    table = m_paths * (n + 1) * 8
+    tracemalloc.start()
+    try:
+        norms(y, z, g, ens, beta=0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (table + 4 * m_paths * 8 + 4 * (n + 1) ** 2 * 8
+                    + 2 * 8 * np.getbufsize())
