@@ -249,18 +249,19 @@ def girsanov_report(b: DriftFunction, n_paths: int,
     mean_weight: E_P[M(T)], martingale property, should sit near 1.
     mean_WQ_T:   E^Q[W^Q(T)] from the mode-Q leg, should sit near 0.
     crosscheck_gap: |reweighted-P minus direct-Q| estimate of exp(W(T)),
-      with the combined standard error.  Both legs reuse the same draws
-    (common random numbers), which makes the combined SE conservative.
+      with the combined SE, conservative as both legs read one draw: its
+      running sum is W(T) under P and W^Q(T) = W(T) - int b under Q.
     """
     ens_p = sample_paths(n_paths, seed, "P", b)
-    ens_q = sample_paths(n_paths, seed, "Q", b)
+    ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(n_paths))
+    w_end = ens_p.w[:, -1]
 
     wts = ens_p.weights
     mean_w = (float(wts.mean()),
               float(wts.std(ddof=1) / math.sqrt(n_paths)))
-    mean_wq = expect_q(ens_q, lambda e: e.wq[:, -1])
-    est_p, se_p = expect_q(ens_p, lambda e: np.exp(e.w[:, -1]))
-    est_q, se_q = expect_q(ens_q, lambda e: np.exp(e.w[:, -1]))
+    mean_wq = expect_q(ens_q, lambda e: w_end)
+    est_p, se_p = expect_q(ens_p, lambda e: np.exp(w_end))
+    est_q, se_q = expect_q(ens_q, lambda e: np.exp(w_end + b.cumulative()[-1]))
     gap = abs(est_p - est_q)
     gap_se = math.hypot(se_p, se_q)
     return [

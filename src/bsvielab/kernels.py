@@ -94,9 +94,9 @@ class KernelSpec:
     G(t, s) weights past values of Y, g(s) past values of Z; both are
     extended by zero for negative arguments.  A spec may instead carry the
     reduced kernel directly (phi_direct) when G alone is unbounded but the
-    measure-weighted product is not.  build_phi checks G_bound on the grid;
-    DelayedGenerator.g_at checks g_bound wherever g is read, on the grid
-    and at the shifted times of the atoms between lags.
+    measure-weighted product is not.  build_phi checks G_bound, a bound on
+    G or on Phi for a product-form spec, on the grid; DelayedGenerator.g_at
+    checks g_bound wherever g is read, also at the atoms' shifted times.
     """
 
     G: Optional[Callable] = None
@@ -217,16 +217,18 @@ def build_phi(gen: DelayedGenerator) -> KernelTable:
     """Reduced kernel: alpha-mass of [s-T, 0] times G(t, s) on the triangle.
 
     When the spec supplies the reduced kernel directly, its grid values are
-    tabulated as-is.
+    tabulated as-is and checked against G_bound.
     """
     k, t = gen.kernel, gen.grid.nodes
     if k.phi_direct is not None:
-        vals = zero_extend_kernel(k.phi_direct)(t[:, None], t[None, :])
-    else:
-        gvals = gen.G_at(t)
-        if np.abs(np.triu(gvals)).max() > k.G_bound + 1e-12:
-            raise ValueError(f"|G| exceeds declared bound {k.G_bound} on the grid")
-        vals = gen.measure.mass_closed(gen.lag(t))[None, :] * gvals
+        phi = np.triu(zero_extend_kernel(k.phi_direct)(t[:, None], t[None, :]))
+        if max(phi.max(), -phi.min()) > k.G_bound + 1e-12:
+            raise ValueError(f"|Phi| exceeds declared bound {k.G_bound} on the grid")
+        return KernelTable(gen.grid, phi)
+    gvals = gen.G_at(t)
+    if np.abs(np.triu(gvals)).max() > k.G_bound + 1e-12:
+        raise ValueError(f"|G| exceeds declared bound {k.G_bound} on the grid")
+    vals = gen.measure.mass_closed(gen.lag(t))[None, :] * gvals
     return KernelTable(gen.grid, np.triu(vals))
 
 

@@ -406,9 +406,8 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     coupling = (basis.gram.reshape(n1, d, n1, d)
                 * op[:, None, :, None]).reshape(n1 * d, n1 * d)
     if tilted:  # x_j . v = dW_j . v - mean(dW_j) sum(v)
-        dw_mean = dw.mean(axis=0)
-        x_f = basis.dwt_f - np.outer(dw_mean, f_vals.sum(axis=0))
-        x_b = (basis.dwt_b - np.outer(dw_mean, basis.ones)).reshape(n, n1, d)
+        x_f = basis.dwt_f - np.outer(incr.mean, f_vals.sum(axis=0))
+        x_b = (basis.dwt_b - np.outer(incr.mean, basis.ones)).reshape(n, n1, d)
 
     c, sup_diffs, bound = None, [], 0.0
     z_mean = np.zeros((n + 1, n + 1))
@@ -459,8 +458,8 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
 
 class _IncrementBasis:
     """What the Z slopes need of the increments and the operator, made
-    once per LSMC run: the increments dW (M, N), the sums of squares
-    ss_j of the centred increments x = dW - mean(dW), and the half-cell
+    once per LSMC run: the increments dW (M, N), their path mean, the sums
+    of squares ss_j of the centred increments x = dW - mean and the half-cell
     weights 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal scales
     1 - op[j, j], where K = op / trap is the operator's kernel.
     RegressionIllConditioned if some ss_j is 0, as it is for a single
@@ -469,7 +468,8 @@ class _IncrementBasis:
     def __init__(self, dw: np.ndarray, op: np.ndarray, trap: np.ndarray,
                  dt: float):
         n = dw.shape[1]
-        x = dw - dw.mean(axis=0)
+        self.mean = dw.mean(axis=0)
+        x = dw - self.mean
         ss = np.einsum("mj,mj->j", x, x)
         if not np.all(ss > 0.0):
             j = int(np.flatnonzero(~(ss > 0.0))[0])

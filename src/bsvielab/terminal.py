@@ -183,13 +183,15 @@ def _q_transition(drift_fn: DriftFunction):
 def mean_profile(fam: TerminalFamily, drift_fn: DriftFunction) -> np.ndarray:
     """E^Q[F(t_a) | F_0] on the drift's grid: f0 for a deterministic
     family, column 0 of gaussian_linear_conditionals for GaussianLinear,
-    one Gauss-Hermite layer at W(0) = 0 for a terminal function."""
+    one Gauss-Hermite layer at W(0) = 0 for a terminal function, at each
+    of its _times, broadcast to every node."""
     if not is_stochastic(fam):
         return f0_profile(fam, drift_fn.grid)
     if isinstance(fam, GaussianLinear):
         return gaussian_linear_conditionals(fam, drift_fn)[0][:, 0]
     shift, sd = _q_transition(drift_fn)
-    return gauss_hermite_mean(fam, drift_fn.grid.nodes, shift[0], sd[0])
+    return np.broadcast_to(gauss_hermite_mean(
+        fam, _times(fam, drift_fn.grid), shift[0], sd[0]), drift_fn.grid.n + 1)
 
 
 def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):

@@ -10,6 +10,11 @@ G_at and g_at are where lags are clipped and snapped and where a
 product-form kernel (phi_direct) is divided back into G.  So snap_lag is
 called only in measures and kernels, phi_direct is read only in kernels,
 and oracles and girsanov import nothing from measures.
+
+The Philox stream is drawn in one place, girsanov.sample_paths: no other
+code under src/ reads numpy.random.  Ensembles are bit-identical for a
+given (seed, M, N), and girsanov-check's two legs share their random
+numbers, because every path comes from that one draw.
 """
 
 import ast
@@ -20,17 +25,21 @@ NUMPY_RULES = {"trapezoid", "trapz"}
 SNAP_HOMES = {"measures", "kernels"}
 PHI_DIRECT_HOMES = {"kernels"}
 NO_MEASURES_IMPORT = {"oracles", "girsanov"}
+RNG_HOME = ("girsanov", "sample_paths")
+
+
+def numpy_aliases(tree: ast.AST) -> set[str]:
+    """numpy and every name the module binds it to."""
+    return {"numpy"} | {a.asname or a.name for node in ast.walk(tree)
+                        if isinstance(node, ast.Import)
+                        for a in node.names if a.name == "numpy"}
 
 
 def numpy_trapezoid_uses(source: str) -> list[tuple[int, str]]:
     """(line, name) of each call np.trapezoid / numpy.trapz (any alias
     the module gives numpy) and each import of those names from numpy."""
     tree = ast.parse(source)
-    aliases = {"numpy"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            aliases.update(a.asname or a.name for a in node.names
-                           if a.name == "numpy")
+    aliases = numpy_aliases(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "numpy":
@@ -118,3 +127,61 @@ def test_src_reads_the_generator_through_its_home():
                  path.read_text(encoding="utf-8"), path.stem)]
     assert not found, ("read lags, G and g through kernels.DelayedGenerator"
                        ":\n" + "\n".join(found))
+
+
+def numpy_random_reads(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, what) of each read of numpy.random (any alias the module
+    gives numpy) and each import of or from it, outside the top-level
+    function RNG_HOME[1] of the module RNG_HOME[0]."""
+    tree = ast.parse(source)
+    aliases = numpy_aliases(tree)
+    home = set()
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and (module, top.name) == RNG_HOME:
+            home = {id(node) for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in home:
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.random")
+                or (node.module == "numpy"
+                    and any(a.name == "random" for a in node.names))):
+            found.append((node.lineno, f"from {node.module} import"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return sorted(found)
+
+
+def test_scan_finds_numpy_random():
+    source = ("import numpy as np\n"
+              "import numpy.random\n"
+              "from numpy import random\n"
+              "from numpy.random import default_rng\n"
+              "def sample_paths(seed):\n"
+              "    return np.random.Generator(np.random.Philox(key=seed))\n"
+              "def other(seed):\n"
+              "    return numpy.random.default_rng(seed)\n"
+              "class Sampler:\n"
+              "    def sample_paths(self, random):\n"
+              "        return np.random.default_rng(random.seed)\n")
+    outside = [(2, "import numpy.random"), (3, "from numpy import"),
+               (4, "from numpy.random import"), (8, "numpy.random"),
+               (11, "np.random")]
+    assert numpy_random_reads(source, "girsanov") == outside
+    assert numpy_random_reads(source, "solver") == sorted(
+        outside + [(6, "np.random"), (6, "np.random")])
+
+
+def test_src_draws_random_numbers_only_in_sample_paths():
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, what in numpy_random_reads(
+                 path.read_text(encoding="utf-8"), path.stem)]
+    assert not found, ("numpy.random read outside girsanov.sample_paths:\n"
+                       + "\n".join(found))

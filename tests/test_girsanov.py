@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from bsvielab import girsanov
 from bsvielab.girsanov import (
     DegenerateWeights,
     DriftFunction,
+    PathEnsemble,
     drift,
     expect_q,
     expect_q_columns,
@@ -230,6 +232,56 @@ def test_report_statistics():
     assert abs(v) < 3 * s
     v, s = stats["crosscheck_gap"]
     assert v < 3 * s
+
+
+def reference_report(b, n_paths, seed):
+    """girsanov_report as it was with two draws of the stream, one per
+    leg, each leg's W(T) read from its own path tables."""
+    ens_p = sample_paths(n_paths, seed, "P", b)
+    ens_q = sample_paths(n_paths, seed, "Q", b)
+    wts = ens_p.weights
+    mean_w = (float(wts.mean()),
+              float(wts.std(ddof=1) / math.sqrt(n_paths)))
+    mean_wq = expect_q(ens_q, lambda e: e.wq[:, -1])
+    est_p, se_p = expect_q(ens_p, lambda e: np.exp(e.w[:, -1]))
+    est_q, se_q = expect_q(ens_q, lambda e: np.exp(e.w[:, -1]))
+    return [
+        ("mean_weight", mean_w[0], mean_w[1]),
+        ("mean_WQ_T", mean_wq[0], mean_wq[1]),
+        ("crosscheck_gap", abs(est_p - est_q), math.hypot(se_p, se_q)),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_report_equals_two_draw_reference(seed):
+    b = tilt(Uniform(1.0), 0.8, grid(40))
+    assert np.any(b.values != 0.0)
+    assert girsanov_report(b, 3000, seed) == reference_report(b, 3000, seed)
+
+
+def test_report_draws_the_stream_once(monkeypatch):
+    calls, reads = [], []
+    real_sample_paths = girsanov.sample_paths
+
+    def counting_sample_paths(*args, **kwargs):
+        calls.append(args)
+        return real_sample_paths(*args, **kwargs)
+
+    def counting(name):
+        fget = getattr(PathEnsemble, name).fget
+
+        def read(ensemble):
+            reads.append(name)
+            return fget(ensemble)
+        return property(read)
+
+    monkeypatch.setattr(girsanov, "sample_paths", counting_sample_paths)
+    for name in ("dw", "w", "wq"):
+        monkeypatch.setattr(PathEnsemble, name, counting(name))
+    girsanov_report(tilt(Uniform(1.0), 0.8, grid(40)), 500, seed=3)
+    assert len(calls) == 1
+    # one (M, N+1) W table, read once for both legs
+    assert reads == ["w"]
 
 
 def reference_paths(grid, n_paths, seed, mode, drift_fn):

@@ -8,6 +8,7 @@ Closed-form oracles used below (all for the triangle 0 <= t <= s <= T):
     independently of the Neumann series.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -258,6 +259,14 @@ def test_declared_bound_enforced():
     object.__setattr__(gspec, "g_bound", 0.1)
     with pytest.raises(ValueError):
         DelayedGenerator(DiracAt(1.0, 0.0), gspec, g).g_at(g.nodes)
+    # a product-form spec bounds Phi: example33's e^-1, the sup of u e^-u,
+    # holds; 1e-6 is broken (Phi reaches 0.368 at N = 10)
+    spec = example33_kernel()
+    assert build_phi(DelayedGenerator(Uniform(1.0), spec, g)).sup_norm \
+        <= spec.G_bound
+    tight = dataclasses.replace(spec, G_bound=1e-6)
+    with pytest.raises(ValueError, match=r"^\|Phi\| exceeds declared bound"):
+        build_phi(DelayedGenerator(Uniform(1.0), tight, g))
 
 
 def test_zero_extension():

@@ -350,6 +350,30 @@ def test_mean_profile_is_conditional_at_zero(fam):
         assert np.abs(got - scale * (mu**2 + T)).max() < 1e-12
 
 
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_mean_profile_one_h_call_per_distinct_t(t_dependent):
+    n = 40
+    g = grid(n)
+    b = drift(DelayedGenerator(Uniform(T), constant_kernel(0.0, g_value=0.7),
+                               g))
+    scale = (lambda t: np.exp(-t)) if t_dependent else (lambda t: 1.0)
+    calls = []
+
+    def counting_h(t, x):
+        calls.append(t)
+        return scale(t) * np.asarray(x) ** 2
+
+    fam = TerminalFunction(h=counting_h, dh=None, growth_a=3.0, growth_b=1.0,
+                           t_dependent=t_dependent)
+    got = mean_profile(fam, b)
+    assert len(calls) == (n + 1 if t_dependent else 1)
+    # the values are those of one Gauss-Hermite layer per node
+    shift, sd = b.remaining()[0], math.sqrt(T)
+    want = [gauss_hermite_mean(fam, t, shift, sd) for t in g.nodes]
+    assert got.shape == (n + 1,)
+    assert np.array_equal(got, want)
+
+
 def test_malliavin_table_closed_forms():
     g = grid(20)
     spec = constant_kernel(0.0, g_value=0.3)
