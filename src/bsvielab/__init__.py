@@ -33,7 +33,7 @@ from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardFailed, \
     residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
     solve_reduced_collocation
 from .solver import NormReport, SmoothnessReport, UnsupportedFamily, \
-    norms, smoothness_diagnostics, solve_Y, solve_Z
+    mean_Y, norms, smoothness_diagnostics, solve_Y, solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \
     TerminalFunction, UnknownParameter, evaluate_F_table, \
     gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_table, \

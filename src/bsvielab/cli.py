@@ -3,16 +3,20 @@
 Subcommands
     resolvent       kernel + resolvent tables, identity residual, sharp tail
     solve           explicit (Y, Z), residuals, norms
-    compare         explicit vs independent oracles, verdict line
+    compare         explicit mean vs independent oracles, verdict line
     girsanov-check  measure-change cross-checks
     z-surface       Z table and smoothness diagnostics
     norms           weighted solution norms only
 
 Every command reads one config file, writes CSV outputs plus a
 ``<command>.meta.json`` sidecar into the output directory, and prints a
-short report.  Outputs contain no timestamps and the computation never
-depends on ``--workers``, so identical configs produce byte-identical
-files across runs and worker counts.
+short report.  compare sets the explicit mean E^Q[Y], taken from the
+mean profile E^Q[F | F_0] by the tower property, against collocation on
+that profile and a delayed oracle: Picard on the profile, or on Monte
+Carlo runs the LSMC, whose mean's own noise is the verdict's SE.
+Outputs contain no timestamps and the computation never depends on
+``--workers``, so identical configs produce byte-identical files across
+runs and worker counts.
 
 Exit codes: 0 success, 2 configuration or validation failure or an
 output that cannot be written, 3 convergence failure or resolvent
@@ -37,7 +41,8 @@ from .oracles import PicardConfig, PicardFailed, RegressionIllConditioned, \
     build_delayed_operator, residual_delayed, residual_reduced, \
     residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
     solve_reduced_collocation
-from .solver import norms, smoothness_diagnostics, solve_Y, solve_Z
+from .solver import mean_Y, norms, smoothness_diagnostics, solve_Y, \
+    solve_Z
 from .terminal import QuadratureError, evaluate_F_table, is_stochastic, \
     mean_profile
 
@@ -275,103 +280,79 @@ def _run_oracle(cfg: ExperimentConfig, name: str, solve):
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
-    nodes = grid.nodes
-    dt = grid.dt
-    tol_quad = cfg.quad_slack * dt * dt
+    tol_quad = cfg.quad_slack * grid.dt * grid.dt
     pic_cfg = PicardConfig(tolerance=cfg.picard_tol)
-    header = ["t", "y_explicit", "y_reduced_oracle", "y_delayed_oracle",
-              "res_delayed_explicit", "res_reduced_explicit",
-              "res_delayed_oracle", "res_reduced_oracle"]
-
-    y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
-    # Reduced-equation oracle: conditioned on the trivial F_0 the equation
-    # is a scalar Volterra equation for the expected profile, solved by
-    # collocation without Monte Carlo noise.
+    # Conditioned on the trivial F_0 the explicit route and the reduced
+    # equation see only the expected profile Fbar: the explicit mean by
+    # the tower property, the reduced equation as a scalar Volterra
+    # equation solved by collocation, neither with Monte Carlo noise.
     fbar0 = mean_profile(cfg.family, drift_fn)
+    y = mean_Y(fbar0, psi)
     y_col = solve_reduced_collocation(fbar0, phi)
 
+    ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
+        if is_stochastic(cfg.family) else None
     if ens is None:
         op = build_delayed_operator(cfg.generator)
         pic = _run_oracle(cfg, "picard",
                           lambda: solve_delayed_picard(fbar0, op, pic_cfg))
+        y_orc = pic.y
         rd_exp, rd_exp_sup = residual_delayed(y, fbar0, op)
-        rr_exp, rr_exp_sup = residual_reduced(y, fbar0, phi)
-        rd_pic, rd_pic_sup = residual_delayed(pic.y, fbar0, op)
-        rr_pic, rr_pic_sup = residual_reduced(pic.y, fbar0, phi)
-        rr_col_sup = residual_reduced(y_col, fbar0, phi)[1]
-        gap = float(np.abs(y - pic.y).max())
-        gap_col = float(np.abs(y - y_col).max())
+        rd_orc, rd_orc_sup = residual_delayed(y_orc, fbar0, op)
+    else:
+        lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
+            evaluate_F_table(cfg.family, ens), cfg.generator, ens, pic_cfg))
+        y_orc = expect_q_columns(ens, lsmc.y)[0]
+        # the noise of the LSMC mean is the spread of its targets; the
+        # fitted Y(0) is one constant on every path
+        se_max = float(expect_q_columns(ens, lsmc.y_targets)[1].max())
+        rd_exp = rd_orc = np.full_like(y, np.nan)
+    rr_exp, rr_exp_sup = residual_reduced(y, fbar0, phi)
+    rr_orc, rr_orc_sup = residual_reduced(y_orc, fbar0, phi)
+    gap = float(np.abs(y - y_orc).max())
+    gap_col = float(np.abs(y - y_col).max())
+    write_csv(os.path.join(cfg.out_dir, "compare.csv"),
+              ["t", "y_explicit", "y_reduced_oracle", "y_delayed_oracle",
+               "res_delayed_explicit", "res_reduced_explicit",
+               "res_delayed_oracle", "res_reduced_oracle"],
+              np.column_stack([grid.nodes, y, y_col, y_orc, rd_exp, rr_exp,
+                               rd_orc, rr_orc]))
 
-        write_csv(os.path.join(cfg.out_dir, "compare.csv"), header,
-                  np.column_stack([nodes, y, y_col, pic.y, rd_exp, rr_exp,
-                                   rd_pic, rr_pic]))
+    ok = lambda sup, tol: "ok" if sup <= tol else "EXCEEDS"
+    if ens is None:
         tol_fp = max(100.0 * cfg.picard_tol, 1e-12)
-        ok = lambda sup, tol: "ok" if sup <= tol else "EXCEEDS"
+        rr_col_sup = residual_reduced(y_col, fbar0, phi)[1]
         print(f"verdict: explicit reduced sup={rr_exp_sup:.3e} "
               f"[{ok(rr_exp_sup, tol_quad)} vs {tol_quad:.3e}]; "
               f"explicit delayed sup={rd_exp_sup:.3e} (reported); "
-              f"picard delayed sup={rd_pic_sup:.3e} "
-              f"[{ok(rd_pic_sup, tol_fp)} vs {tol_fp:.3e}]; "
-              f"picard reduced sup={rr_pic_sup:.3e} (reported); "
+              f"picard delayed sup={rd_orc_sup:.3e} "
+              f"[{ok(rd_orc_sup, tol_fp)} vs {tol_fp:.3e}]; "
+              f"picard reduced sup={rr_orc_sup:.3e} (reported); "
               f"collocation reduced sup={rr_col_sup:.3e}; "
               f"sup|explicit-picard|={gap:.3e} "
               f"sup|explicit-collocation|={gap_col:.3e}")
-        write_meta(cfg, "compare", {
-            "picard_iterations": pic.iterations,
-            "picard_converged": True,
-            "res_delayed_explicit_sup": rd_exp_sup,
-            "res_reduced_explicit_sup": rr_exp_sup,
-            "res_delayed_picard_sup": rd_pic_sup,
-            "res_reduced_picard_sup": rr_pic_sup,
-            "gap_explicit_picard": gap,
-            "gap_explicit_collocation": gap_col,
-        })
-        return
-
-    # Each (M, N+1) table goes once its column means are taken: the
-    # explicit Y and residual before the oracle runs, the LSMC targets
-    # before its residual.
-    f_vals = evaluate_F_table(cfg.family, ens)
-    y_exp, se_exp = expect_q_columns(ens, y)
-    rr_exp, se_rr_exp = expect_q_columns(ens, residual_reduced_pathwise(
-        y, z, f_vals, phi, ens))
-    se_r_exp = float(se_rr_exp.max())
-    del y
-    lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-        f_vals, cfg.generator, ens, pic_cfg))
-    y_paths, z_lsmc = lsmc.y, lsmc.z
-    lsmc_meta = {"lsmc_iterations": lsmc.iterations,
-                 "lsmc_max_gram_cond": lsmc.max_gram_cond}
-    del lsmc
-    y_lsmc, se_lsmc = expect_q_columns(ens, y_paths)
-    rr_lsmc = expect_q_columns(ens, residual_reduced_pathwise(
-        y_paths, z_lsmc, f_vals, phi, ens))[0]
-    nan_col = np.full_like(rr_exp, np.nan)
-
-    write_csv(os.path.join(cfg.out_dir, "compare.csv"), header,
-              np.column_stack([nodes, y_exp, y_col, y_lsmc, nan_col, rr_exp,
-                               nan_col, rr_lsmc]))
-    rr_exp_sup = float(np.abs(rr_exp).max())
-    rr_lsmc_sup = float(np.abs(rr_lsmc).max())
-    gap = float(np.abs(y_exp - y_lsmc).max())
-    gap_col = float(np.abs(y_exp - y_col).max())
-    se_max = float(np.maximum(se_exp, se_lsmc).max())
-    tol = tol_quad + 3.0 * se_max
-    ok = "ok" if gap <= tol else "EXCEEDS"
-    print(f"verdict: mean reduced residual explicit sup={rr_exp_sup:.3e} "
-          f"(SE {se_r_exp:.3e}); lsmc sup={rr_lsmc_sup:.3e}; "
-          f"sup|E[Y_explicit]-E[Y_lsmc]|={gap:.3e} [{ok} vs {tol:.3e}]; "
-          f"sup|E[Y_explicit]-collocation|={gap_col:.3e}")
-    write_meta(cfg, "compare", {
-        **lsmc_meta,
-        "res_reduced_explicit_sup": rr_exp_sup,
-        "res_reduced_explicit_se_max": se_r_exp,
-        "res_reduced_lsmc_sup": rr_lsmc_sup,
-        "gap_explicit_lsmc": gap,
-        "gap_explicit_collocation": gap_col,
-        "se_max": se_max,
-        **_weight_meta(ens),
-    })
+        meta = {"picard_iterations": pic.iterations,
+                "picard_converged": True,
+                "res_delayed_explicit_sup": rd_exp_sup,
+                "res_delayed_picard_sup": rd_orc_sup,
+                "res_reduced_picard_sup": rr_orc_sup,
+                "gap_explicit_picard": gap}
+    else:
+        tol = tol_quad + 3.0 * se_max
+        print(f"verdict: mean reduced residual explicit sup={rr_exp_sup:.3e}; "
+              f"lsmc sup={rr_orc_sup:.3e}; "
+              f"sup|E[Y_explicit]-E[Y_lsmc]|={gap:.3e} "
+              f"[{ok(gap, tol)} vs {tol:.3e}]; "
+              f"sup|E[Y_explicit]-collocation|={gap_col:.3e}")
+        meta = {"lsmc_iterations": lsmc.iterations,
+                "lsmc_max_gram_cond": lsmc.max_gram_cond,
+                "res_reduced_lsmc_sup": rr_orc_sup,
+                "gap_explicit_lsmc": gap,
+                "se_max": se_max,
+                **_weight_meta(ens)}
+    write_meta(cfg, "compare", {**meta,
+                                "res_reduced_explicit_sup": rr_exp_sup,
+                                "gap_explicit_collocation": gap_col})
 
 
 def cmd_girsanov_check(cfg: ExperimentConfig) -> None:

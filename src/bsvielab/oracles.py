@@ -216,7 +216,7 @@ class LsmcResult:
     z: np.ndarray          # (N+1, N+1) regression Z surface on the triangle
     z_se: np.ndarray       # matching standard errors of the slopes
     y_targets: np.ndarray  # (M, N+1) final regression targets; their
-    # per-path spread is the honest noise scale of the fitted means
+    # spread is the noise of the fitted means, compare's se_max
     sup_diffs: list[float]
     iterations: int
     max_gram_cond: float  # largest condition number of the node Grams

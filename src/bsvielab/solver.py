@@ -51,16 +51,13 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     same C_i, and Y(t_i) = C_i + (sum_a A[i, a]) C_i.
     """
     grid = psi.grid
-    if is_stochastic(fam):
-        if ensemble is None:
-            raise ValueError("stochastic family needs an ensemble")
-        if ensemble.grid != grid:
-            raise GridMismatch("ensemble on a different grid")
-    a = psi.values * tail_weight_matrix(grid)
-
     if not is_stochastic(fam):
-        rows = f0_profile(fam, grid)
-        return rows + a @ rows
+        return mean_Y(f0_profile(fam, grid), psi)
+    if ensemble is None:
+        raise ValueError("stochastic family needs an ensemble")
+    if ensemble.grid != grid:
+        raise GridMismatch("ensemble on a different grid")
+    a = psi.values * tail_weight_matrix(grid)
 
     if isinstance(fam, GaussianLinear):
         c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
@@ -78,6 +75,14 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
         else:  # every row of c is C_i: A[i] c = (sum_a A[i, a]) C_i
             y[:, i] = c[i] + a_sum[i] * c[i]
     return y
+
+
+def mean_Y(fbar: np.ndarray, psi: ResolventTable) -> np.ndarray:
+    """E^Q[Y(t)] = Fbar(t) + int_t^T Psi(t,r) Fbar(r) dr, one matvec on the
+    profile Fbar = E^Q[F | F_0] of terminal.mean_profile: by the tower
+    property E^Q[E^Q[F(r) | F_t]] = Fbar(r), so the mean of solve_Y's
+    table needs no paths.  For a deterministic family it is Y itself."""
+    return fbar + (psi.values * tail_weight_matrix(psi.grid)) @ fbar
 
 
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,

@@ -9,11 +9,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bsvielab import cli, oracles
+from bsvielab import cli, oracles, solver
 from bsvielab.cli import main
 from bsvielab.config import load_config
-from bsvielab.girsanov import expect_q_columns
+from bsvielab.girsanov import drift, expect_q_columns, sample_paths
 from bsvielab.kernels import TriangularGrid
+from bsvielab.terminal import evaluate_F_table
 
 CONFIGS = resources.files("bsvielab") / "configs"
 
@@ -258,6 +259,63 @@ def test_delayed_operator_built_once_per_command(tmp_path, monkeypatch):
         assert len(calls) == count, (command, cfg)
 
 
+MINI_TERMINAL = MINI_STOCHASTIC.replace(
+    "terminal.kind = gaussian_linear\nterminal.f0 = zero\n"
+    "terminal.phi = constant\nterminal.phi.value = 1.0",
+    "terminal.kind = terminal_function\nterminal.h = square")
+
+
+def test_monte_carlo_compare_runs_no_per_path_solve(tmp_path, monkeypatch):
+    # a Monte Carlo compare takes the explicit mean by the tower identity:
+    # no explicit Y or Z, no pathwise residual and no Gauss-Hermite sweep
+    # over the paths, which solve still runs
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("solve_Y", "solve_Z", "residual_reduced_pathwise"):
+        count(cli, name)
+    count(solver, "conditional_sweep")
+    terminal = write_cfg(tmp_path, MINI_TERMINAL, name="h.cfg")
+    assert run_cli("solve", "--config", terminal, "--out", tmp_path / "s") == 0
+    assert set(calls) == {"solve_Y", "solve_Z", "residual_reduced_pathwise",
+                          "conditional_sweep"}
+    bundled = CONFIGS / "dirac-reduction.cfg"
+    for i, cfg in enumerate((write_cfg(tmp_path, MINI_STOCHASTIC), terminal,
+                             bundled)):
+        calls.clear()
+        assert run_cli("compare", "--config", cfg,
+                       "--out", tmp_path / str(i)) == 0
+        assert calls == {}, cfg
+    # under a Dirac at 0 the exact mean and collocation agree to rounding
+    meta = json.loads((tmp_path / "2" / "compare.meta.json").read_text())
+    assert meta["gap_explicit_collocation"] <= 1e-15
+
+
+def test_monte_carlo_compare_se_is_the_lsmc_mean_noise(tmp_path):
+    # se_max is the noise of the LSMC mean, the spread of its regression
+    # targets; the fitted Y(0) is one constant, whose spread is rounding
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC)
+    assert run_cli("compare", "--config", cfg, "--out", tmp_path / "o") == 0
+    run = load_config(cfg.read_text())
+    ens = sample_paths(run.n_paths, run.seed, run.mode, drift(run.generator))
+    lsmc = oracles.solve_delayed_lsmc(
+        evaluate_F_table(run.family, ens), run.generator, ens,
+        oracles.PicardConfig(tolerance=run.picard_tol))
+    se = expect_q_columns(ens, lsmc.y_targets)[1]
+    assert se[0] > 0.0
+    assert expect_q_columns(ens, lsmc.y)[1][0] < 1e-12 * se[0]
+    meta = json.loads((tmp_path / "o" / "compare.meta.json").read_text())
+    assert meta["se_max"] == float(se.max())
+
+
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
     cli.write_csv(str(path), ["a", "b"],
@@ -368,13 +426,13 @@ def test_write_triangle_streams(tmp_path):
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
-    # compare holds the ensemble's draws and F throughout; then, one phase
-    # at a time, the explicit Y and its pathwise residual with one
-    # temporary (y A^T, then the Ito product on the draws), the
-    # LSMC oracle's W and two of its Y_prev, targets, Y and theta, and the
-    # LSMC Y with its residual: six (M, N+1) tables at most.  One more
-    # covers the basis block, the O(N^2) tables and the Python objects.
-    # A stacked basis alone would be 5 tables here.
+    # compare holds the ensemble's draws throughout and F while the LSMC
+    # oracle runs, with the oracle's W and two of its Y_prev, targets, Y
+    # and theta; then the LSMC Y and targets, each reduced through one
+    # private copy in expect_q_columns: six (M, N+1) tables at most.  The
+    # explicit mean reads no paths.  One more table covers the basis
+    # block, the O(N^2) tables and the Python objects.  A stacked basis
+    # alone would be 5 tables here.
     m_paths, n = 20_000, 20
     cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
         "grid.n = 16", f"grid.n = {n}").replace(

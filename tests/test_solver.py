@@ -17,18 +17,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import DriftFunction, drift, expect_q_columns, \
-    sample_paths
+from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
+    expect_q_columns, sample_paths
 from bsvielab.kernels import DelayedGenerator, GridMismatch, TriangularGrid, \
     build_phi, constant_kernel, resolvent, tail_weight_matrix, \
     trapezoid_weights
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import residual_reduced
-from bsvielab.solver import norms, smoothness_diagnostics, solve_Y, solve_Z
+from bsvielab.solver import mean_Y, norms, smoothness_diagnostics, solve_Y, \
+    solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
     GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
     conditional_sweep, evaluate_F_table, f0_profile, gauss_hermite_mean, \
-    make_f0, make_h, make_phi
+    make_f0, make_h, make_phi, mean_profile
 
 T = 1.0
 
@@ -136,6 +137,42 @@ def test_solve_Y_gaussian_linear_matches_node_loop(mode, phi_name):
     ref = reference_solve_Y_gaussian(fam, psi, b, g, ens)
     assert y.shape == ref.shape
     assert np.abs(y - ref).max() <= 1e-13 * max(1.0, float(np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+@pytest.mark.parametrize("phi_name", ["constant", "exp_u", "bilinear"])
+@pytest.mark.parametrize("measure", [DiracAt(T, 0.0), Uniform(T)],
+                         ids=["dirac", "uniform"])
+def test_mean_Y_is_gaussian_linear_closed_form(measure, phi_name, mode):
+    # GaussianLinear Y = diag((I + A) c) + dW B^T is affine in dW, so its
+    # Q-mean is Y at dW = E^Q[dW] = b dt: one path drawn there, of raw
+    # draws b dt under P and 0 under Q.  The tower identity on the mean
+    # profile gives the same numbers without the conditionals.
+    g, m, spec, phi, psi = setup_reduced(0.4, 40, measure, g_value=0.3)
+    b = drift(DelayedGenerator(m, spec, g))
+    assert np.abs(b.values).max() > 0.0
+    fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
+                         phi=make_phi(phi_name))
+    bdt = b.increments()[None, :]
+    probe = PathEnsemble(mode, bdt if mode == "P" else np.zeros_like(bdt),
+                         b, np.ones(1))
+    closed = solve_Y(fam, psi, probe)[0]
+    assert np.abs(mean_Y(mean_profile(fam, b), psi) - closed).max() <= 1e-15
+
+
+def test_mean_Y_within_four_se_of_terminal_function_mean():
+    # h = x^2 has no closed form: the Monte Carlo mean of the explicit Y
+    # lies within 4 SE of the tower value at every node.  Y(0) is
+    # F_0-measurable, one value on every path: there the two agree to
+    # rounding and the SE is 0.
+    g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
+    b = drift(DelayedGenerator(m, spec, g))
+    fam = make_h("square")
+    ens = sample_paths(20_000, 8, "Q", b)
+    y_mc, se = expect_q_columns(ens, solve_Y(fam, psi, ens))
+    tower = mean_Y(mean_profile(fam, b), psi)
+    assert se[1:].min() > 0.0
+    assert np.all(np.abs(y_mc - tower) <= 4.0 * se + 1e-14 * np.abs(tower))
 
 
 def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
