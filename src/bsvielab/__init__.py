@@ -27,11 +27,10 @@ from .kernels import DelayedGenerator, GridMismatch, HorizonMismatch, \
     volterra_compose
 from .measures import Atoms, DelayMeasure, DiracAt, DomainError, MassError, \
     Mixture, SupportError, Uniform
-from .oracles import LsmcResult, PicardConfig, PicardDiverged, PicardFailed, \
-    PicardResult, PicardStalled, RegressionIllConditioned, \
-    build_delayed_operator, residual_delayed, residual_reduced, \
-    residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
-    solve_reduced_collocation
+from .oracles import LsmcResult, PicardDiverged, PicardFailed, PicardResult, \
+    PicardStalled, RegressionIllConditioned, build_delayed_operator, \
+    residual_delayed, residual_reduced, residual_reduced_pathwise, \
+    solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import NormReport, SmoothnessReport, UnsupportedFamily, \
     mean_Y, norms, smoothness_diagnostics, solve_Y, solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \

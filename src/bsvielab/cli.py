@@ -37,7 +37,7 @@ from .girsanov import DegenerateWeights, drift, effective_sample_size, \
     expect_q_columns, girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
     example33_reference, identity_residual, resolvent
-from .oracles import PicardConfig, PicardFailed, RegressionIllConditioned, \
+from .oracles import PicardFailed, RegressionIllConditioned, \
     build_delayed_operator, residual_delayed, residual_reduced, \
     residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
     solve_reduced_collocation
@@ -281,7 +281,6 @@ def _run_oracle(cfg: ExperimentConfig, name: str, solve):
 def cmd_compare(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn = _prepare(cfg)
     tol_quad = cfg.quad_slack * grid.dt * grid.dt
-    pic_cfg = PicardConfig(tolerance=cfg.picard_tol)
     # Conditioned on the trivial F_0 the explicit route and the reduced
     # equation see only the expected profile Fbar: the explicit mean by
     # the tower property, the reduced equation as a scalar Volterra
@@ -294,14 +293,15 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         if is_stochastic(cfg.family) else None
     if ens is None:
         op = build_delayed_operator(cfg.generator)
-        pic = _run_oracle(cfg, "picard",
-                          lambda: solve_delayed_picard(fbar0, op, pic_cfg))
+        pic = _run_oracle(cfg, "picard", lambda: solve_delayed_picard(
+            fbar0, op, cfg.picard_tol))
         y_orc = pic.y
         rd_exp, rd_exp_sup = residual_delayed(y, fbar0, op)
         rd_orc, rd_orc_sup = residual_delayed(y_orc, fbar0, op)
     else:
         lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-            evaluate_F_table(cfg.family, ens), cfg.generator, ens, pic_cfg))
+            evaluate_F_table(cfg.family, ens), cfg.generator, ens,
+            cfg.picard_tol))
         y_orc = expect_q_columns(ens, lsmc.y)[0]
         # the noise of the LSMC mean is the spread of its targets; the
         # fitted Y(0) is one constant on every path

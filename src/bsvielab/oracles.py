@@ -30,6 +30,7 @@ REGRESSION_DEGREE = 4
 RIDGE = 1e-8
 COND_LIMIT = 1e10
 DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
+MAX_ITERATIONS = 200  # sweeps of either delayed oracle before PicardStalled
 LSMC_CHUNK = 2048  # paths per block of the LSMC basis: P x 2048 floats
 
 
@@ -54,23 +55,24 @@ class RegressionIllConditioned(RuntimeError):
     """Normal-equation condition number beyond the safe limit."""
 
 
-@dataclass(frozen=True)
-class PicardConfig:
-    max_iterations: int = 200
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-
-
 @dataclass
 class PicardResult:
     y: np.ndarray
     sup_diffs: list[float]
     iterations: int
+
+
+def _sweeps(tol: float) -> range:
+    """Sweeps of either delayed oracle, which stops at a sup-difference
+    below tol; ValueError unless tol > 0 (a NaN is not)."""
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    return range(1, MAX_ITERATIONS + 1)
+
+
+def _stalled(tol: float, sup_diffs: list[float]) -> PicardStalled:
+    return PicardStalled(
+        f"no convergence to {tol} in {MAX_ITERATIONS} iterations", sup_diffs)
 
 
 def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
@@ -147,7 +149,7 @@ def build_delayed_operator(gen: DelayedGenerator) -> np.ndarray:
 
 
 def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
-                         cfg: PicardConfig = PicardConfig()) -> PicardResult:
+                         tol: float = 1e-10) -> PicardResult:
     """Fixed-point iteration of the deterministic delayed equation.
 
     Deterministic free terms force Z to vanish, so the equation reduces to
@@ -157,19 +159,17 @@ def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
     """
     y = f0.copy()
     sup_diffs = []
-    for it in range(1, cfg.max_iterations + 1):
+    for it in _sweeps(tol):
         y_next = f0 + op @ y
         diff = float(np.abs(y_next - y).max())
         sup_diffs.append(diff)
         y = y_next
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > DIVERGENCE_GUARD:
+        if not np.abs(y).max() <= DIVERGENCE_GUARD:  # NaN fails too
             raise PicardDiverged(
                 f"sup |Y| beyond guard after {it} iterations", sup_diffs)
-        if diff < cfg.tolerance:
+        if diff < tol:
             return PicardResult(y, sup_diffs, it)
-    raise PicardStalled(
-        f"no convergence to {cfg.tolerance} in {cfg.max_iterations} iterations",
-        sup_diffs)
+    raise _stalled(tol, sup_diffs)
 
 
 def residual_delayed(y: np.ndarray, f0: np.ndarray,
@@ -363,7 +363,7 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray,
 
 def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
                        ensemble: PathEnsemble,
-                       cfg: PicardConfig = PicardConfig()) -> LsmcResult:
+                       tol: float = 1e-10) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F,
     given as its (M, N+1) table of terminal.evaluate_F_table.
 
@@ -389,6 +389,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     grid = gen.grid
     if ensemble.grid != grid:
         raise GridMismatch("generator and ensemble on different grids")
+    sweeps = _sweeps(tol)
     n, tilted = grid.n, gen.kernel.g_bound != 0.0
     op = build_delayed_operator(gen)
     trap = tail_weight_matrix(grid)
@@ -411,7 +412,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
 
     c, sup_diffs, bound = None, [], 0.0
     z_mean = np.zeros((n + 1, n + 1))
-    for it in range(1, cfg.max_iterations + 1):
+    for it in sweeps:
         gz = _g_weighted_term(gen, z_mean, trap)
         rhs = b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
@@ -434,7 +435,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
             if not bound <= DIVERGENCE_GUARD:
                 raise PicardDiverged(
                     f"sup |Y| beyond guard after {it} iterations", sup_diffs)
-        if diff < cfg.tolerance:
+        if diff < tol:
             y_prev = f_vals.T if c_prev is None else basis.values(c_prev, wt)
             target = op @ y_prev
             del y_prev
@@ -451,9 +452,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
             x_y = x_f if c_prev is None else np.einsum("jkq,kq->jk", x_b, c_prev)
             cross = x_f + x_y @ op.T - np.einsum("jkq,kq->jk", x_b, c)
             z_mean = _slope_fit(cross[:, :n].T, incr)[0]
-    raise PicardStalled(
-        f"no convergence to {cfg.tolerance} in {cfg.max_iterations} iterations",
-        sup_diffs)
+    raise _stalled(tol, sup_diffs)
 
 
 class _IncrementBasis:

@@ -44,11 +44,11 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     prefix up to t supplying the conditioning information, on the grid
     and under the drift of the ensemble: an (M, N+1) table, whose node
     means under Q girsanov.expect_q_columns takes.  GaussianLinear Y is
-    affine in dW: with A = Psi * trap and (c, phi) from
-    gaussian_linear_conditionals, Y = diag((I + A) c) + dW B^T for
-    B = tril((I + A) phi, -1), one (M x N) . (N x (N+1)) product.  When
-    a terminal function ignores t, every conditional row of node i is the
-    same C_i, and Y(t_i) = C_i + (sum_a A[i, a]) C_i.
+    affine in dW: with (c, phi) from gaussian_linear_conditionals,
+    Y = diag(mean_Y(c)) + dW tril(mean_Y(phi), -1)^T, one (M x N) .
+    (N x (N+1)) product.  A terminal function takes the step row by row,
+    Y(t_i) = C_i[i] + A[i] C_i with A = Psi * trap (mean_Y(C_i) would cost
+    (N+1) M per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores t.
     """
     grid = psi.grid
     if not is_stochastic(fam):
@@ -57,17 +57,15 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
         raise ValueError("stochastic family needs an ensemble")
     if ensemble.grid != grid:
         raise GridMismatch("ensemble on a different grid")
-    a = psi.values * tail_weight_matrix(grid)
 
     if isinstance(fam, GaussianLinear):
         c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
-        det = np.diagonal(c + a @ c)
-        b = np.tril(phimat + a @ phimat, -1)
-        y = ensemble.dw @ b.T
-        y += det
+        y = ensemble.dw @ np.tril(mean_Y(phimat, psi), -1).T
+        y += np.diagonal(mean_Y(c, psi))
         return y
 
     y = np.empty((ensemble.n_paths, grid.n + 1))
+    a = psi.values * tail_weight_matrix(grid)
     a_sum = a.sum(axis=1)
     for i, c in conditional_sweep(fam, ensemble):
         if fam.t_dependent:
@@ -77,12 +75,12 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     return y
 
 
-def mean_Y(fbar: np.ndarray, psi: ResolventTable) -> np.ndarray:
-    """E^Q[Y(t)] = Fbar(t) + int_t^T Psi(t,r) Fbar(r) dr, one matvec on the
-    profile Fbar = E^Q[F | F_0] of terminal.mean_profile: by the tower
-    property E^Q[E^Q[F(r) | F_t]] = Fbar(r), so the mean of solve_Y's
-    table needs no paths.  For a deterministic family it is Y itself."""
-    return fbar + (psi.values * tail_weight_matrix(psi.grid)) @ fbar
+def mean_Y(x: np.ndarray, psi: ResolventTable) -> np.ndarray:
+    """The resolvent step I + A, A = Psi * trap, along the first axis of a
+    profile or table x.  On Fbar = E^Q[F | F_0] (terminal.mean_profile) it
+    is E^Q[Y], by the tower property E^Q[E^Q[F(r) | F_t]] = Fbar(r), with
+    no paths; for a deterministic family it is Y itself."""
+    return x + (psi.values * tail_weight_matrix(psi.grid)) @ x
 
 
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
@@ -91,7 +89,7 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
 
     One formula for both stochastic families.  D_s commutes with the
     conditionals of Y for s <= r, so by the tower property
-    E^Q[D_s Y(r) | F_s] = d(r,s) + int_r^T Psi(r,v) d(v,s) dv with
+    E^Q[D_s Y(r) | F_s] = d(r,s) + int_r^T Psi(r,v) d(v,s) dv, mean_Y of
     d(v,s) = E^Q[D_s F(v) | F_s], the family's malliavin_table anchored
     at W(s) = terminal.Z_REF_STATE.  Deterministic families carry no
     martingale part: the zero surface is returned without computation.
@@ -108,9 +106,9 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     if not isinstance(fam, (GaussianLinear, TerminalFunction)):
         raise UnsupportedFamily(f"unknown family {type(fam).__name__}")
 
-    trap = tail_weight_matrix(grid)
     d = malliavin_table(fam, drift_fn)
-    dy = d + (psi.values * trap) @ d
+    dy = mean_Y(d, psi)
+    trap = tail_weight_matrix(grid)
     # trap.T weighs r in int_{s_j}^T and is zero for r < s_j
     z = d + phi.values @ (trap.T * dy)
     return np.triu(z)

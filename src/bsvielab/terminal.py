@@ -137,7 +137,7 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
     if not is_stochastic(fam):
         return np.broadcast_to(f0_profile(fam, grid), shape)
     if isinstance(fam, GaussianLinear):
-        out = ensemble.dw @ _phi_table(fam, grid).T
+        out = ensemble.dw @ _phi_table(fam, grid)[:, :-1].T
         out += f0_profile(fam, grid)
         return out
     w_end = ensemble.w[:, -1]
@@ -155,9 +155,10 @@ def f0_profile(fam: Deterministic | GaussianLinear,
 
 
 def _phi_table(fam: GaussianLinear, grid: TriangularGrid) -> np.ndarray:
-    """phi(t_a, t_k) over the nodes t_a and left endpoints t_k, (N+1, N)."""
-    tt, kk = np.meshgrid(grid.nodes, grid.nodes[:-1], indexing="ij")
-    return np.asarray(fam.phi(tt, kk), dtype=float)
+    """phi(t_a, t_b) on every pair of nodes, (N+1, N+1), the one evaluation
+    of phi; its first N columns are the increments' left endpoints t_k."""
+    tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    return np.asarray(fam.phi(tt, ss), dtype=float)
 
 
 def gaussian_linear_conditionals(fam: GaussianLinear, drift_fn: DriftFunction):
@@ -166,7 +167,7 @@ def gaussian_linear_conditionals(fam: GaussianLinear, drift_fn: DriftFunction):
     phi(t_a, t_k), and c[a, i] = f0(t_a) + sum_{k>=i} phi(t_a, t_k) b_k dt
     adds the Q-mean of the increments still unknown at t_i."""
     grid = drift_fn.grid
-    phimat = _phi_table(fam, grid)
+    phimat = _phi_table(fam, grid)[:, :-1]
     comp = np.cumsum((phimat * drift_fn.increments())[:, ::-1], axis=1)[:, ::-1]
     c = f0_profile(fam, grid)[:, None] + np.concatenate(
         [comp, np.zeros((grid.n + 1, 1))], axis=1)
@@ -212,21 +213,20 @@ def malliavin_table(fam: GaussianLinear | TerminalFunction,
     """d[v, j] = E^Q[D_{s_j} F(t_v) | F_{s_j}] at W(s_j) = Z_REF_STATE,
     an (N+1) x (N+1) table over every v and j of the drift's grid.
 
-    GaussianLinear: D_s F(t) = phi(t, s) is deterministic.
+    GaussianLinear: D_s F(t) = phi(t, s) is deterministic, _phi_table.
     TerminalFunction: D_s F(t) = dh(t, W(T)), and W(T) | F_{s_j} is
     N(Z_REF_STATE + remaining drift, T - s_j) under Q, integrated by one
     Gauss-Hermite layer: one dh call on the (N+1) x 64 points per time of
     _times, broadcast to every v.
     """
-    n, nodes = drift_fn.grid.n, drift_fn.grid.nodes
+    grid = drift_fn.grid
     if isinstance(fam, GaussianLinear):
-        tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
-        return np.asarray(fam.phi(tt, ss), dtype=float)
+        return _phi_table(fam, grid)
     shift, sd = _q_transition(drift_fn)
     pts = (Z_REF_STATE + shift)[:, None] + sd[:, None] * _GH_SHIFT
     return np.broadcast_to(
         np.stack([np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
-                  for t in _times(fam, drift_fn.grid)]), (n + 1, n + 1))
+                  for t in _times(fam, grid)]), (grid.n + 1, grid.n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ The Philox stream is drawn in one place, girsanov.sample_paths: no other
 code under src/ reads numpy.random.  Ensembles are bit-identical for a
 given (seed, M, N), and girsanov-check's two legs share their random
 numbers, because every path comes from that one draw.
+
+A Gaussian-linear phi is evaluated in one place, terminal._phi_table, on
+every pair of nodes: no other code under src/ calls <expr>.phi(...), so
+the conditionals, the F table and the Malliavin table read one table.
 """
 
 import ast
@@ -26,6 +30,7 @@ SNAP_HOMES = {"measures", "kernels"}
 PHI_DIRECT_HOMES = {"kernels"}
 NO_MEASURES_IMPORT = {"oracles", "girsanov"}
 RNG_HOME = ("girsanov", "sample_paths")
+PHI_HOME = ("terminal", "_phi_table")
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -129,16 +134,22 @@ def test_src_reads_the_generator_through_its_home():
                        ":\n" + "\n".join(found))
 
 
+def home_nodes(tree: ast.Module, module: str, home: tuple[str, str]
+               ) -> set[int]:
+    """ids of the nodes of the top-level function home[1] when module is
+    home[0], else empty."""
+    return {id(node) for top in tree.body
+            if isinstance(top, ast.FunctionDef) and (module, top.name) == home
+            for node in ast.walk(top)}
+
+
 def numpy_random_reads(source: str, module: str) -> list[tuple[int, str]]:
     """(line, what) of each read of numpy.random (any alias the module
     gives numpy) and each import of or from it, outside the top-level
     function RNG_HOME[1] of the module RNG_HOME[0]."""
     tree = ast.parse(source)
     aliases = numpy_aliases(tree)
-    home = set()
-    for top in tree.body:
-        if isinstance(top, ast.FunctionDef) and (module, top.name) == RNG_HOME:
-            home = {id(node) for node in ast.walk(top)}
+    home = home_nodes(tree, module, RNG_HOME)
     found = []
     for node in ast.walk(tree):
         if id(node) in home:
@@ -184,4 +195,40 @@ def test_src_draws_random_numbers_only_in_sample_paths():
              for line, what in numpy_random_reads(
                  path.read_text(encoding="utf-8"), path.stem)]
     assert not found, ("numpy.random read outside girsanov.sample_paths:\n"
+                       + "\n".join(found))
+
+
+def phi_calls(source: str, module: str) -> list[int]:
+    """Lines of each call <expr>.phi(...) outside the top-level function
+    PHI_HOME[1] of the module PHI_HOME[0]."""
+    tree = ast.parse(source)
+    home = home_nodes(tree, module, PHI_HOME)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in home
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "phi")
+
+
+def test_scan_finds_phi_calls():
+    source = ("import numpy as np\n"
+              "def _phi_table(fam, grid):\n"
+              "    return fam.phi(grid.nodes[:, None], grid.nodes)\n"
+              "def malliavin_table(fam, grid):\n"
+              "    tt, ss = np.meshgrid(grid.nodes, grid.nodes)\n"
+              "    return np.asarray(fam.phi(tt, ss))\n"
+              "def table(fam, grid, phi):\n"
+              "    return _phi_table(fam, grid) + phi(0.0, 0.0) + fam.phi\n"
+              "class Family:\n"
+              "    def _phi_table(self, grid):\n"
+              "        return self.kind.phi(grid.nodes, grid.nodes)\n")
+    assert phi_calls(source, "terminal") == [6, 11]
+    assert phi_calls(source, "solver") == [3, 6, 11]
+
+
+def test_src_evaluates_phi_only_in_phi_table():
+    found = [f"{path.relative_to(ROOT)}:{line}: .phi(...) call"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in phi_calls(path.read_text(encoding="utf-8"),
+                                   path.stem)]
+    assert not found, ("phi evaluated outside terminal._phi_table:\n"
                        + "\n".join(found))

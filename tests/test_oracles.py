@@ -13,7 +13,7 @@ from bsvielab.kernels import DelayedGenerator, GridMismatch, \
     tail_weight_matrix, zero_extend_kernel
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
-from bsvielab.oracles import PicardConfig, PicardDiverged, PicardStalled, \
+from bsvielab.oracles import PicardDiverged, PicardStalled, \
     RegressionIllConditioned, _IncrementBasis, _StackedBasis, \
     _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
@@ -80,9 +80,9 @@ def test_collocation_singular_step():
         solve_reduced_collocation(np.ones(n + 1), phi)
 
 
-def picard(fam, k, m, g, cfg=PicardConfig()):
+def picard(fam, k, m, g):
     op = build_delayed_operator(DelayedGenerator(m, k, g))
-    return solve_delayed_picard(f0_profile(fam, g), op, cfg)
+    return solve_delayed_picard(f0_profile(fam, g), op)
 
 
 def delayed_residual(y, fam, k, m, g):
@@ -139,21 +139,56 @@ def test_picard_divergence_guard():
         picard(fam, constant_kernel(8.0), DiracAt(T, -0.4), g)
 
 
-def test_picard_stalls_on_tiny_budget():
+def test_picard_divergence_guard_fires_on_non_finite_f0():
+    # a NaN or an infinity in the free term trips the guard at sweep 1,
+    # as a NaN in the LSMC's F does (op @ y meets inf * 0: numpy's
+    # invalid-value note is silenced, the guard is what is tested)
+    g = TriangularGrid(T, 20)
+    op = build_delayed_operator(
+        DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.5), g))
+    for bad in (np.nan, np.inf, -np.inf):
+        f0 = np.ones(g.n + 1)
+        f0[7] = bad
+        with pytest.raises(PicardDiverged) as exc, \
+                np.errstate(invalid="ignore"):
+            solve_delayed_picard(f0, op)
+        assert len(exc.value.sup_diffs) == 1, bad
+
+
+def test_picard_stalls_on_tiny_budget(monkeypatch):
     g = TriangularGrid(T, 40)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    with pytest.raises(PicardStalled):
-        picard(fam, constant_kernel(0.6), DiracAt(T, 0.0), g,
-               PicardConfig(max_iterations=2))
+    monkeypatch.setattr(oracles, "MAX_ITERATIONS", 2)
+    with pytest.raises(PicardStalled) as exc:
+        picard(fam, constant_kernel(0.6), DiracAt(T, 0.0), g)
+    assert len(exc.value.sup_diffs) == 2
+    assert "in 2 iterations" in str(exc.value)
 
 
-def test_picard_config_validation():
-    with pytest.raises(ValueError):
-        PicardConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        PicardConfig(tolerance=float("nan"))
-    with pytest.raises(ValueError):
-        PicardConfig(max_iterations=0)
+def test_lsmc_stalls_on_tiny_budget(monkeypatch):
+    # the LSMC reads the same budget as Picard
+    g = TriangularGrid(T, 12)
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3), g)
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
+    ens = sample_paths(2000, 53, "P", zero_drift(g))
+    monkeypatch.setattr(oracles, "MAX_ITERATIONS", 2)
+    with pytest.raises(PicardStalled) as exc:
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+    assert len(exc.value.sup_diffs) == 2
+    assert "in 2 iterations" in str(exc.value)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_delayed_oracles_refuse_a_non_positive_tolerance(tol):
+    g = TriangularGrid(T, 12)
+    gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3), g)
+    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
+    ens = sample_paths(200, 53, "P", zero_drift(g))
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        solve_delayed_picard(np.ones(g.n + 1), build_delayed_operator(gen),
+                             tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens, tol)
 
 
 def test_residual_trivial_cases():
@@ -711,7 +746,7 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     sups = [float(np.abs(solve_delayed_lsmc(
-        f_vals, gen, ens, PicardConfig(tolerance=d)).y).max())
+        f_vals, gen, ens, d).y).max())
         for d in [np.inf, *diffs[:-1]]]
     bound = sups[0] + sum(diffs[1:])
     assert max(sups) < bound
@@ -736,7 +771,7 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     gen = DelayedGenerator(DiracAt(T, -0.4), constant_kernel(8.0), g)
     with pytest.raises(PicardDiverged) as grown:
         solve_delayed_lsmc(f_vals, gen, ens)
-    assert len(grown.value.sup_diffs) < PicardConfig().max_iterations
+    assert len(grown.value.sup_diffs) < oracles.MAX_ITERATIONS
 
 
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
@@ -805,7 +840,7 @@ def reference_design_matrix(w_col):
     return np.stack(cols, axis=1)
 
 
-def reference_lsmc(fam, k, m, op, g, ens, cfg=PicardConfig()):
+def reference_lsmc(fam, k, m, op, g, ens, tol=1e-10):
     """The per-node LSMC loop: every sweep forms the M x (N+1) targets and
     refits each node's column through the Cholesky factor of its ridged
     Gram matrix; the slopes come from the (i, j) loop reference_slope_z.
@@ -827,14 +862,14 @@ def reference_lsmc(fam, k, m, op, g, ens, cfg=PicardConfig()):
     y = f_vals.copy()
     z_mean = np.zeros((n + 1, n + 1))
     sup_diffs = []
-    for _ in range(cfg.max_iterations):
+    for _ in range(oracles.MAX_ITERATIONS):
         gz = _g_weighted_term(DelayedGenerator(m, k, g), z_mean, trap)
         target = f_vals + y @ op.T + gz[None, :]
         y_next = np.stack([fit(i, target[:, i]) for i in range(n + 1)],
                           axis=1)
         sup_diffs.append(float(np.abs(y_next - y).max()))
         y = y_next
-        if sup_diffs[-1] < cfg.tolerance:
+        if sup_diffs[-1] < tol:
             z, se = reference_slope_z(target - y, ens, g, op, trap)
             return y, z, se, sup_diffs, target, max(c for *_, c in nodes)
         if k.g_bound != 0.0:
@@ -912,13 +947,13 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     gen = DelayedGenerator(m, k, g)
     ens = sample_paths(2000, 61, mode, drift(gen))
     op = build_delayed_operator(gen)
-    cfg = PicardConfig()
+    tol = 1e-10
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
-                                                        ens, cfg)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens, cfg)
+                                                        ens, tol)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens, tol)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
-    e_y, e_z, e_se = stop_rule_bounds(sup_diffs, cfg.tolerance, op, k, g,
+    e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op, k, g,
                                       ens, targets, cond)
     assert np.abs(res.y - y).max() <= e_y
     # every sweep moves Y alike, so the traces agree sweep by sweep
