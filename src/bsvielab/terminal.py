@@ -13,6 +13,17 @@ exactly on the discrete model (the O(dt) continuum bias is carried by the
 test tolerances, not hidden).  TerminalFunction conditionals integrate the
 Gaussian transition with a 64-node Gauss-Hermite rule and refuse to proceed
 when h breaks its declared growth envelope on the quadrature points.
+
+Along the paths, conditional_sweep reads that rule through a Chebyshev
+interpolant in the state, one per node: the rule is evaluated at
+CHEB_NODES Chebyshev-Lobatto points spanning the node's states (its end
+points the extreme states themselves), and the fit must match the rule at
+the CHEB_NODES - 1 interleaved points to CHEB_TOL times its largest node
+value.  A node whose states do not spread, whose transition has sd = 0,
+with too few paths to gain, or whose fit fails that certificate takes the
+rule at every state.  The growth guard checks every point whose h value
+enters a result; as the extreme states are interpolation points, the hull
+of the checked points is the one the rule at every state would check.
 """
 
 from __future__ import annotations
@@ -33,6 +44,36 @@ _GH_SHIFT = math.sqrt(2.0) * _GH_X
 # Means per block of the Gauss-Hermite layer: a block's 256 x 64 points,
 # envelope and h values (128 KiB each) stay in L2.
 GH_BLOCK = 256
+
+# conditional_sweep's interpolant: K = CHEB_NODES Chebyshev-Lobatto points
+# per node, certified where its fit and the rule agree to CHEB_TOL times
+# the largest value at those points.
+CHEB_NODES = 32
+CHEB_TOL = 1e-13
+
+
+def _cos_pi(m: np.ndarray, n: int) -> np.ndarray:
+    """cos(pi m / n) for integer m, each value +-sin(pi r / (2n)) with
+    0 <= r <= n, so that the cosine's symmetries hold exactly.  Cosines
+    evaluated apart miss them by an ulp; the cosine transform below then
+    leaves coefficient noise that put the sweep 8.5e-15 from the rule,
+    against 8e-16 with them exact (h = x^2, N = 40, M = 20000)."""
+    m = np.asarray(m) % (2 * n)
+    m = np.minimum(m, 2 * n - m)  # cos(pi m/n) = cos(pi (2n - m)/n)
+    q = np.minimum(m, n - m)      # cos(pi m/n) = -cos(pi (n - m)/n)
+    return np.where(m > q, -1.0, 1.0) * np.sin(np.pi * (n - 2 * q) / (2 * n))
+
+
+# _CHEB_X: the 2K - 1 Lobatto points of degree 2K - 2 on [-1, 1], from 1
+# down; the even ones are the K nodes, the odd ones the K - 1 interleaved
+# check points.  _CHEB_COEF maps the K node values to the coefficients c_k
+# of sum_k c_k T_k (a type-I cosine transform, first and last rows and
+# columns halved).
+_CHEB_X = _cos_pi(np.arange(2 * CHEB_NODES - 1), 2 * CHEB_NODES - 2)
+_CHEB_COEF = (2.0 / (CHEB_NODES - 1)) * _cos_pi(
+    np.outer(np.arange(CHEB_NODES), np.arange(CHEB_NODES)), CHEB_NODES - 1)
+_CHEB_COEF[[0, -1]] *= 0.5
+_CHEB_COEF[:, [0, -1]] *= 0.5
 
 # W(s) at which the F_s-conditionals of the Z formula are anchored
 Z_REF_STATE = 0.0
@@ -197,15 +238,71 @@ def mean_profile(fam: TerminalFamily, drift_fn: DriftFunction) -> np.ndarray:
 
 def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     """Yield (i, C_i) for i = 0..N where C_i[a, m] = E^Q[F(t_a) | F_{t_i}]
-    on path m, under the ensemble's drift: one gauss_hermite_mean call
-    per node, for all of _times at once."""
+    on path m, under the ensemble's drift, for all of _times at once.
+
+    Each node reads the Gauss-Hermite rule through a Chebyshev interpolant
+    in the state (_interpolated_mean): the rule at K = CHEB_NODES
+    Chebyshev-Lobatto points on [min, max] of the node's states, the end
+    points the extreme states exactly, turned into coefficients by one
+    fixed K x K cosine matrix, certified against the rule at the K - 1
+    interleaved points to CHEB_TOL times the largest node value, and
+    evaluated at the M states by Clenshaw's recurrence, one time row at a
+    time.  A node with sd = 0 (t_N), identical states (t_0), M <= 2K - 1
+    or a failed certificate takes one gauss_hermite_mean call over every
+    path's state instead.  The growth guard checks every point whose h
+    value enters a result; as the extreme states are interpolation points,
+    the hull of those points is the one the rule at every state checks.
+    """
     grid = ensemble.grid
     times = _times(fam, grid)
     shift, sd = _q_transition(ensemble.drift_fn)
     w = ensemble.w
     for i in range(grid.n + 1):
-        c = gauss_hermite_mean(fam, times, w[:, i] + shift[i], sd[i])
+        x = w[:, i] + shift[i]
+        c = _interpolated_mean(fam, times, x, sd[i])
+        if c is None:
+            c = gauss_hermite_mean(fam, times, x, sd[i])
         yield i, np.broadcast_to(c, (grid.n + 1, ensemble.n_paths))
+
+
+def _interpolated_mean(fam: TerminalFunction, times: np.ndarray,
+                       x: np.ndarray, sd: float):
+    """gauss_hermite_mean(fam, times, x, sd) from its certified Chebyshev
+    interpolant on [min x, max x] (see conditional_sweep), or None where
+    the interpolant does not apply or fails its certificate.  The 2K - 1
+    points go through one gauss_hermite_mean call, its growth guard
+    included."""
+    lo, hi = x.min(), x.max()
+    if not (sd > 0.0 and hi > lo and len(x) > 2 * CHEB_NODES - 1):
+        return None
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    pts = mid + half * _CHEB_X
+    pts[0], pts[-1] = hi, lo
+    vals = gauss_hermite_mean(fam, times, pts, sd)
+    nodes, checks = vals[:, ::2], vals[:, 1::2]
+    coef = nodes @ _CHEB_COEF.T
+    fit = _clenshaw(coef.T[:, :, None], _CHEB_X[1::2])
+    scale = np.abs(nodes).max(axis=1, keepdims=True)
+    if not np.all(np.abs(fit - checks) <= CHEB_TOL * scale):
+        return None
+    s = (x - mid) / half
+    out = np.empty((len(times), len(x)))
+    for row, c in zip(out, coef):
+        row[:] = _clenshaw(c, s)
+    return out
+
+
+def _clenshaw(coef, s):
+    """sum_k coef[k] T_k(s) by Clenshaw's recurrence, the coefficients
+    along the first axis of coef, each broadcast against s."""
+    s2 = s + s
+    shape = np.broadcast_shapes(np.shape(coef[0]), np.shape(s))
+    b1, b2, tmp = np.zeros((3, *shape))
+    for ck in coef[:0:-1]:  # b2 <- 2 s b1 - b2 + c_k, then b1 and b2 swap
+        np.subtract(np.multiply(s2, b1, out=tmp), b2, out=b2)
+        b2 += ck
+        b1, b2 = b2, b1
+    return s * b1 - b2 + coef[0]
 
 
 def malliavin_table(fam: GaussianLinear | TerminalFunction,

@@ -221,8 +221,25 @@ def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
     b = drift(DelayedGenerator(m, spec, g))
     ens = sample_paths(m_paths, 4, "Q", b)
     fam = t_varying_h("square") if t_dependent else make_h("square")
+    # the blocked Gauss-Hermite layer is bit-identical to one piece over
+    # all the means, at every node's states
+    times = g.nodes if t_dependent else g.nodes[:1]
+    remaining = b.remaining()
+    for i, t_i in enumerate(g.nodes):
+        sd = math.sqrt(max(T - t_i, 0.0))
+        means = ens.w[:, i] + remaining[i]
+        pts = means[:, None] + sd * _GH_SHIFT
+        one_piece = np.stack([np.asarray(fam.h(t, pts), dtype=float)
+                              @ _GH_W_NORM for t in times])
+        assert np.array_equal(gauss_hermite_mean(fam, times, means, sd),
+                              one_piece)
+    # solve_Y reads the layer through the sweep's certified interpolant:
+    # each node within 1e-13 of its largest |Y| (a bound fixed before
+    # measuring)
     y = solve_Y(fam, psi, ens)
-    assert np.array_equal(y, reference_solve_Y_terminal(fam, psi, b, g, ens))
+    want = reference_solve_Y_terminal(fam, psi, b, g, ens)
+    assert np.all(np.abs(y - want).max(axis=0)
+                  <= 1e-13 * np.abs(want).max(axis=0))
 
 
 def test_solve_Y_growth_breach_on_last_path_raises():
@@ -245,6 +262,31 @@ def test_solve_Y_growth_breach_on_last_path_raises():
                            growth_a=3.0, growth_b=1.0)
     sd = math.sqrt(T - g.nodes[4])
     gauss_hermite_mean(fam, 0.0, ens.w[:-1, 4], sd)  # the others pass
+    with pytest.raises(QuadratureError):
+        solve_Y(fam, psi, ens)
+
+
+def test_solve_Y_growth_breach_on_lowest_state_raises():
+    # the mirror case: h breaks its envelope only below x = -25, which the
+    # Gauss-Hermite points reach only from the first path, moved to
+    # W = -40 at one node, where it is the lowest state
+    g, m, spec, phi, psi = setup_reduced(0.3, 10)
+    ens = sample_paths(2 * GH_BLOCK + 1, 6, "Q", zero_drift(g))
+    draws = ens.draws.copy()
+    shift = -40.0 - ens.w[0, 4]
+    draws[0, 3] += shift
+    draws[0, 4] -= shift
+    ens = dataclasses.replace(ens, draws=draws)
+    assert ens.w[0, 4] == pytest.approx(-40.0)
+
+    def h(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < -25.0, 10.0 * np.exp(np.abs(x)), x**2)
+
+    fam = TerminalFunction(h=h, dh=lambda t, x: 2.0 * np.asarray(x),
+                           growth_a=3.0, growth_b=1.0)
+    sd = math.sqrt(T - g.nodes[4])
+    gauss_hermite_mean(fam, 0.0, ens.w[1:, 4], sd)  # the others pass
     with pytest.raises(QuadratureError):
         solve_Y(fam, psi, ens)
 

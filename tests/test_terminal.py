@@ -12,6 +12,8 @@ from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
 from bsvielab.measures import Uniform
 from bsvielab.solver import solve_Y
 from bsvielab.terminal import (
+    CHEB_NODES,
+    GH_NODES,
     Deterministic,
     GaussianLinear,
     QuadratureError,
@@ -232,6 +234,99 @@ def test_sweep_matches_pointwise_conditionals():
                 for a in (i, min(i + 3, 15)):
                     want = conditional_F(fam, g.nodes[a], g.nodes[i], e)
                     assert np.allclose(c[a], want), (fam, i, a)
+
+
+def mc_terminal_ensemble(seed, n=40, m=20000):
+    """A drifted mode-Q ensemble: uniform delay, c = 0.3, g = 0.2."""
+    g = grid(n)
+    b = drift(DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2),
+                               g))
+    return sample_paths(m, seed, "Q", b)
+
+
+def direct_layer(fam, e, i, times):
+    """Node i's conditionals from the Gauss-Hermite rule at every path's
+    state, at the given times."""
+    shift = e.drift_fn.remaining()[i]
+    sd = math.sqrt(max(T - e.grid.nodes[i], 0.0))
+    return gauss_hermite_mean(fam, times, e.w[:, i] + shift, sd)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("fam", [
+    make_h("square"),
+    make_h("exp"),
+    make_h("affine"),
+    TerminalFunction(
+        h=lambda t, x: np.exp(-t) * np.asarray(x) ** 2 + t * np.asarray(x),
+        dh=lambda t, x: 2.0 * np.exp(-t) * np.asarray(x) + t,
+        growth_a=3.0, growth_b=1.0, t_dependent=True),
+], ids=["square", "exp", "affine", "t-dependent"])
+def test_sweep_interpolant_matches_direct_layer(fam, seed):
+    # each node within 1e-13 of its largest |C_i|; a t-dependent h is
+    # checked on the diagonal row, which Y reads, and on the last
+    e = mc_terminal_ensemble(seed)
+    n = e.grid.n
+    for i, c in conditional_sweep(fam, e):
+        rows = [i, n] if fam.t_dependent else [0]
+        want = direct_layer(fam, e, i, e.grid.nodes[rows])
+        got = c[rows]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), i
+
+
+def test_sweep_kinked_h_falls_back_bitwise():
+    # the rule's mean of |x - 0.3| is piecewise linear in the state, so no
+    # interior node's fit passes the certificate: each tries its 2K - 1
+    # points, then takes the rule at every state, bit for bit
+    shapes = []
+
+    def h(t, x):
+        shapes.append(np.shape(x))
+        return np.abs(np.asarray(x, dtype=float) - 0.3)
+
+    fam = TerminalFunction(h=h, dh=lambda t, x: np.sign(np.asarray(x) - 0.3),
+                           growth_a=2.0, growth_b=1.0)
+    e = mc_terminal_ensemble(1)
+    for i, c in conditional_sweep(fam, e):
+        want = direct_layer(fam, e, i, e.grid.nodes[:1])
+        assert np.array_equal(c[0], want[0]), i
+    n_tries = shapes.count((2 * CHEB_NODES - 1, GH_NODES))
+    assert n_tries == e.grid.n - 1
+
+
+def test_sweep_counts_h_points():
+    # the interior nodes evaluate h on 2K - 1 states each; t_0 (every state
+    # W = 0) and t_N (sd = 0) on all M
+    n, m = 40, 20000
+    points = []
+
+    def h(t, x):
+        points.append(np.size(x))
+        return np.asarray(x, dtype=float) ** 2
+
+    fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
+    for _ in conditional_sweep(fam, mc_terminal_ensemble(1, n, m)):
+        pass
+    assert sum(points) <= ((n - 1) * (2 * CHEB_NODES - 1) + 2 * m) * GH_NODES
+
+
+def test_nan_at_an_interpolation_point_raises():
+    # h is NaN at one point of the first layer on a node's interpolation
+    # points and finite everywhere else
+    poisoned = []
+
+    def h(t, x):
+        out = np.asarray(x, dtype=float) ** 2
+        if np.shape(x) == (2 * CHEB_NODES - 1, GH_NODES) and not poisoned:
+            poisoned.append(t)
+            out[6, 0] = np.nan
+        return out
+
+    fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
+    with pytest.raises(QuadratureError):
+        for _ in conditional_sweep(fam, mc_terminal_ensemble(1, 10, 200)):
+            pass
+    assert poisoned
 
 
 def test_registries_reject_unknown_names():

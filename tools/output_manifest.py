@@ -21,8 +21,10 @@ With two trees it runs each tree in its own subprocess, writing every
 output to a scratch directory, then compares them run by run.  For each
 CSV or ``*.meta.json`` sidecar that differs it prints the largest |delta|
 per column or key; a differing exit code, stdout (the numbers in it are
-compared in order), file set or row count is reported as such.  It ends
-with the count of identical and differing files.
+compared in order), file set or row count is reported as such.  Next to
+each largest |delta| it prints that |delta| over the largest |old| value of
+the column (of the key, for a sidecar), so a move can be read against a
+relative bound.  It ends with the count of identical and differing files.
 
 One sweep takes about a minute on a 2-vCPU host.  It is a tool, not a
 test: pytest does not collect it.
@@ -127,17 +129,27 @@ def csv_delta(old: str, new: str) -> list[str]:
         a, b = list(csv.reader(fa)), list(csv.reader(fb))
     if a[:1] != b[:1] or len(a) != len(b):
         return [f"header or row count differs ({len(a)} vs {len(b)} rows)"]
-    worst = {}
+    worst, scale = {}, {}
     for ra, rb in zip(a[1:], b[1:]):
         if len(ra) != len(rb):
             return [f"row lengths differ ({len(ra)} vs {len(rb)} cells)"]
         for col, ca, cb in zip(a[0], ra, rb):
+            fa_, fb_ = _as_float(ca), _as_float(cb)
+            if fa_ is not None and math.isfinite(fa_):
+                scale[col] = max(scale.get(col, 0.0), abs(fa_))
             if ca == cb:
                 continue
-            fa_, fb_ = _as_float(ca), _as_float(cb)
             gap = math.inf if fa_ is None or fb_ is None else _gap(fa_, fb_)
             worst[col] = max(worst.get(col, 0.0), gap)
-    return [f"{col}: max|delta|={gap:.3g}" for col, gap in worst.items()]
+    return [f"{col}: max|delta|={gap:.3g} {_relative(gap, scale.get(col))}"
+            for col, gap in worst.items()]
+
+
+def _relative(gap: float, scale) -> str:
+    """gap over the largest |old| value of its column or key, as text."""
+    if not scale:
+        return "relative=n/a"
+    return f"relative={gap / scale:.3g}"
 
 
 def _flatten(value, prefix=""):
@@ -159,7 +171,10 @@ def json_delta(old: str, new: str) -> list[str]:
             continue
         if all(isinstance(v, (int, float)) and not isinstance(v, bool)
                for v in (va, vb)):
-            lines.append(f"{key}: {va!r} -> {vb!r} |delta|={_gap(va, vb):.3g}")
+            gap = _gap(va, vb)
+            scale = abs(va) if math.isfinite(va) else 0.0
+            lines.append(f"{key}: {va!r} -> {vb!r} |delta|={gap:.3g} "
+                         f"{_relative(gap, scale)}")
         else:
             lines.append(f"{key}: {va!r} -> {vb!r}")
     return lines
