@@ -97,28 +97,39 @@ def write_triangle(path: str, header: list[str], grid, *surfaces,
     """Write ``header``, one row (t_i, s_j, each surface at [i, j]) per
     grid pair i <= j in row-major order, then the ``labelled`` rows as
     write_csv does; the bytes are those of write_csv on the stacked rows.
-    The N+1 node cells are formatted once, a surface set that is all +0.0
-    is one constant cell string, and rows go out CSV_BLOCK_ROWS at a time,
-    so no more than one block of the file is held."""
-    i, j = np.triu_indices(grid.n + 1)
-    nodes = np.array([CELL % x for x in grid.nodes.tolist()], dtype=object)
-    if all(_all_plus_zero(s[i, j]) for s in surfaces):
-        cols, cells = (), ",".join(["0"] * len(surfaces))
-    else:
-        cols, cells = surfaces, _cells(len(surfaces))
-    fmt = "%s,%s," + cells + "\n"
+    The N+1 node cells are formatted once.  A surface set that is all +0.0
+    has one constant line tail ",s_j,0,...\\n" per node j, and grid row i
+    goes out as one join of t_i with the tails j >= i; any other set goes
+    out CSV_BLOCK_ROWS rows at a time, one format call each.  Either way
+    no more than one block or grid row of the file is held."""
+    node_cells = [CELL % x for x in grid.nodes.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(i), CSV_BLOCK_ROWS):
-            bi = i[start:start + CSV_BLOCK_ROWS]
-            bj = j[start:start + CSV_BLOCK_ROWS]
-            block = np.empty((len(bi), 2 + len(cols)), dtype=object)
-            block[:, 0] = nodes[bi]
-            block[:, 1] = nodes[bj]
-            for c, s in enumerate(cols):
-                block[:, 2 + c] = s[bi, bj]
-            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        if all(_all_plus_zero(np.triu(s)) for s in surfaces):
+            zeros = ",0" * len(surfaces) + "\n"
+            tails = ["," + s + zeros for s in node_cells]
+            for row, t in enumerate(node_cells):
+                fh.write(t.join(["", *tails[row:]]))
+        else:
+            _write_triangle_blocks(fh, node_cells, surfaces)
         _write_labelled(fh, labelled)
+
+
+def _write_triangle_blocks(fh, node_cells, surfaces) -> None:
+    """The rows (t_i, s_j, each surface at [i, j]) of write_triangle,
+    CSV_BLOCK_ROWS at a time, with one format call per block."""
+    i, j = np.triu_indices(len(node_cells))
+    nodes = np.array(node_cells, dtype=object)
+    fmt = "%s,%s," + _cells(len(surfaces)) + "\n"
+    for start in range(0, len(i), CSV_BLOCK_ROWS):
+        bi = i[start:start + CSV_BLOCK_ROWS]
+        bj = j[start:start + CSV_BLOCK_ROWS]
+        block = np.empty((len(bi), 2 + len(surfaces)), dtype=object)
+        block[:, 0] = nodes[bi]
+        block[:, 1] = nodes[bj]
+        for c, s in enumerate(surfaces):
+            block[:, 2 + c] = s[bi, bj]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:

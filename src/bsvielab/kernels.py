@@ -17,6 +17,10 @@ import numpy as np
 
 from .measures import DelayMeasure, snap_lag
 
+# Columns per block of the resolvent's triangular substitution: a grid of
+# at most this many nodes is solved in one dense step.
+RESOLVENT_BLOCK = 64
+
 
 class HorizonMismatch(ValueError):
     """Grid and measure horizons differ."""
@@ -285,15 +289,34 @@ def implicit_factors(phi: KernelTable) -> np.ndarray:
     return denom
 
 
+def _upper_substitution(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """X with X u = r for upper-triangular u and r, by column-blocked
+    forward substitution (Golub & Van Loan, 4th ed., 3.1.4): for each
+    block J of RESOLVENT_BLOCK columns, X[:, J] u[J, J] = r[:, J] -
+    X[:, <J] u[<J, J], one GEMM over the rows above J (X is upper
+    triangular, so the rows from J down add nothing) and one small dense
+    solve of the diagonal block.  A u of at most RESOLVENT_BLOCK columns
+    is one dense solve of the whole system.  Entries below each diagonal
+    block are zero; inside it they carry pivoting noise."""
+    n = len(u)
+    x = np.zeros_like(r)
+    for j0 in range(0, n, RESOLVENT_BLOCK):
+        j1 = min(j0 + RESOLVENT_BLOCK, n)
+        rhs = r[:j1, j0:j1].copy()
+        rhs[:j0] -= x[:j0, :j0] @ u[:j0, j0:j1]
+        x[:j1, j0:j1] = np.linalg.solve(u[j0:j1, j0:j1].T, rhs.T).T
+    return x
+
+
 def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
     """The limit of the series Phi + Phi o Phi + ..., solved for directly.
 
     volterra_compose is linear in its first argument, so the limit solves
     Psi = Phi + Psi o Phi, the triangular system
-    Psi (I - dt Phi + dt/2 D) = Phi - dt/2 D Phi with D = diag Phi.
-    Pivoting noise below the diagonal is cut, and the diagonal is Phi's,
-    as in the series.  tol only sets the reported order n_star.
-    ToleranceUnreachable when Psi overflows.
+    Psi (I - dt Phi + dt/2 D) = Phi - dt/2 D Phi with D = diag Phi,
+    solved by _upper_substitution.  Pivoting noise below the diagonal is
+    cut, and the diagonal is Phi's, as in the series.  tol only sets the
+    reported order n_star.  ToleranceUnreachable when Psi overflows.
     """
     p = phi.values
     denom = implicit_factors(phi)
@@ -301,7 +324,7 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
     np.fill_diagonal(system, denom)
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # overflow: a singular LinAlgError or a non-finite KernelTable
-            psi = np.triu(np.linalg.solve(system.T, (denom[:, None] * p).T).T)
+            psi = np.triu(_upper_substitution(denom[:, None] * p, system))
             np.fill_diagonal(psi, np.diag(p))
             KernelTable(phi.grid, psi)  # raises on a non-finite Psi
         except ValueError:

@@ -19,11 +19,12 @@ interpolant in the state, one per node: the rule is evaluated at
 CHEB_NODES Chebyshev-Lobatto points spanning the node's states (its end
 points the extreme states themselves), and the fit must match the rule at
 the CHEB_NODES - 1 interleaved points to CHEB_TOL times its largest node
-value.  A node whose states do not spread, whose transition has sd = 0,
-with too few paths to gain, or whose fit fails that certificate takes the
-rule at every state.  The growth guard checks every point whose h value
-enters a result; as the extreme states are interpolation points, the hull
-of the checked points is the one the rule at every state would check.
+value.  A node whose states do not spread (t_0) takes the rule at its one
+state for every path.  A node whose transition has sd = 0 (t_N), with too
+few paths to gain, or whose fit fails that certificate takes the rule at
+every state.  The growth guard checks every point whose h value enters a
+result; as the extreme states are interpolation points, the hull of the
+checked points is the one the rule at every state would check.
 """
 
 from __future__ import annotations
@@ -144,19 +145,28 @@ def gauss_hermite_mean(fam: TerminalFunction, t, mean, sd) -> np.ndarray:
     The means go GH_BLOCK at a time, each block's points and envelope built
     once for every t.  The last block takes the remainder (GH_BLOCK to
     2*GH_BLOCK - 1 means), so each block sums its rows with the BLAS
-    kernels that one call over all the means would use.
+    kernels that one call over all the means would use.  Equal points are
+    evaluated once: with sd = 0 a mean's GH_NODES points are the mean
+    itself, and a block of equal means has one set of points.  h and the
+    growth guard see those distinct points, and their values, repeated to
+    the block's full GH_NODES columns and rows, go into the same sum.
     """
     mean = np.asarray(mean, dtype=float)
     flat = mean.reshape(-1)
     times = [t] if np.ndim(t) == 0 else t
     out = np.empty((len(times), len(flat)))
-    shift = sd * _GH_SHIFT
+    shift = sd * _GH_SHIFT if sd else np.zeros(1)
     lo = 0
     for hi in [*range(GH_BLOCK, len(flat) - GH_BLOCK + 1, GH_BLOCK), len(flat)]:
-        pts = flat[lo:hi, None] + shift
+        block = flat[lo:hi]
+        if np.all(block == block[:1]):
+            block = block[:1]
+        pts = block[:, None] + shift
         bound = _growth_bound(fam, pts)
         for row, ta in zip(out, times):
-            row[lo:hi] = _growth_checked(fam, ta, pts, bound) @ _GH_W_NORM
+            vals = _growth_checked(fam, ta, pts, bound)
+            row[lo:hi] = np.ascontiguousarray(np.broadcast_to(
+                vals, (hi - lo, GH_NODES))) @ _GH_W_NORM
         lo = hi
     return out.reshape(np.shape(t) + mean.shape)
 
@@ -246,12 +256,15 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     points the extreme states exactly, turned into coefficients by one
     fixed K x K cosine matrix, certified against the rule at the K - 1
     interleaved points to CHEB_TOL times the largest node value, and
-    evaluated at the M states by Clenshaw's recurrence, one time row at a
-    time.  A node with sd = 0 (t_N), identical states (t_0), M <= 2K - 1
+    evaluated at the M states as one product of the coefficients with the
+    table of T_k at those states (_chebyshev_table), every time row at
+    once.  A node whose states are all equal (t_0) takes the rule's layer
+    at its one state for every path.  A node with sd = 0 (t_N), M <= 2K - 1
     or a failed certificate takes one gauss_hermite_mean call over every
-    path's state instead.  The growth guard checks every point whose h
-    value enters a result; as the extreme states are interpolation points,
-    the hull of those points is the one the rule at every state checks.
+    path's state instead; at sd = 0 that call reads h once per state.  The
+    growth guard checks every point whose h value enters a result; as the
+    extreme states are interpolation points, the hull of those points is
+    the one the rule at every state checks.
     """
     grid = ensemble.grid
     times = _times(fam, grid)
@@ -259,9 +272,12 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     w = ensemble.w
     for i in range(grid.n + 1):
         x = w[:, i] + shift[i]
-        c = _interpolated_mean(fam, times, x, sd[i])
-        if c is None:
-            c = gauss_hermite_mean(fam, times, x, sd[i])
+        if x.min() == x.max():  # t_0: the layer's first block, one row
+            c = gauss_hermite_mean(fam, times, x[:GH_BLOCK], sd[i])[:, :1]
+        else:
+            c = _interpolated_mean(fam, times, x, sd[i])
+            if c is None:
+                c = gauss_hermite_mean(fam, times, x, sd[i])
         yield i, np.broadcast_to(c, (grid.n + 1, ensemble.n_paths))
 
 
@@ -271,7 +287,9 @@ def _interpolated_mean(fam: TerminalFunction, times: np.ndarray,
     interpolant on [min x, max x] (see conditional_sweep), or None where
     the interpolant does not apply or fails its certificate.  The 2K - 1
     points go through one gauss_hermite_mean call, its growth guard
-    included."""
+    included.  The fit at the check points and the values at the states
+    are both the coefficients times a _chebyshev_table, one GEMM for every
+    time row."""
     lo, hi = x.min(), x.max()
     if not (sd > 0.0 and hi > lo and len(x) > 2 * CHEB_NODES - 1):
         return None
@@ -281,28 +299,24 @@ def _interpolated_mean(fam: TerminalFunction, times: np.ndarray,
     vals = gauss_hermite_mean(fam, times, pts, sd)
     nodes, checks = vals[:, ::2], vals[:, 1::2]
     coef = nodes @ _CHEB_COEF.T
-    fit = _clenshaw(coef.T[:, :, None], _CHEB_X[1::2])
+    fit = coef @ _chebyshev_table(_CHEB_X[1::2])
     scale = np.abs(nodes).max(axis=1, keepdims=True)
     if not np.all(np.abs(fit - checks) <= CHEB_TOL * scale):
         return None
-    s = (x - mid) / half
-    out = np.empty((len(times), len(x)))
-    for row, c in zip(out, coef):
-        row[:] = _clenshaw(c, s)
-    return out
+    return coef @ _chebyshev_table((x - mid) / half)
 
 
-def _clenshaw(coef, s):
-    """sum_k coef[k] T_k(s) by Clenshaw's recurrence, the coefficients
-    along the first axis of coef, each broadcast against s."""
+def _chebyshev_table(s: np.ndarray) -> np.ndarray:
+    """T_k(s) for k = 0..CHEB_NODES - 1, one row per k, by the three-term
+    recurrence T_k = 2 s T_(k-1) - T_(k-2)."""
+    table = np.empty((CHEB_NODES, len(s)))
+    table[0] = 1.0
+    table[1] = s
     s2 = s + s
-    shape = np.broadcast_shapes(np.shape(coef[0]), np.shape(s))
-    b1, b2, tmp = np.zeros((3, *shape))
-    for ck in coef[:0:-1]:  # b2 <- 2 s b1 - b2 + c_k, then b1 and b2 swap
-        np.subtract(np.multiply(s2, b1, out=tmp), b2, out=b2)
-        b2 += ck
-        b1, b2 = b2, b1
-    return s * b1 - b2 + coef[0]
+    for k in range(2, CHEB_NODES):
+        np.multiply(s2, table[k - 1], out=table[k])
+        table[k] -= table[k - 2]
+    return table
 
 
 def malliavin_table(fam: GaussianLinear | TerminalFunction,

@@ -19,6 +19,10 @@ numbers, because every path comes from that one draw.
 A Gaussian-linear phi is evaluated in one place, terminal._phi_table, on
 every pair of nodes: no other code under src/ calls <expr>.phi(...), so
 the conditionals, the F table and the Malliavin table read one table.
+
+Linear systems are solved in one place, the resolvent's blocked
+substitution kernels._upper_substitution: no other code under src/
+calls numpy.linalg.solve, so no command pays for a dense (N+1)^3 solve.
 """
 
 import ast
@@ -31,6 +35,7 @@ PHI_DIRECT_HOMES = {"kernels"}
 NO_MEASURES_IMPORT = {"oracles", "girsanov"}
 RNG_HOME = ("girsanov", "sample_paths")
 PHI_HOME = ("terminal", "_phi_table")
+SOLVE_HOME = ("kernels", "_upper_substitution")
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -232,3 +237,64 @@ def test_src_evaluates_phi_only_in_phi_table():
                                    path.stem)]
     assert not found, ("phi evaluated outside terminal._phi_table:\n"
                        + "\n".join(found))
+
+
+def linalg_solves(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, what) of each read of numpy.linalg.solve (through any alias
+    the module gives numpy or numpy.linalg) and each import of it, outside
+    the top-level function SOLVE_HOME[1] of the module SOLVE_HOME[0]."""
+    tree = ast.parse(source)
+    aliases = numpy_aliases(tree)
+    linalg = {a.asname for node in ast.walk(tree)
+              if isinstance(node, ast.Import)
+              for a in node.names if a.name == "numpy.linalg" and a.asname}
+    linalg |= {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+               for a in node.names if a.name == "linalg"}
+    home = home_nodes(tree, module, SOLVE_HOME)
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in home:
+            continue
+        if (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                and any(a.name == "solve" for a in node.names)):
+            found.append((node.lineno, "from numpy.linalg import solve"))
+        elif isinstance(node, ast.Attribute) and node.attr == "solve":
+            v = node.value
+            if isinstance(v, ast.Name) and v.id in linalg:
+                found.append((node.lineno, f"{v.id}.solve"))
+            elif (isinstance(v, ast.Attribute) and v.attr == "linalg"
+                  and isinstance(v.value, ast.Name)
+                  and v.value.id in aliases):
+                found.append((node.lineno, f"{v.value.id}.linalg.solve"))
+    return sorted(found)
+
+
+def test_scan_finds_linalg_solves():
+    source = ("import numpy as np\n"
+              "import numpy.linalg as la\n"
+              "from numpy import linalg\n"
+              "from numpy.linalg import solve\n"
+              "def _upper_substitution(r, u):\n"
+              "    return np.linalg.solve(u.T, r.T).T\n"
+              "def resolvent(a, b):\n"
+              "    x = np.linalg.solve(a, b) + la.solve(a, b)\n"
+              "    return x + linalg.solve(a, b) + np.linalg.inv(a)\n"
+              "class Table:\n"
+              "    def _upper_substitution(self, r, u):\n"
+              "        return np.linalg.solve(u, r) + self.solve(u)\n")
+    outside = [(4, "from numpy.linalg import solve"), (8, "la.solve"),
+               (8, "np.linalg.solve"), (9, "linalg.solve"),
+               (12, "np.linalg.solve")]
+    assert linalg_solves(source, "kernels") == outside
+    assert linalg_solves(source, "oracles") == sorted(
+        outside + [(6, "np.linalg.solve")])
+
+
+def test_src_solves_linear_systems_only_in_the_substitution():
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, what in linalg_solves(
+                 path.read_text(encoding="utf-8"), path.stem)]
+    assert not found, ("numpy.linalg.solve outside "
+                       "kernels._upper_substitution:\n" + "\n".join(found))

@@ -3,7 +3,9 @@ series it replaces, and the order of accuracy of the routes that use it.
 
 The series Phi + Phi o Phi + ... built from volterra_compose is kept here
 as the oracle: it is how the paper writes Psi, and its limit is what
-kernels.resolvent solves for in one step.
+kernels.resolvent solves for in one step.  That step is a column-blocked
+triangular substitution; one dense np.linalg.solve of the whole system
+is its reference here.
 """
 
 import importlib.util
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsvielab.kernels import DelayedGenerator, KernelTable, TriangularGrid, \
-    build_phi, constant_kernel, example33_kernel, identity_residual, \
+from bsvielab.kernels import RESOLVENT_BLOCK, DelayedGenerator, \
+    KernelTable, ResolventTable, TriangularGrid, build_phi, \
+    constant_kernel, example33_kernel, identity_residual, implicit_factors, \
     poly_exp_kernel, resolvent, volterra_compose
 from bsvielab.measures import Atoms, DiracAt, Uniform
 
@@ -110,3 +113,59 @@ def test_order_of_accuracy_gate():
     for q, p in orders.items():
         assert p >= 1.9, (q, p, table[q])
     assert elapsed < 1.0, elapsed
+
+
+def dense_resolvent(phi: KernelTable) -> np.ndarray:
+    """Psi by one dense np.linalg.solve of the whole triangular system, the
+    reference the blocked substitution replaces."""
+    p = phi.values
+    denom = implicit_factors(phi)
+    system = -phi.grid.dt * p
+    np.fill_diagonal(system, denom)
+    psi = np.triu(np.linalg.solve(system.T, (denom[:, None] * p).T).T)
+    np.fill_diagonal(psi, np.diag(p))
+    return psi
+
+
+TABLE_KERNELS = {
+    "smooth": lambda t, s: np.exp(t - s) * (1.0 + t),
+    "oscillating": lambda t, s: np.cos(25.0 * (s - t) + 3.0 * t),
+}
+
+
+@pytest.mark.parametrize("c", [1.0, 35.0])
+@pytest.mark.parametrize("kind", sorted(TABLE_KERNELS))
+@pytest.mark.parametrize("nodes", [63, 64, 65, 129, 601])
+def test_blocked_substitution_matches_dense_solve(nodes, kind, c):
+    grid = TriangularGrid(1.0, nodes - 1)
+    t = grid.nodes
+    phi = KernelTable(grid, np.triu(c * TABLE_KERNELS[kind](
+        t[:, None], t[None, :])))
+    psi = resolvent(phi, 1e-10)
+    ref = dense_resolvent(phi)
+    if nodes <= RESOLVENT_BLOCK:
+        assert psi.values.tobytes() == ref.tobytes()
+    sup = np.abs(ref).max()
+    assert np.abs(psi.values - ref).max() <= 1e-14 * sup
+    # both residuals are rounding noise of a few ulps of sup|Psi|, and
+    # their maxima differ by up to ~2.3x between equally stable
+    # substitution orders; the reference is floored at 4 ulps
+    ref_residual = identity_residual(
+        phi, ResolventTable(grid, ref, psi.n_star, psi.tail_bound))
+    floor = 4.0 * np.finfo(float).eps * sup
+    assert identity_residual(phi, psi) <= 2.0 * max(ref_residual, floor)
+
+
+def test_resolvent_solves_no_full_size_system(monkeypatch):
+    grid = TriangularGrid(1.0, 600)
+    phi = KernelTable(grid, np.triu(np.ones((601, 601))))
+    shapes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    resolvent(phi, 1e-10)
+    assert shapes and all(max(s) < 601 for s in shapes)

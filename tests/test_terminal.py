@@ -296,7 +296,7 @@ def test_sweep_kinked_h_falls_back_bitwise():
 
 def test_sweep_counts_h_points():
     # the interior nodes evaluate h on 2K - 1 states each; t_0 (every state
-    # W = 0) and t_N (sd = 0) on all M
+    # W = 0) on one state's GH_NODES points, and t_N (sd = 0) once per state
     n, m = 40, 20000
     points = []
 
@@ -307,7 +307,7 @@ def test_sweep_counts_h_points():
     fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
     for _ in conditional_sweep(fam, mc_terminal_ensemble(1, n, m)):
         pass
-    assert sum(points) <= ((n - 1) * (2 * CHEB_NODES - 1) + 2 * m) * GH_NODES
+    assert sum(points) <= ((n - 1) * (2 * CHEB_NODES - 1) + 1) * GH_NODES + m
 
 
 def test_nan_at_an_interpolation_point_raises():
