@@ -55,7 +55,6 @@ _CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardFailed, SingularStep,
                        RegressionIllConditioned)
 
 
-CSV_BLOCK_ROWS = 4096
 CELL = "%.12g"  # the format of every float cell of every CSV written
 
 
@@ -72,18 +71,17 @@ def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
     """Write ``header``, the rows of the float ``table`` (a 2-D array, or
     an iterable of equal-length rows), then one line per ``(label,
     values)`` of ``labelled``: the label's cells as given, then the values.
-    Every float is written as CELL (``%.12g``), the table in blocks of
-    CSV_BLOCK_ROWS rows with one format call each.  The triangle tables
-    t <= s go through write_triangle.  The package passes arrays; a traced
-    benchmark run counts the rows through a generator (perfbench/tracer.py)."""
+    Every float is written as CELL (``%.12g``), the whole table with one
+    format call; the tables it gets have at most max(N+1, 200) rows.  The
+    triangle tables t <= s go through write_triangle.  The package passes
+    arrays; a traced benchmark run counts the rows through a generator
+    (perfbench/tracer.py)."""
     if not isinstance(table, np.ndarray):
         table = np.array(list(table), dtype=float)
     fmt = _cells(table.shape[-1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        fh.write((fmt * len(table)) % tuple(table.ravel().tolist()))
         _write_labelled(fh, labelled)
 
 
@@ -97,39 +95,24 @@ def write_triangle(path: str, header: list[str], grid, *surfaces,
     """Write ``header``, one row (t_i, s_j, each surface at [i, j]) per
     grid pair i <= j in row-major order, then the ``labelled`` rows as
     write_csv does; the bytes are those of write_csv on the stacked rows.
-    The N+1 node cells are formatted once.  A surface set that is all +0.0
-    has one constant line tail ",s_j,0,...\\n" per node j, and grid row i
-    goes out as one join of t_i with the tails j >= i; any other set goes
-    out CSV_BLOCK_ROWS rows at a time, one format call each.  Either way
-    no more than one block or grid row of the file is held."""
+    The node cells are formatted once, into one line tail ",s_j,<cells>\\n"
+    per node j, whose cells are one CELL per surface, or "0" per surface
+    when every surface is +0.0 on i <= j.  Grid row i is one join of t_i
+    with the tails j >= i and, unless the set is all +0.0, one format call
+    with the row's values; one grid row of the file is held at a time."""
+    zero = all(_all_plus_zero(np.triu(s)) for s in surfaces)
+    cells = ("," + ("0" if zero else CELL)) * len(surfaces) + "\n"
     node_cells = [CELL % x for x in grid.nodes.tolist()]
+    tails = ["," + s + cells for s in node_cells]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        if all(_all_plus_zero(np.triu(s)) for s in surfaces):
-            zeros = ",0" * len(surfaces) + "\n"
-            tails = ["," + s + zeros for s in node_cells]
-            for row, t in enumerate(node_cells):
-                fh.write(t.join(["", *tails[row:]]))
-        else:
-            _write_triangle_blocks(fh, node_cells, surfaces)
+        for i, t in enumerate(node_cells):
+            row = t.join(["", *tails[i:]])
+            if not zero:
+                row %= tuple(np.column_stack(
+                    [s[i, i:] for s in surfaces]).ravel().tolist())
+            fh.write(row)
         _write_labelled(fh, labelled)
-
-
-def _write_triangle_blocks(fh, node_cells, surfaces) -> None:
-    """The rows (t_i, s_j, each surface at [i, j]) of write_triangle,
-    CSV_BLOCK_ROWS at a time, with one format call per block."""
-    i, j = np.triu_indices(len(node_cells))
-    nodes = np.array(node_cells, dtype=object)
-    fmt = "%s,%s," + _cells(len(surfaces)) + "\n"
-    for start in range(0, len(i), CSV_BLOCK_ROWS):
-        bi = i[start:start + CSV_BLOCK_ROWS]
-        bj = j[start:start + CSV_BLOCK_ROWS]
-        block = np.empty((len(bi), 2 + len(surfaces)), dtype=object)
-        block[:, 0] = nodes[bi]
-        block[:, 1] = nodes[bj]
-        for c, s in enumerate(surfaces):
-            block[:, 2 + c] = s[bi, bj]
-        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:

@@ -259,7 +259,10 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     evaluated at the M states as one product of the coefficients with the
     table of T_k at those states (_chebyshev_table), every time row at
     once.  A node whose states are all equal (t_0) takes the rule's layer
-    at its one state for every path.  A node with sd = 0 (t_N), M <= 2K - 1
+    at its one state for every path, read from a full block of GH_BLOCK
+    equal states whatever M is, so that Y(0) does not depend on M (the
+    BLAS sum of a block's rows gives another last bit to a row left over
+    from groups of 4).  A node with sd = 0 (t_N), M <= 2K - 1
     or a failed certificate takes one gauss_hermite_mean call over every
     path's state instead; at sd = 0 that call reads h once per state.  The
     growth guard checks every point whose h value enters a result; as the
@@ -272,8 +275,9 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     w = ensemble.w
     for i in range(grid.n + 1):
         x = w[:, i] + shift[i]
-        if x.min() == x.max():  # t_0: the layer's first block, one row
-            c = gauss_hermite_mean(fam, times, x[:GH_BLOCK], sd[i])[:, :1]
+        if x.min() == x.max():  # t_0: one full block of the one state
+            c = gauss_hermite_mean(fam, times, np.full(GH_BLOCK, x[0]),
+                                   sd[i])[:, :1]
         else:
             c = _interpolated_mean(fam, times, x, sd[i])
             if c is None:

@@ -336,33 +336,46 @@ def test_mode_q_compare_on_dirac_reduction_is_ok(tmp_path, capsys):
 
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
-    cli.write_csv(str(path), ["a", "b"],
-                  np.array([(np.float64(-np.nan), np.float64(-0.0), -np.inf,
-                             np.int64(3), np.float64(1e-05), 0.1 + 0.2,
-                             1e308 * 10)]),
-                  labelled=[(("integral", ""),
-                             (np.nan, -0.0, np.inf, 3, 1e-05))])
-    assert path.read_text() == ("a,b\n"
-                                "nan,-0,-inf,3,1e-05,0.3,inf\n"
-                                "integral,,nan,-0,inf,3,1e-05\n")
+    table = np.array([(np.float64(-np.nan), np.float64(-0.0), -np.inf,
+                       np.int64(3), np.float64(1e-05), 0.1 + 0.2,
+                       1e308 * 10)])
+    # a traced run passes the rows through a generator
+    for rows in (table, (row for row in table)):
+        cli.write_csv(str(path), ["a", "b"], rows,
+                      labelled=[(("integral", ""),
+                                 (np.nan, -0.0, np.inf, 3, 1e-05))])
+        assert path.read_text() == ("a,b\n"
+                                    "nan,-0,-inf,3,1e-05,0.3,inf\n"
+                                    "integral,,nan,-0,inf,3,1e-05\n")
 
-    # tables ending just before, on and just after a block boundary, with
-    # the special cells on the rows either side of it
+    # no table rows, only labelled ones (girsanov.csv), as an array and as
+    # an empty generator
+    stats = [(("mean_weight",), (1.0, 0.01)), (("crosscheck_gap",), (-0.0, 0))]
+    for empty in (np.empty((0, 3)), (row for row in np.empty((0, 3)))):
+        cli.write_csv(str(path), ["statistic", "value", "stderr"], empty,
+                      labelled=stats)
+        assert path.read_text() == ("statistic,value,stderr\n"
+                                    "mean_weight,1,0.01\n"
+                                    "crosscheck_gap,-0,0\n")
+
+    # tables ending just before, on and just after 4096 rows, with the
+    # special cells on the rows either side of it
     rng = np.random.default_rng(5)
     special = [np.nan, -0.0, np.inf, -np.inf, 3.0, -7.0, 1e13, 1e-13,
                -1e13, 0.1 + 0.2, 5e-324, 2.2250738585072014e-308]
-    block = cli.CSV_BLOCK_ROWS
+    block = 4096
     for n_rows in (block - 1, block, block + 1):
         table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(
             -15, 15, (n_rows, 3))
         for k, x in enumerate(special):
             table[(block - 2 + k // 3) % n_rows, k % 3] = x
             table[k % n_rows, k % 3] = x
-        cli.write_csv(str(path), ["x", "y", "z"], table)
         want = "x,y,z\n" + "".join(
             ",".join(format(x, ".12g") for x in row) + "\n"
             for row in table.tolist())
-        assert path.read_text() == want, n_rows
+        for rows in (table, (row for row in table)):
+            cli.write_csv(str(path), ["x", "y", "z"], rows)
+            assert path.read_text() == want, n_rows
 
 
 def reference_triangle_rows(grid, *surfaces):
@@ -383,18 +396,20 @@ def reference_triangle_text(header, grid, surfaces, labelled=()):
 
 
 def test_triangle_rows_match_double_loop(tmp_path):
-    # N = 89 and 90 write 4095 and 4186 rows, either side of one block
-    block = cli.CSV_BLOCK_ROWS
+    # N = 89 and 90 write 4095 and 4186 rows, either side of 4096; N = 2
+    # writes 6
+    block = 4096
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e13, 1e-13, -1e13,
                0.1 + 0.2]
     rng = np.random.default_rng(11)
     path = tmp_path / "tri.csv"
-    for n, n_rows in ((89, block - 1), (90, 4186)):
+    for n, n_rows in ((89, block - 1), (90, 4186), (2, 6)):
         grid = TriangularGrid(0.7, n)
         i, j = np.triu_indices(n + 1)
         assert len(i) == n_rows
-        # the special cells sit on the ten rows around the block boundary,
-        # or on the last ten rows of a table that ends before it
+        # the special cells sit on the ten rows around row 4096, or on the
+        # last ten rows of a table that ends before it (wrapping round a
+        # table of fewer rows)
         rows = np.arange(block - 5, block + 5)
         if n_rows < block:
             rows -= rows[-1] + 1 - n_rows
@@ -406,6 +421,10 @@ def test_triangle_rows_match_double_loop(tmp_path):
         zero = np.zeros((n + 1, n + 1))
         minus_zero = zero.copy()
         minus_zero[i[rows[5]], j[rows[5]]] = -0.0
+        # +0.0 on i <= j: the zero cells are written whatever lies below
+        lower_dirty = zero.copy()
+        lower_dirty[np.tril_indices(n + 1, -1)] = np.nan
+        lower_dirty[n, 0] = -0.0
         cases = [
             ((a,), ()),
             ((a, b), [(("integral", ""), (0.1 + 0.2,))]),
@@ -415,6 +434,8 @@ def test_triangle_rows_match_double_loop(tmp_path):
             ((minus_zero,), ()),
             ((minus_zero, zero), ()),
             ((np.full((n + 1, n + 1), np.nan),), ()),
+            ((lower_dirty,), ()),
+            ((lower_dirty, zero), [(("integral", ""), (-0.0,))]),
         ]
         for surfaces, labelled in cases:
             header = ["t", "s"] + [f"v{c}" for c in range(len(surfaces))]

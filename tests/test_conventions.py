@@ -23,6 +23,12 @@ the conditionals, the F table and the Malliavin table read one table.
 Linear systems are solved in one place, the resolvent's blocked
 substitution kernels._upper_substitution: no other code under src/
 calls numpy.linalg.solve, so no command pays for a dense (N+1)^3 solve.
+
+Output bytes have one home, the writers of cli: a file is opened for
+writing only in cli.write_csv, cli.write_triangle and cli.write_meta, so
+every CSV cell is formatted as cli.CELL and every sidecar is sorted JSON.
+No code under src/ builds an object array: cells are formatted straight
+from the float tables, with no Python object per cell in between.
 """
 
 import ast
@@ -36,6 +42,8 @@ NO_MEASURES_IMPORT = {"oracles", "girsanov"}
 RNG_HOME = ("girsanov", "sample_paths")
 PHI_HOME = ("terminal", "_phi_table")
 SOLVE_HOME = ("kernels", "_upper_substitution")
+WRITE_HOMES = [("cli", "write_csv"), ("cli", "write_triangle"),
+               ("cli", "write_meta")]
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -298,3 +306,93 @@ def test_src_solves_linear_systems_only_in_the_substitution():
                  path.read_text(encoding="utf-8"), path.stem)]
     assert not found, ("numpy.linalg.solve outside "
                        "kernels._upper_substitution:\n" + "\n".join(found))
+
+
+def open_mode(call: ast.Call):
+    """The mode of a call open(...), io.open(...) or <path>.open(...) (a
+    non-literal mode as "?"), or None for any other call."""
+    f = call.func
+    if isinstance(f, ast.Name) and f.id == "open" or (
+            isinstance(f, ast.Attribute) and f.attr == "open"
+            and isinstance(f.value, ast.Name) and f.value.id == "io"):
+        where = 1
+    elif isinstance(f, ast.Attribute) and f.attr == "open":
+        where = 0
+    else:
+        return None
+    mode = {k.arg: k.value for k in call.keywords}.get("mode")
+    if mode is None and len(call.args) > where:
+        mode = call.args[where]
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) else "?"
+
+
+def is_object_dtype(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "object"
+            or isinstance(node, ast.Attribute) and node.attr == "object_"
+            or isinstance(node, ast.Constant) and node.value in ("O", "object"))
+
+
+def output_breaches(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, what) of each file opened for writing (a mode with w, a, x
+    or +, or one that is not a literal) or written by write_text or
+    write_bytes outside the top-level functions WRITE_HOMES, and of each
+    dtype=object or astype(object) anywhere."""
+    tree = ast.parse(source)
+    home = set().union(*(home_nodes(tree, module, h) for h in WRITE_HOMES))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        mode = open_mode(node)
+        if id(node) not in home and (
+                mode is not None and set(mode) & set("wax+?")
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("write_text", "write_bytes")):
+            found.append((node.lineno, "write outside the cli writers"))
+        if any(k.arg == "dtype" and is_object_dtype(k.value)
+               for k in node.keywords) or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "astype" and node.args
+                and is_object_dtype(node.args[0])):
+            found.append((node.lineno, "object dtype"))
+    return sorted(found)
+
+
+def test_scan_finds_output_breaches():
+    source = ("import io\n"
+              "import numpy as np\n"
+              "def write_csv(path, text):\n"
+              "    with open(path, \"w\", encoding=\"utf-8\") as fh:\n"
+              "        fh.write(text)\n"
+              "def write_meta(path, mode):\n"
+              "    return open(path, mode=mode)\n"
+              "def load(path, p):\n"
+              "    with open(path) as fh, open(path, \"rb\") as gh:\n"
+              "        return fh.read() + gh.read() + p.open().read()\n"
+              "def dump(path, p):\n"
+              "    io.open(path, \"a\").close()\n"
+              "    p.open(\"r+\").close()\n"
+              "    p.write_text(\"x\")\n"
+              "    a = np.array([1], dtype=object) + np.empty(1, dtype=\"O\")\n"
+              "    return a + np.zeros(1).astype(np.object_)\n")
+    outside = [(12, "write outside the cli writers"),
+               (13, "write outside the cli writers"),
+               (14, "write outside the cli writers"),
+               (15, "object dtype"), (15, "object dtype"),
+               (16, "object dtype")]
+    assert output_breaches(source, "cli") == outside
+    assert output_breaches(source, "solver") == sorted(
+        outside + [(4, "write outside the cli writers"),
+                   (7, "write outside the cli writers")])
+
+
+def test_src_writes_files_only_in_the_cli_writers():
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, what in output_breaches(
+                 path.read_text(encoding="utf-8"), path.stem)]
+    assert not found, ("files written outside cli.write_csv, "
+                       "cli.write_triangle and cli.write_meta, or an "
+                       "object array:\n" + "\n".join(found))

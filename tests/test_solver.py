@@ -175,6 +175,19 @@ def test_mean_Y_within_four_se_of_terminal_function_mean():
     assert np.all(np.abs(y_mc - tower) <= 4.0 * se + 1e-14 * np.abs(tower))
 
 
+def test_solve_Y_at_t0_does_not_depend_on_path_count():
+    # every path starts at W(0) = 0, so Y(0) is one value, the same bits
+    # whatever the path count; BLAS sums a layer's rows in groups of 4, so
+    # a layer over only the M < 4 states gives another last bit
+    g, m, spec, phi, psi = setup_reduced(0.3, 10, Uniform(T), g_value=0.2)
+    b = drift(DelayedGenerator(m, spec, g))
+    fam = make_h("square")
+    y0 = {m_paths: solve_Y(fam, psi, sample_paths(m_paths, 7, "Q", b))[:, 0]
+          for m_paths in (1, 2, 3, 4, 5, 300)}
+    assert {float(v) for col in y0.values() for v in col} == \
+        {float(y0[300][0])}, {k: float(v[0]) for k, v in y0.items()}
+
+
 def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
     """Terminal-function Y with each node's Gauss-Hermite layer taken over
     all M paths in one piece, as before the blocked layer; a t-independent

@@ -24,7 +24,9 @@ per column or key; a differing exit code, stdout (the numbers in it are
 compared in order), file set or row count is reported as such.  Next to
 each largest |delta| it prints that |delta| over the largest |old| value of
 the column (of the key, for a sidecar), so a move can be read against a
-relative bound.  It ends with the count of identical and differing files.
+relative bound.  It ends with the count of identical and differing files,
+and exits 1 when anything differs (an exit code, a stdout, a file set or
+a file's bytes), 0 when the two trees wrote the same bytes.
 
 One sweep takes about a minute on a 2-vCPU host.  It is a tool, not a
 test: pytest does not collect it.
@@ -241,6 +243,7 @@ if __name__ == "__main__":
         report, same, moved = delta(*map(os.path.abspath, sys.argv[1:]))
         print("\n".join(report + [f"identical files: {same}, "
                                   f"differing files: {moved}"]))
+        sys.exit(1 if report else 0)
     elif len(sys.argv) == 2:
         print("\n".join(manifest(os.path.abspath(sys.argv[1]))))
     else:
