@@ -150,10 +150,10 @@ class DelayedGenerator:
 
     def g_at(self, x: np.ndarray) -> np.ndarray:
         """g at the times x, zero-extended; ValueError where |g| exceeds
-        the declared g_bound."""
+        the declared g_bound or g is NaN."""
         k = self.kernel
         vals = zero_extend_kernel(lambda t, s: k.g(s))(x, x)
-        if np.abs(vals).max(initial=0.0) > k.g_bound + 1e-12:
+        if not np.abs(vals).max(initial=0.0) <= k.g_bound + 1e-12:
             raise ValueError(f"|g| exceeds declared bound {k.g_bound}")
         return vals
 

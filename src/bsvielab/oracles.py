@@ -236,14 +236,15 @@ def _raw_powers(wt: np.ndarray) -> np.ndarray:
 def _power_stats(wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and root-mean-square spread over the paths of each raw power
     row of _raw_powers(wt), the spread taken after centring; (K, D) each,
-    zero in the intercept column."""
+    zero in the intercept column.  Each row is reduced on its own, so a
+    node's values do not depend on the nodes beside it in wt."""
     rows = _raw_powers(wt)
     mean, sd = np.zeros(rows.shape[:2]), np.zeros(rows.shape[:2])
     for p in range(1, rows.shape[1]):
         row = rows[:, p]
         mean[:, p] = row.mean(axis=1)
         row -= mean[:, p, None]
-        sd[:, p] = np.sqrt(np.einsum("im,im->i", row, row) / wt.shape[1])
+        sd[:, p] = np.sqrt(np.square(row).sum(axis=1) / wt.shape[1])
     return mean, sd
 
 
@@ -252,11 +253,11 @@ class _StackedBasis:
     the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
     <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.  The node
-    means and scales sd (1 on a dead row) come first, from blocks of the
-    raw powers of at least two nodes (a block of rows reduces as the whole
-    (N+1) x M table does); then B^T is formed LSMC_CHUNK paths at a time
-    to accumulate gram = B^T B, bt_f = B^T F and, given dW, dwt_f = dW^T F
-    and dwt_b = dW^T B.  ones is the node blocks of B^T 1; ginv[i] inverts
+    means and scales sd (1 on a dead row) come first, by _power_stats on
+    blocks of nodes of at most LSMC_CHUNK (N+1) / 2 states (one node at
+    least); then B^T is formed LSMC_CHUNK paths at a time to accumulate
+    gram = B^T B, bt_f = B^T F and, given dW, dwt_f = dW^T F and dwt_b =
+    dW^T B.  ones is the node blocks of B^T 1; ginv[i] inverts
     node i's ridged Gram block on its live rows.
     RegressionIllConditioned if a block's condition number, the largest
     of which is cond, exceeds COND_LIMIT."""
@@ -267,12 +268,10 @@ class _StackedBasis:
         d = REGRESSION_DEGREE + 1
         self.mean = np.zeros((n1, d))
         sd = np.zeros((n1, d))
-        # the last block takes the remainder, up to 2 step - 1 nodes
-        step = max(2, LSMC_CHUNK * n1 // (2 * m_paths))
-        lo = 0
-        for hi in [*range(step, n1 - step + 1, step), n1]:
-            self.mean[lo:hi], sd[lo:hi] = _power_stats(w[:, lo:hi].T)
-            lo = hi
+        step = max(1, LSMC_CHUNK * n1 // (2 * m_paths))
+        for lo in range(0, n1, step):
+            part = slice(lo, lo + step)
+            self.mean[part], sd[part] = _power_stats(w[:, part].T)
         self.live = sd > 1e-12
         self.live[:, 1:] &= self.live[:, 1:2]  # p = 1 is W(t_i) itself
         self.sd = np.where(self.live, sd, 1.0)  # 1 for the intercept too
@@ -367,24 +366,27 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     """Regression Monte Carlo for the delayed equation with stochastic F,
     given as its (M, N+1) table of terminal.evaluate_F_table.
 
-    Picard sweeps regress the target F(t_i) + (delay integral of Y, by op
-    = build_delayed_operator(gen)) + (g-weighted Z term)
-    on the polynomial basis B_i in W(t_i) of _StackedBasis.  The bases stay
-    fixed, so the sweeps run on the stacked coefficients c, Y(t_i) = B_i c_i:
-    c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks of B^T F,
-    K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks; the
-    first sweep reads y = F, outside the span, through B^T F in full.  The
-    sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes.
-    Y itself is formed once, at the converged sweep: the divergence guard
-    reads the running bound sup|Y_1| + (later sup-differences) and forms
-    Y = B c only on a sweep where that bound is not below
-    DIVERGENCE_GUARD (a NaN is not), then restarts the bound from it.
-    Z(t_i, s_j) is the least-squares slope of theta = target - Y on dW_j:
-    refitted every sweep from dW^T F and dW^T B c when g != 0, since the
-    g-term reads it; the converged sweep forms theta path by path and
-    also takes the slope SEs.  RegressionIllConditioned if a Gram block
-    is ill-conditioned or an increment dW_j has no sample variance;
-    GridMismatch unless the ensemble is on the generator's grid.
+    Picard sweeps regress the target F(t_i) + (delay integral of Y, by op =
+    build_delayed_operator(gen)) + gz on the polynomial basis B_i in W(t_i)
+    of _StackedBasis.  gz is _g_weighted_term's g-weighted Z term (tail
+    trapezoid weights) of the last sweep's mean Z; on Q-paths it also takes
+    off the drift's compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point,
+    as the Ito sums): the equation holds under P, dW = dW^Q + b dt.  The
+    bases stay fixed, so the sweeps run on the stacked coefficients c,
+    Y(t_i) = B_i c_i: c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks
+    of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks;
+    the first sweep reads y = F, outside the span, through B^T F in full.
+    The sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes.  Y
+    itself is formed once, at the converged sweep: the divergence guard
+    reads the running bound sup|Y_1| + (later sup-differences) and forms Y =
+    B c only on a sweep where that bound is not below DIVERGENCE_GUARD (a
+    NaN is not), then restarts the bound from it.  Z(t_i, s_j) is the
+    least-squares slope of theta = target - Y on dW_j: refitted every sweep
+    from dW^T F and dW^T B c when g != 0, since the g-term reads it; the
+    converged sweep forms theta path by path and also takes the slope SEs.
+    RegressionIllConditioned if a Gram block is ill-conditioned or an
+    increment dW_j has no sample variance; GridMismatch unless the ensemble
+    is on the generator's grid.
     """
     grid = gen.grid
     if ensemble.grid != grid:
@@ -394,6 +396,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     op = build_delayed_operator(gen)
     trap = tail_weight_matrix(grid)
     dw = ensemble.dw
+    b_dt = ensemble.drift_fn.increments()
     incr = _IncrementBasis(dw, op, trap, grid.dt)
     w = ensemble.w
     basis = _StackedBasis(w, f_vals, dw if tilted else None)
@@ -414,6 +417,8 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     z_mean = np.zeros((n + 1, n + 1))
     for it in sweeps:
         gz = _g_weighted_term(gen, z_mean, trap)
+        if ensemble.tag == "Q":
+            gz -= np.append(np.triu(z_mean[:n, :n]) @ b_dt, 0.0)
         rhs = b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
         if c is None:  # the first sweep starts from y = F

@@ -138,36 +138,32 @@ def _growth_checked(fam: TerminalFunction, t, pts: np.ndarray,
     return vals
 
 
+def _gh_sum(vals: np.ndarray) -> np.ndarray:
+    """The Gauss-Hermite rule's weighted sum over the last axis of vals
+    (GH_NODES values, or 1 that stands for GH_NODES equal ones), row by
+    row: a BLAS GEMV would give a row bits that depend on its neighbours."""
+    return (vals * _GH_W_NORM).sum(axis=-1)
+
+
 def gauss_hermite_mean(fam: TerminalFunction, t, mean, sd) -> np.ndarray:
     """E[h(t, X)] for X ~ N(mean, sd^2), vectorized over an array of means;
     a 1-D array of times t adds a leading axis, one row per time.
 
     The means go GH_BLOCK at a time, each block's points and envelope built
-    once for every t.  The last block takes the remainder (GH_BLOCK to
-    2*GH_BLOCK - 1 means), so each block sums its rows with the BLAS
-    kernels that one call over all the means would use.  Equal points are
-    evaluated once: with sd = 0 a mean's GH_NODES points are the mean
-    itself, and a block of equal means has one set of points.  h and the
-    growth guard see those distinct points, and their values, repeated to
-    the block's full GH_NODES columns and rows, go into the same sum.
+    once for every t; a mean's value is _gh_sum of its own row, the same
+    bits in any call.  With sd = 0 h and the growth guard see a mean once.
     """
     mean = np.asarray(mean, dtype=float)
     flat = mean.reshape(-1)
     times = [t] if np.ndim(t) == 0 else t
     out = np.empty((len(times), len(flat)))
     shift = sd * _GH_SHIFT if sd else np.zeros(1)
-    lo = 0
-    for hi in [*range(GH_BLOCK, len(flat) - GH_BLOCK + 1, GH_BLOCK), len(flat)]:
-        block = flat[lo:hi]
-        if np.all(block == block[:1]):
-            block = block[:1]
-        pts = block[:, None] + shift
+    for lo in range(0, len(flat), GH_BLOCK):
+        pts = flat[lo:lo + GH_BLOCK, None] + shift
         bound = _growth_bound(fam, pts)
         for row, ta in zip(out, times):
             vals = _growth_checked(fam, ta, pts, bound)
-            row[lo:hi] = np.ascontiguousarray(np.broadcast_to(
-                vals, (hi - lo, GH_NODES))) @ _GH_W_NORM
-        lo = hi
+            row[lo:lo + GH_BLOCK] = _gh_sum(vals)
     return out.reshape(np.shape(t) + mean.shape)
 
 
@@ -258,13 +254,11 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     interleaved points to CHEB_TOL times the largest node value, and
     evaluated at the M states as one product of the coefficients with the
     table of T_k at those states (_chebyshev_table), every time row at
-    once.  A node whose states are all equal (t_0) takes the rule's layer
-    at its one state for every path, read from a full block of GH_BLOCK
-    equal states whatever M is, so that Y(0) does not depend on M (the
-    BLAS sum of a block's rows gives another last bit to a row left over
-    from groups of 4).  A node with sd = 0 (t_N), M <= 2K - 1
-    or a failed certificate takes one gauss_hermite_mean call over every
-    path's state instead; at sd = 0 that call reads h once per state.  The
+    once.  A node whose states are all equal (t_0) takes the rule at its
+    one state for every path, the bits of mean_profile's layer whatever M
+    is.  A node with sd = 0 (t_N), M <= 2K - 1 or a failed certificate
+    takes one gauss_hermite_mean call over every path's state instead; at
+    sd = 0 that call reads h once per state.  The
     growth guard checks every point whose h value enters a result; as the
     extreme states are interpolation points, the hull of those points is
     the one the rule at every state checks.
@@ -275,9 +269,8 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     w = ensemble.w
     for i in range(grid.n + 1):
         x = w[:, i] + shift[i]
-        if x.min() == x.max():  # t_0: one full block of the one state
-            c = gauss_hermite_mean(fam, times, np.full(GH_BLOCK, x[0]),
-                                   sd[i])[:, :1]
+        if x.min() == x.max():  # t_0: the rule at the one state
+            c = gauss_hermite_mean(fam, times, x[:1], sd[i])
         else:
             c = _interpolated_mean(fam, times, x, sd[i])
             if c is None:
@@ -340,7 +333,7 @@ def malliavin_table(fam: GaussianLinear | TerminalFunction,
     shift, sd = _q_transition(drift_fn)
     pts = (Z_REF_STATE + shift)[:, None] + sd[:, None] * _GH_SHIFT
     return np.broadcast_to(
-        np.stack([np.asarray(fam.dh(t, pts), dtype=float) @ _GH_W_NORM
+        np.stack([_gh_sum(np.asarray(fam.dh(t, pts), dtype=float))
                   for t in _times(fam, grid)]), (grid.n + 1, grid.n + 1))
 
 

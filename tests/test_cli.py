@@ -315,15 +315,12 @@ def test_monte_carlo_compare_se_is_the_lsmc_mean_noise(tmp_path):
     assert meta["se_max"] == float(se.max())
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: mode-Q LSMC counts the g·Z term "
-                          "twice")
 def test_mode_q_compare_on_dirac_reduction_is_ok(tmp_path, capsys):
     # Under a Dirac at 0 the explicit mean and the LSMC solve one
     # equation, so the verdict must not depend on the sampling measure.
-    # Mode P prints ok (gap 1.766e-2 vs tol 3.190e-2); mode Q prints
-    # EXCEEDS (2.876e-1 vs 3.105e-2), because its regressions are
-    # Q-conditional while the target adds the g-term again.
+    # Mode P prints ok (gap 1.766e-2 vs tol 3.190e-2).  Mode Q printed
+    # EXCEEDS (2.876e-1 vs 3.105e-2) while its Q-conditional regressions
+    # left out the drift's compensator of the g-term.
     text = (CONFIGS / "dirac-reduction.cfg").read_text()
     assert "mc.mode = P" in text
     cfg = write_cfg(tmp_path, text.replace("mc.mode = P", "mc.mode = Q"))

@@ -29,6 +29,11 @@ writing only in cli.write_csv, cli.write_triangle and cli.write_meta, so
 every CSV cell is formatted as cli.CELL and every sidecar is sorted JSON.
 No code under src/ builds an object array: cells are formatted straight
 from the float tables, with no Python object per cell in between.
+
+The Gauss-Hermite rule is summed in one place, terminal._gh_sum: no other
+function under src/ reads its weights _GH_W_NORM, so every conditional
+mean is a row sum whose bits do not depend on the means beside it (a
+BLAS GEMV sums rows in groups of 4 and would make them depend on them).
 """
 
 import ast
@@ -44,6 +49,8 @@ PHI_HOME = ("terminal", "_phi_table")
 SOLVE_HOME = ("kernels", "_upper_substitution")
 WRITE_HOMES = [("cli", "write_csv"), ("cli", "write_triangle"),
                ("cli", "write_meta")]
+GH_WEIGHTS = "_GH_W_NORM"
+GH_SUM_HOME = ("terminal", "_gh_sum")
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -396,3 +403,48 @@ def test_src_writes_files_only_in_the_cli_writers():
     assert not found, ("files written outside cli.write_csv, "
                        "cli.write_triangle and cli.write_meta, or an "
                        "object array:\n" + "\n".join(found))
+
+
+def gh_weight_reads(source: str) -> list[tuple[int, str]]:
+    """(line, where) of each read of GH_WEIGHTS (the name, an attribute of
+    that name or an import of it), where the top-level function or class
+    that holds it, "<module>" outside them all."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(
+            top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == GH_WEIGHTS
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == GH_WEIGHTS
+                    or isinstance(node, ast.ImportFrom)
+                    and any(a.name == GH_WEIGHTS for a in node.names)):
+                found.append((node.lineno, where))
+    return sorted(found)
+
+
+def test_scan_finds_gh_weight_reads():
+    source = ("import numpy as np\n"
+              "from .terminal import _GH_W_NORM\n"
+              "_GH_W_NORM = np.ones(64)\n"
+              "ONE = _GH_W_NORM.sum()\n"
+              "def _gh_sum(vals):\n"
+              "    return (vals * _GH_W_NORM).sum(axis=-1)\n"
+              "def malliavin_table(pts, terminal):\n"
+              "    return pts @ _GH_W_NORM + pts @ terminal._GH_W_NORM\n"
+              "class Rule:\n"
+              "    def mean(self, vals):\n"
+              "        return vals @ _GH_W_NORM\n")
+    assert gh_weight_reads(source) == [
+        (2, "<module>"), (4, "<module>"), (6, "_gh_sum"),
+        (8, "malliavin_table"), (8, "malliavin_table"), (11, "Rule")]
+
+
+def test_src_reads_gh_weights_in_one_function():
+    found = {(path.stem, where)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for _, where in gh_weight_reads(
+                 path.read_text(encoding="utf-8"))}
+    assert found == {GH_SUM_HOME}, (
+        f"{GH_WEIGHTS} read outside {'.'.join(GH_SUM_HOME)}: {sorted(found)}")

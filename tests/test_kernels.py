@@ -259,6 +259,10 @@ def test_declared_bound_enforced():
     object.__setattr__(gspec, "g_bound", 0.1)
     with pytest.raises(ValueError):
         DelayedGenerator(DiracAt(1.0, 0.0), gspec, g).g_at(g.nodes)
+    # a NaN g breaks any bound (the drift and every g-term read g_at)
+    gspec = dataclasses.replace(gspec, g=lambda s: np.full_like(s, np.nan))
+    with pytest.raises(ValueError, match="exceeds declared bound"):
+        DelayedGenerator(DiracAt(1.0, 0.0), gspec, g).g_at(g.nodes)
     # a product-form spec bounds Phi: example33's e^-1, the sup of u e^-u,
     # holds; 1e-6 is broken (Phi reaches 0.368 at N = 10)
     spec = example33_kernel()

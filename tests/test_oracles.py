@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import DriftFunction, drift, sample_paths
+from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
+    expect_q_columns, sample_paths
 from bsvielab.kernels import DelayedGenerator, GridMismatch, \
     HorizonMismatch, SingularStep, TriangularGrid, build_phi, \
     constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
@@ -395,7 +396,7 @@ def reference_stacked_rows(w):
     for p in range(1, d):
         row = rows[:, p]
         row -= row.mean(axis=1, keepdims=True)
-        sd = np.sqrt(np.einsum("im,im->i", row, row) / m_paths)
+        sd = np.sqrt(np.square(row).sum(axis=1) / m_paths)
         live[:, p] = (sd > 1e-12) & live[:, 1]
         row /= np.where(live[:, p], sd, 1.0)[:, None]
         row[~live[:, p]] = 0.0
@@ -844,6 +845,8 @@ def reference_lsmc(fam, k, m, op, g, ens, tol=1e-10):
     """The per-node LSMC loop: every sweep forms the M x (N+1) targets and
     refits each node's column through the Cholesky factor of its ridged
     Gram matrix; the slopes come from the (i, j) loop reference_slope_z.
+    On Q-paths the g-term takes off the drift's compensator
+    sum_{k>=i} Z(t_i, s_k) b_k dt.
     Returns (y, z, z_se, sup_diffs, targets, max Gram condition)."""
     n = g.n
     trap = tail_weight_matrix(g)
@@ -864,6 +867,9 @@ def reference_lsmc(fam, k, m, op, g, ens, tol=1e-10):
     sup_diffs = []
     for _ in range(oracles.MAX_ITERATIONS):
         gz = _g_weighted_term(DelayedGenerator(m, k, g), z_mean, trap)
+        if ens.tag == "Q":
+            gz = gz - np.append(np.triu(z_mean[:n, :n])
+                                @ ens.drift_fn.increments(), 0.0)
         target = f_vals + y @ op.T + gz[None, :]
         y_next = np.stack([fit(i, target[:, i]) for i in range(n + 1)],
                           axis=1)
@@ -964,6 +970,31 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     assert np.abs(res.z_se - se).max() <= e_se
     # the bounds stay far below the statistical error they guard
     assert e_z < 1e-3 * se[np.triu_indices(g.n)].min()
+
+
+@pytest.mark.parametrize("delay", ["dirac", "uniform"])
+@pytest.mark.parametrize("family", sorted(LSMC_FAMILIES))
+def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
+    # The delayed equation holds under P.  On common draws, the mode-P
+    # ensemble's importance-weighted E^Q mean and the mode-Q ensemble's
+    # plain one agree within their noise at every node; without the
+    # drift's compensator of the g-term the mode-Q mean sat 4-11
+    # hypot(SE) away, except for the uniform delay with h = x^2.
+    m = DiracAt(T, 0.0) if delay == "dirac" else Uniform(T)
+    gen = DelayedGenerator(m, constant_kernel(0.3, g_value=0.2),
+                           TriangularGrid(T, 20))
+    b = drift(gen)
+    fam = LSMC_FAMILIES[family]
+    for seed in (1, 2, 3):
+        ens_p = sample_paths(5000, seed, "P", b)
+        ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(ens_p.n_paths))
+        means, ses = [], []
+        for ens in (ens_p, ens_q):
+            res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+            means.append(expect_q_columns(ens, res.y)[0])
+            ses.append(expect_q_columns(ens, res.y_targets)[1])
+        gap = np.abs(means[0] - means[1])
+        assert np.all(gap <= 4.0 * np.hypot(*ses)), (seed, gap)
 
 
 def test_lsmc_traced_peak_within_four_tables_and_one_chunk():

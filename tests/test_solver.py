@@ -177,8 +177,7 @@ def test_mean_Y_within_four_se_of_terminal_function_mean():
 
 def test_solve_Y_at_t0_does_not_depend_on_path_count():
     # every path starts at W(0) = 0, so Y(0) is one value, the same bits
-    # whatever the path count; BLAS sums a layer's rows in groups of 4, so
-    # a layer over only the M < 4 states gives another last bit
+    # whatever the path count
     g, m, spec, phi, psi = setup_reduced(0.3, 10, Uniform(T), g_value=0.2)
     b = drift(DelayedGenerator(m, spec, g))
     fam = make_h("square")
@@ -186,6 +185,21 @@ def test_solve_Y_at_t0_does_not_depend_on_path_count():
           for m_paths in (1, 2, 3, 4, 5, 300)}
     assert {float(v) for col in y0.values() for v in col} == \
         {float(y0[300][0])}, {k: float(v[0]) for k, v in y0.items()}
+
+
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_mean_profile_is_the_sweeps_t0_layer(t_dependent):
+    # compare's tower mean and solve's sweep read one t_0 layer, bit for
+    # bit, whatever the path count
+    g, m, spec, phi, psi = setup_reduced(0.3, 10, Uniform(T), g_value=0.2)
+    b = drift(DelayedGenerator(m, spec, g))
+    fam = t_varying_h("square") if t_dependent else make_h("square")
+    profile = mean_profile(fam, b)
+    for m_paths in (1, 2, 3, 5, 300):
+        ens = sample_paths(m_paths, 7, "Q", b)
+        i, c0 = next(conditional_sweep(fam, ens))
+        assert i == 0
+        assert np.array_equal(c0, np.broadcast_to(profile[:, None], c0.shape))
 
 
 def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
@@ -226,26 +240,32 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
     assert np.abs(y - matvec).max() <= 4 * eps * np.abs(matvec).max()
 
 
-@pytest.mark.parametrize("m_paths", [100, GH_BLOCK, 2 * GH_BLOCK + 44],
-                         ids=["below", "equal", "not-multiple"])
+@pytest.mark.parametrize("m_paths", [1, 100, GH_BLOCK - 1, GH_BLOCK,
+                                     GH_BLOCK + 1, 2 * GH_BLOCK + 44],
+                         ids=["one", "below", "block-less-1", "equal",
+                              "block-plus-1", "not-multiple"])
 @pytest.mark.parametrize("t_dependent", [False, True])
 def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
     g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
     b = drift(DelayedGenerator(m, spec, g))
     ens = sample_paths(m_paths, 4, "Q", b)
     fam = t_varying_h("square") if t_dependent else make_h("square")
-    # the blocked Gauss-Hermite layer is bit-identical to one piece over
-    # all the means, at every node's states
+    # the blocked Gauss-Hermite layer is bit-identical to one row sum over
+    # all the means, and each mean to the layer on that mean alone, at
+    # every node's states (t_N, with sd = 0, included)
     times = g.nodes if t_dependent else g.nodes[:1]
     remaining = b.remaining()
     for i, t_i in enumerate(g.nodes):
         sd = math.sqrt(max(T - t_i, 0.0))
         means = ens.w[:, i] + remaining[i]
         pts = means[:, None] + sd * _GH_SHIFT
-        one_piece = np.stack([np.asarray(fam.h(t, pts), dtype=float)
-                              @ _GH_W_NORM for t in times])
-        assert np.array_equal(gauss_hermite_mean(fam, times, means, sd),
-                              one_piece)
+        one_piece = np.stack([(np.asarray(fam.h(t, pts), dtype=float)
+                               * _GH_W_NORM).sum(axis=1) for t in times])
+        layer = gauss_hermite_mean(fam, times, means, sd)
+        assert np.array_equal(layer, one_piece)
+        alone = np.stack([gauss_hermite_mean(fam, times, x, sd)
+                          for x in means], axis=-1)
+        assert np.array_equal(layer, alone)
     # solve_Y reads the layer through the sweep's certified interpolant:
     # each node within 1e-13 of its largest |Y| (a bound fixed before
     # measuring)
