@@ -91,6 +91,13 @@ def zero_extend_kernel(f: Callable) -> Callable:
     return wrapped
 
 
+def _check_bound(vals, bound: float, what: str, where: str = "") -> None:
+    """ValueError unless sup |vals| <= bound (NaN fails) up to a slack
+    1e-12 max(1, bound): a kernel's rounding is relative to its size."""
+    if not np.abs(vals).max(initial=0.0) <= bound + 1e-12 * max(1.0, bound):
+        raise ValueError(f"{what} exceeds declared bound {bound}{where}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Coefficient functions of the linear generator.
@@ -153,8 +160,7 @@ class DelayedGenerator:
         the declared g_bound or g is NaN."""
         k = self.kernel
         vals = zero_extend_kernel(lambda t, s: k.g(s))(x, x)
-        if not np.abs(vals).max(initial=0.0) <= k.g_bound + 1e-12:
-            raise ValueError(f"|g| exceeds declared bound {k.g_bound}")
+        _check_bound(vals, k.g_bound, "|g|")
         return vals
 
 
@@ -226,12 +232,10 @@ def build_phi(gen: DelayedGenerator) -> KernelTable:
     k, t = gen.kernel, gen.grid.nodes
     if k.phi_direct is not None:
         phi = np.triu(zero_extend_kernel(k.phi_direct)(t[:, None], t[None, :]))
-        if max(phi.max(), -phi.min()) > k.G_bound + 1e-12:
-            raise ValueError(f"|Phi| exceeds declared bound {k.G_bound} on the grid")
+        _check_bound(phi, k.G_bound, "|Phi|", " on the grid")
         return KernelTable(gen.grid, phi)
     gvals = gen.G_at(t)
-    if np.abs(np.triu(gvals)).max() > k.G_bound + 1e-12:
-        raise ValueError(f"|G| exceeds declared bound {k.G_bound} on the grid")
+    _check_bound(np.triu(gvals), k.G_bound, "|G|", " on the grid")
     vals = gen.measure.mass_closed(gen.lag(t))[None, :] * gvals
     return KernelTable(gen.grid, np.triu(vals))
 

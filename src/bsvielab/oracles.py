@@ -96,13 +96,13 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
 
 
 def _diffuse_operator(gt: np.ndarray, gen: DelayedGenerator) -> np.ndarray:
-    """The uniform part of gen's alpha, density rho, on the G table gt.  With
-    q = r - lag, lo = max(0, c+r-N) and hi = min(r, c),
-        op[r, c] = rho dt^2 sum_{q=lo}^{hi} a_q b_q G[q, c],
+    """The uniform part of gen's alpha, density rho, on the kernel table gt
+    of _delay_walk.  With q = r - lag, lo = max(0, c+r-N) and hi = min(r, c),
+        op[r, c] = rho dt^2 sum_{q=lo}^{hi} a_q b_q K[q, c],
     a_q = 1/2 at q in {0, r} (the trapezoid over the lags [-t_r, 0]), b_q =
     1/2 at q in {c, c+r-N} (the one over [t_r, T]), else 1.  The halves sit
-    on lo or hi, so over the prefix P[k] = G[0] + ... + G[k-1] + G[k]/2 the
-    sum is P[hi] - P[lo], less G/4 where two halves meet (hi = r = c,
+    on lo or hi, so over the prefix P[k] = K[0] + ... + K[k-1] + K[k]/2 the
+    sum is P[hi] - P[lo], less K/4 where two halves meet (hi = r = c,
     lo = 0 = c+r-N); columns 0 and N hold one term of weight 1/4."""
     m, n, dt = gen.measure, gen.grid.n, gen.grid.dt
     if not m.diffuse_mass:
@@ -121,31 +121,36 @@ def _diffuse_operator(gt: np.ndarray, gen: DelayedGenerator) -> np.ndarray:
     return op
 
 
-def build_delayed_operator(gen: DelayedGenerator) -> np.ndarray:
-    """Matrix L with (L y)(t_i) = int_{t_i}^T int G(t_i+u, s+u) y(s+u)
-    alpha(du) ds on the grid.  The u-integral runs over the grid lags
-    u = -t_k, where (t_i+u, s_j+u) = (t_{i-k}, s_{j-k}): G_at tabulates G
-    once, the uniform part is _diffuse_operator's O(N^2) window sum, and
+def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
+                table_at) -> np.ndarray:
+    """Matrix L with (L y)(t_i) = int_{t_i}^T int K(t_i+u, s+u) y(s+u)
+    alpha(du) ds on the grid, K (zero at negative times) given by its node
+    table and by table_at(x), K(x_i, x_j) over the times x.  The u-integral
+    runs over the grid lags u = -t_k, where (t_i+u, s_j+u) = (t_{i-k},
+    s_{j-k}): the uniform part is _diffuse_operator's O(N^2) window sum, and
     each atom of lag_weights on a lag adds one shifted block.  An atom
-    between lags keeps its exact node: G_at evaluates G at (t_i+u, s_j+u),
+    between lags keeps its exact node: table_at gives K at (t_i+u, s_j+u),
     and y(s_j+u), with the same cell fraction theta for every j, is split
     linearly between its two nodes, one shifted column block each."""
-    grid = gen.grid
-    n = grid.n
+    grid, n = gen.grid, gen.grid.n
     on_lag, between = lag_weights(gen.measure, grid)
-    g = gen.G_at(grid.nodes)
-    op = _diffuse_operator(g, gen)
+    op = _diffuse_operator(table, gen)
     trap = tail_weight_matrix(grid)
     for lag, wl in on_lag:
         live = n + 1 - lag
-        op[lag:, :live] += wl * trap[lag:, lag:] * g[:live, :live]
+        op[lag:, :live] += wl * trap[lag:, lag:] * table[:live, :live]
     for u, wu in between:
-        coeff = wu * trap * gen.G_at(grid.nodes + u)
+        coeff = wu * trap * table_at(grid.nodes + u)
         # s_j + u = s_{j-lag-1} + (1 - theta) dt; coeff is 0 for j <= lag
         lag, theta = grid.locate(-u)
         op[:, :n - lag] += theta * coeff[:, lag + 1:]
         op[:, 1:n + 1 - lag] += (1.0 - theta) * coeff[:, lag + 1:]
     return op
+
+
+def build_delayed_operator(gen: DelayedGenerator) -> np.ndarray:
+    """The delay operator of G: _delay_walk on K = G, tabulated by G_at."""
+    return _delay_walk(gen, gen.G_at(gen.grid.nodes), gen.G_at)
 
 
 def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
@@ -330,34 +335,24 @@ class _StackedBasis:
         return y
 
 
-def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray,
-                     trap: np.ndarray) -> np.ndarray:
+def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
+                     ) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
-    from a mean Z surface and the tail trapezoid weights trap, on the lags
-    of build_delayed_operator: the uniform part is the row sums of
-    _diffuse_operator on g(s_c) Z[q, c]; an atom between lags reads g by
-    g_at and Z by grid.interpolate, zero off the positive triangle.  An
-    atom's rows are summed left to right by cumsum, as a sequential loop
-    would (np.sum adds pairwise and would change the last bits).  Exact
-    (zero) whenever g vanishes."""
+    from a mean Z surface: the row sums of _delay_walk on K(t, s) = g(s)
+    Z(t, s), Z read by grid.interpolate at an atom's shifted times and zero
+    at negative ones.  Exact (zero) whenever g vanishes."""
     grid = gen.grid
     if gen.kernel.g_bound == 0.0:
         return np.zeros(grid.n + 1)
-    n = grid.n
-    on_lag, between = lag_weights(gen.measure, grid)
-    gv = gen.g_at(grid.nodes)
-    out = _diffuse_operator(gv * z_surface, gen).sum(axis=1)
-    for lag, wl in on_lag:
-        live = n + 1 - lag
-        gz = trap[lag:, lag:] * gv[:live] * z_surface[:live, :live]
-        out[lag:] += wl * np.cumsum(gz, axis=1)[:, -1]
-    for u, wu in between:
-        shifted = grid.nodes + u
-        t, s = shifted[:, None], shifted[None, :]
+
+    def table_at(x):
+        t, s = x[:, None], x[None, :]
         z = np.where((t >= 0.0) & (s >= 0.0),
                      grid.interpolate(z_surface, t, s), 0.0)
-        out += wu * np.cumsum(trap * gen.g_at(shifted) * z, axis=1)[:, -1]
-    return out
+        return gen.g_at(x) * z
+
+    table = gen.g_at(grid.nodes) * z_surface
+    return _delay_walk(gen, table, table_at).sum(axis=1)
 
 
 def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
@@ -368,8 +363,8 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
 
     Picard sweeps regress the target F(t_i) + (delay integral of Y, by op =
     build_delayed_operator(gen)) + gz on the polynomial basis B_i in W(t_i)
-    of _StackedBasis.  gz is _g_weighted_term's g-weighted Z term (tail
-    trapezoid weights) of the last sweep's mean Z; on Q-paths it also takes
+    of _StackedBasis.  gz is _g_weighted_term, the same delay quadrature
+    (tail trapezoids), of the last sweep's mean Z; on Q-paths it also takes
     off the drift's compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point,
     as the Ito sums): the equation holds under P, dW = dW^Q + b dt.  The
     bases stay fixed, so the sweeps run on the stacked coefficients c,
@@ -394,10 +389,9 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     sweeps = _sweeps(tol)
     n, tilted = grid.n, gen.kernel.g_bound != 0.0
     op = build_delayed_operator(gen)
-    trap = tail_weight_matrix(grid)
     dw = ensemble.dw
     b_dt = ensemble.drift_fn.increments()
-    incr = _IncrementBasis(dw, op, trap, grid.dt)
+    incr = _IncrementBasis(dw, op, tail_weight_matrix(grid), grid.dt)
     w = ensemble.w
     basis = _StackedBasis(w, f_vals, dw if tilted else None)
     wt = np.ascontiguousarray(w.T)  # node-major, for the sweeps
@@ -416,7 +410,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     c, sup_diffs, bound = None, [], 0.0
     z_mean = np.zeros((n + 1, n + 1))
     for it in sweeps:
-        gz = _g_weighted_term(gen, z_mean, trap)
+        gz = _g_weighted_term(gen, z_mean)
         if ensemble.tag == "Q":
             gz -= np.append(np.triu(z_mean[:n, :n]) @ b_dt, 0.0)
         rhs = b_f + b_y + gz[:, None] * basis.ones

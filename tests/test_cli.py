@@ -565,6 +565,23 @@ def test_exit_2_on_overflowing_poly_exp_kernel(tmp_path, capsys):
             assert "kernel: poly_exp" in err and "Traceback" not in err
 
 
+def test_poly_exp_peak_on_a_node_runs(tmp_path):
+    # |G| peaks at 3.1e4 on the node t = k/lam = 1/12 and rounds 3.6e-12
+    # past its declared sup there: the bound check's slack is relative, so
+    # the run goes on instead of ending in a ValueError traceback (exit 1)
+    cfg = write_cfg(tmp_path, """\
+horizon = 1.0
+grid.n = 12
+measure.kind = dirac
+kernel.name = poly_exp
+kernel.k = 1
+kernel.lam = 12
+kernel.scale = 1e6
+terminal.kind = deterministic
+""")
+    assert run_cli("resolvent", "--config", cfg, "--out", tmp_path / "o") == 0
+
+
 def test_single_path_solve_writes_valid_sidecar(tmp_path):
     # one path has no sample spread: the residual SE is 0, as for Y, and
     # the sidecar stays valid JSON

@@ -34,6 +34,11 @@ The Gauss-Hermite rule is summed in one place, terminal._gh_sum: no other
 function under src/ reads its weights _GH_W_NORM, so every conditional
 mean is a row sum whose bits do not depend on the means beside it (a
 BLAS GEMV sums rows in groups of 4 and would make them depend on them).
+
+The delay quadrature has one home, oracles._delay_walk: no other function
+under src/ calls kernels.lag_weights or oracles._diffuse_operator, so the
+delayed operator (the walk on G) and the LSMC's g-weighted Z term (the
+row sums of the walk on g Z) read the same lags with the same arithmetic.
 """
 
 import ast
@@ -51,6 +56,8 @@ WRITE_HOMES = [("cli", "write_csv"), ("cli", "write_triangle"),
                ("cli", "write_meta")]
 GH_WEIGHTS = "_GH_W_NORM"
 GH_SUM_HOME = ("terminal", "_gh_sum")
+LAG_WALK = {"lag_weights", "_diffuse_operator"}
+LAG_WALK_HOME = ("oracles", "_delay_walk")
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -448,3 +455,52 @@ def test_src_reads_gh_weights_in_one_function():
                  path.read_text(encoding="utf-8"))}
     assert found == {GH_SUM_HOME}, (
         f"{GH_WEIGHTS} read outside {'.'.join(GH_SUM_HOME)}: {sorted(found)}")
+
+
+def lag_walk_calls(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, where) of each call of a LAG_WALK function, by name or
+    as an attribute, where the top-level function or class that holds it,
+    "<module>" outside them all."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(
+            top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name in LAG_WALK:
+                    found.append((node.lineno, name, where))
+    return sorted(found)
+
+
+def test_scan_finds_lag_walk_calls():
+    # the g-term as it was: its own walk over the lags beside the operator's
+    source = ("from . import kernels\n"
+              "from .kernels import lag_weights\n"
+              "def _delay_walk(gen, table, table_at):\n"
+              "    on_lag, between = lag_weights(gen.measure, gen.grid)\n"
+              "    return _diffuse_operator(table, gen)\n"
+              "def _g_weighted_term(gen, z, trap):\n"
+              "    on_lag, _ = kernels.lag_weights(gen.measure, gen.grid)\n"
+              "    return _diffuse_operator(z, gen).sum(axis=1)\n"
+              "WEIGHTS = lag_weights\n"
+              "class Walk:\n"
+              "    def run(self, gen):\n"
+              "        return lag_weights(gen.measure, gen.grid)\n")
+    assert lag_walk_calls(source) == [
+        (4, "lag_weights", "_delay_walk"),
+        (5, "_diffuse_operator", "_delay_walk"),
+        (7, "lag_weights", "_g_weighted_term"),
+        (8, "_diffuse_operator", "_g_weighted_term"),
+        (12, "lag_weights", "Walk")]
+
+
+def test_src_walks_the_lags_in_one_function():
+    found = {name: set() for name in LAG_WALK}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for _, name, where in lag_walk_calls(path.read_text(encoding="utf-8")):
+            found[name].add((path.stem, where))
+    assert found == {name: {LAG_WALK_HOME} for name in LAG_WALK}, (
+        f"the lags walked outside {'.'.join(LAG_WALK_HOME)}: {found}")

@@ -255,6 +255,11 @@ def test_declared_bound_enforced():
     spec = KernelSpec(G=lambda t, s: np.full_like(t, 2.0), G_bound=1.0)
     with pytest.raises(ValueError):
         build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec, g))
+    # the slack is 1e-12 of the bound, so a relative 1e-9 past it is broken
+    spec = KernelSpec(G=lambda t, s: np.full_like(t, 1e6 * (1.0 + 1e-9)),
+                      G_bound=1e6)
+    with pytest.raises(ValueError, match=r"^\|G\| exceeds declared bound"):
+        build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec, g))
     gspec = constant_kernel(1.0, g_value=0.5)
     object.__setattr__(gspec, "g_bound", 0.1)
     with pytest.raises(ValueError):
@@ -297,6 +302,13 @@ def test_poly_exp_bound_and_values():
     assert spec.G_bound == pytest.approx(math.exp(-1.0) / 3.0, rel=1e-15)
     build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec,
                                TriangularGrid(1.0, 3)))
+    # the peak 1e6/(12 e) = 3.1e4 on the node t = 1/12 of a 12-step grid:
+    # G there rounds 3.6e-12 (1.2e-16 relative) past the declared sup,
+    # which a slack relative to the bound absorbs and an absolute 1e-12
+    # did not
+    spec = poly_exp_kernel(k=1, lam=12.0, scale=1e6, horizon=1.0)
+    build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec,
+                               TriangularGrid(1.0, 12)))
 
 
 def test_poly_exp_rejects_an_overflowing_bound():

@@ -491,18 +491,20 @@ def reference_kernel(k, m, grid):
     return gfun
 
 
-def reference_delayed_operator(k, m, grid):
-    """The operator assembled column by column: for every grid lag k each
-    column s_j reads G(t_{i-k}, s_{j-k}); then, for every atom between
-    lags, each column s_j gives theta of its weight to the node below
-    s_j + u (all columns first), then 1 - theta to the node above."""
+def reference_delayed_operator(kfun, m, grid, table=None):
+    """The operator of the kernel kfun (at (t, s) arrays, zero at negative
+    times; reference_kernel for G) assembled column by column: for every
+    grid lag k each column s_j reads K(t_{i-k}, s_{j-k}) from table, K on
+    the nodes (kfun there by default); then, for every atom between lags,
+    each column s_j gives theta of its weight to the node below s_j + u
+    (all columns first), then 1 - theta to the node above."""
     n, dt = grid.n, grid.dt
     nodes = grid.nodes
     trap = tail_weight_matrix(grid)
-    gfun = reference_kernel(k, m, grid)
     w, between = reference_lag_weights(m, grid)
     tt = nodes[:, None]
-    table = np.asarray(gfun(tt, nodes[None, :]), dtype=float)
+    if table is None:
+        table = np.asarray(kfun(tt, nodes[None, :]), dtype=float)
     op = np.zeros((n + 1, n + 1))
     for lag in range(n + 1):
         wcol = np.array([w[i][lag] for i in range(lag, n + 1)])
@@ -510,7 +512,7 @@ def reference_delayed_operator(k, m, grid):
             op[lag:, j - lag] += wcol * trap[lag:, j] \
                 * table[:n + 1 - lag, j - lag]
     for u, wu in between:
-        gq = np.asarray(gfun(tt + u, nodes[None, :] + u), dtype=float)
+        gq = np.asarray(kfun(tt + u, nodes[None, :] + u), dtype=float)
         pos = -u / dt
         lag = int(pos)
         theta = pos - lag
@@ -521,28 +523,53 @@ def reference_delayed_operator(k, m, grid):
     return op
 
 
-def reference_g_weighted_term(k, m, grid, z_surface, trap):
+def reference_g(k):
+    """g at (t, s) arrays, read at s, zero-extended."""
+    return zero_extend_kernel(lambda a, b: np.asarray(k.g(b), dtype=float)
+                              + 0.0 * a)
+
+
+def reference_z_at(grid, z_surface, tq, sq):
+    """The bilinear value of Z at one point (tq, sq), 0 off the triangle
+    0 <= tq <= sq."""
+    n, dt = grid.n, grid.dt
+    if tq < 0.0 or sq < 0.0 or tq > sq:
+        return 0.0
+    i = min(int(tq / dt), n - 1)
+    j = min(int(sq / dt), n - 1)
+    fi, fj = tq / dt - i, sq / dt - j
+    return ((1 - fi) * (1 - fj) * z_surface[i, j]
+            + fi * (1 - fj) * z_surface[i + 1, j]
+            + (1 - fi) * fj * z_surface[i, j + 1]
+            + fi * fj * z_surface[i + 1, j + 1])
+
+
+def reference_gz_kernel(k, grid, z_surface):
+    """K(t, s) = g(s) Z(t, s) at (t, s) arrays, Z point by point by
+    reference_z_at: the kernel whose delay operator has the g-term as
+    its row sums.  Its node table is g times the surface itself, not
+    kfun on the nodes: a node t_i need not locate at fraction 0 (t_3 / dt
+    = 3 + 4.4e-16 at N = 20), and a bilinear read there is not exact."""
+    g_ext = reference_g(k)
+
+    def kfun(a, b):
+        a, b = np.broadcast_arrays(a, b)
+        z = [reference_z_at(grid, z_surface, tq, sq)
+             for tq, sq in zip(a.ravel(), b.ravel())]
+        return g_ext(a, b) * np.reshape(z, a.shape)
+    return kfun
+
+
+def reference_g_weighted_term(k, m, grid, z_surface):
     """The g-weighted Z term as a scalar triple loop over (u, t_i, s_j)."""
     if k.g_bound == 0.0:
         return np.zeros(grid.n + 1)
-    n, dt = grid.n, grid.dt
+    n = grid.n
     nodes = grid.nodes
+    trap = tail_weight_matrix(grid)
     w, between = reference_lag_weights(m, grid)
-    g_ext = zero_extend_kernel(lambda a, b: np.asarray(k.g(b), dtype=float)
-                               + 0.0 * a)
+    g_ext = reference_g(k)
     out = np.zeros(n + 1)
-
-    def z_at(tq, sq):
-        if tq < 0.0 or sq < 0.0 or tq > sq:
-            return 0.0
-        i = min(int(tq / dt), n - 1)
-        j = min(int(sq / dt), n - 1)
-        fi, fj = tq / dt - i, sq / dt - j
-        return ((1 - fi) * (1 - fj) * z_surface[i, j]
-                + fi * (1 - fj) * z_surface[i + 1, j]
-                + (1 - fi) * fj * z_surface[i, j + 1]
-                + fi * fj * z_surface[i + 1, j + 1])
-
     for lag in range(n + 1):
         for i in range(lag, n + 1):
             acc = 0.0
@@ -557,7 +584,8 @@ def reference_g_weighted_term(k, m, grid, z_surface, trap):
                 gv = float(g_ext(nodes[j] + u, nodes[j] + u)) \
                     if nodes[j] + u >= 0.0 else 0.0
                 if gv != 0.0:
-                    acc += trap[i, j] * gv * z_at(nodes[i] + u, nodes[j] + u)
+                    acc += trap[i, j] * gv * reference_z_at(
+                        grid, z_surface, nodes[i] + u, nodes[j] + u)
             out[i] += wu * acc
     return out
 
@@ -592,8 +620,9 @@ EPS = np.finfo(float).eps
 
 
 def delay_error_bounds(k, m, grid, z):
-    """Bounds on |window sum - loop reference| for both delay integrals of
-    a measure with a uniform part, z the g-term's Z surface.
+    """Bounds on |code - loop reference| for both delay integrals: the
+    operator's for a measure with a uniform part, the g-term's for any
+    measure, z the g-term's Z surface.
 
     To first order in u = eps/2, with S_c = sum_q |G[q, c]|, one operator
     cell (0 < r, c < N) of the window sum carries (hi + lo + 8) u rho dt^2
@@ -604,10 +633,16 @@ def delay_error_bounds(k, m, grid, z):
     The g-term is the row sums of that window sum on x[q, c] = g(s_c)
     Z[q, c], S = sum |x|: (2N + 5) u S from the cells, at most N u S more
     from adding them and u S from forming x, against (2N + 5) u S for the
-    triple loop: (5N + 11) u <= 3 (N + 2) eps.  The atoms go through the
-    same products as in the loop; only their sums are reordered, so each
-    adds its weight times dt max|G| to the operator's sums of absolute
-    values, and its weight times T g_bound max|Z| to the g-term's."""
+    triple loop: (5N + 11) u <= 3 (N + 2) eps.  The operator's atoms go
+    through the same products as in the loop; only their sums are
+    reordered, so each adds its weight times dt max|G| to its sums of
+    absolute values.  The g-term's atoms are the row sums of the same walk
+    on x: a term w trap x takes at most five roundings there (x, the two
+    products, the theta split), each cell at most two adds per atom and
+    the row a pairwise sum, against three roundings, a running sum and
+    one add per atom in the loop.  With at most three atoms that is
+    (2N + 17) u <= 3 (N + 2) eps of S, to which each atom adds its weight
+    times T g_bound max|Z| (a row of trap sums to at most T)."""
     n, dt = grid.n, grid.dt
     nodes = grid.nodes
     gfun = reference_kernel(k, m, grid)
@@ -627,26 +662,31 @@ def delay_error_bounds(k, m, grid, z):
 
 
 def check_delay_integrals(case, n):
-    """Both delay integrals against their loop references: bit for bit for
-    a pure-atom measure, whose code is the loop's, and within
-    delay_error_bounds when a uniform part takes the window sum."""
+    """Both delay integrals against their loop references.  The g-term is
+    within delay_error_bounds of its scalar triple loop in every case.  A
+    pure-atom measure's code is the column loop's: its operator equals
+    reference_delayed_operator bit for bit, and its g-term the row sums of
+    that loop on g Z.  A uniform part takes the window sum, within
+    delay_error_bounds of the loop."""
     m, k = DELAY_CASES[case]
     g = TriangularGrid(T, n)
-    op = build_delayed_operator(DelayedGenerator(m, k, g))
-    op_ref = reference_delayed_operator(k, m, g)
+    gen = DelayedGenerator(m, k, g)
+    op = build_delayed_operator(gen)
+    op_ref = reference_delayed_operator(reference_kernel(k, m, g), m, g)
     rng = np.random.default_rng(11)
     z = np.triu(rng.standard_normal((n + 1, n + 1)))
-    trap = tail_weight_matrix(g)
-    gz = _g_weighted_term(DelayedGenerator(m, k, g), z, trap)
-    gz_ref = reference_g_weighted_term(k, m, g, z, trap)
+    gz = _g_weighted_term(gen, z)
     assert np.abs(gz).max() > 0.0
+    op_bound, gz_bound = delay_error_bounds(k, m, g, z)
+    assert np.all(np.abs(gz - reference_g_weighted_term(k, m, g, z))
+                  <= gz_bound)
     if m.diffuse_mass == 0.0:
         assert np.array_equal(op, op_ref)
-        assert np.array_equal(gz, gz_ref)
+        gz_op = reference_delayed_operator(reference_gz_kernel(k, g, z), m, g,
+                                           k.g(g.nodes) * z)
+        assert np.array_equal(gz, gz_op.sum(axis=1))
         return
-    op_bound, gz_bound = delay_error_bounds(k, m, g, z)
     assert np.all(np.abs(op - op_ref) <= op_bound)
-    assert np.all(np.abs(gz - gz_ref) <= gz_bound)
     # rows 0 and N stay exactly zero
     assert not op[[0, n]].any() and not gz[[0, n]].any()
 
@@ -866,7 +906,7 @@ def reference_lsmc(fam, k, m, op, g, ens, tol=1e-10):
     z_mean = np.zeros((n + 1, n + 1))
     sup_diffs = []
     for _ in range(oracles.MAX_ITERATIONS):
-        gz = _g_weighted_term(DelayedGenerator(m, k, g), z_mean, trap)
+        gz = _g_weighted_term(DelayedGenerator(m, k, g), z_mean)
         if ens.tag == "Q":
             gz = gz - np.append(np.triu(z_mean[:n, :n])
                                 @ ens.drift_fn.increments(), 0.0)
@@ -940,13 +980,22 @@ LSMC_FAMILIES = {
     "terminal": make_h("square"),
 }
 
+LSMC_DELAYS = {
+    "dirac": DiracAt(T, 0.0),
+    "uniform": Uniform(T),
+    # all three lag branches: on N = 12, -0.25 is a lag and -0.3717 lies
+    # between two
+    "mixture": Mixture(T, ((Uniform(T), 0.5), (DiracAt(T, -0.25), 0.3),
+                           (DiracAt(T, -0.3717), 0.2))),
+}
+
 
 @pytest.mark.parametrize("g_value", [0.0, 0.2])
-@pytest.mark.parametrize("delay", ["dirac", "uniform"])
+@pytest.mark.parametrize("delay", ["dirac", "uniform", "mixture"])
 @pytest.mark.parametrize("family", sorted(LSMC_FAMILIES))
 def test_lsmc_matches_per_node_loop(family, delay, g_value):
     g = TriangularGrid(T, 12)
-    m = DiracAt(T, 0.0) if delay == "dirac" else Uniform(T)
+    m = LSMC_DELAYS[delay]
     k = constant_kernel(0.3, g_value=g_value)
     fam = LSMC_FAMILIES[family]
     mode = "P" if family == "gaussian" else "Q"
@@ -980,8 +1029,8 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
     # plain one agree within their noise at every node; without the
     # drift's compensator of the g-term the mode-Q mean sat 4-11
     # hypot(SE) away, except for the uniform delay with h = x^2.
-    m = DiracAt(T, 0.0) if delay == "dirac" else Uniform(T)
-    gen = DelayedGenerator(m, constant_kernel(0.3, g_value=0.2),
+    gen = DelayedGenerator(LSMC_DELAYS[delay],
+                           constant_kernel(0.3, g_value=0.2),
                            TriangularGrid(T, 20))
     b = drift(gen)
     fam = LSMC_FAMILIES[family]
