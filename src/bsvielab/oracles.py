@@ -32,6 +32,9 @@ COND_LIMIT = 1e10
 DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
 MAX_ITERATIONS = 200  # sweeps of either delayed oracle before PicardStalled
 LSMC_CHUNK = 2048  # paths per block of the LSMC basis: P x 2048 floats
+# floats per block of node rows in a Horner pass (512 KiB): the block and
+# its rows of W stay in L2
+HORNER_BLOCK = 1 << 16
 
 
 class PicardFailed(RuntimeError):
@@ -320,19 +323,47 @@ class _StackedBasis:
         rows[~self.live] = 0.0
         return rows.reshape(-1, len(w))
 
-    def values(self, c: np.ndarray, wt: np.ndarray) -> np.ndarray:
-        """B_i c_i on every path, (N+1, M), from the node-major W^T (N+1,
-        M) by Horner in W(t_i), node i's centring and scale folded into
-        its coefficients."""
+    def _powers(self, c: np.ndarray) -> np.ndarray:
+        """The coefficients (N+1, D) of W(t_i)^p in B_i c_i, node i's
+        centring and scale folded in."""
         a = np.where(self.live, c / self.sd, 0.0)
         a[:, 0] = c[:, 0] - np.einsum("ip,ip->i", a[:, 1:], self.mean[:, 1:])
-        a = a[:, :, None]
-        y = wt * a[:, -1]
-        for p in range(a.shape[1] - 2, 0, -1):
-            y += a[:, p]
-            y *= wt
-        y += a[:, 0]
+        return a
+
+    def values(self, c: np.ndarray, wt: np.ndarray) -> np.ndarray:
+        """B_i c_i on every path, (N+1, M), from the node-major W^T (N+1,
+        M): _horner_blocks writes each block of node rows into its rows."""
+        y = np.empty(wt.shape)
+        for _ in _horner_blocks(self._powers(c), wt, y):
+            pass
         return y
+
+    def sup(self, c: np.ndarray, wt: np.ndarray) -> float:
+        """max |B_i c_i| over paths and nodes (NaN if a value is), one
+        block of node rows of _horner_blocks at a time: no (N+1, M)
+        table is formed."""
+        return float(np.max([np.abs(y, out=y).max()
+                             for y in _horner_blocks(self._powers(c), wt)]))
+
+
+def _horner_blocks(a: np.ndarray, wt: np.ndarray,
+                   out: np.ndarray | None = None):
+    """Yield, for each block of at most HORNER_BLOCK / M node rows of the
+    node-major states wt (N+1, M), the polynomials sum_p a[i, p] W(t_i)^p
+    of its rows on every path, by Horner.  Each block is written into its
+    own rows of out, or without out into one block buffer that every
+    block reuses."""
+    step = max(1, HORNER_BLOCK // wt.shape[1])
+    buf = np.empty((min(step, len(wt)), wt.shape[1])) if out is None else None
+    for lo in range(0, len(wt), step):
+        w, coef = wt[lo:lo + step], a[lo:lo + step, :, None]
+        y = buf[:len(w)] if out is None else out[lo:lo + step]
+        np.multiply(w, coef[:, -1], out=y)
+        for p in range(a.shape[1] - 2, 0, -1):
+            y += coef[:, p]
+            y *= w
+        y += coef[:, 0]
+        yield y
 
 
 def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
@@ -371,11 +402,12 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     Y(t_i) = B_i c_i: c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks
     of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks;
     the first sweep reads y = F, outside the span, through B^T F in full.
-    The sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes.  Y
-    itself is formed once, at the converged sweep: the divergence guard
-    reads the running bound sup|Y_1| + (later sup-differences) and forms Y =
-    B c only on a sweep where that bound is not below DIVERGENCE_GUARD (a
-    NaN is not), then restarts the bound from it.  Z(t_i, s_j) is the
+    The sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes,
+    _StackedBasis.sup, which needs no (N+1, M) table.  Y itself is formed
+    once, at the converged sweep: the divergence guard reads the running
+    bound sup|Y_1| + (later sup-differences) and takes sup |B c| only on a
+    sweep where that bound is not below DIVERGENCE_GUARD (a NaN is not),
+    then restarts the bound from it.  Z(t_i, s_j) is the
     least-squares slope of theta = target - Y on dW_j: refitted every sweep
     from dW^T F and dW^T B c when g != 0, since the g-term reads it; the
     converged sweep forms theta path by path and also takes the slope SEs.
@@ -419,18 +451,15 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
             dy = basis.values(c_next, wt)
             bound = max(dy.max(), -dy.min())
             dy -= f_vals.T
+            diff = float(np.abs(dy, out=dy).max())
+            del dy
         else:
-            dy = basis.values(c_next - c, wt)
-        diff = float(np.abs(dy, out=dy).max())
-        del dy
-        sup_diffs.append(diff)
-        if c is not None:
+            diff = basis.sup(c_next - c, wt)
             bound += diff
+        sup_diffs.append(diff)
         c, c_prev = c_next, c
         if not bound <= DIVERGENCE_GUARD:  # NaN fails too
-            y = basis.values(c, wt)
-            bound = max(y.max(), -y.min())
-            del y
+            bound = basis.sup(c, wt)
             if not bound <= DIVERGENCE_GUARD:
                 raise PicardDiverged(
                     f"sup |Y| beyond guard after {it} iterations", sup_diffs)

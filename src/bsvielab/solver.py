@@ -48,7 +48,9 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     Y = diag(mean_Y(c)) + dW tril(mean_Y(phi), -1)^T, one (M x N) .
     (N x (N+1)) product.  A terminal function takes the step row by row,
     Y(t_i) = C_i[i] + A[i] C_i with A = Psi * trap (mean_Y(C_i) would cost
-    (N+1) M per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores t.
+    (N+1) M per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores t;
+    the steps fill contiguous node-major rows, transposed once at the end
+    into the same C-ordered (M, N+1) table.
     """
     grid = psi.grid
     if not is_stochastic(fam):
@@ -64,15 +66,15 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
         y += np.diagonal(mean_Y(c, psi))
         return y
 
-    y = np.empty((ensemble.n_paths, grid.n + 1))
+    yt = np.empty((grid.n + 1, ensemble.n_paths))  # node-major rows
     a = psi.values * tail_weight_matrix(grid)
     a_sum = a.sum(axis=1)
     for i, c in conditional_sweep(fam, ensemble):
         if fam.t_dependent:
-            y[:, i] = c[i] + a[i] @ c
+            yt[i] = c[i] + a[i] @ c
         else:  # every row of c is C_i: A[i] c = (sum_a A[i, a]) C_i
-            y[:, i] = c[i] + a_sum[i] * c[i]
-    return y
+            yt[i] = c[i] + a_sum[i] * c[i]
+    return np.ascontiguousarray(yt.T)
 
 
 def mean_Y(x: np.ndarray, psi: ResolventTable) -> np.ndarray:

@@ -19,12 +19,14 @@ interpolant in the state, one per node: the rule is evaluated at
 CHEB_NODES Chebyshev-Lobatto points spanning the node's states (its end
 points the extreme states themselves), and the fit must match the rule at
 the CHEB_NODES - 1 interleaved points to CHEB_TOL times its largest node
-value.  A node whose states do not spread (t_0) takes the rule at its one
-state for every path.  A node whose transition has sd = 0 (t_N), with too
-few paths to gain, or whose fit fails that certificate takes the rule at
-every state.  The growth guard checks every point whose h value enters a
-result; as the extreme states are interpolation points, the hull of the
-checked points is the one the rule at every state would check.
+value; the series is summed only up to its last coefficient above the
+rounding of its own transform.  A node whose states do not spread (t_0)
+takes the rule at its one state for every path.  A node whose transition
+has sd = 0 (t_N), with too few paths to gain, or whose fit fails that
+certificate takes the rule at every state.  The growth guard checks every
+point whose h value enters a result; as the extreme states are
+interpolation points, the hull of the checked points is the one the rule
+at every state would check.
 """
 
 from __future__ import annotations
@@ -250,11 +252,13 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     in the state (_interpolated_mean): the rule at K = CHEB_NODES
     Chebyshev-Lobatto points on [min, max] of the node's states, the end
     points the extreme states exactly, turned into coefficients by one
-    fixed K x K cosine matrix, certified against the rule at the K - 1
-    interleaved points to CHEB_TOL times the largest node value, and
-    evaluated at the M states as one product of the coefficients with the
-    table of T_k at those states (_chebyshev_table), every time row at
-    once.  A node whose states are all equal (t_0) takes the rule at its
+    fixed K x K cosine matrix, chopped after the last term above that
+    transform's rounding (_chopped_length), certified against the rule at
+    the K - 1 interleaved points to CHEB_TOL times the largest node value,
+    and evaluated at the M states as one product of the kept coefficients
+    with the table of those T_k at the states (_chebyshev_table), every
+    time row at once.  The states are read as contiguous rows of W^T.  A
+    node whose states are all equal (t_0) takes the rule at its
     one state for every path, the bits of mean_profile's layer whatever M
     is.  A node with sd = 0 (t_N), M <= 2K - 1 or a failed certificate
     takes one gauss_hermite_mean call over every path's state instead; at
@@ -266,9 +270,9 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     grid = ensemble.grid
     times = _times(fam, grid)
     shift, sd = _q_transition(ensemble.drift_fn)
-    w = ensemble.w
+    wt = np.ascontiguousarray(ensemble.w.T)  # node-major: row i is W(t_i)
     for i in range(grid.n + 1):
-        x = w[:, i] + shift[i]
+        x = wt[i] + shift[i]
         if x.min() == x.max():  # t_0: the rule at the one state
             c = gauss_hermite_mean(fam, times, x[:1], sd[i])
         else:
@@ -284,9 +288,11 @@ def _interpolated_mean(fam: TerminalFunction, times: np.ndarray,
     interpolant on [min x, max x] (see conditional_sweep), or None where
     the interpolant does not apply or fails its certificate.  The 2K - 1
     points go through one gauss_hermite_mean call, its growth guard
-    included.  The fit at the check points and the values at the states
-    are both the coefficients times a _chebyshev_table, one GEMM for every
-    time row."""
+    included.  The series keeps its first _chopped_length terms, the
+    scale of a time row being its largest |node value|; the certificate
+    checks that chopped fit.  The fit at the check points and the values
+    at the states are both the kept coefficients times a _chebyshev_table
+    of as many rows, one GEMM for every time row."""
     lo, hi = x.min(), x.max()
     if not (sd > 0.0 and hi > lo and len(x) > 2 * CHEB_NODES - 1):
         return None
@@ -296,21 +302,34 @@ def _interpolated_mean(fam: TerminalFunction, times: np.ndarray,
     vals = gauss_hermite_mean(fam, times, pts, sd)
     nodes, checks = vals[:, ::2], vals[:, 1::2]
     coef = nodes @ _CHEB_COEF.T
-    fit = coef @ _chebyshev_table(_CHEB_X[1::2])
     scale = np.abs(nodes).max(axis=1, keepdims=True)
+    coef = coef[:, :_chopped_length(coef, scale)]
+    fit = coef @ _chebyshev_table(_CHEB_X[1::2], coef.shape[1])
     if not np.all(np.abs(fit - checks) <= CHEB_TOL * scale):
         return None
-    return coef @ _chebyshev_table((x - mid) / half)
+    return coef @ _chebyshev_table((x - mid) / half, coef.shape[1])
 
 
-def _chebyshev_table(s: np.ndarray) -> np.ndarray:
-    """T_k(s) for k = 0..CHEB_NODES - 1, one row per k, by the three-term
+def _chopped_length(coef: np.ndarray, scale: np.ndarray) -> int:
+    """The length k0 of the shortest prefix of the Chebyshev coefficients
+    coef (one row per time) whose dropped tail sum_(j >= k0) |c_j| is at
+    most CHEB_NODES eps scale in every row: the rounding of the K x K
+    transform that made coef, so the terms after k0 are noise (Aurentz &
+    Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017)."""
+    tail = np.cumsum(np.abs(coef[:, ::-1]), axis=1)[:, ::-1]
+    floor = CHEB_NODES * np.finfo(float).eps * scale
+    # tail falls along each row, so the rows' noise terms are a suffix
+    return coef.shape[1] - int(np.all(tail <= floor, axis=0).sum())
+
+
+def _chebyshev_table(s: np.ndarray, rows: int) -> np.ndarray:
+    """T_k(s) for k = 0..rows - 1, one row per k, by the three-term
     recurrence T_k = 2 s T_(k-1) - T_(k-2)."""
-    table = np.empty((CHEB_NODES, len(s)))
-    table[0] = 1.0
-    table[1] = s
+    table = np.empty((rows, len(s)))
+    table[:1] = 1.0  # slices, as a chopped series may keep 0 or 1 rows
+    table[1:2] = s
     s2 = s + s
-    for k in range(2, CHEB_NODES):
+    for k in range(2, rows):
         np.multiply(s2, table[k - 1], out=table[k])
         table[k] -= table[k - 2]
     return table

@@ -416,6 +416,31 @@ def test_basis_blocks_match_the_stacked_basis_bitwise(m_paths, n):
         == reference_stacked_rows(w).tobytes()
 
 
+def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
+    # blocks of 3 node rows on N + 1 = 13 nodes, the last block short:
+    # values is the whole-table Horner pass, and sup the max |.| over its
+    # table, bit for bit, a NaN included
+    m_paths, n = 500, 12
+    monkeypatch.setattr(oracles, "HORNER_BLOCK", 3 * m_paths)
+    ens = sample_paths(m_paths, 73, "Q", zero_drift(TriangularGrid(T, n)))
+    basis = _StackedBasis(ens.w, np.zeros((m_paths, n + 1)))
+    wt = np.ascontiguousarray(ens.w.T)
+    c = np.random.default_rng(5).standard_normal((n + 1, 5))
+    a = basis._powers(c)[:, :, None]
+    want = wt * a[:, -1]
+    for p in range(a.shape[1] - 2, 0, -1):
+        want += a[:, p]
+        want *= wt
+    want += a[:, 0]
+    assert basis.values(c, wt).tobytes() == want.tobytes()
+    assert basis.sup(c, wt) == np.abs(want).max()
+    for i in range(n + 1):  # node i alone, in whichever block it falls
+        c_i = np.where(np.arange(n + 1)[:, None] == i, c, 0.0)
+        assert basis.sup(c_i, wt) == np.abs(want[i]).max(), i
+    c[7, 2] = np.nan
+    assert np.isnan(basis.sup(c, wt))
+
+
 def test_regression_guard_trips_on_collinear_basis():
     w_col = np.full(500, 2.0)
     w_col[0] += 1e-9

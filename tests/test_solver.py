@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bsvielab import terminal
 from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
     expect_q_columns, sample_paths
 from bsvielab.kernels import DelayedGenerator, GridMismatch, TriangularGrid, \
@@ -238,6 +239,29 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
     y = solve_Y(fam, psi, ens)
     eps = np.finfo(float).eps
     assert np.abs(y - matvec).max() <= 4 * eps * np.abs(matvec).max()
+
+
+@pytest.mark.parametrize("m_paths", [1, 63, 64, 300])
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_solve_Y_node_major_rows_match_column_loop(monkeypatch, m_paths,
+                                                   t_dependent):
+    # Y filled as node-major rows and transposed once is the table the
+    # column writes gave, bit for bit, with every Chebyshev term kept:
+    # one path (t_0's one state everywhere), M = 2K - 1 (the direct
+    # layer) and M above it (the interpolant)
+    monkeypatch.setattr(terminal, "_chopped_length",
+                        lambda coef, scale: coef.shape[1])
+    g, m, spec, phi, psi = setup_reduced(0.3, 12, Uniform(T), g_value=0.2)
+    ens = sample_paths(m_paths, 4, "Q", drift(DelayedGenerator(m, spec, g)))
+    fam = t_varying_h("square") if t_dependent else make_h("square")
+    a = psi.values * tail_weight_matrix(g)
+    want = np.empty((m_paths, g.n + 1))
+    for i, c in conditional_sweep(fam, ens):
+        want[:, i] = c[i] + a[i] @ c if t_dependent \
+            else c[i] + a[i].sum() * c[i]
+    y = solve_Y(fam, psi, ens)
+    assert y.flags.c_contiguous
+    assert y.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m_paths", [1, 100, GH_BLOCK - 1, GH_BLOCK,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bsvielab import terminal
 from bsvielab.girsanov import DriftFunction, drift, sample_paths
 from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
     constant_kernel, resolvent, tail_weight_matrix
@@ -308,6 +309,65 @@ def test_sweep_counts_h_points():
     for _ in conditional_sweep(fam, mc_terminal_ensemble(1, n, m)):
         pass
     assert sum(points) <= ((n - 1) * (2 * CHEB_NODES - 1) + 1) * GH_NODES + m
+
+
+@pytest.mark.parametrize("fam, most", [
+    (make_h("square"), 3),
+    (make_h("affine"), 2),
+    (make_h("exp"), CHEB_NODES - 1),
+], ids=["square", "affine", "exp"])
+def test_sweep_chops_the_series_at_its_rounding_floor(monkeypatch, fam, most):
+    # a polynomial h of degree d keeps d + 1 terms at every interior node
+    # (its fit and its states alike); exp keeps fewer than all K
+    rows = []
+
+    def table(s, k):
+        rows.append(k)
+        return full_table(s, k)
+
+    full_table = terminal._chebyshev_table
+    monkeypatch.setattr(terminal, "_chebyshev_table", table)
+    e = mc_terminal_ensemble(1)
+    for _ in conditional_sweep(fam, e):
+        pass
+    assert len(rows) == 2 * (e.grid.n - 1)
+    assert max(rows) <= most
+
+
+@pytest.mark.parametrize("fam", [
+    make_h("square"),
+    make_h("exp"),
+    make_h("affine"),
+    TerminalFunction(
+        h=lambda t, x: np.exp(-t) * np.asarray(x) ** 2 + t * np.asarray(x),
+        dh=lambda t, x: 2.0 * np.exp(-t) * np.asarray(x) + t,
+        growth_a=3.0, growth_b=1.0, t_dependent=True),
+], ids=["square", "exp", "affine", "t-dependent"])
+def test_chopped_sweep_within_floor_of_full_series(monkeypatch, fam):
+    # the dropped tail sums to at most K eps scale, |T_k| <= 1 on the
+    # states' interval, so every chopped value stays that close to the
+    # K-term evaluation, time row by time row; a t-dependent h is checked
+    # on the diagonal row, which Y reads, and on the last
+    scales = []
+
+    def chopped(coef, scale):
+        scales.append(scale[:, 0])
+        return chopped_length(coef, scale)
+
+    chopped_length = terminal._chopped_length
+    e = mc_terminal_ensemble(1)
+    n = e.grid.n
+    rows = [[i, n] if fam.t_dependent else [0] for i in range(n + 1)]
+    monkeypatch.setattr(terminal, "_chopped_length", chopped)
+    chop = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
+    monkeypatch.setattr(terminal, "_chopped_length",
+                        lambda coef, scale: coef.shape[1])
+    full = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
+    assert len(scales) == n - 1  # every interior node interpolates
+    floor = CHEB_NODES * np.finfo(float).eps
+    for i, scale in enumerate(scales, start=1):
+        assert np.all(np.abs(chop[i] - full[i])
+                      <= floor * scale[rows[i], None]), i
 
 
 def test_nan_at_an_interpolation_point_raises():
