@@ -132,12 +132,26 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
         fh.write("\n")
 
 
-def _prepare(cfg: ExperimentConfig):
-    """Grid, kernel table, resolvent and drift shared by most commands; the
-    delayed operator is built once by the two commands that use it."""
-    phi = build_phi(cfg.generator)
+def _prepare(cfg: ExperimentConfig, phi=None):
+    """Grid, kernel table (built here unless given), resolvent and drift
+    shared by most commands."""
+    if phi is None:
+        phi = build_phi(cfg.generator)
     psi = resolvent(phi, cfg.resolvent_tol)
     return cfg.generator.grid, phi, psi, drift(cfg.generator)
+
+
+def _phi_and_operator(cfg: ExperimentConfig):
+    """The kernel table and, for a deterministic family, the delayed
+    operator (None otherwise: the LSMC builds its own), both from one
+    evaluation of the spec on the node square, dropped before the
+    resolvent is solved."""
+    gen = cfg.generator
+    spec_table = gen.spec_at(gen.grid.nodes)
+    phi = build_phi(gen, spec_table)
+    if is_stochastic(cfg.family):
+        return phi, None
+    return phi, build_delayed_operator(gen, spec_table)
 
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
@@ -145,8 +159,10 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
     residual = identity_residual(phi, psi)
     write_triangle(os.path.join(cfg.out_dir, "resolvent.csv"),
                    ["t", "s", "phi", "psi"], grid, phi.values, psi.values)
-    print(f"resolvent: residual={residual:.6e} n_star={psi.n_star} "
-          f"tail_bound={psi.tail_bound:.6e} "
+    tail = "n/a" if psi.tail_bound is None else f"{psi.tail_bound:.6e}"
+    print(f"resolvent: residual={residual:.6e} "
+          f"n_star={'n/a' if psi.n_star is None else psi.n_star} "
+          f"tail_bound={tail} "
           f"sup|Phi|={phi.sup_norm:.12g} sup|Psi|={psi.sup_norm:.12g}")
     extra = {
         "identity_residual": residual,
@@ -196,7 +212,8 @@ def _finite_norms(y, z, grid, ens, beta: float):
 
 
 def cmd_solve(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn = _prepare(cfg)
+    phi, op = _phi_and_operator(cfg)
+    grid, phi, psi, drift_fn = _prepare(cfg, phi)
     y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     nodes = grid.nodes
@@ -210,7 +227,6 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     else:
         y_mean, y_se = y, np.zeros_like(y)
         fbar0 = mean_profile(cfg.family, drift_fn)
-        op = build_delayed_operator(cfg.generator)
         rd, _ = residual_delayed(y, fbar0, op)
         rr, _ = residual_reduced(y, fbar0, phi)
         rr_se = np.zeros_like(rr)
@@ -273,7 +289,8 @@ def _run_oracle(cfg: ExperimentConfig, name: str, solve):
 
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn = _prepare(cfg)
+    phi, op = _phi_and_operator(cfg)
+    grid, phi, psi, drift_fn = _prepare(cfg, phi)
     tol_quad = cfg.quad_slack * grid.dt * grid.dt
     # Conditioned on the trivial F_0 the explicit route and the reduced
     # equation see only the expected profile Fbar: the explicit mean by
@@ -286,7 +303,6 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
         if is_stochastic(cfg.family) else None
     if ens is None:
-        op = build_delayed_operator(cfg.generator)
         pic = _run_oracle(cfg, "picard", lambda: solve_delayed_picard(
             fbar0, op, cfg.picard_tol))
         y_orc = pic.y

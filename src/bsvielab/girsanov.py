@@ -70,10 +70,11 @@ class PathEnsemble:
 
     draws (M, N) is the one path table held: the scaled normal draws,
     increments of W for tag "P" and of W^Q for tag "Q".  dw (the
-    increments of W), w and wq (the cumulative paths of W and W^Q, which
-    coincide when the drift vanishes) are derived from it and the drift,
-    as sample_paths describes: each access builds a new read-only table
-    (w and wq cost a cumsum), so a caller reads each one once.  weights
+    increments of W), wt (W node-major, (N+1, M)) and wq (W^Q, which
+    coincides with W when the drift vanishes) are derived from it and the
+    drift, as sample_paths describes: each access builds a new read-only
+    table (wt and wq cost a cumsum along the nodes), so a caller reads
+    each one once; w is the path-major view of wt.  weights
     is the per-path Radon-Nikodym density M(T) for tag "P" and exactly 1
     for tag "Q".  The path count M is the number of rows of draws.
     """
@@ -112,13 +113,19 @@ class PathEnsemble:
         return out
 
     @property
-    def w(self) -> np.ndarray:
-        """W on every path and node, (M, N+1)."""
+    def wt(self) -> np.ndarray:
+        """W node-major, (N+1, M): row i is W(t_i) on every path, so a
+        node's states are one contiguous row."""
         out = self._cumulative_draws()
         if self.tag == "Q":
-            out += self.drift_fn.cumulative()[None, :]
+            out += self.drift_fn.cumulative()[:, None]
         out.flags.writeable = False
         return out
+
+    @property
+    def w(self) -> np.ndarray:
+        """W on every path and node, (M, N+1): the transpose of wt."""
+        return self.wt.T
 
     def ito_q(self, a: np.ndarray) -> np.ndarray:
         """Left-point Ito sums sum_k dW^Q_k a[k] per path from the draws, the
@@ -133,15 +140,16 @@ class PathEnsemble:
         """W^Q = W - int b on every path and node, (M, N+1)."""
         out = self._cumulative_draws()
         if self.tag == "P":
-            out -= self.drift_fn.cumulative()[None, :]
+            out -= self.drift_fn.cumulative()[:, None]
         out.flags.writeable = False
-        return out
+        return out.T
 
     def _cumulative_draws(self) -> np.ndarray:
-        """0 then the running sums of the draws along each path."""
-        out = np.empty((self.n_paths, self.grid.n + 1))
-        out[:, 0] = 0.0
-        np.cumsum(self.draws, axis=1, out=out[:, 1:])
+        """Node-major (N+1, M): 0, then the running sums of the draws
+        along each path, one node row at a time."""
+        out = np.empty((self.grid.n + 1, self.n_paths))
+        out[0] = 0.0
+        np.cumsum(self.draws.T, axis=0, out=out[1:])
         return out
 
 
@@ -254,7 +262,7 @@ def girsanov_report(b: DriftFunction, n_paths: int,
     """
     ens_p = sample_paths(n_paths, seed, "P", b)
     ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(n_paths))
-    w_end = ens_p.w[:, -1]
+    w_end = ens_p.w[:, -1]  # the last row of W^T, contiguous
 
     wts = ens_p.weights
     mean_w = (float(wts.mean()),

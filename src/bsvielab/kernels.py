@@ -79,13 +79,17 @@ class TriangularGrid:
 
 
 def zero_extend_kernel(f: Callable) -> Callable:
-    """Wrap a two-argument kernel so any negative argument evaluates to 0."""
+    """Wrap a two-argument kernel so any negative argument evaluates to 0.
+    Each argument keeps its own shape (a negative or NaN time is read as
+    0): f broadcasts them, so a column and a row of times give the square
+    without two square copies of the times."""
 
     def wrapped(t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        mask = (t >= 0.0) & (s >= 0.0)
-        out = np.where(mask, f(np.where(mask, t, 0.0), np.where(mask, s, 0.0)), 0.0)
+        t_in, s_in = t >= 0.0, s >= 0.0
+        out = np.where(t_in & s_in,
+                       f(np.where(t_in, t, 0.0), np.where(s_in, s, 0.0)), 0.0)
         return out if out.ndim else float(out)
 
     return wrapped
@@ -144,16 +148,29 @@ class DelayedGenerator:
         horizon = self.grid.horizon
         return snap_lag(np.clip(x - horizon, -horizon, 0.0))
 
-    def G_at(self, x: np.ndarray) -> np.ndarray:
-        """G(x_i, x_j) over the times x, zero-extended.  A product-form spec
-        gives G = Phi / alpha([x_j - T, 0]), 0 where that mass is <= 1e-12:
-        an integrable endpoint singularity loses one cell."""
+    def spec_at(self, x: np.ndarray) -> np.ndarray:
+        """The spec's own kernel at (x_i, x_j) over the times x,
+        zero-extended: phi_direct for a product-form spec, else G.  On the
+        nodes this is the one evaluation of the spec that build_phi and
+        build_delayed_operator share."""
         k = self.kernel
-        if k.phi_direct is None:
-            return zero_extend_kernel(k.G)(x[:, None], x[None, :])
-        vals = zero_extend_kernel(k.phi_direct)(x[:, None], x[None, :])
+        f = k.G if k.phi_direct is None else k.phi_direct
+        return zero_extend_kernel(f)(x[:, None], x[None, :])
+
+    def G_from(self, spec_table: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """G over the times x from spec_table = spec_at(x): the table itself
+        for a G spec; for a product-form spec G = Phi / alpha([x_j - T, 0]),
+        0 where that mass is <= 1e-12: an integrable endpoint singularity
+        loses one cell."""
+        if self.kernel.phi_direct is None:
+            return spec_table
         mass = self.measure.mass_closed(self.lag(x))
-        return np.divide(vals, mass, out=np.zeros_like(vals), where=mass > 1e-12)
+        return np.divide(spec_table, mass, out=np.zeros_like(spec_table),
+                         where=mass > 1e-12)
+
+    def G_at(self, x: np.ndarray) -> np.ndarray:
+        """G(x_i, x_j) over the times x, zero-extended: G_from of spec_at."""
+        return self.G_from(self.spec_at(x), x)
 
     def g_at(self, x: np.ndarray) -> np.ndarray:
         """g at the times x, zero-extended; ValueError where |g| exceeds
@@ -182,11 +199,11 @@ class KernelTable:
 
 @dataclass
 class ResolventTable(KernelTable):
-    """Psi = sum_n Phi^(n) and sharp_tail's report; identity_residual
-    measures it."""
+    """Psi = sum_n Phi^(n) and sharp_tail's report, both None where that
+    tail cannot be summed; identity_residual measures it."""
 
-    n_star: int
-    tail_bound: float
+    n_star: Optional[int]
+    tail_bound: Optional[float]
 
 
 def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
@@ -199,6 +216,21 @@ def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
     w[:, n] = 0.5 * dt
     w[n] = 0.0
     return w
+
+
+def tail_weighted(grid: TriangularGrid, v: np.ndarray) -> np.ndarray:
+    """v * tail_weight_matrix(grid), bit for bit, with no weight table, for
+    an (N+1, N+1) table v whose strict lower triangle is zero (the
+    KernelTable contract), where dt x and 0.0 x are the same zero: dt
+    times v, the diagonal and the last column times dt/2, the last row
+    times 0.0 (so a negative cell gives -0.0 there too)."""
+    n, dt = grid.n, grid.dt
+    a = v * dt
+    half = 0.5 * dt
+    np.fill_diagonal(a, np.diagonal(v) * half)
+    a[:, n] = v[:, n] * half
+    a[n] = v[n] * 0.0
+    return a
 
 
 def lag_weights(m: DelayMeasure, grid: TriangularGrid
@@ -223,20 +255,24 @@ def trapezoid_weights(grid: TriangularGrid) -> np.ndarray:
     return w
 
 
-def build_phi(gen: DelayedGenerator) -> KernelTable:
-    """Reduced kernel: alpha-mass of [s-T, 0] times G(t, s) on the triangle.
+def build_phi(gen: DelayedGenerator,
+              spec_table: Optional[np.ndarray] = None) -> KernelTable:
+    """Reduced kernel: alpha-mass of [s-T, 0] times G(t, s) on the triangle,
+    from spec_table = gen.spec_at(nodes), evaluated here unless the caller
+    passes it (to build the delayed operator from the same evaluation).
 
     When the spec supplies the reduced kernel directly, its grid values are
     tabulated as-is and checked against G_bound.
     """
     k, t = gen.kernel, gen.grid.nodes
+    if spec_table is None:
+        spec_table = gen.spec_at(t)
     if k.phi_direct is not None:
-        phi = np.triu(zero_extend_kernel(k.phi_direct)(t[:, None], t[None, :]))
+        phi = np.triu(spec_table)
         _check_bound(phi, k.G_bound, "|Phi|", " on the grid")
         return KernelTable(gen.grid, phi)
-    gvals = gen.G_at(t)
-    _check_bound(np.triu(gvals), k.G_bound, "|G|", " on the grid")
-    vals = gen.measure.mass_closed(gen.lag(t))[None, :] * gvals
+    _check_bound(np.triu(spec_table), k.G_bound, "|G|", " on the grid")
+    vals = gen.measure.mass_closed(gen.lag(t))[None, :] * spec_table
     return KernelTable(gen.grid, np.triu(vals))
 
 
@@ -320,7 +356,9 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
     Psi (I - dt Phi + dt/2 D) = Phi - dt/2 D Phi with D = diag Phi,
     solved by _upper_substitution.  Pivoting noise below the diagonal is
     cut, and the diagonal is Phi's, as in the series.  tol only sets the
-    reported order n_star.  ToleranceUnreachable when Psi overflows.
+    reported order n_star and tail_bound of sharp_tail, None both when
+    C*T is too large for that tail to be summed: the report does not stop
+    the solve.  ToleranceUnreachable when Psi overflows.
     """
     p = phi.values
     denom = implicit_factors(phi)
@@ -334,8 +372,11 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
         except ValueError:
             raise ToleranceUnreachable(
                 f"resolvent overflows for C = {phi.sup_norm:.3g}") from None
-    return ResolventTable(phi.grid, psi,
-                          *sharp_tail(phi.sup_norm, phi.grid.horizon, tol))
+    try:
+        report = sharp_tail(phi.sup_norm, phi.grid.horizon, tol)
+    except ToleranceUnreachable:
+        report = None, None
+    return ResolventTable(phi.grid, psi, *report)
 
 
 def identity_residual(phi: KernelTable, psi: ResolventTable) -> float:

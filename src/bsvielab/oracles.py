@@ -24,7 +24,7 @@ import numpy as np
 
 from .girsanov import PathEnsemble
 from .kernels import DelayedGenerator, GridMismatch, KernelTable, \
-    implicit_factors, lag_weights, tail_weight_matrix
+    implicit_factors, lag_weights, tail_weight_matrix, tail_weighted
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -88,7 +88,7 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
     cell moved to the left-hand side by implicit_factors.
     """
     n = phi.grid.n
-    a = phi.values * tail_weight_matrix(phi.grid)
+    a = tail_weighted(phi.grid, phi.values)
     denom = implicit_factors(phi)
     fbar = np.asarray(fbar, dtype=float)
     y = np.zeros_like(fbar)
@@ -106,15 +106,28 @@ def _diffuse_operator(gt: np.ndarray, gen: DelayedGenerator) -> np.ndarray:
     1/2 at q in {c, c+r-N} (the one over [t_r, T]), else 1.  The halves sit
     on lo or hi, so over the prefix P[k] = K[0] + ... + K[k-1] + K[k]/2 the
     sum is P[hi] - P[lo], less K/4 where two halves meet (hi = r = c,
-    lo = 0 = c+r-N); columns 0 and N hold one term of weight 1/4."""
+    lo = 0 = c+r-N); columns 0 and N hold one term of weight 1/4.  Only
+    K[q, c] with q <= c is read.  Both gathers are views, with no index
+    grid: P[min(r, c), c] is P with each column's diagonal value below it,
+    and P[lo, c] = E[r + c, c] reads a skewed diagonal of E, P below N
+    copies of its row 0."""
     m, n, dt = gen.measure, gen.grid.n, gen.grid.dt
     if not m.diffuse_mass:
         return np.zeros((n + 1, n + 1))
-    p = np.cumsum(gt, axis=0)
-    p -= 0.5 * gt
-    r, c = np.ogrid[:n + 1, :n + 1]
-    op = p[np.minimum(r, c), c]
-    op -= p[np.maximum(c + r - n, 0), c]
+    e = np.empty((2 * n + 1, n + 1))
+    p = e[n:]
+    np.cumsum(gt, axis=0, out=p)
+    op = np.multiply(gt, 0.5)
+    p -= op
+    e[:n] = p[0]
+    np.copyto(op, p)
+    np.copyto(op, np.diagonal(p), where=np.tri(n + 1, k=-1, dtype=bool))
+    # lo[n - r, c] = e[r + c, c]: up one row of e per row, down one per
+    # column, from e[n, 0]; every read lies inside e
+    lo = np.lib.stride_tricks.as_strided(
+        p, shape=op.shape, strides=(-e.strides[0], sum(e.strides)),
+        writeable=False)
+    op[::-1] -= lo
     inner = np.arange(1, n)
     op[inner, inner] -= 0.25 * gt[inner, inner]
     op[inner, n - inner] -= 0.25 * gt[0, n - inner]
@@ -138,7 +151,7 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
     grid, n = gen.grid, gen.grid.n
     on_lag, between = lag_weights(gen.measure, grid)
     op = _diffuse_operator(table, gen)
-    trap = tail_weight_matrix(grid)
+    trap = tail_weight_matrix(grid) if on_lag or between else None
     for lag, wl in on_lag:
         live = n + 1 - lag
         op[lag:, :live] += wl * trap[lag:, lag:] * table[:live, :live]
@@ -151,9 +164,17 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
     return op
 
 
-def build_delayed_operator(gen: DelayedGenerator) -> np.ndarray:
-    """The delay operator of G: _delay_walk on K = G, tabulated by G_at."""
-    return _delay_walk(gen, gen.G_at(gen.grid.nodes), gen.G_at)
+def build_delayed_operator(gen: DelayedGenerator,
+                           spec_table: np.ndarray | None = None
+                           ) -> np.ndarray:
+    """The delay operator of G: _delay_walk on K = G, its node table read
+    by gen.G_from from spec_table = gen.spec_at(nodes), the evaluation
+    build_phi makes (evaluated here unless given), and G between lags by
+    G_at."""
+    x = gen.grid.nodes
+    if spec_table is None:
+        spec_table = gen.spec_at(x)
+    return _delay_walk(gen, gen.G_from(spec_table, x), gen.G_at)
 
 
 def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
@@ -191,7 +212,7 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable
                      ) -> tuple[np.ndarray, float]:
     """R(t) = Y(t) - Fbar(t) - int_t^T Phi(t,s) Y(s) ds (profiles or
     per-path matrices, vectorized over leading axes)."""
-    a = phi.values * tail_weight_matrix(phi.grid)
+    a = tail_weighted(phi.grid, phi.values)
     r = y - fbar
     r -= y @ a.T
     return r, float(np.abs(r).max())
@@ -257,7 +278,8 @@ def _power_stats(wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _StackedBasis:
-    """Every node's regression basis on the paths W (M, N+1): B_i holds
+    """Every node's regression basis on the paths W (M, N+1), read by
+    node rows (contiguous in the transpose of PathEnsemble.wt): B_i holds
     the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
     <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.  The node
@@ -424,10 +446,8 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
     dw = ensemble.dw
     b_dt = ensemble.drift_fn.increments()
     incr = _IncrementBasis(dw, op, tail_weight_matrix(grid), grid.dt)
-    w = ensemble.w
-    basis = _StackedBasis(w, f_vals, dw if tilted else None)
-    wt = np.ascontiguousarray(w.T)  # node-major, for the sweeps
-    del w
+    wt = ensemble.wt  # node-major, for the basis and the sweeps
+    basis = _StackedBasis(wt.T, f_vals, dw if tilted else None)
     n1, d = basis.ones.shape
     at = np.arange(n1)
     # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .girsanov import DriftFunction, PathEnsemble, expect_q_columns
 from .kernels import GridMismatch, KernelTable, ResolventTable, \
-    TriangularGrid, tail_weight_matrix, trapezoid_weights
+    TriangularGrid, tail_weight_matrix, tail_weighted, trapezoid_weights
 from .terminal import GaussianLinear, TerminalFamily, TerminalFunction, \
     conditional_sweep, f0_profile, gaussian_linear_conditionals, \
     is_stochastic, malliavin_table
@@ -67,7 +67,7 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
         return y
 
     yt = np.empty((grid.n + 1, ensemble.n_paths))  # node-major rows
-    a = psi.values * tail_weight_matrix(grid)
+    a = tail_weighted(grid, psi.values)
     a_sum = a.sum(axis=1)
     for i, c in conditional_sweep(fam, ensemble):
         if fam.t_dependent:
@@ -82,7 +82,7 @@ def mean_Y(x: np.ndarray, psi: ResolventTable) -> np.ndarray:
     profile or table x.  On Fbar = E^Q[F | F_0] (terminal.mean_profile) it
     is E^Q[Y], by the tower property E^Q[E^Q[F(r) | F_t]] = Fbar(r), with
     no paths; for a deterministic family it is Y itself."""
-    return x + (psi.values * tail_weight_matrix(psi.grid)) @ x
+    return x + tail_weighted(psi.grid, psi.values) @ x
 
 
 def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
@@ -136,7 +136,7 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
     d[diag, diag] = (z[diag, diag] - z[diag - 1, diag]) / dt
     d = np.triu(d)
     d[0, 0] = 0.0
-    inner = (tail_weight_matrix(grid) * d**2).sum(axis=1)
+    inner = tail_weighted(grid, d**2).sum(axis=1)
     integral = float(trapezoid_weights(grid) @ inner)
     return SmoothnessReport(d, integral, bool(np.all(np.isfinite(d))))
 
@@ -168,6 +168,6 @@ def norms(y: np.ndarray, z: np.ndarray, grid: TriangularGrid,
     h1_sq, s2 = (per_path[0] if ensemble is None
                  else expect_q_columns(ensemble, per_path)[0])
     h1, s2 = math.sqrt(float(h1_sq)), float(s2)
-    inner = (tail_weight_matrix(grid) * (weight[None, :] * z**2)).sum(axis=1)
+    inner = tail_weighted(grid, np.triu(weight[None, :] * z**2)).sum(axis=1)
     h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
     return NormReport(beta, h1, h2, s2)

@@ -189,7 +189,7 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
         out = ensemble.dw @ _phi_table(fam, grid)[:, :-1].T
         out += f0_profile(fam, grid)
         return out
-    w_end = ensemble.w[:, -1]
+    w_end = ensemble.wt[-1]
     bound = _growth_bound(fam, w_end)
     return np.broadcast_to(np.stack([_growth_checked(fam, t, w_end, bound)
                                      for t in _times(fam, grid)], axis=1),
@@ -270,7 +270,7 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     grid = ensemble.grid
     times = _times(fam, grid)
     shift, sd = _q_transition(ensemble.drift_fn)
-    wt = np.ascontiguousarray(ensemble.w.T)  # node-major: row i is W(t_i)
+    wt = ensemble.wt  # node-major: row i is W(t_i)
     for i in range(grid.n + 1):
         x = wt[i] + shift[i]
         if x.min() == x.max():  # t_0: the rule at the one state

@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bsvielab import cli, oracles, solver
+from bsvielab import cli, kernels, oracles, solver
 from bsvielab.cli import main
 from bsvielab.config import load_config
 from bsvielab.girsanov import drift, expect_q_columns, sample_paths
@@ -580,6 +580,92 @@ kernel.scale = 1e6
 terminal.kind = deterministic
 """)
     assert run_cli("resolvent", "--config", cfg, "--out", tmp_path / "o") == 0
+
+
+def test_unsummable_sharp_tail_is_reported_as_na(tmp_path, capsys):
+    # C*T = 2.45e5 needs over 2^20 terms of the sharp tail, which is only
+    # reported: Psi is finite (sup 9.2e14), so both commands end 0, with
+    # n_star and tail_bound null in the sidecars and n/a in the report
+    cfg = write_cfg(tmp_path, """\
+horizon = 1.0
+grid.n = 3
+measure.kind = dirac
+measure.u0 = 0.0
+kernel.name = poly_exp
+kernel.k = 1
+kernel.lam = 1.5
+kernel.scale = 1e6
+terminal.kind = deterministic
+""")
+    out = tmp_path / "o"
+    meta = {}
+    for command in ("resolvent", "solve"):
+        assert run_cli(command, "--config", cfg, "--out", out) == 0, command
+        meta[command] = json.loads((out / f"{command}.meta.json").read_text(),
+                                   parse_constant=lambda t: pytest.fail(t))
+        assert meta[command]["n_star"] is None, command
+        assert meta[command]["tail_bound"] is None, command
+    assert 1e14 < meta["resolvent"]["sup_psi"] < float("inf")
+    assert "n_star=n/a tail_bound=n/a" in capsys.readouterr().out
+
+
+DET_UNIFORM = """\
+horizon = 1.0
+grid.n = {n}
+measure.kind = uniform
+kernel.name = {kernel}
+terminal.kind = deterministic
+terminal.f0 = constant
+terminal.f0.value = 1.0
+"""
+
+
+@pytest.mark.parametrize("kernel", ["example33", "constant\nkernel.c = 0.6"],
+                         ids=["example33", "constant"])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_deterministic_command_evaluates_the_spec_once(tmp_path, monkeypatch,
+                                                       command, kernel):
+    # Phi and the delayed operator read one evaluation of the spec (the
+    # product-form phi, or G) on the node square: a column and a row of
+    # the nodes
+    n = 24
+    nodes = TriangularGrid(1.0, n).nodes
+    calls = []
+    zero_extend = kernels.zero_extend_kernel
+
+    def counted(f):
+        wrapped = zero_extend(f)
+
+        def call(t, s):
+            if (np.shape(t) == (n + 1, 1) and np.shape(s) == (1, n + 1)
+                    and np.array_equal(t[:, 0], nodes)
+                    and np.array_equal(s[0], nodes)):
+                calls.append(command)
+            return wrapped(t, s)
+        return call
+
+    monkeypatch.setattr(kernels, "zero_extend_kernel", counted)
+    cfg = write_cfg(tmp_path, DET_UNIFORM.format(n=n, kernel=kernel))
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 0
+    assert calls == [command]
+
+
+def test_deterministic_solve_peak_within_eight_and_a_half_tables(tmp_path):
+    # det-uniform's solve at N = 600, one (N+1)^2 table 2.9 MB.  Before
+    # the delayed operator read build_phi's evaluation of the spec, the
+    # traced peak was 8.15 tables, inside the window sum's index-grid
+    # gathers (Phi, Psi, Z, G, its prefix, the operator and the index
+    # tables); the bound is fixed from that measurement
+    n = 600
+    cfg = write_cfg(tmp_path, DET_UNIFORM.format(n=n, kernel="example33"))
+    tracemalloc.start()
+    try:
+        code = run_cli("solve", "--config", cfg, "--out", tmp_path / "o")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8.5 * (n + 1) ** 2 * 8
 
 
 def test_single_path_solve_writes_valid_sidecar(tmp_path):

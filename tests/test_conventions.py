@@ -35,6 +35,12 @@ function under src/ reads its weights _GH_W_NORM, so every conditional
 mean is a row sum whose bits do not depend on the means beside it (a
 BLAS GEMV sums rows in groups of 4 and would make them depend on them).
 
+A table is weighted by the tail trapezoid rule in one place,
+kernels.tail_weighted, which writes table * tail_weight_matrix(grid) bit
+for bit with no weight table: no code under src/ multiplies anything by a
+tail_weight_matrix(...) call, so no command builds an (N+1)^2 weight
+table only to multiply it into Phi or Psi.
+
 The delay quadrature has one home, oracles._delay_walk: no other function
 under src/ calls kernels.lag_weights or oracles._diffuse_operator, so the
 delayed operator (the walk on G) and the LSMC's g-weighted Z term (the
@@ -57,6 +63,8 @@ WRITE_HOMES = [("cli", "write_csv"), ("cli", "write_triangle"),
 GH_WEIGHTS = "_GH_W_NORM"
 GH_SUM_HOME = ("terminal", "_gh_sum")
 LAG_WALK = {"lag_weights", "_diffuse_operator"}
+TAIL_WEIGHTS = "tail_weight_matrix"
+TAIL_WEIGHTED_HOME = ("kernels", "tail_weighted")
 LAG_WALK_HOME = ("oracles", "_delay_walk")
 
 
@@ -504,3 +512,68 @@ def test_src_walks_the_lags_in_one_function():
             found[name].add((path.stem, where))
     assert found == {name: {LAG_WALK_HOME} for name in LAG_WALK}, (
         f"the lags walked outside {'.'.join(LAG_WALK_HOME)}: {found}")
+
+
+def is_weight_table(node: ast.AST) -> bool:
+    """A tail_weight_matrix(...) call, by name or as an attribute, or a
+    slice or attribute (such as .T) of one."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)) and not (
+            isinstance(node, ast.Attribute) and node.attr == TAIL_WEIGHTS):
+        node = node.value
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.id if isinstance(f, ast.Name)
+            else getattr(f, "attr", None)) == TAIL_WEIGHTS
+
+
+def weight_table_products(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, what) of each product with a tail_weight_matrix(...) call as
+    a factor, by *, *= or a multiply call, outside the top-level function
+    TAIL_WEIGHTED_HOME[1] of the module TAIL_WEIGHTED_HOME[0]."""
+    tree = ast.parse(source)
+    home = home_nodes(tree, module, TAIL_WEIGHTED_HOME)
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in home:
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                and any(map(is_weight_table, (node.left, node.right))):
+            found.append((node.lineno, "*"))
+        elif isinstance(node, ast.AugAssign) and isinstance(
+                node.op, ast.Mult) and is_weight_table(node.value):
+            found.append((node.lineno, "*="))
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) \
+                == "multiply" and any(map(is_weight_table, node.args)):
+            found.append((node.lineno, "multiply"))
+    return sorted(found)
+
+
+def test_scan_finds_weight_table_products():
+    # the weighting as it was, beside uses that build no product
+    source = ("import numpy as np\n"
+              "from . import kernels\n"
+              "def mean_Y(x, psi):\n"
+              "    return x + (psi.values * tail_weight_matrix(grid)) @ x\n"
+              "def norms(z, grid):\n"
+              "    a = tail_weight_matrix(grid).T * z\n"
+              "    a *= kernels.tail_weight_matrix(grid)[:, ::-1]\n"
+              "    b = np.multiply(z, tail_weight_matrix(grid))\n"
+              "    trap = tail_weight_matrix(grid)\n"
+              "    return a + b + z @ tail_weight_matrix(grid) + trap\n"
+              "def tail_weighted(grid, v):\n"
+              "    return v * tail_weight_matrix(grid)\n")
+    assert weight_table_products(source, "solver") == [
+        (4, "*"), (6, "*"), (7, "*="), (8, "multiply"), (12, "*")]
+    assert weight_table_products(source, "kernels") == [
+        (4, "*"), (6, "*"), (7, "*="), (8, "multiply")]
+
+
+def test_src_weights_tables_in_one_function():
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, what in weight_table_products(
+                 path.read_text(encoding="utf-8"), path.stem)]
+    assert not found, ("a table times a tail_weight_matrix call; use "
+                       "kernels.tail_weighted:\n" + "\n".join(found))

@@ -284,6 +284,23 @@ def test_report_draws_the_stream_once(monkeypatch):
     assert reads == ["w"]
 
 
+@pytest.mark.parametrize("g_value", [0.0, 0.6])
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
+    # W^T is one cumsum along the nodes plus the drift's cumulative per
+    # row: the sequential sums of the path-major table, bit for bit, in
+    # contiguous node rows that cannot be written into; w is its transpose
+    g = grid(37)
+    ens = sample_paths(501, 13, mode, tilt(Uniform(1.0), g_value, g))
+    w = reference_paths(g, 501, 13, mode, ens.drift_fn)[1]
+    wt = ens.wt
+    assert wt.shape == (38, 501) and wt.flags.c_contiguous
+    assert wt.tobytes() == np.ascontiguousarray(w.T).tobytes()
+    assert ens.w.T.flags.c_contiguous and ens.w[:, -1].flags.c_contiguous
+    with pytest.raises(ValueError):
+        wt[0, 0] = 1.0
+
+
 def reference_paths(grid, n_paths, seed, mode, drift_fn):
     """(dw, w, wq, weights) as sample_paths built and held all four when
     the ensemble kept three path tables."""

@@ -32,6 +32,8 @@ from bsvielab.kernels import (
     poly_exp_kernel,
     resolvent,
     sharp_tail,
+    tail_weight_matrix,
+    tail_weighted,
     volterra_compose,
     zero_extend_kernel,
 )
@@ -287,6 +289,52 @@ def test_zero_extension():
     g = grid(10)
     gen = DelayedGenerator(DiracAt(1.0, 0.0), spec, g)
     assert build_phi(gen).sup_norm == 0.0
+
+
+def test_zero_extension_keeps_the_argument_shapes():
+    # a column and a row of times reach the kernel as they are, not as two
+    # squares, and give the bits of the squares' evaluation
+    shapes = []
+
+    def f(t, s):
+        shapes.append((np.shape(t), np.shape(s)))
+        return (s - t) * np.exp(-(s - t))
+
+    x = np.linspace(-0.3, 1.0, 14)
+    tt, ss = np.meshgrid(x, x, indexing="ij")
+    got = zero_extend_kernel(f)(x[:, None], x[None, :])
+    want = zero_extend_kernel(f)(tt, ss)
+    assert shapes == [((14, 1), (1, 14)), ((14, 14), (14, 14))]
+    assert got.tobytes() == want.tobytes()
+    assert not got[x < 0.0].any() and not got[:, x < 0.0].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 600])
+def test_tail_weighted_matches_the_weight_table_bitwise(n):
+    # negative cells, -0.0 above and on the diagonal, in the last row and
+    # column, and -0.0 below it (a zero of the table contract)
+    g = grid(n)
+    rng = np.random.default_rng(n)
+    v = np.triu(rng.standard_normal((n + 1, n + 1)))
+    v[0, 0] = v[1, n] = v[n, n] = v[0, 1] = -0.0
+    v[n, 0] = -0.0
+    want = v * tail_weight_matrix(g)
+    got = tail_weighted(g, v)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got).sum() > 0 and (got < 0.0).any()
+
+
+def test_resolvent_report_is_none_where_the_sharp_tail_is_unsummable():
+    # C*T = 2.45e5 needs over 2^20 terms of the sharp tail, but Psi is
+    # finite: the resolvent is returned with no report
+    spec = poly_exp_kernel(k=1, lam=1.5, scale=1e6)
+    phi = build_phi(DelayedGenerator(DiracAt(1.0, 0.0), spec, grid(3)))
+    with pytest.raises(ToleranceUnreachable, match="2\\^20"):
+        sharp_tail(phi.sup_norm, 1.0, 1e-10)
+    psi = resolvent(phi, tol=1e-10)
+    assert psi.n_star is None and psi.tail_bound is None
+    assert np.isfinite(psi.values).all() and psi.sup_norm > 1e14
+    assert identity_residual(phi, psi) <= 1e-14 * psi.sup_norm
 
 
 def test_poly_exp_bound_and_values():

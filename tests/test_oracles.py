@@ -730,8 +730,8 @@ def test_delay_integrals_match_loop_references_small_grids(case, n):
 
 def test_delayed_operator_peak_memory():
     # a uniform build keeps five (N+1)^2 tables live at most: G, its column
-    # prefix M, the operator, and one index table with the M values it
-    # gathers (M[hi] or M[lo]); numpy's ufunc buffers come on top
+    # prefix M below N copies of M's row 0 (two tables), the operator and
+    # the boolean lower triangle; numpy's ufunc buffers come on top
     grid = TriangularGrid(T, 400)
     table = (grid.n + 1) ** 2 * 8
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.3), grid)
@@ -742,6 +742,74 @@ def test_delayed_operator_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * table + 2 * 8 * np.getbufsize()
+
+
+OPERATOR_MEASURES = {
+    "dirac-0": DiracAt(T, 0.0),
+    "on-lag": DiracAt(T, -0.5),  # a lag of every even N
+    "between-lags": DiracAt(T, -0.3717),
+    "uniform": Uniform(T),
+    "mixture": Mixture(T, ((Uniform(T), 0.5), (DiracAt(T, -0.5), 0.3),
+                           (DiracAt(T, -0.3717), 0.2))),
+}
+OPERATOR_SPECS = {
+    "example33": example33_kernel(),
+    "constant": constant_kernel(0.6),
+    "poly_exp": poly_exp_kernel(k=1, lam=0.5),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+@pytest.mark.parametrize("measure", sorted(OPERATOR_MEASURES))
+@pytest.mark.parametrize("spec", sorted(OPERATOR_SPECS))
+def test_operator_from_phis_evaluation_bitwise(spec, measure, n):
+    # the operator built from the node evaluation build_phi reads is the
+    # walk on G_at's own table, bit for bit, and so is Phi
+    gen = DelayedGenerator(OPERATOR_MEASURES[measure], OPERATOR_SPECS[spec],
+                           TriangularGrid(T, n))
+    nodes = gen.grid.nodes
+    want = oracles._delay_walk(gen, gen.G_at(nodes), gen.G_at)
+    values = gen.spec_at(nodes)
+    phi = build_phi(gen, values)
+    got = build_delayed_operator(gen, values)
+    assert got.tobytes() == want.tobytes()
+    assert build_delayed_operator(gen).tobytes() == want.tobytes()
+    assert phi.values.tobytes() == build_phi(gen).values.tobytes()
+
+
+def reference_diffuse_operator(gt, gen):
+    """_diffuse_operator with its two gathers P[min(r, c), c] and
+    P[max(c+r-N, 0), c] taken through (N+1)^2 index grids."""
+    m, n, dt = gen.measure, gen.grid.n, gen.grid.dt
+    p = np.cumsum(gt, axis=0)
+    p -= 0.5 * gt
+    r, c = np.ogrid[:n + 1, :n + 1]
+    op = p[np.minimum(r, c), c]
+    op -= p[np.maximum(c + r - n, 0), c]
+    inner = np.arange(1, n)
+    op[inner, inner] -= 0.25 * gt[inner, inner]
+    op[inner, n - inner] -= 0.25 * gt[0, n - inner]
+    op[:, 0], op[:, n] = 0.25 * gt[0, 0], 0.25 * gt[:, n]
+    op[[0, n]] = 0.0
+    op *= m.diffuse_mass / m.horizon * dt * dt
+    return op
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 64])
+def test_diffuse_operator_gathers_match_index_grids_bitwise(n):
+    # the gathers are views, not index grids, with the same bits; and no
+    # cell below the diagonal is read
+    gen = DelayedGenerator(Mixture(T, ((Uniform(T), 0.7),
+                                       (DiracAt(T, -0.5), 0.3))),
+                           constant_kernel(0.6), TriangularGrid(T, n))
+    rng = np.random.default_rng(n)
+    gt = np.triu(rng.standard_normal((n + 1, n + 1)))
+    gt[0, 1] = -0.0
+    want = reference_diffuse_operator(gt, gen)
+    assert oracles._diffuse_operator(gt, gen).tobytes() == want.tobytes()
+    dirty = np.where(np.tri(n + 1, k=-1, dtype=bool),
+                     rng.standard_normal((n + 1, n + 1)), gt)
+    assert oracles._diffuse_operator(dirty, gen).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -344,15 +344,28 @@ def test_sweep_chops_the_series_at_its_rounding_floor(monkeypatch, fam, most):
         growth_a=3.0, growth_b=1.0, t_dependent=True),
 ], ids=["square", "exp", "affine", "t-dependent"])
 def test_chopped_sweep_within_floor_of_full_series(monkeypatch, fam):
-    # the dropped tail sums to at most K eps scale, |T_k| <= 1 on the
-    # states' interval, so every chopped value stays that close to the
-    # K-term evaluation, time row by time row; a t-dependent h is checked
-    # on the diagonal row, which Y reads, and on the last
-    scales = []
+    # The chop keeps the first k0 coefficients c_j of each time row and
+    # drops a tail sum_(j >= k0) |c_j| of at most floor * scale, floor =
+    # K eps, in its own running sum: asserted here row by row, the tail
+    # summed exactly (fsum) within that sum's rounding, a factor 1 + gamma_K.
+    # The chopped and the K-term values are both sums over j of c_j T_j at
+    # the states, the chopped table the K-term table's first k0 rows bit
+    # for bit.  A sum of k products is within gamma_k sum |c_j T_j| of its
+    # exact value in any order, gamma_k = k u / (1 - k u), u = eps / 2
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # 2002, sec. 3.1), and the recurrence keeps every computed |T_j|
+    # within 1 + K^2 eps of 1 on the states' interval.  So
+    #   |chopped - full|
+    #       <= (1 + K^2 eps) ((1 + gamma_K) floor scale + 2 gamma_K A),
+    # A = sum_j |c_j|: the dropped tail and the two evaluations' rounding.
+    # A t-dependent h is checked on its diagonal row, which Y reads, and
+    # on the last.
+    rows_seen = []
 
     def chopped(coef, scale):
-        scales.append(scale[:, 0])
-        return chopped_length(coef, scale)
+        k0 = chopped_length(coef, scale)
+        rows_seen.append((scale[:, 0], k0, coef))
+        return k0
 
     chopped_length = terminal._chopped_length
     e = mc_terminal_ensemble(1)
@@ -363,11 +376,17 @@ def test_chopped_sweep_within_floor_of_full_series(monkeypatch, fam):
     monkeypatch.setattr(terminal, "_chopped_length",
                         lambda coef, scale: coef.shape[1])
     full = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
-    assert len(scales) == n - 1  # every interior node interpolates
-    floor = CHEB_NODES * np.finfo(float).eps
-    for i, scale in enumerate(scales, start=1):
-        assert np.all(np.abs(chop[i] - full[i])
-                      <= floor * scale[rows[i], None]), i
+    assert len(rows_seen) == n - 1  # every interior node interpolates
+    eps = np.finfo(float).eps
+    k = CHEB_NODES
+    floor = k * eps
+    gamma = k * eps / 2 / (1 - k * eps / 2)
+    for i, (scale, k0, coef) in enumerate(rows_seen, start=1):
+        tail = np.array([math.fsum(np.abs(c[k0:])) for c in coef])
+        assert np.all(tail <= (1 + gamma) * floor * scale), i
+        bound = (1 + k * k * eps) * ((1 + gamma) * floor * scale
+                                     + 2 * gamma * np.abs(coef).sum(axis=1))
+        assert np.all(np.abs(chop[i] - full[i]) <= bound[rows[i], None]), i
 
 
 def test_nan_at_an_interpolation_point_raises():
