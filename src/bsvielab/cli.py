@@ -132,30 +132,22 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
         fh.write("\n")
 
 
-def _prepare(cfg: ExperimentConfig, phi=None):
-    """Grid, kernel table (built here unless given), resolvent and drift
-    shared by most commands."""
-    if phi is None:
-        phi = build_phi(cfg.generator)
-    psi = resolvent(phi, cfg.resolvent_tol)
-    return cfg.generator.grid, phi, psi, drift(cfg.generator)
-
-
-def _phi_and_operator(cfg: ExperimentConfig):
-    """The kernel table and, for a deterministic family, the delayed
-    operator (None otherwise: the LSMC builds its own), both from one
-    evaluation of the spec on the node square, dropped before the
-    resolvent is solved."""
+def _prepare(cfg: ExperimentConfig, operator: bool = False):
+    """Grid, kernel table, resolvent, drift and, if asked for, the delayed
+    operator (None otherwise): the command's one set of tables.  The spec
+    is evaluated once on the node square; Phi and the operator both read
+    that table, which is dropped before the resolvent is solved."""
     gen = cfg.generator
     spec_table = gen.spec_at(gen.grid.nodes)
     phi = build_phi(gen, spec_table)
-    if is_stochastic(cfg.family):
-        return phi, None
-    return phi, build_delayed_operator(gen, spec_table)
+    op = build_delayed_operator(gen, spec_table) if operator else None
+    del spec_table
+    psi = resolvent(phi, cfg.resolvent_tol)
+    return gen.grid, phi, psi, drift(gen), op
 
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, _ = _prepare(cfg)
+    grid, phi, psi, _, _ = _prepare(cfg)
     residual = identity_residual(phi, psi)
     write_triangle(os.path.join(cfg.out_dir, "resolvent.csv"),
                    ["t", "s", "phi", "psi"], grid, phi.values, psi.values)
@@ -212,8 +204,8 @@ def _finite_norms(y, z, grid, ens, beta: float):
 
 
 def cmd_solve(cfg: ExperimentConfig) -> None:
-    phi, op = _phi_and_operator(cfg)
-    grid, phi, psi, drift_fn = _prepare(cfg, phi)
+    grid, phi, psi, drift_fn, op = _prepare(
+        cfg, operator=not is_stochastic(cfg.family))
     y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     nodes = grid.nodes
@@ -289,8 +281,7 @@ def _run_oracle(cfg: ExperimentConfig, name: str, solve):
 
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
-    phi, op = _phi_and_operator(cfg)
-    grid, phi, psi, drift_fn = _prepare(cfg, phi)
+    grid, phi, psi, drift_fn, op = _prepare(cfg, operator=True)
     tol_quad = cfg.quad_slack * grid.dt * grid.dt
     # Conditioned on the trivial F_0 the explicit route and the reduced
     # equation see only the expected profile Fbar: the explicit mean by
@@ -310,7 +301,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         rd_orc, rd_orc_sup = residual_delayed(y_orc, fbar0, op)
     else:
         lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-            evaluate_F_table(cfg.family, ens), cfg.generator, ens,
+            evaluate_F_table(cfg.family, ens), op, cfg.generator, ens,
             cfg.picard_tol))
         y_orc = expect_q_columns(ens, lsmc.y)[0]
         # the noise of the LSMC mean is the spread of its targets; the
@@ -387,7 +378,7 @@ def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
 
 
 def cmd_z_surface(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn = _prepare(cfg)
+    grid, phi, psi, drift_fn, _ = _prepare(cfg)
     z = solve_Z(cfg.family, phi, psi, drift_fn)
     write_triangle(os.path.join(cfg.out_dir, "z_surface.csv"),
                    ["t", "s", "Z"], grid, z)
@@ -407,7 +398,7 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 
 
 def cmd_norms(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn = _prepare(cfg)
+    grid, phi, psi, drift_fn, _ = _prepare(cfg)
     y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     _write_norms(cfg, rep)

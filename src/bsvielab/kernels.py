@@ -46,10 +46,10 @@ class TriangularGrid:
     n: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.n < 2:
-            raise ValueError("need at least 2 subdivisions")
+        if not 0.0 < self.horizon < np.inf:  # NaN fails too
+            raise ValueError("horizon must be positive and finite")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError("need an integer n >= 2 of subdivisions")
 
     @property
     def dt(self) -> float:

@@ -59,16 +59,16 @@ def _check_weights(weights, what: str) -> None:
 @dataclass(frozen=True)
 class DelayMeasure:
     """The atoms (u_i, w_i) plus diffuse_mass spread uniformly on [-T, 0],
-    checked on construction: a positive horizon, atoms inside [-T, 0], and
-    non-negative weights with a total mass of 1."""
+    checked on construction: a positive finite horizon, atoms inside
+    [-T, 0], and non-negative weights with a total mass of 1."""
 
     horizon: float
     atoms: tuple[tuple[float, float], ...] = ()
     diffuse_mass: float = 0.0
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise SupportError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:  # NaN fails too
+            raise SupportError("horizon must be positive and finite")
         _check_weights([self.diffuse_mass] + [w for _, w in self.atoms], "atom")
         for u, _ in self.atoms:
             if not -self.horizon <= u <= 0.0:

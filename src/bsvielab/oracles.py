@@ -167,10 +167,10 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
 def build_delayed_operator(gen: DelayedGenerator,
                            spec_table: np.ndarray | None = None
                            ) -> np.ndarray:
-    """The delay operator of G: _delay_walk on K = G, its node table read
-    by gen.G_from from spec_table = gen.spec_at(nodes), the evaluation
-    build_phi makes (evaluated here unless given), and G between lags by
-    G_at."""
+    """The delay operator L of G, the one both delayed oracles take:
+    _delay_walk on K = G, its node table read by gen.G_from from
+    spec_table = gen.spec_at(nodes), the evaluation build_phi reads
+    (evaluated here unless given), and G between lags by G_at."""
     x = gen.grid.nodes
     if spec_table is None:
         spec_table = gen.spec_at(x)
@@ -408,19 +408,20 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
     return _delay_walk(gen, table, table_at).sum(axis=1)
 
 
-def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
-                       ensemble: PathEnsemble,
+def solve_delayed_lsmc(f_vals: np.ndarray, op: np.ndarray,
+                       gen: DelayedGenerator, ensemble: PathEnsemble,
                        tol: float = 1e-10) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F,
-    given as its (M, N+1) table of terminal.evaluate_F_table.
+    given as its (M, N+1) table of terminal.evaluate_F_table, and the delay
+    operator op of build_delayed_operator(gen), as solve_delayed_picard.
 
-    Picard sweeps regress the target F(t_i) + (delay integral of Y, by op =
-    build_delayed_operator(gen)) + gz on the polynomial basis B_i in W(t_i)
-    of _StackedBasis.  gz is _g_weighted_term, the same delay quadrature
-    (tail trapezoids), of the last sweep's mean Z; on Q-paths it also takes
-    off the drift's compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point,
-    as the Ito sums): the equation holds under P, dW = dW^Q + b dt.  The
-    bases stay fixed, so the sweeps run on the stacked coefficients c,
+    Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
+    polynomial basis B_i in W(t_i) of _StackedBasis.  gz is
+    _g_weighted_term, the same delay quadrature (tail trapezoids), of the
+    last sweep's mean Z; on Q-paths it also takes off the drift's
+    compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point, as the Ito
+    sums): the equation holds under P, dW = dW^Q + b dt.  The bases stay
+    fixed, so the sweeps run on the stacked coefficients c,
     Y(t_i) = B_i c_i: c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks
     of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks;
     the first sweep reads y = F, outside the span, through B^T F in full.
@@ -442,7 +443,6 @@ def solve_delayed_lsmc(f_vals: np.ndarray, gen: DelayedGenerator,
         raise GridMismatch("generator and ensemble on different grids")
     sweeps = _sweeps(tol)
     n, tilted = grid.n, gen.kernel.g_bound != 0.0
-    op = build_delayed_operator(gen)
     dw = ensemble.dw
     b_dt = ensemble.drift_fn.increments()
     incr = _IncrementBasis(dw, op, tail_weight_matrix(grid), grid.dt)

@@ -107,7 +107,7 @@ def test_norms_agree_across_modes(tmp_path):
         # the standard error of that mean, from the same paths
         run = load_config(text)
         grid = run.generator.grid
-        y, _, ens = cli._solve_field(run, *cli._prepare(run)[1:])
+        y, _, ens = cli._solve_field(run, *cli._prepare(run)[1:4])
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
         est, est_se = expect_q_columns(ens, per_path[:, None])
@@ -121,7 +121,7 @@ def test_mode_p_sidecars_report_weights(tmp_path):
         cfg = write_cfg(tmp_path, MINI_STOCHASTIC + f"mc.mode = {mode}\n",
                         name=f"{mode}.cfg")
         run = load_config(cfg.read_text())
-        weights = cli._solve_field(run, *cli._prepare(run)[1:])[2].weights
+        weights = cli._solve_field(run, *cli._prepare(run)[1:4])[2].weights
         for command in ("solve", "compare", "norms"):
             out = tmp_path / mode / command
             assert run_cli(command, "--config", cfg, "--out", out) == 0
@@ -307,7 +307,9 @@ def test_monte_carlo_compare_se_is_the_lsmc_mean_noise(tmp_path):
     run = load_config(cfg.read_text())
     ens = sample_paths(run.n_paths, run.seed, run.mode, drift(run.generator))
     lsmc = oracles.solve_delayed_lsmc(
-        evaluate_F_table(run.family, ens), run.generator, ens, run.picard_tol)
+        evaluate_F_table(run.family, ens),
+        oracles.build_delayed_operator(run.generator), run.generator, ens,
+        run.picard_tol)
     se = expect_q_columns(ens, lsmc.y_targets)[1]
     assert se[0] > 0.0
     assert expect_q_columns(ens, lsmc.y)[1][0] < 1e-12 * se[0]
@@ -666,6 +668,37 @@ def test_deterministic_solve_peak_within_eight_and_a_half_tables(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 8.5 * (n + 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("measure", ["uniform", "dirac\nmeasure.u0 = 0.0"],
+                         ids=["uniform", "dirac0"])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_monte_carlo_command_evaluates_the_spec_once(tmp_path, monkeypatch,
+                                                     command, measure):
+    # Phi and, in compare, the operator the LSMC takes read one evaluation
+    # of the spec on the node square; compare evaluated it twice while the
+    # LSMC built its own operator
+    n = 16
+    nodes = TriangularGrid(1.0, n).nodes
+    calls = []
+    zero_extend = kernels.zero_extend_kernel
+
+    def counted(f):
+        wrapped = zero_extend(f)
+
+        def call(t, s):
+            if (np.shape(t) == (n + 1, 1) and np.shape(s) == (1, n + 1)
+                    and np.array_equal(t[:, 0], nodes)
+                    and np.array_equal(s[0], nodes)):
+                calls.append(command)
+            return wrapped(t, s)
+        return call
+
+    monkeypatch.setattr(kernels, "zero_extend_kernel", counted)
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
+        "dirac\nmeasure.u0 = 0.0", measure))
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 0
+    assert calls == [command]
 
 
 def test_single_path_solve_writes_valid_sidecar(tmp_path):

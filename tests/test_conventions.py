@@ -45,6 +45,11 @@ The delay quadrature has one home, oracles._delay_walk: no other function
 under src/ calls kernels.lag_weights or oracles._diffuse_operator, so the
 delayed operator (the walk on G) and the LSMC's g-weighted Z term (the
 row sums of the walk on g Z) read the same lags with the same arithmetic.
+
+The delay operator has one builder, cli._prepare: build_delayed_operator
+is called once under src/, there, from the command's one evaluation of
+the spec, and both delayed oracles (Picard and the LSMC) take the
+operator it built as an argument.
 """
 
 import ast
@@ -66,6 +71,8 @@ LAG_WALK = {"lag_weights", "_diffuse_operator"}
 TAIL_WEIGHTS = "tail_weight_matrix"
 TAIL_WEIGHTED_HOME = ("kernels", "tail_weighted")
 LAG_WALK_HOME = ("oracles", "_delay_walk")
+OPERATOR_BUILDER = "build_delayed_operator"
+OPERATOR_HOME = ("cli", "_prepare")
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -465,10 +472,11 @@ def test_src_reads_gh_weights_in_one_function():
         f"{GH_WEIGHTS} read outside {'.'.join(GH_SUM_HOME)}: {sorted(found)}")
 
 
-def lag_walk_calls(source: str) -> list[tuple[int, str, str]]:
-    """(line, name, where) of each call of a LAG_WALK function, by name or
-    as an attribute, where the top-level function or class that holds it,
-    "<module>" outside them all."""
+def lag_walk_calls(source: str, names=LAG_WALK
+                   ) -> list[tuple[int, str, str]]:
+    """(line, name, where) of each call of a function in names (LAG_WALK
+    unless given), by name or as an attribute, where the top-level function
+    or class that holds it, "<module>" outside them all."""
     found = []
     for top in ast.parse(source).body:
         where = top.name if isinstance(
@@ -478,7 +486,7 @@ def lag_walk_calls(source: str) -> list[tuple[int, str, str]]:
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(
                     f, "attr", None)
-                if name in LAG_WALK:
+                if name in names:
                     found.append((node.lineno, name, where))
     return sorted(found)
 
@@ -512,6 +520,32 @@ def test_src_walks_the_lags_in_one_function():
             found[name].add((path.stem, where))
     assert found == {name: {LAG_WALK_HOME} for name in LAG_WALK}, (
         f"the lags walked outside {'.'.join(LAG_WALK_HOME)}: {found}")
+
+
+def test_scan_finds_operator_builds():
+    # the operator as it was: built by the cli for a deterministic family
+    # and again inside the LSMC
+    source = ("from .oracles import build_delayed_operator\n"
+              "def _phi_and_operator(cfg):\n"
+              "    return build_delayed_operator(cfg.generator, table)\n"
+              "def solve_delayed_lsmc(f_vals, gen, ensemble, tol):\n"
+              "    op = build_delayed_operator(gen)\n"
+              "def _prepare(cfg, operator=False):\n"
+              "    return oracles.build_delayed_operator(gen, table)\n")
+    assert lag_walk_calls(source, {OPERATOR_BUILDER}) == [
+        (3, OPERATOR_BUILDER, "_phi_and_operator"),
+        (5, OPERATOR_BUILDER, "solve_delayed_lsmc"),
+        (7, OPERATOR_BUILDER, "_prepare")]
+
+
+def test_src_builds_the_operator_in_one_function():
+    found = [(path.stem, where)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for _, _, where in lag_walk_calls(
+                 path.read_text(encoding="utf-8"), {OPERATOR_BUILDER})]
+    assert found == [OPERATOR_HOME], (
+        f"{OPERATOR_BUILDER} called outside {'.'.join(OPERATOR_HOME)}, or "
+        f"more than once: {found}")
 
 
 def is_weight_table(node: ast.AST) -> bool:

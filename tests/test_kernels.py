@@ -280,6 +280,21 @@ def test_declared_bound_enforced():
         build_phi(DelayedGenerator(Uniform(1.0), tight, g))
 
 
+@pytest.mark.parametrize("horizon, n", [
+    (0.0, 4), (-1.0, 4), (math.nan, 4), (math.inf, 4),
+    (1.0, 1), (1.0, 2.5), (1.0, 3.0)])
+def test_grid_rejects_bad_horizon_or_n(horizon, n):
+    # a horizon outside (0, inf), NaN included, and an n that is not an
+    # integer of at least 2 fail on construction, not when nodes are read
+    with pytest.raises(ValueError):
+        TriangularGrid(horizon, n)
+
+
+def test_grid_takes_numpy_integers():
+    assert np.array_equal(TriangularGrid(1.0, np.int64(4)).nodes,
+                          TriangularGrid(1.0, 4).nodes)
+
+
 def test_zero_extension():
     f = zero_extend_kernel(lambda t, s: np.ones_like(t))
     assert f(-0.1, 0.5) == 0.0

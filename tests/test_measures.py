@@ -74,6 +74,8 @@ NAN = float("nan")
 INVALID = {
     "horizon-zero": (SupportError, lambda: Uniform(0.0)),
     "horizon-nan": (SupportError, lambda: Uniform(NAN)),
+    "horizon-inf": (SupportError, lambda: Uniform(float("inf"))),
+    "dirac-horizon-inf": (SupportError, lambda: DiracAt(float("inf"))),
     "atom-nan-location": (SupportError, lambda: Atoms(T, ((NAN, 1.0),))),
     "atom-nan-weight": (MassError, lambda: Atoms(T, ((-0.3, NAN),))),
     "mixture-horizon": (SupportError,

@@ -174,7 +174,8 @@ def test_lsmc_stalls_on_tiny_budget(monkeypatch):
     ens = sample_paths(2000, 53, "P", zero_drift(g))
     monkeypatch.setattr(oracles, "MAX_ITERATIONS", 2)
     with pytest.raises(PicardStalled) as exc:
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                           build_delayed_operator(gen), gen, ens)
     assert len(exc.value.sup_diffs) == 2
     assert "in 2 iterations" in str(exc.value)
 
@@ -189,7 +190,8 @@ def test_delayed_oracles_refuse_a_non_positive_tolerance(tol):
         solve_delayed_picard(np.ones(g.n + 1), build_delayed_operator(gen),
                              tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens, tol)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                           build_delayed_operator(gen), gen, ens, tol)
 
 
 def test_residual_trivial_cases():
@@ -247,7 +249,8 @@ def test_lsmc_martingale_representation():
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 31, "P", zero_drift(g))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                             build_delayed_operator(gen), gen, ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -268,7 +271,8 @@ def test_lsmc_cross_oracle_against_explicit():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 37, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                             build_delayed_operator(gen), gen, ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
@@ -285,7 +289,8 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.4), g)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     ens = sample_paths(5_000, 41, "P", zero_drift(g))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                             build_delayed_operator(gen), gen, ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -375,9 +380,11 @@ def test_lsmc_grid_mismatch():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(500, 3, "P", zero_drift(TriangularGrid(T, 25)))
     with pytest.raises(GridMismatch, match="generator and ensemble"):
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                           build_delayed_operator(gen), gen, ens)
     ens = sample_paths(500, 3, "P", zero_drift(gen.grid))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                             build_delayed_operator(gen), gen, ens)
     assert res.y.shape == (500, 21)
 
 
@@ -862,8 +869,8 @@ def small_lsmc(g_value, n=12, paths=2000):
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(paths, 53, "P", zero_drift(g))
     op = build_delayed_operator(gen)
-    return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), gen,
-                                          ens)
+    return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), op,
+                                          gen, ens)
 
 
 def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
@@ -874,37 +881,38 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(2000, 53, "P", zero_drift(g))
     f_vals = evaluate_F_table(fam, ens)
-    res = solve_delayed_lsmc(f_vals, gen, ens)
+    op = build_delayed_operator(gen)
+    res = solve_delayed_lsmc(f_vals, op, gen, ens)
     # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
     # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     sups = [float(np.abs(solve_delayed_lsmc(
-        f_vals, gen, ens, d).y).max())
+        f_vals, op, gen, ens, d).y).max())
         for d in [np.inf, *diffs[:-1]]]
     bound = sups[0] + sum(diffs[1:])
     assert max(sups) < bound
     # a guard the bound crosses but no Y does: Y is formed and checked,
     # and the run goes on to the same result
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
-    again = solve_delayed_lsmc(f_vals, gen, ens)
+    again = solve_delayed_lsmc(f_vals, op, gen, ens)
     assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
     # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
     with pytest.raises(PicardDiverged) as low:
-        solve_delayed_lsmc(f_vals, gen, ens)
+        solve_delayed_lsmc(f_vals, op, gen, ens)
     assert len(low.value.sup_diffs) == 1
     monkeypatch.undo()
     f_nan = f_vals.copy()
     f_nan[7, 3] = np.nan
     with pytest.raises(PicardDiverged) as nan:
-        solve_delayed_lsmc(f_nan, gen, ens)
+        solve_delayed_lsmc(f_nan, op, gen, ens)
     assert len(nan.value.sup_diffs) == 1
     # a retarded atom with a large bound diverges: the bound grows with
     # the sup-differences and the guard trips long before the budget ends
     gen = DelayedGenerator(DiracAt(T, -0.4), constant_kernel(8.0), g)
     with pytest.raises(PicardDiverged) as grown:
-        solve_delayed_lsmc(f_vals, gen, ens)
+        solve_delayed_lsmc(f_vals, build_delayed_operator(gen), gen, ens)
     assert len(grown.value.sup_diffs) < oracles.MAX_ITERATIONS
 
 
@@ -1098,7 +1106,7 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     tol = 1e-10
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
                                                         ens, tol)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens, tol)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), op, gen, ens, tol)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op, k, g,
@@ -1112,6 +1120,21 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     assert np.abs(res.z_se - se).max() <= e_se
     # the bounds stay far below the statistical error they guard
     assert e_z < 1e-3 * se[np.triu_indices(g.n)].min()
+
+
+@pytest.mark.parametrize("delay", ["dirac", "uniform"])
+def test_lsmc_reads_the_operator_it_is_given(delay):
+    # at g = 0 the zero operator leaves F alone in every target, so the
+    # second sweep repeats the first regression exactly and the run stops
+    # there; the generator's own operator takes more sweeps
+    g = TriangularGrid(T, 12)
+    gen = DelayedGenerator(LSMC_DELAYS[delay], constant_kernel(0.3), g)
+    ens = sample_paths(3000, 1, "P", drift(gen))
+    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
+    zero = solve_delayed_lsmc(f_vals, np.zeros((g.n + 1, g.n + 1)), gen, ens)
+    assert zero.iterations == 2 and zero.sup_diffs[1] == 0.0
+    res = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), gen, ens)
+    assert res.iterations > 2 and res.sup_diffs[1] > 0.0
 
 
 @pytest.mark.parametrize("delay", ["dirac", "uniform"])
@@ -1132,7 +1155,8 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
         ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(ens_p.n_paths))
         means, ses = [], []
         for ens in (ens_p, ens_q):
-            res = solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+            res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                                     build_delayed_operator(gen), gen, ens)
             means.append(expect_q_columns(ens, res.y)[0])
             ses.append(expect_q_columns(ens, res.y_targets)[1])
         gap = np.abs(means[0] - means[1])
@@ -1163,7 +1187,8 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     assert ens.n_paths > oracles.LSMC_CHUNK  # more than one block
     tracemalloc.start()
     try:
-        solve_delayed_lsmc(evaluate_F_table(fam, ens), gen, ens)
+        solve_delayed_lsmc(evaluate_F_table(fam, ens),
+                           build_delayed_operator(gen), gen, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
