@@ -19,11 +19,11 @@ from .config import ConfigError, ExperimentConfig, load_config, \
     load_config_file
 from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
     drift, expect_q, expect_q_columns, girsanov_report, sample_paths
-from .kernels import DelayedGenerator, GridMismatch, HorizonMismatch, \
-    KernelSpec, KernelTable, ResolventTable, SingularStep, \
+from .kernels import DelayOperator, DelayedGenerator, GridMismatch, \
+    HorizonMismatch, KernelSpec, KernelTable, ResolventTable, SingularStep, \
     ToleranceUnreachable, TriangularGrid, build_phi, constant_kernel, \
     example33_kernel, example33_reference, identity_residual, \
-    iterated_sup_bound, poly_exp_kernel, resolvent, sharp_tail, \
+    iterated_sup_bound, poly_exp_kernel, resolvent, same_grid, sharp_tail, \
     volterra_compose
 from .measures import Atoms, DelayMeasure, DiracAt, DomainError, MassError, \
     Mixture, SupportError, Uniform

@@ -78,6 +78,18 @@ class TriangularGrid:
                 + fi * fj * table[i + 1, j + 1])
 
 
+def same_grid(*values) -> TriangularGrid:
+    """The grid all values share, by .grid or, for a node array, by its last
+    axis of grid.n + 1 entries; else GridMismatch naming differing grids."""
+    grid = next(v.grid for v in values if hasattr(v, "grid"))
+    bad = [str(v.grid) for v in values if getattr(v, "grid", grid) != grid]
+    bad += [f"a node array of shape {np.shape(v)}" for v in values
+            if not hasattr(v, "grid") and np.shape(v)[-1:] != (grid.n + 1,)]
+    if bad:
+        raise GridMismatch(f"{grid} against {', '.join(dict.fromkeys(bad))}")
+    return grid
+
+
 def zero_extend_kernel(f: Callable) -> Callable:
     """Wrap a two-argument kernel so any negative argument evaluates to 0.
     Each argument keeps its own shape (a negative or NaN time is read as
@@ -206,6 +218,15 @@ class ResolventTable(KernelTable):
     tail_bound: Optional[float]
 
 
+@dataclass(frozen=True)
+class DelayOperator:
+    """The delay operator L on its grid, (L y)(t_i) = sum_j values[i, j]
+    y(t_j): not triangular, so no KernelTable, and not checked finite."""
+
+    grid: TriangularGrid
+    values: np.ndarray
+
+
 def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
     """W[i, j] such that sum_j W[i, j] f(t_j) is the composite trapezoid
     value of int_{t_i}^T f; row N is identically zero.  The transpose
@@ -281,9 +302,7 @@ def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:
 
     Diagonal entries are exactly zero (empty integration range).
     """
-    if a.grid != b.grid:
-        raise GridMismatch("kernel tables on different grids")
-    dt = a.grid.dt
+    dt = same_grid(a, b).dt
     A, B = a.values, b.values
     da, db = np.diag(A), np.diag(B)
     c = dt * (A @ B - 0.5 * da[:, None] * B - 0.5 * A * db[None, :])

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .girsanov import PathEnsemble
-from .kernels import DelayedGenerator, GridMismatch, KernelTable, \
-    implicit_factors, lag_weights, tail_weight_matrix, tail_weighted
+from .kernels import DelayOperator, DelayedGenerator, KernelTable, \
+    implicit_factors, lag_weights, same_grid, tail_weight_matrix, tail_weighted
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -166,30 +166,30 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
 
 def build_delayed_operator(gen: DelayedGenerator,
                            spec_table: np.ndarray | None = None
-                           ) -> np.ndarray:
-    """The delay operator L of G, the one both delayed oracles take:
-    _delay_walk on K = G, its node table read by gen.G_from from
-    spec_table = gen.spec_at(nodes), the evaluation build_phi reads
-    (evaluated here unless given), and G between lags by G_at."""
+                           ) -> DelayOperator:
+    """The DelayOperator L of G both delayed oracles take: _delay_walk on
+    K = G, its node table gen.G_from of spec_table = gen.spec_at(nodes),
+    which build_phi reads too (made here unless given), G_at between lags."""
     x = gen.grid.nodes
-    if spec_table is None:
-        spec_table = gen.spec_at(x)
-    return _delay_walk(gen, gen.G_from(spec_table, x), gen.G_at)
+    table = gen.G_from(gen.spec_at(x) if spec_table is None else spec_table, x)
+    return DelayOperator(gen.grid, _delay_walk(gen, table, gen.G_at))
 
 
-def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
+def solve_delayed_picard(f0: np.ndarray, op: DelayOperator,
                          tol: float = 1e-10) -> PicardResult:
     """Fixed-point iteration of the deterministic delayed equation.
 
     Deterministic free terms force Z to vanish, so the equation reduces to
-    y = f0 + L y with the f0 profile on the grid and the delay operator L
-    of build_delayed_operator; the iteration mirrors the existence
-    argument and diverges detectably outside the small-bound regime.
+    y = f0 + L y with the f0 profile on the grid of the delay operator L
+    of build_delayed_operator (else GridMismatch); the iteration mirrors
+    the existence argument and diverges detectably outside the small-bound
+    regime.
     """
+    same_grid(op, f0)
     y = f0.copy()
     sup_diffs = []
     for it in _sweeps(tol):
-        y_next = f0 + op @ y
+        y_next = f0 + op.values @ y
         diff = float(np.abs(y_next - y).max())
         sup_diffs.append(diff)
         y = y_next
@@ -202,9 +202,10 @@ def solve_delayed_picard(f0: np.ndarray, op: np.ndarray,
 
 
 def residual_delayed(y: np.ndarray, f0: np.ndarray,
-                     op: np.ndarray) -> tuple[np.ndarray, float]:
-    """R(t) = Y(t) - f0(t) - (delay operator applied to Y), deterministic."""
-    r = y - f0 - op @ y
+                     op: DelayOperator) -> tuple[np.ndarray, float]:
+    """R(t) = Y(t) - f0(t) - (L Y)(t) on L's grid, else GridMismatch."""
+    same_grid(op, y, f0)
+    r = y - f0 - op.values @ y
     return r, float(np.abs(r).max())
 
 
@@ -227,9 +228,7 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
     PathEnsemble.ito_q on top of residual_reduced, F the (M, N+1) table of
     terminal.evaluate_F_table.
     Returns (M, N+1); GridMismatch unless Phi is on the ensemble's grid."""
-    if phi.grid != ensemble.grid:
-        raise GridMismatch("kernel table and ensemble on different grids")
-    n = phi.grid.n
+    n = same_grid(phi, ensemble).n
     r = residual_reduced(y, f_vals, phi)[0]
     r[:, :n] += ensemble.ito_q(np.triu(z[:n, :n]).T)
     return r
@@ -408,7 +407,7 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
     return _delay_walk(gen, table, table_at).sum(axis=1)
 
 
-def solve_delayed_lsmc(f_vals: np.ndarray, op: np.ndarray,
+def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
                        gen: DelayedGenerator, ensemble: PathEnsemble,
                        tol: float = 1e-10) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F,
@@ -435,26 +434,23 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: np.ndarray,
     from dW^T F and dW^T B c when g != 0, since the g-term reads it; the
     converged sweep forms theta path by path and also takes the slope SEs.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
-    increment dW_j has no sample variance; GridMismatch unless the ensemble
-    is on the generator's grid.
+    increment dW_j has no sample variance; GridMismatch unless op, gen,
+    the ensemble and F share one grid.
     """
-    grid = gen.grid
-    if ensemble.grid != grid:
-        raise GridMismatch("generator and ensemble on different grids")
-    sweeps = _sweeps(tol)
-    n, tilted = grid.n, gen.kernel.g_bound != 0.0
+    n = same_grid(op, gen, ensemble, f_vals).n
+    sweeps, tilted = _sweeps(tol), gen.kernel.g_bound != 0.0
     dw = ensemble.dw
     b_dt = ensemble.drift_fn.increments()
-    incr = _IncrementBasis(dw, op, tail_weight_matrix(grid), grid.dt)
+    incr = _IncrementBasis(dw, op)
     wt = ensemble.wt  # node-major, for the basis and the sweeps
     basis = _StackedBasis(wt.T, f_vals, dw if tilted else None)
     n1, d = basis.ones.shape
     at = np.arange(n1)
     # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
     b_f, b_y = (x.reshape(n1, d, n1)[at, :, at]
-                for x in (basis.bt_f, basis.bt_f @ op.T))
+                for x in (basis.bt_f, basis.bt_f @ op.values.T))
     coupling = (basis.gram.reshape(n1, d, n1, d)
-                * op[:, None, :, None]).reshape(n1 * d, n1 * d)
+                * op.values[:, None, :, None]).reshape(n1 * d, n1 * d)
     if tilted:  # x_j . v = dW_j . v - mean(dW_j) sum(v)
         x_f = basis.dwt_f - np.outer(incr.mean, f_vals.sum(axis=0))
         x_b = (basis.dwt_b - np.outer(incr.mean, basis.ones)).reshape(n, n1, d)
@@ -485,7 +481,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: np.ndarray,
                     f"sup |Y| beyond guard after {it} iterations", sup_diffs)
         if diff < tol:
             y_prev = f_vals.T if c_prev is None else basis.values(c_prev, wt)
-            target = op @ y_prev
+            target = op.values @ y_prev
             del y_prev
             target += f_vals.T
             target += gz[:, None]
@@ -498,22 +494,20 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: np.ndarray,
         b_y = (coupling @ c.ravel()).reshape(n1, d)
         if tilted:  # x^T theta from x^T F and x^T B c
             x_y = x_f if c_prev is None else np.einsum("jkq,kq->jk", x_b, c_prev)
-            cross = x_f + x_y @ op.T - np.einsum("jkq,kq->jk", x_b, c)
+            cross = x_f + x_y @ op.values.T - np.einsum("jkq,kq->jk", x_b, c)
             z_mean = _slope_fit(cross[:, :n].T, incr)[0]
     raise _stalled(tol, sup_diffs)
 
 
 class _IncrementBasis:
-    """What the Z slopes need of the increments and the operator, made
-    once per LSMC run: the increments dW (M, N), their path mean, the sums
-    of squares ss_j of the centred increments x = dW - mean and the half-cell
-    weights 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal scales
-    1 - op[j, j], where K = op / trap is the operator's kernel.
-    RegressionIllConditioned if some ss_j is 0, as it is for a single
-    path."""
+    """What the Z slopes need of the increments and the delay operator L,
+    made once per LSMC run: the increments dW (M, N), their path mean, the
+    sums of squares ss_j of the centred increments x = dW - mean and the
+    half-cell weights 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
+    scales 1 - L[j, j], K = L / trap the operator's kernel on L's grid.
+    RegressionIllConditioned if some ss_j is 0, as for a single path."""
 
-    def __init__(self, dw: np.ndarray, op: np.ndarray, trap: np.ndarray,
-                 dt: float):
+    def __init__(self, dw: np.ndarray, op: DelayOperator):
         n = dw.shape[1]
         self.mean = dw.mean(axis=0)
         x = dw - self.mean
@@ -523,12 +517,13 @@ class _IncrementBasis:
             raise RegressionIllConditioned(
                 f"increment dW_{j} has no sample variance over {len(dw)} "
                 "paths; Z slopes undefined")
-        kk = np.divide(op, trap, out=np.zeros_like(op), where=trap > 0.0)
+        trap, vals = tail_weight_matrix(op.grid), op.values
+        kk = np.divide(vals, trap, out=np.zeros_like(vals), where=trap > 0.0)
         self.dw = dw
         self.ss = ss
         self.upper = np.triu(np.ones((n, n), dtype=bool))
-        self.half = np.where(self.upper, 0.5 * dt * kk[:n, :n], 0.0)
-        self.scale = 1.0 - np.diag(op)[:n]
+        self.half = np.where(self.upper, 0.5 * op.grid.dt * kk[:n, :n], 0.0)
+        self.scale = 1.0 - np.diag(vals)[:n]
 
 
 def _slope_z(theta: np.ndarray, basis: _IncrementBasis

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .girsanov import DriftFunction, PathEnsemble, expect_q_columns
-from .kernels import GridMismatch, KernelTable, ResolventTable, \
-    TriangularGrid, tail_weight_matrix, tail_weighted, trapezoid_weights
+from .kernels import KernelTable, ResolventTable, TriangularGrid, \
+    same_grid, tail_weight_matrix, tail_weighted, trapezoid_weights
 from .terminal import GaussianLinear, TerminalFamily, TerminalFunction, \
     conditional_sweep, f0_profile, gaussian_linear_conditionals, \
     is_stochastic, malliavin_table
@@ -52,13 +52,11 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     the steps fill contiguous node-major rows, transposed once at the end
     into the same C-ordered (M, N+1) table.
     """
-    grid = psi.grid
     if not is_stochastic(fam):
-        return mean_Y(f0_profile(fam, grid), psi)
+        return mean_Y(f0_profile(fam, psi.grid), psi)
     if ensemble is None:
         raise ValueError("stochastic family needs an ensemble")
-    if ensemble.grid != grid:
-        raise GridMismatch("ensemble on a different grid")
+    grid = same_grid(psi, ensemble)
 
     if isinstance(fam, GaussianLinear):
         c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
@@ -99,9 +97,7 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     is deterministic.  Phi, Psi and the drift are built apart, so
     GridMismatch unless all three share one grid.
     """
-    if not phi.grid == psi.grid == drift_fn.grid:
-        raise GridMismatch("kernel tables and drift on different grids")
-    grid = psi.grid
+    grid = same_grid(phi, psi, drift_fn)
     n = grid.n
     if not is_stochastic(fam):
         return np.zeros((n + 1, n + 1))

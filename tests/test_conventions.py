@@ -50,6 +50,10 @@ The delay operator has one builder, cli._prepare: build_delayed_operator
 is called once under src/, there, from the command's one evaluation of
 the spec, and both delayed oracles (Picard and the LSMC) take the
 operator it built as an argument.
+
+The rule that inputs built apart share one grid has one home,
+kernels.same_grid: no other code under src/ builds a GridMismatch, so
+every grid check compares the same things and names the grids that differ.
 """
 
 import ast
@@ -73,6 +77,8 @@ TAIL_WEIGHTED_HOME = ("kernels", "tail_weighted")
 LAG_WALK_HOME = ("oracles", "_delay_walk")
 OPERATOR_BUILDER = "build_delayed_operator"
 OPERATOR_HOME = ("cli", "_prepare")
+GRID_MISMATCH = "GridMismatch"
+GRID_MISMATCH_HOME = ("kernels", "same_grid")
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -546,6 +552,54 @@ def test_src_builds_the_operator_in_one_function():
     assert found == [OPERATOR_HOME], (
         f"{OPERATOR_BUILDER} called outside {'.'.join(OPERATOR_HOME)}, or "
         f"more than once: {found}")
+
+
+def grid_mismatch_builds(source: str) -> list[tuple[int, str]]:
+    """(line, where) of each GridMismatch built: a call of it or a raise
+    of the bare class, by name or as an attribute, where as in
+    lag_walk_calls."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(
+            top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            built = (node.func if isinstance(node, ast.Call)
+                     else node.exc if isinstance(node, ast.Raise) else None)
+            name = built.id if isinstance(built, ast.Name) else getattr(
+                built, "attr", None)
+            if name == GRID_MISMATCH:
+                found.append((node.lineno, where))
+    return sorted(found)
+
+
+def test_scan_finds_grid_mismatch_builds():
+    # the grid checks as they were, one written out in each function, and
+    # a bare raise; catching the class builds nothing
+    source = ("from .kernels import GridMismatch\n"
+              "def same_grid(*values):\n"
+              "    raise GridMismatch(f'{grid} against {bad}')\n"
+              "def solve_Y(fam, psi, ensemble):\n"
+              "    if ensemble.grid != psi.grid:\n"
+              "        raise GridMismatch('ensemble on a different grid')\n"
+              "class Check:\n"
+              "    def run(self, a, b):\n"
+              "        raise kernels.GridMismatch\n"
+              "try:\n"
+              "    same_grid()\n"
+              "except GridMismatch:\n"
+              "    ERROR = GridMismatch('x')\n")
+    assert grid_mismatch_builds(source) == [
+        (3, "same_grid"), (6, "solve_Y"), (9, "Check"), (13, "<module>")]
+
+
+def test_src_builds_grid_mismatch_in_one_function():
+    found = [(path.stem, where)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for _, where in grid_mismatch_builds(
+                 path.read_text(encoding="utf-8"))]
+    assert found == [GRID_MISMATCH_HOME], (
+        f"{GRID_MISMATCH} built outside {'.'.join(GRID_MISMATCH_HOME)}: "
+        f"{found}")
 
 
 def is_weight_table(node: ast.AST) -> bool:

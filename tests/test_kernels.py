@@ -31,6 +31,7 @@ from bsvielab.kernels import (
     iterated_sup_bound,
     poly_exp_kernel,
     resolvent,
+    same_grid,
     sharp_tail,
     tail_weight_matrix,
     tail_weighted,
@@ -220,6 +221,22 @@ def test_compose_grid_mismatch():
     b = table_from(lambda t, s: np.ones_like(t), grid(20))
     with pytest.raises(GridMismatch):
         volterra_compose(a, b)
+
+
+def test_same_grid_returns_the_grid_or_names_the_others():
+    # values built apart: a table by its grid, a node array by its last
+    # axis; each grid that differs from the first value's is named once
+    g = grid(10)
+    a = table_from(lambda t, s: np.ones_like(t), g)
+    assert same_grid(np.ones(11), a, np.ones((3, 11)), a) == g
+    other = table_from(lambda t, s: np.ones_like(t), grid(10, horizon=2.0))
+    with pytest.raises(GridMismatch, match=(
+            r"^TriangularGrid\(horizon=1\.0, n=10\) against "
+            r"TriangularGrid\(horizon=2\.0, n=10\), "
+            r"a node array of shape \(3, 12\)$")):
+        same_grid(a, other, np.ones(11), other, np.ones((3, 12)))
+    with pytest.raises(GridMismatch, match=r"a node array of shape \(\)$"):
+        same_grid(a, np.float64(1.0))
 
 
 def test_resolvent_singular_step():

@@ -220,8 +220,8 @@ def row_moments(m, grid):
     and the second moment about -t_r."""
     t = grid.nodes
     sums = [build_delayed_operator(DelayedGenerator(
-        m, KernelSpec(G=lambda a, b, p=p: a**p + 0.0 * b), grid)).sum(axis=1)
-        for p in (0, 1, 2)]
+        m, KernelSpec(G=lambda a, b, p=p: a**p + 0.0 * b), grid)
+    ).values.sum(axis=1) for p in (0, 1, 2)]
     return [s[:-1] / (T - t[:-1]) for s in sums]
 
 

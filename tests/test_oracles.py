@@ -1,6 +1,7 @@
 """Cross-oracle solvers: collocation, delayed Picard, regression Monte Carlo."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
     expect_q_columns, sample_paths
-from bsvielab.kernels import DelayedGenerator, GridMismatch, \
+from bsvielab.kernels import DelayOperator, DelayedGenerator, GridMismatch, \
     HorizonMismatch, SingularStep, TriangularGrid, build_phi, \
     constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
     tail_weight_matrix, zero_extend_kernel
@@ -240,7 +241,7 @@ def test_uniform_delay_leaves_y0_at_f0(spec):
     g = TriangularGrid(T, 60)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     op = build_delayed_operator(DelayedGenerator(Uniform(T), spec, g))
-    assert np.all(op[0] == 0.0)
+    assert np.all(op.values[0] == 0.0)
     assert picard(fam, spec, Uniform(T), g).y[0] == 1.0
 
 
@@ -369,7 +370,7 @@ def test_delayed_operator_horizon_mismatch():
                        match=r"^measure horizon 1\.0 != grid horizon 2\.0$"):
         build_delayed_operator(DelayedGenerator(DiracAt(1.0, 0.0), k, g))
     gen = DelayedGenerator(DiracAt(2.0, 0.0), k, g)
-    assert build_delayed_operator(gen).shape == (21, 21)
+    assert build_delayed_operator(gen).values.shape == (21, 21)
 
 
 def test_lsmc_grid_mismatch():
@@ -379,13 +380,39 @@ def test_lsmc_grid_mismatch():
                            TriangularGrid(T, 20))
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(500, 3, "P", zero_drift(TriangularGrid(T, 25)))
-    with pytest.raises(GridMismatch, match="generator and ensemble"):
+    with pytest.raises(GridMismatch, match=r"n=20\) against .*n=25\)"):
         solve_delayed_lsmc(evaluate_F_table(fam, ens),
                            build_delayed_operator(gen), gen, ens)
     ens = sample_paths(500, 3, "P", zero_drift(gen.grid))
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
                              build_delayed_operator(gen), gen, ens)
     assert res.y.shape == (500, 21)
+
+
+@pytest.mark.parametrize("op_grid, grid", [
+    (TriangularGrid(T, 10), TriangularGrid(T, 12)),
+    (TriangularGrid(2.0, 10), TriangularGrid(T, 10)),
+], ids=["other-n", "other-horizon"])
+def test_delayed_oracles_refuse_an_operator_on_another_grid(op_grid, grid):
+    # L is built apart from the profiles, the generator and the paths it
+    # meets: on another N every delayed oracle refuses it; on another
+    # horizon with the same N only the LSMC can, from the generator and
+    # the ensemble, as a profile carries no horizon
+    k = constant_kernel(0.3)
+    op = build_delayed_operator(
+        DelayedGenerator(Uniform(op_grid.horizon), k, op_grid))
+    gen = DelayedGenerator(Uniform(T), k, grid)
+    ens = sample_paths(500, 3, "P", drift(gen))
+    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
+    with pytest.raises(GridMismatch, match=f"^{re.escape(repr(op_grid))} "
+                       f"against {re.escape(repr(grid))}"):
+        solve_delayed_lsmc(f_vals, op, gen, ens)
+    f0 = np.ones(grid.n + 1)
+    if op_grid.n != grid.n:
+        with pytest.raises(GridMismatch, match=r"node array of shape \(13,\)"):
+            solve_delayed_picard(f0, op)
+        with pytest.raises(GridMismatch, match=r"node array of shape \(13,\)"):
+            residual_delayed(f0, f0, op)
 
 
 def reference_stacked_rows(w):
@@ -462,9 +489,9 @@ def test_delayed_operator_accepts_product_form_kernels():
     m = Uniform(1.0)
     k = example33_kernel()
     op = build_delayed_operator(DelayedGenerator(m, k, grid))
-    assert op.shape == (25, 25)
-    assert np.all(np.isfinite(op))
-    assert np.abs(op).max() > 0.0
+    assert op.grid == grid and op.values.shape == (25, 25)
+    assert np.all(np.isfinite(op.values))
+    assert np.abs(op.values).max() > 0.0
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     y = solve_delayed_picard(f0_profile(fam, grid), op).y
     _, sup = residual_delayed(y, f0_profile(fam, grid), op)
@@ -478,7 +505,7 @@ def test_delayed_operator_annihilates_negative_times():
     op = build_delayed_operator(DelayedGenerator(m, constant_kernel(1.0), g))
     # for t_i < 0.5 the first kernel argument t_i - 0.5 is negative at the
     # only atom, so those rows integrate G = 0 over part of the range only
-    assert op[0, :].sum() == pytest.approx(0.0, abs=1e-12)
+    assert op.values[0, :].sum() == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +730,7 @@ def check_delay_integrals(case, n):
     m, k = DELAY_CASES[case]
     g = TriangularGrid(T, n)
     gen = DelayedGenerator(m, k, g)
-    op = build_delayed_operator(gen)
+    op = build_delayed_operator(gen).values
     op_ref = reference_delayed_operator(reference_kernel(k, m, g), m, g)
     rng = np.random.default_rng(11)
     z = np.triu(rng.standard_normal((n + 1, n + 1)))
@@ -779,8 +806,8 @@ def test_operator_from_phis_evaluation_bitwise(spec, measure, n):
     values = gen.spec_at(nodes)
     phi = build_phi(gen, values)
     got = build_delayed_operator(gen, values)
-    assert got.tobytes() == want.tobytes()
-    assert build_delayed_operator(gen).tobytes() == want.tobytes()
+    assert got.grid == gen.grid and got.values.tobytes() == want.tobytes()
+    assert build_delayed_operator(gen).values.tobytes() == want.tobytes()
     assert phi.values.tobytes() == build_phi(gen).values.tobytes()
 
 
@@ -919,8 +946,8 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
 def test_slope_z_matches_loop_reference(g_value):
     g, op, ens, res = small_lsmc(g_value)
-    z_ref, se_ref = reference_slope_z(res.y_targets - res.y, ens, g, op,
-                                      tail_weight_matrix(g))
+    z_ref, se_ref = reference_slope_z(res.y_targets - res.y, ens, g,
+                                      op.values, tail_weight_matrix(g))
     assert np.abs(res.z - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
     tri = np.triu_indices(g.n + 1)
     assert np.all(se_ref[tri] > 0.0)
@@ -935,13 +962,13 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
     ens = sample_paths(2000, 59, "Q", zero_drift(g))
     op = build_delayed_operator(DelayedGenerator(DiracAt(T, 0.0),
                                                  constant_kernel(0.3), g))
-    basis = _IncrementBasis(ens.dw, op, tail_weight_matrix(g), g.dt)
+    basis = _IncrementBasis(ens.dw, op)
     theta = np.zeros((2000, 13))
     theta[:, :12] = ens.dw * np.linspace(0.5, 3.0, 12)
     z, se = _slope_z(theta, basis)
     assert np.all(np.isfinite(se)) and np.all(se >= 0.0)
     assert np.all(np.isfinite(z))
-    assert np.allclose(np.diag(z)[:12] * (1.0 - np.diag(op)[:12]),
+    assert np.allclose(np.diag(z)[:12] * (1.0 - np.diag(op.values)[:12]),
                        np.linspace(0.5, 3.0, 12), rtol=1e-12, atol=0.0)
 
 
@@ -1104,18 +1131,18 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     ens = sample_paths(2000, 61, mode, drift(gen))
     op = build_delayed_operator(gen)
     tol = 1e-10
-    y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op, g,
-                                                        ens, tol)
+    y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op.values,
+                                                        g, ens, tol)
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens), op, gen, ens, tol)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
-    e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op, k, g,
+    e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op.values, k, g,
                                       ens, targets, cond)
     assert np.abs(res.y - y).max() <= e_y
     # every sweep moves Y alike, so the traces agree sweep by sweep
     assert np.abs(np.subtract(res.sup_diffs, sup_diffs)).max() <= 2 * e_y
     assert np.abs(res.y_targets - targets).max() <= e_y * (
-        1.0 + float(np.abs(op).sum(axis=1).max()))
+        1.0 + float(np.abs(op.values).sum(axis=1).max()))
     assert np.abs(res.z - z).max() <= e_z
     assert np.abs(res.z_se - se).max() <= e_se
     # the bounds stay far below the statistical error they guard
@@ -1131,7 +1158,8 @@ def test_lsmc_reads_the_operator_it_is_given(delay):
     gen = DelayedGenerator(LSMC_DELAYS[delay], constant_kernel(0.3), g)
     ens = sample_paths(3000, 1, "P", drift(gen))
     f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
-    zero = solve_delayed_lsmc(f_vals, np.zeros((g.n + 1, g.n + 1)), gen, ens)
+    zero = DelayOperator(g, np.zeros((g.n + 1, g.n + 1)))
+    zero = solve_delayed_lsmc(f_vals, zero, gen, ens)
     assert zero.iterations == 2 and zero.sup_diffs[1] == 0.0
     res = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), gen, ens)
     assert res.iterations > 2 and res.sup_diffs[1] > 0.0
