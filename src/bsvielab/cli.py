@@ -140,7 +140,9 @@ def _prepare(cfg: ExperimentConfig, operator: bool = False):
     gen = cfg.generator
     spec_table = gen.spec_at(gen.grid.nodes)
     phi = build_phi(gen, spec_table)
-    op = build_delayed_operator(gen, spec_table) if operator else None
+    # under a declared bound L overflows only with Psi, which resolvent reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = build_delayed_operator(gen, spec_table) if operator else None
     del spec_table
     psi = resolvent(phi, cfg.resolvent_tol)
     return gen.grid, phi, psi, drift(gen), op
@@ -148,7 +150,7 @@ def _prepare(cfg: ExperimentConfig, operator: bool = False):
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
     grid, phi, psi, _, _ = _prepare(cfg)
-    residual = identity_residual(phi, psi)
+    residual = identity_residual(psi)
     write_triangle(os.path.join(cfg.out_dir, "resolvent.csv"),
                    ["t", "s", "phi", "psi"], grid, phi.values, psi.values)
     tail = "n/a" if psi.tail_bound is None else f"{psi.tail_bound:.6e}"
@@ -177,12 +179,12 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
     write_meta(cfg, "resolvent", extra)
 
 
-def _solve_field(cfg: ExperimentConfig, phi, psi, drift_fn):
-    """Explicit (Y, Z) plus the ensemble (None for deterministic runs)."""
+def _solve_field(cfg: ExperimentConfig, psi, drift_fn):
+    """Explicit (Y, Z) from psi and its phi, plus the ensemble (or None)."""
     ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
         if is_stochastic(cfg.family) else None
     y = solve_Y(cfg.family, psi, ens)
-    return y, solve_Z(cfg.family, phi, psi, drift_fn), ens
+    return y, solve_Z(cfg.family, psi, drift_fn), ens
 
 
 def _weight_meta(ens) -> dict:
@@ -206,7 +208,7 @@ def _finite_norms(y, z, grid, ens, beta: float):
 def cmd_solve(cfg: ExperimentConfig) -> None:
     grid, phi, psi, drift_fn, op = _prepare(
         cfg, operator=not is_stochastic(cfg.family))
-    y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
+    y, z, ens = _solve_field(cfg, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     nodes = grid.nodes
 
@@ -301,8 +303,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         rd_orc, rd_orc_sup = residual_delayed(y_orc, fbar0, op)
     else:
         lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-            evaluate_F_table(cfg.family, ens), op, cfg.generator, ens,
-            cfg.picard_tol))
+            evaluate_F_table(cfg.family, ens), op, ens, cfg.picard_tol))
         y_orc = expect_q_columns(ens, lsmc.y)[0]
         # the noise of the LSMC mean is the spread of its targets; the
         # fitted Y(0) is one constant on every path
@@ -378,8 +379,8 @@ def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
 
 
 def cmd_z_surface(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn, _ = _prepare(cfg)
-    z = solve_Z(cfg.family, phi, psi, drift_fn)
+    grid, _, psi, drift_fn, _ = _prepare(cfg)
+    z = solve_Z(cfg.family, psi, drift_fn)
     write_triangle(os.path.join(cfg.out_dir, "z_surface.csv"),
                    ["t", "s", "Z"], grid, z)
     rep = smoothness_diagnostics(z, grid)
@@ -398,8 +399,8 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 
 
 def cmd_norms(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn, _ = _prepare(cfg)
-    y, z, ens = _solve_field(cfg, phi, psi, drift_fn)
+    grid, _, psi, drift_fn, _ = _prepare(cfg)
+    y, z, ens = _solve_field(cfg, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     _write_norms(cfg, rep)
     print(f"norms: beta={rep.beta:g} H1={rep.h1:.12g} H2={rep.h2:.12g} "

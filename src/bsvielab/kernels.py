@@ -211,20 +211,25 @@ class KernelTable:
 
 @dataclass
 class ResolventTable(KernelTable):
-    """Psi = sum_n Phi^(n) and sharp_tail's report, both None where that
-    tail cannot be summed; identity_residual measures it."""
+    """Psi = sum_n Phi^(n) of the table phi it was solved from, and
+    sharp_tail's report, both None where that tail cannot be summed."""
 
+    phi: KernelTable
     n_star: Optional[int]
     tail_bound: Optional[float]
 
 
 @dataclass(frozen=True)
 class DelayOperator:
-    """The delay operator L on its grid, (L y)(t_i) = sum_j values[i, j]
-    y(t_j): not triangular, so no KernelTable, and not checked finite."""
+    """L built from generator, (L y)(t_i) = sum_j values[i, j] y(t_j) on
+    its generator's grid: not triangular (no KernelTable), not checked finite."""
 
-    grid: TriangularGrid
+    generator: DelayedGenerator
     values: np.ndarray
+
+    @property
+    def grid(self) -> TriangularGrid:
+        return self.generator.grid
 
 
 def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
@@ -377,40 +382,39 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
     cut, and the diagonal is Phi's, as in the series.  tol only sets the
     reported order n_star and tail_bound of sharp_tail, None both when
     C*T is too large for that tail to be summed: the report does not stop
-    the solve.  ToleranceUnreachable when Psi overflows.
+    the solve.  Psi holds phi; ToleranceUnreachable when it overflows.
     """
     p = phi.values
     denom = implicit_factors(phi)
     system = -phi.grid.dt * p
     np.fill_diagonal(system, denom)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:  # overflow: a singular LinAlgError or a non-finite KernelTable
-            psi = np.triu(_upper_substitution(denom[:, None] * p, system))
-            np.fill_diagonal(psi, np.diag(p))
-            KernelTable(phi.grid, psi)  # raises on a non-finite Psi
-        except ValueError:
-            raise ToleranceUnreachable(
-                f"resolvent overflows for C = {phi.sup_norm:.3g}") from None
     try:
         report = sharp_tail(phi.sup_norm, phi.grid.horizon, tol)
     except ToleranceUnreachable:
         report = None, None
-    return ResolventTable(phi.grid, psi, *report)
-
-
-def identity_residual(phi: KernelTable, psi: ResolventTable) -> float:
-    """sup|Psi - Phi - Psi o Phi|, the a-posteriori residual of the
-    identity resolvent solves: one (N+1)^3 volterra_compose, so only the
-    command that reports it pays for it.  ToleranceUnreachable if the
-    composition overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            composed = volterra_compose(psi, phi).values
-            return KernelTable(phi.grid, psi.values - phi.values
-                               - composed).sup_norm
+        try:  # overflow: a singular LinAlgError or a non-finite table
+            psi = np.triu(_upper_substitution(denom[:, None] * p, system))
+            np.fill_diagonal(psi, np.diag(p))
+            return ResolventTable(phi.grid, psi, phi, *report)
         except ValueError:
             raise ToleranceUnreachable(
                 f"resolvent overflows for C = {phi.sup_norm:.3g}") from None
+
+
+def identity_residual(psi: ResolventTable) -> float:
+    """sup|Psi - Phi - Psi o Phi| for the Phi psi was solved from, the
+    a-posteriori residual of the identity resolvent solves: one (N+1)^3
+    volterra_compose, so only the command that reports it pays for it.
+    ToleranceUnreachable if the composition overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            composed = volterra_compose(psi, psi.phi).values
+            return KernelTable(psi.grid, psi.values - psi.phi.values
+                               - composed).sup_norm
+        except ValueError:
+            raise ToleranceUnreachable("resolvent overflows for C = "
+                                       f"{psi.phi.sup_norm:.3g}") from None
 
 
 def example33_reference(variant: str) -> Callable[[np.ndarray], np.ndarray]:

@@ -167,12 +167,12 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
 def build_delayed_operator(gen: DelayedGenerator,
                            spec_table: np.ndarray | None = None
                            ) -> DelayOperator:
-    """The DelayOperator L of G both delayed oracles take: _delay_walk on
+    """The DelayOperator (gen, L) both delayed oracles take: _delay_walk on
     K = G, its node table gen.G_from of spec_table = gen.spec_at(nodes),
     which build_phi reads too (made here unless given), G_at between lags."""
     x = gen.grid.nodes
     table = gen.G_from(gen.spec_at(x) if spec_table is None else spec_table, x)
-    return DelayOperator(gen.grid, _delay_walk(gen, table, gen.G_at))
+    return DelayOperator(gen, _delay_walk(gen, table, gen.G_at))
 
 
 def solve_delayed_picard(f0: np.ndarray, op: DelayOperator,
@@ -408,15 +408,15 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
 
 
 def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
-                       gen: DelayedGenerator, ensemble: PathEnsemble,
-                       tol: float = 1e-10) -> LsmcResult:
+                       ensemble: PathEnsemble, tol: float = 1e-10
+                       ) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with stochastic F,
     given as its (M, N+1) table of terminal.evaluate_F_table, and the delay
-    operator op of build_delayed_operator(gen), as solve_delayed_picard.
+    operator op of build_delayed_operator, as solve_delayed_picard.
 
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
     polynomial basis B_i in W(t_i) of _StackedBasis.  gz is
-    _g_weighted_term, the same delay quadrature (tail trapezoids), of the
+    _g_weighted_term of op.generator, the same delay quadrature, of the
     last sweep's mean Z; on Q-paths it also takes off the drift's
     compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point, as the Ito
     sums): the equation holds under P, dW = dW^Q + b dt.  The bases stay
@@ -434,10 +434,10 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     from dW^T F and dW^T B c when g != 0, since the g-term reads it; the
     converged sweep forms theta path by path and also takes the slope SEs.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
-    increment dW_j has no sample variance; GridMismatch unless op, gen,
-    the ensemble and F share one grid.
+    increment dW_j has no sample variance; GridMismatch unless op, the
+    ensemble and F share one grid.
     """
-    n = same_grid(op, gen, ensemble, f_vals).n
+    gen, n = op.generator, same_grid(op, ensemble, f_vals).n
     sweeps, tilted = _sweeps(tol), gen.kernel.g_bound != 0.0
     dw = ensemble.dw
     b_dt = ensemble.drift_fn.increments()

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .girsanov import DriftFunction, PathEnsemble, expect_q_columns
-from .kernels import KernelTable, ResolventTable, TriangularGrid, \
-    same_grid, tail_weight_matrix, tail_weighted, trapezoid_weights
+from .kernels import ResolventTable, TriangularGrid, same_grid, \
+    tail_weight_matrix, tail_weighted, trapezoid_weights
 from .terminal import GaussianLinear, TerminalFamily, TerminalFunction, \
     conditional_sweep, f0_profile, gaussian_linear_conditionals, \
     is_stochastic, malliavin_table
@@ -83,7 +83,7 @@ def mean_Y(x: np.ndarray, psi: ResolventTable) -> np.ndarray:
     return x + tail_weighted(psi.grid, psi.values) @ x
 
 
-def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
+def solve_Z(fam: TerminalFamily, psi: ResolventTable,
             drift_fn: DriftFunction) -> np.ndarray:
     """Z(t,s) = E^Q[D_s F(t) + int_s^T Phi(t,r) D_s Y(r) dr | F_s].
 
@@ -94,10 +94,10 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     at W(s) = terminal.Z_REF_STATE.  Deterministic families carry no
     martingale part: the zero surface is returned without computation.
     The second Malliavin term, -U(t) int D_s g dW^Q, vanishes because g
-    is deterministic.  Phi, Psi and the drift are built apart, so
-    GridMismatch unless all three share one grid.
+    is deterministic.  Phi is psi.phi, the table psi was solved from; psi
+    and the drift are built apart, so GridMismatch unless on one grid.
     """
-    grid = same_grid(phi, psi, drift_fn)
+    grid = same_grid(psi, drift_fn)
     n = grid.n
     if not is_stochastic(fam):
         return np.zeros((n + 1, n + 1))
@@ -108,7 +108,7 @@ def solve_Z(fam: TerminalFamily, phi: KernelTable, psi: ResolventTable,
     dy = mean_Y(d, psi)
     trap = tail_weight_matrix(grid)
     # trap.T weighs r in int_{s_j}^T and is zero for r < s_j
-    z = d + phi.values @ (trap.T * dy)
+    z = d + psi.phi.values @ (trap.T * dy)
     return np.triu(z)
 
 

@@ -191,7 +191,7 @@ def test_criterion_06_z_validation():
     gen0 = DelayedGenerator(m, constant_kernel(0.0), grid)
     phi0 = build_phi(gen0)
     psi0 = resolvent(phi0, 1e-10)
-    z0 = solve_Z(fam, phi0, psi0, drift(gen0))
+    z0 = solve_Z(fam, psi0, drift(gen0))
     triu = np.triu(np.ones_like(z0, dtype=bool))
     flat_err = float(np.abs(z0[triu] - 1.0).max())
 
@@ -201,9 +201,9 @@ def test_criterion_06_z_validation():
     psi = resolvent(phi, 1e-10)
     b = drift(gen)
     ens = sample_paths(50000, 12345, "P", b)
-    z_exp = solve_Z(fam, phi, psi, b)
+    z_exp = solve_Z(fam, psi, b)
     f_vals = evaluate_F_table(fam, ens)
-    lsmc = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), gen, ens)
+    lsmc = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
     compared = violations = 0
     worst_ratio = 0.0
     for i in range(grid.n + 1):

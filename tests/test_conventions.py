@@ -54,9 +54,19 @@ operator it built as an argument.
 The rule that inputs built apart share one grid has one home,
 kernels.same_grid: no other code under src/ builds a GridMismatch, so
 every grid check compares the same things and names the grids that differ.
+
+A derived table carries the value it was derived from: a ResolventTable
+holds the KernelTable it was solved from (psi.phi), and a DelayOperator
+holds its DelayedGenerator (op.generator).  So no function under src/
+takes one parameter as such a table and another as its source, and no
+caller can hand Psi the Phi of another kernel, or L the g-term of another
+generator.  A parameter is taken as a class when its annotation names the
+class or, unannotated, when it has the class's name under src/ (phi, psi,
+gen, op).
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +89,12 @@ OPERATOR_BUILDER = "build_delayed_operator"
 OPERATOR_HOME = ("cli", "_prepare")
 GRID_MISMATCH = "GridMismatch"
 GRID_MISMATCH_HOME = ("kernels", "same_grid")
+# (source, derived table that holds it)
+DERIVED_TABLES = [("KernelTable", "ResolventTable"),
+                  ("DelayedGenerator", "DelayOperator")]
+# the name an unannotated parameter of each class has under src/
+TABLE_PARAM_NAMES = {"phi": "KernelTable", "psi": "ResolventTable",
+                     "gen": "DelayedGenerator", "op": "DelayOperator"}
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -665,3 +681,105 @@ def test_src_weights_tables_in_one_function():
                  path.read_text(encoding="utf-8"), path.stem)]
     assert not found, ("a table times a tail_weight_matrix call; use "
                        "kernels.tail_weighted:\n" + "\n".join(found))
+
+
+def annotation_names(node: ast.AST) -> set[str]:
+    """Every type name an annotation mentions: Name ids, Attribute attrs
+    and the names spelled by a string in a type position.  The arguments
+    of Literal[...] are values, not types, and a string that is no
+    expression names no type."""
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, str):
+            return set()
+        try:
+            return annotation_names(ast.parse(node.value, mode="eval").body)
+        except SyntaxError:
+            return set()
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Subscript):
+        head = annotation_names(node.value)
+        return head if "Literal" in head else \
+            head | annotation_names(node.slice)
+    return set().union(*map(annotation_names, ast.iter_child_nodes(node)))
+
+
+def param_classes(p: ast.arg) -> set[str]:
+    """The classes a parameter is taken as: those its annotation names or,
+    unannotated, the class its name stands for under src/."""
+    if p.annotation is not None:
+        return annotation_names(p.annotation)
+    return {TABLE_PARAM_NAMES[p.arg]} if p.arg in TABLE_PARAM_NAMES \
+        else set()
+
+
+def source_beside_table(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, table) of each function or method that takes one
+    parameter as a derived table of DERIVED_TABLES and another as the
+    source that table holds; return annotations do not count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        names = [param_classes(p) for p in params]
+        found += [(node.lineno, node.name, table)
+                  for held, table in DERIVED_TABLES
+                  if any(held in x and table in y
+                         for x, y in itertools.permutations(names, 2))]
+    return sorted(found)
+
+
+def test_scan_finds_a_source_beside_its_table():
+    # the signatures as they were, spelled every way an annotation can
+    # name a class, and unannotated under the names src/ gives them; then
+    # a return annotation, one parameter that names both classes, two
+    # tables of one kind, a table beside other names and annotations that
+    # hold strings which are not types, none a breach
+    source = ("from typing import Annotated, Literal, Optional\n"
+              "from . import kernels\n"
+              "def solve_Z(phi: KernelTable, psi: ResolventTable, b):\n"
+              "    pass\n"
+              "def lsmc(op: 'DelayOperator', gen: kernels.DelayedGenerator):\n"
+              "  def inner(*, g: DelayedGenerator | None, o: DelayOperator):\n"
+              "    pass\n"
+              "class Check:\n"
+              "    def run(self, psi: Optional['ResolventTable'],\n"
+              "            *phis: 'list[KernelTable]'):\n"
+              "        pass\n"
+              "def _solve_field(cfg, phi, psi, drift_fn):\n"
+              "    pass\n"
+              "def old_lsmc(f_vals, op, gen, ensemble, tol=1e-10):\n"
+              "    pass\n"
+              "def mixed(phi, t: ResolventTable):\n"
+              "    pass\n"
+              "def resolvent(phi: KernelTable, tol) -> ResolventTable:\n"
+              "    pass\n"
+              "def either(t: KernelTable | ResolventTable, tol: float):\n"
+              "    pass\n"
+              "def compose(a: KernelTable, b: KernelTable) -> KernelTable:\n"
+              "    pass\n"
+              "def untyped(phi, gen, tol):\n"
+              "    pass\n"
+              "def annotated(psi: 'ResolventTable', phi: Literal['two words'],\n"
+              "              gen: Annotated[int, 'a note, not a type']):\n"
+              "    pass\n")
+    assert source_beside_table(source) == [
+        (3, "solve_Z", "ResolventTable"), (5, "lsmc", "DelayOperator"),
+        (6, "inner", "DelayOperator"), (9, "run", "ResolventTable"),
+        (12, "_solve_field", "ResolventTable"),
+        (14, "old_lsmc", "DelayOperator"), (16, "mixed", "ResolventTable")]
+
+
+def test_src_passes_no_source_beside_its_table():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name} takes {table} "
+             "beside its source"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name, table in source_beside_table(
+                 path.read_text(encoding="utf-8"))]
+    assert not found, ("read the source from the table (psi.phi, "
+                       "op.generator):\n" + "\n".join(found))

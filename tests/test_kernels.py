@@ -20,6 +20,7 @@ from bsvielab.kernels import (
     HorizonMismatch,
     KernelSpec,
     KernelTable,
+    ResolventTable,
     SingularStep,
     ToleranceUnreachable,
     TriangularGrid,
@@ -85,7 +86,7 @@ def test_constant_kernel_resolvent_closed_form():
     want = np.where(tt <= ss, c * np.exp(c * (ss - tt)), 0.0)
     assert np.abs(psi.values - want).max() < 1e-4
     assert psi.tail_bound < 1e-10
-    assert identity_residual(phi, psi) < 1e-13
+    assert identity_residual(psi) < 1e-13
 
 
 def test_resolvent_grid_convergence_second_order():
@@ -257,7 +258,7 @@ def test_resolvent_large_ct_finite_then_overflow():
     psi = resolvent(phi, tol=1e-10)
     assert np.isfinite(psi.values).all() and psi.sup_norm > 1e20
     assert np.all(np.tril(psi.values, -1) == 0.0)
-    assert identity_residual(phi, psi) <= 1e-14 * psi.sup_norm
+    assert identity_residual(psi) <= 1e-14 * psi.sup_norm
     assert math.isfinite(psi.tail_bound) and psi.tail_bound < 1e-10
     # C T = 1000 on 400 steps: Psi grows ~9x per step and overflows
     phi = table_from(lambda t, s: np.full_like(t, 1000.0), grid(400))
@@ -267,6 +268,22 @@ def test_resolvent_large_ct_finite_then_overflow():
     phi = table_from(lambda t, s: np.full_like(t, 1e300), grid(10))
     with pytest.raises(ToleranceUnreachable, match="overflows"):
         resolvent(phi, tol=1e-10)
+
+
+def test_resolvent_checks_psi_finite_once(monkeypatch):
+    # the returned table's own check is the overflow check, so Psi is
+    # scanned once; a bad tol is refused before the solve, even where Psi
+    # would overflow
+    phi = table_from(lambda t, s: np.full_like(t, 2.0), grid(20))
+    huge = table_from(lambda t, s: np.full_like(t, 1e300), grid(10))
+    checked = []
+    check = KernelTable.__post_init__
+    monkeypatch.setattr(KernelTable, "__post_init__",
+                        lambda self: checked.append(type(self)) or check(self))
+    assert resolvent(phi, tol=1e-10).phi is phi
+    assert checked == [ResolventTable]
+    with pytest.raises(ValueError, match="tol > 0"):
+        resolvent(huge, tol=0.0)
 
 
 def test_declared_bound_enforced():
@@ -366,7 +383,7 @@ def test_resolvent_report_is_none_where_the_sharp_tail_is_unsummable():
     psi = resolvent(phi, tol=1e-10)
     assert psi.n_star is None and psi.tail_bound is None
     assert np.isfinite(psi.values).all() and psi.sup_norm > 1e14
-    assert identity_residual(phi, psi) <= 1e-14 * psi.sup_norm
+    assert identity_residual(psi) <= 1e-14 * psi.sup_norm
 
 
 def test_poly_exp_bound_and_values():

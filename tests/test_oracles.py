@@ -176,7 +176,7 @@ def test_lsmc_stalls_on_tiny_budget(monkeypatch):
     monkeypatch.setattr(oracles, "MAX_ITERATIONS", 2)
     with pytest.raises(PicardStalled) as exc:
         solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), gen, ens)
+                           build_delayed_operator(gen), ens)
     assert len(exc.value.sup_diffs) == 2
     assert "in 2 iterations" in str(exc.value)
 
@@ -192,7 +192,7 @@ def test_delayed_oracles_refuse_a_non_positive_tolerance(tol):
                              tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), gen, ens, tol)
+                           build_delayed_operator(gen), ens, tol)
 
 
 def test_residual_trivial_cases():
@@ -251,7 +251,7 @@ def test_lsmc_martingale_representation():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 31, "P", zero_drift(g))
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), gen, ens)
+                             build_delayed_operator(gen), ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -273,14 +273,14 @@ def test_lsmc_cross_oracle_against_explicit():
     ens = sample_paths(20_000, 37, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), gen, ens)
+                             build_delayed_operator(gen), ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
         d = res.y_targets[:, i] - y[:, i]
         se = d.std(ddof=1) / math.sqrt(len(d))
         assert abs(d.mean()) <= 3 * se + 1e-3, i
-    z_closed = solve_Z(fam, phi, psi, zero_drift(g))
+    z_closed = solve_Z(fam, psi, zero_drift(g))
     for i, j in ((0, 5), (0, 19), (5, 10), (10, 19)):
         assert abs(res.z[i, j] - z_closed[i, j]) <= 3 * res.z_se[i, j], (i, j)
 
@@ -291,7 +291,7 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     ens = sample_paths(5_000, 41, "P", zero_drift(g))
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), gen, ens)
+                             build_delayed_operator(gen), ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -305,7 +305,7 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(300, 43, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
-    z = solve_Z(fam, phi, psi, zero_drift(g))
+    z = solve_Z(fam, psi, zero_drift(g))
     f_vals = evaluate_F_table(fam, ens)
     r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
     assert np.abs(r).max() < 1e-12
@@ -325,7 +325,7 @@ def pathwise_inputs(mode, n, m_paths, seed):
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     b = drift(gen)
     ens = sample_paths(m_paths, seed, mode, b)
-    return (solve_Y(fam, psi, ens), solve_Z(fam, phi, psi, b),
+    return (solve_Y(fam, psi, ens), solve_Z(fam, psi, b),
             evaluate_F_table(fam, ens), phi, ens)
 
 
@@ -382,10 +382,10 @@ def test_lsmc_grid_mismatch():
     ens = sample_paths(500, 3, "P", zero_drift(TriangularGrid(T, 25)))
     with pytest.raises(GridMismatch, match=r"n=20\) against .*n=25\)"):
         solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), gen, ens)
+                           build_delayed_operator(gen), ens)
     ens = sample_paths(500, 3, "P", zero_drift(gen.grid))
     res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), gen, ens)
+                             build_delayed_operator(gen), ens)
     assert res.y.shape == (500, 21)
 
 
@@ -406,7 +406,7 @@ def test_delayed_oracles_refuse_an_operator_on_another_grid(op_grid, grid):
     f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
     with pytest.raises(GridMismatch, match=f"^{re.escape(repr(op_grid))} "
                        f"against {re.escape(repr(grid))}"):
-        solve_delayed_lsmc(f_vals, op, gen, ens)
+        solve_delayed_lsmc(f_vals, op, ens)
     f0 = np.ones(grid.n + 1)
     if op_grid.n != grid.n:
         with pytest.raises(GridMismatch, match=r"node array of shape \(13,\)"):
@@ -798,7 +798,8 @@ OPERATOR_SPECS = {
 @pytest.mark.parametrize("spec", sorted(OPERATOR_SPECS))
 def test_operator_from_phis_evaluation_bitwise(spec, measure, n):
     # the operator built from the node evaluation build_phi reads is the
-    # walk on G_at's own table, bit for bit, and so is Phi
+    # walk on G_at's own table, bit for bit, and so is Phi; it holds its
+    # generator, whose grid is its own
     gen = DelayedGenerator(OPERATOR_MEASURES[measure], OPERATOR_SPECS[spec],
                            TriangularGrid(T, n))
     nodes = gen.grid.nodes
@@ -807,7 +808,10 @@ def test_operator_from_phis_evaluation_bitwise(spec, measure, n):
     phi = build_phi(gen, values)
     got = build_delayed_operator(gen, values)
     assert got.grid == gen.grid and got.values.tobytes() == want.tobytes()
-    assert build_delayed_operator(gen).values.tobytes() == want.tobytes()
+    assert got.generator is gen
+    bare = build_delayed_operator(gen)
+    assert bare.generator is gen and bare.grid == gen.grid
+    assert bare.values.tobytes() == want.tobytes()
     assert phi.values.tobytes() == build_phi(gen).values.tobytes()
 
 
@@ -897,7 +901,7 @@ def small_lsmc(g_value, n=12, paths=2000):
     ens = sample_paths(paths, 53, "P", zero_drift(g))
     op = build_delayed_operator(gen)
     return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), op,
-                                          gen, ens)
+                                          ens)
 
 
 def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
@@ -909,37 +913,37 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     ens = sample_paths(2000, 53, "P", zero_drift(g))
     f_vals = evaluate_F_table(fam, ens)
     op = build_delayed_operator(gen)
-    res = solve_delayed_lsmc(f_vals, op, gen, ens)
+    res = solve_delayed_lsmc(f_vals, op, ens)
     # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
     # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     sups = [float(np.abs(solve_delayed_lsmc(
-        f_vals, op, gen, ens, d).y).max())
+        f_vals, op, ens, d).y).max())
         for d in [np.inf, *diffs[:-1]]]
     bound = sups[0] + sum(diffs[1:])
     assert max(sups) < bound
     # a guard the bound crosses but no Y does: Y is formed and checked,
     # and the run goes on to the same result
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
-    again = solve_delayed_lsmc(f_vals, op, gen, ens)
+    again = solve_delayed_lsmc(f_vals, op, ens)
     assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
     # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
     with pytest.raises(PicardDiverged) as low:
-        solve_delayed_lsmc(f_vals, op, gen, ens)
+        solve_delayed_lsmc(f_vals, op, ens)
     assert len(low.value.sup_diffs) == 1
     monkeypatch.undo()
     f_nan = f_vals.copy()
     f_nan[7, 3] = np.nan
     with pytest.raises(PicardDiverged) as nan:
-        solve_delayed_lsmc(f_nan, op, gen, ens)
+        solve_delayed_lsmc(f_nan, op, ens)
     assert len(nan.value.sup_diffs) == 1
     # a retarded atom with a large bound diverges: the bound grows with
     # the sup-differences and the guard trips long before the budget ends
     gen = DelayedGenerator(DiracAt(T, -0.4), constant_kernel(8.0), g)
     with pytest.raises(PicardDiverged) as grown:
-        solve_delayed_lsmc(f_vals, build_delayed_operator(gen), gen, ens)
+        solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
     assert len(grown.value.sup_diffs) < oracles.MAX_ITERATIONS
 
 
@@ -1133,7 +1137,7 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     tol = 1e-10
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op.values,
                                                         g, ens, tol)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), op, gen, ens, tol)
+    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), op, ens, tol)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op.values, k, g,
@@ -1158,10 +1162,10 @@ def test_lsmc_reads_the_operator_it_is_given(delay):
     gen = DelayedGenerator(LSMC_DELAYS[delay], constant_kernel(0.3), g)
     ens = sample_paths(3000, 1, "P", drift(gen))
     f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
-    zero = DelayOperator(g, np.zeros((g.n + 1, g.n + 1)))
-    zero = solve_delayed_lsmc(f_vals, zero, gen, ens)
+    zero = DelayOperator(gen, np.zeros((g.n + 1, g.n + 1)))
+    zero = solve_delayed_lsmc(f_vals, zero, ens)
     assert zero.iterations == 2 and zero.sup_diffs[1] == 0.0
-    res = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), gen, ens)
+    res = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
     assert res.iterations > 2 and res.sup_diffs[1] > 0.0
 
 
@@ -1184,7 +1188,7 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
         means, ses = [], []
         for ens in (ens_p, ens_q):
             res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                                     build_delayed_operator(gen), gen, ens)
+                                     build_delayed_operator(gen), ens)
             means.append(expect_q_columns(ens, res.y)[0])
             ses.append(expect_q_columns(ens, res.y_targets)[1])
         gap = np.abs(means[0] - means[1])
@@ -1216,7 +1220,7 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     tracemalloc.start()
     try:
         solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), gen, ens)
+                           build_delayed_operator(gen), ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -77,10 +77,12 @@ def kernel_problems(draw):
 def test_resolvent_properties(phi):
     psi = resolvent(phi, 1e-10)
     sup = psi.sup_norm
+    # Psi holds the Phi it was solved from, not a copy of it
+    assert psi.phi is phi
     # the identity it solves holds to rounding, and the table reports it
     comp = volterra_compose(KernelTable(phi.grid, psi.values), phi)
     residual = float(np.abs(psi.values - phi.values - comp.values).max())
-    assert identity_residual(phi, psi) == residual
+    assert identity_residual(psi) == residual
     assert residual <= 1e-14 * max(1.0, sup)
     # the triangle and the diagonal are exactly the series'
     assert np.all(np.tril(psi.values, -1) == 0.0)
@@ -151,9 +153,9 @@ def test_blocked_substitution_matches_dense_solve(nodes, kind, c):
     # their maxima differ by up to ~2.3x between equally stable
     # substitution orders; the reference is floored at 4 ulps
     ref_residual = identity_residual(
-        phi, ResolventTable(grid, ref, psi.n_star, psi.tail_bound))
+        ResolventTable(grid, ref, phi, psi.n_star, psi.tail_bound))
     floor = 4.0 * np.finfo(float).eps * sup
-    assert identity_residual(phi, psi) <= 2.0 * max(ref_residual, floor)
+    assert identity_residual(psi) <= 2.0 * max(ref_residual, floor)
 
 
 def test_resolvent_solves_no_full_size_system(monkeypatch):

@@ -361,17 +361,14 @@ def test_solve_Y_grid_mismatch():
 
 
 def test_solve_Z_grid_mismatch():
-    # Phi, psi and the drift are built apart: one of them on another grid,
-    # whichever of N and T differs, is refused
+    # psi and the drift are built apart: a drift on another grid, whichever
+    # of N and T differs, is refused; Phi comes from psi
     g, m, spec, phi, psi = setup_reduced(0.5, 50)
-    phi_60 = setup_reduced(0.5, 60)[3]
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    with pytest.raises(GridMismatch):
-        solve_Z(fam, phi_60, psi, zero_drift(g))
     for other in (TriangularGrid(T, 60), TriangularGrid(2.0 * T, 50)):
         with pytest.raises(GridMismatch):
-            solve_Z(fam, phi, psi, zero_drift(other))
-    assert solve_Z(fam, phi, psi, zero_drift(g)).shape == (51, 51)
+            solve_Z(fam, psi, zero_drift(other))
+    assert solve_Z(fam, psi, zero_drift(g)).shape == (51, 51)
 
 
 def test_solve_Y_stochastic_needs_ensemble():
@@ -418,7 +415,7 @@ def test_solve_Z_martingale_representation_of_WT():
     phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g))
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    z = solve_Z(fam, phi, psi, zero_drift(g))
+    z = solve_Z(fam, psi, zero_drift(g))
     tri = np.triu(np.ones_like(z, dtype=bool))
     assert np.abs(z[tri] - 1.0).max() < 1e-12
     assert np.all(z[~tri] == 0.0)
@@ -426,7 +423,7 @@ def test_solve_Z_martingale_representation_of_WT():
 
 def test_solve_Z_deterministic_zero_surface():
     g, m, spec, phi, psi = setup_reduced(0.5, 20)
-    z = solve_Z(Deterministic(f0=make_f0("constant")), phi, psi, zero_drift(g))
+    z = solve_Z(Deterministic(f0=make_f0("constant")), psi, zero_drift(g))
     assert np.all(z == 0.0)
 
 
@@ -434,7 +431,7 @@ def test_solve_Z_constant_kernel_closed_form():
     c = 0.3
     g, m, spec, phi, psi = setup_reduced(c, 200)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    z = solve_Z(fam, phi, psi, zero_drift(g))
+    z = solve_Z(fam, psi, zero_drift(g))
     tt, ss = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     want = np.where(tt <= ss, np.exp(c * (T - ss)), 0.0)
     assert np.abs(z - want).max() < 1e-4
@@ -445,9 +442,9 @@ def test_solve_Z_terminal_function_matches_gaussian_linear():
     c = 0.3
     g, m, spec, phi, psi = setup_reduced(c, 40)
     z_gl = solve_Z(GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant")),
-                   phi, psi, zero_drift(g))
+                   psi, zero_drift(g))
     z_tf = solve_Z(make_h("affine", intercept=0.0, slope=1.0),
-                   phi, psi, zero_drift(g))
+                   psi, zero_drift(g))
     assert np.abs(z_gl - z_tf).max() < 1e-10
 
 
@@ -461,8 +458,8 @@ def test_t_dependent_branches_match_shared_quadrature():
     per_t = dataclasses.replace(shared, t_dependent=True)
     y_gap = np.abs(solve_Y(per_t, psi, ens)
                    - solve_Y(shared, psi, ens)).max()
-    z_gap = np.abs(solve_Z(per_t, phi, psi, b)
-                   - solve_Z(shared, phi, psi, b)).max()
+    z_gap = np.abs(solve_Z(per_t, psi, b)
+                   - solve_Z(shared, psi, b)).max()
     assert y_gap < 1e-12
     assert z_gap < 1e-12
 
@@ -556,7 +553,7 @@ def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
     g, m, spec, phi, psi = setup_reduced(0.3, n, measure, g_value=g_value)
     b = drift(DelayedGenerator(m, spec, g))
     fam = t_varying_h(h_name) if t_dependent else make_h(h_name)
-    z = solve_Z(fam, phi, psi, b)
+    z = solve_Z(fam, psi, b)
     ref = reference_solve_Z_terminal(fam, phi, psi, b, g)
     scale = max(1.0, float(np.abs(ref).max()))
     assert np.abs(z - ref).max() <= 1e-14 * scale
@@ -566,7 +563,7 @@ def test_solve_Z_terminal_matches_nested_loop_reference(setup, h_name,
 def test_solve_Z_gaussian_linear_bitwise_unchanged(phi_name):
     g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi(phi_name))
-    z = solve_Z(fam, phi, psi, drift(DelayedGenerator(m, spec, g)))
+    z = solve_Z(fam, psi, drift(DelayedGenerator(m, spec, g)))
     assert np.array_equal(z, reference_solve_Z_gaussian(fam, phi, psi, g))
 
 
@@ -582,7 +579,7 @@ def test_solve_Z_one_dh_call_per_distinct_t(t_dependent):
         return base.dh(t, x)
 
     fam = dataclasses.replace(base, dh=counting_dh, t_dependent=t_dependent)
-    solve_Z(fam, phi, psi, drift(DelayedGenerator(m, spec, g)))
+    solve_Z(fam, psi, drift(DelayedGenerator(m, spec, g)))
     assert len(calls) == (n + 1 if t_dependent else 1)
     assert all(shape == (n + 1, 64) for shape in calls)
 
@@ -658,10 +655,10 @@ def test_smoothness_grid_stability():
     for n in (100, 200):
         g, m, spec, phi, psi = setup_reduced(c, n)
         z1 = solve_Z(GaussianLinear(f0=make_f0("zero"),
-                                    phi=make_phi("constant")), phi, psi, zero_drift(g))
+                                    phi=make_phi("constant")), psi, zero_drift(g))
         flat.append(smoothness_diagnostics(z1, g).integral)
         z2 = solve_Z(GaussianLinear(f0=make_f0("zero"),
-                                    phi=make_phi("bilinear")), phi, psi, zero_drift(g))
+                                    phi=make_phi("bilinear")), psi, zero_drift(g))
         vals.append(smoothness_diagnostics(z2, g).integral)
     # phi == 1 gives a t-independent surface: the integral is exactly 0
     assert flat == [0.0, 0.0]
@@ -682,7 +679,7 @@ def test_norms_exponential_profile_sup():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     y = solve_Y(fam, psi)
-    rep = norms(y, solve_Z(fam, phi, psi, zero_drift(g)), g, beta=0.0)
+    rep = norms(y, solve_Z(fam, psi, zero_drift(g)), g, beta=0.0)
     assert rep.s2 == pytest.approx(math.e, abs=1e-3)
 
 
@@ -703,7 +700,7 @@ def test_norms_of_z_surface():
     phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g))
     psi = resolvent(phi, tol=1e-12)
     y = solve_Y(fam, psi, ens)
-    rep = norms(y, solve_Z(fam, phi, psi, zero_drift(g)), g, ens, beta=0.0)
+    rep = norms(y, solve_Z(fam, psi, zero_drift(g)), g, ens, beta=0.0)
     # Z == 1 on the triangle: integral = T^2/2
     assert rep.h2 == pytest.approx(math.sqrt(0.5), rel=1e-6)
 
