@@ -133,23 +133,21 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
 
 
 def _prepare(cfg: ExperimentConfig, operator: bool = False):
-    """Grid, kernel table, resolvent, drift and, if asked for, the delayed
-    operator (None otherwise): the command's one set of tables.  The spec
-    is evaluated once on the node square; Phi and the operator both read
-    that table, which is dropped before the resolvent is solved."""
+    """Resolvent (which holds Phi and the grid), drift and, if asked for,
+    the delayed operator (None otherwise): the command's one set of
+    tables.  build_phi and build_delayed_operator each evaluate the spec
+    on the triangle t <= s they read."""
     gen = cfg.generator
-    spec_table = gen.spec_at(gen.grid.nodes)
-    phi = build_phi(gen, spec_table)
+    phi = build_phi(gen)
     # under a declared bound L overflows only with Psi, which resolvent reports
     with np.errstate(over="ignore", invalid="ignore"):
-        op = build_delayed_operator(gen, spec_table) if operator else None
-    del spec_table
-    psi = resolvent(phi, cfg.resolvent_tol)
-    return gen.grid, phi, psi, drift(gen), op
+        op = build_delayed_operator(gen) if operator else None
+    return resolvent(phi, cfg.resolvent_tol), drift(gen), op
 
 
 def cmd_resolvent(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, _, _ = _prepare(cfg)
+    psi = _prepare(cfg)[0]
+    grid, phi = psi.grid, psi.phi
     residual = identity_residual(psi)
     write_triangle(os.path.join(cfg.out_dir, "resolvent.csv"),
                    ["t", "s", "phi", "psi"], grid, phi.values, psi.values)
@@ -206,8 +204,8 @@ def _finite_norms(y, z, grid, ens, beta: float):
 
 
 def cmd_solve(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn, op = _prepare(
-        cfg, operator=not is_stochastic(cfg.family))
+    psi, drift_fn, op = _prepare(cfg, operator=not is_stochastic(cfg.family))
+    grid, phi = psi.grid, psi.phi
     y, z, ens = _solve_field(cfg, psi, drift_fn)
     rep = _finite_norms(y, z, grid, ens, cfg.beta)
     nodes = grid.nodes
@@ -283,7 +281,8 @@ def _run_oracle(cfg: ExperimentConfig, name: str, solve):
 
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
-    grid, phi, psi, drift_fn, op = _prepare(cfg, operator=True)
+    psi, drift_fn, op = _prepare(cfg, operator=True)
+    grid, phi = psi.grid, psi.phi
     tol_quad = cfg.quad_slack * grid.dt * grid.dt
     # Conditioned on the trivial F_0 the explicit route and the reduced
     # equation see only the expected profile Fbar: the explicit mean by
@@ -379,13 +378,13 @@ def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
 
 
 def cmd_z_surface(cfg: ExperimentConfig) -> None:
-    grid, _, psi, drift_fn, _ = _prepare(cfg)
+    psi, drift_fn, _ = _prepare(cfg)
     z = solve_Z(cfg.family, psi, drift_fn)
     write_triangle(os.path.join(cfg.out_dir, "z_surface.csv"),
-                   ["t", "s", "Z"], grid, z)
-    rep = smoothness_diagnostics(z, grid)
+                   ["t", "s", "Z"], psi.grid, z)
+    rep = smoothness_diagnostics(z, psi.grid)
     write_triangle(os.path.join(cfg.out_dir, "smoothness.csv"),
-                   ["t", "s", "dZdt"], grid, rep.dzdt,
+                   ["t", "s", "dZdt"], psi.grid, rep.dzdt,
                    labelled=[(("integral", ""), (rep.integral,))])
     sup_d = float(np.abs(rep.dzdt).max())
     print(f"z-surface: sup|Z|={np.abs(z).max():.12g} sup|dZ/dt|={sup_d:.12g} "
@@ -399,9 +398,9 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 
 
 def cmd_norms(cfg: ExperimentConfig) -> None:
-    grid, _, psi, drift_fn, _ = _prepare(cfg)
+    psi, drift_fn, _ = _prepare(cfg)
     y, z, ens = _solve_field(cfg, psi, drift_fn)
-    rep = _finite_norms(y, z, grid, ens, cfg.beta)
+    rep = _finite_norms(y, z, psi.grid, ens, cfg.beta)
     _write_norms(cfg, rep)
     print(f"norms: beta={rep.beta:g} H1={rep.h1:.12g} H2={rep.h2:.12g} "
           f"S2={rep.s2:.12g}")

@@ -161,28 +161,30 @@ class DelayedGenerator:
         return snap_lag(np.clip(x - horizon, -horizon, 0.0))
 
     def spec_at(self, x: np.ndarray) -> np.ndarray:
-        """The spec's own kernel at (x_i, x_j) over the times x,
-        zero-extended: phi_direct for a product-form spec, else G.  On the
-        nodes this is the one evaluation of the spec that build_phi and
-        build_delayed_operator share."""
+        """The spec's own kernel at (x_i, x_j), i <= j, over the times x,
+        zero-extended: phi_direct for a product-form spec, else G; 0 below
+        the diagonal, which no table reads and where G may overflow.  Each
+        of at most 8 row blocks is evaluated from its first row's diagonal."""
         k = self.kernel
-        f = k.G if k.phi_direct is None else k.phi_direct
-        return zero_extend_kernel(f)(x[:, None], x[None, :])
-
-    def G_from(self, spec_table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """G over the times x from spec_table = spec_at(x): the table itself
-        for a G spec; for a product-form spec G = Phi / alpha([x_j - T, 0]),
-        0 where that mass is <= 1e-12: an integrable endpoint singularity
-        loses one cell."""
-        if self.kernel.phi_direct is None:
-            return spec_table
-        mass = self.measure.mass_closed(self.lag(x))
-        return np.divide(spec_table, mass, out=np.zeros_like(spec_table),
-                         where=mass > 1e-12)
+        f = zero_extend_kernel(k.G if k.phi_direct is None else k.phi_direct)
+        out = np.zeros((len(x), len(x)))
+        step = -(-len(x) // 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(x), step):
+                rows = slice(lo, lo + step)
+                out[rows, lo:] = np.triu(f(x[rows, None], x[None, lo:]))
+        return out
 
     def G_at(self, x: np.ndarray) -> np.ndarray:
-        """G(x_i, x_j) over the times x, zero-extended: G_from of spec_at."""
-        return self.G_from(self.spec_at(x), x)
+        """G(x_i, x_j), i <= j, over the times x, zero-extended, 0 below the
+        diagonal: spec_at for a G spec; for a product-form spec G = Phi /
+        alpha([x_j - T, 0]), 0 where that mass is <= 1e-12: an integrable
+        endpoint singularity loses one cell."""
+        spec = self.spec_at(x)
+        if self.kernel.phi_direct is None:
+            return spec
+        mass = self.measure.mass_closed(self.lag(x))
+        return np.divide(spec, mass, out=np.zeros_like(spec), where=mass > 1e-12)
 
     def g_at(self, x: np.ndarray) -> np.ndarray:
         """g at the times x, zero-extended; ValueError where |g| exceeds
@@ -211,12 +213,17 @@ class KernelTable:
 
 @dataclass
 class ResolventTable(KernelTable):
-    """Psi = sum_n Phi^(n) of the table phi it was solved from, and
-    sharp_tail's report, both None where that tail cannot be summed."""
+    """Psi = sum_n Phi^(n) of the table phi it was solved from, on phi's
+    grid (else GridMismatch), and sharp_tail's report, both None where
+    that tail cannot be summed."""
 
     phi: KernelTable
     n_star: Optional[int]
     tail_bound: Optional[float]
+
+    def __post_init__(self):
+        super().__post_init__()
+        same_grid(self, self.phi)
 
 
 @dataclass(frozen=True)
@@ -234,14 +241,10 @@ class DelayOperator:
 
 def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
     """W[i, j] such that sum_j W[i, j] f(t_j) is the composite trapezoid
-    value of int_{t_i}^T f; row N is identically zero.  The transpose
-    holds the weights in r of int_{t_s}^T, one column per s."""
-    n, dt = grid.n, grid.dt
-    w = np.triu(np.full((n + 1, n + 1), dt))
-    np.fill_diagonal(w, 0.5 * dt)
-    w[:, n] = 0.5 * dt
-    w[n] = 0.0
-    return w
+    value of int_{t_i}^T f, tail_weighted of the upper-triangular ones;
+    row N is identically zero.  The transpose holds the weights in r of
+    int_{t_s}^T, one column per s."""
+    return tail_weighted(grid, np.triu(np.ones((grid.n + 1, grid.n + 1))))
 
 
 def tail_weighted(grid: TriangularGrid, v: np.ndarray) -> np.ndarray:
@@ -281,25 +284,16 @@ def trapezoid_weights(grid: TriangularGrid) -> np.ndarray:
     return w
 
 
-def build_phi(gen: DelayedGenerator,
-              spec_table: Optional[np.ndarray] = None) -> KernelTable:
-    """Reduced kernel: alpha-mass of [s-T, 0] times G(t, s) on the triangle,
-    from spec_table = gen.spec_at(nodes), evaluated here unless the caller
-    passes it (to build the delayed operator from the same evaluation).
-
-    When the spec supplies the reduced kernel directly, its grid values are
-    tabulated as-is and checked against G_bound.
-    """
+def build_phi(gen: DelayedGenerator) -> KernelTable:
+    """Reduced kernel on the triangle: the alpha-mass of [s-T, 0] times
+    G(t, s), or a product-form spec's own values (mass 1.0), from
+    gen.spec_at on the nodes, which is checked against G_bound."""
     k, t = gen.kernel, gen.grid.nodes
-    if spec_table is None:
-        spec_table = gen.spec_at(t)
-    if k.phi_direct is not None:
-        phi = np.triu(spec_table)
-        _check_bound(phi, k.G_bound, "|Phi|", " on the grid")
-        return KernelTable(gen.grid, phi)
-    _check_bound(np.triu(spec_table), k.G_bound, "|G|", " on the grid")
-    vals = gen.measure.mass_closed(gen.lag(t))[None, :] * spec_table
-    return KernelTable(gen.grid, np.triu(vals))
+    spec = gen.spec_at(t)
+    _check_bound(spec, k.G_bound, "|G|" if k.phi_direct is None else "|Phi|",
+                 " on the grid")
+    mass = gen.measure.mass_closed(gen.lag(t)) if k.phi_direct is None else 1.0
+    return KernelTable(gen.grid, mass * spec)
 
 
 def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:

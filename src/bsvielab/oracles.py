@@ -164,15 +164,11 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
     return op
 
 
-def build_delayed_operator(gen: DelayedGenerator,
-                           spec_table: np.ndarray | None = None
-                           ) -> DelayOperator:
+def build_delayed_operator(gen: DelayedGenerator) -> DelayOperator:
     """The DelayOperator (gen, L) both delayed oracles take: _delay_walk on
-    K = G, its node table gen.G_from of spec_table = gen.spec_at(nodes),
-    which build_phi reads too (made here unless given), G_at between lags."""
-    x = gen.grid.nodes
-    table = gen.G_from(gen.spec_at(x) if spec_table is None else spec_table, x)
-    return DelayOperator(gen, _delay_walk(gen, table, gen.G_at))
+    K = G, read by gen.G_at on the nodes and between lags."""
+    return DelayOperator(gen, _delay_walk(gen, gen.G_at(gen.grid.nodes),
+                                          gen.G_at))
 
 
 def solve_delayed_picard(f0: np.ndarray, op: DelayOperator,

@@ -107,7 +107,7 @@ def test_norms_agree_across_modes(tmp_path):
         # the standard error of that mean, from the same paths
         run = load_config(text)
         grid = run.generator.grid
-        y, _, ens = cli._solve_field(run, *cli._prepare(run)[2:4])
+        y, _, ens = cli._solve_field(run, *cli._prepare(run)[:2])
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
         est, est_se = expect_q_columns(ens, per_path[:, None])
@@ -121,7 +121,7 @@ def test_mode_p_sidecars_report_weights(tmp_path):
         cfg = write_cfg(tmp_path, MINI_STOCHASTIC + f"mc.mode = {mode}\n",
                         name=f"{mode}.cfg")
         run = load_config(cfg.read_text())
-        weights = cli._solve_field(run, *cli._prepare(run)[2:4])[2].weights
+        weights = cli._solve_field(run, *cli._prepare(run)[:2])[2].weights
         for command in ("solve", "compare", "norms"):
             out = tmp_path / mode / command
             assert run_cli(command, "--config", cfg, "--out", out) == 0
@@ -621,34 +621,79 @@ terminal.f0.value = 1.0
 """
 
 
-@pytest.mark.parametrize("kernel", ["example33", "constant\nkernel.c = 0.6"],
-                         ids=["example33", "constant"])
-@pytest.mark.parametrize("command", ["solve", "compare"])
-def test_deterministic_command_evaluates_the_spec_once(tmp_path, monkeypatch,
-                                                       command, kernel):
-    # Phi and the delayed operator read one evaluation of the spec (the
-    # product-form phi, or G) on the node square: a column and a row of
-    # the nodes
-    n = 24
-    nodes = TriangularGrid(1.0, n).nodes
-    calls = []
+def watch_spec_evaluations(monkeypatch, nodes):
+    """{builder: counts} of the spec's evaluations on node pairs, counts[i,
+    j] the times pair (i, j) was evaluated while cli's build_phi ("phi")
+    or build_delayed_operator ("operator") ran (None outside both), and
+    the list of pairs i > j evaluated outside their call's own rows (a
+    diagonal block).  A call is counted when it takes a column and a row
+    of node times."""
+    n1 = len(nodes)
+    seen, stray, builder = {}, [], [None]
     zero_extend = kernels.zero_extend_kernel
+
+    def at_nodes(x):
+        idx = np.minimum(np.searchsorted(nodes, x), n1 - 1)
+        return idx if np.array_equal(nodes[idx], x) else None
 
     def counted(f):
         wrapped = zero_extend(f)
 
         def call(t, s):
-            if (np.shape(t) == (n + 1, 1) and np.shape(s) == (1, n + 1)
-                    and np.array_equal(t[:, 0], nodes)
-                    and np.array_equal(s[0], nodes)):
-                calls.append(command)
+            if np.ndim(t) == 2 and np.shape(t)[1] == 1 \
+                    and np.shape(s)[:1] == (1,):
+                i, j = at_nodes(t[:, 0]), at_nodes(s[0])
+                if i is not None and j is not None:
+                    count = seen.setdefault(builder[0],
+                                            np.zeros((n1, n1), dtype=int))
+                    count[np.ix_(i, j)] += 1
+                    r, c = np.nonzero((i[:, None] > j) & ~np.isin(j, i))
+                    stray.extend(zip(i[r].tolist(), j[c].tolist()))
             return wrapped(t, s)
         return call
 
+    def during(name, build):
+        def run(gen):
+            assert builder[0] is None and name not in seen, name
+            builder[0] = name
+            try:
+                return build(gen)
+            finally:
+                builder[0] = None
+        return run
+
     monkeypatch.setattr(kernels, "zero_extend_kernel", counted)
+    monkeypatch.setattr(cli, "build_phi", during("phi", cli.build_phi))
+    monkeypatch.setattr(cli, "build_delayed_operator", during(
+        "operator", cli.build_delayed_operator))
+    return seen, stray
+
+
+def assert_triangle_evaluations(seen, stray, builders):
+    """Each builder evaluated the spec once on every pair i <= j, below the
+    diagonal only inside diagonal blocks, on fewer than 0.6 (N+1)^2 pairs
+    in all (the node square is 1.0); nothing else evaluated it."""
+    assert sorted(seen, key=str) == sorted(builders)
+    for name, count in seen.items():
+        n1 = len(count)
+        assert np.all(count[np.triu_indices(n1)] == 1), name
+        assert count.sum() < 0.6 * n1 * n1, (name, count.sum() / n1**2)
+    assert stray == []
+
+
+@pytest.mark.parametrize("kernel", ["example33", "constant\nkernel.c = 0.6"],
+                         ids=["example33", "constant"])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_deterministic_command_evaluates_the_spec_once(tmp_path, monkeypatch,
+                                                       command, kernel):
+    # Phi and the delayed operator each evaluate the spec (the
+    # product-form phi, or G) once, on the triangle t <= s they read
+    n = 24
+    seen, stray = watch_spec_evaluations(monkeypatch,
+                                         TriangularGrid(1.0, n).nodes)
     cfg = write_cfg(tmp_path, DET_UNIFORM.format(n=n, kernel=kernel))
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 0
-    assert calls == [command]
+    assert_triangle_evaluations(seen, stray, ["operator", "phi"])
 
 
 def test_deterministic_solve_peak_within_eight_and_a_half_tables(tmp_path):
@@ -674,30 +719,15 @@ def test_deterministic_solve_peak_within_eight_and_a_half_tables(tmp_path):
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_monte_carlo_command_evaluates_the_spec_once(tmp_path, monkeypatch,
                                                      command, measure):
-    # Phi and, in compare, the operator the LSMC takes read one evaluation
-    # of the spec on the node square; compare evaluated it twice while the
-    # LSMC built its own operator
-    n = 16
-    nodes = TriangularGrid(1.0, n).nodes
-    calls = []
-    zero_extend = kernels.zero_extend_kernel
-
-    def counted(f):
-        wrapped = zero_extend(f)
-
-        def call(t, s):
-            if (np.shape(t) == (n + 1, 1) and np.shape(s) == (1, n + 1)
-                    and np.array_equal(t[:, 0], nodes)
-                    and np.array_equal(s[0], nodes)):
-                calls.append(command)
-            return wrapped(t, s)
-        return call
-
-    monkeypatch.setattr(kernels, "zero_extend_kernel", counted)
+    # Phi and, in compare, the operator the LSMC takes each evaluate the
+    # spec once, on the triangle t <= s; solve builds no operator
+    seen, stray = watch_spec_evaluations(monkeypatch,
+                                         TriangularGrid(1.0, 16).nodes)
     cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
         "dirac\nmeasure.u0 = 0.0", measure))
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 0
-    assert calls == [command]
+    assert_triangle_evaluations(
+        seen, stray, ["operator", "phi"] if command == "compare" else ["phi"])
 
 
 def test_single_path_solve_writes_valid_sidecar(tmp_path):
@@ -829,6 +859,39 @@ def test_every_command_exits_3_on_an_overflowing_resolvent(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "resolvent overflows" in err
     assert "RuntimeWarning" not in err
+
+
+STEEP_DECAY = """\
+horizon = {horizon}
+grid.n = {n}
+measure.kind = dirac
+measure.u0 = 0.0
+kernel.name = poly_exp
+kernel.k = 0
+kernel.lam = {lam}
+kernel.scale = 0.5
+terminal.kind = deterministic
+terminal.f0 = constant
+terminal.f0.value = 1.0
+"""
+
+
+@pytest.mark.parametrize("horizon, n, lam", [(10.0, 50, 80.0), (1.0, 10, 800.0)],
+                         ids=["T10-lam80", "T1-lam800"])
+def test_delayed_routes_run_where_g_overflows_below_the_diagonal(
+        tmp_path, capsys, horizon, n, lam):
+    # G = 0.5 e^{-lam (s - t)} is bounded by 0.5 on t <= s, but e^{-lam u}
+    # overflows at u = -T once lam T > 709; no table reads G there, so the
+    # operator has no 0 * inf = NaN cell and Picard converges
+    cfg = write_cfg(tmp_path, STEEP_DECAY.format(horizon=horizon, n=n, lam=lam))
+    out = tmp_path / "o"
+    for command in ("solve", "compare"):
+        assert run_cli(command, "--config", cfg, "--out", out) == 0, command
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert "nan" not in (out / "residuals.csv").read_text()
+    meta = json.loads((out / "compare.meta.json").read_text())
+    assert meta["picard_converged"] is True
+    assert meta["res_delayed_picard_sup"] <= max(100 * 1e-10, 1e-12)
 
 
 def test_exit_2_on_missing_file(tmp_path):

@@ -47,9 +47,9 @@ delayed operator (the walk on G) and the LSMC's g-weighted Z term (the
 row sums of the walk on g Z) read the same lags with the same arithmetic.
 
 The delay operator has one builder, cli._prepare: build_delayed_operator
-is called once under src/, there, from the command's one evaluation of
-the spec, and both delayed oracles (Picard and the LSMC) take the
-operator it built as an argument.
+is called once under src/, there, and evaluates the spec itself on the
+triangle t <= s, as build_phi does; both delayed oracles (Picard and the
+LSMC) take the operator it built as an argument.
 
 The rule that inputs built apart share one grid has one home,
 kernels.same_grid: no other code under src/ builds a GridMismatch, so

@@ -286,6 +286,16 @@ def test_resolvent_checks_psi_finite_once(monkeypatch):
         resolvent(huge, tol=0.0)
 
 
+def test_resolvent_table_refuses_a_phi_on_another_grid():
+    # a Psi held beside the Phi of another grid is refused on construction,
+    # naming both grids, rather than read as an overflow or a numpy error
+    psi = resolvent(table_from(lambda t, s: np.full_like(t, 0.5), grid(50)),
+                    tol=1e-10)
+    phi = table_from(lambda t, s: np.full_like(t, 0.5), grid(60))
+    with pytest.raises(GridMismatch, match=r"n=50\) against .*n=60\)"):
+        ResolventTable(psi.grid, psi.values, phi, None, None)
+
+
 def test_declared_bound_enforced():
     g = grid(10)
     spec = KernelSpec(G=lambda t, s: np.full_like(t, 2.0), G_bound=1.0)

@@ -797,22 +797,30 @@ OPERATOR_SPECS = {
 @pytest.mark.parametrize("measure", sorted(OPERATOR_MEASURES))
 @pytest.mark.parametrize("spec", sorted(OPERATOR_SPECS))
 def test_operator_from_phis_evaluation_bitwise(spec, measure, n):
-    # the operator built from the node evaluation build_phi reads is the
-    # walk on G_at's own table, bit for bit, and so is Phi; it holds its
+    # the operator, which evaluates the spec itself as build_phi does, is
+    # the walk on G_at's own node table, bit for bit; it holds its
     # generator, whose grid is its own
     gen = DelayedGenerator(OPERATOR_MEASURES[measure], OPERATOR_SPECS[spec],
                            TriangularGrid(T, n))
     nodes = gen.grid.nodes
     want = oracles._delay_walk(gen, gen.G_at(nodes), gen.G_at)
-    values = gen.spec_at(nodes)
-    phi = build_phi(gen, values)
-    got = build_delayed_operator(gen, values)
-    assert got.grid == gen.grid and got.values.tobytes() == want.tobytes()
-    assert got.generator is gen
-    bare = build_delayed_operator(gen)
-    assert bare.generator is gen and bare.grid == gen.grid
-    assert bare.values.tobytes() == want.tobytes()
-    assert phi.values.tobytes() == build_phi(gen).values.tobytes()
+    got = build_delayed_operator(gen)
+    assert got.generator is gen and got.grid == gen.grid
+    assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("measure", sorted(OPERATOR_MEASURES))
+def test_spec_is_not_evaluated_below_the_diagonal(measure):
+    # e^{-800 u} overflows at u = s - t < -0.89: the spec's table is cut at
+    # the diagonal before it is evaluated there (an overflow warning is an
+    # error in this suite), and the operator has no 0 * inf = NaN cell
+    gen = DelayedGenerator(OPERATOR_MEASURES[measure],
+                           poly_exp_kernel(k=0, lam=800.0, scale=0.5),
+                           TriangularGrid(T, 10))
+    table = gen.spec_at(gen.grid.nodes)
+    assert np.isfinite(table).all()
+    assert np.all(np.tril(table, -1) == 0.0)
+    assert not np.isnan(build_delayed_operator(gen).values).any()
 
 
 def reference_diffuse_operator(gt, gen):
