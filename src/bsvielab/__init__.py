@@ -18,7 +18,7 @@ import types
 from .config import ConfigError, ExperimentConfig, load_config, \
     load_config_file
 from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
-    drift, expect_q, expect_q_columns, girsanov_report, sample_paths
+    drift, expect_q_columns, girsanov_report, sample_paths
 from .kernels import DelayOperator, DelayedGenerator, GridMismatch, \
     HorizonMismatch, KernelSpec, KernelTable, ResolventTable, SingularStep, \
     ToleranceUnreachable, TriangularGrid, build_phi, constant_kernel, \

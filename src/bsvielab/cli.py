@@ -358,7 +358,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
 def cmd_girsanov_check(cfg: ExperimentConfig) -> None:
     b = drift(cfg.generator)
-    # exp(W(T)) overflows on a path once T is long, and expect_q refuses it
+    # exp(W(T)) overflows on a path once T is long, and the report refuses it
     with np.errstate(over="ignore"):
         try:
             stats = girsanov_report(b, cfg.n_paths, cfg.seed)

@@ -167,8 +167,6 @@ def sample_paths(n_paths: int, seed: int, mode: str,
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if mode not in ("P", "Q"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     n = drift_fn.grid.n
     dt = drift_fn.grid.dt
@@ -184,7 +182,10 @@ def sample_paths(n_paths: int, seed: int, mode: str,
             raise DegenerateWeights(
                 f"{int(np.sum(weights == 0.0))} of {n_paths} importance "
                 "weights underflow to 0")
-        _check_ess(weights)
+        ess = effective_sample_size(weights)
+        if ess < ESS_FLOOR:
+            raise DegenerateWeights(
+                f"effective sample size {ess:.2f} below {ESS_FLOOR}")
     else:
         weights = np.ones(n_paths)
     return PathEnsemble(mode, xi, drift_fn, weights)
@@ -193,31 +194,6 @@ def sample_paths(n_paths: int, seed: int, mode: str,
 def effective_sample_size(weights: np.ndarray) -> float:
     """sum(w) / max(w): M for unit weights, 1 when one weight dominates."""
     return float(weights.sum() / weights.max())
-
-
-def _check_ess(weights: np.ndarray) -> None:
-    """Raise DegenerateWeights when the ESS is below ESS_FLOOR."""
-    ess = effective_sample_size(weights)
-    if ess < ESS_FLOOR:
-        raise DegenerateWeights(
-            f"effective sample size {ess:.2f} below {ESS_FLOOR}"
-        )
-
-
-def expect_q(ensemble: PathEnsemble, functional) -> tuple[float, float]:
-    """Q-expectation of a per-path functional with a standard error.
-
-    The functional receives the ensemble and must return one value per
-    path; the estimate is expect_q_columns' for that one column.
-    """
-    x = np.asarray(functional(ensemble), dtype=float)
-    if x.shape != (ensemble.n_paths,):
-        raise ValueError("functional must return one value per path")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("functional not finite on all paths")
-    _check_ess(ensemble.weights)
-    est, se = expect_q_columns(ensemble, x[:, None])
-    return float(est[0]), float(se[0])
 
 
 def expect_q_columns(ensemble: PathEnsemble,
@@ -259,21 +235,23 @@ def girsanov_report(b: DriftFunction, n_paths: int,
     crosscheck_gap: |reweighted-P minus direct-Q| estimate of exp(W(T)),
       with the combined SE, conservative as both legs read one draw: its
       running sum is W(T) under P and W^Q(T) = W(T) - int b under Q.
+    All are expect_q_columns estimates: one call stacks the Q leg's plain
+    means, the other reweights exp(W(T)) alone, as a mode-P column's bits
+    depend on the columns beside it.
     """
     ens_p = sample_paths(n_paths, seed, "P", b)
     ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(n_paths))
-    w_end = ens_p.w[:, -1]  # the last row of W^T, contiguous
-
-    wts = ens_p.weights
-    mean_w = (float(wts.mean()),
-              float(wts.std(ddof=1) / math.sqrt(n_paths)))
-    mean_wq = expect_q(ens_q, lambda e: w_end)
-    est_p, se_p = expect_q(ens_p, lambda e: np.exp(w_end))
-    est_q, se_q = expect_q(ens_q, lambda e: np.exp(w_end + b.cumulative()[-1]))
-    gap = abs(est_p - est_q)
-    gap_se = math.hypot(se_p, se_q)
+    w_end = ens_p.wt[-1]  # W(T) on every path, one contiguous row
+    q_cols = np.column_stack(
+        [ens_p.weights, w_end, np.exp(w_end + b.cumulative()[-1])])
+    p_col = np.exp(w_end)[:, None]
+    if not (np.isfinite(q_cols).all() and np.isfinite(p_col).all()):
+        raise ValueError("functional not finite on all paths")
+    est, se = expect_q_columns(ens_q, q_cols)
+    est_p, se_p = expect_q_columns(ens_p, p_col)
     return [
-        ("mean_weight", mean_w[0], mean_w[1]),
-        ("mean_WQ_T", mean_wq[0], mean_wq[1]),
-        ("crosscheck_gap", gap, gap_se),
+        ("mean_weight", float(est[0]), float(se[0])),
+        ("mean_WQ_T", float(est[1]), float(se[1])),
+        ("crosscheck_gap", float(abs(est_p[0] - est[2])),
+         math.hypot(se_p[0], se[2])),
     ]

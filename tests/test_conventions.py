@@ -63,6 +63,12 @@ caller can hand Psi the Phi of another kernel, or L the g-term of another
 generator.  A parameter is taken as a class when its annotation names the
 class or, unannotated, when it has the class's name under src/ (phi, psi,
 gen, op).
+
+A Monte Carlo spread has one home, girsanov.expect_q_columns, which takes
+every mean and its standard error: no code under src/ calls a std or var
+reduction (<expr>.std(...), <expr>.var(...), numpy.std or numpy.var), so
+a change to how a standard error is taken reaches every number printed,
+girsanov-check's included.
 """
 
 import ast
@@ -95,6 +101,7 @@ DERIVED_TABLES = [("KernelTable", "ResolventTable"),
 # the name an unannotated parameter of each class has under src/
 TABLE_PARAM_NAMES = {"phi": "KernelTable", "psi": "ResolventTable",
                      "gen": "DelayedGenerator", "op": "DelayOperator"}
+SPREADS = {"std", "var"}
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -783,3 +790,52 @@ def test_src_passes_no_source_beside_its_table():
                  path.read_text(encoding="utf-8"))]
     assert not found, ("read the source from the table (psi.phi, "
                        "op.generator):\n" + "\n".join(found))
+
+
+def spread_reductions(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each std or var reduction: a call <expr>.std(...) or
+    <expr>.var(...), a read of numpy's std or var (any alias the module
+    gives numpy) that is not called, and each import of them from numpy."""
+    tree = ast.parse(source)
+    aliases = numpy_aliases(tree)
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, f"from numpy import {a.name}")
+                      for a in node.names if a.name in SPREADS]
+        elif isinstance(node, ast.Attribute) and node.attr in SPREADS and (
+                id(node) in called or isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_scan_finds_spread_reductions():
+    # the report's mean_weight as it was, beside spreads spelled other
+    # ways; a comment and a string are not code
+    source = ("import math\n"
+              "import numpy as np\n"
+              "import numpy\n"
+              "from numpy import var\n"
+              "def girsanov_report(wts, n_paths):\n"
+              "    # np.mean and np.std(ddof=1), step by step, in place\n"
+              "    se = wts.std(ddof=1) / math.sqrt(n_paths)\n"
+              "    return se + np.var(wts) + numpy.std(wts, axis=0)\n"
+              "SPREAD = np.std\n"
+              "def table(x):\n"
+              "    return x.T.var(axis=1) + len('x.std(1)')\n")
+    assert spread_reductions(source) == [
+        (4, "from numpy import var"), (7, "wts.std"), (8, "np.var"),
+        (8, "numpy.std"), (9, "np.std"), (11, "x.T.var")]
+
+
+def test_src_calls_no_std_or_var_reduction():
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, what in spread_reductions(
+                 path.read_text(encoding="utf-8"))]
+    assert not found, ("a std or var reduction in src/; take means and "
+                       "standard errors from girsanov.expect_q_columns:\n"
+                       + "\n".join(found))

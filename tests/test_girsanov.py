@@ -12,7 +12,6 @@ from bsvielab.girsanov import (
     DriftFunction,
     PathEnsemble,
     drift,
-    expect_q,
     expect_q_columns,
     girsanov_report,
     sample_paths,
@@ -111,11 +110,11 @@ def test_mode_q_shifts_mean():
     gamma = 0.8
     b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=5, mode="Q", drift_fn=b)
-    est, se = expect_q(ens, lambda e: e.w[:, -1])
+    (est,), (se,) = expect_q_columns(ens, ens.w[:, -1:])
     # b(T) = 0 under the half-open mass but the left-point sum never reads
     # it, so the accumulated drift is exactly gamma * T
     assert abs(est - gamma) < 3 * se
-    var_est, var_se = expect_q(ens, lambda e: (e.wq[:, -1]) ** 2)
+    (var_est,), (var_se,) = expect_q_columns(ens, ens.wq[:, -1:] ** 2)
     assert abs(var_est - 1.0) < 3 * var_se
 
 
@@ -124,7 +123,7 @@ def test_mode_p_reweighted_mean_matches_shift():
     gamma = 0.6
     b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=9, mode="P", drift_fn=b)
-    est, se = expect_q(ens, lambda e: e.w[:, -1])
+    (est,), (se,) = expect_q_columns(ens, ens.w[:, -1:])
     assert abs(est - gamma) < 3 * se
 
 
@@ -139,16 +138,16 @@ def test_cross_mode_agreement():
     ens_p = sample_paths(100_000, seed=21, mode="P", drift_fn=b)
     ens_q = sample_paths(100_000, seed=22, mode="Q", drift_fn=b)
     for name, fn in fns.items():
-        ep, sp = expect_q(ens_p, fn)
-        eq, sq = expect_q(ens_q, fn)
+        (ep,), (sp,) = expect_q_columns(ens_p, fn(ens_p)[:, None])
+        (eq,), (sq,) = expect_q_columns(ens_q, fn(ens_q)[:, None])
         assert abs(ep - eq) < 3 * math.hypot(sp, sq), name
 
 
 def test_expect_q_constant_functional():
     ens = sample_paths(50, seed=1, mode="Q", drift_fn=zero_drift(grid(20)))
-    est, se = expect_q(ens, lambda e: np.ones(e.n_paths))
-    assert est == 1.0
-    assert se == 0.0
+    est, se = expect_q_columns(ens, np.ones((ens.n_paths, 1)))
+    assert est.tolist() == [1.0]
+    assert se.tolist() == [0.0]
 
 
 def test_weighted_standard_error_formula():
@@ -156,7 +155,7 @@ def test_weighted_standard_error_formula():
     b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     ens = sample_paths(5000, seed=2, mode="P", drift_fn=b)
     x = ens.w[:, -1]
-    est, se = expect_q(ens, lambda e: e.w[:, -1])
+    (est,), (se,) = expect_q_columns(ens, x[:, None])
     w = ens.weights
     want_est = (w * x).sum() / w.sum()
     want_se = np.sqrt(((w * (x - want_est)) ** 2).sum()) / w.sum()
@@ -165,14 +164,16 @@ def test_weighted_standard_error_formula():
 
 
 def test_expect_q_columns_match_expect_q():
-    # one column at a time: the per-column estimator is the reference
+    # stacked columns against one single-column call per column: mode Q
+    # reduces each row on its own, mode P sums by GEMV, whose bits depend
+    # on the columns beside it
     g = grid(20)
     b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     for mode in ("P", "Q"):
         ens = sample_paths(3000, seed=6, mode=mode, drift_fn=b)
         values = np.exp(ens.w)
         est, se = expect_q_columns(ens, values)
-        want = np.array([expect_q(ens, lambda e, c=values[:, i]: c)
+        want = np.array([np.concatenate(expect_q_columns(ens, values[:, [i]]))
                          for i in range(g.n + 1)])
         if mode == "Q":
             assert np.array_equal(est, want[:, 0])
@@ -207,18 +208,21 @@ def test_expect_q_columns_match_numpy_reductions(mode, order):
 
 
 def test_degenerate_weights_raises():
-    ens = sample_paths(50, seed=4, mode="P", drift_fn=zero_drift(grid(20)))
-    # fake a spike so one path dominates the whole ensemble
-    ens.weights[:] = 1e-12
-    ens.weights[0] = 1.0
-    with pytest.raises(DegenerateWeights):
-        expect_q(ens, lambda e: e.w[:, -1])
+    # a strong tilt: every weight is positive, but a few paths carry the
+    # ensemble, so sample_paths refuses it by its effective sample size
+    g = grid(20)
+    b = tilt(DiracAt(1.0, 0.0), 8.0, g)
+    weights = reference_paths(g, 50, 4, "P", b)[3]
+    assert np.all(weights > 0.0)
+    assert weights.sum() / weights.max() < 10.0
+    with pytest.raises(DegenerateWeights,
+                       match=r"^effective sample size \d+\.\d\d below 10\.0$"):
+        sample_paths(50, seed=4, mode="P", drift_fn=b)
 
 
-def test_functional_shape_checked():
-    ens = sample_paths(50, seed=4, mode="Q", drift_fn=zero_drift(grid(20)))
-    with pytest.raises(ValueError):
-        expect_q(ens, lambda e: 1.0)
+def test_unknown_mode_raises():
+    with pytest.raises(ValueError, match="unknown measure tag 'R'"):
+        sample_paths(50, seed=4, mode="R", drift_fn=zero_drift(grid(20)))
 
 
 def test_report_statistics():
@@ -242,13 +246,13 @@ def reference_report(b, n_paths, seed):
     wts = ens_p.weights
     mean_w = (float(wts.mean()),
               float(wts.std(ddof=1) / math.sqrt(n_paths)))
-    mean_wq = expect_q(ens_q, lambda e: e.wq[:, -1])
-    est_p, se_p = expect_q(ens_p, lambda e: np.exp(e.w[:, -1]))
-    est_q, se_q = expect_q(ens_q, lambda e: np.exp(e.w[:, -1]))
+    (wq_est,), (wq_se,) = expect_q_columns(ens_q, ens_q.wq[:, -1:])
+    (est_p,), (se_p,) = expect_q_columns(ens_p, np.exp(ens_p.w[:, -1:]))
+    (est_q,), (se_q,) = expect_q_columns(ens_q, np.exp(ens_q.w[:, -1:]))
     return [
         ("mean_weight", mean_w[0], mean_w[1]),
-        ("mean_WQ_T", mean_wq[0], mean_wq[1]),
-        ("crosscheck_gap", abs(est_p - est_q), math.hypot(se_p, se_q)),
+        ("mean_WQ_T", float(wq_est), float(wq_se)),
+        ("crosscheck_gap", float(abs(est_p - est_q)), math.hypot(se_p, se_q)),
     ]
 
 
@@ -276,12 +280,26 @@ def test_report_draws_the_stream_once(monkeypatch):
         return property(read)
 
     monkeypatch.setattr(girsanov, "sample_paths", counting_sample_paths)
-    for name in ("dw", "w", "wq"):
+    for name in ("dw", "wt", "w", "wq"):
         monkeypatch.setattr(PathEnsemble, name, counting(name))
     girsanov_report(tilt(Uniform(1.0), 0.8, grid(40)), 500, seed=3)
     assert len(calls) == 1
-    # one (M, N+1) W table, read once for both legs
-    assert reads == ["w"]
+    # one W table, read once for both legs
+    assert reads == ["wt"]
+
+
+def test_report_takes_its_statistics_from_expect_q_columns(monkeypatch):
+    # the Q leg's three columns in one call, the P leg's one in another
+    calls = []
+    real = girsanov.expect_q_columns
+
+    def counting(ensemble, values):
+        calls.append((ensemble.tag, values.shape))
+        return real(ensemble, values)
+
+    monkeypatch.setattr(girsanov, "expect_q_columns", counting)
+    girsanov_report(tilt(Uniform(1.0), 0.8, grid(40)), 500, seed=3)
+    assert calls == [("Q", (500, 3)), ("P", (500, 1))]
 
 
 @pytest.mark.parametrize("g_value", [0.0, 0.6])
