@@ -59,6 +59,11 @@ class TriangularGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n + 1)
 
+    @property
+    def grid(self) -> TriangularGrid:
+        """The grid itself, so that same_grid takes a bare grid."""
+        return self
+
     def locate(self, x):
         """Cell (idx, frac) of times x: x is clipped into [0, T], then
         idx = min(floor(x/dt), N-1) and frac = x/dt - idx, so x = T reads

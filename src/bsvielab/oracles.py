@@ -24,7 +24,8 @@ import numpy as np
 
 from .girsanov import PathEnsemble
 from .kernels import DelayOperator, DelayedGenerator, KernelTable, \
-    implicit_factors, lag_weights, same_grid, tail_weight_matrix, tail_weighted
+    implicit_factors, lag_weights, same_grid, tail_weight_matrix, \
+    tail_weighted, zero_extend_kernel
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -277,20 +278,38 @@ class _StackedBasis:
     node rows (contiguous in the transpose of PathEnsemble.wt): B_i holds
     the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
-    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.  The node
-    means and scales sd (1 on a dead row) come first, by _power_stats on
-    blocks of nodes of at most LSMC_CHUNK (N+1) / 2 states (one node at
-    least); then B^T is formed LSMC_CHUNK paths at a time to accumulate
-    gram = B^T B, bt_f = B^T F and, given dW, dwt_f = dW^T F and dwt_b =
-    dW^T B.  ones is the node blocks of B^T 1; ginv[i] inverts
-    node i's ridged Gram block on its live rows.
-    RegressionIllConditioned if a block's condition number, the largest
-    of which is cond, exceeds COND_LIMIT."""
+    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.  First
+    come what the Z slopes read of the increments dW (M, N) and the delay
+    operator op: the path mean dw_mean, the sums of squares ss_j of the
+    centred increments x = dW - dw_mean, and the half-cell weights half =
+    0.5 dt K(t_i, s_j) on i <= j < N with the diagonal scales 1 - L[j, j],
+    K = L / trap the kernel of L.  Then the node means and scales sd (1 on
+    a dead row), by _power_stats on blocks of nodes of at most LSMC_CHUNK
+    (N+1) / 2 states (one node at least); then B^T is formed LSMC_CHUNK
+    paths at a time to accumulate gram = B^T B, bt_f = B^T F, dwt_f =
+    dW^T F and dwt_b = dW^T B.  ones is the node blocks of B^T 1; ginv[i]
+    inverts node i's ridged Gram block on its live rows.
+    RegressionIllConditioned if some ss_j is 0, as for a single path, or
+    a block's condition number, the largest of which is cond, exceeds
+    COND_LIMIT."""
 
-    def __init__(self, w: np.ndarray, f: np.ndarray,
-                 dw: np.ndarray | None = None):
+    def __init__(self, w: np.ndarray, f: np.ndarray, dw: np.ndarray,
+                 op: DelayOperator):
         m_paths, n1 = w.shape
-        d = REGRESSION_DEGREE + 1
+        n, d = n1 - 1, REGRESSION_DEGREE + 1
+        self.dw, self.dw_mean = dw, dw.mean(axis=0)
+        x = dw - self.dw_mean
+        self.ss = np.einsum("mj,mj->j", x, x)
+        if not np.all(self.ss > 0.0):
+            raise RegressionIllConditioned(
+                f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
+                f"sample variance over {len(dw)} paths; Z slopes undefined")
+        del x
+        trap, vals = tail_weight_matrix(op.grid), op.values
+        kk = np.divide(vals, trap, out=np.zeros_like(vals), where=trap > 0.0)
+        self.half = np.triu(0.5 * op.grid.dt * kk[:n, :n])
+        self.scale = 1.0 - np.diag(vals)[:n]
+
         self.mean = np.zeros((n1, d))
         sd = np.zeros((n1, d))
         step = max(1, LSMC_CHUNK * n1 // (2 * m_paths))
@@ -305,19 +324,15 @@ class _StackedBasis:
         p_rows = n1 * d
         self.gram = np.zeros((p_rows, p_rows))
         self.bt_f = np.zeros((p_rows, n1))
-        self.dwt_f = self.dwt_b = None
-        if dw is not None:
-            self.dwt_f = np.zeros((dw.shape[1], n1))
-            self.dwt_b = np.zeros((dw.shape[1], p_rows))
+        self.dwt_f, self.dwt_b = np.zeros((n, n1)), np.zeros((n, p_rows))
         for lo in range(0, m_paths, LSMC_CHUNK):
             part = slice(lo, lo + LSMC_CHUNK)
             bt = self._chunk(w[part])
             fc = np.ascontiguousarray(f[part])  # a broadcast F, for BLAS
             self.gram += bt @ bt.T
             self.bt_f += bt @ fc
-            if dw is not None:
-                self.dwt_f += dw[part].T @ fc
-                self.dwt_b += dw[part].T @ bt.T
+            self.dwt_f += dw[part].T @ fc
+            self.dwt_b += dw[part].T @ bt.T
             del bt  # before the next block is formed
         self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
         self.ginv = np.zeros((n1, d, d))
@@ -387,17 +402,16 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
                      ) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
     from a mean Z surface: the row sums of _delay_walk on K(t, s) = g(s)
-    Z(t, s), Z read by grid.interpolate at an atom's shifted times and zero
-    at negative ones.  Exact (zero) whenever g vanishes."""
+    Z(t, s), Z read by grid.interpolate at an atom's shifted times through
+    zero_extend_kernel.  Exact zeros, Z unread, whenever g vanishes: the
+    one place the LSMC tests for g = 0."""
     grid = gen.grid
     if gen.kernel.g_bound == 0.0:
         return np.zeros(grid.n + 1)
 
     def table_at(x):
-        t, s = x[:, None], x[None, :]
-        z = np.where((t >= 0.0) & (s >= 0.0),
-                     grid.interpolate(z_surface, t, s), 0.0)
-        return gen.g_at(x) * z
+        z = zero_extend_kernel(lambda t, s: grid.interpolate(z_surface, t, s))
+        return gen.g_at(x) * z(x[:, None], x[None, :])
 
     table = gen.g_at(grid.nodes) * z_surface
     return _delay_walk(gen, table, table_at).sum(axis=1)
@@ -427,19 +441,18 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     sweep where that bound is not below DIVERGENCE_GUARD (a NaN is not),
     then restarts the bound from it.  Z(t_i, s_j) is the
     least-squares slope of theta = target - Y on dW_j: refitted every sweep
-    from dW^T F and dW^T B c when g != 0, since the g-term reads it; the
-    converged sweep forms theta path by path and also takes the slope SEs.
+    from dW^T F and dW^T B c for the g-term, which at g = 0 returns zeros
+    without reading it; the converged sweep forms theta path by path and
+    also takes the slope SEs.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
     increment dW_j has no sample variance; GridMismatch unless op, the
     ensemble and F share one grid.
     """
     gen, n = op.generator, same_grid(op, ensemble, f_vals).n
-    sweeps, tilted = _sweeps(tol), gen.kernel.g_bound != 0.0
-    dw = ensemble.dw
+    sweeps = _sweeps(tol)
     b_dt = ensemble.drift_fn.increments()
-    incr = _IncrementBasis(dw, op)
     wt = ensemble.wt  # node-major, for the basis and the sweeps
-    basis = _StackedBasis(wt.T, f_vals, dw if tilted else None)
+    basis = _StackedBasis(wt.T, f_vals, ensemble.dw, op)
     n1, d = basis.ones.shape
     at = np.arange(n1)
     # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
@@ -447,9 +460,9 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
                 for x in (basis.bt_f, basis.bt_f @ op.values.T))
     coupling = (basis.gram.reshape(n1, d, n1, d)
                 * op.values[:, None, :, None]).reshape(n1 * d, n1 * d)
-    if tilted:  # x_j . v = dW_j . v - mean(dW_j) sum(v)
-        x_f = basis.dwt_f - np.outer(incr.mean, f_vals.sum(axis=0))
-        x_b = (basis.dwt_b - np.outer(incr.mean, basis.ones)).reshape(n, n1, d)
+    # x_j . v = dW_j . v - mean(dW_j) sum(v)
+    x_f = basis.dwt_f - np.outer(basis.dw_mean, f_vals.sum(axis=0))
+    x_b = (basis.dwt_b - np.outer(basis.dw_mean, basis.ones)).reshape(n, n1, d)
 
     c, sup_diffs, bound = None, [], 0.0
     z_mean = np.zeros((n + 1, n + 1))
@@ -484,45 +497,18 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
             y = basis.values(c, wt)
             del wt
             theta = target - y
-            z, z_se = _slope_z(theta.T, incr)
+            z, z_se = _slope_z(theta.T, basis)
             return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
                               basis.cond)
         b_y = (coupling @ c.ravel()).reshape(n1, d)
-        if tilted:  # x^T theta from x^T F and x^T B c
-            x_y = x_f if c_prev is None else np.einsum("jkq,kq->jk", x_b, c_prev)
-            cross = x_f + x_y @ op.values.T - np.einsum("jkq,kq->jk", x_b, c)
-            z_mean = _slope_fit(cross[:, :n].T, incr)[0]
+        # x^T theta from x^T F and x^T B c
+        x_y = x_f if c_prev is None else np.einsum("jkq,kq->jk", x_b, c_prev)
+        cross = x_f + x_y @ op.values.T - np.einsum("jkq,kq->jk", x_b, c)
+        z_mean = _slope_fit(cross[:, :n].T, basis)[0]
     raise _stalled(tol, sup_diffs)
 
 
-class _IncrementBasis:
-    """What the Z slopes need of the increments and the delay operator L,
-    made once per LSMC run: the increments dW (M, N), their path mean, the
-    sums of squares ss_j of the centred increments x = dW - mean and the
-    half-cell weights 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
-    scales 1 - L[j, j], K = L / trap the operator's kernel on L's grid.
-    RegressionIllConditioned if some ss_j is 0, as for a single path."""
-
-    def __init__(self, dw: np.ndarray, op: DelayOperator):
-        n = dw.shape[1]
-        self.mean = dw.mean(axis=0)
-        x = dw - self.mean
-        ss = np.einsum("mj,mj->j", x, x)
-        if not np.all(ss > 0.0):
-            j = int(np.flatnonzero(~(ss > 0.0))[0])
-            raise RegressionIllConditioned(
-                f"increment dW_{j} has no sample variance over {len(dw)} "
-                "paths; Z slopes undefined")
-        trap, vals = tail_weight_matrix(op.grid), op.values
-        kk = np.divide(vals, trap, out=np.zeros_like(vals), where=trap > 0.0)
-        self.dw = dw
-        self.ss = ss
-        self.upper = np.triu(np.ones((n, n), dtype=bool))
-        self.half = np.where(self.upper, 0.5 * op.grid.dt * kk[:n, :n], 0.0)
-        self.scale = 1.0 - np.diag(vals)[:n]
-
-
-def _slope_z(theta: np.ndarray, basis: _IncrementBasis
+def _slope_z(theta: np.ndarray, basis: _StackedBasis
              ) -> tuple[np.ndarray, np.ndarray]:
     """_slope_fit of the targets theta (M, N+1), with the SEs; the
     centred targets theta_c give x^T theta_c = dW^T theta_c.  theta's
@@ -534,7 +520,7 @@ def _slope_z(theta: np.ndarray, basis: _IncrementBasis
     return _slope_fit(theta_c.T @ basis.dw, basis, sq)
 
 
-def _slope_fit(cross: np.ndarray, basis: _IncrementBasis,
+def _slope_fit(cross: np.ndarray, basis: _StackedBasis,
                sq: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray | None]:
     """Z(t_i, s_j) = cross[i, j] / ss_j on i <= j < N, the OLS slope of
@@ -555,16 +541,15 @@ def _slope_fit(cross: np.ndarray, basis: _IncrementBasis,
     the estimator carries an O(dt) bias that dwarfs the slope SE at the
     final interior row, where the regression is nearly noiseless.
     """
-    ss, upper = basis.ss, basis.upper
     m_paths, n = basis.dw.shape
-    raw = np.where(upper, cross / ss, 0.0)
+    raw = np.triu(cross / basis.ss)
     z = np.zeros((n + 1, n + 1))
     z[:n, :n] = raw + basis.half * (np.diag(raw) / basis.scale)
     _extrapolate_last_column(z, lambda a, b: 2.0 * a - b)
     if sq is None:
         return z, None
-    rss = np.where(upper, np.maximum(sq[:, None] - raw * cross, 0.0), 0.0)
-    raw_se = np.sqrt(rss / max(m_paths - 2, 1) / ss)
+    rss = np.triu(np.maximum(sq[:, None] - raw * cross, 0.0))
+    raw_se = np.sqrt(rss / max(m_paths - 2, 1) / basis.ss)
     se = np.zeros((n + 1, n + 1))
     se[:n, :n] = np.hypot(raw_se, np.abs(basis.half)
                           * (np.diag(raw_se) / np.abs(basis.scale)))

@@ -147,8 +147,9 @@ def norms(y: np.ndarray, z: np.ndarray, grid: TriangularGrid,
     the positive triangle, and the S2 report follows the convention of
     carrying no square root (it is the expected weighted squared sup).
     The path expectations of H1 and S2 are taken under Q, by
-    expect_q_columns.
+    expect_q_columns.  GridMismatch unless y, z and the ensemble are on grid.
     """
+    same_grid(grid, y, z, *(() if ensemble is None else (ensemble,)))
     horizon = grid.horizon
     y = np.atleast_2d(y)
     weight = np.exp(beta * grid.nodes)

@@ -69,6 +69,12 @@ every mean and its standard error: no code under src/ calls a std or var
 reduction (<expr>.std(...), <expr>.var(...), numpy.std or numpy.var), so
 a change to how a standard error is taken reaches every number printed,
 girsanov-check's included.
+
+Zero extension has one home, kernels.zero_extend_kernel: no other function
+under src/ calls numpy.where on a condition that compares against a
+literal 0, so every kernel or surface read at negative times (G, g and
+the LSMC's Z between lags) is 0 there by one rule, and is evaluated at
+times clipped to 0.
 """
 
 import ast
@@ -102,6 +108,7 @@ DERIVED_TABLES = [("KernelTable", "ResolventTable"),
 TABLE_PARAM_NAMES = {"phi": "KernelTable", "psi": "ResolventTable",
                      "gen": "DelayedGenerator", "op": "DelayOperator"}
 SPREADS = {"std", "var"}
+ZERO_EXTEND_HOME = ("kernels", "zero_extend_kernel")
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -839,3 +846,80 @@ def test_src_calls_no_std_or_var_reduction():
     assert not found, ("a std or var reduction in src/; take means and "
                        "standard errors from girsanov.expect_q_columns:\n"
                        + "\n".join(found))
+
+
+def is_zero(node: ast.AST) -> bool:
+    """A literal 0 (int or float, a sign allowed), not False."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op,
+                                                    (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == 0)
+
+
+def zero_extensions(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, where) of each numpy.where call (any alias the module gives
+    numpy, or where imported from it) whose condition holds a comparison
+    with a literal 0, where as in lag_walk_calls, outside the top-level
+    function ZERO_EXTEND_HOME[1] of the module ZERO_EXTEND_HOME[0]."""
+    tree = ast.parse(source)
+    aliases = numpy_aliases(tree)
+    bare = {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            for a in node.names if a.name == "where"}
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(
+            top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        if (module, where) == ZERO_EXTEND_HOME:
+            continue
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            f = node.func
+            if not (isinstance(f, ast.Name) and f.id in bare
+                    or isinstance(f, ast.Attribute) and f.attr == "where"
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in aliases):
+                continue
+            if any(isinstance(c, ast.Compare)
+                   and any(map(is_zero, [c.left, *c.comparators]))
+                   for c in ast.walk(node.args[0])):
+                found.append((node.lineno, where))
+    return sorted(found)
+
+
+def test_scan_finds_zero_extensions():
+    # the g-term's Z read as it was, beside conditions that are no zero
+    # extension: a mask, a comparison with a name, a where= keyword
+    source = ("import numpy as np\n"
+              "from numpy import where as pick\n"
+              "def zero_extend_kernel(f):\n"
+              "    def wrapped(t, s):\n"
+              "        return np.where((t >= 0.0) & (s >= 0), f(t, s), 0.0)\n"
+              "    return wrapped\n"
+              "def _g_weighted_term(gen, z):\n"
+              "    def table_at(x):\n"
+              "        t, s = x[:, None], x[None, :]\n"
+              "        return np.where((t >= 0.0) & (s >= 0.0), z, 0.0)\n"
+              "    return table_at\n"
+              "def f(x, q, live, a, b):\n"
+              "    y = np.where(live, x, 0.0) + np.where(x > q, 1.0, -1.0)\n"
+              "    y += np.divide(a, b, where=b > 0.0) + pick(0 < -x, x, 0)\n"
+              "    return y + np.where(x == -0.0, 1.0, x) + np.where(x, 0, 1)\n"
+              "class Table:\n"
+              "    def at(self, t):\n"
+              "        return np.where(~(t < 0), self.values, 0.0)\n")
+    outside = [(10, "_g_weighted_term"), (14, "f"), (15, "f"), (18, "Table")]
+    assert zero_extensions(source, "kernels") == outside
+    assert zero_extensions(source, "oracles") == sorted(
+        outside + [(5, "zero_extend_kernel")])
+
+
+def test_src_zero_extends_in_one_function():
+    found = [f"{path.relative_to(ROOT)}:{line}: {where}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, where in zero_extensions(
+                 path.read_text(encoding="utf-8"), path.stem)]
+    assert not found, ("a numpy.where against 0 outside "
+                       f"{'.'.join(ZERO_EXTEND_HOME)}:\n" + "\n".join(found))

@@ -16,7 +16,7 @@ from bsvielab.kernels import DelayOperator, DelayedGenerator, GridMismatch, \
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, _IncrementBasis, _StackedBasis, \
+    RegressionIllConditioned, _StackedBasis, \
     _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
@@ -415,6 +415,12 @@ def test_delayed_oracles_refuse_an_operator_on_another_grid(op_grid, grid):
             residual_delayed(f0, f0, op)
 
 
+def zero_operator(g):
+    """A DelayOperator on grid g whose values are all 0."""
+    gen = DelayedGenerator(DiracAt(g.horizon, 0.0), constant_kernel(0.0), g)
+    return DelayOperator(gen, np.zeros((g.n + 1, g.n + 1)))
+
+
 def reference_stacked_rows(w):
     """B^T (P, M) in full, as the LSMC once built and held it: every
     node's intercept and centred, unit-variance powers of W(t_i), a row
@@ -441,9 +447,11 @@ def reference_stacked_rows(w):
 def test_basis_blocks_match_the_stacked_basis_bitwise(m_paths, n):
     # each node's centring and scale are those of the full-table pass, and
     # the blocks of paths are its columns, bit for bit
-    ens = sample_paths(m_paths, 71, "Q", zero_drift(TriangularGrid(T, n)))
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 71, "Q", zero_drift(g))
     w = ens.w
-    basis = _StackedBasis(w, np.zeros((m_paths, n + 1)))
+    basis = _StackedBasis(w, np.zeros((m_paths, n + 1)), ens.dw,
+                          zero_operator(g))
     blocks = [basis._chunk(w[lo:lo + oracles.LSMC_CHUNK])
               for lo in range(0, m_paths, oracles.LSMC_CHUNK)]
     assert np.concatenate(blocks, axis=1).tobytes() \
@@ -456,8 +464,10 @@ def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
     # table, bit for bit, a NaN included
     m_paths, n = 500, 12
     monkeypatch.setattr(oracles, "HORNER_BLOCK", 3 * m_paths)
-    ens = sample_paths(m_paths, 73, "Q", zero_drift(TriangularGrid(T, n)))
-    basis = _StackedBasis(ens.w, np.zeros((m_paths, n + 1)))
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 73, "Q", zero_drift(g))
+    basis = _StackedBasis(ens.w, np.zeros((m_paths, n + 1)), ens.dw,
+                          zero_operator(g))
     wt = np.ascontiguousarray(ens.w.T)
     c = np.random.default_rng(5).standard_normal((n + 1, 5))
     a = basis._powers(c)[:, :, None]
@@ -476,10 +486,16 @@ def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
 
 
 def test_regression_guard_trips_on_collinear_basis():
-    w_col = np.full(500, 2.0)
-    w_col[0] += 1e-9
+    # node 1 holds near-constant states; the increments have spread, so
+    # the guard that trips is the Gram block's, not the increments'
+    w = np.zeros((500, 3))
+    w[:, 1] = 2.0
+    w[0, 1] += 1e-9
+    w[:, 2] = np.random.default_rng(3).standard_normal(500)
+    dw = np.random.default_rng(4).standard_normal((500, 2))
     with pytest.raises(RegressionIllConditioned, match="condition number"):
-        _StackedBasis(w_col[:, None], np.zeros((500, 1)))
+        _StackedBasis(w, np.zeros((500, 3)), dw,
+                      zero_operator(TriangularGrid(T, 2)))
 
 
 def test_delayed_operator_accepts_product_form_kernels():
@@ -974,7 +990,7 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
     ens = sample_paths(2000, 59, "Q", zero_drift(g))
     op = build_delayed_operator(DelayedGenerator(DiracAt(T, 0.0),
                                                  constant_kernel(0.3), g))
-    basis = _IncrementBasis(ens.dw, op)
+    basis = _StackedBasis(ens.w, np.zeros((2000, 13)), ens.dw, op)
     theta = np.zeros((2000, 13))
     theta[:, :12] = ens.dw * np.linspace(0.5, 3.0, 12)
     z, se = _slope_z(theta, basis)
@@ -986,8 +1002,9 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
 
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
 def test_slopes_fitted_once_per_sweep(monkeypatch, g_value):
-    # g != 0: the g-term reads the slopes, so every sweep fits them once;
-    # g = 0: only the converged sweep does.  Only that fit takes the SEs.
+    # every sweep fits the slopes once, for the g-term, which at g = 0
+    # returns zeros without reading them.  Only the converged sweep's fit
+    # takes the SEs.
     calls = []
     fit = oracles._slope_fit
 
@@ -998,8 +1015,7 @@ def test_slopes_fitted_once_per_sweep(monkeypatch, g_value):
     monkeypatch.setattr(oracles, "_slope_fit", counted)
     res = small_lsmc(g_value)[3]
     assert res.iterations > 2
-    sweeps = res.iterations if g_value != 0.0 else 1
-    assert calls == [False] * (sweeps - 1) + [True]
+    assert calls == [False] * (res.iterations - 1) + [True]
 
 
 

@@ -12,6 +12,7 @@ Closed forms used as oracles:
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -703,6 +704,23 @@ def test_norms_of_z_surface():
     rep = norms(y, solve_Z(fam, psi, zero_drift(g)), g, ens, beta=0.0)
     # Z == 1 on the triangle: integral = T^2/2
     assert rep.h2 == pytest.approx(math.sqrt(0.5), rel=1e-6)
+
+
+def test_norms_checks_its_grid():
+    # a grid on another horizon than the ensemble's, and a y with one node
+    # too many, are refused, not read on the wrong weights
+    g, other = TriangularGrid(T, 10), TriangularGrid(2.0, 10)
+    ens = sample_paths(50, 2, "P", zero_drift(g))
+    y, z = np.ones((50, 11)), np.triu(np.ones((11, 11)))
+    assert norms(y, z, g, ens).h1 == pytest.approx(math.sqrt(2.0))
+    with pytest.raises(GridMismatch) as err:
+        norms(y, z, other, ens)
+    assert str(other) in str(err.value) and str(g) in str(err.value)
+    for bad in (np.ones((50, 12)), np.ones(12)):
+        with pytest.raises(GridMismatch, match=re.escape(f"shape {bad.shape}")):
+            norms(bad, z, g, ens)
+        with pytest.raises(GridMismatch, match=re.escape(f"shape {bad.shape}")):
+            norms(bad, z, g)
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])

@@ -6,8 +6,12 @@ Usage:
 
 Imports bsvielab from ROOT/src and the benchmark workloads from
 ROOT/perfbench, then runs each of the six commands through
-``bsvielab.cli.main`` on the five bundled configs and on every workload's
-``config_text(1)``.
+``bsvielab.cli.main`` on the five bundled configs, on every workload's
+``config_text(1)`` and on the five generated configs of FEATURES.  Those
+reach the branches the others do not: atoms between lags (with g != 0
+too), measure.kind = atoms, the poly_exp and zero kernels, beta != 0, the
+exp and affine terminal functions, f0 = exp_decay, phi = bilinear and a
+mode-Q LSMC at g = 0.
 
 With one tree it prints, for each run, the exit code and the sha256 of
 the captured stdout, then the sha256 of every file the run wrote.  Two
@@ -28,8 +32,9 @@ relative bound.  It ends with the count of identical and differing files,
 and exits 1 when anything differs (an exit code, a stdout, a file set or
 a file's bytes), 0 when the two trees wrote the same bytes.
 
-One sweep takes about a minute on a 2-vCPU host.  It is a tool, not a
-test: pytest does not collect it.
+A two-tree delta takes about 8 s on a 2-vCPU host, of which the FEATURES
+runs take about 1 s per tree.  It is a tool, not a test: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -48,6 +53,80 @@ import tempfile
 
 COMMANDS = ("resolvent", "solve", "compare", "girsanov-check", "z-surface",
             "norms")
+# label -> config text; each run draws on the default mc.seed
+FEATURES = {
+    "feature-atoms-q": """
+horizon = 1.0
+grid.n = 30
+measure.kind = atoms
+measure.atoms = -0.317:0.5,-0.5:0.3,0.0:0.2
+kernel.name = poly_exp
+kernel.k = 1
+kernel.lam = 2.0
+kernel.scale = 0.5
+kernel.g = 0.2
+terminal.kind = gaussian_linear
+terminal.f0 = exp_decay
+terminal.f0.rate = 0.7
+terminal.phi = bilinear
+terminal.phi.scale = 0.8
+mc.paths = 4000
+mc.mode = Q
+beta = 0.5
+""",
+    "feature-dirac-between-p": """
+horizon = 1.0
+grid.n = 24
+measure.kind = dirac
+measure.u0 = -0.33
+kernel.name = constant
+kernel.c = 0.4
+kernel.g = 0.15
+terminal.kind = terminal_function
+terminal.h = exp
+mc.paths = 3000
+mc.mode = P
+beta = -0.3
+""",
+    "feature-zero-kernel-q": """
+horizon = 1.5
+grid.n = 20
+measure.kind = uniform
+kernel.name = zero
+kernel.g = 0.1
+terminal.kind = terminal_function
+terminal.h = affine
+terminal.h.intercept = 0.5
+terminal.h.slope = -1.0
+mc.paths = 2000
+mc.mode = Q
+""",
+    "feature-atoms-deterministic": """
+horizon = 1.0
+grid.n = 50
+measure.kind = atoms
+measure.atoms = -0.213:0.6,-0.8:0.4
+kernel.name = poly_exp
+kernel.k = 2
+kernel.lam = 3.0
+kernel.scale = -1.5
+terminal.kind = deterministic
+terminal.f0 = exp_decay
+""",
+    "feature-g0-q": """
+horizon = 1.0
+grid.n = 30
+measure.kind = dirac
+measure.u0 = -0.2
+kernel.name = constant
+kernel.c = 0.3
+kernel.g = 0.0
+terminal.kind = terminal_function
+terminal.h = square
+mc.paths = 3000
+mc.mode = Q
+""",
+}
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
@@ -56,7 +135,8 @@ def sha256(data: bytes) -> str:
 
 
 def configs(root: str) -> list[tuple[str, str]]:
-    """(label, config text): the bundled configs, then the workloads."""
+    """(label, config text): the bundled configs, the workloads, then
+    FEATURES."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
 
@@ -67,7 +147,7 @@ def configs(root: str) -> list[tuple[str, str]]:
             out.append((name, fh.read()))
     for name, wl in workloads.WORKLOADS.items():
         out.append((name, wl.config_text(1)))
-    return out
+    return out + list(FEATURES.items())
 
 
 def run_all(root: str, dest: str):
