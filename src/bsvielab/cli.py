@@ -214,6 +214,7 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         y_mean, y_se = expect_q_columns(ens, y)
         f_vals = evaluate_F_table(cfg.family, ens)
         r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
+        del y, f_vals  # R's private copy in expect_q_columns comes next
         rr, rr_se = expect_q_columns(ens, r)
         rd = np.full_like(rr, np.nan)
     else:

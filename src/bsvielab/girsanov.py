@@ -74,7 +74,8 @@ class PathEnsemble:
     coincides with W when the drift vanishes) are derived from it and the
     drift, as sample_paths describes: each access builds a new read-only
     table (wt and wq cost a cumsum along the nodes), so a caller reads
-    each one once; w is the path-major view of wt.  weights
+    each one once; w is the path-major view of wt, and w_end its last
+    row, W(T), formed without the table.  weights
     is the per-path Radon-Nikodym density M(T) for tag "P" and exactly 1
     for tag "Q".  The path count M is the number of rows of draws.
     """
@@ -127,12 +128,16 @@ class PathEnsemble:
         """W on every path and node, (M, N+1): the transpose of wt."""
         return self.wt.T
 
-    def ito_q(self, a: np.ndarray) -> np.ndarray:
-        """Left-point Ito sums sum_k dW^Q_k a[k] per path from the draws, the
-        W^Q increments under tag "Q"; tag "P" takes off the drift's b_k dt."""
-        out = self.draws @ a
-        if self.tag == "P":
-            out -= self.drift_fn.increments() @ a
+    @property
+    def w_end(self) -> np.ndarray:
+        """W(T) on every path, (M,): row N of wt bit for bit, the same
+        running sums of the draws taken one node at a time into one
+        column, plus int_0^T b under tag "Q"."""
+        out = self.draws[:, 0].copy()
+        for k in range(1, self.grid.n):
+            out += self.draws[:, k]
+        if self.tag == "Q":
+            out += self.drift_fn.cumulative()[-1]
         return out
 
     @property
@@ -241,7 +246,7 @@ def girsanov_report(b: DriftFunction, n_paths: int,
     """
     ens_p = sample_paths(n_paths, seed, "P", b)
     ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(n_paths))
-    w_end = ens_p.wt[-1]  # W(T) on every path, one contiguous row
+    w_end = ens_p.w_end
     q_cols = np.column_stack(
         [ens_p.weights, w_end, np.exp(w_end + b.cumulative()[-1])])
     p_col = np.exp(w_end)[:, None]

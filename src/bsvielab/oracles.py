@@ -221,14 +221,46 @@ def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
                               ensemble: PathEnsemble) -> np.ndarray:
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
-    the stochastic integral taken as the left-point sum
-    PathEnsemble.ito_q on top of residual_reduced, F the (M, N+1) table of
-    terminal.evaluate_F_table.
-    Returns (M, N+1); GridMismatch unless Phi is on the ensemble's grid."""
+    the integral term as in residual_reduced and the stochastic one as the
+    left-point sum of the W^Q increments, read from the ensemble's draws:
+    the draws themselves under tag "Q", less the drift's b_k dt under tag
+    "P".  F is the (M, N+1) table of terminal.evaluate_F_table.  R is
+    the one (M, N+1) table formed: both products are taken one block of
+    at most LSMC_CHUNK paths of _path_blocks at a time, into buffers of
+    one block.
+    Returns R; GridMismatch unless Phi is on the ensemble's grid."""
     n = same_grid(phi, ensemble).n
-    r = residual_reduced(y, f_vals, phi)[0]
-    r[:, :n] += ensemble.ito_q(np.triu(z[:n, :n]).T)
+    a = tail_weighted(phi.grid, phi.values)
+    zt = np.triu(z[:n, :n]).T
+    drift = ensemble.drift_fn.increments() @ zt \
+        if ensemble.tag == "P" else None
+    r = np.subtract(y, f_vals)
+    blocks = _path_blocks(len(r), LSMC_CHUNK)
+    width = max(b.stop - b.start for b in blocks)
+    buf_y, buf_ito = np.empty((width, n + 1)), np.empty((width, n))
+    for part in blocks:
+        rows = part.stop - part.start
+        r[part] -= np.matmul(y[part], a.T, out=buf_y[:rows])
+        ito = np.matmul(ensemble.draws[part], zt, out=buf_ito[:rows])
+        if drift is not None:
+            ito -= drift
+        r[part, :n] += ito
     return r
+
+
+def _path_blocks(m_paths: int, width: int) -> list[slice]:
+    """Near-equal blocks of at most width paths (a multiple of 64), the
+    whole table when it fits, each starting on a multiple of 64 paths
+    and all but the last a multiple of 64 long.  A GEMM on a block then
+    rounds each path as on the whole table: the block's paths fall on
+    the same lanes of the BLAS kernel, and no block is so short that
+    BLAS takes another route (one path is a GEMV, and a small product
+    runs on one thread): each holds at least width / 2 - 128 paths."""
+    lanes = -(-m_paths // 64)
+    count = -(-lanes // (width // 64))
+    bounds = [min(m_paths, 64 * (lanes * k // count))
+              for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +273,8 @@ class LsmcResult:
     z: np.ndarray          # (N+1, N+1) regression Z surface on the triangle
     z_se: np.ndarray       # matching standard errors of the slopes
     y_targets: np.ndarray  # (M, N+1) final regression targets; their
-    # spread is the noise of the fitted means, compare's se_max
+    # spread is the noise of the fitted means, compare's se_max.  Both
+    # tables are transposes of node-major (N+1, M) ones
     sup_diffs: list[float]
     iterations: int
     max_gram_cond: float  # largest condition number of the node Grams
@@ -279,31 +312,34 @@ class _StackedBasis:
     the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
     <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.  First
-    come what the Z slopes read of the increments dW (M, N) and the delay
-    operator op: the path mean dw_mean, the sums of squares ss_j of the
-    centred increments x = dW - dw_mean, and the half-cell weights half =
+    come what the Z slopes read of the draws (M, N) and the delay
+    operator op: the path mean draws_mean, the sums of squares ss_j of the
+    centred draws x = draws - draws_mean, and the half-cell weights half =
     0.5 dt K(t_i, s_j) on i <= j < N with the diagonal scales 1 - L[j, j],
-    K = L / trap the kernel of L.  Then the node means and scales sd (1 on
-    a dead row), by _power_stats on blocks of nodes of at most LSMC_CHUNK
-    (N+1) / 2 states (one node at least); then B^T is formed LSMC_CHUNK
-    paths at a time to accumulate gram = B^T B, bt_f = B^T F, dwt_f =
-    dW^T F and dwt_b = dW^T B.  ones is the node blocks of B^T 1; ginv[i]
-    inverts node i's ridged Gram block on its live rows.
+    K = L / trap the kernel of L.  The draws are the increments dW up to
+    a constant per column (b_k dt under tag "Q"), which centring takes
+    off: x is the centred increments.  Then the node means and scales sd
+    (1 on a dead row), by _power_stats on blocks of nodes of at most
+    LSMC_CHUNK (N+1) / 2 states (one node at least); then B^T is formed
+    LSMC_CHUNK paths at a time to accumulate gram = B^T B, bt_f = B^T F,
+    draws_f = draws^T F and draws_b = draws^T B.  ones is the node blocks
+    of B^T 1; ginv[i] inverts node i's ridged Gram block on its live rows.
     RegressionIllConditioned if some ss_j is 0, as for a single path, or
     a block's condition number, the largest of which is cond, exceeds
     COND_LIMIT."""
 
-    def __init__(self, w: np.ndarray, f: np.ndarray, dw: np.ndarray,
+    def __init__(self, w: np.ndarray, f: np.ndarray, draws: np.ndarray,
                  op: DelayOperator):
         m_paths, n1 = w.shape
         n, d = n1 - 1, REGRESSION_DEGREE + 1
-        self.dw, self.dw_mean = dw, dw.mean(axis=0)
-        x = dw - self.dw_mean
+        self.draws, self.draws_mean = draws, draws.mean(axis=0)
+        x = draws - self.draws_mean
         self.ss = np.einsum("mj,mj->j", x, x)
         if not np.all(self.ss > 0.0):
             raise RegressionIllConditioned(
                 f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
-                f"sample variance over {len(dw)} paths; Z slopes undefined")
+                f"sample variance over {len(draws)} paths; Z slopes "
+                "undefined")
         del x
         trap, vals = tail_weight_matrix(op.grid), op.values
         kk = np.divide(vals, trap, out=np.zeros_like(vals), where=trap > 0.0)
@@ -324,15 +360,15 @@ class _StackedBasis:
         p_rows = n1 * d
         self.gram = np.zeros((p_rows, p_rows))
         self.bt_f = np.zeros((p_rows, n1))
-        self.dwt_f, self.dwt_b = np.zeros((n, n1)), np.zeros((n, p_rows))
+        self.draws_f, self.draws_b = np.zeros((n, n1)), np.zeros((n, p_rows))
         for lo in range(0, m_paths, LSMC_CHUNK):
             part = slice(lo, lo + LSMC_CHUNK)
             bt = self._chunk(w[part])
             fc = np.ascontiguousarray(f[part])  # a broadcast F, for BLAS
             self.gram += bt @ bt.T
             self.bt_f += bt @ fc
-            self.dwt_f += dw[part].T @ fc
-            self.dwt_b += dw[part].T @ bt.T
+            self.draws_f += draws[part].T @ fc
+            self.draws_b += draws[part].T @ bt.T
             del bt  # before the next block is formed
         self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
         self.ginv = np.zeros((n1, d, d))
@@ -362,13 +398,14 @@ class _StackedBasis:
         a[:, 0] = c[:, 0] - np.einsum("ip,ip->i", a[:, 1:], self.mean[:, 1:])
         return a
 
-    def values(self, c: np.ndarray, wt: np.ndarray) -> np.ndarray:
-        """B_i c_i on every path, (N+1, M), from the node-major W^T (N+1,
-        M): _horner_blocks writes each block of node rows into its rows."""
-        y = np.empty(wt.shape)
-        for _ in _horner_blocks(self._powers(c), wt, y):
+    def values(self, c: np.ndarray, wt: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        """B_i c_i on every path of the node-major states wt (N+1, m),
+        written into out (N+1, m), which may be wt itself, and returned:
+        _horner_blocks writes each block of node rows into its rows."""
+        for _ in _horner_blocks(self._powers(c), wt, out):
             pass
-        return y
+        return out
 
     def sup(self, c: np.ndarray, wt: np.ndarray) -> float:
         """max |B_i c_i| over paths and nodes (NaN if a value is), one
@@ -377,6 +414,19 @@ class _StackedBasis:
         return float(np.max([np.abs(y, out=y).max()
                              for y in _horner_blocks(self._powers(c), wt)]))
 
+    def sup_and_gap(self, c: np.ndarray, wt: np.ndarray,
+                    f: np.ndarray) -> tuple[float, float]:
+        """max |B_i c_i| and max |B_i c_i - F(t_i)| over paths and nodes
+        (NaN if a value is), F the path-major (M, N+1) table, one block
+        of node rows of _horner_blocks at a time, as sup."""
+        tops, gaps, lo = [], [], 0
+        for y in _horner_blocks(self._powers(c), wt):
+            tops.append(max(y.max(), -y.min()))
+            y -= f[:, lo:lo + len(y)].T
+            gaps.append(np.abs(y, out=y).max())
+            lo += len(y)
+        return float(np.max(tops)), float(np.max(gaps))
+
 
 def _horner_blocks(a: np.ndarray, wt: np.ndarray,
                    out: np.ndarray | None = None):
@@ -384,12 +434,17 @@ def _horner_blocks(a: np.ndarray, wt: np.ndarray,
     node-major states wt (N+1, M), the polynomials sum_p a[i, p] W(t_i)^p
     of its rows on every path, by Horner.  Each block is written into its
     own rows of out, or without out into one block buffer that every
-    block reuses."""
+    block reuses.  out may be wt itself: each block of W is then copied
+    into that buffer before its rows are written."""
     step = max(1, HORNER_BLOCK // wt.shape[1])
-    buf = np.empty((min(step, len(wt)), wt.shape[1])) if out is None else None
+    buf = np.empty((min(step, len(wt)), wt.shape[1])) \
+        if out is None or out is wt else None
     for lo in range(0, len(wt), step):
         w, coef = wt[lo:lo + step], a[lo:lo + step, :, None]
         y = buf[:len(w)] if out is None else out[lo:lo + step]
+        if out is wt:
+            w = buf[:len(w)]
+            np.copyto(w, wt[lo:lo + step])
         np.multiply(w, coef[:, -1], out=y)
         for p in range(a.shape[1] - 2, 0, -1):
             y += coef[:, p]
@@ -435,15 +490,19 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks;
     the first sweep reads y = F, outside the span, through B^T F in full.
     The sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes,
-    _StackedBasis.sup, which needs no (N+1, M) table.  Y itself is formed
-    once, at the converged sweep: the divergence guard reads the running
-    bound sup|Y_1| + (later sup-differences) and takes sup |B c| only on a
-    sweep where that bound is not below DIVERGENCE_GUARD (a NaN is not),
-    then restarts the bound from it.  Z(t_i, s_j) is the
-    least-squares slope of theta = target - Y on dW_j: refitted every sweep
-    from dW^T F and dW^T B c for the g-term, which at g = 0 returns zeros
-    without reading it; the converged sweep forms theta path by path and
-    also takes the slope SEs.
+    _StackedBasis.sup, which needs no (N+1, M) table; the first sweep's,
+    against F, is _StackedBasis.sup_and_gap, with the bound.  The divergence
+    guard reads the running bound sup|Y_1| + (later sup-differences) and
+    takes sup |B c| only on a sweep where that bound is not below
+    DIVERGENCE_GUARD (a NaN is not), then restarts the bound from it.
+    Z(t_i, s_j) is the least-squares slope of theta = target - Y on dW_j:
+    refitted every sweep from draws^T F and draws^T B c for the g-term,
+    which at g = 0 returns zeros without reading it.
+    Y is formed once, at the converged sweep, which holds two (N+1, M)
+    tables besides F: the targets, formed by _targets with no table of
+    the previous sweep's Y, then Y, written over the W table this run
+    reads (PathEnsemble.wt builds a fresh one on every read).  _slope_z
+    then takes the slopes with their SEs.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
     increment dW_j has no sample variance; GridMismatch unless op, the
     ensemble and F share one grid.
@@ -452,7 +511,8 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     sweeps = _sweeps(tol)
     b_dt = ensemble.drift_fn.increments()
     wt = ensemble.wt  # node-major, for the basis and the sweeps
-    basis = _StackedBasis(wt.T, f_vals, ensemble.dw, op)
+    wt.flags.writeable = True  # this run's own table: Y goes over it
+    basis = _StackedBasis(wt.T, f_vals, ensemble.draws, op)
     n1, d = basis.ones.shape
     at = np.arange(n1)
     # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
@@ -460,9 +520,10 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
                 for x in (basis.bt_f, basis.bt_f @ op.values.T))
     coupling = (basis.gram.reshape(n1, d, n1, d)
                 * op.values[:, None, :, None]).reshape(n1 * d, n1 * d)
-    # x_j . v = dW_j . v - mean(dW_j) sum(v)
-    x_f = basis.dwt_f - np.outer(basis.dw_mean, f_vals.sum(axis=0))
-    x_b = (basis.dwt_b - np.outer(basis.dw_mean, basis.ones)).reshape(n, n1, d)
+    # x_j . v = draws_j . v - mean(draws_j) sum(v)
+    x_f = basis.draws_f - np.outer(basis.draws_mean, f_vals.sum(axis=0))
+    x_b = (basis.draws_b
+           - np.outer(basis.draws_mean, basis.ones)).reshape(n, n1, d)
 
     c, sup_diffs, bound = None, [], 0.0
     z_mean = np.zeros((n + 1, n + 1))
@@ -473,11 +534,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
         rhs = b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
         if c is None:  # the first sweep starts from y = F
-            dy = basis.values(c_next, wt)
-            bound = max(dy.max(), -dy.min())
-            dy -= f_vals.T
-            diff = float(np.abs(dy, out=dy).max())
-            del dy
+            bound, diff = basis.sup_and_gap(c_next, wt, f_vals)
         else:
             diff = basis.sup(c_next - c, wt)
             bound += diff
@@ -489,15 +546,9 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
                 raise PicardDiverged(
                     f"sup |Y| beyond guard after {it} iterations", sup_diffs)
         if diff < tol:
-            y_prev = f_vals.T if c_prev is None else basis.values(c_prev, wt)
-            target = op.values @ y_prev
-            del y_prev
-            target += f_vals.T
-            target += gz[:, None]
-            y = basis.values(c, wt)
-            del wt
-            theta = target - y
-            z, z_se = _slope_z(theta.T, basis)
+            target = _targets(basis, c_prev, wt, f_vals, op, gz)
+            y = basis.values(c, wt, wt)
+            z, z_se = _slope_z(target, y, basis)
             return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
                               basis.cond)
         b_y = (coupling @ c.ravel()).reshape(n1, d)
@@ -508,16 +559,55 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     raise _stalled(tol, sup_diffs)
 
 
-def _slope_z(theta: np.ndarray, basis: _StackedBasis
+def _targets(basis: _StackedBasis, c_prev: np.ndarray | None,
+             wt: np.ndarray, f_vals: np.ndarray, op: DelayOperator,
+             gz: np.ndarray) -> np.ndarray:
+    """The regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on every
+    path, node-major (N+1, M), Y_prev = B c_prev (F itself when c_prev is
+    None) formed one block of _path_blocks at a time into a buffer of one
+    block: no Y_prev table is held, and op's GEMM writes straight into the
+    block's columns of the targets.  A block holds D LSMC_CHUNK paths at
+    most, D = REGRESSION_DEGREE + 1, so its N + 1 rows are one basis
+    chunk, P x LSMC_CHUNK floats.  Blocks this wide keep Horner's passes
+    over a block's rows, which broadcast one coefficient per row, as fast
+    as over whole rows: on blocks of LSMC_CHUNK paths they took 2-3 times
+    as long (M = 20000, N = 60)."""
+    target = np.empty(wt.shape)
+    blocks = _path_blocks(wt.shape[1], basis.ones.shape[1] * LSMC_CHUNK)
+    if c_prev is not None:
+        buf = np.empty((len(wt), max(b.stop - b.start for b in blocks)))
+    for part in blocks:
+        if c_prev is None:
+            y_prev = f_vals[part].T
+        else:
+            y_prev = basis.values(c_prev, wt[:, part],
+                                  buf[:, :part.stop - part.start])
+        out = np.matmul(op.values, y_prev, out=target[:, part])
+        out += f_vals[part].T
+        out += gz[:, None]
+    return target
+
+
+def _slope_z(targets: np.ndarray, y: np.ndarray, basis: _StackedBasis
              ) -> tuple[np.ndarray, np.ndarray]:
-    """_slope_fit of the targets theta (M, N+1), with the SEs; the
-    centred targets theta_c give x^T theta_c = dW^T theta_c.  theta's
-    first N columns are centred in place."""
-    n = basis.dw.shape[1]
-    theta_c = theta[:, :n]
-    theta_c -= theta_c.mean(axis=0)
-    sq = np.einsum("mi,mi->i", theta_c, theta_c)
-    return _slope_fit(theta_c.T @ basis.dw, basis, sq)
+    """_slope_fit of theta = targets - y, node-major (N+1, M) each, with
+    the SEs.  theta's first N rows are formed in blocks of node rows of
+    at most one basis chunk (P x LSMC_CHUNK floats; two rows at least, as
+    one would make the product a GEMV) in one buffer, each row centred
+    over the paths: the centred rows theta_c give x^T theta_c =
+    draws^T theta_c, one GEMM per block."""
+    m_paths, n = basis.draws.shape
+    step = max(2, basis.gram.shape[0] * LSMC_CHUNK // m_paths)
+    count = -(-n // step)  # blocks of near-equal height
+    bounds = [n * k // count for k in range(count + 1)]
+    buf = np.empty((min(step, n), m_paths))
+    cross, sq = np.empty((n, n)), np.empty(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        theta = np.subtract(targets[lo:hi], y[lo:hi], out=buf[:hi - lo])
+        theta -= theta.mean(axis=1, keepdims=True)
+        sq[lo:hi] = np.einsum("im,im->i", theta, theta)
+        np.matmul(theta, basis.draws, out=cross[lo:hi])
+    return _slope_fit(cross, basis, sq)
 
 
 def _slope_fit(cross: np.ndarray, basis: _StackedBasis,
@@ -541,7 +631,7 @@ def _slope_fit(cross: np.ndarray, basis: _StackedBasis,
     the estimator carries an O(dt) bias that dwarfs the slope SE at the
     final interior row, where the regression is nearly noiseless.
     """
-    m_paths, n = basis.dw.shape
+    m_paths, n = basis.draws.shape
     raw = np.triu(cross / basis.ss)
     z = np.zeros((n + 1, n + 1))
     z[:n, :n] = raw + basis.half * (np.diag(raw) / basis.scale)

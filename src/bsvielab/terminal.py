@@ -189,7 +189,7 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
         out = ensemble.dw @ _phi_table(fam, grid)[:, :-1].T
         out += f0_profile(fam, grid)
         return out
-    w_end = ensemble.wt[-1]
+    w_end = ensemble.w_end
     bound = _growth_bound(fam, w_end)
     return np.broadcast_to(np.stack([_growth_checked(fam, t, w_end, bound)
                                      for t in _times(fam, grid)], axis=1),

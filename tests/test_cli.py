@@ -461,27 +461,49 @@ def test_write_triangle_streams(tmp_path):
     assert peak < path.stat().st_size
 
 
-@pytest.mark.parametrize("mode", ["P", "Q"])
-def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
-    # compare holds the ensemble's draws throughout and F while the LSMC
-    # oracle runs, with the oracle's W and two of its Y_prev, targets, Y
-    # and theta; then the LSMC Y and targets, each reduced through one
-    # private copy in expect_q_columns: six (M, N+1) tables at most.  The
-    # explicit mean reads no paths.  One more table covers the basis
-    # block, the O(N^2) tables and the Python objects.  A stacked basis
-    # alone would be 5 tables here.
+def traced_peak_tables(tmp_path, command, mode):
+    """The traced peak of one Monte Carlo command on MINI_STOCHASTIC at
+    M = 20000 and N = 20, in (M, N+1) float tables."""
     m_paths, n = 20_000, 20
     cfg = write_cfg(tmp_path, MINI_STOCHASTIC.replace(
         "grid.n = 16", f"grid.n = {n}").replace(
         "mc.paths = 2000", f"mc.paths = {m_paths}\nmc.mode = {mode}"))
     tracemalloc.start()
     try:
-        code = run_cli("compare", "--config", cfg, "--out", tmp_path / "o")
+        code = run_cli(command, "--config", cfg, "--out", tmp_path / "o")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 7 * m_paths * (n + 1) * 8
+    return peak / (m_paths * (n + 1) * 8)
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
+    # compare holds the ensemble's draws throughout, and F while the LSMC
+    # oracle runs, with the oracle's three tables at its peak: W (Y is
+    # written over it) and the targets, besides F.  The oracle's basis
+    # block, its block of paths for the targets and its block of theta
+    # rows are one chunk each and never held together, and the slopes
+    # read the draws, so no increments table is formed.  Then the LSMC Y
+    # and targets, each reduced through one private copy in
+    # expect_q_columns: four (M, N+1) tables at most.  The explicit mean
+    # reads no paths.  One more table covers the chunk, the O(N^2)
+    # tables and the Python objects: five, which a whole table of the
+    # previous sweep's Y, of theta or of the increments would exceed.
+    assert traced_peak_tables(tmp_path, "compare", mode) < 5
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_monte_carlo_solve_peak_within_five_tables(tmp_path, mode):
+    # solve holds the draws throughout; the explicit Y, then F and the
+    # path residual R beside it, R's products taken one block of paths
+    # at a time.  F and Y go before R is reduced through its private
+    # copy: four (M, N+1) tables at most, with mode Q's increments table
+    # while the Gaussian-linear Y or F is formed instead of the later
+    # ones.  One more table covers the block of paths, the O(N^2) tables
+    # and the Python objects.
+    assert traced_peak_tables(tmp_path, "solve", mode) < 5
 
 
 # ---------------------------------------------------------------------------

@@ -280,12 +280,12 @@ def test_report_draws_the_stream_once(monkeypatch):
         return property(read)
 
     monkeypatch.setattr(girsanov, "sample_paths", counting_sample_paths)
-    for name in ("dw", "wt", "w", "wq"):
+    for name in ("dw", "wt", "w", "wq", "w_end"):
         monkeypatch.setattr(PathEnsemble, name, counting(name))
     girsanov_report(tilt(Uniform(1.0), 0.8, grid(40)), 500, seed=3)
     assert len(calls) == 1
-    # one W table, read once for both legs
-    assert reads == ["wt"]
+    # no W table: W(T) alone, read once for both legs
+    assert reads == ["w_end"]
 
 
 def test_report_takes_its_statistics_from_expect_q_columns(monkeypatch):
@@ -308,6 +308,7 @@ def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
     # W^T is one cumsum along the nodes plus the drift's cumulative per
     # row: the sequential sums of the path-major table, bit for bit, in
     # contiguous node rows that cannot be written into; w is its transpose
+    # and w_end, formed without it, its last row
     g = grid(37)
     ens = sample_paths(501, 13, mode, tilt(Uniform(1.0), g_value, g))
     w = reference_paths(g, 501, 13, mode, ens.drift_fn)[1]
@@ -315,6 +316,7 @@ def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
     assert wt.shape == (38, 501) and wt.flags.c_contiguous
     assert wt.tobytes() == np.ascontiguousarray(w.T).tobytes()
     assert ens.w.T.flags.c_contiguous and ens.w[:, -1].flags.c_contiguous
+    assert ens.w_end.tobytes() == wt[-1].tobytes()
     with pytest.raises(ValueError):
         wt[0, 0] = 1.0
 

@@ -16,7 +16,7 @@ from bsvielab.kernels import DelayOperator, DelayedGenerator, GridMismatch, \
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, _StackedBasis, \
+    RegressionIllConditioned, _StackedBasis, _path_blocks, _targets, \
     _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
@@ -344,21 +344,62 @@ def test_pathwise_ito_sum_on_w_q_increments(mode):
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_pathwise_residual_traced_peak_within_two_tables(mode):
     # the Ito sum reads the ensemble's draws, allocated before the trace,
-    # in both modes: no dW or dW^Q table is formed.  The residual's
-    # (M, N+1) float tables are then two: R and one temporary, first
-    # y A^T and then the Ito sum (M, N).  The rest is O(N^2): the tail
+    # in both modes: no dW or dW^Q table is formed.  R is the one
+    # (M, N+1) float table: y A^T and the Ito sum are formed one block of
+    # at most 1.5 LSMC_CHUNK paths at a time, into one buffer of N + 1
+    # and one of N floats per path.  The rest is O(N^2): the tail
     # weights, A, and the triangle of Z and its transpose, which
-    # 4 (N+1)^2 floats cover; numpy's ufunc buffers come on top.
+    # 4 (N+1)^2 floats cover; numpy's ufunc buffers come on top.  A whole
+    # table of either product would take the peak past this gate.
     y, z, f_vals, phi, ens = pathwise_inputs(mode, 60, 20_000, 73)
     n = phi.grid.n
     table = ens.n_paths * (n + 1) * 8
+    block = 1.5 * oracles.LSMC_CHUNK * (2 * n + 1) * 8
+    assert block < table / 2  # several blocks
     tracemalloc.start()
     try:
         residual_reduced_pathwise(y, z, f_vals, phi, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * table + 4 * (n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
+    assert peak <= table + block + 4 * (n + 1) ** 2 * 8 \
+        + 2 * 8 * np.getbufsize()
+
+
+@pytest.mark.parametrize("m_paths", [1, 63, 64, 2048, 2049, 3000, 10241,
+                                     20000, 20001, 50000])
+@pytest.mark.parametrize("width", [2048, 10240])
+def test_path_blocks_are_aligned_and_near_equal(m_paths, width):
+    # in order and covering every path; the whole table when it fits,
+    # else blocks of at most width paths and at least width / 2 - 128,
+    # each starting on a multiple of 64 paths
+    blocks = _path_blocks(m_paths, width)
+    bounds = [b.start for b in blocks] + [m_paths]
+    assert bounds[0] == 0 and all(b.stop == nxt for b, nxt in
+                                  zip(blocks, bounds[1:]))
+    sizes = np.diff(bounds)
+    assert np.all(sizes <= width) and all(lo % 64 == 0 for lo in bounds[:-1])
+    if m_paths <= width:
+        assert len(blocks) == 1
+    else:
+        assert np.all(sizes >= width // 2 - 128)
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_pathwise_residual_by_path_blocks_bitwise(mode):
+    # three blocks of paths, the last one short: each product rounds every
+    # path as the whole-table products do
+    y, z, f_vals, phi, ens = pathwise_inputs(mode, 20, 5000, 79)
+    n = phi.grid.n
+    assert len(_path_blocks(5000, oracles.LSMC_CHUNK)) == 3
+    zt = np.triu(z[:n, :n]).T
+    want = residual_reduced(y, f_vals, phi)[0]
+    ito = ens.draws @ zt
+    if mode == "P":
+        ito -= ens.drift_fn.increments() @ zt
+    want[:, :n] += ito
+    got = residual_reduced_pathwise(y, z, f_vals, phi, ens)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_delayed_operator_horizon_mismatch():
@@ -460,8 +501,9 @@ def test_basis_blocks_match_the_stacked_basis_bitwise(m_paths, n):
 
 def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
     # blocks of 3 node rows on N + 1 = 13 nodes, the last block short:
-    # values is the whole-table Horner pass, and sup the max |.| over its
-    # table, bit for bit, a NaN included
+    # values is the whole-table Horner pass, into a new table, over the
+    # states it reads and on a block of paths, and sup the max |.| over
+    # its table, bit for bit, a NaN included
     m_paths, n = 500, 12
     monkeypatch.setattr(oracles, "HORNER_BLOCK", 3 * m_paths)
     g = TriangularGrid(T, n)
@@ -476,7 +518,11 @@ def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
         want += a[:, p]
         want *= wt
     want += a[:, 0]
-    assert basis.values(c, wt).tobytes() == want.tobytes()
+    assert basis.values(c, wt, np.empty_like(wt)).tobytes() == want.tobytes()
+    over = wt.copy()
+    assert basis.values(c, over, over).tobytes() == want.tobytes()
+    cols = basis.values(c, wt[:, 100:300], np.empty((n + 1, 200)))
+    assert cols.tobytes() == np.ascontiguousarray(want[:, 100:300]).tobytes()
     assert basis.sup(c, wt) == np.abs(want).max()
     for i in range(n + 1):  # node i alone, in whichever block it falls
         c_i = np.where(np.arange(n + 1)[:, None] == i, c, 0.0)
@@ -993,11 +1039,62 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
     basis = _StackedBasis(ens.w, np.zeros((2000, 13)), ens.dw, op)
     theta = np.zeros((2000, 13))
     theta[:, :12] = ens.dw * np.linspace(0.5, 3.0, 12)
-    z, se = _slope_z(theta, basis)
+    z, se = _slope_z(np.ascontiguousarray(theta.T), np.zeros((13, 2000)),
+                     basis)
     assert np.all(np.isfinite(se)) and np.all(se >= 0.0)
     assert np.all(np.isfinite(z))
     assert np.allclose(np.diag(z)[:12] * (1.0 - np.diag(op.values)[:12]),
                        np.linspace(0.5, 3.0, 12), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_slope_z_by_row_blocks_matches_the_whole_theta(monkeypatch, mode):
+    # theta = targets - Y in blocks of two node rows (P x LSMC_CHUNK / M
+    # is below two at LSMC_CHUNK = 64), each row centred over the paths
+    # and multiplied by the draws, which under Q leave out the drift's
+    # constant per column of dW: the slopes and SEs of the whole centred
+    # theta against dW, up to rounding
+    g = TriangularGrid(T, 12)
+    gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.4), g)
+    ens = sample_paths(3000, 61, mode, drift(gen))
+    op = build_delayed_operator(gen)
+    basis = _StackedBasis(ens.w, np.zeros((3000, 13)), ens.draws, op)
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((13, 3000))
+    targets = y + 0.1 * rng.standard_normal((13, 3000)) \
+        + np.linspace(0.5, 2.0, 13)[:, None] * ens.draws.T[np.r_[0:12, 11]]
+    monkeypatch.setattr(oracles, "LSMC_CHUNK", 64)
+    z, se = _slope_z(targets, y, basis)
+    monkeypatch.undo()
+    theta = (targets - y).T[:, :12]
+    theta_c = theta - theta.mean(axis=0)
+    z_ref, se_ref = oracles._slope_fit(
+        theta_c.T @ ens.dw, basis, np.einsum("mi,mi->i", theta_c, theta_c))
+    assert np.allclose(z, z_ref, rtol=0.0, atol=1e-12 * np.abs(z_ref).max())
+    assert np.allclose(se, se_ref, rtol=1e-9, atol=0.0)
+
+
+def test_targets_by_path_blocks_bitwise():
+    # two blocks of paths at M = 12000 (at most 5 LSMC_CHUNK = 10240
+    # each): the previous sweep's Y by Horner on each block, op's GEMM
+    # and the two sums, as on the whole table; F itself on the first sweep
+    g = TriangularGrid(T, 20)
+    gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2), g)
+    ens = sample_paths(12_000, 83, "Q", drift(gen))
+    op = build_delayed_operator(gen)
+    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
+    wt = np.ascontiguousarray(ens.wt)
+    basis = _StackedBasis(wt.T, f_vals, ens.draws, op)
+    assert len(_path_blocks(12_000, 5 * oracles.LSMC_CHUNK)) == 2
+    rng = np.random.default_rng(9)
+    c, gz = 0.1 * rng.standard_normal((21, 5)), rng.standard_normal(21)
+    for c_prev, y_prev in ((c, basis.values(c, wt, np.empty_like(wt))),
+                           (None, f_vals.T)):
+        want = op.values @ y_prev
+        want += f_vals.T
+        want += gz[:, None]
+        got = _targets(basis, c_prev, wt, f_vals, op, gz)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
@@ -1221,22 +1318,26 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
 
 def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     # The loop holds no basis stack.  Its (M, N+1) float tables at the
-    # peak, the converged sweep, are four: F, W, and two of Y_prev = B
-    # c_prev, the targets, Y and theta = targets - Y (Y_prev goes before Y
-    # is formed, W before theta, and theta is centred in place); mode P's
-    # dW is the ensemble's own draws table, allocated before the trace.
-    # The basis is formed one block of LSMC_CHUNK paths at a time, P x
-    # LSMC_CHUNK floats.  The (P, P) Gram and coupling matrices, with the
-    # product that forms either, add 3 P^2 floats.  The rest is O(N^2):
-    # the operator's kernel, the slope weights, the g-term's lag blocks
-    # and the N x P products of the increments with B, which alone are
-    # 5 (N+1)^2; 64 (N+1)^2 floats cover them.  numpy's ufunc buffers come
-    # on top.
+    # peak, the converged sweep, are three: F, W, over which Y is
+    # written, and the targets.  The targets read the previous sweep's Y
+    # one block of at most 1.5 LSMC_CHUNK paths at a time, (N+1) floats
+    # per path, and theta = targets - Y is formed in blocks of node rows
+    # of at most P x LSMC_CHUNK floats; mode P's draws, which the slopes
+    # read, are allocated before the trace.  The basis is formed one
+    # block of LSMC_CHUNK paths at a time, P x LSMC_CHUNK floats.  Each
+    # of these blocks is one chunk at most, and none is held beside
+    # another.  The (P, P) Gram and coupling matrices, with the product
+    # that forms either, add 3 P^2 floats.  The rest is O(N^2): the
+    # operator's kernel, the slope weights, the g-term's lag blocks and
+    # the N x P products of the draws with B, which alone are 5 (N+1)^2;
+    # 64 (N+1)^2 floats cover them.  numpy's ufunc buffers come on top.
+    # At M = 20000 a fourth table, of the previous sweep's Y or of theta,
+    # would exceed the gate.
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3, g_value=0.2),
                            TriangularGrid(T, 20))
     g = gen.grid
     fam = LSMC_FAMILIES["gaussian"]
-    ens = sample_paths(4000, 67, "P", drift(gen))
+    ens = sample_paths(20_000, 67, "P", drift(gen))
     p = (g.n + 1) * (oracles.REGRESSION_DEGREE + 1)
     table = ens.n_paths * (g.n + 1) * 8
     chunk = p * oracles.LSMC_CHUNK * 8
@@ -1249,4 +1350,4 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     finally:
         tracemalloc.stop()
     small = 3 * p * p * 8 + 64 * (g.n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
-    assert peak <= 4 * table + chunk + small
+    assert peak <= 3 * table + chunk + small

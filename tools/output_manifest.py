@@ -7,11 +7,13 @@ Usage:
 Imports bsvielab from ROOT/src and the benchmark workloads from
 ROOT/perfbench, then runs each of the six commands through
 ``bsvielab.cli.main`` on the five bundled configs, on every workload's
-``config_text(1)`` and on the five generated configs of FEATURES.  Those
+``config_text(1)`` and on the six generated configs of FEATURES.  Those
 reach the branches the others do not: atoms between lags (with g != 0
 too), measure.kind = atoms, the poly_exp and zero kernels, beta != 0, the
-exp and affine terminal functions, f0 = exp_decay, phi = bilinear and a
-mode-Q LSMC at g = 0.
+exp and affine terminal functions, f0 = exp_decay, phi = bilinear, a
+mode-Q LSMC at g = 0, and the block edges of the Monte Carlo passes:
+M = LSMC_CHUNK + 1 paths (a one-path remainder) on N + 1 = 71 nodes,
+more than 64, so Horner runs over several blocks of node rows.
 
 With one tree it prints, for each run, the exit code and the sha256 of
 the captured stdout, then the sha256 of every file the run wrote.  Two
@@ -124,6 +126,21 @@ kernel.g = 0.0
 terminal.kind = terminal_function
 terminal.h = square
 mc.paths = 3000
+mc.mode = Q
+""",
+    # mc.paths = oracles.LSMC_CHUNK + 1
+    "feature-block-edge-q": """
+horizon = 1.0
+grid.n = 70
+measure.kind = uniform
+kernel.name = constant
+kernel.c = 0.3
+kernel.g = 0.2
+terminal.kind = gaussian_linear
+terminal.f0 = constant
+terminal.f0.value = 0.5
+terminal.phi = exp_u
+mc.paths = 2049
 mc.mode = Q
 """,
 }

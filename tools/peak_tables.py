@@ -1,0 +1,110 @@
+"""Traced peak memory of each Monte Carlo command of the benchmark workloads.
+
+Usage:
+    python tools/peak_tables.py ROOT [ROOT2]
+
+Reads the workloads of ROOT/perfbench/workloads.py.  For each workload
+whose ``config_text(1)`` draws paths (a stochastic terminal family) and
+each of its commands, it runs the command once per tree in a fresh
+interpreter that imports bsvielab from that tree's src, through
+``bsvielab.cli.main``, with tracemalloc started after the import.  It
+prints one row per command: the path count M, the grid size N, the size
+of one (M, N+1) float table, and for each tree the traced peak in MB and
+in such tables, then the command's exit code.
+
+The benchmark's ``peak_rss_mb`` is one process-wide figure over a whole
+cycle; this says which command holds the peak, and how many path tables
+it is.  Exit status 1 if a command exits non-zero or its interpreter
+fails, 0 otherwise.  It is a tool, not a test: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+MB = 1e6
+# run in the fresh interpreter: ROOT CONFIG COMMAND OUT
+CHILD = """
+import contextlib, io, json, os, sys, tracemalloc
+root, cfg, command, out = sys.argv[1:5]
+sys.path.insert(0, os.path.join(root, "src"))
+from bsvielab.cli import main
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main([command, "--config", cfg, "--out", out])
+print(json.dumps({"exit": code, "peak": tracemalloc.get_traced_memory()[1]}))
+"""
+
+
+def monte_carlo_configs(root: str, n: int | None = None,
+                        paths: int | None = None):
+    """(workload, commands, config text, M, N) for each workload of ROOT
+    whose config draws paths; n and paths shrink the configs as
+    Workload.config_text does."""
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+    from bsvielab.config import load_config_file
+    from bsvielab.terminal import is_stochastic
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, wl in workloads.WORKLOADS.items():
+            text = wl.config_text(1, n, paths)
+            path = os.path.join(tmp, name + ".cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            cfg = load_config_file(path)
+            if is_stochastic(cfg.family):
+                yield (name, wl.commands, text, cfg.n_paths,
+                       cfg.generator.grid.n)
+
+
+def traced_peak(root: str, cfg: str, command: str, out: str) -> dict:
+    """{"exit": code, "peak": bytes} of one command in a fresh
+    interpreter; exit -1 and peak NaN when the interpreter fails."""
+    run = subprocess.run([sys.executable, "-c", CHILD, root, cfg, command,
+                          out], capture_output=True, text=True)
+    try:
+        return json.loads(run.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(run.stderr)
+        return {"exit": -1, "peak": float("nan")}
+
+
+def main(roots: list[str], n: int | None = None,
+         paths: int | None = None) -> int:
+    roots = [os.path.abspath(r) for r in roots]
+    for k, root in enumerate(roots, 1):
+        print(f"tree {k}: {root}")
+    head = f"{'workload':<15}{'command':<16}{'M':>7}{'N':>5}{'table_MB':>10}"
+    head += "".join(f"{f'peak_MB_{k}':>11}{f'tables_{k}':>10}{f'exit_{k}':>8}"
+                    for k in range(1, len(roots) + 1))
+    print(head)
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, commands, text, m_paths, n_steps in \
+                monte_carlo_configs(roots[0], n, paths):
+            cfg = os.path.join(tmp, name + ".cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            table = m_paths * (n_steps + 1) * 8
+            for command in commands:
+                row = (f"{name:<15}{command:<16}{m_paths:>7}{n_steps:>5}"
+                       f"{table / MB:>10.2f}")
+                for k, root in enumerate(roots):
+                    got = traced_peak(root, cfg, command,
+                                      os.path.join(tmp, f"{name}-{k}"))
+                    status |= got["exit"] != 0
+                    row += (f"{got['peak'] / MB:>11.2f}"
+                            f"{got['peak'] / table:>10.2f}{got['exit']:>8}")
+                print(row)
+    return int(status)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) not in (2, 3):
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1:]))
