@@ -74,8 +74,9 @@ class PathEnsemble:
     coincides with W when the drift vanishes) are derived from it and the
     drift, as sample_paths describes: each access builds a new read-only
     table (wt and wq cost a cumsum along the nodes), so a caller reads
-    each one once; w is the path-major view of wt, and w_end its last
-    row, W(T), formed without the table.  weights
+    each one once; w is the path-major view of wt, w_end its last row,
+    W(T), formed without the table, and dw_times a product dw @ a, formed
+    without dw.  weights
     is the per-path Radon-Nikodym density M(T) for tag "P" and exactly 1
     for tag "Q".  The path count M is the number of rows of draws.
     """
@@ -111,6 +112,14 @@ class PathEnsemble:
         else:
             out = self.draws + self.drift_fn.increments()[None, :]
         out.flags.writeable = False
+        return out
+
+    def dw_times(self, a: np.ndarray) -> np.ndarray:
+        """dw @ a, (M, N) @ (N, K), with no dw table: the draws times a,
+        plus under tag "Q" the drift's row b_k dt times a on every path."""
+        out = self.draws @ a
+        if self.tag == "Q":
+            out += self.drift_fn.increments() @ a
         return out
 
     @property

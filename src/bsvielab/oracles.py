@@ -281,29 +281,34 @@ class LsmcResult:
 
 
 def _raw_powers(wt: np.ndarray) -> np.ndarray:
-    """Rows (K, D, m) of the intercept and the raw powers W^p, p = 1..D-1
-    (D = REGRESSION_DEGREE + 1), of node-major states wt (K, m)."""
-    rows = np.empty((len(wt), REGRESSION_DEGREE + 1, wt.shape[1]))
-    rows[:, 0] = 1.0
-    rows[:, 1] = wt
-    for p in range(2, rows.shape[1]):  # W^p = W^(p-1) W: pow takes 20x longer
-        np.multiply(rows[:, p - 1], rows[:, 1], out=rows[:, p])
+    """Rows (K, D-1, m) of the raw powers W^p, p = 1..D-1 (D =
+    REGRESSION_DEGREE + 1), of node-major states wt (K, m)."""
+    rows = np.empty((len(wt), REGRESSION_DEGREE, wt.shape[1]))
+    rows[:, 0] = wt
+    for p in range(1, rows.shape[1]):  # W^p = W^(p-1) W: pow takes 20x longer
+        np.multiply(rows[:, p - 1], rows[:, 0], out=rows[:, p])
     return rows
 
 
-def _power_stats(wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _power_stats(wt: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and root-mean-square spread over the paths of each raw power
     row of _raw_powers(wt), the spread taken after centring; (K, D) each,
-    zero in the intercept column.  Each row is reduced on its own, so a
-    node's values do not depend on the nodes beside it in wt."""
+    zero in the intercept column 0.  Also each node's least and greatest
+    state (K, 2), the states of its two extreme paths, for
+    _StackedBasis.sup, read from the power-1 row before it is centred.
+    Each row is reduced on its own, so a node's values do not depend on
+    the nodes beside it in wt."""
     rows = _raw_powers(wt)
-    mean, sd = np.zeros(rows.shape[:2]), np.zeros(rows.shape[:2])
-    for p in range(1, rows.shape[1]):
-        row = rows[:, p]
+    ends = np.stack([rows[:, 0].min(axis=1), rows[:, 0].max(axis=1)], axis=1)
+    shape = (len(wt), REGRESSION_DEGREE + 1)
+    mean, sd = np.zeros(shape), np.zeros(shape)
+    for p in range(1, REGRESSION_DEGREE + 1):
+        row = rows[:, p - 1]
         mean[:, p] = row.mean(axis=1)
         row -= mean[:, p, None]
         sd[:, p] = np.sqrt(np.square(row).sum(axis=1) / wt.shape[1])
-    return mean, sd
+    return mean, sd, ends
 
 
 class _StackedBasis:
@@ -319,11 +324,18 @@ class _StackedBasis:
     K = L / trap the kernel of L.  The draws are the increments dW up to
     a constant per column (b_k dt under tag "Q"), which centring takes
     off: x is the centred increments.  Then the node means and scales sd
-    (1 on a dead row), by _power_stats on blocks of nodes of at most
-    LSMC_CHUNK (N+1) / 2 states (one node at least); then B^T is formed
-    LSMC_CHUNK paths at a time to accumulate gram = B^T B, bt_f = B^T F,
-    draws_f = draws^T F and draws_b = draws^T B.  ones is the node blocks
-    of B^T 1; ginv[i] inverts node i's ridged Gram block on its live rows.
+    (1 on a dead row) and each node's least and greatest state, ends
+    (N+1, 2), which sup reads, by _power_stats on blocks of nodes of at
+    most LSMC_CHUNK (N+1) / 2 states (one node at least); then the
+    (N+1)(D-1) centred power rows of B^T are formed LSMC_CHUNK paths at a
+    time (_chunk) to accumulate gram = B^T B, bt_f = B^T F, draws_f =
+    draws^T F and draws_b = draws^T B; an F broadcast along the nodes
+    (stride 0, evaluate_F_table's table of an h that ignores t) has one
+    distinct column, and only that one is multiplied.  The intercept rows
+    are not formed: their entries are exact, M against an intercept and 0
+    against a centred power in gram, and the column sums of F in bt_f
+    and of the draws in draws_b.  ones is the node blocks of B^T 1, M e_0;
+    ginv[i] inverts node i's ridged Gram block on its live rows.
     RegressionIllConditioned if some ss_j is 0, as for a single path, or
     a block's condition number, the largest of which is cond, exceeds
     COND_LIMIT."""
@@ -332,7 +344,8 @@ class _StackedBasis:
                  op: DelayOperator):
         m_paths, n1 = w.shape
         n, d = n1 - 1, REGRESSION_DEGREE + 1
-        self.draws, self.draws_mean = draws, draws.mean(axis=0)
+        draws_sum = draws.sum(axis=0)
+        self.draws, self.draws_mean = draws, draws_sum / m_paths
         x = draws - self.draws_mean
         self.ss = np.einsum("mj,mj->j", x, x)
         if not np.all(self.ss > 0.0):
@@ -346,30 +359,45 @@ class _StackedBasis:
         self.half = np.triu(0.5 * op.grid.dt * kk[:n, :n])
         self.scale = 1.0 - np.diag(vals)[:n]
 
-        self.mean = np.zeros((n1, d))
-        sd = np.zeros((n1, d))
+        self.mean, sd = np.zeros((n1, d)), np.zeros((n1, d))
+        self.ends = np.zeros((n1, 2))
         step = max(1, LSMC_CHUNK * n1 // (2 * m_paths))
         for lo in range(0, n1, step):
             part = slice(lo, lo + step)
-            self.mean[part], sd[part] = _power_stats(w[:, part].T)
+            self.mean[part], sd[part], self.ends[part] = \
+                _power_stats(w[:, part].T)
         self.live = sd > 1e-12
         self.live[:, 1:] &= self.live[:, 1:2]  # p = 1 is W(t_i) itself
         self.sd = np.where(self.live, sd, 1.0)  # 1 for the intercept too
         self.live[:, 0] = True
 
-        p_rows = n1 * d
-        self.gram = np.zeros((p_rows, p_rows))
-        self.bt_f = np.zeros((p_rows, n1))
-        self.draws_f, self.draws_b = np.zeros((n, n1)), np.zeros((n, p_rows))
+        # F broadcast along the nodes (h ignoring t) has one distinct column
+        f_cols = 1 if f.strides[1] == 0 else n1
+        q_rows = n1 * (d - 1)
+        gram, bt_f = np.zeros((q_rows, q_rows)), np.zeros((q_rows, f_cols))
+        draws_f, draws_b = np.zeros((n, f_cols)), np.zeros((n, q_rows))
         for lo in range(0, m_paths, LSMC_CHUNK):
             part = slice(lo, lo + LSMC_CHUNK)
             bt = self._chunk(w[part])
-            fc = np.ascontiguousarray(f[part])  # a broadcast F, for BLAS
-            self.gram += bt @ bt.T
-            self.bt_f += bt @ fc
-            self.draws_f += draws[part].T @ fc
-            self.draws_b += draws[part].T @ bt.T
+            fc = np.ascontiguousarray(f[part, :f_cols])  # for BLAS
+            gram += bt @ bt.T
+            bt_f += bt @ fc
+            draws_f += draws[part].T @ fc
+            draws_b += draws[part].T @ bt.T
             del bt  # before the next block is formed
+        self.draws_f = np.broadcast_to(draws_f, (n, n1))
+        bt_f = np.broadcast_to(bt_f, (q_rows, n1))
+        # each node's intercept row goes in first, with its exact entries:
+        # M against the intercepts, 0 against the centred powers, and the
+        # column sums of F and of the draws
+        gram = np.insert(np.insert(gram.reshape(n1, d - 1, n1, d - 1),
+                                   0, 0.0, axis=1), 0, 0.0, axis=3)
+        gram[:, 0, :, 0] = m_paths
+        self.gram = gram.reshape(n1 * d, n1 * d)
+        self.bt_f = np.insert(bt_f.reshape(n1, d - 1, n1), 0, f.sum(axis=0),
+                              axis=1).reshape(n1 * d, n1)
+        self.draws_b = np.insert(draws_b.reshape(n, n1, d - 1), 0,
+                                 draws_sum[:, None], axis=2).reshape(n, n1 * d)
         self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
         self.ginv = np.zeros((n1, d, d))
         self.cond = 0.0
@@ -384,11 +412,12 @@ class _StackedBasis:
             self.ginv[i][keep] = np.linalg.inv(gram)
 
     def _chunk(self, w: np.ndarray) -> np.ndarray:
-        """B^T on the paths of w (m, N+1): (P, m)."""
+        """The centred power rows of B^T on the paths of w (m, N+1),
+        without the intercept rows: ((N+1)(D-1), m), node by node."""
         rows = _raw_powers(w.T)
-        rows[:, 1:] -= self.mean[:, 1:, None]
-        rows[:, 1:] /= self.sd[:, 1:, None]
-        rows[~self.live] = 0.0
+        rows -= self.mean[:, 1:, None]
+        rows /= self.sd[:, 1:, None]
+        rows[~self.live[:, 1:]] = 0.0
         return rows.reshape(-1, len(w))
 
     def _powers(self, c: np.ndarray) -> np.ndarray:
@@ -408,11 +437,11 @@ class _StackedBasis:
         return out
 
     def sup(self, c: np.ndarray, wt: np.ndarray) -> float:
-        """max |B_i c_i| over paths and nodes (NaN if a value is), one
-        block of node rows of _horner_blocks at a time: no (N+1, M)
-        table is formed."""
-        return float(np.max([np.abs(y, out=y).max()
-                             for y in _horner_blocks(self._powers(c), wt)]))
+        """max |B_i c_i| over paths and nodes (NaN if a value is), bit for
+        bit the max over the whole Horner table, by _certified_abs_max on
+        the nodes' extreme states: no (N+1, M) table is formed, and a node's
+        row is evaluated only where the bound cannot rule it out."""
+        return _certified_abs_max(self._powers(c), wt, self.ends)
 
     def sup_and_gap(self, c: np.ndarray, wt: np.ndarray,
                     f: np.ndarray) -> tuple[float, float]:
@@ -426,6 +455,68 @@ class _StackedBasis:
             gaps.append(np.abs(y, out=y).max())
             lo += len(y)
         return float(np.max(tops)), float(np.max(gaps))
+
+
+def _abs_max(a: np.ndarray, wt: np.ndarray) -> float:
+    """max |sum_p a[i, p] W(t_i)^p| over the rows of wt (NaN if a value
+    is), one block of node rows of _horner_blocks at a time."""
+    return float(np.max([np.abs(y, out=y).max()
+                         for y in _horner_blocks(a, wt)]))
+
+
+def _certified_abs_max(a: np.ndarray, wt: np.ndarray,
+                       ends: np.ndarray) -> float:
+    """_abs_max(a, wt) bit for bit, ends (K, 2) the least and greatest
+    state of each row of wt, mostly without passing the rows.  Each
+    row's polynomial is taken at its two ends, which are entries of the
+    Horner table, and bounded above on [min, max] by _abs_bound.  A row
+    is then passed in full, largest bound first, only while its bound is
+    not below the running max: a row it skips has no entry above an
+    entry already seen.  A row whose states are all equal (t_0) is exact
+    at its ends.  On a non-finite coefficient or bound every row is
+    passed, so a NaN gives NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _abs_bound(a, ends)
+    if not np.all(np.isfinite(bound)):  # from a, or by overflow
+        return _abs_max(a, wt)
+    best = _abs_max(a, ends)
+    flat = ends[:, 0] == ends[:, 1]
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] < best:
+            break
+        if not flat[i]:
+            best = max(best, _abs_max(a[i:i + 1], wt[i:i + 1]))
+    return best
+
+
+def _abs_bound(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """An upper bound, per node, on |computed Horner value of sum_p a[i, p]
+    w^p| over w in [ends[i, 0], ends[i, 1]].  The range is cut into 8
+    pieces [x - h, x + h], h padded by 2^-30 h + 2^-48 R (R the largest
+    |w| of the range) so that the pieces cover it in floating point, and
+    the polynomial is Taylor-shifted to each centre x, q(x + t) = sum_p
+    b_p t^p, so that |q| <= sum_p |b_p| h^p on the piece.  The rounding
+    of the shift, of that sum and of Horner itself is at most a few tens
+    of eps times S = sum_p |a_p| R^p; 2^-44 S (256 eps S) is added."""
+    pieces = 8
+    lo, hi = ends[:, :1], ends[:, 1:]
+    width = (hi - lo) / (2 * pieces)
+    reach = np.maximum(np.abs(lo), np.abs(hi))
+    x = lo + width * np.arange(1, 2 * pieces, 2)
+    h = width * (1.0 + 2.0 ** -30) + 2.0 ** -48 * reach
+    b = np.repeat(a[:, None, :], pieces, axis=1)
+    for k in range(a.shape[1] - 1):  # repeated synthetic division by t - x
+        for p in range(a.shape[1] - 2, k - 1, -1):
+            b[..., p] += x * b[..., p + 1]
+    top = np.abs(b[..., -1]) * h
+    for p in range(a.shape[1] - 2, 0, -1):
+        top += np.abs(b[..., p])
+        top *= h
+    top += np.abs(b[..., 0])
+    size = np.abs(a[:, -1])
+    for p in range(a.shape[1] - 2, -1, -1):
+        size = size * reach[:, 0] + np.abs(a[:, p])
+    return top.max(axis=1) + 2.0 ** -44 * size
 
 
 def _horner_blocks(a: np.ndarray, wt: np.ndarray,
@@ -487,11 +578,15 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     sums): the equation holds under P, dW = dW^Q + b dt.  The bases stay
     fixed, so the sweeps run on the stacked coefficients c,
     Y(t_i) = B_i c_i: c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks
-    of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks;
+    of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks
+    (K c is formed on the centred powers, and its intercepts as M op c_0:
+    an intercept row of B^T B is M against an intercept, 0 elsewhere);
     the first sweep reads y = F, outside the span, through B^T F in full.
     The sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes,
-    _StackedBasis.sup, which needs no (N+1, M) table; the first sweep's,
-    against F, is _StackedBasis.sup_and_gap, with the bound.  The divergence
+    _StackedBasis.sup, which needs no (N+1, M) table and passes a node's
+    row only where a bound on [min, max] of W(t_i) cannot rule it out;
+    the first sweep's, against F, is _StackedBasis.sup_and_gap, with the
+    bound.  The divergence
     guard reads the running bound sup|Y_1| + (later sup-differences) and
     takes sup |B c| only on a sweep where that bound is not below
     DIVERGENCE_GUARD (a NaN is not), then restarts the bound from it.
@@ -518,8 +613,10 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
     b_f, b_y = (x.reshape(n1, d, n1)[at, :, at]
                 for x in (basis.bt_f, basis.bt_f @ op.values.T))
-    coupling = (basis.gram.reshape(n1, d, n1, d)
-                * op.values[:, None, :, None]).reshape(n1 * d, n1 * d)
+    # K on the centred powers; the intercepts' part of K c is M op c_0
+    coupling = (basis.gram.reshape(n1, d, n1, d)[:, 1:, :, 1:]
+                * op.values[:, None, :, None]).reshape(n1 * (d - 1), -1)
+    op_m = op.values * ensemble.n_paths
     # x_j . v = draws_j . v - mean(draws_j) sum(v)
     x_f = basis.draws_f - np.outer(basis.draws_mean, f_vals.sum(axis=0))
     x_b = (basis.draws_b
@@ -551,7 +648,8 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
             z, z_se = _slope_z(target, y, basis)
             return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
                               basis.cond)
-        b_y = (coupling @ c.ravel()).reshape(n1, d)
+        b_y = np.column_stack([op_m @ c[:, 0], (coupling @ c[:, 1:].ravel())
+                               .reshape(n1, d - 1)])
         # x^T theta from x^T F and x^T B c
         x_y = x_f if c_prev is None else np.einsum("jkq,kq->jk", x_b, c_prev)
         cross = x_f + x_y @ op.values.T - np.einsum("jkq,kq->jk", x_b, c)

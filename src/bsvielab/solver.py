@@ -46,9 +46,10 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     means under Q girsanov.expect_q_columns takes.  GaussianLinear Y is
     affine in dW: with (c, phi) from gaussian_linear_conditionals,
     Y = diag(mean_Y(c)) + dW tril(mean_Y(phi), -1)^T, one (M x N) .
-    (N x (N+1)) product.  A terminal function takes the step row by row,
-    Y(t_i) = C_i[i] + A[i] C_i with A = Psi * trap (mean_Y(C_i) would cost
-    (N+1) M per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores t;
+    (N x (N+1)) product, by PathEnsemble.dw_times with no dW table.  A
+    terminal function takes the step row by row, Y(t_i) = C_i[i] + A[i]
+    C_i with A = Psi * trap (mean_Y(C_i) would cost (N+1) M per node),
+    and A[i] C_i = (sum_a A[i, a]) C_i when h ignores t;
     the steps fill contiguous node-major rows, transposed once at the end
     into the same C-ordered (M, N+1) table.
     """
@@ -60,7 +61,7 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
 
     if isinstance(fam, GaussianLinear):
         c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
-        y = ensemble.dw @ np.tril(mean_Y(phimat, psi), -1).T
+        y = ensemble.dw_times(np.tril(mean_Y(phimat, psi), -1).T)
         y += np.diagonal(mean_Y(c, psi))
         return y
 

@@ -177,8 +177,9 @@ def _times(fam: TerminalFunction, grid: TriangularGrid) -> np.ndarray:
 
 def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
     """F(t_a) on every path and node, (M, N+1): f0_profile broadcast for a
-    deterministic family; one GEMM with the phi table of
-    gaussian_linear_conditionals for GaussianLinear; a terminal function
+    deterministic family; for GaussianLinear, one GEMM of the increments
+    with the phi table of gaussian_linear_conditionals, which
+    PathEnsemble.dw_times takes without a dW table; a terminal function
     is growth-checked at W(T) at each of its _times, broadcast to every
     node."""
     grid = ensemble.grid
@@ -186,7 +187,7 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
     if not is_stochastic(fam):
         return np.broadcast_to(f0_profile(fam, grid), shape)
     if isinstance(fam, GaussianLinear):
-        out = ensemble.dw @ _phi_table(fam, grid)[:, :-1].T
+        out = ensemble.dw_times(_phi_table(fam, grid)[:, :-1].T)
         out += f0_profile(fam, grid)
         return out
     w_end = ensemble.w_end

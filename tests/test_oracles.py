@@ -487,16 +487,28 @@ def reference_stacked_rows(w):
 @pytest.mark.parametrize("m_paths, n", [(20_000, 20), (4_001, 12), (700, 3)])
 def test_basis_blocks_match_the_stacked_basis_bitwise(m_paths, n):
     # each node's centring and scale are those of the full-table pass, and
-    # the blocks of paths are its columns, bit for bit
+    # the blocks of paths are the columns of its centred power rows, bit
+    # for bit; the intercept rows are never formed, and their entries in
+    # the products are exact: M against themselves, 0 against a centred
+    # power, and the column sums of F and of the draws
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 71, "Q", zero_drift(g))
     w = ens.w
-    basis = _StackedBasis(w, np.zeros((m_paths, n + 1)), ens.dw,
-                          zero_operator(g))
+    f = np.random.default_rng(7).standard_normal((m_paths, n + 1))
+    basis = _StackedBasis(w, f, ens.dw, zero_operator(g))
     blocks = [basis._chunk(w[lo:lo + oracles.LSMC_CHUNK])
               for lo in range(0, m_paths, oracles.LSMC_CHUNK)]
+    n1, d = n + 1, oracles.REGRESSION_DEGREE + 1
+    powers = reference_stacked_rows(w).reshape(n1, d, m_paths)[:, 1:]
     assert np.concatenate(blocks, axis=1).tobytes() \
-        == reference_stacked_rows(w).tobytes()
+        == np.ascontiguousarray(powers).reshape(-1, m_paths).tobytes()
+    gram = basis.gram.reshape(n1, d, n1, d)
+    assert np.all(gram[:, 0, :, 0] == m_paths)
+    assert not gram[:, 0, :, 1:].any() and not gram[:, 1:, :, 0].any()
+    assert basis.bt_f.reshape(n1, d, n1)[:, 0].tobytes() \
+        == np.tile(f.sum(axis=0), (n1, 1)).tobytes()
+    assert basis.draws_b.reshape(n, n1, d)[:, :, 0].tobytes() \
+        == np.tile(ens.dw.sum(axis=0)[:, None], (1, n1)).tobytes()
 
 
 def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
@@ -529,6 +541,173 @@ def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
         assert basis.sup(c_i, wt) == np.abs(want[i]).max(), i
     c[7, 2] = np.nan
     assert np.isnan(basis.sup(c, wt))
+
+
+def test_basis_of_a_broadcast_f_matches_its_full_table():
+    # an h that ignores t gives F broadcast along the nodes: the basis
+    # multiplies its one distinct column, and its products are those of
+    # the same F written out in full, the Gram bit for bit and the F
+    # products up to the rounding of a one-column product
+    g = TriangularGrid(T, 20)
+    gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2), g)
+    ens = sample_paths(3000, 3, "Q", drift(gen))
+    op = build_delayed_operator(gen)
+    f = evaluate_F_table(make_h("square"), ens)
+    assert f.strides[1] == 0
+    one = _StackedBasis(ens.w, f, ens.draws, op)
+    full = _StackedBasis(ens.w, np.ascontiguousarray(f), ens.draws, op)
+    assert one.gram.tobytes() == full.gram.tobytes()
+    for got, want in ((one.bt_f, full.bt_f), (one.draws_f, full.draws_f)):
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=1e-14 * np.abs(want).max())
+        assert np.all(got == got[:, :1])
+
+
+def horner_table(a, wt):
+    """sum_p a[i, p] W(t_i)^p on every entry of wt, by Horner over the
+    whole table, as the LSMC once formed it."""
+    a = a[:, :, None]
+    y = wt * a[:, -1]
+    for p in range(a.shape[1] - 2, 0, -1):
+        y += a[:, p]
+        y *= wt
+    y += a[:, 0]
+    return y
+
+
+def certified(a, wt):
+    """_certified_abs_max on the rows of wt, their ends read from wt, and
+    the whole table's max |.|, which it must equal bit for bit."""
+    ends = np.stack([wt.min(axis=1), wt.max(axis=1)], axis=1)
+    return oracles._certified_abs_max(a, wt, ends), \
+        float(np.abs(horner_table(a, wt)).max())
+
+
+def test_certificate_finds_an_interior_maximum():
+    # row 0: q = 0.6 r^2 - (w - mid)^2 peaks inside its range, above both
+    # ends (-0.4 r^2 there) and above row 1's constant 0.5 r^2, which the
+    # ends alone would report
+    wt = np.random.default_rng(11).standard_normal((2, 3001))
+    lo, hi = wt[0].min(), wt[0].max()
+    mid, r2 = 0.5 * (lo + hi), (0.5 * (hi - lo)) ** 2
+    a = np.zeros((2, 5))
+    a[0, :3] = 0.6 * r2 - mid ** 2, 2.0 * mid, -1.0
+    a[1, 0] = 0.5 * r2
+    got, want = certified(a, wt)
+    assert got == want
+    ends = horner_table(a, np.stack([wt.min(axis=1), wt.max(axis=1)], 1))
+    assert np.abs(ends).max() < want
+
+
+@pytest.mark.parametrize("step", [-np.inf, np.inf])
+def test_certificate_keeps_a_runner_up_one_ulp_away(step):
+    # row 1 holds a constant one ulp below, then above, row 0's max |q|,
+    # which sits at an end of row 0
+    wt = np.random.default_rng(12).standard_normal((2, 2000))
+    a = np.zeros((2, 5))
+    a[0] = [0.3, -1.1, 0.4, 0.2, -0.05]
+    top = float(np.abs(horner_table(a[:1], wt[:1])).max())
+    a[1, 0] = np.nextafter(top, step)
+    for rows in (np.s_[:], np.s_[::-1]):
+        got, want = certified(a[rows], wt[rows])
+        assert got == want == max(top, a[1, 0])
+
+
+def test_certificate_under_heavy_cancellation():
+    # (w - r)^4 expanded, r off 0, on states within 1e-5 of r: each entry
+    # is rounding noise of the size of the coefficients' terms, far above
+    # the exact values (below 1e-19), and the bound's slack must cover it
+    # (without it, most rows' bounds fall below their own entries)
+    rng = np.random.default_rng(13)
+    r = rng.uniform(-3.0, 3.0, 300)
+    wt = r[:, None] + 1e-5 * rng.standard_normal((300, 1000))
+    a = np.stack([r ** 4, -4.0 * r ** 3, 6.0 * r ** 2, -4.0 * r,
+                  np.ones(300)], axis=1)
+    ends = np.stack([wt.min(axis=1), wt.max(axis=1)], axis=1)
+    table = np.abs(horner_table(a, wt))
+    assert table.max() > 1e-14
+    assert np.all(table.max(axis=1) <= oracles._abs_bound(a, ends))
+    got, want = certified(a, wt)
+    assert got == want
+
+
+def test_certificate_bounds_random_polynomials():
+    # coefficients over 12 decades and states off centre: every row's
+    # bound lies above each of its computed entries, and the max is the
+    # table's bit for bit
+    rng = np.random.default_rng(14)
+    k = 400
+    wt = rng.uniform(-3.0, 3.0, (k, 1)) \
+        + rng.uniform(0.0, 2.0, (k, 1)) * rng.standard_normal((k, 500))
+    a = rng.standard_normal((k, 5)) * 10.0 ** rng.uniform(-6, 6, (k, 5))
+    ends = np.stack([wt.min(axis=1), wt.max(axis=1)], axis=1)
+    bound = oracles._abs_bound(a, ends)
+    assert np.all(np.abs(horner_table(a, wt)).max(axis=1) <= bound)
+    got, want = certified(a, wt)
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certificate_keeps_non_finite_coefficients(bad):
+    wt = np.random.default_rng(15).standard_normal((4, 300))
+    a = np.random.default_rng(16).standard_normal((4, 5))
+    a[2, 3] = bad
+    got, want = certified(a, wt)
+    assert np.isnan(want) == np.isnan(got) and (np.isnan(got) or got == want)
+
+
+def test_certificate_on_the_dead_node_passes_no_row(monkeypatch):
+    # W(t_0) = 0 on every path: node 0's row is its intercept alone, exact
+    # at its ends; with that intercept the largest, no row is passed
+    m_paths, n = 500, 12
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 73, "Q", zero_drift(g))
+    basis = _StackedBasis(ens.w, np.zeros((m_paths, n + 1)), ens.dw,
+                          zero_operator(g))
+    wt = np.ascontiguousarray(ens.w.T)
+    c = 0.01 * np.random.default_rng(17).standard_normal((n + 1, 5))
+    c[0, 0] = -40.0
+    passed = []
+    blocks = oracles._horner_blocks
+
+    def counted(a, states, out=None):
+        passed.append(states.shape[1])
+        return blocks(a, states, out)
+
+    monkeypatch.setattr(oracles, "_horner_blocks", counted)
+    assert basis.sup(c, wt) == 40.0 \
+        == np.abs(horner_table(basis._powers(c), wt)).max()
+    assert m_paths not in passed
+
+
+def test_lsmc_sup_passes_few_rows_per_sweep(monkeypatch):
+    # each sweep's sup-difference passes at most 3 full rows of the
+    # N + 1 = 41, where the whole-table pass took all of them
+    g = TriangularGrid(T, 40)
+    gen = DelayedGenerator(Uniform(T), constant_kernel(0.8, g_value=0.3), g)
+    ens = sample_paths(4000, 19, "Q", drift(gen))
+    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
+    rows, inside = [], []
+    blocks, sup = oracles._horner_blocks, _StackedBasis.sup
+
+    def counted(a, wt, out=None):
+        if inside and wt.shape[1] == ens.n_paths:
+            rows[-1] += len(wt)
+        return blocks(a, wt, out)
+
+    def marked(self, c, wt):
+        rows.append(0)
+        inside.append(True)
+        try:
+            return sup(self, c, wt)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(oracles, "_horner_blocks", counted)
+    monkeypatch.setattr(_StackedBasis, "sup", marked)
+    res = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
+    assert res.iterations >= 4 and len(rows) == res.iterations - 1
+    assert max(rows) <= 3, rows
 
 
 def test_regression_guard_trips_on_collinear_basis():

@@ -744,3 +744,28 @@ def test_norms_traced_peak_within_one_table(mode):
         tracemalloc.stop()
     assert peak <= (table + 4 * m_paths * 8 + 4 * (n + 1) ** 2 * 8
                     + 2 * 8 * np.getbufsize())
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_gaussian_linear_f_and_y_traced_peak_within_one_table(mode):
+    # GaussianLinear F and Y are each the increments times one matrix:
+    # under Q, the draws times it plus the drift's row b dt times it, so
+    # no (M, N) table of dW is formed beside the (M, N+1) product.
+    # Besides it: the O(N^2) tables (phi, Psi's step, the triangle), which
+    # 4 (N+1)^2 floats cover; numpy's ufunc buffers come on top.
+    m_paths, n = 20_000, 60
+    g, _, _, _, psi = setup_reduced(0.5, n, Uniform(T), g_value=0.3)
+    ens = sample_paths(m_paths, 5, mode, DriftFunction(g, np.full(n + 1, 0.2)))
+    fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
+                         phi=make_phi("exp_u"))
+    table = m_paths * (n + 1) * 8
+    for run in (lambda: evaluate_F_table(fam, ens),
+                lambda: solve_Y(fam, psi, ens)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (table + 4 * (n + 1) ** 2 * 8
+                        + 2 * 8 * np.getbufsize())
