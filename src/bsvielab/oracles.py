@@ -18,6 +18,7 @@ than asserted to vanish.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ COND_LIMIT = 1e10
 DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
 MAX_ITERATIONS = 200  # sweeps of either delayed oracle before PicardStalled
 LSMC_CHUNK = 2048  # paths per block of the LSMC basis: P x 2048 floats
-# floats per block of node rows in a Horner pass (512 KiB): the block and
-# its rows of W stay in L2
+# floats per block of node rows in a Horner pass or in the basis's pass of
+# node statistics over W (512 KiB): the block and its rows of W stay in L2
 HORNER_BLOCK = 1 << 16
 
 
@@ -280,35 +281,31 @@ class LsmcResult:
     max_gram_cond: float  # largest condition number of the node Grams
 
 
-def _raw_powers(wt: np.ndarray) -> np.ndarray:
-    """Rows (K, D-1, m) of the raw powers W^p, p = 1..D-1 (D =
-    REGRESSION_DEGREE + 1), of node-major states wt (K, m)."""
-    rows = np.empty((len(wt), REGRESSION_DEGREE, wt.shape[1]))
-    rows[:, 0] = wt
-    for p in range(1, rows.shape[1]):  # W^p = W^(p-1) W: pow takes 20x longer
-        np.multiply(rows[:, p - 1], rows[:, 0], out=rows[:, p])
-    return rows
+def _shifted_powers(wt: np.ndarray, shift: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """The powers (W - shift_i)^p, p = 1..D-1 (D = REGRESSION_DEGREE + 1),
+    of node-major states wt (K, m), written into out (K, D-1, m) and
+    returned."""
+    np.subtract(wt, shift[:, None], out=out[:, 0])
+    for p in range(1, out.shape[1]):  # V^p = V^(p-1) V: pow takes 20x longer
+        np.multiply(out[:, p - 1], out[:, 0], out=out[:, p])
+    return out
 
 
-def _power_stats(wt: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and root-mean-square spread over the paths of each raw power
-    row of _raw_powers(wt), the spread taken after centring; (K, D) each,
-    zero in the intercept column 0.  Also each node's least and greatest
-    state (K, 2), the states of its two extreme paths, for
-    _StackedBasis.sup, read from the power-1 row before it is centred.
-    Each row is reduced on its own, so a node's values do not depend on
-    the nodes beside it in wt."""
-    rows = _raw_powers(wt)
-    ends = np.stack([rows[:, 0].min(axis=1), rows[:, 0].max(axis=1)], axis=1)
-    shape = (len(wt), REGRESSION_DEGREE + 1)
-    mean, sd = np.zeros(shape), np.zeros(shape)
-    for p in range(1, REGRESSION_DEGREE + 1):
-        row = rows[:, p - 1]
-        mean[:, p] = row.mean(axis=1)
-        row -= mean[:, p, None]
-        sd[:, p] = np.sqrt(np.square(row).sum(axis=1) / wt.shape[1])
-    return mean, sd, ends
+def _node_stats(wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean over the paths (K,) and its least and greatest
+    state (K, 2), of node-major states wt (K, M), in blocks of node rows
+    of at most HORNER_BLOCK floats (one row at least), each read from
+    memory once.  Each row is reduced on its own, so a node's values do
+    not depend on the nodes beside it in wt."""
+    step = max(1, HORNER_BLOCK // wt.shape[1])
+    mean, ends = np.empty(len(wt)), np.empty((len(wt), 2))
+    for lo in range(0, len(wt), step):
+        rows = wt[lo:lo + step]
+        mean[lo:lo + step] = rows.mean(axis=1)
+        ends[lo:lo + step, 0] = rows.min(axis=1)
+        ends[lo:lo + step, 1] = rows.max(axis=1)
+    return mean, ends
 
 
 class _StackedBasis:
@@ -316,109 +313,135 @@ class _StackedBasis:
     node rows (contiguous in the transpose of PathEnsemble.wt): B_i holds
     the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
-    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.  First
-    come what the Z slopes read of the draws (M, N) and the delay
-    operator op: the path mean draws_mean, the sums of squares ss_j of the
-    centred draws x = draws - draws_mean, and the half-cell weights half =
-    0.5 dt K(t_i, s_j) on i <= j < N with the diagonal scales 1 - L[j, j],
-    K = L / trap the kernel of L.  The draws are the increments dW up to
-    a constant per column (b_k dt under tag "Q"), which centring takes
-    off: x is the centred increments.  Then the node means and scales sd
-    (1 on a dead row) and each node's least and greatest state, ends
-    (N+1, 2), which sup reads, by _power_stats on blocks of nodes of at
-    most LSMC_CHUNK (N+1) / 2 states (one node at least); then the
-    (N+1)(D-1) centred power rows of B^T are formed LSMC_CHUNK paths at a
-    time (_chunk) to accumulate gram = B^T B, bt_f = B^T F, draws_f =
-    draws^T F and draws_b = draws^T B; an F broadcast along the nodes
-    (stride 0, evaluate_F_table's table of an h that ignores t) has one
-    distinct column, and only that one is multiplied.  The intercept rows
-    are not formed: their entries are exact, M against an intercept and 0
-    against a centred power in gram, and the column sums of F in bt_f
-    and of the draws in draws_b.  ones is the node blocks of B^T 1, M e_0;
-    ginv[i] inverts node i's ridged Gram block on its live rows.
-    RegressionIllConditioned if some ss_j is 0, as for a single path, or
-    a block's condition number, the largest of which is cond, exceeds
-    COND_LIMIT."""
+    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held, nor are
+    its centred rows: the products are accumulated on shifted powers in
+    one pass over the paths, then carried to B.
+
+    First come what the Z slopes read of the operator op: the half-cell
+    weights half = 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
+    scales 1 - L[j, j], K = L / trap the kernel of L.  Then one pass of
+    _node_stats over W gives each node's shift mu_i, the mean of W(t_i),
+    and its least and greatest state, ends (N+1, 2), which sup reads.
+    The draws' path mean draws_mean is taken next.  Then, LSMC_CHUNK
+    paths at a time, one chunk buffer holds a row of ones over the
+    (N+1)(D-1) rows V_i^p = (W(t_i) - mu_i)^p (_shifted_powers), and its
+    products with itself, with F and with the draws (M, N) accumulate,
+    as do draws^T F and the sums of squares ss_j of the centred draws x
+    = draws - draws_mean (the chunk's x goes through the buffer first).
+    The draws are the increments dW up to a constant per column (b_k dt
+    under tag "Q"), which centring takes off: x is the centred
+    increments.  An F broadcast along the nodes (stride 0,
+    evaluate_F_table's table of an h that ignores t) has one distinct
+    column, and only that one is multiplied.
+
+    The ones row's products are the column sums of the V rows, of F and
+    of the draws, and a rank-one correction by them centres the V rows
+    in every product.  The centred powers of W(t_i) are U_i times the
+    centred V_i, U_i[p, k] = C(p, k) mu_i^(p-k) on 1 <= k <= p, so the
+    node means (mean of W^p) and scales sd (1 on a dead row) follow from
+    the sums and from the Gram's diagonal blocks, and the products of B
+    from T_i = U_i / sd_i, its dead rows zero.  The shift keeps the
+    powers' sums of the size of their spread, so the correction cancels
+    no more than the centring it replaces, even where W(t_i) lies many
+    spreads from 0.  gram = B^T B, bt_f = B^T F, draws_f = draws^T F and
+    draws_b = draws^T B then take each node's intercept row with its
+    exact entries: M against an intercept and 0 against a centred power
+    in gram, and the column sums of F in bt_f and of the draws in
+    draws_b.  ones is the node blocks of B^T 1, M e_0; ginv[i] inverts
+    node i's ridged Gram block on its live rows, one stacked inversion
+    per pattern of live rows.  RegressionIllConditioned if some ss_j is
+    0, as for a single path, or a block's condition number, the largest
+    of which is cond, exceeds COND_LIMIT (the first such node names it)."""
 
     def __init__(self, w: np.ndarray, f: np.ndarray, draws: np.ndarray,
                  op: DelayOperator):
         m_paths, n1 = w.shape
         n, d = n1 - 1, REGRESSION_DEGREE + 1
-        draws_sum = draws.sum(axis=0)
-        self.draws, self.draws_mean = draws, draws_sum / m_paths
-        x = draws - self.draws_mean
-        self.ss = np.einsum("mj,mj->j", x, x)
-        if not np.all(self.ss > 0.0):
-            raise RegressionIllConditioned(
-                f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
-                f"sample variance over {len(draws)} paths; Z slopes "
-                "undefined")
-        del x
         trap, vals = tail_weight_matrix(op.grid), op.values
         kk = np.divide(vals, trap, out=np.zeros_like(vals), where=trap > 0.0)
         self.half = np.triu(0.5 * op.grid.dt * kk[:n, :n])
         self.scale = 1.0 - np.diag(vals)[:n]
 
-        self.mean, sd = np.zeros((n1, d)), np.zeros((n1, d))
-        self.ends = np.zeros((n1, 2))
-        step = max(1, LSMC_CHUNK * n1 // (2 * m_paths))
-        for lo in range(0, n1, step):
-            part = slice(lo, lo + step)
-            self.mean[part], sd[part], self.ends[part] = \
-                _power_stats(w[:, part].T)
+        shift, self.ends = _node_stats(w.T)
+        draws_sum = draws.sum(axis=0)
+        self.draws, self.draws_mean = draws, draws_sum / m_paths
+        # F broadcast along the nodes (h ignoring t) has one distinct column
+        f_cols = 1 if f.strides[1] == 0 else n1
+        q_rows = n1 * (d - 1)
+        buf = np.empty((1 + q_rows, min(m_paths, LSMC_CHUNK)))
+        buf[0] = 1.0
+        powers = buf[1:].reshape(n1, d - 1, -1)
+        gram = np.zeros((1 + q_rows, 1 + q_rows))
+        bt_f, draws_f = np.zeros((1 + q_rows, f_cols)), np.zeros((n, f_cols))
+        draws_b, self.ss = np.zeros((n, 1 + q_rows)), np.zeros(n)
+        for lo in range(0, m_paths, LSMC_CHUNK):
+            part = slice(lo, lo + LSMC_CHUNK)
+            m = min(LSMC_CHUNK, m_paths - lo)
+            x = buf[1:].reshape(-1)[:m * n].reshape(m, n)
+            np.subtract(draws[part], self.draws_mean, out=x)
+            self.ss += np.einsum("mj,mj->j", x, x)
+            _shifted_powers(w[part].T, shift, powers[:, :, :m])
+            rows = buf[:, :m]
+            fc = np.ascontiguousarray(f[part, :f_cols])  # for BLAS
+            gram += rows @ rows.T
+            bt_f += rows @ fc
+            draws_f += draws[part].T @ fc
+            draws_b += draws[part].T @ rows.T
+        del buf, powers, rows, x  # the chunk goes before the O(P^2) work
+        if not np.all(self.ss > 0.0):
+            raise RegressionIllConditioned(
+                f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
+                f"sample variance over {len(draws)} paths; Z slopes "
+                "undefined")
+        self.draws_f = np.broadcast_to(draws_f, (n, n1))
+
+        # centre the V rows: take off the rank-one part of their sums
+        sums = gram[1:, 0]
+        gram = gram[1:, 1:] - np.outer(sums, sums) / m_paths
+        bt_f = bt_f[1:] - np.outer(sums, bt_f[0]) / m_paths
+        draws_b = draws_b[:, 1:] - np.outer(draws_b[:, 0], sums) / m_paths
+        # carry them to the centred powers of W(t_i) by U_i[p, k] =
+        # C(p, k) mu_i^(p-k), then to B by the scales
+        p = np.arange(1, d)
+        u = np.array([[math.comb(a, b) for b in p] for a in p], float) \
+            * shift[:, None, None] ** np.maximum(p[:, None] - p, 0)
+        self.mean = np.zeros((n1, d))
+        self.mean[:, 1:] = shift[:, None] ** p + np.matmul(
+            u, sums.reshape(n1, d - 1, 1))[:, :, 0] / m_paths
+        at = np.arange(n1)
+        diag = gram.reshape(n1, d - 1, n1, d - 1)[at, :, at]
+        var = np.einsum("ipk,ikl,ipl->ip", u, diag, u) / m_paths
+        sd = np.zeros((n1, d))
+        sd[:, 1:] = np.sqrt(np.maximum(var, 0.0))
         self.live = sd > 1e-12
         self.live[:, 1:] &= self.live[:, 1:2]  # p = 1 is W(t_i) itself
         self.sd = np.where(self.live, sd, 1.0)  # 1 for the intercept too
         self.live[:, 0] = True
+        # node i's rows of B are T_i = U_i / sd_i, zero where dead, times
+        # its centred V rows: gram block (i, j) is T_i G[i, j] T_j^T
+        t = u * np.where(self.live, 1.0 / self.sd, 0.0)[:, 1:, None]
+        tt = t.transpose(0, 2, 1)
+        left = np.matmul(t, gram.reshape(n1, d - 1, q_rows))
+        gram = np.matmul(left.reshape(q_rows, n1, d - 1).transpose(1, 0, 2),
+                         tt).transpose(1, 0, 2).reshape(n1, d - 1, n1, d - 1)
+        bt_f = np.matmul(t, bt_f.reshape(n1, d - 1, f_cols))
+        draws_b = np.matmul(draws_b.reshape(n, n1, d - 1).transpose(1, 0, 2),
+                            tt).transpose(1, 0, 2)
 
-        # F broadcast along the nodes (h ignoring t) has one distinct column
-        f_cols = 1 if f.strides[1] == 0 else n1
-        q_rows = n1 * (d - 1)
-        gram, bt_f = np.zeros((q_rows, q_rows)), np.zeros((q_rows, f_cols))
-        draws_f, draws_b = np.zeros((n, f_cols)), np.zeros((n, q_rows))
-        for lo in range(0, m_paths, LSMC_CHUNK):
-            part = slice(lo, lo + LSMC_CHUNK)
-            bt = self._chunk(w[part])
-            fc = np.ascontiguousarray(f[part, :f_cols])  # for BLAS
-            gram += bt @ bt.T
-            bt_f += bt @ fc
-            draws_f += draws[part].T @ fc
-            draws_b += draws[part].T @ bt.T
-            del bt  # before the next block is formed
-        self.draws_f = np.broadcast_to(draws_f, (n, n1))
-        bt_f = np.broadcast_to(bt_f, (q_rows, n1))
+        bt_f = np.broadcast_to(bt_f, (n1, d - 1, n1))
         # each node's intercept row goes in first, with its exact entries:
         # M against the intercepts, 0 against the centred powers, and the
         # column sums of F and of the draws
-        gram = np.insert(np.insert(gram.reshape(n1, d - 1, n1, d - 1),
-                                   0, 0.0, axis=1), 0, 0.0, axis=3)
+        gram = np.insert(np.insert(gram, 0, 0.0, axis=1), 0, 0.0, axis=3)
         gram[:, 0, :, 0] = m_paths
         self.gram = gram.reshape(n1 * d, n1 * d)
-        self.bt_f = np.insert(bt_f.reshape(n1, d - 1, n1), 0, f.sum(axis=0),
-                              axis=1).reshape(n1 * d, n1)
-        self.draws_b = np.insert(draws_b.reshape(n, n1, d - 1), 0,
-                                 draws_sum[:, None], axis=2).reshape(n, n1 * d)
+        self.bt_f = np.insert(bt_f, 0, f.sum(axis=0), axis=1
+                              ).reshape(n1 * d, n1)
+        self.draws_b = np.insert(draws_b, 0, draws_sum[:, None],
+                                 axis=2).reshape(n, n1 * d)
         self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
-        self.ginv = np.zeros((n1, d, d))
-        self.cond = 0.0
-        at = np.arange(n1)
-        for i, block in enumerate(self.gram.reshape(n1, d, n1, d)[at, :, at]):
-            keep = np.ix_(self.live[i], self.live[i])
-            gram = block[keep] + RIDGE * np.eye(int(self.live[i].sum()))
-            cond = float(np.linalg.cond(gram))
-            if cond > COND_LIMIT:
-                raise RegressionIllConditioned(f"condition number {cond:.2e}")
-            self.cond = max(self.cond, cond)
-            self.ginv[i][keep] = np.linalg.inv(gram)
-
-    def _chunk(self, w: np.ndarray) -> np.ndarray:
-        """The centred power rows of B^T on the paths of w (m, N+1),
-        without the intercept rows: ((N+1)(D-1), m), node by node."""
-        rows = _raw_powers(w.T)
-        rows -= self.mean[:, 1:, None]
-        rows /= self.sd[:, 1:, None]
-        rows[~self.live[:, 1:]] = 0.0
-        return rows.reshape(-1, len(w))
+        self.ginv, self.cond = _ridged_inverses(
+            self.gram.reshape(n1, d, n1, d)[at, :, at], self.live)
 
     def _powers(self, c: np.ndarray) -> np.ndarray:
         """The coefficients (N+1, D) of W(t_i)^p in B_i c_i, node i's
@@ -455,6 +478,31 @@ class _StackedBasis:
             gaps.append(np.abs(y, out=y).max())
             lo += len(y)
         return float(np.max(tops)), float(np.max(gaps))
+
+
+def _ridged_inverses(blocks: np.ndarray, live: np.ndarray
+                     ) -> tuple[np.ndarray, float]:
+    """The inverses (K, D, D) of the Gram blocks (K, D, D) ridged on
+    their live rows live (K, D), zero off them, and the largest condition
+    number of the ridged blocks, each taken once per pattern of live rows
+    on the stacked blocks of its nodes: node by node, bit for bit.
+    RegressionIllConditioned, naming the first node in node order, when a
+    condition number exceeds COND_LIMIT."""
+    patterns, group = np.unique(live, axis=0, return_inverse=True)
+    groups = [(np.flatnonzero(group.ravel() == k), np.flatnonzero(keep))
+              for k, keep in enumerate(patterns)]
+    ridged = [blocks[np.ix_(nodes, rows, rows)] + RIDGE * np.eye(len(rows))
+              for nodes, rows in groups]
+    cond = np.empty(len(blocks))
+    for (nodes, _), stack in zip(groups, ridged):
+        cond[nodes] = np.linalg.cond(stack)
+    bad = np.flatnonzero(cond > COND_LIMIT)
+    if len(bad):
+        raise RegressionIllConditioned(f"condition number {cond[bad[0]]:.2e}")
+    ginv = np.zeros(blocks.shape)
+    for (nodes, rows), stack in zip(groups, ridged):
+        ginv[np.ix_(nodes, rows, rows)] = np.linalg.inv(stack)
+    return ginv, float(np.fmax.reduce(cond, initial=0.0))
 
 
 def _abs_max(a: np.ndarray, wt: np.ndarray) -> float:
@@ -571,7 +619,9 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     operator op of build_delayed_operator, as solve_delayed_picard.
 
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
-    polynomial basis B_i in W(t_i) of _StackedBasis.  gz is
+    polynomial basis B_i in W(t_i) of _StackedBasis, whose products the
+    run accumulates once, in one pass over the paths on powers of W(t_i)
+    shifted by its mean, then centres and scales.  gz is
     _g_weighted_term of op.generator, the same delay quadrature, of the
     last sweep's mean Z; on Q-paths it also takes off the drift's
     compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point, as the Ito

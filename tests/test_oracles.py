@@ -484,31 +484,203 @@ def reference_stacked_rows(w):
     return rows.reshape(n1 * d, m_paths)
 
 
+# the products of the basis against those of reference_stacked_rows, each
+# entry over its Cauchy-Schwarz scale (M for the Gram of unit-variance
+# rows, |row| |column| for the others); the means over mean |W|^p, and
+# the spreads and ss relative to themselves
+PRODUCT_BOUND = 1e-13
+
+
+def reference_products(w, f, draws):
+    """What _StackedBasis holds, from the full stack of
+    reference_stacked_rows and the full tables: the products, the node
+    means and spreads of the powers of W(t_i) (zero and one in the
+    intercept column), their live rows and the centred draws' sums of
+    squares; with the scales of PRODUCT_BOUND."""
+    m_paths, n1 = w.shape
+    d = oracles.REGRESSION_DEGREE + 1
+    b = reference_stacked_rows(w)
+    raw = w.T[:, None, :] ** np.arange(d)[:, None]
+    mean = raw.mean(axis=2)
+    mean[:, 0] = 0.0
+    sd = np.sqrt(np.square(raw - mean[:, :, None]).sum(axis=2) / m_paths)
+    live = b.reshape(n1, d, m_paths).any(axis=2)
+    x = draws - draws.mean(axis=0)
+    f_norm = np.sqrt(np.square(f).sum(axis=0))
+    d_norm = np.sqrt(np.square(draws).sum(axis=0))[:, None]
+    root = math.sqrt(m_paths)
+    return {"gram": (b @ b.T, m_paths), "bt_f": (b @ f, root * f_norm),
+            "draws_b": (draws.T @ b.T, root * d_norm),
+            "draws_f": (draws.T @ f, d_norm * f_norm),
+            "mean": (mean, np.abs(raw).mean(axis=2)),
+            "sd": (np.where(live, sd, 1.0), np.where(live, sd, 1.0)),
+            "ss": (np.einsum("mj,mj->j", x, x), np.einsum("mj,mj->j", x, x)),
+            "live": (live, None)}
+
+
+def check_basis_products(basis, w, f, draws):
+    for name, (want, scale) in reference_products(w, f, draws).items():
+        got = getattr(basis, name)
+        if scale is None:
+            assert np.array_equal(got, want), name
+        else:
+            err = float((np.abs(got - want)
+                         / np.where(scale > 0.0, scale, 1.0)).max())
+            assert err <= PRODUCT_BOUND, (name, err)
+
+
+def shifted_power_rows(monkeypatch):
+    """Record a copy of every block of rows _shifted_powers forms."""
+    blocks = []
+    form = oracles._shifted_powers
+
+    def recorded(wt, shift, out):
+        blocks.append(form(wt, shift, out).copy())
+        return blocks[-1]
+
+    monkeypatch.setattr(oracles, "_shifted_powers", recorded)
+    return blocks
+
+
 @pytest.mark.parametrize("m_paths, n", [(20_000, 20), (4_001, 12), (700, 3)])
-def test_basis_blocks_match_the_stacked_basis_bitwise(m_paths, n):
-    # each node's centring and scale are those of the full-table pass, and
-    # the blocks of paths are the columns of its centred power rows, bit
-    # for bit; the intercept rows are never formed, and their entries in
-    # the products are exact: M against themselves, 0 against a centred
-    # power, and the column sums of F and of the draws
+def test_basis_blocks_match_the_stacked_basis_bitwise(monkeypatch, m_paths,
+                                                      n):
+    # each block of LSMC_CHUNK paths forms the rows (W(t_i) - mu_i)^p,
+    # mu_i the node's mean over all paths, bit for bit as on the whole
+    # table; the products, the node means and spreads, the live rows and
+    # ss are those of the full stack of centred rows up to rounding; the
+    # intercept rows' entries are exact: M against themselves, 0 against a
+    # centred power, and the column sums of F and of the draws
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 71, "Q", zero_drift(g))
-    w = ens.w
+    wt = ens.wt
     f = np.random.default_rng(7).standard_normal((m_paths, n + 1))
-    basis = _StackedBasis(w, f, ens.dw, zero_operator(g))
-    blocks = [basis._chunk(w[lo:lo + oracles.LSMC_CHUNK])
-              for lo in range(0, m_paths, oracles.LSMC_CHUNK)]
+    blocks = shifted_power_rows(monkeypatch)
+    basis = _StackedBasis(wt.T, f, ens.draws, zero_operator(g))
     n1, d = n + 1, oracles.REGRESSION_DEGREE + 1
-    powers = reference_stacked_rows(w).reshape(n1, d, m_paths)[:, 1:]
-    assert np.concatenate(blocks, axis=1).tobytes() \
-        == np.ascontiguousarray(powers).reshape(-1, m_paths).tobytes()
+    want = np.empty((n1, d - 1, m_paths))
+    want[:, 0] = wt - wt.mean(axis=1, keepdims=True)
+    for p in range(1, d - 1):
+        want[:, p] = want[:, p - 1] * want[:, 0]
+    assert np.concatenate(blocks, axis=2).tobytes() == want.tobytes()
+    check_basis_products(basis, wt.T, f, ens.draws)
     gram = basis.gram.reshape(n1, d, n1, d)
     assert np.all(gram[:, 0, :, 0] == m_paths)
     assert not gram[:, 0, :, 1:].any() and not gram[:, 1:, :, 0].any()
     assert basis.bt_f.reshape(n1, d, n1)[:, 0].tobytes() \
         == np.tile(f.sum(axis=0), (n1, 1)).tobytes()
     assert basis.draws_b.reshape(n, n1, d)[:, :, 0].tobytes() \
-        == np.tile(ens.dw.sum(axis=0)[:, None], (1, n1)).tobytes()
+        == np.tile(ens.draws.sum(axis=0)[:, None], (1, n1)).tobytes()
+
+
+def test_basis_of_states_far_from_zero(monkeypatch):
+    # W + 40: each node's mean lies 40 / sqrt(t_i) spreads from 0 (about
+    # 180 at t_1), where the mean square of W^4 is 2000 times its
+    # variance.  Centred about mu_i, the products keep the full stack's
+    # accuracy; centring the raw powers' products instead cancels that
+    # much and misses the bound by more than 10 times.  The Gram blocks
+    # of so offset a W are beyond the guard (condition numbers near 8e12
+    # with the full stack too), so the guard is lifted here: only the
+    # products are compared.
+    m_paths, n = 20_000, 20
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 71, "Q", zero_drift(g))
+    wt = ens.wt + 40.0
+    f = 100.0 + np.random.default_rng(7).standard_normal((m_paths, n + 1))
+    monkeypatch.setattr(oracles, "COND_LIMIT", np.inf)
+    basis = _StackedBasis(wt.T, f, ens.draws, zero_operator(g))
+    assert basis.live[1:].all() and not basis.live[0, 1:].any()
+    check_basis_products(basis, wt.T, f, ens.draws)
+
+
+def reference_ridged_inverses(gram, live):
+    """Node i's ridged Gram block inverted on its live rows, one node at
+    a time, and the largest condition number; RegressionIllConditioned
+    at the first node beyond COND_LIMIT."""
+    n1, d = live.shape
+    ginv, top = np.zeros((n1, d, d)), 0.0
+    at = np.arange(n1)
+    for i, block in enumerate(gram.reshape(n1, d, n1, d)[at, :, at]):
+        keep = np.ix_(live[i], live[i])
+        ridged = block[keep] + oracles.RIDGE * np.eye(int(live[i].sum()))
+        cond = float(np.linalg.cond(ridged))
+        if cond > oracles.COND_LIMIT:
+            raise RegressionIllConditioned(f"condition number {cond:.2e}")
+        top = max(top, cond)
+        ginv[i][keep] = np.linalg.inv(ridged)
+    return ginv, top
+
+
+def test_gram_blocks_inverted_per_live_pattern_bitwise(monkeypatch):
+    # three kinds of node: t_0, whose W is 0 (the intercept alone); node 5,
+    # whose paths sit at +-0.5, so W^2 and W^4 are constant and dead; and
+    # all-live nodes.  One stacked inversion per pattern gives each node's
+    # inverse and condition number bit for bit.  Node 5's odd powers are
+    # collinear (W^3 = W / 4), so its ridged block is beyond the guard:
+    # the guard is lifted for the comparison, then set below node 5's and
+    # one earlier node's condition numbers, and names the earlier node
+    m_paths, n = 4000, 12
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 79, "Q", zero_drift(g))
+    wt = ens.wt.copy()
+    wt[5] = np.where(np.arange(m_paths) % 2, 0.5, -0.5)
+    monkeypatch.setattr(oracles, "COND_LIMIT", np.inf)
+    basis = _StackedBasis(wt.T, np.zeros((m_paths, n + 1)), ens.draws,
+                          zero_operator(g))
+    assert basis.live[0].tolist() == [True, False, False, False, False]
+    assert basis.live[5].tolist() == [True, True, False, True, False]
+    assert basis.live[1:5].all() and basis.live[6:].all()
+    ginv, cond = reference_ridged_inverses(basis.gram, basis.live)
+    assert basis.ginv.tobytes() == ginv.tobytes()
+    assert basis.cond == cond
+    at = np.arange(n + 1)
+    blocks = basis.gram.reshape(n + 1, 5, n + 1, 5)[at, :, at]
+    conds = [float(np.linalg.cond(b[np.ix_(k, k)]
+                                  + oracles.RIDGE * np.eye(int(k.sum()))))
+             for b, k in zip(blocks, basis.live)]
+    assert cond == max(conds) == conds[5] > 1e10
+    first = max(conds[1:5])
+    monkeypatch.setattr(oracles, "COND_LIMIT", np.nextafter(first, 0.0))
+    message = re.escape(f"condition number {first:.2e}")
+    with pytest.raises(RegressionIllConditioned, match=message):
+        reference_ridged_inverses(basis.gram, basis.live)
+    with pytest.raises(RegressionIllConditioned, match=message):
+        oracles._ridged_inverses(blocks, basis.live)
+
+
+def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
+    # one block of shifted powers per LSMC_CHUNK paths, and nothing of
+    # the size of the draws or of W: the traced peak stays below one
+    # chunk of power rows, P' x LSMC_CHUNK floats with P' = (N+1)(D-1),
+    # plus 8 P^2 floats for the products (P = (N+1) D) and numpy's ufunc
+    # buffers.  At M = 40000, N = 12 a centred copy of the draws alone is
+    # 3.8 MB, three times the bound.
+    m_paths, n = 40_000, 12
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 83, "Q", zero_drift(g))
+    wt = ens.wt
+    f = np.random.default_rng(10).standard_normal((m_paths, n + 1))
+    op = zero_operator(g)
+    d = oracles.REGRESSION_DEGREE + 1
+    p = (n + 1) * d
+    chunk = (n + 1) * (d - 1) * oracles.LSMC_CHUNK * 8
+    bound = chunk + 8 * p * p * 8 + 2 * 8 * np.getbufsize()
+    calls = []
+    form = oracles._shifted_powers
+
+    def counted(*args):
+        calls.append(1)
+        return form(*args)
+
+    monkeypatch.setattr(oracles, "_shifted_powers", counted)
+    tracemalloc.start()
+    try:
+        _StackedBasis(wt.T, f, ens.draws, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == -(-m_paths // oracles.LSMC_CHUNK)
+    assert peak <= bound, (peak, bound)
 
 
 def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):

@@ -7,13 +7,16 @@ Usage:
 Imports bsvielab from ROOT/src and the benchmark workloads from
 ROOT/perfbench, then runs each of the six commands through
 ``bsvielab.cli.main`` on the five bundled configs, on every workload's
-``config_text(1)`` and on the six generated configs of FEATURES.  Those
+``config_text(1)`` and on the seven generated configs of FEATURES.  Those
 reach the branches the others do not: atoms between lags (with g != 0
 too), measure.kind = atoms, the poly_exp and zero kernels, beta != 0, the
 exp and affine terminal functions, f0 = exp_decay, phi = bilinear, a
-mode-Q LSMC at g = 0, and the block edges of the Monte Carlo passes:
-M = LSMC_CHUNK + 1 paths (a one-path remainder) on N + 1 = 71 nodes,
-more than 64, so Horner runs over several blocks of node rows.
+mode-Q LSMC at g = 0, a mode-Q LSMC whose drift puts E[W(t_i)] three
+spreads from 0 at T (b = g = 3 under a Dirac at 0; the largest drift at
+which girsanov-check's reweighting keeps its effective sample size),
+and the block edges of the Monte Carlo passes: M = LSMC_CHUNK + 1 paths
+(a one-path remainder) on N + 1 = 71 nodes, more than 64, so Horner runs
+over several blocks of node rows.
 
 With one tree it prints, for each run, the exit code and the sha256 of
 the captured stdout, then the sha256 of every file the run wrote.  Two
@@ -123,6 +126,20 @@ measure.u0 = -0.2
 kernel.name = constant
 kernel.c = 0.3
 kernel.g = 0.0
+terminal.kind = terminal_function
+terminal.h = square
+mc.paths = 3000
+mc.mode = Q
+""",
+    # E^Q[W(t)] = 3 t against a spread of sqrt(t)
+    "feature-far-mean-q": """
+horizon = 1.0
+grid.n = 24
+measure.kind = dirac
+measure.u0 = 0.0
+kernel.name = constant
+kernel.c = 0.3
+kernel.g = 3.0
 terminal.kind = terminal_function
 terminal.h = square
 mc.paths = 3000
