@@ -43,8 +43,7 @@ from .oracles import PicardFailed, RegressionIllConditioned, \
     solve_reduced_collocation
 from .solver import mean_Y, norms, smoothness_diagnostics, solve_Y, \
     solve_Z
-from .terminal import QuadratureError, evaluate_F_table, is_stochastic, \
-    mean_profile
+from .terminal import QuadratureError, is_stochastic, mean_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -212,9 +211,8 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
 
     if ens is not None:
         y_mean, y_se = expect_q_columns(ens, y)
-        f_vals = evaluate_F_table(cfg.family, ens)
-        r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
-        del y, f_vals  # R's private copy in expect_q_columns comes next
+        r = residual_reduced_pathwise(y, z, cfg.family, phi, ens)
+        del y  # R's private copy in expect_q_columns comes next
         rr, rr_se = expect_q_columns(ens, r)
         rd = np.full_like(rr, np.nan)
     else:
@@ -303,10 +301,12 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         rd_orc, rd_orc_sup = residual_delayed(y_orc, fbar0, op)
     else:
         lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
-            evaluate_F_table(cfg.family, ens), op, ens, cfg.picard_tol))
+            cfg.family, op, ens, cfg.picard_tol))
+        # both node-major tables are reduced with no private copy; the
+        # noise of the LSMC mean is the spread of its targets (the fitted
+        # Y(0) is one constant on every path), and its Z slopes, which
+        # compare does not report, are never fitted
         y_orc = expect_q_columns(ens, lsmc.y)[0]
-        # the noise of the LSMC mean is the spread of its targets; the
-        # fitted Y(0) is one constant on every path
         se_max = float(expect_q_columns(ens, lsmc.y_targets)[1].max())
         rd_exp = rd_orc = np.full_like(y, np.nan)
     rr_exp, rr_exp_sup = residual_reduced(y, fbar0, phi)

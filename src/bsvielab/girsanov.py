@@ -75,8 +75,8 @@ class PathEnsemble:
     drift, as sample_paths describes: each access builds a new read-only
     table (wt and wq cost a cumsum along the nodes), so a caller reads
     each one once; w is the path-major view of wt, w_end its last row,
-    W(T), formed without the table, and dw_times a product dw @ a, formed
-    without dw.  weights
+    W(T), formed without the table (end_states on a block of paths), and
+    dw_times a product dw @ a, formed without dw.  weights
     is the per-path Radon-Nikodym density M(T) for tag "P" and exactly 1
     for tag "Q".  The path count M is the number of rows of draws.
     """
@@ -114,10 +114,13 @@ class PathEnsemble:
         out.flags.writeable = False
         return out
 
-    def dw_times(self, a: np.ndarray) -> np.ndarray:
-        """dw @ a, (M, N) @ (N, K), with no dw table: the draws times a,
-        plus under tag "Q" the drift's row b_k dt times a on every path."""
-        out = self.draws @ a
+    def dw_times(self, a: np.ndarray, paths: slice = slice(None),
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """dw @ a on the paths of the block paths (every path by default),
+        (M, N) @ (N, K), into out if given, with no dw table: the draws
+        times a, plus under tag "Q" the drift's row b_k dt times a on
+        every path."""
+        out = np.matmul(self.draws[paths], a, out=out)
         if self.tag == "Q":
             out += self.drift_fn.increments() @ a
         return out
@@ -139,12 +142,17 @@ class PathEnsemble:
 
     @property
     def w_end(self) -> np.ndarray:
-        """W(T) on every path, (M,): row N of wt bit for bit, the same
-        running sums of the draws taken one node at a time into one
-        column, plus int_0^T b under tag "Q"."""
-        out = self.draws[:, 0].copy()
+        """W(T) on every path, (M,): end_states of all of them."""
+        return self.end_states(slice(None))
+
+    def end_states(self, paths: slice) -> np.ndarray:
+        """W(T) on the paths of the block paths: row N of wt bit for bit,
+        the same running sums of the draws taken one node at a time into
+        one column, plus int_0^T b under tag "Q"."""
+        draws = self.draws[paths]
+        out = draws[:, 0].copy()
         for k in range(1, self.grid.n):
-            out += self.draws[:, k]
+            out += draws[:, k]
         if self.tag == "Q":
             out += self.drift_fn.cumulative()[-1]
         return out
@@ -160,10 +168,13 @@ class PathEnsemble:
 
     def _cumulative_draws(self) -> np.ndarray:
         """Node-major (N+1, M): 0, then the running sums of the draws
-        along each path, one node row at a time."""
+        along each path, one node row at a time: each row is the one
+        before it plus a column of the draws, the bits of a cumsum."""
         out = np.empty((self.grid.n + 1, self.n_paths))
         out[0] = 0.0
-        np.cumsum(self.draws.T, axis=0, out=out[1:])
+        out[1] = self.draws[:, 0]
+        for k in range(1, self.grid.n):
+            np.add(out[k], self.draws[:, k], out=out[k + 1])
         return out
 
 
@@ -218,26 +229,36 @@ def expect_q_columns(ensemble: PathEnsemble,
     Tag "Q" is a plain sample mean with the ddof-1 standard error (SE 0
     for a single path); tag "P" a self-normalized importance-sampling mean
     with the delta-method standard error.  Each column is reduced as one
-    contiguous row of a single private copy, in which the deviations are
-    formed, weighted and squared; values itself is never written.
+    contiguous row of values^T: of values itself when it is the transpose
+    of a node-major (K, M) table, as the LSMC's Y and targets are, else of
+    a single private copy.  The deviations are formed, weighted and
+    squared one row at a time, in the copy's row or, with no copy, in a
+    buffer of one row; values itself is never written.
     """
-    x = np.array(np.asarray(values, dtype=float).T, order="C")
+    x = np.asarray(values, dtype=float).T
+    copy = not x.flags.c_contiguous
+    if copy:
+        x = np.array(x, order="C")
     m_paths = x.shape[1]
-    if ensemble.tag == "Q":
-        # np.mean and np.std(ddof=1), step by step, in place
+    w = ensemble.weights if ensemble.tag == "P" else None
+    if w is None:
+        # np.mean and np.std(ddof=1), step by step
         est = x.sum(axis=1) / m_paths
         if m_paths == 1:
             return est, np.zeros(len(x))
-        x -= est[:, None]
-        np.square(x, out=x)
-        return est, np.sqrt(x.sum(axis=1) / (m_paths - 1)) / math.sqrt(m_paths)
-    w = ensemble.weights
-    wsum = float(w.sum())
-    est = (x @ w) / wsum
-    x -= est[:, None]
-    x *= w
-    np.square(x, out=x)
-    return est, np.sqrt(x.sum(axis=1)) / wsum
+    else:
+        wsum = float(w.sum())
+        est = (x @ w) / wsum
+    buf, sq = None if copy else np.empty(m_paths), np.empty(len(x))
+    for i, row in enumerate(x):
+        dev = np.subtract(row, est[i], out=row if copy else buf)
+        if w is not None:
+            dev *= w
+        np.square(dev, out=dev)
+        sq[i] = dev.sum()
+    if w is None:
+        return est, np.sqrt(sq / (m_paths - 1)) / math.sqrt(m_paths)
+    return est, np.sqrt(sq) / wsum
 
 
 def girsanov_report(b: DriftFunction, n_paths: int,

@@ -19,7 +19,9 @@ than asserted to vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .girsanov import PathEnsemble
 from .kernels import DelayOperator, DelayedGenerator, KernelTable, \
     implicit_factors, lag_weights, same_grid, tail_weight_matrix, \
     tail_weighted, zero_extend_kernel
+from .terminal import TerminalFamily, evaluate_F_blocks, evaluate_F_nodes
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -218,29 +221,32 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable
 
 
 def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
-                              f_vals: np.ndarray, phi: KernelTable,
+                              fam: TerminalFamily, phi: KernelTable,
                               ensemble: PathEnsemble) -> np.ndarray:
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
-    the integral term as in residual_reduced and the stochastic one as the
+    F the free term of the family fam on the ensemble's paths, the
+    integral term as in residual_reduced and the stochastic one as the
     left-point sum of the W^Q increments, read from the ensemble's draws:
     the draws themselves under tag "Q", less the drift's b_k dt under tag
-    "P".  F is the (M, N+1) table of terminal.evaluate_F_table.  R is
-    the one (M, N+1) table formed: both products are taken one block of
-    at most LSMC_CHUNK paths of _path_blocks at a time, into buffers of
-    one block.
+    "P".  R is the one (M, N+1) table formed: F, by
+    terminal.evaluate_F_blocks into R's rows where it has a table, and
+    both products are taken one block of at most LSMC_CHUNK paths of
+    _path_blocks at a time, the products into buffers of one block, so no
+    F table is held.
     Returns R; GridMismatch unless Phi is on the ensemble's grid."""
     n = same_grid(phi, ensemble).n
     a = tail_weighted(phi.grid, phi.values)
     zt = np.triu(z[:n, :n]).T
     drift = ensemble.drift_fn.increments() @ zt \
         if ensemble.tag == "P" else None
-    r = np.subtract(y, f_vals)
+    r = np.empty(np.shape(y))
     blocks = _path_blocks(len(r), LSMC_CHUNK)
     width = max(b.stop - b.start for b in blocks)
     buf_y, buf_ito = np.empty((width, n + 1)), np.empty((width, n))
-    for part in blocks:
+    for part, f in zip(blocks, evaluate_F_blocks(fam, ensemble, blocks, r)):
         rows = part.stop - part.start
+        np.subtract(y[part], f, out=r[part])
         r[part] -= np.matmul(y[part], a.T, out=buf_y[:rows])
         ito = np.matmul(ensemble.draws[part], zt, out=buf_ito[:rows])
         if drift is not None:
@@ -270,15 +276,35 @@ def _path_blocks(m_paths: int, width: int) -> list[slice]:
 
 @dataclass
 class LsmcResult:
-    y: np.ndarray          # (M, N+1) per-path conditional-expectation fits
-    z: np.ndarray          # (N+1, N+1) regression Z surface on the triangle
-    z_se: np.ndarray       # matching standard errors of the slopes
-    y_targets: np.ndarray  # (M, N+1) final regression targets; their
-    # spread is the noise of the fitted means, compare's se_max.  Both
-    # tables are transposes of node-major (N+1, M) ones
+    """An LSMC run.  y (M, N+1) holds the per-path conditional-expectation
+    fits and y_targets (M, N+1) the final regression targets, whose
+    spread is the noise of the fitted means, compare's se_max; both are
+    transposes of node-major (N+1, M) tables, the targets written over
+    the run's own F where F has a table.  z (N+1, N+1), the regression Z
+    surface on the triangle, and z_se, the matching standard errors of
+    the slopes, are fitted from those two tables by fit_slopes on the
+    first read of either, once: a caller that reads neither, as compare,
+    pays for no final slope fit."""
+
+    y: np.ndarray
+    y_targets: np.ndarray
     sup_diffs: list[float]
     iterations: int
     max_gram_cond: float  # largest condition number of the node Grams
+    fit_slopes: Callable[[], tuple[np.ndarray, np.ndarray]] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def _slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.fit_slopes()
+
+    @property
+    def z(self) -> np.ndarray:
+        return self._slopes[0]
+
+    @property
+    def z_se(self) -> np.ndarray:
+        return self._slopes[1]
 
 
 def _shifted_powers(wt: np.ndarray, shift: np.ndarray,
@@ -310,7 +336,8 @@ def _node_stats(wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _StackedBasis:
     """Every node's regression basis on the paths W (M, N+1), read by
-    node rows (contiguous in the transpose of PathEnsemble.wt): B_i holds
+    node rows (contiguous in the transpose of PathEnsemble.wt), with F
+    (M, N+1) a view of any layout: B_i holds
     the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
     <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held, nor are
@@ -328,11 +355,15 @@ class _StackedBasis:
     products with itself, with F and with the draws (M, N) accumulate,
     as do draws^T F and the sums of squares ss_j of the centred draws x
     = draws - draws_mean (the chunk's x goes through the buffer first).
+    F's column sums f_sum come first, each a running sum along one
+    column: the bits of F.sum(axis=0) on a path-major table, which adds
+    the paths in order, on any layout of F.
     The draws are the increments dW up to a constant per column (b_k dt
     under tag "Q"), which centring takes off: x is the centred
     increments.  An F broadcast along the nodes (stride 0,
     evaluate_F_table's table of an h that ignores t) has one distinct
-    column, and only that one is multiplied.
+    column, and only that one is multiplied (f_sum then holds its one
+    sum).
 
     The ones row's products are the column sums of the V rows, of F and
     of the draws, and a rank-one correction by them centres the V rows
@@ -367,6 +398,9 @@ class _StackedBasis:
         self.draws, self.draws_mean = draws, draws_sum / m_paths
         # F broadcast along the nodes (h ignoring t) has one distinct column
         f_cols = 1 if f.strides[1] == 0 else n1
+        # numpy's sum starts from 0.0, which takes a sum of -0.0 to +0.0
+        self.f_sum = np.array([np.cumsum(col)[-1] for col in f.T[:f_cols]]
+                              ) + 0.0
         q_rows = n1 * (d - 1)
         buf = np.empty((1 + q_rows, min(m_paths, LSMC_CHUNK)))
         buf[0] = 1.0
@@ -435,8 +469,8 @@ class _StackedBasis:
         gram = np.insert(np.insert(gram, 0, 0.0, axis=1), 0, 0.0, axis=3)
         gram[:, 0, :, 0] = m_paths
         self.gram = gram.reshape(n1 * d, n1 * d)
-        self.bt_f = np.insert(bt_f, 0, f.sum(axis=0), axis=1
-                              ).reshape(n1 * d, n1)
+        self.bt_f = np.insert(bt_f, 0, np.broadcast_to(self.f_sum, n1),
+                              axis=1).reshape(n1 * d, n1)
         self.draws_b = np.insert(draws_b, 0, draws_sum[:, None],
                                  axis=2).reshape(n, n1 * d)
         self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
@@ -467,14 +501,14 @@ class _StackedBasis:
         return _certified_abs_max(self._powers(c), wt, self.ends)
 
     def sup_and_gap(self, c: np.ndarray, wt: np.ndarray,
-                    f: np.ndarray) -> tuple[float, float]:
+                    ft: np.ndarray) -> tuple[float, float]:
         """max |B_i c_i| and max |B_i c_i - F(t_i)| over paths and nodes
-        (NaN if a value is), F the path-major (M, N+1) table, one block
-        of node rows of _horner_blocks at a time, as sup."""
+        (NaN if a value is), F node-major, ft (N+1, M), one block of node
+        rows of _horner_blocks at a time, as sup."""
         tops, gaps, lo = [], [], 0
         for y in _horner_blocks(self._powers(c), wt):
             tops.append(max(y.max(), -y.min()))
-            y -= f[:, lo:lo + len(y)].T
+            y -= ft[lo:lo + len(y)]
             gaps.append(np.abs(y, out=y).max())
             lo += len(y)
         return float(np.max(tops)), float(np.max(gaps))
@@ -611,12 +645,14 @@ def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
     return _delay_walk(gen, table, table_at).sum(axis=1)
 
 
-def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
+def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
                        ensemble: PathEnsemble, tol: float = 1e-10
                        ) -> LsmcResult:
-    """Regression Monte Carlo for the delayed equation with stochastic F,
-    given as its (M, N+1) table of terminal.evaluate_F_table, and the delay
-    operator op of build_delayed_operator, as solve_delayed_picard.
+    """Regression Monte Carlo for the delayed equation with the stochastic
+    F of the family fam, and the delay operator op of
+    build_delayed_operator, as solve_delayed_picard.  The run forms F on
+    the ensemble's paths itself, node-major (terminal.evaluate_F_nodes):
+    a table of its own, which it writes over, or a broadcast.
 
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
     polynomial basis B_i in W(t_i) of _StackedBasis, whose products the
@@ -644,20 +680,24 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
     refitted every sweep from draws^T F and draws^T B c for the g-term,
     which at g = 0 returns zeros without reading it.
     Y is formed once, at the converged sweep, which holds two (N+1, M)
-    tables besides F: the targets, formed by _targets with no table of
-    the previous sweep's Y, then Y, written over the W table this run
-    reads (PathEnsemble.wt builds a fresh one on every read).  _slope_z
-    then takes the slopes with their SEs.
+    tables: the targets, which _targets writes over F's table with no
+    table of the previous sweep's Y (a broadcast F gives them a table of
+    their own), then Y, written over the W table this run reads
+    (PathEnsemble.wt builds a fresh one on every read).  The slopes and
+    their SEs (_slope_z) are fitted from the two on the first read of
+    LsmcResult.z or z_se.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
-    increment dW_j has no sample variance; GridMismatch unless op, the
-    ensemble and F share one grid.
+    increment dW_j has no sample variance; GridMismatch unless op and the
+    ensemble share one grid.
     """
-    gen, n = op.generator, same_grid(op, ensemble, f_vals).n
+    gen, n = op.generator, same_grid(op, ensemble).n
     sweeps = _sweeps(tol)
     b_dt = ensemble.drift_fn.increments()
     wt = ensemble.wt  # node-major, for the basis and the sweeps
     wt.flags.writeable = True  # this run's own table: Y goes over it
-    basis = _StackedBasis(wt.T, f_vals, ensemble.draws, op)
+    ft = evaluate_F_nodes(fam, ensemble,
+                          _path_blocks(ensemble.n_paths, LSMC_CHUNK))
+    basis = _StackedBasis(wt.T, ft.T, ensemble.draws, op)
     n1, d = basis.ones.shape
     at = np.arange(n1)
     # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
@@ -668,7 +708,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
                 * op.values[:, None, :, None]).reshape(n1 * (d - 1), -1)
     op_m = op.values * ensemble.n_paths
     # x_j . v = draws_j . v - mean(draws_j) sum(v)
-    x_f = basis.draws_f - np.outer(basis.draws_mean, f_vals.sum(axis=0))
+    x_f = basis.draws_f - np.outer(basis.draws_mean, basis.f_sum)
     x_b = (basis.draws_b
            - np.outer(basis.draws_mean, basis.ones)).reshape(n, n1, d)
 
@@ -681,7 +721,7 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
         rhs = b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
         if c is None:  # the first sweep starts from y = F
-            bound, diff = basis.sup_and_gap(c_next, wt, f_vals)
+            bound, diff = basis.sup_and_gap(c_next, wt, ft)
         else:
             diff = basis.sup(c_next - c, wt)
             bound += diff
@@ -693,11 +733,10 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
                 raise PicardDiverged(
                     f"sup |Y| beyond guard after {it} iterations", sup_diffs)
         if diff < tol:
-            target = _targets(basis, c_prev, wt, f_vals, op, gz)
+            target = _targets(basis, c_prev, wt, ft, op, gz)
             y = basis.values(c, wt, wt)
-            z, z_se = _slope_z(target, y, basis)
-            return LsmcResult(y.T, z, z_se, target.T, sup_diffs, it,
-                              basis.cond)
+            return LsmcResult(y.T, target.T, sup_diffs, it, basis.cond,
+                              lambda: _slope_z(target, y, basis))
         b_y = np.column_stack([op_m @ c[:, 0], (coupling @ c[:, 1:].ravel())
                                .reshape(n1, d - 1)])
         # x^T theta from x^T F and x^T B c
@@ -708,30 +747,42 @@ def solve_delayed_lsmc(f_vals: np.ndarray, op: DelayOperator,
 
 
 def _targets(basis: _StackedBasis, c_prev: np.ndarray | None,
-             wt: np.ndarray, f_vals: np.ndarray, op: DelayOperator,
+             wt: np.ndarray, ft: np.ndarray, op: DelayOperator,
              gz: np.ndarray) -> np.ndarray:
     """The regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on every
     path, node-major (N+1, M), Y_prev = B c_prev (F itself when c_prev is
-    None) formed one block of _path_blocks at a time into a buffer of one
-    block: no Y_prev table is held, and op's GEMM writes straight into the
-    block's columns of the targets.  A block holds D LSMC_CHUNK paths at
-    most, D = REGRESSION_DEGREE + 1, so its N + 1 rows are one basis
-    chunk, P x LSMC_CHUNK floats.  Blocks this wide keep Horner's passes
-    over a block's rows, which broadcast one coefficient per row, as fast
-    as over whole rows: on blocks of LSMC_CHUNK paths they took 2-3 times
-    as long (M = 20000, N = 60)."""
-    target = np.empty(wt.shape)
-    blocks = _path_blocks(wt.shape[1], basis.ones.shape[1] * LSMC_CHUNK)
-    if c_prev is not None:
-        buf = np.empty((len(wt), max(b.stop - b.start for b in blocks)))
+    None), formed one block of _path_blocks at a time: no Y_prev table is
+    held.  Where F's node-major ft is writeable, the LSMC's own table,
+    the targets are written over its rows: a block's op Y_prev goes into
+    a buffer of one block, then onto the block of F, which is read before
+    it is written (F plus op Y_prev has the bits of op Y_prev plus F).
+    Else, for a broadcast F, op's GEMM writes straight into the block's
+    columns of a new table, and F is added there.  Y_prev goes into a
+    buffer of one block of its own.  A block holds D // 2 LSMC_CHUNK
+    paths at most, D = REGRESSION_DEGREE + 1, so the two buffers' N + 1
+    rows are at most one basis chunk, P x LSMC_CHUNK floats.  Blocks
+    this wide keep Horner's passes over a block's rows, which broadcast
+    one coefficient per row, as fast as wider ones: the targets took
+    6.1 ms on blocks of 2 LSMC_CHUNK, 6.7 ms on 5 LSMC_CHUNK and 15.4 ms
+    on LSMC_CHUNK (M = 20000, N = 60)."""
+    own = ft.flags.writeable
+    target = ft if own else np.empty(ft.shape)
+    blocks = _path_blocks(wt.shape[1],
+                          basis.ones.shape[1] // 2 * LSMC_CHUNK)
+    width = max(b.stop - b.start for b in blocks)
+    buf = np.empty((own + (c_prev is not None), len(wt), width))
     for part in blocks:
+        cols = part.stop - part.start
         if c_prev is None:
-            y_prev = f_vals[part].T
+            y_prev = ft[:, part]
         else:
-            y_prev = basis.values(c_prev, wt[:, part],
-                                  buf[:, :part.stop - part.start])
-        out = np.matmul(op.values, y_prev, out=target[:, part])
-        out += f_vals[part].T
+            y_prev = basis.values(c_prev, wt[:, part], buf[-1, :, :cols])
+        out = target[:, part]
+        if own:
+            out += np.matmul(op.values, y_prev, out=buf[0, :, :cols])
+        else:
+            np.matmul(op.values, y_prev, out=out)
+            out += ft[:, part]
         out += gz[:, None]
     return target
 

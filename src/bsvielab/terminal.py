@@ -176,25 +176,69 @@ def _times(fam: TerminalFunction, grid: TriangularGrid) -> np.ndarray:
 
 
 def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
-    """F(t_a) on every path and node, (M, N+1): f0_profile broadcast for a
-    deterministic family; for GaussianLinear, one GEMM of the increments
-    with the phi table of gaussian_linear_conditionals, which
-    PathEnsemble.dw_times takes without a dW table; a terminal function
-    is growth-checked at W(T) at each of its _times, broadcast to every
-    node."""
+    """F(t_a) on every path and node, (M, N+1): evaluate_F_blocks on the
+    one block of every path."""
+    return next(evaluate_F_blocks(fam, ensemble, [slice(None)]))
+
+
+def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
+                      blocks: list[slice], out: np.ndarray | None = None):
+    """Yield F(t_a) on the paths of each block of blocks and every node,
+    (rows, N+1): f0_profile broadcast for a deterministic family; for
+    GaussianLinear, one GEMM of the block's increments with the phi table
+    of gaussian_linear_conditionals, which PathEnsemble.dw_times takes
+    without a dW table; a terminal function is growth-checked at W(T) at
+    each of its _times, broadcast to every node.  f0 and phi are
+    evaluated once for every block.  Where F has a table (GaussianLinear,
+    or a terminal function of t) each block is written into its rows of
+    out, an (M, N+1) table, when given; else every block is written into
+    one buffer that they all reuse, so a block is valid until the next
+    one is taken.  On a block of oracles._path_blocks the GEMM rounds
+    each path as on the whole table, so the blocks are the rows of
+    evaluate_F_table bit for bit."""
     grid = ensemble.grid
-    shape = (ensemble.n_paths, grid.n + 1)
+    rows = [len(range(*part.indices(ensemble.n_paths))) for part in blocks]
     if not is_stochastic(fam):
-        return np.broadcast_to(f0_profile(fam, grid), shape)
+        f0 = f0_profile(fam, grid)
+        for m in rows:
+            yield np.broadcast_to(f0, (m, grid.n + 1))
+        return
     if isinstance(fam, GaussianLinear):
-        out = ensemble.dw_times(_phi_table(fam, grid)[:, :-1].T)
-        out += f0_profile(fam, grid)
-        return out
-    w_end = ensemble.w_end
-    bound = _growth_bound(fam, w_end)
-    return np.broadcast_to(np.stack([_growth_checked(fam, t, w_end, bound)
-                                     for t in _times(fam, grid)], axis=1),
-                           shape)
+        a, f0 = _phi_table(fam, grid)[:, :-1].T, f0_profile(fam, grid)
+        cols = grid.n + 1
+    else:
+        times = _times(fam, grid)
+        cols = len(times)
+    buf = np.empty((max(rows), cols)) \
+        if out is None or cols != grid.n + 1 else None
+    for part, m in zip(blocks, rows):
+        dest = out[part] if buf is None else buf[:m]
+        if isinstance(fam, GaussianLinear):
+            ensemble.dw_times(a, part, dest)
+            dest += f0
+            yield dest
+        else:
+            w_end = ensemble.end_states(part)
+            bound = _growth_bound(fam, w_end)
+            np.stack([_growth_checked(fam, t, w_end, bound) for t in times],
+                     axis=1, out=dest)
+            yield np.broadcast_to(dest, (m, grid.n + 1))
+
+
+def evaluate_F_nodes(fam: TerminalFamily, ensemble: PathEnsemble,
+                     blocks: list[slice]) -> np.ndarray:
+    """F node-major, (N+1, M): evaluate_F_table transposed, bit for bit.
+    Where that table is a broadcast (a deterministic family, or a
+    terminal function that ignores t) this is its transposed view, with
+    no table; else a new table, which the caller may write over, filled
+    one block of paths of blocks at a time by evaluate_F_blocks."""
+    if not is_stochastic(fam) or (isinstance(fam, TerminalFunction)
+                                  and not fam.t_dependent):
+        return evaluate_F_table(fam, ensemble).T
+    out = np.empty((ensemble.grid.n + 1, ensemble.n_paths))
+    for part, f in zip(blocks, evaluate_F_blocks(fam, ensemble, blocks)):
+        out[:, part] = f.T
+    return out
 
 
 def f0_profile(fam: Deterministic | GaussianLinear,

@@ -203,7 +203,7 @@ def test_criterion_06_z_validation():
     ens = sample_paths(50000, 12345, "P", b)
     z_exp = solve_Z(fam, psi, b)
     f_vals = evaluate_F_table(fam, ens)
-    lsmc = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
+    lsmc = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     compared = violations = 0
     worst_ratio = 0.0
     for i in range(grid.n + 1):

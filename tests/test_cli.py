@@ -14,7 +14,6 @@ from bsvielab.cli import main
 from bsvielab.config import load_config
 from bsvielab.girsanov import drift, expect_q_columns, sample_paths
 from bsvielab.kernels import TriangularGrid
-from bsvielab.terminal import evaluate_F_table
 
 CONFIGS = resources.files("bsvielab") / "configs"
 
@@ -307,8 +306,8 @@ def test_monte_carlo_compare_se_is_the_lsmc_mean_noise(tmp_path):
     run = load_config(cfg.read_text())
     ens = sample_paths(run.n_paths, run.seed, run.mode, drift(run.generator))
     lsmc = oracles.solve_delayed_lsmc(
-        evaluate_F_table(run.family, ens),
-        oracles.build_delayed_operator(run.generator), ens, run.picard_tol)
+        run.family, oracles.build_delayed_operator(run.generator), ens,
+        run.picard_tol)
     se = expect_q_columns(ens, lsmc.y_targets)[1]
     assert se[0] > 0.0
     assert expect_q_columns(ens, lsmc.y)[1][0] < 1e-12 * se[0]
@@ -480,30 +479,50 @@ def traced_peak_tables(tmp_path, command, mode):
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
-    # compare holds the ensemble's draws throughout, and F while the LSMC
-    # oracle runs, with the oracle's three tables at its peak: W (Y is
-    # written over it) and the targets, besides F.  The oracle's basis
-    # block, its block of paths for the targets and its block of theta
-    # rows are one chunk each and never held together, and the slopes
-    # read the draws, so no increments table is formed.  Then the LSMC Y
-    # and targets, each reduced through one private copy in
-    # expect_q_columns: four (M, N+1) tables at most.  The explicit mean
-    # reads no paths.  One more table covers the chunk, the O(N^2)
-    # tables and the Python objects: five, which a whole table of the
-    # previous sweep's Y, of theta or of the increments would exceed.
-    assert traced_peak_tables(tmp_path, "compare", mode) < 5
+    # compare holds the ensemble's draws throughout, and the LSMC
+    # oracle's two tables while it runs: W, over which Y is written at
+    # the converged sweep, and the oracle's own F, over which the targets
+    # are written.  The oracle's basis block, its two buffers of paths for
+    # the targets and its block of theta rows are one chunk each and
+    # never held together, and the slopes read the draws, so no
+    # increments table is formed; compare reads no slopes, so none are
+    # fitted.  Then the LSMC Y and targets, node-major, each reduced in
+    # expect_q_columns with no private copy: three (M, N+1) tables at
+    # most.  The explicit mean reads no paths.  One more table covers
+    # the chunk, the O(N^2) tables and the Python objects: four, which a
+    # whole table of F beside its targets, of the previous sweep's Y, of
+    # theta, of the increments or a private copy of Y or the targets
+    # would exceed.
+    assert traced_peak_tables(tmp_path, "compare", mode) < 4
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_monte_carlo_solve_peak_within_five_tables(tmp_path, mode):
-    # solve holds the draws throughout; the explicit Y, then F and the
-    # path residual R beside it, R's products taken one block of paths
-    # at a time.  F and Y go before R is reduced through its private
-    # copy: four (M, N+1) tables at most, with mode Q's increments table
-    # while the Gaussian-linear Y or F is formed instead of the later
-    # ones.  One more table covers the block of paths, the O(N^2) tables
-    # and the Python objects.
-    assert traced_peak_tables(tmp_path, "solve", mode) < 5
+    # solve holds the draws throughout; the explicit Y, then the path
+    # residual R beside it, F and R's products taken one block of paths
+    # at a time, so no F table is formed.  Y goes before R is reduced
+    # through its private copy: three (M, N+1) tables at most.  One more
+    # table covers the blocks of paths, the O(N^2) tables and the Python
+    # objects: four, which a whole F table would exceed.
+    assert traced_peak_tables(tmp_path, "solve", mode) < 4
+
+
+def test_monte_carlo_compare_fits_no_final_slopes(tmp_path, monkeypatch):
+    # every LSMC sweep fits the slopes for its g-term, without SEs; the
+    # final fit, with the SEs, waits for a read of LsmcResult.z or z_se,
+    # and compare reads neither
+    fits = []
+    fit = oracles._slope_fit
+
+    def counted(cross, basis, sq=None):
+        fits.append(sq is not None)
+        return fit(cross, basis, sq)
+
+    monkeypatch.setattr(oracles, "_slope_fit", counted)
+    cfg = write_cfg(tmp_path, MINI_STOCHASTIC)
+    assert run_cli("compare", "--config", cfg, "--out", tmp_path / "o") == 0
+    meta = json.loads((tmp_path / "o" / "compare.meta.json").read_text())
+    assert fits == [False] * (meta["lsmc_iterations"] - 1)
 
 
 # ---------------------------------------------------------------------------

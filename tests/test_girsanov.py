@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,25 @@ def test_expect_q_columns_match_numpy_reductions(mode, order):
     assert se.tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_expect_q_columns_of_a_node_major_table_make_no_copy(mode):
+    # values^T contiguous, as the LSMC's Y and targets are: the rows are
+    # reduced where they lie, and the deviations take one row at a time,
+    # so the traced peak is one row of M floats, the K estimates and sums
+    # and the arrays' Python objects (4 KiB), where a private copy would
+    # be the whole (M, K) table
+    g = grid(40)
+    ens = sample_paths(20_000, 3, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
+    values = np.exp(ens.wt).T
+    tracemalloc.start()
+    try:
+        expect_q_columns(ens, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ens.n_paths + 4 * 8 * (g.n + 1) + 4096
+
+
 def test_degenerate_weights_raises():
     # a strong tilt: every weight is positive, but a few paths carry the
     # ensemble, so sample_paths refuses it by its effective sample size
@@ -319,6 +339,22 @@ def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
     assert ens.w_end.tobytes() == wt[-1].tobytes()
     with pytest.raises(ValueError):
         wt[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_running_row_adds_are_the_cumsum_bitwise(mode):
+    # W^T and W^Q add the draws' columns into successive node rows: the
+    # bits of numpy's cumsum of the draws along the nodes, then the
+    # drift's cumulative per row
+    g = grid(37)
+    ens = sample_paths(2049, 17, mode, tilt(Uniform(1.0), 0.6, g))
+    sums = np.zeros((g.n + 1, ens.n_paths))
+    np.cumsum(ens.draws.T, axis=0, out=sums[1:])
+    drift_rows = ens.drift_fn.cumulative()[:, None]
+    want_w = sums + drift_rows if mode == "Q" else sums
+    want_wq = sums - drift_rows if mode == "P" else sums
+    assert ens.wt.tobytes() == want_w.tobytes()
+    assert np.ascontiguousarray(ens.wq.T).tobytes() == want_wq.tobytes()
 
 
 def reference_paths(grid, n_paths, seed, mode, drift_fn):

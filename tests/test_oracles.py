@@ -22,7 +22,8 @@ from bsvielab.oracles import PicardDiverged, PicardStalled, \
     solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, \
-    evaluate_F_table, f0_profile, make_f0, make_h, make_phi
+    evaluate_F_nodes, evaluate_F_table, f0_profile, make_f0, make_h, \
+    make_phi
 
 T = 1.0
 
@@ -175,8 +176,7 @@ def test_lsmc_stalls_on_tiny_budget(monkeypatch):
     ens = sample_paths(2000, 53, "P", zero_drift(g))
     monkeypatch.setattr(oracles, "MAX_ITERATIONS", 2)
     with pytest.raises(PicardStalled) as exc:
-        solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), ens)
+        solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     assert len(exc.value.sup_diffs) == 2
     assert "in 2 iterations" in str(exc.value)
 
@@ -191,8 +191,7 @@ def test_delayed_oracles_refuse_a_non_positive_tolerance(tol):
         solve_delayed_picard(np.ones(g.n + 1), build_delayed_operator(gen),
                              tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), ens, tol)
+        solve_delayed_lsmc(fam, build_delayed_operator(gen), ens, tol)
 
 
 def test_residual_trivial_cases():
@@ -250,8 +249,7 @@ def test_lsmc_martingale_representation():
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 31, "P", zero_drift(g))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), ens)
+    res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -272,8 +270,7 @@ def test_lsmc_cross_oracle_against_explicit():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 37, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), ens)
+    res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
@@ -290,8 +287,7 @@ def test_lsmc_deterministic_F_has_no_martingale_part():
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.4), g)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     ens = sample_paths(5_000, 41, "P", zero_drift(g))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), ens)
+    res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
                   <= 3 * res.z_se[:15, :15][tri] + 1e-10)
@@ -306,18 +302,18 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     ens = sample_paths(300, 43, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     z = solve_Z(fam, psi, zero_drift(g))
-    f_vals = evaluate_F_table(fam, ens)
-    r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
+    r = residual_reduced_pathwise(y, z, fam, phi, ens)
     assert np.abs(r).max() < 1e-12
     # Phi is built apart from the paths: one on T = 2 is refused
     phi_t2 = build_phi(DelayedGenerator(DiracAt(2.0, 0.0), k,
                                         TriangularGrid(2.0, 25)))
     with pytest.raises(GridMismatch):
-        residual_reduced_pathwise(y, z, f_vals, phi_t2, ens)
+        residual_reduced_pathwise(y, z, fam, phi_t2, ens)
 
 
 def pathwise_inputs(mode, n, m_paths, seed):
-    """Y, Z, F and Phi of a Gaussian-linear family on a tilted ensemble."""
+    """Y, Z, the family and Phi of a Gaussian-linear family on a tilted
+    ensemble."""
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3, g_value=0.2),
                            TriangularGrid(T, n))
     phi = build_phi(gen)
@@ -325,19 +321,18 @@ def pathwise_inputs(mode, n, m_paths, seed):
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     b = drift(gen)
     ens = sample_paths(m_paths, seed, mode, b)
-    return (solve_Y(fam, psi, ens), solve_Z(fam, psi, b),
-            evaluate_F_table(fam, ens), phi, ens)
+    return solve_Y(fam, psi, ens), solve_Z(fam, psi, b), fam, phi, ens
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_pathwise_ito_sum_on_w_q_increments(mode):
     # the left-point sum against dW - b dt is the one against the
     # increments of the W^Q paths, up to rounding
-    y, z, f_vals, phi, ens = pathwise_inputs(mode, 20, 500, 71)
+    y, z, fam, phi, ens = pathwise_inputs(mode, 20, 500, 71)
     n = phi.grid.n
-    want = residual_reduced(y, f_vals, phi)[0]
+    want = residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
     want[:, :n] += np.diff(ens.wq, axis=1) @ np.triu(z[:n, :n]).T
-    r = residual_reduced_pathwise(y, z, f_vals, phi, ens)
+    r = residual_reduced_pathwise(y, z, fam, phi, ens)
     assert np.abs(r - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
@@ -345,20 +340,21 @@ def test_pathwise_ito_sum_on_w_q_increments(mode):
 def test_pathwise_residual_traced_peak_within_two_tables(mode):
     # the Ito sum reads the ensemble's draws, allocated before the trace,
     # in both modes: no dW or dW^Q table is formed.  R is the one
-    # (M, N+1) float table: y A^T and the Ito sum are formed one block of
-    # at most 1.5 LSMC_CHUNK paths at a time, into one buffer of N + 1
-    # and one of N floats per path.  The rest is O(N^2): the tail
-    # weights, A, and the triangle of Z and its transpose, which
-    # 4 (N+1)^2 floats cover; numpy's ufunc buffers come on top.  A whole
-    # table of either product would take the peak past this gate.
-    y, z, f_vals, phi, ens = pathwise_inputs(mode, 60, 20_000, 73)
+    # (M, N+1) float table: F is formed into R's rows, and y A^T and the
+    # Ito sum into one buffer of N + 1 and one of N floats per path, one
+    # block of at most 1.5 LSMC_CHUNK paths at a time.  The rest is
+    # O(N^2): the tail weights, A, and the triangle of Z and its
+    # transpose, which 4 (N+1)^2 floats cover; numpy's ufunc buffers come
+    # on top.  A whole table of F or of either product would take the
+    # peak past this gate.
+    y, z, fam, phi, ens = pathwise_inputs(mode, 60, 20_000, 73)
     n = phi.grid.n
     table = ens.n_paths * (n + 1) * 8
     block = 1.5 * oracles.LSMC_CHUNK * (2 * n + 1) * 8
     assert block < table / 2  # several blocks
     tracemalloc.start()
     try:
-        residual_reduced_pathwise(y, z, f_vals, phi, ens)
+        residual_reduced_pathwise(y, z, fam, phi, ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,16 +385,16 @@ def test_path_blocks_are_aligned_and_near_equal(m_paths, width):
 def test_pathwise_residual_by_path_blocks_bitwise(mode):
     # three blocks of paths, the last one short: each product rounds every
     # path as the whole-table products do
-    y, z, f_vals, phi, ens = pathwise_inputs(mode, 20, 5000, 79)
+    y, z, fam, phi, ens = pathwise_inputs(mode, 20, 5000, 79)
     n = phi.grid.n
     assert len(_path_blocks(5000, oracles.LSMC_CHUNK)) == 3
     zt = np.triu(z[:n, :n]).T
-    want = residual_reduced(y, f_vals, phi)[0]
+    want = residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
     ito = ens.draws @ zt
     if mode == "P":
         ito -= ens.drift_fn.increments() @ zt
     want[:, :n] += ito
-    got = residual_reduced_pathwise(y, z, f_vals, phi, ens)
+    got = residual_reduced_pathwise(y, z, fam, phi, ens)
     assert got.tobytes() == want.tobytes()
 
 
@@ -422,11 +418,9 @@ def test_lsmc_grid_mismatch():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(500, 3, "P", zero_drift(TriangularGrid(T, 25)))
     with pytest.raises(GridMismatch, match=r"n=20\) against .*n=25\)"):
-        solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), ens)
+        solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     ens = sample_paths(500, 3, "P", zero_drift(gen.grid))
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                             build_delayed_operator(gen), ens)
+    res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     assert res.y.shape == (500, 21)
 
 
@@ -444,10 +438,9 @@ def test_delayed_oracles_refuse_an_operator_on_another_grid(op_grid, grid):
         DelayedGenerator(Uniform(op_grid.horizon), k, op_grid))
     gen = DelayedGenerator(Uniform(T), k, grid)
     ens = sample_paths(500, 3, "P", drift(gen))
-    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
     with pytest.raises(GridMismatch, match=f"^{re.escape(repr(op_grid))} "
                        f"against {re.escape(repr(grid))}"):
-        solve_delayed_lsmc(f_vals, op, ens)
+        solve_delayed_lsmc(LSMC_FAMILIES["gaussian"], op, ens)
     f0 = np.ones(grid.n + 1)
     if op_grid.n != grid.n:
         with pytest.raises(GridMismatch, match=r"node array of shape \(13,\)"):
@@ -858,7 +851,6 @@ def test_lsmc_sup_passes_few_rows_per_sweep(monkeypatch):
     g = TriangularGrid(T, 40)
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.8, g_value=0.3), g)
     ens = sample_paths(4000, 19, "Q", drift(gen))
-    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
     rows, inside = [], []
     blocks, sup = oracles._horner_blocks, _StackedBasis.sup
 
@@ -877,7 +869,8 @@ def test_lsmc_sup_passes_few_rows_per_sweep(monkeypatch):
 
     monkeypatch.setattr(oracles, "_horner_blocks", counted)
     monkeypatch.setattr(_StackedBasis, "sup", marked)
-    res = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
+    res = solve_delayed_lsmc(LSMC_FAMILIES["gaussian"],
+                             build_delayed_operator(gen), ens)
     assert res.iterations >= 4 and len(rows) == res.iterations - 1
     assert max(rows) <= 3, rows
 
@@ -1321,8 +1314,7 @@ def small_lsmc(g_value, n=12, paths=2000):
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(paths, 53, "P", zero_drift(g))
     op = build_delayed_operator(gen)
-    return g, op, ens, solve_delayed_lsmc(evaluate_F_table(fam, ens), op,
-                                          ens)
+    return g, op, ens, solve_delayed_lsmc(fam, op, ens)
 
 
 def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
@@ -1332,39 +1324,38 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3), g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(2000, 53, "P", zero_drift(g))
-    f_vals = evaluate_F_table(fam, ens)
     op = build_delayed_operator(gen)
-    res = solve_delayed_lsmc(f_vals, op, ens)
+    res = solve_delayed_lsmc(fam, op, ens)
     # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
     # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
-    sups = [float(np.abs(solve_delayed_lsmc(
-        f_vals, op, ens, d).y).max())
-        for d in [np.inf, *diffs[:-1]]]
+    sups = [float(np.abs(solve_delayed_lsmc(fam, op, ens, d).y).max())
+            for d in [np.inf, *diffs[:-1]]]
     bound = sups[0] + sum(diffs[1:])
     assert max(sups) < bound
     # a guard the bound crosses but no Y does: Y is formed and checked,
     # and the run goes on to the same result
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
-    again = solve_delayed_lsmc(f_vals, op, ens)
+    again = solve_delayed_lsmc(fam, op, ens)
     assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
     # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
     with pytest.raises(PicardDiverged) as low:
-        solve_delayed_lsmc(f_vals, op, ens)
+        solve_delayed_lsmc(fam, op, ens)
     assert len(low.value.sup_diffs) == 1
     monkeypatch.undo()
-    f_nan = f_vals.copy()
-    f_nan[7, 3] = np.nan
+    # F is NaN at t_3 on every path
+    fam_nan = GaussianLinear(f0=lambda t: np.nan if t == g.nodes[3] else 0.0,
+                             phi=make_phi("constant"))
     with pytest.raises(PicardDiverged) as nan:
-        solve_delayed_lsmc(f_nan, op, ens)
+        solve_delayed_lsmc(fam_nan, op, ens)
     assert len(nan.value.sup_diffs) == 1
     # a retarded atom with a large bound diverges: the bound grows with
     # the sup-differences and the guard trips long before the budget ends
     gen = DelayedGenerator(DiracAt(T, -0.4), constant_kernel(8.0), g)
     with pytest.raises(PicardDiverged) as grown:
-        solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
+        solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     assert len(grown.value.sup_diffs) < oracles.MAX_ITERATIONS
 
 
@@ -1426,33 +1417,44 @@ def test_slope_z_by_row_blocks_matches_the_whole_theta(monkeypatch, mode):
 
 
 def test_targets_by_path_blocks_bitwise():
-    # two blocks of paths at M = 12000 (at most 5 LSMC_CHUNK = 10240
+    # three blocks of paths at M = 12000 (at most D // 2 LSMC_CHUNK = 4096
     # each): the previous sweep's Y by Horner on each block, op's GEMM
-    # and the two sums, as on the whole table; F itself on the first sweep
+    # and the two sums, as on the whole table, written over the rows of
+    # F's own node-major table; F itself on the first sweep.  A broadcast
+    # F (an h that ignores t) has no table to write over: the targets
+    # get a table of their own
     g = TriangularGrid(T, 20)
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2), g)
     ens = sample_paths(12_000, 83, "Q", drift(gen))
     op = build_delayed_operator(gen)
-    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
     wt = np.ascontiguousarray(ens.wt)
-    basis = _StackedBasis(wt.T, f_vals, ens.draws, op)
-    assert len(_path_blocks(12_000, 5 * oracles.LSMC_CHUNK)) == 2
+    d = oracles.REGRESSION_DEGREE + 1
+    assert len(_path_blocks(12_000, d // 2 * oracles.LSMC_CHUNK)) == 3
+    blocks = _path_blocks(12_000, oracles.LSMC_CHUNK)
     rng = np.random.default_rng(9)
     c, gz = 0.1 * rng.standard_normal((21, 5)), rng.standard_normal(21)
-    for c_prev, y_prev in ((c, basis.values(c, wt, np.empty_like(wt))),
-                           (None, f_vals.T)):
-        want = op.values @ y_prev
-        want += f_vals.T
-        want += gz[:, None]
-        got = _targets(basis, c_prev, wt, f_vals, op, gz)
-        assert got.tobytes() == want.tobytes()
+    for family, own in (("gaussian", True), ("terminal", False)):
+        fam = LSMC_FAMILIES[family]
+        f_vals = evaluate_F_table(fam, ens)
+        basis = _StackedBasis(wt.T, f_vals, ens.draws, op)
+        for c_prev in (c, None):
+            ft = evaluate_F_nodes(fam, ens, blocks)
+            assert ft.flags.writeable == own
+            y_prev = ft if c_prev is None \
+                else basis.values(c, wt, np.empty_like(wt))
+            want = op.values @ y_prev
+            want += f_vals.T
+            want += gz[:, None]
+            got = _targets(basis, c_prev, wt, ft, op, gz)
+            assert (got is ft) == own, family
+            assert got.tobytes() == want.tobytes(), (family, c_prev is None)
 
 
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
 def test_slopes_fitted_once_per_sweep(monkeypatch, g_value):
     # every sweep fits the slopes once, for the g-term, which at g = 0
-    # returns zeros without reading them.  Only the converged sweep's fit
-    # takes the SEs.
+    # returns zeros without reading them.  The final fit, the only one
+    # that takes the SEs, comes on the first read of z or z_se.
     calls = []
     fit = oracles._slope_fit
 
@@ -1462,6 +1464,7 @@ def test_slopes_fitted_once_per_sweep(monkeypatch, g_value):
 
     monkeypatch.setattr(oracles, "_slope_fit", counted)
     res = small_lsmc(g_value)[3]
+    assert res.z is res.z and res.z_se is res.z_se  # one fit, on read
     assert res.iterations > 2
     assert calls == [False] * (res.iterations - 1) + [True]
 
@@ -1609,7 +1612,7 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     tol = 1e-10
     y, z, se, sup_diffs, targets, cond = reference_lsmc(fam, k, m, op.values,
                                                         g, ens, tol)
-    res = solve_delayed_lsmc(evaluate_F_table(fam, ens), op, ens, tol)
+    res = solve_delayed_lsmc(fam, op, ens, tol)
     assert res.iterations == len(sup_diffs) > 3
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op.values, k, g,
@@ -1633,11 +1636,11 @@ def test_lsmc_reads_the_operator_it_is_given(delay):
     g = TriangularGrid(T, 12)
     gen = DelayedGenerator(LSMC_DELAYS[delay], constant_kernel(0.3), g)
     ens = sample_paths(3000, 1, "P", drift(gen))
-    f_vals = evaluate_F_table(LSMC_FAMILIES["gaussian"], ens)
+    fam = LSMC_FAMILIES["gaussian"]
     zero = DelayOperator(gen, np.zeros((g.n + 1, g.n + 1)))
-    zero = solve_delayed_lsmc(f_vals, zero, ens)
+    zero = solve_delayed_lsmc(fam, zero, ens)
     assert zero.iterations == 2 and zero.sup_diffs[1] == 0.0
-    res = solve_delayed_lsmc(f_vals, build_delayed_operator(gen), ens)
+    res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     assert res.iterations > 2 and res.sup_diffs[1] > 0.0
 
 
@@ -1659,8 +1662,7 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
         ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(ens_p.n_paths))
         means, ses = [], []
         for ens in (ens_p, ens_q):
-            res = solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                                     build_delayed_operator(gen), ens)
+            res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
             means.append(expect_q_columns(ens, res.y)[0])
             ses.append(expect_q_columns(ens, res.y_targets)[1])
         gap = np.abs(means[0] - means[1])
@@ -1669,21 +1671,23 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
 
 def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     # The loop holds no basis stack.  Its (M, N+1) float tables at the
-    # peak, the converged sweep, are three: F, W, over which Y is
-    # written, and the targets.  The targets read the previous sweep's Y
-    # one block of at most 1.5 LSMC_CHUNK paths at a time, (N+1) floats
-    # per path, and theta = targets - Y is formed in blocks of node rows
-    # of at most P x LSMC_CHUNK floats; mode P's draws, which the slopes
-    # read, are allocated before the trace.  The basis is formed one
-    # block of LSMC_CHUNK paths at a time, P x LSMC_CHUNK floats.  Each
-    # of these blocks is one chunk at most, and none is held beside
+    # peak, the converged sweep, are two: W, over which Y is written,
+    # and the run's own F, formed one block of paths at a time, over
+    # which the targets are written.  The targets read the previous
+    # sweep's Y and its product with the operator one block of at most
+    # D // 2 LSMC_CHUNK paths at a time, (N+1) floats per path in each
+    # of two buffers; mode P's draws, which the basis and the sweeps'
+    # slopes read, are allocated before the trace.  The basis is formed
+    # one block of LSMC_CHUNK paths at a time, P x LSMC_CHUNK floats.
+    # Each of these blocks is one chunk at most, and none is held beside
     # another.  The (P, P) Gram and coupling matrices, with the product
     # that forms either, add 3 P^2 floats.  The rest is O(N^2): the
     # operator's kernel, the slope weights, the g-term's lag blocks and
     # the N x P products of the draws with B, which alone are 5 (N+1)^2;
     # 64 (N+1)^2 floats cover them.  numpy's ufunc buffers come on top.
-    # At M = 20000 a fourth table, of the previous sweep's Y or of theta,
-    # would exceed the gate.
+    # At M = 20000 a third table, of F beside the targets, of the
+    # previous sweep's Y or of theta, would exceed the gate; the final
+    # slopes, which theta feeds, are not fitted until z is read.
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3, g_value=0.2),
                            TriangularGrid(T, 20))
     g = gen.grid
@@ -1695,10 +1699,9 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     assert ens.n_paths > oracles.LSMC_CHUNK  # more than one block
     tracemalloc.start()
     try:
-        solve_delayed_lsmc(evaluate_F_table(fam, ens),
-                           build_delayed_operator(gen), ens)
+        solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     small = 3 * p * p * 8 + 64 * (g.n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
-    assert peak <= 3 * table + chunk + small
+    assert peak <= 2 * table + chunk + small

@@ -10,7 +10,9 @@ interpreter that imports bsvielab from that tree's src, through
 ``bsvielab.cli.main``, with tracemalloc started after the import.  It
 prints one row per command: the path count M, the grid size N, the size
 of one (M, N+1) float table, and for each tree the traced peak in MB and
-in such tables, then the command's exit code.
+in such tables, the minor page faults the command took (the change of
+ru_minflt across ``main``; each is a first touch of a fresh page), then
+the command's exit code.
 
 The benchmark's ``peak_rss_mb`` is one process-wide figure over a whole
 cycle; this says which command holds the peak, and how many path tables
@@ -29,14 +31,17 @@ import tempfile
 MB = 1e6
 # run in the fresh interpreter: ROOT CONFIG COMMAND OUT
 CHILD = """
-import contextlib, io, json, os, sys, tracemalloc
+import contextlib, io, json, os, resource, sys, tracemalloc
 root, cfg, command, out = sys.argv[1:5]
 sys.path.insert(0, os.path.join(root, "src"))
 from bsvielab.cli import main
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 tracemalloc.start()
 with contextlib.redirect_stdout(io.StringIO()):
     code = main([command, "--config", cfg, "--out", out])
-print(json.dumps({"exit": code, "peak": tracemalloc.get_traced_memory()[1]}))
+peak = tracemalloc.get_traced_memory()[1]
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps({"exit": code, "peak": peak, "faults": faults}))
 """
 
 
@@ -63,15 +68,16 @@ def monte_carlo_configs(root: str, n: int | None = None,
 
 
 def traced_peak(root: str, cfg: str, command: str, out: str) -> dict:
-    """{"exit": code, "peak": bytes} of one command in a fresh
-    interpreter; exit -1 and peak NaN when the interpreter fails."""
+    """{"exit": code, "peak": bytes, "faults": minor page faults} of one
+    command in a fresh interpreter; exit -1, peak NaN and faults -1 when
+    the interpreter fails."""
     run = subprocess.run([sys.executable, "-c", CHILD, root, cfg, command,
                           out], capture_output=True, text=True)
     try:
         return json.loads(run.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(run.stderr)
-        return {"exit": -1, "peak": float("nan")}
+        return {"exit": -1, "peak": float("nan"), "faults": -1}
 
 
 def main(roots: list[str], n: int | None = None,
@@ -80,7 +86,8 @@ def main(roots: list[str], n: int | None = None,
     for k, root in enumerate(roots, 1):
         print(f"tree {k}: {root}")
     head = f"{'workload':<15}{'command':<16}{'M':>7}{'N':>5}{'table_MB':>10}"
-    head += "".join(f"{f'peak_MB_{k}':>11}{f'tables_{k}':>10}{f'exit_{k}':>8}"
+    head += "".join(f"{f'peak_MB_{k}':>11}{f'tables_{k}':>10}"
+                    f"{f'faults_{k}':>10}{f'exit_{k}':>8}"
                     for k in range(1, len(roots) + 1))
     print(head)
     status = 0
@@ -99,7 +106,8 @@ def main(roots: list[str], n: int | None = None,
                                       os.path.join(tmp, f"{name}-{k}"))
                     status |= got["exit"] != 0
                     row += (f"{got['peak'] / MB:>11.2f}"
-                            f"{got['peak'] / table:>10.2f}{got['exit']:>8}")
+                            f"{got['peak'] / table:>10.2f}"
+                            f"{got['faults']:>10}{got['exit']:>8}")
                 print(row)
     return int(status)
 
