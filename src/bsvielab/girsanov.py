@@ -11,10 +11,12 @@ a Q-Brownian motion W^Q = W - int b.  Ensembles can be generated two ways:
 
 Both modes share the discrete left-point Ito convention, so they describe
 the same discrete-time model and agree beyond Monte Carlo noise.  The raw
-normal draws come from a counter-based Philox stream keyed by the root
-seed: path k always consumes the same counters, so ensembles are
-bit-identical for a given (seed, M, N) no matter how generation is
-scheduled.
+normal draws come from a Philox stream keyed by the root seed, path after
+path, so ensembles are bit-identical for a given (seed, M, N).
+standard_normal rejects some draws, so the counters path k consumes depend
+on the paths before it.  What holds, and is tested, is that sequential
+blocks of draws give the bits of one call, and that the first k paths do
+not depend on M.
 """
 
 from __future__ import annotations

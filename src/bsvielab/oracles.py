@@ -34,11 +34,13 @@ from .terminal import TerminalFamily, evaluate_F_blocks, evaluate_F_nodes
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
 COND_LIMIT = 1e10
-DIVERGENCE_GUARD = 1e12  # sup |Y| beyond which an iteration has diverged
+# sup |Y| (Picard), or the largest root mean square of Y over the paths at
+# a node (LSMC), beyond which an iteration has diverged
+DIVERGENCE_GUARD = 1e12
 MAX_ITERATIONS = 200  # sweeps of either delayed oracle before PicardStalled
 LSMC_CHUNK = 2048  # paths per block of the LSMC basis: P x 2048 floats
-# floats per block of node rows in a Horner pass or in the basis's pass of
-# node statistics over W (512 KiB): the block and its rows of W stay in L2
+# floats per block of node rows in a Horner pass (512 KiB): the block and
+# its rows of W stay in L2
 HORNER_BLOCK = 1 << 16
 
 
@@ -71,8 +73,8 @@ class PicardResult:
 
 
 def _sweeps(tol: float) -> range:
-    """Sweeps of either delayed oracle, which stops at a sup-difference
-    below tol; ValueError unless tol > 0 (a NaN is not)."""
+    """Sweeps of either delayed oracle, which stops at the first sweep
+    whose difference is below tol; ValueError unless tol > 0 (a NaN is not)."""
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     return range(1, MAX_ITERATIONS + 1)
@@ -284,7 +286,9 @@ class LsmcResult:
     surface on the triangle, and z_se, the matching standard errors of
     the slopes, are fitted from those two tables by fit_slopes on the
     first read of either, once: a caller that reads neither, as compare,
-    pays for no final slope fit."""
+    pays for no final slope fit.  sup_diffs holds each sweep's
+    difference, the largest RMS over the paths at a node
+    (_StackedBasis.rms)."""
 
     y: np.ndarray
     y_targets: np.ndarray
@@ -318,22 +322,6 @@ def _shifted_powers(wt: np.ndarray, shift: np.ndarray,
     return out
 
 
-def _node_stats(wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's mean over the paths (K,) and its least and greatest
-    state (K, 2), of node-major states wt (K, M), in blocks of node rows
-    of at most HORNER_BLOCK floats (one row at least), each read from
-    memory once.  Each row is reduced on its own, so a node's values do
-    not depend on the nodes beside it in wt."""
-    step = max(1, HORNER_BLOCK // wt.shape[1])
-    mean, ends = np.empty(len(wt)), np.empty((len(wt), 2))
-    for lo in range(0, len(wt), step):
-        rows = wt[lo:lo + step]
-        mean[lo:lo + step] = rows.mean(axis=1)
-        ends[lo:lo + step, 0] = rows.min(axis=1)
-        ends[lo:lo + step, 1] = rows.max(axis=1)
-    return mean, ends
-
-
 class _StackedBasis:
     """Every node's regression basis on the paths W (M, N+1), read by
     node rows (contiguous in the transpose of PathEnsemble.wt), with F
@@ -346,24 +334,24 @@ class _StackedBasis:
 
     First come what the Z slopes read of the operator op: the half-cell
     weights half = 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
-    scales 1 - L[j, j], K = L / trap the kernel of L.  Then one pass of
-    _node_stats over W gives each node's shift mu_i, the mean of W(t_i),
-    and its least and greatest state, ends (N+1, 2), which sup reads.
-    The draws' path mean draws_mean is taken next.  Then, LSMC_CHUNK
-    paths at a time, one chunk buffer holds a row of ones over the
-    (N+1)(D-1) rows V_i^p = (W(t_i) - mu_i)^p (_shifted_powers), and its
-    products with itself, with F and with the draws (M, N) accumulate,
-    as do draws^T F and the sums of squares ss_j of the centred draws x
-    = draws - draws_mean (the chunk's x goes through the buffer first).
-    F's column sums f_sum come first, each a running sum along one
-    column: the bits of F.sum(axis=0) on a path-major table, which adds
-    the paths in order, on any layout of F.
+    scales 1 - L[j, j], K = L / trap the kernel of L.  Then each node's
+    shift mu_i, the mean of W(t_i), and the draws' path mean draws_mean.
+    Then, LSMC_CHUNK paths at a time, one chunk buffer holds a row of
+    ones over the (N+1)(D-1) rows V_i^p = (W(t_i) - mu_i)^p
+    (_shifted_powers), and its products with itself, with F and with the
+    draws (M, N) accumulate, as do draws^T F and the sums of squares ss_j
+    of the centred draws x = draws - draws_mean and f_ss_i of the centred
+    F(t_i), F less its column mean f_sum / M (the chunk's x goes through
+    the buffer first, its centred F last).  F's column sums f_sum come
+    first, each a running sum along one column: the bits of
+    F.sum(axis=0) on a path-major table, which adds the paths in order,
+    on any layout of F.
     The draws are the increments dW up to a constant per column (b_k dt
     under tag "Q"), which centring takes off: x is the centred
     increments.  An F broadcast along the nodes (stride 0,
     evaluate_F_table's table of an h that ignores t) has one distinct
-    column, and only that one is multiplied (f_sum then holds its one
-    sum).
+    column, and only that one is multiplied (f_sum and f_ss then hold
+    its one sum each).
 
     The ones row's products are the column sums of the V rows, of F and
     of the draws, and a rank-one correction by them centres the V rows
@@ -378,11 +366,13 @@ class _StackedBasis:
     draws_b = draws^T B then take each node's intercept row with its
     exact entries: M against an intercept and 0 against a centred power
     in gram, and the column sums of F in bt_f and of the draws in
-    draws_b.  ones is the node blocks of B^T 1, M e_0; ginv[i] inverts
-    node i's ridged Gram block on its live rows, one stacked inversion
-    per pattern of live rows.  RegressionIllConditioned if some ss_j is
-    0, as for a single path, or a block's condition number, the largest
-    of which is cond, exceeds COND_LIMIT (the first such node names it)."""
+    draws_b.  ones is the node blocks of B^T 1, M e_0; blocks[i] is node
+    i's diagonal block of gram, B_i^T B_i, b_f[i] node i's block of
+    column i of bt_f, B_i^T F(t_i), and ginv[i] inverts blocks[i] ridged
+    on its live rows, one stacked inversion per pattern of live rows.
+    RegressionIllConditioned if some ss_j is 0, as for a single path, or
+    a block's condition number, the largest of which is cond, exceeds
+    COND_LIMIT (the first such node names it)."""
 
     def __init__(self, w: np.ndarray, f: np.ndarray, draws: np.ndarray,
                  op: DelayOperator):
@@ -393,7 +383,7 @@ class _StackedBasis:
         self.half = np.triu(0.5 * op.grid.dt * kk[:n, :n])
         self.scale = 1.0 - np.diag(vals)[:n]
 
-        shift, self.ends = _node_stats(w.T)
+        shift = w.T.mean(axis=1)
         draws_sum = draws.sum(axis=0)
         self.draws, self.draws_mean = draws, draws_sum / m_paths
         # F broadcast along the nodes (h ignoring t) has one distinct column
@@ -408,6 +398,7 @@ class _StackedBasis:
         gram = np.zeros((1 + q_rows, 1 + q_rows))
         bt_f, draws_f = np.zeros((1 + q_rows, f_cols)), np.zeros((n, f_cols))
         draws_b, self.ss = np.zeros((n, 1 + q_rows)), np.zeros(n)
+        f_mean, self.f_ss = self.f_sum / m_paths, np.zeros(f_cols)
         for lo in range(0, m_paths, LSMC_CHUNK):
             part = slice(lo, lo + LSMC_CHUNK)
             m = min(LSMC_CHUNK, m_paths - lo)
@@ -421,7 +412,10 @@ class _StackedBasis:
             bt_f += rows @ fc
             draws_f += draws[part].T @ fc
             draws_b += draws[part].T @ rows.T
-        del buf, powers, rows, x  # the chunk goes before the O(P^2) work
+            dev = buf[1:].reshape(-1)[:fc.size].reshape(fc.shape)
+            np.subtract(fc, f_mean, out=dev)
+            self.f_ss += np.einsum("mj,mj->j", dev, dev)
+        del buf, powers, rows, x, dev  # the chunk goes before the O(P^2) work
         if not np.all(self.ss > 0.0):
             raise RegressionIllConditioned(
                 f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
@@ -474,8 +468,9 @@ class _StackedBasis:
         self.draws_b = np.insert(draws_b, 0, draws_sum[:, None],
                                  axis=2).reshape(n, n1 * d)
         self.ones = np.tile(np.eye(1, d), (n1, 1)) * m_paths  # powers centred
-        self.ginv, self.cond = _ridged_inverses(
-            self.gram.reshape(n1, d, n1, d)[at, :, at], self.live)
+        self.blocks = self.gram.reshape(n1, d, n1, d)[at, :, at]
+        self.b_f = self.bt_f.reshape(n1, d, n1)[at, :, at]
+        self.ginv, self.cond = _ridged_inverses(self.blocks, self.live)
 
     def _powers(self, c: np.ndarray) -> np.ndarray:
         """The coefficients (N+1, D) of W(t_i)^p in B_i c_i, node i's
@@ -493,25 +488,24 @@ class _StackedBasis:
             pass
         return out
 
-    def sup(self, c: np.ndarray, wt: np.ndarray) -> float:
-        """max |B_i c_i| over paths and nodes (NaN if a value is), bit for
-        bit the max over the whole Horner table, by _certified_abs_max on
-        the nodes' extreme states: no (N+1, M) table is formed, and a node's
-        row is evaluated only where the bound cannot rule it out."""
-        return _certified_abs_max(self._powers(c), wt, self.ends)
-
-    def sup_and_gap(self, c: np.ndarray, wt: np.ndarray,
-                    ft: np.ndarray) -> tuple[float, float]:
-        """max |B_i c_i| and max |B_i c_i - F(t_i)| over paths and nodes
-        (NaN if a value is), F node-major, ft (N+1, M), one block of node
-        rows of _horner_blocks at a time, as sup."""
-        tops, gaps, lo = [], [], 0
-        for y in _horner_blocks(self._powers(c), wt):
-            tops.append(max(y.max(), -y.min()))
-            y -= ft[lo:lo + len(y)]
-            gaps.append(np.abs(y, out=y).max())
-            lo += len(y)
-        return float(np.max(tops)), float(np.max(gaps))
+    def rms(self, c: np.ndarray, gap: bool = False) -> float:
+        """The largest, over nodes i, of the root mean square over the
+        paths of B_i c_i, sqrt(c_i^T B_i^T B_i c_i / M), from the
+        accumulated products alone, with no pass over the paths.  With
+        gap, of B_i c_i - F(t_i) = B_i c'_i - F_c(t_i), F_c the centred F
+        and c'_i = c_i less F(t_i)'s mean on the intercept: F_c is 0
+        against the intercept, so f_ss_i - 2 c'_i . b_f[i] on the powers
+        is added under the root, and an F that is constant over the paths
+        cancels to rounding of its mean, not of its square.  A sum that
+        rounding takes below 0 reads 0; a NaN coefficient gives NaN."""
+        if gap:
+            c = c.copy()
+            c[:, 0] -= self.f_sum / len(self.draws)
+        sq = np.einsum("ip,ipq,iq->i", c, self.blocks, c)
+        if gap:
+            sq += self.f_ss - 2.0 * np.einsum("ip,ip->i", c[:, 1:],
+                                              self.b_f[:, 1:])
+        return float(np.sqrt(np.maximum(sq, 0.0) / len(self.draws)).max())
 
 
 def _ridged_inverses(blocks: np.ndarray, live: np.ndarray
@@ -537,68 +531,6 @@ def _ridged_inverses(blocks: np.ndarray, live: np.ndarray
     for (nodes, rows), stack in zip(groups, ridged):
         ginv[np.ix_(nodes, rows, rows)] = np.linalg.inv(stack)
     return ginv, float(np.fmax.reduce(cond, initial=0.0))
-
-
-def _abs_max(a: np.ndarray, wt: np.ndarray) -> float:
-    """max |sum_p a[i, p] W(t_i)^p| over the rows of wt (NaN if a value
-    is), one block of node rows of _horner_blocks at a time."""
-    return float(np.max([np.abs(y, out=y).max()
-                         for y in _horner_blocks(a, wt)]))
-
-
-def _certified_abs_max(a: np.ndarray, wt: np.ndarray,
-                       ends: np.ndarray) -> float:
-    """_abs_max(a, wt) bit for bit, ends (K, 2) the least and greatest
-    state of each row of wt, mostly without passing the rows.  Each
-    row's polynomial is taken at its two ends, which are entries of the
-    Horner table, and bounded above on [min, max] by _abs_bound.  A row
-    is then passed in full, largest bound first, only while its bound is
-    not below the running max: a row it skips has no entry above an
-    entry already seen.  A row whose states are all equal (t_0) is exact
-    at its ends.  On a non-finite coefficient or bound every row is
-    passed, so a NaN gives NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = _abs_bound(a, ends)
-    if not np.all(np.isfinite(bound)):  # from a, or by overflow
-        return _abs_max(a, wt)
-    best = _abs_max(a, ends)
-    flat = ends[:, 0] == ends[:, 1]
-    for i in np.argsort(-bound, kind="stable"):
-        if bound[i] < best:
-            break
-        if not flat[i]:
-            best = max(best, _abs_max(a[i:i + 1], wt[i:i + 1]))
-    return best
-
-
-def _abs_bound(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """An upper bound, per node, on |computed Horner value of sum_p a[i, p]
-    w^p| over w in [ends[i, 0], ends[i, 1]].  The range is cut into 8
-    pieces [x - h, x + h], h padded by 2^-30 h + 2^-48 R (R the largest
-    |w| of the range) so that the pieces cover it in floating point, and
-    the polynomial is Taylor-shifted to each centre x, q(x + t) = sum_p
-    b_p t^p, so that |q| <= sum_p |b_p| h^p on the piece.  The rounding
-    of the shift, of that sum and of Horner itself is at most a few tens
-    of eps times S = sum_p |a_p| R^p; 2^-44 S (256 eps S) is added."""
-    pieces = 8
-    lo, hi = ends[:, :1], ends[:, 1:]
-    width = (hi - lo) / (2 * pieces)
-    reach = np.maximum(np.abs(lo), np.abs(hi))
-    x = lo + width * np.arange(1, 2 * pieces, 2)
-    h = width * (1.0 + 2.0 ** -30) + 2.0 ** -48 * reach
-    b = np.repeat(a[:, None, :], pieces, axis=1)
-    for k in range(a.shape[1] - 1):  # repeated synthetic division by t - x
-        for p in range(a.shape[1] - 2, k - 1, -1):
-            b[..., p] += x * b[..., p + 1]
-    top = np.abs(b[..., -1]) * h
-    for p in range(a.shape[1] - 2, 0, -1):
-        top += np.abs(b[..., p])
-        top *= h
-    top += np.abs(b[..., 0])
-    size = np.abs(a[:, -1])
-    for p in range(a.shape[1] - 2, -1, -1):
-        size = size * reach[:, 0] + np.abs(a[:, p])
-    return top.max(axis=1) + 2.0 ** -44 * size
 
 
 def _horner_blocks(a: np.ndarray, wt: np.ndarray,
@@ -668,14 +600,13 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     (K c is formed on the centred powers, and its intercepts as M op c_0:
     an intercept row of B^T B is M against an intercept, 0 elsewhere);
     the first sweep reads y = F, outside the span, through B^T F in full.
-    The sup-difference is max |B_i (c_i - c_i_old)| over paths and nodes,
-    _StackedBasis.sup, which needs no (N+1, M) table and passes a node's
-    row only where a bound on [min, max] of W(t_i) cannot rule it out;
-    the first sweep's, against F, is _StackedBasis.sup_and_gap, with the
-    bound.  The divergence
-    guard reads the running bound sup|Y_1| + (later sup-differences) and
-    takes sup |B c| only on a sweep where that bound is not below
-    DIVERGENCE_GUARD (a NaN is not), then restarts the bound from it.
+    A sweep's difference, the stop rule's and the trace's, is the largest
+    root mean square over the paths at a node of B_i (c_i - c_i_old),
+    _StackedBasis.rms, from the Gram blocks alone; the first sweep's is
+    that of B_i c_i - F(t_i), rms with gap.  The divergence guard reads
+    rms of c, the largest RMS of Y at a node, every sweep, and trips
+    unless it is at most DIVERGENCE_GUARD (a NaN is not).  The sweeps
+    read no paths.
     Z(t_i, s_j) is the least-squares slope of theta = target - Y on dW_j:
     refitted every sweep from draws^T F and draws^T B c for the g-term,
     which at g = 0 returns zeros without reading it.
@@ -700,9 +631,8 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     basis = _StackedBasis(wt.T, ft.T, ensemble.draws, op)
     n1, d = basis.ones.shape
     at = np.arange(n1)
-    # node i's block of column i of B^T F and, for y = F, of B^T (y op^T)
-    b_f, b_y = (x.reshape(n1, d, n1)[at, :, at]
-                for x in (basis.bt_f, basis.bt_f @ op.values.T))
+    # node i's block of column i of B^T (y op^T), for y = F
+    b_y = (basis.bt_f @ op.values.T).reshape(n1, d, n1)[at, :, at]
     # K on the centred powers; the intercepts' part of K c is M op c_0
     coupling = (basis.gram.reshape(n1, d, n1, d)[:, 1:, :, 1:]
                 * op.values[:, None, :, None]).reshape(n1 * (d - 1), -1)
@@ -712,26 +642,21 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     x_b = (basis.draws_b
            - np.outer(basis.draws_mean, basis.ones)).reshape(n, n1, d)
 
-    c, sup_diffs, bound = None, [], 0.0
+    c, sup_diffs = None, []
     z_mean = np.zeros((n + 1, n + 1))
     for it in sweeps:
         gz = _g_weighted_term(gen, z_mean)
         if ensemble.tag == "Q":
             gz -= np.append(np.triu(z_mean[:n, :n]) @ b_dt, 0.0)
-        rhs = b_f + b_y + gz[:, None] * basis.ones
+        rhs = basis.b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
-        if c is None:  # the first sweep starts from y = F
-            bound, diff = basis.sup_and_gap(c_next, wt, ft)
-        else:
-            diff = basis.sup(c_next - c, wt)
-            bound += diff
+        # the first sweep starts from y = F
+        diff = basis.rms(c_next, True) if c is None else basis.rms(c_next - c)
         sup_diffs.append(diff)
         c, c_prev = c_next, c
-        if not bound <= DIVERGENCE_GUARD:  # NaN fails too
-            bound = basis.sup(c, wt)
-            if not bound <= DIVERGENCE_GUARD:
-                raise PicardDiverged(
-                    f"sup |Y| beyond guard after {it} iterations", sup_diffs)
+        if not basis.rms(c) <= DIVERGENCE_GUARD:  # NaN fails too
+            raise PicardDiverged(
+                f"RMS of Y beyond guard after {it} iterations", sup_diffs)
         if diff < tol:
             target = _targets(basis, c_prev, wt, ft, op, gz)
             y = basis.values(c, wt, wt)

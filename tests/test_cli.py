@@ -982,6 +982,33 @@ mc.paths = 500
         assert meta[oracle + "_iterations"] == len(rows)
 
 
+def test_lsmc_gap_of_an_f_in_the_span_stops_at_sweep_one(tmp_path):
+    # an F constant over the paths lies in every node's span, and the
+    # zero kernel adds nothing to it: sweep 1 fits F up to the ridge,
+    # Y_1 - F = -F RIDGE / (M + RIDGE) on every path, and the run stops
+    # there.  The gap is a difference of sums over the paths; left with
+    # the rounding of sum F^2 it would read about sqrt(eps) |F| (1e-7 at
+    # these F and M), far above the tolerance, or 0 where that rounding
+    # falls below 0.  It reads the ridge's offset, within 1 %.
+    cfg = write_cfg(tmp_path, """\
+horizon = 1.0
+grid.n = 12
+measure.kind = uniform
+kernel.name = zero
+terminal.kind = gaussian_linear
+terminal.f0 = constant
+terminal.f0.value = -1.3
+terminal.phi = constant
+terminal.phi.value = 0.0
+mc.paths = 500
+""")
+    assert run_cli("compare", "--config", cfg, "--out", tmp_path) == 0
+    rows = read_csv(tmp_path / "picard.csv")[1]
+    assert [r[0] for r in rows] == ["1"]
+    want = 1.3 * oracles.RIDGE / (500 + oracles.RIDGE)
+    assert float(rows[0][1]) == pytest.approx(want, rel=1e-2, abs=0.0)
+
+
 SINGLE_PATH = """\
 horizon = 1.0
 grid.n = 8

@@ -95,6 +95,20 @@ def test_reproducibility_bit_identical():
     assert not np.array_equal(a.dw, c.dw)
 
 
+def test_draws_split_into_blocks_and_paths_into_prefixes():
+    # the stream rejects some normals, so a path's counters depend on the
+    # paths before it; sequential blocks still give the bits of one call,
+    # and the first k paths do not depend on M
+    b0 = zero_drift(grid(50))
+    whole = sample_paths(300, seed=11, mode="P", drift_fn=b0).draws
+    assert whole[:100].tobytes() == sample_paths(
+        100, seed=11, mode="P", drift_fn=b0).draws.tobytes()
+    rng = np.random.Generator(np.random.Philox(key=11))
+    blocks = np.concatenate([rng.standard_normal((k, 50))
+                             for k in (1, 99, 200)])
+    assert (blocks * math.sqrt(b0.grid.dt)).tobytes() == whole.tobytes()
+
+
 def test_mean_weight_is_one():
     g = grid(100)
     b = tilt(Uniform(1.0), 1.0, g)

@@ -676,11 +676,10 @@ def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
     assert peak <= bound, (peak, bound)
 
 
-def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
+def test_basis_values_by_node_blocks_bitwise(monkeypatch):
     # blocks of 3 node rows on N + 1 = 13 nodes, the last block short:
     # values is the whole-table Horner pass, into a new table, over the
-    # states it reads and on a block of paths, and sup the max |.| over
-    # its table, bit for bit, a NaN included
+    # states it reads and on a block of paths, bit for bit
     m_paths, n = 500, 12
     monkeypatch.setattr(oracles, "HORNER_BLOCK", 3 * m_paths)
     g = TriangularGrid(T, n)
@@ -700,12 +699,39 @@ def test_basis_values_and_sup_by_node_blocks_bitwise(monkeypatch):
     assert basis.values(c, over, over).tobytes() == want.tobytes()
     cols = basis.values(c, wt[:, 100:300], np.empty((n + 1, 200)))
     assert cols.tobytes() == np.ascontiguousarray(want[:, 100:300]).tobytes()
-    assert basis.sup(c, wt) == np.abs(want).max()
-    for i in range(n + 1):  # node i alone, in whichever block it falls
-        c_i = np.where(np.arange(n + 1)[:, None] == i, c, 0.0)
-        assert basis.sup(c_i, wt) == np.abs(want[i]).max(), i
+
+
+@pytest.mark.parametrize("offset", [0.0, 40.0])
+def test_basis_rms_matches_the_formed_table(offset):
+    # rms reads the Gram blocks and F's sums, the formed table reads
+    # values: the largest RMS over the paths at a node of B c and of
+    # B c - F agree, for every node alone and for all of them, on a
+    # basis whose node 0 is dead (W(t_0) = 0) and for an F far from 0.
+    # The two differ by the rounding of M-term sums and of the centring
+    # of the Gram's products, far below the bound of 1e-12 relative,
+    # fixed before measuring.  A NaN coefficient gives NaN.
+    m_paths, n = 3000, 12
+    g = TriangularGrid(T, n)
+    ens = sample_paths(m_paths, 79, "Q", zero_drift(g))
+    wt = np.ascontiguousarray(ens.w.T)
+    rng = np.random.default_rng(6)
+    f = offset + np.sin(2.0 * ens.w) + 0.3 * rng.standard_normal(ens.w.shape)
+    basis = _StackedBasis(ens.w, f, ens.dw, zero_operator(g))
+    assert not basis.live[0, 1:].any() and basis.live[1:].all()
+    c = rng.standard_normal((n + 1, 5))
+    c[:, 0] += offset
+
+    def table_rms(y):
+        return float(np.sqrt((y ** 2).mean(axis=1)).max())
+
+    for c_i in [c] + [np.where(np.arange(n + 1)[:, None] == i, c, 0.0)
+                      for i in range(n + 1)]:
+        y = basis.values(c_i, wt, np.empty_like(wt))
+        for got, want in ((basis.rms(c_i), table_rms(y)),
+                          (basis.rms(c_i, True), table_rms(y - f.T))):
+            assert abs(got - want) <= 1e-12 * want, (got, want)
     c[7, 2] = np.nan
-    assert np.isnan(basis.sup(c, wt))
+    assert np.isnan(basis.rms(c)) and np.isnan(basis.rms(c, True))
 
 
 def test_basis_of_a_broadcast_f_matches_its_full_table():
@@ -728,151 +754,36 @@ def test_basis_of_a_broadcast_f_matches_its_full_table():
         assert np.all(got == got[:, :1])
 
 
-def horner_table(a, wt):
-    """sum_p a[i, p] W(t_i)^p on every entry of wt, by Horner over the
-    whole table, as the LSMC once formed it."""
-    a = a[:, :, None]
-    y = wt * a[:, -1]
-    for p in range(a.shape[1] - 2, 0, -1):
-        y += a[:, p]
-        y *= wt
-    y += a[:, 0]
-    return y
-
-
-def certified(a, wt):
-    """_certified_abs_max on the rows of wt, their ends read from wt, and
-    the whole table's max |.|, which it must equal bit for bit."""
-    ends = np.stack([wt.min(axis=1), wt.max(axis=1)], axis=1)
-    return oracles._certified_abs_max(a, wt, ends), \
-        float(np.abs(horner_table(a, wt)).max())
-
-
-def test_certificate_finds_an_interior_maximum():
-    # row 0: q = 0.6 r^2 - (w - mid)^2 peaks inside its range, above both
-    # ends (-0.4 r^2 there) and above row 1's constant 0.5 r^2, which the
-    # ends alone would report
-    wt = np.random.default_rng(11).standard_normal((2, 3001))
-    lo, hi = wt[0].min(), wt[0].max()
-    mid, r2 = 0.5 * (lo + hi), (0.5 * (hi - lo)) ** 2
-    a = np.zeros((2, 5))
-    a[0, :3] = 0.6 * r2 - mid ** 2, 2.0 * mid, -1.0
-    a[1, 0] = 0.5 * r2
-    got, want = certified(a, wt)
-    assert got == want
-    ends = horner_table(a, np.stack([wt.min(axis=1), wt.max(axis=1)], 1))
-    assert np.abs(ends).max() < want
-
-
-@pytest.mark.parametrize("step", [-np.inf, np.inf])
-def test_certificate_keeps_a_runner_up_one_ulp_away(step):
-    # row 1 holds a constant one ulp below, then above, row 0's max |q|,
-    # which sits at an end of row 0
-    wt = np.random.default_rng(12).standard_normal((2, 2000))
-    a = np.zeros((2, 5))
-    a[0] = [0.3, -1.1, 0.4, 0.2, -0.05]
-    top = float(np.abs(horner_table(a[:1], wt[:1])).max())
-    a[1, 0] = np.nextafter(top, step)
-    for rows in (np.s_[:], np.s_[::-1]):
-        got, want = certified(a[rows], wt[rows])
-        assert got == want == max(top, a[1, 0])
-
-
-def test_certificate_under_heavy_cancellation():
-    # (w - r)^4 expanded, r off 0, on states within 1e-5 of r: each entry
-    # is rounding noise of the size of the coefficients' terms, far above
-    # the exact values (below 1e-19), and the bound's slack must cover it
-    # (without it, most rows' bounds fall below their own entries)
-    rng = np.random.default_rng(13)
-    r = rng.uniform(-3.0, 3.0, 300)
-    wt = r[:, None] + 1e-5 * rng.standard_normal((300, 1000))
-    a = np.stack([r ** 4, -4.0 * r ** 3, 6.0 * r ** 2, -4.0 * r,
-                  np.ones(300)], axis=1)
-    ends = np.stack([wt.min(axis=1), wt.max(axis=1)], axis=1)
-    table = np.abs(horner_table(a, wt))
-    assert table.max() > 1e-14
-    assert np.all(table.max(axis=1) <= oracles._abs_bound(a, ends))
-    got, want = certified(a, wt)
-    assert got == want
-
-
-def test_certificate_bounds_random_polynomials():
-    # coefficients over 12 decades and states off centre: every row's
-    # bound lies above each of its computed entries, and the max is the
-    # table's bit for bit
-    rng = np.random.default_rng(14)
-    k = 400
-    wt = rng.uniform(-3.0, 3.0, (k, 1)) \
-        + rng.uniform(0.0, 2.0, (k, 1)) * rng.standard_normal((k, 500))
-    a = rng.standard_normal((k, 5)) * 10.0 ** rng.uniform(-6, 6, (k, 5))
-    ends = np.stack([wt.min(axis=1), wt.max(axis=1)], axis=1)
-    bound = oracles._abs_bound(a, ends)
-    assert np.all(np.abs(horner_table(a, wt)).max(axis=1) <= bound)
-    got, want = certified(a, wt)
-    assert got == want
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_certificate_keeps_non_finite_coefficients(bad):
-    wt = np.random.default_rng(15).standard_normal((4, 300))
-    a = np.random.default_rng(16).standard_normal((4, 5))
-    a[2, 3] = bad
-    got, want = certified(a, wt)
-    assert np.isnan(want) == np.isnan(got) and (np.isnan(got) or got == want)
-
-
-def test_certificate_on_the_dead_node_passes_no_row(monkeypatch):
-    # W(t_0) = 0 on every path: node 0's row is its intercept alone, exact
-    # at its ends; with that intercept the largest, no row is passed
-    m_paths, n = 500, 12
-    g = TriangularGrid(T, n)
-    ens = sample_paths(m_paths, 73, "Q", zero_drift(g))
-    basis = _StackedBasis(ens.w, np.zeros((m_paths, n + 1)), ens.dw,
-                          zero_operator(g))
-    wt = np.ascontiguousarray(ens.w.T)
-    c = 0.01 * np.random.default_rng(17).standard_normal((n + 1, 5))
-    c[0, 0] = -40.0
-    passed = []
-    blocks = oracles._horner_blocks
-
-    def counted(a, states, out=None):
-        passed.append(states.shape[1])
-        return blocks(a, states, out)
-
-    monkeypatch.setattr(oracles, "_horner_blocks", counted)
-    assert basis.sup(c, wt) == 40.0 \
-        == np.abs(horner_table(basis._powers(c), wt)).max()
-    assert m_paths not in passed
-
-
-def test_lsmc_sup_passes_few_rows_per_sweep(monkeypatch):
-    # each sweep's sup-difference passes at most 3 full rows of the
-    # N + 1 = 41, where the whole-table pass took all of them
+def test_lsmc_sweeps_run_no_horner_pass(monkeypatch):
+    # the sweeps' differences and the divergence guard read the Gram
+    # alone: between the basis and the converged sweep no Horner pass
+    # runs; the targets and Y of the converged sweep are the only ones
     g = TriangularGrid(T, 40)
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.8, g_value=0.3), g)
     ens = sample_paths(4000, 19, "Q", drift(gen))
-    rows, inside = [], []
-    blocks, sup = oracles._horner_blocks, _StackedBasis.sup
+    calls, phase = [], ["basis"]
+    blocks, init, targets = (oracles._horner_blocks, _StackedBasis.__init__,
+                             oracles._targets)
 
     def counted(a, wt, out=None):
-        if inside and wt.shape[1] == ens.n_paths:
-            rows[-1] += len(wt)
+        calls.append(phase[-1])
         return blocks(a, wt, out)
 
-    def marked(self, c, wt):
-        rows.append(0)
-        inside.append(True)
-        try:
-            return sup(self, c, wt)
-        finally:
-            inside.pop()
+    def built(self, *args):
+        init(self, *args)
+        phase.append("sweeps")
+
+    def converged(*args):
+        phase.append("readout")
+        return targets(*args)
 
     monkeypatch.setattr(oracles, "_horner_blocks", counted)
-    monkeypatch.setattr(_StackedBasis, "sup", marked)
+    monkeypatch.setattr(_StackedBasis, "__init__", built)
+    monkeypatch.setattr(oracles, "_targets", converged)
     res = solve_delayed_lsmc(LSMC_FAMILIES["gaussian"],
                              build_delayed_operator(gen), ens)
-    assert res.iterations >= 4 and len(rows) == res.iterations - 1
-    assert max(rows) <= 3, rows
+    assert res.iterations >= 4 and phase == ["basis", "sweeps", "readout"]
+    assert calls.count("sweeps") == 0 and calls.count("readout") >= 2
 
 
 def test_regression_guard_trips_on_collinear_basis():
@@ -1318,41 +1229,41 @@ def small_lsmc(g_value, n=12, paths=2000):
 
 
 def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
-    # the running bound sup|Y_1| + (later sup-differences) only decides
-    # when Y is formed, and the guard trips on that Y
+    # the guard reads every sweep's RMS of Y from the Gram, which is the
+    # largest RMS over the paths at a node of the Y that sweep would form,
+    # up to rounding (a relative margin of 1e-12, fixed before measuring)
     g = TriangularGrid(T, 12)
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3), g)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(2000, 53, "P", zero_drift(g))
     op = build_delayed_operator(gen)
     res = solve_delayed_lsmc(fam, op, ens)
-    # sweep j's exact sup|Y_j|, from runs stopped there: the first sweep
-    # whose sup-difference is below diffs[j - 1] is j (the diffs decrease)
+    # sweep j's formed Y, from runs stopped there: the first sweep whose
+    # difference is below diffs[j - 1] is j + 1 (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
-    sups = [float(np.abs(solve_delayed_lsmc(fam, op, ens, d).y).max())
-            for d in [np.inf, *diffs[:-1]]]
-    bound = sups[0] + sum(diffs[1:])
-    assert max(sups) < bound
-    # a guard the bound crosses but no Y does: Y is formed and checked,
-    # and the run goes on to the same result
-    monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * (max(sups) + bound))
+    rms = [float(np.sqrt((solve_delayed_lsmc(fam, op, ens, d).y ** 2)
+                         .mean(axis=0)).max())
+           for d in [np.inf, *diffs[:-1]]]
+    # a guard at the largest of them leaves the run as it was
+    monkeypatch.setattr(oracles, "DIVERGENCE_GUARD",
+                        max(rms) * (1.0 + 1e-12))
     again = solve_delayed_lsmc(fam, op, ens)
-    assert again.sup_diffs == diffs and np.array_equal(again.y, res.y)
-    # a guard below sup|Y_1| trips on the first sweep, and so does a NaN
-    monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", 0.5 * sups[0])
+    assert again.sup_diffs == diffs and again.y.tobytes() == res.y.tobytes()
+    # a guard just below the first sweep's trips on the first sweep
+    monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", rms[0] * (1.0 - 1e-12))
     with pytest.raises(PicardDiverged) as low:
         solve_delayed_lsmc(fam, op, ens)
-    assert len(low.value.sup_diffs) == 1
+    assert low.value.sup_diffs == diffs[:1]
     monkeypatch.undo()
-    # F is NaN at t_3 on every path
+    # F is NaN at t_3 on every path, and so is the first sweep's Y
     fam_nan = GaussianLinear(f0=lambda t: np.nan if t == g.nodes[3] else 0.0,
                              phi=make_phi("constant"))
     with pytest.raises(PicardDiverged) as nan:
         solve_delayed_lsmc(fam_nan, op, ens)
     assert len(nan.value.sup_diffs) == 1
-    # a retarded atom with a large bound diverges: the bound grows with
-    # the sup-differences and the guard trips long before the budget ends
+    # a retarded atom with a large bound diverges: the RMS of Y grows
+    # with every sweep and the guard trips long before the budget ends
     gen = DelayedGenerator(DiracAt(T, -0.4), constant_kernel(8.0), g)
     with pytest.raises(PicardDiverged) as grown:
         solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
@@ -1493,7 +1404,8 @@ def reference_lsmc(fam, k, m, op, g, ens, tol=1e-10):
     refits each node's column through the Cholesky factor of its ridged
     Gram matrix; the slopes come from the (i, j) loop reference_slope_z.
     On Q-paths the g-term takes off the drift's compensator
-    sum_{k>=i} Z(t_i, s_k) b_k dt.
+    sum_{k>=i} Z(t_i, s_k) b_k dt.  A sweep's difference is the largest
+    RMS over the paths at a node of the change of the formed Y.
     Returns (y, z, z_se, sup_diffs, targets, max Gram condition)."""
     n = g.n
     trap = tail_weight_matrix(g)
@@ -1520,7 +1432,8 @@ def reference_lsmc(fam, k, m, op, g, ens, tol=1e-10):
         target = f_vals + y @ op.T + gz[None, :]
         y_next = np.stack([fit(i, target[:, i]) for i in range(n + 1)],
                           axis=1)
-        sup_diffs.append(float(np.abs(y_next - y).max()))
+        sup_diffs.append(float(np.sqrt(((y_next - y) ** 2).mean(axis=0))
+                               .max()))
         y = y_next
         if sup_diffs[-1] < tol:
             z, se = reference_slope_z(target - y, ens, g, op, trap)
