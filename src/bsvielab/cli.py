@@ -302,12 +302,11 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     else:
         lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
             cfg.family, op, ens, cfg.picard_tol))
-        # both node-major tables are reduced with no private copy; the
-        # noise of the LSMC mean is the spread of its targets (the fitted
-        # Y(0) is one constant on every path), and its Z slopes, which
-        # compare does not report, are never fitted
-        y_orc = expect_q_columns(ens, lsmc.y)[0]
-        se_max = float(expect_q_columns(ens, lsmc.y_targets)[1].max())
+        # the noise of the LSMC mean is the spread of its targets (the
+        # fitted Y(0) is one constant on every path), and its Z slopes,
+        # which compare does not report, are never fitted
+        y_orc = lsmc.mean
+        se_max = float(lsmc.se.max())
         rd_exp = rd_orc = np.full_like(y, np.nan)
     rr_exp, rr_exp_sup = residual_reduced(y, fbar0, phi)
     rr_orc, rr_orc_sup = residual_reduced(y_orc, fbar0, phi)

@@ -130,11 +130,19 @@ class PathEnsemble:
     @property
     def wt(self) -> np.ndarray:
         """W node-major, (N+1, M): row i is W(t_i) on every path, so a
-        node's states are one contiguous row."""
-        out = self._cumulative_draws()
+        node's states are one contiguous row; states of every path."""
+        out = self.states()
+        out.flags.writeable = False
+        return out
+
+    def states(self, paths: slice = slice(None),
+               out: np.ndarray | None = None) -> np.ndarray:
+        """W node-major on the paths of the block paths, (N+1, m), into
+        out if given: the running sums of the draws, plus int_0^{t_i} b
+        under tag "Q", the rows of wt bit for bit."""
+        out = self._cumulative_draws(paths, out)
         if self.tag == "Q":
             out += self.drift_fn.cumulative()[:, None]
-        out.flags.writeable = False
         return out
 
     @property
@@ -168,15 +176,19 @@ class PathEnsemble:
         out.flags.writeable = False
         return out.T
 
-    def _cumulative_draws(self) -> np.ndarray:
-        """Node-major (N+1, M): 0, then the running sums of the draws
-        along each path, one node row at a time: each row is the one
-        before it plus a column of the draws, the bits of a cumsum."""
-        out = np.empty((self.grid.n + 1, self.n_paths))
+    def _cumulative_draws(self, paths: slice = slice(None),
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """Node-major (N+1, m) on the paths of the block paths, into out
+        if given: 0, then the running sums of the draws along each path,
+        one node row at a time: each row is the one before it plus a
+        column of the draws, the bits of a cumsum."""
+        draws = self.draws[paths]
+        if out is None:
+            out = np.empty((self.grid.n + 1, len(draws)))
         out[0] = 0.0
-        out[1] = self.draws[:, 0]
+        out[1] = draws[:, 0]
         for k in range(1, self.grid.n):
-            np.add(out[k], self.draws[:, k], out=out[k + 1])
+            np.add(out[k], draws[:, k], out=out[k + 1])
         return out
 
 
@@ -226,41 +238,92 @@ def effective_sample_size(weights: np.ndarray) -> float:
 def expect_q_columns(ensemble: PathEnsemble,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise Q-expectations of an (M, K) per-path matrix and their
-    standard errors.
+    standard errors: expect_q_blocks on the one block of every path."""
+    return expect_q_blocks(ensemble, [(slice(None), values)])
+
+
+def expect_q_blocks(ensemble: PathEnsemble, blocks
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise Q-expectations of per-path values given one block of
+    paths at a time, and their standard errors: blocks yields (paths,
+    values), values (m, K) on the paths of the block paths, each block
+    reduced before the next is taken.
 
     Tag "Q" is a plain sample mean with the ddof-1 standard error (SE 0
     for a single path); tag "P" a self-normalized importance-sampling mean
-    with the delta-method standard error.  Each column is reduced as one
-    contiguous row of values^T: of values itself when it is the transpose
-    of a node-major (K, M) table, as the LSMC's Y and targets are, else of
-    a single private copy.  The deviations are formed, weighted and
-    squared one row at a time, in the copy's row or, with no copy, in a
-    buffer of one row; values itself is never written.
+    with the delta-method standard error.  A block's columns are reduced
+    as the contiguous rows of values^T: of values itself when it is the
+    transpose of a node-major (K, m) block, else of a private copy, whose
+    rows take the deviations.  Else the deviations are formed, weighted
+    and squared in one buffer of at most M floats, as many rows at a time
+    as it holds; values itself is never written.  Each block gives its
+    weight sum, means and sums of squared weighted deviations about them,
+    and the blocks merge by the pairwise update of Chan, Golub and LeVeque
+    (The American Statistician 37 (1983)), which under tag "P" also
+    carries each block's sums of w^2 (x - mean) and of w^2: one block is
+    numpy's reductions of its rows bit for bit, with nothing merged.  A
+    merged sum that rounding takes below 0, as for a column constant over
+    the paths, reads 0.
     """
-    x = np.asarray(values, dtype=float).T
-    copy = not x.flags.c_contiguous
-    if copy:
-        x = np.array(x, order="C")
-    m_paths = x.shape[1]
-    w = ensemble.weights if ensemble.tag == "P" else None
+    w_all = ensemble.weights if ensemble.tag == "P" else None
+    buf, moments = None, None
+    for paths, values in blocks:
+        x = np.asarray(values, dtype=float).T
+        copy = not x.flags.c_contiguous
+        if copy:
+            x = np.array(x, order="C")
+        elif buf is None:
+            buf = np.empty(ensemble.n_paths)
+        w = None if w_all is None else w_all[paths]
+        block = _block_moments(x, w, None if copy else buf)
+        moments = block if moments is None else _merge(moments, block)
+    wsum, est, sq = moments[:3]
+    sq = np.maximum(sq, 0.0)
+    if w_all is not None:
+        return est, np.sqrt(sq) / wsum
+    if wsum == 1.0:
+        return est, np.zeros(len(est))
+    # np.std(ddof=1) over the square root of M
+    return est, np.sqrt(sq / (wsum - 1.0)) / math.sqrt(wsum)
+
+
+def _block_moments(x: np.ndarray, w: np.ndarray | None,
+                   buf: np.ndarray | None) -> tuple:
+    """(weight sum, means, sums of squared weighted deviations, sums of
+    w^2 deviations, sum of w^2) of the rows of x (K, m) under the
+    weights w (None for unit weights, whose w^2 deviations sum to 0):
+    the deviations in x's own rows when buf is None, else in buf."""
+    m = x.shape[1]
     if w is None:
         # np.mean and np.std(ddof=1), step by step
-        est = x.sum(axis=1) / m_paths
-        if m_paths == 1:
-            return est, np.zeros(len(x))
+        wsum, w2, s1 = float(m), float(m), 0.0
+        est = x.sum(axis=1) / m
     else:
-        wsum = float(w.sum())
+        wsum, w2, s1 = float(w.sum()), float(w @ w), np.empty(len(x))
         est = (x @ w) / wsum
-    buf, sq = None if copy else np.empty(m_paths), np.empty(len(x))
-    for i, row in enumerate(x):
-        dev = np.subtract(row, est[i], out=row if copy else buf)
+    sq = np.empty(len(x))
+    step = len(x) if buf is None else max(1, len(buf) // m)
+    for lo in range(0, len(x), step):
+        rows, hi = x[lo:lo + step], min(lo + step, len(x))
+        dev = np.subtract(rows, est[lo:hi, None], out=rows if buf is None
+                          else buf[:rows.size].reshape(rows.shape))
         if w is not None:
             dev *= w
+            s1[lo:hi] = dev @ w
         np.square(dev, out=dev)
-        sq[i] = dev.sum()
-    if w is None:
-        return est, np.sqrt(sq / (m_paths - 1)) / math.sqrt(m_paths)
-    return est, np.sqrt(sq) / wsum
+        sq[lo:hi] = dev.sum(axis=1)
+    return wsum, est, sq, s1, w2
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The moments of two blocks' paths together, from each block's: its
+    squared deviations, and its w^2 deviations, moved to the merged mean."""
+    (wa, ea, sqa, s1a, w2a), (wb, eb, sqb, s1b, w2b) = a, b
+    wsum = wa + wb
+    est = ea + (eb - ea) * (wb / wsum)
+    da, db = ea - est, eb - est
+    sq = sqa + sqb + da * (2.0 * s1a + da * w2a) + db * (2.0 * s1b + db * w2b)
+    return wsum, est, sq, s1a + s1b + da * w2a + db * w2b, w2a + w2b
 
 
 def girsanov_report(b: DriftFunction, n_paths: int,

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .girsanov import PathEnsemble
+from .girsanov import PathEnsemble, expect_q_blocks
 from .kernels import DelayOperator, DelayedGenerator, KernelTable, \
     implicit_factors, lag_weights, same_grid, tail_weight_matrix, \
     tail_weighted, zero_extend_kernel
-from .terminal import TerminalFamily, evaluate_F_blocks, evaluate_F_nodes
+from .terminal import TerminalFamily, evaluate_F_blocks
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -38,10 +38,7 @@ COND_LIMIT = 1e10
 # a node (LSMC), beyond which an iteration has diverged
 DIVERGENCE_GUARD = 1e12
 MAX_ITERATIONS = 200  # sweeps of either delayed oracle before PicardStalled
-LSMC_CHUNK = 2048  # paths per block of the LSMC basis: P x 2048 floats
-# floats per block of node rows in a Horner pass (512 KiB): the block and
-# its rows of W stay in L2
-HORNER_BLOCK = 1 << 16
+LSMC_CHUNK = 2048  # paths per block of a pass over the paths (_path_blocks)
 
 
 class PicardFailed(RuntimeError):
@@ -278,25 +275,36 @@ def _path_blocks(m_paths: int, width: int) -> list[slice]:
 
 @dataclass
 class LsmcResult:
-    """An LSMC run.  y (M, N+1) holds the per-path conditional-expectation
-    fits and y_targets (M, N+1) the final regression targets, whose
-    spread is the noise of the fitted means, compare's se_max; both are
-    transposes of node-major (N+1, M) tables, the targets written over
-    the run's own F where F has a table.  z (N+1, N+1), the regression Z
-    surface on the triangle, and z_se, the matching standard errors of
-    the slopes, are fitted from those two tables by fit_slopes on the
-    first read of either, once: a caller that reads neither, as compare,
-    pays for no final slope fit.  sup_diffs holds each sweep's
-    difference, the largest RMS over the paths at a node
-    (_StackedBasis.rms)."""
+    """An LSMC run.  mean (N+1,) holds the Q-means of the fitted Y, the
+    conditional-expectation fits, and se (N+1,) the standard errors of
+    the means of the final regression targets, whose spread is the noise
+    of the fitted means, compare's se_max; no table of either is held.
+    readout(blocks) yields, for each block of paths of blocks, the block
+    (2, N+1, m) of Y and the targets on its paths, node-major (_readout),
+    and paths(part) returns the two on the paths of part.  z (N+1, N+1),
+    the regression Z surface on the triangle, and z_se, the matching
+    standard errors of the slopes, are fitted by fit_slopes, a second
+    readout pass (_slope_z), on the first read of either, once: a caller
+    that reads neither, as compare, pays for no final slope fit.
+    sup_diffs holds each sweep's difference, the largest RMS over the
+    paths at a node (_StackedBasis.rms)."""
 
-    y: np.ndarray
-    y_targets: np.ndarray
+    mean: np.ndarray
+    se: np.ndarray
     sup_diffs: list[float]
     iterations: int
     max_gram_cond: float  # largest condition number of the node Grams
+    readout: Callable[[list[slice]], Iterator] = field(repr=False,
+                                                       compare=False)
     fit_slopes: Callable[[], tuple[np.ndarray, np.ndarray]] = field(
         repr=False, compare=False)
+
+    def paths(self, part: slice = slice(None)
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """(Y, targets) on the paths of part, path-major (m, N+1) each:
+        the transposes of one readout block."""
+        yt = next(self.readout([part]))[1]
+        return yt[0].T, yt[1].T
 
     @cached_property
     def _slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -323,35 +331,35 @@ def _shifted_powers(wt: np.ndarray, shift: np.ndarray,
 
 
 class _StackedBasis:
-    """Every node's regression basis on the paths W (M, N+1), read by
-    node rows (contiguous in the transpose of PathEnsemble.wt), with F
-    (M, N+1) a view of any layout: B_i holds
+    """Every node's regression basis on the paths, from blocks, an
+    iterable of (paths, W, F) with W node-major (N+1, m) and F (m, N+1)
+    on the paths of the block paths, each block of at most LSMC_CHUNK
+    paths (_path_states): B_i holds
     the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
     <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held, nor are
     its centred rows: the products are accumulated on shifted powers in
-    one pass over the paths, then carried to B.
+    one pass over the blocks, then carried to B.
 
     First come what the Z slopes read of the operator op: the half-cell
     weights half = 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
-    scales 1 - L[j, j], K = L / trap the kernel of L.  Then each node's
-    shift mu_i, the mean of W(t_i), and the draws' path mean draws_mean.
-    Then, LSMC_CHUNK paths at a time, one chunk buffer holds a row of
-    ones over the (N+1)(D-1) rows V_i^p = (W(t_i) - mu_i)^p
-    (_shifted_powers), and its products with itself, with F and with the
-    draws (M, N) accumulate, as do draws^T F and the sums of squares ss_j
-    of the centred draws x = draws - draws_mean and f_ss_i of the centred
-    F(t_i), F less its column mean f_sum / M (the chunk's x goes through
-    the buffer first, its centred F last).  F's column sums f_sum come
-    first, each a running sum along one column: the bits of
-    F.sum(axis=0) on a path-major table, which adds the paths in order,
-    on any layout of F.
+    scales 1 - L[j, j], K = L / trap the kernel of L.  Then the draws'
+    path mean draws_mean.  Each node's shift mu_i is the mean of W(t_i)
+    over the first block's paths (its mean over all of them when one
+    block holds every path), as is F's shift over F(t_i).  Then, block by
+    block, one chunk buffer holds a row of ones over the (N+1)(D-1) rows
+    V_i^p = (W(t_i) - mu_i)^p (_shifted_powers), and its products with
+    itself, with F and with the draws (M, N) accumulate, as do draws^T F
+    and the sums of squares ss_j of the centred draws x = draws -
+    draws_mean and those of F less its shift (the block's x goes through
+    the buffer first, its shifted F last).  F's column sums f_sum are the
+    ones row's products with F, and f_ss_i, the sum of squares of the
+    centred F(t_i), takes off the square of F's shifted sum over M.
     The draws are the increments dW up to a constant per column (b_k dt
     under tag "Q"), which centring takes off: x is the centred
-    increments.  An F broadcast along the nodes (stride 0,
-    evaluate_F_table's table of an h that ignores t) has one distinct
-    column, and only that one is multiplied (f_sum and f_ss then hold
-    its one sum each).
+    increments.  An F broadcast along the nodes (stride 0, an h that
+    ignores t) has one distinct column, and only that one is multiplied
+    (f_sum and f_ss then hold its one sum each).
 
     The ones row's products are the column sums of the V rows, of F and
     of the draws, and a rank-one correction by them centres the V rows
@@ -374,54 +382,55 @@ class _StackedBasis:
     a block's condition number, the largest of which is cond, exceeds
     COND_LIMIT (the first such node names it)."""
 
-    def __init__(self, w: np.ndarray, f: np.ndarray, draws: np.ndarray,
-                 op: DelayOperator):
-        m_paths, n1 = w.shape
-        n, d = n1 - 1, REGRESSION_DEGREE + 1
+    def __init__(self, blocks, draws: np.ndarray, op: DelayOperator):
+        m_paths, n = draws.shape
+        n1, d = n + 1, REGRESSION_DEGREE + 1
         trap, vals = tail_weight_matrix(op.grid), op.values
         kk = np.divide(vals, trap, out=np.zeros_like(vals), where=trap > 0.0)
         self.half = np.triu(0.5 * op.grid.dt * kk[:n, :n])
         self.scale = 1.0 - np.diag(vals)[:n]
 
-        shift = w.T.mean(axis=1)
         draws_sum = draws.sum(axis=0)
         self.draws, self.draws_mean = draws, draws_sum / m_paths
-        # F broadcast along the nodes (h ignoring t) has one distinct column
-        f_cols = 1 if f.strides[1] == 0 else n1
-        # numpy's sum starts from 0.0, which takes a sum of -0.0 to +0.0
-        self.f_sum = np.array([np.cumsum(col)[-1] for col in f.T[:f_cols]]
-                              ) + 0.0
         q_rows = n1 * (d - 1)
-        buf = np.empty((1 + q_rows, min(m_paths, LSMC_CHUNK)))
-        buf[0] = 1.0
-        powers = buf[1:].reshape(n1, d - 1, -1)
-        gram = np.zeros((1 + q_rows, 1 + q_rows))
-        bt_f, draws_f = np.zeros((1 + q_rows, f_cols)), np.zeros((n, f_cols))
-        draws_b, self.ss = np.zeros((n, 1 + q_rows)), np.zeros(n)
-        f_mean, self.f_ss = self.f_sum / m_paths, np.zeros(f_cols)
-        for lo in range(0, m_paths, LSMC_CHUNK):
-            part = slice(lo, lo + LSMC_CHUNK)
-            m = min(LSMC_CHUNK, m_paths - lo)
-            x = buf[1:].reshape(-1)[:m * n].reshape(m, n)
+        buf = np.empty((1 + q_rows) * min(m_paths, LSMC_CHUNK))
+        gram, draws_b = np.zeros((1 + q_rows, 1 + q_rows)), \
+            np.zeros((n, 1 + q_rows))
+        self.ss, f_ss, shift = np.zeros(n), 0.0, None
+        for part, wt, f in blocks:
+            m = wt.shape[1]
+            rows = buf[:(1 + q_rows) * m].reshape(1 + q_rows, m)
+            if shift is None:
+                # F broadcast along the nodes (h ignoring t) has one
+                # distinct column
+                f_cols = 1 if f.strides[1] == 0 else n1
+                shift, f_shift = wt.mean(axis=1), f[:, :f_cols].mean(axis=0)
+                bt_f, draws_f = np.zeros((1 + q_rows, f_cols)), \
+                    np.zeros((n, f_cols))
+            x = rows[1:].reshape(-1)[:m * n].reshape(m, n)
             np.subtract(draws[part], self.draws_mean, out=x)
             self.ss += np.einsum("mj,mj->j", x, x)
-            _shifted_powers(w[part].T, shift, powers[:, :, :m])
-            rows = buf[:, :m]
-            fc = np.ascontiguousarray(f[part, :f_cols])  # for BLAS
+            rows[0] = 1.0
+            _shifted_powers(wt, shift, rows[1:].reshape(n1, d - 1, m))
+            # contiguous already, unless F is deterministic: BLAS cannot
+            # read its broadcast rows
+            fc = np.ascontiguousarray(f[:, :f_cols])
             gram += rows @ rows.T
             bt_f += rows @ fc
             draws_f += draws[part].T @ fc
             draws_b += draws[part].T @ rows.T
-            dev = buf[1:].reshape(-1)[:fc.size].reshape(fc.shape)
-            np.subtract(fc, f_mean, out=dev)
-            self.f_ss += np.einsum("mj,mj->j", dev, dev)
-        del buf, powers, rows, x, dev  # the chunk goes before the O(P^2) work
+            dev = rows[1:].reshape(-1)[:fc.size].reshape(fc.shape)
+            np.subtract(fc, f_shift, out=dev)
+            f_ss += np.einsum("mj,mj->j", dev, dev)
+        del buf, rows, x, dev  # the chunk goes before the O(P^2) work
         if not np.all(self.ss > 0.0):
             raise RegressionIllConditioned(
                 f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
                 f"sample variance over {len(draws)} paths; Z slopes "
                 "undefined")
         self.draws_f = np.broadcast_to(draws_f, (n, n1))
+        self.f_sum = bt_f[0].copy()
+        self.f_ss = f_ss - (self.f_sum - m_paths * f_shift) ** 2 / m_paths
 
         # centre the V rows: take off the rank-one part of their sums
         sums = gram[1:, 0]
@@ -481,11 +490,14 @@ class _StackedBasis:
 
     def values(self, c: np.ndarray, wt: np.ndarray,
                out: np.ndarray) -> np.ndarray:
-        """B_i c_i on every path of the node-major states wt (N+1, m),
-        written into out (N+1, m), which may be wt itself, and returned:
-        _horner_blocks writes each block of node rows into its rows."""
-        for _ in _horner_blocks(self._powers(c), wt, out):
-            pass
+        """B_i c_i on every path of the node-major states wt (N+1, m), by
+        Horner, written into out (N+1, m) and returned."""
+        a = self._powers(c)[:, :, None]
+        np.multiply(wt, a[:, -1], out=out)
+        for p in range(a.shape[1] - 2, 0, -1):
+            out += a[:, p]
+            out *= wt
+        out += a[:, 0]
         return out
 
     def rms(self, c: np.ndarray, gap: bool = False) -> float:
@@ -533,31 +545,6 @@ def _ridged_inverses(blocks: np.ndarray, live: np.ndarray
     return ginv, float(np.fmax.reduce(cond, initial=0.0))
 
 
-def _horner_blocks(a: np.ndarray, wt: np.ndarray,
-                   out: np.ndarray | None = None):
-    """Yield, for each block of at most HORNER_BLOCK / M node rows of the
-    node-major states wt (N+1, M), the polynomials sum_p a[i, p] W(t_i)^p
-    of its rows on every path, by Horner.  Each block is written into its
-    own rows of out, or without out into one block buffer that every
-    block reuses.  out may be wt itself: each block of W is then copied
-    into that buffer before its rows are written."""
-    step = max(1, HORNER_BLOCK // wt.shape[1])
-    buf = np.empty((min(step, len(wt)), wt.shape[1])) \
-        if out is None or out is wt else None
-    for lo in range(0, len(wt), step):
-        w, coef = wt[lo:lo + step], a[lo:lo + step, :, None]
-        y = buf[:len(w)] if out is None else out[lo:lo + step]
-        if out is wt:
-            w = buf[:len(w)]
-            np.copyto(w, wt[lo:lo + step])
-        np.multiply(w, coef[:, -1], out=y)
-        for p in range(a.shape[1] - 2, 0, -1):
-            y += coef[:, p]
-            y *= w
-        y += coef[:, 0]
-        yield y
-
-
 def _g_weighted_term(gen: DelayedGenerator, z_surface: np.ndarray
                      ) -> np.ndarray:
     """Deterministic profile of int_t^T int g(s+u) Z(t+u, s+u) alpha(du) ds
@@ -582,14 +569,16 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
                        ) -> LsmcResult:
     """Regression Monte Carlo for the delayed equation with the stochastic
     F of the family fam, and the delay operator op of
-    build_delayed_operator, as solve_delayed_picard.  The run forms F on
-    the ensemble's paths itself, node-major (terminal.evaluate_F_nodes):
-    a table of its own, which it writes over, or a broadcast.
+    build_delayed_operator, as solve_delayed_picard.  The run reads the
+    paths in two passes, the basis and the converged readout, each over
+    the blocks of at most LSMC_CHUNK paths of _path_blocks: each block
+    forms W and F on its paths (_path_states), so no (M, N+1) table is
+    held beside the draws.
 
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
     polynomial basis B_i in W(t_i) of _StackedBasis, whose products the
-    run accumulates once, in one pass over the paths on powers of W(t_i)
-    shifted by its mean, then centres and scales.  gz is
+    run accumulates once, in the one basis pass on powers of W(t_i)
+    shifted by its first block's mean, then centres and scales.  gz is
     _g_weighted_term of op.generator, the same delay quadrature, of the
     last sweep's mean Z; on Q-paths it also takes off the drift's
     compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point, as the Ito
@@ -610,13 +599,10 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     Z(t_i, s_j) is the least-squares slope of theta = target - Y on dW_j:
     refitted every sweep from draws^T F and draws^T B c for the g-term,
     which at g = 0 returns zeros without reading it.
-    Y is formed once, at the converged sweep, which holds two (N+1, M)
-    tables: the targets, which _targets writes over F's table with no
-    table of the previous sweep's Y (a broadcast F gives them a table of
-    their own), then Y, written over the W table this run reads
-    (PathEnsemble.wt builds a fresh one on every read).  The slopes and
-    their SEs (_slope_z) are fitted from the two on the first read of
-    LsmcResult.z or z_se.
+    Y and the targets are formed once, at the converged sweep, block by
+    block (_readout), and reduced to LsmcResult.mean and se by
+    girsanov.expect_q_blocks; the slopes and their SEs (_slope_z) take a
+    second readout pass on the first read of LsmcResult.z or z_se.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
     increment dW_j has no sample variance; GridMismatch unless op and the
     ensemble share one grid.
@@ -624,11 +610,9 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     gen, n = op.generator, same_grid(op, ensemble).n
     sweeps = _sweeps(tol)
     b_dt = ensemble.drift_fn.increments()
-    wt = ensemble.wt  # node-major, for the basis and the sweeps
-    wt.flags.writeable = True  # this run's own table: Y goes over it
-    ft = evaluate_F_nodes(fam, ensemble,
-                          _path_blocks(ensemble.n_paths, LSMC_CHUNK))
-    basis = _StackedBasis(wt.T, ft.T, ensemble.draws, op)
+    blocks = _path_blocks(ensemble.n_paths, LSMC_CHUNK)
+    basis = _StackedBasis(_path_states(fam, ensemble, blocks),
+                          ensemble.draws, op)
     n1, d = basis.ones.shape
     at = np.arange(n1)
     # node i's block of column i of B^T (y op^T), for y = F
@@ -658,10 +642,14 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
             raise PicardDiverged(
                 f"RMS of Y beyond guard after {it} iterations", sup_diffs)
         if diff < tol:
-            target = _targets(basis, c_prev, wt, ft, op, gz)
-            y = basis.values(c, wt, wt)
-            return LsmcResult(y.T, target.T, sup_diffs, it, basis.cond,
-                              lambda: _slope_z(target, y, basis))
+            readout = partial(_readout, fam, ensemble, op, basis, c, c_prev,
+                              gz)
+            mean, se = expect_q_blocks(ensemble, (
+                (part, yt.reshape(2 * n1, -1).T)
+                for part, yt in readout(blocks)))
+            return LsmcResult(mean[:n1], se[n1:], sup_diffs, it, basis.cond,
+                              readout,
+                              lambda: _slope_z(readout(blocks), basis))
         b_y = np.column_stack([op_m @ c[:, 0], (coupling @ c[:, 1:].ravel())
                                .reshape(n1, d - 1)])
         # x^T theta from x^T F and x^T B c
@@ -671,66 +659,70 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     raise _stalled(tol, sup_diffs)
 
 
-def _targets(basis: _StackedBasis, c_prev: np.ndarray | None,
-             wt: np.ndarray, ft: np.ndarray, op: DelayOperator,
-             gz: np.ndarray) -> np.ndarray:
-    """The regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on every
-    path, node-major (N+1, M), Y_prev = B c_prev (F itself when c_prev is
-    None), formed one block of _path_blocks at a time: no Y_prev table is
-    held.  Where F's node-major ft is writeable, the LSMC's own table,
-    the targets are written over its rows: a block's op Y_prev goes into
-    a buffer of one block, then onto the block of F, which is read before
-    it is written (F plus op Y_prev has the bits of op Y_prev plus F).
-    Else, for a broadcast F, op's GEMM writes straight into the block's
-    columns of a new table, and F is added there.  Y_prev goes into a
-    buffer of one block of its own.  A block holds D // 2 LSMC_CHUNK
-    paths at most, D = REGRESSION_DEGREE + 1, so the two buffers' N + 1
-    rows are at most one basis chunk, P x LSMC_CHUNK floats.  Blocks
-    this wide keep Horner's passes over a block's rows, which broadcast
-    one coefficient per row, as fast as wider ones: the targets took
-    6.1 ms on blocks of 2 LSMC_CHUNK, 6.7 ms on 5 LSMC_CHUNK and 15.4 ms
-    on LSMC_CHUNK (M = 20000, N = 60)."""
-    own = ft.flags.writeable
-    target = ft if own else np.empty(ft.shape)
-    blocks = _path_blocks(wt.shape[1],
-                          basis.ones.shape[1] // 2 * LSMC_CHUNK)
-    width = max(b.stop - b.start for b in blocks)
-    buf = np.empty((own + (c_prev is not None), len(wt), width))
-    for part in blocks:
-        cols = part.stop - part.start
+def _path_states(fam: TerminalFamily, ensemble: PathEnsemble,
+                 blocks: list[slice]):
+    """Yield (paths, W, F) for each block paths of blocks: W node-major
+    (N+1, m) on its paths, PathEnsemble.states into one contiguous buffer
+    that every block reuses, and F (m, N+1) of the family fam by
+    terminal.evaluate_F_blocks, so a block is valid until the next one is
+    taken.  On blocks of _path_blocks both are the rows of the whole
+    tables, wt and evaluate_F_table, bit for bit."""
+    rows = ensemble.grid.n + 1
+    width = max(len(range(*part.indices(ensemble.n_paths)))
+                for part in blocks)
+    buf = np.empty(rows * width)
+    for part, f in zip(blocks, evaluate_F_blocks(fam, ensemble, blocks)):
+        yield part, ensemble.states(part, buf[:f.size].reshape(rows, -1)), f
+
+
+def _readout(fam: TerminalFamily, ensemble: PathEnsemble, op: DelayOperator,
+             basis: _StackedBasis, c: np.ndarray, c_prev: np.ndarray | None,
+             gz: np.ndarray, blocks: list[slice]):
+    """Yield (paths, YT) for each block paths of blocks, YT (2, N+1, m)
+    one contiguous buffer that every block reuses: YT[0] = Y = B c and
+    YT[1] the regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on its
+    paths, node-major, Y_prev = B c_prev (F itself when c_prev is None).
+    Y_prev goes into Y's rows first (by Horner, or F's transpose), op's
+    GEMM from there into the targets' rows, then F and gz are added and Y
+    is formed over Y_prev: on blocks of _path_blocks, the bits of the
+    whole tables' op Y_prev + F + gz and B c."""
+    buf = np.empty(2 * len(c) * max(
+        len(range(*part.indices(ensemble.n_paths))) for part in blocks))
+    for part, wt, f in _path_states(fam, ensemble, blocks):
+        yt = buf[:2 * f.size].reshape(2, len(c), -1)
+        y, target = yt
         if c_prev is None:
-            y_prev = ft[:, part]
+            np.copyto(y, f.T)
         else:
-            y_prev = basis.values(c_prev, wt[:, part], buf[-1, :, :cols])
-        out = target[:, part]
-        if own:
-            out += np.matmul(op.values, y_prev, out=buf[0, :, :cols])
-        else:
-            np.matmul(op.values, y_prev, out=out)
-            out += ft[:, part]
-        out += gz[:, None]
-    return target
+            basis.values(c_prev, wt, y)
+        np.matmul(op.values, y, out=target)
+        target += f.T
+        target += gz[:, None]
+        basis.values(c, wt, y)
+        yield part, yt
 
 
-def _slope_z(targets: np.ndarray, y: np.ndarray, basis: _StackedBasis
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """_slope_fit of theta = targets - y, node-major (N+1, M) each, with
-    the SEs.  theta's first N rows are formed in blocks of node rows of
-    at most one basis chunk (P x LSMC_CHUNK floats; two rows at least, as
-    one would make the product a GEMV) in one buffer, each row centred
-    over the paths: the centred rows theta_c give x^T theta_c =
-    draws^T theta_c, one GEMM per block."""
+def _slope_z(blocks, basis: _StackedBasis) -> tuple[np.ndarray, np.ndarray]:
+    """_slope_fit of theta = targets - Y with the SEs, from the readout
+    blocks (paths, YT) of _readout: each block's first N rows of theta,
+    formed over its targets and shifted by the first block's row means,
+    add their sums, sums of squares and products with the block's draws.
+    A rank-one correction by the sums then centres theta over the paths:
+    the centred theta_c give |theta_c|^2 and x^T theta_c =
+    draws^T theta_c."""
     m_paths, n = basis.draws.shape
-    step = max(2, basis.gram.shape[0] * LSMC_CHUNK // m_paths)
-    count = -(-n // step)  # blocks of near-equal height
-    bounds = [n * k // count for k in range(count + 1)]
-    buf = np.empty((min(step, n), m_paths))
-    cross, sq = np.empty((n, n)), np.empty(n)
-    for lo, hi in zip(bounds, bounds[1:]):
-        theta = np.subtract(targets[lo:hi], y[lo:hi], out=buf[:hi - lo])
-        theta -= theta.mean(axis=1, keepdims=True)
-        sq[lo:hi] = np.einsum("im,im->i", theta, theta)
-        np.matmul(theta, basis.draws, out=cross[lo:hi])
+    shift = None
+    for part, (y, target) in blocks:
+        theta = np.subtract(target[:n], y[:n], out=target[:n])
+        if shift is None:
+            shift = theta.mean(axis=1)
+            sums, sq, cross = np.zeros(n), np.zeros(n), np.zeros((n, n))
+        theta -= shift[:, None]
+        sums += theta.sum(axis=1)
+        sq += np.einsum("im,im->i", theta, theta)
+        cross += theta @ basis.draws[part]
+    sq -= sums ** 2 / m_paths
+    cross -= np.outer(sums, basis.draws_mean)
     return _slope_fit(cross, basis, sq)
 
 

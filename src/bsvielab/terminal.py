@@ -225,22 +225,6 @@ def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
             yield np.broadcast_to(dest, (m, grid.n + 1))
 
 
-def evaluate_F_nodes(fam: TerminalFamily, ensemble: PathEnsemble,
-                     blocks: list[slice]) -> np.ndarray:
-    """F node-major, (N+1, M): evaluate_F_table transposed, bit for bit.
-    Where that table is a broadcast (a deterministic family, or a
-    terminal function that ignores t) this is its transposed view, with
-    no table; else a new table, which the caller may write over, filled
-    one block of paths of blocks at a time by evaluate_F_blocks."""
-    if not is_stochastic(fam) or (isinstance(fam, TerminalFunction)
-                                  and not fam.t_dependent):
-        return evaluate_F_table(fam, ensemble).T
-    out = np.empty((ensemble.grid.n + 1, ensemble.n_paths))
-    for part, f in zip(blocks, evaluate_F_blocks(fam, ensemble, blocks)):
-        out[:, part] = f.T
-    return out
-
-
 def f0_profile(fam: Deterministic | GaussianLinear,
                grid: TriangularGrid) -> np.ndarray:
     """The deterministic part f0 at every grid node, one scalar call per

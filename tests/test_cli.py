@@ -308,11 +308,13 @@ def test_monte_carlo_compare_se_is_the_lsmc_mean_noise(tmp_path):
     lsmc = oracles.solve_delayed_lsmc(
         run.family, oracles.build_delayed_operator(run.generator), ens,
         run.picard_tol)
-    se = expect_q_columns(ens, lsmc.y_targets)[1]
+    y, targets = lsmc.paths()
+    se = expect_q_columns(ens, targets)[1]
     assert se[0] > 0.0
-    assert expect_q_columns(ens, lsmc.y)[1][0] < 1e-12 * se[0]
+    assert np.allclose(lsmc.se, se, rtol=1e-11, atol=0.0)
+    assert expect_q_columns(ens, y)[1][0] < 1e-12 * se[0]
     meta = json.loads((tmp_path / "o" / "compare.meta.json").read_text())
-    assert meta["se_max"] == float(se.max())
+    assert meta["se_max"] == float(lsmc.se.max())
 
 
 def test_mode_q_compare_on_dirac_reduction_is_ok(tmp_path, capsys):
@@ -479,21 +481,17 @@ def traced_peak_tables(tmp_path, command, mode):
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
-    # compare holds the ensemble's draws throughout, and the LSMC
-    # oracle's two tables while it runs: W, over which Y is written at
-    # the converged sweep, and the oracle's own F, over which the targets
-    # are written.  The oracle's basis block, its two buffers of paths for
-    # the targets and its block of theta rows are one chunk each and
-    # never held together, and the slopes read the draws, so no
-    # increments table is formed; compare reads no slopes, so none are
-    # fitted.  Then the LSMC Y and targets, node-major, each reduced in
-    # expect_q_columns with no private copy: three (M, N+1) tables at
-    # most.  The explicit mean reads no paths.  One more table covers
-    # the chunk, the O(N^2) tables and the Python objects: four, which a
-    # whole table of F beside its targets, of the previous sweep's Y, of
-    # theta, of the increments or a private copy of Y or the targets
-    # would exceed.
-    assert traced_peak_tables(tmp_path, "compare", mode) < 4
+    # compare holds the ensemble's draws throughout, one (M, N) table.
+    # The LSMC oracle forms W, F, Y and its targets one block of paths at
+    # a time, in its basis pass and in its readout, and reduces each
+    # block of Y and the targets as it goes, so it holds no (M, N+1)
+    # table; the slopes read the draws, so no increments table is
+    # formed, and compare reads no slopes, so none are fitted.  The
+    # explicit mean reads no paths.  The draws and the blocks, the
+    # O(N^2) tables and the Python objects stay below two and a half
+    # tables, which a whole table of W, F, Y, the targets, theta or the
+    # increments beside the draws would exceed.
+    assert traced_peak_tables(tmp_path, "compare", mode) < 2.5
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])

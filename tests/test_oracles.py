@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
-    expect_q_columns, sample_paths
+    sample_paths
 from bsvielab.kernels import DelayOperator, DelayedGenerator, GridMismatch, \
     HorizonMismatch, SingularStep, TriangularGrid, build_phi, \
     constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
@@ -16,14 +16,13 @@ from bsvielab.kernels import DelayOperator, DelayedGenerator, GridMismatch, \
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, _StackedBasis, _path_blocks, _targets, \
+    RegressionIllConditioned, _StackedBasis, _path_blocks, _readout, \
     _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import solve_Y, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, \
-    evaluate_F_nodes, evaluate_F_table, f0_profile, make_f0, make_h, \
-    make_phi
+    evaluate_F_table, f0_profile, make_f0, make_h, make_phi
 
 T = 1.0
 
@@ -250,10 +249,11 @@ def test_lsmc_martingale_representation():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 31, "P", zero_drift(g))
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
+    y = res.paths()[0]
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
-        ss_res = float(((res.y[:, i] - w) ** 2).sum())
+        ss_res = float(((y[:, i] - w) ** 2).sum())
         ss_tot = float(((w - w.mean()) ** 2).sum())
         assert 1.0 - ss_res / ss_tot > 0.999
     tri = np.triu_indices(20)
@@ -271,10 +271,11 @@ def test_lsmc_cross_oracle_against_explicit():
     ens = sample_paths(20_000, 37, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
+    targets = res.paths()[1]
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
-        d = res.y_targets[:, i] - y[:, i]
+        d = targets[:, i] - y[:, i]
         se = d.std(ddof=1) / math.sqrt(len(d))
         assert abs(d.mean()) <= 3 * se + 1e-3, i
     z_closed = solve_Z(fam, psi, zero_drift(g))
@@ -421,7 +422,8 @@ def test_lsmc_grid_mismatch():
         solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     ens = sample_paths(500, 3, "P", zero_drift(gen.grid))
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
-    assert res.y.shape == (500, 21)
+    assert res.mean.shape == res.se.shape == (21,)
+    assert [a.shape for a in res.paths()] == [(500, 21)] * 2
 
 
 @pytest.mark.parametrize("op_grid, grid", [
@@ -453,6 +455,15 @@ def zero_operator(g):
     """A DelayOperator on grid g whose values are all 0."""
     gen = DelayedGenerator(DiracAt(g.horizon, 0.0), constant_kernel(0.0), g)
     return DelayOperator(gen, np.zeros((g.n + 1, g.n + 1)))
+
+
+def stacked_basis(w, f, draws, op):
+    """_StackedBasis of the paths W and F (M, N+1), any layout, in the
+    blocks of _path_blocks that the LSMC's pass forms: node-major W and
+    path-major F on each block's paths, cut from the two tables."""
+    blocks = _path_blocks(len(draws), oracles.LSMC_CHUNK)
+    return _StackedBasis([(part, w.T[:, part], f[part]) for part in blocks],
+                         draws, op)
 
 
 def reference_stacked_rows(w):
@@ -538,21 +549,25 @@ def shifted_power_rows(monkeypatch):
 @pytest.mark.parametrize("m_paths, n", [(20_000, 20), (4_001, 12), (700, 3)])
 def test_basis_blocks_match_the_stacked_basis_bitwise(monkeypatch, m_paths,
                                                       n):
-    # each block of LSMC_CHUNK paths forms the rows (W(t_i) - mu_i)^p,
-    # mu_i the node's mean over all paths, bit for bit as on the whole
-    # table; the products, the node means and spreads, the live rows and
-    # ss are those of the full stack of centred rows up to rounding; the
+    # each block of _path_blocks forms the rows (W(t_i) - mu_i)^p, mu_i
+    # the node's mean over the first block's paths (over all of them at
+    # M = 700, one block), bit for bit as on the whole table; the
+    # products, the node means and spreads, the live rows and ss are
+    # those of the full stack of centred rows up to rounding; the
     # intercept rows' entries are exact: M against themselves, 0 against a
-    # centred power, and the column sums of F and of the draws
+    # centred power, the column sums of the draws, and f_sum, the ones
+    # row's products with F, F's column sums up to rounding
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 71, "Q", zero_drift(g))
     wt = ens.wt
     f = np.random.default_rng(7).standard_normal((m_paths, n + 1))
     blocks = shifted_power_rows(monkeypatch)
-    basis = _StackedBasis(wt.T, f, ens.draws, zero_operator(g))
+    basis = stacked_basis(wt.T, f, ens.draws, zero_operator(g))
     n1, d = n + 1, oracles.REGRESSION_DEGREE + 1
+    parts = _path_blocks(m_paths, oracles.LSMC_CHUNK)
+    assert len(blocks) == len(parts) and (len(parts) == 1) == (m_paths == 700)
     want = np.empty((n1, d - 1, m_paths))
-    want[:, 0] = wt - wt.mean(axis=1, keepdims=True)
+    want[:, 0] = wt - wt[:, parts[0]].mean(axis=1, keepdims=True)
     for p in range(1, d - 1):
         want[:, p] = want[:, p - 1] * want[:, 0]
     assert np.concatenate(blocks, axis=2).tobytes() == want.tobytes()
@@ -561,7 +576,10 @@ def test_basis_blocks_match_the_stacked_basis_bitwise(monkeypatch, m_paths,
     assert np.all(gram[:, 0, :, 0] == m_paths)
     assert not gram[:, 0, :, 1:].any() and not gram[:, 1:, :, 0].any()
     assert basis.bt_f.reshape(n1, d, n1)[:, 0].tobytes() \
-        == np.tile(f.sum(axis=0), (n1, 1)).tobytes()
+        == np.tile(basis.f_sum, (n1, 1)).tobytes()
+    f_norm = np.sqrt(np.square(f).sum(axis=0))
+    assert np.all(np.abs(basis.f_sum - f.sum(axis=0))
+                  <= PRODUCT_BOUND * math.sqrt(m_paths) * f_norm)
     assert basis.draws_b.reshape(n, n1, d)[:, :, 0].tobytes() \
         == np.tile(ens.draws.sum(axis=0)[:, None], (1, n1)).tobytes()
 
@@ -581,7 +599,7 @@ def test_basis_of_states_far_from_zero(monkeypatch):
     wt = ens.wt + 40.0
     f = 100.0 + np.random.default_rng(7).standard_normal((m_paths, n + 1))
     monkeypatch.setattr(oracles, "COND_LIMIT", np.inf)
-    basis = _StackedBasis(wt.T, f, ens.draws, zero_operator(g))
+    basis = stacked_basis(wt.T, f, ens.draws, zero_operator(g))
     assert basis.live[1:].all() and not basis.live[0, 1:].any()
     check_basis_products(basis, wt.T, f, ens.draws)
 
@@ -618,7 +636,7 @@ def test_gram_blocks_inverted_per_live_pattern_bitwise(monkeypatch):
     wt = ens.wt.copy()
     wt[5] = np.where(np.arange(m_paths) % 2, 0.5, -0.5)
     monkeypatch.setattr(oracles, "COND_LIMIT", np.inf)
-    basis = _StackedBasis(wt.T, np.zeros((m_paths, n + 1)), ens.draws,
+    basis = stacked_basis(wt.T, np.zeros((m_paths, n + 1)), ens.draws,
                           zero_operator(g))
     assert basis.live[0].tolist() == [True, False, False, False, False]
     assert basis.live[5].tolist() == [True, True, False, True, False]
@@ -642,10 +660,11 @@ def test_gram_blocks_inverted_per_live_pattern_bitwise(monkeypatch):
 
 
 def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
-    # one block of shifted powers per LSMC_CHUNK paths, and nothing of
-    # the size of the draws or of W: the traced peak stays below one
-    # chunk of power rows, P' x LSMC_CHUNK floats with P' = (N+1)(D-1),
-    # plus 8 P^2 floats for the products (P = (N+1) D) and numpy's ufunc
+    # the blocks are taken once, in order, each formed into one block of
+    # shifted powers before the next is taken, and nothing of the size of
+    # the draws or of W is formed: the traced peak stays below one chunk
+    # of power rows, P' x LSMC_CHUNK floats with P' = (N+1)(D-1), plus
+    # 8 P^2 floats for the products (P = (N+1) D) and numpy's ufunc
     # buffers.  At M = 40000, N = 12 a centred copy of the draws alone is
     # 3.8 MB, three times the bound.
     m_paths, n = 40_000, 12
@@ -658,33 +677,39 @@ def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
     p = (n + 1) * d
     chunk = (n + 1) * (d - 1) * oracles.LSMC_CHUNK * 8
     bound = chunk + 8 * p * p * 8 + 2 * 8 * np.getbufsize()
-    calls = []
+    parts = _path_blocks(m_paths, oracles.LSMC_CHUNK)
+    events = []
     form = oracles._shifted_powers
 
     def counted(*args):
-        calls.append(1)
+        events.append("powers")
         return form(*args)
+
+    def blocks():
+        for part in parts:
+            events.append(part)
+            yield part, wt[:, part], f[part]
 
     monkeypatch.setattr(oracles, "_shifted_powers", counted)
     tracemalloc.start()
     try:
-        _StackedBasis(wt.T, f, ens.draws, op)
+        _StackedBasis(blocks(), ens.draws, op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) == -(-m_paths // oracles.LSMC_CHUNK)
+    assert len(parts) > 1
+    assert events == [e for part in parts for e in (part, "powers")]
     assert peak <= bound, (peak, bound)
 
 
-def test_basis_values_by_node_blocks_bitwise(monkeypatch):
-    # blocks of 3 node rows on N + 1 = 13 nodes, the last block short:
-    # values is the whole-table Horner pass, into a new table, over the
-    # states it reads and on a block of paths, bit for bit
+def test_basis_values_by_node_blocks_bitwise():
+    # values is the whole-table Horner pass, bit for bit: on the whole
+    # table, and on a block of paths, as a view of the table's columns
+    # or as a contiguous copy of them
     m_paths, n = 500, 12
-    monkeypatch.setattr(oracles, "HORNER_BLOCK", 3 * m_paths)
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 73, "Q", zero_drift(g))
-    basis = _StackedBasis(ens.w, np.zeros((m_paths, n + 1)), ens.dw,
+    basis = stacked_basis(ens.w, np.zeros((m_paths, n + 1)), ens.dw,
                           zero_operator(g))
     wt = np.ascontiguousarray(ens.w.T)
     c = np.random.default_rng(5).standard_normal((n + 1, 5))
@@ -695,10 +720,10 @@ def test_basis_values_by_node_blocks_bitwise(monkeypatch):
         want *= wt
     want += a[:, 0]
     assert basis.values(c, wt, np.empty_like(wt)).tobytes() == want.tobytes()
-    over = wt.copy()
-    assert basis.values(c, over, over).tobytes() == want.tobytes()
-    cols = basis.values(c, wt[:, 100:300], np.empty((n + 1, 200)))
-    assert cols.tobytes() == np.ascontiguousarray(want[:, 100:300]).tobytes()
+    block = np.ascontiguousarray(want[:, 100:300]).tobytes()
+    for states in (wt[:, 100:300], np.ascontiguousarray(wt[:, 100:300])):
+        cols = basis.values(c, states, np.empty((n + 1, 200)))
+        assert cols.tobytes() == block
 
 
 @pytest.mark.parametrize("offset", [0.0, 40.0])
@@ -716,7 +741,7 @@ def test_basis_rms_matches_the_formed_table(offset):
     wt = np.ascontiguousarray(ens.w.T)
     rng = np.random.default_rng(6)
     f = offset + np.sin(2.0 * ens.w) + 0.3 * rng.standard_normal(ens.w.shape)
-    basis = _StackedBasis(ens.w, f, ens.dw, zero_operator(g))
+    basis = stacked_basis(ens.w, f, ens.dw, zero_operator(g))
     assert not basis.live[0, 1:].any() and basis.live[1:].all()
     c = rng.standard_normal((n + 1, 5))
     c[:, 0] += offset
@@ -745,8 +770,8 @@ def test_basis_of_a_broadcast_f_matches_its_full_table():
     op = build_delayed_operator(gen)
     f = evaluate_F_table(make_h("square"), ens)
     assert f.strides[1] == 0
-    one = _StackedBasis(ens.w, f, ens.draws, op)
-    full = _StackedBasis(ens.w, np.ascontiguousarray(f), ens.draws, op)
+    one = stacked_basis(ens.w, f, ens.draws, op)
+    full = stacked_basis(ens.w, np.ascontiguousarray(f), ens.draws, op)
     assert one.gram.tobytes() == full.gram.tobytes()
     for got, want in ((one.bt_f, full.bt_f), (one.draws_f, full.draws_f)):
         assert np.allclose(got, want, rtol=0.0,
@@ -757,17 +782,18 @@ def test_basis_of_a_broadcast_f_matches_its_full_table():
 def test_lsmc_sweeps_run_no_horner_pass(monkeypatch):
     # the sweeps' differences and the divergence guard read the Gram
     # alone: between the basis and the converged sweep no Horner pass
-    # runs; the targets and Y of the converged sweep are the only ones
+    # runs; the readout's, two per block of paths (the previous sweep's Y
+    # and Y), are the only ones
     g = TriangularGrid(T, 40)
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.8, g_value=0.3), g)
     ens = sample_paths(4000, 19, "Q", drift(gen))
     calls, phase = [], ["basis"]
-    blocks, init, targets = (oracles._horner_blocks, _StackedBasis.__init__,
-                             oracles._targets)
+    values, init, readout = (_StackedBasis.values, _StackedBasis.__init__,
+                             oracles._readout)
 
-    def counted(a, wt, out=None):
+    def counted(self, *args):
         calls.append(phase[-1])
-        return blocks(a, wt, out)
+        return values(self, *args)
 
     def built(self, *args):
         init(self, *args)
@@ -775,15 +801,16 @@ def test_lsmc_sweeps_run_no_horner_pass(monkeypatch):
 
     def converged(*args):
         phase.append("readout")
-        return targets(*args)
+        return readout(*args)
 
-    monkeypatch.setattr(oracles, "_horner_blocks", counted)
+    monkeypatch.setattr(_StackedBasis, "values", counted)
     monkeypatch.setattr(_StackedBasis, "__init__", built)
-    monkeypatch.setattr(oracles, "_targets", converged)
+    monkeypatch.setattr(oracles, "_readout", converged)
     res = solve_delayed_lsmc(LSMC_FAMILIES["gaussian"],
                              build_delayed_operator(gen), ens)
+    blocks = _path_blocks(ens.n_paths, oracles.LSMC_CHUNK)
     assert res.iterations >= 4 and phase == ["basis", "sweeps", "readout"]
-    assert calls.count("sweeps") == 0 and calls.count("readout") >= 2
+    assert len(blocks) == 2 and calls == ["readout"] * 2 * len(blocks)
 
 
 def test_regression_guard_trips_on_collinear_basis():
@@ -795,7 +822,7 @@ def test_regression_guard_trips_on_collinear_basis():
     w[:, 2] = np.random.default_rng(3).standard_normal(500)
     dw = np.random.default_rng(4).standard_normal((500, 2))
     with pytest.raises(RegressionIllConditioned, match="condition number"):
-        _StackedBasis(w, np.zeros((500, 3)), dw,
+        stacked_basis(w, np.zeros((500, 3)), dw,
                       zero_operator(TriangularGrid(T, 2)))
 
 
@@ -1242,14 +1269,15 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     # difference is below diffs[j - 1] is j + 1 (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
-    rms = [float(np.sqrt((solve_delayed_lsmc(fam, op, ens, d).y ** 2)
-                         .mean(axis=0)).max())
+    rms = [float(np.sqrt((solve_delayed_lsmc(fam, op, ens, d).paths()[0]
+                          ** 2).mean(axis=0)).max())
            for d in [np.inf, *diffs[:-1]]]
     # a guard at the largest of them leaves the run as it was
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD",
                         max(rms) * (1.0 + 1e-12))
     again = solve_delayed_lsmc(fam, op, ens)
-    assert again.sup_diffs == diffs and again.y.tobytes() == res.y.tobytes()
+    assert again.sup_diffs == diffs
+    assert again.paths()[0].tobytes() == res.paths()[0].tobytes()
     # a guard just below the first sweep's trips on the first sweep
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", rms[0] * (1.0 - 1e-12))
     with pytest.raises(PicardDiverged) as low:
@@ -1273,8 +1301,9 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
 def test_slope_z_matches_loop_reference(g_value):
     g, op, ens, res = small_lsmc(g_value)
-    z_ref, se_ref = reference_slope_z(res.y_targets - res.y, ens, g,
-                                      op.values, tail_weight_matrix(g))
+    y, targets = res.paths()
+    z_ref, se_ref = reference_slope_z(targets - y, ens, g, op.values,
+                                      tail_weight_matrix(g))
     assert np.abs(res.z - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
     tri = np.triu_indices(g.n + 1)
     assert np.all(se_ref[tri] > 0.0)
@@ -1289,11 +1318,11 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
     ens = sample_paths(2000, 59, "Q", zero_drift(g))
     op = build_delayed_operator(DelayedGenerator(DiracAt(T, 0.0),
                                                  constant_kernel(0.3), g))
-    basis = _StackedBasis(ens.w, np.zeros((2000, 13)), ens.dw, op)
+    basis = stacked_basis(ens.w, np.zeros((2000, 13)), ens.dw, op)
     theta = np.zeros((2000, 13))
     theta[:, :12] = ens.dw * np.linspace(0.5, 3.0, 12)
-    z, se = _slope_z(np.ascontiguousarray(theta.T), np.zeros((13, 2000)),
-                     basis)
+    yt = np.stack([np.zeros((13, 2000)), theta.T])
+    z, se = _slope_z([(slice(None), yt)], basis)
     assert np.all(np.isfinite(se)) and np.all(se >= 0.0)
     assert np.all(np.isfinite(z))
     assert np.allclose(np.diag(z)[:12] * (1.0 - np.diag(op.values)[:12]),
@@ -1301,64 +1330,67 @@ def test_slope_se_of_a_noiseless_regression_is_finite():
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
-def test_slope_z_by_row_blocks_matches_the_whole_theta(monkeypatch, mode):
-    # theta = targets - Y in blocks of two node rows (P x LSMC_CHUNK / M
-    # is below two at LSMC_CHUNK = 64), each row centred over the paths
-    # and multiplied by the draws, which under Q leave out the drift's
-    # constant per column of dW: the slopes and SEs of the whole centred
-    # theta against dW, up to rounding
+def test_slope_z_by_row_blocks_matches_the_whole_theta(mode):
+    # theta = targets - Y on several blocks of paths, taken in order, and
+    # on one block of every path: each block's theta, shifted by the
+    # first block's row means, multiplied by the draws, which under Q
+    # leave out the drift's constant per column of dW, and centred by the
+    # rank-one correction of its sums give the slopes and SEs of the
+    # whole centred theta against dW, up to rounding
     g = TriangularGrid(T, 12)
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.4), g)
     ens = sample_paths(3000, 61, mode, drift(gen))
     op = build_delayed_operator(gen)
-    basis = _StackedBasis(ens.w, np.zeros((3000, 13)), ens.draws, op)
+    basis = stacked_basis(ens.w, np.zeros((3000, 13)), ens.draws, op)
     rng = np.random.default_rng(8)
     y = rng.standard_normal((13, 3000))
     targets = y + 0.1 * rng.standard_normal((13, 3000)) \
         + np.linspace(0.5, 2.0, 13)[:, None] * ens.draws.T[np.r_[0:12, 11]]
-    monkeypatch.setattr(oracles, "LSMC_CHUNK", 64)
-    z, se = _slope_z(targets, y, basis)
-    monkeypatch.undo()
     theta = (targets - y).T[:, :12]
     theta_c = theta - theta.mean(axis=0)
     z_ref, se_ref = oracles._slope_fit(
         theta_c.T @ ens.dw, basis, np.einsum("mi,mi->i", theta_c, theta_c))
-    assert np.allclose(z, z_ref, rtol=0.0, atol=1e-12 * np.abs(z_ref).max())
-    assert np.allclose(se, se_ref, rtol=1e-9, atol=0.0)
+    for parts in (_path_blocks(3000, 512), [slice(None)]):
+        yt = [(part, np.stack([y[:, part], targets[:, part]]))
+              for part in parts]
+        z, se = _slope_z(yt, basis)
+        assert np.allclose(z, z_ref, rtol=0.0,
+                           atol=1e-12 * np.abs(z_ref).max())
+        assert np.allclose(se, se_ref, rtol=1e-9, atol=0.0)
+    assert len(_path_blocks(3000, 512)) == 6
 
 
 def test_targets_by_path_blocks_bitwise():
-    # three blocks of paths at M = 12000 (at most D // 2 LSMC_CHUNK = 4096
-    # each): the previous sweep's Y by Horner on each block, op's GEMM
-    # and the two sums, as on the whole table, written over the rows of
-    # F's own node-major table; F itself on the first sweep.  A broadcast
-    # F (an h that ignores t) has no table to write over: the targets
-    # get a table of their own
+    # six blocks of paths at M = 12000: on each, the previous sweep's Y
+    # by Horner (F itself on the first sweep), op's GEMM and the two
+    # sums, then Y, as on the whole tables, bit for bit, for an F with a
+    # table (gaussian) and for a broadcast F (an h that ignores t)
     g = TriangularGrid(T, 20)
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2), g)
     ens = sample_paths(12_000, 83, "Q", drift(gen))
     op = build_delayed_operator(gen)
-    wt = np.ascontiguousarray(ens.wt)
-    d = oracles.REGRESSION_DEGREE + 1
-    assert len(_path_blocks(12_000, d // 2 * oracles.LSMC_CHUNK)) == 3
+    wt = ens.wt
     blocks = _path_blocks(12_000, oracles.LSMC_CHUNK)
+    assert len(blocks) == 6
     rng = np.random.default_rng(9)
     c, gz = 0.1 * rng.standard_normal((21, 5)), rng.standard_normal(21)
-    for family, own in (("gaussian", True), ("terminal", False)):
+    for family, broadcast in (("gaussian", False), ("terminal", True)):
         fam = LSMC_FAMILIES[family]
         f_vals = evaluate_F_table(fam, ens)
-        basis = _StackedBasis(wt.T, f_vals, ens.draws, op)
+        assert (f_vals.strides[1] == 0) == broadcast
+        basis = stacked_basis(wt.T, f_vals, ens.draws, op)
+        y = basis.values(c, wt, np.empty_like(wt))
         for c_prev in (c, None):
-            ft = evaluate_F_nodes(fam, ens, blocks)
-            assert ft.flags.writeable == own
-            y_prev = ft if c_prev is None \
-                else basis.values(c, wt, np.empty_like(wt))
+            y_prev = np.ascontiguousarray(f_vals.T) if c_prev is None else y
             want = op.values @ y_prev
             want += f_vals.T
             want += gz[:, None]
-            got = _targets(basis, c_prev, wt, ft, op, gz)
-            assert (got is ft) == own, family
-            assert got.tobytes() == want.tobytes(), (family, c_prev is None)
+            got = np.concatenate(
+                [yt.copy() for _, yt in _readout(fam, ens, op, basis, c,
+                                                 c_prev, gz, blocks)],
+                axis=2)
+            assert got[0].tobytes() == y.tobytes(), family
+            assert got[1].tobytes() == want.tobytes(), (family, c_prev)
 
 
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
@@ -1530,10 +1562,11 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op.values, k, g,
                                       ens, targets, cond)
-    assert np.abs(res.y - y).max() <= e_y
+    res_y, res_targets = res.paths()
+    assert np.abs(res_y - y).max() <= e_y
     # every sweep moves Y alike, so the traces agree sweep by sweep
     assert np.abs(np.subtract(res.sup_diffs, sup_diffs)).max() <= 2 * e_y
-    assert np.abs(res.y_targets - targets).max() <= e_y * (
+    assert np.abs(res_targets - targets).max() <= e_y * (
         1.0 + float(np.abs(op.values).sum(axis=1).max()))
     assert np.abs(res.z - z).max() <= e_z
     assert np.abs(res.z_se - se).max() <= e_se
@@ -1576,31 +1609,30 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
         means, ses = [], []
         for ens in (ens_p, ens_q):
             res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
-            means.append(expect_q_columns(ens, res.y)[0])
-            ses.append(expect_q_columns(ens, res.y_targets)[1])
+            means.append(res.mean)
+            ses.append(res.se)
         gap = np.abs(means[0] - means[1])
         assert np.all(gap <= 4.0 * np.hypot(*ses)), (seed, gap)
 
 
 def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
-    # The loop holds no basis stack.  Its (M, N+1) float tables at the
-    # peak, the converged sweep, are two: W, over which Y is written,
-    # and the run's own F, formed one block of paths at a time, over
-    # which the targets are written.  The targets read the previous
-    # sweep's Y and its product with the operator one block of at most
-    # D // 2 LSMC_CHUNK paths at a time, (N+1) floats per path in each
-    # of two buffers; mode P's draws, which the basis and the sweeps'
-    # slopes read, are allocated before the trace.  The basis is formed
-    # one block of LSMC_CHUNK paths at a time, P x LSMC_CHUNK floats.
-    # Each of these blocks is one chunk at most, and none is held beside
-    # another.  The (P, P) Gram and coupling matrices, with the product
-    # that forms either, add 3 P^2 floats.  The rest is O(N^2): the
-    # operator's kernel, the slope weights, the g-term's lag blocks and
-    # the N x P products of the draws with B, which alone are 5 (N+1)^2;
-    # 64 (N+1)^2 floats cover them.  numpy's ufunc buffers come on top.
-    # At M = 20000 a third table, of F beside the targets, of the
-    # previous sweep's Y or of theta, would exceed the gate; the final
-    # slopes, which theta feeds, are not fitted until z is read.
+    # The run holds no basis stack and no (M, N+1) table: its two passes
+    # over the paths, the basis and the converged readout, take one block
+    # of _path_blocks, at most LSMC_CHUNK paths, at a time.  The basis
+    # block is P x LSMC_CHUNK floats at most, one chunk, beside the
+    # block's W and F, (N+1) floats per path each; the readout's blocks
+    # are W, F, Y and the targets, and its reduction forms deviations in
+    # one buffer of M floats.  Mode P's draws, which the basis and the
+    # sweeps' slopes read, are allocated before the trace.  The (P, P)
+    # Gram and coupling matrices, with the product that forms either,
+    # add 3 P^2 floats.  The rest is O(N^2): the operator's kernel, the
+    # slope weights, the g-term's lag blocks and the N x P products of
+    # the draws with B, which alone are 5 (N+1)^2; 64 (N+1)^2 floats
+    # cover them.  numpy's ufunc buffers come on top.  At M = 20000 a
+    # quarter of one table covers the blocks beside the chunk and the
+    # reduction's buffer; a table of W, F, Y, the targets or theta would
+    # exceed the gate; the final slopes, which theta feeds, are not
+    # fitted until z is read.
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.3, g_value=0.2),
                            TriangularGrid(T, 20))
     g = gen.grid
@@ -1617,4 +1649,4 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     finally:
         tracemalloc.stop()
     small = 3 * p * p * 8 + 64 * (g.n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
-    assert peak <= 2 * table + chunk + small
+    assert peak <= chunk + small + table / 4
