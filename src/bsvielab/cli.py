@@ -302,9 +302,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     else:
         lsmc = _run_oracle(cfg, "lsmc", lambda: solve_delayed_lsmc(
             cfg.family, op, ens, cfg.picard_tol))
-        # the noise of the LSMC mean is the spread of its targets (the
-        # fitted Y(0) is one constant on every path), and its Z slopes,
-        # which compare does not report, are never fitted
+        # the LSMC mean's noise is its targets' spread (the fitted Y(0) is
+        # one constant); its Z slopes, not reported, are never fitted
         y_orc = lsmc.mean
         se_max = float(lsmc.se.max())
         rd_exp = rd_orc = np.full_like(y, np.nan)

@@ -75,12 +75,12 @@ class PathEnsemble:
     increments of W), wt (W node-major, (N+1, M)) and wq (W^Q, which
     coincides with W when the drift vanishes) are derived from it and the
     drift, as sample_paths describes: each access builds a new read-only
-    table (wt and wq cost a cumsum along the nodes), so a caller reads
-    each one once; w is the path-major view of wt, w_end its last row,
-    W(T), formed without the table (end_states on a block of paths), and
-    dw_times a product dw @ a, formed without dw.  weights
-    is the per-path Radon-Nikodym density M(T) for tag "P" and exactly 1
-    for tag "Q".  The path count M is the number of rows of draws.
+    table, so a caller reads each one once; w is the path-major view of
+    wt.  states forms wt's columns on a block of paths, end_states its
+    last row, W(T) (w_end of every path), and dw_times a product dw @ a,
+    none of them with a whole table.  weights is the per-path
+    Radon-Nikodym density M(T) for tag "P" and exactly 1 for tag "Q".
+    The path count M is the number of rows of draws.
     """
 
     tag: str
@@ -129,8 +129,8 @@ class PathEnsemble:
 
     @property
     def wt(self) -> np.ndarray:
-        """W node-major, (N+1, M): row i is W(t_i) on every path, so a
-        node's states are one contiguous row; states of every path."""
+        """W node-major, (N+1, M): row i, one contiguous row, is W(t_i) on
+        every path, the states of every path."""
         out = self.states()
         out.flags.writeable = False
         return out
@@ -138,8 +138,7 @@ class PathEnsemble:
     def states(self, paths: slice = slice(None),
                out: np.ndarray | None = None) -> np.ndarray:
         """W node-major on the paths of the block paths, (N+1, m), into
-        out if given: the running sums of the draws, plus int_0^{t_i} b
-        under tag "Q", the rows of wt bit for bit."""
+        out if given: the columns of wt bit for bit."""
         out = self._cumulative_draws(paths, out)
         if self.tag == "Q":
             out += self.drift_fn.cumulative()[:, None]
@@ -179,9 +178,8 @@ class PathEnsemble:
     def _cumulative_draws(self, paths: slice = slice(None),
                           out: np.ndarray | None = None) -> np.ndarray:
         """Node-major (N+1, m) on the paths of the block paths, into out
-        if given: 0, then the running sums of the draws along each path,
-        one node row at a time: each row is the one before it plus a
-        column of the draws, the bits of a cumsum."""
+        if given: 0, then each row the one before it plus a column of the
+        draws, the bits of a cumsum along the nodes."""
         draws = self.draws[paths]
         if out is None:
             out = np.empty((self.grid.n + 1, len(draws)))
@@ -238,35 +236,31 @@ def effective_sample_size(weights: np.ndarray) -> float:
 def expect_q_columns(ensemble: PathEnsemble,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise Q-expectations of an (M, K) per-path matrix and their
-    standard errors: expect_q_blocks on the one block of every path."""
+    standard errors: expect_q_blocks of the one block of every path."""
     return expect_q_blocks(ensemble, [(slice(None), values)])
 
 
 def expect_q_blocks(ensemble: PathEnsemble, blocks
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise Q-expectations of per-path values given one block of
-    paths at a time, and their standard errors: blocks yields (paths,
-    values), values (m, K) on the paths of the block paths, each block
-    reduced before the next is taken.
+    """Column-wise Q-expectations of per-path values and their standard
+    errors, from blocks yielding (paths, values), values (m, K) on the
+    paths of the block paths, each reduced before the next is taken.
 
     Tag "Q" is a plain sample mean with the ddof-1 standard error (SE 0
     for a single path); tag "P" a self-normalized importance-sampling mean
-    with the delta-method standard error.  A block's columns are reduced
-    as the contiguous rows of values^T: of values itself when it is the
-    transpose of a node-major (K, m) block, else of a private copy, whose
-    rows take the deviations.  Else the deviations are formed, weighted
-    and squared in one buffer of at most M floats, as many rows at a time
-    as it holds; values itself is never written.  Each block gives its
-    weight sum, means and sums of squared weighted deviations about them,
-    and the blocks merge by the pairwise update of Chan, Golub and LeVeque
-    (The American Statistician 37 (1983)), which under tag "P" also
-    carries each block's sums of w^2 (x - mean) and of w^2: one block is
-    numpy's reductions of its rows bit for bit, with nothing merged.  A
-    merged sum that rounding takes below 0, as for a column constant over
-    the paths, reads 0.
+    with the delta-method standard error.  A block's columns are the
+    contiguous rows of values^T, reduced where they lie when values is a
+    node-major block's transpose, the deviations formed, weighted and
+    squared in one buffer of at most M floats, as many rows at a time as
+    it holds; else in a private copy's rows.  values is never written.
+    The blocks' weight sums, means and squared deviations (under tag "P"
+    with their sums of w^2 (x - mean) and of w^2) merge by the pairwise
+    update of Chan, Golub and LeVeque (The American Statistician 37
+    (1983)): one block is numpy's reductions bit for bit.  A merged sum
+    of squares rounded below 0 is 0.
     """
     w_all = ensemble.weights if ensemble.tag == "P" else None
-    buf, moments = None, None
+    buf, acc = None, None
     for paths, values in blocks:
         x = np.asarray(values, dtype=float).T
         copy = not x.flags.c_contiguous
@@ -274,56 +268,39 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks
             x = np.array(x, order="C")
         elif buf is None:
             buf = np.empty(ensemble.n_paths)
-        w = None if w_all is None else w_all[paths]
-        block = _block_moments(x, w, None if copy else buf)
-        moments = block if moments is None else _merge(moments, block)
-    wsum, est, sq = moments[:3]
-    sq = np.maximum(sq, 0.0)
+        w, m, sq = None if w_all is None else w_all[paths], x.shape[1], \
+            np.empty(len(x))
+        if w is None:  # np.mean and np.std(ddof=1), step by step
+            wsum, w2, s1, est = float(m), float(m), 0.0, x.sum(axis=1) / m
+        else:
+            wsum, w2, s1 = float(w.sum()), float(w @ w), np.empty(len(x))
+            est = (x @ w) / wsum
+        step = len(x) if copy else max(1, len(buf) // m)
+        for lo in range(0, len(x), step):
+            rows, at = x[lo:lo + step], slice(lo, lo + step)
+            dev = np.subtract(rows, est[at, None], out=rows if copy
+                              else buf[:rows.size].reshape(rows.shape))
+            if w is not None:
+                dev *= w
+                s1[at] = dev @ w
+            np.square(dev, out=dev)
+            sq[at] = dev.sum(axis=1)
+        block = wsum, est, sq, s1, w2
+        acc = block if acc is None else _merge(acc, block)
+    wsum, est, sq = acc[0], acc[1], np.maximum(acc[2], 0.0)
     if w_all is not None:
         return est, np.sqrt(sq) / wsum
-    if wsum == 1.0:
-        return est, np.zeros(len(est))
-    # np.std(ddof=1) over the square root of M
-    return est, np.sqrt(sq / (wsum - 1.0)) / math.sqrt(wsum)
-
-
-def _block_moments(x: np.ndarray, w: np.ndarray | None,
-                   buf: np.ndarray | None) -> tuple:
-    """(weight sum, means, sums of squared weighted deviations, sums of
-    w^2 deviations, sum of w^2) of the rows of x (K, m) under the
-    weights w (None for unit weights, whose w^2 deviations sum to 0):
-    the deviations in x's own rows when buf is None, else in buf."""
-    m = x.shape[1]
-    if w is None:
-        # np.mean and np.std(ddof=1), step by step
-        wsum, w2, s1 = float(m), float(m), 0.0
-        est = x.sum(axis=1) / m
-    else:
-        wsum, w2, s1 = float(w.sum()), float(w @ w), np.empty(len(x))
-        est = (x @ w) / wsum
-    sq = np.empty(len(x))
-    step = len(x) if buf is None else max(1, len(buf) // m)
-    for lo in range(0, len(x), step):
-        rows, hi = x[lo:lo + step], min(lo + step, len(x))
-        dev = np.subtract(rows, est[lo:hi, None], out=rows if buf is None
-                          else buf[:rows.size].reshape(rows.shape))
-        if w is not None:
-            dev *= w
-            s1[lo:hi] = dev @ w
-        np.square(dev, out=dev)
-        sq[lo:hi] = dev.sum(axis=1)
-    return wsum, est, sq, s1, w2
+    return est, np.sqrt(sq / max(wsum - 1.0, 1.0)) / math.sqrt(wsum)
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    """The moments of two blocks' paths together, from each block's: its
-    squared deviations, and its w^2 deviations, moved to the merged mean."""
+    """Two blocks' (weight sum, means, squared weighted deviations, w^2
+    deviations, sum of w^2) merged, each moved to the merged means."""
     (wa, ea, sqa, s1a, w2a), (wb, eb, sqb, s1b, w2b) = a, b
-    wsum = wa + wb
-    est = ea + (eb - ea) * (wb / wsum)
+    est = ea + (eb - ea) * (wb / (wa + wb))
     da, db = ea - est, eb - est
     sq = sqa + sqb + da * (2.0 * s1a + da * w2a) + db * (2.0 * s1b + db * w2b)
-    return wsum, est, sq, s1a + s1b + da * w2a + db * w2b, w2a + w2b
+    return wa + wb, est, sq, s1a + s1b + da * w2a + db * w2b, w2a + w2b
 
 
 def girsanov_report(b: DriftFunction, n_paths: int,

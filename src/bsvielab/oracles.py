@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -275,36 +275,27 @@ def _path_blocks(m_paths: int, width: int) -> list[slice]:
 
 @dataclass
 class LsmcResult:
-    """An LSMC run.  mean (N+1,) holds the Q-means of the fitted Y, the
-    conditional-expectation fits, and se (N+1,) the standard errors of
-    the means of the final regression targets, whose spread is the noise
-    of the fitted means, compare's se_max; no table of either is held.
-    readout(blocks) yields, for each block of paths of blocks, the block
-    (2, N+1, m) of Y and the targets on its paths, node-major (_readout),
-    and paths(part) returns the two on the paths of part.  z (N+1, N+1),
-    the regression Z surface on the triangle, and z_se, the matching
-    standard errors of the slopes, are fitted by fit_slopes, a second
-    readout pass (_slope_z), on the first read of either, once: a caller
-    that reads neither, as compare, pays for no final slope fit.
-    sup_diffs holds each sweep's difference, the largest RMS over the
-    paths at a node (_StackedBasis.rms)."""
+    """An LSMC run: mean (N+1,), the Q-means of the fitted Y, and se, the
+    standard errors of the means of the final regression targets, whose
+    spread is the noise of the fitted means (compare's se_max); no table
+    is held.  readout(blocks) yields each block of paths' Y and targets
+    (_readout), paths(part) the two on the paths of part.  z (N+1, N+1),
+    the regression Z surface, and z_se, its slopes' SEs, are fitted by a
+    second readout pass (fit_slopes, _slope_z) on the first read of
+    either.  sup_diffs holds each sweep's difference (_StackedBasis.rms)."""
 
     mean: np.ndarray
     se: np.ndarray
     sup_diffs: list[float]
     iterations: int
     max_gram_cond: float  # largest condition number of the node Grams
-    readout: Callable[[list[slice]], Iterator] = field(repr=False,
-                                                       compare=False)
-    fit_slopes: Callable[[], tuple[np.ndarray, np.ndarray]] = field(
-        repr=False, compare=False)
+    readout: Callable = field(repr=False, compare=False)
+    fit_slopes: Callable = field(repr=False, compare=False)
 
-    def paths(self, part: slice = slice(None)
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """(Y, targets) on the paths of part, path-major (m, N+1) each:
-        the transposes of one readout block."""
-        yt = next(self.readout([part]))[1]
-        return yt[0].T, yt[1].T
+    def paths(self, part: slice = slice(None)) -> tuple:
+        """(Y, targets) on the paths of part, path-major (m, N+1) each."""
+        y, targets = next(self.readout([part]))[1]
+        return y.T, targets.T
 
     @cached_property
     def _slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -331,53 +322,41 @@ def _shifted_powers(wt: np.ndarray, shift: np.ndarray,
 
 
 class _StackedBasis:
-    """Every node's regression basis on the paths, from blocks, an
-    iterable of (paths, W, F) with W node-major (N+1, m) and F (m, N+1)
-    on the paths of the block paths, each block of at most LSMC_CHUNK
-    paths (_path_states): B_i holds
-    the intercept, then the centred, unit-variance powers W(t_i)^p, a zero
+    """Every node's regression basis on the paths, from blocks yielding
+    (paths, W, F), W node-major (N+1, m) and F (m, N+1) on the m <=
+    LSMC_CHUNK paths of the block paths (_path_states): B_i holds the
+    intercept, then the centred, unit-variance powers W(t_i)^p, a zero
     row where W(t_i) is degenerate (t_i = 0) or the power has spread
-    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held, nor are
-    its centred rows: the products are accumulated on shifted powers in
-    one pass over the blocks, then carried to B.
+    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.
 
     First come what the Z slopes read of the operator op: the half-cell
     weights half = 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
-    scales 1 - L[j, j], K = L / trap the kernel of L.  Then the draws'
-    path mean draws_mean.  Each node's shift mu_i is the mean of W(t_i)
-    over the first block's paths (its mean over all of them when one
-    block holds every path), as is F's shift over F(t_i).  Then, block by
-    block, one chunk buffer holds a row of ones over the (N+1)(D-1) rows
-    V_i^p = (W(t_i) - mu_i)^p (_shifted_powers), and its products with
-    itself, with F and with the draws (M, N) accumulate, as do draws^T F
-    and the sums of squares ss_j of the centred draws x = draws -
-    draws_mean and those of F less its shift (the block's x goes through
-    the buffer first, its shifted F last).  F's column sums f_sum are the
-    ones row's products with F, and f_ss_i, the sum of squares of the
-    centred F(t_i), takes off the square of F's shifted sum over M.
-    The draws are the increments dW up to a constant per column (b_k dt
-    under tag "Q"), which centring takes off: x is the centred
-    increments.  An F broadcast along the nodes (stride 0, an h that
-    ignores t) has one distinct column, and only that one is multiplied
-    (f_sum and f_ss then hold its one sum each).
+    scales 1 - L[j, j], K = L / trap the kernel of L.  Then, in one pass
+    over the blocks, one chunk buffer holds a row of ones over the rows
+    V_i^p = (W(t_i) - mu_i)^p (_shifted_powers), mu_i the mean of W(t_i)
+    over the first block, and their products with themselves, with F and
+    with the draws (M, N) accumulate, as do draws^T F and the sums of
+    squares ss_j of the centred draws x = draws - draws_mean (dW up to
+    b_k dt under tag "Q") and those of F less its first block's means,
+    of which f_ss, F's centred sums of squares, takes off the squared
+    sums over M.  F's column sums f_sum are the ones row's products with
+    F.  An F broadcast along the nodes (stride 0, an h that ignores t)
+    has one distinct column, the one multiplied.
 
-    The ones row's products are the column sums of the V rows, of F and
-    of the draws, and a rank-one correction by them centres the V rows
-    in every product.  The centred powers of W(t_i) are U_i times the
+    The ones row's products centre the V rows in every product by a
+    rank-one correction.  The centred powers of W(t_i) are U_i times the
     centred V_i, U_i[p, k] = C(p, k) mu_i^(p-k) on 1 <= k <= p, so the
-    node means (mean of W^p) and scales sd (1 on a dead row) follow from
-    the sums and from the Gram's diagonal blocks, and the products of B
-    from T_i = U_i / sd_i, its dead rows zero.  The shift keeps the
-    powers' sums of the size of their spread, so the correction cancels
-    no more than the centring it replaces, even where W(t_i) lies many
-    spreads from 0.  gram = B^T B, bt_f = B^T F, draws_f = draws^T F and
-    draws_b = draws^T B then take each node's intercept row with its
-    exact entries: M against an intercept and 0 against a centred power
-    in gram, and the column sums of F in bt_f and of the draws in
-    draws_b.  ones is the node blocks of B^T 1, M e_0; blocks[i] is node
-    i's diagonal block of gram, B_i^T B_i, b_f[i] node i's block of
-    column i of bt_f, B_i^T F(t_i), and ginv[i] inverts blocks[i] ridged
-    on its live rows, one stacked inversion per pattern of live rows.
+    node means (of W^p) and scales sd (1 on a dead row) follow from the
+    sums and the Gram's diagonal blocks, and the products of B from T_i =
+    U_i / sd_i, its dead rows zero.  The shift keeps the powers' sums of
+    the size of their spread, so the correction cancels no more than the
+    centring it replaces, even where W(t_i) lies many spreads from 0.
+    gram = B^T B, bt_f = B^T F, draws_f = draws^T F and draws_b = draws^T
+    B take each node's intercept row with its exact entries: M and 0 in
+    gram, the column sums of F and of the draws.  ones is the node blocks
+    of B^T 1, M e_0; blocks[i] is node i's diagonal block of gram, b_f[i]
+    node i's block of column i of bt_f, and ginv[i] inverts blocks[i]
+    ridged on its live rows, once per pattern of live rows.
     RegressionIllConditioned if some ss_j is 0, as for a single path, or
     a block's condition number, the largest of which is cond, exceeds
     COND_LIMIT (the first such node names it)."""
@@ -394,15 +373,12 @@ class _StackedBasis:
         self.draws, self.draws_mean = draws, draws_sum / m_paths
         q_rows = n1 * (d - 1)
         buf = np.empty((1 + q_rows) * min(m_paths, LSMC_CHUNK))
-        gram, draws_b = np.zeros((1 + q_rows, 1 + q_rows)), \
-            np.zeros((n, 1 + q_rows))
+        gram, draws_b = np.zeros((1 + q_rows,) * 2), np.zeros((n, 1 + q_rows))
         self.ss, f_ss, shift = np.zeros(n), 0.0, None
         for part, wt, f in blocks:
             m = wt.shape[1]
             rows = buf[:(1 + q_rows) * m].reshape(1 + q_rows, m)
             if shift is None:
-                # F broadcast along the nodes (h ignoring t) has one
-                # distinct column
                 f_cols = 1 if f.strides[1] == 0 else n1
                 shift, f_shift = wt.mean(axis=1), f[:, :f_cols].mean(axis=0)
                 bt_f, draws_f = np.zeros((1 + q_rows, f_cols)), \
@@ -412,9 +388,7 @@ class _StackedBasis:
             self.ss += np.einsum("mj,mj->j", x, x)
             rows[0] = 1.0
             _shifted_powers(wt, shift, rows[1:].reshape(n1, d - 1, m))
-            # contiguous already, unless F is deterministic: BLAS cannot
-            # read its broadcast rows
-            fc = np.ascontiguousarray(f[:, :f_cols])
+            fc = np.ascontiguousarray(f[:, :f_cols])  # a deterministic F
             gram += rows @ rows.T
             bt_f += rows @ fc
             draws_f += draws[part].T @ fc
@@ -429,7 +403,7 @@ class _StackedBasis:
                 f"sample variance over {len(draws)} paths; Z slopes "
                 "undefined")
         self.draws_f = np.broadcast_to(draws_f, (n, n1))
-        self.f_sum = bt_f[0].copy()
+        self.f_sum = bt_f[0]
         self.f_ss = f_ss - (self.f_sum - m_paths * f_shift) ** 2 / m_paths
 
         # centre the V rows: take off the rank-one part of their sums
@@ -502,14 +476,12 @@ class _StackedBasis:
 
     def rms(self, c: np.ndarray, gap: bool = False) -> float:
         """The largest, over nodes i, of the root mean square over the
-        paths of B_i c_i, sqrt(c_i^T B_i^T B_i c_i / M), from the
-        accumulated products alone, with no pass over the paths.  With
-        gap, of B_i c_i - F(t_i) = B_i c'_i - F_c(t_i), F_c the centred F
-        and c'_i = c_i less F(t_i)'s mean on the intercept: F_c is 0
-        against the intercept, so f_ss_i - 2 c'_i . b_f[i] on the powers
-        is added under the root, and an F that is constant over the paths
-        cancels to rounding of its mean, not of its square.  A sum that
-        rounding takes below 0 reads 0; a NaN coefficient gives NaN."""
+        paths of B_i c_i, sqrt(c_i^T B_i^T B_i c_i / M), from the products
+        alone.  With gap, of B_i c_i - F(t_i) = B_i c'_i - F_c(t_i), F_c
+        the centred F and c'_i = c_i less F(t_i)'s mean on the intercept:
+        f_ss_i - 2 c'_i . b_f[i] on the powers is added under the root, so
+        an F constant over the paths cancels to rounding of its mean, not
+        of its square.  A sum rounded below 0 reads 0; a NaN gives NaN."""
         if gap:
             c = c.copy()
             c[:, 0] -= self.f_sum / len(self.draws)
@@ -570,38 +542,31 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     """Regression Monte Carlo for the delayed equation with the stochastic
     F of the family fam, and the delay operator op of
     build_delayed_operator, as solve_delayed_picard.  The run reads the
-    paths in two passes, the basis and the converged readout, each over
-    the blocks of at most LSMC_CHUNK paths of _path_blocks: each block
-    forms W and F on its paths (_path_states), so no (M, N+1) table is
-    held beside the draws.
+    paths in two passes over the blocks of _path_blocks, the basis and
+    the converged readout, with no (M, N+1) table beside the draws.
 
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
-    polynomial basis B_i in W(t_i) of _StackedBasis, whose products the
-    run accumulates once, in the one basis pass on powers of W(t_i)
-    shifted by its first block's mean, then centres and scales.  gz is
-    _g_weighted_term of op.generator, the same delay quadrature, of the
-    last sweep's mean Z; on Q-paths it also takes off the drift's
-    compensator sum_{k>=i} Z(t_i, s_k) b_k dt (left point, as the Ito
-    sums): the equation holds under P, dW = dW^Q + b dt.  The bases stay
-    fixed, so the sweeps run on the stacked coefficients c,
-    Y(t_i) = B_i c_i: c <- G^-1 (b_F + K c + gz B^T 1), b_F the node blocks
-    of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G the ridged Gram blocks
-    (K c is formed on the centred powers, and its intercepts as M op c_0:
-    an intercept row of B^T B is M against an intercept, 0 elsewhere);
-    the first sweep reads y = F, outside the span, through B^T F in full.
-    A sweep's difference, the stop rule's and the trace's, is the largest
-    root mean square over the paths at a node of B_i (c_i - c_i_old),
-    _StackedBasis.rms, from the Gram blocks alone; the first sweep's is
-    that of B_i c_i - F(t_i), rms with gap.  The divergence guard reads
-    rms of c, the largest RMS of Y at a node, every sweep, and trips
-    unless it is at most DIVERGENCE_GUARD (a NaN is not).  The sweeps
-    read no paths.
+    polynomial basis B_i in W(t_i) of _StackedBasis.  gz is
+    _g_weighted_term of op.generator of the last sweep's mean Z; on
+    Q-paths it also takes off the drift's compensator sum_{k>=i}
+    Z(t_i, s_k) b_k dt (left point, as the Ito sums): the equation holds
+    under P, dW = dW^Q + b dt.  The sweeps run on the stacked
+    coefficients c, Y(t_i) = B_i c_i: c <- G^-1 (b_F + K c + gz B^T 1),
+    b_F the node blocks of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G
+    the ridged Gram blocks (K c is formed on the centred powers, and its
+    intercepts as M op c_0); the first sweep reads y = F, outside the
+    span, through B^T F in full.  A sweep's difference, the stop rule's
+    and the trace's, is the largest RMS over the paths at a node of
+    B_i (c_i - c_i_old), from the Gram blocks alone (_StackedBasis.rms);
+    the first sweep's is that of B_i c_i - F(t_i).  The divergence guard
+    reads the largest RMS of Y at a node every sweep, and trips unless it
+    is at most DIVERGENCE_GUARD (a NaN is not).  The sweeps read no paths.
     Z(t_i, s_j) is the least-squares slope of theta = target - Y on dW_j:
     refitted every sweep from draws^T F and draws^T B c for the g-term,
     which at g = 0 returns zeros without reading it.
-    Y and the targets are formed once, at the converged sweep, block by
-    block (_readout), and reduced to LsmcResult.mean and se by
-    girsanov.expect_q_blocks; the slopes and their SEs (_slope_z) take a
+    At the converged sweep the readout (_readout) forms Y and the targets
+    block by block, and girsanov.expect_q_blocks reduces them to
+    LsmcResult.mean and se; the slopes and their SEs (_slope_z) take a
     second readout pass on the first read of LsmcResult.z or z_se.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
     increment dW_j has no sample variance; GridMismatch unless op and the
@@ -662,32 +627,30 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
 def _path_states(fam: TerminalFamily, ensemble: PathEnsemble,
                  blocks: list[slice]):
     """Yield (paths, W, F) for each block paths of blocks: W node-major
-    (N+1, m) on its paths, PathEnsemble.states into one contiguous buffer
-    that every block reuses, and F (m, N+1) of the family fam by
-    terminal.evaluate_F_blocks, so a block is valid until the next one is
-    taken.  On blocks of _path_blocks both are the rows of the whole
-    tables, wt and evaluate_F_table, bit for bit."""
-    rows = ensemble.grid.n + 1
-    width = max(len(range(*part.indices(ensemble.n_paths)))
-                for part in blocks)
-    buf = np.empty(rows * width)
-    for part, f in zip(blocks, evaluate_F_blocks(fam, ensemble, blocks)):
-        yield part, ensemble.states(part, buf[:f.size].reshape(rows, -1)), f
+    (N+1, m) by PathEnsemble.states, then F (m, N+1) of the family fam
+    (terminal.evaluate_F_blocks, at W's last row), each in one buffer that
+    every block reuses.  On blocks of _path_blocks they are the rows of
+    wt and evaluate_F_table bit for bit."""
+    rows, wt = ensemble.grid.n + 1, None
+    buf = np.empty(rows * max(len(ensemble.draws[p]) for p in blocks))
+    f_blocks = evaluate_F_blocks(fam, ensemble, blocks,
+                                 ends=lambda part: wt[-1])
+    for part in blocks:
+        m = len(ensemble.draws[part])
+        wt = ensemble.states(part, buf[:rows * m].reshape(rows, m))
+        yield part, wt, next(f_blocks)
 
 
 def _readout(fam: TerminalFamily, ensemble: PathEnsemble, op: DelayOperator,
              basis: _StackedBasis, c: np.ndarray, c_prev: np.ndarray | None,
              gz: np.ndarray, blocks: list[slice]):
-    """Yield (paths, YT) for each block paths of blocks, YT (2, N+1, m)
-    one contiguous buffer that every block reuses: YT[0] = Y = B c and
-    YT[1] the regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on its
-    paths, node-major, Y_prev = B c_prev (F itself when c_prev is None).
-    Y_prev goes into Y's rows first (by Horner, or F's transpose), op's
-    GEMM from there into the targets' rows, then F and gz are added and Y
-    is formed over Y_prev: on blocks of _path_blocks, the bits of the
-    whole tables' op Y_prev + F + gz and B c."""
-    buf = np.empty(2 * len(c) * max(
-        len(range(*part.indices(ensemble.n_paths))) for part in blocks))
+    """Yield (paths, YT) for each block paths of blocks, YT (2, N+1, m) in
+    one buffer that every block reuses: Y = B c and the regression
+    targets F(t_i) + (op Y_prev)(t_i) + gz_i on its paths, node-major,
+    Y_prev = B c_prev (F when c_prev is None).  Y_prev goes into Y's rows,
+    op's GEMM into the targets', then F and gz are added and Y formed:
+    on blocks of _path_blocks, the bits of the whole tables' formulas."""
+    buf = np.empty(2 * len(c) * max(len(ensemble.draws[p]) for p in blocks))
     for part, wt, f in _path_states(fam, ensemble, blocks):
         yt = buf[:2 * f.size].reshape(2, len(c), -1)
         y, target = yt
@@ -703,13 +666,11 @@ def _readout(fam: TerminalFamily, ensemble: PathEnsemble, op: DelayOperator,
 
 
 def _slope_z(blocks, basis: _StackedBasis) -> tuple[np.ndarray, np.ndarray]:
-    """_slope_fit of theta = targets - Y with the SEs, from the readout
-    blocks (paths, YT) of _readout: each block's first N rows of theta,
-    formed over its targets and shifted by the first block's row means,
-    add their sums, sums of squares and products with the block's draws.
-    A rank-one correction by the sums then centres theta over the paths:
-    the centred theta_c give |theta_c|^2 and x^T theta_c =
-    draws^T theta_c."""
+    """_slope_fit of theta = targets - Y with the SEs, from the blocks
+    (paths, YT) of _readout: each block's first N rows of theta, formed
+    over its targets and shifted by the first block's row means, add
+    their sums, squares and products with the draws, which a rank-one
+    correction by the sums centres: |theta_c|^2 and draws^T theta_c."""
     m_paths, n = basis.draws.shape
     shift = None
     for part, (y, target) in blocks:

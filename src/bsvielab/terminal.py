@@ -182,20 +182,20 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
 
 
 def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
-                      blocks: list[slice], out: np.ndarray | None = None):
+                      blocks: list[slice], out: np.ndarray | None = None,
+                      ends: Callable | None = None):
     """Yield F(t_a) on the paths of each block of blocks and every node,
-    (rows, N+1): f0_profile broadcast for a deterministic family; for
+    (m, N+1): f0_profile broadcast for a deterministic family; for
     GaussianLinear, one GEMM of the block's increments with the phi table
-    of gaussian_linear_conditionals, which PathEnsemble.dw_times takes
-    without a dW table; a terminal function is growth-checked at W(T) at
-    each of its _times, broadcast to every node.  f0 and phi are
-    evaluated once for every block.  Where F has a table (GaussianLinear,
-    or a terminal function of t) each block is written into its rows of
-    out, an (M, N+1) table, when given; else every block is written into
-    one buffer that they all reuse, so a block is valid until the next
-    one is taken.  On a block of oracles._path_blocks the GEMM rounds
-    each path as on the whole table, so the blocks are the rows of
-    evaluate_F_table bit for bit."""
+    of gaussian_linear_conditionals (PathEnsemble.dw_times, no dW table);
+    a terminal function is growth-checked at each of its _times at W(T),
+    ends(block) where the caller has formed it, else end_states, and
+    broadcast to every node.  f0 and phi are evaluated once.  Where F has
+    a table (GaussianLinear, or a terminal function of t) each block is
+    written into its rows of out, an (M, N+1) table, when given; else all
+    are written into one buffer, so a block is valid until the next one
+    is taken.  On the blocks of oracles._path_blocks the GEMM rounds each
+    path as on the whole table: the rows of evaluate_F_table bit for bit."""
     grid = ensemble.grid
     rows = [len(range(*part.indices(ensemble.n_paths))) for part in blocks]
     if not is_stochastic(fam):
@@ -218,7 +218,7 @@ def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
             dest += f0
             yield dest
         else:
-            w_end = ensemble.end_states(part)
+            w_end = (ends or ensemble.end_states)(part)
             bound = _growth_bound(fam, w_end)
             np.stack([_growth_checked(fam, t, w_end, bound) for t in times],
                      axis=1, out=dest)
