@@ -64,11 +64,12 @@ generator.  A parameter is taken as a class when its annotation names the
 class or, unannotated, when it has the class's name under src/ (phi, psi,
 gen, op).
 
-A Monte Carlo spread has one home, girsanov.expect_q_columns, which takes
-every mean and its standard error: no code under src/ calls a std or var
-reduction (<expr>.std(...), <expr>.var(...), numpy.std or numpy.var), so
-a change to how a standard error is taken reaches every number printed,
-girsanov-check's included.
+A Monte Carlo spread has one home, girsanov.expect_q_blocks, which takes
+every mean and its standard error, one block of paths at a time, the
+LSMC's included (expect_q_columns is its one block of every path): no
+code under src/ calls a std or var reduction (<expr>.std(...),
+<expr>.var(...), numpy.std or numpy.var), so a change to how a standard
+error is taken reaches every number printed, girsanov-check's included.
 
 Zero extension has one home, kernels.zero_extend_kernel: no other function
 under src/ calls numpy.where on a condition that compares against a
@@ -844,7 +845,7 @@ def test_src_calls_no_std_or_var_reduction():
              for line, what in spread_reductions(
                  path.read_text(encoding="utf-8"))]
     assert not found, ("a std or var reduction in src/; take means and "
-                       "standard errors from girsanov.expect_q_columns:\n"
+                       "standard errors from girsanov.expect_q_blocks:\n"
                        + "\n".join(found))
 
 

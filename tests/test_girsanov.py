@@ -241,6 +241,36 @@ def test_expect_q_columns_of_a_node_major_table_make_no_copy(mode):
     assert peak <= 8 * ens.n_paths + 4 * 8 * (g.n + 1) + 4096
 
 
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_expect_q_blocks_merge_blocks_in_any_order(mode):
+    # blocks of 700, 1348, 1, 1951 and 1000 paths, node-major copies
+    # (reduced through the buffer) or path-major views (through a private
+    # copy), in three orders, merge to the one-block estimates within
+    # bounds fixed before measuring: 1e-13 relative for the means and
+    # 1e-11 for the SEs.  Column 0, exp(W(t_0)) = 1 on every path, is
+    # constant: its SE is exactly 0 under Q, and under P at the rounding
+    # of its mean, never NaN (the suite turns sqrt's warning into a
+    # failure): a merged sum of squares rounded below 0 reads 0
+    g = grid(20)
+    ens = sample_paths(5000, 6, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
+    table = np.exp(ens.wt)
+    est_one, se_one = expect_q_columns(ens, table.T)
+    bounds = [0, 700, 2048, 2049, 4000, 5000]
+    parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    shuffled = [parts[i] for i in np.random.default_rng(3).permutation(5)]
+    for order in (parts, parts[::-1], shuffled):
+        for block in (lambda p: np.array(table[:, p]).T,
+                      lambda p: table.T[p]):
+            est, se = girsanov.expect_q_blocks(
+                ens, ((p, block(p)) for p in order))
+            assert np.allclose(est, est_one, rtol=1e-13, atol=0.0)
+            assert np.allclose(se[1:], se_one[1:], rtol=1e-11, atol=0.0)
+            if mode == "Q":
+                assert se[0] == se_one[0] == 0.0
+            else:
+                assert 0.0 <= se[0] <= 1e-15 and 0.0 <= se_one[0] <= 1e-15
+
+
 def test_degenerate_weights_raises():
     # a strong tilt: every weight is positive, but a few paths carry the
     # ensemble, so sample_paths refuses it by its effective sample size
@@ -359,7 +389,8 @@ def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
 def test_running_row_adds_are_the_cumsum_bitwise(mode):
     # W^T and W^Q add the draws' columns into successive node rows: the
     # bits of numpy's cumsum of the draws along the nodes, then the
-    # drift's cumulative per row
+    # drift's cumulative per row; states forms the same columns on two
+    # blocks of paths, the second into a buffer of its own
     g = grid(37)
     ens = sample_paths(2049, 17, mode, tilt(Uniform(1.0), 0.6, g))
     sums = np.zeros((g.n + 1, ens.n_paths))
@@ -369,6 +400,10 @@ def test_running_row_adds_are_the_cumsum_bitwise(mode):
     want_wq = sums - drift_rows if mode == "P" else sums
     assert ens.wt.tobytes() == want_w.tobytes()
     assert np.ascontiguousarray(ens.wq.T).tobytes() == want_wq.tobytes()
+    out = np.empty((g.n + 1, 1025))
+    blocks = [ens.states(slice(0, 1024)), ens.states(slice(1024, None), out)]
+    assert blocks[1] is out
+    assert np.concatenate(blocks, axis=1).tobytes() == want_w.tobytes()
 
 
 def reference_paths(grid, n_paths, seed, mode, drift_fn):

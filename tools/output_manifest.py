@@ -7,7 +7,7 @@ Usage:
 Imports bsvielab from ROOT/src and the benchmark workloads from
 ROOT/perfbench, then runs each of the six commands through
 ``bsvielab.cli.main`` on the five bundled configs, on every workload's
-``config_text(1)`` and on the seven generated configs of FEATURES.  Those
+``config_text(1)`` and on the eight generated configs of FEATURES.  Those
 reach the branches the others do not: atoms between lags (with g != 0
 too), measure.kind = atoms, the poly_exp and zero kernels, beta != 0, the
 exp and affine terminal functions, f0 = exp_decay, phi = bilinear, a
@@ -15,8 +15,10 @@ mode-Q LSMC at g = 0, a mode-Q LSMC whose drift puts E[W(t_i)] three
 spreads from 0 at T (b = g = 3 under a Dirac at 0; the largest drift at
 which girsanov-check's reweighting keeps its effective sample size),
 and the block edges of the Monte Carlo passes: M = LSMC_CHUNK + 1 paths
-(a one-path remainder) on N + 1 = 71 nodes, more than 64, so Horner runs
-over several blocks of node rows.
+on N + 1 = 71 nodes, which every pass over the paths takes as two blocks
+of 1024 and 1025 paths (oracles._path_blocks), so the LSMC's means and
+standard errors merge across blocks, in mode Q and in a mode-P twin whose
+weighted merge carries the blocks' sums of squared weights.
 
 With one tree it prints, for each run, the exit code and the sha256 of
 the captured stdout, then the sha256 of every file the run wrote.  Two
@@ -159,6 +161,20 @@ terminal.f0.value = 0.5
 terminal.phi = exp_u
 mc.paths = 2049
 mc.mode = Q
+""",
+    "feature-block-edge-p": """
+horizon = 1.0
+grid.n = 70
+measure.kind = uniform
+kernel.name = constant
+kernel.c = 0.3
+kernel.g = 0.2
+terminal.kind = gaussian_linear
+terminal.f0 = constant
+terminal.f0.value = 0.5
+terminal.phi = exp_u
+mc.paths = 2049
+mc.mode = P
 """,
 }
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
