@@ -250,9 +250,9 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks
     for a single path); tag "P" a self-normalized importance-sampling mean
     with the delta-method standard error.  A block's columns are the
     contiguous rows of values^T, reduced where they lie when values is a
-    node-major block's transpose, the deviations formed, weighted and
-    squared in one buffer of at most M floats, as many rows at a time as
-    it holds; else in a private copy's rows.  values is never written.
+    node-major block's transpose, else in a private copy.  The deviations
+    are formed, weighted and squared as many rows at a time as M floats
+    hold, in the copy's rows or in one buffer; values is never written.
     The blocks' weight sums, means and squared deviations (under tag "P"
     with their sums of w^2 (x - mean) and of w^2) merge by the pairwise
     update of Chan, Golub and LeVeque (The American Statistician 37
@@ -268,21 +268,22 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks
             x = np.array(x, order="C")
         elif buf is None:
             buf = np.empty(ensemble.n_paths)
-        w, m, sq = None if w_all is None else w_all[paths], x.shape[1], \
-            np.empty(len(x))
+        w, m, sq, s1 = None if w_all is None else w_all[paths], x.shape[1], \
+            np.empty(len(x)), np.zeros(len(x))
         if w is None:  # np.mean and np.std(ddof=1), step by step
-            wsum, w2, s1, est = float(m), float(m), 0.0, x.sum(axis=1) / m
+            wsum, w2, est = float(m), float(m), x.sum(axis=1) / m
         else:
-            wsum, w2, s1 = float(w.sum()), float(w @ w), np.empty(len(x))
+            wsum, w2 = float(w.sum()), float(w @ w)
             est = (x @ w) / wsum
-        step = len(x) if copy else max(1, len(buf) // m)
+        step = max(1, ensemble.n_paths // m)  # rows of at most M floats
         for lo in range(0, len(x), step):
             rows, at = x[lo:lo + step], slice(lo, lo + step)
             dev = np.subtract(rows, est[at, None], out=rows if copy
                               else buf[:rows.size].reshape(rows.shape))
             if w is not None:
                 dev *= w
-                s1[at] = dev @ w
+                if m < ensemble.n_paths:  # blocks of other paths merge in
+                    s1[at] = np.einsum("km,m->k", dev, w)
             np.square(dev, out=dev)
             sq[at] = dev.sum(axis=1)
         block = wsum, est, sq, s1, w2
@@ -294,8 +295,7 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    """Two blocks' (weight sum, means, squared weighted deviations, w^2
-    deviations, sum of w^2) merged, each moved to the merged means."""
+    """Two blocks' moments merged, each moved to the merged means."""
     (wa, ea, sqa, s1a, w2a), (wb, eb, sqb, s1b, w2b) = a, b
     est = ea + (eb - ea) * (wb / (wa + wb))
     da, db = ea - est, eb - est
