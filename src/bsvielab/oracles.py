@@ -388,7 +388,7 @@ class _StackedBasis:
             self.ss += np.einsum("mj,mj->j", x, x)
             rows[0] = 1.0
             _shifted_powers(wt, shift, rows[1:].reshape(n1, d - 1, m))
-            fc = np.ascontiguousarray(f[:, :f_cols])  # a deterministic F
+            fc = np.ascontiguousarray(f[:, :f_cols])  # only f0 is copied
             gram += rows @ rows.T
             bt_f += rows @ fc
             draws_f += draws[part].T @ fc
