@@ -34,15 +34,15 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config_file
 from .girsanov import DegenerateWeights, drift, effective_sample_size, \
-    expect_q_columns, girsanov_report, sample_paths
+    expect_q_blocks, girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
     example33_reference, identity_residual, resolvent
-from .oracles import PicardFailed, RegressionIllConditioned, \
-    build_delayed_operator, residual_delayed, residual_reduced, \
-    residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
-    solve_reduced_collocation
-from .solver import mean_Y, norms, smoothness_diagnostics, solve_Y, \
-    solve_Z
+from .oracles import LSMC_CHUNK, PicardFailed, RegressionIllConditioned, \
+    _path_blocks, build_delayed_operator, residual_delayed, \
+    residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
+    solve_delayed_picard, solve_reduced_collocation
+from .solver import mean_Y, norm_columns, norm_report, norms, \
+    smoothness_diagnostics, solve_Y, solve_Y_blocks, solve_Z
 from .terminal import QuadratureError, is_stochastic, mean_profile
 
 EXIT_OK = 0
@@ -176,12 +176,49 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
     write_meta(cfg, "resolvent", extra)
 
 
-def _solve_field(cfg: ExperimentConfig, psi, drift_fn):
-    """Explicit (Y, Z) from psi and its phi, plus the ensemble (or None)."""
-    ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn) \
-        if is_stochastic(cfg.family) else None
-    y = solve_Y(cfg.family, psi, ens)
-    return y, solve_Z(cfg.family, psi, drift_fn), ens
+def _solve_field(cfg: ExperimentConfig, psi, drift_fn,
+                 residual: bool = False):
+    """Explicit Z from psi's phi, the ensemble (None for a deterministic
+    family), Y and the norms: (z, ens, y, norms report), y the profile of
+    a deterministic family, else the (means, SEs) of _path_moments."""
+    fam, grid = cfg.family, psi.grid
+    if not is_stochastic(fam):
+        y, z = solve_Y(fam, psi), solve_Z(fam, psi, drift_fn)
+        return z, None, y, _finite_norms(norms, y, z, grid, None, cfg.beta)
+    ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn)
+    z = solve_Z(fam, psi, drift_fn)
+    moments = _path_moments(cfg, psi, z, ens, residual)
+    return z, ens, moments, _finite_norms(norm_report, moments[0][-2:], z,
+                                          grid, cfg.beta)
+
+
+def _path_moments(cfg: ExperimentConfig, psi, z, ens, residual: bool):
+    """(means, SEs) over the ensemble's paths, from one pass over the
+    blocks of oracles._path_blocks: with residual, the rows Y
+    (solve_Y_blocks) and R (residual_reduced_pathwise) with their SEs;
+    then the means of the two norm_columns rows of Y.  Each block's
+    rows are formed path-major in contiguous buffers and transposed once
+    into one node-major stack, which expect_q_blocks reduces before the
+    next block is formed: no (M, N+1) table is held.  The weights
+    exp(beta t) may overflow here, which _finite_norms reports."""
+    grid, fam, n1 = psi.grid, cfg.family, psi.grid.n + 1
+    blocks = _path_blocks(ens.n_paths, LSMC_CHUNK)
+    rows = 2 * n1 if residual else 0
+    buf = np.empty((rows + 2) * max(len(ens.draws[p]) for p in blocks))
+    ys = solve_Y_blocks(fam, psi, ens, blocks)
+    pairs = residual_reduced_pathwise(ys, z, fam, psi.phi, ens, blocks) \
+        if residual else ((y, None) for y in ys)
+
+    def stacked():
+        for part, (y, r) in zip(blocks, pairs):
+            stack = buf[:(rows + 2) * len(y)].reshape(rows + 2, len(y))
+            if residual:
+                stack[:n1], stack[n1:rows] = y.T, r.T
+            norm_columns(y, grid, cfg.beta, stack[rows:])
+            yield part, stack.T
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return expect_q_blocks(ens, stacked(), slice(rows))
 
 
 def _weight_meta(ens) -> dict:
@@ -191,29 +228,27 @@ def _weight_meta(ens) -> dict:
                                  "min_weight": float(w.min())}
 
 
-def _finite_norms(y, z, grid, ens, beta: float):
-    """norms(y, z, grid, ens, beta); ConfigError when exp(beta t) makes one
-    overflow."""
+def _finite_norms(norms_of, *args):
+    """norms_of(*args), a norms report; ConfigError when exp(beta t) makes
+    one of its norms overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = norms(y, z, grid, ens, beta)
+        rep = norms_of(*args)
     if not np.isfinite([rep.h1, rep.h2, rep.s2]).all():
-        raise ConfigError(f"beta: the weighted norms overflow (beta={beta}, "
-                          f"H1={rep.h1}, H2={rep.h2}, S2={rep.s2})")
+        raise ConfigError(f"beta: the weighted norms overflow "
+                          f"(beta={rep.beta}, H1={rep.h1}, H2={rep.h2}, "
+                          f"S2={rep.s2})")
     return rep
 
 
 def cmd_solve(cfg: ExperimentConfig) -> None:
     psi, drift_fn, op = _prepare(cfg, operator=not is_stochastic(cfg.family))
     grid, phi = psi.grid, psi.phi
-    y, z, ens = _solve_field(cfg, psi, drift_fn)
-    rep = _finite_norms(y, z, grid, ens, cfg.beta)
-    nodes = grid.nodes
+    z, ens, y, rep = _solve_field(cfg, psi, drift_fn, residual=True)
+    nodes, n1 = grid.nodes, grid.n + 1
 
     if ens is not None:
-        y_mean, y_se = expect_q_columns(ens, y)
-        r = residual_reduced_pathwise(y, z, cfg.family, phi, ens)
-        del y  # R's private copy in expect_q_columns comes next
-        rr, rr_se = expect_q_columns(ens, r)
+        mean, se = y
+        y_mean, rr, y_se, rr_se = mean[:n1], mean[n1:2 * n1], se[:n1], se[n1:]
         rd = np.full_like(rr, np.nan)
     else:
         y_mean, y_se = y, np.zeros_like(y)
@@ -398,8 +433,7 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
 
 def cmd_norms(cfg: ExperimentConfig) -> None:
     psi, drift_fn, _ = _prepare(cfg)
-    y, z, ens = _solve_field(cfg, psi, drift_fn)
-    rep = _finite_norms(y, z, psi.grid, ens, cfg.beta)
+    _, ens, _, rep = _solve_field(cfg, psi, drift_fn)
     _write_norms(cfg, rep)
     print(f"norms: beta={rep.beta:g} H1={rep.h1:.12g} H2={rep.h2:.12g} "
           f"S2={rep.s2:.12g}")

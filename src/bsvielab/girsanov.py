@@ -240,24 +240,28 @@ def expect_q_columns(ensemble: PathEnsemble,
     return expect_q_blocks(ensemble, [(slice(None), values)])
 
 
-def expect_q_blocks(ensemble: PathEnsemble, blocks
+def expect_q_blocks(ensemble: PathEnsemble, blocks,
+                    se_rows: slice = slice(None)
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise Q-expectations of per-path values and their standard
-    errors, from blocks yielding (paths, values), values (m, K) on the
-    paths of the block paths, each reduced before the next is taken.
+    """Column-wise Q-expectations of per-path values, and the standard
+    errors of the columns se_rows (every column by default), from blocks
+    yielding (paths, values), values (m, K) on the paths of the block
+    paths, each reduced before the next is taken.
 
     Tag "Q" is a plain sample mean with the ddof-1 standard error (SE 0
     for a single path); tag "P" a self-normalized importance-sampling mean
-    with the delta-method standard error.  A block's columns are the
-    contiguous rows of values^T, reduced where they lie when values is a
-    node-major block's transpose, else in a private copy.  The deviations
-    are formed, weighted and squared as many rows at a time as M floats
-    hold, in the copy's rows or in one buffer; values is never written.
-    The blocks' weight sums, means and squared deviations (under tag "P"
-    with their sums of w^2 (x - mean) and of w^2) merge by the pairwise
-    update of Chan, Golub and LeVeque (The American Statistician 37
-    (1983)): one block is numpy's reductions bit for bit.  A merged sum
-    of squares rounded below 0 is 0.
+    with the delta-method standard error.  Every column's mean is formed
+    with all the others beside it, so a column's bits do not depend on
+    se_rows; only the columns of se_rows take the deviation pass.  A
+    block's columns are the contiguous rows of values^T, reduced where
+    they lie when values is a node-major block's transpose, else in a
+    private copy.  The deviations are formed, weighted and squared as many
+    rows at a time as M floats hold, in the copy's rows or in one buffer;
+    values is never written.  The blocks' weight sums, means and squared
+    deviations (under tag "P" with their sums of w^2 (x - mean) and of
+    w^2) merge by the pairwise update of Chan, Golub and LeVeque (The
+    American Statistician 37 (1983)): one block is numpy's reductions bit
+    for bit.  A merged sum of squares rounded below 0 is 0.
     """
     w_all = ensemble.weights if ensemble.tag == "P" else None
     buf, acc = None, None
@@ -268,17 +272,19 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks
             x = np.array(x, order="C")
         elif buf is None:
             buf = np.empty(ensemble.n_paths)
+        x_se = x[se_rows]
         w, m, sq, s1 = None if w_all is None else w_all[paths], x.shape[1], \
-            np.empty(len(x)), np.zeros(len(x))
+            np.empty(len(x_se)), np.zeros(len(x_se))
         if w is None:  # np.mean and np.std(ddof=1), step by step
             wsum, w2, est = float(m), float(m), x.sum(axis=1) / m
         else:
             wsum, w2 = float(w.sum()), float(w @ w)
             est = (x @ w) / wsum
+        est_se = est[se_rows]
         step = max(1, ensemble.n_paths // m)  # rows of at most M floats
-        for lo in range(0, len(x), step):
-            rows, at = x[lo:lo + step], slice(lo, lo + step)
-            dev = np.subtract(rows, est[at, None], out=rows if copy
+        for lo in range(0, len(x_se), step):
+            rows, at = x_se[lo:lo + step], slice(lo, lo + step)
+            dev = np.subtract(rows, est_se[at, None], out=rows if copy
                               else buf[:rows.size].reshape(rows.shape))
             if w is not None:
                 dev *= w
@@ -287,18 +293,19 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks
             np.square(dev, out=dev)
             sq[at] = dev.sum(axis=1)
         block = wsum, est, sq, s1, w2
-        acc = block if acc is None else _merge(acc, block)
+        acc = block if acc is None else _merge(acc, block, se_rows)
     wsum, est, sq = acc[0], acc[1], np.maximum(acc[2], 0.0)
     if w_all is not None:
         return est, np.sqrt(sq) / wsum
     return est, np.sqrt(sq / max(wsum - 1.0, 1.0)) / math.sqrt(wsum)
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    """Two blocks' moments merged, each moved to the merged means."""
+def _merge(a: tuple, b: tuple, se_rows: slice) -> tuple:
+    """Two blocks' moments merged, each moved to the merged means; the
+    squared deviations and their weighted sums are those of se_rows."""
     (wa, ea, sqa, s1a, w2a), (wb, eb, sqb, s1b, w2b) = a, b
     est = ea + (eb - ea) * (wb / (wa + wb))
-    da, db = ea - est, eb - est
+    da, db = (ea - est)[se_rows], (eb - est)[se_rows]
     sq = sqa + sqb + da * (2.0 * s1a + da * w2a) + db * (2.0 * s1b + db * w2b)
     return wa + wb, est, sq, s1a + s1b + da * w2a + db * w2b, w2a + w2b
 

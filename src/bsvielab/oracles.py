@@ -219,39 +219,40 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable
     return r, float(np.abs(r).max())
 
 
-def residual_reduced_pathwise(y: np.ndarray, z: np.ndarray,
+def residual_reduced_pathwise(y_blocks, z: np.ndarray,
                               fam: TerminalFamily, phi: KernelTable,
-                              ensemble: PathEnsemble) -> np.ndarray:
+                              ensemble: PathEnsemble, blocks: list[slice]):
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     F the free term of the family fam on the ensemble's paths, the
     integral term as in residual_reduced and the stochastic one as the
     left-point sum of the W^Q increments, read from the ensemble's draws:
     the draws themselves under tag "Q", less the drift's b_k dt under tag
-    "P".  R is the one (M, N+1) table formed: F, by
-    terminal.evaluate_F_blocks into R's rows where it has a table, and
-    both products are taken one block of at most LSMC_CHUNK paths of
-    _path_blocks at a time, the products into buffers of one block, so no
-    F table is held.
-    Returns R; GridMismatch unless Phi is on the ensemble's grid."""
+    "P".  y_blocks yields Y on the paths of each block of blocks,
+    path-major (m, N+1); for each, (Y, R) is yielded, R path-major in one
+    contiguous buffer that every block reuses, F by
+    terminal.evaluate_F_blocks and the two products, one after the other,
+    into one buffer of a block.  On the blocks of _path_blocks each path
+    rounds as on one block of every path.  GridMismatch unless Phi is on
+    the ensemble's grid."""
     n = same_grid(phi, ensemble).n
     a = tail_weighted(phi.grid, phi.values)
     zt = np.triu(z[:n, :n]).T
     drift = ensemble.drift_fn.increments() @ zt \
         if ensemble.tag == "P" else None
-    r = np.empty(np.shape(y))
-    blocks = _path_blocks(len(r), LSMC_CHUNK)
-    width = max(b.stop - b.start for b in blocks)
-    buf_y, buf_ito = np.empty((width, n + 1)), np.empty((width, n))
-    for part, f in zip(blocks, evaluate_F_blocks(fam, ensemble, blocks, r)):
-        rows = part.stop - part.start
-        np.subtract(y[part], f, out=r[part])
-        r[part] -= np.matmul(y[part], a.T, out=buf_y[:rows])
-        ito = np.matmul(ensemble.draws[part], zt, out=buf_ito[:rows])
+    width = max(len(ensemble.draws[part]) for part in blocks)
+    buf_r, buf = np.empty((width, n + 1)), np.empty(width * (n + 1))
+    for part, y, f in zip(blocks, y_blocks,
+                          evaluate_F_blocks(fam, ensemble, blocks)):
+        rows = len(y)
+        r = np.subtract(y, f, out=buf_r[:rows])
+        r -= np.matmul(y, a.T, out=buf[:rows * (n + 1)].reshape(rows, -1))
+        ito = np.matmul(ensemble.draws[part], zt,
+                        out=buf[:rows * n].reshape(rows, n))
         if drift is not None:
             ito -= drift
-        r[part, :n] += ito
-    return r
+        r[:, :n] += ito
+        yield y, r
 
 
 def _path_blocks(m_paths: int, width: int) -> list[slice]:
@@ -566,8 +567,9 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     which at g = 0 returns zeros without reading it.
     At the converged sweep the readout (_readout) forms Y and the targets
     block by block, and girsanov.expect_q_blocks reduces them to
-    LsmcResult.mean and se; the slopes and their SEs (_slope_z) take a
-    second readout pass on the first read of LsmcResult.z or z_se.
+    LsmcResult.mean and se, taking SEs of the targets alone; the slopes
+    and their SEs (_slope_z) take a second readout pass on the first read
+    of LsmcResult.z or z_se.
     RegressionIllConditioned if a Gram block is ill-conditioned or an
     increment dW_j has no sample variance; GridMismatch unless op and the
     ensemble share one grid.
@@ -611,8 +613,8 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
                               gz)
             mean, se = expect_q_blocks(ensemble, (
                 (part, yt.reshape(2 * n1, -1).T)
-                for part, yt in readout(blocks)))
-            return LsmcResult(mean[:n1], se[n1:], sup_diffs, it, basis.cond,
+                for part, yt in readout(blocks)), slice(n1, None))
+            return LsmcResult(mean[:n1], se, sup_diffs, it, basis.cond,
                               readout,
                               lambda: _slope_z(readout(blocks), basis))
         b_y = np.column_stack([op_m @ c[:, 0], (coupling @ c[:, 1:].ravel())

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .girsanov import DriftFunction, PathEnsemble, expect_q_columns
+from .girsanov import DriftFunction, PathEnsemble, expect_q_blocks
 from .kernels import ResolventTable, TriangularGrid, same_grid, \
     tail_weight_matrix, tail_weighted, trapezoid_weights
 from .terminal import GaussianLinear, TerminalFamily, TerminalFunction, \
@@ -40,40 +41,65 @@ def solve_Y(fam: TerminalFamily, psi: ResolventTable,
     """Y(t) = E^Q[F(t) | F_t] + int_t^T Psi(t,r) E^Q[F(r) | F_t] dr.
 
     Deterministic families need no ensemble and produce a single profile
-    (N+1,); stochastic families evaluate the formula path by path, the
-    prefix up to t supplying the conditioning information, on the grid
-    and under the drift of the ensemble: an (M, N+1) table, whose node
-    means under Q girsanov.expect_q_columns takes.  GaussianLinear Y is
-    affine in dW: with (c, phi) from gaussian_linear_conditionals,
-    Y = diag(mean_Y(c)) + dW tril(mean_Y(phi), -1)^T, one (M x N) .
-    (N x (N+1)) product, by PathEnsemble.dw_times with no dW table.  A
-    terminal function takes the step row by row, Y(t_i) = C_i[i] + A[i]
-    C_i with A = Psi * trap (mean_Y(C_i) would cost (N+1) M per node),
-    and A[i] C_i = (sum_a A[i, a]) C_i when h ignores t;
-    the steps fill contiguous node-major rows, transposed once at the end
-    into the same C-ordered (M, N+1) table.
+    (N+1,); stochastic families an (M, N+1) table, solve_Y_blocks on the
+    one block of every path.
     """
     if not is_stochastic(fam):
         return mean_Y(f0_profile(fam, psi.grid), psi)
     if ensemble is None:
         raise ValueError("stochastic family needs an ensemble")
-    grid = same_grid(psi, ensemble)
+    return next(solve_Y_blocks(fam, psi, ensemble, [slice(None)]))
 
+
+def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
+                   psi: ResolventTable, ensemble: PathEnsemble,
+                   blocks: list[slice]):
+    """Yield the Y of a stochastic family on the paths of each block of
+    blocks, path-major (m, N+1) in one contiguous buffer that every block
+    reuses, so a block is valid until the next one is taken.
+
+    Y is evaluated path by path, the prefix up to t supplying the
+    conditioning information, on the grid and under the drift of the
+    ensemble.  GaussianLinear Y is affine in dW: with (c, phi) from
+    gaussian_linear_conditionals, Y = diag(mean_Y(c)) + dW
+    tril(mean_Y(phi), -1)^T, one (m x N) . (N x (N+1)) product per block
+    by PathEnsemble.dw_times, with no dW table.  A terminal function takes
+    the step row by row on the layers of terminal.conditional_sweep,
+    Y(t_i) = C_i[i] + A[i] C_i with A = Psi * trap (mean_Y(C_i) would cost
+    (N+1) m per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores
+    t; the steps fill a block's contiguous node-major rows, transposed
+    once into its path-major buffer.  On the blocks of
+    oracles._path_blocks every product rounds each path as on the whole
+    table: the rows of solve_Y bit for bit.
+    """
+    grid = same_grid(psi, ensemble)
+    cols = grid.n + 1
+    sizes = [len(ensemble.draws[part]) for part in blocks]
+    buf = np.empty(max(sizes) * cols)
     if isinstance(fam, GaussianLinear):
         c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
-        y = ensemble.dw_times(np.tril(mean_Y(phimat, psi), -1).T)
-        y += np.diagonal(mean_Y(c, psi))
-        return y
+        b = np.tril(mean_Y(phimat, psi), -1).T
+        diag = np.diagonal(mean_Y(c, psi))
+        for part, m in zip(blocks, sizes):
+            y = ensemble.dw_times(b, part, buf[:m * cols].reshape(m, cols))
+            y += diag
+            yield y
+        return
 
-    yt = np.empty((grid.n + 1, ensemble.n_paths))  # node-major rows
+    yt_buf = np.empty_like(buf)  # node-major rows
     a = tail_weighted(grid, psi.values)
     a_sum = a.sum(axis=1)
-    for i, c in conditional_sweep(fam, ensemble):
-        if fam.t_dependent:
-            yt[i] = c[i] + a[i] @ c
-        else:  # every row of c is C_i: A[i] c = (sum_a A[i, a]) C_i
-            yt[i] = c[i] + a_sum[i] * c[i]
-    return np.ascontiguousarray(yt.T)
+    sweep = conditional_sweep(fam, ensemble, blocks)
+    for m in sizes:
+        yt = yt_buf[:cols * m].reshape(cols, m)
+        for i, c in islice(sweep, cols):
+            if fam.t_dependent:
+                yt[i] = c[i] + a[i] @ c
+            else:  # c is C_i's one row: A[i] C_i = (sum_a A[i, a]) C_i
+                yt[i] = c[0] + a_sum[i] * c[0]
+        y = buf[:m * cols].reshape(m, cols)
+        y[...] = yt.T
+        yield y
 
 
 def mean_Y(x: np.ndarray, psi: ResolventTable) -> np.ndarray:
@@ -138,34 +164,52 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
     return SmoothnessReport(d, integral, bool(np.all(np.isfinite(d))))
 
 
+def norm_columns(y: np.ndarray, grid: TriangularGrid, beta: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The per-path parts of the H1 and S2 norms of the rows of y, (m,
+    N+1), node-major (2, m), into out if given: row 0 is the squared H1
+    integrand summed, neg_mass y(0)^2 + the trapezoid sum of e^(beta t)
+    y^2, row 1 the sup of e^(beta t) y^2 over the nodes.  Y extends to
+    [-T, 0) by its time-0 value, whose weight integrates to neg_mass.
+    One weighted square of y, (m, N+1), is formed."""
+    weight = np.exp(beta * grid.nodes)
+    if beta == 0.0:
+        neg_mass = grid.horizon
+    else:
+        neg_mass = (1.0 - math.exp(-beta * grid.horizon)) / beta
+    if out is None:
+        out = np.empty((2, len(y)))
+    wy2 = np.square(y)
+    wy2 *= weight
+    np.add(neg_mass * y[:, 0] ** 2, wy2 @ trapezoid_weights(grid), out=out[0])
+    np.max(wy2, axis=1, out=out[1])
+    return out
+
+
+def norm_report(means: np.ndarray, z: np.ndarray, grid: TriangularGrid,
+                beta: float) -> NormReport:
+    """The norms from the expectations of the two norm_columns rows, and
+    from the Z surface: H1 is the square root of the first, S2 the second
+    (the convention carries no square root: it is the expected weighted
+    squared sup), and H2 extends Z by zero off the positive triangle, an
+    O(N^2) quadrature that reads no paths."""
+    weight = np.exp(beta * grid.nodes)
+    inner = tail_weighted(grid, np.triu(weight[None, :] * z**2)).sum(axis=1)
+    h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
+    return NormReport(beta, math.sqrt(float(means[0])), h2, float(means[1]))
+
+
 def norms(y: np.ndarray, z: np.ndarray, grid: TriangularGrid,
           ensemble: Optional[PathEnsemble] = None,
           beta: float = 0.0) -> NormReport:
     """Weighted solution-space norms of Y (a profile, or an (M, N+1) table
-    drawn on the ensemble) and the Z surface.
-
-    H1 extends Y to [-T, 0) by its time-0 value, H2 extends Z by zero off
-    the positive triangle, and the S2 report follows the convention of
-    carrying no square root (it is the expected weighted squared sup).
-    The path expectations of H1 and S2 are taken under Q, by
-    expect_q_columns.  GridMismatch unless y, z and the ensemble are on grid.
+    drawn on the ensemble) and the Z surface: norm_report of the
+    norm_columns of Y, whose expectations over the paths are taken under
+    Q by expect_q_blocks, as one block.  GridMismatch unless y, z and the
+    ensemble are on grid.
     """
     same_grid(grid, y, z, *(() if ensemble is None else (ensemble,)))
-    horizon = grid.horizon
-    y = np.atleast_2d(y)
-    weight = np.exp(beta * grid.nodes)
-    if beta == 0.0:
-        neg_mass = horizon
-    else:
-        neg_mass = (1.0 - math.exp(-beta * horizon)) / beta
-    wy2 = np.square(y)  # one (M, N+1) table, read by H1 and S2
-    wy2 *= weight
-    per_path = np.column_stack([
-        neg_mass * y[:, 0] ** 2 + wy2 @ trapezoid_weights(grid),
-        wy2.max(axis=1)])
-    h1_sq, s2 = (per_path[0] if ensemble is None
-                 else expect_q_columns(ensemble, per_path)[0])
-    h1, s2 = math.sqrt(float(h1_sq)), float(s2)
-    inner = tail_weighted(grid, np.triu(weight[None, :] * z**2)).sum(axis=1)
-    h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
-    return NormReport(beta, h1, h2, s2)
+    columns = norm_columns(np.atleast_2d(y), grid, beta)
+    means = columns[:, 0] if ensemble is None else \
+        expect_q_blocks(ensemble, [(slice(None), columns.T)], slice(0))[0]
+    return norm_report(means, z, grid, beta)

@@ -15,18 +15,19 @@ Gaussian transition with a 64-node Gauss-Hermite rule and refuse to proceed
 when h breaks its declared growth envelope on the quadrature points.
 
 Along the paths, conditional_sweep reads that rule through a Chebyshev
-interpolant in the state, one per node: the rule is evaluated at
-CHEB_NODES Chebyshev-Lobatto points spanning the node's states (its end
-points the extreme states themselves), and the fit must match the rule at
-the CHEB_NODES - 1 interleaved points to CHEB_TOL times its largest node
-value; the series is summed only up to its last coefficient above the
-rounding of its own transform.  A node whose states do not spread (t_0)
-takes the rule at its one state for every path.  A node whose transition
-has sd = 0 (t_N), with too few paths to gain, or whose fit fails that
-certificate takes the rule at every state.  The growth guard checks every
-point whose h value enters a result; as the extreme states are
-interpolation points, the hull of the checked points is the one the rule
-at every state would check.
+interpolant in the state, one per node, fitted once on the states of
+every path and evaluated one block of paths at a time: the rule is
+evaluated at CHEB_NODES Chebyshev-Lobatto points spanning the node's
+states (its end points the extreme states themselves), and the fit must
+match the rule at the CHEB_NODES - 1 interleaved points to CHEB_TOL times
+its largest node value; the series is summed only up to its last
+coefficient above the rounding of its own transform.  A node whose states
+do not spread (t_0) takes the rule at its one state for every path.  A
+node whose transition has sd = 0 (t_N), with too few paths to gain, or
+whose fit fails that certificate takes the rule at every state.  The
+growth guard checks every point whose h value enters a result; as the
+extreme states are interpolation points, the hull of the checked points
+is the one the rule at every state would check.
 """
 
 from __future__ import annotations
@@ -182,19 +183,16 @@ def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
 
 
 def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
-                      blocks: list[slice], out: np.ndarray | None = None,
-                      ends: Callable | None = None):
+                      blocks: list[slice], ends: Callable | None = None):
     """Yield F(t_a) on the paths of each block of blocks and every node,
     (m, N+1): f0_profile broadcast for a deterministic family; for
     GaussianLinear, one GEMM of the block's increments with the phi table
     of gaussian_linear_conditionals (PathEnsemble.dw_times, no dW table);
     a terminal function is growth-checked at each of its _times at W(T),
     ends(block) where the caller has formed it, else end_states, and
-    broadcast to every node.  f0 and phi are evaluated once.  Where F has
-    a table (GaussianLinear, or a terminal function of t) each block is
-    written into its rows of out, an (M, N+1) table, when given; else all
-    are written into one buffer, so a block is valid until the next one
-    is taken.  On the blocks of oracles._path_blocks the GEMM rounds each
+    broadcast to every node.  f0 and phi are evaluated once.  Every block
+    is written into one buffer, so a block is valid until the next one is
+    taken.  On the blocks of oracles._path_blocks the GEMM rounds each
     path as on the whole table: the rows of evaluate_F_table bit for bit."""
     grid = ensemble.grid
     rows = [len(range(*part.indices(ensemble.n_paths))) for part in blocks]
@@ -205,14 +203,12 @@ def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
         return
     if isinstance(fam, GaussianLinear):
         a, f0 = _phi_table(fam, grid)[:, :-1].T, f0_profile(fam, grid)
-        cols = grid.n + 1
+        buf = np.empty((max(rows), grid.n + 1))
     else:
         times = _times(fam, grid)
-        cols = len(times)
-    buf = np.empty((max(rows), cols)) \
-        if out is None or cols != grid.n + 1 else None
+        buf = np.empty((max(rows), len(times)))
     for part, m in zip(blocks, rows):
-        dest = out[part] if buf is None else buf[:m]
+        dest = buf[:m]
         if isinstance(fam, GaussianLinear):
             ensemble.dw_times(a, part, dest)
             dest += f0
@@ -273,57 +269,88 @@ def mean_profile(fam: TerminalFamily, drift_fn: DriftFunction) -> np.ndarray:
         fam, _times(fam, drift_fn.grid), shift[0], sd[0]), drift_fn.grid.n + 1)
 
 
-def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
-    """Yield (i, C_i) for i = 0..N where C_i[a, m] = E^Q[F(t_a) | F_{t_i}]
-    on path m, under the ensemble's drift, for all of _times at once.
+def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble,
+                      blocks: list[slice]):
+    """Yield (i, C_i) for each block paths of blocks in turn, and within
+    it for i = 0..N, where C_i[k, m] = E^Q[F(t_a) | F_{t_i}] on path m of
+    the block, under the ensemble's drift, t_a the k-th of _times: one
+    row per node, or t_0's one row standing for every node when h
+    ignores t.  A block's N + 1 layers are read before the next block is
+    taken.
 
     Each node reads the Gauss-Hermite rule through a Chebyshev interpolant
-    in the state (_interpolated_mean): the rule at K = CHEB_NODES
-    Chebyshev-Lobatto points on [min, max] of the node's states, the end
-    points the extreme states exactly, turned into coefficients by one
-    fixed K x K cosine matrix, chopped after the last term above that
-    transform's rounding (_chopped_length), certified against the rule at
-    the K - 1 interleaved points to CHEB_TOL times the largest node value,
-    and evaluated at the M states as one product of the kept coefficients
-    with the table of those T_k at the states (_chebyshev_table), every
-    time row at once.  The states are read as contiguous rows of W^T.  A
-    node whose states are all equal (t_0) takes the rule at its
-    one state for every path, the bits of mean_profile's layer whatever M
-    is.  A node with sd = 0 (t_N), M <= 2K - 1 or a failed certificate
-    takes one gauss_hermite_mean call over every path's state instead; at
-    sd = 0 that call reads h once per state.  The
-    growth guard checks every point whose h value enters a result; as the
-    extreme states are interpolation points, the hull of those points is
-    the one the rule at every state checks.
+    in the state (_chebyshev_fit), fitted once per node on [min, max] of
+    the node's states over the paths of every block: the rule at K =
+    CHEB_NODES Chebyshev-Lobatto points, the end points the extreme states
+    exactly, turned into coefficients by one fixed K x K cosine matrix,
+    chopped after the last term above that transform's rounding
+    (_chopped_length), and certified against the rule at the K - 1
+    interleaved points to CHEB_TOL times the largest node value.  The
+    extremes take a first pass over the blocks' node-major states
+    (PathEnsemble.states); rounding is monotone, so the shifted extremes
+    of W are the extreme shifted states.  A second pass evaluates the
+    fits at each block's states, read as contiguous rows of its W: one
+    product of the kept coefficients with the table of those T_k at the
+    states (_chebyshev_table), every time row at once; on the blocks of
+    oracles._path_blocks each path rounds as on one block of every path.
+    A node whose states are all equal (t_0) takes the rule at its one
+    state for every path, the bits of mean_profile's layer whatever M is.
+    A node with sd = 0 (t_N), M <= 2K - 1 paths or a failed certificate
+    takes one gauss_hermite_mean call over each block's states instead; at
+    sd = 0 that call reads h once per state.  The growth guard checks
+    every point whose h value enters a result; as the extreme states are
+    interpolation points, the hull of those points is the one the rule at
+    every state checks.
     """
     grid = ensemble.grid
     times = _times(fam, grid)
     shift, sd = _q_transition(ensemble.drift_fn)
-    wt = ensemble.wt  # node-major: row i is W(t_i)
-    for i in range(grid.n + 1):
-        x = wt[i] + shift[i]
-        if x.min() == x.max():  # t_0: the rule at the one state
-            c = gauss_hermite_mean(fam, times, x[:1], sd[i])
-        else:
-            c = _interpolated_mean(fam, times, x, sd[i])
-            if c is None:
-                c = gauss_hermite_mean(fam, times, x, sd[i])
-        yield i, np.broadcast_to(c, (grid.n + 1, ensemble.n_paths))
+    rows = grid.n + 1
+    sizes = [len(ensemble.draws[part]) for part in blocks]
+    buf = np.empty(rows * max(sizes))
+    lo, hi = np.full(rows, np.inf), np.full(rows, -np.inf)
+    for part, m in zip(blocks, sizes):
+        wt = ensemble.states(part, buf[:rows * m].reshape(rows, m))
+        np.minimum(lo, wt.min(axis=1), out=lo)
+        np.maximum(hi, wt.max(axis=1), out=hi)
+    layers = [_node_layer(fam, times, lo[i] + shift[i], hi[i] + shift[i],
+                          sd[i], sum(sizes)) for i in range(rows)]
+    for part, m in zip(blocks, sizes):
+        wt = ensemble.states(part, buf[:rows * m].reshape(rows, m))
+        for i, layer in enumerate(layers):
+            yield i, layer(wt[i] + shift[i])
 
 
-def _interpolated_mean(fam: TerminalFunction, times: np.ndarray,
-                       x: np.ndarray, sd: float):
-    """gauss_hermite_mean(fam, times, x, sd) from its certified Chebyshev
-    interpolant on [min x, max x] (see conditional_sweep), or None where
-    the interpolant does not apply or fails its certificate.  The 2K - 1
+def _node_layer(fam: TerminalFunction, times: np.ndarray, lo, hi,
+                sd: float, m_paths: int) -> Callable:
+    """The function that takes a node's shifted states x to
+    gauss_hermite_mean(fam, times, x, sd), lo and hi the extreme states
+    over m_paths paths (see conditional_sweep): the rule at the one state
+    when lo = hi, else the fit of _chebyshev_fit, else the rule at every
+    state."""
+    if lo == hi:
+        c = gauss_hermite_mean(fam, times, np.array([lo]), sd)
+        return lambda x: np.broadcast_to(c, (len(c), len(x)))
+    fit = _chebyshev_fit(fam, times, lo, hi, sd, m_paths)
+    if fit is None:
+        return lambda x: gauss_hermite_mean(fam, times, x, sd)
+    mid, half, coef = fit
+    return lambda x: coef @ _chebyshev_table((x - mid) / half, coef.shape[1])
+
+
+def _chebyshev_fit(fam: TerminalFunction, times: np.ndarray, lo, hi,
+                   sd: float, m_paths: int):
+    """(mid, half, coef) of the certified Chebyshev interpolant of
+    gauss_hermite_mean(fam, times, x, sd) on [lo, hi] = [mid - half,
+    mid + half] (see conditional_sweep), or None where it does not apply
+    (sd = 0, or m_paths <= 2K - 1) or fails its certificate.  The 2K - 1
     points go through one gauss_hermite_mean call, its growth guard
     included.  The series keeps its first _chopped_length terms, the
     scale of a time row being its largest |node value|; the certificate
-    checks that chopped fit.  The fit at the check points and the values
-    at the states are both the kept coefficients times a _chebyshev_table
-    of as many rows, one GEMM for every time row."""
-    lo, hi = x.min(), x.max()
-    if not (sd > 0.0 and hi > lo and len(x) > 2 * CHEB_NODES - 1):
+    checks that chopped fit, at the check points as at the states the
+    kept coefficients times a _chebyshev_table of as many rows, one GEMM
+    for every time row."""
+    if not (sd > 0.0 and hi > lo and m_paths > 2 * CHEB_NODES - 1):
         return None
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     pts = mid + half * _CHEB_X
@@ -336,7 +363,7 @@ def _interpolated_mean(fam: TerminalFunction, times: np.ndarray,
     fit = coef @ _chebyshev_table(_CHEB_X[1::2], coef.shape[1])
     if not np.all(np.abs(fit - checks) <= CHEB_TOL * scale):
         return None
-    return coef @ _chebyshev_table((x - mid) / half, coef.shape[1])
+    return mid, half, coef
 
 
 def _chopped_length(coef: np.ndarray, scale: np.ndarray) -> int:

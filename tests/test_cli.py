@@ -106,7 +106,9 @@ def test_norms_agree_across_modes(tmp_path):
         # the standard error of that mean, from the same paths
         run = load_config(text)
         grid = run.generator.grid
-        y, _, ens = cli._solve_field(run, *cli._prepare(run)[:2])
+        psi, b = cli._prepare(run)[:2]
+        ens = sample_paths(run.n_paths, run.seed, run.mode, b)
+        y = solver.solve_Y(run.family, psi, ens)
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
         est, est_se = expect_q_columns(ens, per_path[:, None])
@@ -120,7 +122,8 @@ def test_mode_p_sidecars_report_weights(tmp_path):
         cfg = write_cfg(tmp_path, MINI_STOCHASTIC + f"mc.mode = {mode}\n",
                         name=f"{mode}.cfg")
         run = load_config(cfg.read_text())
-        weights = cli._solve_field(run, *cli._prepare(run)[:2])[2].weights
+        weights = sample_paths(run.n_paths, run.seed, run.mode,
+                               drift(run.generator)).weights
         for command in ("solve", "compare", "norms"):
             out = tmp_path / mode / command
             assert run_cli(command, "--config", cfg, "--out", out) == 0
@@ -279,13 +282,16 @@ def test_monte_carlo_compare_runs_no_per_path_solve(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("solve_Y", "solve_Z", "residual_reduced_pathwise"):
+    for name in ("solve_Y", "solve_Y_blocks", "solve_Z",
+                 "residual_reduced_pathwise", "_path_moments"):
         count(cli, name)
     count(solver, "conditional_sweep")
     terminal = write_cfg(tmp_path, MINI_TERMINAL, name="h.cfg")
     assert run_cli("solve", "--config", terminal, "--out", tmp_path / "s") == 0
-    assert set(calls) == {"solve_Y", "solve_Z", "residual_reduced_pathwise",
-                          "conditional_sweep"}
+    # solve takes Y by blocks of paths, in one pass, never as a table
+    assert calls == {"solve_Y_blocks": 1, "solve_Z": 1,
+                     "residual_reduced_pathwise": 1, "conditional_sweep": 1,
+                     "_path_moments": 1}
     bundled = CONFIGS / "dirac-reduction.cfg"
     for i, cfg in enumerate((write_cfg(tmp_path, MINI_STOCHASTIC), terminal,
                              bundled)):
@@ -496,13 +502,27 @@ def test_monte_carlo_compare_peak_within_seven_tables(tmp_path, mode):
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_monte_carlo_solve_peak_within_five_tables(tmp_path, mode):
-    # solve holds the draws throughout; the explicit Y, then the path
-    # residual R beside it, F and R's products taken one block of paths
-    # at a time, so no F table is formed.  Y goes before R is reduced
-    # through its private copy: three (M, N+1) tables at most.  One more
-    # table covers the blocks of paths, the O(N^2) tables and the Python
-    # objects: four, which a whole F table would exceed.
-    assert traced_peak_tables(tmp_path, "solve", mode) < 4
+    # solve holds the draws throughout, one (M, N) table, and takes Y, R
+    # and the norm columns in one pass over blocks of at most LSMC_CHUNK
+    # paths.  A block holds Y, F, R and one buffer for R's two products,
+    # path-major, then the node-major stack of Y, R and the two norm
+    # columns, which expect_q_blocks reduces in place, and the weighted
+    # square of Y that the norm columns read.  The draws and the blocks,
+    # the O(N^2) tables and the Python objects stay below two and a half
+    # tables, which a whole table of Y, F or R beside the draws would
+    # exceed.
+    assert traced_peak_tables(tmp_path, "solve", mode) < 2.5
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_monte_carlo_norms_peak_within_two_and_a_half_tables(tmp_path, mode):
+    # norms holds the draws throughout and takes Y one block of at most
+    # LSMC_CHUNK paths at a time: a block holds Y, its weighted square
+    # and its two norm columns, which expect_q_blocks reduces before the
+    # next block is formed.  Below two and a half tables, which a whole
+    # table of Y and one of its weighted square beside the draws would
+    # exceed.
+    assert traced_peak_tables(tmp_path, "norms", mode) < 2.5
 
 
 def test_monte_carlo_compare_fits_no_final_slopes(tmp_path, monkeypatch):

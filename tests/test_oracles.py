@@ -303,13 +303,21 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     ens = sample_paths(300, 43, "P", zero_drift(g))
     y = solve_Y(fam, psi, ens)
     z = solve_Z(fam, psi, zero_drift(g))
-    r = residual_reduced_pathwise(y, z, fam, phi, ens)
+    r = pathwise_residual(y, z, fam, phi, ens)
     assert np.abs(r).max() < 1e-12
     # Phi is built apart from the paths: one on T = 2 is refused
     phi_t2 = build_phi(DelayedGenerator(DiracAt(2.0, 0.0), k,
                                         TriangularGrid(2.0, 25)))
     with pytest.raises(GridMismatch):
-        residual_reduced_pathwise(y, z, fam, phi_t2, ens)
+        pathwise_residual(y, z, fam, phi_t2, ens)
+
+
+def pathwise_residual(y, z, fam, phi, ens):
+    """R as one table, from residual_reduced_pathwise on the blocks of
+    _path_blocks of at most LSMC_CHUNK paths, fed the rows of y."""
+    blocks = _path_blocks(len(y), oracles.LSMC_CHUNK)
+    return np.concatenate([r.copy() for _, r in residual_reduced_pathwise(
+        (y[part] for part in blocks), z, fam, phi, ens, blocks)])
 
 
 def pathwise_inputs(mode, n, m_paths, seed):
@@ -333,34 +341,35 @@ def test_pathwise_ito_sum_on_w_q_increments(mode):
     n = phi.grid.n
     want = residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
     want[:, :n] += np.diff(ens.wq, axis=1) @ np.triu(z[:n, :n]).T
-    r = residual_reduced_pathwise(y, z, fam, phi, ens)
+    r = pathwise_residual(y, z, fam, phi, ens)
     assert np.abs(r - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_pathwise_residual_traced_peak_within_two_tables(mode):
     # the Ito sum reads the ensemble's draws, allocated before the trace,
-    # in both modes: no dW or dW^Q table is formed.  R is the one
-    # (M, N+1) float table: F is formed into R's rows, and y A^T and the
-    # Ito sum into one buffer of N + 1 and one of N floats per path, one
-    # block of at most 1.5 LSMC_CHUNK paths at a time.  The rest is
-    # O(N^2): the tail weights, A, and the triangle of Z and its
-    # transpose, which 4 (N+1)^2 floats cover; numpy's ufunc buffers come
-    # on top.  A whole table of F or of either product would take the
-    # peak past this gate.
+    # in both modes: no dW or dW^Q table is formed.  Y comes in blocks of
+    # _path_blocks, and R goes out in them: each block, of at most
+    # LSMC_CHUNK paths, holds R, F and one buffer that takes y A^T and
+    # then the Ito sum, N + 1 floats per path each.  The rest is O(N^2):
+    # the tail weights, A, and the triangle of Z and its transpose, which
+    # 4 (N+1)^2 floats cover; numpy's ufunc buffers come on top.  A whole
+    # table of R, F or either product would take the peak past this gate.
     y, z, fam, phi, ens = pathwise_inputs(mode, 60, 20_000, 73)
     n = phi.grid.n
     table = ens.n_paths * (n + 1) * 8
-    block = 1.5 * oracles.LSMC_CHUNK * (2 * n + 1) * 8
+    blocks = _path_blocks(ens.n_paths, oracles.LSMC_CHUNK)
+    block = 3 * oracles.LSMC_CHUNK * (n + 1) * 8
     assert block < table / 2  # several blocks
     tracemalloc.start()
     try:
-        residual_reduced_pathwise(y, z, fam, phi, ens)
+        for _ in residual_reduced_pathwise((y[part] for part in blocks), z,
+                                           fam, phi, ens, blocks):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= table + block + 4 * (n + 1) ** 2 * 8 \
-        + 2 * 8 * np.getbufsize()
+    assert peak <= block + 4 * (n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
 
 
 @pytest.mark.parametrize("m_paths", [1, 63, 64, 2048, 2049, 3000, 10241,
@@ -395,7 +404,7 @@ def test_pathwise_residual_by_path_blocks_bitwise(mode):
     if mode == "P":
         ito -= ens.drift_fn.increments() @ zt
     want[:, :n] += ito
-    got = residual_reduced_pathwise(y, z, fam, phi, ens)
+    got = pathwise_residual(y, z, fam, phi, ens)
     assert got.tobytes() == want.tobytes()
 
 

@@ -20,14 +20,15 @@ import pytest
 
 from bsvielab import terminal
 from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
-    expect_q_columns, sample_paths
+    expect_q_blocks, expect_q_columns, sample_paths
 from bsvielab.kernels import DelayedGenerator, GridMismatch, TriangularGrid, \
     build_phi, constant_kernel, resolvent, tail_weight_matrix, \
     trapezoid_weights
 from bsvielab.measures import DiracAt, Uniform
-from bsvielab.oracles import residual_reduced
-from bsvielab.solver import mean_Y, norms, smoothness_diagnostics, solve_Y, \
-    solve_Z
+from bsvielab.oracles import LSMC_CHUNK, _path_blocks, residual_reduced, \
+    residual_reduced_pathwise
+from bsvielab.solver import mean_Y, norm_columns, norm_report, norms, \
+    smoothness_diagnostics, solve_Y, solve_Y_blocks, solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
     GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
     conditional_sweep, evaluate_F_table, f0_profile, gauss_hermite_mean, \
@@ -199,9 +200,16 @@ def test_mean_profile_is_the_sweeps_t0_layer(t_dependent):
     profile = mean_profile(fam, b)
     for m_paths in (1, 2, 3, 5, 300):
         ens = sample_paths(m_paths, 7, "Q", b)
-        i, c0 = next(conditional_sweep(fam, ens))
+        i, c0 = next(sweep_rows(fam, ens))
         assert i == 0
         assert np.array_equal(c0, np.broadcast_to(profile[:, None], c0.shape))
+
+
+def sweep_rows(fam, ens):
+    """(i, C_i) of conditional_sweep on the one block of every path, C_i
+    broadcast to one row per node."""
+    for i, c in conditional_sweep(fam, ens, [slice(None)]):
+        yield i, np.broadcast_to(c, (ens.grid.n + 1, ens.n_paths))
 
 
 def reference_solve_Y_terminal(fam, psi, drift_fn, grid, ens):
@@ -235,7 +243,7 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
     fam = make_h("square")
     a = psi.values * tail_weight_matrix(g)
     matvec = np.empty((ens.n_paths, g.n + 1))
-    for i, c in conditional_sweep(fam, ens):
+    for i, c in sweep_rows(fam, ens):
         matvec[:, i] = c[i] + a[i] @ c
     y = solve_Y(fam, psi, ens)
     eps = np.finfo(float).eps
@@ -257,7 +265,7 @@ def test_solve_Y_node_major_rows_match_column_loop(monkeypatch, m_paths,
     fam = t_varying_h("square") if t_dependent else make_h("square")
     a = psi.values * tail_weight_matrix(g)
     want = np.empty((m_paths, g.n + 1))
-    for i, c in conditional_sweep(fam, ens):
+    for i, c in sweep_rows(fam, ens):
         want[:, i] = c[i] + a[i] @ c if t_dependent \
             else c[i] + a[i].sum() * c[i]
     y = solve_Y(fam, psi, ens)
@@ -298,6 +306,60 @@ def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
     want = reference_solve_Y_terminal(fam, psi, b, g, ens)
     assert np.all(np.abs(y - want).max(axis=0)
                   <= 1e-13 * np.abs(want).max(axis=0))
+
+
+def kinked_h():
+    """|x - 0.3|: the rule's mean is piecewise linear in the state, so no
+    node's fit passes its certificate and every node takes the rule at
+    every state."""
+    return TerminalFunction(
+        h=lambda t, x: np.abs(np.asarray(x, dtype=float) - 0.3),
+        dh=lambda t, x: np.sign(np.asarray(x, dtype=float) - 0.3),
+        growth_a=2.0, growth_b=1.0)
+
+
+BLOCK_CASES = {
+    "gaussian-p": ("P", lambda: GaussianLinear(
+        f0=make_f0("exp_decay", rate=0.7), phi=make_phi("exp_u"))),
+    "gaussian-q": ("Q", lambda: GaussianLinear(
+        f0=make_f0("exp_decay", rate=0.7), phi=make_phi("exp_u"))),
+    "h-of-x": ("Q", lambda: make_h("exp")),
+    "h-of-t-and-x": ("Q", lambda: t_varying_h("square")),
+    "kinked-h": ("P", kinked_h),
+}
+
+
+@pytest.mark.parametrize("case, m_paths, blocks", [
+    *[(case, m_paths, None) for case in BLOCK_CASES
+      for m_paths in (LSMC_CHUNK + 1, 3 * LSMC_CHUNK + 5)],
+    *[pytest.param(case, 2 * terminal.CHEB_NODES - 1,
+                   [slice(0, 32), slice(32, None)], id=f"{case}-no-fit")
+      for case in ("h-of-x", "h-of-t-and-x")],
+])
+def test_solve_Y_and_residual_blocks_bitwise(case, m_paths, blocks):
+    # Y and the pathwise residual R on blocks of paths are the rows of the
+    # one-block call bit for bit: on the blocks of _path_blocks, and at
+    # M <= 2K - 1, where every node takes the rule at every state, on a
+    # split of the paths that no fit spans
+    mode, family = BLOCK_CASES[case]
+    fam = family()
+    g, m, spec, phi, psi = setup_reduced(0.3, 20, Uniform(T), g_value=0.2)
+    b = drift(DelayedGenerator(m, spec, g))
+    ens = sample_paths(m_paths, 9, mode, b)
+    z = solve_Z(fam, psi, b)
+    if blocks is None:
+        blocks = _path_blocks(m_paths, LSMC_CHUNK)
+    assert len(blocks) > 1
+    whole = solve_Y(fam, psi, ens)
+    (_, r_whole), = residual_reduced_pathwise([whole], z, fam, phi, ens,
+                                              [slice(None)])
+    ys, rs = [], []
+    for y, r in residual_reduced_pathwise(
+            solve_Y_blocks(fam, psi, ens, blocks), z, fam, phi, ens, blocks):
+        ys.append(y.copy())
+        rs.append(r.copy())
+    assert np.array_equal(np.concatenate(ys), whole)
+    assert np.array_equal(np.concatenate(rs), r_whole)
 
 
 def test_solve_Y_growth_breach_on_last_path_raises():
@@ -725,25 +787,36 @@ def test_norms_checks_its_grid():
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_norms_traced_peak_within_one_table(mode):
-    # H1 and S2 read one weighted square of Y, the one (M, N+1) table
-    # norms allocates.  Besides it: four (M,) columns at most (the two
-    # per-path sums and their column stack, later that stack and its copy
-    # in expect_q_columns) and the O(N^2) tables of H2, which 4 (N+1)^2
-    # floats cover; numpy's ufunc buffers come on top.
+    # H1 and S2 read the per-path columns of norm_columns, formed one
+    # block of _path_blocks at a time into its rows of a (2, M) stack:
+    # a block holds one weighted square of its Y, at most LSMC_CHUNK
+    # paths by N + 1 nodes, and three columns of its paths (y(0)^2, that
+    # times neg_mass, and the trapezoid sums).  expect_q_blocks reduces
+    # the stack in place, SEs skipped, with one buffer of M floats.
+    # Besides: the stack, 2 M floats, the O(N^2) tables of H2, which
+    # 4 (N+1)^2 floats cover, and numpy's ufunc buffers.  A whole
+    # (M, N+1) weighted square would be ten times the blocks' share.
     m_paths, n = 20_000, 60
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 5, mode, DriftFunction(g, np.full(n + 1, 0.2)))
     y = np.random.default_rng(6).standard_normal((m_paths, n + 1))
     z = np.triu(np.ones((n + 1, n + 1)))
-    table = m_paths * (n + 1) * 8
+    blocks = _path_blocks(m_paths, LSMC_CHUNK)
     tracemalloc.start()
     try:
-        norms(y, z, g, ens, beta=0.7)
+        columns = np.empty((2, m_paths))
+        for part in blocks:
+            norm_columns(y[part], g, 0.7, columns[:, part])
+        means = expect_q_blocks(ens, [(slice(None), columns.T)], slice(0))[0]
+        rep = norm_report(means, z, g, 0.7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (table + 4 * m_paths * 8 + 4 * (n + 1) ** 2 * 8
-                    + 2 * 8 * np.getbufsize())
+    assert peak <= (LSMC_CHUNK * (n + 4) * 8 + 3 * m_paths * 8
+                    + 4 * (n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize())
+    # the blocks' columns are the whole table's, and so are the norms
+    assert np.array_equal(columns, norm_columns(y, g, 0.7))
+    assert rep == norms(y, z, g, ens, beta=0.7)
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])

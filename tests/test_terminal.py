@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bsvielab.girsanov import DriftFunction, drift, sample_paths
 from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
     constant_kernel, resolvent, tail_weight_matrix
 from bsvielab.measures import Uniform
+from bsvielab.oracles import LSMC_CHUNK, _path_blocks
 from bsvielab.solver import solve_Y
 from bsvielab.terminal import (
     CHEB_NODES,
@@ -230,11 +232,12 @@ def test_sweep_matches_pointwise_conditionals():
             assert np.allclose(got, want), (fam, i)
         if not isinstance(fam, TerminalFunction):
             continue
-        for i, c in conditional_sweep(fam, e):
+        for i, c in conditional_sweep(fam, e, [slice(None)]):
             if i in (0, 7, 15):
                 for a in (i, min(i + 3, 15)):
                     want = conditional_F(fam, g.nodes[a], g.nodes[i], e)
-                    assert np.allclose(c[a], want), (fam, i, a)
+                    row = c[a] if fam.t_dependent else c[0]
+                    assert np.allclose(row, want), (fam, i, a)
 
 
 def mc_terminal_ensemble(seed, n=40, m=20000):
@@ -253,6 +256,17 @@ def direct_layer(fam, e, i, times):
     return gauss_hermite_mean(fam, times, e.w[:, i] + shift, sd)
 
 
+def blocked_sweep(fam, e):
+    """(i, paths, C_i) of conditional_sweep on the blocks of
+    oracles._path_blocks, C_i on the paths of the block paths."""
+    blocks = _path_blocks(e.n_paths, LSMC_CHUNK)
+    assert len(blocks) > 1
+    sweep = conditional_sweep(fam, e, blocks)
+    for part in blocks:
+        for i, c in islice(sweep, e.grid.n + 1):
+            yield i, part, c
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("fam", [
     make_h("square"),
@@ -264,21 +278,24 @@ def direct_layer(fam, e, i, times):
         growth_a=3.0, growth_b=1.0, t_dependent=True),
 ], ids=["square", "exp", "affine", "t-dependent"])
 def test_sweep_interpolant_matches_direct_layer(fam, seed):
-    # each node within 1e-13 of its largest |C_i|; a t-dependent h is
+    # each node's one fit, on the states of every block, is within 1e-13
+    # of the node's largest |C_i| on each block; a t-dependent h is
     # checked on the diagonal row, which Y reads, and on the last
     e = mc_terminal_ensemble(seed)
     n = e.grid.n
-    for i, c in conditional_sweep(fam, e):
-        rows = [i, n] if fam.t_dependent else [0]
-        want = direct_layer(fam, e, i, e.grid.nodes[rows])
-        got = c[rows]
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), i
+    rows = [[i, n] if fam.t_dependent else [0] for i in range(n + 1)]
+    want = [direct_layer(fam, e, i, e.grid.nodes[rows[i]])
+            for i in range(n + 1)]
+    for i, part, c in blocked_sweep(fam, e):
+        bound = 1e-13 * np.abs(want[i]).max()
+        assert np.abs(c[rows[i]] - want[i][:, part]).max() <= bound, i
 
 
 def test_sweep_kinked_h_falls_back_bitwise():
     # the rule's mean of |x - 0.3| is piecewise linear in the state, so no
     # interior node's fit passes the certificate: each tries its 2K - 1
-    # points, then takes the rule at every state, bit for bit
+    # points once, then takes the rule at every state of each block, bit
+    # for bit
     shapes = []
 
     def h(t, x):
@@ -288,9 +305,12 @@ def test_sweep_kinked_h_falls_back_bitwise():
     fam = TerminalFunction(h=h, dh=lambda t, x: np.sign(np.asarray(x) - 0.3),
                            growth_a=2.0, growth_b=1.0)
     e = mc_terminal_ensemble(1)
-    for i, c in conditional_sweep(fam, e):
-        want = direct_layer(fam, e, i, e.grid.nodes[:1])
-        assert np.array_equal(c[0], want[0]), i
+    want = [direct_layer(fam, e, i, e.grid.nodes[:1])[0]
+            for i in range(e.grid.n + 1)]
+    shapes.clear()
+    for i, part, c in blocked_sweep(fam, e):
+        assert np.array_equal(c[0], want[i][part]), i
+    # one try per interior node, whatever the blocks
     n_tries = shapes.count((2 * CHEB_NODES - 1, GH_NODES))
     assert n_tries == e.grid.n - 1
 
@@ -306,7 +326,8 @@ def test_sweep_counts_h_points():
         return np.asarray(x, dtype=float) ** 2
 
     fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
-    for _ in conditional_sweep(fam, mc_terminal_ensemble(1, n, m)):
+    for _ in conditional_sweep(fam, mc_terminal_ensemble(1, n, m),
+                               [slice(None)]):
         pass
     assert sum(points) <= ((n - 1) * (2 * CHEB_NODES - 1) + 1) * GH_NODES + m
 
@@ -328,7 +349,7 @@ def test_sweep_chops_the_series_at_its_rounding_floor(monkeypatch, fam, most):
     full_table = terminal._chebyshev_table
     monkeypatch.setattr(terminal, "_chebyshev_table", table)
     e = mc_terminal_ensemble(1)
-    for _ in conditional_sweep(fam, e):
+    for _ in conditional_sweep(fam, e, [slice(None)]):
         pass
     assert len(rows) == 2 * (e.grid.n - 1)
     assert max(rows) <= most
@@ -371,11 +392,12 @@ def test_chopped_sweep_within_floor_of_full_series(monkeypatch, fam):
     e = mc_terminal_ensemble(1)
     n = e.grid.n
     rows = [[i, n] if fam.t_dependent else [0] for i in range(n + 1)]
+    whole = [slice(None)]
     monkeypatch.setattr(terminal, "_chopped_length", chopped)
-    chop = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
+    chop = [c[rows[i]] for i, c in conditional_sweep(fam, e, whole)]
     monkeypatch.setattr(terminal, "_chopped_length",
                         lambda coef, scale: coef.shape[1])
-    full = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
+    full = [c[rows[i]] for i, c in conditional_sweep(fam, e, whole)]
     assert len(rows_seen) == n - 1  # every interior node interpolates
     eps = np.finfo(float).eps
     k = CHEB_NODES
@@ -403,7 +425,8 @@ def test_nan_at_an_interpolation_point_raises():
 
     fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
     with pytest.raises(QuadratureError):
-        for _ in conditional_sweep(fam, mc_terminal_ensemble(1, 10, 200)):
+        for _ in conditional_sweep(fam, mc_terminal_ensemble(1, 10, 200),
+                                   [slice(None)]):
             pass
     assert poisoned
 

@@ -7,18 +7,22 @@ Usage:
 Imports bsvielab from ROOT/src and the benchmark workloads from
 ROOT/perfbench, then runs each of the six commands through
 ``bsvielab.cli.main`` on the five bundled configs, on every workload's
-``config_text(1)`` and on the eight generated configs of FEATURES.  Those
+``config_text(1)`` and on the nine generated configs of FEATURES.  Those
 reach the branches the others do not: atoms between lags (with g != 0
 too), measure.kind = atoms, the poly_exp and zero kernels, beta != 0, the
 exp and affine terminal functions, f0 = exp_decay, phi = bilinear, a
 mode-Q LSMC at g = 0, a mode-Q LSMC whose drift puts E[W(t_i)] three
 spreads from 0 at T (b = g = 3 under a Dirac at 0; the largest drift at
 which girsanov-check's reweighting keeps its effective sample size),
-and the block edges of the Monte Carlo passes: M = LSMC_CHUNK + 1 paths
-on N + 1 = 71 nodes, which every pass over the paths takes as two blocks
-of 1024 and 1025 paths (oracles._path_blocks), so the LSMC's means and
-standard errors merge across blocks, in mode Q and in a mode-P twin whose
-weighted merge carries the blocks' sums of squared weights.
+and the block edges of the Monte Carlo passes: M = LSMC_CHUNK + 1 paths,
+which every pass over the paths takes as two blocks of 1024 and 1025
+paths (oracles._path_blocks).  On N + 1 = 71 nodes a Gaussian-linear
+family merges the LSMC's and solve's and norms' means and standard
+errors across the blocks, in mode Q and in a mode-P twin whose weighted
+merge carries the blocks' sums of squared weights; h = exp in mode Q,
+on N + 1 = 41 nodes, fits each node's Chebyshev interpolant on the
+states of both blocks, and merges solve's and norms' moments of a
+terminal function.
 
 With one tree it prints, for each run, the exit code and the sha256 of
 the captured stdout, then the sha256 of every file the run wrote.  Two
@@ -175,6 +179,20 @@ terminal.f0.value = 0.5
 terminal.phi = exp_u
 mc.paths = 2049
 mc.mode = P
+""",
+    # a terminal function on the same two blocks: each node's Chebyshev fit
+    # spans the states of both
+    "feature-block-edge-terminal-q": """
+horizon = 1.0
+grid.n = 40
+measure.kind = uniform
+kernel.name = constant
+kernel.c = 0.3
+kernel.g = 0.2
+terminal.kind = terminal_function
+terminal.h = exp
+mc.paths = 2049
+mc.mode = Q
 """,
 }
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
