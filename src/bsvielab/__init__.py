@@ -18,7 +18,7 @@ import types
 from .config import ConfigError, ExperimentConfig, load_config, \
     load_config_file
 from .girsanov import DegenerateWeights, DriftFunction, PathEnsemble, \
-    drift, expect_q_columns, girsanov_report, sample_paths
+    drift, expect_q_blocks, girsanov_report, sample_paths
 from .kernels import DelayOperator, DelayedGenerator, GridMismatch, \
     HorizonMismatch, KernelSpec, KernelTable, ResolventTable, SingularStep, \
     ToleranceUnreachable, TriangularGrid, build_phi, constant_kernel, \
@@ -32,9 +32,10 @@ from .oracles import LsmcResult, PicardDiverged, PicardFailed, PicardResult, \
     residual_delayed, residual_reduced, residual_reduced_pathwise, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
 from .solver import NormReport, SmoothnessReport, UnsupportedFamily, \
-    mean_Y, norms, smoothness_diagnostics, solve_Y, solve_Z
+    mean_Y, norm_columns, norm_report, smoothness_diagnostics, \
+    solve_Y_blocks, solve_Z
 from .terminal import Deterministic, GaussianLinear, QuadratureError, \
-    TerminalFunction, UnknownParameter, evaluate_F_table, \
+    TerminalFunction, UnknownParameter, evaluate_F_blocks, \
     gauss_hermite_mean, make_f0, make_h, make_phi, malliavin_table, \
     mean_profile
 

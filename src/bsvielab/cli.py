@@ -41,8 +41,8 @@ from .oracles import LSMC_CHUNK, PicardFailed, RegressionIllConditioned, \
     _path_blocks, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
-from .solver import mean_Y, norm_columns, norm_report, norms, \
-    smoothness_diagnostics, solve_Y, solve_Y_blocks, solve_Z
+from .solver import mean_Y, norm_columns, norm_report, \
+    smoothness_diagnostics, solve_Y_blocks, solve_Z
 from .terminal import QuadratureError, is_stochastic, mean_profile
 
 EXIT_OK = 0
@@ -179,17 +179,22 @@ def cmd_resolvent(cfg: ExperimentConfig) -> None:
 def _solve_field(cfg: ExperimentConfig, psi, drift_fn,
                  residual: bool = False):
     """Explicit Z from psi's phi, the ensemble (None for a deterministic
-    family), Y and the norms: (z, ens, y, norms report), y the profile of
-    a deterministic family, else the (means, SEs) of _path_moments."""
+    family), Y and the norms: (z, ens, y, norms report), y the pair
+    (fbar0, Y) of a deterministic family, f0 read once into fbar0 =
+    mean_profile and Y = mean_Y(fbar0), compare's explicit mean, else the
+    (means, SEs) of _path_moments."""
     fam, grid = cfg.family, psi.grid
-    if not is_stochastic(fam):
-        y, z = solve_Y(fam, psi), solve_Z(fam, psi, drift_fn)
-        return z, None, y, _finite_norms(norms, y, z, grid, None, cfg.beta)
-    ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn)
     z = solve_Z(fam, psi, drift_fn)
+    if not is_stochastic(fam):
+        fbar0 = mean_profile(fam, drift_fn)
+        y = mean_Y(fbar0, psi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = norm_columns(y[None], grid, cfg.beta)[:, 0]
+        return z, None, (fbar0, y), _finite_norms(means, z, grid, cfg.beta)
+    ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn)
     moments = _path_moments(cfg, psi, z, ens, residual)
-    return z, ens, moments, _finite_norms(norm_report, moments[0][-2:], z,
-                                          grid, cfg.beta)
+    return z, ens, moments, _finite_norms(moments[0][-2:], z, grid,
+                                          cfg.beta)
 
 
 def _path_moments(cfg: ExperimentConfig, psi, z, ens, residual: bool):
@@ -198,9 +203,10 @@ def _path_moments(cfg: ExperimentConfig, psi, z, ens, residual: bool):
     (solve_Y_blocks) and R (residual_reduced_pathwise) with their SEs;
     then the means of the two norm_columns rows of Y.  Each block's
     rows are formed path-major in contiguous buffers and transposed once
-    into one node-major stack, which expect_q_blocks reduces before the
-    next block is formed: no (M, N+1) table is held.  The weights
-    exp(beta t) may overflow here, which _finite_norms reports."""
+    into one node-major stack, which expect_q_blocks reduces where it
+    lies before the next block is formed: no (M, N+1) table is held.
+    The weights exp(beta t) may overflow here, which _finite_norms
+    reports."""
     grid, fam, n1 = psi.grid, cfg.family, psi.grid.n + 1
     blocks = _path_blocks(ens.n_paths, LSMC_CHUNK)
     rows = 2 * n1 if residual else 0
@@ -215,7 +221,7 @@ def _path_moments(cfg: ExperimentConfig, psi, z, ens, residual: bool):
             if residual:
                 stack[:n1], stack[n1:rows] = y.T, r.T
             norm_columns(y, grid, cfg.beta, stack[rows:])
-            yield part, stack.T
+            yield part, stack
 
     with np.errstate(over="ignore", invalid="ignore"):
         return expect_q_blocks(ens, stacked(), slice(rows))
@@ -228,11 +234,11 @@ def _weight_meta(ens) -> dict:
                                  "min_weight": float(w.min())}
 
 
-def _finite_norms(norms_of, *args):
-    """norms_of(*args), a norms report; ConfigError when exp(beta t) makes
-    one of its norms overflow."""
+def _finite_norms(means, z, grid, beta: float):
+    """norm_report(means, z, grid, beta); ConfigError when exp(beta t)
+    makes one of its norms overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = norms_of(*args)
+        rep = norm_report(means, z, grid, beta)
     if not np.isfinite([rep.h1, rep.h2, rep.s2]).all():
         raise ConfigError(f"beta: the weighted norms overflow "
                           f"(beta={rep.beta}, H1={rep.h1}, H2={rep.h2}, "
@@ -251,10 +257,10 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         y_mean, rr, y_se, rr_se = mean[:n1], mean[n1:2 * n1], se[:n1], se[n1:]
         rd = np.full_like(rr, np.nan)
     else:
-        y_mean, y_se = y, np.zeros_like(y)
-        fbar0 = mean_profile(cfg.family, drift_fn)
-        rd, _ = residual_delayed(y, fbar0, op)
-        rr, _ = residual_reduced(y, fbar0, phi)
+        fbar0, y_mean = y
+        y_se = np.zeros_like(y_mean)
+        rd, _ = residual_delayed(y_mean, fbar0, op)
+        rr, _ = residual_reduced(y_mean, fbar0, phi)
         rr_se = np.zeros_like(rr)
     write_csv(os.path.join(cfg.out_dir, "solution.csv"),
               ["t", "Y_mean", "Y_se"], np.column_stack([nodes, y_mean, y_se]))

@@ -76,11 +76,11 @@ class PathEnsemble:
     coincides with W when the drift vanishes) are derived from it and the
     drift, as sample_paths describes: each access builds a new read-only
     table, so a caller reads each one once; w is the path-major view of
-    wt.  states forms wt's columns on a block of paths, end_states its
-    last row, W(T) (w_end of every path), and dw_times a product dw @ a,
-    none of them with a whole table.  weights is the per-path
-    Radon-Nikodym density M(T) for tag "P" and exactly 1 for tag "Q".
-    The path count M is the number of rows of draws.
+    wt.  On a block of paths, states forms wt's columns, end_states its
+    last row W(T) and dw_times a product dw @ a, with no whole table.
+    weights is the per-path Radon-Nikodym density M(T) for tag "P" and
+    exactly 1 for tag "Q".  The path count M is the number of rows of
+    draws.
     """
 
     tag: str
@@ -148,11 +148,6 @@ class PathEnsemble:
     def w(self) -> np.ndarray:
         """W on every path and node, (M, N+1): the transpose of wt."""
         return self.wt.T
-
-    @property
-    def w_end(self) -> np.ndarray:
-        """W(T) on every path, (M,): end_states of all of them."""
-        return self.end_states(slice(None))
 
     def end_states(self, paths: slice) -> np.ndarray:
         """W(T) on the paths of the block paths: row N of wt bit for bit,
@@ -233,30 +228,22 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(weights.sum() / weights.max())
 
 
-def expect_q_columns(ensemble: PathEnsemble,
-                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise Q-expectations of an (M, K) per-path matrix and their
-    standard errors: expect_q_blocks of the one block of every path."""
-    return expect_q_blocks(ensemble, [(slice(None), values)])
-
-
 def expect_q_blocks(ensemble: PathEnsemble, blocks,
                     se_rows: slice = slice(None)
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise Q-expectations of per-path values, and the standard
-    errors of the columns se_rows (every column by default), from blocks
-    yielding (paths, values), values (m, K) on the paths of the block
-    paths, each reduced before the next is taken.
+    """Row-wise Q-expectations of per-path values, and the standard errors
+    of the rows se_rows (every row by default), from blocks yielding
+    (paths, values), values (K, m) node-major, one column per path of the
+    block paths, each reduced before the next is taken; ValueError for a
+    block whose rows are not m long.  Rows that are not contiguous are
+    reduced in a contiguous copy.
 
     Tag "Q" is a plain sample mean with the ddof-1 standard error (SE 0
     for a single path); tag "P" a self-normalized importance-sampling mean
-    with the delta-method standard error.  Every column's mean is formed
-    with all the others beside it, so a column's bits do not depend on
-    se_rows; only the columns of se_rows take the deviation pass.  A
-    block's columns are the contiguous rows of values^T, reduced where
-    they lie when values is a node-major block's transpose, else in a
-    private copy.  The deviations are formed, weighted and squared as many
-    rows at a time as M floats hold, in the copy's rows or in one buffer;
+    with the delta-method standard error.  Every row's mean is formed with
+    all the others beside it, so a row's bits do not depend on se_rows;
+    only the rows of se_rows take the deviation pass, formed, weighted and
+    squared as many rows at a time as one buffer of M floats holds, so
     values is never written.  The blocks' weight sums, means and squared
     deviations (under tag "P" with their sums of w^2 (x - mean) and of
     w^2) merge by the pairwise update of Chan, Golub and LeVeque (The
@@ -264,17 +251,15 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks,
     for bit.  A merged sum of squares rounded below 0 is 0.
     """
     w_all = ensemble.weights if ensemble.tag == "P" else None
-    buf, acc = None, None
+    buf, acc = np.empty(ensemble.n_paths), None
     for paths, values in blocks:
-        x = np.asarray(values, dtype=float).T
-        copy = not x.flags.c_contiguous
-        if copy:
-            x = np.array(x, order="C")
-        elif buf is None:
-            buf = np.empty(ensemble.n_paths)
+        x, m = np.ascontiguousarray(values, float), len(ensemble.draws[paths])
+        if x.shape[1:] != (m,):
+            raise ValueError(f"values of shape {x.shape} on a block of {m} "
+                             "paths: expected (K, m), one column per path")
         x_se = x[se_rows]
-        w, m, sq, s1 = None if w_all is None else w_all[paths], x.shape[1], \
-            np.empty(len(x_se)), np.zeros(len(x_se))
+        w = None if w_all is None else w_all[paths]
+        sq, s1 = np.empty(len(x_se)), np.zeros(len(x_se))
         if w is None:  # np.mean and np.std(ddof=1), step by step
             wsum, w2, est = float(m), float(m), x.sum(axis=1) / m
         else:
@@ -284,8 +269,8 @@ def expect_q_blocks(ensemble: PathEnsemble, blocks,
         step = max(1, ensemble.n_paths // m)  # rows of at most M floats
         for lo in range(0, len(x_se), step):
             rows, at = x_se[lo:lo + step], slice(lo, lo + step)
-            dev = np.subtract(rows, est_se[at, None], out=rows if copy
-                              else buf[:rows.size].reshape(rows.shape))
+            dev = np.subtract(rows, est_se[at, None],
+                              out=buf[:rows.size].reshape(rows.shape))
             if w is not None:
                 dev *= w
                 if m < ensemble.n_paths:  # blocks of other paths merge in
@@ -319,20 +304,19 @@ def girsanov_report(b: DriftFunction, n_paths: int,
     crosscheck_gap: |reweighted-P minus direct-Q| estimate of exp(W(T)),
       with the combined SE, conservative as both legs read one draw: its
       running sum is W(T) under P and W^Q(T) = W(T) - int b under Q.
-    All are expect_q_columns estimates: one call stacks the Q leg's plain
-    means, the other reweights exp(W(T)) alone, as a mode-P column's bits
-    depend on the columns beside it.
+    All are expect_q_blocks estimates on the one block of every path: one
+    call stacks the Q leg's plain means, the other reweights exp(W(T))
+    alone, as a mode-P row's bits depend on the rows beside it.
     """
     ens_p = sample_paths(n_paths, seed, "P", b)
     ens_q = PathEnsemble("Q", ens_p.draws, b, np.ones(n_paths))
-    w_end = ens_p.w_end
-    q_cols = np.column_stack(
-        [ens_p.weights, w_end, np.exp(w_end + b.cumulative()[-1])])
-    p_col = np.exp(w_end)[:, None]
-    if not (np.isfinite(q_cols).all() and np.isfinite(p_col).all()):
+    w_t = ens_p.end_states(slice(None))
+    q_rows = np.stack([ens_p.weights, w_t, np.exp(w_t + b.cumulative()[-1])])
+    p_row = np.exp(w_t)[None]
+    if not (np.isfinite(q_rows).all() and np.isfinite(p_row).all()):
         raise ValueError("functional not finite on all paths")
-    est, se = expect_q_columns(ens_q, q_cols)
-    est_p, se_p = expect_q_columns(ens_p, p_col)
+    est, se = expect_q_blocks(ens_q, [(slice(None), q_rows)])
+    est_p, se_p = expect_q_blocks(ens_p, [(slice(None), p_row)])
     return [
         ("mean_weight", float(est[0]), float(se[0])),
         ("mean_WQ_T", float(est[1]), float(se[1])),

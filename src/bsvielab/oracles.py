@@ -279,11 +279,11 @@ class LsmcResult:
     """An LSMC run: mean (N+1,), the Q-means of the fitted Y, and se, the
     standard errors of the means of the final regression targets, whose
     spread is the noise of the fitted means (compare's se_max); no table
-    is held.  readout(blocks) yields each block of paths' Y and targets
-    (_readout), paths(part) the two on the paths of part.  z (N+1, N+1),
-    the regression Z surface, and z_se, its slopes' SEs, are fitted by a
-    second readout pass (fit_slopes, _slope_z) on the first read of
-    either.  sup_diffs holds each sweep's difference (_StackedBasis.rms)."""
+    is held.  readout(blocks) yields each block of paths' Y and targets,
+    node-major (_readout).  z (N+1, N+1), the regression Z surface, and
+    z_se, its slopes' SEs, are fitted by a second readout pass
+    (fit_slopes, _slope_z) on the first read of either.  sup_diffs holds
+    each sweep's difference (_StackedBasis.rms)."""
 
     mean: np.ndarray
     se: np.ndarray
@@ -292,11 +292,6 @@ class LsmcResult:
     max_gram_cond: float  # largest condition number of the node Grams
     readout: Callable = field(repr=False, compare=False)
     fit_slopes: Callable = field(repr=False, compare=False)
-
-    def paths(self, part: slice = slice(None)) -> tuple:
-        """(Y, targets) on the paths of part, path-major (m, N+1) each."""
-        y, targets = next(self.readout([part]))[1]
-        return y.T, targets.T
 
     @cached_property
     def _slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -611,9 +606,9 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
         if diff < tol:
             readout = partial(_readout, fam, ensemble, op, basis, c, c_prev,
                               gz)
-            mean, se = expect_q_blocks(ensemble, (
-                (part, yt.reshape(2 * n1, -1).T)
-                for part, yt in readout(blocks)), slice(n1, None))
+            mean, se = expect_q_blocks(
+                ensemble, ((part, yt.reshape(2 * n1, -1))
+                           for part, yt in readout(blocks)), slice(n1, None))
             return LsmcResult(mean[:n1], se, sup_diffs, it, basis.cond,
                               readout,
                               lambda: _slope_z(readout(blocks), basis))
@@ -631,8 +626,8 @@ def _path_states(fam: TerminalFamily, ensemble: PathEnsemble,
     """Yield (paths, W, F) for each block paths of blocks: W node-major
     (N+1, m) by PathEnsemble.states, then F (m, N+1) of the family fam
     (terminal.evaluate_F_blocks, at W's last row), each in one buffer that
-    every block reuses.  On blocks of _path_blocks they are the rows of
-    wt and evaluate_F_table bit for bit."""
+    every block reuses.  On blocks of _path_blocks each path's W and F
+    are those of one block of every path, bit for bit."""
     rows, wt = ensemble.grid.n + 1, None
     buf = np.empty(rows * max(len(ensemble.draws[p]) for p in blocks))
     f_blocks = evaluate_F_blocks(fam, ensemble, blocks,

@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
-from .girsanov import DriftFunction, PathEnsemble, expect_q_blocks
+from .girsanov import DriftFunction, PathEnsemble
 from .kernels import ResolventTable, TriangularGrid, same_grid, \
     tail_weight_matrix, tail_weighted, trapezoid_weights
 from .terminal import GaussianLinear, TerminalFamily, TerminalFunction, \
-    conditional_sweep, f0_profile, gaussian_linear_conditionals, \
-    is_stochastic, malliavin_table
+    conditional_sweep, gaussian_linear_conditionals, is_stochastic, \
+    malliavin_table
 
 
 class UnsupportedFamily(ValueError):
@@ -36,27 +35,13 @@ class NormReport:
     s2: float
 
 
-def solve_Y(fam: TerminalFamily, psi: ResolventTable,
-            ensemble: Optional[PathEnsemble] = None) -> np.ndarray:
-    """Y(t) = E^Q[F(t) | F_t] + int_t^T Psi(t,r) E^Q[F(r) | F_t] dr.
-
-    Deterministic families need no ensemble and produce a single profile
-    (N+1,); stochastic families an (M, N+1) table, solve_Y_blocks on the
-    one block of every path.
-    """
-    if not is_stochastic(fam):
-        return mean_Y(f0_profile(fam, psi.grid), psi)
-    if ensemble is None:
-        raise ValueError("stochastic family needs an ensemble")
-    return next(solve_Y_blocks(fam, psi, ensemble, [slice(None)]))
-
-
 def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
                    psi: ResolventTable, ensemble: PathEnsemble,
                    blocks: list[slice]):
-    """Yield the Y of a stochastic family on the paths of each block of
-    blocks, path-major (m, N+1) in one contiguous buffer that every block
-    reuses, so a block is valid until the next one is taken.
+    """Yield Y(t) = E^Q[F(t) | F_t] + int_t^T Psi(t,r) E^Q[F(r) | F_t] dr
+    of a stochastic family on the paths of each block of blocks,
+    path-major (m, N+1) in one contiguous buffer that every block reuses,
+    so a block is valid until the next one is taken.
 
     Y is evaluated path by path, the prefix up to t supplying the
     conditioning information, on the grid and under the drift of the
@@ -69,8 +54,8 @@ def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
     (N+1) m per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores
     t; the steps fill a block's contiguous node-major rows, transposed
     once into its path-major buffer.  On the blocks of
-    oracles._path_blocks every product rounds each path as on the whole
-    table: the rows of solve_Y bit for bit.
+    oracles._path_blocks every product rounds each path as on the one
+    block of every path: each path's Y has the same bits in any block.
     """
     grid = same_grid(psi, ensemble)
     cols = grid.n + 1
@@ -171,7 +156,9 @@ def norm_columns(y: np.ndarray, grid: TriangularGrid, beta: float,
     integrand summed, neg_mass y(0)^2 + the trapezoid sum of e^(beta t)
     y^2, row 1 the sup of e^(beta t) y^2 over the nodes.  Y extends to
     [-T, 0) by its time-0 value, whose weight integrates to neg_mass.
-    One weighted square of y, (m, N+1), is formed."""
+    One weighted square of y, (m, N+1), is formed.  GridMismatch unless
+    the rows of y are on grid."""
+    same_grid(grid, y)
     weight = np.exp(beta * grid.nodes)
     if beta == 0.0:
         neg_mass = grid.horizon
@@ -192,24 +179,10 @@ def norm_report(means: np.ndarray, z: np.ndarray, grid: TriangularGrid,
     from the Z surface: H1 is the square root of the first, S2 the second
     (the convention carries no square root: it is the expected weighted
     squared sup), and H2 extends Z by zero off the positive triangle, an
-    O(N^2) quadrature that reads no paths."""
+    O(N^2) quadrature that reads no paths.  GridMismatch unless z is on
+    grid."""
+    same_grid(grid, z)
     weight = np.exp(beta * grid.nodes)
     inner = tail_weighted(grid, np.triu(weight[None, :] * z**2)).sum(axis=1)
     h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
     return NormReport(beta, math.sqrt(float(means[0])), h2, float(means[1]))
-
-
-def norms(y: np.ndarray, z: np.ndarray, grid: TriangularGrid,
-          ensemble: Optional[PathEnsemble] = None,
-          beta: float = 0.0) -> NormReport:
-    """Weighted solution-space norms of Y (a profile, or an (M, N+1) table
-    drawn on the ensemble) and the Z surface: norm_report of the
-    norm_columns of Y, whose expectations over the paths are taken under
-    Q by expect_q_blocks, as one block.  GridMismatch unless y, z and the
-    ensemble are on grid.
-    """
-    same_grid(grid, y, z, *(() if ensemble is None else (ensemble,)))
-    columns = norm_columns(np.atleast_2d(y), grid, beta)
-    means = columns[:, 0] if ensemble is None else \
-        expect_q_blocks(ensemble, [(slice(None), columns.T)], slice(0))[0]
-    return norm_report(means, z, grid, beta)

@@ -176,12 +176,6 @@ def _times(fam: TerminalFunction, grid: TriangularGrid) -> np.ndarray:
     return grid.nodes if fam.t_dependent else grid.nodes[:1]
 
 
-def evaluate_F_table(fam: TerminalFamily, ensemble: PathEnsemble) -> np.ndarray:
-    """F(t_a) on every path and node, (M, N+1): evaluate_F_blocks on the
-    one block of every path."""
-    return next(evaluate_F_blocks(fam, ensemble, [slice(None)]))
-
-
 def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
                       blocks: list[slice], ends: Callable | None = None):
     """Yield F(t_a) on the paths of each block of blocks and every node,
@@ -192,8 +186,8 @@ def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
     ends(block) where the caller has formed it, else end_states, and
     broadcast to every node.  f0 and phi are evaluated once.  Every block
     is written into one buffer, so a block is valid until the next one is
-    taken.  On the blocks of oracles._path_blocks the GEMM rounds each
-    path as on the whole table: the rows of evaluate_F_table bit for bit."""
+    taken.  On the blocks of oracles._path_blocks each path's F has the
+    bits of the one block of every path."""
     grid = ensemble.grid
     rows = [len(range(*part.indices(ensemble.n_paths))) for part in blocks]
     if not is_stochastic(fam):
@@ -214,9 +208,9 @@ def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
             dest += f0
             yield dest
         else:
-            w_end = (ends or ensemble.end_states)(part)
-            bound = _growth_bound(fam, w_end)
-            np.stack([_growth_checked(fam, t, w_end, bound) for t in times],
+            w_t = (ends or ensemble.end_states)(part)
+            bound = _growth_bound(fam, w_t)
+            np.stack([_growth_checked(fam, t, w_t, bound) for t in times],
                      axis=1, out=dest)
             yield np.broadcast_to(dest, (m, grid.n + 1))
 

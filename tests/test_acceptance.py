@@ -25,9 +25,9 @@ from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import build_delayed_operator, residual_reduced, \
     solve_delayed_lsmc, solve_delayed_picard, solve_reduced_collocation
-from bsvielab.solver import solve_Y, solve_Z
+from bsvielab.solver import mean_Y, solve_Y_blocks, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, \
-    evaluate_F_table, make_f0, make_phi
+    evaluate_F_blocks, f0_profile, make_f0, make_phi
 
 CONFIGS = resources.files("bsvielab") / "configs"
 BUNDLED = ["constant-kernel.cfg", "delay-discrepancy.cfg",
@@ -143,7 +143,7 @@ def test_criterion_04_deterministic_cross_oracle():
         gen = DelayedGenerator(m, k, grid)
         phi = build_phi(gen)
         psi = resolvent(phi, 1e-10)
-        y_exp = solve_Y(fam, psi)
+        y_exp = mean_Y(f0_profile(fam, grid), psi)
         f0_prof = np.ones(n + 1)
         y_col = solve_reduced_collocation(f0_prof, phi)
         y_pic = solve_delayed_picard(f0_prof, build_delayed_operator(gen)).y
@@ -202,7 +202,7 @@ def test_criterion_06_z_validation():
     b = drift(gen)
     ens = sample_paths(50000, 12345, "P", b)
     z_exp = solve_Z(fam, psi, b)
-    f_vals = evaluate_F_table(fam, ens)
+    f_vals = next(evaluate_F_blocks(fam, ens, [slice(None)]))
     lsmc = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     compared = violations = 0
     worst_ratio = 0.0
@@ -217,7 +217,7 @@ def test_criterion_06_z_validation():
 
     # (c) Ito isometry between U = F + int Phi Y - Y, the reduced residual
     # with its sign flipped, and the Z surface at four probe times
-    y = solve_Y(fam, psi, ens)
+    y = next(solve_Y_blocks(fam, psi, ens, [slice(None)]))
     u = -residual_reduced(y, f_vals, phi)[0]
     tw = tail_weight_matrix(grid)
     iso_worst = 0.0

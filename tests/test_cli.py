@@ -9,10 +9,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bsvielab import cli, kernels, oracles, solver
+from bsvielab import cli, config, kernels, oracles, solver
 from bsvielab.cli import main
 from bsvielab.config import load_config
-from bsvielab.girsanov import drift, expect_q_columns, sample_paths
+from bsvielab.girsanov import drift, expect_q_blocks, sample_paths
 from bsvielab.kernels import TriangularGrid
 
 CONFIGS = resources.files("bsvielab") / "configs"
@@ -108,10 +108,10 @@ def test_norms_agree_across_modes(tmp_path):
         grid = run.generator.grid
         psi, b = cli._prepare(run)[:2]
         ens = sample_paths(run.n_paths, run.seed, run.mode, b)
-        y = solver.solve_Y(run.family, psi, ens)
+        y = next(solver.solve_Y_blocks(run.family, psi, ens, [slice(None)]))
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
-        est, est_se = expect_q_columns(ens, per_path[:, None])
+        est, est_se = expect_q_blocks(ens, [(slice(None), per_path[None])])
         assert est[0] == pytest.approx(h1_sq[-1], rel=1e-10)
         se.append(float(est_se[0]))
     assert abs(h1_sq[0] - h1_sq[1]) <= 4.0 * np.hypot(*se)
@@ -282,7 +282,7 @@ def test_monte_carlo_compare_runs_no_per_path_solve(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("solve_Y", "solve_Y_blocks", "solve_Z",
+    for name in ("solve_Y_blocks", "solve_Z",
                  "residual_reduced_pathwise", "_path_moments"):
         count(cli, name)
     count(solver, "conditional_sweep")
@@ -314,11 +314,11 @@ def test_monte_carlo_compare_se_is_the_lsmc_mean_noise(tmp_path):
     lsmc = oracles.solve_delayed_lsmc(
         run.family, oracles.build_delayed_operator(run.generator), ens,
         run.picard_tol)
-    y, targets = lsmc.paths()
-    se = expect_q_columns(ens, targets)[1]
+    y, targets = next(lsmc.readout([slice(None)]))[1]
+    se = expect_q_blocks(ens, [(slice(None), targets)])[1]
     assert se[0] > 0.0
     assert np.allclose(lsmc.se, se, rtol=1e-11, atol=0.0)
-    assert expect_q_columns(ens, y)[1][0] < 1e-12 * se[0]
+    assert expect_q_blocks(ens, [(slice(None), y)])[1][0] < 1e-12 * se[0]
     meta = json.loads((tmp_path / "o" / "compare.meta.json").read_text())
     assert meta["se_max"] == float(lsmc.se.max())
 
@@ -753,6 +753,23 @@ def test_deterministic_command_evaluates_the_spec_once(tmp_path, monkeypatch,
     cfg = write_cfg(tmp_path, DET_UNIFORM.format(n=n, kernel=kernel))
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 0
     assert_triangle_evaluations(seen, stray, ["operator", "phi"])
+
+
+def test_deterministic_solve_evaluates_f0_once_per_node(tmp_path,
+                                                        monkeypatch):
+    # Y, the residuals' free term and the norms read one f0 profile
+    calls = []
+    make_f0 = config.make_f0
+
+    def counting_make_f0(name, **params):
+        f0 = make_f0(name, **params)
+        return lambda t: calls.append(t) or f0(t)
+
+    monkeypatch.setattr(config, "make_f0", counting_make_f0)
+    n = 24
+    cfg = write_cfg(tmp_path, DET_UNIFORM.format(n=n, kernel="example33"))
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert np.array_equal(calls, TriangularGrid(1.0, n).nodes)
 
 
 def test_deterministic_solve_peak_within_eight_and_a_half_tables(tmp_path):

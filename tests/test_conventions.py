@@ -66,7 +66,7 @@ gen, op).
 
 A Monte Carlo spread has one home, girsanov.expect_q_blocks, which takes
 every mean and its standard error, one block of paths at a time, the
-LSMC's included (expect_q_columns is its one block of every path): no
+LSMC's included: no
 code under src/ calls a std or var reduction (<expr>.std(...),
 <expr>.var(...), numpy.std or numpy.var), so a change to how a standard
 error is taken reaches every number printed, girsanov-check's included.
@@ -609,7 +609,7 @@ def test_scan_finds_grid_mismatch_builds():
     source = ("from .kernels import GridMismatch\n"
               "def same_grid(*values):\n"
               "    raise GridMismatch(f'{grid} against {bad}')\n"
-              "def solve_Y(fam, psi, ensemble):\n"
+              "def solve_Y_blocks(fam, psi, ensemble):\n"
               "    if ensemble.grid != psi.grid:\n"
               "        raise GridMismatch('ensemble on a different grid')\n"
               "class Check:\n"
@@ -620,7 +620,8 @@ def test_scan_finds_grid_mismatch_builds():
               "except GridMismatch:\n"
               "    ERROR = GridMismatch('x')\n")
     assert grid_mismatch_builds(source) == [
-        (3, "same_grid"), (6, "solve_Y"), (9, "Check"), (13, "<module>")]
+        (3, "same_grid"), (6, "solve_Y_blocks"), (9, "Check"),
+        (13, "<module>")]
 
 
 def test_src_builds_grid_mismatch_in_one_function():
@@ -675,7 +676,7 @@ def test_scan_finds_weight_table_products():
               "from . import kernels\n"
               "def mean_Y(x, psi):\n"
               "    return x + (psi.values * tail_weight_matrix(grid)) @ x\n"
-              "def norms(z, grid):\n"
+              "def norm_report(z, grid):\n"
               "    a = tail_weight_matrix(grid).T * z\n"
               "    a *= kernels.tail_weight_matrix(grid)[:, ::-1]\n"
               "    b = np.multiply(z, tail_weight_matrix(grid))\n"

@@ -13,7 +13,7 @@ from bsvielab.girsanov import (
     DriftFunction,
     PathEnsemble,
     drift,
-    expect_q_columns,
+    expect_q_blocks,
     girsanov_report,
     sample_paths,
 )
@@ -33,6 +33,12 @@ def tilt(m, g_value, g):
 
 def zero_drift(g):
     return DriftFunction(g, np.zeros(g.n + 1))
+
+
+def expect_all(ens, rows):
+    """expect_q_blocks of node-major rows (K, M) on the one block of
+    every path."""
+    return expect_q_blocks(ens, [(slice(None), rows)])
 
 
 def test_drift_dirac_at_zero():
@@ -125,11 +131,11 @@ def test_mode_q_shifts_mean():
     gamma = 0.8
     b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=5, mode="Q", drift_fn=b)
-    (est,), (se,) = expect_q_columns(ens, ens.w[:, -1:])
+    (est,), (se,) = expect_all(ens, ens.wt[-1:])
     # b(T) = 0 under the half-open mass but the left-point sum never reads
     # it, so the accumulated drift is exactly gamma * T
     assert abs(est - gamma) < 3 * se
-    (var_est,), (var_se,) = expect_q_columns(ens, ens.wq[:, -1:] ** 2)
+    (var_est,), (var_se,) = expect_all(ens, ens.wq.T[-1:] ** 2)
     assert abs(var_est - 1.0) < 3 * var_se
 
 
@@ -138,7 +144,7 @@ def test_mode_p_reweighted_mean_matches_shift():
     gamma = 0.6
     b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=9, mode="P", drift_fn=b)
-    (est,), (se,) = expect_q_columns(ens, ens.w[:, -1:])
+    (est,), (se,) = expect_all(ens, ens.wt[-1:])
     assert abs(est - gamma) < 3 * se
 
 
@@ -153,14 +159,14 @@ def test_cross_mode_agreement():
     ens_p = sample_paths(100_000, seed=21, mode="P", drift_fn=b)
     ens_q = sample_paths(100_000, seed=22, mode="Q", drift_fn=b)
     for name, fn in fns.items():
-        (ep,), (sp,) = expect_q_columns(ens_p, fn(ens_p)[:, None])
-        (eq,), (sq,) = expect_q_columns(ens_q, fn(ens_q)[:, None])
+        (ep,), (sp,) = expect_all(ens_p, fn(ens_p)[None])
+        (eq,), (sq,) = expect_all(ens_q, fn(ens_q)[None])
         assert abs(ep - eq) < 3 * math.hypot(sp, sq), name
 
 
 def test_expect_q_constant_functional():
     ens = sample_paths(50, seed=1, mode="Q", drift_fn=zero_drift(grid(20)))
-    est, se = expect_q_columns(ens, np.ones((ens.n_paths, 1)))
+    est, se = expect_all(ens, np.ones((1, ens.n_paths)))
     assert est.tolist() == [1.0]
     assert se.tolist() == [0.0]
 
@@ -170,7 +176,7 @@ def test_weighted_standard_error_formula():
     b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     ens = sample_paths(5000, seed=2, mode="P", drift_fn=b)
     x = ens.w[:, -1]
-    (est,), (se,) = expect_q_columns(ens, x[:, None])
+    (est,), (se,) = expect_all(ens, x[None])
     w = ens.weights
     want_est = (w * x).sum() / w.sum()
     want_se = np.sqrt(((w * (x - want_est)) ** 2).sum()) / w.sum()
@@ -179,16 +185,16 @@ def test_weighted_standard_error_formula():
 
 
 def test_expect_q_columns_match_expect_q():
-    # stacked columns against one single-column call per column: mode Q
-    # reduces each row on its own, mode P sums by GEMV, whose bits depend
-    # on the columns beside it
+    # stacked rows against one single-row call per row: mode Q reduces
+    # each row on its own, mode P sums by GEMV, whose bits depend on the
+    # rows beside it
     g = grid(20)
     b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     for mode in ("P", "Q"):
         ens = sample_paths(3000, seed=6, mode=mode, drift_fn=b)
-        values = np.exp(ens.w)
-        est, se = expect_q_columns(ens, values)
-        want = np.array([np.concatenate(expect_q_columns(ens, values[:, [i]]))
+        values = np.exp(ens.wt)
+        est, se = expect_all(ens, values)
+        want = np.array([np.concatenate(expect_all(ens, values[[i]]))
                          for i in range(g.n + 1)])
         if mode == "Q":
             assert np.array_equal(est, want[:, 0])
@@ -201,16 +207,17 @@ def test_expect_q_columns_match_expect_q():
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_expect_q_columns_match_numpy_reductions(mode, order):
-    # the estimates are numpy's reductions of the rows of values^T, bit
-    # for bit, and values is not written even when values^T is contiguous
+    # the estimates are numpy's reductions of the contiguous rows of
+    # values, bit for bit, in either memory order, and values is not
+    # written even when its rows are contiguous
     g = grid(20)
     b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     ens = sample_paths(3001, seed=6, mode=mode, drift_fn=b)
-    values = np.array(np.exp(ens.w), order=order)
+    values = np.array(np.exp(ens.wt), order=order)
     before = values.copy()
-    est, se = expect_q_columns(ens, values)
+    est, se = expect_all(ens, values)
     assert np.array_equal(values, before)
-    x = np.ascontiguousarray(values.T)
+    x = np.ascontiguousarray(values)
     if mode == "Q":
         want = x.mean(axis=1), x.std(axis=1, ddof=1) / math.sqrt(3001)
     else:
@@ -224,17 +231,17 @@ def test_expect_q_columns_match_numpy_reductions(mode, order):
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_expect_q_columns_of_a_node_major_table_make_no_copy(mode):
-    # values^T contiguous, as the LSMC's Y and targets are: the rows are
+    # contiguous node-major rows, as every caller's are: the rows are
     # reduced where they lie, and the deviations take one row at a time,
     # so the traced peak is one row of M floats, the K estimates and sums
-    # and the arrays' Python objects (4 KiB), where a private copy would
-    # be the whole (M, K) table
+    # and the arrays' Python objects (4 KiB), where a copy would be the
+    # whole (K, M) table
     g = grid(40)
     ens = sample_paths(20_000, 3, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
-    values = np.exp(ens.wt).T
+    values = np.exp(ens.wt)
     tracemalloc.start()
     try:
-        expect_q_columns(ens, values)
+        expect_all(ens, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,9 +250,9 @@ def test_expect_q_columns_of_a_node_major_table_make_no_copy(mode):
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_expect_q_blocks_merge_blocks_in_any_order(mode):
-    # blocks of 700, 1348, 1, 1951 and 1000 paths, node-major copies
-    # (reduced through the buffer) or path-major views (through a private
-    # copy), in three orders, merge to the one-block estimates within
+    # blocks of 700, 1348, 1, 1951 and 1000 paths, contiguous copies or
+    # strided views of the node-major table, in three orders, merge to
+    # the one-block estimates within
     # bounds fixed before measuring: 1e-13 relative for the means and
     # 1e-11 for the SEs.  Column 0, exp(W(t_0)) = 1 on every path, is
     # constant: its SE is exactly 0 under Q, and under P at the rounding
@@ -254,14 +261,14 @@ def test_expect_q_blocks_merge_blocks_in_any_order(mode):
     g = grid(20)
     ens = sample_paths(5000, 6, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
     table = np.exp(ens.wt)
-    est_one, se_one = expect_q_columns(ens, table.T)
+    est_one, se_one = expect_all(ens, table)
     bounds = [0, 700, 2048, 2049, 4000, 5000]
     parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     shuffled = [parts[i] for i in np.random.default_rng(3).permutation(5)]
     for order in (parts, parts[::-1], shuffled):
-        for block in (lambda p: np.array(table[:, p]).T,
-                      lambda p: table.T[p]):
-            est, se = girsanov.expect_q_blocks(
+        for block in (lambda p: np.array(table[:, p]),
+                      lambda p: table[:, p]):
+            est, se = expect_q_blocks(
                 ens, ((p, block(p)) for p in order))
             assert np.allclose(est, est_one, rtol=1e-13, atol=0.0)
             assert np.allclose(se[1:], se_one[1:], rtol=1e-11, atol=0.0)
@@ -269,6 +276,22 @@ def test_expect_q_blocks_merge_blocks_in_any_order(mode):
                 assert se[0] == se_one[0] == 0.0
             else:
                 assert 0.0 <= se[0] <= 1e-15 and 0.0 <= se_one[0] <= 1e-15
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+def test_expect_q_blocks_refuses_a_block_laid_out_by_path(mode):
+    # a block's rows must be one value per path of the block: a
+    # path-major (m, K) block, a row of another block's length and a
+    # bare vector are refused, not reduced along the wrong axis
+    g = grid(20)
+    ens = sample_paths(50, 4, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
+    table = np.exp(ens.wt)
+    for part, values in [(slice(None), table.T), (slice(0, 20), table[:, :30]),
+                         (slice(20, None), table[0, 20:])]:
+        with pytest.raises(ValueError, match=r"expected \(K, m\)"):
+            expect_q_blocks(ens, [(part, values)])
+    expect_q_blocks(ens, [(slice(0, 20), table[:, :20]),
+                          (slice(20, None), table[:, 20:])])
 
 
 def test_degenerate_weights_raises():
@@ -310,9 +333,9 @@ def reference_report(b, n_paths, seed):
     wts = ens_p.weights
     mean_w = (float(wts.mean()),
               float(wts.std(ddof=1) / math.sqrt(n_paths)))
-    (wq_est,), (wq_se,) = expect_q_columns(ens_q, ens_q.wq[:, -1:])
-    (est_p,), (se_p,) = expect_q_columns(ens_p, np.exp(ens_p.w[:, -1:]))
-    (est_q,), (se_q,) = expect_q_columns(ens_q, np.exp(ens_q.w[:, -1:]))
+    (wq_est,), (wq_se,) = expect_all(ens_q, ens_q.wq.T[-1:])
+    (est_p,), (se_p,) = expect_all(ens_p, np.exp(ens_p.wt[-1:]))
+    (est_q,), (se_q,) = expect_all(ens_q, np.exp(ens_q.wt[-1:]))
     return [
         ("mean_weight", mean_w[0], mean_w[1]),
         ("mean_WQ_T", float(wq_est), float(wq_se)),
@@ -336,34 +359,38 @@ def test_report_draws_the_stream_once(monkeypatch):
         return real_sample_paths(*args, **kwargs)
 
     def counting(name):
-        fget = getattr(PathEnsemble, name).fget
+        real = getattr(PathEnsemble, name)
+        fget = real.fget if isinstance(real, property) else real
 
-        def read(ensemble):
-            reads.append(name)
-            return fget(ensemble)
-        return property(read)
+        def read(ensemble, *args):
+            reads.append((name, *args))
+            return fget(ensemble, *args)
+        return property(read) if isinstance(real, property) else read
 
     monkeypatch.setattr(girsanov, "sample_paths", counting_sample_paths)
-    for name in ("dw", "wt", "w", "wq", "w_end"):
+    for name in ("dw", "wt", "w", "wq", "states", "end_states"):
         monkeypatch.setattr(PathEnsemble, name, counting(name))
     girsanov_report(tilt(Uniform(1.0), 0.8, grid(40)), 500, seed=3)
     assert len(calls) == 1
-    # no W table: W(T) alone, read once for both legs
-    assert reads == ["w_end"]
+    # no W table: W(T) of every path alone, read once for both legs
+    assert reads == [("end_states", slice(None))]
 
 
 def test_report_takes_its_statistics_from_expect_q_columns(monkeypatch):
-    # the Q leg's three columns in one call, the P leg's one in another
+    # the Q leg's three rows in one call, the P leg's one in another, each
+    # the one block of every path
     calls = []
-    real = girsanov.expect_q_columns
+    real = girsanov.expect_q_blocks
 
-    def counting(ensemble, values):
-        calls.append((ensemble.tag, values.shape))
-        return real(ensemble, values)
+    def counting(ensemble, blocks):
+        blocks = list(blocks)
+        calls.append((ensemble.tag, [(p, v.shape) for p, v in blocks]))
+        return real(ensemble, blocks)
 
-    monkeypatch.setattr(girsanov, "expect_q_columns", counting)
+    monkeypatch.setattr(girsanov, "expect_q_blocks", counting)
     girsanov_report(tilt(Uniform(1.0), 0.8, grid(40)), 500, seed=3)
-    assert calls == [("Q", (500, 3)), ("P", (500, 1))]
+    assert calls == [("Q", [(slice(None), (3, 500))]),
+                     ("P", [(slice(None), (1, 500))])]
 
 
 @pytest.mark.parametrize("g_value", [0.0, 0.6])
@@ -372,7 +399,7 @@ def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
     # W^T is one cumsum along the nodes plus the drift's cumulative per
     # row: the sequential sums of the path-major table, bit for bit, in
     # contiguous node rows that cannot be written into; w is its transpose
-    # and w_end, formed without it, its last row
+    # and end_states of every path, formed without it, its last row
     g = grid(37)
     ens = sample_paths(501, 13, mode, tilt(Uniform(1.0), g_value, g))
     w = reference_paths(g, 501, 13, mode, ens.drift_fn)[1]
@@ -380,7 +407,7 @@ def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
     assert wt.shape == (38, 501) and wt.flags.c_contiguous
     assert wt.tobytes() == np.ascontiguousarray(w.T).tobytes()
     assert ens.w.T.flags.c_contiguous and ens.w[:, -1].flags.c_contiguous
-    assert ens.w_end.tobytes() == wt[-1].tobytes()
+    assert ens.end_states(slice(None)).tobytes() == wt[-1].tobytes()
     with pytest.raises(ValueError):
         wt[0, 0] = 1.0
 

@@ -20,15 +20,39 @@ from bsvielab.oracles import PicardDiverged, PicardStalled, \
     _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
-from bsvielab.solver import solve_Y, solve_Z
+from bsvielab.solver import mean_Y, solve_Y_blocks, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, \
-    evaluate_F_table, f0_profile, make_f0, make_h, make_phi
+    evaluate_F_blocks, f0_profile, make_f0, make_h, make_phi
 
 T = 1.0
 
 
 def zero_drift(g):
     return DriftFunction(g, np.zeros(g.n + 1))
+
+
+def y_paths(fam, psi, ens):
+    """Y of a stochastic family on every path, (M, N+1): solve_Y_blocks
+    on the one block of every path."""
+    return next(solve_Y_blocks(fam, psi, ens, [slice(None)]))
+
+
+def y_profile(fam, psi):
+    """Y of a deterministic family: mean_Y of its f0 profile."""
+    return mean_Y(f0_profile(fam, psi.grid), psi)
+
+
+def f_paths(fam, ens):
+    """F on every path, (M, N+1): evaluate_F_blocks on the one block of
+    every path."""
+    return next(evaluate_F_blocks(fam, ens, [slice(None)]))
+
+
+def lsmc_paths(res):
+    """(Y, targets) of an LSMC run on every path, path-major (M, N+1)
+    each: its readout of the one block of every path."""
+    y, targets = next(res.readout([slice(None)]))[1]
+    return y.T, targets.T
 
 
 def make_phi_table(c, n, measure=None, spec=None):
@@ -59,7 +83,7 @@ def test_collocation_matches_neumann_series():
     g, m, k, phi = make_phi_table(0.0, 200, spec=spec)
     fam = Deterministic(f0=make_f0("exp_decay", rate=1.0))
     psi = resolvent(phi, tol=1e-12)
-    y_neumann = solve_Y(fam, psi)
+    y_neumann = y_profile(fam, psi)
     y_colloc = solve_reduced_collocation(np.exp(-g.nodes), phi)
     assert np.abs(y_neumann - y_colloc).max() < 10 * g.dt**2
 
@@ -207,7 +231,7 @@ def test_explicit_Y_satisfies_both_equations_for_dirac():
     g, m, k, phi = make_phi_table(0.5, 150)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
     psi = resolvent(phi, tol=1e-12)
-    y = solve_Y(fam, psi)
+    y = y_profile(fam, psi)
     _, sup_del = delayed_residual(y, fam, k, m, g)
     _, sup_red = residual_reduced(y, np.ones(151), phi)
     assert sup_red < 10 * g.dt**2
@@ -249,7 +273,7 @@ def test_lsmc_martingale_representation():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 31, "P", zero_drift(g))
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
-    y = res.paths()[0]
+    y = lsmc_paths(res)[0]
     # Y(t_i) tracks W(t_i): R^2 of the fit against the exact conditional
     for i in (5, 10, 15):
         w = ens.w[:, i]
@@ -269,9 +293,9 @@ def test_lsmc_cross_oracle_against_explicit():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 37, "P", zero_drift(g))
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
-    targets = res.paths()[1]
+    targets = lsmc_paths(res)[1]
     for i in (0, 5, 10, 15, 20):
         # paired comparison of raw regression targets against the explicit
         # per-path values: the target spread is the honest noise scale
@@ -301,7 +325,7 @@ def test_pathwise_reduced_residual_exact_for_martingale():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(300, 43, "P", zero_drift(g))
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     z = solve_Z(fam, psi, zero_drift(g))
     r = pathwise_residual(y, z, fam, phi, ens)
     assert np.abs(r).max() < 1e-12
@@ -330,7 +354,7 @@ def pathwise_inputs(mode, n, m_paths, seed):
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     b = drift(gen)
     ens = sample_paths(m_paths, seed, mode, b)
-    return solve_Y(fam, psi, ens), solve_Z(fam, psi, b), fam, phi, ens
+    return y_paths(fam, psi, ens), solve_Z(fam, psi, b), fam, phi, ens
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
@@ -339,7 +363,7 @@ def test_pathwise_ito_sum_on_w_q_increments(mode):
     # increments of the W^Q paths, up to rounding
     y, z, fam, phi, ens = pathwise_inputs(mode, 20, 500, 71)
     n = phi.grid.n
-    want = residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
+    want = residual_reduced(y, f_paths(fam, ens), phi)[0]
     want[:, :n] += np.diff(ens.wq, axis=1) @ np.triu(z[:n, :n]).T
     r = pathwise_residual(y, z, fam, phi, ens)
     assert np.abs(r - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
@@ -399,7 +423,7 @@ def test_pathwise_residual_by_path_blocks_bitwise(mode):
     n = phi.grid.n
     assert len(_path_blocks(5000, oracles.LSMC_CHUNK)) == 3
     zt = np.triu(z[:n, :n]).T
-    want = residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
+    want = residual_reduced(y, f_paths(fam, ens), phi)[0]
     ito = ens.draws @ zt
     if mode == "P":
         ito -= ens.drift_fn.increments() @ zt
@@ -432,7 +456,7 @@ def test_lsmc_grid_mismatch():
     ens = sample_paths(500, 3, "P", zero_drift(gen.grid))
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     assert res.mean.shape == res.se.shape == (21,)
-    assert [a.shape for a in res.paths()] == [(500, 21)] * 2
+    assert [a.shape for a in lsmc_paths(res)] == [(500, 21)] * 2
 
 
 @pytest.mark.parametrize("op_grid, grid", [
@@ -777,7 +801,7 @@ def test_basis_of_a_broadcast_f_matches_its_full_table():
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2), g)
     ens = sample_paths(3000, 3, "Q", drift(gen))
     op = build_delayed_operator(gen)
-    f = evaluate_F_table(make_h("square"), ens)
+    f = f_paths(make_h("square"), ens)
     assert f.strides[1] == 0
     one = stacked_basis(ens.w, f, ens.draws, op)
     full = stacked_basis(ens.w, np.ascontiguousarray(f), ens.draws, op)
@@ -1278,7 +1302,7 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
     # difference is below diffs[j - 1] is j + 1 (the diffs decrease)
     diffs = res.sup_diffs
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
-    rms = [float(np.sqrt((solve_delayed_lsmc(fam, op, ens, d).paths()[0]
+    rms = [float(np.sqrt((lsmc_paths(solve_delayed_lsmc(fam, op, ens, d))[0]
                           ** 2).mean(axis=0)).max())
            for d in [np.inf, *diffs[:-1]]]
     # a guard at the largest of them leaves the run as it was
@@ -1286,7 +1310,7 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
                         max(rms) * (1.0 + 1e-12))
     again = solve_delayed_lsmc(fam, op, ens)
     assert again.sup_diffs == diffs
-    assert again.paths()[0].tobytes() == res.paths()[0].tobytes()
+    assert lsmc_paths(again)[0].tobytes() == lsmc_paths(res)[0].tobytes()
     # a guard just below the first sweep's trips on the first sweep
     monkeypatch.setattr(oracles, "DIVERGENCE_GUARD", rms[0] * (1.0 - 1e-12))
     with pytest.raises(PicardDiverged) as low:
@@ -1310,7 +1334,7 @@ def test_lsmc_divergence_guard_reads_the_formed_y(monkeypatch):
 @pytest.mark.parametrize("g_value", [0.2, 0.0])
 def test_slope_z_matches_loop_reference(g_value):
     g, op, ens, res = small_lsmc(g_value)
-    y, targets = res.paths()
+    y, targets = lsmc_paths(res)
     z_ref, se_ref = reference_slope_z(targets - y, ens, g, op.values,
                                       tail_weight_matrix(g))
     assert np.abs(res.z - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
@@ -1385,7 +1409,7 @@ def test_targets_by_path_blocks_bitwise():
     c, gz = 0.1 * rng.standard_normal((21, 5)), rng.standard_normal(21)
     for family, broadcast in (("gaussian", False), ("terminal", True)):
         fam = LSMC_FAMILIES[family]
-        f_vals = evaluate_F_table(fam, ens)
+        f_vals = f_paths(fam, ens)
         assert (f_vals.strides[1] == 0) == broadcast
         basis = stacked_basis(wt.T, f_vals, ens.draws, op)
         y = basis.values(c, wt, np.empty_like(wt))
@@ -1450,7 +1474,7 @@ def reference_lsmc(fam, k, m, op, g, ens, tol=1e-10):
     Returns (y, z, z_se, sup_diffs, targets, max Gram condition)."""
     n = g.n
     trap = tail_weight_matrix(g)
-    f_vals = evaluate_F_table(fam, ens)
+    f_vals = f_paths(fam, ens)
     nodes = []
     for i in range(n + 1):
         b = reference_design_matrix(ens.w[:, i])
@@ -1571,7 +1595,7 @@ def test_lsmc_matches_per_node_loop(family, delay, g_value):
     assert res.max_gram_cond == pytest.approx(cond, rel=1e-6)
     e_y, e_z, e_se = stop_rule_bounds(sup_diffs, tol, op.values, k, g,
                                       ens, targets, cond)
-    res_y, res_targets = res.paths()
+    res_y, res_targets = lsmc_paths(res)
     assert np.abs(res_y - y).max() <= e_y
     # every sweep moves Y alike, so the traces agree sweep by sweep
     assert np.abs(np.subtract(res.sup_diffs, sup_diffs)).max() <= 2 * e_y

@@ -20,18 +20,18 @@ import pytest
 
 from bsvielab import terminal
 from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
-    expect_q_blocks, expect_q_columns, sample_paths
+    expect_q_blocks, sample_paths
 from bsvielab.kernels import DelayedGenerator, GridMismatch, TriangularGrid, \
     build_phi, constant_kernel, resolvent, tail_weight_matrix, \
     trapezoid_weights
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import LSMC_CHUNK, _path_blocks, residual_reduced, \
     residual_reduced_pathwise
-from bsvielab.solver import mean_Y, norm_columns, norm_report, norms, \
-    smoothness_diagnostics, solve_Y, solve_Y_blocks, solve_Z
+from bsvielab.solver import mean_Y, norm_columns, norm_report, \
+    smoothness_diagnostics, solve_Y_blocks, solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
     GaussianLinear, QuadratureError, TerminalFunction, _GH_SHIFT, _GH_W_NORM, \
-    conditional_sweep, evaluate_F_table, f0_profile, gauss_hermite_mean, \
+    conditional_sweep, evaluate_F_blocks, f0_profile, gauss_hermite_mean, \
     make_f0, make_h, make_phi, mean_profile
 
 T = 1.0
@@ -48,6 +48,42 @@ def setup_reduced(c, n, measure=None, g_value=0.0):
 
 def zero_drift(g):
     return DriftFunction(g, np.zeros(g.n + 1))
+
+
+def y_paths(fam, psi, ens):
+    """Y of a stochastic family on every path, (M, N+1): solve_Y_blocks
+    on the one block of every path."""
+    return next(solve_Y_blocks(fam, psi, ens, [slice(None)]))
+
+
+def y_profile(fam, psi):
+    """Y of a deterministic family: mean_Y of its f0 profile."""
+    return mean_Y(f0_profile(fam, psi.grid), psi)
+
+
+def f_paths(fam, ens):
+    """F on every path, (M, N+1): evaluate_F_blocks on the one block of
+    every path."""
+    return next(evaluate_F_blocks(fam, ens, [slice(None)]))
+
+
+def expect_table(ens, values):
+    """expect_q_blocks of a path-major table (M, K), node-major by its
+    transpose, on the one block of every path."""
+    return expect_q_blocks(ens, [(slice(None), values.T)])
+
+
+def norms_of_profile(y, z, grid, beta=0.0):
+    """The norms of one profile y: norm_report of its norm_columns."""
+    return norm_report(norm_columns(y[None], grid, beta)[:, 0], z, grid, beta)
+
+
+def norms_on_paths(y, z, grid, ens, beta=0.0):
+    """The norms of Y on every path of ens, (M, N+1): norm_report of the
+    Q-means of its norm_columns, as one block."""
+    means = expect_q_blocks(ens, [(slice(None), norm_columns(y, grid, beta))],
+                            slice(0))[0]
+    return norm_report(means, z, grid, beta)
 
 
 def test_tail_weight_matrix_integrates():
@@ -73,7 +109,7 @@ def test_tail_weight_matrix_integrates():
 def test_solve_Y_deterministic_ode_oracle():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    y = solve_Y(fam, psi)
+    y = y_profile(fam, psi)
     want = np.exp(0.5 * (1.0 - g.nodes))
     assert np.abs(y - want).max() < 5e-5
     assert y[0] == pytest.approx(math.exp(0.5), abs=1e-4)
@@ -86,10 +122,10 @@ def test_solve_Y_zero_kernel_is_conditional_F():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(200, 7, "Q", zero_drift(g))
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     # E[W(T) | F_t] = W(t) path by path
     assert np.abs(y - ens.w).max() < 1e-12
-    mean, se = expect_q_columns(ens, y)
+    mean, se = expect_table(ens, y)
     assert mean.shape == se.shape == (g.n + 1,)
     assert se[0] == 0.0 and np.all(se[1:] > 0.0)
 
@@ -100,7 +136,7 @@ def test_solve_Y_with_drift_shifts_conditional():
     b = drift(DelayedGenerator(m, spec, g))
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(100, 3, "Q", b)
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     want = ens.w + gamma * (T - g.nodes)[None, :]
     assert np.abs(y - want).max() < 1e-12
 
@@ -136,7 +172,7 @@ def test_solve_Y_gaussian_linear_matches_node_loop(mode, phi_name):
     ens = sample_paths(500, 11, mode, b)
     fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
                          phi=make_phi(phi_name))
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     ref = reference_solve_Y_gaussian(fam, psi, b, g, ens)
     assert y.shape == ref.shape
     assert np.abs(y - ref).max() <= 1e-13 * max(1.0, float(np.abs(ref).max()))
@@ -159,7 +195,7 @@ def test_mean_Y_is_gaussian_linear_closed_form(measure, phi_name, mode):
     bdt = b.increments()[None, :]
     probe = PathEnsemble(mode, bdt if mode == "P" else np.zeros_like(bdt),
                          b, np.ones(1))
-    closed = solve_Y(fam, psi, probe)[0]
+    closed = y_paths(fam, psi, probe)[0]
     assert np.abs(mean_Y(mean_profile(fam, b), psi) - closed).max() <= 1e-15
 
 
@@ -172,7 +208,7 @@ def test_mean_Y_within_four_se_of_terminal_function_mean():
     b = drift(DelayedGenerator(m, spec, g))
     fam = make_h("square")
     ens = sample_paths(20_000, 8, "Q", b)
-    y_mc, se = expect_q_columns(ens, solve_Y(fam, psi, ens))
+    y_mc, se = expect_table(ens, y_paths(fam, psi, ens))
     tower = mean_Y(mean_profile(fam, b), psi)
     assert se[1:].min() > 0.0
     assert np.all(np.abs(y_mc - tower) <= 4.0 * se + 1e-14 * np.abs(tower))
@@ -184,7 +220,7 @@ def test_solve_Y_at_t0_does_not_depend_on_path_count():
     g, m, spec, phi, psi = setup_reduced(0.3, 10, Uniform(T), g_value=0.2)
     b = drift(DelayedGenerator(m, spec, g))
     fam = make_h("square")
-    y0 = {m_paths: solve_Y(fam, psi, sample_paths(m_paths, 7, "Q", b))[:, 0]
+    y0 = {m_paths: y_paths(fam, psi, sample_paths(m_paths, 7, "Q", b))[:, 0]
           for m_paths in (1, 2, 3, 4, 5, 300)}
     assert {float(v) for col in y0.values() for v in col} == \
         {float(y0[300][0])}, {k: float(v[0]) for k, v in y0.items()}
@@ -245,7 +281,7 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
     matvec = np.empty((ens.n_paths, g.n + 1))
     for i, c in sweep_rows(fam, ens):
         matvec[:, i] = c[i] + a[i] @ c
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     eps = np.finfo(float).eps
     assert np.abs(y - matvec).max() <= 4 * eps * np.abs(matvec).max()
 
@@ -268,7 +304,7 @@ def test_solve_Y_node_major_rows_match_column_loop(monkeypatch, m_paths,
     for i, c in sweep_rows(fam, ens):
         want[:, i] = c[i] + a[i] @ c if t_dependent \
             else c[i] + a[i].sum() * c[i]
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     assert y.flags.c_contiguous
     assert y.tobytes() == want.tobytes()
 
@@ -302,7 +338,7 @@ def test_solve_Y_terminal_blocks_bitwise_unchanged(m_paths, t_dependent):
     # solve_Y reads the layer through the sweep's certified interpolant:
     # each node within 1e-13 of its largest |Y| (a bound fixed before
     # measuring)
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     want = reference_solve_Y_terminal(fam, psi, b, g, ens)
     assert np.all(np.abs(y - want).max(axis=0)
                   <= 1e-13 * np.abs(want).max(axis=0))
@@ -350,7 +386,7 @@ def test_solve_Y_and_residual_blocks_bitwise(case, m_paths, blocks):
     if blocks is None:
         blocks = _path_blocks(m_paths, LSMC_CHUNK)
     assert len(blocks) > 1
-    whole = solve_Y(fam, psi, ens)
+    whole = y_paths(fam, psi, ens)
     (_, r_whole), = residual_reduced_pathwise([whole], z, fam, phi, ens,
                                               [slice(None)])
     ys, rs = [], []
@@ -383,7 +419,7 @@ def test_solve_Y_growth_breach_on_last_path_raises():
     sd = math.sqrt(T - g.nodes[4])
     gauss_hermite_mean(fam, 0.0, ens.w[:-1, 4], sd)  # the others pass
     with pytest.raises(QuadratureError):
-        solve_Y(fam, psi, ens)
+        y_paths(fam, psi, ens)
 
 
 def test_solve_Y_growth_breach_on_lowest_state_raises():
@@ -408,7 +444,7 @@ def test_solve_Y_growth_breach_on_lowest_state_raises():
     sd = math.sqrt(T - g.nodes[4])
     gauss_hermite_mean(fam, 0.0, ens.w[1:, 4], sd)  # the others pass
     with pytest.raises(QuadratureError):
-        solve_Y(fam, psi, ens)
+        y_paths(fam, psi, ens)
 
 
 def test_solve_Y_grid_mismatch():
@@ -418,8 +454,8 @@ def test_solve_Y_grid_mismatch():
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     for other in (TriangularGrid(T, 60), TriangularGrid(2.0 * T, 50)):
         with pytest.raises(GridMismatch):
-            solve_Y(fam, psi, sample_paths(20, 1, "Q", zero_drift(other)))
-    assert solve_Y(fam, psi, sample_paths(20, 1, "Q", zero_drift(g))).shape \
+            y_paths(fam, psi, sample_paths(20, 1, "Q", zero_drift(other)))
+    assert y_paths(fam, psi, sample_paths(20, 1, "Q", zero_drift(g))).shape \
         == (20, 51)
 
 
@@ -434,17 +470,10 @@ def test_solve_Z_grid_mismatch():
     assert solve_Z(fam, psi, zero_drift(g)).shape == (51, 51)
 
 
-def test_solve_Y_stochastic_needs_ensemble():
-    g, m, spec, phi, psi = setup_reduced(0.5, 20)
-    fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
-    with pytest.raises(ValueError):
-        solve_Y(fam, psi)
-
-
 def test_compute_U_deterministic_residual_small():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    y = solve_Y(fam, psi)
+    y = y_profile(fam, psi)
     u = -residual_reduced(y, f0_profile(fam, g), phi)[0]
     assert np.abs(u).max() < 1e-4  # c * dt^2 scale
 
@@ -458,8 +487,8 @@ def test_compute_U_martingale_increment():
     psi = resolvent(phi, tol=1e-12)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(64, 9, "P", zero_drift(g))
-    y = solve_Y(fam, psi, ens)
-    u = -residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
+    y = y_paths(fam, psi, ens)
+    u = -residual_reduced(y, f_paths(fam, ens), phi)[0]
     want = ens.w[:, -1][:, None] - ens.w
     assert np.abs(u - want).max() < 1e-12
 
@@ -467,7 +496,7 @@ def test_compute_U_martingale_increment():
 def test_zero_family_zero_everything():
     g, m, spec, phi, psi = setup_reduced(0.7, 50)
     fam = Deterministic(f0=make_f0("zero"))
-    y = solve_Y(fam, psi)
+    y = y_profile(fam, psi)
     assert np.all(y == 0.0)
     assert np.all(-residual_reduced(y, f0_profile(fam, g), phi)[0]
                   == 0.0)
@@ -519,8 +548,8 @@ def test_t_dependent_branches_match_shared_quadrature():
     ens = sample_paths(200, 5, "Q", b)
     shared = make_h("square")
     per_t = dataclasses.replace(shared, t_dependent=True)
-    y_gap = np.abs(solve_Y(per_t, psi, ens)
-                   - solve_Y(shared, psi, ens)).max()
+    y_gap = np.abs(y_paths(per_t, psi, ens)
+                   - y_paths(shared, psi, ens)).max()
     z_gap = np.abs(solve_Z(per_t, psi, b)
                    - solve_Z(shared, psi, b)).max()
     assert y_gap < 1e-12
@@ -652,8 +681,8 @@ def test_ito_isometry():
     g, m, spec, phi, psi = setup_reduced(c, 50)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(20_000, 17, "Q", zero_drift(g))
-    y = solve_Y(fam, psi, ens)
-    u = -residual_reduced(y, evaluate_F_table(fam, ens), phi)[0]
+    y = y_paths(fam, psi, ens)
+    u = -residual_reduced(y, f_paths(fam, ens), phi)[0]
     for i in (0, 12, 25, 37):
         t = g.nodes[i]
         want = (math.exp(2 * c * (T - t)) - 1.0) / (2 * c)
@@ -668,7 +697,7 @@ def test_solve_Y_product_closed_form():
     g, m, spec, phi, psi = setup_reduced(c, 100)
     fam = GaussianLinear(f0=make_f0("zero"), phi=make_phi("constant"))
     ens = sample_paths(100, 21, "P", zero_drift(g))
-    y = solve_Y(fam, psi, ens)
+    y = y_paths(fam, psi, ens)
     want = ens.w * np.exp(c * (T - g.nodes))[None, :]
     assert np.abs(y - want).max() < 1e-3
 
@@ -732,7 +761,7 @@ def test_smoothness_grid_stability():
 
 def test_norms_constant_profile():
     g = TriangularGrid(T, 100)
-    rep = norms(np.ones(101), np.zeros((101, 101)), g, beta=0.0)
+    rep = norms_of_profile(np.ones(101), np.zeros((101, 101)), g)
     assert rep.h1 == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert rep.s2 == pytest.approx(1.0)
     assert rep.h2 == 0.0
@@ -741,15 +770,15 @@ def test_norms_constant_profile():
 def test_norms_exponential_profile_sup():
     g, m, spec, phi, psi = setup_reduced(0.5, 200)
     fam = Deterministic(f0=make_f0("constant", value=1.0))
-    y = solve_Y(fam, psi)
-    rep = norms(y, solve_Z(fam, psi, zero_drift(g)), g, beta=0.0)
+    y = y_profile(fam, psi)
+    rep = norms_of_profile(y, solve_Z(fam, psi, zero_drift(g)), g)
     assert rep.s2 == pytest.approx(math.e, abs=1e-3)
 
 
 def test_norms_with_positive_beta():
     g = TriangularGrid(T, 200)
     beta = 1.3
-    rep = norms(np.ones(201), np.zeros((201, 201)), g, beta=beta)
+    rep = norms_of_profile(np.ones(201), np.zeros((201, 201)), g, beta)
     # int_{-T}^0 e^{bs} ds + int_0^T e^{bs} ds = (e^{bT} - e^{-bT})/b
     want = (math.exp(beta * T) - math.exp(-beta * T)) / beta
     assert rep.h1**2 == pytest.approx(want, rel=1e-4)
@@ -762,27 +791,30 @@ def test_norms_of_z_surface():
     ens = sample_paths(50, 2, "P", zero_drift(g))
     phi = build_phi(DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.0), g))
     psi = resolvent(phi, tol=1e-12)
-    y = solve_Y(fam, psi, ens)
-    rep = norms(y, solve_Z(fam, psi, zero_drift(g)), g, ens, beta=0.0)
+    y = y_paths(fam, psi, ens)
+    rep = norms_on_paths(y, solve_Z(fam, psi, zero_drift(g)), g, ens)
     # Z == 1 on the triangle: integral = T^2/2
     assert rep.h2 == pytest.approx(math.sqrt(0.5), rel=1e-6)
 
 
 def test_norms_checks_its_grid():
-    # a grid on another horizon than the ensemble's, and a y with one node
-    # too many, are refused, not read on the wrong weights
-    g, other = TriangularGrid(T, 10), TriangularGrid(2.0, 10)
+    # a y (paths or one profile) or a z with one node too many is refused
+    # by norm_columns and norm_report, not read on the wrong weights; an
+    # ensemble on another horizon is refused where its Y is formed
+    # (test_solve_Y_grid_mismatch)
+    g = TriangularGrid(T, 10)
     ens = sample_paths(50, 2, "P", zero_drift(g))
     y, z = np.ones((50, 11)), np.triu(np.ones((11, 11)))
-    assert norms(y, z, g, ens).h1 == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(GridMismatch) as err:
-        norms(y, z, other, ens)
-    assert str(other) in str(err.value) and str(g) in str(err.value)
-    for bad in (np.ones((50, 12)), np.ones(12)):
+    assert norms_on_paths(y, z, g, ens).h1 == pytest.approx(math.sqrt(2.0))
+    for bad in (np.ones((50, 12)), np.ones((1, 12))):
         with pytest.raises(GridMismatch, match=re.escape(f"shape {bad.shape}")):
-            norms(bad, z, g, ens)
-        with pytest.raises(GridMismatch, match=re.escape(f"shape {bad.shape}")):
-            norms(bad, z, g)
+            norm_columns(bad, g, 0.0)
+    means = norm_columns(y, g, 0.0)[:, 0]
+    for bad in (np.triu(np.ones((12, 12))), np.ones(12)):
+        with pytest.raises(GridMismatch) as err:
+            norm_report(means, bad, g, 0.0)
+        assert str(g) in str(err.value)
+        assert f"shape {bad.shape}" in str(err.value)
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
@@ -792,7 +824,7 @@ def test_norms_traced_peak_within_one_table(mode):
     # a block holds one weighted square of its Y, at most LSMC_CHUNK
     # paths by N + 1 nodes, and three columns of its paths (y(0)^2, that
     # times neg_mass, and the trapezoid sums).  expect_q_blocks reduces
-    # the stack in place, SEs skipped, with one buffer of M floats.
+    # the stack where it lies, SEs skipped, with one buffer of M floats.
     # Besides: the stack, 2 M floats, the O(N^2) tables of H2, which
     # 4 (N+1)^2 floats cover, and numpy's ufunc buffers.  A whole
     # (M, N+1) weighted square would be ten times the blocks' share.
@@ -807,7 +839,7 @@ def test_norms_traced_peak_within_one_table(mode):
         columns = np.empty((2, m_paths))
         for part in blocks:
             norm_columns(y[part], g, 0.7, columns[:, part])
-        means = expect_q_blocks(ens, [(slice(None), columns.T)], slice(0))[0]
+        means = expect_q_blocks(ens, [(slice(None), columns)], slice(0))[0]
         rep = norm_report(means, z, g, 0.7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -816,7 +848,7 @@ def test_norms_traced_peak_within_one_table(mode):
                     + 4 * (n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize())
     # the blocks' columns are the whole table's, and so are the norms
     assert np.array_equal(columns, norm_columns(y, g, 0.7))
-    assert rep == norms(y, z, g, ens, beta=0.7)
+    assert rep == norms_on_paths(y, z, g, ens, 0.7)
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
@@ -832,8 +864,8 @@ def test_gaussian_linear_f_and_y_traced_peak_within_one_table(mode):
     fam = GaussianLinear(f0=make_f0("exp_decay", rate=0.7),
                          phi=make_phi("exp_u"))
     table = m_paths * (n + 1) * 8
-    for run in (lambda: evaluate_F_table(fam, ens),
-                lambda: solve_Y(fam, psi, ens)):
+    for run in (lambda: f_paths(fam, ens),
+                lambda: y_paths(fam, psi, ens)):
         tracemalloc.start()
         try:
             run()

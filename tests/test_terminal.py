@@ -13,7 +13,7 @@ from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
     constant_kernel, resolvent, tail_weight_matrix
 from bsvielab.measures import Uniform
 from bsvielab.oracles import LSMC_CHUNK, _path_blocks
-from bsvielab.solver import solve_Y
+from bsvielab.solver import mean_Y, solve_Y_blocks
 from bsvielab.terminal import (
     CHEB_NODES,
     GH_NODES,
@@ -24,7 +24,7 @@ from bsvielab.terminal import (
     UnknownParameter,
     Z_REF_STATE,
     conditional_sweep,
-    evaluate_F_table,
+    evaluate_F_blocks,
     gauss_hermite_mean,
     is_stochastic,
     make_f0,
@@ -63,16 +63,21 @@ def conditional_F(fam, t, r, ensemble):
     return gauss_hermite_mean(fam, t, ensemble.w[:, j] + remaining, sd)
 
 
+def F_table(fam, ensemble):
+    """F on every path and node, (M, N+1): evaluate_F_blocks on the one
+    block of every path."""
+    return next(evaluate_F_blocks(fam, ensemble, [slice(None)]))
+
+
 def F_at(fam, t, ensemble):
-    """F(t) on every path: the column of evaluate_F_table at the grid node
-    t."""
+    """F(t) on every path: the column of F_table at the grid node t."""
     (j,) = np.flatnonzero(np.isclose(ensemble.grid.nodes, t))
-    return evaluate_F_table(fam, ensemble)[:, j]
+    return F_table(fam, ensemble)[:, j]
 
 
 def reference_F(fam, t, ensemble):
     """F(t) on every path, one node at a time: the reference for
-    evaluate_F_table's table forms."""
+    evaluate_F_blocks' table forms."""
     if isinstance(fam, Deterministic):
         return np.full(ensemble.n_paths, float(fam.f0(t)))
     if isinstance(fam, GaussianLinear):
@@ -223,7 +228,8 @@ def test_sweep_matches_pointwise_conditionals():
     for fam in fams:
         # Y[:, i] = C_i[i] + sum_a A[i, a] C_i[a] with each C_i[a] from
         # conditional_F; only terminal functions go through the sweep
-        y = solve_Y(fam, psi, e)
+        y = next(solve_Y_blocks(fam, psi, e, [slice(None)])) \
+            if is_stochastic(fam) else mean_Y(mean_profile(fam, b), psi)
         for i in (0, 7, 15):
             cond = np.stack([conditional_F(fam, t, g.nodes[i], e)
                              for t in g.nodes])
@@ -478,7 +484,7 @@ def test_evaluate_F_table_matches_per_node_stack(fam):
     e = ens(n=12, m=300)
     want = np.stack([reference_F(fam, t, e) for t in e.grid.nodes], axis=1)
     calls.clear()
-    got = evaluate_F_table(fam, e)
+    got = F_table(fam, e)
     n_calls = len(calls)
     if isinstance(fam, GaussianLinear):
         # one GEMM instead of a product per node: both sum the same N
@@ -508,9 +514,9 @@ def test_evaluate_F_table_growth_checked(t_dependent):
         dh=lambda t, x: 2.0 * np.asarray(x), growth_a=3.0, growth_b=1.0,
         t_dependent=t_dependent)
     with pytest.raises(QuadratureError):
-        evaluate_F_table(fam, last_path_ends_at(e, 30.0))
+        F_table(fam, last_path_ends_at(e, 30.0))
     e = last_path_ends_at(e, 20.0)
-    assert np.array_equal(evaluate_F_table(fam, e)[:, -1], e.w[:, -1] ** 2)
+    assert np.array_equal(F_table(fam, e)[:, -1], e.w[:, -1] ** 2)
 
 
 def last_path_ends_at(e, value):

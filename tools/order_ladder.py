@@ -61,8 +61,7 @@ def errors(n: int) -> dict[str, float]:
         resolvent
     from bsvielab.measures import DiracAt, Uniform
     from bsvielab.oracles import solve_reduced_collocation
-    from bsvielab.solver import solve_Y
-    from bsvielab.terminal import Deterministic, make_f0
+    from bsvielab.solver import mean_Y
 
     grid = TriangularGrid(1.0, n)
     lag = grid.nodes[None, :] - grid.nodes[:, None]
@@ -77,8 +76,7 @@ def errors(n: int) -> dict[str, float]:
     psi33 = resolvent(phi33, 1e-10)
     exact33 = np.where(upper, example33_reference("derived")(u), 0.0)
 
-    fam = Deterministic(f0=make_f0("constant", value=1.0))
-    y_exp = solve_Y(fam, psi)[0]
+    y_exp = mean_Y(np.ones(n + 1), psi)[0]
     y_col = solve_reduced_collocation(np.ones(n + 1), phi)[0]
     y_true = math.exp(C)
     y_del = math.nan if 2 * n > LADDER[-1] else float(
