@@ -37,10 +37,10 @@ from .girsanov import DegenerateWeights, drift, effective_sample_size, \
     expect_q_blocks, girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
     example33_reference, identity_residual, resolvent
-from .oracles import LSMC_CHUNK, PicardFailed, RegressionIllConditioned, \
-    _path_blocks, build_delayed_operator, residual_delayed, \
-    residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
-    solve_delayed_picard, solve_reduced_collocation
+from .oracles import PicardFailed, RegressionIllConditioned, \
+    build_delayed_operator, residual_delayed, residual_reduced, \
+    residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
+    solve_reduced_collocation
 from .solver import mean_Y, norm_columns, norm_report, \
     smoothness_diagnostics, solve_Y_blocks, solve_Z
 from .terminal import QuadratureError, is_stochastic, mean_profile
@@ -189,7 +189,7 @@ def _solve_field(cfg: ExperimentConfig, psi, drift_fn,
         fbar0 = mean_profile(fam, drift_fn)
         y = mean_Y(fbar0, psi)
         with np.errstate(over="ignore", invalid="ignore"):
-            means = norm_columns(y[None], grid, cfg.beta)[:, 0]
+            means = norm_columns(y[:, None], grid, cfg.beta)[:, 0]
         return z, None, (fbar0, y), _finite_norms(means, z, grid, cfg.beta)
     ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn)
     moments = _path_moments(cfg, psi, z, ens, residual)
@@ -198,28 +198,21 @@ def _solve_field(cfg: ExperimentConfig, psi, drift_fn,
 
 
 def _path_moments(cfg: ExperimentConfig, psi, z, ens, residual: bool):
-    """(means, SEs) over the ensemble's paths, from one pass over the
-    blocks of oracles._path_blocks: with residual, the rows Y
-    (solve_Y_blocks) and R (residual_reduced_pathwise) with their SEs;
-    then the means of the two norm_columns rows of Y.  Each block's
-    rows are formed path-major in contiguous buffers and transposed once
-    into one node-major stack, which expect_q_blocks reduces where it
-    lies before the next block is formed: no (M, N+1) table is held.
-    The weights exp(beta t) may overflow here, which _finite_norms
-    reports."""
+    """(means, SEs) over the ensemble's paths, from one pass over its
+    blocks: with residual, the rows Y (solve_Y_blocks) and R
+    (residual_reduced_pathwise) with their SEs, then the means of Y's two
+    norm_columns rows, stacked node-major, reduced by expect_q_blocks per
+    block.  exp(beta t) may overflow here; _finite_norms reports it."""
     grid, fam, n1 = psi.grid, cfg.family, psi.grid.n + 1
-    blocks = _path_blocks(ens.n_paths, LSMC_CHUNK)
     rows = 2 * n1 if residual else 0
-    buf = np.empty((rows + 2) * max(len(ens.draws[p]) for p in blocks))
-    ys = solve_Y_blocks(fam, psi, ens, blocks)
-    pairs = residual_reduced_pathwise(ys, z, fam, psi.phi, ens, blocks) \
+    ys = solve_Y_blocks(fam, psi, ens)
+    pairs = residual_reduced_pathwise(ys, z, fam, psi.phi, ens) \
         if residual else ((y, None) for y in ys)
 
     def stacked():
-        for part, (y, r) in zip(blocks, pairs):
-            stack = buf[:(rows + 2) * len(y)].reshape(rows + 2, len(y))
+        for (part, stack), (y, r) in zip(ens.block_buffers(rows + 2), pairs):
             if residual:
-                stack[:n1], stack[n1:rows] = y.T, r.T
+                stack[:n1], stack[n1:rows] = y, r
             norm_columns(y, grid, cfg.beta, stack[rows:])
             yield part, stack
 

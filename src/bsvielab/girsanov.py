@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .kernels import DelayedGenerator, TriangularGrid
 
 ESS_FLOOR = 10.0
+LSMC_CHUNK = 2048  # paths per block of a pass over the paths (_path_blocks)
 
 
 class DegenerateWeights(RuntimeError):
@@ -76,8 +78,9 @@ class PathEnsemble:
     coincides with W when the drift vanishes) are derived from it and the
     drift, as sample_paths describes: each access builds a new read-only
     table, so a caller reads each one once; w is the path-major view of
-    wt.  On a block of paths, states forms wt's columns, end_states its
-    last row W(T) and dw_times a product dw @ a, with no whole table.
+    wt.  Every pass over the paths takes the one partition blocks, each
+    block node-major (K, m): states forms wt's columns, end_states its
+    last row W(T) and dw_times a^T dW^T, with no whole table.
     weights is the per-path Radon-Nikodym density M(T) for tag "P" and
     exactly 1 for tag "Q".  The path count M is the number of rows of
     draws.
@@ -116,15 +119,34 @@ class PathEnsemble:
         out.flags.writeable = False
         return out
 
-    def dw_times(self, a: np.ndarray, paths: slice = slice(None),
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """dw @ a on the paths of the block paths (every path by default),
-        (M, N) @ (N, K), into out if given, with no dw table: the draws
-        times a, plus under tag "Q" the drift's row b_k dt times a on
-        every path."""
-        out = np.matmul(self.draws[paths], a, out=out)
+    @property
+    def blocks(self) -> tuple[slice, ...]:
+        """The one partition of the paths, _path_blocks(M, LSMC_CHUNK),
+        which every pass over the paths takes in order."""
+        return _path_blocks(self.n_paths, LSMC_CHUNK)
+
+    def block_buffers(self, rows: int):
+        """Yield (paths, out) for each block paths of blocks, out (rows, m)
+        a C-contiguous view of one buffer sized for the widest block, which
+        every block reuses: out is valid until the next block is taken."""
+        buf = np.empty(rows * max(p.stop - p.start for p in self.blocks))
+        for part in self.blocks:
+            m = part.stop - part.start
+            yield part, buf[:rows * m].reshape(rows, m)
+
+    def state_blocks(self):
+        """Yield (paths, W) for each block, W (N+1, m) by states."""
+        for part, out in self.block_buffers(self.grid.n + 1):
+            yield part, self.states(part, out)
+
+    def dw_times(self, a: np.ndarray, paths: slice,
+                 out: np.ndarray) -> np.ndarray:
+        """a^T dW^T on the paths of the block paths, (K, N) . (N, m), into
+        out (K, m), with no dw table: a^T times the draws, plus under tag
+        "Q" a^T times the drift's b_k dt on every path."""
+        block_matmul(a.T, self.draws[paths].T, out)
         if self.tag == "Q":
-            out += self.drift_fn.increments() @ a
+            out += (self.drift_fn.increments() @ a)[:, None]
         return out
 
     @property
@@ -183,6 +205,32 @@ class PathEnsemble:
         for k in range(1, self.grid.n):
             np.add(out[k], draws[:, k], out=out[k + 1])
         return out
+
+
+@cache
+def _path_blocks(m_paths: int, width: int) -> tuple[slice, ...]:
+    """Near-equal blocks of at most width paths (a multiple of 64), the
+    whole table when it fits, each starting on a multiple of 64 paths and
+    all but the last a multiple of 64 long, so that a block's paths take
+    the BLAS kernel's lanes they take in the whole table; each holds at
+    least width / 2 - 128 paths, too many for BLAS to take another route
+    (a GEMV, or one thread).  One cached tuple serves every pass."""
+    lanes = -(-m_paths // 64)
+    count = -(-lanes // (width // 64))
+    bounds = [min(m_paths, 64 * (lanes * k // count))
+              for k in range(count + 1)]
+    return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def block_matmul(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ x into out, (K, N) . (N, m), x one column per path of a block,
+    the paths after its last multiple of 64 by a product of their own, so
+    that each path rounds as on the one block of every path (BLAS rounds
+    a product's last paths by kernels chosen on its whole shape)."""
+    cut = x.shape[1] - x.shape[1] % 64
+    np.matmul(a, x[:, :cut], out=out[:, :cut])
+    np.matmul(a, x[:, cut:], out=out[:, cut:])
+    return out
 
 
 def sample_paths(n_paths: int, seed: int, mode: str,

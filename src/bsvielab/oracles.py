@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .girsanov import PathEnsemble, expect_q_blocks
+from .girsanov import PathEnsemble, block_matmul, expect_q_blocks
 from .kernels import DelayOperator, DelayedGenerator, KernelTable, \
     implicit_factors, lag_weights, same_grid, tail_weight_matrix, \
     tail_weighted, zero_extend_kernel
@@ -38,7 +38,6 @@ COND_LIMIT = 1e10
 # a node (LSMC), beyond which an iteration has diverged
 DIVERGENCE_GUARD = 1e12
 MAX_ITERATIONS = 200  # sweeps of either delayed oracle before PicardStalled
-LSMC_CHUNK = 2048  # paths per block of a pass over the paths (_path_blocks)
 
 
 class PicardFailed(RuntimeError):
@@ -221,53 +220,34 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable
 
 def residual_reduced_pathwise(y_blocks, z: np.ndarray,
                               fam: TerminalFamily, phi: KernelTable,
-                              ensemble: PathEnsemble, blocks: list[slice]):
+                              ensemble: PathEnsemble):
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     F the free term of the family fam on the ensemble's paths, the
     integral term as in residual_reduced and the stochastic one as the
     left-point sum of the W^Q increments, read from the ensemble's draws:
     the draws themselves under tag "Q", less the drift's b_k dt under tag
-    "P".  y_blocks yields Y on the paths of each block of blocks,
-    path-major (m, N+1); for each, (Y, R) is yielded, R path-major in one
-    contiguous buffer that every block reuses, F by
-    terminal.evaluate_F_blocks and the two products, one after the other,
-    into one buffer of a block.  On the blocks of _path_blocks each path
-    rounds as on one block of every path.  GridMismatch unless Phi is on
-    the ensemble's grid."""
+    "P".  y_blocks yields Y on the paths of each block of
+    ensemble.blocks, node-major (N+1, m); for each, (Y, R) is yielded, R
+    node-major in the first rows of one buffer of block_buffers that every
+    block reuses, F by terminal.evaluate_F_blocks and the two products,
+    one after the other, into its other N + 1 rows.  Each path rounds as on one block
+    of every path.  GridMismatch unless Phi is on the ensemble's grid."""
     n = same_grid(phi, ensemble).n
     a = tail_weighted(phi.grid, phi.values)
-    zt = np.triu(z[:n, :n]).T
-    drift = ensemble.drift_fn.increments() @ zt \
+    zu = np.triu(z[:n, :n])
+    drift = (zu @ ensemble.drift_fn.increments())[:, None] \
         if ensemble.tag == "P" else None
-    width = max(len(ensemble.draws[part]) for part in blocks)
-    buf_r, buf = np.empty((width, n + 1)), np.empty(width * (n + 1))
-    for part, y, f in zip(blocks, y_blocks,
-                          evaluate_F_blocks(fam, ensemble, blocks)):
-        rows = len(y)
-        r = np.subtract(y, f, out=buf_r[:rows])
-        r -= np.matmul(y, a.T, out=buf[:rows * (n + 1)].reshape(rows, -1))
-        ito = np.matmul(ensemble.draws[part], zt,
-                        out=buf[:rows * n].reshape(rows, n))
+    for (part, out), y, f in zip(ensemble.block_buffers(2 * n + 2),
+                                 y_blocks, evaluate_F_blocks(fam, ensemble)):
+        r, prod = out[:n + 1], out[n + 1:]
+        np.subtract(y, f, out=r)
+        r -= block_matmul(a, y, prod)
+        ito = block_matmul(zu, ensemble.draws[part].T, prod[:n])
         if drift is not None:
             ito -= drift
-        r[:, :n] += ito
+        r[:n] += ito
         yield y, r
-
-
-def _path_blocks(m_paths: int, width: int) -> list[slice]:
-    """Near-equal blocks of at most width paths (a multiple of 64), the
-    whole table when it fits, each starting on a multiple of 64 paths
-    and all but the last a multiple of 64 long.  A GEMM on a block then
-    rounds each path as on the whole table: the block's paths fall on
-    the same lanes of the BLAS kernel, and no block is so short that
-    BLAS takes another route (one path is a GEMV, and a small product
-    runs on one thread): each holds at least width / 2 - 128 paths."""
-    lanes = -(-m_paths // 64)
-    count = -(-lanes // (width // 64))
-    bounds = [min(m_paths, 64 * (lanes * k // count))
-              for k in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +259,7 @@ class LsmcResult:
     """An LSMC run: mean (N+1,), the Q-means of the fitted Y, and se, the
     standard errors of the means of the final regression targets, whose
     spread is the noise of the fitted means (compare's se_max); no table
-    is held.  readout(blocks) yields each block of paths' Y and targets,
+    is held.  readout() yields each block of paths' Y and targets,
     node-major (_readout).  z (N+1, N+1), the regression Z surface, and
     z_se, its slopes' SEs, are fitted by a second readout pass
     (fit_slopes, _slope_z) on the first read of either.  sup_diffs holds
@@ -318,12 +298,12 @@ def _shifted_powers(wt: np.ndarray, shift: np.ndarray,
 
 
 class _StackedBasis:
-    """Every node's regression basis on the paths, from blocks yielding
-    (paths, W, F), W node-major (N+1, m) and F (m, N+1) on the m <=
-    LSMC_CHUNK paths of the block paths (_path_states): B_i holds the
-    intercept, then the centred, unit-variance powers W(t_i)^p, a zero
-    row where W(t_i) is degenerate (t_i = 0) or the power has spread
-    <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.
+    """Every node's regression basis on the paths of the ensemble, from
+    blocks yielding (paths, W, F), W and F node-major (N+1, m) on the
+    paths of each block paths of ensemble.blocks (_path_states): B_i
+    holds the intercept, then the centred, unit-variance powers
+    W(t_i)^p, a zero row where W(t_i) is degenerate (t_i = 0) or the
+    power has spread <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.
 
     First come what the Z slopes read of the operator op: the half-cell
     weights half = 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
@@ -336,8 +316,8 @@ class _StackedBasis:
     b_k dt under tag "Q") and those of F less its first block's means,
     of which f_ss, F's centred sums of squares, takes off the squared
     sums over M.  F's column sums f_sum are the ones row's products with
-    F.  An F broadcast along the nodes (stride 0, an h that ignores t)
-    has one distinct column, the one multiplied.
+    F.  An F broadcast along the nodes (stride-0 rows, an h that ignores
+    t) has one distinct row, the one multiplied.
 
     The ones row's products centre the V rows in every product by a
     rank-one correction.  The centred powers of W(t_i) are U_i times the
@@ -357,7 +337,8 @@ class _StackedBasis:
     a block's condition number, the largest of which is cond, exceeds
     COND_LIMIT (the first such node names it)."""
 
-    def __init__(self, blocks, draws: np.ndarray, op: DelayOperator):
+    def __init__(self, blocks, ensemble: PathEnsemble, op: DelayOperator):
+        draws = ensemble.draws
         m_paths, n = draws.shape
         n1, d = n + 1, REGRESSION_DEGREE + 1
         trap, vals = tail_weight_matrix(op.grid), op.values
@@ -368,31 +349,30 @@ class _StackedBasis:
         draws_sum = draws.sum(axis=0)
         self.draws, self.draws_mean = draws, draws_sum / m_paths
         q_rows = n1 * (d - 1)
-        buf = np.empty((1 + q_rows) * min(m_paths, LSMC_CHUNK))
         gram, draws_b = np.zeros((1 + q_rows,) * 2), np.zeros((n, 1 + q_rows))
         self.ss, f_ss, shift = np.zeros(n), 0.0, None
-        for part, wt, f in blocks:
+        for (part, wt, f), (_, rows) in zip(
+                blocks, ensemble.block_buffers(1 + q_rows)):
             m = wt.shape[1]
-            rows = buf[:(1 + q_rows) * m].reshape(1 + q_rows, m)
             if shift is None:
-                f_cols = 1 if f.strides[1] == 0 else n1
-                shift, f_shift = wt.mean(axis=1), f[:, :f_cols].mean(axis=0)
-                bt_f, draws_f = np.zeros((1 + q_rows, f_cols)), \
-                    np.zeros((n, f_cols))
+                f_rows = 1 if f.strides[0] == 0 else n1
+                shift, f_shift = wt.mean(axis=1), f[:f_rows].mean(axis=1)
+                bt_f, draws_f = np.zeros((1 + q_rows, f_rows)), \
+                    np.zeros((n, f_rows))
             x = rows[1:].reshape(-1)[:m * n].reshape(m, n)
             np.subtract(draws[part], self.draws_mean, out=x)
             self.ss += np.einsum("mj,mj->j", x, x)
             rows[0] = 1.0
             _shifted_powers(wt, shift, rows[1:].reshape(n1, d - 1, m))
-            fc = np.ascontiguousarray(f[:, :f_cols])  # only f0 is copied
+            fc = f[:f_rows]
             gram += rows @ rows.T
-            bt_f += rows @ fc
-            draws_f += draws[part].T @ fc
+            bt_f += rows @ fc.T
+            draws_f += draws[part].T @ fc.T
             draws_b += draws[part].T @ rows.T
             dev = rows[1:].reshape(-1)[:fc.size].reshape(fc.shape)
-            np.subtract(fc, f_shift, out=dev)
-            f_ss += np.einsum("mj,mj->j", dev, dev)
-        del buf, rows, x, dev  # the chunk goes before the O(P^2) work
+            np.subtract(fc, f_shift[:, None], out=dev)
+            f_ss += np.einsum("jm,jm->j", dev, dev)
+        del rows, x, dev  # the chunk goes before the O(P^2) work
         if not np.all(self.ss > 0.0):
             raise RegressionIllConditioned(
                 f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
@@ -431,7 +411,7 @@ class _StackedBasis:
         left = np.matmul(t, gram.reshape(n1, d - 1, q_rows))
         gram = np.matmul(left.reshape(q_rows, n1, d - 1).transpose(1, 0, 2),
                          tt).transpose(1, 0, 2).reshape(n1, d - 1, n1, d - 1)
-        bt_f = np.matmul(t, bt_f.reshape(n1, d - 1, f_cols))
+        bt_f = np.matmul(t, bt_f.reshape(n1, d - 1, f_rows))
         draws_b = np.matmul(draws_b.reshape(n, n1, d - 1).transpose(1, 0, 2),
                             tt).transpose(1, 0, 2)
 
@@ -538,7 +518,7 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     """Regression Monte Carlo for the delayed equation with the stochastic
     F of the family fam, and the delay operator op of
     build_delayed_operator, as solve_delayed_picard.  The run reads the
-    paths in two passes over the blocks of _path_blocks, the basis and
+    paths in two passes over the ensemble's blocks, the basis and
     the converged readout, with no (M, N+1) table beside the draws.
 
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
@@ -572,9 +552,7 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     gen, n = op.generator, same_grid(op, ensemble).n
     sweeps = _sweeps(tol)
     b_dt = ensemble.drift_fn.increments()
-    blocks = _path_blocks(ensemble.n_paths, LSMC_CHUNK)
-    basis = _StackedBasis(_path_states(fam, ensemble, blocks),
-                          ensemble.draws, op)
+    basis = _StackedBasis(_path_states(fam, ensemble), ensemble, op)
     n1, d = basis.ones.shape
     at = np.arange(n1)
     # node i's block of column i of B^T (y op^T), for y = F
@@ -608,10 +586,10 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
                               gz)
             mean, se = expect_q_blocks(
                 ensemble, ((part, yt.reshape(2 * n1, -1))
-                           for part, yt in readout(blocks)), slice(n1, None))
+                           for part, yt in readout()), slice(n1, None))
             return LsmcResult(mean[:n1], se, sup_diffs, it, basis.cond,
                               readout,
-                              lambda: _slope_z(readout(blocks), basis))
+                              lambda: _slope_z(readout(), basis))
         b_y = np.column_stack([op_m @ c[:, 0], (coupling @ c[:, 1:].ravel())
                                .reshape(n1, d - 1)])
         # x^T theta from x^T F and x^T B c
@@ -621,42 +599,36 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     raise _stalled(tol, sup_diffs)
 
 
-def _path_states(fam: TerminalFamily, ensemble: PathEnsemble,
-                 blocks: list[slice]):
-    """Yield (paths, W, F) for each block paths of blocks: W node-major
-    (N+1, m) by PathEnsemble.states, then F (m, N+1) of the family fam
-    (terminal.evaluate_F_blocks, at W's last row), each in one buffer that
-    every block reuses.  On blocks of _path_blocks each path's W and F
-    are those of one block of every path, bit for bit."""
-    rows, wt = ensemble.grid.n + 1, None
-    buf = np.empty(rows * max(len(ensemble.draws[p]) for p in blocks))
-    f_blocks = evaluate_F_blocks(fam, ensemble, blocks,
-                                 ends=lambda part: wt[-1])
-    for part in blocks:
-        m = len(ensemble.draws[part])
-        wt = ensemble.states(part, buf[:rows * m].reshape(rows, m))
+def _path_states(fam: TerminalFamily, ensemble: PathEnsemble):
+    """Yield (paths, W, F) for each block paths of ensemble.blocks, both
+    node-major (N+1, m): W by PathEnsemble.state_blocks, then F of the
+    family fam (terminal.evaluate_F_blocks, at W's last row), each in one
+    buffer that every block reuses.  Each path's W and F are those of one
+    block of every path, bit for bit."""
+    f_blocks = evaluate_F_blocks(fam, ensemble, ends=lambda part: wt[-1])
+    for part, wt in ensemble.state_blocks():
         yield part, wt, next(f_blocks)
 
 
 def _readout(fam: TerminalFamily, ensemble: PathEnsemble, op: DelayOperator,
              basis: _StackedBasis, c: np.ndarray, c_prev: np.ndarray | None,
-             gz: np.ndarray, blocks: list[slice]):
-    """Yield (paths, YT) for each block paths of blocks, YT (2, N+1, m) in
-    one buffer that every block reuses: Y = B c and the regression
-    targets F(t_i) + (op Y_prev)(t_i) + gz_i on its paths, node-major,
-    Y_prev = B c_prev (F when c_prev is None).  Y_prev goes into Y's rows,
-    op's GEMM into the targets', then F and gz are added and Y formed:
-    on blocks of _path_blocks, the bits of the whole tables' formulas."""
-    buf = np.empty(2 * len(c) * max(len(ensemble.draws[p]) for p in blocks))
-    for part, wt, f in _path_states(fam, ensemble, blocks):
-        yt = buf[:2 * f.size].reshape(2, len(c), -1)
+             gz: np.ndarray):
+    """Yield (paths, YT) for each block paths of ensemble.blocks, YT (2,
+    N+1, m) in one buffer of block_buffers that every block reuses: Y =
+    B c and the regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on its
+    paths, node-major, Y_prev = B c_prev (F when c_prev is None).  Y_prev
+    goes into Y's rows, op's GEMM into the targets', then F and gz are
+    added and Y formed: the bits of the whole tables' formulas."""
+    for (part, wt, f), (_, out) in zip(_path_states(fam, ensemble),
+                                       ensemble.block_buffers(2 * len(c))):
+        yt = out.reshape(2, len(c), -1)
         y, target = yt
         if c_prev is None:
-            np.copyto(y, f.T)
+            np.copyto(y, f)
         else:
             basis.values(c_prev, wt, y)
-        np.matmul(op.values, y, out=target)
-        target += f.T
+        block_matmul(op.values, y, target)
+        target += f
         target += gz[:, None]
         basis.values(c, wt, y)
         yield part, yt

@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .girsanov import DriftFunction, PathEnsemble
+from .girsanov import DriftFunction, PathEnsemble, block_matmul
 from .kernels import ResolventTable, TriangularGrid, same_grid, \
     tail_weight_matrix, tail_weighted, trapezoid_weights
 from .terminal import GaussianLinear, TerminalFamily, TerminalFunction, \
@@ -36,54 +36,46 @@ class NormReport:
 
 
 def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
-                   psi: ResolventTable, ensemble: PathEnsemble,
-                   blocks: list[slice]):
+                   psi: ResolventTable, ensemble: PathEnsemble):
     """Yield Y(t) = E^Q[F(t) | F_t] + int_t^T Psi(t,r) E^Q[F(r) | F_t] dr
-    of a stochastic family on the paths of each block of blocks,
-    path-major (m, N+1) in one contiguous buffer that every block reuses,
-    so a block is valid until the next one is taken.
+    of a stochastic family on the paths of each block of ensemble.blocks,
+    node-major (N+1, m) in one buffer of block_buffers that every block
+    reuses, so a block is valid until the next one is taken.
 
     Y is evaluated path by path, the prefix up to t supplying the
     conditioning information, on the grid and under the drift of the
     ensemble.  GaussianLinear Y is affine in dW: with (c, phi) from
-    gaussian_linear_conditionals, Y = diag(mean_Y(c)) + dW
-    tril(mean_Y(phi), -1)^T, one (m x N) . (N x (N+1)) product per block
-    by PathEnsemble.dw_times, with no dW table.  A terminal function takes
+    gaussian_linear_conditionals, Y = diag(mean_Y(c)) + tril(mean_Y(phi),
+    -1) dW^T, one (N+1 x N) . (N x m) product per block by
+    PathEnsemble.dw_times, with no dW table.  A terminal function takes
     the step row by row on the layers of terminal.conditional_sweep,
     Y(t_i) = C_i[i] + A[i] C_i with A = Psi * trap (mean_Y(C_i) would cost
     (N+1) m per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores
-    t; the steps fill a block's contiguous node-major rows, transposed
-    once into its path-major buffer.  On the blocks of
-    oracles._path_blocks every product rounds each path as on the one
-    block of every path: each path's Y has the same bits in any block.
+    t.  Every product rounds each path as on the one block of every path:
+    each path's Y has the same bits in any block.
     """
     grid = same_grid(psi, ensemble)
-    cols = grid.n + 1
-    sizes = [len(ensemble.draws[part]) for part in blocks]
-    buf = np.empty(max(sizes) * cols)
+    n1 = grid.n + 1
     if isinstance(fam, GaussianLinear):
         c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
         b = np.tril(mean_Y(phimat, psi), -1).T
-        diag = np.diagonal(mean_Y(c, psi))
-        for part, m in zip(blocks, sizes):
-            y = ensemble.dw_times(b, part, buf[:m * cols].reshape(m, cols))
+        diag = np.diagonal(mean_Y(c, psi))[:, None]
+        for part, y in ensemble.block_buffers(n1):
+            ensemble.dw_times(b, part, y)
             y += diag
             yield y
         return
 
-    yt_buf = np.empty_like(buf)  # node-major rows
     a = tail_weighted(grid, psi.values)
     a_sum = a.sum(axis=1)
-    sweep = conditional_sweep(fam, ensemble, blocks)
-    for m in sizes:
-        yt = yt_buf[:cols * m].reshape(cols, m)
-        for i, c in islice(sweep, cols):
+    sweep = conditional_sweep(fam, ensemble)
+    for _, y in ensemble.block_buffers(n1):
+        for i, c in islice(sweep, n1):
             if fam.t_dependent:
-                yt[i] = c[i] + a[i] @ c
+                block_matmul(a[i:i + 1], c, y[i:i + 1])
+                y[i] += c[i]
             else:  # c is C_i's one row: A[i] C_i = (sum_a A[i, a]) C_i
-                yt[i] = c[0] + a_sum[i] * c[0]
-        y = buf[:m * cols].reshape(m, cols)
-        y[...] = yt.T
+                y[i] = c[0] + a_sum[i] * c[0]
         yield y
 
 
@@ -151,25 +143,26 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
 
 def norm_columns(y: np.ndarray, grid: TriangularGrid, beta: float,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """The per-path parts of the H1 and S2 norms of the rows of y, (m,
-    N+1), node-major (2, m), into out if given: row 0 is the squared H1
-    integrand summed, neg_mass y(0)^2 + the trapezoid sum of e^(beta t)
-    y^2, row 1 the sup of e^(beta t) y^2 over the nodes.  Y extends to
-    [-T, 0) by its time-0 value, whose weight integrates to neg_mass.
-    One weighted square of y, (m, N+1), is formed.  GridMismatch unless
-    the rows of y are on grid."""
-    same_grid(grid, y)
-    weight = np.exp(beta * grid.nodes)
-    if beta == 0.0:
-        neg_mass = grid.horizon
-    else:
-        neg_mass = (1.0 - math.exp(-beta * grid.horizon)) / beta
+    """The per-path parts of the H1 and S2 norms of the columns of y,
+    node-major (N+1, m), into out (2, m) if given: row 0 is the squared
+    H1 integrand summed, neg_mass y(0)^2 + the trapezoid sum of
+    e^(beta t) y^2, row 1 the sup of e^(beta t) y^2 over the nodes.  Y
+    extends to [-T, 0) by its time-0 value, whose weight integrates to
+    neg_mass.  One weighted square of y, (N+1, m), is formed, and
+    weighted again by the trapezoid rule in place after its sup is read;
+    its node sums run row by row, so each path's sum has the same bits in
+    any block.  GridMismatch unless the columns of y are on grid."""
+    same_grid(grid, y[:, 0])
+    weight = np.exp(beta * grid.nodes)[:, None]
+    neg_mass = grid.horizon if beta == 0.0 \
+        else (1.0 - math.exp(-beta * grid.horizon)) / beta
     if out is None:
-        out = np.empty((2, len(y)))
+        out = np.empty((2, y.shape[1]))
     wy2 = np.square(y)
     wy2 *= weight
-    np.add(neg_mass * y[:, 0] ** 2, wy2 @ trapezoid_weights(grid), out=out[0])
-    np.max(wy2, axis=1, out=out[1])
+    np.max(wy2, axis=0, out=out[1])
+    wy2 *= trapezoid_weights(grid)[:, None]
+    np.add(neg_mass * y[0] ** 2, wy2.sum(axis=0), out=out[0])
     return out
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .girsanov import DriftFunction, PathEnsemble
+from .girsanov import DriftFunction, PathEnsemble, block_matmul
 from .kernels import TriangularGrid
 
 GH_NODES = 64
@@ -177,42 +177,38 @@ def _times(fam: TerminalFunction, grid: TriangularGrid) -> np.ndarray:
 
 
 def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
-                      blocks: list[slice], ends: Callable | None = None):
-    """Yield F(t_a) on the paths of each block of blocks and every node,
-    (m, N+1): f0_profile broadcast for a deterministic family; for
-    GaussianLinear, one GEMM of the block's increments with the phi table
-    of gaussian_linear_conditionals (PathEnsemble.dw_times, no dW table);
-    a terminal function is growth-checked at each of its _times at W(T),
-    ends(block) where the caller has formed it, else end_states, and
-    broadcast to every node.  f0 and phi are evaluated once.  Every block
-    is written into one buffer, so a block is valid until the next one is
-    taken.  On the blocks of oracles._path_blocks each path's F has the
-    bits of the one block of every path."""
+                      ends: Callable | None = None):
+    """Yield F(t_a) on every node and the paths of each block of
+    ensemble.blocks, node-major (N+1, m): f0_profile broadcast along the
+    paths for a deterministic family; for GaussianLinear, one GEMM of the
+    phi table of gaussian_linear_conditionals with the block's increments
+    (PathEnsemble.dw_times, no dW table); a terminal function is
+    growth-checked at each of its _times at W(T), ends(block) where the
+    caller has formed it, else end_states, and broadcast to every node
+    (stride-0 rows when h ignores t).  f0 and phi are evaluated once.
+    Every block is written into one buffer of block_buffers, valid until
+    the next block is taken."""
     grid = ensemble.grid
-    rows = [len(range(*part.indices(ensemble.n_paths))) for part in blocks]
+    n1 = grid.n + 1
     if not is_stochastic(fam):
-        f0 = f0_profile(fam, grid)
-        for m in rows:
-            yield np.broadcast_to(f0, (m, grid.n + 1))
+        f0 = f0_profile(fam, grid)[:, None]
+        for part in ensemble.blocks:
+            yield np.broadcast_to(f0, (n1, part.stop - part.start))
         return
     if isinstance(fam, GaussianLinear):
         a, f0 = _phi_table(fam, grid)[:, :-1].T, f0_profile(fam, grid)
-        buf = np.empty((max(rows), grid.n + 1))
-    else:
-        times = _times(fam, grid)
-        buf = np.empty((max(rows), len(times)))
-    for part, m in zip(blocks, rows):
-        dest = buf[:m]
-        if isinstance(fam, GaussianLinear):
-            ensemble.dw_times(a, part, dest)
-            dest += f0
-            yield dest
-        else:
-            w_t = (ends or ensemble.end_states)(part)
-            bound = _growth_bound(fam, w_t)
-            np.stack([_growth_checked(fam, t, w_t, bound) for t in times],
-                     axis=1, out=dest)
-            yield np.broadcast_to(dest, (m, grid.n + 1))
+        for part, out in ensemble.block_buffers(n1):
+            ensemble.dw_times(a, part, out)
+            out += f0[:, None]
+            yield out
+        return
+    times = _times(fam, grid)
+    for part, out in ensemble.block_buffers(len(times)):
+        w_t = (ends or ensemble.end_states)(part)
+        bound = _growth_bound(fam, w_t)
+        np.stack([_growth_checked(fam, t, w_t, bound) for t in times],
+                 out=out)
+        yield np.broadcast_to(out, (n1, out.shape[1]))
 
 
 def f0_profile(fam: Deterministic | GaussianLinear,
@@ -263,9 +259,9 @@ def mean_profile(fam: TerminalFamily, drift_fn: DriftFunction) -> np.ndarray:
         fam, _times(fam, drift_fn.grid), shift[0], sd[0]), drift_fn.grid.n + 1)
 
 
-def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble,
-                      blocks: list[slice]):
-    """Yield (i, C_i) for each block paths of blocks in turn, and within
+def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
+    """Yield (i, C_i) for each block paths of ensemble.blocks in turn, and
+    within
     it for i = 0..N, where C_i[k, m] = E^Q[F(t_a) | F_{t_i}] on path m of
     the block, under the ensemble's drift, t_a the k-th of _times: one
     row per node, or t_0's one row standing for every node when h
@@ -281,12 +277,12 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble,
     (_chopped_length), and certified against the rule at the K - 1
     interleaved points to CHEB_TOL times the largest node value.  The
     extremes take a first pass over the blocks' node-major states
-    (PathEnsemble.states); rounding is monotone, so the shifted extremes
-    of W are the extreme shifted states.  A second pass evaluates the
-    fits at each block's states, read as contiguous rows of its W: one
-    product of the kept coefficients with the table of those T_k at the
-    states (_chebyshev_table), every time row at once; on the blocks of
-    oracles._path_blocks each path rounds as on one block of every path.
+    (PathEnsemble.state_blocks); rounding is monotone, so the shifted
+    extremes of W are the extreme shifted states.  A second pass
+    evaluates the fits at each block's states, read as contiguous rows of
+    its W: one product of the kept coefficients with the table of those
+    T_k at the states (_chebyshev_table), every time row at once; each
+    path rounds as on one block of every path.
     A node whose states are all equal (t_0) takes the rule at its one
     state for every path, the bits of mean_profile's layer whatever M is.
     A node with sd = 0 (t_N), M <= 2K - 1 paths or a failed certificate
@@ -300,17 +296,13 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble,
     times = _times(fam, grid)
     shift, sd = _q_transition(ensemble.drift_fn)
     rows = grid.n + 1
-    sizes = [len(ensemble.draws[part]) for part in blocks]
-    buf = np.empty(rows * max(sizes))
     lo, hi = np.full(rows, np.inf), np.full(rows, -np.inf)
-    for part, m in zip(blocks, sizes):
-        wt = ensemble.states(part, buf[:rows * m].reshape(rows, m))
+    for _, wt in ensemble.state_blocks():
         np.minimum(lo, wt.min(axis=1), out=lo)
         np.maximum(hi, wt.max(axis=1), out=hi)
     layers = [_node_layer(fam, times, lo[i] + shift[i], hi[i] + shift[i],
-                          sd[i], sum(sizes)) for i in range(rows)]
-    for part, m in zip(blocks, sizes):
-        wt = ensemble.states(part, buf[:rows * m].reshape(rows, m))
+                          sd[i], ensemble.n_paths) for i in range(rows)]
+    for _, wt in ensemble.state_blocks():
         for i, layer in enumerate(layers):
             yield i, layer(wt[i] + shift[i])
 
@@ -329,7 +321,8 @@ def _node_layer(fam: TerminalFunction, times: np.ndarray, lo, hi,
     if fit is None:
         return lambda x: gauss_hermite_mean(fam, times, x, sd)
     mid, half, coef = fit
-    return lambda x: coef @ _chebyshev_table((x - mid) / half, coef.shape[1])
+    return lambda x: block_matmul(coef, _chebyshev_table(
+        (x - mid) / half, coef.shape[1]), np.empty((len(coef), len(x))))
 
 
 def _chebyshev_fit(fam: TerminalFunction, times: np.ndarray, lo, hi,

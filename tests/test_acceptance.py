@@ -17,6 +17,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from bsvielab import girsanov
 from bsvielab.cli import main as cli_main
 from bsvielab.girsanov import drift, girsanov_report, sample_paths
 from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
@@ -202,7 +203,9 @@ def test_criterion_06_z_validation():
     b = drift(gen)
     ens = sample_paths(50000, 12345, "P", b)
     z_exp = solve_Z(fam, psi, b)
-    f_vals = next(evaluate_F_blocks(fam, ens, [slice(None)]))
+    with pytest.MonkeyPatch.context() as mp:  # one block of every path
+        mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
+        f_vals = next(evaluate_F_blocks(fam, ens)).T
     lsmc = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     compared = violations = 0
     worst_ratio = 0.0
@@ -217,7 +220,9 @@ def test_criterion_06_z_validation():
 
     # (c) Ito isometry between U = F + int Phi Y - Y, the reduced residual
     # with its sign flipped, and the Z surface at four probe times
-    y = next(solve_Y_blocks(fam, psi, ens, [slice(None)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
+        y = next(solve_Y_blocks(fam, psi, ens)).T
     u = -residual_reduced(y, f_vals, phi)[0]
     tw = tail_weight_matrix(grid)
     iso_worst = 0.0

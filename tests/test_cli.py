@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bsvielab import cli, config, kernels, oracles, solver
+from bsvielab import cli, config, girsanov, kernels, oracles, solver
 from bsvielab.cli import main
 from bsvielab.config import load_config
 from bsvielab.girsanov import drift, expect_q_blocks, sample_paths
@@ -91,7 +91,7 @@ def test_solution_means_agree_across_modes(tmp_path):
     assert y_q[-1] > 5.0 * se_q[-1]
 
 
-def test_norms_agree_across_modes(tmp_path):
+def test_norms_agree_across_modes(tmp_path, monkeypatch):
     # H1 and S2 are E^Q path means too: at g = 0.6 the unweighted P mean
     # of the per-path H1^2 sits ~7 standard errors from the Q mean
     h1_sq, se = [], []
@@ -108,7 +108,9 @@ def test_norms_agree_across_modes(tmp_path):
         grid = run.generator.grid
         psi, b = cli._prepare(run)[:2]
         ens = sample_paths(run.n_paths, run.seed, run.mode, b)
-        y = next(solver.solve_Y_blocks(run.family, psi, ens, [slice(None)]))
+        with monkeypatch.context() as mp:  # one block of every path
+            mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
+            y = next(solver.solve_Y_blocks(run.family, psi, ens)).T
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
         est, est_se = expect_q_blocks(ens, [(slice(None), per_path[None])])
@@ -314,7 +316,8 @@ def test_monte_carlo_compare_se_is_the_lsmc_mean_noise(tmp_path):
     lsmc = oracles.solve_delayed_lsmc(
         run.family, oracles.build_delayed_operator(run.generator), ens,
         run.picard_tol)
-    y, targets = next(lsmc.readout([slice(None)]))[1]
+    assert len(ens.blocks) == 1
+    y, targets = next(lsmc.readout())[1]
     se = expect_q_blocks(ens, [(slice(None), targets)])[1]
     assert se[0] > 0.0
     assert np.allclose(lsmc.se, se, rtol=1e-11, atol=0.0)

@@ -76,6 +76,11 @@ under src/ calls numpy.where on a condition that compares against a
 literal 0, so every kernel or surface read at negative times (G, g and
 the LSMC's Z between lags) is 0 there by one rule, and is evaluated at
 times clipped to 0.
+
+The partition of the paths into blocks has one home, girsanov: no other
+module under src/ calls _path_blocks or reads LSMC_CHUNK, so every pass
+over the paths takes the blocks of PathEnsemble.blocks, and a path's
+block (and with it its bits) is the same in every pass.
 """
 
 import ast
@@ -110,6 +115,8 @@ TABLE_PARAM_NAMES = {"phi": "KernelTable", "psi": "ResolventTable",
                      "gen": "DelayedGenerator", "op": "DelayOperator"}
 SPREADS = {"std", "var"}
 ZERO_EXTEND_HOME = ("kernels", "zero_extend_kernel")
+PARTITION = {"_path_blocks", "LSMC_CHUNK"}
+PARTITION_HOME = "girsanov"
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -925,3 +932,42 @@ def test_src_zero_extends_in_one_function():
                  path.read_text(encoding="utf-8"), path.stem)]
     assert not found, ("a numpy.where against 0 outside "
                        f"{'.'.join(ZERO_EXTEND_HOME)}:\n" + "\n".join(found))
+
+
+def partition_reads(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, name) of each read of _path_blocks or LSMC_CHUNK, by name,
+    as an attribute or by import, unless module is PARTITION_HOME."""
+    if module == PARTITION_HOME:
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in PARTITION]
+        elif isinstance(node, ast.Name) and node.id in PARTITION:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in PARTITION:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_scan_finds_partition_reads():
+    source = ("from .girsanov import LSMC_CHUNK, _path_blocks\n"
+              "from . import girsanov\n"
+              "def passes(ens):\n"
+              "    blocks = _path_blocks(ens.n_paths, LSMC_CHUNK)\n"
+              "    width = girsanov.LSMC_CHUNK\n"
+              "    return girsanov._path_blocks(9, width), ens.blocks\n")
+    outside = [(1, "LSMC_CHUNK"), (1, "_path_blocks"), (4, "LSMC_CHUNK"),
+               (4, "_path_blocks"), (5, "LSMC_CHUNK"), (6, "_path_blocks")]
+    assert partition_reads(source, "cli") == outside
+    assert partition_reads(source, "girsanov") == []
+
+
+def test_src_partitions_the_paths_in_one_module():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in partition_reads(
+                 path.read_text(encoding="utf-8"), path.stem)]
+    assert not found, ("the path partition read outside "
+                       f"{PARTITION_HOME}:\n" + "\n".join(found))

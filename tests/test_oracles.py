@@ -1,5 +1,6 @@
 """Cross-oracle solvers: collocation, delayed Picard, regression Monte Carlo."""
 
+import contextlib
 import math
 import re
 import tracemalloc
@@ -7,16 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
-    sample_paths
+from bsvielab import girsanov
+from bsvielab.girsanov import DriftFunction, PathEnsemble, _path_blocks, \
+    drift, sample_paths
 from bsvielab.kernels import DelayOperator, DelayedGenerator, GridMismatch, \
     HorizonMismatch, SingularStep, TriangularGrid, build_phi, \
     constant_kernel, example33_kernel, poly_exp_kernel, resolvent, \
-    tail_weight_matrix, zero_extend_kernel
+    tail_weight_matrix, tail_weighted, zero_extend_kernel
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, _StackedBasis, _path_blocks, _readout, \
+    RegressionIllConditioned, _StackedBasis, _readout, \
     _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
@@ -31,10 +33,20 @@ def zero_drift(g):
     return DriftFunction(g, np.zeros(g.n + 1))
 
 
+@contextlib.contextmanager
+def one_block(ens):
+    """ens.blocks as the one block of every path, LSMC_CHUNK raised past
+    M, inside the block of the with statement."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
+        yield
+
+
 def y_paths(fam, psi, ens):
-    """Y of a stochastic family on every path, (M, N+1): solve_Y_blocks
-    on the one block of every path."""
-    return next(solve_Y_blocks(fam, psi, ens, [slice(None)]))
+    """Y of a stochastic family on every path, path-major (M, N+1):
+    solve_Y_blocks on the one block of every path, transposed."""
+    with one_block(ens):
+        return next(solve_Y_blocks(fam, psi, ens)).T
 
 
 def y_profile(fam, psi):
@@ -43,15 +55,17 @@ def y_profile(fam, psi):
 
 
 def f_paths(fam, ens):
-    """F on every path, (M, N+1): evaluate_F_blocks on the one block of
-    every path."""
-    return next(evaluate_F_blocks(fam, ens, [slice(None)]))
+    """F on every path, path-major (M, N+1): evaluate_F_blocks on the one
+    block of every path, transposed."""
+    with one_block(ens):
+        return next(evaluate_F_blocks(fam, ens)).T
 
 
 def lsmc_paths(res):
     """(Y, targets) of an LSMC run on every path, path-major (M, N+1)
-    each: its readout of the one block of every path."""
-    y, targets = next(res.readout([slice(None)]))[1]
+    each: its readout's blocks side by side, transposed."""
+    y, targets = np.concatenate([yt.copy() for _, yt in res.readout()],
+                                axis=2)
     return y.T, targets.T
 
 
@@ -337,11 +351,12 @@ def test_pathwise_reduced_residual_exact_for_martingale():
 
 
 def pathwise_residual(y, z, fam, phi, ens):
-    """R as one table, from residual_reduced_pathwise on the blocks of
-    _path_blocks of at most LSMC_CHUNK paths, fed the rows of y."""
-    blocks = _path_blocks(len(y), oracles.LSMC_CHUNK)
+    """R as one path-major table, from residual_reduced_pathwise on the
+    blocks of ens.blocks, of at most LSMC_CHUNK paths, fed the rows of y
+    as node-major blocks."""
     return np.concatenate([r.copy() for _, r in residual_reduced_pathwise(
-        (y[part] for part in blocks), z, fam, phi, ens, blocks)])
+        (np.ascontiguousarray(y[part].T) for part in ens.blocks), z, fam,
+        phi, ens)], axis=1).T
 
 
 def pathwise_inputs(mode, n, m_paths, seed):
@@ -373,8 +388,8 @@ def test_pathwise_ito_sum_on_w_q_increments(mode):
 def test_pathwise_residual_traced_peak_within_two_tables(mode):
     # the Ito sum reads the ensemble's draws, allocated before the trace,
     # in both modes: no dW or dW^Q table is formed.  Y comes in blocks of
-    # _path_blocks, and R goes out in them: each block, of at most
-    # LSMC_CHUNK paths, holds R, F and one buffer that takes y A^T and
+    # ens.blocks, and R goes out in them: each block, of at most
+    # LSMC_CHUNK paths, holds R, F and one buffer that takes A y and
     # then the Ito sum, N + 1 floats per path each.  The rest is O(N^2):
     # the tail weights, A, and the triangle of Z and its transpose, which
     # 4 (N+1)^2 floats cover; numpy's ufunc buffers come on top.  A whole
@@ -382,13 +397,12 @@ def test_pathwise_residual_traced_peak_within_two_tables(mode):
     y, z, fam, phi, ens = pathwise_inputs(mode, 60, 20_000, 73)
     n = phi.grid.n
     table = ens.n_paths * (n + 1) * 8
-    blocks = _path_blocks(ens.n_paths, oracles.LSMC_CHUNK)
-    block = 3 * oracles.LSMC_CHUNK * (n + 1) * 8
+    y_blocks = [np.ascontiguousarray(y[part].T) for part in ens.blocks]
+    block = 3 * girsanov.LSMC_CHUNK * (n + 1) * 8
     assert block < table / 2  # several blocks
     tracemalloc.start()
     try:
-        for _ in residual_reduced_pathwise((y[part] for part in blocks), z,
-                                           fam, phi, ens, blocks):
+        for _ in residual_reduced_pathwise(y_blocks, z, fam, phi, ens):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -418,18 +432,20 @@ def test_path_blocks_are_aligned_and_near_equal(m_paths, width):
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_pathwise_residual_by_path_blocks_bitwise(mode):
     # three blocks of paths, the last one short: each product rounds every
-    # path as the whole-table products do
+    # path as the whole-table node-major products do
     y, z, fam, phi, ens = pathwise_inputs(mode, 20, 5000, 79)
     n = phi.grid.n
-    assert len(_path_blocks(5000, oracles.LSMC_CHUNK)) == 3
-    zt = np.triu(z[:n, :n]).T
-    want = residual_reduced(y, f_paths(fam, ens), phi)[0]
-    ito = ens.draws @ zt
+    assert len(ens.blocks) == 3
+    zu = np.triu(z[:n, :n])
+    yt = np.ascontiguousarray(y.T)
+    want = yt - f_paths(fam, ens).T
+    want -= tail_weighted(phi.grid, phi.values) @ yt
+    ito = zu @ ens.draws.T
     if mode == "P":
-        ito -= ens.drift_fn.increments() @ zt
-    want[:, :n] += ito
+        ito -= (zu @ ens.drift_fn.increments())[:, None]
+    want[:n] += ito
     got = pathwise_residual(y, z, fam, phi, ens)
-    assert got.tobytes() == want.tobytes()
+    assert got.T.tobytes() == want.tobytes()
 
 
 def test_delayed_operator_horizon_mismatch():
@@ -490,13 +506,18 @@ def zero_operator(g):
     return DelayOperator(gen, np.zeros((g.n + 1, g.n + 1)))
 
 
+def draws_ensemble(draws, grid):
+    """A mode-Q ensemble of the draws (M, N) on grid, under no drift."""
+    return PathEnsemble("Q", draws, zero_drift(grid), np.ones(len(draws)))
+
+
 def stacked_basis(w, f, draws, op):
     """_StackedBasis of the paths W and F (M, N+1), any layout, in the
-    blocks of _path_blocks that the LSMC's pass forms: node-major W and
-    path-major F on each block's paths, cut from the two tables."""
-    blocks = _path_blocks(len(draws), oracles.LSMC_CHUNK)
-    return _StackedBasis([(part, w.T[:, part], f[part]) for part in blocks],
-                         draws, op)
+    blocks of the ensemble of the draws that the LSMC's pass forms:
+    node-major W and F on each block's paths, cut from the two tables."""
+    ens = draws_ensemble(draws, op.grid)
+    return _StackedBasis([(part, w.T[:, part], f.T[:, part])
+                          for part in ens.blocks], ens, op)
 
 
 def reference_stacked_rows(w):
@@ -582,7 +603,7 @@ def shifted_power_rows(monkeypatch):
 @pytest.mark.parametrize("m_paths, n", [(20_000, 20), (4_001, 12), (700, 3)])
 def test_basis_blocks_match_the_stacked_basis_bitwise(monkeypatch, m_paths,
                                                       n):
-    # each block of _path_blocks forms the rows (W(t_i) - mu_i)^p, mu_i
+    # each block of ens.blocks forms the rows (W(t_i) - mu_i)^p, mu_i
     # the node's mean over the first block's paths (over all of them at
     # M = 700, one block), bit for bit as on the whole table; the
     # products, the node means and spreads, the live rows and ss are
@@ -597,7 +618,7 @@ def test_basis_blocks_match_the_stacked_basis_bitwise(monkeypatch, m_paths,
     blocks = shifted_power_rows(monkeypatch)
     basis = stacked_basis(wt.T, f, ens.draws, zero_operator(g))
     n1, d = n + 1, oracles.REGRESSION_DEGREE + 1
-    parts = _path_blocks(m_paths, oracles.LSMC_CHUNK)
+    parts = ens.blocks
     assert len(blocks) == len(parts) and (len(parts) == 1) == (m_paths == 700)
     want = np.empty((n1, d - 1, m_paths))
     want[:, 0] = wt - wt[:, parts[0]].mean(axis=1, keepdims=True)
@@ -708,9 +729,9 @@ def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
     op = zero_operator(g)
     d = oracles.REGRESSION_DEGREE + 1
     p = (n + 1) * d
-    chunk = (n + 1) * (d - 1) * oracles.LSMC_CHUNK * 8
+    chunk = (n + 1) * (d - 1) * girsanov.LSMC_CHUNK * 8
     bound = chunk + 8 * p * p * 8 + 2 * 8 * np.getbufsize()
-    parts = _path_blocks(m_paths, oracles.LSMC_CHUNK)
+    parts = ens.blocks
     events = []
     form = oracles._shifted_powers
 
@@ -721,12 +742,12 @@ def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
     def blocks():
         for part in parts:
             events.append(part)
-            yield part, wt[:, part], f[part]
+            yield part, wt[:, part], f.T[:, part]
 
     monkeypatch.setattr(oracles, "_shifted_powers", counted)
     tracemalloc.start()
     try:
-        _StackedBasis(blocks(), ens.draws, op)
+        _StackedBasis(blocks(), ens, op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -841,7 +862,7 @@ def test_lsmc_sweeps_run_no_horner_pass(monkeypatch):
     monkeypatch.setattr(oracles, "_readout", converged)
     res = solve_delayed_lsmc(LSMC_FAMILIES["gaussian"],
                              build_delayed_operator(gen), ens)
-    blocks = _path_blocks(ens.n_paths, oracles.LSMC_CHUNK)
+    blocks = ens.blocks
     assert res.iterations >= 4 and phase == ["basis", "sweeps", "readout"]
     assert len(blocks) == 2 and calls == ["readout"] * 2 * len(blocks)
 
@@ -1403,8 +1424,7 @@ def test_targets_by_path_blocks_bitwise():
     ens = sample_paths(12_000, 83, "Q", drift(gen))
     op = build_delayed_operator(gen)
     wt = ens.wt
-    blocks = _path_blocks(12_000, oracles.LSMC_CHUNK)
-    assert len(blocks) == 6
+    assert len(ens.blocks) == 6
     rng = np.random.default_rng(9)
     c, gz = 0.1 * rng.standard_normal((21, 5)), rng.standard_normal(21)
     for family, broadcast in (("gaussian", False), ("terminal", True)):
@@ -1420,7 +1440,7 @@ def test_targets_by_path_blocks_bitwise():
             want += gz[:, None]
             got = np.concatenate(
                 [yt.copy() for _, yt in _readout(fam, ens, op, basis, c,
-                                                 c_prev, gz, blocks)],
+                                                 c_prev, gz)],
                 axis=2)
             assert got[0].tobytes() == y.tobytes(), family
             assert got[1].tobytes() == want.tobytes(), (family, c_prev)
@@ -1651,7 +1671,7 @@ def test_lsmc_mean_does_not_depend_on_sampling_measure(family, delay):
 def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     # The run holds no basis stack and no (M, N+1) table: its two passes
     # over the paths, the basis and the converged readout, take one block
-    # of _path_blocks, at most LSMC_CHUNK paths, at a time.  The basis
+    # of ens.blocks, at most LSMC_CHUNK paths, at a time.  The basis
     # block is P x LSMC_CHUNK floats at most, one chunk, beside the
     # block's W and F, (N+1) floats per path each; the readout's blocks
     # are W, F, Y and the targets, and its reduction forms deviations in
@@ -1673,8 +1693,8 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
     ens = sample_paths(20_000, 67, "P", drift(gen))
     p = (g.n + 1) * (oracles.REGRESSION_DEGREE + 1)
     table = ens.n_paths * (g.n + 1) * 8
-    chunk = p * oracles.LSMC_CHUNK * 8
-    assert ens.n_paths > oracles.LSMC_CHUNK  # more than one block
+    chunk = p * girsanov.LSMC_CHUNK * 8
+    assert ens.n_paths > girsanov.LSMC_CHUNK  # more than one block
     tracemalloc.start()
     try:
         solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
@@ -1683,3 +1703,38 @@ def test_lsmc_traced_peak_within_four_tables_and_one_chunk():
         tracemalloc.stop()
     small = 3 * p * p * 8 + 64 * (g.n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize()
     assert peak <= chunk + small + table / 4
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+@pytest.mark.parametrize("family", ["gaussian", "terminal"])
+def test_per_path_blocks_are_node_major(mode, family):
+    # every per-path block of a pass over ens.blocks, three blocks here,
+    # is node-major (N+1, m) on the m paths of its block, and C-contiguous
+    # or a stride-0 broadcast: F, Y, the pathwise residual R and the LSMC
+    # readout's Y and targets
+    g = TriangularGrid(T, 12)
+    gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2), g)
+    b = drift(gen)
+    ens = sample_paths(2 * girsanov.LSMC_CHUNK + 100, 5, mode, b)
+    phi = build_phi(gen)
+    psi = resolvent(phi, tol=1e-12)
+    fam = LSMC_FAMILIES[family]
+    parts = ens.blocks
+    assert len(parts) == 3
+
+    def node_major(blocks):
+        seen = []
+        for part, block in blocks:
+            assert block.shape == (g.n + 1, part.stop - part.start)
+            assert block.flags.c_contiguous or 0 in block.strides
+            seen.append(part)
+        assert seen == list(parts)
+
+    node_major(zip(parts, evaluate_F_blocks(fam, ens)))
+    z = solve_Z(fam, psi, b)
+    res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
+    for k in (0, 1):  # Y and R; the readout's Y and targets
+        node_major((part, pair[k]) for part, pair in zip(
+            parts, residual_reduced_pathwise(solve_Y_blocks(fam, psi, ens),
+                                             z, fam, phi, ens)))
+        node_major((part, yt[k]) for part, yt in res.readout())

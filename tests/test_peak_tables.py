@@ -23,6 +23,7 @@ def test_one_row_per_monte_carlo_command(capsys):
         ("mc-terminal-q", c) for c in ("solve", "compare", "norms")]
     for r in rows:
         assert (r[2], r[3], r[-1]) == ("300", "6", "0")
+        assert r[5].isdigit()  # the traced peak, exact in bytes
         table, peak, tables = map(float, r[4:7])
         assert table > 0.0 and peak > 0.0 and tables > 0.0
         assert r[7].isdigit()  # the minor page faults, an integer >= 0

@@ -10,6 +10,7 @@ Closed forms used as oracles:
   * Z(t,s) = t s:  double integral of (dZ/dt)^2 over the triangle = T^4/4.
 """
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -18,15 +19,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bsvielab import terminal
-from bsvielab.girsanov import DriftFunction, PathEnsemble, drift, \
-    expect_q_blocks, sample_paths
+from bsvielab import girsanov, terminal
+from bsvielab.girsanov import LSMC_CHUNK, DriftFunction, PathEnsemble, \
+    drift, expect_q_blocks, sample_paths
 from bsvielab.kernels import DelayedGenerator, GridMismatch, TriangularGrid, \
     build_phi, constant_kernel, resolvent, tail_weight_matrix, \
     trapezoid_weights
 from bsvielab.measures import DiracAt, Uniform
-from bsvielab.oracles import LSMC_CHUNK, _path_blocks, residual_reduced, \
-    residual_reduced_pathwise
+from bsvielab.oracles import residual_reduced, residual_reduced_pathwise
 from bsvielab.solver import mean_Y, norm_columns, norm_report, \
     smoothness_diagnostics, solve_Y_blocks, solve_Z
 from bsvielab.terminal import GH_BLOCK, Z_REF_STATE, Deterministic, \
@@ -50,10 +50,20 @@ def zero_drift(g):
     return DriftFunction(g, np.zeros(g.n + 1))
 
 
+@contextlib.contextmanager
+def one_block(ens):
+    """ens.blocks as the one block of every path, LSMC_CHUNK raised past
+    M, inside the block of the with statement."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
+        yield
+
+
 def y_paths(fam, psi, ens):
-    """Y of a stochastic family on every path, (M, N+1): solve_Y_blocks
-    on the one block of every path."""
-    return next(solve_Y_blocks(fam, psi, ens, [slice(None)]))
+    """Y of a stochastic family on every path, path-major (M, N+1):
+    solve_Y_blocks on the one block of every path, transposed."""
+    with one_block(ens):
+        return next(solve_Y_blocks(fam, psi, ens)).T
 
 
 def y_profile(fam, psi):
@@ -62,9 +72,10 @@ def y_profile(fam, psi):
 
 
 def f_paths(fam, ens):
-    """F on every path, (M, N+1): evaluate_F_blocks on the one block of
-    every path."""
-    return next(evaluate_F_blocks(fam, ens, [slice(None)]))
+    """F on every path, path-major (M, N+1): evaluate_F_blocks on the one
+    block of every path, transposed."""
+    with one_block(ens):
+        return next(evaluate_F_blocks(fam, ens)).T
 
 
 def expect_table(ens, values):
@@ -75,14 +86,15 @@ def expect_table(ens, values):
 
 def norms_of_profile(y, z, grid, beta=0.0):
     """The norms of one profile y: norm_report of its norm_columns."""
-    return norm_report(norm_columns(y[None], grid, beta)[:, 0], z, grid, beta)
+    return norm_report(norm_columns(y[:, None], grid, beta)[:, 0], z, grid,
+                       beta)
 
 
 def norms_on_paths(y, z, grid, ens, beta=0.0):
-    """The norms of Y on every path of ens, (M, N+1): norm_report of the
-    Q-means of its norm_columns, as one block."""
-    means = expect_q_blocks(ens, [(slice(None), norm_columns(y, grid, beta))],
-                            slice(0))[0]
+    """The norms of Y on every path of ens, path-major (M, N+1):
+    norm_report of the Q-means of its norm_columns, as one block."""
+    means = expect_q_blocks(
+        ens, [(slice(None), norm_columns(y.T, grid, beta))], slice(0))[0]
     return norm_report(means, z, grid, beta)
 
 
@@ -244,7 +256,8 @@ def test_mean_profile_is_the_sweeps_t0_layer(t_dependent):
 def sweep_rows(fam, ens):
     """(i, C_i) of conditional_sweep on the one block of every path, C_i
     broadcast to one row per node."""
-    for i, c in conditional_sweep(fam, ens, [slice(None)]):
+    assert len(ens.blocks) == 1
+    for i, c in conditional_sweep(fam, ens):
         yield i, np.broadcast_to(c, (ens.grid.n + 1, ens.n_paths))
 
 
@@ -290,8 +303,8 @@ def test_solve_Y_t_independent_row_sum_matches_matvec():
 @pytest.mark.parametrize("t_dependent", [False, True])
 def test_solve_Y_node_major_rows_match_column_loop(monkeypatch, m_paths,
                                                    t_dependent):
-    # Y filled as node-major rows and transposed once is the table the
-    # column writes gave, bit for bit, with every Chebyshev term kept:
+    # Y filled as node-major rows is the table the column writes gave,
+    # bit for bit, in one C-contiguous block, with every Chebyshev term kept:
     # one path (t_0's one state everywhere), M = 2K - 1 (the direct
     # layer) and M above it (the interpolant)
     monkeypatch.setattr(terminal, "_chopped_length",
@@ -304,9 +317,10 @@ def test_solve_Y_node_major_rows_match_column_loop(monkeypatch, m_paths,
     for i, c in sweep_rows(fam, ens):
         want[:, i] = c[i] + a[i] @ c if t_dependent \
             else c[i] + a[i].sum() * c[i]
-    y = y_paths(fam, psi, ens)
+    with one_block(ens):
+        y = next(solve_Y_blocks(fam, psi, ens))
     assert y.flags.c_contiguous
-    assert y.tobytes() == want.tobytes()
+    assert y.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 @pytest.mark.parametrize("m_paths", [1, 100, GH_BLOCK - 1, GH_BLOCK,
@@ -369,12 +383,13 @@ BLOCK_CASES = {
     *[(case, m_paths, None) for case in BLOCK_CASES
       for m_paths in (LSMC_CHUNK + 1, 3 * LSMC_CHUNK + 5)],
     *[pytest.param(case, 2 * terminal.CHEB_NODES - 1,
-                   [slice(0, 32), slice(32, None)], id=f"{case}-no-fit")
+                   [slice(0, 32), slice(32, 63)], id=f"{case}-no-fit")
       for case in ("h-of-x", "h-of-t-and-x")],
 ])
-def test_solve_Y_and_residual_blocks_bitwise(case, m_paths, blocks):
-    # Y and the pathwise residual R on blocks of paths are the rows of the
-    # one-block call bit for bit: on the blocks of _path_blocks, and at
+def test_solve_Y_and_residual_blocks_bitwise(monkeypatch, case, m_paths,
+                                             blocks):
+    # Y and the pathwise residual R on blocks of paths are the columns of
+    # the one-block call bit for bit: on the blocks of ens.blocks, and at
     # M <= 2K - 1, where every node takes the rule at every state, on a
     # split of the paths that no fit spans
     mode, family = BLOCK_CASES[case]
@@ -383,19 +398,40 @@ def test_solve_Y_and_residual_blocks_bitwise(case, m_paths, blocks):
     b = drift(DelayedGenerator(m, spec, g))
     ens = sample_paths(m_paths, 9, mode, b)
     z = solve_Z(fam, psi, b)
-    if blocks is None:
-        blocks = _path_blocks(m_paths, LSMC_CHUNK)
-    assert len(blocks) > 1
-    whole = y_paths(fam, psi, ens)
-    (_, r_whole), = residual_reduced_pathwise([whole], z, fam, phi, ens,
-                                              [slice(None)])
+    with one_block(ens):
+        whole = next(solve_Y_blocks(fam, psi, ens)).copy()
+        (_, r_whole), = residual_reduced_pathwise([whole], z, fam, phi, ens)
+    if blocks is not None:
+        monkeypatch.setattr(PathEnsemble, "blocks",
+                            property(lambda self: blocks))
+    assert len(ens.blocks) > 1
     ys, rs = [], []
     for y, r in residual_reduced_pathwise(
-            solve_Y_blocks(fam, psi, ens, blocks), z, fam, phi, ens, blocks):
+            solve_Y_blocks(fam, psi, ens), z, fam, phi, ens):
         ys.append(y.copy())
         rs.append(r.copy())
-    assert np.array_equal(np.concatenate(ys), whole)
-    assert np.array_equal(np.concatenate(rs), r_whole)
+    assert np.array_equal(np.concatenate(ys, axis=1), whole)
+    assert np.array_equal(np.concatenate(rs, axis=1), r_whole)
+
+
+@pytest.mark.parametrize("m_paths", [8191, 20_001])
+def test_t_dependent_y_blocks_bitwise_past_the_last_lane(m_paths):
+    # a t-dependent h on N = 40: the sweep's fit product and the row step
+    # A[i] C_i take the paths after the last multiple of 64 by a product
+    # of their own (girsanov.block_matmul), so those paths keep the bits
+    # of the one block of every path too; as one product each, up to 4
+    # of them did not (M = 8191: the fit product; M = 20001: the row step)
+    fam = TerminalFunction(
+        h=lambda t, x: np.exp(-t) * np.asarray(x) ** 2 + t * np.asarray(x),
+        dh=lambda t, x: 2.0 * np.exp(-t) * np.asarray(x) + t,
+        growth_a=3.0, growth_b=1.0, t_dependent=True)
+    g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
+    ens = sample_paths(m_paths, 3, "Q", drift(DelayedGenerator(m, spec, g)))
+    with one_block(ens):
+        whole = next(solve_Y_blocks(fam, psi, ens)).copy()
+    assert len(ens.blocks) > 1
+    ys = [y.copy() for y in solve_Y_blocks(fam, psi, ens)]
+    assert np.array_equal(np.concatenate(ys, axis=1), whole)
 
 
 def test_solve_Y_growth_breach_on_last_path_raises():
@@ -806,10 +842,10 @@ def test_norms_checks_its_grid():
     ens = sample_paths(50, 2, "P", zero_drift(g))
     y, z = np.ones((50, 11)), np.triu(np.ones((11, 11)))
     assert norms_on_paths(y, z, g, ens).h1 == pytest.approx(math.sqrt(2.0))
-    for bad in (np.ones((50, 12)), np.ones((1, 12))):
-        with pytest.raises(GridMismatch, match=re.escape(f"shape {bad.shape}")):
+    for bad in (np.ones((12, 50)), np.ones((12, 1))):
+        with pytest.raises(GridMismatch, match=re.escape("shape (12,)")):
             norm_columns(bad, g, 0.0)
-    means = norm_columns(y, g, 0.0)[:, 0]
+    means = norm_columns(y.T, g, 0.0)[:, 0]
     for bad in (np.triu(np.ones((12, 12))), np.ones(12)):
         with pytest.raises(GridMismatch) as err:
             norm_report(means, bad, g, 0.0)
@@ -820,7 +856,7 @@ def test_norms_checks_its_grid():
 @pytest.mark.parametrize("mode", ["P", "Q"])
 def test_norms_traced_peak_within_one_table(mode):
     # H1 and S2 read the per-path columns of norm_columns, formed one
-    # block of _path_blocks at a time into its rows of a (2, M) stack:
+    # block of ens.blocks at a time into its rows of a (2, M) stack:
     # a block holds one weighted square of its Y, at most LSMC_CHUNK
     # paths by N + 1 nodes, and three columns of its paths (y(0)^2, that
     # times neg_mass, and the trapezoid sums).  expect_q_blocks reduces
@@ -832,13 +868,13 @@ def test_norms_traced_peak_within_one_table(mode):
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 5, mode, DriftFunction(g, np.full(n + 1, 0.2)))
     y = np.random.default_rng(6).standard_normal((m_paths, n + 1))
+    yt = np.ascontiguousarray(y.T)
     z = np.triu(np.ones((n + 1, n + 1)))
-    blocks = _path_blocks(m_paths, LSMC_CHUNK)
     tracemalloc.start()
     try:
         columns = np.empty((2, m_paths))
-        for part in blocks:
-            norm_columns(y[part], g, 0.7, columns[:, part])
+        for part in ens.blocks:
+            norm_columns(yt[:, part], g, 0.7, columns[:, part])
         means = expect_q_blocks(ens, [(slice(None), columns)], slice(0))[0]
         rep = norm_report(means, z, g, 0.7)
         peak = tracemalloc.get_traced_memory()[1]
@@ -847,7 +883,7 @@ def test_norms_traced_peak_within_one_table(mode):
     assert peak <= (LSMC_CHUNK * (n + 4) * 8 + 3 * m_paths * 8
                     + 4 * (n + 1) ** 2 * 8 + 2 * 8 * np.getbufsize())
     # the blocks' columns are the whole table's, and so are the norms
-    assert np.array_equal(columns, norm_columns(y, g, 0.7))
+    assert np.array_equal(columns, norm_columns(yt, g, 0.7))
     assert rep == norms_on_paths(y, z, g, ens, 0.7)
 
 

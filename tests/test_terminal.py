@@ -1,5 +1,6 @@
 """Free-term families: evaluation, exact conditionals, Malliavin readouts."""
 
+import contextlib
 import dataclasses
 import math
 from itertools import islice
@@ -7,12 +8,11 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from bsvielab import terminal
+from bsvielab import girsanov, terminal
 from bsvielab.girsanov import DriftFunction, drift, sample_paths
 from bsvielab.kernels import DelayedGenerator, TriangularGrid, build_phi, \
     constant_kernel, resolvent, tail_weight_matrix
 from bsvielab.measures import Uniform
-from bsvielab.oracles import LSMC_CHUNK, _path_blocks
 from bsvielab.solver import mean_Y, solve_Y_blocks
 from bsvielab.terminal import (
     CHEB_NODES,
@@ -63,10 +63,20 @@ def conditional_F(fam, t, r, ensemble):
     return gauss_hermite_mean(fam, t, ensemble.w[:, j] + remaining, sd)
 
 
+@contextlib.contextmanager
+def one_block(ens):
+    """ens.blocks as the one block of every path, LSMC_CHUNK raised past
+    M, inside the block of the with statement."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
+        yield
+
+
 def F_table(fam, ensemble):
-    """F on every path and node, (M, N+1): evaluate_F_blocks on the one
-    block of every path."""
-    return next(evaluate_F_blocks(fam, ensemble, [slice(None)]))
+    """F on every path and node, path-major (M, N+1): evaluate_F_blocks on
+    the one block of every path, transposed."""
+    with one_block(ensemble):
+        return next(evaluate_F_blocks(fam, ensemble)).T
 
 
 def F_at(fam, t, ensemble):
@@ -228,7 +238,7 @@ def test_sweep_matches_pointwise_conditionals():
     for fam in fams:
         # Y[:, i] = C_i[i] + sum_a A[i, a] C_i[a] with each C_i[a] from
         # conditional_F; only terminal functions go through the sweep
-        y = next(solve_Y_blocks(fam, psi, e, [slice(None)])) \
+        y = next(solve_Y_blocks(fam, psi, e)).T \
             if is_stochastic(fam) else mean_Y(mean_profile(fam, b), psi)
         for i in (0, 7, 15):
             cond = np.stack([conditional_F(fam, t, g.nodes[i], e)
@@ -238,7 +248,8 @@ def test_sweep_matches_pointwise_conditionals():
             assert np.allclose(got, want), (fam, i)
         if not isinstance(fam, TerminalFunction):
             continue
-        for i, c in conditional_sweep(fam, e, [slice(None)]):
+        assert len(e.blocks) == 1
+        for i, c in conditional_sweep(fam, e):
             if i in (0, 7, 15):
                 for a in (i, min(i + 3, 15)):
                     want = conditional_F(fam, g.nodes[a], g.nodes[i], e)
@@ -263,11 +274,11 @@ def direct_layer(fam, e, i, times):
 
 
 def blocked_sweep(fam, e):
-    """(i, paths, C_i) of conditional_sweep on the blocks of
-    oracles._path_blocks, C_i on the paths of the block paths."""
-    blocks = _path_blocks(e.n_paths, LSMC_CHUNK)
+    """(i, paths, C_i) of conditional_sweep on the blocks of e.blocks,
+    C_i on the paths of the block paths."""
+    blocks = e.blocks
     assert len(blocks) > 1
-    sweep = conditional_sweep(fam, e, blocks)
+    sweep = conditional_sweep(fam, e)
     for part in blocks:
         for i, c in islice(sweep, e.grid.n + 1):
             yield i, part, c
@@ -332,9 +343,10 @@ def test_sweep_counts_h_points():
         return np.asarray(x, dtype=float) ** 2
 
     fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
-    for _ in conditional_sweep(fam, mc_terminal_ensemble(1, n, m),
-                               [slice(None)]):
-        pass
+    e = mc_terminal_ensemble(1, n, m)
+    with one_block(e):
+        for _ in conditional_sweep(fam, e):
+            pass
     assert sum(points) <= ((n - 1) * (2 * CHEB_NODES - 1) + 1) * GH_NODES + m
 
 
@@ -355,8 +367,9 @@ def test_sweep_chops_the_series_at_its_rounding_floor(monkeypatch, fam, most):
     full_table = terminal._chebyshev_table
     monkeypatch.setattr(terminal, "_chebyshev_table", table)
     e = mc_terminal_ensemble(1)
-    for _ in conditional_sweep(fam, e, [slice(None)]):
-        pass
+    with one_block(e):
+        for _ in conditional_sweep(fam, e):
+            pass
     assert len(rows) == 2 * (e.grid.n - 1)
     assert max(rows) <= most
 
@@ -398,12 +411,12 @@ def test_chopped_sweep_within_floor_of_full_series(monkeypatch, fam):
     e = mc_terminal_ensemble(1)
     n = e.grid.n
     rows = [[i, n] if fam.t_dependent else [0] for i in range(n + 1)]
-    whole = [slice(None)]
+    monkeypatch.setattr(girsanov, "LSMC_CHUNK", 64 * e.n_paths)
     monkeypatch.setattr(terminal, "_chopped_length", chopped)
-    chop = [c[rows[i]] for i, c in conditional_sweep(fam, e, whole)]
+    chop = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
     monkeypatch.setattr(terminal, "_chopped_length",
                         lambda coef, scale: coef.shape[1])
-    full = [c[rows[i]] for i, c in conditional_sweep(fam, e, whole)]
+    full = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
     assert len(rows_seen) == n - 1  # every interior node interpolates
     eps = np.finfo(float).eps
     k = CHEB_NODES
@@ -431,8 +444,7 @@ def test_nan_at_an_interpolation_point_raises():
 
     fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
     with pytest.raises(QuadratureError):
-        for _ in conditional_sweep(fam, mc_terminal_ensemble(1, 10, 200),
-                                   [slice(None)]):
+        for _ in conditional_sweep(fam, mc_terminal_ensemble(1, 10, 200)):
             pass
     assert poisoned
 

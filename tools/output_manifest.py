@@ -14,15 +14,16 @@ exp and affine terminal functions, f0 = exp_decay, phi = bilinear, a
 mode-Q LSMC at g = 0, a mode-Q LSMC whose drift puts E[W(t_i)] three
 spreads from 0 at T (b = g = 3 under a Dirac at 0; the largest drift at
 which girsanov-check's reweighting keeps its effective sample size),
-and the block edges of the Monte Carlo passes: M = LSMC_CHUNK + 1 paths,
-which every pass over the paths takes as two blocks of 1024 and 1025
-paths (oracles._path_blocks).  On N + 1 = 71 nodes a Gaussian-linear
-family merges the LSMC's and solve's and norms' means and standard
-errors across the blocks, in mode Q and in a mode-P twin whose weighted
-merge carries the blocks' sums of squared weights; h = exp in mode Q,
-on N + 1 = 41 nodes, fits each node's Chebyshev interpolant on the
-states of both blocks, and merges solve's and norms' moments of a
-terminal function.
+and the block edges of the Monte Carlo passes: M = girsanov.LSMC_CHUNK
++ 1 paths, which every pass over the paths takes as the two blocks of
+1024 and 1025 paths of its one partition, PathEnsemble.blocks (the
+home of girsanov._path_blocks and LSMC_CHUNK).  On N + 1 = 71 nodes a
+Gaussian-linear family merges the LSMC's and solve's and norms' means
+and standard errors across the blocks, in mode Q and in a mode-P twin
+whose weighted merge carries the blocks' sums of squared weights;
+h = exp in mode Q, on N + 1 = 41 nodes, fits each node's Chebyshev
+interpolant on the states of both blocks, and merges solve's and
+norms' moments of a terminal function.
 
 With one tree it prints, for each run, the exit code and the sha256 of
 the captured stdout, then the sha256 of every file the run wrote.  Two
@@ -151,7 +152,7 @@ terminal.h = square
 mc.paths = 3000
 mc.mode = Q
 """,
-    # mc.paths = oracles.LSMC_CHUNK + 1
+    # mc.paths = girsanov.LSMC_CHUNK + 1
     "feature-block-edge-q": """
 horizon = 1.0
 grid.n = 70

@@ -9,10 +9,12 @@ each of its commands, it runs the command once per tree in a fresh
 interpreter that imports bsvielab from that tree's src, through
 ``bsvielab.cli.main``, with tracemalloc started after the import.  It
 prints one row per command: the path count M, the grid size N, the size
-of one (M, N+1) float table, and for each tree the traced peak in MB and
-in such tables, the minor page faults the command took (the change of
-ru_minflt across ``main``; each is a first touch of a fresh page), then
-the command's exit code.
+of one (M, N+1) float table, and for each tree the traced peak, exact in
+bytes and in such tables, the minor page faults the command took (the
+change of ru_minflt across ``main``; each is a first touch of a fresh
+page), then the command's exit code.  The peak is printed to the byte
+because it moves by a few kB between fresh interpreters, which a rounded
+MB figure would hide or exaggerate.
 
 The benchmark's ``peak_rss_mb`` is one process-wide figure over a whole
 cycle; this says which command holds the peak, and how many path tables
@@ -86,7 +88,7 @@ def main(roots: list[str], n: int | None = None,
     for k, root in enumerate(roots, 1):
         print(f"tree {k}: {root}")
     head = f"{'workload':<15}{'command':<16}{'M':>7}{'N':>5}{'table_MB':>10}"
-    head += "".join(f"{f'peak_MB_{k}':>11}{f'tables_{k}':>10}"
+    head += "".join(f"{f'peak_B_{k}':>11}{f'tables_{k}':>10}"
                     f"{f'faults_{k}':>10}{f'exit_{k}':>8}"
                     for k in range(1, len(roots) + 1))
     print(head)
@@ -105,7 +107,7 @@ def main(roots: list[str], n: int | None = None,
                     got = traced_peak(root, cfg, command,
                                       os.path.join(tmp, f"{name}-{k}"))
                     status |= got["exit"] != 0
-                    row += (f"{got['peak'] / MB:>11.2f}"
+                    row += (f"{got['peak']:>11}"
                             f"{got['peak'] / table:>10.2f}"
                             f"{got['faults']:>10}{got['exit']:>8}")
                 print(row)
