@@ -18,7 +18,7 @@ import numpy as np
 from .measures import DelayMeasure, snap_lag
 
 # Columns per block of the resolvent's triangular substitution: a grid of
-# at most this many nodes is solved in one dense step.
+# at most this many nodes is one inverse and one GEMM.
 RESOLVENT_BLOCK = 64
 
 
@@ -354,21 +354,21 @@ def implicit_factors(phi: KernelTable) -> np.ndarray:
 
 def _upper_substitution(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """X with X u = r for upper-triangular u and r, by column-blocked
-    forward substitution (Golub & Van Loan, 4th ed., 3.1.4): for each
-    block J of RESOLVENT_BLOCK columns, X[:, J] u[J, J] = r[:, J] -
-    X[:, <J] u[<J, J], one GEMM over the rows above J (X is upper
-    triangular, so the rows from J down add nothing) and one small dense
-    solve of the diagonal block.  A u of at most RESOLVENT_BLOCK columns
-    is one dense solve of the whole system.  Entries below each diagonal
-    block are zero; inside it they carry pivoting noise."""
+    forward substitution (Golub & Van Loan, 4th ed., 3.1.4), written over
+    r and returned.  For each block J of RESOLVENT_BLOCK columns, every
+    row block I above J takes off X[I, i0:j0] u[i0:j0, J], one GEMM from
+    its own diagonal on (X[I, :i0] is zero: X is upper triangular), and
+    X[:j1, J] is that right-hand side times inv(u[J, J]), one more GEMM.
+    Everything below the diagonal of X is +0.0."""
     n = len(u)
-    x = np.zeros_like(r)
     for j0 in range(0, n, RESOLVENT_BLOCK):
         j1 = min(j0 + RESOLVENT_BLOCK, n)
-        rhs = r[:j1, j0:j1].copy()
-        rhs[:j0] -= x[:j0, :j0] @ u[:j0, j0:j1]
-        x[:j1, j0:j1] = np.linalg.solve(u[j0:j1, j0:j1].T, rhs.T).T
-    return x
+        for i0 in range(0, j0, RESOLVENT_BLOCK):
+            i1 = i0 + RESOLVENT_BLOCK
+            r[i0:i1, j0:j1] -= r[i0:i1, i0:j0] @ u[i0:j0, j0:j1]
+        r[:j1, j0:j1] = r[:j1, j0:j1] @ np.linalg.inv(u[j0:j1, j0:j1])
+        r[j0:, j0:j1][np.tri(n - j0, j1 - j0, -1, dtype=bool)] = 0.0
+    return r
 
 
 def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
@@ -377,11 +377,11 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
     volterra_compose is linear in its first argument, so the limit solves
     Psi = Phi + Psi o Phi, the triangular system
     Psi (I - dt Phi + dt/2 D) = Phi - dt/2 D Phi with D = diag Phi,
-    solved by _upper_substitution.  Pivoting noise below the diagonal is
-    cut, and the diagonal is Phi's, as in the series.  tol only sets the
-    reported order n_star and tail_bound of sharp_tail, None both when
-    C*T is too large for that tail to be summed: the report does not stop
-    the solve.  Psi holds phi; ToleranceUnreachable when it overflows.
+    solved in place by _upper_substitution; the diagonal is Phi's, as in
+    the series.  tol only sets the reported order n_star and tail_bound
+    of sharp_tail, None both when C*T is too large for that tail to be
+    summed: the report does not stop the solve.  Psi holds phi;
+    ToleranceUnreachable when it overflows.
     """
     p = phi.values
     denom = implicit_factors(phi)
@@ -393,7 +393,7 @@ def resolvent(phi: KernelTable, tol: float) -> ResolventTable:
         report = None, None
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # overflow: a singular LinAlgError or a non-finite table
-            psi = np.triu(_upper_substitution(denom[:, None] * p, system))
+            psi = _upper_substitution(denom[:, None] * p, system)
             np.fill_diagonal(psi, np.diag(p))
             return ResolventTable(phi.grid, psi, phi, *report)
         except ValueError:

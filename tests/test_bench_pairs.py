@@ -66,6 +66,10 @@ def test_summary_of_synthetic_pairs():
         (0.175, 0.325))
     assert cycle["parent_iqr"] == pytest.approx(0.15)
     assert cycle["bound"] == 0.2
+    # the medians' relative change in percent, change/parent - 1
+    assert cycle["median_change_pct"] == pytest.approx(10.0)
+    assert ess["median_change_pct"] == pytest.approx(100.0 * (0.675 / 0.65
+                                                              - 1.0))
     # a higher-is-better metric wins on a strictly higher value
     assert ess["change_wins"] == 2
     assert ess["parent_iqr"] == pytest.approx(
@@ -74,7 +78,10 @@ def test_summary_of_synthetic_pairs():
     assert got["failed"] == {"parent": 0, "change": 2}
     lines = bench_pairs.format_summary("w", got)
     assert lines[0] == "w: 4 pairs"
-    assert lines[1].startswith("  cycle_s: parent 0.25 change 0.275 wins 2/4")
+    assert lines[1].startswith(
+        "  cycle_s: parent 0.25 change 0.275 wins 2/4 +10.0% parent IQR")
+    assert lines[2].startswith("  ess: parent 0.65 change 0.675 wins 2/4 "
+                               "+3.8% parent IQR")
     assert lines[-2:] == ["  attempted: parent 40 change 48",
                           "  failed: parent 0 change 2"]
 
@@ -119,8 +126,11 @@ def test_pairs_alternate_and_summarize(tmp_path, capsys):
         for pair in ("3 parent 1 0", "3 change 1 0",
                      "4 change 1 0", "4 parent 1 0")]
     printed = capsys.readouterr().out
-    assert printed.count("cycle_s: parent 0.3 change 0.2 wins 2/2") == 2
+    assert printed.count("cycle_s: parent 0.3 change 0.2 wins 2/2 -33.3%") \
+        == 2
     report = json.loads(out.read_text())
+    assert report["workloads"][1]["summary"]["metrics"]["cycle_s"][
+        "median_change_pct"] == pytest.approx(-100.0 / 3.0)
     assert [w["workload"] for w in report["workloads"]] == ["w", "v"]
     assert report["workloads"][0]["summary"]["failed"] == {
         "parent": 0, "change": 0}

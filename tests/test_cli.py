@@ -906,7 +906,7 @@ def test_resolvent_exit_codes_at_large_kernel_bounds(tmp_path, capsys):
     assert resolvent_exit(40, 40) == 0
     meta = json.loads((tmp_path / "o" / "resolvent.meta.json").read_text(),
                       parse_constant=lambda token: pytest.fail(token))
-    assert meta["sup_psi"] > 1e20
+    assert meta["sup_psi"] == pytest.approx(4.86306618362e+20, rel=1e-11)
     assert meta["identity_residual"] <= 1e-14 * meta["sup_psi"]
     # c = 1000 on 400 steps: Psi overflows
     assert resolvent_exit(400, 1000) == 3

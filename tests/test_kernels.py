@@ -252,8 +252,8 @@ def test_resolvent_singular_step():
 
 
 def test_resolvent_large_ct_finite_then_overflow():
-    # C T = 40 on 40 steps: Psi reaches ~5e20 but is finite, and the
-    # pivoting noise below the diagonal is cut
+    # C T = 40 on 40 steps: Psi reaches ~5e20 but is finite, and zero
+    # below the diagonal
     phi = table_from(lambda t, s: np.full_like(t, 40.0), grid(40))
     psi = resolvent(phi, tol=1e-10)
     assert np.isfinite(psi.values).all() and psi.sup_norm > 1e20
@@ -266,6 +266,11 @@ def test_resolvent_large_ct_finite_then_overflow():
         resolvent(phi, tol=1e-10)
     # C = 1e300: the solve meets no singular pivot, but Psi is not finite
     phi = table_from(lambda t, s: np.full_like(t, 1e300), grid(10))
+    with pytest.raises(ToleranceUnreachable, match="overflows"):
+        resolvent(phi, tol=1e-10)
+    # C = 1.7e308 on two blocks: dt Phi is finite, the right-hand side
+    # (1 - dt/2 C) Phi is not, and the block updates carry it
+    phi = table_from(lambda t, s: np.full_like(t, 1.7e308), grid(100))
     with pytest.raises(ToleranceUnreachable, match="overflows"):
         resolvent(phi, tol=1e-10)
 

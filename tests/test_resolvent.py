@@ -4,8 +4,9 @@ series it replaces, and the order of accuracy of the routes that use it.
 The series Phi + Phi o Phi + ... built from volterra_compose is kept here
 as the oracle: it is how the paper writes Psi, and its limit is what
 kernels.resolvent solves for in one step.  That step is a column-blocked
-triangular substitution; one dense np.linalg.solve of the whole system
-is its reference here.
+triangular substitution, in place and by GEMMs and one small inverse per
+block; one dense np.linalg.solve of the whole system is its reference
+here, and on a grid of one block so is the one inverse it applies.
 """
 
 import importlib.util
@@ -75,17 +76,21 @@ def kernel_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(kernel_problems())
 def test_resolvent_properties(phi):
+    phi_bytes = phi.values.tobytes()
     psi = resolvent(phi, 1e-10)
     sup = psi.sup_norm
-    # Psi holds the Phi it was solved from, not a copy of it
+    # Psi holds the Phi it was solved from, not a copy of it, and the
+    # in-place solve writes over a table of its own, not over Phi
     assert psi.phi is phi
+    assert phi.values.tobytes() == phi_bytes
     # the identity it solves holds to rounding, and the table reports it
     comp = volterra_compose(KernelTable(phi.grid, psi.values), phi)
     residual = float(np.abs(psi.values - phi.values - comp.values).max())
     assert identity_residual(psi) == residual
     assert residual <= 1e-14 * max(1.0, sup)
     # the triangle and the diagonal are exactly the series'
-    assert np.all(np.tril(psi.values, -1) == 0.0)
+    assert not np.tril(psi.values, -1).any()
+    assert not np.signbit(np.tril(psi.values, -1)).any()
     assert np.diag(psi.values).tobytes() == np.diag(phi.values).tobytes()
     # and so is everything else, to rounding
     assert relative_gap(psi.values, neumann_series(phi)) <= 1e-12
@@ -117,16 +122,33 @@ def test_order_of_accuracy_gate():
     assert elapsed < 1.0, elapsed
 
 
-def dense_resolvent(phi: KernelTable) -> np.ndarray:
-    """Psi by one dense np.linalg.solve of the whole triangular system, the
-    reference the blocked substitution replaces."""
+def implicit_system(phi: KernelTable) -> tuple[np.ndarray, np.ndarray]:
+    """The triangular system Psi U = R that kernels.resolvent solves."""
     p = phi.values
     denom = implicit_factors(phi)
     system = -phi.grid.dt * p
     np.fill_diagonal(system, denom)
-    psi = np.triu(np.linalg.solve(system.T, (denom[:, None] * p).T).T)
-    np.fill_diagonal(psi, np.diag(p))
+    return system, denom[:, None] * p
+
+
+def upper_with_phi_diagonal(x: np.ndarray, phi: KernelTable) -> np.ndarray:
+    psi = np.triu(x)
+    np.fill_diagonal(psi, np.diag(phi.values))
     return psi
+
+
+def dense_resolvent(phi: KernelTable) -> np.ndarray:
+    """Psi by one dense np.linalg.solve of the whole triangular system, the
+    reference the blocked substitution replaces."""
+    u, r = implicit_system(phi)
+    return upper_with_phi_diagonal(np.linalg.solve(u.T, r.T).T, phi)
+
+
+def one_block_resolvent(phi: KernelTable) -> np.ndarray:
+    """Psi of a grid of at most RESOLVENT_BLOCK nodes as the substitution
+    forms it: R times the one inverse of U, one GEMM."""
+    u, r = implicit_system(phi)
+    return upper_with_phi_diagonal(r @ np.linalg.inv(u), phi)
 
 
 TABLE_KERNELS = {
@@ -146,7 +168,7 @@ def test_blocked_substitution_matches_dense_solve(nodes, kind, c):
     psi = resolvent(phi, 1e-10)
     ref = dense_resolvent(phi)
     if nodes <= RESOLVENT_BLOCK:
-        assert psi.values.tobytes() == ref.tobytes()
+        assert psi.values.tobytes() == one_block_resolvent(phi).tobytes()
     sup = np.abs(ref).max()
     assert np.abs(psi.values - ref).max() <= 1e-14 * sup
     # both residuals are rounding noise of a few ulps of sup|Psi|, and
@@ -162,12 +184,31 @@ def test_resolvent_solves_no_full_size_system(monkeypatch):
     grid = TriangularGrid(1.0, 600)
     phi = KernelTable(grid, np.triu(np.ones((601, 601))))
     shapes = []
-    solve = np.linalg.solve
+    inv = np.linalg.inv
 
-    def counted(a, b):
+    def counted(a):
         shapes.append(np.shape(a))
-        return solve(a, b)
+        return inv(a)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(np.linalg, "solve", refused)
     resolvent(phi, 1e-10)
     assert shapes and all(max(s) < 601 for s in shapes)
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_in_place_substitution_cuts_negative_zeros(n):
+    # dt/2 * Phi = 1.25 > 1: every implicit factor is negative, so R's
+    # strict lower triangle is -0.0 before the solve, on one block and on
+    # two; Psi (~9^n) holds +0.0 there all the same
+    grid = TriangularGrid(1.0, n)
+    phi = KernelTable(grid, np.triu(np.full((n + 1, n + 1), 2.5 / grid.dt)))
+    assert (implicit_factors(phi) < 0.0).all()
+    psi = resolvent(phi, 1e-10)
+    assert np.tril(psi.values, -1).tobytes() == \
+        np.zeros((n + 1, n + 1)).tobytes()
+    assert psi.sup_norm > 9.0 ** (n - 5)
+    assert identity_residual(psi) <= 1e-14 * psi.sup_norm

@@ -12,7 +12,8 @@ as long as the benchmark sets.
 It reads the result object on the last stdout line of each run.  For each
 end-to-end metric of that BENCHMARK.json it prints the parent and change
 medians, the pairs the change won (strictly better in the metric's
-direction) and the parent's quartiles and interquartile range
+direction), the relative change of the medians in percent (change/parent
+- 1) and the parent's quartiles and interquartile range
 (numpy.percentile 25/75); then the attempted and failed operations of
 each side.  The workloads are those of the file; --workload, which may be
 given more than once, runs only the ones it names.  --json writes every
@@ -62,9 +63,10 @@ def read_result(stdout: str) -> dict | None:
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric of end_to_end (BENCHMARK.json entries with name and
-    better) the medians of both sides, the change's wins and the parent's
-    quartiles over pairs, each {"parent": result, "change": result}; and
-    the attempted and failed operations summed per side."""
+    better) the medians of both sides, the change's wins, the medians'
+    relative change in percent and the parent's quartiles over pairs,
+    each {"parent": result, "change": result}; and the attempted and
+    failed operations summed per side."""
     out = {"pairs": len(pairs), "metrics": {}}
     for metric in end_to_end:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
@@ -72,11 +74,13 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                                 for p in pairs], dtype=float)
                 for side in SIDES}
         q1, q3 = np.percentile(vals["parent"], [25, 75])
+        parent, change = (float(np.median(vals[side])) for side in SIDES)
         out["metrics"][name] = {
-            "parent_median": float(np.median(vals["parent"])),
-            "change_median": float(np.median(vals["change"])),
+            "parent_median": parent,
+            "change_median": change,
             "change_wins": int(np.sum(sign * vals["change"]
                                       < sign * vals["parent"])),
+            "median_change_pct": 100.0 * (change / parent - 1.0),
             "parent_q1": float(q1), "parent_q3": float(q3),
             "parent_iqr": float(q3 - q1),
             "bound": metric.get("bound")}
@@ -91,7 +95,8 @@ def format_summary(workload: str, summary: dict) -> list[str]:
         lines.append(
             f"  {name}: parent {m['parent_median']:.6g} change "
             f"{m['change_median']:.6g} wins {m['change_wins']}/"
-            f"{summary['pairs']} parent IQR {m['parent_iqr']:.3g} "
+            f"{summary['pairs']} {m['median_change_pct']:+.1f}% "
+            f"parent IQR {m['parent_iqr']:.3g} "
             f"[{m['parent_q1']:.6g}, {m['parent_q3']:.6g}]")
     for key in ("attempted", "failed"):
         lines.append(f"  {key}: " + " ".join(
