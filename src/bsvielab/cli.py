@@ -134,13 +134,14 @@ def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:
 def _prepare(cfg: ExperimentConfig, operator: bool = False):
     """Resolvent (which holds Phi and the grid), drift and, if asked for,
     the delayed operator (None otherwise): the command's one set of
-    tables.  build_phi and build_delayed_operator each evaluate the spec
-    on the triangle t <= s they read."""
+    tables.  build_phi and build_delayed_operator read the spec's one
+    evaluation, gen.node_table, dropped once they have."""
     gen = cfg.generator
     phi = build_phi(gen)
     # under a declared bound L overflows only with Psi, which resolvent reports
     with np.errstate(over="ignore", invalid="ignore"):
         op = build_delayed_operator(gen) if operator else None
+    gen.drop_node_table()
     return resolvent(phi, cfg.resolvent_tol), drift(gen), op
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,11 +166,23 @@ class DelayedGenerator:
         horizon = self.grid.horizon
         return snap_lag(np.clip(x - horizon, -horizon, 0.0))
 
+    @cached_property
+    def node_table(self) -> np.ndarray:
+        """spec_at on the nodes, once until drop_node_table; read-only."""
+        table = self.spec_at(self.grid.nodes)
+        table.flags.writeable = False
+        return table
+
+    def drop_node_table(self) -> None:
+        """Forget node_table, which a G spec's fresh Phi does not hold."""
+        self.__dict__.pop("node_table", None)
+
     def spec_at(self, x: np.ndarray) -> np.ndarray:
-        """The spec's own kernel at (x_i, x_j), i <= j, over the times x,
-        zero-extended: phi_direct for a product-form spec, else G; 0 below
-        the diagonal, which no table reads and where G may overflow.  Each
-        of at most 8 row blocks is evaluated from its first row's diagonal."""
+        """The spec's own kernel at (x_i, x_j), i <= j, over the times x
+        (node_table on the nodes), zero-extended: phi_direct for a product-
+        form spec, else G; 0 below the diagonal, which no table reads and
+        where G may overflow.  Each of at most 8 row blocks is evaluated
+        from its first row's diagonal, then zeroed in place below it."""
         k = self.kernel
         f = zero_extend_kernel(k.G if k.phi_direct is None else k.phi_direct)
         out = np.zeros((len(x), len(x)))
@@ -177,15 +190,17 @@ class DelayedGenerator:
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, len(x), step):
                 rows = slice(lo, lo + step)
-                out[rows, lo:] = np.triu(f(x[rows, None], x[None, lo:]))
+                out[rows, lo:] = f(x[rows, None], x[None, lo:])
+                diag = out[rows, rows]
+                diag[np.tri(len(diag), k=-1, dtype=bool)] = 0.0
         return out
 
-    def G_at(self, x: np.ndarray) -> np.ndarray:
-        """G(x_i, x_j), i <= j, over the times x, zero-extended, 0 below the
-        diagonal: spec_at for a G spec; for a product-form spec G = Phi /
-        alpha([x_j - T, 0]), 0 where that mass is <= 1e-12: an integrable
-        endpoint singularity loses one cell."""
-        spec = self.spec_at(x)
+    def G_at(self, x: np.ndarray, spec=None) -> np.ndarray:
+        """G(x_i, x_j), i <= j, over the times x (from spec, spec_at(x) if
+        not given), zero-extended, 0 below the diagonal: spec for a G spec;
+        Phi / alpha([x_j - T, 0]) for a product-form one, 0 where that mass
+        is <= 1e-12: an integrable endpoint singularity loses one cell."""
+        spec = self.spec_at(x) if spec is None else spec
         if self.kernel.phi_direct is None:
             return spec
         mass = self.measure.mass_closed(self.lag(x))
@@ -252,18 +267,19 @@ def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
     return tail_weighted(grid, np.triu(np.ones((grid.n + 1, grid.n + 1))))
 
 
-def tail_weighted(grid: TriangularGrid, v: np.ndarray) -> np.ndarray:
+def tail_weighted(grid: TriangularGrid, v: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """v * tail_weight_matrix(grid), bit for bit, with no weight table, for
     an (N+1, N+1) table v whose strict lower triangle is zero (the
     KernelTable contract), where dt x and 0.0 x are the same zero: dt
     times v, the diagonal and the last column times dt/2, the last row
-    times 0.0 (so a negative cell gives -0.0 there too)."""
-    n, dt = grid.n, grid.dt
-    a = v * dt
-    half = 0.5 * dt
-    np.fill_diagonal(a, np.diagonal(v) * half)
-    a[:, n] = v[:, n] * half
-    a[n] = v[n] * 0.0
+    times 0.0 (so a negative cell gives -0.0 there too).  Into out if
+    given, which may be v: each cell is one product of its own value."""
+    n, half = grid.n, 0.5 * grid.dt
+    diag, last, row = np.diagonal(v)[:n] * half, v[:n, n] * half, v[n] * 0.0
+    a = np.multiply(v, grid.dt, out=out)
+    np.fill_diagonal(a[:n], diag)
+    a[:n, n], a[n] = last, row
     return a
 
 
@@ -291,14 +307,14 @@ def trapezoid_weights(grid: TriangularGrid) -> np.ndarray:
 
 def build_phi(gen: DelayedGenerator) -> KernelTable:
     """Reduced kernel on the triangle: the alpha-mass of [s-T, 0] times
-    G(t, s), or a product-form spec's own values (mass 1.0), from
-    gen.spec_at on the nodes, which is checked against G_bound."""
-    k, t = gen.kernel, gen.grid.nodes
-    spec = gen.spec_at(t)
+    G(t, s), or for a product-form spec gen.node_table itself (read-only),
+    which is checked against G_bound."""
+    k, spec = gen.kernel, gen.node_table
     _check_bound(spec, k.G_bound, "|G|" if k.phi_direct is None else "|Phi|",
                  " on the grid")
-    mass = gen.measure.mass_closed(gen.lag(t)) if k.phi_direct is None else 1.0
-    return KernelTable(gen.grid, mass * spec)
+    if k.phi_direct is None:
+        spec = gen.measure.mass_closed(gen.lag(gen.grid.nodes)) * spec
+    return KernelTable(gen.grid, spec)
 
 
 def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:

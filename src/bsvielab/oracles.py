@@ -169,9 +169,10 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
 
 def build_delayed_operator(gen: DelayedGenerator) -> DelayOperator:
     """The DelayOperator (gen, L) both delayed oracles take: _delay_walk on
-    K = G, read by gen.G_at on the nodes and between lags."""
-    return DelayOperator(gen, _delay_walk(gen, gen.G_at(gen.grid.nodes),
-                                          gen.G_at))
+    K = G, read by gen.G_at from gen.node_table on the nodes (no node pair
+    is evaluated again) and from the spec between lags."""
+    return DelayOperator(gen, _delay_walk(
+        gen, gen.G_at(gen.grid.nodes, gen.node_table), gen.G_at))
 
 
 def solve_delayed_picard(f0: np.ndarray, op: DelayOperator,

@@ -172,10 +172,13 @@ def norm_report(means: np.ndarray, z: np.ndarray, grid: TriangularGrid,
     from the Z surface: H1 is the square root of the first, S2 the second
     (the convention carries no square root: it is the expected weighted
     squared sup), and H2 extends Z by zero off the positive triangle, an
-    O(N^2) quadrature that reads no paths.  GridMismatch unless z is on
-    grid."""
+    O(N^2) quadrature that reads no paths, its integrand squared,
+    weighted, cut and tail-weighted in one buffer.  GridMismatch unless z
+    is on grid."""
     same_grid(grid, z)
-    weight = np.exp(beta * grid.nodes)
-    inner = tail_weighted(grid, np.triu(weight[None, :] * z**2)).sum(axis=1)
+    h = np.square(z)
+    h *= np.exp(beta * grid.nodes)
+    h[np.tri(grid.n + 1, k=-1, dtype=bool)] = 0.0
+    inner = tail_weighted(grid, h, out=h).sum(axis=1)
     h2 = math.sqrt(float(trapezoid_weights(grid) @ inner))
     return NormReport(beta, math.sqrt(float(means[0])), h2, float(means[1]))

@@ -20,9 +20,12 @@ A Gaussian-linear phi is evaluated in one place, terminal._phi_table, on
 every pair of nodes: no other code under src/ calls <expr>.phi(...), so
 the conditionals, the F table and the Malliavin table read one table.
 
-Linear systems are solved in one place, the resolvent's blocked
-substitution kernels._upper_substitution: no other code under src/
-calls numpy.linalg.solve, so no command pays for a dense (N+1)^3 solve.
+Linear systems are solved, or matrices inverted, in two places: the
+resolvent's blocked substitution kernels._upper_substitution, which
+inverts its 64x64 diagonal blocks, and oracles._ridged_inverses, which
+inverts the LSMC's ridged Gram blocks.  No other code under src/ calls
+numpy.linalg.solve or numpy.linalg.inv, so no command pays for a dense
+(N+1)^3 solve.
 
 Output bytes have one home, the writers of cli: a file is opened for
 writing only in cli.write_csv, cli.write_triangle and cli.write_meta, so
@@ -47,9 +50,10 @@ delayed operator (the walk on G) and the LSMC's g-weighted Z term (the
 row sums of the walk on g Z) read the same lags with the same arithmetic.
 
 The delay operator has one builder, cli._prepare: build_delayed_operator
-is called once under src/, there, and evaluates the spec itself on the
-triangle t <= s, as build_phi does; both delayed oracles (Picard and the
-LSMC) take the operator it built as an argument.
+is called once under src/, there, and reads the generator's node table
+(DelayedGenerator.node_table), the spec evaluated once on the triangle
+t <= s, as build_phi does; both delayed oracles (Picard and the LSMC)
+take the operator it built as an argument.
 
 The rule that inputs built apart share one grid has one home,
 kernels.same_grid: no other code under src/ builds a GridMismatch, so
@@ -94,7 +98,9 @@ PHI_DIRECT_HOMES = {"kernels"}
 NO_MEASURES_IMPORT = {"oracles", "girsanov"}
 RNG_HOME = ("girsanov", "sample_paths")
 PHI_HOME = ("terminal", "_phi_table")
-SOLVE_HOME = ("kernels", "_upper_substitution")
+SOLVE_HOMES = (("kernels", "_upper_substitution"),
+               ("oracles", "_ridged_inverses"))
+LINALG_SOLVERS = ("solve", "inv")
 WRITE_HOMES = [("cli", "write_csv"), ("cli", "write_triangle"),
                ("cli", "write_meta")]
 GH_WEIGHTS = "_GH_W_NORM"
@@ -321,9 +327,10 @@ def test_src_evaluates_phi_only_in_phi_table():
 
 
 def linalg_solves(source: str, module: str) -> list[tuple[int, str]]:
-    """(line, what) of each read of numpy.linalg.solve (through any alias
-    the module gives numpy or numpy.linalg) and each import of it, outside
-    the top-level function SOLVE_HOME[1] of the module SOLVE_HOME[0]."""
+    """(line, what) of each read of numpy.linalg.solve or numpy.linalg.inv
+    (LINALG_SOLVERS, through any alias the module gives numpy or
+    numpy.linalg) and each import of them, outside the top-level
+    functions of SOLVE_HOMES."""
     tree = ast.parse(source)
     aliases = numpy_aliases(tree)
     linalg = {a.asname for node in ast.walk(tree)
@@ -332,22 +339,23 @@ def linalg_solves(source: str, module: str) -> list[tuple[int, str]]:
     linalg |= {a.asname or a.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "numpy"
                for a in node.names if a.name == "linalg"}
-    home = home_nodes(tree, module, SOLVE_HOME)
+    home = set().union(*(home_nodes(tree, module, h) for h in SOLVE_HOMES))
     found = []
     for node in ast.walk(tree):
         if id(node) in home:
             continue
-        if (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
-                and any(a.name == "solve" for a in node.names)):
-            found.append((node.lineno, "from numpy.linalg import solve"))
-        elif isinstance(node, ast.Attribute) and node.attr == "solve":
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, f"from numpy.linalg import {a.name}")
+                      for a in node.names if a.name in LINALG_SOLVERS]
+        elif isinstance(node, ast.Attribute) and node.attr in LINALG_SOLVERS:
             v = node.value
             if isinstance(v, ast.Name) and v.id in linalg:
-                found.append((node.lineno, f"{v.id}.solve"))
+                found.append((node.lineno, f"{v.id}.{node.attr}"))
             elif (isinstance(v, ast.Attribute) and v.attr == "linalg"
                   and isinstance(v.value, ast.Name)
                   and v.value.id in aliases):
-                found.append((node.lineno, f"{v.value.id}.linalg.solve"))
+                found.append((node.lineno,
+                              f"{v.value.id}.linalg.{node.attr}"))
     return sorted(found)
 
 
@@ -355,21 +363,28 @@ def test_scan_finds_linalg_solves():
     source = ("import numpy as np\n"
               "import numpy.linalg as la\n"
               "from numpy import linalg\n"
-              "from numpy.linalg import solve\n"
+              "from numpy.linalg import solve, inv\n"
               "def _upper_substitution(r, u):\n"
-              "    return np.linalg.solve(u.T, r.T).T\n"
+              "    return np.linalg.solve(u.T, r.T).T @ np.linalg.inv(u)\n"
               "def resolvent(a, b):\n"
               "    x = np.linalg.solve(a, b) + la.solve(a, b)\n"
               "    return x + linalg.solve(a, b) + np.linalg.inv(a)\n"
               "class Table:\n"
               "    def _upper_substitution(self, r, u):\n"
-              "        return np.linalg.solve(u, r) + self.solve(u)\n")
-    outside = [(4, "from numpy.linalg import solve"), (8, "la.solve"),
+              "        return np.linalg.solve(u, r) + self.solve(u)\n"
+              "def _ridged_inverses(blocks):\n"
+              "    return la.inv(blocks) + self.inv(blocks)\n")
+    outside = [(4, "from numpy.linalg import inv"),
+               (4, "from numpy.linalg import solve"), (8, "la.solve"),
                (8, "np.linalg.solve"), (9, "linalg.solve"),
-               (12, "np.linalg.solve")]
-    assert linalg_solves(source, "kernels") == outside
+               (9, "np.linalg.inv"), (12, "np.linalg.solve")]
+    substitution = [(6, "np.linalg.inv"), (6, "np.linalg.solve")]
+    ridged = [(14, "la.inv")]
+    assert linalg_solves(source, "kernels") == sorted(outside + ridged)
     assert linalg_solves(source, "oracles") == sorted(
-        outside + [(6, "np.linalg.solve")])
+        outside + substitution)
+    assert linalg_solves(source, "solver") == sorted(
+        outside + substitution + ridged)
 
 
 def test_src_solves_linear_systems_only_in_the_substitution():
@@ -377,8 +392,9 @@ def test_src_solves_linear_systems_only_in_the_substitution():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line, what in linalg_solves(
                  path.read_text(encoding="utf-8"), path.stem)]
-    assert not found, ("numpy.linalg.solve outside "
-                       "kernels._upper_substitution:\n" + "\n".join(found))
+    assert not found, ("numpy.linalg.solve or inv outside "
+                       + " and ".join(map(".".join, SOLVE_HOMES)) + ":\n"
+                       + "\n".join(found))
 
 
 def open_mode(call: ast.Call):

@@ -386,6 +386,32 @@ def test_tail_weighted_matches_the_weight_table_bitwise(n):
     got = tail_weighted(g, v)
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got).sum() > 0 and (got < 0.0).any()
+    # written over v itself, each cell from its own value, the same bits
+    assert tail_weighted(g, v, out=v) is v
+    assert v.tobytes() == want.tobytes()
+
+
+def test_product_form_phi_is_the_read_only_node_table():
+    # the spec is evaluated once per generator: a product-form Phi holds
+    # the node table itself, which cannot be written, and the delayed
+    # operator's G is read from the same table
+    g = grid(12)
+    gen = DelayedGenerator(Uniform(1.0), example33_kernel(), g)
+    phi = build_phi(gen)
+    assert phi.values is gen.node_table
+    assert phi.values.tobytes() == gen.spec_at(g.nodes).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        phi.values[0, 1] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        phi.values *= 2.0
+    assert build_phi(gen).values is phi.values
+    assert gen.G_at(g.nodes, gen.node_table).tobytes() \
+        == gen.G_at(g.nodes).tobytes()
+    # a G spec's Phi is a fresh table, its mass times the node table
+    gen = DelayedGenerator(Uniform(1.0), constant_kernel(2.0), g)
+    phi = build_phi(gen)
+    assert phi.values is not gen.node_table and phi.values.flags.writeable
+    assert not gen.node_table.flags.writeable
 
 
 def test_resolvent_report_is_none_where_the_sharp_tail_is_unsummable():

@@ -1,5 +1,6 @@
-"""tools/peak_tables.py: one row per Monte Carlo command of the benchmark
-workloads, each run in a fresh interpreter, on shrunken configs."""
+"""tools/peak_tables.py: one row per command of the benchmark workloads and
+of the bundled deterministic configs, each run in a fresh interpreter, on
+shrunken configs."""
 
 import importlib.util
 import pathlib
@@ -12,18 +13,25 @@ _spec.loader.exec_module(peak_tables)
 
 
 def test_one_row_per_monte_carlo_command(capsys):
-    # the deterministic workload draws no paths and has no row
+    # a deterministic config draws no paths: its M is "-" and its table
+    # is one (N+1)^2 float table of the grid
     assert peak_tables.main([str(_ROOT)], n=6, paths=300) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"tree 1: {_ROOT}"
     rows = [line.split() for line in lines[2:]]
+    deterministic = ("resolvent", "solve", "compare", "z-surface", "norms")
     assert [(r[0], r[1]) for r in rows] == [
+        ("det-uniform", c) for c in deterministic] + [
         ("mc-gaussian-p", c) for c in
         ("solve", "compare", "girsanov-check", "norms")] + [
-        ("mc-terminal-q", c) for c in ("solve", "compare", "norms")]
+        ("mc-terminal-q", c) for c in ("solve", "compare", "norms")] + [
+        ("constant-kernel", c) for c in deterministic]
     for r in rows:
-        assert (r[2], r[3], r[-1]) == ("300", "6", "0")
+        paths = "-" if r[0] in ("det-uniform", "constant-kernel") else "300"
+        assert (r[2], r[3], r[-1]) == (paths, "6", "0")
         assert r[5].isdigit()  # the traced peak, exact in bytes
         table, peak, tables = map(float, r[4:7])
         assert table > 0.0 and peak > 0.0 and tables > 0.0
+        if paths == "-":
+            assert table == float(f"{7 * 7 * 8 / 1e6:.4g}")
         assert r[7].isdigit()  # the minor page faults, an integer >= 0

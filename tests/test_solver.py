@@ -24,7 +24,7 @@ from bsvielab.girsanov import LSMC_CHUNK, DriftFunction, PathEnsemble, \
     drift, expect_q_blocks, sample_paths
 from bsvielab.kernels import DelayedGenerator, GridMismatch, TriangularGrid, \
     build_phi, constant_kernel, resolvent, tail_weight_matrix, \
-    trapezoid_weights
+    tail_weighted, trapezoid_weights
 from bsvielab.measures import DiracAt, Uniform
 from bsvielab.oracles import residual_reduced, residual_reduced_pathwise
 from bsvielab.solver import mean_Y, norm_columns, norm_report, \
@@ -831,6 +831,28 @@ def test_norms_of_z_surface():
     rep = norms_on_paths(y, solve_Z(fam, psi, zero_drift(g)), g, ens)
     # Z == 1 on the triangle: integral = T^2/2
     assert rep.h2 == pytest.approx(math.sqrt(0.5), rel=1e-6)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, -2.0])
+@pytest.mark.parametrize("n", [2, 5, 60, 600])
+def test_norm_report_h2_is_the_triangle_formula_bitwise(n, beta):
+    # H2's integrand, formed in one buffer, has the bits of the weighted
+    # square cut to the triangle and tail-weighted as three tables; the
+    # strict lower triangle of z is not read, and z is left as it was
+    g = TriangularGrid(T, n)
+    z = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+    z[n, 0] = z[n, n] = -0.0
+    before = z.copy()
+    weight = np.exp(beta * g.nodes)
+    inner = tail_weighted(g, np.triu(weight[None, :] * z**2)).sum(axis=1)
+    want = math.sqrt(float(trapezoid_weights(g) @ inner))
+    got = norm_report(np.array([1.0, 2.0]), z, g, beta).h2
+    assert got.hex() == want.hex()
+    assert z.tobytes() == before.tobytes()
+    z_upper = np.triu(z) - np.tril(np.full_like(z, np.nan), -1)
+    assert norm_report(np.array([1.0, 2.0]), z_upper, g, beta).h2 == got
+    zero = norm_report(np.array([1.0, 2.0]), np.zeros_like(z), g, beta).h2
+    assert zero == 0.0 and not math.copysign(1.0, zero) < 0.0
 
 
 def test_norms_checks_its_grid():

@@ -1,36 +1,45 @@
-"""Traced peak memory of each Monte Carlo command of the benchmark workloads.
+"""Traced peak memory of each command of the benchmark workloads.
 
 Usage:
     python tools/peak_tables.py ROOT [ROOT2]
 
-Reads the workloads of ROOT/perfbench/workloads.py.  For each workload
-whose ``config_text(1)`` draws paths (a stochastic terminal family) and
-each of its commands, it runs the command once per tree in a fresh
-interpreter that imports bsvielab from that tree's src, through
-``bsvielab.cli.main``, with tracemalloc started after the import.  It
-prints one row per command: the path count M, the grid size N, the size
-of one (M, N+1) float table, and for each tree the traced peak, exact in
-bytes and in such tables, the minor page faults the command took (the
-change of ru_minflt across ``main``; each is a first touch of a fresh
-page), then the command's exit code.  The peak is printed to the byte
-because it moves by a few kB between fresh interpreters, which a rounded
-MB figure would hide or exaggerate.
+Reads the workloads of ROOT/perfbench/workloads.py, then the bundled
+deterministic configs of BUNDLED (constant-kernel.cfg: a G spec, whose
+Phi is the alpha-mass times the node table, where the deterministic
+workload's example33 is product-form).  For each config and each of its
+commands (a bundled config takes DETERMINISTIC_COMMANDS), it runs the
+command once per tree in a fresh interpreter that imports bsvielab from
+that tree's src, through ``bsvielab.cli.main``, with tracemalloc started
+after the import.  It prints one row per command: the path count M ("-"
+for a deterministic config, which draws no paths), the grid size N, the
+size of one table, an (M, N+1) float table of the paths or, for a
+deterministic config, an (N+1)^2 float table of the grid, and for each
+tree the traced peak, exact in bytes and in such tables, the minor page
+faults the command took (the change of ru_minflt across ``main``; each
+is a first touch of a fresh page), then the command's exit code.  The
+peak is printed to the byte because it moves by a few kB between fresh
+interpreters, which a rounded MB figure would hide or exaggerate.
 
 The benchmark's ``peak_rss_mb`` is one process-wide figure over a whole
-cycle; this says which command holds the peak, and how many path tables
-it is.  Exit status 1 if a command exits non-zero or its interpreter
-fails, 0 otherwise.  It is a tool, not a test: pytest does not collect it.
+cycle; this says which command holds the peak, and how many tables it
+is.  Exit status 1 if a command exits non-zero or its interpreter fails,
+0 otherwise.  It is a tool, not a test: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 MB = 1e6
+# bundled deterministic configs run beside the workloads, with these commands
+BUNDLED = ("constant-kernel.cfg",)
+DETERMINISTIC_COMMANDS = ("resolvent", "solve", "compare", "z-surface",
+                          "norms")
 # run in the fresh interpreter: ROOT CONFIG COMMAND OUT
 CHILD = """
 import contextlib, io, json, os, resource, sys, tracemalloc
@@ -47,26 +56,31 @@ print(json.dumps({"exit": code, "peak": peak, "faults": faults}))
 """
 
 
-def monte_carlo_configs(root: str, n: int | None = None,
-                        paths: int | None = None):
-    """(workload, commands, config text, M, N) for each workload of ROOT
-    whose config draws paths; n and paths shrink the configs as
-    Workload.config_text does."""
+def configs(root: str, n: int | None = None, paths: int | None = None):
+    """(label, commands, config text, M, N) for each workload of ROOT, M
+    None where the config draws no paths, then for each config of
+    BUNDLED; n and paths shrink the configs as Workload.config_text
+    does."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from bsvielab.config import load_config_file
+    from bsvielab.config import load_config
     from bsvielab.terminal import is_stochastic
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, wl in workloads.WORKLOADS.items():
-            text = wl.config_text(1, n, paths)
-            path = os.path.join(tmp, name + ".cfg")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            cfg = load_config_file(path)
-            if is_stochastic(cfg.family):
-                yield (name, wl.commands, text, cfg.n_paths,
-                       cfg.generator.grid.n)
+    texts = [(name, wl.commands, wl.config_text(1, n, paths))
+             for name, wl in workloads.WORKLOADS.items()]
+    for name in BUNDLED:
+        with open(os.path.join(root, "src", "bsvielab", "configs", name),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        if n:
+            text = re.sub(r"^grid\.n = .*$", f"grid.n = {n}", text,
+                          flags=re.M)
+        texts.append((name.removesuffix(".cfg"), DETERMINISTIC_COMMANDS,
+                      text))
+    for name, commands, text in texts:
+        cfg = load_config(text)
+        m_paths = cfg.n_paths if is_stochastic(cfg.family) else None
+        yield name, commands, text, m_paths, cfg.generator.grid.n
 
 
 def traced_peak(root: str, cfg: str, command: str, out: str) -> dict:
@@ -87,7 +101,7 @@ def main(roots: list[str], n: int | None = None,
     roots = [os.path.abspath(r) for r in roots]
     for k, root in enumerate(roots, 1):
         print(f"tree {k}: {root}")
-    head = f"{'workload':<15}{'command':<16}{'M':>7}{'N':>5}{'table_MB':>10}"
+    head = f"{'workload':<17}{'command':<16}{'M':>7}{'N':>5}{'table_MB':>10}"
     head += "".join(f"{f'peak_B_{k}':>11}{f'tables_{k}':>10}"
                     f"{f'faults_{k}':>10}{f'exit_{k}':>8}"
                     for k in range(1, len(roots) + 1))
@@ -95,14 +109,14 @@ def main(roots: list[str], n: int | None = None,
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, commands, text, m_paths, n_steps in \
-                monte_carlo_configs(roots[0], n, paths):
+                configs(roots[0], n, paths):
             cfg = os.path.join(tmp, name + ".cfg")
             with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            table = m_paths * (n_steps + 1) * 8
+            table = (m_paths or n_steps + 1) * (n_steps + 1) * 8
             for command in commands:
-                row = (f"{name:<15}{command:<16}{m_paths:>7}{n_steps:>5}"
-                       f"{table / MB:>10.2f}")
+                row = (f"{name:<17}{command:<16}{m_paths or '-':>7}"
+                       f"{n_steps:>5}{table / MB:>10.4g}")
                 for k, root in enumerate(roots):
                     got = traced_peak(root, cfg, command,
                                       os.path.join(tmp, f"{name}-{k}"))
