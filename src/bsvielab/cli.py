@@ -1,6 +1,6 @@
 """Command-line harness around the solvers.
 
-Subcommands
+Commands
     resolvent       kernel + resolvent tables, identity residual, sharp tail
     solve           explicit (Y, Z), residuals, norms
     compare         explicit mean vs independent oracles, verdict line
@@ -36,7 +36,7 @@ from .config import ConfigError, ExperimentConfig, load_config_file
 from .girsanov import DegenerateWeights, drift, effective_sample_size, \
     expect_q_blocks, girsanov_report, sample_paths
 from .kernels import SingularStep, ToleranceUnreachable, build_phi, \
-    example33_reference, identity_residual, resolvent
+    example33_reference, identity_residual, resolvent, sup_abs
 from .oracles import PicardFailed, RegressionIllConditioned, \
     build_delayed_operator, residual_delayed, residual_reduced, \
     residual_reduced_pathwise, solve_delayed_lsmc, solve_delayed_picard, \
@@ -84,11 +84,6 @@ def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
         _write_labelled(fh, labelled)
 
 
-def _all_plus_zero(values: np.ndarray) -> bool:
-    """True when every value is +0.0 (-0.0 and nan are not)."""
-    return not values.any() and not np.signbit(values).any()
-
-
 def write_triangle(path: str, header: list[str], grid, *surfaces,
                    labelled=()) -> None:
     """Write ``header``, one row (t_i, s_j, each surface at [i, j]) per
@@ -96,10 +91,13 @@ def write_triangle(path: str, header: list[str], grid, *surfaces,
     write_csv does; the bytes are those of write_csv on the stacked rows.
     The node cells are formatted once, into one line tail ",s_j,<cells>\\n"
     per node j, whose cells are one CELL per surface, or "0" per surface
-    when every surface is +0.0 on i <= j.  Grid row i is one join of t_i
-    with the tails j >= i and, unless the set is all +0.0, one format call
-    with the row's values; one grid row of the file is held at a time."""
-    zero = all(_all_plus_zero(np.triu(s)) for s in surfaces)
+    when every surface is +0.0 on i <= j (all bits zero, read in place, by
+    rows unless the whole table is).  Grid row i is one join of t_i with
+    the tails j >= i and, unless the set is all +0.0, one format call with
+    the row's values; one grid row of the file is held at a time."""
+    bits = [s.view(np.uint64) for s in surfaces]
+    zero = not any(b.any() and any(b[i, i:].any() for i in range(len(b)))
+                   for b in bits)
     cells = ("," + ("0" if zero else CELL)) * len(surfaces) + "\n"
     node_cells = [CELL % x for x in grid.nodes.tolist()]
     tails = ["," + s + cells for s in node_cells]
@@ -182,16 +180,18 @@ def _solve_field(cfg: ExperimentConfig, psi, drift_fn,
     """Explicit Z from psi's phi, the ensemble (None for a deterministic
     family), Y and the norms: (z, ens, y, norms report), y the pair
     (fbar0, Y) of a deterministic family, f0 read once into fbar0 =
-    mean_profile and Y = mean_Y(fbar0), compare's explicit mean, else the
+    mean_profile and Y = mean_Y(fbar0), compare's explicit mean, taken
+    before Z (mean_Y's weighted Psi and Z are not held at once), else the
     (means, SEs) of _path_moments."""
     fam, grid = cfg.family, psi.grid
-    z = solve_Z(fam, psi, drift_fn)
     if not is_stochastic(fam):
         fbar0 = mean_profile(fam, drift_fn)
         y = mean_Y(fbar0, psi)
         with np.errstate(over="ignore", invalid="ignore"):
             means = norm_columns(y[:, None], grid, cfg.beta)[:, 0]
+        z = solve_Z(fam, psi, drift_fn)
         return z, None, (fbar0, y), _finite_norms(means, z, grid, cfg.beta)
+    z = solve_Z(fam, psi, drift_fn)
     ens = sample_paths(cfg.n_paths, cfg.seed, cfg.mode, drift_fn)
     moments = _path_moments(cfg, psi, z, ens, residual)
     return z, ens, moments, _finite_norms(moments[0][-2:], z, grid,
@@ -254,6 +254,7 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         fbar0, y_mean = y
         y_se = np.zeros_like(y_mean)
         rd, _ = residual_delayed(y_mean, fbar0, op)
+        del op  # L is read by nothing after the delayed residual
         rr, _ = residual_reduced(y_mean, fbar0, phi)
         rr_se = np.zeros_like(rr)
     write_csv(os.path.join(cfg.out_dir, "solution.csv"),
@@ -420,11 +421,11 @@ def cmd_z_surface(cfg: ExperimentConfig) -> None:
     write_triangle(os.path.join(cfg.out_dir, "smoothness.csv"),
                    ["t", "s", "dZdt"], psi.grid, rep.dzdt,
                    labelled=[(("integral", ""), (rep.integral,))])
-    sup_d = float(np.abs(rep.dzdt).max())
-    print(f"z-surface: sup|Z|={np.abs(z).max():.12g} sup|dZ/dt|={sup_d:.12g} "
+    sup_z, sup_d = sup_abs(z), sup_abs(rep.dzdt)
+    print(f"z-surface: sup|Z|={sup_z:.12g} sup|dZ/dt|={sup_d:.12g} "
           f"smoothness integral={rep.integral:.12g} finite={rep.finite}")
     write_meta(cfg, "z-surface", {
-        "sup_z": float(np.abs(z).max()),
+        "sup_z": sup_z,
         "sup_dzdt": sup_d,
         "smoothness_integral": rep.integral,
         "finite": rep.finite,
@@ -456,17 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bsvielab",
         description="numerical laboratory for linear backward stochastic "
                     "Volterra equations with time-delayed generators")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (overrides the config)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker count; results are bitwise independent "
-                            "of this value")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override mc.seed from the config")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", default=None,
+                        help="output directory (overrides the config)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker count; results are bitwise independent "
+                             "of this value")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override mc.seed from the config")
     return parser
 
 

@@ -113,10 +113,17 @@ def zero_extend_kernel(f: Callable) -> Callable:
     return wrapped
 
 
+def sup_abs(values) -> float:
+    """max(max values, -min values), sup |values| with no |values| table;
+    +0.0 for all-zero or empty values, NaN where one is NaN."""
+    return float(np.maximum(np.max(values, initial=0.0),
+                            -np.min(values, initial=0.0)) + 0.0)
+
+
 def _check_bound(vals, bound: float, what: str, where: str = "") -> None:
     """ValueError unless sup |vals| <= bound (NaN fails) up to a slack
     1e-12 max(1, bound): a kernel's rounding is relative to its size."""
-    if not np.abs(vals).max(initial=0.0) <= bound + 1e-12 * max(1.0, bound):
+    if not sup_abs(vals) <= bound + 1e-12 * max(1.0, bound):
         raise ValueError(f"{what} exceeds declared bound {bound}{where}")
 
 
@@ -204,7 +211,10 @@ class DelayedGenerator:
         if self.kernel.phi_direct is None:
             return spec
         mass = self.measure.mass_closed(self.lag(x))
-        return np.divide(spec, mass, out=np.zeros_like(spec), where=mass > 1e-12)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = spec / mass
+        g[:, ~(mass > 1e-12)] = 0.0
+        return g
 
     def g_at(self, x: np.ndarray) -> np.ndarray:
         """g at the times x, zero-extended; ValueError where |g| exceeds
@@ -228,7 +238,7 @@ class KernelTable:
 
     @property
     def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
+        return sup_abs(self.values)
 
 
 @dataclass
@@ -268,18 +278,18 @@ def tail_weight_matrix(grid: TriangularGrid) -> np.ndarray:
 
 
 def tail_weighted(grid: TriangularGrid, v: np.ndarray,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  out: Optional[np.ndarray] = None, lo: int = 0) -> np.ndarray:
     """v * tail_weight_matrix(grid), bit for bit, with no weight table, for
     an (N+1, N+1) table v whose strict lower triangle is zero (the
     KernelTable contract), where dt x and 0.0 x are the same zero: dt
     times v, the diagonal and the last column times dt/2, the last row
-    times 0.0 (so a negative cell gives -0.0 there too).  Into out if
-    given, which may be v: each cell is one product of its own value."""
-    n, half = grid.n, 0.5 * grid.dt
-    diag, last, row = np.diagonal(v)[:n] * half, v[:n, n] * half, v[n] * 0.0
+    times 0.0 (so a negative cell gives -0.0 there too); or its rows from
+    lo on.  Into out if given, which may be v: one product per cell."""
+    n, half, top = grid.n, 0.5 * grid.dt, grid.n - lo  # top: rows above N
+    diag, last, row = np.diagonal(v, lo)[:top] * half, v[:top, n] * half, v[top:] * 0.0
     a = np.multiply(v, grid.dt, out=out)
-    np.fill_diagonal(a[:n], diag)
-    a[:n, n], a[n] = last, row
+    np.fill_diagonal(a[:top, lo:], diag)
+    a[:top, n], a[top:] = last, row
     return a
 
 
@@ -320,13 +330,18 @@ def build_phi(gen: DelayedGenerator) -> KernelTable:
 def volterra_compose(a: KernelTable, b: KernelTable) -> KernelTable:
     """(A o B)(t, s) = integral over [t, s] of A(t, u) B(u, s) du, trapezoid.
 
-    Diagonal entries are exactly zero (empty integration range).
+    In A B's buffer and one scratch table; the diagonal is exactly zero.
     """
-    dt = same_grid(a, b).dt
+    grid = same_grid(a, b)
     A, B = a.values, b.values
-    da, db = np.diag(A), np.diag(B)
-    c = dt * (A @ B - 0.5 * da[:, None] * B - 0.5 * A * db[None, :])
-    return KernelTable(a.grid, np.triu(c, 1))
+    c = A @ B
+    half = np.multiply(0.5 * np.diag(A)[:, None], B)
+    c -= half
+    c -= np.multiply(np.multiply(0.5, A, out=half), np.diag(B), out=half)
+    del half
+    c *= grid.dt
+    c[np.tri(grid.n + 1, dtype=bool)] = 0.0
+    return KernelTable(grid, c)
 
 
 def iterated_sup_bound(c: float, horizon: float, n: int) -> float:
@@ -424,9 +439,9 @@ def identity_residual(psi: ResolventTable) -> float:
     ToleranceUnreachable if the composition overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            composed = volterra_compose(psi, psi.phi).values
-            return KernelTable(psi.grid, psi.values - psi.phi.values
-                               - composed).sup_norm
+            r = volterra_compose(psi, psi.phi).values
+            np.subtract(psi.values - psi.phi.values, r, out=r)
+            return KernelTable(psi.grid, r).sup_norm
         except ValueError:
             raise ToleranceUnreachable("resolvent overflows for C = "
                                        f"{psi.phi.sup_norm:.3g}") from None

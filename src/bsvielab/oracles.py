@@ -103,7 +103,9 @@ def solve_reduced_collocation(fbar: np.ndarray, phi: KernelTable
 
 def _diffuse_operator(gt: np.ndarray, gen: DelayedGenerator) -> np.ndarray:
     """The uniform part of gen's alpha, density rho, on the kernel table gt
-    of _delay_walk.  With q = r - lag, lo = max(0, c+r-N) and hi = min(r, c),
+    of _delay_walk, written over gt (a fresh zero table, gt unread, where
+    alpha has no uniform part).  With q = r - lag, lo = max(0, c+r-N) and
+    hi = min(r, c),
         op[r, c] = rho dt^2 sum_{q=lo}^{hi} a_q b_q K[q, c],
     a_q = 1/2 at q in {0, r} (the trapezoid over the lags [-t_r, 0]), b_q =
     1/2 at q in {c, c+r-N} (the one over [t_r, T]), else 1.  The halves sit
@@ -113,14 +115,18 @@ def _diffuse_operator(gt: np.ndarray, gen: DelayedGenerator) -> np.ndarray:
     K[q, c] with q <= c is read.  Both gathers are views, with no index
     grid: P[min(r, c), c] is P with each column's diagonal value below it,
     and P[lo, c] = E[r + c, c] reads a skewed diagonal of E, P below N
-    copies of its row 0."""
+    copies of its row 0.  gt is halved in place once summed, the K/4
+    cells the fix-ups read kept apart."""
     m, n, dt = gen.measure, gen.grid.n, gen.grid.dt
     if not m.diffuse_mass:
         return np.zeros((n + 1, n + 1))
     e = np.empty((2 * n + 1, n + 1))
     p = e[n:]
     np.cumsum(gt, axis=0, out=p)
-    op = np.multiply(gt, 0.5)
+    inner = np.arange(1, n)
+    diag, row0 = 0.25 * gt[inner, inner], 0.25 * gt[0, n - inner]
+    first, last = 0.25 * gt[0, 0], 0.25 * gt[:, n]
+    op = np.multiply(gt, 0.5, out=gt)
     p -= op
     e[:n] = p[0]
     np.copyto(op, p)
@@ -131,10 +137,9 @@ def _diffuse_operator(gt: np.ndarray, gen: DelayedGenerator) -> np.ndarray:
         p, shape=op.shape, strides=(-e.strides[0], sum(e.strides)),
         writeable=False)
     op[::-1] -= lo
-    inner = np.arange(1, n)
-    op[inner, inner] -= 0.25 * gt[inner, inner]
-    op[inner, n - inner] -= 0.25 * gt[0, n - inner]
-    op[:, 0], op[:, n] = 0.25 * gt[0, 0], 0.25 * gt[:, n]
+    op[inner, inner] -= diag
+    op[inner, n - inner] -= row0
+    op[:, 0], op[:, n] = first, last
     op[[0, n]] = 0.0  # a zero lag range and a zero range in s
     op *= m.diffuse_mass / m.horizon * dt * dt
     return op
@@ -150,10 +155,12 @@ def _delay_walk(gen: DelayedGenerator, table: np.ndarray,
     each atom of lag_weights on a lag adds one shifted block.  An atom
     between lags keeps its exact node: table_at gives K at (t_i+u, s_j+u),
     and y(s_j+u), with the same cell fraction theta for every j, is split
-    linearly between its two nodes, one shifted column block each."""
+    linearly between its two nodes, one shifted column block each.  L is
+    written over table, or a copy if it is read-only or an atom reads it."""
     grid, n = gen.grid, gen.grid.n
     on_lag, between = lag_weights(gen.measure, grid)
-    op = _diffuse_operator(table, gen)
+    keep = gen.measure.diffuse_mass and (on_lag or not table.flags.writeable)
+    op = _diffuse_operator(table.copy() if keep else table, gen)
     trap = tail_weight_matrix(grid) if on_lag or between else None
     for lag, wl in on_lag:
         live = n + 1 - lag

@@ -1207,6 +1207,46 @@ def test_operator_from_phis_evaluation_bitwise(spec, measure, n):
     assert got.values.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("measure", ["uniform", "mixture"])
+def test_g_spec_node_table_is_never_written(measure):
+    # a G spec's G_at is its read-only node table: the walk writes L over
+    # a copy of it, and the table the generator holds keeps its bits
+    gen = DelayedGenerator(OPERATOR_MEASURES[measure],
+                           OPERATOR_SPECS["poly_exp"], TriangularGrid(T, 20))
+    table = gen.node_table
+    before = table.tobytes()
+    op = build_delayed_operator(gen)
+    assert gen.node_table is table and not table.flags.writeable
+    assert table.tobytes() == before
+    want = oracles._delay_walk(gen, table.copy(), gen.G_at)
+    assert op.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["example33", "poly_exp"])
+@pytest.mark.parametrize("n", [2, 4, 20])
+def test_mixture_atoms_read_an_intact_g(spec, n):
+    # the uniform part is written over G only where nothing reads G
+    # again: an atom on a lag adds its shifted block of the intact G
+    gen = DelayedGenerator(Mixture(T, ((Uniform(T), 0.7),
+                                       (DiracAt(T, -0.5), 0.3))),
+                           OPERATOR_SPECS[spec], TriangularGrid(T, n))
+    g = gen.G_at(gen.grid.nodes)
+    intact = g.copy()
+    want = oracles._diffuse_operator(g.copy(), gen)
+    ((lag, wl),), between = oracles.lag_weights(gen.measure, gen.grid)
+    assert not between
+    live = n + 1 - lag
+    want[lag:, :live] += (wl * tail_weight_matrix(gen.grid)[lag:, lag:]
+                          * intact[:live, :live])
+    got = oracles._delay_walk(gen, g, gen.G_at)
+    assert got.tobytes() == want.tobytes()
+    assert g.tobytes() == intact.tobytes()
+    # with no atom, a table the walk may write is written over
+    alone = DelayedGenerator(Uniform(T), OPERATOR_SPECS[spec], gen.grid)
+    g = alone.G_at(alone.grid.nodes)
+    assert oracles._delay_walk(alone, g, alone.G_at) is g
+
+
 @pytest.mark.parametrize("measure", sorted(OPERATOR_MEASURES))
 def test_spec_is_not_evaluated_below_the_diagonal(measure):
     # e^{-800 u} overflows at u = s - t < -0.89: the spec's table is cut at
@@ -1242,7 +1282,8 @@ def reference_diffuse_operator(gt, gen):
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 64])
 def test_diffuse_operator_gathers_match_index_grids_bitwise(n):
     # the gathers are views, not index grids, with the same bits; and no
-    # cell below the diagonal is read
+    # cell below the diagonal is read.  The operator is written over the
+    # table it is given, so each call gets a copy of gt
     gen = DelayedGenerator(Mixture(T, ((Uniform(T), 0.7),
                                        (DiracAt(T, -0.5), 0.3))),
                            constant_kernel(0.6), TriangularGrid(T, n))
@@ -1250,10 +1291,12 @@ def test_diffuse_operator_gathers_match_index_grids_bitwise(n):
     gt = np.triu(rng.standard_normal((n + 1, n + 1)))
     gt[0, 1] = -0.0
     want = reference_diffuse_operator(gt, gen)
-    assert oracles._diffuse_operator(gt, gen).tobytes() == want.tobytes()
+    assert oracles._diffuse_operator(gt.copy(), gen).tobytes() \
+        == want.tobytes()
     dirty = np.where(np.tri(n + 1, k=-1, dtype=bool),
                      rng.standard_normal((n + 1, n + 1)), gt)
-    assert oracles._diffuse_operator(dirty, gen).tobytes() == want.tobytes()
+    assert oracles._diffuse_operator(dirty.copy(), gen).tobytes() \
+        == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """tools/peak_tables.py: one row per command of the benchmark workloads and
 of the bundled deterministic configs, each run in a fresh interpreter, on
-shrunken configs."""
+shrunken configs; then one row per command of each config's cycle, run in
+one interpreter, with the process-wide ru_maxrss after it."""
 
 import importlib.util
 import pathlib
@@ -18,14 +19,23 @@ def test_one_row_per_monte_carlo_command(capsys):
     assert peak_tables.main([str(_ROOT)], n=6, paths=300) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"tree 1: {_ROOT}"
-    rows = [line.split() for line in lines[2:]]
+    blank = lines.index("")
+    rows = [line.split() for line in lines[2:blank]]
     deterministic = ("resolvent", "solve", "compare", "z-surface", "norms")
-    assert [(r[0], r[1]) for r in rows] == [
-        ("det-uniform", c) for c in deterministic] + [
+    commands = [("det-uniform", c) for c in deterministic] + [
         ("mc-gaussian-p", c) for c in
         ("solve", "compare", "girsanov-check", "norms")] + [
         ("mc-terminal-q", c) for c in ("solve", "compare", "norms")] + [
         ("constant-kernel", c) for c in deterministic]
+    assert [(r[0], r[1]) for r in rows] == commands
+    # the cycle: the same commands in the same order, each with the
+    # process-wide ru_maxrss in MB, which never falls within a cycle
+    cycle = [line.split() for line in lines[blank + 3:]]
+    assert [(r[0], r[1]) for r in cycle] == commands
+    for name in dict(commands):
+        rss = [float(r[2]) for r in cycle if r[0] == name]
+        assert 0.0 < rss[0] and rss == sorted(rss)
+    assert all(r[3] == "0" for r in cycle)
     for r in rows:
         paths = "-" if r[0] in ("det-uniform", "constant-kernel") else "300"
         assert (r[2], r[3], r[-1]) == (paths, "6", "0")

@@ -777,6 +777,34 @@ def test_smoothness_matches_loop_reference_bitwise():
     assert np.array_equal(d, reference_dzdt(z, g))
 
 
+def reference_smoothness(z, g):
+    """dZ/dt and the smoothness integral through np.gradient, np.triu and
+    d**2 tables, the formula smoothness_diagnostics forms in one table."""
+    n, dt = g.n, g.dt
+    d = np.gradient(z, dt, axis=0)
+    diag = np.arange(1, n + 1)
+    d[diag, diag] = (z[diag, diag] - z[diag - 1, diag]) / dt
+    d = np.triu(d)
+    d[0, 0] = 0.0
+    inner = tail_weighted(g, d**2).sum(axis=1)
+    return d, float(trapezoid_weights(g) @ inner)
+
+
+@pytest.mark.parametrize("n", [2, 5, 60, 600])
+def test_smoothness_is_the_gradient_formula_bitwise(n):
+    # the whole surface is read, below the diagonal too (np.gradient reads
+    # it at the t = s edge's neighbours), and z is left as it was
+    g = TriangularGrid(T, n)
+    z = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+    z[0, n] = z[n, n] = -0.0
+    before = z.copy()
+    rep = smoothness_diagnostics(z, g)
+    d, integral = reference_smoothness(z, g)
+    assert rep.dzdt.tobytes() == d.tobytes()
+    assert rep.integral.hex() == integral.hex()
+    assert z.tobytes() == before.tobytes()
+
+
 def test_smoothness_grid_stability():
     c = 0.3
     flat, vals = [], []

@@ -21,9 +21,15 @@ peak is printed to the byte because it moves by a few kB between fresh
 interpreters, which a rounded MB figure would hide or exaggerate.
 
 The benchmark's ``peak_rss_mb`` is one process-wide figure over a whole
-cycle; this says which command holds the peak, and how many tables it
-is.  Exit status 1 if a command exits non-zero or its interpreter fails,
-0 otherwise.  It is a tool, not a test: pytest does not collect it.
+cycle; the table above says which command holds the traced peak, and
+how many tables it is.  A second table then runs each config's commands
+as one cycle in one fresh interpreter per tree, as the benchmark's
+client does (gc.collect() before each command), and prints the
+process-wide ru_maxrss in MB after each command: the figure
+``peak_rss_mb`` reads, with the interpreter, numpy and the heap that
+the allocator keeps for reuse, which traced peaks omit.  Exit status 1
+if a command exits non-zero or its interpreter fails, 0 otherwise.  It
+is a tool, not a test: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -53,6 +59,19 @@ with contextlib.redirect_stdout(io.StringIO()):
 peak = tracemalloc.get_traced_memory()[1]
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 print(json.dumps({"exit": code, "peak": peak, "faults": faults}))
+"""
+# run in the fresh interpreter: ROOT CONFIG OUT COMMAND...
+CYCLE = """
+import contextlib, gc, io, json, os, resource, sys
+root, cfg, out = sys.argv[1:4]
+sys.path.insert(0, os.path.join(root, "src"))
+from bsvielab.cli import main
+for command in sys.argv[4:]:
+    gc.collect()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", cfg, "--out", out])
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    print(json.dumps({"exit": code, "rss": rss}))
 """
 
 
@@ -96,6 +115,19 @@ def traced_peak(root: str, cfg: str, command: str, out: str) -> dict:
         return {"exit": -1, "peak": float("nan"), "faults": -1}
 
 
+def cycle_rss(root: str, cfg: str, commands, out: str) -> list[dict]:
+    """[{"exit": code, "rss": bytes}] after each of commands, run in turn
+    in one fresh interpreter; exit -1 and rss NaN for each command the
+    interpreter did not report."""
+    run = subprocess.run([sys.executable, "-c", CYCLE, root, cfg, out,
+                          *commands], capture_output=True, text=True)
+    got = [json.loads(line) for line in run.stdout.splitlines()]
+    if len(got) < len(commands):
+        sys.stderr.write(run.stderr)
+        got += [{"exit": -1, "rss": float("nan")}] * (len(commands) - len(got))
+    return got
+
+
 def main(roots: list[str], n: int | None = None,
          paths: int | None = None) -> int:
     roots = [os.path.abspath(r) for r in roots]
@@ -107,9 +139,9 @@ def main(roots: list[str], n: int | None = None,
                     for k in range(1, len(roots) + 1))
     print(head)
     status = 0
+    runs = list(configs(roots[0], n, paths))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, commands, text, m_paths, n_steps in \
-                configs(roots[0], n, paths):
+        for name, commands, text, m_paths, n_steps in runs:
             cfg = os.path.join(tmp, name + ".cfg")
             with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -125,6 +157,20 @@ def main(roots: list[str], n: int | None = None,
                             f"{got['peak'] / table:>10.2f}"
                             f"{got['faults']:>10}{got['exit']:>8}")
                 print(row)
+        print("\ncycle: ru_maxrss after each command, one interpreter "
+              "per tree and config")
+        print(f"{'workload':<17}{'command':<16}" + "".join(
+            f"{f'rss_MB_{k}':>11}{f'exit_{k}':>8}"
+            for k in range(1, len(roots) + 1)))
+        for name, commands, *_ in runs:
+            cfg = os.path.join(tmp, name + ".cfg")
+            cols = [cycle_rss(root, cfg, commands,
+                              os.path.join(tmp, f"{name}-cycle-{k}"))
+                    for k, root in enumerate(roots)]
+            for command, got in zip(commands, zip(*cols)):
+                status |= any(g["exit"] != 0 for g in got)
+                print(f"{name:<17}{command:<16}" + "".join(
+                    f"{g['rss'] / MB:>11.2f}{g['exit']:>8}" for g in got))
     return int(status)
 
 
