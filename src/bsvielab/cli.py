@@ -55,6 +55,8 @@ _CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardFailed, SingularStep,
 
 
 CELL = "%.12g"  # the format of every float cell of every CSV written
+# write_triangle formats a row of fewer cells: it would cost more to look up
+CACHED_ROW = 128
 
 
 def _cells(n: int) -> str:
@@ -84,31 +86,69 @@ def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
         _write_labelled(fh, labelled)
 
 
+def _insert(a, at, values):
+    """a with values put at the ascending positions at of the result: what
+    np.insert does, without the argsort whose sort code it would load."""
+    keep = np.ones(len(a) + len(values), bool)
+    keep[at] = False
+    out = np.empty(len(keep), np.result_type(a, values))
+    out[at], out[keep] = values, a
+    return out
+
+
 def write_triangle(path: str, header: list[str], grid, *surfaces,
                    labelled=()) -> None:
     """Write ``header``, one row (t_i, s_j, each surface at [i, j]) per
     grid pair i <= j in row-major order, then the ``labelled`` rows as
-    write_csv does; the bytes are those of write_csv on the stacked rows.
-    The node cells are formatted once, into one line tail ",s_j,<cells>\\n"
-    per node j, whose cells are one CELL per surface, or "0" per surface
-    when every surface is +0.0 on i <= j (all bits zero, read in place, by
-    rows unless the whole table is).  Grid row i is one join of t_i with
-    the tails j >= i and, unless the set is all +0.0, one format call with
-    the row's values; one grid row of the file is held at a time."""
+    write_csv does; the bytes are those of write_csv on the stacked rows,
+    one grid row held at a time.  When every surface is +0.0 on i <= j
+    (all bits zero, read in place, by rows unless the whole table is) each
+    cell is "0".  Else each distinct 64-bit pattern is formatted once, into
+    a sorted cache grown by each row's new patterns (a kernel of s - t
+    repeats its values), and a row is one fixed-width bytes table of t_i,
+    node cells, cached cells and newlines, less its padding.  From the
+    first row that has fewer than CACHED_ROW cells, or that is not row 0
+    and finds under half its cells cached, each row is one format call
+    on t_i's line tails."""
     bits = [s.view(np.uint64) for s in surfaces]
     zero = not any(b.any() and any(b[i, i:].any() for i in range(len(b)))
                    for b in bits)
-    cells = ("," + ("0" if zero else CELL)) * len(surfaces) + "\n"
+    k = len(surfaces)
     node_cells = [CELL % x for x in grid.nodes.tolist()]
-    tails = ["," + s + cells for s in node_cells]
+    tails = ["," + s + ("," + ("0" if zero else CELL)) * k + "\n"
+             for s in node_cells]
+    heads = np.array(["," + s for s in node_cells], "S")
+    keys, text = np.empty(0, np.uint64), None if zero else np.empty(0, "S1")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i, t in enumerate(node_cells):
-            row = t.join(["", *tails[i:]])
-            if not zero:
-                row %= tuple(np.column_stack(
-                    [s[i, i:] for s in surfaces]).ravel().tolist())
-            fh.write(row)
+            if (len(node_cells) - i) * k < CACHED_ROW:
+                keys = text = None
+            if text is not None:
+                v = np.column_stack([b[i, i:] for b in bits]).ravel()
+                at = np.searchsorted(keys, v)
+                new = v[keys.take(at, mode="clip") != v] if i else v
+                if i and 2 * len(new) > len(v):
+                    keys = text = None
+            if text is None:
+                row = t.join(["", *tails[i:]])
+                if not zero:
+                    row %= tuple(np.column_stack(
+                        [s[i, i:] for s in surfaces]).ravel().tolist())
+                fh.write(row)
+                continue
+            if len(new):
+                # not np.unique (imports numpy.ma), np.sort (0.25 MB of code)
+                new = np.array(sorted(set(new.tolist())), np.uint64)
+                at_new = np.searchsorted(keys, new) + np.arange(len(new))
+                keys = _insert(keys, at_new, new)
+                text = _insert(text, at_new, np.array(
+                    [("," + CELL) % x for x in new.view(float).tolist()], "S"))
+                at += np.searchsorted(new, v)
+            row = np.empty((len(v) // k, k + 3), np.result_type(text, heads))
+            row[:, 0], row[:, 1], row[:, -1] = t, heads[i:], "\n"
+            row[:, 2:-1] = text[at].reshape(-1, k)
+            fh.write(row.tobytes().translate(None, b"\0").decode())
         _write_labelled(fh, labelled)
 
 

@@ -471,6 +471,119 @@ def test_write_triangle_streams(tmp_path):
     assert peak < path.stat().st_size
 
 
+def resolvent_tables(kernel, n):
+    """The grid, Phi and Psi of DET_UNIFORM's resolvent on n."""
+    psi = cli._prepare(load_config(DET_UNIFORM.format(n=n, kernel=kernel)))[0]
+    return psi.grid, psi.phi.values, psi.values
+
+
+def assert_triangles_match_double_loop(path, grid, cases):
+    for surfaces, labelled in cases:
+        header = ["t", "s"] + [f"v{c}" for c in range(len(surfaces))]
+        cli.write_triangle(str(path), header, grid, *surfaces,
+                           labelled=labelled)
+        assert path.read_text() == reference_triangle_text(
+            header, grid, surfaces, labelled), (grid.n, len(surfaces))
+
+
+@pytest.mark.parametrize("n", [40, 130])
+def test_resolvent_triangle_rows_match_double_loop(tmp_path, n):
+    # example33's tables repeat their values row after row; at N = 40 no
+    # row reaches cli.CACHED_ROW cells, at N = 130 the first rows do
+    grid, phi, psi = resolvent_tables("example33", n)
+    assert_triangles_match_double_loop(tmp_path / "tri.csv", grid, [
+        ((phi,), ()),
+        ((phi, psi), [(("integral", ""), (0.1 + 0.2,))]),
+        ((psi, phi, psi), [(("a", "b"), (-0.0, np.nan, 1.0))]),
+    ])
+
+
+def lags(n):
+    i, j = np.indices((n + 1, n + 1))
+    return j - i
+
+
+def lag_table(n, values):
+    """values[(j - i) % len(values)] at [i, j]: a table of s - t on n."""
+    return np.asarray(values)[lags(n) % len(values)]
+
+
+def test_repeating_special_cells_match_double_loop(tmp_path):
+    # +0.0 is cached on row 0 and -0.0 first appears on row 10, in cells
+    # whose lag held +0.0 above; nan payloads and signs keep their own bits
+    n = 150
+    nan_payload = np.array([0x7FF8000000000001], np.uint64).view(float)[0]
+    a = lag_table(n, [0.1 + 0.2, 0.0, -2.5, np.inf, 5e-324, -np.inf, 1e13,
+                      np.nan])
+    lag = lags(n)
+    a[10:][lag[10:] % 16 == 1] = -0.0
+    a[20:][lag[20:] % 16 == 7] = -np.nan
+    a[30:][lag[30:] % 16 == 15] = nan_payload
+    b = lag_table(n, [-1e-13, 0.0, np.nan, 2.0 / 3.0, -0.0])
+    assert_triangles_match_double_loop(tmp_path / "tri.csv", TriangularGrid(
+        0.9, n), [
+        ((a,), ()),
+        ((a, b), [(("integral", ""), (-0.0,))]),
+        ((b, a, b), ()),
+    ])
+    assert not np.signbit(a[:10][a[:10] == 0]).any()
+    assert np.signbit(a[10][a[10] == 0]).any()
+
+
+def test_distinct_and_repeating_rows_match_double_loop(tmp_path):
+    # distinct rows then repeating ones drop the cache at row 1; repeating
+    # rows then distinct ones drop it at row 60; a surface with 40% new
+    # cells beside repeating ones keeps it, merging new cells on every row
+    n = 150
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((n + 1, n + 1))
+    repeating = lag_table(n, [0.25, -3.0, 1e-7, 12.5])
+    distinct_first, repeating_first = repeating.copy(), noise.copy()
+    distinct_first[:10] = noise[:10]
+    repeating_first[:60] = repeating[:60]
+    mixed = np.where(lags(n) % 5 < 2, noise, repeating)
+    assert_triangles_match_double_loop(tmp_path / "tri.csv", TriangularGrid(
+        1.3, n), [
+        ((distinct_first,), ()),
+        ((repeating_first, 2.0 * repeating_first), ()),
+        ((mixed, repeating, distinct_first), [(("x",), (1.0,))]),
+    ])
+
+
+def test_write_triangle_peak_on_det_uniform_resolvent(tmp_path):
+    # the cache of det-uniform's 4,256 distinct Phi and Psi cells and one
+    # row's tables; 0.07 tables when every cell was formatted, and the
+    # bound, fixed before measuring, is 0.25 (N+1)^2 tables
+    n = 600
+    grid, phi, psi = resolvent_tables("example33", n)
+    tracemalloc.start()
+    try:
+        cli.write_triangle(str(tmp_path / "tri.csv"), ["t", "s", "phi",
+                                                      "psi"], grid, phi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * (n + 1) ** 2 * 8
+
+
+def test_distinct_resolvent_is_formatted_cell_by_cell(tmp_path):
+    # poly_exp under a uniform measure: 179,702 distinct values in 180,901
+    # cells, so row 1 drops the cache; the bound is the streaming test's
+    grid, phi, psi = resolvent_tables(
+        "poly_exp\nkernel.k = 2\nkernel.lam = 1.5", 600)
+    path = tmp_path / "tri.csv"
+    tracemalloc.start()
+    try:
+        cli.write_triangle(str(path), ["t", "s", "phi", "psi"], grid, phi,
+                           psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+    assert path.read_text() == reference_triangle_text(
+        ["t", "s", "phi", "psi"], grid, (phi, psi))
+
+
 def traced_peak_tables(tmp_path, command, mode):
     """The traced peak of one Monte Carlo command on MINI_STOCHASTIC at
     M = 20000 and N = 20, in (M, N+1) float tables."""

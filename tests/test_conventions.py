@@ -30,8 +30,9 @@ numpy.linalg.solve or numpy.linalg.inv, so no command pays for a dense
 Output bytes have one home, the writers of cli: a file is opened for
 writing only in cli.write_csv, cli.write_triangle and cli.write_meta, so
 every CSV cell is formatted as cli.CELL and every sidecar is sorted JSON.
-No code under src/ builds an object array: cells are formatted straight
-from the float tables, with no Python object per cell in between.
+No code under src/ builds an object array: cells are formatted from the
+float tables, cell by cell or once per distinct 64-bit pattern, with no
+object array in between.
 
 The Gauss-Hermite rule is summed in one place, terminal._gh_sum: no other
 function under src/ reads its weights _GH_W_NORM, so every conditional

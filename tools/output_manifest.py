@@ -7,9 +7,10 @@ Usage:
 Imports bsvielab from ROOT/src and the benchmark workloads from
 ROOT/perfbench, then runs each of the six commands through
 ``bsvielab.cli.main`` on the five bundled configs, on every workload's
-``config_text(1)`` and on the nine generated configs of FEATURES.  Those
-reach the branches the others do not: atoms between lags (with g != 0
-too), measure.kind = atoms, the poly_exp and zero kernels, beta != 0, the
+``config_text(1)`` and on the ten generated configs of FEATURES.  Those
+reach the branches the others do not: a resolvent whose Phi and Psi
+hardly repeat a value, atoms between lags (with g != 0 too),
+measure.kind = atoms, the poly_exp and zero kernels, beta != 0, the
 exp and affine terminal functions, f0 = exp_decay, phi = bilinear, a
 mode-Q LSMC at g = 0, a mode-Q LSMC whose drift puts E[W(t_i)] three
 spreads from 0 at T (b = g = 3 under a Dirac at 0; the largest drift at
@@ -67,6 +68,20 @@ COMMANDS = ("resolvent", "solve", "compare", "girsanov-check", "z-surface",
             "norms")
 # label -> config text; each run draws on the default mc.seed
 FEATURES = {
+    # poly_exp under a uniform measure: Phi and Psi hold few repeated values,
+    # so write_triangle formats their cells one by one where the other
+    # deterministic tables go through its cache of distinct cells
+    "feature-distinct-deterministic": """
+horizon = 1.0
+grid.n = 150
+measure.kind = uniform
+kernel.name = poly_exp
+kernel.k = 2
+kernel.lam = 1.5
+terminal.kind = deterministic
+terminal.f0 = constant
+terminal.f0.value = 1.0
+""",
     "feature-atoms-q": """
 horizon = 1.0
 grid.n = 30
