@@ -240,22 +240,25 @@ def _solve_field(cfg: ExperimentConfig, psi, drift_fn,
 
 def _path_moments(cfg: ExperimentConfig, psi, z, ens, residual: bool):
     """(means, SEs) over the ensemble's paths, from one pass over its
-    blocks: with residual, the rows Y (solve_Y_blocks) and R
-    (residual_reduced_pathwise) with their SEs, then the means of Y's two
-    norm_columns rows, stacked node-major, reduced by expect_q_blocks per
-    block.  exp(beta t) may overflow here; _finite_norms reports it."""
+    blocks in one set of block_buffers: with residual, the rows Y
+    (solve_Y_blocks) and R (residual_reduced_pathwise), then Y's two
+    norm_columns rows, a stack formed in place, node-major, reduced by
+    expect_q_blocks per block; one scratch table takes F, R's products,
+    then Y's weighted square.  exp(beta t) may overflow here."""
     grid, fam, n1 = psi.grid, cfg.family, psi.grid.n + 1
     rows = 2 * n1 if residual else 0
-    ys = solve_Y_blocks(fam, psi, ens)
-    pairs = residual_reduced_pathwise(ys, z, fam, psi.phi, ens) \
+    bufs = ens.block_buffers(rows + 2 + (0 if residual else n1) + n1)
+    views = lambda lo, hi=None: tuple((p, out[lo:hi]) for p, out in bufs)
+    y_at, scratch = 0 if residual else 2, views(-n1)
+    ys = solve_Y_blocks(fam, psi, ens, views(y_at, y_at + n1))
+    pairs = residual_reduced_pathwise(ys, z, fam, psi.phi, ens,
+                                      views(n1, rows), scratch) \
         if residual else ((y, None) for y in ys)
 
     def stacked():
-        for (part, stack), (y, r) in zip(ens.block_buffers(rows + 2), pairs):
-            if residual:
-                stack[:n1], stack[n1:rows] = y, r
-            norm_columns(y, grid, cfg.beta, stack[rows:])
-            yield part, stack
+        for (part, out), (_, work), (y, _) in zip(bufs, scratch, pairs):
+            norm_columns(y, grid, cfg.beta, out[rows:rows + 2], work)
+            yield part, out[:rows + 2]
 
     with np.errstate(over="ignore", invalid="ignore"):
         return expect_q_blocks(ens, stacked(), slice(rows))

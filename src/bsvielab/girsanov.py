@@ -74,16 +74,14 @@ class PathEnsemble:
 
     draws (M, N) is the one path table held: the scaled normal draws,
     increments of W for tag "P" and of W^Q for tag "Q".  dw (the
-    increments of W), wt (W node-major, (N+1, M)) and wq (W^Q, which
-    coincides with W when the drift vanishes) are derived from it and the
-    drift, as sample_paths describes: each access builds a new read-only
-    table, so a caller reads each one once; w is the path-major view of
-    wt.  Every pass over the paths takes the one partition blocks, each
-    block node-major (K, m): states forms wt's columns, end_states its
-    last row W(T) and dw_times a^T dW^T, with no whole table.
-    weights is the per-path Radon-Nikodym density M(T) for tag "P" and
-    exactly 1 for tag "Q".  The path count M is the number of rows of
-    draws.
+    increments of W), w (W, (M, N+1)) and wq (W^Q, which coincides with
+    W when the drift vanishes) are derived from it and the drift, as
+    sample_paths describes: each access builds a new read-only table.
+    Every pass over the paths takes the one partition blocks, each block
+    node-major (K, m) in its driver's block_buffers: states forms W's
+    columns, end_states its last row W(T) and dw_times a^T dW^T, with no
+    whole table.  weights is the per-path Radon-Nikodym density M(T) for
+    tag "P" and exactly 1 for tag "Q".  M is the number of rows of draws.
     """
 
     tag: str
@@ -125,19 +123,14 @@ class PathEnsemble:
         which every pass over the paths takes in order."""
         return _path_blocks(self.n_paths, LSMC_CHUNK)
 
-    def block_buffers(self, rows: int):
-        """Yield (paths, out) for each block paths of blocks, out (rows, m)
-        a C-contiguous view of one buffer sized for the widest block, which
-        every block reuses: out is valid until the next block is taken."""
+    def block_buffers(self, rows: int) -> tuple:
+        """(paths, out) for each block paths of blocks, out (rows, m) a
+        C-contiguous view of one buffer sized for the widest block, which
+        every block shares: a re-iterable tuple, whose rows its driver
+        hands to the producers of a pass."""
         buf = np.empty(rows * max(p.stop - p.start for p in self.blocks))
-        for part in self.blocks:
-            m = part.stop - part.start
-            yield part, buf[:rows * m].reshape(rows, m)
-
-    def state_blocks(self):
-        """Yield (paths, W) for each block, W (N+1, m) by states."""
-        for part, out in self.block_buffers(self.grid.n + 1):
-            yield part, self.states(part, out)
+        return tuple((part, buf[:rows * (part.stop - part.start)].reshape(
+            rows, part.stop - part.start)) for part in self.blocks)
 
     def dw_times(self, a: np.ndarray, paths: slice,
                  out: np.ndarray) -> np.ndarray:
@@ -149,18 +142,10 @@ class PathEnsemble:
             out += (self.drift_fn.increments() @ a)[:, None]
         return out
 
-    @property
-    def wt(self) -> np.ndarray:
-        """W node-major, (N+1, M): row i, one contiguous row, is W(t_i) on
-        every path, the states of every path."""
-        out = self.states()
-        out.flags.writeable = False
-        return out
-
     def states(self, paths: slice = slice(None),
                out: np.ndarray | None = None) -> np.ndarray:
         """W node-major on the paths of the block paths, (N+1, m), into
-        out if given: the columns of wt bit for bit."""
+        out if given: the columns of states() bit for bit."""
         out = self._cumulative_draws(paths, out)
         if self.tag == "Q":
             out += self.drift_fn.cumulative()[:, None]
@@ -168,15 +153,19 @@ class PathEnsemble:
 
     @property
     def w(self) -> np.ndarray:
-        """W on every path and node, (M, N+1): the transpose of wt."""
-        return self.wt.T
+        """W on every path and node, (M, N+1): states().T, read-only."""
+        out = self.states()
+        out.flags.writeable = False
+        return out.T
 
-    def end_states(self, paths: slice) -> np.ndarray:
-        """W(T) on the paths of the block paths: row N of wt bit for bit,
-        the same running sums of the draws taken one node at a time into
-        one column, plus int_0^T b under tag "Q"."""
+    def end_states(self, paths: slice,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """W(T) on the paths of the block paths, into out if given: row N
+        of states() bit for bit, the same running sums of the draws one
+        node at a time into one column, plus int_0^T b under tag "Q"."""
         draws = self.draws[paths]
-        out = draws[:, 0].copy()
+        out = np.empty(len(draws)) if out is None else out
+        out[:] = draws[:, 0]
         for k in range(1, self.grid.n):
             out += draws[:, k]
         if self.tag == "Q":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,7 @@ from .girsanov import PathEnsemble, block_matmul, expect_q_blocks
 from .kernels import DelayOperator, DelayedGenerator, KernelTable, \
     implicit_factors, lag_weights, same_grid, tail_weight_matrix, \
     tail_weighted, zero_extend_kernel
-from .terminal import TerminalFamily, evaluate_F_blocks
+from .terminal import TerminalFamily, evaluate_F_blocks, f_rows
 
 REGRESSION_DEGREE = 4
 RIDGE = 1e-8
@@ -228,28 +228,26 @@ def residual_reduced(y: np.ndarray, fbar: np.ndarray, phi: KernelTable
 
 def residual_reduced_pathwise(y_blocks, z: np.ndarray,
                               fam: TerminalFamily, phi: KernelTable,
-                              ensemble: PathEnsemble):
+                              ensemble: PathEnsemble, blocks, scratch):
     """Path residual of the reduced equation including its martingale part:
     R(t) = Y(t) - F(t) - int_t^T Phi(t,s) Y(s) ds + int_t^T Z(t,s) dW^Q(s),
     F the free term of the family fam on the ensemble's paths, the
     integral term as in residual_reduced and the stochastic one as the
     left-point sum of the W^Q increments, read from the ensemble's draws:
     the draws themselves under tag "Q", less the drift's b_k dt under tag
-    "P".  y_blocks yields Y on the paths of each block of
-    ensemble.blocks, node-major (N+1, m); for each, (Y, R) is yielded, R
-    node-major in the first rows of one buffer of block_buffers that every
-    block reuses, F by terminal.evaluate_F_blocks and the two products,
-    one after the other, into its other N + 1 rows.  Each path rounds as on one block
-    of every path.  GridMismatch unless Phi is on the ensemble's grid."""
+    "P".  For Y of each block of ensemble.blocks from y_blocks,
+    node-major (N+1, m), (Y, R) is yielded, R in the block's view of
+    blocks; F (terminal.evaluate_F_blocks), then the two products go into
+    its view of scratch.  Each path rounds as on one block of every path.
+    GridMismatch unless Phi is on the ensemble's grid."""
     n = same_grid(phi, ensemble).n
     a = tail_weighted(phi.grid, phi.values)
     zu = np.triu(z[:n, :n])
     drift = (zu @ ensemble.drift_fn.increments())[:, None] \
         if ensemble.tag == "P" else None
-    for (part, out), y, f in zip(ensemble.block_buffers(2 * n + 2),
-                                 y_blocks, evaluate_F_blocks(fam, ensemble)):
-        r, prod = out[:n + 1], out[n + 1:]
-        np.subtract(y, f, out=r)
+    f_at = evaluate_F_blocks(fam, ensemble)
+    for (part, r), (_, prod), y in zip(blocks, scratch, y_blocks):
+        np.subtract(y, f_at(part, prod), out=r)
         r -= block_matmul(a, y, prod)
         ito = block_matmul(zu, ensemble.draws[part].T, prod[:n])
         if drift is not None:
@@ -267,11 +265,11 @@ class LsmcResult:
     """An LSMC run: mean (N+1,), the Q-means of the fitted Y, and se, the
     standard errors of the means of the final regression targets, whose
     spread is the noise of the fitted means (compare's se_max); no table
-    is held.  readout() yields each block of paths' Y and targets,
-    node-major (_readout).  z (N+1, N+1), the regression Z surface, and
-    z_se, its slopes' SEs, are fitted by a second readout pass
-    (fit_slopes, _slope_z) on the first read of either.  sup_diffs holds
-    each sweep's difference (_StackedBasis.rms)."""
+    or buffer is held.  readout() yields each block of paths' Y and
+    targets (_readout) in a fresh set of block_buffers.  z (N+1, N+1),
+    the regression Z surface, and z_se, its slopes' SEs, are fitted by a
+    second readout pass (fit_slopes, _slope_z) on the first read of
+    either.  sup_diffs holds each sweep's difference (_StackedBasis.rms)."""
 
     mean: np.ndarray
     se: np.ndarray
@@ -307,8 +305,8 @@ def _shifted_powers(wt: np.ndarray, shift: np.ndarray,
 
 class _StackedBasis:
     """Every node's regression basis on the paths of the ensemble, from
-    blocks yielding (paths, W, F), W and F node-major (N+1, m) on the
-    paths of each block paths of ensemble.blocks (_path_states): B_i
+    the blocks (paths, W, F, rows) of _path_pass, rows the block's
+    (1 + (N+1)(D-1), m) view of the pass's buffer: B_i
     holds the intercept, then the centred, unit-variance powers
     W(t_i)^p, a zero row where W(t_i) is degenerate (t_i = 0) or the
     power has spread <= 1e-12.  The stack B^T (P, M), P = (N+1) D, is never held.
@@ -316,7 +314,7 @@ class _StackedBasis:
     First come what the Z slopes read of the operator op: the half-cell
     weights half = 0.5 dt K(t_i, s_j) on i <= j < N with the diagonal
     scales 1 - L[j, j], K = L / trap the kernel of L.  Then, in one pass
-    over the blocks, one chunk buffer holds a row of ones over the rows
+    over the blocks, each block's rows hold a row of ones over the rows
     V_i^p = (W(t_i) - mu_i)^p (_shifted_powers), mu_i the mean of W(t_i)
     over the first block, and their products with themselves, with F and
     with the draws (M, N) accumulate, as do draws^T F and the sums of
@@ -359,8 +357,7 @@ class _StackedBasis:
         q_rows = n1 * (d - 1)
         gram, draws_b = np.zeros((1 + q_rows,) * 2), np.zeros((n, 1 + q_rows))
         self.ss, f_ss, shift = np.zeros(n), 0.0, None
-        for (part, wt, f), (_, rows) in zip(
-                blocks, ensemble.block_buffers(1 + q_rows)):
+        for part, wt, f, rows in blocks:
             m = wt.shape[1]
             if shift is None:
                 f_rows = 1 if f.strides[0] == 0 else n1
@@ -380,7 +377,7 @@ class _StackedBasis:
             dev = rows[1:].reshape(-1)[:fc.size].reshape(fc.shape)
             np.subtract(fc, f_shift[:, None], out=dev)
             f_ss += np.einsum("jm,jm->j", dev, dev)
-        del rows, x, dev  # the chunk goes before the O(P^2) work
+        del wt, f, fc, rows, x, dev  # the views go before the O(P^2) work
         if not np.all(self.ss > 0.0):
             raise RegressionIllConditioned(
                 f"increment dW_{np.flatnonzero(~(self.ss > 0.0))[0]} has no "
@@ -527,7 +524,8 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     F of the family fam, and the delay operator op of
     build_delayed_operator, as solve_delayed_picard.  The run reads the
     paths in two passes over the ensemble's blocks, the basis and
-    the converged readout, with no (M, N+1) table beside the draws.
+    the converged readout (_path_pass), each in a set of block_buffers
+    freed before the next, with no (M, N+1) table beside the draws.
 
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
     polynomial basis B_i in W(t_i) of _StackedBasis.  gz is
@@ -560,8 +558,11 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     gen, n = op.generator, same_grid(op, ensemble).n
     sweeps = _sweeps(tol)
     b_dt = ensemble.drift_fn.increments()
-    basis = _StackedBasis(_path_states(fam, ensemble), ensemble, op)
-    n1, d = basis.ones.shape
+    n1, d = n + 1, REGRESSION_DEGREE + 1
+    width = n1 + f_rows(fam, ensemble.grid)  # W and F
+    path_pass = lambda rows: _path_pass(
+        fam, ensemble, ensemble.block_buffers(rows + width), rows)
+    basis = _StackedBasis(path_pass(1 + n1 * (d - 1)), ensemble, op)
     at = np.arange(n1)
     # node i's block of column i of B^T (y op^T), for y = F
     b_y = (basis.bt_f @ op.values.T).reshape(n1, d, n1)[at, :, at]
@@ -590,8 +591,8 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
             raise PicardDiverged(
                 f"RMS of Y beyond guard after {it} iterations", sup_diffs)
         if diff < tol:
-            readout = partial(_readout, fam, ensemble, op, basis, c, c_prev,
-                              gz)
+            readout = lambda: _readout(ensemble, op, basis, c, c_prev, gz,
+                                       path_pass(2 * n1))
             mean, se = expect_q_blocks(
                 ensemble, ((part, yt.reshape(2 * n1, -1))
                            for part, yt in readout()), slice(n1, None))
@@ -607,28 +608,27 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     raise _stalled(tol, sup_diffs)
 
 
-def _path_states(fam: TerminalFamily, ensemble: PathEnsemble):
-    """Yield (paths, W, F) for each block paths of ensemble.blocks, both
-    node-major (N+1, m): W by PathEnsemble.state_blocks, then F of the
-    family fam (terminal.evaluate_F_blocks, at W's last row), each in one
-    buffer that every block reuses.  Each path's W and F are those of one
-    block of every path, bit for bit."""
-    f_blocks = evaluate_F_blocks(fam, ensemble, ends=lambda part: wt[-1])
-    for part, wt in ensemble.state_blocks():
-        yield part, wt, next(f_blocks)
+def _path_pass(fam: TerminalFamily, ensemble: PathEnsemble, bufs,
+               rows: int):
+    """Yield (paths, W, F, out[:rows]) for each (paths, out) of bufs: the
+    pass's own rows, then W (PathEnsemble.states) and F of the family fam
+    (terminal.evaluate_F_blocks, at W's last row) on the block's paths."""
+    n1, f_at = ensemble.grid.n + 1, evaluate_F_blocks(fam, ensemble)
+    for part, out in bufs:
+        wt = ensemble.states(part, out[rows:rows + n1])
+        yield part, wt, f_at(part, out[rows + n1:], wt[-1]), out[:rows]
 
 
-def _readout(fam: TerminalFamily, ensemble: PathEnsemble, op: DelayOperator,
+def _readout(ensemble: PathEnsemble, op: DelayOperator,
              basis: _StackedBasis, c: np.ndarray, c_prev: np.ndarray | None,
-             gz: np.ndarray):
-    """Yield (paths, YT) for each block paths of ensemble.blocks, YT (2,
-    N+1, m) in one buffer of block_buffers that every block reuses: Y =
-    B c and the regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on its
-    paths, node-major, Y_prev = B c_prev (F when c_prev is None).  Y_prev
-    goes into Y's rows, op's GEMM into the targets', then F and gz are
-    added and Y formed: the bits of the whole tables' formulas."""
-    for (part, wt, f), (_, out) in zip(_path_states(fam, ensemble),
-                                       ensemble.block_buffers(2 * len(c))):
+             gz: np.ndarray, blocks):
+    """Yield (paths, YT) for each (paths, W, F, out) of blocks
+    (_path_pass), YT (2, N+1, m) out's 2 (N+1) rows: Y = B c and the
+    regression targets F(t_i) + (op Y_prev)(t_i) + gz_i on its paths,
+    Y_prev = B c_prev (F when c_prev is None).  Y_prev goes into Y's
+    rows, op's GEMM into the targets', then F and gz are added and Y
+    formed: the bits of the whole tables' formulas."""
+    for part, wt, f, out in blocks:
         yt = out.reshape(2, len(c), -1)
         y, target = yt
         if c_prev is None:

@@ -36,11 +36,9 @@ class NormReport:
 
 
 def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
-                   psi: ResolventTable, ensemble: PathEnsemble):
+                   psi: ResolventTable, ensemble: PathEnsemble, blocks):
     """Yield Y(t) = E^Q[F(t) | F_t] + int_t^T Psi(t,r) E^Q[F(r) | F_t] dr
-    of a stochastic family on the paths of each block of ensemble.blocks,
-    node-major (N+1, m) in one buffer of block_buffers that every block
-    reuses, so a block is valid until the next one is taken.
+    of a stochastic family on each (paths, out) of blocks, into out.
 
     Y is evaluated path by path, the prefix up to t supplying the
     conditioning information, on the grid and under the drift of the
@@ -49,10 +47,11 @@ def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
     -1) dW^T, one (N+1 x N) . (N x m) product per block by
     PathEnsemble.dw_times, with no dW table.  A terminal function takes
     the step row by row on the layers of terminal.conditional_sweep,
-    Y(t_i) = C_i[i] + A[i] C_i with A = Psi * trap (mean_Y(C_i) would cost
-    (N+1) m per node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores
-    t.  Every product rounds each path as on the one block of every path:
-    each path's Y has the same bits in any block.
+    whose states fill out, Y(t_i) over W(t_i) once read: Y(t_i) = C_i[i]
+    + A[i] C_i with A = Psi * trap (mean_Y(C_i) would cost (N+1) m per
+    node), and A[i] C_i = (sum_a A[i, a]) C_i when h ignores t.  Every
+    product rounds each path as on the one block of every path: each
+    path's Y has the same bits in any block.
     """
     grid = same_grid(psi, ensemble)
     n1 = grid.n + 1
@@ -60,7 +59,7 @@ def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
         c, phimat = gaussian_linear_conditionals(fam, ensemble.drift_fn)
         b = np.tril(mean_Y(phimat, psi), -1).T
         diag = np.diagonal(mean_Y(c, psi))[:, None]
-        for part, y in ensemble.block_buffers(n1):
+        for part, y in blocks:
             ensemble.dw_times(b, part, y)
             y += diag
             yield y
@@ -68,8 +67,8 @@ def solve_Y_blocks(fam: GaussianLinear | TerminalFunction,
 
     a = tail_weighted(grid, psi.values)
     a_sum = a.sum(axis=1)
-    sweep = conditional_sweep(fam, ensemble)
-    for _, y in ensemble.block_buffers(n1):
+    sweep = conditional_sweep(fam, ensemble, blocks)
+    for _, y in blocks:
         for i, c in islice(sweep, n1):
             if fam.t_dependent:
                 block_matmul(a[i:i + 1], c, y[i:i + 1])
@@ -164,23 +163,23 @@ def smoothness_diagnostics(z: np.ndarray, grid: TriangularGrid) -> SmoothnessRep
 
 
 def norm_columns(y: np.ndarray, grid: TriangularGrid, beta: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """The per-path parts of the H1 and S2 norms of the columns of y,
     node-major (N+1, m), into out (2, m) if given: row 0 is the squared
     H1 integrand summed, neg_mass y(0)^2 + the trapezoid sum of
     e^(beta t) y^2, row 1 the sup of e^(beta t) y^2 over the nodes.  Y
     extends to [-T, 0) by its time-0 value, whose weight integrates to
-    neg_mass.  One weighted square of y, (N+1, m), is formed, and
-    weighted again by the trapezoid rule in place after its sup is read;
-    its node sums run row by row, so each path's sum has the same bits in
-    any block.  GridMismatch unless the columns of y are on grid."""
+    neg_mass.  One weighted square of y, (N+1, m), is formed (into
+    scratch if given) and weighted again by the trapezoid rule in place
+    after its sup is read; its node sums run row by row, so each path's
+    sum has the same bits in any block.  GridMismatch off grid."""
     same_grid(grid, y[:, 0])
     weight = np.exp(beta * grid.nodes)[:, None]
     neg_mass = grid.horizon if beta == 0.0 \
         else (1.0 - math.exp(-beta * grid.horizon)) / beta
-    if out is None:
-        out = np.empty((2, y.shape[1]))
-    wy2 = np.square(y)
+    out = np.empty((2, y.shape[1])) if out is None else out
+    wy2 = np.square(y, out=scratch)
     wy2 *= weight
     np.max(wy2, axis=0, out=out[1])
     wy2 *= trapezoid_weights(grid)[:, None]

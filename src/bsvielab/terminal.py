@@ -176,39 +176,44 @@ def _times(fam: TerminalFunction, grid: TriangularGrid) -> np.ndarray:
     return grid.nodes if fam.t_dependent else grid.nodes[:1]
 
 
-def evaluate_F_blocks(fam: TerminalFamily, ensemble: PathEnsemble,
-                      ends: Callable | None = None):
-    """Yield F(t_a) on every node and the paths of each block of
-    ensemble.blocks, node-major (N+1, m): f0_profile broadcast along the
-    paths for a deterministic family; for GaussianLinear, one GEMM of the
-    phi table of gaussian_linear_conditionals with the block's increments
+def evaluate_F_blocks(fam: GaussianLinear | TerminalFunction,
+                      ensemble: PathEnsemble) -> Callable:
+    """The function (paths, out, w_t=None) that writes F(t_a) of a
+    stochastic family on every node and the paths of the block paths
+    into out's first f_rows rows and returns it, node-major (N+1, m): for
+    GaussianLinear, one GEMM of the phi table of
+    gaussian_linear_conditionals with the block's increments
     (PathEnsemble.dw_times, no dW table); a terminal function is
-    growth-checked at each of its _times at W(T), ends(block) where the
-    caller has formed it, else end_states, and broadcast to every node
-    (stride-0 rows when h ignores t).  f0 and phi are evaluated once.
-    Every block is written into one buffer of block_buffers, valid until
-    the next block is taken."""
+    growth-checked at each of its _times at W(T), w_t where the caller
+    has formed it, else end_states in F's last row (which np.stack writes
+    last, should h return W(T) itself), and broadcast to every node
+    (stride-0 rows when h ignores t).  f0 and phi are evaluated once."""
     grid = ensemble.grid
     n1 = grid.n + 1
-    if not is_stochastic(fam):
-        f0 = f0_profile(fam, grid)[:, None]
-        for part in ensemble.blocks:
-            yield np.broadcast_to(f0, (n1, part.stop - part.start))
-        return
     if isinstance(fam, GaussianLinear):
         a, f0 = _phi_table(fam, grid)[:, :-1].T, f0_profile(fam, grid)
-        for part, out in ensemble.block_buffers(n1):
-            ensemble.dw_times(a, part, out)
+
+        def gaussian(part, out, w_t=None):
+            out = ensemble.dw_times(a, part, out[:n1])
             out += f0[:, None]
-            yield out
-        return
+            return out
+        return gaussian
     times = _times(fam, grid)
-    for part, out in ensemble.block_buffers(len(times)):
-        w_t = (ends or ensemble.end_states)(part)
+
+    def terminal(part, out, w_t=None):
+        if w_t is None:
+            w_t = ensemble.end_states(part, out[len(times) - 1])
         bound = _growth_bound(fam, w_t)
-        np.stack([_growth_checked(fam, t, w_t, bound) for t in times],
-                 out=out)
-        yield np.broadcast_to(out, (n1, out.shape[1]))
+        out = np.stack([_growth_checked(fam, t, w_t, bound) for t in times],
+                       out=out[:len(times)])
+        return np.broadcast_to(out, (n1, out.shape[1]))
+    return terminal
+
+
+def f_rows(fam: GaussianLinear | TerminalFunction, grid) -> int:
+    """The rows evaluate_F_blocks writes: N + 1, or one per _times."""
+    return len(grid.nodes if isinstance(fam, GaussianLinear)
+               else _times(fam, grid))
 
 
 def f0_profile(fam: Deterministic | GaussianLinear,
@@ -259,14 +264,14 @@ def mean_profile(fam: TerminalFamily, drift_fn: DriftFunction) -> np.ndarray:
         fam, _times(fam, drift_fn.grid), shift[0], sd[0]), drift_fn.grid.n + 1)
 
 
-def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
-    """Yield (i, C_i) for each block paths of ensemble.blocks in turn, and
-    within
+def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble,
+                      blocks):
+    """Yield (i, C_i) for each (paths, out) of blocks in turn, and within
     it for i = 0..N, where C_i[k, m] = E^Q[F(t_a) | F_{t_i}] on path m of
     the block, under the ensemble's drift, t_a the k-th of _times: one
     row per node, or t_0's one row standing for every node when h
     ignores t.  A block's N + 1 layers are read before the next block is
-    taken.
+    taken, and row i of its view out only until (i, C_i) is yielded.
 
     Each node reads the Gauss-Hermite rule through a Chebyshev interpolant
     in the state (_chebyshev_fit), fitted once per node on [min, max] of
@@ -276,13 +281,13 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     chopped after the last term above that transform's rounding
     (_chopped_length), and certified against the rule at the K - 1
     interleaved points to CHEB_TOL times the largest node value.  The
-    extremes take a first pass over the blocks' node-major states
-    (PathEnsemble.state_blocks); rounding is monotone, so the shifted
-    extremes of W are the extreme shifted states.  A second pass
-    evaluates the fits at each block's states, read as contiguous rows of
-    its W: one product of the kept coefficients with the table of those
-    T_k at the states (_chebyshev_table), every time row at once; each
-    path rounds as on one block of every path.
+    extremes take a first pass over the blocks, each forming its states
+    in its (N+1, m) view out (PathEnsemble.states); rounding is monotone,
+    so the shifted extremes of W are the extreme shifted states.  A second
+    pass evaluates the fits at each block's states, read as contiguous
+    rows of its W: one product of the kept coefficients with the table of
+    those T_k at the states (_chebyshev_table), every time row at once;
+    each path rounds as on one block of every path.
     A node whose states are all equal (t_0) takes the rule at its one
     state for every path, the bits of mean_profile's layer whatever M is.
     A node with sd = 0 (t_N), M <= 2K - 1 paths or a failed certificate
@@ -297,12 +302,14 @@ def conditional_sweep(fam: TerminalFunction, ensemble: PathEnsemble):
     shift, sd = _q_transition(ensemble.drift_fn)
     rows = grid.n + 1
     lo, hi = np.full(rows, np.inf), np.full(rows, -np.inf)
-    for _, wt in ensemble.state_blocks():
+    for part, out in blocks:
+        wt = ensemble.states(part, out)
         np.minimum(lo, wt.min(axis=1), out=lo)
         np.maximum(hi, wt.max(axis=1), out=hi)
     layers = [_node_layer(fam, times, lo[i] + shift[i], hi[i] + shift[i],
                           sd[i], ensemble.n_paths) for i in range(rows)]
-    for _, wt in ensemble.state_blocks():
+    for part, out in blocks:
+        wt = ensemble.states(part, out)
         for i, layer in enumerate(layers):
             yield i, layer(wt[i] + shift[i])
 

@@ -205,7 +205,8 @@ def test_criterion_06_z_validation():
     z_exp = solve_Z(fam, psi, b)
     with pytest.MonkeyPatch.context() as mp:  # one block of every path
         mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
-        f_vals = next(evaluate_F_blocks(fam, ens)).T
+        (part, out), = ens.block_buffers(grid.n + 1)
+        f_vals = evaluate_F_blocks(fam, ens)(part, out).T
     lsmc = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     compared = violations = 0
     worst_ratio = 0.0
@@ -222,7 +223,8 @@ def test_criterion_06_z_validation():
     # with its sign flipped, and the Z surface at four probe times
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
-        y = next(solve_Y_blocks(fam, psi, ens)).T
+        y = next(solve_Y_blocks(fam, psi, ens,
+                                ens.block_buffers(grid.n + 1))).T
     u = -residual_reduced(y, f_vals, phi)[0]
     tw = tail_weight_matrix(grid)
     iso_worst = 0.0

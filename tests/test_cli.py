@@ -110,7 +110,8 @@ def test_norms_agree_across_modes(tmp_path, monkeypatch):
         ens = sample_paths(run.n_paths, run.seed, run.mode, b)
         with monkeypatch.context() as mp:  # one block of every path
             mp.setattr(girsanov, "LSMC_CHUNK", 64 * ens.n_paths)
-            y = next(solver.solve_Y_blocks(run.family, psi, ens)).T
+            y = next(solver.solve_Y_blocks(
+                run.family, psi, ens, ens.block_buffers(grid.n + 1))).T
         per_path = grid.horizon * y[:, 0] ** 2 + np.trapezoid(
             y**2, grid.nodes, axis=1)
         est, est_se = expect_q_blocks(ens, [(slice(None), per_path[None])])
@@ -273,13 +274,15 @@ def test_monte_carlo_compare_runs_no_per_path_solve(tmp_path, monkeypatch):
     # a Monte Carlo compare takes the explicit mean by the tower identity:
     # no explicit Y or Z, no pathwise residual and no Gauss-Hermite sweep
     # over the paths, which solve still runs
-    calls = {}
+    calls, handed = {}, []
 
     def count(module, name):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            handed.extend(out for arg in args if isinstance(arg, tuple)
+                          for _, out in arg)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -288,19 +291,25 @@ def test_monte_carlo_compare_runs_no_per_path_solve(tmp_path, monkeypatch):
                  "residual_reduced_pathwise", "_path_moments"):
         count(cli, name)
     count(solver, "conditional_sweep")
+    count(oracles, "evaluate_F_blocks")
     terminal = write_cfg(tmp_path, MINI_TERMINAL, name="h.cfg")
     assert run_cli("solve", "--config", terminal, "--out", tmp_path / "s") == 0
-    # solve takes Y by blocks of paths, in one pass, never as a table
+    # solve takes Y by blocks of paths, in one pass, never as a table:
+    # each producer is prepared once, and handed rows of one buffer (Y's
+    # views to solve_Y_blocks and on to the sweep, R's and the scratch's
+    # to residual_reduced_pathwise, which prepares F's function)
     assert calls == {"solve_Y_blocks": 1, "solve_Z": 1,
                      "residual_reduced_pathwise": 1, "conditional_sweep": 1,
-                     "_path_moments": 1}
+                     "evaluate_F_blocks": 1, "_path_moments": 1}
+    assert len(handed) == 4 and len({id(out.base) for out in handed}) == 1
     bundled = CONFIGS / "dirac-reduction.cfg"
     for i, cfg in enumerate((write_cfg(tmp_path, MINI_STOCHASTIC), terminal,
                              bundled)):
         calls.clear()
         assert run_cli("compare", "--config", cfg,
                        "--out", tmp_path / str(i)) == 0
-        assert calls == {}, cfg
+        # F alone, prepared by each of the LSMC's two passes
+        assert calls == {"evaluate_F_blocks": 2}, cfg
     # under a Dirac at 0 the exact mean and collocation agree to rounding
     meta = json.loads((tmp_path / "2" / "compare.meta.json").read_text())
     assert meta["gap_explicit_collocation"] <= 1e-15
@@ -968,6 +977,37 @@ def test_monte_carlo_command_evaluates_the_spec_once(tmp_path, monkeypatch,
         "dirac\nmeasure.u0 = 0.0", measure))
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 0
     assert_triangle_evaluations(seen, stray, ["phi"])
+
+
+@pytest.mark.parametrize("mode", ["P", "Q"])
+@pytest.mark.parametrize("family", ["gaussian", "terminal"])
+@pytest.mark.parametrize("command", ["solve", "norms", "compare"])
+def test_monte_carlo_command_takes_one_buffer_set_per_pass(
+        tmp_path, monkeypatch, command, family, mode):
+    # a pass over the paths takes one set of block buffers, from its
+    # driver, which hands each producer the rows it fills: solve and
+    # norms make one pass (cli._path_moments), Y, R and the norm rows in
+    # one stack, then one scratch table (norms: the norm rows, Y, the
+    # scratch).  compare's LSMC makes two (oracles.solve_delayed_lsmc),
+    # each its own rows, then W and F: the basis pass's powers and the
+    # readout's Y and targets.  F is N + 1 rows, one for an h that
+    # ignores t
+    sizes = []
+    take = girsanov.PathEnsemble.block_buffers
+
+    def counted(self, rows):
+        sizes.append(rows)
+        return take(self, rows)
+
+    monkeypatch.setattr(girsanov.PathEnsemble, "block_buffers", counted)
+    text = MINI_STOCHASTIC if family == "gaussian" else MINI_TERMINAL
+    cfg = write_cfg(tmp_path, text + f"mc.mode = {mode}\n")
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 0
+    n1 = 17
+    f = n1 if family == "gaussian" else 1
+    assert sizes == {"solve": [3 * n1 + 2], "norms": [2 * n1 + 2],
+                     "compare": [1 + 4 * n1 + n1 + f, 2 * n1 + n1 + f]
+                     }[command]
 
 
 def test_single_path_solve_writes_valid_sidecar(tmp_path):

@@ -86,6 +86,14 @@ The partition of the paths into blocks has one home, girsanov: no other
 module under src/ calls _path_blocks or reads LSMC_CHUNK, so every pass
 over the paths takes the blocks of PathEnsemble.blocks, and a path's
 block (and with it its bits) is the same in every pass.
+
+A pass over the paths has one owner of its block buffers, its driver:
+PathEnsemble.block_buffers is read only in cli._path_moments (the Monte
+Carlo solve and norms) and oracles.solve_delayed_lsmc (compare's LSMC),
+which lay out each pass's rows in one buffer and hand every producer
+(solve_Y_blocks, conditional_sweep, evaluate_F_blocks,
+residual_reduced_pathwise, the LSMC's basis pass and readout) the rows
+it fills, so no producer allocates a (rows, m) table of its own.
 """
 
 import ast
@@ -124,6 +132,8 @@ SPREADS = {"std", "var"}
 ZERO_EXTEND_HOME = ("kernels", "zero_extend_kernel")
 PARTITION = {"_path_blocks", "LSMC_CHUNK"}
 PARTITION_HOME = "girsanov"
+BUFFERS = "block_buffers"
+BUFFER_OWNERS = {("cli", "_path_moments"), ("oracles", "solve_delayed_lsmc")}
 
 
 def numpy_aliases(tree: ast.AST) -> set[str]:
@@ -988,3 +998,54 @@ def test_src_partitions_the_paths_in_one_module():
                  path.read_text(encoding="utf-8"), path.stem)]
     assert not found, ("the path partition read outside "
                        f"{PARTITION_HOME}:\n" + "\n".join(found))
+
+
+def buffer_reads(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, where) of each read of block_buffers, by name or as an
+    attribute, where the top-level function or class that holds it
+    ("<module>" outside them all), unless (module, where) is one of
+    BUFFER_OWNERS."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(
+            top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        if (module, where) in BUFFER_OWNERS:
+            continue
+        found += [(node.lineno, where) for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and node.id == BUFFERS
+                  or isinstance(node, ast.Attribute) and node.attr == BUFFERS]
+    return sorted(found)
+
+
+def test_scan_finds_buffer_reads():
+    # the buffers as they were: taken by each producer and by the ensemble
+    source = ("def _path_moments(cfg, psi, z, ens, residual):\n"
+              "    return ens.block_buffers(9)\n"
+              "def solve_Y_blocks(fam, psi, ensemble):\n"
+              "    for _, y in ensemble.block_buffers(4):\n"
+              "        yield y\n"
+              "class PathEnsemble:\n"
+              "    def block_buffers(self, rows):\n"
+              "        return rows\n"
+              "    def state_blocks(self):\n"
+              "        return self.block_buffers(3)\n"
+              "take = PathEnsemble.block_buffers\n")
+    outside = [(4, "solve_Y_blocks"), (10, "PathEnsemble"), (11, "<module>")]
+    assert buffer_reads(source, "cli") == outside
+    assert buffer_reads(source, "oracles") == sorted(
+        outside + [(2, "_path_moments")])
+
+
+def test_src_takes_block_buffers_only_in_the_pass_drivers():
+    found = [f"{path.relative_to(ROOT)}:{line}: {where}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, where in buffer_reads(
+                 path.read_text(encoding="utf-8"), path.stem)]
+    assert not found, (f"{BUFFERS} read outside "
+                       f"{sorted(BUFFER_OWNERS)}:\n" + "\n".join(found))
+    # and each driver takes its buffers there
+    owners = {(path.stem, where)
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              for _, _, where in lag_walk_calls(
+                  path.read_text(encoding="utf-8"), {BUFFERS})}
+    assert owners == BUFFER_OWNERS

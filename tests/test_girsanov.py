@@ -131,7 +131,7 @@ def test_mode_q_shifts_mean():
     gamma = 0.8
     b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=5, mode="Q", drift_fn=b)
-    (est,), (se,) = expect_all(ens, ens.wt[-1:])
+    (est,), (se,) = expect_all(ens, ens.states()[-1:])
     # b(T) = 0 under the half-open mass but the left-point sum never reads
     # it, so the accumulated drift is exactly gamma * T
     assert abs(est - gamma) < 3 * se
@@ -144,7 +144,7 @@ def test_mode_p_reweighted_mean_matches_shift():
     gamma = 0.6
     b = tilt(DiracAt(1.0, 0.0), gamma, g)
     ens = sample_paths(100_000, seed=9, mode="P", drift_fn=b)
-    (est,), (se,) = expect_all(ens, ens.wt[-1:])
+    (est,), (se,) = expect_all(ens, ens.states()[-1:])
     assert abs(est - gamma) < 3 * se
 
 
@@ -192,7 +192,7 @@ def test_expect_q_columns_match_expect_q():
     b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     for mode in ("P", "Q"):
         ens = sample_paths(3000, seed=6, mode=mode, drift_fn=b)
-        values = np.exp(ens.wt)
+        values = np.exp(ens.states())
         est, se = expect_all(ens, values)
         want = np.array([np.concatenate(expect_all(ens, values[[i]]))
                          for i in range(g.n + 1)])
@@ -213,7 +213,7 @@ def test_expect_q_columns_match_numpy_reductions(mode, order):
     g = grid(20)
     b = tilt(DiracAt(1.0, 0.0), 0.5, g)
     ens = sample_paths(3001, seed=6, mode=mode, drift_fn=b)
-    values = np.array(np.exp(ens.wt), order=order)
+    values = np.array(np.exp(ens.states()), order=order)
     before = values.copy()
     est, se = expect_all(ens, values)
     assert np.array_equal(values, before)
@@ -238,7 +238,7 @@ def test_expect_q_columns_of_a_node_major_table_make_no_copy(mode):
     # whole (K, M) table
     g = grid(40)
     ens = sample_paths(20_000, 3, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
-    values = np.exp(ens.wt)
+    values = np.exp(ens.states())
     tracemalloc.start()
     try:
         expect_all(ens, values)
@@ -260,7 +260,7 @@ def test_expect_q_blocks_merge_blocks_in_any_order(mode):
     # failure): a merged sum of squares rounded below 0 reads 0
     g = grid(20)
     ens = sample_paths(5000, 6, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
-    table = np.exp(ens.wt)
+    table = np.exp(ens.states())
     est_one, se_one = expect_all(ens, table)
     bounds = [0, 700, 2048, 2049, 4000, 5000]
     parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -285,7 +285,7 @@ def test_expect_q_blocks_refuses_a_block_laid_out_by_path(mode):
     # bare vector are refused, not reduced along the wrong axis
     g = grid(20)
     ens = sample_paths(50, 4, mode, tilt(DiracAt(1.0, 0.0), 0.5, g))
-    table = np.exp(ens.wt)
+    table = np.exp(ens.states())
     for part, values in [(slice(None), table.T), (slice(0, 20), table[:, :30]),
                          (slice(20, None), table[0, 20:])]:
         with pytest.raises(ValueError, match=r"expected \(K, m\)"):
@@ -334,8 +334,8 @@ def reference_report(b, n_paths, seed):
     mean_w = (float(wts.mean()),
               float(wts.std(ddof=1) / math.sqrt(n_paths)))
     (wq_est,), (wq_se,) = expect_all(ens_q, ens_q.wq.T[-1:])
-    (est_p,), (se_p,) = expect_all(ens_p, np.exp(ens_p.wt[-1:]))
-    (est_q,), (se_q,) = expect_all(ens_q, np.exp(ens_q.wt[-1:]))
+    (est_p,), (se_p,) = expect_all(ens_p, np.exp(ens_p.states()[-1:]))
+    (est_q,), (se_q,) = expect_all(ens_q, np.exp(ens_q.states()[-1:]))
     return [
         ("mean_weight", mean_w[0], mean_w[1]),
         ("mean_WQ_T", float(wq_est), float(wq_se)),
@@ -368,7 +368,7 @@ def test_report_draws_the_stream_once(monkeypatch):
         return property(read) if isinstance(real, property) else read
 
     monkeypatch.setattr(girsanov, "sample_paths", counting_sample_paths)
-    for name in ("dw", "wt", "w", "wq", "states", "end_states"):
+    for name in ("dw", "w", "wq", "states", "end_states"):
         monkeypatch.setattr(PathEnsemble, name, counting(name))
     girsanov_report(tilt(Uniform(1.0), 0.8, grid(40)), 500, seed=3)
     assert len(calls) == 1
@@ -398,18 +398,19 @@ def test_report_takes_its_statistics_from_expect_q_columns(monkeypatch):
 def test_node_major_paths_match_the_path_major_table_bitwise(mode, g_value):
     # W^T is one cumsum along the nodes plus the drift's cumulative per
     # row: the sequential sums of the path-major table, bit for bit, in
-    # contiguous node rows that cannot be written into; w is its transpose
-    # and end_states of every path, formed without it, its last row
+    # contiguous node rows; w is its transpose, which cannot be written
+    # into, and end_states of every path, formed without it, its last row
     g = grid(37)
     ens = sample_paths(501, 13, mode, tilt(Uniform(1.0), g_value, g))
     w = reference_paths(g, 501, 13, mode, ens.drift_fn)[1]
-    wt = ens.wt
+    wt = ens.states()
     assert wt.shape == (38, 501) and wt.flags.c_contiguous
     assert wt.tobytes() == np.ascontiguousarray(w.T).tobytes()
     assert ens.w.T.flags.c_contiguous and ens.w[:, -1].flags.c_contiguous
+    assert ens.w.T.tobytes() == wt.tobytes()
     assert ens.end_states(slice(None)).tobytes() == wt[-1].tobytes()
     with pytest.raises(ValueError):
-        wt[0, 0] = 1.0
+        ens.w.T[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("mode", ["P", "Q"])
@@ -425,7 +426,7 @@ def test_running_row_adds_are_the_cumsum_bitwise(mode):
     drift_rows = ens.drift_fn.cumulative()[:, None]
     want_w = sums + drift_rows if mode == "Q" else sums
     want_wq = sums - drift_rows if mode == "P" else sums
-    assert ens.wt.tobytes() == want_w.tobytes()
+    assert ens.states().tobytes() == want_w.tobytes()
     assert np.ascontiguousarray(ens.wq.T).tobytes() == want_wq.tobytes()
     out = np.empty((g.n + 1, 1025))
     blocks = [ens.states(slice(0, 1024)), ens.states(slice(1024, None), out)]

@@ -18,13 +18,13 @@ from bsvielab.kernels import DelayOperator, DelayedGenerator, GridMismatch, \
 from bsvielab.measures import Atoms, DiracAt, Mixture, Uniform, snap_lag
 from bsvielab import oracles
 from bsvielab.oracles import PicardDiverged, PicardStalled, \
-    RegressionIllConditioned, _StackedBasis, _readout, \
+    RegressionIllConditioned, _StackedBasis, _path_pass, _readout, \
     _g_weighted_term, _slope_z, build_delayed_operator, residual_delayed, \
     residual_reduced, residual_reduced_pathwise, solve_delayed_lsmc, \
     solve_delayed_picard, solve_reduced_collocation
 from bsvielab.solver import mean_Y, solve_Y_blocks, solve_Z
 from bsvielab.terminal import Deterministic, GaussianLinear, \
-    evaluate_F_blocks, f0_profile, make_f0, make_h, make_phi
+    evaluate_F_blocks, f0_profile, f_rows, make_f0, make_h, make_phi
 
 T = 1.0
 
@@ -42,11 +42,17 @@ def one_block(ens):
         yield
 
 
+def views(ens, rows=None):
+    """The (rows, m) views of ens.block_buffers, (N+1, m) unless rows is
+    given, one per block of ens.blocks: the rows a producer is handed."""
+    return ens.block_buffers(ens.grid.n + 1 if rows is None else rows)
+
+
 def y_paths(fam, psi, ens):
     """Y of a stochastic family on every path, path-major (M, N+1):
     solve_Y_blocks on the one block of every path, transposed."""
     with one_block(ens):
-        return next(solve_Y_blocks(fam, psi, ens)).T
+        return next(solve_Y_blocks(fam, psi, ens, views(ens))).T
 
 
 def y_profile(fam, psi):
@@ -58,7 +64,8 @@ def f_paths(fam, ens):
     """F on every path, path-major (M, N+1): evaluate_F_blocks on the one
     block of every path, transposed."""
     with one_block(ens):
-        return next(evaluate_F_blocks(fam, ens)).T
+        (part, out), = views(ens)
+        return evaluate_F_blocks(fam, ens)(part, out).T
 
 
 def lsmc_paths(res):
@@ -322,10 +329,16 @@ def test_lsmc_cross_oracle_against_explicit():
 
 
 def test_lsmc_deterministic_F_has_no_martingale_part():
+    # a deterministic F, f0_profile on every path: the LSMC reads F
+    # through a stochastic family, here a Gaussian-linear one with phi = 0
     g = TriangularGrid(T, 15)
     gen = DelayedGenerator(DiracAt(T, 0.0), constant_kernel(0.4), g)
-    fam = Deterministic(f0=make_f0("constant", value=1.0))
+    f0 = make_f0("constant", value=1.0)
+    fam = GaussianLinear(f0=f0, phi=make_phi("constant", value=0.0))
     ens = sample_paths(5_000, 41, "P", zero_drift(g))
+    f = f0_profile(Deterministic(f0=f0), g)
+    assert f_paths(fam, ens).tobytes() \
+        == np.tile(f, (ens.n_paths, 1)).tobytes()
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     tri = np.triu_indices(15)
     assert np.all(np.abs(res.z[:15, :15][tri])
@@ -356,7 +369,7 @@ def pathwise_residual(y, z, fam, phi, ens):
     as node-major blocks."""
     return np.concatenate([r.copy() for _, r in residual_reduced_pathwise(
         (np.ascontiguousarray(y[part].T) for part in ens.blocks), z, fam,
-        phi, ens)], axis=1).T
+        phi, ens, views(ens), views(ens))], axis=1).T
 
 
 def pathwise_inputs(mode, n, m_paths, seed):
@@ -402,7 +415,8 @@ def test_pathwise_residual_traced_peak_within_two_tables(mode):
     assert block < table / 2  # several blocks
     tracemalloc.start()
     try:
-        for _ in residual_reduced_pathwise(y_blocks, z, fam, phi, ens):
+        for _ in residual_reduced_pathwise(y_blocks, z, fam, phi, ens,
+                                           views(ens), views(ens)):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -516,8 +530,15 @@ def stacked_basis(w, f, draws, op):
     blocks of the ensemble of the draws that the LSMC's pass forms:
     node-major W and F on each block's paths, cut from the two tables."""
     ens = draws_ensemble(draws, op.grid)
-    return _StackedBasis([(part, w.T[:, part], f.T[:, part])
-                          for part in ens.blocks], ens, op)
+    return _StackedBasis([(part, w.T[:, part], f.T[:, part], rows)
+                          for part, rows in views(ens, basis_rows(op.grid))],
+                         ens, op)
+
+
+def basis_rows(grid):
+    """The rows of a block's view in the LSMC's basis pass: a row of ones
+    and the (N+1)(D-1) shifted powers."""
+    return 1 + (grid.n + 1) * oracles.REGRESSION_DEGREE
 
 
 def reference_stacked_rows(w):
@@ -613,7 +634,7 @@ def test_basis_blocks_match_the_stacked_basis_bitwise(monkeypatch, m_paths,
     # row's products with F, F's column sums up to rounding
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 71, "Q", zero_drift(g))
-    wt = ens.wt
+    wt = ens.states()
     f = np.random.default_rng(7).standard_normal((m_paths, n + 1))
     blocks = shifted_power_rows(monkeypatch)
     basis = stacked_basis(wt.T, f, ens.draws, zero_operator(g))
@@ -650,7 +671,7 @@ def test_basis_of_states_far_from_zero(monkeypatch):
     m_paths, n = 20_000, 20
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 71, "Q", zero_drift(g))
-    wt = ens.wt + 40.0
+    wt = ens.states() + 40.0
     f = 100.0 + np.random.default_rng(7).standard_normal((m_paths, n + 1))
     monkeypatch.setattr(oracles, "COND_LIMIT", np.inf)
     basis = stacked_basis(wt.T, f, ens.draws, zero_operator(g))
@@ -687,7 +708,7 @@ def test_gram_blocks_inverted_per_live_pattern_bitwise(monkeypatch):
     m_paths, n = 4000, 12
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 79, "Q", zero_drift(g))
-    wt = ens.wt.copy()
+    wt = ens.states()
     wt[5] = np.where(np.arange(m_paths) % 2, 0.5, -0.5)
     monkeypatch.setattr(oracles, "COND_LIMIT", np.inf)
     basis = stacked_basis(wt.T, np.zeros((m_paths, n + 1)), ens.draws,
@@ -724,7 +745,7 @@ def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
     m_paths, n = 40_000, 12
     g = TriangularGrid(T, n)
     ens = sample_paths(m_paths, 83, "Q", zero_drift(g))
-    wt = ens.wt
+    wt = ens.states()
     f = np.random.default_rng(10).standard_normal((m_paths, n + 1))
     op = zero_operator(g)
     d = oracles.REGRESSION_DEGREE + 1
@@ -740,9 +761,9 @@ def test_basis_is_formed_in_one_pass_over_the_paths(monkeypatch):
         return form(*args)
 
     def blocks():
-        for part in parts:
+        for part, rows in views(ens, basis_rows(g)):
             events.append(part)
-            yield part, wt[:, part], f.T[:, part]
+            yield part, wt[:, part], f.T[:, part], rows
 
     monkeypatch.setattr(oracles, "_shifted_powers", counted)
     tracemalloc.start()
@@ -1466,7 +1487,7 @@ def test_targets_by_path_blocks_bitwise():
     gen = DelayedGenerator(Uniform(T), constant_kernel(0.3, g_value=0.2), g)
     ens = sample_paths(12_000, 83, "Q", drift(gen))
     op = build_delayed_operator(gen)
-    wt = ens.wt
+    wt = ens.states()
     assert len(ens.blocks) == 6
     rng = np.random.default_rng(9)
     c, gz = 0.1 * rng.standard_normal((21, 5)), rng.standard_normal(21)
@@ -1482,8 +1503,10 @@ def test_targets_by_path_blocks_bitwise():
             want += f_vals.T
             want += gz[:, None]
             got = np.concatenate(
-                [yt.copy() for _, yt in _readout(fam, ens, op, basis, c,
-                                                 c_prev, gz)],
+                [yt.copy() for _, yt in _readout(
+                    ens, op, basis, c, c_prev, gz, _path_pass(
+                        fam, ens, views(ens, 3 * 21 + f_rows(fam, g)),
+                        2 * 21))],
                 axis=2)
             assert got[0].tobytes() == y.tobytes(), family
             assert got[1].tobytes() == want.tobytes(), (family, c_prev)
@@ -1773,11 +1796,13 @@ def test_per_path_blocks_are_node_major(mode, family):
             seen.append(part)
         assert seen == list(parts)
 
-    node_major(zip(parts, evaluate_F_blocks(fam, ens)))
+    f_at = evaluate_F_blocks(fam, ens)
+    node_major((part, f_at(part, out)) for part, out in views(ens))
     z = solve_Z(fam, psi, b)
     res = solve_delayed_lsmc(fam, build_delayed_operator(gen), ens)
     for k in (0, 1):  # Y and R; the readout's Y and targets
         node_major((part, pair[k]) for part, pair in zip(
-            parts, residual_reduced_pathwise(solve_Y_blocks(fam, psi, ens),
-                                             z, fam, phi, ens)))
+            parts, residual_reduced_pathwise(
+                solve_Y_blocks(fam, psi, ens, views(ens)), z, fam, phi, ens,
+                views(ens), views(ens))))
         node_major((part, yt[k]) for part, yt in res.readout())

@@ -59,11 +59,17 @@ def one_block(ens):
         yield
 
 
+def views(ens):
+    """The (N+1, m) views of ens.block_buffers, one per block of
+    ens.blocks: the rows a producer is handed."""
+    return ens.block_buffers(ens.grid.n + 1)
+
+
 def y_paths(fam, psi, ens):
     """Y of a stochastic family on every path, path-major (M, N+1):
     solve_Y_blocks on the one block of every path, transposed."""
     with one_block(ens):
-        return next(solve_Y_blocks(fam, psi, ens)).T
+        return next(solve_Y_blocks(fam, psi, ens, views(ens))).T
 
 
 def y_profile(fam, psi):
@@ -75,7 +81,8 @@ def f_paths(fam, ens):
     """F on every path, path-major (M, N+1): evaluate_F_blocks on the one
     block of every path, transposed."""
     with one_block(ens):
-        return next(evaluate_F_blocks(fam, ens)).T
+        (part, out), = views(ens)
+        return evaluate_F_blocks(fam, ens)(part, out).T
 
 
 def expect_table(ens, values):
@@ -257,7 +264,7 @@ def sweep_rows(fam, ens):
     """(i, C_i) of conditional_sweep on the one block of every path, C_i
     broadcast to one row per node."""
     assert len(ens.blocks) == 1
-    for i, c in conditional_sweep(fam, ens):
+    for i, c in conditional_sweep(fam, ens, views(ens)):
         yield i, np.broadcast_to(c, (ens.grid.n + 1, ens.n_paths))
 
 
@@ -318,7 +325,7 @@ def test_solve_Y_node_major_rows_match_column_loop(monkeypatch, m_paths,
         want[:, i] = c[i] + a[i] @ c if t_dependent \
             else c[i] + a[i].sum() * c[i]
     with one_block(ens):
-        y = next(solve_Y_blocks(fam, psi, ens))
+        y = next(solve_Y_blocks(fam, psi, ens, views(ens)))
     assert y.flags.c_contiguous
     assert y.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
@@ -399,15 +406,17 @@ def test_solve_Y_and_residual_blocks_bitwise(monkeypatch, case, m_paths,
     ens = sample_paths(m_paths, 9, mode, b)
     z = solve_Z(fam, psi, b)
     with one_block(ens):
-        whole = next(solve_Y_blocks(fam, psi, ens)).copy()
-        (_, r_whole), = residual_reduced_pathwise([whole], z, fam, phi, ens)
+        whole = next(solve_Y_blocks(fam, psi, ens, views(ens))).copy()
+        (_, r_whole), = residual_reduced_pathwise([whole], z, fam, phi, ens,
+                                                  views(ens), views(ens))
     if blocks is not None:
         monkeypatch.setattr(PathEnsemble, "blocks",
                             property(lambda self: blocks))
     assert len(ens.blocks) > 1
     ys, rs = [], []
     for y, r in residual_reduced_pathwise(
-            solve_Y_blocks(fam, psi, ens), z, fam, phi, ens):
+            solve_Y_blocks(fam, psi, ens, views(ens)), z, fam, phi, ens,
+            views(ens), views(ens)):
         ys.append(y.copy())
         rs.append(r.copy())
     assert np.array_equal(np.concatenate(ys, axis=1), whole)
@@ -428,9 +437,9 @@ def test_t_dependent_y_blocks_bitwise_past_the_last_lane(m_paths):
     g, m, spec, phi, psi = setup_reduced(0.3, 40, Uniform(T), g_value=0.2)
     ens = sample_paths(m_paths, 3, "Q", drift(DelayedGenerator(m, spec, g)))
     with one_block(ens):
-        whole = next(solve_Y_blocks(fam, psi, ens)).copy()
+        whole = next(solve_Y_blocks(fam, psi, ens, views(ens))).copy()
     assert len(ens.blocks) > 1
-    ys = [y.copy() for y in solve_Y_blocks(fam, psi, ens)]
+    ys = [y.copy() for y in solve_Y_blocks(fam, psi, ens, views(ens))]
     assert np.array_equal(np.concatenate(ys, axis=1), whole)
 
 

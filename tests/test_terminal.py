@@ -25,6 +25,7 @@ from bsvielab.terminal import (
     Z_REF_STATE,
     conditional_sweep,
     evaluate_F_blocks,
+    f0_profile,
     gauss_hermite_mean,
     is_stochastic,
     make_f0,
@@ -73,10 +74,16 @@ def one_block(ens):
 
 
 def F_table(fam, ensemble):
-    """F on every path and node, path-major (M, N+1): evaluate_F_blocks on
-    the one block of every path, transposed."""
+    """F on every path and node, path-major (M, N+1): a deterministic
+    family's f0_profile along every path, else evaluate_F_blocks on the
+    one block of every path, transposed."""
+    grid = ensemble.grid
+    if not is_stochastic(fam):
+        return np.broadcast_to(f0_profile(fam, grid),
+                               (ensemble.n_paths, grid.n + 1))
     with one_block(ensemble):
-        return next(evaluate_F_blocks(fam, ensemble)).T
+        (part, out), = ensemble.block_buffers(grid.n + 1)
+        return evaluate_F_blocks(fam, ensemble)(part, out).T
 
 
 def F_at(fam, t, ensemble):
@@ -238,7 +245,7 @@ def test_sweep_matches_pointwise_conditionals():
     for fam in fams:
         # Y[:, i] = C_i[i] + sum_a A[i, a] C_i[a] with each C_i[a] from
         # conditional_F; only terminal functions go through the sweep
-        y = next(solve_Y_blocks(fam, psi, e)).T \
+        y = next(solve_Y_blocks(fam, psi, e, e.block_buffers(16))).T \
             if is_stochastic(fam) else mean_Y(mean_profile(fam, b), psi)
         for i in (0, 7, 15):
             cond = np.stack([conditional_F(fam, t, g.nodes[i], e)
@@ -249,7 +256,7 @@ def test_sweep_matches_pointwise_conditionals():
         if not isinstance(fam, TerminalFunction):
             continue
         assert len(e.blocks) == 1
-        for i, c in conditional_sweep(fam, e):
+        for i, c in conditional_sweep(fam, e, e.block_buffers(16)):
             if i in (0, 7, 15):
                 for a in (i, min(i + 3, 15)):
                     want = conditional_F(fam, g.nodes[a], g.nodes[i], e)
@@ -278,7 +285,7 @@ def blocked_sweep(fam, e):
     C_i on the paths of the block paths."""
     blocks = e.blocks
     assert len(blocks) > 1
-    sweep = conditional_sweep(fam, e)
+    sweep = conditional_sweep(fam, e, e.block_buffers(e.grid.n + 1))
     for part in blocks:
         for i, c in islice(sweep, e.grid.n + 1):
             yield i, part, c
@@ -345,7 +352,7 @@ def test_sweep_counts_h_points():
     fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
     e = mc_terminal_ensemble(1, n, m)
     with one_block(e):
-        for _ in conditional_sweep(fam, e):
+        for _ in conditional_sweep(fam, e, e.block_buffers(n + 1)):
             pass
     assert sum(points) <= ((n - 1) * (2 * CHEB_NODES - 1) + 1) * GH_NODES + m
 
@@ -368,7 +375,7 @@ def test_sweep_chops_the_series_at_its_rounding_floor(monkeypatch, fam, most):
     monkeypatch.setattr(terminal, "_chebyshev_table", table)
     e = mc_terminal_ensemble(1)
     with one_block(e):
-        for _ in conditional_sweep(fam, e):
+        for _ in conditional_sweep(fam, e, e.block_buffers(e.grid.n + 1)):
             pass
     assert len(rows) == 2 * (e.grid.n - 1)
     assert max(rows) <= most
@@ -413,10 +420,12 @@ def test_chopped_sweep_within_floor_of_full_series(monkeypatch, fam):
     rows = [[i, n] if fam.t_dependent else [0] for i in range(n + 1)]
     monkeypatch.setattr(girsanov, "LSMC_CHUNK", 64 * e.n_paths)
     monkeypatch.setattr(terminal, "_chopped_length", chopped)
-    chop = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
+    chop = [c[rows[i]] for i, c in conditional_sweep(
+        fam, e, e.block_buffers(n + 1))]
     monkeypatch.setattr(terminal, "_chopped_length",
                         lambda coef, scale: coef.shape[1])
-    full = [c[rows[i]] for i, c in conditional_sweep(fam, e)]
+    full = [c[rows[i]] for i, c in conditional_sweep(
+        fam, e, e.block_buffers(n + 1))]
     assert len(rows_seen) == n - 1  # every interior node interpolates
     eps = np.finfo(float).eps
     k = CHEB_NODES
@@ -443,8 +452,9 @@ def test_nan_at_an_interpolation_point_raises():
         return out
 
     fam = TerminalFunction(h=h, dh=None, growth_a=3.0, growth_b=1.0)
+    e = mc_terminal_ensemble(1, 10, 200)
     with pytest.raises(QuadratureError):
-        for _ in conditional_sweep(fam, mc_terminal_ensemble(1, 10, 200)):
+        for _ in conditional_sweep(fam, e, e.block_buffers(11)):
             pass
     assert poisoned
 
@@ -484,7 +494,12 @@ def test_affine_h_registry():
                      growth_a=3.0, growth_b=1.0, t_dependent=True),
     GaussianLinear(f0=make_f0("exp_decay"), phi=make_phi("bilinear")),
     Deterministic(f0=make_f0("constant", value=2.0)),
-], ids=["t-independent", "t-dependent", "gaussian", "deterministic"])
+    # h returns its own argument W(T) at some times
+    TerminalFunction(h=lambda t, x: x if t > 0.5 else 2.0 * np.asarray(x),
+                     dh=lambda t, x: 1.0 + 0.0 * np.asarray(x),
+                     growth_a=3.0, growth_b=1.0, t_dependent=True),
+], ids=["t-independent", "t-dependent", "gaussian", "deterministic",
+        "h-returns-its-argument"])
 def test_evaluate_F_table_matches_per_node_stack(fam):
     # count the calls of h (of phi for a Gaussian-linear family, of f0 for
     # a deterministic one)
