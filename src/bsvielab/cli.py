@@ -55,17 +55,17 @@ _CONVERGENCE_ERRORS = (ToleranceUnreachable, PicardFailed, SingularStep,
 
 
 CELL = "%.12g"  # the format of every float cell of every CSV written
-# write_triangle formats a row of fewer cells: it would cost more to look up
-CACHED_ROW = 128
+# write_triangle lays out at most this many lines at once, in whole rows
+CHUNK_LINES = 2048
 
 
 def _cells(n: int) -> str:
     return ",".join([CELL] * n)
 
 
-def _write_labelled(fh, labelled) -> None:
-    for label, values in labelled:
-        fh.write(",".join([*label, _cells(len(values)) % tuple(values)]) + "\n")
+def _labelled(labelled) -> str:
+    return "".join(",".join([*label, _cells(len(values)) % tuple(values)])
+                   + "\n" for label, values in labelled)
 
 
 def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
@@ -83,73 +83,138 @@ def write_csv(path: str, header: list[str], table, *, labelled=()) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write((fmt * len(table)) % tuple(table.ravel().tolist()))
-        _write_labelled(fh, labelled)
+        fh.write(_labelled(labelled))
 
 
-def _insert(a, at, values):
-    """a with values put at the ascending positions at of the result: what
-    np.insert does, without the argsort whose sort code it would load."""
-    keep = np.ones(len(a) + len(values), bool)
-    keep[at] = False
-    out = np.empty(len(keep), np.result_type(a, values))
-    out[at], out[keep] = values, a
-    return out
+class _CellCache:
+    """The ",%.12g" text of each distinct 64-bit pattern, formatted once
+    and found by open addressing: a multiplicative hash, linear probing
+    and int32 slots, each an entry of keys and text or 0 when free.  Entry
+    1 is +0.0, entered at its home slot 0, and entry 0 repeats it, so a
+    free slot read as entry 0 matches +0.0 alone, with its own text."""
+
+    def __init__(self):
+        self.keys, self.text = np.zeros(2, np.uint64), np.array([b",0"] * 2)
+        self.slots = np.zeros(1 << 12, np.int32)
+        self.slots[0] = 1
+
+    def _home(self, keys):
+        at = keys * np.uint64(0x9E3779B97F4A7C15)
+        at >>= np.uint64(65 - len(self.slots).bit_length())
+        return at.view(np.int64)
+
+    def _enter(self, keys, at, n):
+        """Enter the absent patterns keys, equal ones with equal at, from
+        slots at on as entries n, n + 1, ...: (each one's entry, the
+        distinct keys in entry order).  A free slot is claimed as -1 - p
+        by position p; equal keys share the claim."""
+        mask, p = len(self.slots) - 1, np.arange(len(keys))
+        own, slot, pk = p.copy(), at.copy(), keys
+        while len(p):
+            free = self.slots.take(at) == 0
+            self.slots[at[free]] = -1 - p[free]
+            q = -1 - self.slots.take(at)
+            done = (q >= 0) & (keys.take(q, mode="clip") == pk)
+            own[p[done]], slot[p[done]] = q[done], at[done]
+            p, pk, at = p[~done], pk[~done], (at[~done] + 1) & mask
+        first = own == np.arange(len(keys))
+        ids = np.cumsum(first, dtype=np.int32) + np.int32(n - 1)
+        self.slots[slot[first]] = ids[first]
+        return ids.take(own), keys[first]
+
+    def find(self, v, most):
+        """The entries of the patterns v, new ones formatted and entered;
+        None, entering none, if over the share most of v are distinct new
+        patterns."""
+        at, mask = self._home(v), len(self.slots) - 1
+        s = self.slots.take(at)
+        miss = np.flatnonzero(self.keys.take(s) != v)
+        todo = miss[s[miss] != 0]
+        while len(todo):  # on another pattern's slot: probe on
+            at[todo] = (at[todo] + 1) & mask
+            s[todo] = self.slots.take(at[todo])
+            todo = todo[(s[todo] != 0) & (self.keys.take(s[todo]) != v[todo])]
+        new = miss[s[miss] == 0]
+        if len(new) > most * len(v) and \
+                len(set(v[new].tolist())) > most * len(v):
+            return None
+        if len(new):
+            n = len(self.keys)
+            if 2 * (n + len(new)) > len(self.slots):  # rehash, load < 1/3
+                self.slots = np.zeros(1 << (3 * (n + len(new))).bit_length(),
+                                      np.int32)
+                for lo in range(1, n, CHUNK_LINES):  # in blocks: less memory
+                    keys = self.keys[lo:lo + CHUNK_LINES]
+                    self._enter(keys, self._home(keys), lo)
+                at[new] = self._home(v[new])
+            s[new], key = self._enter(v[new], at[new], n)
+            self.keys = np.concatenate([self.keys, key])
+            self.text = np.concatenate([self.text, np.array(
+                [("," + CELL) % x for x in key.view(float).tolist()], "S")])
+        return s
+
+
+def _chunk(nodes, heads, text, at, i, e):
+    """Grid rows i..e-1 as lines t_i,s_j,cells (j >= i; surface c's cells
+    text[at[c]]), one table of per-field widths less its NUL padding."""
+    k, n1 = len(at), len(nodes)
+    buf = bytearray(at.shape[1] * (nodes.itemsize + heads.itemsize + 1
+                                   + k * text.itemsize))
+    tab = np.frombuffer(buf, [("t", nodes.dtype), ("s", heads.dtype),
+                              ("c", text.dtype, (k,)), ("n", "S1")])
+    tab["t"] = np.repeat(nodes[i:e], n1 - np.arange(i, e))
+    tab["s"] = np.concatenate([heads[r:] for r in range(i, e)])
+    tab["n"] = b"\n"
+    for c in range(k):
+        tab["c"][:, c] = text.take(at[c])
+    return buf.translate(None, b"\0")
 
 
 def write_triangle(path: str, header: list[str], grid, *surfaces,
                    labelled=()) -> None:
     """Write ``header``, one row (t_i, s_j, each surface at [i, j]) per
     grid pair i <= j in row-major order, then the ``labelled`` rows as
-    write_csv does; the bytes are those of write_csv on the stacked rows,
-    one grid row held at a time.  When every surface is +0.0 on i <= j
-    (all bits zero, read in place, by rows unless the whole table is) each
-    cell is "0".  Else each distinct 64-bit pattern is formatted once, into
-    a sorted cache grown by each row's new patterns (a kernel of s - t
-    repeats its values), and a row is one fixed-width bytes table of t_i,
-    node cells, cached cells and newlines, less its padding.  From the
-    first row that has fewer than CACHED_ROW cells, or that is not row 0
-    and finds under half its cells cached, each row is one format call
-    on t_i's line tails."""
+    write_csv does; the bytes are those of write_csv on the stacked rows.
+    When every surface is +0.0 on i <= j (all bits zero, read in place, by
+    rows unless the whole table is) each cell is "0".  Else the cells of
+    whole rows, at most CHUNK_LINES lines (or one row) at a time, are
+    looked up at once in a _CellCache (a kernel of s - t repeats its
+    values) and laid out by _chunk, until the first chunk has over 2/3 of
+    its cells distinct (new) patterns, or a later one over 1/4.  Each row
+    from there, and of a zero table, is one format call (a join when
+    zero) on t_i's line tails."""
     bits = [s.view(np.uint64) for s in surfaces]
     zero = not any(b.any() and any(b[i, i:].any() for i in range(len(b)))
                    for b in bits)
-    k = len(surfaces)
+    k, n1 = len(surfaces), grid.n + 1
     node_cells = [CELL % x for x in grid.nodes.tolist()]
-    tails = ["," + s + ("," + ("0" if zero else CELL)) * k + "\n"
-             for s in node_cells]
-    heads = np.array(["," + s for s in node_cells], "S")
-    keys, text = np.empty(0, np.uint64), None if zero else np.empty(0, "S1")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(node_cells):
-            if (len(node_cells) - i) * k < CACHED_ROW:
-                keys = text = None
-            if text is not None:
-                v = np.column_stack([b[i, i:] for b in bits]).ravel()
-                at = np.searchsorted(keys, v)
-                new = v[keys.take(at, mode="clip") != v] if i else v
-                if i and 2 * len(new) > len(v):
-                    keys = text = None
-            if text is None:
-                row = t.join(["", *tails[i:]])
-                if not zero:
-                    row %= tuple(np.column_stack(
-                        [s[i, i:] for s in surfaces]).ravel().tolist())
-                fh.write(row)
-                continue
-            if len(new):
-                # not np.unique (imports numpy.ma), np.sort (0.25 MB of code)
-                new = np.array(sorted(set(new.tolist())), np.uint64)
-                at_new = np.searchsorted(keys, new) + np.arange(len(new))
-                keys = _insert(keys, at_new, new)
-                text = _insert(text, at_new, np.array(
-                    [("," + CELL) % x for x in new.view(float).tolist()], "S"))
-                at += np.searchsorted(new, v)
-            row = np.empty((len(v) // k, k + 3), np.result_type(text, heads))
-            row[:, 0], row[:, 1], row[:, -1] = t, heads[i:], "\n"
-            row[:, 2:-1] = text[at].reshape(-1, k)
-            fh.write(row.tobytes().translate(None, b"\0").decode())
-        _write_labelled(fh, labelled)
+    cache = None if zero else _CellCache()
+    if cache:
+        nodes, heads = (np.array([p + s for s in node_cells], "S")
+                        for p in ("", ","))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        i = 0
+        while cache and i < n1:
+            e, lines = i + 1, n1 - i
+            while e < n1 and lines + n1 - e <= CHUNK_LINES:
+                e, lines = e + 1, lines + n1 - e
+            at = cache.find(np.concatenate(
+                [b[r, r:] for b in bits for r in range(i, e)]),
+                2 / 3 if i == 0 else 1 / 4)
+            if at is None:
+                break
+            fh.write(_chunk(nodes, heads, cache.text, at.reshape(k, -1), i, e))
+            i = e
+        tails = ["," + s + ("," + ("0" if zero else CELL)) * k + "\n"
+                 for s in node_cells] if i < n1 else []
+        for r in range(i, n1):
+            row = node_cells[r].join(["", *tails[r:]])
+            if not zero:
+                row %= tuple(np.column_stack(
+                    [s[r, r:] for s in surfaces]).ravel().tolist())
+            fh.write(row.encode())
+        fh.write(_labelled(labelled).encode())
 
 
 def write_meta(cfg: ExperimentConfig, command: str, extra: dict) -> None:

@@ -530,10 +530,11 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     Picard sweeps regress the target F(t_i) + (op Y)(t_i) + gz on the
     polynomial basis B_i in W(t_i) of _StackedBasis.  gz is
     _g_weighted_term of op.generator of the last sweep's mean Z; on
-    Q-paths it also takes off the drift's compensator sum_{k>=i}
-    Z(t_i, s_k) b_k dt (left point, as the Ito sums): the equation holds
-    under P, dW = dW^Q + b dt.  The sweeps run on the stacked
-    coefficients c, Y(t_i) = B_i c_i: c <- G^-1 (b_F + K c + gz B^T 1),
+    Q-paths it also takes off the drift's compensator int_t^T Z(t, s) b(s)
+    ds by the g-term's rule, the tail trapezoid of tail_weighted, with
+    b(T-) = b_{N-1}: the equation holds under P, dW = dW^Q + b dt.  The
+    sweeps run on the stacked coefficients c, Y(t_i) = B_i c_i:
+    c <- G^-1 (b_F + K c + gz B^T 1),
     b_F the node blocks of B^T F, K[i, j] = op[i, j] (B^T B)[i, j] and G
     the ridged Gram blocks (K c is formed on the centred powers, and its
     intercepts as M op c_0); the first sweep reads y = F, outside the
@@ -557,7 +558,8 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     """
     gen, n = op.generator, same_grid(op, ensemble).n
     sweeps = _sweeps(tol)
-    b_dt = ensemble.drift_fn.increments()
+    b = ensemble.drift_fn.values.copy()
+    b[-1] = b[-2]  # b(T-): the drift at T is not in the last cell
     n1, d = n + 1, REGRESSION_DEGREE + 1
     width = n1 + f_rows(fam, ensemble.grid)  # W and F
     path_pass = lambda rows: _path_pass(
@@ -580,7 +582,7 @@ def solve_delayed_lsmc(fam: TerminalFamily, op: DelayOperator,
     for it in sweeps:
         gz = _g_weighted_term(gen, z_mean)
         if ensemble.tag == "Q":
-            gz -= np.append(np.triu(z_mean[:n, :n]) @ b_dt, 0.0)
+            gz -= tail_weighted(ensemble.grid, np.triu(z_mean) * b).sum(1)
         rhs = basis.b_f + b_y + gz[:, None] * basis.ones
         c_next = np.matmul(basis.ginv, rhs[:, :, None])[:, :, 0]
         # the first sweep starts from y = F

@@ -9,7 +9,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bsvielab import cli, config, girsanov, kernels, oracles, solver
+from bsvielab import cli, config, girsanov, kernels, oracles, solver, \
+    terminal
 from bsvielab.cli import main
 from bsvielab.config import load_config
 from bsvielab.girsanov import drift, expect_q_blocks, sample_paths
@@ -351,6 +352,27 @@ def test_mode_q_compare_on_dirac_reduction_is_ok(tmp_path, capsys):
     assert "[ok vs" in verdict, verdict
 
 
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_mode_q_antithetic_lsmc_mean_is_the_explicit_mean(n):
+    # Under a Dirac at 0 the explicit mean and the LSMC solve one equation,
+    # and antithetic mode-Q pairs make the mean of the affine F = W(T)
+    # exact, so the two agree to the sweep tolerance once the drift's
+    # compensator of the g-term takes the g-term's own tail trapezoid.
+    # With the left-point compensator they differed by O(dt): -4.6e-3 at
+    # t_0 at N = 10.  The bound was fixed before measuring.
+    text = (CONFIGS / "dirac-reduction.cfg").read_text()
+    cfg = load_config(text.replace("grid.n = 40", f"grid.n = {n}").replace(
+        "mc.mode = P", "mc.mode = Q"))
+    assert cfg.generator.kernel.g_bound == 0.2
+    psi, b, op = cli._prepare(cfg, operator=True)
+    d = sample_paths(10_000, 1, "Q", b).draws
+    ens = girsanov.PathEnsemble("Q", np.vstack([d, -d]), b,
+                                np.ones(2 * len(d)))
+    y = solver.mean_Y(terminal.mean_profile(cfg.family, b), psi)
+    lsmc = oracles.solve_delayed_lsmc(cfg.family, op, ens, cfg.picard_tol)
+    assert np.abs(lsmc.mean - y).max() <= 1e-9
+
+
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
     table = np.array([(np.float64(-np.nan), np.float64(-0.0), -np.inf,
@@ -497,8 +519,8 @@ def assert_triangles_match_double_loop(path, grid, cases):
 
 @pytest.mark.parametrize("n", [40, 130])
 def test_resolvent_triangle_rows_match_double_loop(tmp_path, n):
-    # example33's tables repeat their values row after row; at N = 40 no
-    # row reaches cli.CACHED_ROW cells, at N = 130 the first rows do
+    # example33's tables repeat their values row after row; at N = 40 the
+    # table is one chunk of cli.CHUNK_LINES lines, at N = 130 several
     grid, phi, psi = resolvent_tables("example33", n)
     assert_triangles_match_double_loop(tmp_path / "tri.csv", grid, [
         ((phi,), ()),
@@ -518,8 +540,8 @@ def lag_table(n, values):
 
 
 def test_repeating_special_cells_match_double_loop(tmp_path):
-    # +0.0 is cached on row 0 and -0.0 first appears on row 10, in cells
-    # whose lag held +0.0 above; nan payloads and signs keep their own bits
+    # +0.0 appears from row 0 and -0.0 first on row 10, in cells whose
+    # lag held +0.0 above; nan payloads and signs keep their own bits
     n = 150
     nan_payload = np.array([0x7FF8000000000001], np.uint64).view(float)[0]
     a = lag_table(n, [0.1 + 0.2, 0.0, -2.5, np.inf, 5e-324, -np.inf, 1e13,
@@ -540,9 +562,10 @@ def test_repeating_special_cells_match_double_loop(tmp_path):
 
 
 def test_distinct_and_repeating_rows_match_double_loop(tmp_path):
-    # distinct rows then repeating ones drop the cache at row 1; repeating
-    # rows then distinct ones drop it at row 60; a surface with 40% new
-    # cells beside repeating ones keeps it, merging new cells on every row
+    # distinct rows then repeating ones drop the cache at the first chunk;
+    # repeating rows then distinct ones at the chunk of row 60; a surface
+    # with 40% new cells beside repeating ones keeps it, merging new cells
+    # on every chunk
     n = 150
     rng = np.random.default_rng(5)
     noise = rng.standard_normal((n + 1, n + 1))
@@ -559,9 +582,97 @@ def test_distinct_and_repeating_rows_match_double_loop(tmp_path):
     ])
 
 
+def test_cell_cache_collisions_match_double_loop(tmp_path):
+    # groups of patterns that share one home slot of the cache's first
+    # table, each group with +0.0 (entry 1, at slot 0), -0.0 or a nan
+    # payload: the first chunk enters them by claims, later chunks probe
+    # past one another; +0.0 and -0.0, and the nans' payloads and signs,
+    # keep their own bits and text
+    n = 99
+    home = cli._CellCache()._home
+    specials = np.array([0x0, 0x8000000000000000, 0x7FF8000000000001,
+                         0xFFF8000000000000], np.uint64)
+    cand = np.random.default_rng(7).integers(0, 2**63, 1 << 18,
+                                             dtype=np.int64).view(np.uint64)
+    groups = [np.append(x, cand[home(cand) == home(x[None])[0]][:6])
+              for x in specials]
+    for group in groups:
+        assert len(group) == 7 and len(set(home(group).tolist())) == 1
+    values = np.concatenate(groups).view(float)
+    a = lag_table(n, values)
+    b = lag_table(n, np.roll(values, 3))
+    assert_triangles_match_double_loop(tmp_path / "tri.csv", TriangularGrid(
+        1.1, n), [((a,), ()), ((a, b), [(("integral", ""), (-0.0,))])])
+    text = (tmp_path / "tri.csv").read_text()
+    assert ",0," in text and ",-0," in text and ",nan" in text
+
+
+def test_cell_cache_grows_on_the_cached_route(tmp_path, monkeypatch):
+    # a fifth of the cells distinct beside six repeating values: no chunk
+    # has over 1/4 of its cells new, so every cell goes through the cache,
+    # whose 6,300 patterns outgrow the table sized in the first chunk, and
+    # a rehash keeps each entry findable
+    caches = []
+
+    class Watched(cli._CellCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(cli, "_CellCache", Watched)
+    n = 249
+    noise = np.random.default_rng(5).standard_normal((n + 1, n + 1))
+    a = np.where(lags(n) % 5 == 0, noise,
+                 lag_table(n, [0.25, 0.0, -3.0, -0.0, 1e-7, 12.5]))
+    assert_triangles_match_double_loop(tmp_path / "tri.csv", TriangularGrid(
+        1.3, n), [((a,), ())])
+    cache, = caches
+    assert len(cache.keys) > 6000 and 2 * len(cache.keys) <= len(cache.slots)
+    # each pattern formatted once: entry 0 repeats entry 1, none other
+    assert len(set(cache.keys.tolist())) == len(cache.keys) - 1
+    assert set(cache.keys.tolist()) == set(
+        a[np.triu_indices(n + 1)].view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("n, first", [(66, 2047), (99, 2047), (343, 1710)])
+def test_chunk_edges_match_double_loop(tmp_path, monkeypatch, n, first):
+    # whole rows of at most CHUNK_LINES lines: on N + 1 = 67 and 100 nodes
+    # the first 46 and 23 rows hold 2047 lines, one short of the bound; on
+    # 344 the first 6 hold 2049, one over, so the first chunk ends a row
+    # before
+    assert cli.CHUNK_LINES == 2048
+    spans, chunk = [], cli._chunk
+    monkeypatch.setattr(cli, "_chunk",
+                        lambda *a: spans.append(a[-2:]) or chunk(*a))
+    a = lag_table(n, [0.1 + 0.2, -0.0, np.inf, 1e13, 5e-324, np.nan, 0.0])
+    assert_triangles_match_double_loop(tmp_path / "tri.csv", TriangularGrid(
+        0.8, n), [((a,), ()), ((a, 2.0 * a), [(("x",), (1.0,))])])
+    spans = spans[:len(spans) // 2]
+    lines = [sum(n + 1 - r for r in range(i, e)) for i, e in spans]
+    assert lines[0] == first and max(lines) <= cli.CHUNK_LINES
+    assert [i for i, _ in spans] == [0] + [e for _, e in spans[:-1]]
+    assert spans[-1][1] == n + 1
+
+
+def test_rows_longer_than_a_chunk_match_double_loop(tmp_path, monkeypatch):
+    # with a bound of 7 lines the first 15 rows of N + 1 = 21 nodes are
+    # chunks of their own, longer than the bound, the rest share chunks,
+    # and the cache takes every chunk
+    monkeypatch.setattr(cli, "CHUNK_LINES", 7)
+    spans, chunk = [], cli._chunk
+    monkeypatch.setattr(cli, "_chunk",
+                        lambda *a: spans.append(a[-2:]) or chunk(*a))
+    n = 20
+    a = lag_table(n, [0.1 + 0.2, -0.0, np.nan, 1e13, 5e-324, 0.0, -np.inf])
+    assert_triangles_match_double_loop(tmp_path / "tri.csv", TriangularGrid(
+        0.6, n), [((a, -a), ())])
+    assert spans[:15] == [(i, i + 1) for i in range(15)]
+    assert spans[15:] == [(15, 16), (16, 17), (17, 19), (19, 21)]
+
+
 def test_write_triangle_peak_on_det_uniform_resolvent(tmp_path):
     # the cache of det-uniform's 4,256 distinct Phi and Psi cells and one
-    # row's tables; 0.07 tables when every cell was formatted, and the
+    # chunk's tables; 0.07 tables when every cell was formatted, and the
     # bound, fixed before measuring, is 0.25 (N+1)^2 tables
     n = 600
     grid, phi, psi = resolvent_tables("example33", n)
@@ -577,7 +688,8 @@ def test_write_triangle_peak_on_det_uniform_resolvent(tmp_path):
 
 def test_distinct_resolvent_is_formatted_cell_by_cell(tmp_path):
     # poly_exp under a uniform measure: 179,702 distinct values in 180,901
-    # cells, so row 1 drops the cache; the bound is the streaming test's
+    # cells, so the first chunk drops the cache; the bound is the
+    # streaming test's
     grid, phi, psi = resolvent_tables(
         "poly_exp\nkernel.k = 2\nkernel.lam = 1.5", 600)
     path = tmp_path / "tri.csv"
